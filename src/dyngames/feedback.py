@@ -27,10 +27,11 @@ from . import denseqp
 from .errors import (
     DimensionError,
     InfeasibleConstraintsError,
-    StageSingularityError,
     SubproblemError,
 )
 from .gradient import pseudo_gradient
+# The LQ open-loop solver lives in ``lq``; these names stay importable here.
+from .lq import LqGameData, extract_lq_data, solve_lq_open_loop  # noqa: F401
 from .model import (
     DEFAULT_ACTIVE_TOL,
     GameDefinition,
@@ -486,119 +487,6 @@ def _partially_tightened_rows(spec: TightenedGameSpec, k: int,
     g = np.asarray(g, dtype=float).copy()
     g[act] += np.asarray(spec.gamma[k], dtype=float)[act]
     return g
-
-
-@dataclass
-class LqGameData:
-    """Per-stage matrices of a linear-quadratic game.
-
-    Dynamics x+ = A_k x + B_k u + b_k; player n's stage cost is
-    0.5 x'Q x + q'x + x'X u + 0.5 u'R u + r'u with stage/player indexing
-    Q[n][k] etc.
-    """
-
-    A: list
-    B: list
-    b: list
-    Q: list
-    X: list
-    R: list
-    q: list
-    r: list
-    action_dims: tuple[int, ...]
-    initial_state: Array
-
-
-def extract_lq_data(game: GameDefinition) -> LqGameData:
-    """Read the constant matrices of a declared linear-quadratic game."""
-    if not (game.linear_dynamics and game.quadratic_costs):
-        raise ValueError("game is not declared linear-quadratic")
-    T = game.horizon
-    n_x, n_u, N = game.state_dim, game.total_action_dim, game.num_players
-    zx, zu = np.zeros(n_x), np.zeros(n_u)
-    A, B, b = [], [], []
-    for k in range(T):
-        Ak, Bk = game.eval_dynamics_jacobians(k, zx, zu)
-        A.append(Ak)
-        B.append(Bk)
-        b.append(game.eval_dynamics(k, zx, zu))
-    Q = [[] for _ in range(N)]
-    X = [[] for _ in range(N)]
-    R = [[] for _ in range(N)]
-    qv = [[] for _ in range(N)]
-    rv = [[] for _ in range(N)]
-    for k in range(T + 1):
-        cx0, cu0 = game.eval_cost_gradients(k, zx, zu)
-        cxx, cxu, cuu = game.eval_cost_hessians(k, zx, zu)
-        for n in range(N):
-            Q[n].append(0.5 * (cxx[n] + cxx[n].T))
-            X[n].append(cxu[n])
-            R[n].append(0.5 * (cuu[n] + cuu[n].T))
-            qv[n].append(cx0[n])
-            rv[n].append(cu0[n])
-    return LqGameData(A=A, B=B, b=b, Q=Q, X=X, R=R, q=qv, r=rv,
-                      action_dims=game.action_dims,
-                      initial_state=game.initial_state)
-
-
-def solve_lq_open_loop(data: LqGameData, x0: Optional[Array] = None) -> Trajectory:
-    """Exact open-loop equilibrium of a linear-quadratic game in one sweep.
-
-    Eliminates the per-player costates with the affine ansatz
-    ``nu_{n,k} = M_{n,k} x_k + m_{n,k}``; the M recursion runs through the
-    closed loop and is nonsymmetric, which distinguishes this open-loop
-    solve from the feedback value recursion.
-    """
-    T = len(data.Q[0]) - 1
-    N = len(data.action_dims)
-    offsets = np.concatenate([[0], np.cumsum(data.action_dims)]).astype(int)
-    n_x = data.Q[0][0].shape[0]
-    n_u = int(offsets[-1])
-    x0 = data.initial_state if x0 is None else np.asarray(x0, dtype=float)
-    M = [np.zeros((n_x, n_x)) for _ in range(N)]
-    m = [np.zeros(n_x) for _ in range(N)]
-    Ks: list[Array] = [None] * (T + 1)
-    ds: list[Array] = [None] * (T + 1)
-    for k in range(T, -1, -1):
-        F = np.empty((n_u, n_u))
-        P = np.empty((n_u, n_x))
-        h = np.empty(n_u)
-        for n in range(N):
-            sl = slice(offsets[n], offsets[n + 1])
-            F[sl] = data.R[n][k][sl]
-            P[sl] = data.X[n][k].T[sl]
-            h[sl] = data.r[n][k][sl]
-            if k < T:
-                Bn = data.B[k][:, sl]
-                F[sl] += Bn.T @ M[n] @ data.B[k]
-                P[sl] += Bn.T @ M[n] @ data.A[k]
-                h[sl] += Bn.T @ (M[n] @ data.b[k] + m[n])
-        try:
-            K = np.linalg.solve(F, -P)
-            d = np.linalg.solve(F, -h)
-        except np.linalg.LinAlgError as exc:
-            raise StageSingularityError(k, f"stage stationarity matrix singular ({exc})") \
-                from exc
-        Ks[k], ds[k] = K, d
-        for n in range(N):
-            if k < T:
-                Fcl = data.A[k] + data.B[k] @ K
-                fcl = data.b[k] + data.B[k] @ d
-                Mn = data.Q[n][k] + data.X[n][k] @ K + data.A[k].T @ M[n] @ Fcl
-                mn = data.q[n][k] + data.X[n][k] @ d \
-                    + data.A[k].T @ (M[n] @ fcl + m[n])
-            else:
-                Mn = data.Q[n][k] + data.X[n][k] @ K
-                mn = data.q[n][k] + data.X[n][k] @ d
-            M[n], m[n] = Mn, mn
-    states = np.empty((T + 1, n_x))
-    actions = np.empty((T + 1, n_u))
-    states[0] = x0
-    for k in range(T + 1):
-        actions[k] = Ks[k] @ states[k] + ds[k]
-        if k < T:
-            states[k + 1] = data.A[k] @ states[k] + data.B[k] @ actions[k] + data.b[k]
-    return Trajectory(states, actions)
 
 
 def solve_unconstrained_newton(game: GameDefinition, init: Trajectory,

@@ -1,0 +1,267 @@
+"""Open-loop equilibria of linear-quadratic games: factor once, solve many.
+
+Player n's stage cost is 0.5 x'Q x + q'x + x'X u + 0.5 u'R u + r'u (data
+indexed ``Q[n][k]``) and the dynamics are x+ = A_k x + B_k u + b_k from a
+pinned initial state.  The open-loop equilibrium is found by one backward
+sweep that eliminates every player's costate with the affine ansatz
+``nu_{n,k} = M_{n,k} x_k + m_{n,k}``, followed by a forward rollout.
+
+The sweep splits into two phases:
+
+* ``factor`` runs once.  It computes everything that depends only on the
+  quadratic data and the dynamics: the stage matrices F_k (checked for
+  singularity and inverted), the gains K_k, the per-player value matrices
+  M_{n,k} (nonsymmetric: they run through the closed loop) and the fixed
+  linear maps that carry the linear cost terms through the recursion.
+* ``LqFactor.solve(y, z)`` shifts every player's linear terms to
+  q_{n,k} - y_k and r_{n,k} - z_k and returns the equilibrium trajectory.
+  It touches vectors only: one matrix-vector product per stage backward,
+  one forward, and a few batched products over all stages.
+
+``factor(game, eta)`` builds the factor of the proximally regularized game
+with costs eta c_{n,k} + 0.5 |x_k - y_k|^2 + 0.5 |u_k - z_k|^2, whose
+equilibrium is the resolvent of the scaled game operator at (y, z).  The
+quadratic data and hence the whole factor depend on eta; (y, z) enter only
+through ``solve``.  At eta = 0 every player has the same cost, so the
+equilibrium is the Euclidean projection of (y, z) onto the trajectories of
+the dynamics, and the factor reads only (A_k, B_k, b_k).
+
+Memory is O(T): a fixed number of per-stage matrices whose sizes depend on
+the state and action dimensions and the player count, never on the horizon.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, replace
+from typing import Optional
+
+import numpy as np
+
+from .errors import StageSingularityError, UnsupportedConstraintError
+from .model import GameDefinition, Trajectory
+
+Array = np.ndarray
+
+
+@dataclass
+class LqGameData:
+    """Per-stage matrices of a linear-quadratic game.
+
+    Dynamics x+ = A_k x + B_k u + b_k; player n's stage cost is
+    0.5 x'Q x + q'x + x'X u + 0.5 u'R u + r'u with stage/player indexing
+    Q[n][k] etc.
+    """
+
+    A: list
+    B: list
+    b: list
+    Q: list
+    X: list
+    R: list
+    q: list
+    r: list
+    action_dims: tuple[int, ...]
+    initial_state: Array
+
+
+def _affine_dynamics(game: GameDefinition) -> tuple[list, list, list]:
+    """(A_k, B_k, b_k) of a game with declared linear dynamics."""
+    n_x, n_u = game.state_dim, game.total_action_dim
+    zx, zu = np.zeros(n_x), np.zeros(n_u)
+    A, B, b = [], [], []
+    for k in range(game.horizon):
+        Ak, Bk = game.eval_dynamics_jacobians(k, zx, zu)
+        A.append(Ak)
+        B.append(Bk)
+        b.append(game.eval_dynamics(k, zx, zu))
+    return A, B, b
+
+
+def extract_lq_data(game: GameDefinition) -> LqGameData:
+    """Read the constant matrices of a declared linear-quadratic game."""
+    if not (game.linear_dynamics and game.quadratic_costs):
+        raise ValueError("game is not declared linear-quadratic")
+    T = game.horizon
+    n_x, n_u, N = game.state_dim, game.total_action_dim, game.num_players
+    zx, zu = np.zeros(n_x), np.zeros(n_u)
+    A, B, b = _affine_dynamics(game)
+    Q = [[] for _ in range(N)]
+    X = [[] for _ in range(N)]
+    R = [[] for _ in range(N)]
+    qv = [[] for _ in range(N)]
+    rv = [[] for _ in range(N)]
+    for k in range(T + 1):
+        cx0, cu0 = game.eval_cost_gradients(k, zx, zu)
+        cxx, cxu, cuu = game.eval_cost_hessians(k, zx, zu)
+        for n in range(N):
+            Q[n].append(0.5 * (cxx[n] + cxx[n].T))
+            X[n].append(cxu[n])
+            R[n].append(0.5 * (cuu[n] + cuu[n].T))
+            qv[n].append(cx0[n])
+            rv[n].append(cu0[n])
+    return LqGameData(A=A, B=B, b=b, Q=Q, X=X, R=R, q=qv, r=rv,
+                      action_dims=game.action_dims,
+                      initial_state=game.initial_state)
+
+
+def _bmv(mats: Array, vecs: Array) -> Array:
+    """Stage-batched matrix-vector products: out[k] = mats[k] @ vecs[k]."""
+    return np.matmul(mats, vecs[..., None])[..., 0]
+
+
+@dataclass(frozen=True)
+class LqFactor:
+    """The iterate-independent part of the open-loop sweep of one LQ game.
+
+    With m_k the stacked costate offsets (m_{1,k}, ..., m_{N,k}) and
+    m_{T+1} = 0, the sweep that ``solve`` runs is
+
+        a_k = e_k + Finv_k z_k
+        m_k = c_k + G_k a_k - (y_k, ..., y_k) + Mm_k m_{k+1}
+        d_k = a_k + Dm_k m_{k+1}
+        x_{k+1} = Acl_k x_k + B_k d_k + b_k,   u_k = K_k x_k + d_k.
+
+    ``eta`` records the regularization weight of a factor built by
+    ``factor``; it is None for a factor of a plain LQ game.
+    """
+
+    initial_state: Array
+    K: Array      # (T+1, n_u, n_x) gains
+    Finv: Array   # (T+1, n_u, n_u) inverted stage matrices
+    e: Array      # (T+1, n_u) action offsets from the constant linear terms
+    Dm: Array     # (T+1, n_u, N n_x) costate offsets -> action offsets
+    G: Array      # (T+1, N n_x, n_u) action offsets -> costate offsets
+    c: Array      # (T+1, N n_x) costate offsets from the constant terms
+    Mm: Array     # (T+1, N n_x, N n_x) costate offset propagation
+    Acl: Array    # (T, n_x, n_x) closed-loop dynamics
+    B: Array      # (T, n_x, n_u)
+    b: Array      # (T, n_x)
+    num_players: int
+    eta: Optional[float] = None
+
+    @property
+    def horizon(self) -> int:
+        return self.K.shape[0] - 1
+
+    def solve(self, y: Optional[Array] = None, z: Optional[Array] = None) -> Trajectory:
+        """Equilibrium with linear terms q_{n,k} - y_k and r_{n,k} - z_k.
+
+        ``y`` is (T+1, n_x) and ``z`` is (T+1, n_u); either may be omitted
+        (no shift).  O(T) time and memory.
+        """
+        T = self.horizon
+        a = self.e if z is None else self.e + _bmv(self.Finv, np.asarray(z, dtype=float))
+        rhs = self.c + _bmv(self.G, a)
+        if y is not None:  # every player's costate offset carries the same -y_k
+            rhs = (rhs.reshape(T + 1, self.num_players, -1)
+                   - np.asarray(y, dtype=float)[:, None]).reshape(T + 1, -1)
+        m_next = np.empty_like(rhs)
+        m = np.zeros(rhs.shape[1])
+        for k in range(T, -1, -1):
+            m_next[k] = m
+            m = rhs[k] + self.Mm[k] @ m
+        d = a + _bmv(self.Dm, m_next)
+        f = _bmv(self.B, d[:T]) + self.b
+        states = np.empty((T + 1, self.K.shape[2]))
+        states[0] = self.initial_state
+        for k in range(T):
+            states[k + 1] = self.Acl[k] @ states[k] + f[k]
+        return Trajectory(states, _bmv(self.K, states) + d)
+
+
+def _factor_data(data: LqGameData, eta: Optional[float] = None) -> LqFactor:
+    """Run the matrix part of the sweep.
+
+    Raises StageSingularityError naming the latest stage whose stationarity
+    matrix F_k is numerically rank deficient (the sweep runs backward).
+    """
+    T = len(data.Q[0]) - 1
+    N = len(data.action_dims)
+    offsets = np.concatenate([[0], np.cumsum(data.action_dims)]).astype(int)
+    n_x = data.Q[0][0].shape[0]
+    n_u = int(offsets[-1])
+    blocks = [slice(offsets[n], offsets[n + 1]) for n in range(N)]
+    rows = [slice(n * n_x, (n + 1) * n_x) for n in range(N)]
+
+    K = np.empty((T + 1, n_u, n_x))
+    Finv = np.empty((T + 1, n_u, n_u))
+    e = np.empty((T + 1, n_u))
+    Dm = np.empty((T + 1, n_u, N * n_x))
+    G = np.empty((T + 1, N * n_x, n_u))
+    c = np.empty((T + 1, N * n_x))
+    Mm = np.zeros((T + 1, N * n_x, N * n_x))
+    Acl = np.empty((T, n_x, n_x))
+    M = np.zeros((N, n_x, n_x))  # M_{n,k+1}; zero beyond the horizon
+    zero_A, zero_B, zero_b = np.zeros((n_x, n_x)), np.zeros((n_x, n_u)), np.zeros(n_x)
+    for k in range(T, -1, -1):
+        A, B, b = (data.A[k], data.B[k], data.b[k]) if k < T else (zero_A, zero_B, zero_b)
+        F = np.empty((n_u, n_u))
+        P = np.empty((n_u, n_x))
+        h = np.empty(n_u)
+        Bblk = np.zeros((n_u, N * n_x))
+        for n, sl in enumerate(blocks):
+            BnM = B[:, sl].T @ M[n]
+            F[sl] = data.R[n][k][sl] + BnM @ B
+            P[sl] = data.X[n][k].T[sl] + BnM @ A
+            h[sl] = data.r[n][k][sl] + BnM @ b
+            Bblk[sl, rows[n]] = B[:, sl].T
+        rank = np.linalg.matrix_rank(F)
+        if rank < n_u:
+            raise StageSingularityError(
+                k, f"stage stationarity matrix F_k is singular (rank {rank} < {n_u})")
+        Fi = np.linalg.inv(F)
+        Kk = -Fi @ P
+        for n, rn in enumerate(rows):
+            AtM = A.T @ M[n]
+            G[k, rn] = data.X[n][k] + AtM @ B
+            c[k, rn] = data.q[n][k] + AtM @ b
+            Mm[k, rn, rn] = A.T
+            M[n] = data.Q[n][k] + data.X[n][k] @ Kk + AtM @ (A + B @ Kk)
+        K[k], Finv[k], e[k], Dm[k] = Kk, Fi, -Fi @ h, -Fi @ Bblk
+        Mm[k] += G[k] @ Dm[k]
+        if k < T:
+            Acl[k] = A + B @ Kk
+    Bs = np.asarray(data.B, dtype=float).reshape(T, n_x, n_u)
+    bs = np.asarray(data.b, dtype=float).reshape(T, n_x)
+    return LqFactor(initial_state=np.asarray(data.initial_state, dtype=float),
+                    K=K, Finv=Finv, e=e, Dm=Dm, G=G, c=c, Mm=Mm, Acl=Acl,
+                    B=Bs, b=bs, num_players=N, eta=eta)
+
+
+def factor(game: GameDefinition, eta: float) -> LqFactor:
+    """Factor of the game regularized with weight eta (see the module docstring).
+
+    eta > 0 requires a declared linear-quadratic game; eta = 0 (the dynamics
+    projection) requires declared linear dynamics only.
+    """
+    if eta < 0:
+        raise ValueError(f"regularization must be nonnegative, got {eta}")
+    T = game.horizon
+    n_x, n_u = game.state_dim, game.total_action_dim
+    I_x, I_u = np.eye(n_x), np.eye(n_u)
+    if eta == 0:
+        if not game.linear_dynamics:
+            raise UnsupportedConstraintError("dynamics projection requires linear dynamics")
+        A, B, b = _affine_dynamics(game)
+        # One player holding every action: all players share the same cost.
+        data = LqGameData(
+            A=A, B=B, b=b, Q=[[I_x] * (T + 1)], X=[[np.zeros((n_x, n_u))] * (T + 1)],
+            R=[[I_u] * (T + 1)], q=[[np.zeros(n_x)] * (T + 1)], r=[[np.zeros(n_u)] * (T + 1)],
+            action_dims=(n_u,), initial_state=game.initial_state)
+        return _factor_data(data, eta)
+    base = extract_lq_data(game)
+
+    def scaled(blocks, shift=None):
+        return [[eta * m if shift is None else eta * m + shift for m in per_player]
+                for per_player in blocks]
+
+    data = replace(base, Q=scaled(base.Q, I_x), X=scaled(base.X), R=scaled(base.R, I_u),
+                   q=scaled(base.q), r=scaled(base.r))
+    return _factor_data(data, eta)
+
+
+def solve_lq_open_loop(data: LqGameData, x0: Optional[Array] = None) -> Trajectory:
+    """Exact open-loop equilibrium of a linear-quadratic game in one sweep."""
+    if x0 is not None:
+        data = replace(data, initial_state=np.asarray(x0, dtype=float))
+    return _factor_data(data).solve()

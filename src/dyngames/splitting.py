@@ -27,6 +27,13 @@ their fixed points coincide with the variational equilibrium exactly when
 the players share state-cost gradients (the coordinator row uses the mean
 of the players' state gradients).  The ``constraints`` scheme carries no
 such restriction.
+
+Two of these resolvents are open-loop equilibria of linear-quadratic games
+whose matrices do not change between iterations: the regularized game of a
+declared linear-quadratic game, and the dynamics projection (the same
+kernel at eta = 0).  ``dr_solve`` factors that kernel once with
+``lq.factor`` before its loop and passes the factor to the resolvent on
+every iteration, so each iteration only re-solves the linear terms.
 """
 
 from __future__ import annotations
@@ -43,7 +50,8 @@ from .errors import (
     SubproblemError,
     UnsupportedConstraintError,
 )
-from .feedback import extract_lq_data, solve_lq_open_loop, solve_unconstrained_newton
+from . import lq
+from .feedback import solve_unconstrained_newton
 from .gradient import playerwise_minimizer_check, pseudo_gradient
 from .model import (
     DEFAULT_ACTIVE_TOL,
@@ -83,7 +91,6 @@ class DrConfig:
     divergence_factor: float = 1e8
     record_costs: bool = True
     run_checks: bool = True
-    reg_game_free_state: bool = False
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -163,21 +170,22 @@ def regularized_game(game: GameDefinition, y: Array, z: Array,
 def resolvent_reg_game(game: GameDefinition, y: Array, z: Array, eta: float,
                        inner_tol: float = 1e-10, inner_max_iter: int = 300,
                        warm: Optional[Trajectory] = None,
-                       free_state: bool = False) -> tuple[Array, Array]:
+                       factor: Optional[lq.LqFactor] = None) -> tuple[Array, Array]:
     """Equilibrium of the proximally regularized unconstrained dynamic game.
 
-    By default the states are eliminated by rollout and the state proximal
-    term acts through the rolled-out trajectory; backward sweeps iterate to
-    pseudo-gradient stationarity.  With ``free_state`` the state block is
-    kept as an independent coordinate (coordinator row with the mean state
-    gradient) and the stationarity system of the linear-quadratic data is
-    solved densely; this is an experimental alternative reading, exact only
-    for linear-quadratic games.
+    Declared linear-quadratic games are solved exactly by the factored
+    open-loop sweep of ``lq``: only the linear cost terms depend on (y, z),
+    so ``factor`` (from ``lq.factor(game, eta)``) can be prepared once and
+    reused across calls; without it the game is factored here.  Other games
+    eliminate the states by rollout and iterate backward sweeps to
+    pseudo-gradient stationarity.
     """
-    if free_state:
-        return _resolvent_reg_game_free_state(game, y, z, eta)
     if game.linear_dynamics and game.quadratic_costs:
-        traj = _regularized_lq_solve(game, y, z, eta)
+        if factor is None:
+            factor = lq.factor(game, eta)
+        elif factor.eta != eta:
+            raise ValueError(f"factor was built for eta={factor.eta}, not {eta}")
+        traj = factor.solve(y, z)
         return traj.states, traj.actions
     reg = regularized_game(game, y, z, eta)
     if warm is None or warm.actions.shape != (game.horizon + 1, game.total_action_dim):
@@ -187,114 +195,6 @@ def resolvent_reg_game(game: GameDefinition, y: Array, z: Array, eta: float,
     traj, _ = solve_unconstrained_newton(reg, warm, tol=inner_tol,
                                          max_iter=inner_max_iter)
     return traj.states.copy(), traj.actions.copy()
-
-
-def _regularized_lq_solve(game: GameDefinition, y: Array, z: Array, eta: float):
-    """Exact one-sweep resolvent for declared linear-quadratic games.
-
-    The regularized game is itself linear-quadratic, so its open-loop
-    equilibrium comes from one costate-elimination sweep; only the linear
-    cost terms depend on the nominal pair, everything else is cached on the
-    game object.
-    """
-    from .feedback import LqGameData
-
-    cache = getattr(game, "_reg_lq_cache", None)
-    if cache is None or cache[0] != eta:
-        base = getattr(game, "_lq_base_cache", None)
-        if base is None:
-            base = extract_lq_data(game)
-            object.__setattr__(game, "_lq_base_cache", base)
-        T = game.horizon
-        N = game.num_players
-        n_x, n_u = game.state_dim, game.total_action_dim
-        Q = [[eta * base.Q[n][k] + np.eye(n_x) for k in range(T + 1)] for n in range(N)]
-        X = [[eta * base.X[n][k] for k in range(T + 1)] for n in range(N)]
-        R = [[eta * base.R[n][k] + np.eye(n_u) for k in range(T + 1)] for n in range(N)]
-        cache = (eta, base, Q, X, R)
-        object.__setattr__(game, "_reg_lq_cache", cache)
-    _, base, Q, X, R = cache
-    T = game.horizon
-    N = game.num_players
-    qv = [[eta * base.q[n][k] - y[k] for k in range(T + 1)] for n in range(N)]
-    rv = [[eta * base.r[n][k] - z[k] for k in range(T + 1)] for n in range(N)]
-    data = LqGameData(A=base.A, B=base.B, b=base.b, Q=Q, X=X, R=R,
-                      q=qv, r=rv, action_dims=game.action_dims,
-                      initial_state=game.initial_state)
-    return solve_lq_open_loop(data)
-
-
-def _resolvent_reg_game_free_state(game, y, z, eta):
-    """Dense stationarity solve with the state kept as a free coordinate."""
-    if not game.linear_dynamics:
-        raise UnsupportedConstraintError(
-            "free-state resolvent requires linear dynamics")
-    T = game.horizon
-    n_x, n_u, N = game.state_dim, game.total_action_dim, game.num_players
-    ref = rollout(game, game.initial_state, z)
-    # x-block unknowns for k=0..T, u for k=0..T, one costate per dynamics row,
-    # plus a multiplier pinning x_0.
-    dim = (T + 1) * (n_x + n_u) + T * n_x + n_x
-    ox, ou = 0, (T + 1) * n_x
-    onu = ou + (T + 1) * n_u
-
-    A = np.zeros((dim, dim))
-    rhs = np.zeros(dim)
-    eqi = 0
-    jac = [game.eval_dynamics_jacobians(k, ref.states[k], ref.actions[k])
-           for k in range(T)]
-    bvec = [game.eval_dynamics(k, np.zeros(n_x), np.zeros(n_u)) for k in range(T)]
-    for k in range(T + 1):
-        cx, cu = game.eval_cost_gradients(k, ref.states[k], ref.actions[k])
-        cxx, cxu, cuu = game.eval_cost_hessians(k, ref.states[k], ref.actions[k])
-        # Linearize gradients around the reference (exact for LQ costs).
-        gx0 = np.mean(cx, axis=0) - np.mean(cxx, axis=0) @ ref.states[k] \
-            - np.mean(cxu, axis=0) @ ref.actions[k]
-        for i in range(n_x):
-            r = eqi
-            eqi += 1
-            A[r, ox + k * n_x:ox + (k + 1) * n_x] += eta * np.mean(cxx, axis=0)[i]
-            A[r, ou + k * n_u:ou + (k + 1) * n_u] += eta * np.mean(cxu, axis=0)[i]
-            A[r, ox + k * n_x + i] += 1.0
-            rhs[r] += y[k][i] - eta * gx0[i]
-            if k < T:
-                Ak, _ = jac[k]
-                A[r, onu + k * n_x:onu + (k + 1) * n_x] -= Ak[:, i]
-            if k >= 1:
-                A[r, onu + (k - 1) * n_x + i] += 1.0
-            else:
-                A[r, onu + T * n_x + i] += 1.0  # multiplier of the x_0 pin
-        for n in range(N):
-            sl = game.action_slice(n)
-            gu0 = cu[n] - cxu[n].T @ ref.states[k] - cuu[n] @ ref.actions[k]
-            for i in range(sl.start, sl.stop):
-                r = eqi
-                eqi += 1
-                A[r, ox + k * n_x:ox + (k + 1) * n_x] += eta * cxu[n].T[i]
-                A[r, ou + k * n_u:ou + (k + 1) * n_u] += eta * cuu[n][i]
-                A[r, ou + k * n_u + i] += 1.0
-                rhs[r] += z[k][i] - eta * gu0[i]
-                if k < T:
-                    _, Bk = jac[k]
-                    A[r, onu + k * n_x:onu + (k + 1) * n_x] -= Bk[:, i]
-    for k in range(T):
-        Ak, Bk = jac[k]
-        for i in range(n_x):
-            r = eqi
-            eqi += 1
-            A[r, ox + (k + 1) * n_x + i] += 1.0
-            A[r, ox + k * n_x:ox + (k + 1) * n_x] -= Ak[i]
-            A[r, ou + k * n_u:ou + (k + 1) * n_u] -= Bk[i]
-            rhs[r] += bvec[k][i]
-    for i in range(n_x):
-        r = eqi
-        eqi += 1
-        A[r, ox + i] += 1.0
-        rhs[r] += game.initial_state[i]
-    sol = np.linalg.solve(A, rhs)
-    xs = sol[:ou].reshape(T + 1, n_x)
-    us = sol[ou:onu].reshape(T + 1, n_u)
-    return xs, us
 
 
 # ---------------------------------------------------------------------------
@@ -494,80 +394,35 @@ def resolvent_static_games_uncon(game: GameDefinition, y: Array, z: Array,
 
 
 def project_dynamics(game: GameDefinition, y: Array, z: Array,
-                     linearize: bool = False,
-                     sweeps: int = 25, tol: float = 1e-10) -> tuple[Array, Array]:
+                     factor: Optional[lq.LqFactor] = None) -> tuple[Array, Array]:
     """Projection of (y, z) onto the dynamics-consistent trajectories.
 
-    Minimizes sum_k |x_k - y_k|^2 + |u_k - z_k|^2 subject to the dynamics
-    and the pinned initial state; solved exactly by one backward/forward
-    Riccati tracking sweep for linear dynamics.  For nonlinear dynamics the
-    ``linearize`` flag enables repeated linearization about the current
-    rollout.
+    Minimizes sum_k |x_k - y_k|^2 + |u_k - z_k|^2 subject to linear dynamics
+    and the pinned initial state, exactly, by one backward/forward sweep of
+    the factored LQ kernel at eta = 0.  Pass ``factor=lq.factor(game, 0.0)``
+    to reuse one factorization across calls.
     """
-    if not game.linear_dynamics and not linearize:
-        raise UnsupportedConstraintError(
-            "dynamics projection requires linear dynamics (or linearize=True)")
-    y = np.asarray(y, dtype=float)
-    z = np.asarray(z, dtype=float)
-    ref = rollout(game, game.initial_state, z)
-    n_sweeps = 1 if game.linear_dynamics else sweeps
-    for _ in range(n_sweeps):
-        _, us = _tracking_sweep(game, ref, y, z)
-        new_ref = rollout(game, game.initial_state, us)
-        if game.linear_dynamics or np.max(np.abs(new_ref.actions - ref.actions)) <= tol:
-            return new_ref.states, us
-        ref = new_ref
-    return new_ref.states, us
-
-
-def _tracking_sweep(game, ref, y, z):
-    T = game.horizon
-    n_x, n_u = game.state_dim, game.total_action_dim
-    jac = [game.eval_dynamics_jacobians(k, ref.states[k], ref.actions[k])
-           for k in range(T)]
-    if game.linear_dynamics:
-        consts = [game.eval_dynamics(k, np.zeros(n_x), np.zeros(n_u))
-                  for k in range(T)]
-    else:
-        consts = [game.eval_dynamics(k, ref.states[k], ref.actions[k])
-                  - jac[k][0] @ ref.states[k] - jac[k][1] @ ref.actions[k]
-                  for k in range(T)]
-    P = np.eye(n_x)
-    qv = y[T].copy()
-    Ks: list[Array] = [None] * T
-    ds: list[Array] = [None] * T
-    for k in range(T - 1, -1, -1):
-        A, B = jac[k]
-        b = consts[k]
-        M = np.eye(n_u) + B.T @ P @ B
-        K = -np.linalg.solve(M, B.T @ P @ A)
-        d = np.linalg.solve(M, z[k] + B.T @ (qv - P @ b))
-        F = A + B @ K
-        f = B @ d + b
-        Pn = np.eye(n_x) + K.T @ K + F.T @ P @ F
-        qn = y[k] + K.T @ (z[k] - d) - F.T @ (P @ f) + F.T @ qv
-        P, qv = 0.5 * (Pn + Pn.T), qn
-        Ks[k], ds[k] = K, d
-    xs = np.empty((T + 1, n_x))
-    us = np.empty((T + 1, n_u))
-    xs[0] = game.initial_state
-    for k in range(T):
-        us[k] = Ks[k] @ xs[k] + ds[k]
-        A, B = jac[k]
-        xs[k + 1] = A @ xs[k] + B @ us[k] + consts[k]
-    us[T] = z[T]
-    return xs, us
+    if factor is None:
+        factor = lq.factor(game, 0.0)  # raises UnsupportedConstraintError for nonlinear dynamics
+    elif factor.eta != 0:
+        raise ValueError(f"dynamics projection needs an eta=0 factor, got eta={factor.eta}")
+    traj = factor.solve(y, z)
+    return traj.states, traj.actions
 
 
 def constrained_oc_projection(game: GameDefinition, y: Array, z: Array,
                               inner_tol: float = 1e-9,
-                              inner_max_iter: int = 2000) -> tuple[Array, Array]:
+                              inner_max_iter: int = 2000,
+                              factor: Optional[lq.LqFactor] = None) -> tuple[Array, Array]:
     """Projection of (y, z) onto dynamics AND stage constraints jointly.
 
     Alternates the two available projections with Dykstra correction terms,
     which converges to the exact projection onto the intersection for the
-    convex constraint classes supported here.
+    convex constraint classes supported here.  The dynamics projection is
+    factored once per call unless ``factor`` (eta = 0) is passed.
     """
+    if factor is None:
+        factor = lq.factor(game, 0.0)
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
     px = np.zeros_like(y)
@@ -576,7 +431,7 @@ def constrained_oc_projection(game: GameDefinition, y: Array, z: Array,
     qu = np.zeros_like(z)
     ax, au = y, z
     for it in range(inner_max_iter):
-        bx, bu = project_dynamics(game, ax + px, au + pu)
+        bx, bu = project_dynamics(game, ax + px, au + pu, factor=factor)
         px = ax + px - bx
         pu = au + pu - bu
         ax_new, au_new = project_stage_constraints(game, bx + qx, bu + qu)
@@ -626,6 +481,7 @@ def action_space_projection(game: GameDefinition, target: Array,
     wx = rollout(game, game.initial_state, target).states
     wu = np.asarray(target, dtype=float).copy()
     weights = np.concatenate([np.ones(n_x), 3.0 * np.ones(n_u)])
+    dyn_factor = lq.factor(game, 0.0)
     last = None
     for it in range(max_iter):
         # resolvent of (tracking-gradient + constraint normal cone)
@@ -642,7 +498,7 @@ def action_space_projection(game: GameDefinition, target: Array,
                 proj = denseqp.project_polyhedron(pt, G, -p0, weights=weights)
                 rx[k], ru[k] = proj[:n_x], proj[n_x:]
         yx, yu = 2 * rx - wx, 2 * ru - wu
-        dx, du = project_dynamics(game, yx, yu)
+        dx, du = project_dynamics(game, yx, yu, factor=dyn_factor)
         gap = max(float(np.max(np.abs(dx - rx))), float(np.max(np.abs(du - ru))))
         wx = wx + 2 * alpha * (dx - rx)
         wu = wu + 2 * alpha * (du - ru)
@@ -682,6 +538,7 @@ def dr_solve(game: GameDefinition, cfg: DrConfig,
     wu = np.array(w0.u, dtype=float, copy=True)
     scale0 = 1.0 + float(np.linalg.norm(np.concatenate([wx.ravel(), wu.ravel()])))
 
+    factor = _scheme_factor(game, cfg)
     warm: Optional[Trajectory] = None
     iterates = [np.concatenate([wx.ravel(), wu.ravel()])]
     step_norms: list[float] = []
@@ -690,11 +547,11 @@ def dr_solve(game: GameDefinition, cfg: DrConfig,
     cand_x, cand_u = wx, wu
     for it in range(cfg.max_iter):
         y, z = wx.copy(), wu.copy()
-        tx, tu = _first_resolvent(game, cfg, y, z, warm)
+        tx, tu = _first_resolvent(game, cfg, y, z, warm, factor)
         if cfg.scheme == SCHEME_CONSTRAINTS:
             warm = Trajectory(tx, tu)
         y, z = 2 * tx - y, 2 * tu - z
-        tx, tu = _second_resolvent(game, cfg, y, z)
+        tx, tu = _second_resolvent(game, cfg, y, z, factor)
         y, z = 2 * tx - y, 2 * tu - z
         new_wx = (1 - cfg.alpha) * wx + cfg.alpha * y
         new_wu = (1 - cfg.alpha) * wu + cfg.alpha * z
@@ -732,24 +589,40 @@ def dr_solve(game: GameDefinition, cfg: DrConfig,
         constraint_residual=_constraint_violation(game, final))
 
 
-def _first_resolvent(game, cfg, y, z, warm):
+def _scheme_factor(game, cfg) -> Optional[lq.LqFactor]:
+    """The LQ factor a scheme's resolvents reuse on every iteration, if any.
+
+    ``constraints`` solves the regularized game, exactly and factored for
+    declared linear-quadratic games; the other two schemes project onto the
+    dynamics, which must be linear.  Factoring raises before the first
+    iteration: StageSingularityError for a singular stage matrix,
+    UnsupportedConstraintError for nonlinear dynamics.
+    """
+    if cfg.scheme == SCHEME_CONSTRAINTS:
+        if game.linear_dynamics and game.quadratic_costs:
+            return lq.factor(game, cfg.eta)
+        return None
+    return lq.factor(game, 0.0)
+
+
+def _first_resolvent(game, cfg, y, z, warm, factor):
     if cfg.scheme == SCHEME_CONSTRAINTS:
         return resolvent_reg_game(game, y, z, cfg.eta,
                                   inner_tol=cfg.inner_tol,
                                   inner_max_iter=cfg.inner_max_iter,
-                                  warm=warm,
-                                  free_state=cfg.reg_game_free_state)
+                                  warm=warm, factor=factor)
     if cfg.scheme == SCHEME_DYNAMICS:
         return resolvent_reg_static_games(game, y, z, cfg.eta,
                                           inner_tol=cfg.inner_tol)
     return constrained_oc_projection(game, y, z, inner_tol=max(cfg.inner_tol, 1e-11),
-                                     inner_max_iter=cfg.inner_max_iter * 20)
+                                     inner_max_iter=cfg.inner_max_iter * 20,
+                                     factor=factor)
 
 
-def _second_resolvent(game, cfg, y, z):
+def _second_resolvent(game, cfg, y, z, factor):
     if cfg.scheme == SCHEME_CONSTRAINTS:
         return project_stage_constraints(game, y, z)
     if cfg.scheme == SCHEME_DYNAMICS:
-        return project_dynamics(game, y, z)
+        return project_dynamics(game, y, z, factor=factor)
     return resolvent_static_games_uncon(game, y, z, cfg.eta,
                                         inner_tol=cfg.inner_tol)

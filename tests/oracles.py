@@ -48,7 +48,8 @@ def stacked_lq_gne(game, lq, constraint_rows, active=None, tol=1e-9):
     """Variational equilibrium of a constrained LQ game by one dense solve.
 
     ``lq`` is the dict of per-stage matrices (A, B, b, Q, q, R, r) from the
-    test game builders.  ``constraint_rows`` is a list of tuples
+    test game builders, optionally with state-action cross terms X (player
+    n's stage cost then carries x_k' X[n][k] u_k).  ``constraint_rows`` is a list of tuples
     (k, w, s, p, kind) representing w'x_k + s'u_k + p (kind "eq" or "ineq").
     When ``active`` (indices into constraint_rows of the inequality rows to
     pin) is None, all 2^m subsets of the "ineq" rows are tried and the first
@@ -62,6 +63,7 @@ def stacked_lq_gne(game, lq, constraint_rows, active=None, tol=1e-9):
     n_x, n_u = game.state_dim, game.total_action_dim
     A, B, b = lq["A"], lq["B"], lq["b"]
     Q, q, R, r = lq["Q"], lq["q"], lq["R"], lq["r"]
+    X = lq.get("X")
     x0 = game.initial_state
 
     ineq_ids = [i for i, row in enumerate(constraint_rows) if row[4] == "ineq"]
@@ -99,13 +101,18 @@ def stacked_lq_gne(game, lq, constraint_rows, active=None, tol=1e-9):
                     eqi += 1
                     Amat[ridx, off_u + k * n_u: off_u + (k + 1) * n_u] += R[n][k][ii]
                     rhs[ridx] -= r[n][k][ii]
+                    if X is not None:
+                        if k >= 1:
+                            Amat[ridx, xvar(k):xvar(k) + n_x] += X[n][k][:, ii]
+                        else:
+                            rhs[ridx] -= X[n][0][:, ii] @ x0
                     if k < T:
                         Amat[ridx, nuvar(n, k + 1):nuvar(n, k + 1) + n_x] += B[k][:, ii]
                     for j, ci in enumerate(rows):
                         ck, w, s, p, _ = constraint_rows[ci]
                         if ck == k:
                             Amat[ridx, off_lam + j] += s[ii]
-        # Costate rows: nu_{n,k} = Q_n[k] x_k + q_n[k] + A_k' nu_{n,k+1}
+        # Costate rows: nu_{n,k} = Q_n[k] x_k + q_n[k] (+ X_n[k] u_k) + A_k' nu_{n,k+1}
         #   + sum_rows w * lam   (k = 1..T; at k = T drop the A' term).
         for n in range(N):
             for k in range(1, T + 1):
@@ -115,6 +122,8 @@ def stacked_lq_gne(game, lq, constraint_rows, active=None, tol=1e-9):
                     Amat[ridx, nuvar(n, k) + ii] += 1.0
                     Amat[ridx, xvar(k):xvar(k) + n_x] -= Q[n][k][ii]
                     rhs[ridx] += q[n][k][ii]
+                    if X is not None:
+                        Amat[ridx, off_u + k * n_u: off_u + (k + 1) * n_u] -= X[n][k][ii]
                     if k < T:
                         Amat[ridx, nuvar(n, k + 1):nuvar(n, k + 1) + n_x] -= A[k][:, ii]
                     for j, ci in enumerate(rows):

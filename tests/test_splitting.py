@@ -115,15 +115,6 @@ class TestRegularizedGameResolvent:
         xs, us = resolvent_reg_game(game, y, z, eta=1e-8)
         assert np.max(np.abs(us - z)) <= 1e-4
 
-    def test_free_state_variant_agrees_on_shared_state_costs(self, rng):
-        game, lq = random_lq_game(rng, T=2, shared_state_cost=True,
-                                  cross_coupling=0.0)
-        y = 0.3 * rng.standard_normal((3, 2))
-        z = 0.3 * rng.standard_normal((3, 2))
-        xs, us = resolvent_reg_game(game, y, z, eta=1e-5)
-        fx, fu = resolvent_reg_game(game, y, z, eta=1e-5, free_state=True)
-        assert np.max(np.abs(us - fu)) <= 1e-3
-
 
 class TestStageProjections:
     def test_feasible_input_unchanged(self, rng):
