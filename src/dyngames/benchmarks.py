@@ -139,6 +139,13 @@ def fishery_game(params: FisheryParams = FisheryParams()) -> GameDefinition:
     def projector(k, x, u):
         return x, np.clip(u, lo, hi)
 
+    def traj_costs(states, actions):
+        xs = states[:, 0]
+        C = np.empty((xs.shape[0], 2))
+        C[:, 0] = -(c1 * xs - p.e1) * actions[:, 0] * p.dt
+        C[:, 1] = -(c2 * xs - p.e2) * actions[:, 1] * p.dt
+        return C
+
     def traj_cost_gradients(states, actions):
         xs = states[:, 0]
         K = xs.shape[0]
@@ -170,6 +177,7 @@ def fishery_game(params: FisheryParams = FisheryParams()) -> GameDefinition:
         cost_gradients=cost_grads, cost_hessians=cost_hess,
         constraint_jacobians=constraint_jac, stage_projector=projector,
         polyhedral_constraints=True, constraints_in_actions_only=True,
+        traj_costs=traj_costs,
         traj_cost_gradients=traj_cost_gradients,
         traj_dynamics_jacobians=traj_dynamics_jacobians,
         traj_projector=lambda states, actions: np.clip(actions, lo, hi),

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import DynGameError
 from .model import GameDefinition, Trajectory, check_feasible, rollout
@@ -65,51 +66,54 @@ def pseudo_gradient(game: GameDefinition, traj: Trajectory,
     """Backward pass for the stacked gradient; rejects infeasible trajectories.
 
     The costate recursion is only valid on the dynamics manifold, so the
-    trajectory is checked against the dynamics first.
+    trajectory is checked against the dynamics first.  The first-order data
+    of all stages is evaluated at once (see ``GameDefinition.eval_traj_*``)
+    and the costates come from one banded triangular solve.
     """
     check_feasible(game, traj, feas_tol)
-    T = game.horizon
-    N, n_x, n_u = game.num_players, game.state_dim, game.total_action_dim
-    stage_grads = np.empty((N, T + 1, n_u))
-    costates = np.zeros((N, T + 2, n_x))
-    om = np.zeros((N, n_x))
-    if game.traj_cost_gradients is not None and game.traj_dynamics_jacobians is not None:
-        CX, CU = game.traj_cost_gradients(traj.states, traj.actions)
-        AA, BB = game.traj_dynamics_jacobians(traj.states, traj.actions)
-        for k in range(T, -1, -1):
-            if k < T:
-                stage_grads[:, k, :] = CU[k] + om @ BB[k]
-                om = CX[k] + om @ AA[k]
-            else:
-                stage_grads[:, k, :] = CU[k]
-                om = CX[k].copy()
-            costates[:, k, :] = om
-        return _stack_blocks(game, stage_grads, costates)
-    for k in range(T, -1, -1):
-        x, u = traj.states[k], traj.actions[k]
-        cx, cu = game.eval_cost_gradients(k, x, u)
-        if k < T:
-            A, B = game.eval_dynamics_jacobians(k, x, u)
-            stage_grads[:, k, :] = cu + om @ B
-            om = cx + om @ A
-        else:
-            stage_grads[:, k, :] = cu
-            om = cx.copy()
-        costates[:, k, :] = om
-    return _stack_blocks(game, stage_grads, costates)
-
-
-def _stack_blocks(game, stage_grads, costates):
-    # costates[:, k] holds Om_{n,k}; the stacked vector picks each player's
-    # own block stage by stage.
-    blocks = []
-    for n in range(game.num_players):
-        sl = game.action_slice(n)
-        blocks.append(stage_grads[n, :, sl].reshape(-1))
+    CX, CU = game.eval_traj_cost_gradients(traj.states, traj.actions)
+    A, B = game.eval_traj_dynamics_jacobians(traj.states, traj.actions)
+    om = solve_costates(A, CX)
+    # dJ_n/du_k = cu_{n,k} + Om_{n,k+1} B_k; the terminal action only enters
+    # the terminal cost.
+    grads = CU.copy()
+    grads[:-1] += om[1:] @ B
+    T1, N, n_x = om.shape
+    costates = np.zeros((N, T1 + 1, n_x))
+    costates[:, :T1] = om.transpose(1, 0, 2)
+    stage_grads = np.ascontiguousarray(grads.transpose(1, 0, 2))
+    blocks = [stage_grads[n, :, game.action_slice(n)].reshape(-1) for n in range(N)]
     return PseudoGradient(stacked=np.concatenate(blocks),
                           stage_grads=stage_grads,
                           costates=costates,
                           action_dims=game.action_dims)
+
+
+def solve_costates(A: Array, CX: Array) -> Array:
+    """Costate rows Om_{n,k} = cx_{n,k} + Om_{n,k+1} A_k with Om_{n,T+1} = 0.
+
+    ``A`` holds the T dynamics state Jacobians and ``CX`` the (T+1, N, n_x)
+    cost state gradients; the result has the shape of ``CX``.  The recursion
+    is one block-bidiagonal system in the stage-major unknown Om^T: identity
+    diagonal blocks and -A_k^T in block (k, k+1).  It is unit upper triangular
+    with bandwidth 2 n_x - 1 and is solved by LAPACK ``dtbtrs`` with one
+    right-hand side per player.
+    """
+    T1, N, n_x = CX.shape
+    T = T1 - 1
+    kd = max(2 * n_x - 1, 0)
+    # Band storage: ab[kd + r - c, c] = M[r, c].  Row k n_x + i and column
+    # (k+1) n_x + j hold -A_k[j, i], band row n_x - 1 + i - j.  The unit
+    # diagonal (band row kd) is implied by diag="U".
+    ab = np.zeros((kd + 1, T1 * n_x), order="F")
+    i, j = np.indices((n_x, n_x))
+    cols = n_x * np.arange(1, T + 1)[:, None, None] + j
+    ab[n_x - 1 + i - j, cols] = -np.swapaxes(A, 1, 2)
+    rhs = CX.transpose(0, 2, 1).reshape(T1 * n_x, N)
+    om, info = lapack.dtbtrs(ab, rhs, uplo="U", diag="U")
+    if info != 0:
+        raise DynGameError(f"banded costate solve failed (LAPACK info {info})")
+    return om.reshape(T1, n_x, N).transpose(0, 2, 1)
 
 
 def estimate_operator_constants(game: GameDefinition,

@@ -48,6 +48,27 @@ class GameDefinition:
     ``constraints_in_actions_only``) are declarations by the game
     constructor that unlock specialized solver paths; they are never
     inferred.
+
+    Optional whole-trajectory evaluators serve long-horizon hot loops.  Each
+    takes the whole trajectory, ``states`` of shape (T+1, n_x) and
+    ``actions`` of shape (T+1, n_u), and returns row k equal to what the
+    matching per-stage callable returns at stage k:
+
+    * ``traj_costs(states, actions) -> C`` with C of shape (T+1, N);
+    * ``traj_cost_gradients(states, actions) -> (CX, CU)`` with shapes
+      (T+1, N, n_x) and (T+1, N, n_u), like ``cost_gradients``;
+    * ``traj_dynamics_jacobians(states, actions) -> (A, B)`` with shapes
+      (T, n_x, n_x) and (T, n_x, n_u), one row per stage k < T (the
+      terminal action never enters the dynamics), like
+      ``dynamics_jacobians``;
+    * ``traj_projector(states, actions) -> actions`` maps a whole (T+1, n_u)
+      action sequence onto the feasible set; ``states`` may be None for
+      action-only constraint classes.
+
+    ``eval_traj_costs``, ``eval_traj_cost_gradients`` and
+    ``eval_traj_dynamics_jacobians`` call the matching evaluator when present
+    and otherwise stack the per-stage evaluators; either way the outputs are
+    shape-checked once per call and a mismatch raises DimensionError.
     """
 
     horizon: int
@@ -69,11 +90,8 @@ class GameDefinition:
     polyhedral_constraints: bool = False
     constraints_in_actions_only: bool = False
     name: str = ""
-    # Optional whole-trajectory evaluators for long-horizon hot loops: given
-    # (states (T+1,n_x), actions (T+1,n_u)) they return stacked first-order
-    # data for every stage at once.  traj_projector maps a whole action
-    # sequence onto the feasible set (states may be None for action-only
-    # constraint classes).
+    # Optional whole-trajectory evaluators; shapes in the class docstring.
+    traj_costs: Optional[Callable[[Array, Array], Array]] = None
     traj_cost_gradients: Optional[Callable[[Array, Array], tuple]] = None
     traj_dynamics_jacobians: Optional[Callable[[Array, Array], tuple]] = None
     traj_projector: Optional[Callable[[Array, Array], Array]] = None
@@ -175,11 +193,63 @@ class GameDefinition:
                          np.concatenate([x, u]), m, what="constraint", stage=k)
         return J[:, :self.state_dim], J[:, self.state_dim:]
 
+    # -- whole-trajectory evaluation ----------------------------------------
+
+    def eval_traj_costs(self, states: Array, actions: Array) -> Array:
+        """Stage costs of every player at every stage: (T+1, N)."""
+        if self.traj_costs is not None:
+            C = self.traj_costs(states, actions)
+        else:
+            C = [self.eval_costs(k, states[k], actions[k]) for k in range(self.horizon + 1)]
+        return _checked("trajectory costs", C, (self.horizon + 1, self.num_players))
+
+    def eval_traj_cost_gradients(self, states: Array, actions: Array) -> tuple[Array, Array]:
+        """Stacked per-player cost gradients: (T+1, N, n_x) and (T+1, N, n_u)."""
+        if self.traj_cost_gradients is not None:
+            CX, CU = self.traj_cost_gradients(states, actions)
+        else:
+            grads = [self.eval_cost_gradients(k, states[k], actions[k])
+                     for k in range(self.horizon + 1)]
+            CX, CU = [g[0] for g in grads], [g[1] for g in grads]
+        lead = (self.horizon + 1, self.num_players)
+        return (_checked("trajectory cost state gradients", CX, lead + (self.state_dim,)),
+                _checked("trajectory cost action gradients", CU,
+                         lead + (self.total_action_dim,)))
+
+    def eval_traj_dynamics_jacobians(self, states: Array, actions: Array) -> tuple[Array, Array]:
+        """Stacked dynamics Jacobians of stages k < T: (T, n_x, n_x) and (T, n_x, n_u)."""
+        if self.traj_dynamics_jacobians is not None:
+            A, B = self.traj_dynamics_jacobians(states, actions)
+        else:
+            jacs = [self.eval_dynamics_jacobians(k, states[k], actions[k])
+                    for k in range(self.horizon)]
+            A, B = [j[0] for j in jacs], [j[1] for j in jacs]
+        lead = (self.horizon, self.state_dim)
+        return (_checked("trajectory dynamics state Jacobians", A, lead + (self.state_dim,)),
+                _checked("trajectory dynamics action Jacobians", B,
+                         lead + (self.total_action_dim,)))
+
     def tightening_at(self, k: int) -> Optional[Array]:
         if self.tightening is None:
             return None
         gam = self.tightening[k]
         return None if gam is None else np.asarray(gam, dtype=float)
+
+
+def _checked(what: str, data, shape: tuple) -> Array:
+    """``data`` as a float array of exactly ``shape``, else DimensionError.
+
+    An empty stack (no stages) matches any shape with a zero extent.
+    """
+    try:
+        arr = np.asarray(data, dtype=float)
+    except ValueError:  # per-stage arrays of differing shapes
+        raise DimensionError(what, shape, "ragged per-stage shapes") from None
+    if arr.shape != shape:
+        if arr.size or 0 not in shape:
+            raise DimensionError(what, shape, arr.shape)
+        arr = arr.reshape(shape)
+    return arr
 
 
 def _fd_jacobian(f, z, n_out, what, stage):
@@ -319,36 +389,42 @@ def rollout(game: GameDefinition, x0: Array, controls: Array) -> Trajectory:
         raise DimensionError("controls", (T + 1, n_u), controls.shape)
     states = np.empty((T + 1, game.state_dim))
     states[0] = x0
-    for k in range(T):
-        xk1 = game.eval_dynamics(k, states[k], controls[k])
-        if xk1.shape != (game.state_dim,):
-            raise DimensionError("dynamics output", (game.state_dim,), xk1.shape, stage=k)
-        if not np.all(np.isfinite(xk1)):
-            raise NonFiniteStateError(k)
-        states[k + 1] = xk1
+    # Finiteness is checked once for the whole rollout.  Stages after a
+    # non-finite state still run; an error they raise is reported as the
+    # non-finite state that caused it.
+    try:
+        for k in range(T):
+            xk1 = game.eval_dynamics(k, states[k], controls[k])
+            if xk1.shape != (game.state_dim,):
+                raise DimensionError("dynamics output", (game.state_dim,), xk1.shape, stage=k)
+            states[k + 1] = xk1
+    except Exception:
+        _raise_first_non_finite(states[1:k + 1])
+        raise
+    _raise_first_non_finite(states[1:])
     return Trajectory(states, controls.copy())
+
+
+def _raise_first_non_finite(produced: Array) -> None:
+    """NonFiniteStateError naming the first stage whose output row is not finite."""
+    finite = np.isfinite(produced)
+    if not finite.all():
+        raise NonFiniteStateError(int(np.argmin(finite.all(axis=1))))
 
 
 def total_cost(game: GameDefinition, traj: Trajectory, player: int, start: int = 0) -> float:
     """Cost-to-go of one player: sum of its stage costs from ``start`` to T."""
-    T = game.horizon
-    if not 0 <= start <= T:
-        raise ValueError(f"start stage {start} outside 0..{T}")
     if not 0 <= player < game.num_players:
         raise ValueError(f"player {player} outside 0..{game.num_players - 1}")
-    total = 0.0
-    for k in range(start, T + 1):
-        total += float(game.eval_costs(k, traj.states[k], traj.actions[k])[player])
-    return total
+    return float(all_player_costs(game, traj, start)[player])
 
 
 def all_player_costs(game: GameDefinition, traj: Trajectory, start: int = 0) -> Array:
-    """Costs-to-go of every player at once."""
+    """Costs-to-go of every player at once: stage costs summed from ``start`` to T."""
     T = game.horizon
-    total = np.zeros(game.num_players)
-    for k in range(start, T + 1):
-        total += game.eval_costs(k, traj.states[k], traj.actions[k])
-    return total
+    if not 0 <= start <= T:
+        raise ValueError(f"start stage {start} outside 0..{T}")
+    return game.eval_traj_costs(traj.states, traj.actions)[start:].sum(axis=0)
 
 
 def check_feasible(game: GameDefinition, traj: Trajectory, tol: float = 1e-8) -> None:

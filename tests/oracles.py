@@ -40,6 +40,23 @@ def fd_stacked_gradient(game, actions, step=1e-5):
 
 
 # ---------------------------------------------------------------------------
+# Costate recursion, one stage and one player at a time.
+# ---------------------------------------------------------------------------
+
+
+def costate_recursion(A, CX):
+    """Costates Om_k = CX_k + Om_{k+1} A_k, Om_T = CX_T, one stage at a time.
+
+    ``A`` is (T, n_x, n_x), ``CX`` is (T+1, N, n_x); returns (T+1, N, n_x).
+    """
+    out = np.array(CX, dtype=float)
+    for k in range(out.shape[0] - 2, -1, -1):
+        for n in range(out.shape[1]):
+            out[k, n] = CX[k, n] + A[k].T @ out[k + 1, n]
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Dense stacked KKT solver for equality/inequality constrained LQ games.
 # ---------------------------------------------------------------------------
 

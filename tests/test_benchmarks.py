@@ -74,12 +74,17 @@ class TestFisheryGame:
         game = fishery_game(FisheryParams(horizon_time=0.5))
         traj = rollout(game, game.initial_state,
                        np.random.default_rng(0).uniform(0, 0.3, (6, 2)))
+        C = game.traj_costs(traj.states, traj.actions)
         CX, CU = game.traj_cost_gradients(traj.states, traj.actions)
         AA, BB = game.traj_dynamics_jacobians(traj.states, traj.actions)
-        for k in range(5):
+        assert C.shape == (6, 2) and CX.shape == (6, 2, 1) and CU.shape == (6, 2, 2)
+        assert AA.shape == (5, 1, 1) and BB.shape == (5, 1, 2)
+        for k in range(6):
+            np.testing.assert_allclose(C[k], game.eval_costs(k, traj.states[k], traj.actions[k]))
             cx, cu = game.eval_cost_gradients(k, traj.states[k], traj.actions[k])
             np.testing.assert_allclose(CX[k], cx)
             np.testing.assert_allclose(CU[k], cu)
+        for k in range(5):
             A, B = game.eval_dynamics_jacobians(k, traj.states[k], traj.actions[k])
             np.testing.assert_allclose(AA[k], A)
             np.testing.assert_allclose(BB[k], B)

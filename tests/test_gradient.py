@@ -1,8 +1,13 @@
 """Pseudo-gradient backward pass against finite-difference oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dyngames.benchmarks import FisheryParams, fishery_game
 from dyngames.errors import InfeasibleTrajectoryError
 from dyngames.gradient import (
     VERDICT_BLOCKED,
@@ -11,11 +16,12 @@ from dyngames.gradient import (
     estimate_operator_constants,
     playerwise_minimizer_check,
     pseudo_gradient,
+    solve_costates,
 )
-from dyngames.model import GameDefinition, Trajectory, rollout
+from dyngames.model import GameDefinition, Trajectory, all_player_costs, rollout
 
 from conftest import identity_sum_game, random_lq_game, random_smooth_game
-from oracles import fd_stacked_gradient
+from oracles import costate_recursion, fd_stacked_gradient
 
 
 class TestPseudoGradient:
@@ -101,6 +107,33 @@ class TestPseudoGradient:
         op = np.vstack([Q1[0], Q2[1]])
         assert mu == pytest.approx(np.min(np.linalg.eigvalsh(0.5 * (op + op.T))), abs=1e-6)
         assert L == pytest.approx(np.max(np.linalg.svd(op, compute_uv=False)), abs=1e-6)
+
+
+class TestCostateSolve:
+    @settings(max_examples=200, deadline=None)
+    @given(T=st.integers(0, 8), n_x=st.integers(1, 4), N=st.integers(1, 3),
+           seed=st.integers(0, 2**32 - 1), scale=st.floats(0.1, 2.0))
+    def test_banded_solve_matches_stage_recursion(self, T, n_x, N, seed, scale):
+        rng = np.random.default_rng(seed)
+        A = scale * rng.standard_normal((T, n_x, n_x))
+        CX = rng.standard_normal((T + 1, N, n_x))
+        expected = costate_recursion(A, CX)
+        got = solve_costates(A, CX)
+        assert got.shape == expected.shape
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_fishery_trajectory_evaluators_match_stage_evaluators(self):
+        game = fishery_game(FisheryParams(horizon_time=2.0))
+        stagewise = dataclasses.replace(game, traj_costs=None, traj_cost_gradients=None,
+                                        traj_dynamics_jacobians=None)
+        actions = np.random.default_rng(3).uniform(0.0, 0.3, (game.horizon + 1, 2))
+        traj = rollout(game, game.initial_state, actions)
+        fast, slow = pseudo_gradient(game, traj), pseudo_gradient(stagewise, traj)
+        for name in ("stacked", "stage_grads", "costates"):
+            a, b = getattr(fast, name), getattr(slow, name)
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), name
+        c_fast, c_slow = all_player_costs(game, traj), all_player_costs(stagewise, traj)
+        assert np.max(np.abs(c_fast - c_slow)) <= 1e-12 * np.max(np.abs(c_slow))
 
 
 class TestPlayerwiseCheck:

@@ -1,14 +1,19 @@
 """Game model: rollouts, costs, quadraticization, active sets."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from dyngames.benchmarks import FisheryParams, fishery_game
 from dyngames.errors import DimensionError, NonFiniteStateError
+from dyngames.gradient import pseudo_gradient
 from dyngames.model import (
     GameDefinition,
     Trajectory,
     active_set_partition,
+    all_player_costs,
     quadraticize,
     rollout,
     total_cost,
@@ -70,7 +75,22 @@ class TestRollout:
         )
         with pytest.raises(NonFiniteStateError) as exc:
             rollout(game, np.array([2.0]), np.zeros((6, 1)))
-        assert exc.value.stage >= 1
+        # 2^20 and 2^400 are finite; stage 2 produces 2^8000 = inf.
+        assert exc.value.stage == 2
+
+    def test_error_after_non_finite_state_names_first_stage(self):
+        def dynamics(k, x, u):
+            if not np.all(np.isfinite(x)):
+                raise ValueError("dynamics undefined off the reals")
+            return x + (np.inf if k == 1 else 0.0)
+
+        game = GameDefinition(
+            horizon=5, state_dim=1, action_dims=(1,), initial_state=[0.0],
+            dynamics=dynamics, stage_costs=lambda k, x, u: np.zeros(1),
+        )
+        with pytest.raises(NonFiniteStateError) as exc:
+            rollout(game, np.zeros(1), np.zeros((6, 1)))
+        assert exc.value.stage == 1
 
     def test_rollout_of_extracted_controls_reproduces_states(self, rng):
         game = random_smooth_game(rng, T=6)
@@ -123,6 +143,64 @@ class TestTotalCost:
         traj = rollout(game, game.initial_state, np.zeros((4, game.total_action_dim)))
         with pytest.raises(ValueError):
             total_cost(game, traj, 0, 5)
+
+    @pytest.mark.parametrize("start", [-1, 4, 99])
+    def test_all_player_costs_rejects_start_outside_horizon(self, rng, start):
+        game, _ = random_lq_game(rng, T=3)
+        traj = rollout(game, game.initial_state, np.ones((4, game.total_action_dim)))
+        with pytest.raises(ValueError, match="start stage"):
+            all_player_costs(game, traj, start)
+        with pytest.raises(ValueError, match="start stage"):
+            total_cost(game, traj, 0, start)
+
+
+class TestTrajectoryEvaluators:
+    """Shapes returned by the whole-trajectory hooks are checked once per call."""
+
+    @staticmethod
+    def fishery_and_trajectory():
+        game = fishery_game(FisheryParams(horizon_time=0.5))
+        traj = rollout(game, game.initial_state,
+                       np.tile([0.1, 0.25], (game.horizon + 1, 1)))
+        return game, traj
+
+    def test_cost_gradient_with_one_player_row_is_rejected(self):
+        game, traj = self.fishery_and_trajectory()
+        hook = game.traj_cost_gradients
+
+        def one_row(states, actions):
+            CX, CU = hook(states, actions)
+            return CX[:, :1], CU
+
+        bad = dataclasses.replace(game, traj_cost_gradients=one_row)
+        with pytest.raises(DimensionError, match="cost state gradients"):
+            pseudo_gradient(bad, traj)
+
+    def test_dynamics_jacobians_with_terminal_row_are_rejected(self):
+        game, traj = self.fishery_and_trajectory()
+        hook = game.traj_dynamics_jacobians
+
+        def with_terminal(states, actions):
+            A, B = hook(states, actions)
+            return np.concatenate([A, A[-1:]]), B
+
+        bad = dataclasses.replace(game, traj_dynamics_jacobians=with_terminal)
+        with pytest.raises(DimensionError, match="dynamics state Jacobians"):
+            pseudo_gradient(bad, traj)
+
+    def test_costs_of_wrong_shape_are_rejected(self):
+        game, traj = self.fishery_and_trajectory()
+        bad = dataclasses.replace(game, traj_costs=lambda s, a: np.zeros(game.horizon + 1))
+        with pytest.raises(DimensionError, match="trajectory costs"):
+            all_player_costs(bad, traj)
+
+    def test_ragged_stage_evaluators_are_rejected(self):
+        game = identity_sum_game(T=3)
+        traj = rollout(game, np.zeros(2), np.ones((4, 2)))
+        ragged = dataclasses.replace(
+            game, cost_gradients=lambda k, x, u: (np.zeros((1, 2 + k % 2)), np.zeros((1, 2))))
+        with pytest.raises(DimensionError, match="ragged"):
+            pseudo_gradient(ragged, traj)
 
 
 class TestQuadraticize:
