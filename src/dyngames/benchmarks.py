@@ -180,7 +180,7 @@ def fishery_game(params: FisheryParams = FisheryParams()) -> GameDefinition:
         traj_costs=traj_costs,
         traj_cost_gradients=traj_cost_gradients,
         traj_dynamics_jacobians=traj_dynamics_jacobians,
-        traj_projector=lambda states, actions: np.clip(actions, lo, hi),
+        traj_projector=lambda states, actions: (states, np.clip(actions, lo, hi)),
         name="fishery")
 
 
@@ -210,7 +210,9 @@ def lq_rendezvous_game(params: LqRendezvousParams = LqRendezvousParams()) -> Gam
     squared distance to the player's target plus an effort penalty; the
     terminal cost is a heavily weighted distance.  Actions are limited to
     norm balls, and all positions must coincide at the meeting stage
-    (handled by the analytic stage projector as a consensus average).
+    (handled by the analytic stage projector as a consensus average).  The
+    whole-trajectory cost and projector hooks batch the same formulas over
+    the (T+1, 3, 2) player blocks.
     """
     p = params
     T = p.horizon
@@ -273,6 +275,29 @@ def lq_rendezvous_game(params: LqRendezvousParams = LqRendezvousParams()) -> Gam
             xn = np.concatenate([mean, mean, mean])
         return xn, un
 
+    tgt_blocks = tgt.reshape(3, 2)
+
+    def traj_costs(states, actions):
+        K = states.shape[0]
+        dx = states.reshape(K, 3, 2) - tgt_blocks
+        u = actions.reshape(K, 3, 2)
+        C = np.einsum("kni,kni->kn", dx, dx)
+        C[:T] += w_eff * np.einsum("kni,kni->kn", u[:T], u[:T])
+        C[T:] *= w_term
+        return C
+
+    def traj_projector(states, actions):
+        K = actions.shape[0]
+        u = actions.reshape(K, 3, 2)
+        nrm = np.linalg.norm(u, axis=2, keepdims=True)
+        un = (u * (p.u_max / np.maximum(nrm, p.u_max))).reshape(K, 6)
+        if states is None:
+            return None, un
+        xn = np.array(states, dtype=float, copy=True)
+        meet = xn[p.meet_stage].reshape(3, 2)  # a view: writes land in xn
+        meet[:] = (meet[0] + meet[1] + meet[2]) / 3.0
+        return xn, un
+
     return GameDefinition(
         horizon=T, state_dim=6, action_dims=(2, 2, 2),
         initial_state=np.asarray(p.x0, dtype=float),
@@ -283,6 +308,7 @@ def lq_rendezvous_game(params: LqRendezvousParams = LqRendezvousParams()) -> Gam
         cost_gradients=cost_grads, cost_hessians=cost_hess,
         stage_projector=projector,
         linear_dynamics=True, quadratic_costs=True,
+        traj_costs=traj_costs, traj_projector=traj_projector,
         name="lq_rendezvous")
 
 

@@ -61,14 +61,17 @@ class GameDefinition:
       (T, n_x, n_x) and (T, n_x, n_u), one row per stage k < T (the
       terminal action never enters the dynamics), like
       ``dynamics_jacobians``;
-    * ``traj_projector(states, actions) -> actions`` maps a whole (T+1, n_u)
-      action sequence onto the feasible set; ``states`` may be None for
-      action-only constraint classes.
+    * ``traj_projector(states, actions) -> (states, actions)`` projects every
+      stage's (x_k, u_k) pair onto that stage's constraint set at once, like
+      ``stage_projector`` stage by stage, with shapes (T+1, n_x) and
+      (T+1, n_u).  ``states`` may be None for action-only constraint
+      classes, and then comes back None.
 
-    ``eval_traj_costs``, ``eval_traj_cost_gradients`` and
-    ``eval_traj_dynamics_jacobians`` call the matching evaluator when present
-    and otherwise stack the per-stage evaluators; either way the outputs are
-    shape-checked once per call and a mismatch raises DimensionError.
+    ``eval_traj_costs``, ``eval_traj_cost_gradients``,
+    ``eval_traj_dynamics_jacobians`` and ``eval_traj_projection`` call the
+    matching evaluator when present and otherwise stack the per-stage
+    evaluators; either way the outputs are shape-checked once per call and a
+    mismatch raises DimensionError.
     """
 
     horizon: int
@@ -94,7 +97,7 @@ class GameDefinition:
     traj_costs: Optional[Callable[[Array, Array], Array]] = None
     traj_cost_gradients: Optional[Callable[[Array, Array], tuple]] = None
     traj_dynamics_jacobians: Optional[Callable[[Array, Array], tuple]] = None
-    traj_projector: Optional[Callable[[Array, Array], Array]] = None
+    traj_projector: Optional[Callable[[Optional[Array], Array], tuple]] = None
     action_offsets: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
@@ -228,6 +231,30 @@ class GameDefinition:
         return (_checked("trajectory dynamics state Jacobians", A, lead + (self.state_dim,)),
                 _checked("trajectory dynamics action Jacobians", B,
                          lead + (self.total_action_dim,)))
+
+    def eval_traj_projection(self, states: Optional[Array],
+                             actions: Array) -> tuple[Optional[Array], Array]:
+        """Stagewise projection of a whole trajectory: (T+1, n_x) and (T+1, n_u).
+
+        ``states`` may be None only when the game has a ``traj_projector``
+        (stacking ``stage_projector`` needs a state per stage); the states
+        then come back None.
+        """
+        if self.traj_projector is not None:
+            X, U = self.traj_projector(states, actions)
+        elif self.stage_projector is None:
+            raise ValueError("game has neither a trajectory nor a stage projector")
+        elif states is None:
+            raise ValueError("stacking the stage projector needs the states")
+        else:
+            stages = [self.stage_projector(k, states[k], actions[k])
+                      for k in range(self.horizon + 1)]
+            X, U = [s[0] for s in stages], [s[1] for s in stages]
+        lead = self.horizon + 1
+        U = _checked("projected actions", U, (lead, self.total_action_dim))
+        if states is None:
+            return None, U
+        return _checked("projected states", X, (lead, self.state_dim)), U
 
     def tightening_at(self, k: int) -> Optional[Array]:
         if self.tightening is None:

@@ -9,8 +9,9 @@ iteration contracts with factor sqrt(1 + rho^2 L^2 - 2 rho mu) per step.
 The projection subproblem minimizes the squared action distance subject to
 dynamics and stage constraints.  Two constraint classes are supported:
 
-* per-stage analytic projectors on actions only (no state coupling): the
-  projection decouples stagewise;
+* analytic projectors on actions only (no state coupling): the projection
+  decouples stagewise and runs over the whole horizon at once
+  (``GameDefinition.eval_traj_projection``);
 * affine stage constraints with linear dynamics: states are eliminated and
   the action-space program is solved by Douglas-Rachford splitting between
   the dynamics-consistency projection and a cost-augmented stage-polyhedron
@@ -56,6 +57,8 @@ class ProjGradConfig:
             raise ValueError(f"step size must be positive, got {self.step_size}")
         if self.tol <= 0 or self.projection_tol <= 0:
             raise ValueError("tolerances must be positive")
+        if self.max_iter < 0:
+            raise ValueError(f"iteration budget must be nonnegative, got {self.max_iter}")
 
 
 def project_onto_feasible(game: GameDefinition, actions: Array,
@@ -69,14 +72,12 @@ def project_onto_feasible(game: GameDefinition, actions: Array,
     actions = np.asarray(actions, dtype=float)
     if game.constraints is None:
         return actions.copy()
-    if game.constraints_in_actions_only and game.traj_projector is not None:
-        return game.traj_projector(None, actions)
-    if game.constraints_in_actions_only and game.stage_projector is not None:
-        out = actions.copy()
-        traj = rollout(game, game.initial_state, actions)
-        for k in range(game.horizon + 1):
-            _, out[k] = game.stage_projector(k, traj.states[k], actions[k])
-        return out
+    if game.constraints_in_actions_only and (game.traj_projector is not None
+                                             or game.stage_projector is not None):
+        # only the stacked stage projector needs the rolled-out states
+        states = (None if game.traj_projector is not None
+                  else rollout(game, game.initial_state, actions).states)
+        return game.eval_traj_projection(states, actions)[1]
     if game.linear_dynamics and game.polyhedral_constraints:
         return splitting.action_space_projection(game, actions, tol=tol)
     raise UnsupportedConstraintError(

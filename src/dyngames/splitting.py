@@ -99,16 +99,20 @@ class DrConfig:
             raise ValueError(f"averaging weight must lie strictly in (0,1), got {self.alpha}")
         if self.eta <= 0.0:
             raise ValueError(f"regularization must be positive, got {self.eta}")
+        if self.max_iter < 0:
+            raise ValueError(f"iteration budget must be nonnegative, got {self.max_iter}")
+        if self.inner_max_iter < 1:
+            raise ValueError(f"inner iteration budget must be at least 1, got {self.inner_max_iter}")
+        if self.tol <= 0 or self.inner_tol <= 0:
+            raise ValueError("tolerances must be positive")
 
 
 @dataclass
 class ExtendedIterate:
-    """The stacked splitting variable [x, u] plus its reflected auxiliary pair."""
+    """The stacked splitting variable [x, u]."""
 
     x: Array
     u: Array
-    y: Optional[Array] = None
-    z: Optional[Array] = None
 
     def vector(self) -> Array:
         return np.concatenate([self.x.ravel(), self.u.ravel()])
@@ -217,18 +221,18 @@ def project_stage_constraints(game: GameDefinition, y: Array,
                               z: Array) -> tuple[Array, Array]:
     """Stagewise projection of (y, z) onto the constraint sets.
 
-    Uses the game's analytic stage projector when available, otherwise an
-    exact polyhedron projection for affine rows.  Stages without constraints
-    pass through unchanged.
+    Uses the game's analytic projector when available, for the whole
+    trajectory at once (``GameDefinition.eval_traj_projection``), otherwise
+    an exact polyhedron projection for affine rows.  Stages without
+    constraints pass through unchanged.
     """
-    T = game.horizon
-    xs, us = np.array(y, dtype=float, copy=True), np.array(z, dtype=float, copy=True)
     if game.constraints is None:
-        return xs, us
-    for k in range(T + 1):
-        if game.stage_projector is not None:
-            xs[k], us[k] = game.stage_projector(k, y[k], z[k])
-            continue
+        return np.array(y, dtype=float, copy=True), np.array(z, dtype=float, copy=True)
+    if game.traj_projector is not None or game.stage_projector is not None:
+        return game.eval_traj_projection(np.asarray(y, dtype=float),
+                                         np.asarray(z, dtype=float))
+    xs, us = np.array(y, dtype=float, copy=True), np.array(z, dtype=float, copy=True)
+    for k in range(game.horizon + 1):
         if not game.polyhedral_constraints:
             raise UnsupportedConstraintError(
                 f"stage {k} has neither an analytic projector nor affine rows")
@@ -421,6 +425,8 @@ def constrained_oc_projection(game: GameDefinition, y: Array, z: Array,
     convex constraint classes supported here.  The dynamics projection is
     factored once per call unless ``factor`` (eta = 0) is passed.
     """
+    if inner_max_iter < 1:
+        raise ValueError(f"sweep budget must be at least 1, got {inner_max_iter}")
     if factor is None:
         factor = lq.factor(game, 0.0)
     y = np.asarray(y, dtype=float)
@@ -473,6 +479,8 @@ def action_space_projection(game: GameDefinition, target: Array,
     projection (a weighted polyhedron projection); the objective has no
     state term, so the action weight in that resolvent is 3 = 1 + 2.
     """
+    if max_iter < 1:
+        raise ValueError(f"iteration budget must be at least 1, got {max_iter}")
     if not (game.linear_dynamics and game.polyhedral_constraints):
         raise UnsupportedConstraintError(
             "action-space projection requires linear dynamics and affine rows")
@@ -482,7 +490,6 @@ def action_space_projection(game: GameDefinition, target: Array,
     wu = np.asarray(target, dtype=float).copy()
     weights = np.concatenate([np.ones(n_x), 3.0 * np.ones(n_u)])
     dyn_factor = lq.factor(game, 0.0)
-    last = None
     for it in range(max_iter):
         # resolvent of (tracking-gradient + constraint normal cone)
         rx = np.empty_like(wx)
@@ -504,8 +511,6 @@ def action_space_projection(game: GameDefinition, target: Array,
         wu = wu + 2 * alpha * (du - ru)
         if gap <= tol:
             return du
-        last = (du, gap)
-    du, gap = last
     viol = _constraint_violation(game, rollout(game, game.initial_state, du))
     if viol > 10 * tol:
         raise InfeasibleConstraintsError(
@@ -525,8 +530,12 @@ def dr_solve(game: GameDefinition, cfg: DrConfig,
     The averaged variable is the splitting shadow iterate; the equilibrium
     candidate is the output of the second resolvent of the final iteration,
     which lies in that resolvent's constraint set by construction.
-    Convergence is monitored on the averaged-iterate step together with the
-    dynamics and constraint residuals of the candidate.
+    The run stops with ``tolerance`` when the averaged-iterate step and the
+    candidate's dynamics and constraint residuals are all at most
+    ``cfg.tol``.  The residuals are computed only once the step test passes,
+    so an iteration whose step is above the tolerance costs no residual
+    evaluation; the stopping iteration is the same as checking all three
+    every time.
     """
     T = game.horizon
     n_x, n_u = game.state_dim, game.total_action_dim
@@ -546,11 +555,10 @@ def dr_solve(game: GameDefinition, cfg: DrConfig,
     termination = TERM_MAX_ITER
     cand_x, cand_u = wx, wu
     for it in range(cfg.max_iter):
-        y, z = wx.copy(), wu.copy()
-        tx, tu = _first_resolvent(game, cfg, y, z, warm, factor)
-        if cfg.scheme == SCHEME_CONSTRAINTS:
-            warm = Trajectory(tx, tu)
-        y, z = 2 * tx - y, 2 * tu - z
+        tx, tu = _first_resolvent(game, cfg, wx, wu, warm, factor)
+        if cfg.scheme == SCHEME_CONSTRAINTS and factor is None:
+            warm = Trajectory(tx, tu)  # only the Newton resolvent warm-starts
+        y, z = 2 * tx - wx, 2 * tu - wu
         tx, tu = _second_resolvent(game, cfg, y, z, factor)
         y, z = 2 * tx - y, 2 * tu - z
         new_wx = (1 - cfg.alpha) * wx + cfg.alpha * y
@@ -559,17 +567,14 @@ def dr_solve(game: GameDefinition, cfg: DrConfig,
         wx, wu = new_wx, new_wu
         cand_x, cand_u = tx, tu
         step_norms.append(step)
-        iterates.append(np.concatenate([wx.ravel(), wu.ravel()]))
+        w = np.concatenate([wx.ravel(), wu.ravel()])
+        iterates.append(w)
         if cfg.record_costs:
             costs.append(all_player_costs(game, rollout(game, game.initial_state, tu)))
-        cand = Trajectory(cand_x, cand_u)
-        dyn_res = float(np.max(cand.dynamics_residuals(game), initial=0.0))
-        con_res = _constraint_violation(game, cand)
-        if max(step, dyn_res, con_res) <= cfg.tol:
+        if step <= cfg.tol and _residuals_within(game, Trajectory(cand_x, cand_u), cfg.tol):
             termination = TERM_TOLERANCE
             break
-        if np.linalg.norm(np.concatenate([wx.ravel(), wu.ravel()])) \
-                > cfg.divergence_factor * scale0:
+        if np.linalg.norm(w) > cfg.divergence_factor * scale0:
             termination = TERM_DIVERGENCE
             break
     final = Trajectory(cand_x, cand_u)
@@ -587,6 +592,12 @@ def dr_solve(game: GameDefinition, cfg: DrConfig,
         final_costs=all_player_costs(game, rollout(game, game.initial_state, cand_u)),
         dynamics_residual=float(np.max(final.dynamics_residuals(game), initial=0.0)),
         constraint_residual=_constraint_violation(game, final))
+
+
+def _residuals_within(game, cand: Trajectory, tol: float) -> bool:
+    """Whether the candidate's dynamics and constraint residuals are at most tol."""
+    dyn_res = float(np.max(cand.dynamics_residuals(game), initial=0.0))
+    return dyn_res <= tol and _constraint_violation(game, cand) <= tol
 
 
 def _scheme_factor(game, cfg) -> Optional[lq.LqFactor]:
@@ -613,7 +624,8 @@ def _first_resolvent(game, cfg, y, z, warm, factor):
                                   warm=warm, factor=factor)
     if cfg.scheme == SCHEME_DYNAMICS:
         return resolvent_reg_static_games(game, y, z, cfg.eta,
-                                          inner_tol=cfg.inner_tol)
+                                          inner_tol=cfg.inner_tol,
+                                          inner_max_iter=cfg.inner_max_iter)
     return constrained_oc_projection(game, y, z, inner_tol=max(cfg.inner_tol, 1e-11),
                                      inner_max_iter=cfg.inner_max_iter * 20,
                                      factor=factor)
@@ -625,4 +637,5 @@ def _second_resolvent(game, cfg, y, z, factor):
     if cfg.scheme == SCHEME_DYNAMICS:
         return project_dynamics(game, y, z, factor=factor)
     return resolvent_static_games_uncon(game, y, z, cfg.eta,
-                                        inner_tol=cfg.inner_tol)
+                                        inner_tol=cfg.inner_tol,
+                                        inner_max_iter=cfg.inner_max_iter)

@@ -330,3 +330,43 @@ def brute_force_qp(H, f, G, h):
     if best is None:
         raise RuntimeError("brute-force QP found no feasible KKT point")
     return best
+
+
+# ---------------------------------------------------------------------------
+# Douglas-Rachford stopping rule, every check on every iteration.
+# ---------------------------------------------------------------------------
+
+
+def dr_constraints_scheme_trace(game, eta, alpha, max_iter):
+    """Per-iteration (step, dynamics residual, constraint violation) of DR.
+
+    Runs the ``constraints`` scheme from zero actions, as ``dr_solve`` does,
+    with the package's factored regularized-game resolvent (checked on its own
+    in test_lq) and the game's ``stage_projector`` applied stage by stage.
+    Both residuals of the candidate are evaluated on every iteration, one
+    stage at a time.  Returns an array of shape (max_iter, 3).
+    """
+    from dyngames.lq import factor
+    from dyngames.splitting import resolvent_reg_game
+
+    T = game.horizon
+    lq_factor = factor(game, eta)
+    wu = np.zeros((T + 1, game.total_action_dim))
+    wx = rollout(game, game.initial_state, wu).states
+    rows = []
+    for _ in range(max_iter):
+        tx, tu = resolvent_reg_game(game, wx, wu, eta, factor=lq_factor)
+        yx, yu = 2 * tx - wx, 2 * tu - wu
+        cx, cu = np.empty_like(yx), np.empty_like(yu)
+        for k in range(T + 1):
+            cx[k], cu[k] = game.stage_projector(k, yx[k], yu[k])
+        new_wx = (1 - alpha) * wx + alpha * (2 * cx - yx)
+        new_wu = (1 - alpha) * wu + alpha * (2 * cu - yu)
+        step = max(np.max(np.abs(new_wx - wx)), np.max(np.abs(new_wu - wu)))
+        wx, wu = new_wx, new_wu
+        dyn = max((np.linalg.norm(cx[k + 1] - game.eval_dynamics(k, cx[k], cu[k]))
+                   for k in range(T)), default=0.0)
+        con = max(max(np.max(game.eval_constraints(k, cx[k], cu[k]), initial=0.0), 0.0)
+                  for k in range(T + 1))
+        rows.append((step, dyn, con))
+    return np.array(rows)

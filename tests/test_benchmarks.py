@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from dyngames.benchmarks import (
     FisheryParams,
@@ -14,7 +15,7 @@ from dyngames.benchmarks import (
 )
 from dyngames.feedback import stagewise_newton_backward
 from dyngames.model import GameDefinition, Trajectory, rollout, total_cost
-from dyngames.projgrad import ProjGradConfig, projected_gradient_solve
+from dyngames.projgrad import ProjGradConfig, project_onto_feasible, projected_gradient_solve
 
 
 class TestFisheryGame:
@@ -94,8 +95,72 @@ class TestFisheryGame:
         _, u = game.stage_projector(0, np.array([50.0]), np.array([0.9, -0.2]))
         np.testing.assert_allclose(u, [0.4, 0.0])
 
+    def test_trajectory_projector_matches_stage_projector(self, monkeypatch):
+        game = fishery_game(FisheryParams(horizon_time=0.5))
+        rng = np.random.default_rng(1)
+        states = rng.uniform(0.0, 120.0, (6, 1))
+        actions = rng.uniform(-0.5, 0.8, (6, 2))
+        actions[0] = [0.4, 0.3]  # on the upper bounds
+        actions[1] = [0.0, 0.0]  # on the lower bounds
+        X, U = game.traj_projector(states, actions)
+        np.testing.assert_array_equal(X, states)
+        for k in range(6):
+            xk, uk = game.stage_projector(k, states[k], actions[k])
+            np.testing.assert_array_equal(X[k], xk)
+            np.testing.assert_array_equal(U[k], uk)
+        no_states, U_only = game.traj_projector(None, actions)
+        assert no_states is None
+        np.testing.assert_array_equal(U_only, U)
+        # the action-only projection takes the hook without rolling out states
+        monkeypatch.setattr("dyngames.projgrad.rollout", None)
+        np.testing.assert_array_equal(project_onto_feasible(game, actions), U)
+
+
+_coord = st.floats(-6.0, 6.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def rendezvous_cases(draw):
+    """Parameters, states and actions; action blocks free, zero or on the ball."""
+    T = draw(st.integers(0, 6))
+    u_max = draw(st.sampled_from([0.5, 2.0, 3.0]))
+    params = LqRendezvousParams(horizon=T, meet_stage=draw(st.integers(0, T)), u_max=u_max)
+    states = np.array(draw(st.lists(_coord, min_size=6 * (T + 1),
+                                    max_size=6 * (T + 1)))).reshape(T + 1, 6)
+    on_ball = [(u_max, 0.0), (0.0, -u_max), (-u_max, 0.0), (0.0, u_max)]
+    blocks = []
+    for kind in draw(st.lists(st.sampled_from(["free", "zero", "ball"]),
+                              min_size=3 * (T + 1), max_size=3 * (T + 1))):
+        if kind == "free":
+            blocks.append((draw(_coord), draw(_coord)))
+        elif kind == "zero":
+            blocks.append((0.0, 0.0))
+        else:
+            blocks.append(draw(st.sampled_from(on_ball)))
+    return params, states, np.array(blocks, dtype=float).reshape(T + 1, 6)
+
 
 class TestRendezvousGame:
+    @given(rendezvous_cases())
+    def test_trajectory_hooks_match_stage_evaluators(self, case):
+        params, states, actions = case
+        game = lq_rendezvous_game(params)
+        T = params.horizon
+        C = game.traj_costs(states, actions)
+        X, U = game.traj_projector(states, actions)
+        assert C.shape == (T + 1, 3) and X.shape == (T + 1, 6) and U.shape == (T + 1, 6)
+        for k in range(T + 1):
+            c = game.eval_costs(k, states[k], actions[k])
+            np.testing.assert_allclose(C[k], c, rtol=1e-12, atol=1e-12)
+            xk, uk = game.stage_projector(k, states[k], actions[k])
+            np.testing.assert_allclose(X[k], xk, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(U[k], uk, rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(np.delete(X, params.meet_stage, axis=0),
+                                      np.delete(states, params.meet_stage, axis=0))
+        no_states, U_only = game.traj_projector(None, actions)
+        assert no_states is None
+        np.testing.assert_array_equal(U_only, U)
+
     def test_zero_actions_keep_states(self):
         game = lq_rendezvous_game()
         traj = rollout(game, game.initial_state, np.zeros((11, 6)))

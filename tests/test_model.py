@@ -9,6 +9,8 @@ from hypothesis import given, strategies as st
 from dyngames.benchmarks import FisheryParams, fishery_game
 from dyngames.errors import DimensionError, NonFiniteStateError
 from dyngames.gradient import pseudo_gradient
+from dyngames.projgrad import project_onto_feasible
+from dyngames.splitting import project_stage_constraints
 from dyngames.model import (
     GameDefinition,
     Trajectory,
@@ -193,6 +195,36 @@ class TestTrajectoryEvaluators:
         bad = dataclasses.replace(game, traj_costs=lambda s, a: np.zeros(game.horizon + 1))
         with pytest.raises(DimensionError, match="trajectory costs"):
             all_player_costs(bad, traj)
+
+    def test_projection_of_wrong_shape_is_rejected(self):
+        game, traj = self.fishery_and_trajectory()
+        hook = game.traj_projector
+
+        def one_action_column(states, actions):
+            X, U = hook(states, actions)
+            return X, U[:, :1]
+
+        def no_terminal_state(states, actions):
+            X, U = hook(states, actions)
+            return X[:-1], U
+
+        bad = dataclasses.replace(game, traj_projector=one_action_column)
+        with pytest.raises(DimensionError, match="projected actions"):
+            project_onto_feasible(bad, traj.actions)
+        bad = dataclasses.replace(game, traj_projector=no_terminal_state)
+        with pytest.raises(DimensionError, match="projected states"):
+            project_stage_constraints(bad, traj.states, traj.actions)
+
+    def test_stacked_stage_projector_matches_hook_and_needs_states(self):
+        game, traj = self.fishery_and_trajectory()
+        stacked = dataclasses.replace(game, traj_projector=None)
+        actions = traj.actions + np.array([0.5, -0.4])
+        X, U = stacked.eval_traj_projection(traj.states, actions)
+        X_hook, U_hook = game.eval_traj_projection(traj.states, actions)
+        np.testing.assert_array_equal(X, X_hook)
+        np.testing.assert_array_equal(U, U_hook)
+        with pytest.raises(ValueError, match="needs the states"):
+            stacked.eval_traj_projection(None, actions)
 
     def test_ragged_stage_evaluators_are_rejected(self):
         game = identity_sum_game(T=3)

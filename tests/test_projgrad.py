@@ -8,6 +8,7 @@ from dyngames.gradient import pseudo_gradient
 from dyngames.model import GameDefinition, rollout
 from dyngames.projgrad import ProjGradConfig, project_onto_feasible, projected_gradient_solve
 from dyngames.report import TERM_DIVERGENCE, TERM_TOLERANCE
+from dyngames.splitting import action_space_projection
 
 from conftest import monotone_quadratic_game, random_lq_game
 from oracles import brute_force_qp
@@ -127,6 +128,11 @@ class TestProjection:
             pb = project_onto_feasible(game, b)
             assert np.linalg.norm(pa - pb) <= np.linalg.norm(a - b) + 1e-9
 
+    def test_zero_iteration_budget_is_rejected(self, rng):
+        game, _, _ = state_coupled_game(rng, T=2)
+        with pytest.raises(ValueError, match="at least 1"):
+            action_space_projection(game, np.zeros((3, 2)), max_iter=0)
+
     def test_infeasible_rows_raise(self, rng):
         game, lq = random_lq_game(rng, T=1, state_dim=2, action_dims=(1, 1))
         contradictory = GameDefinition(
@@ -144,6 +150,11 @@ class TestProjection:
 
 
 class TestProjectedGradient:
+    def test_config_rejects_negative_iteration_budget(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            ProjGradConfig(max_iter=-1)
+        assert ProjGradConfig(max_iter=0).max_iter == 0
+
     def test_fixed_point_terminates_in_one_iteration(self, rng):
         game, mu, L = monotone_quadratic_game(rng)
         cfg = ProjGradConfig(step_size=mu / L**2, max_iter=20000, tol=1e-12)

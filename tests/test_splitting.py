@@ -1,13 +1,16 @@
 """Operator-splitting resolvents and the reflected-resolvent solver."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from dyngames.benchmarks import lq_rendezvous_game
 from dyngames.denseqp import ball_projection
-from dyngames.errors import UnsupportedConstraintError
+from dyngames.errors import SubproblemError, UnsupportedConstraintError
 from dyngames.gradient import pseudo_gradient
 from dyngames.model import GameDefinition, Trajectory, rollout
-from dyngames.report import TERM_TOLERANCE
+from dyngames.report import TERM_MAX_ITER, TERM_TOLERANCE
 from dyngames.splitting import (
     DrConfig,
     SCHEME_CONSTRAINTS,
@@ -24,7 +27,12 @@ from dyngames.splitting import (
 )
 
 from conftest import identity_sum_game, random_lq_game
-from oracles import brute_force_qp, dense_eq_least_squares, stacked_lq_gne
+from oracles import (
+    brute_force_qp,
+    dense_eq_least_squares,
+    dr_constraints_scheme_trace,
+    stacked_lq_gne,
+)
 
 
 def zero_cost_linear_game(rng, T=3, state_dim=2, action_dims=(1, 1)):
@@ -296,6 +304,12 @@ class TestDynamicsProjection:
 
 
 class TestIntersectionProjection:
+    def test_zero_sweep_budget_is_rejected(self, rng):
+        game, _, _ = shared_state_cost_game(rng)
+        with pytest.raises(ValueError, match="at least 1"):
+            constrained_oc_projection(game, np.zeros((3, 2)), np.zeros((3, 2)),
+                                      inner_max_iter=0)
+
     def test_feasible_point_unchanged(self, rng):
         game, _, _ = shared_state_cost_game(rng, T=2)
         z = np.zeros((3, 2))
@@ -349,6 +363,42 @@ class TestIntersectionProjection:
 
 
 class TestDrSolve:
+    @pytest.mark.parametrize("eta, residual_gate_binds", [(1e-2, False), (1e-1, True)])
+    def test_stops_at_first_iteration_with_step_and_residuals_within_tol(
+            self, eta, residual_gate_binds):
+        game = lq_rendezvous_game()
+        tol = 1e-8
+        cfg = DrConfig(scheme=SCHEME_CONSTRAINTS, eta=eta, alpha=0.5, max_iter=2000,
+                       tol=tol, record_costs=False, run_checks=False)
+        rep = dr_solve(game, cfg)
+        assert rep.termination == TERM_TOLERANCE
+        trace = dr_constraints_scheme_trace(game, eta, 0.5, rep.iterations)
+        within = np.all(trace <= tol, axis=1)
+        assert within[-1] and not within[:-1].any()
+        np.testing.assert_allclose(rep.step_norms, trace[:, 0], rtol=1e-6, atol=1e-14)
+        # at eta = 1e-1 the step passes about ten iterations before the
+        # candidate's dynamics residual does; the run must not stop there
+        first_step_pass = int(np.argmax(trace[:, 0] <= tol)) + 1
+        assert (first_step_pass < rep.iterations) == residual_gate_binds
+
+    def test_violated_stage_never_reports_tolerance(self, rng):
+        # The stage projector passes every point through, so the iteration
+        # converges to the unconstrained equilibrium (the averaged step goes
+        # to zero) while the candidate keeps violating the stage rows.
+        game, _ = random_lq_game(rng, T=2, shared_state_cost=True)
+        game = dataclasses.replace(game, quadratic_costs=True)
+        cfg = DrConfig(scheme=SCHEME_CONSTRAINTS, eta=0.4, alpha=0.5, max_iter=400,
+                       tol=1e-8, record_costs=False, run_checks=False)
+        free = dr_solve(game, cfg).trajectory.actions
+        bound = 0.5 * float(np.max(np.abs(free)))
+        violated = dataclasses.replace(
+            game, constraints=lambda k, x, u: np.abs(u) - bound,
+            stage_projector=lambda k, x, u: (x, u))
+        rep = dr_solve(violated, cfg)
+        assert rep.termination == TERM_MAX_ITER
+        assert np.min(rep.step_norms) <= cfg.tol
+        assert rep.constraint_residual > 0.4 * bound
+
     def test_unconstrained_quadratic_game_reaches_kkt_solution(self, rng):
         game, lq = random_lq_game(rng, T=2, shared_state_cost=True)
         oracle = stacked_lq_gne(game, lq, [])
@@ -392,3 +442,26 @@ class TestDrSolve:
             DrConfig(alpha=1.5)
         with pytest.raises(ValueError):
             DrConfig(eta=-1.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("max_iter", -5), ("inner_max_iter", 0), ("tol", 0.0), ("tol", -1e-8),
+        ("inner_tol", 0.0)])
+    def test_config_rejects_bad_budgets_and_tolerances(self, field, value):
+        with pytest.raises(ValueError):
+            DrConfig(scheme=SCHEME_GRADIENT, **{field: value})
+
+    def test_zero_iteration_budget_runs_no_iteration(self, rng):
+        game, _ = random_lq_game(rng, T=2, shared_state_cost=True)
+        rep = dr_solve(game, DrConfig(max_iter=0, record_costs=False, run_checks=False))
+        assert rep.iterations == 0 and rep.termination == TERM_MAX_ITER
+
+    @pytest.mark.parametrize("scheme", [SCHEME_DYNAMICS, SCHEME_GRADIENT])
+    def test_static_game_resolvents_get_the_inner_budget(self, rng, scheme):
+        # A quadratic stage game needs one Newton step plus the check that
+        # follows it, so a budget of 1 cannot certify it and 2 can.
+        game, _ = random_lq_game(rng, T=2, shared_state_cost=True)
+        cfg = dict(scheme=scheme, eta=0.4, max_iter=3, record_costs=False,
+                   run_checks=False)
+        with pytest.raises(SubproblemError):
+            dr_solve(game, DrConfig(inner_max_iter=1, **cfg))
+        assert dr_solve(game, DrConfig(inner_max_iter=2, **cfg)).iterations == 3
