@@ -349,8 +349,7 @@ def tightened_game_definition(spec: TightenedGameSpec) -> GameDefinition:
 
 
 def epsilon_nash_gap(spec: TightenedGameSpec, policy: FeedbackPolicy,
-                     player: int, start: int, x_start: Array,
-                     cap: int = denseqp.DEFAULT_CAP) -> float:
+                     player: int, start: int, x_start: Array) -> float:
     """Suboptimality of the feedback policy for one player at a perturbed state.
 
     All players follow the policy from ``start``; the gap is the cost of that
@@ -440,7 +439,7 @@ def epsilon_nash_gap(spec: TightenedGameSpec, policy: FeedbackPolicy,
             f"(min eig {eigmin:.2e}); terminal action costs may be missing")
     G = np.vstack(rows_G) if rows_G else None
     h = np.concatenate(rows_h) if rows_h else None
-    dec, _ = denseqp.solve_qp(Hqp, fqp, G=G, h=h, cap=cap)
+    dec, _ = denseqp.solve_qp(Hqp, fqp, G=G, h=h)
     J_best = 0.5 * dec @ Hqp @ dec + fqp @ dec + const
     return float(J_policy - J_best)
 

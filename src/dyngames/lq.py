@@ -64,7 +64,7 @@ class LqGameData:
     initial_state: Array
 
 
-def _affine_dynamics(game: GameDefinition) -> tuple[list, list, list]:
+def affine_dynamics(game: GameDefinition) -> tuple[list, list, list]:
     """(A_k, B_k, b_k) of a game with declared linear dynamics."""
     n_x, n_u = game.state_dim, game.total_action_dim
     zx, zu = np.zeros(n_x), np.zeros(n_u)
@@ -84,7 +84,7 @@ def extract_lq_data(game: GameDefinition) -> LqGameData:
     T = game.horizon
     n_x, n_u, N = game.state_dim, game.total_action_dim, game.num_players
     zx, zu = np.zeros(n_x), np.zeros(n_u)
-    A, B, b = _affine_dynamics(game)
+    A, B, b = affine_dynamics(game)
     Q = [[] for _ in range(N)]
     X = [[] for _ in range(N)]
     R = [[] for _ in range(N)]
@@ -242,7 +242,7 @@ def factor(game: GameDefinition, eta: float) -> LqFactor:
     if eta == 0:
         if not game.linear_dynamics:
             raise UnsupportedConstraintError("dynamics projection requires linear dynamics")
-        A, B, b = _affine_dynamics(game)
+        A, B, b = affine_dynamics(game)
         # One player holding every action: all players share the same cost.
         data = LqGameData(
             A=A, B=B, b=b, Q=[[I_x] * (T + 1)], X=[[np.zeros((n_x, n_u))] * (T + 1)],

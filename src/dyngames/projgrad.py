@@ -12,10 +12,10 @@ dynamics and stage constraints.  Two constraint classes are supported:
 * analytic projectors on actions only (no state coupling): the projection
   decouples stagewise and runs over the whole horizon at once
   (``GameDefinition.eval_traj_projection``);
-* affine stage constraints with linear dynamics: states are eliminated and
-  the action-space program is solved by Douglas-Rachford splitting between
-  the dynamics-consistency projection and a cost-augmented stage-polyhedron
-  projection (exactness verified against dense solves in the tests).
+* affine stage constraints with linear dynamics: one exact QP over the
+  whole stacked trajectory, with the dynamics as equality rows, the stage
+  rows as inequality rows and weight zero on the states
+  (``splitting.action_space_projection``).
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ class ProjGradConfig:
     step_size: float = 0.01
     max_iter: int = 1000
     tol: float = 1e-8
-    projection_tol: float = 1e-9
     active_tol: float = DEFAULT_ACTIVE_TOL
     divergence_factor: float = 1e8
     record_costs: bool = True
@@ -55,14 +54,13 @@ class ProjGradConfig:
     def __post_init__(self):
         if self.step_size <= 0:
             raise ValueError(f"step size must be positive, got {self.step_size}")
-        if self.tol <= 0 or self.projection_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.tol <= 0:
+            raise ValueError(f"tolerance must be positive, got {self.tol}")
         if self.max_iter < 0:
             raise ValueError(f"iteration budget must be nonnegative, got {self.max_iter}")
 
 
-def project_onto_feasible(game: GameDefinition, actions: Array,
-                          tol: float = 1e-9) -> Array:
+def project_onto_feasible(game: GameDefinition, actions: Array) -> Array:
     """Closest feasible joint-action sequence to ``actions``.
 
     Minimizes the summed squared action deviation subject to the dynamics
@@ -79,7 +77,7 @@ def project_onto_feasible(game: GameDefinition, actions: Array,
                   else rollout(game, game.initial_state, actions).states)
         return game.eval_traj_projection(states, actions)[1]
     if game.linear_dynamics and game.polyhedral_constraints:
-        return splitting.action_space_projection(game, actions, tol=tol)
+        return splitting.action_space_projection(game, actions)
     raise UnsupportedConstraintError(
         "projection requires either action-only analytic projectors or "
         "affine constraints with linear dynamics")
@@ -94,7 +92,7 @@ def projected_gradient_solve(game: GameDefinition, u0: Array,
         u = np.vstack([u, np.zeros(n_u)])
     if u.shape != (T + 1, n_u):
         raise ValueError(f"u0 must have shape {(T + 1, n_u)}, got {u.shape}")
-    u = project_onto_feasible(game, u, cfg.projection_tol)
+    u = project_onto_feasible(game, u)
     u_scale0 = 1.0 + float(np.linalg.norm(u))
 
     iterates = [u.copy()]
@@ -107,7 +105,7 @@ def projected_gradient_solve(game: GameDefinition, u0: Array,
             costs.append(all_player_costs(game, traj))
         grad = pseudo_gradient(game, traj, feas_tol=np.inf)
         stepped = u - cfg.step_size * grad.own_stage_grads()
-        u_next = project_onto_feasible(game, stepped, cfg.projection_tol)
+        u_next = project_onto_feasible(game, stepped)
         step = float(np.max(np.abs(u_next - u)))
         step_norms.append(step)
         u = u_next

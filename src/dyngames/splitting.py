@@ -19,8 +19,8 @@ operator that gets its own resolvent:
   per stage (the state coordinate acts as an extra coordinating player),
   r_2 projects onto the dynamics by a Riccati tracking sweep.
 * ``gradient``: r_1 projects onto the intersection of dynamics and
-  constraints (alternating Dykstra corrections between the two projections),
-  r_2 solves independent regularized unconstrained static games per stage.
+  constraints (exact horizon-wide QP), r_2 solves independent regularized
+  unconstrained static games per stage.
 
 The stagewise static-game resolvents read the cost operator stage by stage;
 their fixed points coincide with the variational equilibrium exactly when
@@ -33,23 +33,24 @@ whose matrices do not change between iterations: the regularized game of a
 declared linear-quadratic game, and the dynamics projection (the same
 kernel at eta = 0).  ``dr_solve`` factors that kernel once with
 ``lq.factor`` before its loop and passes the factor to the resolvent on
-every iteration, so each iteration only re-solves the linear terms.
+every iteration, so each iteration only re-solves the linear terms.  The
+intersection projection of the ``gradient`` scheme is one convex QP over
+the whole stacked trajectory whose rows (initial state, dynamics, stage
+rows) do not change either; ``dr_solve`` builds them once with
+``horizon_qp`` and each iteration only changes the point being projected.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import denseqp
-from .errors import (
-    InfeasibleConstraintsError,
-    SubproblemError,
-    UnsupportedConstraintError,
-)
+from .errors import SubproblemError, UnsupportedConstraintError
 from . import lq
 from .feedback import solve_unconstrained_newton
 from .gradient import playerwise_minimizer_check, pseudo_gradient
@@ -320,10 +321,15 @@ def _solve_stage_game(game, k, yk, zk, eta, rows, active, inner_tol,
     return x, u, mu, False
 
 
+# Most rows per stage for which resolvent_reg_static_games enumerates the
+# 2^m active subsets of its (nonsymmetric) stage game.
+STAGE_ENUMERATION_CAP = 18
+
+
 def resolvent_reg_static_games(game: GameDefinition, y: Array, z: Array,
                                eta: float, inner_tol: float = 1e-10,
                                inner_max_iter: int = 50,
-                               cap: int = denseqp.DEFAULT_CAP) -> tuple[Array, Array]:
+                               cap: int = STAGE_ENUMERATION_CAP) -> tuple[Array, Array]:
     """Independent regularized constrained static games, one per stage.
 
     Each stage solves, over (x_k, u_k), the game whose action rows are the
@@ -414,54 +420,96 @@ def project_dynamics(game: GameDefinition, y: Array, z: Array,
     return traj.states, traj.actions
 
 
+@dataclass(frozen=True)
+class HorizonQp:
+    """Rows of the horizon-wide projection QP over one game's trajectories.
+
+    The variable is the stacked trajectory v = (x_0, u_0, x_1, u_1, ...,
+    x_T, u_T).  The equality rows pin x_0 and impose the linear dynamics;
+    the inequality rows are every stage's affine rows W_k x_k + S_k u_k +
+    p_k <= 0.  The metric weighs states by ``state_weight`` and actions by
+    one.  Nothing here depends on the point being projected, so one instance
+    serves every projection; all matrices are block-banded ``scipy.sparse``,
+    so each active-set step of the QP costs O(T).
+    """
+
+    H: sp.csc_matrix
+    Aeq: sp.csr_matrix
+    beq: Array
+    G: Optional[sp.csr_matrix]
+    h: Optional[Array]
+    state_dim: int
+    state_weight: float
+
+    def project(self, y: Array, z: Array) -> tuple[Array, Array]:
+        """Closest trajectory to (y, z) in the metric that meets every row."""
+        n_x = self.state_dim
+        target = np.hstack([np.asarray(y, dtype=float), np.asarray(z, dtype=float)])
+        v, _ = denseqp.solve_qp(self.H, -(self.H @ target.ravel()), G=self.G, h=self.h,
+                                Aeq=self.Aeq, beq=self.beq)
+        v = v.reshape(target.shape)
+        return v[:, :n_x], v[:, n_x:]
+
+
+def horizon_qp(game: GameDefinition, state_weight: float) -> HorizonQp:
+    """Build the rows of the horizon-wide projection QP (see ``HorizonQp``).
+
+    Requires declared linear dynamics and, if the game has constraints,
+    affine rows; raises UnsupportedConstraintError otherwise.
+    """
+    if not game.linear_dynamics:
+        raise UnsupportedConstraintError("horizon-wide projection requires linear dynamics")
+    if game.constraints is not None and not game.polyhedral_constraints:
+        raise UnsupportedConstraintError("horizon-wide projection requires affine stage rows")
+    T = game.horizon
+    n_x, n_u = game.state_dim, game.total_action_dim
+    n_v = n_x + n_u
+    pick_x = sp.hstack([sp.identity(n_x), sp.csr_matrix((n_x, n_u))])
+    Aeq = sp.block_diag([pick_x] * (T + 1), format="csr")
+    if T:
+        A, B, b = lq.affine_dynamics(game)
+        # row block k+1 reads x_{k+1} - A_k x_k - B_k u_k = b_k
+        step = sp.block_diag([np.hstack([A[k], B[k]]) for k in range(T)])
+        Aeq = Aeq - sp.bmat([[sp.csr_matrix((n_x, T * n_v)), None],
+                             [step, sp.csr_matrix((T * n_x, n_v))]], format="csr")
+        beq = np.concatenate([game.initial_state, np.concatenate(b)])
+    else:
+        beq = np.asarray(game.initial_state, dtype=float).copy()
+    G = h = None
+    if game.constraints is not None:
+        rows = [_stage_constraint_data(game, k) for k in range(T + 1)]
+        blocks = [np.zeros((0, n_v)) if r is None else np.hstack([r[0], r[1]]) for r in rows]
+        if any(blk.shape[0] for blk in blocks):
+            G = sp.block_diag(blocks, format="csr")
+            h = np.concatenate([-r[2] for r in rows if r is not None])
+    weights = np.concatenate([np.full(n_x, float(state_weight)), np.ones(n_u)])
+    H = sp.diags(np.tile(weights, T + 1), format="csc")
+    return HorizonQp(H=H, Aeq=Aeq, beq=beq, G=G, h=h, state_dim=n_x,
+                     state_weight=float(state_weight))
+
+
 def constrained_oc_projection(game: GameDefinition, y: Array, z: Array,
-                              inner_tol: float = 1e-9,
-                              inner_max_iter: int = 2000,
-                              factor: Optional[lq.LqFactor] = None) -> tuple[Array, Array]:
+                              qp: Optional[HorizonQp] = None) -> tuple[Array, Array]:
     """Projection of (y, z) onto dynamics AND stage constraints jointly.
 
-    Alternates the two available projections with Dykstra correction terms,
-    which converges to the exact projection onto the intersection for the
-    convex constraint classes supported here.  The dynamics projection is
-    factored once per call unless ``factor`` (eta = 0) is passed.
+    Solves the Euclidean projection exactly as one horizon-wide QP.  Its
+    rows are built here unless ``qp`` (from ``horizon_qp(game, 1.0)``) is
+    passed to reuse them across calls.
     """
-    if inner_max_iter < 1:
-        raise ValueError(f"sweep budget must be at least 1, got {inner_max_iter}")
-    if factor is None:
-        factor = lq.factor(game, 0.0)
-    y = np.asarray(y, dtype=float)
-    z = np.asarray(z, dtype=float)
-    px = np.zeros_like(y)
-    pu = np.zeros_like(z)
-    qx = np.zeros_like(y)
-    qu = np.zeros_like(z)
-    ax, au = y, z
-    for it in range(inner_max_iter):
-        bx, bu = project_dynamics(game, ax + px, au + pu, factor=factor)
-        px = ax + px - bx
-        pu = au + pu - bu
-        ax_new, au_new = project_stage_constraints(game, bx + qx, bu + qu)
-        qx = bx + qx - ax_new
-        qu = bu + qu - au_new
-        gap = max(float(np.max(np.abs(ax_new - bx))), float(np.max(np.abs(au_new - bu))))
-        ax, au = ax_new, au_new
-        if gap <= inner_tol:
-            return bx, bu
-    viol = _constraint_violation(game, Trajectory(bx, bu))
-    raise InfeasibleConstraintsError(
-        f"intersection projection stalled after {inner_max_iter} sweeps "
-        f"(gap {gap:.3e})", max_violation=viol)
+    if qp is None:
+        qp = horizon_qp(game, 1.0)
+    elif qp.state_weight != 1.0:
+        raise ValueError(f"intersection projection needs state weight 1, got {qp.state_weight}")
+    return qp.project(y, z)
 
 
 def _constraint_violation(game: GameDefinition, traj: Trajectory) -> float:
+    """Largest stage-row violation; NaN when any row evaluates to NaN."""
     if game.constraints is None:
         return 0.0
-    worst = 0.0
-    for k in range(game.horizon + 1):
-        g = game.eval_constraints(k, traj.states[k], traj.actions[k])
-        if g.size:
-            worst = max(worst, float(np.max(np.maximum(g, 0.0))))
-    return worst
+    rows = [game.eval_constraints(k, traj.states[k], traj.actions[k])
+            for k in range(game.horizon + 1)]
+    return float(np.max(np.maximum(np.concatenate(rows), 0.0), initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -469,53 +517,16 @@ def _constraint_violation(game: GameDefinition, traj: Trajectory) -> float:
 # ---------------------------------------------------------------------------
 
 
-def action_space_projection(game: GameDefinition, target: Array,
-                            tol: float = 1e-9, alpha: float = 0.5,
-                            max_iter: int = 5000) -> Array:
+def action_space_projection(game: GameDefinition, target: Array) -> Array:
     """argmin |u - target|^2 over action sequences with a feasible rollout.
 
-    Splits the problem between the dynamics projection and a stagewise
-    resolvent that absorbs the action-tracking cost into the constraint-set
-    projection (a weighted polyhedron projection); the objective has no
-    state term, so the action weight in that resolvent is 3 = 1 + 2.
+    The horizon-wide projection QP with weight zero on the states: the
+    dynamics rows tie the states to the actions, so the states carry the
+    stage rows without entering the objective.
     """
-    if max_iter < 1:
-        raise ValueError(f"iteration budget must be at least 1, got {max_iter}")
-    if not (game.linear_dynamics and game.polyhedral_constraints):
-        raise UnsupportedConstraintError(
-            "action-space projection requires linear dynamics and affine rows")
-    T = game.horizon
-    n_x, n_u = game.state_dim, game.total_action_dim
-    wx = rollout(game, game.initial_state, target).states
-    wu = np.asarray(target, dtype=float).copy()
-    weights = np.concatenate([np.ones(n_x), 3.0 * np.ones(n_u)])
-    dyn_factor = lq.factor(game, 0.0)
-    for it in range(max_iter):
-        # resolvent of (tracking-gradient + constraint normal cone)
-        rx = np.empty_like(wx)
-        ru = np.empty_like(wu)
-        for k in range(T + 1):
-            pt = np.concatenate([wx[k], (wu[k] + 2.0 * target[k]) / 3.0])
-            rows = _stage_constraint_data(game, k) if game.constraints is not None else None
-            if rows is None:
-                rx[k], ru[k] = pt[:n_x], pt[n_x:]
-            else:
-                W, S, p0 = rows
-                G = np.hstack([W, S])
-                proj = denseqp.project_polyhedron(pt, G, -p0, weights=weights)
-                rx[k], ru[k] = proj[:n_x], proj[n_x:]
-        yx, yu = 2 * rx - wx, 2 * ru - wu
-        dx, du = project_dynamics(game, yx, yu, factor=dyn_factor)
-        gap = max(float(np.max(np.abs(dx - rx))), float(np.max(np.abs(du - ru))))
-        wx = wx + 2 * alpha * (dx - rx)
-        wu = wu + 2 * alpha * (du - ru)
-        if gap <= tol:
-            return du
-    viol = _constraint_violation(game, rollout(game, game.initial_state, du))
-    if viol > 10 * tol:
-        raise InfeasibleConstraintsError(
-            f"action-space projection stalled (gap {gap:.3e})", max_violation=viol)
-    return du
+    target = np.asarray(target, dtype=float)
+    qp = horizon_qp(game, 0.0)
+    return qp.project(np.zeros((target.shape[0], game.state_dim)), target)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +558,7 @@ def dr_solve(game: GameDefinition, cfg: DrConfig,
     wu = np.array(w0.u, dtype=float, copy=True)
     scale0 = 1.0 + float(np.linalg.norm(np.concatenate([wx.ravel(), wu.ravel()])))
 
-    factor = _scheme_factor(game, cfg)
+    kernel = _scheme_kernel(game, cfg)
     warm: Optional[Trajectory] = None
     iterates = [np.concatenate([wx.ravel(), wu.ravel()])]
     step_norms: list[float] = []
@@ -555,11 +566,11 @@ def dr_solve(game: GameDefinition, cfg: DrConfig,
     termination = TERM_MAX_ITER
     cand_x, cand_u = wx, wu
     for it in range(cfg.max_iter):
-        tx, tu = _first_resolvent(game, cfg, wx, wu, warm, factor)
-        if cfg.scheme == SCHEME_CONSTRAINTS and factor is None:
+        tx, tu = _first_resolvent(game, cfg, wx, wu, warm, kernel)
+        if cfg.scheme == SCHEME_CONSTRAINTS and kernel is None:
             warm = Trajectory(tx, tu)  # only the Newton resolvent warm-starts
         y, z = 2 * tx - wx, 2 * tu - wu
-        tx, tu = _second_resolvent(game, cfg, y, z, factor)
+        tx, tu = _second_resolvent(game, cfg, y, z, kernel)
         y, z = 2 * tx - y, 2 * tu - z
         new_wx = (1 - cfg.alpha) * wx + cfg.alpha * y
         new_wu = (1 - cfg.alpha) * wu + cfg.alpha * z
@@ -600,42 +611,44 @@ def _residuals_within(game, cand: Trajectory, tol: float) -> bool:
     return dyn_res <= tol and _constraint_violation(game, cand) <= tol
 
 
-def _scheme_factor(game, cfg) -> Optional[lq.LqFactor]:
-    """The LQ factor a scheme's resolvents reuse on every iteration, if any.
+def _scheme_kernel(game, cfg) -> Union[lq.LqFactor, HorizonQp, None]:
+    """The iterate-independent data a scheme's resolvents reuse, if any.
 
     ``constraints`` solves the regularized game, exactly and factored for
-    declared linear-quadratic games; the other two schemes project onto the
-    dynamics, which must be linear.  Factoring raises before the first
-    iteration: StageSingularityError for a singular stage matrix,
-    UnsupportedConstraintError for nonlinear dynamics.
+    declared linear-quadratic games; ``dynamics`` projects onto the
+    dynamics with the eta = 0 factor; ``gradient`` projects onto dynamics
+    and stage rows with one horizon-wide QP whose rows are built here.
+    Both raise before the first iteration: StageSingularityError for a
+    singular stage matrix, UnsupportedConstraintError for nonlinear
+    dynamics or, in the ``gradient`` scheme, non-affine stage constraints.
     """
     if cfg.scheme == SCHEME_CONSTRAINTS:
         if game.linear_dynamics and game.quadratic_costs:
             return lq.factor(game, cfg.eta)
         return None
-    return lq.factor(game, 0.0)
+    if cfg.scheme == SCHEME_DYNAMICS:
+        return lq.factor(game, 0.0)
+    return horizon_qp(game, 1.0)
 
 
-def _first_resolvent(game, cfg, y, z, warm, factor):
+def _first_resolvent(game, cfg, y, z, warm, kernel):
     if cfg.scheme == SCHEME_CONSTRAINTS:
         return resolvent_reg_game(game, y, z, cfg.eta,
                                   inner_tol=cfg.inner_tol,
                                   inner_max_iter=cfg.inner_max_iter,
-                                  warm=warm, factor=factor)
+                                  warm=warm, factor=kernel)
     if cfg.scheme == SCHEME_DYNAMICS:
         return resolvent_reg_static_games(game, y, z, cfg.eta,
                                           inner_tol=cfg.inner_tol,
                                           inner_max_iter=cfg.inner_max_iter)
-    return constrained_oc_projection(game, y, z, inner_tol=max(cfg.inner_tol, 1e-11),
-                                     inner_max_iter=cfg.inner_max_iter * 20,
-                                     factor=factor)
+    return constrained_oc_projection(game, y, z, qp=kernel)
 
 
-def _second_resolvent(game, cfg, y, z, factor):
+def _second_resolvent(game, cfg, y, z, kernel):
     if cfg.scheme == SCHEME_CONSTRAINTS:
         return project_stage_constraints(game, y, z)
     if cfg.scheme == SCHEME_DYNAMICS:
-        return project_dynamics(game, y, z, factor=factor)
+        return project_dynamics(game, y, z, factor=kernel)
     return resolvent_static_games_uncon(game, y, z, cfg.eta,
                                         inner_tol=cfg.inner_tol,
                                         inner_max_iter=cfg.inner_max_iter)

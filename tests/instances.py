@@ -27,29 +27,29 @@ def cost_blocks_from_lq(lq, N, T, n_x, n_u):
     return tuple(blocks)
 
 
-def tightened_two_player_instance(rng, T=5, gamma_val=0.02, con_stage=2):
-    """Affine 2-player game with one weakly active tightened constraint row.
+def tightened_two_player_instance(rng, T=5, gamma_val=0.02, con_stages=(2,)):
+    """Affine 2-player game with weakly active tightened constraint rows.
 
     Costs and dynamics are player-separable so the players interact only
-    through the shared constraint row (a generalized Nash structure); the
-    row is placed so the unconstrained equilibrium touches the tightened
-    boundary exactly (zero multiplier).  In this class the feedback policy
-    reproduces the equilibrium at the reference state and its best-response
-    gap vanishes there, which makes the perturbation scaling measurable.
-    Returns the tightened spec together with the reference equilibrium.
+    through the shared constraint rows (a generalized Nash structure); one
+    row sits at each stage of ``con_stages``, placed so the unconstrained
+    equilibrium touches the tightened boundary exactly (zero multiplier).
+    In this class the feedback policy reproduces the equilibrium at the
+    reference state and its best-response gap vanishes there, which makes
+    the perturbation scaling measurable.  Returns the tightened spec
+    together with the reference equilibrium.
     """
     game, lq = decoupled_lq_game(rng, T=T)
     n_x, n_u, N = 2, 2, 2
     ref = stacked_lq_gne(game, lq, [])
 
-    w = rng.standard_normal(n_x)
-    s = rng.standard_normal(n_u)
-    s[0] += np.sign(s[0]) * 0.5  # keep the action part well away from zero
-    p_val = -(w @ ref.states[con_stage] + s @ ref.actions[con_stage]) - gamma_val
-
     W, S, p, gam, active = [], [], [], [], []
     for k in range(T + 1):
-        if k == con_stage:
+        if k in con_stages:
+            w = rng.standard_normal(n_x)
+            s = rng.standard_normal(n_u)
+            s[0] += np.sign(s[0]) * 0.5  # keep the action part well away from zero
+            p_val = -(w @ ref.states[k] + s @ ref.actions[k]) - gamma_val
             W.append(w[None, :].copy())
             S.append(s[None, :].copy())
             p.append(np.array([p_val]))

@@ -296,25 +296,32 @@ def dense_eq_least_squares(Hdiag, target, Aeq, beq):
     return sol[:n]
 
 
-def brute_force_qp(H, f, G, h):
-    """Reference QP solve by exhaustive active-set enumeration using lstsq."""
+def brute_force_qp(H, f, G, h, Aeq=None, beq=None):
+    """Reference QP solve by exhaustive active-set enumeration.
+
+    Each subset of the inequality rows is pinned together with the optional
+    equality rows ``Aeq z = beq``; the feasible KKT point with nonnegative
+    inequality multipliers and the least objective is returned.
+    """
     n = H.shape[0]
     m = 0 if G is None else G.shape[0]
+    neq = 0 if Aeq is None else Aeq.shape[0]
     best, best_val = None, np.inf
     for size in range(m + 1):
         for rows in itertools.combinations(range(m), size):
             rows = list(rows)
-            if rows:
-                Ar = G[rows]
-                if np.linalg.matrix_rank(Ar) < len(rows):
+            if rows or neq:
+                Ar = np.vstack(([Aeq] if neq else []) + ([G[rows]] if rows else []))
+                br = np.concatenate(([beq] if neq else []) + ([h[rows]] if rows else []))
+                if np.linalg.matrix_rank(Ar) < Ar.shape[0]:
                     continue
-                K = np.block([[H, Ar.T], [Ar, np.zeros((len(rows), len(rows)))]])
-                rhs = np.concatenate([-f, h[rows]])
+                K = np.block([[H, Ar.T], [Ar, np.zeros((Ar.shape[0], Ar.shape[0]))]])
+                rhs = np.concatenate([-f, br])
                 try:
                     sol = np.linalg.solve(K, rhs)
                 except np.linalg.LinAlgError:
                     continue
-                z, lam = sol[:n], sol[n:]
+                z, lam = sol[:n], sol[n + neq:]
                 if np.any(lam < -1e-9):
                     continue
             else:

@@ -180,6 +180,22 @@ class TestEpsilonGap:
                 gap = epsilon_nash_gap(spec, policy, n, 0, x0)
                 assert gap >= -1e-9
 
+    def test_gap_with_a_row_at_every_stage_of_a_long_horizon(self, rng):
+        # 21 horizon-wide rows in the best response: more than an active-set
+        # enumeration can visit (2^21 subsets)
+        T = 20
+        spec, ref, lq, game = tightened_two_player_instance(
+            rng, T=T, con_stages=range(T + 1))
+        tgame = tightened_game_definition(spec)
+        policy = stagewise_newton_backward(tgame, ref, feas_tol=1e-6)
+        for n in range(2):
+            assert abs(epsilon_nash_gap(spec, policy, n, 0, ref.states[0])) <= 1e-8
+        for _ in range(3):
+            d = rng.standard_normal(2)
+            d /= np.linalg.norm(d)
+            for n in range(2):
+                assert epsilon_nash_gap(spec, policy, n, 0, ref.states[0] + 1e-2 * d) >= -1e-9
+
     def test_active_row_held_exactly_along_policy_rollout(self, rng):
         spec, ref, lq, game = tightened_two_player_instance(rng)
         tgame = tightened_game_definition(spec)

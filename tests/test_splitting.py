@@ -16,6 +16,7 @@ from dyngames.splitting import (
     SCHEME_CONSTRAINTS,
     SCHEME_DYNAMICS,
     SCHEME_GRADIENT,
+    _constraint_violation,
     constrained_oc_projection,
     dr_solve,
     extended_gradient,
@@ -304,12 +305,6 @@ class TestDynamicsProjection:
 
 
 class TestIntersectionProjection:
-    def test_zero_sweep_budget_is_rejected(self, rng):
-        game, _, _ = shared_state_cost_game(rng)
-        with pytest.raises(ValueError, match="at least 1"):
-            constrained_oc_projection(game, np.zeros((3, 2)), np.zeros((3, 2)),
-                                      inner_max_iter=0)
-
     def test_feasible_point_unchanged(self, rng):
         game, _, _ = shared_state_cost_game(rng, T=2)
         z = np.zeros((3, 2))
@@ -332,7 +327,7 @@ class TestIntersectionProjection:
         game, lq, rows = shared_state_cost_game(rng, T=2, con_stage=1)
         y = rng.standard_normal((3, 2))
         z = rng.standard_normal((3, 2))
-        xs, us = constrained_oc_projection(game, y, z, inner_tol=1e-11)
+        xs, us = constrained_oc_projection(game, y, z)
         # dense oracle over (x1, x2, u0, u1, u2)
         k, w, s, p = 1, rows[0][1], rows[0][2], rows[0][3]
         dim = 2 * 2 + 3 * 2
@@ -355,11 +350,9 @@ class TestIntersectionProjection:
         h = np.array([-p])
         H = np.eye(dim)
         f = -target
-        # KKT enumeration with equalities folded in
-        from dyngames.denseqp import solve_qp
-        sol, _ = solve_qp(H, f, G=G, h=h, Aeq=Aeq, beq=beq)
+        sol = brute_force_qp(H, f, G, h, Aeq=Aeq, beq=beq)
         np.testing.assert_allclose(np.concatenate([xs[1:].ravel(), us.ravel()]),
-                                   sol, atol=1e-6)
+                                   sol, atol=1e-9)
 
 
 class TestDrSolve:
@@ -398,6 +391,20 @@ class TestDrSolve:
         assert rep.termination == TERM_MAX_ITER
         assert np.min(rep.step_norms) <= cfg.tol
         assert rep.constraint_residual > 0.4 * bound
+
+    def test_nan_constraint_is_not_read_as_satisfied(self, rng):
+        game, _ = random_lq_game(rng, T=0, shared_state_cost=True)
+        nan_rows = dataclasses.replace(
+            game, quadratic_costs=True, constraints=lambda k, x, u: np.array([np.nan]),
+            stage_projector=lambda k, x, u: (x, u))
+        traj = Trajectory(np.zeros((1, 2)), np.zeros((1, 2)))
+        assert np.isnan(_constraint_violation(nan_rows, traj))
+        cfg = DrConfig(scheme=SCHEME_CONSTRAINTS, eta=0.4, alpha=0.5, max_iter=200,
+                       tol=1e-8, record_costs=False, run_checks=False)
+        rep = dr_solve(nan_rows, cfg)
+        assert np.min(rep.step_norms) <= cfg.tol  # only the NaN row holds the run
+        assert rep.termination != TERM_TOLERANCE
+        assert np.isnan(rep.constraint_residual)
 
     def test_unconstrained_quadratic_game_reaches_kkt_solution(self, rng):
         game, lq = random_lq_game(rng, T=2, shared_state_cost=True)
