@@ -16,7 +16,7 @@ from the deterministic equilibrium path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -127,6 +127,12 @@ def fishery_game(params: FisheryParams = FisheryParams()) -> GameDefinition:
     def constraints(k, x, u):
         return np.array([-u[0], u[0] - p.u1_max, -u[1], u[1] - p.u2_max])
 
+    def batch_dynamics(k, X, U):
+        return X + (growth(X) - (p.q1 * U[:, :1] + p.q2 * U[:, 1:]) * X) * p.dt
+
+    def batch_constraints(k, X, U):
+        return np.stack([-U[:, 0], U[:, 0] - p.u1_max, -U[:, 1], U[:, 1] - p.u2_max], axis=1)
+
     con_S = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, -1.0], [0.0, 1.0]])
     con_W = np.zeros((4, 1))
 
@@ -181,6 +187,8 @@ def fishery_game(params: FisheryParams = FisheryParams()) -> GameDefinition:
         traj_cost_gradients=traj_cost_gradients,
         traj_dynamics_jacobians=traj_dynamics_jacobians,
         traj_projector=lambda states, actions: (states, np.clip(actions, lo, hi)),
+        batch_dynamics=batch_dynamics,
+        batch_constraints=batch_constraints,
         name="fishery")
 
 
@@ -342,48 +350,39 @@ def noise_comparison(game: GameDefinition, olne: Trajectory,
                      violation_tol: float = 1e-7) -> NoiseComparison:
     """Open-loop replay versus feedback policy on seeded noisy rollouts.
 
-    Per run, i.i.d. Gaussian state disturbances with variance ``noise_var``
-    (scaled by ``noise_scale``, e.g. the discretization step) are added
-    after each dynamics step.  Reported deviations are mean squared state
-    distances to the deterministic equilibrium path.  Identical seeds give
-    identical statistics.
+    Run i adds i.i.d. Gaussian state disturbances with variance
+    ``noise_var`` (scaled by ``noise_scale``, e.g. the discretization step),
+    drawn from child i of ``SeedSequence(seed)``, after each dynamics step.
+    All runs roll out as one batch of ``feedback_rollout``, twice under the
+    same noise: the open-loop replay (the policy with zero gains and
+    offsets) and the feedback policy.  Reported deviations are mean squared
+    state distances to the equilibrium path; violations count the stages
+    whose largest row exceeds ``violation_tol`` or is NaN.  Identical seeds
+    give identical statistics.  Raises ValueError unless noise_var >= 0,
+    n_runs >= 1, 0 <= noise_scale < inf and violation_tol >= 0, and
+    NonFiniteStateError (naming stage and run) when a state blows up.
     """
-    T = game.horizon
-    n_x = game.state_dim
+    if not noise_var >= 0:
+        raise ValueError(f"noise_var must be nonnegative, got {noise_var}")
+    if n_runs < 1:
+        raise ValueError(f"n_runs must be at least 1, got {n_runs}")
+    if not (np.isfinite(noise_scale) and noise_scale >= 0):
+        raise ValueError(f"noise_scale must be finite and nonnegative, got {noise_scale}")
+    if not violation_tol >= 0:
+        raise ValueError(f"violation_tol must be nonnegative, got {violation_tol}")
+    T, n_x = game.horizon, game.state_dim
     std = float(np.sqrt(noise_var)) * noise_scale
-    seqs = np.random.SeedSequence(seed).spawn(n_runs)
-    ol_dev = np.empty(n_runs)
-    fb_dev = np.empty(n_runs)
-    ol_vio = np.zeros(n_runs, dtype=int)
-    fb_vio = np.zeros(n_runs, dtype=int)
-    for i, s in enumerate(seqs):
-        rng = np.random.default_rng(s)
-        noise = std * rng.standard_normal((T, n_x))
-        # open-loop replay of the equilibrium actions
-        states = np.empty((T + 1, n_x))
-        states[0] = olne.states[0]
-        for k in range(T):
-            states[k + 1] = game.eval_dynamics(k, states[k], olne.actions[k]) + noise[k]
-        ol_dev[i] = float(np.mean(np.sum((states - olne.states) ** 2, axis=1)))
-        ol_vio[i] = _count_violations(game, states, olne.actions, violation_tol)
-        # feedback policy rollout under the same noise
-        out = feedback_rollout(game, policy, olne.states[0], noise=noise)
-        fb_states = out.trajectory.states
-        fb_dev[i] = float(np.mean(np.sum((fb_states - olne.states) ** 2, axis=1)))
-        fb_vio[i] = int(np.sum(out.constraint_violations > violation_tol))
-    return NoiseComparison(openloop_deviation=ol_dev, feedback_deviation=fb_dev,
-                           openloop_violations=ol_vio, feedback_violations=fb_vio)
-
-
-def _count_violations(game, states, actions, tol):
-    if game.constraints is None:
-        return 0
-    count = 0
-    for k in range(states.shape[0]):
-        g = game.eval_constraints(k, states[k], actions[k])
-        if g.size and float(np.max(g)) > tol:
-            count += 1
-    return count
+    noise = std * np.stack([np.random.default_rng(s).standard_normal((T, n_x))
+                            for s in np.random.SeedSequence(seed).spawn(n_runs)])
+    starts = np.tile(olne.states[0], (n_runs, 1))
+    replay = replace(policy, reference=olne,
+                     gains=[np.zeros_like(K) for K in policy.gains],
+                     offsets=[np.zeros_like(s) for s in policy.offsets])
+    runs = [feedback_rollout(game, mode, starts, noise=noise) for mode in (replay, policy)]
+    dev = [np.mean(np.sum((r.states - olne.states) ** 2, axis=2), axis=1) for r in runs]
+    vio = [np.count_nonzero(~(r.constraint_violations <= violation_tol), axis=1) for r in runs]
+    return NoiseComparison(openloop_deviation=dev[0], feedback_deviation=dev[1],
+                           openloop_violations=vio[0], feedback_violations=vio[1])
 
 
 def cumulative_profits(game: GameDefinition, traj: Trajectory) -> Array:

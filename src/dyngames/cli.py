@@ -70,7 +70,6 @@ def _build_rendezvous(params: dict):
 GAME_REGISTRY = {
     "fishery": _build_fishery,
     "lq_rendezvous": _build_rendezvous,
-    "lq_locomotion": _build_rendezvous,  # accepted alias
 }
 
 

@@ -20,9 +20,11 @@ class DimensionError(DynGameError):
 class NonFiniteStateError(DynGameError):
     """Dynamics produced a NaN or infinite state."""
 
-    def __init__(self, stage):
+    def __init__(self, stage, run=None):
         self.stage = stage
-        super().__init__(f"non-finite state produced by dynamics at stage {stage}")
+        self.run = run
+        where = f" in run {run}" if run is not None else ""
+        super().__init__(f"non-finite state produced by dynamics at stage {stage}{where}")
 
 
 class NonFiniteDerivativeError(DynGameError):

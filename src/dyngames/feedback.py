@@ -18,7 +18,7 @@ best-response solve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -27,6 +27,7 @@ from . import denseqp
 from .errors import (
     DimensionError,
     InfeasibleConstraintsError,
+    NonFiniteStateError,
     SubproblemError,
 )
 from .gradient import pseudo_gradient
@@ -52,8 +53,7 @@ class FeedbackPolicy:
     ``gains[k]`` and ``offsets[k]`` define du = K dx + s at stage k.  The
     per-player value matrices ``lam[n, k]`` are the (1+n_x)-square blocks of
     the local quadratic value functions; ``omega[n, k]`` are the costate
-    rows; the stage matrices used to compute the gains are retained for
-    diagnostics.
+    rows; ``gamma[k]`` holds the players' stage expansion matrices.
     """
 
     reference: Trajectory
@@ -62,10 +62,6 @@ class FeedbackPolicy:
     lam: Array
     omega: Array
     gamma: list[Array]
-    F: list[Array]
-    P: list[Array]
-    H: list[Array]
-    multiplier_laws: list[AffineLaw]
     action_dims: tuple[int, ...]
 
     @property
@@ -83,12 +79,7 @@ class FeedbackPolicy:
         reference carries a small solver residual this form avoids replaying
         that residual as a deterministic drift.
         """
-        return FeedbackPolicy(
-            reference=self.reference, gains=self.gains,
-            offsets=[np.zeros_like(s) for s in self.offsets],
-            lam=self.lam, omega=self.omega, gamma=self.gamma,
-            F=self.F, P=self.P, H=self.H,
-            multiplier_laws=self.multiplier_laws, action_dims=self.action_dims)
+        return replace(self, offsets=[np.zeros_like(s) for s in self.offsets])
 
 
 def solve_eq_constrained_stage_game(F: Array, P: Array, H: Array,
@@ -132,17 +123,13 @@ def stagewise_newton_backward(game: GameDefinition, traj: Trajectory,
     T = game.horizon
     N, n_x, n_u = game.num_players, game.state_dim, game.total_action_dim
     nz = 1 + n_x + n_u
-    i1, ix, iu = 0, slice(1, 1 + n_x), slice(1 + n_x, nz)
+    ix, iu = slice(1, 1 + n_x), slice(1 + n_x, nz)
 
     lam = np.zeros((N, T + 2, 1 + n_x, 1 + n_x))
     omega = np.zeros((N, T + 2, n_x))
     gains: list[Array] = [None] * (T + 1)
     offsets: list[Array] = [None] * (T + 1)
     gammas: list[Array] = [None] * (T + 1)
-    Fs: list[Array] = [None] * (T + 1)
-    Ps: list[Array] = [None] * (T + 1)
-    Hs: list[Array] = [None] * (T + 1)
-    laws: list[AffineLaw] = [None] * (T + 1)
 
     for k in range(T, -1, -1):
         q = quads[k]
@@ -172,22 +159,11 @@ def stagewise_newton_backward(game: GameDefinition, traj: Trajectory,
                 G[iu, ix] += B.T @ lxx @ A + D[n_x:, :n_x]
                 G[iu, iu] += B.T @ lxx @ B + D[n_x:, n_x:]
             gamma_k[n] = 0.5 * (G + G.T)
-        F = np.empty((n_u, n_u))
-        P = np.empty((n_u, n_x))
-        H = np.empty(n_u)
-        off = 0
-        for n, d in enumerate(game.action_dims):
-            rows = slice(1 + n_x + off, 1 + n_x + off + d)
-            F[off:off + d] = gamma_k[n][rows, iu]
-            P[off:off + d] = gamma_k[n][rows, ix]
-            H[off:off + d] = gamma_k[n][rows, 0]
-            off += d
-        if use_constraints and q.num_constraints:
-            Wa, Sa, pa = q.active_rows()
-        else:
-            Wa = np.zeros((0, n_x))
-            Sa = np.zeros((0, n_u))
-            pa = np.zeros(0)
+        # every player's rows of its own action block
+        own = np.vstack([gamma_k[n][iu][game.action_slice(n)] for n in range(N)])
+        F, P, H = own[:, iu], own[:, ix], own[:, 0]
+        Wa, Sa, pa = (q.active_rows() if use_constraints and q.num_constraints
+                      else (np.zeros((0, n_x)), np.zeros((0, n_u)), np.zeros(0)))
         if stage_reg:
             F = F + stage_reg * np.eye(n_u)
         law = solve_stage_kkt(F, P, H, Wa, Sa, pa, stage=k)
@@ -209,51 +185,84 @@ def stagewise_newton_backward(game: GameDefinition, traj: Trajectory,
                 # costate, as in the stagewise KKT of the pinned problem.
                 base += law.lam_s @ Wa
             omega[n, k] = base
-        gains[k], offsets[k] = K, s
-        gammas[k], Fs[k], Ps[k], Hs[k], laws[k] = gamma_k, F, P, H, law
+        gains[k], offsets[k], gammas[k] = K, s, gamma_k
     return FeedbackPolicy(reference=traj.copy(), gains=gains, offsets=offsets,
                           lam=lam[:, :T + 2], omega=omega, gamma=gammas,
-                          F=Fs, P=Ps, H=Hs, multiplier_laws=laws,
                           action_dims=game.action_dims)
 
 
 @dataclass
 class FeedbackRollout:
-    trajectory: Trajectory
-    constraint_violations: Array  # per-stage max(g, 0) infinity norms
+    """States, actions and per-stage violations max(g, 0) of policy rollouts.
+
+    One rollout from stage ``start`` has shapes (n+1, n_x), (n+1, n_u) and
+    (n+1,), n = T - start; a batch of B rollouts adds a leading run axis.
+    """
+
+    states: Array
+    actions: Array
+    constraint_violations: Array
+
+    @property
+    def trajectory(self) -> Trajectory:
+        """The rollout as a Trajectory; a batch has none."""
+        if self.states.ndim != 2:
+            raise ValueError("a batch of rollouts has no single trajectory")
+        return Trajectory(self.states, self.actions)
 
 
 def feedback_rollout(game: GameDefinition, policy: FeedbackPolicy,
                      x_start: Array, start: int = 0,
                      noise: Optional[Array] = None) -> FeedbackRollout:
-    """Roll out the true dynamics under the affine policy.
+    """Roll out the true dynamics under the affine policy, one start or a batch.
 
-    ``noise`` holds optional additive per-stage state disturbances (applied
-    after the dynamics map).  Constraint violations along the way are
-    recorded, never fatal.
+    ``x_start`` is one state (n_x,) or B states (B, n_x).  ``noise`` holds
+    optional additive state disturbances, applied after each dynamics map:
+    (T - start, n_x) for one start, (B, T - start, n_x) for a batch.  The B
+    runs advance together, one ``eval_batch_dynamics`` and one
+    ``eval_batch_constraints`` call per stage.  Constraint violations along
+    the way are recorded, never fatal.  A non-finite state raises
+    NonFiniteStateError naming the first stage whose dynamics produced one
+    (and, for a batch, the first such run); a wrong shape raises
+    DimensionError.
     """
-    T = game.horizon
-    x_start = np.asarray(x_start, dtype=float).reshape(-1)
-    if x_start.shape != (game.state_dim,):
-        raise DimensionError("start state", (game.state_dim,), x_start.shape)
-    n_steps = T - start
-    states = np.empty((n_steps + 1, game.state_dim))
-    actions = np.empty((n_steps + 1, game.total_action_dim))
-    violations = np.zeros(n_steps + 1)
-    states[0] = x_start
+    T, n_x = game.horizon, game.state_dim
+    if not 0 <= start <= T:
+        raise ValueError(f"start stage {start} outside 0..{T}")
+    x_start = np.asarray(x_start, dtype=float)
+    single = x_start.ndim == 1
+    X0 = np.atleast_2d(x_start)
+    n_runs, n_steps = X0.shape[0], T - start
+    if X0.shape != (n_runs, n_x):
+        raise DimensionError("start states", ("B", n_x), x_start.shape)
+    if noise is not None:
+        expected = (n_steps, n_x) if single else (n_runs, n_steps, n_x)
+        if np.shape(noise) != expected:
+            raise DimensionError("noise", expected, np.shape(noise))
+        noise = np.reshape(noise, (n_runs, n_steps, n_x))
+    states = np.empty((n_runs, n_steps + 1, n_x))
+    actions = np.empty((n_runs, n_steps + 1, game.total_action_dim))
+    violations = np.zeros((n_runs, n_steps + 1))
+    states[:, 0] = X0
+    ref = policy.reference
     for i, k in enumerate(range(start, T + 1)):
-        u = policy.action(k, states[i])
-        actions[i] = u
-        g = game.eval_constraints(k, states[i], u)
-        if g.size:
-            violations[i] = float(np.max(np.maximum(g, 0.0)))
+        X = states[:, i]
+        U = ref.actions[k] + (X - ref.states[k]) @ policy.gains[k].T + policy.offsets[k]
+        actions[:, i] = U
+        g = game.eval_batch_constraints(k, X, U)
+        if g.shape[1]:
+            violations[:, i] = np.max(np.maximum(g, 0.0), axis=1)
         if k < T:
-            nxt = game.eval_dynamics(k, states[i], u)
+            nxt = game.eval_batch_dynamics(k, X, U)
             if noise is not None:
-                nxt = nxt + noise[i]
-            states[i + 1] = nxt
-    return FeedbackRollout(trajectory=Trajectory(states, actions),
-                           constraint_violations=violations)
+                nxt = nxt + noise[:, i]
+            bad = ~np.all(np.isfinite(nxt), axis=1)
+            if bad.any():
+                raise NonFiniteStateError(k, None if single else int(np.argmax(bad)))
+            states[:, i + 1] = nxt
+    if single:
+        return FeedbackRollout(states[0], actions[0], violations[0])
+    return FeedbackRollout(states, actions, violations)
 
 
 @dataclass(frozen=True)
@@ -495,15 +504,17 @@ def solve_unconstrained_newton(game: GameDefinition, init: Trajectory,
 
     Each pass quadraticizes around the current trajectory, runs the backward
     recursion without constraint rows and re-rolls the dynamics under the
-    resulting affine correction.  Terminates when the stacked gradient is
-    stationary; one pass is exact for linear-quadratic games.
+    resulting affine correction (``feedback_rollout``).  Terminates when the
+    stacked gradient is stationary; one pass is exact for linear-quadratic
+    games.  The first pass whose re-roll produces a non-finite state raises
+    NonFiniteStateError.
     """
     traj = init
     scale = 1.0 + float(np.max(np.abs(init.actions), initial=0.0))
     for it in range(max_iter):
         policy = stagewise_newton_backward(game, traj, use_constraints=False,
                                            feas_tol=np.inf)
-        new = _policy_forward(game, traj, policy)
+        new = feedback_rollout(game, policy, traj.states[0]).trajectory
         resid = float(np.max(np.abs(pseudo_gradient(game, new, feas_tol=np.inf).stacked),
                              initial=0.0))
         traj = new
@@ -513,16 +524,3 @@ def solve_unconstrained_newton(game: GameDefinition, init: Trajectory,
         f"unconstrained Newton did not reach stationarity in {max_iter} passes "
         f"(residual {resid:.3e})")
 
-
-def _policy_forward(game: GameDefinition, ref: Trajectory,
-                    policy: FeedbackPolicy) -> Trajectory:
-    T = game.horizon
-    states = np.empty_like(ref.states)
-    actions = np.empty_like(ref.actions)
-    states[0] = ref.states[0]
-    for k in range(T + 1):
-        dx = states[k] - ref.states[k]
-        actions[k] = ref.actions[k] + policy.gains[k] @ dx + policy.offsets[k]
-        if k < T:
-            states[k + 1] = game.eval_dynamics(k, states[k], actions[k])
-    return Trajectory(states, actions)

@@ -72,6 +72,18 @@ class GameDefinition:
     matching evaluator when present and otherwise stack the per-stage
     evaluators; either way the outputs are shape-checked once per call and a
     mismatch raises DimensionError.
+
+    Optional batch evaluators serve rollouts of many scenarios at once.
+    Each takes the stage index and B stacked points, ``X`` of shape (B, n_x)
+    and ``U`` of shape (B, n_u), and returns row b equal to what the
+    matching per-stage callable returns at (X[b], U[b]):
+
+    * ``batch_dynamics(k, X, U) -> X_next`` of shape (B, n_x);
+    * ``batch_constraints(k, X, U) -> G`` of shape (B, m_k).
+
+    ``eval_batch_dynamics`` and ``eval_batch_constraints`` follow the same
+    rule as the trajectory family: the hook when present, else the per-stage
+    callable stacked over the B rows, then one shape check per call.
     """
 
     horizon: int
@@ -98,6 +110,9 @@ class GameDefinition:
     traj_cost_gradients: Optional[Callable[[Array, Array], tuple]] = None
     traj_dynamics_jacobians: Optional[Callable[[Array, Array], tuple]] = None
     traj_projector: Optional[Callable[[Optional[Array], Array], tuple]] = None
+    # Optional batch evaluators; shapes in the class docstring.
+    batch_dynamics: Optional[Callable[[int, Array, Array], Array]] = None
+    batch_constraints: Optional[Callable[[int, Array, Array], Array]] = None
     action_offsets: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
@@ -256,6 +271,34 @@ class GameDefinition:
             return None, U
         return _checked("projected states", X, (lead, self.state_dim)), U
 
+    # -- batch evaluation ---------------------------------------------------
+
+    def eval_batch_dynamics(self, k: int, X: Array, U: Array) -> Array:
+        """Stage-k dynamics at B stacked points: (B, n_x)."""
+        if self.batch_dynamics is not None:
+            out = self.batch_dynamics(k, X, U)
+        else:
+            out = [self.eval_dynamics(k, x, u) for x, u in zip(X, U)]
+        return _checked("batch dynamics", out, (X.shape[0], self.state_dim), stage=k)
+
+    def eval_batch_constraints(self, k: int, X: Array, U: Array) -> Array:
+        """Stage-k constraint rows at B stacked points: (B, m_k)."""
+        if self.constraints is None:
+            return np.zeros((X.shape[0], 0))
+        if self.batch_constraints is not None:
+            out = self.batch_constraints(k, X, U)
+        else:
+            out = [self.eval_constraints(k, x, u) for x, u in zip(X, U)]
+        try:
+            arr = np.asarray(out, dtype=float)
+        except ValueError:  # per-run rows of differing lengths
+            arr = None
+        if arr is None or arr.ndim != 2 or arr.shape[0] != X.shape[0]:
+            raise DimensionError("batch constraints", (X.shape[0], "m_k"),
+                                 "ragged per-run rows" if arr is None else arr.shape,
+                                 stage=k)
+        return arr
+
     def tightening_at(self, k: int) -> Optional[Array]:
         if self.tightening is None:
             return None
@@ -263,7 +306,7 @@ class GameDefinition:
         return None if gam is None else np.asarray(gam, dtype=float)
 
 
-def _checked(what: str, data, shape: tuple) -> Array:
+def _checked(what: str, data, shape: tuple, stage: Optional[int] = None) -> Array:
     """``data`` as a float array of exactly ``shape``, else DimensionError.
 
     An empty stack (no stages) matches any shape with a zero extent.
@@ -271,10 +314,10 @@ def _checked(what: str, data, shape: tuple) -> Array:
     try:
         arr = np.asarray(data, dtype=float)
     except ValueError:  # per-stage arrays of differing shapes
-        raise DimensionError(what, shape, "ragged per-stage shapes") from None
+        raise DimensionError(what, shape, "ragged stacked shapes", stage=stage) from None
     if arr.shape != shape:
         if arr.size or 0 not in shape:
-            raise DimensionError(what, shape, arr.shape)
+            raise DimensionError(what, shape, arr.shape, stage=stage)
         arr = arr.reshape(shape)
     return arr
 

@@ -21,6 +21,7 @@ dynamics and stage constraints.  Two constraint classes are supported:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -60,27 +61,40 @@ class ProjGradConfig:
             raise ValueError(f"iteration budget must be nonnegative, got {self.max_iter}")
 
 
-def project_onto_feasible(game: GameDefinition, actions: Array) -> Array:
+def _projection_route(game: GameDefinition) -> Optional[str]:
+    """How ``project_onto_feasible`` projects: None (no constraints), "analytic" or "qp"."""
+    if game.constraints is None:
+        return None
+    if game.constraints_in_actions_only and (game.traj_projector is not None
+                                             or game.stage_projector is not None):
+        return "analytic"
+    if game.linear_dynamics and game.polyhedral_constraints:
+        return "qp"
+    raise UnsupportedConstraintError(
+        "projection requires either action-only analytic projectors or "
+        "affine constraints with linear dynamics")
+
+
+def project_onto_feasible(game: GameDefinition, actions: Array,
+                          qp: Optional[splitting.HorizonQp] = None) -> Array:
     """Closest feasible joint-action sequence to ``actions``.
 
     Minimizes the summed squared action deviation subject to the dynamics
     (states rolled out from the game's initial state) and the stage
-    constraints.  Identity on feasible inputs.
+    constraints.  Identity on feasible inputs.  On the affine-row route
+    ``qp`` (from ``splitting.horizon_qp(game, 0.0)``) reuses the QP rows
+    across calls; they are built here when it is None.
     """
     actions = np.asarray(actions, dtype=float)
-    if game.constraints is None:
+    route = _projection_route(game)
+    if route is None:
         return actions.copy()
-    if game.constraints_in_actions_only and (game.traj_projector is not None
-                                             or game.stage_projector is not None):
-        # only the stacked stage projector needs the rolled-out states
-        states = (None if game.traj_projector is not None
-                  else rollout(game, game.initial_state, actions).states)
-        return game.eval_traj_projection(states, actions)[1]
-    if game.linear_dynamics and game.polyhedral_constraints:
-        return splitting.action_space_projection(game, actions)
-    raise UnsupportedConstraintError(
-        "projection requires either action-only analytic projectors or "
-        "affine constraints with linear dynamics")
+    if route == "qp":
+        return splitting.action_space_projection(game, actions, qp)
+    # only the stacked stage projector needs the rolled-out states
+    states = (None if game.traj_projector is not None
+              else rollout(game, game.initial_state, actions).states)
+    return game.eval_traj_projection(states, actions)[1]
 
 
 def projected_gradient_solve(game: GameDefinition, u0: Array,
@@ -92,7 +106,9 @@ def projected_gradient_solve(game: GameDefinition, u0: Array,
         u = np.vstack([u, np.zeros(n_u)])
     if u.shape != (T + 1, n_u):
         raise ValueError(f"u0 must have shape {(T + 1, n_u)}, got {u.shape}")
-    u = project_onto_feasible(game, u)
+    # the QP rows do not depend on the point, so one build serves the solve
+    qp = splitting.horizon_qp(game, 0.0) if _projection_route(game) == "qp" else None
+    u = project_onto_feasible(game, u, qp)
     u_scale0 = 1.0 + float(np.linalg.norm(u))
 
     iterates = [u.copy()]
@@ -105,7 +121,7 @@ def projected_gradient_solve(game: GameDefinition, u0: Array,
             costs.append(all_player_costs(game, traj))
         grad = pseudo_gradient(game, traj, feas_tol=np.inf)
         stepped = u - cfg.step_size * grad.own_stage_grads()
-        u_next = project_onto_feasible(game, stepped)
+        u_next = project_onto_feasible(game, stepped, qp)
         step = float(np.max(np.abs(u_next - u)))
         step_norms.append(step)
         u = u_next

@@ -517,15 +517,20 @@ def _constraint_violation(game: GameDefinition, traj: Trajectory) -> float:
 # ---------------------------------------------------------------------------
 
 
-def action_space_projection(game: GameDefinition, target: Array) -> Array:
+def action_space_projection(game: GameDefinition, target: Array,
+                            qp: Optional[HorizonQp] = None) -> Array:
     """argmin |u - target|^2 over action sequences with a feasible rollout.
 
     The horizon-wide projection QP with weight zero on the states: the
     dynamics rows tie the states to the actions, so the states carry the
-    stage rows without entering the objective.
+    stage rows without entering the objective.  Its rows are built here
+    unless ``qp`` (from ``horizon_qp(game, 0.0)``) is passed to reuse them.
     """
     target = np.asarray(target, dtype=float)
-    qp = horizon_qp(game, 0.0)
+    if qp is None:
+        qp = horizon_qp(game, 0.0)
+    elif qp.state_weight != 0.0:
+        raise ValueError(f"action-space projection needs state weight 0, got {qp.state_weight}")
     return qp.project(np.zeros((target.shape[0], game.state_dim)), target)[1]
 
 

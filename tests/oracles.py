@@ -377,3 +377,72 @@ def dr_constraints_scheme_trace(game, eta, alpha, max_iter):
                   for k in range(T + 1))
         rows.append((step, dyn, con))
     return np.array(rows)
+
+
+# ---------------------------------------------------------------------------
+# Policy rollouts and the noise comparison, one run and one stage at a time.
+# ---------------------------------------------------------------------------
+
+
+def feedback_rollout_per_stage(game, policy, x_start, start=0, noise=None):
+    """One affine-policy rollout, stage by stage with the per-stage callables.
+
+    Returns (states, actions, violations) with T - start + 1 rows each;
+    violations are the per-stage max(g, 0) infinity norms.
+    """
+    T = game.horizon
+    n_steps = T - start
+    states = np.empty((n_steps + 1, game.state_dim))
+    actions = np.empty((n_steps + 1, game.total_action_dim))
+    violations = np.zeros(n_steps + 1)
+    states[0] = x_start
+    for i, k in enumerate(range(start, T + 1)):
+        u = policy.action(k, states[i])
+        actions[i] = u
+        g = game.eval_constraints(k, states[i], u)
+        if g.size:
+            violations[i] = float(np.max(np.maximum(g, 0.0)))
+        if k < T:
+            nxt = game.eval_dynamics(k, states[i], u)
+            if noise is not None:
+                nxt = nxt + noise[i]
+            states[i + 1] = nxt
+    return states, actions, violations
+
+
+def noise_comparison_per_run(game, olne, policy, noise_var, n_runs, seed,
+                             noise_scale=1.0, violation_tol=1e-7):
+    """The open-loop versus feedback noise comparison, one run at a time.
+
+    Draws run i's disturbances from child i of ``SeedSequence(seed)``,
+    replays the equilibrium actions stage by stage, counts the stages whose
+    largest constraint row exceeds ``violation_tol``, and rolls the policy
+    out with ``feedback_rollout_per_stage`` under the same noise.  Returns
+    the four per-run arrays (open-loop and feedback deviations, open-loop
+    and feedback violation counts).
+    """
+    T = game.horizon
+    n_x = game.state_dim
+    std = float(np.sqrt(noise_var)) * noise_scale
+    seqs = np.random.SeedSequence(seed).spawn(n_runs)
+    ol_dev = np.empty(n_runs)
+    fb_dev = np.empty(n_runs)
+    ol_vio = np.zeros(n_runs, dtype=int)
+    fb_vio = np.zeros(n_runs, dtype=int)
+    for i, s in enumerate(seqs):
+        rng = np.random.default_rng(s)
+        noise = std * rng.standard_normal((T, n_x))
+        states = np.empty((T + 1, n_x))
+        states[0] = olne.states[0]
+        for k in range(T):
+            states[k + 1] = game.eval_dynamics(k, states[k], olne.actions[k]) + noise[k]
+        ol_dev[i] = float(np.mean(np.sum((states - olne.states) ** 2, axis=1)))
+        for k in range(T + 1):
+            g = game.eval_constraints(k, states[k], olne.actions[k])
+            if g.size and float(np.max(g)) > violation_tol:
+                ol_vio[i] += 1
+        fb_states, _, violations = feedback_rollout_per_stage(
+            game, policy, olne.states[0], noise=noise)
+        fb_dev[i] = float(np.mean(np.sum((fb_states - olne.states) ** 2, axis=1)))
+        fb_vio[i] = int(np.sum(violations > violation_tol))
+    return ol_dev, fb_dev, ol_vio, fb_vio

@@ -44,6 +44,7 @@ from instances import (
 from oracles import (
     coupled_riccati_feedback,
     fd_stacked_gradient,
+    noise_comparison_per_run,
     stacked_lq_gne,
     static_game_vi,
 )
@@ -337,6 +338,24 @@ def test_criterion_11_noise_robustness(fishery_solution):
             f"mean squared deviation: feedback {cmp1.mean_feedback:.4f} < "
             f"open-loop {cmp1.mean_openloop:.4f} over 100 seeded runs, "
             f"deterministic={deterministic}")
+
+
+@pytest.mark.parametrize("seed", [7, 1, 2])
+def test_noise_comparison_matches_per_run_oracle(fishery_solution, seed):
+    # criterion 11's configuration: the batched rollouts must reproduce the
+    # run-by-run, stage-by-stage comparison bit for bit
+    params, game, report, policy, _ = fishery_solution
+    cmp = noise_comparison(game, report.trajectory, policy.equilibrium_form(),
+                           noise_var=2.0, n_runs=100, seed=seed,
+                           noise_scale=params.dt)
+    oracle = noise_comparison_per_run(game, report.trajectory, policy.equilibrium_form(),
+                                      noise_var=2.0, n_runs=100, seed=seed,
+                                      noise_scale=params.dt)
+    got = (cmp.openloop_deviation, cmp.feedback_deviation,
+           cmp.openloop_violations, cmp.feedback_violations)
+    for mine, ref in zip(got, oracle):
+        np.testing.assert_array_equal(mine, ref)
+    assert np.sum(oracle[3]) > 0  # the violation counts are exercised
 
 
 def test_criterion_12_linear_horizon_scaling(rng):

@@ -1,5 +1,7 @@
 """Built-in benchmark games: constants, derivatives, noise harness."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -13,6 +15,7 @@ from dyngames.benchmarks import (
     noise_comparison,
     rendezvous_residual,
 )
+from dyngames.errors import NonFiniteStateError
 from dyngames.feedback import stagewise_newton_backward
 from dyngames.model import GameDefinition, Trajectory, rollout, total_cost
 from dyngames.projgrad import ProjGradConfig, project_onto_feasible, projected_gradient_solve
@@ -227,6 +230,38 @@ class TestNoiseComparison:
         c = noise_comparison(game, traj, policy, noise_var=2.0, n_runs=5,
                              seed=43, noise_scale=params.dt)
         assert not np.array_equal(a.openloop_deviation, c.openloop_deviation)
+
+    @pytest.mark.parametrize("bad, match", [
+        ({"noise_var": -1.0}, "noise_var"),
+        ({"n_runs": 0}, "n_runs"),
+        ({"noise_scale": np.nan}, "noise_scale"),
+        ({"noise_scale": np.inf}, "noise_scale"),
+        ({"noise_scale": -0.1}, "noise_scale"),
+        ({"violation_tol": -1e-9}, "violation_tol"),
+    ], ids=["noise_var<0", "n_runs=0", "noise_scale=nan", "noise_scale=inf",
+            "noise_scale<0", "violation_tol<0"])
+    def test_bad_inputs_are_rejected(self, bad, match):
+        params, game, traj, policy = self.solved_fishery()
+        kwargs = {"noise_var": 2.0, "n_runs": 3, "seed": 1, "noise_scale": params.dt, **bad}
+        with pytest.raises(ValueError, match=match):
+            noise_comparison(game, traj, policy, **kwargs)
+
+    def test_non_finite_run_raises_instead_of_counting_no_violation(self):
+        params, game, traj, policy = self.solved_fishery()
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NonFiniteStateError, match="in run 0"):
+            noise_comparison(game, traj, policy, noise_var=1e300, n_runs=3, seed=1,
+                             noise_scale=params.dt)
+
+    def test_nan_constraint_row_counts_as_violation(self):
+        params, game, traj, policy = self.solved_fishery()
+        nan_at_3 = dataclasses.replace(
+            game, batch_constraints=lambda k, X, U: np.full((X.shape[0], 4),
+                                                            np.nan if k == 3 else -1.0))
+        cmp = noise_comparison(nan_at_3, traj, policy, noise_var=2.0, n_runs=3, seed=1,
+                               noise_scale=params.dt)
+        np.testing.assert_array_equal(cmp.openloop_violations, [1, 1, 1])
+        np.testing.assert_array_equal(cmp.feedback_violations, [1, 1, 1])
 
     def test_profit_sign_convention(self):
         params, game, traj, _ = self.solved_fishery()

@@ -1,9 +1,17 @@
 """Stagewise Newton backward pass, feedback rollouts and best-response gaps."""
 
+import dataclasses
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from dyngames import feedback
+from dyngames.benchmarks import FisheryParams, fishery_game
+from dyngames.errors import DimensionError, NonFiniteStateError
 from dyngames.feedback import (
+    FeedbackPolicy,
     epsilon_nash_gap,
     feedback_rollout,
     solve_eq_constrained_stage_game,
@@ -12,11 +20,11 @@ from dyngames.feedback import (
     tightened_game_definition,
 )
 from dyngames.gradient import pseudo_gradient
-from dyngames.model import quadraticize, rollout
+from dyngames.model import GameDefinition, Trajectory, quadraticize, rollout
 
 from conftest import decoupled_lq_game, random_lq_game
 from instances import equality_constrained_lq_instance, tightened_two_player_instance
-from oracles import coupled_riccati_feedback, stacked_lq_gne
+from oracles import coupled_riccati_feedback, feedback_rollout_per_stage, stacked_lq_gne
 
 
 class TestStageGame:
@@ -125,6 +133,33 @@ class TestBackwardPass:
         assert iters <= 8
         assert np.max(np.abs(pseudo_gradient(game, traj).stacked)) <= 1e-9
 
+    def test_newton_stops_at_the_first_pass_with_a_non_finite_state(self, monkeypatch):
+        # The first Newton step asks for u = 1000 and exp(1000) overflows.
+        # With analytic derivatives nothing else fails on the non-finite
+        # state, so a solver that kept going would spend every pass on NaN.
+        game = GameDefinition(
+            horizon=3, state_dim=1, action_dims=(1,), initial_state=[0.0],
+            dynamics=lambda k, x, u: np.exp(u),
+            stage_costs=lambda k, x, u: np.array([0.5 * (u[0] - 1000.0) ** 2]),
+            dynamics_jacobians=lambda k, x, u: (np.zeros((1, 1)), np.exp(u)[None, :]),
+            dynamics_hessians=lambda k, x, u: np.array([[[0.0, 0.0], [0.0, np.exp(u[0])]]]),
+            cost_gradients=lambda k, x, u: (np.zeros((1, 1)), (u - 1000.0)[None, :]),
+            cost_hessians=lambda k, x, u: (np.zeros((1, 1, 1)), np.zeros((1, 1, 1)),
+                                           np.ones((1, 1, 1))))
+        passes = []
+        backward = feedback.stagewise_newton_backward
+
+        def counted(*args, **kwargs):
+            passes.append(1)
+            return backward(*args, **kwargs)
+
+        monkeypatch.setattr(feedback, "stagewise_newton_backward", counted)
+        init = rollout(game, game.initial_state, np.zeros((4, 1)))
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteStateError) as exc:
+            solve_unconstrained_newton(game, init, max_iter=50)
+        assert exc.value.stage == 0
+        assert len(passes) == 1
+
 
 class TestFeedbackRollout:
     def test_reference_state_reproduces_reference(self, rng):
@@ -157,6 +192,114 @@ class TestFeedbackRollout:
         policy = stagewise_newton_backward(game, ref)
         out = feedback_rollout(game, policy, ref.states[0] + 5.0)
         assert out.constraint_violations.shape == (game.horizon + 1,)
+
+
+@functools.lru_cache(maxsize=None)
+def rollout_case(name):
+    """(game, policy) for the batch property: batch hooks, stacked fallback, rows."""
+    rng = np.random.default_rng(11)
+    if name == "fishery":
+        game = fishery_game(FisheryParams(horizon_time=1.0))
+        ref = rollout(game, game.initial_state, rng.uniform(0.05, 0.25, (11, 2)))
+        return game, stagewise_newton_backward(game, ref, feas_tol=np.inf, stage_reg=0.1)
+    if name == "lq":
+        game, _ = random_lq_game(rng, T=5, state_dim=3, action_dims=(2, 1))
+        ref = rollout(game, game.initial_state, rng.standard_normal((6, 3)))
+    else:
+        game, _, _, ref, _ = equality_constrained_lq_instance(rng)
+    return game, stagewise_newton_backward(game, ref)
+
+
+def overflowing_game(T=4):
+    """x+ = x^20: finite from |x| <= 1, overflows at stage 2 from x = 2."""
+    game = GameDefinition(
+        horizon=T, state_dim=1, action_dims=(1,), initial_state=[1.0],
+        dynamics=lambda k, x, u: x**20, stage_costs=lambda k, x, u: np.zeros(1))
+    zeros = [np.zeros((1, 1))] * (T + 1)
+    policy = FeedbackPolicy(reference=Trajectory(np.ones((T + 1, 1)), np.zeros((T + 1, 1))),
+                            gains=zeros, offsets=[np.zeros(1)] * (T + 1), lam=None,
+                            omega=None, gamma=None, action_dims=(1,))
+    return game, policy
+
+
+class TestBatchedFeedbackRollout:
+    @given(case=st.sampled_from(["fishery", "lq", "constrained"]),
+           n_runs=st.integers(1, 6), start_frac=st.floats(0.0, 1.0),
+           with_noise=st.booleans(), one_dim=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_batch_matches_single_start_oracle(self, case, n_runs, start_frac, with_noise,
+                                               one_dim, seed):
+        game, policy = rollout_case(case)
+        T, n_x = game.horizon, game.state_dim
+        start = int(round(start_frac * T))
+        rng = np.random.default_rng(seed)
+        scale = 1.0 + float(np.max(np.abs(policy.reference.states)))
+        starts = policy.reference.states[start] + 0.05 * scale * rng.standard_normal((n_runs, n_x))
+        noise = (0.02 * scale * rng.standard_normal((n_runs, T - start, n_x))
+                 if with_noise else None)
+        if one_dim and n_runs == 1:
+            out = feedback_rollout(game, policy, starts[0], start=start,
+                                   noise=None if noise is None else noise[0])
+            assert out.states.shape == (T - start + 1, n_x)
+            assert out.constraint_violations.shape == (T - start + 1,)
+            assert out.trajectory.horizon == T - start
+            got = [(out.states, out.actions, out.constraint_violations)]
+        else:
+            out = feedback_rollout(game, policy, starts, start=start, noise=noise)
+            assert out.states.shape == (n_runs, T - start + 1, n_x)
+            got = zip(out.states, out.actions, out.constraint_violations)
+        for b, mine in enumerate(got):
+            oracle = feedback_rollout_per_stage(game, policy, starts[b], start=start,
+                                                noise=None if noise is None else noise[b])
+            for m, r in zip(mine, oracle):
+                np.testing.assert_allclose(
+                    m, r, rtol=1e-12, atol=1e-12 * (1.0 + float(np.max(np.abs(r)))))
+
+    def test_batch_has_no_single_trajectory(self):
+        game, policy = rollout_case("lq")
+        out = feedback_rollout(game, policy, np.tile(policy.reference.states[0], (2, 1)))
+        with pytest.raises(ValueError, match="batch"):
+            out.trajectory
+
+    def test_non_finite_state_names_first_stage(self):
+        game, policy = overflowing_game()
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteStateError) as exc:
+            feedback_rollout(game, policy, np.array([2.0]))
+        # 2^20 and 2^400 are finite; stage 2 produces 2^8000 = inf
+        assert (exc.value.stage, exc.value.run) == (2, None)
+
+    def test_non_finite_state_names_first_stage_then_first_run(self):
+        game, policy = overflowing_game()
+        starts = np.array([[1.0], [2.0], [1.5], [1e20]])
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteStateError,
+                                                       match="run 3") as exc:
+            feedback_rollout(game, policy, starts)
+        assert (exc.value.stage, exc.value.run) == (0, 3)
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteStateError) as exc:
+            feedback_rollout(game, policy, starts[:3])
+        assert (exc.value.stage, exc.value.run) == (2, 1)
+
+    def test_wrong_shapes_are_rejected(self):
+        game, policy = rollout_case("lq")
+        x0 = policy.reference.states[0]
+        with pytest.raises(DimensionError, match="start states"):
+            feedback_rollout(game, policy, x0[:2])
+        with pytest.raises(DimensionError, match="noise"):
+            feedback_rollout(game, policy, x0, noise=np.zeros((game.horizon + 1, 3)))
+        with pytest.raises(DimensionError, match="noise"):
+            feedback_rollout(game, policy, np.tile(x0, (2, 1)),
+                             noise=np.zeros((game.horizon, 3)))
+        with pytest.raises(ValueError, match="start stage"):
+            feedback_rollout(game, policy, x0, start=game.horizon + 1)
+
+    def test_wrong_shaped_batch_hooks_are_rejected(self):
+        game, policy = rollout_case("fishery")
+        starts = np.tile(policy.reference.states[0], (3, 1))
+        flat = dataclasses.replace(game, batch_dynamics=lambda k, X, U: X[:, 0])
+        with pytest.raises(DimensionError, match="batch dynamics"):
+            feedback_rollout(flat, policy, starts)
+        flat = dataclasses.replace(game, batch_constraints=lambda k, X, U: U.ravel())
+        with pytest.raises(DimensionError, match="batch constraints"):
+            feedback_rollout(flat, policy, starts)
 
 
 class TestEpsilonGap:

@@ -235,6 +235,52 @@ class TestTrajectoryEvaluators:
             pseudo_gradient(ragged, traj)
 
 
+class TestBatchEvaluators:
+    @staticmethod
+    def fishery_points(n_runs=200):
+        game = fishery_game(FisheryParams(horizon_time=1.0))
+        rng = np.random.default_rng(5)
+        return game, rng.uniform(0.0, 120.0, (n_runs, 1)), rng.uniform(-0.1, 0.5, (n_runs, 2))
+
+    def test_fishery_hooks_match_stacked_stage_callables(self):
+        game, X, U = self.fishery_points()
+        stacked = dataclasses.replace(game, batch_dynamics=None, batch_constraints=None)
+        for k in (0, game.horizon - 1):
+            np.testing.assert_array_equal(game.eval_batch_dynamics(k, X, U),
+                                          stacked.eval_batch_dynamics(k, X, U))
+            np.testing.assert_array_equal(game.eval_batch_constraints(k, X, U),
+                                          stacked.eval_batch_constraints(k, X, U))
+        assert game.eval_batch_constraints(0, X, U).shape == (200, 4)
+
+    @pytest.mark.parametrize("hook", [lambda k, X, U: X[:, 0],
+                                      lambda k, X, U: np.hstack([X, X]),
+                                      lambda k, X, U: X[1:]],
+                             ids=["one_dim", "two_columns", "short"])
+    def test_batch_dynamics_of_wrong_shape_are_rejected(self, hook):
+        game, X, U = self.fishery_points()
+        bad = dataclasses.replace(game, batch_dynamics=hook)
+        with pytest.raises(DimensionError, match="batch dynamics at stage 3"):
+            bad.eval_batch_dynamics(3, X, U)
+
+    @pytest.mark.parametrize("hook", [lambda k, X, U: U.ravel(),
+                                      lambda k, X, U: U[1:]],
+                             ids=["one_dim", "short"])
+    def test_batch_constraints_of_wrong_shape_are_rejected(self, hook):
+        game, X, U = self.fishery_points()
+        bad = dataclasses.replace(game, batch_constraints=hook)
+        with pytest.raises(DimensionError, match="batch constraints at stage 3"):
+            bad.eval_batch_constraints(3, X, U)
+
+    def test_stacked_fallback_rejects_ragged_rows_and_has_none_without_constraints(self):
+        game, X, U = self.fishery_points()
+        ragged = dataclasses.replace(game, batch_constraints=None,
+                                     constraints=lambda k, x, u: np.zeros(1 + (x[0] > 60.0)))
+        with pytest.raises(DimensionError, match="ragged"):
+            ragged.eval_batch_constraints(0, X, U)
+        free = dataclasses.replace(game, constraints=None)
+        assert free.eval_batch_constraints(0, X, U).shape == (200, 0)
+
+
 class TestQuadraticize:
     def test_linear_dynamics_have_zero_second_derivatives(self, rng):
         game, _ = random_lq_game(rng, T=3)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from dyngames import splitting
 from dyngames.errors import InfeasibleConstraintsError
 from dyngames.gradient import pseudo_gradient
 from dyngames.model import GameDefinition, rollout
@@ -144,6 +145,33 @@ class TestProjection:
 
 
 class TestProjectedGradient:
+    def test_horizon_qp_is_built_once_per_solve(self, rng, monkeypatch):
+        game, _, _ = state_coupled_game(rng, T=5)
+        cfg = ProjGradConfig(step_size=0.05, max_iter=30, tol=1e-14, run_checks=False)
+        u0 = rng.standard_normal((6, 2))
+        builds = []
+        build = splitting.horizon_qp
+
+        def counted(*args, **kwargs):
+            builds.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(splitting, "horizon_qp", counted)
+        rep = projected_gradient_solve(game, u0, cfg)
+        assert len(builds) == 1
+        # the same iteration with the rows rebuilt by every projection
+        u = project_onto_feasible(game, u0)
+        iterates = [u]
+        for _ in range(rep.iterations):
+            grad = pseudo_gradient(game, rollout(game, game.initial_state, u), feas_tol=np.inf)
+            u = project_onto_feasible(game, u - cfg.step_size * grad.own_stage_grads())
+            iterates.append(u)
+        assert len(builds) == 1 + len(iterates)
+        np.testing.assert_allclose(rep.trajectory.actions, iterates[-1], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(rep.distance_trace,
+                                   [np.linalg.norm(it - iterates[-1]) for it in iterates],
+                                   rtol=0, atol=1e-12)
+
     def test_config_rejects_negative_iteration_budget(self):
         with pytest.raises(ValueError, match="nonnegative"):
             ProjGradConfig(max_iter=-1)
