@@ -213,14 +213,13 @@ def run(config: RunConfig, quiet: bool = False) -> int:
     u0 = np.zeros((T + 1, n_u))
     if config.solver == "pg":
         cfg = ProjGradConfig(step_size=config.rho, max_iter=config.max_iter,
-                             tol=config.tol, active_tol=config.active_tol)
+                             tol=config.tol)
         say(f"running projected gradient on {config.game_id} "
             f"(rho={config.rho}, max_iter={config.max_iter})")
         report = projected_gradient_solve(game, u0, cfg)
     else:
         cfg = DrConfig(scheme=config.scheme, eta=config.eta, alpha=config.alpha,
-                       max_iter=config.max_iter, tol=config.tol,
-                       active_tol=config.active_tol)
+                       max_iter=config.max_iter, tol=config.tol)
         say(f"running splitting solver on {config.game_id} "
             f"(scheme={config.scheme}, eta={config.eta}, alpha={config.alpha})")
         report = dr_solve(game, cfg)

@@ -453,37 +453,6 @@ def epsilon_nash_gap(spec: TightenedGameSpec, policy: FeedbackPolicy,
     return float(J_policy - J_best)
 
 
-def inactive_safety_radius(spec: TightenedGameSpec, policy: FeedbackPolicy) -> float:
-    """Conservative perturbation radius keeping inactive rows satisfied.
-
-    Along the closed loop the state deviation grows by at most the product
-    of the closed-loop matrix norms, and each inactive row moves by at most
-    its (state + gain-composed action) row norm times that deviation.  Any
-    start within the returned radius of the reference therefore keeps every
-    inactive row feasible for the partially tightened problem, which has at
-    least the tightening margin on those rows.
-    """
-    T = spec.horizon
-    amp = 1.0
-    radius = np.inf
-    for k in range(T + 1):
-        inact = spec.inactive(k)
-        if inact.size:
-            W = np.asarray(spec.W[k], dtype=float)[inact]
-            S = np.asarray(spec.S[k], dtype=float)[inact]
-            gam = np.asarray(spec.gamma[k], dtype=float)[inact]
-            rows = W + S @ policy.gains[k]
-            norms = np.linalg.norm(rows, axis=1)
-            with np.errstate(divide="ignore"):
-                bound = np.where(norms > 0, gam / (norms * amp), np.inf)
-            radius = min(radius, float(np.min(bound, initial=np.inf)))
-        if k < T:
-            Acl = np.asarray(spec.A[k], dtype=float) \
-                + np.asarray(spec.B[k], dtype=float) @ policy.gains[k]
-            amp *= max(float(np.linalg.norm(Acl, 2)), 1e-12)
-    return radius
-
-
 def _partially_tightened_rows(spec: TightenedGameSpec, k: int,
                               x: Array, u: Array) -> Array:
     m = len(spec.p[k])
@@ -498,8 +467,7 @@ def _partially_tightened_rows(spec: TightenedGameSpec, k: int,
 
 
 def solve_unconstrained_newton(game: GameDefinition, init: Trajectory,
-                               tol: float = 1e-9, max_iter: int = 50,
-                               active_tol: float = DEFAULT_ACTIVE_TOL) -> tuple[Trajectory, int]:
+                               tol: float = 1e-9, max_iter: int = 50) -> tuple[Trajectory, int]:
     """Equilibrium of an unconstrained dynamic game by Newton iterations.
 
     Each pass quadraticizes around the current trajectory, runs the backward

@@ -99,7 +99,6 @@ class GameDefinition:
     cost_hessians: Optional[Callable[[int, Array, Array], tuple]] = None
     constraint_jacobians: Optional[Callable[[int, Array, Array], tuple]] = None
     stage_projector: Optional[Callable[[int, Array, Array], tuple]] = None
-    tightening: Optional[Sequence[Array]] = None
     linear_dynamics: bool = False
     quadratic_costs: bool = False
     polyhedral_constraints: bool = False
@@ -126,10 +125,6 @@ class GameDefinition:
         object.__setattr__(self, "initial_state", x0)
         offsets = np.concatenate([[0], np.cumsum(self.action_dims)])
         object.__setattr__(self, "action_offsets", tuple(int(o) for o in offsets))
-        if self.tightening is not None:
-            for k, gam in enumerate(self.tightening):
-                if gam is not None and np.any(np.asarray(gam) < 0):
-                    raise ValueError(f"tightening vector at stage {k} has negative entries")
 
     # -- dimensions ---------------------------------------------------------
 
@@ -298,12 +293,6 @@ class GameDefinition:
                                  "ragged per-run rows" if arr is None else arr.shape,
                                  stage=k)
         return arr
-
-    def tightening_at(self, k: int) -> Optional[Array]:
-        if self.tightening is None:
-            return None
-        gam = self.tightening[k]
-        return None if gam is None else np.asarray(gam, dtype=float)
 
 
 def _checked(what: str, data, shape: tuple, stage: Optional[int] = None) -> Array:
@@ -501,12 +490,10 @@ def check_feasible(game: GameDefinition, traj: Trajectory, tol: float = 1e-8) ->
     """Raise InfeasibleTrajectoryError if the dynamics residual exceeds tol."""
     if not np.isfinite(tol):
         return
-    T = traj.horizon
-    for k in range(T):
-        pred = game.eval_dynamics(k, traj.states[k], traj.actions[k])
-        r = float(np.linalg.norm(traj.states[k + 1] - pred))
-        if r > tol * (1.0 + float(np.linalg.norm(traj.states[k + 1]))):
-            raise InfeasibleTrajectoryError(k, r, tol)
+    res = traj.dynamics_residuals(game)
+    bad = np.flatnonzero(res > tol * (1.0 + np.linalg.norm(traj.states[1:], axis=1)))
+    if bad.size:
+        raise InfeasibleTrajectoryError(int(bad[0]), float(res[bad[0]]), tol)
 
 
 def quadraticize(game: GameDefinition, traj: Trajectory,

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import SubproblemError, UnsupportedConstraintError
 from .gradient import playerwise_minimizer_check, pseudo_gradient
-from .model import DEFAULT_ACTIVE_TOL, GameDefinition, Trajectory, all_player_costs, rollout
+from .model import GameDefinition, Trajectory, all_player_costs, rollout
 from .report import (
     TERM_DIVERGENCE,
     TERM_MAX_ITER,
@@ -47,7 +47,6 @@ class ProjGradConfig:
     step_size: float = 0.01
     max_iter: int = 1000
     tol: float = 1e-8
-    active_tol: float = DEFAULT_ACTIVE_TOL
     divergence_factor: float = 1e8
     record_costs: bool = True
     run_checks: bool = True
@@ -138,11 +137,6 @@ def projected_gradient_solve(game: GameDefinition, u0: Array,
     verdicts = []
     if cfg.run_checks and termination != TERM_DIVERGENCE:
         verdicts = playerwise_minimizer_check(game, traj)
-    g_final = np.zeros(0)
-    if game.constraints is not None:
-        g_final = np.concatenate([
-            np.maximum(game.eval_constraints(k, traj.states[k], traj.actions[k]), 0.0, )
-            for k in range(T + 1)]) if T >= 0 else g_final
     return build_report(
         trajectory=traj,
         iterates=iterates,
@@ -152,4 +146,4 @@ def projected_gradient_solve(game: GameDefinition, u0: Array,
         cost_trace=np.asarray(costs) if costs else None,
         final_costs=all_player_costs(game, traj),
         dynamics_residual=float(np.max(traj.dynamics_residuals(game), initial=0.0)),
-        constraint_residual=float(np.max(g_final, initial=0.0)))
+        constraint_residual=splitting._constraint_violation(game, traj))

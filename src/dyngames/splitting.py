@@ -13,14 +13,15 @@ with alpha in (0, 1).  The three groupings give three schemes, named by the
 operator that gets its own resolvent:
 
 * ``constraints``: r_1 solves a proximally regularized unconstrained dynamic
-  game (states eliminated by rollout, solved by iterated backward sweeps),
-  r_2 projects stagewise onto the constraint sets.
+  game (factored LQ sweep, else stagewise Newton passes), r_2 projects
+  stagewise onto the constraint sets.
 * ``dynamics``: r_1 solves independent regularized constrained static games
-  per stage (the state coordinate acts as an extra coordinating player),
-  r_2 projects onto the dynamics by a Riccati tracking sweep.
+  per stage (the state coordinate acts as an extra coordinating player) by
+  Josephy-Newton steps and Lemke's method, r_2 projects onto the dynamics
+  by the factored LQ sweep at eta = 0.
 * ``gradient``: r_1 projects onto the intersection of dynamics and
-  constraints (exact horizon-wide QP), r_2 solves independent regularized
-  unconstrained static games per stage.
+  constraints (exact horizon-wide QP), r_2 solves the same static games
+  per stage without their rows.
 
 The stagewise static-game resolvents read the cost operator stage by stage;
 their fixed points coincide with the variational equilibrium exactly when
@@ -43,7 +44,6 @@ rows) do not change either; ``dr_solve`` builds them once with
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional, Union
 
 import numpy as np
@@ -55,7 +55,6 @@ from . import lq
 from .feedback import solve_unconstrained_newton
 from .gradient import playerwise_minimizer_check, pseudo_gradient
 from .model import (
-    DEFAULT_ACTIVE_TOL,
     GameDefinition,
     Trajectory,
     all_player_costs,
@@ -88,7 +87,6 @@ class DrConfig:
     tol: float = 1e-8
     inner_tol: float = 1e-10
     inner_max_iter: int = 300
-    active_tol: float = DEFAULT_ACTIVE_TOL
     divergence_factor: float = 1e8
     record_costs: bool = True
     run_checks: bool = True
@@ -248,158 +246,159 @@ def project_stage_constraints(game: GameDefinition, y: Array,
     return xs, us
 
 
-def _own_stacked_cost_rows(game, cu):
-    """Assemble the u-vector whose block n is player n's own-action gradient."""
-    out = np.empty(game.total_action_dim)
-    for n in range(game.num_players):
-        sl = game.action_slice(n)
-        out[sl] = cu[n][sl]
-    return out
+def _stage_operator(game, k, v, w, eta):
+    """Stage k's regularized static-game operator at v = (x, u), and its Jacobian.
 
-
-def _stage_newton_system(game, k, x, u, yk, zk, eta, Wa, Sa, mu):
-    """Residual and Jacobian of one regularized stage game's KKT system."""
-    n_x, n_u, N = game.state_dim, game.total_action_dim, game.num_players
+    The state row is the coordinator (mean of the players' state gradients),
+    each action row its owner's own-action gradient; all are scaled by eta
+    and carry the prox term v - w.
+    """
+    n_x, N = game.state_dim, game.num_players
+    x, u = v[:n_x], v[n_x:]
     cx, cu = game.eval_cost_gradients(k, x, u)
     cxx, cxu, cuu = game.eval_cost_hessians(k, x, u)
-    m = Wa.shape[0]
-    r_x = eta * np.mean(cx, axis=0) + (x - yk)
-    r_u = eta * _own_stacked_cost_rows(game, cu) + (u - zk)
-    if m:
-        r_x = r_x + Wa.T @ mu
-        r_u = r_u + Sa.T @ mu
-    res = [r_x, r_u]
-    J = np.zeros((n_x + n_u + m, n_x + n_u + m))
-    J[:n_x, :n_x] = eta * np.mean(cxx, axis=0) + np.eye(n_x)
-    J[:n_x, n_x:n_x + n_u] = eta * np.mean(cxu, axis=0)
-    own_cxu = np.empty((n_u, n_x))
-    own_cuu = np.empty((n_u, n_u))
-    for n in range(N):
-        sl = game.action_slice(n)
-        own_cxu[sl] = cxu[n].T[sl]
-        own_cuu[sl] = cuu[n][sl]
-    J[n_x:n_x + n_u, :n_x] = eta * own_cxu
-    J[n_x:n_x + n_u, n_x:n_x + n_u] = eta * own_cuu + np.eye(n_u)
-    if m:
-        J[:n_x, n_x + n_u:] = Wa.T
-        J[n_x:n_x + n_u, n_x + n_u:] = Sa.T
-        J[n_x + n_u:, :n_x] = Wa
-        J[n_x + n_u:, n_x:n_x + n_u] = Sa
-    return np.concatenate(res), J
+    owner = np.repeat(np.arange(N), game.action_dims)
+    own = np.arange(game.total_action_dim)
+    F = np.concatenate([cx.sum(axis=0) / N, cu[owner, own]])
+    J = np.empty((v.size, v.size))
+    J[:n_x, :n_x] = cxx.sum(axis=0) / N
+    J[:n_x, n_x:] = cxu.sum(axis=0) / N
+    J[n_x:, :n_x] = cxu[owner, :, own]
+    J[n_x:, n_x:] = cuu[owner, own]
+    return eta * F + (v - w), eta * J + np.eye(v.size)
 
 
-def _solve_stage_game(game, k, yk, zk, eta, rows, active, inner_tol,
-                      inner_max_iter):
-    """Newton solve of one stage's regularized game with a pinned active set.
+# Relative size below which a tableau entry counts as zero in Lemke's ratio
+# test, and ratios count as tied.
+_PIVOT_TOL = 1e-11
 
-    Returns (x, u, mu, ok); quadratic costs converge in one step.
+
+def _lemke(M: Array, q: Array, stage: int) -> Array:
+    """z >= 0 with w = q + M z >= 0 and w'z = 0, by Lemke's method.
+
+    Complementary pivoting with covering vector 1 and the lexicographic
+    minimum-ratio rule, which cannot cycle on degenerate rows (Cottle, Pang
+    and Stone, *The Linear Complementarity Problem*, 1992, section 4.4).
+    For M = G J^{-1} G^T with J positive definite it ends on a ray only when
+    the rows G are infeasible; that raises SubproblemError naming the stage.
     """
-    n_x, n_u = game.state_dim, game.total_action_dim
-    if rows is None:
-        Wa = np.zeros((0, n_x))
-        Sa = np.zeros((0, n_u))
-        pa = np.zeros(0)
-    else:
-        W, S, p0 = rows
-        Wa, Sa, pa = W[active], S[active], p0[active]
-    m = Wa.shape[0]
-    x, u, mu = yk.copy(), zk.copy(), np.zeros(m)
-    for _ in range(inner_max_iter):
-        res, J = _stage_newton_system(game, k, x, u, yk, zk, eta, Wa, Sa, mu)
-        if m:
-            res = np.concatenate([res, Wa @ x + Sa @ u + pa])
-        if np.max(np.abs(res)) <= inner_tol * (1.0 + np.max(np.abs(np.concatenate([yk, zk])))):
-            return x, u, mu, True
-        try:
-            step = np.linalg.solve(J, -res)
-        except np.linalg.LinAlgError:
-            return x, u, mu, False
-        x = x + step[:n_x]
-        u = u + step[n_x:n_x + n_u]
-        if m:
-            mu = mu + step[n_x + n_u:]
-    return x, u, mu, False
+    m = q.size
+    # Tableau of  w - M z - z0 = q  over the columns w (0..m-1), z (m..2m-1),
+    # z0 (2m) and the right-hand side; columns 0..m-1 hold B^{-1}.
+    tab = np.hstack([np.eye(m), -M, -np.ones((m, 1)), q[:, None]])
+    basis = np.arange(m)
+    done_tol = _PIVOT_TOL * (1.0 + np.max(np.abs(q)))
+    rows, col, entering = np.arange(m), np.ones(m), 2 * m  # z0 enters where q is least
+    # Lexicographic pivoting never revisits a basis; the bound only stops
+    # floating-point cycling.
+    for _ in range(50 * (m + 1)):
+        for j in (-1, *range(m)):  # ratios of [rhs, B^{-1}]; z0 leaves first on a tie
+            ratio = tab[rows, j] / col[rows]
+            rows = rows[ratio <= ratio.min() + _PIVOT_TOL * (1.0 + abs(ratio.min()))]
+            if j == -1 and np.any(basis[rows] == 2 * m):
+                rows = rows[basis[rows] == 2 * m]
+            if rows.size == 1:
+                break
+        r = rows[0]
+        row = tab[r] / tab[r, entering]
+        tab -= np.outer(tab[:, entering], row)
+        tab[r] = row
+        basis[r], leaving = entering, basis[r]
+        # z0 is the largest violation of w >= 0; rows through one point can
+        # leave it at rounding level without a tie.
+        z0 = tab[basis == 2 * m, -1]
+        if z0.size == 0 or z0[0] <= done_tol:
+            z = np.zeros(m)
+            held = (basis >= m) & (basis < 2 * m)
+            z[basis[held] - m] = tab[held, -1]
+            return z
+        entering = leaving + m if leaving < m else leaving - m
+        col = tab[:, entering]
+        rows = np.flatnonzero(col > _PIVOT_TOL * (1.0 + np.max(np.abs(col))))
+        if rows.size == 0:
+            raise SubproblemError(
+                f"stage {stage}: Lemke's method ended on a ray; the stage rows are "
+                "infeasible or the stage game is not monotone")
+    raise SubproblemError(f"stage {stage}: Lemke's method did not terminate")
 
 
-# Most rows per stage for which resolvent_reg_static_games enumerates the
-# 2^m active subsets of its (nonsymmetric) stage game.
-STAGE_ENUMERATION_CAP = 18
+def _static_games(game: GameDefinition, y: Array, z: Array, eta: float,
+                  inner_tol: float, inner_max_iter: int,
+                  constrained: bool) -> tuple[Array, Array]:
+    """Every stage's regularized static game, by Josephy-Newton steps.
+
+    Each step linearizes the stage operator at the current point and solves
+    that affine stage game exactly: one linear solve for the unconstrained
+    point and, only when it violates some stage rows, one LCP in the rows'
+    multipliers by ``_lemke``.  A stage is done once its KKT residual
+    (stationarity and min(mu, -g) over the rows g <= 0) is at most
+    inner_tol * (1 + |(y_k, z_k)|_inf); quadratic costs need one step plus
+    that check.  Any failure raises SubproblemError naming the stage.
+    """
+    n_x, n_v = game.state_dim, game.state_dim + game.total_action_dim
+    xs, us = np.array(y, dtype=float), np.array(z, dtype=float)
+    for k in range(game.horizon + 1):
+        rows = _stage_constraint_data(game, k) if constrained else None
+        G, p = (np.hstack(rows[:2]), rows[2]) if rows else (np.zeros((0, n_v)), np.zeros(0))
+        w = np.concatenate([y[k], z[k]])
+        tol = inner_tol * (1.0 + float(np.max(np.abs(w))))
+        v, mu = w, np.zeros(p.size)
+        for _ in range(inner_max_iter):
+            F, J = _stage_operator(game, k, v, w, eta)
+            kkt = np.max(np.abs(np.concatenate([F + G.T @ mu, np.minimum(mu, -(G @ v + p))])))
+            if kkt <= tol:
+                break
+            if not np.isfinite(kkt):
+                raise SubproblemError(f"stage {k} regularized static game is not finite")
+            try:
+                sol = np.linalg.solve(J, np.column_stack([J @ v - F, G.T]))
+            except np.linalg.LinAlgError:
+                raise SubproblemError(
+                    f"stage {k} regularized static game has a singular Jacobian") from None
+            v, mu = sol[:, 0], np.zeros(p.size)
+            if np.any(G @ v + p > 0):
+                mu = _lemke(G @ sol[:, 1:], -(G @ v + p), k)
+                v = v - sol[:, 1:] @ mu
+        else:
+            raise SubproblemError(
+                f"stage {k} regularized static game did not converge in "
+                f"{inner_max_iter} Newton steps")
+        xs[k], us[k] = v[:n_x], v[n_x:]
+    return xs, us
 
 
 def resolvent_reg_static_games(game: GameDefinition, y: Array, z: Array,
                                eta: float, inner_tol: float = 1e-10,
-                               inner_max_iter: int = 50,
-                               cap: int = STAGE_ENUMERATION_CAP) -> tuple[Array, Array]:
+                               inner_max_iter: int = 50) -> tuple[Array, Array]:
     """Independent regularized constrained static games, one per stage.
 
     Each stage solves, over (x_k, u_k), the game whose action rows are the
     players' own-gradient stationarity and whose state row is the
     coordinator (mean state gradient plus prox), subject to the stage's
-    affine rows; the active subset is found by enumeration with dual and
-    primal checks.  Requires affine constraints.
+    affine rows, by Josephy-Newton steps with one Lemke pivot sequence each
+    (``_static_games``).  Requires affine constraints.  A stage game that is
+    not monotone (the symmetric part of I + eta J_k not positive definite)
+    may raise SubproblemError; no returned point fails the KKT check.
     """
     if game.constraints is not None and not game.polyhedral_constraints:
         raise UnsupportedConstraintError(
             "stagewise constrained static games require affine rows")
-    T = game.horizon
-    xs = np.empty_like(np.asarray(y, dtype=float))
-    us = np.empty_like(np.asarray(z, dtype=float))
-    for k in range(T + 1):
-        rows = _stage_constraint_data(game, k) if game.constraints is not None else None
-        m = 0 if rows is None else rows[2].shape[0]
-        if m > cap:
-            raise SubproblemError(
-                f"stage {k} has {m} constraint rows, beyond the enumeration cap")
-        solved = False
-        scale = 1.0 + float(np.max(np.abs(np.concatenate([y[k], z[k]]))))
-        for size in range(m + 1):
-            for active in combinations(range(m), size):
-                active = list(active)
-                if active:
-                    Sa_rows = np.hstack([rows[0][active], rows[1][active]])
-                    if np.linalg.matrix_rank(Sa_rows) < len(active):
-                        continue
-                x, u, mu, ok = _solve_stage_game(
-                    game, k, y[k], z[k], eta, rows, active, inner_tol,
-                    inner_max_iter)
-                if not ok:
-                    continue
-                if mu.size and np.min(mu) < -1e-8 * scale:
-                    continue
-                if rows is not None:
-                    g = rows[0] @ x + rows[1] @ u + rows[2]
-                    if np.max(g, initial=-np.inf) > 1e-8 * scale:
-                        continue
-                xs[k], us[k] = x, u
-                solved = True
-                break
-            if solved:
-                break
-        if not solved:
-            raise SubproblemError(
-                f"no active subset solved the regularized static game at stage {k}")
-    return xs, us
+    return _static_games(game, y, z, eta, inner_tol, inner_max_iter, constrained=True)
 
 
 def resolvent_static_games_uncon(game: GameDefinition, y: Array, z: Array,
                                  eta: float, inner_tol: float = 1e-10,
                                  inner_max_iter: int = 50) -> tuple[Array, Array]:
-    """Independent regularized unconstrained static games, one per stage."""
-    T = game.horizon
-    xs = np.empty_like(np.asarray(y, dtype=float))
-    us = np.empty_like(np.asarray(z, dtype=float))
-    for k in range(T + 1):
-        x, u, _, ok = _solve_stage_game(game, k, y[k], z[k], eta, None, [],
-                                        inner_tol, inner_max_iter)
-        if not ok:
-            raise SubproblemError(
-                f"stage {k} regularized static game did not converge")
-        xs[k], us[k] = x, u
-    return xs, us
+    """Independent regularized unconstrained static games, one per stage.
+
+    The stage games of ``resolvent_reg_static_games`` with the rows dropped:
+    each Newton step is one linear solve.
+    """
+    return _static_games(game, y, z, eta, inner_tol, inner_max_iter, constrained=False)
 
 
 # ---------------------------------------------------------------------------
-# Dynamics projection (Riccati tracking) and the intersection projection.
+# Dynamics projection and the intersection projection.
 # ---------------------------------------------------------------------------
 
 

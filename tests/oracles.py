@@ -446,3 +446,99 @@ def noise_comparison_per_run(game, olne, policy, noise_var, n_runs, seed,
         fb_dev[i] = float(np.mean(np.sum((fb_states - olne.states) ** 2, axis=1)))
         fb_vio[i] = int(np.sum(violations > violation_tol))
     return ol_dev, fb_dev, ol_vio, fb_vio
+
+
+# ---------------------------------------------------------------------------
+# Regularized static stage games by active-subset enumeration.
+# ---------------------------------------------------------------------------
+
+
+def _enumerated_stage_game(game, k, yk, zk, eta, W, S, p0, active, inner_tol,
+                           inner_max_iter):
+    """Newton solve of stage k's regularized game with the rows ``active`` pinned.
+
+    Returns (x, u, mu) or None when the Newton loop fails.
+    """
+    n_x, n_u, N = game.state_dim, game.total_action_dim, game.num_players
+    Wa, Sa, pa = W[active], S[active], p0[active]
+    m = len(active)
+    x, u, mu = yk.copy(), zk.copy(), np.zeros(m)
+    scale = 1.0 + np.max(np.abs(np.concatenate([yk, zk])))
+    for _ in range(inner_max_iter):
+        cx, cu = game.eval_cost_gradients(k, x, u)
+        cxx, cxu, cuu = game.eval_cost_hessians(k, x, u)
+        r_u = np.empty(n_u)
+        J = np.zeros((n_x + n_u + m, n_x + n_u + m))
+        J[:n_x, :n_x] = eta * np.mean(cxx, axis=0) + np.eye(n_x)
+        J[:n_x, n_x:n_x + n_u] = eta * np.mean(cxu, axis=0)
+        for n in range(N):
+            sl = game.action_slice(n)
+            r_u[sl] = eta * cu[n][sl] + (u[sl] - zk[sl])
+            J[n_x:n_x + n_u, :n_x][sl] = eta * cxu[n].T[sl]
+            J[n_x:n_x + n_u, n_x:n_x + n_u][sl] = eta * cuu[n][sl]
+        J[n_x:n_x + n_u, n_x:n_x + n_u] += np.eye(n_u)
+        J[:n_x, n_x + n_u:] = Wa.T
+        J[n_x:n_x + n_u, n_x + n_u:] = Sa.T
+        J[n_x + n_u:, :n_x] = Wa
+        J[n_x + n_u:, n_x:n_x + n_u] = Sa
+        res = np.concatenate([eta * np.mean(cx, axis=0) + (x - yk) + Wa.T @ mu,
+                              r_u + Sa.T @ mu, Wa @ x + Sa @ u + pa])
+        if np.max(np.abs(res)) <= inner_tol * scale:
+            return x, u, mu
+        try:
+            step = np.linalg.solve(J, -res)
+        except np.linalg.LinAlgError:
+            return None
+        x = x + step[:n_x]
+        u = u + step[n_x:n_x + n_u]
+        mu = mu + step[n_x + n_u:]
+    return None
+
+
+def static_games_by_enumeration(game, y, z, eta, inner_tol=1e-10, inner_max_iter=50):
+    """Every stage's regularized constrained static game, by trying active subsets.
+
+    Stage k's game is over (x_k, u_k): the state row is the mean of the
+    players' state gradients, each action row its owner's own-action
+    gradient, both plus the prox term toward (y_k, z_k), subject to the
+    stage's affine rows.  Subsets are tried by increasing size; a subset is
+    skipped when its rows are linearly dependent, and accepted when its
+    Newton solve converges with multipliers >= 0 and every row satisfied
+    (both to 1e-8 relative).  Exponential in the number of rows; returns
+    None for a stage no subset solves.
+    """
+    n_x, n_u = game.state_dim, game.total_action_dim
+    xs, us = np.empty_like(y, dtype=float), np.empty_like(z, dtype=float)
+    for k in range(game.horizon + 1):
+        zx, zu = np.zeros(n_x), np.zeros(n_u)
+        p0 = game.eval_constraints(k, zx, zu)
+        if p0.size:
+            W, S = game.eval_constraint_jacobians(k, zx, zu)
+        else:
+            W, S = np.zeros((0, n_x)), np.zeros((0, n_u))
+        m = p0.size
+        scale = 1.0 + np.max(np.abs(np.concatenate([y[k], z[k]])))
+        found = None
+        for size in range(m + 1):
+            for active in itertools.combinations(range(m), size):
+                active = list(active)
+                if active and np.linalg.matrix_rank(
+                        np.hstack([W[active], S[active]])) < size:
+                    continue
+                sol = _enumerated_stage_game(game, k, y[k], z[k], eta, W, S, p0,
+                                             active, inner_tol, inner_max_iter)
+                if sol is None:
+                    continue
+                x, u, mu = sol
+                if mu.size and np.min(mu) < -1e-8 * scale:
+                    continue
+                if np.max(W @ x + S @ u + p0, initial=-np.inf) > 1e-8 * scale:
+                    continue
+                found = x, u
+                break
+            if found is not None:
+                break
+        if found is None:
+            return None
+        xs[k], us[k] = found
+    return xs, us

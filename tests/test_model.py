@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dyngames.benchmarks import FisheryParams, fishery_game
-from dyngames.errors import DimensionError, NonFiniteStateError
+from dyngames.errors import DimensionError, InfeasibleTrajectoryError, NonFiniteStateError
 from dyngames.gradient import pseudo_gradient
 from dyngames.projgrad import project_onto_feasible
 from dyngames.splitting import project_stage_constraints
@@ -16,6 +16,7 @@ from dyngames.model import (
     Trajectory,
     active_set_partition,
     all_player_costs,
+    check_feasible,
     quadraticize,
     rollout,
     total_cost,
@@ -279,6 +280,20 @@ class TestBatchEvaluators:
             ragged.eval_batch_constraints(0, X, U)
         free = dataclasses.replace(game, constraints=None)
         assert free.eval_batch_constraints(0, X, U).shape == (200, 0)
+
+
+class TestCheckFeasible:
+    def test_names_the_first_stage_beyond_tolerance(self, rng):
+        game = identity_sum_game(T=4)
+        traj = rollout(game, np.zeros(2), rng.standard_normal((5, 2)))
+        traj.states[2] += [1e-3, 0.0]  # breaks stage 1 (and stage 2 after it)
+        traj.states[4] += [0.0, 1e-9]  # within tolerance
+        with pytest.raises(InfeasibleTrajectoryError) as err:
+            check_feasible(game, traj, tol=1e-6)
+        assert err.value.stage == 1
+        assert err.value.residual == pytest.approx(1e-3, rel=1e-6)
+        traj.states[2] -= [1e-3, 0.0]
+        check_feasible(game, traj, tol=1e-6)
 
 
 class TestQuadraticize:

@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from dyngames.benchmarks import lq_rendezvous_game
 from dyngames.denseqp import ball_projection
@@ -33,6 +34,7 @@ from oracles import (
     dense_eq_least_squares,
     dr_constraints_scheme_trace,
     stacked_lq_gne,
+    static_games_by_enumeration,
 )
 
 
@@ -85,6 +87,72 @@ def shared_state_cost_game(rng, T=2, con_stage=1):
         linear_dynamics=True, polyhedral_constraints=True)
     rows = [(con_stage, w, s, p, "ineq")]
     return constrained, lq, rows
+
+
+ROW_LAYOUTS = ("general", "duplicated", "opposite", "one_point")
+
+
+def monotone_stage_game(seed, m, eta, layout, state_dim=2, action_dims=(1, 2)):
+    """Two-stage quadratic game whose regularized stage games are monotone.
+
+    Each stage's players get random symmetric cost Hessians, shifted by a
+    multiple of the identity so that the symmetric part of I + eta J_k has
+    smallest eigenvalue at least 0.05 while J_k itself may be indefinite.
+    The m affine rows pass at a random slack around an anchor point, so the
+    rows are feasible; ``layout`` makes them degenerate: a row copied
+    (``duplicated``), a row and its negation (``opposite``, an equality when
+    both slacks are zero) or every row through the anchor (``one_point``).
+    Returns the game and prox centres (y, z) that usually violate some rows.
+    """
+    r = np.random.default_rng(seed)
+    T, n_x, N = 1, state_dim, len(action_dims)
+    n_u = sum(action_dims)
+    n_v = n_x + n_u
+    owner = np.repeat(np.arange(N), action_dims)
+    Q, lin, G, p0 = [], [], [], []
+    for _ in range(T + 1):
+        Qk = r.standard_normal((N, n_v, n_v))
+        Qk = Qk + Qk.transpose(0, 2, 1)
+        J = np.vstack([Qk[:, :n_x].mean(axis=0), Qk[owner, n_x + np.arange(n_u)]])
+        lam = np.min(np.linalg.eigvalsh(0.5 * (J + J.T)))
+        margin = r.uniform(0.05, 1.0)
+        Qk = Qk + max(0.0, (margin - 1.0) / eta - lam) * np.eye(n_v)
+        Q.append(Qk)
+        lin.append(r.standard_normal((N, n_v)))
+        rows = r.standard_normal((m, n_v))
+        slack = np.where(r.random(m) < 0.3, 0.0, r.uniform(0.0, 1.0, m))
+        if layout == "duplicated" and m >= 2:
+            rows[1], slack[1] = rows[0], slack[0]
+        elif layout == "opposite" and m >= 2:
+            rows[1], slack[1] = -rows[0], slack[0]
+        elif layout == "one_point":
+            slack[:] = 0.0
+        anchor = r.standard_normal(n_v)
+        G.append(rows)
+        p0.append(-rows @ anchor - slack)
+
+    def costs(k, x, u):
+        v = np.concatenate([x, u])
+        return np.array([0.5 * v @ Q[k][n] @ v + lin[k][n] @ v for n in range(N)])
+
+    def grads(k, x, u):
+        g = Q[k] @ np.concatenate([x, u]) + lin[k]
+        return g[:, :n_x], g[:, n_x:]
+
+    def hess(k, x, u):
+        return Q[k][:, :n_x, :n_x], Q[k][:, :n_x, n_x:], Q[k][:, n_x:, n_x:]
+
+    game = GameDefinition(
+        horizon=T, state_dim=n_x, action_dims=tuple(action_dims),
+        initial_state=np.zeros(n_x),
+        dynamics=lambda k, x, u: x + u[:n_x],
+        stage_costs=costs, cost_gradients=grads, cost_hessians=hess,
+        constraints=lambda k, x, u: G[k] @ np.concatenate([x, u]) + p0[k],
+        constraint_jacobians=lambda k, x, u: (G[k][:, :n_x], G[k][:, n_x:]),
+        linear_dynamics=True, polyhedral_constraints=True)
+    y = 2.0 * r.standard_normal((T + 1, n_x))
+    z = 2.0 * r.standard_normal((T + 1, n_u))
+    return game, y, z
 
 
 class TestExtendedGradient:
@@ -218,6 +286,54 @@ class TestStaticGameResolvents:
                 break
             cur = nxt
         np.testing.assert_allclose(np.concatenate([xs[k], us[k]]), cur, atol=1e-7)
+
+    @settings(max_examples=200)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(0, 8),
+           eta=st.floats(1e-3, 10.0), layout=st.sampled_from(ROW_LAYOUTS))
+    def test_matches_enumeration_on_monotone_stage_games(self, seed, m, eta, layout):
+        game, y, z = monotone_stage_game(seed, m, eta, layout)
+        ref = static_games_by_enumeration(game, y, z, eta)
+        # The enumeration's fixed 1e-8 dual and primal checks can reject every
+        # subset when the multipliers are huge (rows through one point that
+        # leave the anchor as the only feasible point).
+        assume(ref is not None)
+        xs, us = resolvent_reg_static_games(game, y, z, eta)
+        expected = np.hstack(ref)
+        err = np.max(np.abs(np.hstack([xs, us]) - expected))
+        assert err <= 1e-9 * (1.0 + np.max(np.abs(expected)))
+
+    def test_six_rows_through_one_point_in_four_dimensions(self):
+        game, y, z = monotone_stage_game(11, 6, 0.8, "one_point", action_dims=(1, 1))
+        xs, us = resolvent_reg_static_games(game, y, z, 0.8)
+        ref_x, ref_u = static_games_by_enumeration(game, y, z, 0.8)
+        for k in range(2):  # degenerate: all six rows active in four dimensions
+            assert np.all(game.eval_constraints(k, ref_x[k], ref_u[k]) > -1e-9)
+        np.testing.assert_allclose(xs, ref_x, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(us, ref_u, rtol=0, atol=1e-9)
+
+    def test_twenty_rows_in_one_stage(self):
+        # Beyond the 18 rows the former subset enumeration accepted.
+        game, y, z = monotone_stage_game(0, 20, 0.5, "general")
+        xs, us = resolvent_reg_static_games(game, y, z, 0.5)
+        ref_x, ref_u = static_games_by_enumeration(game, y, z, 0.5)
+        np.testing.assert_allclose(xs, ref_x, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(us, ref_u, rtol=0, atol=1e-9)
+
+    def test_contradictory_rows_raise_naming_the_stage(self, rng):
+        base, _ = random_lq_game(rng, T=2)
+
+        def rows(k, x, u):  # u_0 <= -1 and u_0 >= 1 at stage 1
+            return np.array([u[0] + 1.0, 1.0 - u[0]]) if k == 1 else np.zeros(0)
+
+        def jac(k, x, u):
+            m = 2 if k == 1 else 0
+            return np.zeros((m, 2)), np.array([[1.0, 0.0], [-1.0, 0.0]])[:m]
+
+        game = dataclasses.replace(base, constraints=rows, constraint_jacobians=jac,
+                                   polyhedral_constraints=True)
+        y, z = rng.standard_normal((3, 2)), rng.standard_normal((3, 2))
+        with pytest.raises(SubproblemError, match="stage 1"):
+            resolvent_reg_static_games(game, y, z, eta=0.3)
 
     def test_stage_permutation_equivariance(self, rng):
         game, _ = random_lq_game(rng, T=2)
