@@ -37,13 +37,11 @@ from .splitting import (
 )
 from .feedback import (
     FeedbackPolicy,
-    TightenedGameSpec,
     epsilon_nash_gap,
     feedback_rollout,
     solve_eq_constrained_stage_game,
     solve_unconstrained_newton,
     stagewise_newton_backward,
-    tightened_game_definition,
 )
 from .parametric import (
     ParametricGameData,

@@ -12,8 +12,10 @@ For affine dynamics with polyhedral constraints the same policy, computed on
 a tightened copy of the problem, is an approximate feedback equilibrium of
 the partially tightened problem: the suboptimality of any player against
 its exact constrained best response grows only quadratically in the initial
-state perturbation.  ``epsilon_nash_gap`` measures that gap with a dense
-best-response solve.
+state perturbation.  ``epsilon_nash_gap`` measures that gap.  It solves the
+best response as one banded QP over the stacked trajectory, with the rows
+of ``lq.horizon_rows`` (the horizon-wide projection's rows) and the
+opponents' policies as equality rows, in O(T) memory.
 """
 
 from __future__ import annotations
@@ -22,8 +24,9 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
-from . import denseqp
+from . import denseqp, lq
 from .errors import (
     DimensionError,
     InfeasibleConstraintsError,
@@ -265,205 +268,102 @@ def feedback_rollout(game: GameDefinition, policy: FeedbackPolicy,
     return FeedbackRollout(states, actions, violations)
 
 
-@dataclass(frozen=True)
-class TightenedGameSpec:
-    """Affine game data with polyhedral rows, tightening and an active split.
-
-    Dynamics are x_{k+1} = A_k x_k + B_k u_k + b_k; player costs are the
-    quadratic forms 0.5 [1, x, u]' C_n,k [1, x, u]; constraint rows
-    W_k x + S_k u + p_k <= 0 are tightened by gamma_k > 0 on the rows listed
-    in ``active`` (determined at the reference trajectory) and left as-is on
-    the rest.
-    """
-
-    A: tuple
-    B: tuple
-    b: tuple
-    cost_blocks: tuple            # (N, T+1) nested: symmetric (1+n_x+n_u)^2
-    W: tuple
-    S: tuple
-    p: tuple
-    gamma: tuple
-    active: tuple                 # per-stage index tuples
-    action_dims: tuple[int, ...]
-    initial_state: Array
-
-    @property
-    def horizon(self) -> int:
-        return len(self.cost_blocks[0]) - 1
-
-    @property
-    def state_dim(self) -> int:
-        return int(np.asarray(self.A[0]).shape[0]) if self.A else len(self.initial_state)
-
-    @property
-    def num_players(self) -> int:
-        return len(self.action_dims)
-
-    def inactive(self, k: int) -> np.ndarray:
-        m = len(self.p[k])
-        return np.setdiff1d(np.arange(m), np.asarray(self.active[k], dtype=int))
-
-
-def tightened_game_definition(spec: TightenedGameSpec) -> GameDefinition:
-    """GameDefinition for the fully tightened problem (all rows shifted by gamma)."""
-    n_x = spec.state_dim
-    N = spec.num_players
-    n_u = int(sum(spec.action_dims))
-    nz = 1 + n_x + n_u
-
-    def dynamics(k, x, u):
-        return spec.A[k] @ x + spec.B[k] @ u + spec.b[k]
-
-    def costs(k, x, u):
-        z = np.concatenate([[1.0], x, u])
-        return np.array([0.5 * z @ spec.cost_blocks[n][k] @ z for n in range(N)])
-
-    def cost_grads(k, x, u):
-        z = np.concatenate([[1.0], x, u])
-        cx = np.empty((N, n_x))
-        cu = np.empty((N, n_u))
-        for n in range(N):
-            row = spec.cost_blocks[n][k] @ z
-            cx[n] = row[1:1 + n_x]
-            cu[n] = row[1 + n_x:]
-        return cx, cu
-
-    def cost_hess(k, x, u):
-        cxx = np.stack([spec.cost_blocks[n][k][1:1 + n_x, 1:1 + n_x] for n in range(N)])
-        cxu = np.stack([spec.cost_blocks[n][k][1:1 + n_x, 1 + n_x:] for n in range(N)])
-        cuu = np.stack([spec.cost_blocks[n][k][1 + n_x:, 1 + n_x:] for n in range(N)])
-        return cxx, cxu, cuu
-
-    def constraints(k, x, u):
-        if len(spec.p[k]) == 0:
-            return np.zeros(0)
-        return (np.asarray(spec.W[k]) @ x + np.asarray(spec.S[k]) @ u
-                + np.asarray(spec.p[k]) + np.asarray(spec.gamma[k]))
-
-    def constraint_jac(k, x, u):
-        return np.asarray(spec.W[k], dtype=float), np.asarray(spec.S[k], dtype=float)
-
-    return GameDefinition(
-        horizon=spec.horizon, state_dim=n_x, action_dims=spec.action_dims,
-        initial_state=spec.initial_state,
-        dynamics=dynamics, stage_costs=costs, constraints=constraints,
-        dynamics_jacobians=lambda k, x, u: (np.asarray(spec.A[k], dtype=float),
-                                            np.asarray(spec.B[k], dtype=float)),
-        dynamics_hessians=lambda k, x, u: np.zeros((n_x, n_x + n_u, n_x + n_u)),
-        cost_gradients=cost_grads, cost_hessians=cost_hess,
-        constraint_jacobians=constraint_jac,
-        linear_dynamics=True, polyhedral_constraints=True,
-    )
-
-
-def epsilon_nash_gap(spec: TightenedGameSpec, policy: FeedbackPolicy,
+def epsilon_nash_gap(game: GameDefinition, policy: FeedbackPolicy,
                      player: int, start: int, x_start: Array) -> float:
     """Suboptimality of the feedback policy for one player at a perturbed state.
 
-    All players follow the policy from ``start``; the gap is the cost of that
-    rollout minus the optimum of the player's constrained best-response
-    problem with the opponents' affine policies substituted into dynamics,
-    costs and constraint rows.  Constraints are the partially tightened
-    rows: reference-active rows keep their tightening, inactive rows do not.
-    Nonnegative up to solver precision.
+    ``game`` is a declared linear-quadratic game whose affine rows the best
+    response must meet (for the tightened-policy certificate, the partially
+    tightened rows: reference-active rows keep their tightening, inactive
+    rows do not).  All players follow the policy from stage ``start`` at
+    ``x_start``; the gap is the player's cost along that rollout minus the
+    optimum of its constrained best response, in which every opponent
+    follows its affine policy.  The best response is one banded QP over
+    the stacked trajectory (x_k, u_k), k = start..T: the rows of
+    ``lq.horizon_rows`` plus, per stage, u^-n_k - K^-n_k x_k =
+    ubar^-n_k - K^-n_k xbar_k + s^-n_k for the opponents' actions.  Both
+    costs are the game's stage costs.  Nonnegative up to solver precision.
+
+    A policy with zero gains and offsets replays its reference open loop,
+    and the gap is then the open-loop best-response gap of that reference.
+
+    Raises ValueError for a player outside 0..N-1, SubproblemError naming
+    the stage when the best response is not strictly convex, and
+    InfeasibleConstraintsError when the policy rollout violates a row.
     """
-    game = tightened_game_definition(spec)
-    T = spec.horizon
-    n_x = spec.state_dim
-    sl = slice(game.action_offsets[player], game.action_offsets[player + 1])
-    d = sl.stop - sl.start
-    x_start = np.asarray(x_start, dtype=float).reshape(n_x)
+    N, T = game.num_players, game.horizon
+    if not 0 <= player < N:
+        raise ValueError(f"player {player} outside 0..{N - 1}")
+    n_x, n_u = game.state_dim, game.total_action_dim
+    own = game.action_slice(player)
+    roll = feedback_rollout(game, policy, np.asarray(x_start, dtype=float).reshape(n_x),
+                            start=start)
+    worst = int(np.argmax(roll.constraint_violations))
+    if roll.constraint_violations[worst] > 1e-7:
+        raise InfeasibleConstraintsError(
+            f"policy rollout violates the game's rows at stage {start + worst}",
+            max_violation=float(roll.constraint_violations[worst]))
+    data = extract_lq_data(game)
+    blocks = [np.block([[data.Q[player][k], data.X[player][k]],
+                        [data.X[player][k].T, data.R[player][k]]]) for k in range(start, T + 1)]
+    _check_best_response_convex(blocks, data.A, data.B, policy.gains, own, player, start)
 
-    # Policy rollout cost for the player (noise-free, all following policy).
-    roll = feedback_rollout(game, policy, x_start, start=start)
-    traj = roll.trajectory
-    J_policy = 0.0
+    Aeq, beq, G, h = lq.horizon_rows(game, start, roll.states[0])
+    opp = np.delete(np.arange(n_u), own)
+    ref = policy.reference
+    follow, rhs = [], []
+    for k in range(start, T + 1):
+        K = policy.gains[k][opp]
+        follow.append(np.hstack([-K, np.eye(n_u)[opp]]))
+        rhs.append(ref.actions[k][opp] - K @ ref.states[k] + policy.offsets[k][opp])
+    Aeq = sp.vstack([Aeq, sp.block_diag(follow)], format="csr")
+    beq = np.concatenate([beq] + rhs)
+    H = sp.block_diag(blocks, format="csc")
+    f = np.concatenate([np.concatenate([data.q[player][k], data.r[player][k]])
+                        for k in range(start, T + 1)])
+    v, _ = denseqp.solve_qp(H, f, G=G, h=h, Aeq=Aeq, beq=beq)
+    v = v.reshape(T - start + 1, n_x + n_u)
+    J_policy = J_best = 0.0
     for i, k in enumerate(range(start, T + 1)):
-        z = np.concatenate([[1.0], traj.states[i], traj.actions[i]])
-        J_policy += 0.5 * z @ spec.cost_blocks[player][k] @ z
-
-    # Feasibility of the policy rollout for the partially tightened rows.
-    for i, k in enumerate(range(start, T + 1)):
-        g = _partially_tightened_rows(spec, k, traj.states[i], traj.actions[i])
-        if g.size and np.max(g) > 1e-7:
-            raise InfeasibleConstraintsError(
-                f"policy rollout violates partially tightened rows at stage {k}",
-                max_violation=float(np.max(g)))
-
-    # Best response: decision variables are the player's actions from start
-    # to T; states and opponents' actions are affine in them.
-    n_dec = (T - start + 1) * d
-    # xmap[i]: x_{start+i} = xc + Xu @ dec ; umap[i]: joint action at stage.
-    Xu = np.zeros((n_x, n_dec))
-    xc = x_start.copy()
-    Hqp = np.zeros((n_dec, n_dec))
-    fqp = np.zeros(n_dec)
-    const = 0.0
-    rows_G, rows_h = [], []
-    for i, k in enumerate(range(start, T + 1)):
-        # Joint action: opponents follow policy, player free.
-        n_u = game.total_action_dim
-        Uc = policy.reference.actions[k] + policy.offsets[k] \
-            + policy.gains[k] @ (xc - policy.reference.states[k])
-        Uu = policy.gains[k] @ Xu
-        Uc = Uc.copy()
-        Uu = Uu.copy()
-        Uc[sl] = 0.0
-        Uu[sl] = 0.0
-        own = np.zeros((n_u, n_dec))
-        own[sl, i * d:(i + 1) * d] = np.eye(d)
-        Uu += own
-        # Quadratic cost in the stacked affine variables.
-        z_c = np.concatenate([[1.0], xc, Uc])
-        Z_u = np.vstack([np.zeros((1, n_dec)), Xu, Uu])
-        C = spec.cost_blocks[player][k]
-        Hqp += Z_u.T @ C @ Z_u
-        fqp += Z_u.T @ (C @ z_c)
-        const += 0.5 * z_c @ C @ z_c
-        # Partially tightened constraint rows at this stage.
-        m = len(spec.p[k])
-        if m:
-            Wk = np.asarray(spec.W[k], dtype=float)
-            Sk = np.asarray(spec.S[k], dtype=float)
-            pk = np.asarray(spec.p[k], dtype=float).copy()
-            gam = np.asarray(spec.gamma[k], dtype=float)
-            act = np.asarray(spec.active[k], dtype=int)
-            rhs_shift = np.zeros(m)
-            rhs_shift[act] = gam[act]
-            Gk = Wk @ Xu + Sk @ Uu
-            hk = -(Wk @ xc + Sk @ Uc + pk + rhs_shift)
-            rows_G.append(Gk)
-            rows_h.append(hk)
-        if k < T:
-            Ak = np.asarray(spec.A[k], dtype=float)
-            Bk = np.asarray(spec.B[k], dtype=float)
-            xc = Ak @ xc + Bk @ Uc + np.asarray(spec.b[k], dtype=float)
-            Xu = Ak @ Xu + Bk @ Uu
-    Hqp = 0.5 * (Hqp + Hqp.T)
-    eigmin = float(np.min(np.linalg.eigvalsh(Hqp)))
-    if eigmin <= 1e-10 * (1 + abs(float(np.max(np.abs(Hqp))))):
-        raise SubproblemError(
-            f"best-response Hessian for player {player} is not positive definite "
-            f"(min eig {eigmin:.2e}); terminal action costs may be missing")
-    G = np.vstack(rows_G) if rows_G else None
-    h = np.concatenate(rows_h) if rows_h else None
-    dec, _ = denseqp.solve_qp(Hqp, fqp, G=G, h=h)
-    J_best = 0.5 * dec @ Hqp @ dec + fqp @ dec + const
+        J_policy += game.eval_costs(k, roll.states[i], roll.actions[i])[player]
+        J_best += game.eval_costs(k, v[i, :n_x], v[i, n_x:])[player]
     return float(J_policy - J_best)
 
 
-def _partially_tightened_rows(spec: TightenedGameSpec, k: int,
-                              x: Array, u: Array) -> Array:
-    m = len(spec.p[k])
-    if m == 0:
-        return np.zeros(0)
-    g = (np.asarray(spec.W[k]) @ x + np.asarray(spec.S[k]) @ u
-         + np.asarray(spec.p[k]))
-    act = np.asarray(spec.active[k], dtype=int)
-    g = np.asarray(g, dtype=float).copy()
-    g[act] += np.asarray(spec.gamma[k], dtype=float)[act]
-    return g
+def _check_best_response_convex(blocks: list[Array], A: list, B: list, gains: list[Array],
+                                own: slice, player: int, start: int) -> None:
+    """Raise SubproblemError unless the player's closed-loop best response is strictly convex.
+
+    ``blocks[i]`` is the player's (x, u) cost Hessian C at stage start + i.
+    A backward Riccati pass over the player's own actions w_k, with the
+    opponents' gains substituted: u_k = L_x x_k + L_w w_k + const and
+    x_{k+1} = Acl_k x_k + Bw_k w_k + const.  The condensed Hessian of the
+    best response is positive definite exactly when every stage block
+    Q_ww = L_w' C L_w + Bw' P Bw is.
+    """
+    T, n_x = len(A), gains[0].shape[1]
+    iw = slice(n_x + own.start, n_x + own.stop)
+    P = np.zeros((n_x, n_x))
+    for k in range(T, start - 1, -1):
+        C = blocks[k - start]
+        K = gains[k].copy()
+        K[own] = 0.0
+        L_x = np.vstack([np.eye(n_x), K])
+        Qww, Qwx, Qxx = C[iw, iw], C[iw] @ L_x, L_x.T @ C @ L_x
+        if k < T:
+            Acl, Bw = A[k] + B[k] @ K, B[k][:, own]
+            Qww = Qww + Bw.T @ P @ Bw
+            Qwx = Qwx + Bw.T @ P @ Acl
+            Qxx = Qxx + Acl.T @ P @ Acl
+        Qww = 0.5 * (Qww + Qww.T)
+        eigmin = float(np.linalg.eigvalsh(Qww)[0])
+        if eigmin <= 1e-12 * (1.0 + float(np.max(np.abs(Qww)))):
+            raise SubproblemError(
+                f"best response of player {player} is not strictly convex at stage {k} "
+                f"(min eig {eigmin:.2e} of its own-action block); "
+                f"its action costs may be missing")
+        P = Qxx - Qwx.T @ np.linalg.solve(Qww, Qwx)
+        P = 0.5 * (P + P.T)
 
 
 def solve_unconstrained_newton(game: GameDefinition, init: Trajectory,

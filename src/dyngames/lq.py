@@ -28,6 +28,12 @@ the dynamics, and the factor reads only (A_k, B_k, b_k).
 
 Memory is O(T): a fixed number of per-stage matrices whose sizes depend on
 the state and action dimensions and the player count, never on the horizon.
+
+``horizon_rows`` builds the constraints of a QP over a whole stacked
+trajectory: the pinned first state and the linear dynamics as equality rows,
+every stage's affine rows (``stage_rows``) as inequality rows.  The
+horizon-wide projection of ``splitting.horizon_qp`` and the best response of
+``feedback.epsilon_nash_gap`` both take their rows from it.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import StageSingularityError, UnsupportedConstraintError
 from .model import GameDefinition, Trajectory
@@ -75,6 +82,61 @@ def affine_dynamics(game: GameDefinition) -> tuple[list, list, list]:
         B.append(Bk)
         b.append(game.eval_dynamics(k, zx, zu))
     return A, B, b
+
+
+def stage_rows(game: GameDefinition, k: int):
+    """Affine rows (W, S, p) of stage k, W x + S u + p <= 0; None without rows.
+
+    The rows are read at the origin, so the game must declare polyhedral
+    constraints.
+    """
+    zx = np.zeros(game.state_dim)
+    zu = np.zeros(game.total_action_dim)
+    p = game.eval_constraints(k, zx, zu)
+    if p.shape[0] == 0:
+        return None
+    W, S = game.eval_constraint_jacobians(k, zx, zu)
+    return W, S, p
+
+
+def horizon_rows(game: GameDefinition, start: int = 0, x_start: Optional[Array] = None):
+    """Rows of a QP over the stacked trajectory v = (x_start, u_start, ..., x_T, u_T).
+
+    Returns (Aeq, beq, G, h).  The equality rows Aeq v = beq pin x_start (the
+    game's initial state when omitted) and impose the linear dynamics of
+    stages start..T-1; the inequality rows G v <= h are the affine rows of
+    stages start..T, and G and h are None when there are none.  All
+    matrices are block-banded ``scipy.sparse`` with O(T - start) nonzeros.
+    Raises UnsupportedConstraintError unless the game declares linear
+    dynamics and, if it has constraints, affine rows.
+    """
+    if not game.linear_dynamics:
+        raise UnsupportedConstraintError("horizon-wide rows require linear dynamics")
+    if game.constraints is not None and not game.polyhedral_constraints:
+        raise UnsupportedConstraintError("horizon-wide rows require affine stage rows")
+    T = game.horizon
+    n_x, n_u = game.state_dim, game.total_action_dim
+    n_v, steps = n_x + n_u, T - start
+    x_start = game.initial_state if x_start is None else np.asarray(x_start, dtype=float)
+    pick_x = sp.hstack([sp.identity(n_x), sp.csr_matrix((n_x, n_u))])
+    Aeq = sp.block_diag([pick_x] * (steps + 1), format="csr")
+    if steps:
+        A, B, b = affine_dynamics(game)
+        # row block i+1 reads x_{k+1} - A_k x_k - B_k u_k = b_k, k = start + i
+        step = sp.block_diag([np.hstack([A[k], B[k]]) for k in range(start, T)])
+        Aeq = Aeq - sp.bmat([[sp.csr_matrix((n_x, steps * n_v)), None],
+                             [step, sp.csr_matrix((steps * n_x, n_v))]], format="csr")
+        beq = np.concatenate([x_start] + b[start:])
+    else:
+        beq = np.array(x_start, dtype=float)
+    G = h = None
+    if game.constraints is not None:
+        rows = [stage_rows(game, k) for k in range(start, T + 1)]
+        blocks = [np.zeros((0, n_v)) if r is None else np.hstack([r[0], r[1]]) for r in rows]
+        if any(blk.shape[0] for blk in blocks):
+            G = sp.block_diag(blocks, format="csr")
+            h = np.concatenate([-r[2] for r in rows if r is not None])
+    return Aeq, beq, G, h
 
 
 def extract_lq_data(game: GameDefinition) -> LqGameData:

@@ -27,10 +27,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linprog, nnls
+from scipy.optimize import linprog
 
 from .errors import EnumerationCapError, StageSingularityError, SubproblemError
 
@@ -309,34 +308,3 @@ def enumerate_lcq_parametric(data: ParametricGameData,
                                             s=law.s, L=L, l=l))
     return PiecewiseAffinePolicy(regions=regions, action_dims=data.action_dims,
                                  skipped_rank_deficient=tuple(skipped))
-
-
-def solves_all_active_pieces(piece_games: Sequence[ParametricGameData],
-                             x: Array, u: Array,
-                             vi_residual_tol: float = 1e-7) -> bool:
-    """Test predicate for piecewise-quadratic games given by polyhedral pieces.
-
-    A candidate joint action solves the overall game at parameter x exactly
-    when it solves the inequality-constrained quadratic game of every piece
-    whose polyhedron contains (x, u).  Each piece check verifies the
-    stationarity-with-multiplier conditions of the piece's quadratic game.
-    """
-    hit_any = False
-    for piece in piece_games:
-        g = piece.W @ x + piece.S @ u + piece.p
-        if np.max(g, initial=-np.inf) > vi_residual_tol:
-            continue
-        hit_any = True
-        F, P, H = piece.stationarity_blocks()
-        grad = F @ u + P @ x + H
-        act = np.flatnonzero(g >= -1e-7)
-        if act.size == 0:
-            if np.max(np.abs(grad)) > vi_residual_tol * (1 + np.abs(grad).max(initial=0.0)):
-                return False
-            continue
-        Sa = piece.S[act]
-        # -grad must lie in the cone of the active rows: nonnegative lstsq fit.
-        lam, resid = nnls(Sa.T, -grad)
-        if resid > vi_residual_tol * (1.0 + np.linalg.norm(grad)):
-            return False
-    return hit_any

@@ -37,8 +37,9 @@ kernel at eta = 0).  ``dr_solve`` factors that kernel once with
 every iteration, so each iteration only re-solves the linear terms.  The
 intersection projection of the ``gradient`` scheme is one convex QP over
 the whole stacked trajectory whose rows (initial state, dynamics, stage
-rows) do not change either; ``dr_solve`` builds them once with
-``horizon_qp`` and each iteration only changes the point being projected.
+rows, built by ``lq.horizon_rows``) do not change either; ``dr_solve``
+builds them once with ``horizon_qp`` and each iteration only changes the
+point being projected.
 """
 
 from __future__ import annotations
@@ -112,9 +113,6 @@ class ExtendedIterate:
 
     x: Array
     u: Array
-
-    def vector(self) -> Array:
-        return np.concatenate([self.x.ravel(), self.u.ravel()])
 
 
 def extended_gradient(game: GameDefinition, x: Array, u: Array) -> Array:
@@ -205,17 +203,6 @@ def resolvent_reg_game(game: GameDefinition, y: Array, z: Array, eta: float,
 # ---------------------------------------------------------------------------
 
 
-def _stage_constraint_data(game: GameDefinition, k: int):
-    """Affine row data (W, S, p0) of stage k; requires polyhedral constraints."""
-    zx = np.zeros(game.state_dim)
-    zu = np.zeros(game.total_action_dim)
-    p0 = game.eval_constraints(k, zx, zu)
-    if p0.shape[0] == 0:
-        return None
-    W, S = game.eval_constraint_jacobians(k, zx, zu)
-    return W, S, p0
-
-
 def project_stage_constraints(game: GameDefinition, y: Array,
                               z: Array) -> tuple[Array, Array]:
     """Stagewise projection of (y, z) onto the constraint sets.
@@ -235,7 +222,7 @@ def project_stage_constraints(game: GameDefinition, y: Array,
         if not game.polyhedral_constraints:
             raise UnsupportedConstraintError(
                 f"stage {k} has neither an analytic projector nor affine rows")
-        data = _stage_constraint_data(game, k)
+        data = lq.stage_rows(game, k)
         if data is None:
             continue
         W, S, p0 = data
@@ -338,7 +325,7 @@ def _static_games(game: GameDefinition, y: Array, z: Array, eta: float,
     n_x, n_v = game.state_dim, game.state_dim + game.total_action_dim
     xs, us = np.array(y, dtype=float), np.array(z, dtype=float)
     for k in range(game.horizon + 1):
-        rows = _stage_constraint_data(game, k) if constrained else None
+        rows = lq.stage_rows(game, k) if constrained else None
         G, p = (np.hstack(rows[:2]), rows[2]) if rows else (np.zeros((0, n_v)), np.zeros(0))
         w = np.concatenate([y[k], z[k]])
         tol = inner_tol * (1.0 + float(np.max(np.abs(w))))
@@ -451,38 +438,16 @@ class HorizonQp:
 
 
 def horizon_qp(game: GameDefinition, state_weight: float) -> HorizonQp:
-    """Build the rows of the horizon-wide projection QP (see ``HorizonQp``).
+    """Build the horizon-wide projection QP (see ``HorizonQp``).
 
-    Requires declared linear dynamics and, if the game has constraints,
-    affine rows; raises UnsupportedConstraintError otherwise.
+    The rows come from ``lq.horizon_rows``, which raises
+    UnsupportedConstraintError unless the game declares linear dynamics
+    and, if it has constraints, affine rows.
     """
-    if not game.linear_dynamics:
-        raise UnsupportedConstraintError("horizon-wide projection requires linear dynamics")
-    if game.constraints is not None and not game.polyhedral_constraints:
-        raise UnsupportedConstraintError("horizon-wide projection requires affine stage rows")
-    T = game.horizon
+    Aeq, beq, G, h = lq.horizon_rows(game)
     n_x, n_u = game.state_dim, game.total_action_dim
-    n_v = n_x + n_u
-    pick_x = sp.hstack([sp.identity(n_x), sp.csr_matrix((n_x, n_u))])
-    Aeq = sp.block_diag([pick_x] * (T + 1), format="csr")
-    if T:
-        A, B, b = lq.affine_dynamics(game)
-        # row block k+1 reads x_{k+1} - A_k x_k - B_k u_k = b_k
-        step = sp.block_diag([np.hstack([A[k], B[k]]) for k in range(T)])
-        Aeq = Aeq - sp.bmat([[sp.csr_matrix((n_x, T * n_v)), None],
-                             [step, sp.csr_matrix((T * n_x, n_v))]], format="csr")
-        beq = np.concatenate([game.initial_state, np.concatenate(b)])
-    else:
-        beq = np.asarray(game.initial_state, dtype=float).copy()
-    G = h = None
-    if game.constraints is not None:
-        rows = [_stage_constraint_data(game, k) for k in range(T + 1)]
-        blocks = [np.zeros((0, n_v)) if r is None else np.hstack([r[0], r[1]]) for r in rows]
-        if any(blk.shape[0] for blk in blocks):
-            G = sp.block_diag(blocks, format="csr")
-            h = np.concatenate([-r[2] for r in rows if r is not None])
     weights = np.concatenate([np.full(n_x, float(state_weight)), np.ones(n_u)])
-    H = sp.diags(np.tile(weights, T + 1), format="csc")
+    H = sp.diags(np.tile(weights, game.horizon + 1), format="csc")
     return HorizonQp(H=H, Aeq=Aeq, beq=beq, G=G, h=h, state_dim=n_x,
                      state_weight=float(state_weight))
 

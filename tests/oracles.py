@@ -9,6 +9,7 @@ checks.
 import itertools
 
 import numpy as np
+from scipy.optimize import nnls
 
 from dyngames.model import rollout, total_cost
 
@@ -340,6 +341,70 @@ def brute_force_qp(H, f, G, h, Aeq=None, beq=None):
 
 
 # ---------------------------------------------------------------------------
+# Best-response gap of an affine feedback policy by dense condensing.
+# ---------------------------------------------------------------------------
+
+
+def dense_best_response_gap(A, B, b, C, rows, gains, offsets, ref_states, ref_actions,
+                            own, start, x_start):
+    """One player's best-response gap, condensed onto its own actions.
+
+    Plain arrays: dynamics x+ = A[k] x + B[k] u + b[k]; the player's stage
+    cost 0.5 z'C[k] z with z = [1, x, u]; ``rows[k]`` is (W, S, p) for the
+    rows W x + S u + p <= 0, or None; the opponents follow u = ubar + K (x -
+    xbar) + s with the gains, offsets and reference given, and the player's
+    actions are the slice ``own``.  States and opponents' actions are carried
+    as affine maps of the player's stacked actions from ``start`` to T, so
+    the Hessian is dense and (T - start + 1)-square in those actions; the QP
+    is solved by ``brute_force_qp``.  Returns (gap, J_policy, smallest
+    eigenvalue of the condensed Hessian); the gap is NaN when that
+    eigenvalue is not positive.
+    """
+    T = len(C) - 1
+    n_x, n_u = len(x_start), len(ref_actions[0])
+    d = own.stop - own.start
+    x, J_policy = np.array(x_start, dtype=float), 0.0
+    for k in range(start, T + 1):
+        u = ref_actions[k] + gains[k] @ (x - ref_states[k]) + offsets[k]
+        z = np.concatenate([[1.0], x, u])
+        J_policy += 0.5 * z @ C[k] @ z
+        if k < T:
+            x = A[k] @ x + B[k] @ u + b[k]
+
+    n_dec = (T - start + 1) * d
+    xc, Xu = np.array(x_start, dtype=float), np.zeros((n_x, n_dec))
+    Hqp, fqp, const = np.zeros((n_dec, n_dec)), np.zeros(n_dec), 0.0
+    rows_G, rows_h = [], []
+    for i, k in enumerate(range(start, T + 1)):
+        Uc = ref_actions[k] + offsets[k] + gains[k] @ (xc - ref_states[k])
+        Uu = gains[k] @ Xu
+        Uc[own] = 0.0
+        Uu[own] = 0.0
+        Uu[own, i * d:(i + 1) * d] = np.eye(d)
+        z_c = np.concatenate([[1.0], xc, Uc])
+        Z_u = np.vstack([np.zeros((1, n_dec)), Xu, Uu])
+        Hqp += Z_u.T @ C[k] @ Z_u
+        fqp += Z_u.T @ (C[k] @ z_c)
+        const += 0.5 * z_c @ C[k] @ z_c
+        if rows[k] is not None:
+            W, S, p = rows[k]
+            rows_G.append(W @ Xu + S @ Uu)
+            rows_h.append(-(W @ xc + S @ Uc + p))
+        if k < T:
+            xc = A[k] @ xc + B[k] @ Uc + b[k]
+            Xu = A[k] @ Xu + B[k] @ Uu
+    Hqp = 0.5 * (Hqp + Hqp.T)
+    eigmin = float(np.min(np.linalg.eigvalsh(Hqp)))
+    if eigmin <= 0.0:
+        return float("nan"), J_policy, eigmin
+    G = np.vstack(rows_G) if rows_G else None
+    h = np.concatenate(rows_h) if rows_h else None
+    dec = brute_force_qp(Hqp, fqp, G, h)
+    J_best = 0.5 * dec @ Hqp @ dec + fqp @ dec + const
+    return float(J_policy - J_best), J_policy, eigmin
+
+
+# ---------------------------------------------------------------------------
 # Douglas-Rachford stopping rule, every check on every iteration.
 # ---------------------------------------------------------------------------
 
@@ -542,3 +607,37 @@ def static_games_by_enumeration(game, y, z, eta, inner_tol=1e-10, inner_max_iter
             return None
         xs[k], us[k] = found
     return xs, us
+
+
+# ---------------------------------------------------------------------------
+# Piecewise-quadratic games: does a candidate solve every piece it lies in?
+# ---------------------------------------------------------------------------
+
+
+def solves_all_active_pieces(piece_games, x, u, vi_residual_tol=1e-7):
+    """Test predicate for piecewise-quadratic games given by polyhedral pieces.
+
+    A candidate joint action solves the overall game at parameter x exactly
+    when it solves the inequality-constrained quadratic game of every piece
+    whose polyhedron contains (x, u).  Each piece check verifies the
+    stationarity-with-multiplier conditions of the piece's quadratic game.
+    """
+    hit_any = False
+    for piece in piece_games:
+        g = piece.W @ x + piece.S @ u + piece.p
+        if np.max(g, initial=-np.inf) > vi_residual_tol:
+            continue
+        hit_any = True
+        F, P, H = piece.stationarity_blocks()
+        grad = F @ u + P @ x + H
+        act = np.flatnonzero(g >= -1e-7)
+        if act.size == 0:
+            if np.max(np.abs(grad)) > vi_residual_tol * (1 + np.abs(grad).max(initial=0.0)):
+                return False
+            continue
+        Sa = piece.S[act]
+        # -grad must lie in the cone of the active rows: nonnegative lstsq fit.
+        lam, resid = nnls(Sa.T, -grad)
+        if resid > vi_residual_tol * (1.0 + np.linalg.norm(grad)):
+            return False
+    return hit_any

@@ -19,11 +19,7 @@ from dyngames.benchmarks import (
     noise_comparison,
     rendezvous_residual,
 )
-from dyngames.feedback import (
-    epsilon_nash_gap,
-    stagewise_newton_backward,
-    tightened_game_definition,
-)
+from dyngames.feedback import epsilon_nash_gap, stagewise_newton_backward
 from dyngames.gradient import pseudo_gradient
 from dyngames.model import quadraticize, rollout
 from dyngames.parametric import (
@@ -241,10 +237,10 @@ def test_criterion_07_backward_pass_fixed_point(rng):
 
 def test_criterion_08_quadratic_gap_scaling(rng):
     t0 = time.perf_counter()
-    spec, ref, lq, game = tightened_two_player_instance(rng)
-    tgame = tightened_game_definition(spec)
-    policy = stagewise_newton_backward(tgame, ref, feas_tol=1e-6)
-    gap_at_ref = max(epsilon_nash_gap(spec, policy, n, 0, ref.states[0])
+    inst = tightened_two_player_instance(rng)
+    ref = inst.ref
+    policy = stagewise_newton_backward(inst.tight, ref, feas_tol=1e-6)
+    gap_at_ref = max(epsilon_nash_gap(inst.partial, policy, n, 0, ref.states[0])
                      for n in range(2))
     d = rng.standard_normal(2)
     d /= np.linalg.norm(d)
@@ -252,13 +248,13 @@ def test_criterion_08_quadratic_gap_scaling(rng):
     side_gaps = {}
     for sign in (1.0, -1.0):
         side_gaps[sign] = max(
-            epsilon_nash_gap(spec, policy, n, 0, ref.states[0] + sign * 0.1 * d)
+            epsilon_nash_gap(inst.partial, policy, n, 0, ref.states[0] + sign * 0.1 * d)
             for n in range(2))
     sign = max(side_gaps, key=side_gaps.get)
     eps_grid = np.array([1e-1, 3e-2, 1e-2, 3e-3, 1e-3])
     gaps = []
     for eps in eps_grid:
-        g = max(epsilon_nash_gap(spec, policy, n, 0, ref.states[0] + sign * eps * d)
+        g = max(epsilon_nash_gap(inst.partial, policy, n, 0, ref.states[0] + sign * eps * d)
                 for n in range(2))
         gaps.append(g)
     gaps = np.array(gaps)

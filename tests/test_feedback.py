@@ -2,14 +2,15 @@
 
 import dataclasses
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from dyngames import feedback
 from dyngames.benchmarks import FisheryParams, fishery_game
-from dyngames.errors import DimensionError, NonFiniteStateError
+from dyngames.errors import DimensionError, NonFiniteStateError, SubproblemError
 from dyngames.feedback import (
     FeedbackPolicy,
     epsilon_nash_gap,
@@ -17,14 +18,25 @@ from dyngames.feedback import (
     solve_eq_constrained_stage_game,
     solve_unconstrained_newton,
     stagewise_newton_backward,
-    tightened_game_definition,
 )
 from dyngames.gradient import pseudo_gradient
 from dyngames.model import GameDefinition, Trajectory, quadraticize, rollout
 
 from conftest import decoupled_lq_game, random_lq_game
-from instances import equality_constrained_lq_instance, tightened_two_player_instance
-from oracles import coupled_riccati_feedback, feedback_rollout_per_stage, stacked_lq_gne
+from instances import (
+    affine_quadratic_game,
+    cost_blocks_from_lq,
+    cross_scheme_lq_instance,
+    equality_constrained_lq_instance,
+    shift_rows,
+    tightened_two_player_instance,
+)
+from oracles import (
+    coupled_riccati_feedback,
+    dense_best_response_gap,
+    feedback_rollout_per_stage,
+    stacked_lq_gne,
+)
 
 
 class TestStageGame:
@@ -302,50 +314,162 @@ class TestBatchedFeedbackRollout:
             feedback_rollout(flat, policy, starts)
 
 
+def oracle_gap(inst, lq, policy, player, start, x_start):
+    """``dense_best_response_gap`` on the partially tightened rows of ``inst``."""
+    T = inst.tight.horizon
+    rows = shift_rows(inst.rows, inst.gamma, True)
+    C = cost_blocks_from_lq(lq, 2, T, 2, 2)[player]
+    ref = policy.reference
+    return dense_best_response_gap(
+        lq["A"], lq["B"], lq["b"], C, [rows.get(k) for k in range(T + 1)],
+        policy.gains, policy.offsets, ref.states, ref.actions,
+        inst.tight.action_slice(player), start, x_start)
+
+
+def shifted_own_action_cost(lq, player, shifts):
+    """Copy of ``lq`` with the player's own-action curvature at stage k moved by shifts[k]."""
+    R = [list(per_player) for per_player in lq["R"]]
+    for k, shift in enumerate(shifts):
+        R[player][k] = R[player][k].copy()
+        R[player][k][player, player] += shift
+    return dict(lq, R=R)
+
+
 class TestEpsilonGap:
     def test_zero_gap_at_reference(self, rng):
-        spec, ref, lq, game = tightened_two_player_instance(rng)
-        tgame = tightened_game_definition(spec)
-        policy = stagewise_newton_backward(tgame, ref, feas_tol=1e-6)
+        inst = tightened_two_player_instance(rng)
+        policy = stagewise_newton_backward(inst.tight, inst.ref, feas_tol=1e-6)
         for n in range(2):
-            gap = epsilon_nash_gap(spec, policy, n, 0, ref.states[0])
+            gap = epsilon_nash_gap(inst.partial, policy, n, 0, inst.ref.states[0])
             assert abs(gap) <= 1e-8
 
     def test_gap_nonnegative_for_perturbations(self, rng):
-        spec, ref, lq, game = tightened_two_player_instance(rng)
-        tgame = tightened_game_definition(spec)
-        policy = stagewise_newton_backward(tgame, ref, feas_tol=1e-6)
+        inst = tightened_two_player_instance(rng)
+        policy = stagewise_newton_backward(inst.tight, inst.ref, feas_tol=1e-6)
         for _ in range(6):
             d = rng.standard_normal(2)
             d /= np.linalg.norm(d)
-            x0 = ref.states[0] + 1e-2 * d
+            x0 = inst.ref.states[0] + 1e-2 * d
             for n in range(2):
-                gap = epsilon_nash_gap(spec, policy, n, 0, x0)
+                gap = epsilon_nash_gap(inst.partial, policy, n, 0, x0)
                 assert gap >= -1e-9
 
     def test_gap_with_a_row_at_every_stage_of_a_long_horizon(self, rng):
         # 21 horizon-wide rows in the best response: more than an active-set
         # enumeration can visit (2^21 subsets)
         T = 20
-        spec, ref, lq, game = tightened_two_player_instance(
-            rng, T=T, con_stages=range(T + 1))
-        tgame = tightened_game_definition(spec)
-        policy = stagewise_newton_backward(tgame, ref, feas_tol=1e-6)
+        inst = tightened_two_player_instance(rng, T=T, con_stages=range(T + 1))
+        policy = stagewise_newton_backward(inst.tight, inst.ref, feas_tol=1e-6)
+        x_ref = inst.ref.states[0]
         for n in range(2):
-            assert abs(epsilon_nash_gap(spec, policy, n, 0, ref.states[0])) <= 1e-8
+            assert abs(epsilon_nash_gap(inst.partial, policy, n, 0, x_ref)) <= 1e-8
         for _ in range(3):
             d = rng.standard_normal(2)
             d /= np.linalg.norm(d)
             for n in range(2):
-                assert epsilon_nash_gap(spec, policy, n, 0, ref.states[0] + 1e-2 * d) >= -1e-9
+                assert epsilon_nash_gap(inst.partial, policy, n, 0, x_ref + 1e-2 * d) >= -1e-9
 
     def test_active_row_held_exactly_along_policy_rollout(self, rng):
-        spec, ref, lq, game = tightened_two_player_instance(rng)
-        tgame = tightened_game_definition(spec)
-        policy = stagewise_newton_backward(tgame, ref, feas_tol=1e-6)
+        inst = tightened_two_player_instance(rng)
+        policy = stagewise_newton_backward(inst.tight, inst.ref, feas_tol=1e-6)
         k = 2
+        W, S, p, _ = inst.rows[k]
         for eps in (1e-3, 1e-2):
-            out = feedback_rollout(tgame, policy, ref.states[0] + eps / np.sqrt(2))
+            out = feedback_rollout(inst.tight, policy, inst.ref.states[0] + eps / np.sqrt(2))
             x, u = out.trajectory.states[k], out.trajectory.actions[k]
-            val = spec.W[k][0] @ x + spec.S[k][0] @ u + spec.p[k][0]
-            assert val == pytest.approx(-spec.gamma[k][0], abs=1e-8)
+            val = W[0] @ x + S[0] @ u + p[0]
+            assert val == pytest.approx(-inst.gamma, abs=1e-8)
+
+    def test_player_outside_range_is_rejected(self, rng):
+        inst = tightened_two_player_instance(rng)
+        policy = stagewise_newton_backward(inst.tight, inst.ref, feas_tol=1e-6)
+        for player in (2, -1):
+            with pytest.raises(ValueError, match=f"player {player} outside 0..1"):
+                epsilon_nash_gap(inst.partial, policy, player, 0, inst.ref.states[0])
+
+    @given(seed=st.integers(0, 2**32 - 1), T=st.integers(1, 8),
+           con=st.lists(st.integers(0, 8), max_size=4, unique=True),
+           loose=st.lists(st.integers(0, 8), max_size=2, unique=True),
+           start_frac=st.floats(0.0, 1.0), player=st.integers(0, 1),
+           eps=st.floats(0.0, 0.05))
+    def test_matches_dense_condensing(self, seed, T, con, loose, start_frac, player, eps):
+        rng = np.random.default_rng(seed)
+        inst = tightened_two_player_instance(rng, T=T, con_stages=con, loose_stages=loose)
+        policy = stagewise_newton_backward(inst.tight, inst.ref, feas_tol=1e-6)
+        start = int(start_frac * T + 0.5)
+        d = rng.standard_normal(2)
+        x0 = inst.ref.states[0] + eps * d / np.linalg.norm(d)
+        x_start = feedback_rollout(inst.partial, policy, x0).states[start]
+        gap = epsilon_nash_gap(inst.partial, policy, player, start, x_start)
+        ref_gap, J_policy, _ = oracle_gap(inst, inst.lq, policy, player, start, x_start)
+        assert abs(gap - ref_gap) <= 1e-9 * (1.0 + abs(J_policy))
+
+    @given(seed=st.integers(0, 2**32 - 1), T=st.integers(1, 6), player=st.integers(0, 1))
+    def test_convexity_verdict_matches_condensed_hessian(self, seed, T, player):
+        # Shifting the player's own-action curvature by up to -3 at about half
+        # the stages makes some best responses nonconvex.
+        rng = np.random.default_rng(seed)
+        inst = tightened_two_player_instance(rng, T=T)
+        policy = stagewise_newton_backward(inst.tight, inst.ref, feas_tol=1e-6)
+        shifts = np.where(rng.random(T + 1) < 0.5, rng.uniform(-3.0, 0.0, T + 1), 0.0)
+        lq = shifted_own_action_cost(inst.lq, player, shifts)
+        game = affine_quadratic_game(lq, inst.ref.states[0],
+                                     shift_rows(inst.rows, inst.gamma, True))
+        x0 = inst.ref.states[0]
+        ref_gap, J_policy, eigmin = oracle_gap(inst, lq, policy, player, 0, x0)
+        assume(abs(eigmin) >= 1e-9)
+        if eigmin < 0.0:
+            with pytest.raises(SubproblemError, match=rf"player {player} .*stage \d+"):
+                epsilon_nash_gap(game, policy, player, 0, x0)
+        else:
+            gap = epsilon_nash_gap(game, policy, player, 0, x0)
+            assert abs(gap - ref_gap) <= 1e-9 * (1.0 + abs(J_policy))
+
+    def test_zero_terminal_own_action_cost_is_rejected(self, rng):
+        inst = tightened_two_player_instance(rng)
+        policy = stagewise_newton_backward(inst.tight, inst.ref, feas_tol=1e-6)
+        T = inst.tight.horizon
+        for n in range(2):
+            lq = shifted_own_action_cost(inst.lq, n, [0.0] * T + [-inst.lq["R"][n][T][n, n]])
+            game = affine_quadratic_game(lq, inst.ref.states[0],
+                                         shift_rows(inst.rows, inst.gamma, True))
+            with pytest.raises(SubproblemError, match=f"player {n} .*stage {T}"):
+                epsilon_nash_gap(game, policy, n, 0, inst.ref.states[0])
+
+    def test_long_horizon_with_a_row_every_fifth_stage(self, rng):
+        # Rows at every stage make this instance's closed-loop rollout diverge.
+        T = 1000
+        inst = tightened_two_player_instance(rng, T=T, con_stages=range(0, T + 1, 5))
+        policy = stagewise_newton_backward(inst.tight, inst.ref, feas_tol=1e-6)
+        x_ref = inst.ref.states[0]
+        for n in range(2):
+            assert abs(epsilon_nash_gap(inst.partial, policy, n, 0, x_ref)) <= 1e-8
+        d = rng.standard_normal(2)
+        x_start = x_ref + 1e-2 * d / np.linalg.norm(d)
+        assert epsilon_nash_gap(inst.partial, policy, 1, 0, x_start) >= -1e-9
+        tracemalloc.start()
+        try:
+            gap = epsilon_nash_gap(inst.partial, policy, 0, 0, x_start)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gap >= -1e-9
+        # every array is O(T): the dense condensed Hessian alone would take
+        # 8 (T + 1)^2 bytes
+        assert peak < 8 * (T + 1) ** 2
+
+    def test_open_loop_certificate(self, rng):
+        # The open-loop replay of an equilibrium (zero gains and offsets) has
+        # no best-response gap; moving one opponent's actions opens one.
+        game, lq, rows = cross_scheme_lq_instance(rng)
+        olne = stacked_lq_gne(game, lq, rows)
+        policy = stagewise_newton_backward(game, olne)
+        replay = dataclasses.replace(policy, gains=[np.zeros_like(K) for K in policy.gains],
+                                     offsets=[np.zeros_like(s) for s in policy.offsets])
+        for n in range(2):
+            assert abs(epsilon_nash_gap(game, replay, n, 0, olne.states[0])) <= 1e-8
+        moved = olne.actions.copy()
+        moved[3:, 1] += 0.5  # after the row at stage 2, so the rollout stays feasible
+        gap = epsilon_nash_gap(game, dataclasses.replace(replay, reference=Trajectory(
+            olne.states, moved)), 0, 0, olne.states[0])
+        assert gap > 1e-4

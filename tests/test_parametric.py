@@ -11,10 +11,9 @@ from dyngames.parametric import (
     cone_to_inequalities,
     enumerate_lcq_parametric,
     solve_lecq_parametric,
-    solves_all_active_pieces,
 )
 
-from oracles import static_game_vi
+from oracles import solves_all_active_pieces, static_game_vi
 
 
 def random_parametric_game(rng, action_dims=(2, 1), state_dim=2, n_con=1,
