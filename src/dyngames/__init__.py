@@ -25,7 +25,6 @@ from .gradient import (
 from .projgrad import ProjGradConfig, project_onto_feasible, projected_gradient_solve
 from .splitting import (
     DrConfig,
-    ExtendedIterate,
     constrained_oc_projection,
     dr_solve,
     extended_gradient,
@@ -39,7 +38,6 @@ from .feedback import (
     FeedbackPolicy,
     epsilon_nash_gap,
     feedback_rollout,
-    solve_eq_constrained_stage_game,
     solve_unconstrained_newton,
     stagewise_newton_backward,
 )

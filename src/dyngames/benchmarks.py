@@ -21,7 +21,6 @@ from typing import Optional
 
 import numpy as np
 
-from .denseqp import ball_projection
 from .feedback import FeedbackPolicy, feedback_rollout
 from .model import GameDefinition, Trajectory, rollout
 
@@ -142,9 +141,6 @@ def fishery_game(params: FisheryParams = FisheryParams()) -> GameDefinition:
     lo = np.array([0.0, 0.0])
     hi = np.array([p.u1_max, p.u2_max])
 
-    def projector(k, x, u):
-        return x, np.clip(u, lo, hi)
-
     def traj_costs(states, actions):
         xs = states[:, 0]
         C = np.empty((xs.shape[0], 2))
@@ -181,7 +177,7 @@ def fishery_game(params: FisheryParams = FisheryParams()) -> GameDefinition:
         dynamics=dynamics, stage_costs=costs, constraints=constraints,
         dynamics_jacobians=dyn_jac, dynamics_hessians=dyn_hess,
         cost_gradients=cost_grads, cost_hessians=cost_hess,
-        constraint_jacobians=constraint_jac, stage_projector=projector,
+        constraint_jacobians=constraint_jac,
         polyhedral_constraints=True, constraints_in_actions_only=True,
         traj_costs=traj_costs,
         traj_cost_gradients=traj_cost_gradients,
@@ -218,9 +214,9 @@ def lq_rendezvous_game(params: LqRendezvousParams = LqRendezvousParams()) -> Gam
     squared distance to the player's target plus an effort penalty; the
     terminal cost is a heavily weighted distance.  Actions are limited to
     norm balls, and all positions must coincide at the meeting stage
-    (handled by the analytic stage projector as a consensus average).  The
-    whole-trajectory cost and projector hooks batch the same formulas over
-    the (T+1, 3, 2) player blocks.
+    (handled by the analytic projector as a consensus average).  The
+    whole-trajectory cost and projector hooks work on the (T+1, 3, 2) player
+    blocks of all stages at once.
     """
     p = params
     T = p.horizon
@@ -274,15 +270,6 @@ def lq_rendezvous_game(params: LqRendezvousParams = LqRendezvousParams()) -> Gam
                          x[2] - x[4], x[4] - x[2], x[3] - x[5], x[5] - x[3]])
         return np.array(rows)
 
-    def projector(k, x, u):
-        un = np.concatenate([ball_projection(block(u, n), p.u_max)
-                             for n in range(3)])
-        xn = np.asarray(x, dtype=float).copy()
-        if k == p.meet_stage:
-            mean = (xn[0:2] + xn[2:4] + xn[4:6]) / 3.0
-            xn = np.concatenate([mean, mean, mean])
-        return xn, un
-
     tgt_blocks = tgt.reshape(3, 2)
 
     def traj_costs(states, actions):
@@ -314,7 +301,6 @@ def lq_rendezvous_game(params: LqRendezvousParams = LqRendezvousParams()) -> Gam
         dynamics_jacobians=lambda k, x, u: (I6, I6),
         dynamics_hessians=lambda k, x, u: Z,
         cost_gradients=cost_grads, cost_hessians=cost_hess,
-        stage_projector=projector,
         linear_dynamics=True, quadratic_costs=True,
         traj_costs=traj_costs, traj_projector=traj_projector,
         name="lq_rendezvous")

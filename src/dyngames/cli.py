@@ -109,7 +109,7 @@ class RunConfig:
         for name in ("rho", "eta", "alpha", "tol", "active_tol", "stage_reg"):
             if name in raw:
                 val = float(raw[name])
-                if name != "stage_reg" and val <= 0:
+                if name != "stage_reg" and not val > 0:  # rejects NaN too
                     raise ConfigError(f"{name} must be positive, got {val}")
                 setattr(cfg, name, val)
         if "max_iter" in raw:
@@ -132,7 +132,7 @@ class RunConfig:
                 "n_runs": int(sim.get("n_runs", 100)),
                 "seed": int(sim.get("seed", 0)),
             }
-            if cfg.simulate["noise_var"] < 0 or cfg.simulate["n_runs"] <= 0:
+            if not cfg.simulate["noise_var"] >= 0 or cfg.simulate["n_runs"] <= 0:
                 raise ConfigError("simulate block needs noise_var >= 0 and n_runs > 0")
         cfg.output_dir = str(raw.get("output_dir", "out"))
         if "seed" in raw and raw["seed"] is not None:

@@ -17,6 +17,7 @@ block-banded horizon-wide problem costs O(T) per active-set step.
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -31,9 +32,9 @@ Array = np.ndarray
 # without cycling, the method needs about one add per active row and few drops.
 STEPS_PER_DIMENSION = 10
 
-# A row whose curvature along its step direction, relative to its squared
-# norm and the size of H, falls below this lies in the span of the active
-# rows: the step only moves multipliers.
+# A row whose curvature along its step direction, relative to the size of H
+# and to the scale of the step's rounding error, falls below this lies in the
+# span of the active rows: the step only moves multipliers.
 DEPENDENT_ROW_RATIO = 1e-11
 
 
@@ -137,6 +138,7 @@ def solve_qp(H, f: Array, G=None, h: Optional[Array] = None,
     H_size = max(float(abs(H).max() if sparse else np.max(np.abs(H))), np.finfo(float).tiny)
     vtol = tol * (1.0 + H_size + float(np.max(np.abs(f), initial=0.0)))
     zero_rhs = np.zeros(neq + m)
+    A_size = None  # largest row entry, found once rows are active
     active: list[int] = []
     steps = 0
     max_steps = STEPS_PER_DIMENSION * (n + m)
@@ -163,7 +165,13 @@ def solve_qp(H, f: Array, G=None, h: Optional[Array] = None,
                     f"KKT system of {len(active)} active rows is singular") from exc
             r_ineq = r[neq:]
             curvature = -float(g_vec @ s)  # s'Hs, since A_act s = 0
-            dependent = curvature * H_size <= DEPENDENT_ROW_RATIO * g_norm2
+            # The rounding error of s grows with the multipliers r of the
+            # active rows, which are large when g nearly lies in their span.
+            if n_act and A_size is None:
+                A_size = max(_max_abs(G), 0.0 if Aeq is None else _max_abs(Aeq))
+            r_scale = A_size * float(np.abs(r).sum()) if n_act else 0.0
+            dependent = (curvature * H_size
+                         <= DEPENDENT_ROW_RATIO * (g_norm2 + math.sqrt(g_norm2) * r_scale))
             full = np.inf if dependent else viol[p] / curvature
             blocking = np.flatnonzero(r_ineq < 0.0)
             partial, drop = np.inf, -1
@@ -189,19 +197,16 @@ def solve_qp(H, f: Array, G=None, h: Optional[Array] = None,
             viol[p] = float(g_vec @ z) - h[p]
 
 
+def _max_abs(M) -> float:
+    """Largest absolute entry of a dense or sparse matrix."""
+    return float(np.max(np.abs(M.data if sp.issparse(M) else M), initial=0.0))
+
+
 def project_polyhedron(point: Array, G: Array, h: Array) -> Array:
     """Euclidean projection of a point onto {z : Gz <= h}."""
     n = point.shape[0]
     z, _ = solve_qp(np.eye(n), -np.asarray(point, dtype=float), G=G, h=h)
     return z
-
-
-def ball_projection(v: Array, radius: float) -> Array:
-    """Euclidean projection onto a centered norm ball."""
-    nrm = float(np.linalg.norm(v))
-    if nrm <= radius:
-        return v.copy()
-    return v * (radius / nrm)
 
 
 def fit_log_decay(values: Array, burn_in_frac: float = 0.1,

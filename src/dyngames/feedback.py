@@ -21,7 +21,7 @@ opponents' policies as equality rows, in O(T) memory.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -39,12 +39,11 @@ from .lq import LqGameData, extract_lq_data, solve_lq_open_loop  # noqa: F401
 from .model import (
     DEFAULT_ACTIVE_TOL,
     GameDefinition,
-    StageQuadraticization,
     Trajectory,
     quadraticize,
     rollout,
 )
-from .parametric import AffineLaw, solve_stage_kkt
+from .parametric import solve_stage_kkt
 
 Array = np.ndarray
 
@@ -85,22 +84,7 @@ class FeedbackPolicy:
         return replace(self, offsets=[np.zeros_like(s) for s in self.offsets])
 
 
-def solve_eq_constrained_stage_game(F: Array, P: Array, H: Array,
-                                    W: Array, S: Array, p: Array,
-                                    stage: int = 0) -> AffineLaw:
-    """Affine equilibrium of one equality-constrained quadratic stage game.
-
-    Thin wrapper over the canonical parametric-game KKT solve; see
-    ``parametric.solve_stage_kkt`` for the contract.
-    """
-    W = np.zeros((0, P.shape[1])) if W is None else np.atleast_2d(W)
-    S = np.zeros((0, F.shape[0])) if S is None else np.atleast_2d(S)
-    p = np.zeros(0) if p is None else np.atleast_1d(p)
-    return solve_stage_kkt(F, P, H, W, S, p, stage=stage)
-
-
 def stagewise_newton_backward(game: GameDefinition, traj: Trajectory,
-                              quads: Optional[Sequence[StageQuadraticization]] = None,
                               active_tol: float = DEFAULT_ACTIVE_TOL,
                               use_constraints: bool = True,
                               feas_tol: float = 1e-6,
@@ -121,8 +105,7 @@ def stagewise_newton_backward(game: GameDefinition, traj: Trajectory,
     moving the equilibrium fixed point, since the stage first-order terms
     are untouched.
     """
-    if quads is None:
-        quads = quadraticize(game, traj, active_tol=active_tol, feas_tol=feas_tol)
+    quads = quadraticize(game, traj, active_tol=active_tol, feas_tol=feas_tol)
     T = game.horizon
     N, n_x, n_u = game.num_players, game.state_dim, game.total_action_dim
     nz = 1 + n_x + n_u
@@ -304,8 +287,9 @@ def epsilon_nash_gap(game: GameDefinition, policy: FeedbackPolicy,
             f"policy rollout violates the game's rows at stage {start + worst}",
             max_violation=float(roll.constraint_violations[worst]))
     data = extract_lq_data(game)
-    blocks = [np.block([[data.Q[player][k], data.X[player][k]],
-                        [data.X[player][k].T, data.R[player][k]]]) for k in range(start, T + 1)]
+    Q, X, R = data.Q[player, start:], data.X[player, start:], data.R[player, start:]
+    blocks = np.concatenate([np.concatenate([Q, X], axis=2),
+                             np.concatenate([X.swapaxes(1, 2), R], axis=2)], axis=1)
     _check_best_response_convex(blocks, data.A, data.B, policy.gains, own, player, start)
 
     Aeq, beq, G, h = lq.horizon_rows(game, start, roll.states[0])
@@ -318,9 +302,8 @@ def epsilon_nash_gap(game: GameDefinition, policy: FeedbackPolicy,
         rhs.append(ref.actions[k][opp] - K @ ref.states[k] + policy.offsets[k][opp])
     Aeq = sp.vstack([Aeq, sp.block_diag(follow)], format="csr")
     beq = np.concatenate([beq] + rhs)
-    H = sp.block_diag(blocks, format="csc")
-    f = np.concatenate([np.concatenate([data.q[player][k], data.r[player][k]])
-                        for k in range(start, T + 1)])
+    H = sp.block_diag(list(blocks), format="csc")
+    f = np.concatenate([data.q[player, start:], data.r[player, start:]], axis=1).ravel()
     v, _ = denseqp.solve_qp(H, f, G=G, h=h, Aeq=Aeq, beq=beq)
     v = v.reshape(T - start + 1, n_x + n_u)
     J_policy = J_best = 0.0
@@ -330,7 +313,7 @@ def epsilon_nash_gap(game: GameDefinition, policy: FeedbackPolicy,
     return float(J_policy - J_best)
 
 
-def _check_best_response_convex(blocks: list[Array], A: list, B: list, gains: list[Array],
+def _check_best_response_convex(blocks: Array, A: Array, B: Array, gains: list[Array],
                                 own: slice, player: int, start: int) -> None:
     """Raise SubproblemError unless the player's closed-loop best response is strictly convex.
 

@@ -27,6 +27,9 @@ from .model import GameDefinition, Trajectory, check_feasible, rollout
 Array = np.ndarray
 
 STATIONARITY_RTOL = 1e-6
+# Most negative eigenvalue, relative to the size of the reduced Hessian, that
+# the curvature test of ``playerwise_minimizer_check`` still reads as convex.
+HESSIAN_EIG_TOL = 1e-7
 
 
 @dataclass
@@ -182,8 +185,6 @@ class PlayerVerdict:
 
 
 def playerwise_minimizer_check(game: GameDefinition, traj: Trajectory,
-                               rtol: float = STATIONARITY_RTOL,
-                               hessian_eig_tol: float = 1e-7,
                                feas_tol: float = 1e-6) -> list[PlayerVerdict]:
     """Classify each player's candidate action sequence at a VI solution.
 
@@ -200,7 +201,7 @@ def playerwise_minimizer_check(game: GameDefinition, traj: Trajectory,
     for n in range(game.num_players):
         g = pg.block(n)
         gnorm = float(np.max(np.abs(g), initial=0.0))
-        if gnorm > rtol * u_scale:
+        if gnorm > STATIONARITY_RTOL * u_scale:
             if game.constraints is None:
                 verdicts.append(PlayerVerdict(n, VERDICT_INDETERMINATE, gnorm,
                                               flags=("nonzero-gradient-unconstrained",)))
@@ -215,7 +216,7 @@ def playerwise_minimizer_check(game: GameDefinition, traj: Trajectory,
             verdicts.append(PlayerVerdict(n, VERDICT_CONVEX, gnorm, min_reduced_eig=None))
             continue
         lam = float(np.min(np.linalg.eigvalsh(0.5 * (reduced + reduced.T))))
-        if lam >= -hessian_eig_tol * (1.0 + abs(float(np.max(np.abs(reduced))))):
+        if lam >= -HESSIAN_EIG_TOL * (1.0 + abs(float(np.max(np.abs(reduced))))):
             verdicts.append(PlayerVerdict(n, VERDICT_CONVEX, gnorm, min_reduced_eig=lam))
         else:
             verdicts.append(PlayerVerdict(n, VERDICT_INDETERMINATE, gnorm,

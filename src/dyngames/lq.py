@@ -1,7 +1,7 @@
 """Open-loop equilibria of linear-quadratic games: factor once, solve many.
 
 Player n's stage cost is 0.5 x'Q x + q'x + x'X u + 0.5 u'R u + r'u (data
-indexed ``Q[n][k]``) and the dynamics are x+ = A_k x + B_k u + b_k from a
+indexed ``Q[n, k]``) and the dynamics are x+ = A_k x + B_k u + b_k from a
 pinned initial state.  The open-loop equilibrium is found by one backward
 sweep that eliminates every player's costate with the affine ansatz
 ``nu_{n,k} = M_{n,k} x_k + m_{n,k}``, followed by a forward rollout.
@@ -52,35 +52,32 @@ Array = np.ndarray
 
 @dataclass
 class LqGameData:
-    """Per-stage matrices of a linear-quadratic game.
+    """Stacked per-stage matrices of a linear-quadratic game.
 
-    Dynamics x+ = A_k x + B_k u + b_k; player n's stage cost is
-    0.5 x'Q x + q'x + x'X u + 0.5 u'R u + r'u with stage/player indexing
-    Q[n][k] etc.
+    Dynamics x+ = A_k x + B_k u + b_k, with A, B and b of shapes
+    (T, n_x, n_x), (T, n_x, n_u) and (T, n_x); player n's stage cost is
+    0.5 x'Q x + q'x + x'X u + 0.5 u'R u + r'u, with Q, X, R, q and r of
+    shapes (N, T+1, ...) indexed ``Q[n, k]``.
     """
 
-    A: list
-    B: list
-    b: list
-    Q: list
-    X: list
-    R: list
-    q: list
-    r: list
+    A: Array
+    B: Array
+    b: Array
+    Q: Array
+    X: Array
+    R: Array
+    q: Array
+    r: Array
     action_dims: tuple[int, ...]
     initial_state: Array
 
 
-def affine_dynamics(game: GameDefinition) -> tuple[list, list, list]:
-    """(A_k, B_k, b_k) of a game with declared linear dynamics."""
-    n_x, n_u = game.state_dim, game.total_action_dim
-    zx, zu = np.zeros(n_x), np.zeros(n_u)
-    A, B, b = [], [], []
-    for k in range(game.horizon):
-        Ak, Bk = game.eval_dynamics_jacobians(k, zx, zu)
-        A.append(Ak)
-        B.append(Bk)
-        b.append(game.eval_dynamics(k, zx, zu))
+def affine_dynamics(game: GameDefinition) -> tuple[Array, Array, Array]:
+    """Stacked (A, B, b) of a game with declared linear dynamics: (T, n_x, ...)."""
+    T, n_x = game.horizon, game.state_dim
+    zx, zu = np.zeros((T + 1, n_x)), np.zeros((T + 1, game.total_action_dim))
+    A, B = game.eval_traj_dynamics_jacobians(zx, zu)
+    b = np.array([game.eval_dynamics(k, zx[k], zu[k]) for k in range(T)]).reshape(T, n_x)
     return A, B, b
 
 
@@ -126,7 +123,7 @@ def horizon_rows(game: GameDefinition, start: int = 0, x_start: Optional[Array] 
         step = sp.block_diag([np.hstack([A[k], B[k]]) for k in range(start, T)])
         Aeq = Aeq - sp.bmat([[sp.csr_matrix((n_x, steps * n_v)), None],
                              [step, sp.csr_matrix((steps * n_x, n_v))]], format="csr")
-        beq = np.concatenate([x_start] + b[start:])
+        beq = np.concatenate([x_start, b[start:].ravel()])
     else:
         beq = np.array(x_start, dtype=float)
     G = h = None
@@ -144,26 +141,16 @@ def extract_lq_data(game: GameDefinition) -> LqGameData:
     if not (game.linear_dynamics and game.quadratic_costs):
         raise ValueError("game is not declared linear-quadratic")
     T = game.horizon
-    n_x, n_u, N = game.state_dim, game.total_action_dim, game.num_players
-    zx, zu = np.zeros(n_x), np.zeros(n_u)
+    zx, zu = np.zeros((T + 1, game.state_dim)), np.zeros((T + 1, game.total_action_dim))
     A, B, b = affine_dynamics(game)
-    Q = [[] for _ in range(N)]
-    X = [[] for _ in range(N)]
-    R = [[] for _ in range(N)]
-    qv = [[] for _ in range(N)]
-    rv = [[] for _ in range(N)]
-    for k in range(T + 1):
-        cx0, cu0 = game.eval_cost_gradients(k, zx, zu)
-        cxx, cxu, cuu = game.eval_cost_hessians(k, zx, zu)
-        for n in range(N):
-            Q[n].append(0.5 * (cxx[n] + cxx[n].T))
-            X[n].append(cxu[n])
-            R[n].append(0.5 * (cuu[n] + cuu[n].T))
-            qv[n].append(cx0[n])
-            rv[n].append(cu0[n])
-    return LqGameData(A=A, B=B, b=b, Q=Q, X=X, R=R, q=qv, r=rv,
-                      action_dims=game.action_dims,
-                      initial_state=game.initial_state)
+    q, r = game.eval_traj_cost_gradients(zx, zu)
+    hess = [game.eval_cost_hessians(k, zx[k], zu[k]) for k in range(T + 1)]
+    # every block as (N, T+1, ...): players first, then stages
+    cxx, cxu, cuu = (np.array([h[i] for h in hess]).swapaxes(0, 1) for i in range(3))
+    return LqGameData(A=A, B=B, b=b, Q=0.5 * (cxx + cxx.swapaxes(2, 3)), X=cxu,
+                      R=0.5 * (cuu + cuu.swapaxes(2, 3)),
+                      q=q.swapaxes(0, 1), r=r.swapaxes(0, 1),
+                      action_dims=game.action_dims, initial_state=game.initial_state)
 
 
 def _bmv(mats: Array, vecs: Array) -> Array:
@@ -237,10 +224,9 @@ def _factor_data(data: LqGameData, eta: Optional[float] = None) -> LqFactor:
     Raises StageSingularityError naming the latest stage whose stationarity
     matrix F_k is numerically rank deficient (the sweep runs backward).
     """
-    T = len(data.Q[0]) - 1
-    N = len(data.action_dims)
+    N, T1, n_x = data.Q.shape[:3]
+    T = T1 - 1
     offsets = np.concatenate([[0], np.cumsum(data.action_dims)]).astype(int)
-    n_x = data.Q[0][0].shape[0]
     n_u = int(offsets[-1])
     blocks = [slice(offsets[n], offsets[n + 1]) for n in range(N)]
     rows = [slice(n * n_x, (n + 1) * n_x) for n in range(N)]
@@ -263,9 +249,9 @@ def _factor_data(data: LqGameData, eta: Optional[float] = None) -> LqFactor:
         Bblk = np.zeros((n_u, N * n_x))
         for n, sl in enumerate(blocks):
             BnM = B[:, sl].T @ M[n]
-            F[sl] = data.R[n][k][sl] + BnM @ B
-            P[sl] = data.X[n][k].T[sl] + BnM @ A
-            h[sl] = data.r[n][k][sl] + BnM @ b
+            F[sl] = data.R[n, k][sl] + BnM @ B
+            P[sl] = data.X[n, k].T[sl] + BnM @ A
+            h[sl] = data.r[n, k][sl] + BnM @ b
             Bblk[sl, rows[n]] = B[:, sl].T
         rank = np.linalg.matrix_rank(F)
         if rank < n_u:
@@ -275,19 +261,17 @@ def _factor_data(data: LqGameData, eta: Optional[float] = None) -> LqFactor:
         Kk = -Fi @ P
         for n, rn in enumerate(rows):
             AtM = A.T @ M[n]
-            G[k, rn] = data.X[n][k] + AtM @ B
-            c[k, rn] = data.q[n][k] + AtM @ b
+            G[k, rn] = data.X[n, k] + AtM @ B
+            c[k, rn] = data.q[n, k] + AtM @ b
             Mm[k, rn, rn] = A.T
-            M[n] = data.Q[n][k] + data.X[n][k] @ Kk + AtM @ (A + B @ Kk)
+            M[n] = data.Q[n, k] + data.X[n, k] @ Kk + AtM @ (A + B @ Kk)
         K[k], Finv[k], e[k], Dm[k] = Kk, Fi, -Fi @ h, -Fi @ Bblk
         Mm[k] += G[k] @ Dm[k]
         if k < T:
             Acl[k] = A + B @ Kk
-    Bs = np.asarray(data.B, dtype=float).reshape(T, n_x, n_u)
-    bs = np.asarray(data.b, dtype=float).reshape(T, n_x)
     return LqFactor(initial_state=np.asarray(data.initial_state, dtype=float),
                     K=K, Finv=Finv, e=e, Dm=Dm, G=G, c=c, Mm=Mm, Acl=Acl,
-                    B=Bs, b=bs, num_players=N, eta=eta)
+                    B=data.B, b=data.b, num_players=N, eta=eta)
 
 
 def factor(game: GameDefinition, eta: float) -> LqFactor:
@@ -298,7 +282,7 @@ def factor(game: GameDefinition, eta: float) -> LqFactor:
     """
     if eta < 0:
         raise ValueError(f"regularization must be nonnegative, got {eta}")
-    T = game.horizon
+    T1 = game.horizon + 1
     n_x, n_u = game.state_dim, game.total_action_dim
     I_x, I_u = np.eye(n_x), np.eye(n_u)
     if eta == 0:
@@ -307,18 +291,14 @@ def factor(game: GameDefinition, eta: float) -> LqFactor:
         A, B, b = affine_dynamics(game)
         # One player holding every action: all players share the same cost.
         data = LqGameData(
-            A=A, B=B, b=b, Q=[[I_x] * (T + 1)], X=[[np.zeros((n_x, n_u))] * (T + 1)],
-            R=[[I_u] * (T + 1)], q=[[np.zeros(n_x)] * (T + 1)], r=[[np.zeros(n_u)] * (T + 1)],
+            A=A, B=B, b=b, Q=np.broadcast_to(I_x, (1, T1, n_x, n_x)),
+            X=np.zeros((1, T1, n_x, n_u)), R=np.broadcast_to(I_u, (1, T1, n_u, n_u)),
+            q=np.zeros((1, T1, n_x)), r=np.zeros((1, T1, n_u)),
             action_dims=(n_u,), initial_state=game.initial_state)
         return _factor_data(data, eta)
     base = extract_lq_data(game)
-
-    def scaled(blocks, shift=None):
-        return [[eta * m if shift is None else eta * m + shift for m in per_player]
-                for per_player in blocks]
-
-    data = replace(base, Q=scaled(base.Q, I_x), X=scaled(base.X), R=scaled(base.R, I_u),
-                   q=scaled(base.q), r=scaled(base.r))
+    data = replace(base, Q=eta * base.Q + I_x, X=eta * base.X, R=eta * base.R + I_u,
+                   q=eta * base.q, r=eta * base.r)
     return _factor_data(data, eta)
 
 

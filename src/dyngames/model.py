@@ -61,17 +61,18 @@ class GameDefinition:
       (T, n_x, n_x) and (T, n_x, n_u), one row per stage k < T (the
       terminal action never enters the dynamics), like
       ``dynamics_jacobians``;
-    * ``traj_projector(states, actions) -> (states, actions)`` projects every
-      stage's (x_k, u_k) pair onto that stage's constraint set at once, like
-      ``stage_projector`` stage by stage, with shapes (T+1, n_x) and
-      (T+1, n_u).  ``states`` may be None for action-only constraint
-      classes, and then comes back None.
 
-    ``eval_traj_costs``, ``eval_traj_cost_gradients``,
-    ``eval_traj_dynamics_jacobians`` and ``eval_traj_projection`` call the
-    matching evaluator when present and otherwise stack the per-stage
-    evaluators; either way the outputs are shape-checked once per call and a
-    mismatch raises DimensionError.
+    ``eval_traj_costs``, ``eval_traj_cost_gradients`` and
+    ``eval_traj_dynamics_jacobians`` call the matching evaluator when present
+    and otherwise stack the per-stage evaluators; either way the outputs are
+    shape-checked once per call and a mismatch raises DimensionError.
+
+    The analytic projector has only the whole-trajectory form:
+    ``traj_projector(states, actions) -> (states, actions)`` projects every
+    stage's (x_k, u_k) pair onto that stage's constraint set at once, with
+    shapes (T+1, n_x) and (T+1, n_u).  ``states`` may be None for
+    action-only constraint classes, and then comes back None.
+    ``eval_traj_projection`` calls it and checks the shapes the same way.
 
     Optional batch evaluators serve rollouts of many scenarios at once.
     Each takes the stage index and B stacked points, ``X`` of shape (B, n_x)
@@ -98,7 +99,6 @@ class GameDefinition:
     cost_gradients: Optional[Callable[[int, Array, Array], tuple]] = None
     cost_hessians: Optional[Callable[[int, Array, Array], tuple]] = None
     constraint_jacobians: Optional[Callable[[int, Array, Array], tuple]] = None
-    stage_projector: Optional[Callable[[int, Array, Array], tuple]] = None
     linear_dynamics: bool = False
     quadratic_costs: bool = False
     polyhedral_constraints: bool = False
@@ -246,20 +246,11 @@ class GameDefinition:
                              actions: Array) -> tuple[Optional[Array], Array]:
         """Stagewise projection of a whole trajectory: (T+1, n_x) and (T+1, n_u).
 
-        ``states`` may be None only when the game has a ``traj_projector``
-        (stacking ``stage_projector`` needs a state per stage); the states
-        then come back None.
+        ``states`` may be None; they then come back None.
         """
-        if self.traj_projector is not None:
-            X, U = self.traj_projector(states, actions)
-        elif self.stage_projector is None:
-            raise ValueError("game has neither a trajectory nor a stage projector")
-        elif states is None:
-            raise ValueError("stacking the stage projector needs the states")
-        else:
-            stages = [self.stage_projector(k, states[k], actions[k])
-                      for k in range(self.horizon + 1)]
-            X, U = [s[0] for s in stages], [s[1] for s in stages]
+        if self.traj_projector is None:
+            raise ValueError("game has no trajectory projector")
+        X, U = self.traj_projector(states, actions)
         lead = self.horizon + 1
         U = _checked("projected actions", U, (lead, self.total_action_dim))
         if states is None:
@@ -374,9 +365,6 @@ class Trajectory:
     def horizon(self) -> int:
         return self.states.shape[0] - 1
 
-    def player_actions(self, game: GameDefinition, n: int) -> Array:
-        return self.actions[:, game.action_slice(n)]
-
     def dynamics_residuals(self, game: GameDefinition) -> Array:
         """Per-stage residual norms ||x_{k+1} - f_k(x_k, u_k)||."""
         T = self.horizon
@@ -424,10 +412,6 @@ class StageQuadraticization:
     def active_rows(self) -> tuple[Array, Array, Array]:
         a = self.active_indices
         return self.W[a], self.S[a], self.p[a]
-
-    def inactive_rows(self) -> tuple[Array, Array, Array]:
-        i = self.inactive_indices
-        return self.W[i], self.S[i], self.p[i]
 
 
 def rollout(game: GameDefinition, x0: Array, controls: Array) -> Trajectory:
@@ -498,16 +482,14 @@ def check_feasible(game: GameDefinition, traj: Trajectory, tol: float = 1e-8) ->
 
 def quadraticize(game: GameDefinition, traj: Trajectory,
                  active_tol: float = DEFAULT_ACTIVE_TOL,
-                 feas_tol: float = 1e-6,
-                 check: bool = True) -> list[StageQuadraticization]:
+                 feas_tol: float = 1e-6) -> list[StageQuadraticization]:
     """Evaluate all stage derivative data along a trajectory.
 
     Returns one StageQuadraticization per stage k = 0..T.  Dynamics blocks
     (A, B, G) are present for k < T only.  Active constraint indices collect
     rows with ``g_i >= -active_tol``.
     """
-    if check:
-        check_feasible(game, traj, feas_tol)
+    check_feasible(game, traj, feas_tol)
     T = game.horizon
     n_x, n_u, N = game.state_dim, game.total_action_dim, game.num_players
     out = []

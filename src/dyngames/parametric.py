@@ -37,6 +37,10 @@ Array = np.ndarray
 
 ENUMERATION_CAP = 12
 
+# Largest KKT residual, relative to the size of the stage data, that a
+# returned law may leave at the probe parameters.
+KKT_RTOL = 1e-8
+
 
 @dataclass(frozen=True)
 class ParametricGameData:
@@ -163,28 +167,27 @@ def _check_full_row_rank(S: Array) -> bool:
     return sv[-1] > max(S.shape) * np.finfo(float).eps * sv[0]
 
 
-def solve_lecq_parametric(data: ParametricGameData,
-                          residual_check: bool = True) -> AffineLaw:
+def solve_lecq_parametric(data: ParametricGameData) -> AffineLaw:
     """Affine equilibrium of the equality-constrained quadratic parametric game.
 
-    Solves the stacked KKT system for the gain and offset pair and, unless
-    disabled, verifies the KKT residuals at random parameters so that a sign
-    or assembly mistake can never produce a silently wrong law.
+    Solves the stacked KKT system for the gain and offset pair and verifies
+    the KKT residuals at random parameters so that a sign or assembly
+    mistake can never produce a silently wrong law.
     """
     F, P, H = data.stationarity_blocks()
-    return solve_stage_kkt(F, P, H, data.W, data.S, data.p,
-                           residual_check=residual_check)
+    return solve_stage_kkt(F, P, H, data.W, data.S, data.p)
 
 
 def solve_stage_kkt(F: Array, P: Array, H: Array,
-                    W: Array, S: Array, p: Array,
-                    stage: int = 0, residual_check: bool = True,
-                    rtol: float = 1e-8) -> AffineLaw:
+                    W: Array, S: Array, p: Array, stage: int = 0) -> AffineLaw:
     """Core KKT solve shared by the parametric and backward-pass solvers.
 
     Finds K, s (and multiplier gains) such that for every x,
     ``F(Kx+s) + Px + H + S'lam(x) = 0`` and ``W x + S(Kx+s) + p = 0``.
-    With no constraint rows this reduces to ``u = -F^{-1}(Px + H)``.
+    With no constraint rows (W, S and p with zero rows) this reduces to
+    ``u = -F^{-1}(Px + H)``.  The residuals of the returned law are checked
+    at two probe parameters; one above ``KKT_RTOL`` raises
+    StageSingularityError naming the stage.
     """
     n_u = F.shape[0]
     m = S.shape[0]
@@ -209,15 +212,14 @@ def solve_stage_kkt(F: Array, P: Array, H: Array,
         raise StageSingularityError(stage, f"stage KKT system is singular ({exc})") from exc
     law = AffineLaw(K=sol_K[:n_u], s=sol_s[:n_u],
                     lam_K=sol_K[n_u:], lam_s=sol_s[n_u:])
-    if residual_check:
-        _validate_law(F, P, H, W, S, p, law, stage, rtol)
+    _validate_law(F, P, H, W, S, p, law, stage)
     return law
 
 
 _PROBE_SEED = np.random.default_rng(0).standard_normal(512)
 
 
-def _validate_law(F, P, H, W, S, p, law, stage, rtol):
+def _validate_law(F, P, H, W, S, p, law, stage):
     n_x = P.shape[1]
     scale = (np.abs(F).max() + np.abs(P).max(initial=0.0)
              + np.abs(H).max(initial=0.0) + 1.0)
@@ -226,12 +228,12 @@ def _validate_law(F, P, H, W, S, p, law, stage, rtol):
         u = law.K @ x + law.s
         lam = law.lam_K @ x + law.lam_s
         r1 = F @ u + P @ x + H + (S.T @ lam if S.shape[0] else 0.0)
-        if np.max(np.abs(r1)) > rtol * scale:
+        if np.max(np.abs(r1)) > KKT_RTOL * scale:
             raise StageSingularityError(
                 stage, f"stage KKT residual {np.max(np.abs(r1)):.2e} exceeds tolerance")
         if S.shape[0]:
             r2 = W @ x + S @ u + p
-            if np.max(np.abs(r2)) > rtol * scale:
+            if np.max(np.abs(r2)) > KKT_RTOL * scale:
                 raise StageSingularityError(
                     stage, f"stage constraint residual {np.max(np.abs(r2)):.2e} "
                     "exceeds tolerance")

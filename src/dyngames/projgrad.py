@@ -15,7 +15,7 @@ dynamics and stage constraints.  Two constraint classes are supported:
 * affine stage constraints with linear dynamics: one exact QP over the
   whole stacked trajectory, with the dynamics as equality rows, the stage
   rows as inequality rows and weight zero on the states
-  (``splitting.action_space_projection``).
+  (``splitting.horizon_qp(game, 0.0)``).
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import SubproblemError, UnsupportedConstraintError
+from .errors import UnsupportedConstraintError
 from .gradient import playerwise_minimizer_check, pseudo_gradient
-from .model import GameDefinition, Trajectory, all_player_costs, rollout
+from .model import GameDefinition, all_player_costs, rollout
 from .report import (
     TERM_DIVERGENCE,
     TERM_MAX_ITER,
@@ -52,10 +52,13 @@ class ProjGradConfig:
     run_checks: bool = True
 
     def __post_init__(self):
-        if self.step_size <= 0:
+        # written as ``not x > 0`` so that NaN is rejected too
+        if not self.step_size > 0:
             raise ValueError(f"step size must be positive, got {self.step_size}")
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ValueError(f"tolerance must be positive, got {self.tol}")
+        if not self.divergence_factor > 0:
+            raise ValueError(f"divergence factor must be positive, got {self.divergence_factor}")
         if self.max_iter < 0:
             raise ValueError(f"iteration budget must be nonnegative, got {self.max_iter}")
 
@@ -64,8 +67,7 @@ def _projection_route(game: GameDefinition) -> Optional[str]:
     """How ``project_onto_feasible`` projects: None (no constraints), "analytic" or "qp"."""
     if game.constraints is None:
         return None
-    if game.constraints_in_actions_only and (game.traj_projector is not None
-                                             or game.stage_projector is not None):
+    if game.constraints_in_actions_only and game.traj_projector is not None:
         return "analytic"
     if game.linear_dynamics and game.polyhedral_constraints:
         return "qp"
@@ -82,18 +84,21 @@ def project_onto_feasible(game: GameDefinition, actions: Array,
     (states rolled out from the game's initial state) and the stage
     constraints.  Identity on feasible inputs.  On the affine-row route
     ``qp`` (from ``splitting.horizon_qp(game, 0.0)``) reuses the QP rows
-    across calls; they are built here when it is None.
+    across calls; they are built here when it is None.  That QP weighs the
+    states by zero: the dynamics rows tie them to the actions, so they carry
+    the stage rows without entering the objective.
     """
     actions = np.asarray(actions, dtype=float)
     route = _projection_route(game)
     if route is None:
         return actions.copy()
-    if route == "qp":
-        return splitting.action_space_projection(game, actions, qp)
-    # only the stacked stage projector needs the rolled-out states
-    states = (None if game.traj_projector is not None
-              else rollout(game, game.initial_state, actions).states)
-    return game.eval_traj_projection(states, actions)[1]
+    if route == "analytic":
+        return game.eval_traj_projection(None, actions)[1]
+    if qp is None:
+        qp = splitting.horizon_qp(game, 0.0)
+    elif qp.state_weight != 0.0:
+        raise ValueError(f"action-space projection needs state weight 0, got {qp.state_weight}")
+    return qp.project(np.zeros((actions.shape[0], game.state_dim)), actions)[1]
 
 
 def projected_gradient_solve(game: GameDefinition, u0: Array,

@@ -95,24 +95,19 @@ class DrConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; pick one of {SCHEMES}")
+        # written as ``not x > 0`` so that NaN is rejected too
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"averaging weight must lie strictly in (0,1), got {self.alpha}")
-        if self.eta <= 0.0:
+        if not self.eta > 0.0:
             raise ValueError(f"regularization must be positive, got {self.eta}")
         if self.max_iter < 0:
             raise ValueError(f"iteration budget must be nonnegative, got {self.max_iter}")
         if self.inner_max_iter < 1:
             raise ValueError(f"inner iteration budget must be at least 1, got {self.inner_max_iter}")
-        if self.tol <= 0 or self.inner_tol <= 0:
-            raise ValueError("tolerances must be positive")
-
-
-@dataclass
-class ExtendedIterate:
-    """The stacked splitting variable [x, u]."""
-
-    x: Array
-    u: Array
+        if not (self.tol > 0 and self.inner_tol > 0):
+            raise ValueError(f"tolerances must be positive, got {self.tol} and {self.inner_tol}")
+        if not self.divergence_factor > 0:
+            raise ValueError(f"divergence factor must be positive, got {self.divergence_factor}")
 
 
 def extended_gradient(game: GameDefinition, x: Array, u: Array) -> Array:
@@ -214,7 +209,7 @@ def project_stage_constraints(game: GameDefinition, y: Array,
     """
     if game.constraints is None:
         return np.array(y, dtype=float, copy=True), np.array(z, dtype=float, copy=True)
-    if game.traj_projector is not None or game.stage_projector is not None:
+    if game.traj_projector is not None:
         return game.eval_traj_projection(np.asarray(y, dtype=float),
                                          np.asarray(z, dtype=float))
     xs, us = np.array(y, dtype=float, copy=True), np.array(z, dtype=float, copy=True)
@@ -477,39 +472,17 @@ def _constraint_violation(game: GameDefinition, traj: Trajectory) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Action-space projection used by the projected-gradient solver.
-# ---------------------------------------------------------------------------
-
-
-def action_space_projection(game: GameDefinition, target: Array,
-                            qp: Optional[HorizonQp] = None) -> Array:
-    """argmin |u - target|^2 over action sequences with a feasible rollout.
-
-    The horizon-wide projection QP with weight zero on the states: the
-    dynamics rows tie the states to the actions, so the states carry the
-    stage rows without entering the objective.  Its rows are built here
-    unless ``qp`` (from ``horizon_qp(game, 0.0)``) is passed to reuse them.
-    """
-    target = np.asarray(target, dtype=float)
-    if qp is None:
-        qp = horizon_qp(game, 0.0)
-    elif qp.state_weight != 0.0:
-        raise ValueError(f"action-space projection needs state weight 0, got {qp.state_weight}")
-    return qp.project(np.zeros((target.shape[0], game.state_dim)), target)[1]
-
-
-# ---------------------------------------------------------------------------
 # The splitting iteration.
 # ---------------------------------------------------------------------------
 
 
-def dr_solve(game: GameDefinition, cfg: DrConfig,
-             w0: Optional[ExtendedIterate] = None) -> SolverReport:
+def dr_solve(game: GameDefinition, cfg: DrConfig) -> SolverReport:
     """Run the reflected-resolvent iteration; returns the last resolvent output.
 
-    The averaged variable is the splitting shadow iterate; the equilibrium
-    candidate is the output of the second resolvent of the final iteration,
-    which lies in that resolvent's constraint set by construction.
+    The averaged variable is the splitting shadow iterate; it starts at zero
+    actions and their rollout.  The equilibrium candidate is the output of
+    the second resolvent of the final iteration, which lies in that
+    resolvent's constraint set by construction.
     The run stops with ``tolerance`` when the averaged-iterate step and the
     candidate's dynamics and constraint residuals are all at most
     ``cfg.tol``.  The residuals are computed only once the step test passes,
@@ -517,14 +490,8 @@ def dr_solve(game: GameDefinition, cfg: DrConfig,
     evaluation; the stopping iteration is the same as checking all three
     every time.
     """
-    T = game.horizon
-    n_x, n_u = game.state_dim, game.total_action_dim
-    if w0 is None:
-        u_init = np.zeros((T + 1, n_u))
-        x_init = rollout(game, game.initial_state, u_init).states
-        w0 = ExtendedIterate(x=x_init, u=u_init)
-    wx = np.array(w0.x, dtype=float, copy=True)
-    wu = np.array(w0.u, dtype=float, copy=True)
+    wu = np.zeros((game.horizon + 1, game.total_action_dim))
+    wx = rollout(game, game.initial_state, wu).states
     scale0 = 1.0 + float(np.linalg.norm(np.concatenate([wx.ravel(), wu.ravel()])))
 
     kernel = _scheme_kernel(game, cfg)

@@ -29,7 +29,7 @@ def identity_sum_game(T=3, state_dim=2, action_dims=(2,), x0=None):
 
 def random_lq_game(rng, T=4, state_dim=2, action_dims=(1, 1), x0_scale=1.0,
                    shared_state_cost=False, constraints=None,
-                   constraint_jacobians=None, stage_projector=None,
+                   constraint_jacobians=None,
                    polyhedral=False, u_only=False, cross_coupling=0.2):
     """Random linear dynamics with strongly convex quadratic stage costs.
 
@@ -101,7 +101,6 @@ def random_lq_game(rng, T=4, state_dim=2, action_dims=(1, 1), x0_scale=1.0,
         cost_gradients=cost_grads,
         cost_hessians=cost_hess,
         constraint_jacobians=constraint_jacobians,
-        stage_projector=stage_projector,
         linear_dynamics=True,
         polyhedral_constraints=polyhedral,
         constraints_in_actions_only=u_only,
@@ -268,9 +267,6 @@ def monotone_quadratic_game(rng, T=2, bound=0.6, skew=0.8):
     def constraint_jac(k, x, u):
         return np.zeros((4, 1)), np.vstack([np.eye(2), -np.eye(2)])
 
-    def projector(k, x, u):
-        return x, np.clip(u, -bound, bound)
-
     game = GameDefinition(
         horizon=T, state_dim=1, action_dims=(1, 1), initial_state=[0.0],
         dynamics=lambda k, x, u: x,
@@ -280,7 +276,7 @@ def monotone_quadratic_game(rng, T=2, bound=0.6, skew=0.8):
         dynamics_hessians=lambda k, x, u: np.zeros((1, 3, 3)),
         cost_gradients=grads, cost_hessians=hess,
         constraint_jacobians=constraint_jac,
-        stage_projector=projector,
+        traj_projector=lambda states, actions: (states, np.clip(actions, -bound, bound)),
         linear_dynamics=True, polyhedral_constraints=True,
         constraints_in_actions_only=True,
     )

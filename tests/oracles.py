@@ -405,18 +405,49 @@ def dense_best_response_gap(A, B, b, C, rows, gains, offsets, ref_states, ref_ac
 
 
 # ---------------------------------------------------------------------------
+# Stage projections of the built-in games, one stage at a time.
+# ---------------------------------------------------------------------------
+
+
+def fishery_stage_projection(params, k, x, u):
+    """Stage k of the fishery projection: each effort clamped to [0, u_n_max]."""
+    return x, np.array([min(max(u[0], 0.0), params.u1_max),
+                        min(max(u[1], 0.0), params.u2_max)])
+
+
+def rendezvous_stage_projection(params, k, x, u):
+    """Stage k of the rendezvous projection.
+
+    Each player's action block is scaled back onto the ball of radius u_max
+    when it lies outside; at the meeting stage every position becomes the
+    mean of the three.
+    """
+    un = np.empty(6)
+    for n in range(3):
+        block = u[2 * n:2 * n + 2]
+        nrm = float(np.linalg.norm(block))
+        un[2 * n:2 * n + 2] = block if nrm <= params.u_max else block * (params.u_max / nrm)
+    xn = np.array(x, dtype=float)
+    if k == params.meet_stage:
+        xn = np.tile((xn[0:2] + xn[2:4] + xn[4:6]) / 3.0, 3)
+    return xn, un
+
+
+# ---------------------------------------------------------------------------
 # Douglas-Rachford stopping rule, every check on every iteration.
 # ---------------------------------------------------------------------------
 
 
-def dr_constraints_scheme_trace(game, eta, alpha, max_iter):
+def dr_constraints_scheme_trace(game, stage_projection, eta, alpha, max_iter):
     """Per-iteration (step, dynamics residual, constraint violation) of DR.
 
     Runs the ``constraints`` scheme from zero actions, as ``dr_solve`` does,
     with the package's factored regularized-game resolvent (checked on its own
-    in test_lq) and the game's ``stage_projector`` applied stage by stage.
-    Both residuals of the candidate are evaluated on every iteration, one
-    stage at a time.  Returns an array of shape (max_iter, 3).
+    in test_lq) and ``stage_projection(k, x, u) -> (x, u)``, a per-stage
+    reference for the game's projector (such as
+    ``rendezvous_stage_projection``), applied stage by stage.  Both residuals
+    of the candidate are evaluated on every iteration, one stage at a time.
+    Returns an array of shape (max_iter, 3).
     """
     from dyngames.lq import factor
     from dyngames.splitting import resolvent_reg_game
@@ -431,7 +462,7 @@ def dr_constraints_scheme_trace(game, eta, alpha, max_iter):
         yx, yu = 2 * tx - wx, 2 * tu - wu
         cx, cu = np.empty_like(yx), np.empty_like(yu)
         for k in range(T + 1):
-            cx[k], cu[k] = game.stage_projector(k, yx[k], yu[k])
+            cx[k], cu[k] = stage_projection(k, yx[k], yu[k])
         new_wx = (1 - alpha) * wx + alpha * (2 * cx - yx)
         new_wu = (1 - alpha) * wu + alpha * (2 * cu - yu)
         step = max(np.max(np.abs(new_wx - wx)), np.max(np.abs(new_wu - wu)))

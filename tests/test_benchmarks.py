@@ -20,6 +20,24 @@ from dyngames.feedback import stagewise_newton_backward
 from dyngames.model import GameDefinition, Trajectory, rollout, total_cost
 from dyngames.projgrad import ProjGradConfig, project_onto_feasible, projected_gradient_solve
 
+from oracles import fishery_stage_projection, rendezvous_stage_projection
+
+
+_effort = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def fishery_cases(draw):
+    """Parameters, stocks and efforts; efforts free, on a bound or beyond one."""
+    u_max = (draw(st.sampled_from([0.3, 0.4, 1.0])), draw(st.sampled_from([0.2, 0.3])))
+    params = FisheryParams(u1_max=u_max[0], u2_max=u_max[1],
+                           horizon_time=0.1 * draw(st.integers(1, 6)))
+    T1 = params.n_stages + 1
+    states = np.array(draw(st.lists(st.floats(0.0, 150.0), min_size=T1, max_size=T1)))
+    columns = [draw(st.lists(st.one_of(_effort, st.sampled_from([0.0, m, -m, 2.0 * m])),
+                             min_size=T1, max_size=T1)) for m in u_max]
+    return params, states.reshape(T1, 1), np.column_stack(columns)
+
 
 class TestFisheryGame:
     def test_stage_count(self):
@@ -95,28 +113,26 @@ class TestFisheryGame:
 
     def test_projector_clamps(self):
         game = fishery_game(FisheryParams(horizon_time=0.2))
-        _, u = game.stage_projector(0, np.array([50.0]), np.array([0.9, -0.2]))
-        np.testing.assert_allclose(u, [0.4, 0.0])
+        _, U = game.eval_traj_projection(None, np.tile([0.9, -0.2], (3, 1)))
+        np.testing.assert_allclose(U, np.tile([0.4, 0.0], (3, 1)))
 
-    def test_trajectory_projector_matches_stage_projector(self, monkeypatch):
-        game = fishery_game(FisheryParams(horizon_time=0.5))
-        rng = np.random.default_rng(1)
-        states = rng.uniform(0.0, 120.0, (6, 1))
-        actions = rng.uniform(-0.5, 0.8, (6, 2))
-        actions[0] = [0.4, 0.3]  # on the upper bounds
-        actions[1] = [0.0, 0.0]  # on the lower bounds
+    @given(fishery_cases())
+    def test_trajectory_projector_matches_stage_projector(self, case):
+        params, states, actions = case
+        game = fishery_game(params)
         X, U = game.traj_projector(states, actions)
         np.testing.assert_array_equal(X, states)
-        for k in range(6):
-            xk, uk = game.stage_projector(k, states[k], actions[k])
-            np.testing.assert_array_equal(X[k], xk)
-            np.testing.assert_array_equal(U[k], uk)
+        for k in range(params.n_stages + 1):
+            xk, uk = fishery_stage_projection(params, k, states[k], actions[k])
+            np.testing.assert_allclose(X[k], xk, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(U[k], uk, rtol=1e-12, atol=1e-12)
         no_states, U_only = game.traj_projector(None, actions)
         assert no_states is None
         np.testing.assert_array_equal(U_only, U)
         # the action-only projection takes the hook without rolling out states
-        monkeypatch.setattr("dyngames.projgrad.rollout", None)
-        np.testing.assert_array_equal(project_onto_feasible(game, actions), U)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("dyngames.projgrad.rollout", None)
+            np.testing.assert_array_equal(project_onto_feasible(game, actions), U)
 
 
 _coord = st.floats(-6.0, 6.0, allow_nan=False, allow_infinity=False)
@@ -155,7 +171,7 @@ class TestRendezvousGame:
         for k in range(T + 1):
             c = game.eval_costs(k, states[k], actions[k])
             np.testing.assert_allclose(C[k], c, rtol=1e-12, atol=1e-12)
-            xk, uk = game.stage_projector(k, states[k], actions[k])
+            xk, uk = rendezvous_stage_projection(params, k, states[k], actions[k])
             np.testing.assert_allclose(X[k], xk, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(U[k], uk, rtol=1e-12, atol=1e-12)
         np.testing.assert_array_equal(np.delete(X, params.meet_stage, axis=0),
@@ -178,19 +194,18 @@ class TestRendezvousGame:
     def test_meeting_projector_takes_mean(self):
         game = lq_rendezvous_game()
         x = np.array([0.0, 0.0, 3.0, 3.0, 6.0, 6.0])
-        xn, _ = game.stage_projector(5, x, np.zeros(6))
-        np.testing.assert_allclose(xn, [3.0, 3.0] * 3)
-        xn2, _ = game.stage_projector(4, x, np.zeros(6))
-        np.testing.assert_allclose(xn2, x)
+        X, _ = game.traj_projector(np.tile(x, (11, 1)), np.zeros((11, 6)))
+        np.testing.assert_allclose(X[5], [3.0, 3.0] * 3)
+        np.testing.assert_allclose(X[4], x)
 
     def test_ball_rows_and_projector(self):
         game = lq_rendezvous_game()
         u = np.concatenate([[3.0, 4.0], [0.1, 0.1], [0.0, 0.0]])
         g = game.eval_constraints(0, game.initial_state, u)
         assert g[0] == pytest.approx(3.0)  # |(3,4)| - 2
-        _, un = game.stage_projector(0, game.initial_state, u)
-        assert np.linalg.norm(un[:2]) == pytest.approx(2.0)
-        np.testing.assert_allclose(un[2:], u[2:])
+        _, U = game.traj_projector(None, np.tile(u, (11, 1)))
+        assert np.linalg.norm(U[0, :2]) == pytest.approx(2.0)
+        np.testing.assert_allclose(U[0, 2:], u[2:])
 
     def test_residual_of_met_trajectory_is_zero(self):
         game = lq_rendezvous_game()

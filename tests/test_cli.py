@@ -12,6 +12,7 @@ from dyngames.cli import (
     EXIT_OK,
     EXIT_SOLVER_FAILURE,
     EXIT_UNKNOWN_GAME,
+    ConfigError,
     RunConfig,
     main,
 )
@@ -52,6 +53,9 @@ class TestConfigValidation:
             RunConfig.from_dict({**base, "rho": -0.1})
         with pytest.raises(Exception):
             RunConfig.from_dict({**base, "alpha": 1.0, "solver": "dr"})
+        with pytest.raises(ConfigError):  # the json module parses NaN
+            RunConfig.from_dict(json.loads('{"game": {"id": "fishery"}, "solver": "pg", '
+                                           '"rho": NaN}'))
 
     def test_scheme_checked(self):
         with pytest.raises(Exception):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dyngames import denseqp
@@ -79,6 +79,10 @@ def test_matches_enumeration(seed, n, m, neq_frac, extra_rank, special_rows, spa
 
 
 @given(**qp_shapes)
+# rounding once read a dependent row as independent on these rows, and the
+# solver returned a point that violates an active row
+@example(seed=267, n=2, m=3, neq_frac=0.0, extra_rank=0, special_rows=False, sparse=True)
+@example(seed=168, n=3, m=5, neq_frac=0.0, extra_rank=0, special_rows=False, sparse=False)
 def test_contradictory_rows_raise_in_both(seed, n, m, neq_frac, extra_rank, special_rows,
                                           sparse):
     H, f, G, h, Aeq, beq = draw(seed, n, m, neq_frac, extra_rank, special_rows)

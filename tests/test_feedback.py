@@ -15,12 +15,12 @@ from dyngames.feedback import (
     FeedbackPolicy,
     epsilon_nash_gap,
     feedback_rollout,
-    solve_eq_constrained_stage_game,
     solve_unconstrained_newton,
     stagewise_newton_backward,
 )
 from dyngames.gradient import pseudo_gradient
 from dyngames.model import GameDefinition, Trajectory, quadraticize, rollout
+from dyngames.parametric import solve_stage_kkt
 
 from conftest import decoupled_lq_game, random_lq_game
 from instances import (
@@ -43,8 +43,7 @@ class TestStageGame:
     def test_pinned_action(self, rng):
         W = rng.standard_normal((2, 3))
         p = rng.standard_normal(2)
-        law = solve_eq_constrained_stage_game(
-            np.eye(2), np.zeros((2, 3)), np.zeros(2), W, np.eye(2), p)
+        law = solve_stage_kkt(np.eye(2), np.zeros((2, 3)), np.zeros(2), W, np.eye(2), p)
         np.testing.assert_allclose(law.K, -W, atol=1e-12)
         np.testing.assert_allclose(law.s, -p, atol=1e-12)
 
@@ -52,7 +51,7 @@ class TestStageGame:
         F = np.array([[2.0, 1.0], [-1.0, 4.0]])
         P = np.array([[1.0], [2.0]])
         H = np.array([3.0, -1.0])
-        law = solve_eq_constrained_stage_game(F, P, H, None, None, None)
+        law = solve_stage_kkt(F, P, H, np.zeros((0, 1)), np.zeros((0, 2)), np.zeros(0))
         for x in (np.zeros(1), np.array([2.0])):
             np.testing.assert_allclose(law.K @ x + law.s,
                                        np.linalg.solve(F, -(P @ x + H)),
@@ -66,7 +65,7 @@ class TestStageGame:
         S = rng.standard_normal((1, n_u))
         W = rng.standard_normal((1, n_x))
         p = rng.standard_normal(1)
-        law = solve_eq_constrained_stage_game(F, P, H, W, S, p)
+        law = solve_stage_kkt(F, P, H, W, S, p)
         for _ in range(5):
             x = rng.standard_normal(n_x)
             K = np.block([[F, S.T], [S, np.zeros((1, 1))]])

@@ -216,17 +216,6 @@ class TestTrajectoryEvaluators:
         with pytest.raises(DimensionError, match="projected states"):
             project_stage_constraints(bad, traj.states, traj.actions)
 
-    def test_stacked_stage_projector_matches_hook_and_needs_states(self):
-        game, traj = self.fishery_and_trajectory()
-        stacked = dataclasses.replace(game, traj_projector=None)
-        actions = traj.actions + np.array([0.5, -0.4])
-        X, U = stacked.eval_traj_projection(traj.states, actions)
-        X_hook, U_hook = game.eval_traj_projection(traj.states, actions)
-        np.testing.assert_array_equal(X, X_hook)
-        np.testing.assert_array_equal(U, U_hook)
-        with pytest.raises(ValueError, match="needs the states"):
-            stacked.eval_traj_projection(None, actions)
-
     def test_ragged_stage_evaluators_are_rejected(self):
         game = identity_sum_game(T=3)
         traj = rollout(game, np.zeros(2), np.ones((4, 2)))

@@ -23,9 +23,6 @@ def box_projector_game(rng, T=2, lo=0.0, hi=0.4):
     def constraint_jac(k, x, u):
         return np.zeros((4, 2)), np.vstack([np.eye(2), -np.eye(2)])
 
-    def projector(k, x, u):
-        return x, np.clip(u, lo, hi)
-
     boxed = GameDefinition(
         horizon=T, state_dim=2, action_dims=(1, 1),
         initial_state=game.initial_state,
@@ -34,7 +31,8 @@ def box_projector_game(rng, T=2, lo=0.0, hi=0.4):
         dynamics_jacobians=game.dynamics_jacobians,
         dynamics_hessians=game.dynamics_hessians,
         cost_gradients=game.cost_gradients, cost_hessians=game.cost_hessians,
-        constraint_jacobians=constraint_jac, stage_projector=projector,
+        constraint_jacobians=constraint_jac,
+        traj_projector=lambda states, actions: (states, np.clip(actions, lo, hi)),
         linear_dynamics=True, polyhedral_constraints=True,
         constraints_in_actions_only=True)
     return boxed, lq
@@ -176,6 +174,13 @@ class TestProjectedGradient:
         with pytest.raises(ValueError, match="nonnegative"):
             ProjGradConfig(max_iter=-1)
         assert ProjGradConfig(max_iter=0).max_iter == 0
+
+    @pytest.mark.parametrize("field, value", [
+        ("step_size", 0.0), ("step_size", np.nan), ("tol", np.nan),
+        ("divergence_factor", np.nan), ("divergence_factor", -1.0)])
+    def test_config_rejects_bad_step_and_tolerances(self, field, value):
+        with pytest.raises(ValueError):
+            ProjGradConfig(**{field: value})
 
     def test_fixed_point_terminates_in_one_iteration(self, rng):
         game, mu, L = monotone_quadratic_game(rng)

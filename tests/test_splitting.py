@@ -1,16 +1,17 @@
 """Operator-splitting resolvents and the reflected-resolvent solver."""
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from dyngames.benchmarks import lq_rendezvous_game
-from dyngames.denseqp import ball_projection
+from dyngames.benchmarks import LqRendezvousParams, lq_rendezvous_game
 from dyngames.errors import SubproblemError, UnsupportedConstraintError
 from dyngames.gradient import pseudo_gradient
 from dyngames.model import GameDefinition, Trajectory, rollout
+from dyngames.projgrad import project_onto_feasible
 from dyngames.report import TERM_MAX_ITER, TERM_TOLERANCE
 from dyngames.splitting import (
     DrConfig,
@@ -33,6 +34,7 @@ from oracles import (
     brute_force_qp,
     dense_eq_least_squares,
     dr_constraints_scheme_trace,
+    rendezvous_stage_projection,
     stacked_lq_gne,
     static_games_by_enumeration,
 )
@@ -208,7 +210,8 @@ class TestStageProjections:
             horizon=1, state_dim=2, action_dims=(2,), initial_state=[0.0, 0.0],
             dynamics=g.dynamics, stage_costs=g.stage_costs,
             constraints=lambda k, x, u: np.array([np.linalg.norm(u) - 2.0]),
-            stage_projector=lambda k, x, u: (x, ball_projection(u, 2.0)))
+            traj_projector=lambda states, actions: (states, actions * (
+                2.0 / np.maximum(np.linalg.norm(actions, axis=1, keepdims=True), 2.0))))
         z = np.array([[4.0, 0.0], [0.0, -6.0]])
         _, us = project_stage_constraints(withball, np.zeros((2, 2)), z)
         np.testing.assert_allclose(us[0], [2.0, 0.0])
@@ -218,8 +221,8 @@ class TestStageProjections:
         # equality x1 = x2 = x3 encoded via a projector replacing the three
         # coordinates with their mean; check against the dense
         # least-squares projection onto the consensus subspace.
-        def projector(k, x, u):
-            return np.full(3, np.mean(x)), u
+        def projector(states, actions):
+            return np.repeat(states.mean(axis=1, keepdims=True), 3, axis=1), actions
 
         game = GameDefinition(
             horizon=0, state_dim=3, action_dims=(1,), initial_state=[0.0] * 3,
@@ -227,12 +230,23 @@ class TestStageProjections:
             stage_costs=lambda k, x, u: np.zeros(1),
             constraints=lambda k, x, u: np.array([x[0] - x[1], x[1] - x[0],
                                                   x[1] - x[2], x[2] - x[1]]),
-            stage_projector=projector)
+            traj_projector=projector)
         y = np.array([[1.0, 4.0, -2.0]])
         xs, _ = project_stage_constraints(game, y, np.zeros((1, 1)))
         Aeq = np.array([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0]])
         oracle = dense_eq_least_squares(np.ones(3), y[0], Aeq, np.zeros(2))
         np.testing.assert_allclose(xs[0], oracle, atol=1e-12)
+
+    def test_rows_without_projector_or_affine_declaration_are_unsupported(self):
+        g = identity_sum_game(T=1)
+        game = dataclasses.replace(
+            g, constraints=lambda k, x, u: np.array([np.linalg.norm(u) - 2.0]),
+            constraints_in_actions_only=True)
+        z = np.full((2, 2), 3.0)
+        with pytest.raises(UnsupportedConstraintError):
+            project_stage_constraints(game, np.zeros((2, 2)), z)
+        with pytest.raises(UnsupportedConstraintError):
+            project_onto_feasible(game, z)
 
     def test_polyhedral_rows_without_projector(self, rng):
         game, _, rows = shared_state_cost_game(rng, T=2, con_stage=1)
@@ -475,13 +489,16 @@ class TestDrSolve:
     @pytest.mark.parametrize("eta, residual_gate_binds", [(1e-2, False), (1e-1, True)])
     def test_stops_at_first_iteration_with_step_and_residuals_within_tol(
             self, eta, residual_gate_binds):
-        game = lq_rendezvous_game()
+        params = LqRendezvousParams()
+        game = lq_rendezvous_game(params)
         tol = 1e-8
         cfg = DrConfig(scheme=SCHEME_CONSTRAINTS, eta=eta, alpha=0.5, max_iter=2000,
                        tol=tol, record_costs=False, run_checks=False)
         rep = dr_solve(game, cfg)
         assert rep.termination == TERM_TOLERANCE
-        trace = dr_constraints_scheme_trace(game, eta, 0.5, rep.iterations)
+        trace = dr_constraints_scheme_trace(
+            game, functools.partial(rendezvous_stage_projection, params), eta, 0.5,
+            rep.iterations)
         within = np.all(trace <= tol, axis=1)
         assert within[-1] and not within[:-1].any()
         np.testing.assert_allclose(rep.step_norms, trace[:, 0], rtol=1e-6, atol=1e-14)
@@ -502,7 +519,7 @@ class TestDrSolve:
         bound = 0.5 * float(np.max(np.abs(free)))
         violated = dataclasses.replace(
             game, constraints=lambda k, x, u: np.abs(u) - bound,
-            stage_projector=lambda k, x, u: (x, u))
+            traj_projector=lambda states, actions: (states, actions))
         rep = dr_solve(violated, cfg)
         assert rep.termination == TERM_MAX_ITER
         assert np.min(rep.step_norms) <= cfg.tol
@@ -512,7 +529,7 @@ class TestDrSolve:
         game, _ = random_lq_game(rng, T=0, shared_state_cost=True)
         nan_rows = dataclasses.replace(
             game, quadratic_costs=True, constraints=lambda k, x, u: np.array([np.nan]),
-            stage_projector=lambda k, x, u: (x, u))
+            traj_projector=lambda states, actions: (states, actions))
         traj = Trajectory(np.zeros((1, 2)), np.zeros((1, 2)))
         assert np.isnan(_constraint_violation(nan_rows, traj))
         cfg = DrConfig(scheme=SCHEME_CONSTRAINTS, eta=0.4, alpha=0.5, max_iter=200,
@@ -568,7 +585,8 @@ class TestDrSolve:
 
     @pytest.mark.parametrize("field, value", [
         ("max_iter", -5), ("inner_max_iter", 0), ("tol", 0.0), ("tol", -1e-8),
-        ("inner_tol", 0.0)])
+        ("inner_tol", 0.0), ("eta", np.nan), ("tol", np.nan), ("inner_tol", np.nan),
+        ("divergence_factor", np.nan), ("divergence_factor", -1.0)])
     def test_config_rejects_bad_budgets_and_tolerances(self, field, value):
         with pytest.raises(ValueError):
             DrConfig(scheme=SCHEME_GRADIENT, **{field: value})
