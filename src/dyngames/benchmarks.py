@@ -76,7 +76,9 @@ def fishery_game(params: FisheryParams = FisheryParams()) -> GameDefinition:
     Stock: x+ = x + (g(x) - (q1 u1 + q2 u2) x) dt with g(x) = r/h^2 (2hx - x^2).
     Player n's stage profit is (p_n q_n x - e_n) u_n dt; costs are the
     negated profits.  Efforts live in [0, u_n_max] with an exact clamp
-    projector.
+    projector.  The ``traj_rollout`` hook computes every stage's harvest
+    rate q1 u1 + q2 u2 at once and runs the stock recursion as one loop
+    over Python floats, bit-identical to the per-stage dynamics.
     """
     p = params
     T = p.n_stages
@@ -128,6 +130,18 @@ def fishery_game(params: FisheryParams = FisheryParams()) -> GameDefinition:
 
     def batch_dynamics(k, X, U):
         return X + (growth(X) - (p.q1 * U[:, :1] + p.q2 * U[:, 1:]) * X) * p.dt
+
+    def traj_rollout(x0, actions):
+        # ``dynamics`` in Python floats, same operation order; ``x * x``
+        # overflows to inf like numpy where ``x ** 2`` would raise.
+        rates = (p.q1 * actions[:-1, 0] + p.q2 * actions[:-1, 1]).tolist()
+        h2, dt = 2.0 * p.h, p.dt
+        x = float(x0[0])
+        out = []
+        for c in rates:
+            x = x + (gg * (h2 * x - x * x) - c * x) * dt
+            out.append(x)
+        return np.array(out).reshape(-1, 1)
 
     def batch_constraints(k, X, U):
         return np.stack([-U[:, 0], U[:, 0] - p.u1_max, -U[:, 1], U[:, 1] - p.u2_max], axis=1)
@@ -183,6 +197,7 @@ def fishery_game(params: FisheryParams = FisheryParams()) -> GameDefinition:
         traj_cost_gradients=traj_cost_gradients,
         traj_dynamics_jacobians=traj_dynamics_jacobians,
         traj_projector=lambda states, actions: (states, np.clip(actions, lo, hi)),
+        traj_rollout=traj_rollout,
         batch_dynamics=batch_dynamics,
         batch_constraints=batch_constraints,
         name="fishery")

@@ -109,7 +109,10 @@ class RunConfig:
         for name in ("rho", "eta", "alpha", "tol", "active_tol", "stage_reg"):
             if name in raw:
                 val = float(raw[name])
-                if name != "stage_reg" and not val > 0:  # rejects NaN too
+                if name == "stage_reg":
+                    if not 0.0 <= val < np.inf:  # rejects NaN too
+                        raise ConfigError(f"stage_reg must be finite and nonnegative, got {val}")
+                elif not val > 0:  # rejects NaN too
                     raise ConfigError(f"{name} must be positive, got {val}")
                 setattr(cfg, name, val)
         if "max_iter" in raw:

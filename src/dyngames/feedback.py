@@ -103,8 +103,10 @@ def stagewise_newton_backward(game: GameDefinition, traj: Trajectory,
     deficient stage games wherever several players are away from their
     bounds; the damping restores a unique conservative law there without
     moving the equilibrium fixed point, since the stage first-order terms
-    are untouched.
+    are untouched.  It must be finite and nonnegative (ValueError).
     """
+    if not 0.0 <= stage_reg < np.inf:  # rejects NaN too
+        raise ValueError(f"stage_reg must be finite and nonnegative, got {stage_reg}")
     quads = quadraticize(game, traj, active_tol=active_tol, feas_tol=feas_tol)
     T = game.horizon
     N, n_x, n_u = game.num_players, game.state_dim, game.total_action_dim

@@ -62,6 +62,15 @@ class GameDefinition:
       terminal action never enters the dynamics), like
       ``dynamics_jacobians``;
 
+    One more hook takes the initial state instead of the state sequence:
+
+    * ``traj_rollout(x0, actions) -> states`` with ``actions`` the
+      normalized (T+1, n_u) control array and states of shape (T, n_x):
+      row k is f_k applied to row k-1, with x0 standing in for row -1, so
+      there is one row per stage k < T and the terminal action never
+      enters.  It must equal the per-stage ``dynamics`` recursion bit for
+      bit; ``rollout`` calls it once in place of its per-stage loop.
+
     ``eval_traj_costs``, ``eval_traj_cost_gradients`` and
     ``eval_traj_dynamics_jacobians`` call the matching evaluator when present
     and otherwise stack the per-stage evaluators; either way the outputs are
@@ -109,6 +118,7 @@ class GameDefinition:
     traj_cost_gradients: Optional[Callable[[Array, Array], tuple]] = None
     traj_dynamics_jacobians: Optional[Callable[[Array, Array], tuple]] = None
     traj_projector: Optional[Callable[[Optional[Array], Array], tuple]] = None
+    traj_rollout: Optional[Callable[[Array, Array], Array]] = None
     # Optional batch evaluators; shapes in the class docstring.
     batch_dynamics: Optional[Callable[[int, Array, Array], Array]] = None
     batch_constraints: Optional[Callable[[int, Array, Array], Array]] = None
@@ -419,6 +429,11 @@ def rollout(game: GameDefinition, x0: Array, controls: Array) -> Trajectory:
 
     ``controls`` may have T or T+1 rows; a zero row is appended in the former
     case so the returned trajectory always carries a terminal action block.
+    A game's ``traj_rollout`` hook, when present, produces all T states in
+    one call; its output is shape-checked once (DimensionError), and an
+    exception raised inside it propagates as is.  Without the hook the
+    dynamics run stage by stage.  Either way NonFiniteStateError names the
+    first stage whose produced state is not finite.
     """
     T = game.horizon
     n_u = game.total_action_dim
@@ -432,18 +447,23 @@ def rollout(game: GameDefinition, x0: Array, controls: Array) -> Trajectory:
         raise DimensionError("controls", (T + 1, n_u), controls.shape)
     states = np.empty((T + 1, game.state_dim))
     states[0] = x0
-    # Finiteness is checked once for the whole rollout.  Stages after a
-    # non-finite state still run; an error they raise is reported as the
-    # non-finite state that caused it.
-    try:
-        for k in range(T):
-            xk1 = game.eval_dynamics(k, states[k], controls[k])
-            if xk1.shape != (game.state_dim,):
-                raise DimensionError("dynamics output", (game.state_dim,), xk1.shape, stage=k)
-            states[k + 1] = xk1
-    except Exception:
-        _raise_first_non_finite(states[1:k + 1])
-        raise
+    if game.traj_rollout is not None:
+        states[1:] = _checked("rolled-out states", game.traj_rollout(x0, controls),
+                              (T, game.state_dim))
+    else:
+        # Finiteness is checked once for the whole rollout.  Stages after a
+        # non-finite state still run; an error they raise is reported as the
+        # non-finite state that caused it.
+        try:
+            for k in range(T):
+                xk1 = game.eval_dynamics(k, states[k], controls[k])
+                if xk1.shape != (game.state_dim,):
+                    raise DimensionError("dynamics output", (game.state_dim,), xk1.shape,
+                                         stage=k)
+                states[k + 1] = xk1
+        except Exception:
+            _raise_first_non_finite(states[1:k + 1])
+            raise
     _raise_first_non_finite(states[1:])
     return Trajectory(states, controls.copy())
 

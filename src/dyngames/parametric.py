@@ -228,12 +228,12 @@ def _validate_law(F, P, H, W, S, p, law, stage):
         u = law.K @ x + law.s
         lam = law.lam_K @ x + law.lam_s
         r1 = F @ u + P @ x + H + (S.T @ lam if S.shape[0] else 0.0)
-        if np.max(np.abs(r1)) > KKT_RTOL * scale:
+        if not np.max(np.abs(r1)) <= KKT_RTOL * scale:  # NaN fails too
             raise StageSingularityError(
                 stage, f"stage KKT residual {np.max(np.abs(r1)):.2e} exceeds tolerance")
         if S.shape[0]:
             r2 = W @ x + S @ u + p
-            if np.max(np.abs(r2)) > KKT_RTOL * scale:
+            if not np.max(np.abs(r2)) <= KKT_RTOL * scale:
                 raise StageSingularityError(
                     stage, f"stage constraint residual {np.max(np.abs(r2)):.2e} "
                     "exceeds tolerance")

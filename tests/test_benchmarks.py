@@ -39,6 +39,17 @@ def fishery_cases(draw):
     return params, states.reshape(T1, 1), np.column_stack(columns)
 
 
+@st.composite
+def fishery_rollout_cases(draw):
+    """Parameters, a start stock and T or T+1 effort rows, inside and beyond the bounds."""
+    params = FisheryParams(horizon_time=0.1 * draw(st.integers(1, 8)))
+    rows = params.n_stages + draw(st.integers(0, 1))
+    x0 = np.array([draw(st.floats(-50.0, 200.0))])
+    efforts = st.one_of(st.floats(-1.0, 2.0), st.sampled_from([0.0, 0.3, 0.4]))
+    controls = draw(st.lists(efforts, min_size=2 * rows, max_size=2 * rows))
+    return params, x0, np.array(controls).reshape(rows, 2)
+
+
 class TestFisheryGame:
     def test_stage_count(self):
         assert FisheryParams().n_stages == 1000
@@ -110,6 +121,39 @@ class TestFisheryGame:
             A, B = game.eval_dynamics_jacobians(k, traj.states[k], traj.actions[k])
             np.testing.assert_allclose(AA[k], A)
             np.testing.assert_allclose(BB[k], B)
+
+    @given(fishery_rollout_cases())
+    def test_rollout_hook_matches_per_stage_loop(self, case):
+        params, x0, controls = case
+        game = fishery_game(params)
+        looped = rollout(dataclasses.replace(game, traj_rollout=None), x0, controls)
+        assert np.array_equal(rollout(game, x0, controls).states, looped.states)
+
+    def test_three_dynamics_forms_agree(self):
+        game = fishery_game(FisheryParams(horizon_time=2.0))
+        rng = np.random.default_rng(3)
+        T, B = game.horizon, 7
+        U = rng.uniform(-0.2, 0.6, (B, T + 1, 2))
+        per_stage = np.empty((B, T + 1, 1))
+        batch = np.empty((B, T + 1, 1))
+        per_stage[:, 0] = batch[:, 0] = rng.uniform(0.0, 150.0, (B, 1))
+        for k in range(T):
+            batch[:, k + 1] = game.eval_batch_dynamics(k, batch[:, k], U[:, k])
+            for b in range(B):
+                per_stage[b, k + 1] = game.eval_dynamics(k, per_stage[b, k], U[b, k])
+        traj = np.stack([game.traj_rollout(per_stage[b, 0], U[b]) for b in range(B)])
+        assert np.array_equal(batch, per_stage)
+        assert np.array_equal(traj, per_stage[:, 1:])
+
+    @pytest.mark.parametrize("effort, stage", [(400.0, 12), (1e300, 1)])
+    def test_blow_up_names_the_same_stage_on_both_paths(self, effort, stage):
+        game = fishery_game()
+        controls = np.full((game.horizon + 1, 2), effort)
+        for g in (game, dataclasses.replace(game, traj_rollout=None)):
+            with np.errstate(over="ignore", invalid="ignore"), \
+                    pytest.raises(NonFiniteStateError) as exc:
+                rollout(g, game.initial_state, controls)
+            assert exc.value.stage == stage
 
     def test_projector_clamps(self):
         game = fishery_game(FisheryParams(horizon_time=0.2))

@@ -57,6 +57,13 @@ class TestConfigValidation:
             RunConfig.from_dict(json.loads('{"game": {"id": "fishery"}, "solver": "pg", '
                                            '"rho": NaN}'))
 
+    @pytest.mark.parametrize("text", ["NaN", "-5.0", "Infinity"])
+    def test_stage_reg_finite_and_nonnegative(self, text):
+        raw = '{"game": {"id": "fishery"}, "solver": "pg", "stage_reg": %s}'
+        with pytest.raises(ConfigError, match="stage_reg"):
+            RunConfig.from_dict(json.loads(raw % text))
+        assert RunConfig.from_dict(json.loads(raw % "0")).stage_reg == 0.0
+
     def test_scheme_checked(self):
         with pytest.raises(Exception):
             RunConfig.from_dict({"game": {"id": "fishery"}, "solver": "dr",

@@ -10,7 +10,12 @@ from hypothesis import assume, given, strategies as st
 
 from dyngames import feedback
 from dyngames.benchmarks import FisheryParams, fishery_game
-from dyngames.errors import DimensionError, NonFiniteStateError, SubproblemError
+from dyngames.errors import (
+    DimensionError,
+    NonFiniteStateError,
+    StageSingularityError,
+    SubproblemError,
+)
 from dyngames.feedback import (
     FeedbackPolicy,
     epsilon_nash_gap,
@@ -57,6 +62,13 @@ class TestStageGame:
                                        np.linalg.solve(F, -(P @ x + H)),
                                        atol=1e-12)
 
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_nan_in_the_stage_matrix_is_rejected(self, m):
+        F = np.array([[np.nan, 0.0], [0.0, 1.0]])
+        S = np.array([[0.0, 1.0]])[:m]
+        with pytest.raises(StageSingularityError, match="residual"):
+            solve_stage_kkt(F, np.zeros((2, 1)), np.zeros(2), np.zeros((m, 1)), S, np.ones(m))
+
     def test_random_instance_against_per_x_kkt(self, rng):
         n_u, n_x = 3, 2
         F = rng.standard_normal((n_u, n_u)) + 3 * np.eye(n_u)
@@ -92,6 +104,13 @@ class TestBackwardPass:
         b = stagewise_newton_backward(game, ref, use_constraints=False)
         for k in range(5):
             np.testing.assert_allclose(a.gains[k], b.gains[k], atol=1e-12)
+
+    @pytest.mark.parametrize("stage_reg", [np.nan, -5.0, np.inf])
+    def test_stage_reg_must_be_finite_and_nonnegative(self, rng, stage_reg):
+        game, _ = random_lq_game(rng, T=3)
+        traj = rollout(game, game.initial_state, np.zeros((4, game.total_action_dim)))
+        with pytest.raises(ValueError, match="stage_reg"):
+            stagewise_newton_backward(game, traj, stage_reg=stage_reg)
 
     def test_value_matrices_symmetric_and_terminal_zero(self, rng):
         game, _ = random_lq_game(rng, T=4)

@@ -102,6 +102,52 @@ class TestRollout:
         again = rollout(game, traj.states[0], traj.actions)
         np.testing.assert_allclose(again.states, traj.states, rtol=1e-12, atol=1e-12)
 
+    def test_hook_replaces_the_per_stage_loop(self):
+        def no_stage_calls(k, x, u):
+            raise AssertionError("per-stage dynamics called")
+
+        seen = []
+
+        def hook(x0, actions):
+            seen.append(actions.shape)
+            return np.cumsum(np.vstack([x0, actions[:-1]]), axis=0)[1:]
+
+        game = dataclasses.replace(identity_sum_game(T=3), dynamics=no_stage_calls,
+                                   traj_rollout=hook)
+        traj = rollout(game, np.ones(2), np.ones((3, 2)))
+        assert seen == [(4, 2)]  # one call, on the normalized (T+1)-row controls
+        np.testing.assert_array_equal(traj.states[:, 0], [1.0, 2.0, 3.0, 4.0])
+        np.testing.assert_array_equal(traj.actions[-1], [0.0, 0.0])
+
+    @pytest.mark.parametrize("shape", [(4, 2), (3, 1), (3,)])
+    def test_hook_output_of_the_wrong_shape_is_rejected(self, shape):
+        game = dataclasses.replace(identity_sum_game(T=3),
+                                   traj_rollout=lambda x0, actions: np.zeros(shape))
+        with pytest.raises(DimensionError, match="rolled-out states"):
+            rollout(game, np.zeros(2), np.zeros((4, 2)))
+
+    def test_hook_errors_propagate_as_raised(self):
+        def hook(x0, actions):
+            raise ValueError("dynamics undefined here")
+
+        game = dataclasses.replace(identity_sum_game(T=3), traj_rollout=hook)
+        with pytest.raises(ValueError, match="undefined here"):
+            rollout(game, np.zeros(2), np.zeros((4, 2)))
+
+    def test_non_finite_hook_output_names_first_stage(self):
+        def hook(x0, actions):
+            out = np.zeros((5, 1))
+            out[2:] = np.nan
+            return out
+
+        game = GameDefinition(
+            horizon=5, state_dim=1, action_dims=(1,), initial_state=[0.0],
+            dynamics=lambda k, x, u: x, stage_costs=lambda k, x, u: np.zeros(1),
+            traj_rollout=hook)
+        with pytest.raises(NonFiniteStateError) as exc:
+            rollout(game, np.zeros(1), np.zeros((6, 1)))
+        assert exc.value.stage == 2
+
 
 class TestTotalCost:
     def test_zero_costs(self):
