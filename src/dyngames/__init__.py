@@ -7,9 +7,7 @@ and exact solvers for small quadratic parametric games.
 
 from .model import (
     GameDefinition,
-    StageQuadraticization,
     Trajectory,
-    active_set_partition,
     all_player_costs,
     quadraticize,
     rollout,

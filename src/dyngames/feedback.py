@@ -35,10 +35,11 @@ from .errors import (
 )
 from .gradient import pseudo_gradient
 # The LQ open-loop solver lives in ``lq``; these names stay importable here.
-from .lq import LqGameData, extract_lq_data, solve_lq_open_loop  # noqa: F401
+from .lq import extract_lq_data, solve_lq_open_loop  # noqa: F401
 from .model import (
     DEFAULT_ACTIVE_TOL,
     GameDefinition,
+    LqGameData,
     Trajectory,
     quadraticize,
     rollout,
@@ -107,11 +108,16 @@ def stagewise_newton_backward(game: GameDefinition, traj: Trajectory,
     """
     if not 0.0 <= stage_reg < np.inf:  # rejects NaN too
         raise ValueError(f"stage_reg must be finite and nonnegative, got {stage_reg}")
-    quads = quadraticize(game, traj, active_tol=active_tol, feas_tol=feas_tol)
+    data = quadraticize(game, traj, active_tol=active_tol, feas_tol=feas_tol)
     T = game.horizon
     N, n_x, n_u = game.num_players, game.state_dim, game.total_action_dim
     nz = 1 + n_x + n_u
     ix, iu = slice(1, 1 + n_x), slice(1 + n_x, nz)
+    M = _stage_blocks(data)
+    AB = np.concatenate([data.A, data.B], axis=2)
+    left = np.zeros((1 + n_x, nz))
+    left[0, 0] = 1.0
+    left[1:, ix] = np.eye(n_x)
 
     lam = np.zeros((N, T + 2, 1 + n_x, 1 + n_x))
     omega = np.zeros((N, T + 2, n_x))
@@ -120,63 +126,59 @@ def stagewise_newton_backward(game: GameDefinition, traj: Trajectory,
     gammas: list[Array] = [None] * (T + 1)
 
     for k in range(T, -1, -1):
-        q = quads[k]
-        gamma_k = np.empty((N, nz, nz))
-        for n in range(N):
-            G = q.M[n].copy()
-            if k < T:
-                A, B = q.A, q.B
-                ln = lam[n, k + 1]
-                lxx = ln[1:, 1:]
-                om = omega[n, k + 1]
-                D = np.tensordot(om, q.G, axes=1)
-                # First-order rows propagate through the Lagrangian costate
-                # rather than the policy-substituted value gradient: this
-                # keeps equilibrium references exact fixed points of the
-                # recursion (the substituted gradient would pick up the
-                # opponents' feedback-reaction terms, which do not vanish
-                # at an open-loop equilibrium).  Gains are unaffected;
-                # curvature still propagates through the closed loop.
-                G[0, 0] += ln[0, 0]
-                G[0, ix] += om @ A
-                G[ix, 0] += A.T @ om
-                G[0, iu] += om @ B
-                G[iu, 0] += B.T @ om
-                G[ix, ix] += A.T @ lxx @ A + D[:n_x, :n_x]
-                G[ix, iu] += A.T @ lxx @ B + D[:n_x, n_x:]
-                G[iu, ix] += B.T @ lxx @ A + D[n_x:, :n_x]
-                G[iu, iu] += B.T @ lxx @ B + D[n_x:, n_x:]
-            gamma_k[n] = 0.5 * (G + G.T)
+        G = M[:, k].copy()
+        if k < T:
+            ln, om = lam[:, k + 1], omega[:, k + 1]
+            # First-order rows propagate through the Lagrangian costate
+            # rather than the policy-substituted value gradient: this keeps
+            # equilibrium references exact fixed points of the recursion
+            # (the substituted gradient would pick up the opponents'
+            # feedback-reaction terms, which do not vanish at an open-loop
+            # equilibrium).  Gains are unaffected; curvature still
+            # propagates through the closed loop.
+            pull = om @ AB[k]
+            G[:, 0, 0] += ln[:, 0, 0]
+            G[:, 0, 1:] += pull
+            G[:, 1:, 0] += pull
+            G[:, 1:, 1:] += AB[k].T @ ln[:, 1:, 1:] @ AB[k] + np.tensordot(om, data.G[k], axes=1)
+        gamma_k = 0.5 * (G + G.swapaxes(1, 2))
         # every player's rows of its own action block
         own = np.vstack([gamma_k[n][iu][game.action_slice(n)] for n in range(N)])
         F, P, H = own[:, iu], own[:, ix], own[:, 0]
-        Wa, Sa, pa = (q.active_rows() if use_constraints and q.num_constraints
-                      else (np.zeros((0, n_x)), np.zeros((0, n_u)), np.zeros(0)))
+        act = data.active[k] if use_constraints else []
+        Wa, Sa, pa = data.W[k][act], data.S[k][act], data.p[k][act]
         if stage_reg:
             F = F + stage_reg * np.eye(n_u)
         law = solve_stage_kkt(F, P, H, Wa, Sa, pa, stage=k)
         K, s = law.K, law.s
         # Congruence update of the value matrices; symmetric by construction.
-        left = np.zeros((1 + n_x, nz))
-        left[0, 0] = 1.0
-        left[1:, ix] = np.eye(n_x)
         left[0, iu] = s
         left[1:, iu] = K.T
-        for n in range(N):
-            ln = left @ gamma_k[n] @ left.T
-            lam[n, k] = 0.5 * (ln + ln.T)
-            base = q.M[n][0, ix].copy()
-            if k < T:
-                base += omega[n, k + 1] @ q.A
-            if Wa.shape[0]:
-                # Active rows contribute their multiplier pullback to the
-                # costate, as in the stagewise KKT of the pinned problem.
-                base += law.lam_s @ Wa
-            omega[n, k] = base
+        ln = left @ gamma_k @ left.T
+        lam[:, k] = 0.5 * (ln + ln.swapaxes(1, 2))
+        omega[:, k] = data.q[:, k]
+        if k < T:
+            omega[:, k] += omega[:, k + 1] @ data.A[k]
+        if Wa.shape[0]:
+            # Active rows contribute their multiplier pullback to the
+            # costate, as in the stagewise KKT of the pinned problem.
+            omega[:, k] += law.lam_s @ Wa
         gains[k], offsets[k], gammas[k] = K, s, gamma_k
     return FeedbackPolicy(reference=traj.copy(), gains=gains, offsets=offsets,
-                          lam=lam[:, :T + 2], omega=omega, gamma=gammas,
+                          lam=lam, omega=omega, gamma=gammas,
                           action_dims=game.action_dims)
+
+
+def _stage_blocks(data: LqGameData) -> Array:
+    """Every player's (1+n_x+n_u)-square stage expansion matrix M: (N, T+1, ...).
+
+    ``0.5 * [1, dx, du]' M [1, dx, du]`` is the local Taylor expansion of the
+    stage cost, so the scalar block holds twice the stage cost.
+    """
+    c, q, r = 2.0 * data.c[..., None, None], data.q[..., None, :], data.r[..., None, :]
+    return np.block([[c, q, r],
+                     [q.swapaxes(2, 3), data.Q, data.X],
+                     [r.swapaxes(2, 3), data.X.swapaxes(2, 3), data.R]])
 
 
 @dataclass
@@ -289,9 +291,8 @@ def epsilon_nash_gap(game: GameDefinition, policy: FeedbackPolicy,
             f"policy rollout violates the game's rows at stage {start + worst}",
             max_violation=float(roll.constraint_violations[worst]))
     data = extract_lq_data(game)
-    Q, X, R = data.Q[player, start:], data.X[player, start:], data.R[player, start:]
-    blocks = np.concatenate([np.concatenate([Q, X], axis=2),
-                             np.concatenate([X.swapaxes(1, 2), R], axis=2)], axis=1)
+    M = _stage_blocks(data)[player, start:]
+    blocks = M[:, 1:, 1:]
     _check_best_response_convex(blocks, data.A, data.B, policy.gains, own, player, start)
 
     Aeq, beq, G, h = lq.horizon_rows(game, start, roll.states[0])
@@ -305,7 +306,7 @@ def epsilon_nash_gap(game: GameDefinition, policy: FeedbackPolicy,
     Aeq = sp.vstack([Aeq, sp.block_diag(follow)], format="csr")
     beq = np.concatenate([beq] + rhs)
     H = sp.block_diag(list(blocks), format="csc")
-    f = np.concatenate([data.q[player, start:], data.r[player, start:]], axis=1).ravel()
+    f = M[:, 0, 1:].ravel()
     v, _ = denseqp.solve_qp(H, f, G=G, h=h, Aeq=Aeq, beq=beq)
     v = v.reshape(T - start + 1, n_x + n_u)
     J_policy = J_best = 0.0

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import DynGameError
-from .model import GameDefinition, Trajectory, check_feasible, rollout
+from .model import GameDefinition, LqGameData, Trajectory, check_feasible, quadraticize, rollout
 
 Array = np.ndarray
 
@@ -197,6 +197,7 @@ def playerwise_minimizer_check(game: GameDefinition, traj: Trajectory,
     """
     pg = pseudo_gradient(game, traj, feas_tol=feas_tol)
     u_scale = 1.0 + float(np.max(np.abs(traj.actions), initial=0.0))
+    data = None
     verdicts = []
     for n in range(game.num_players):
         g = pg.block(n)
@@ -209,7 +210,9 @@ def playerwise_minimizer_check(game: GameDefinition, traj: Trajectory,
                 verdicts.append(PlayerVerdict(n, VERDICT_BLOCKED, gnorm))
             continue
         H = _own_block_hessian(game, traj, n, feas_tol)
-        Z = _feasible_direction_basis(game, traj, n)
+        if data is None and game.constraints is not None:
+            data = quadraticize(game, traj, feas_tol=np.inf)  # checked above
+        Z = _feasible_direction_basis(game, data, n)
         reduced = Z.T @ H @ Z
         if reduced.size == 0:
             # Every direction pinned by active constraints: trivially convex.
@@ -253,42 +256,37 @@ def _own_block_hessian(game: GameDefinition, traj: Trajectory, n: int,
     return 0.5 * (H + H.T)
 
 
-def _feasible_direction_basis(game: GameDefinition, traj: Trajectory, n: int) -> Array:
+def _feasible_direction_basis(game: GameDefinition, data: Optional[LqGameData],
+                              n: int) -> Array:
     """Orthonormal basis of player n's directions not pinned by active rows.
 
-    Builds the Jacobian of the active constraints with respect to player n's
-    stacked actions (including paths through the state for state-coupled
-    rows) and returns a null-space basis from a rank-revealing SVD.
+    ``data`` is the trajectory's local LQ data with its rows (None for a game
+    without constraints).  Builds the Jacobian of the active constraints with
+    respect to player n's stacked actions (including paths through the state
+    for state-coupled rows) and returns a null-space basis from a
+    rank-revealing SVD.
     """
     sl = game.action_slice(n)
     d = sl.stop - sl.start
     T = game.horizon
     dim = (T + 1) * d
-    if game.constraints is None:
+    if data is None:
         return np.eye(dim)
     rows = []
     # State sensitivities dx_k/du_{n,j} are propagated forward only when some
     # active row depends on the state.
     sens: Optional[list[Array]] = None
-    from .model import DEFAULT_ACTIVE_TOL
-    for k in range(T + 1):
-        x, u = traj.states[k], traj.actions[k]
-        g = game.eval_constraints(k, x, u)
-        if g.size == 0:
-            continue
-        act = np.flatnonzero(g >= -DEFAULT_ACTIVE_TOL)
+    for k, act in enumerate(data.active):
         if act.size == 0:
             continue
-        W, S = game.eval_constraint_jacobians(k, x, u)
-        for i in act:
-            row = np.zeros(dim)
-            row[k * d:(k + 1) * d] = S[i, sl]
-            if np.any(W[i] != 0.0):
-                if sens is None:
-                    sens = _state_sensitivities(game, traj, n)
-                for j in range(k):
-                    row[j * d:(j + 1) * d] += W[i] @ sens[k][:, j * d:(j + 1) * d]
-            rows.append(row)
+        W = data.W[k][act]
+        blk = np.zeros((act.size, dim))
+        blk[:, k * d:(k + 1) * d] = data.S[k][act, sl]
+        if np.any(W != 0.0):
+            if sens is None:
+                sens = _state_sensitivities(data.A, data.B, sl)
+            blk[:, :k * d] += W @ sens[k][:, :k * d]
+        rows.append(blk)
     if not rows:
         return np.eye(dim)
     Jg = np.vstack(rows)
@@ -298,16 +296,13 @@ def _feasible_direction_basis(game: GameDefinition, traj: Trajectory, n: int) ->
     return vt[rank:].T
 
 
-def _state_sensitivities(game: GameDefinition, traj: Trajectory, n: int) -> list[Array]:
-    """Forward sensitivities dx_k/du_{n,:} along the trajectory."""
-    sl = game.action_slice(n)
+def _state_sensitivities(A: Array, B: Array, sl: slice) -> list[Array]:
+    """Forward sensitivities dx_k/du_{n,:} of the stacked dynamics (A, B), u_n = u[sl]."""
+    T, n_x = A.shape[:2]
     d = sl.stop - sl.start
-    T = game.horizon
-    dim = (T + 1) * d
-    sens = [np.zeros((game.state_dim, dim))]
+    sens = [np.zeros((n_x, (T + 1) * d))]
     for k in range(T):
-        A, B = game.eval_dynamics_jacobians(k, traj.states[k], traj.actions[k])
-        nxt = A @ sens[k]
-        nxt[:, k * d:(k + 1) * d] += B[:, sl]
+        nxt = A[k] @ sens[k]
+        nxt[:, k * d:(k + 1) * d] += B[k][:, sl]
         sens.append(nxt)
     return sens

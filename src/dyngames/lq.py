@@ -6,6 +6,9 @@ pinned initial state.  The open-loop equilibrium is found by one backward
 sweep that eliminates every player's costate with the affine ansatz
 ``nu_{n,k} = M_{n,k} x_k + m_{n,k}``, followed by a forward rollout.
 
+The data is ``model.LqGameData``, the layout ``model.quadraticize`` reads
+around a trajectory; ``extract_lq_data`` reads it at the origin.
+
 The sweep splits into two phases:
 
 * ``factor`` runs once.  It computes everything that depends only on the
@@ -45,40 +48,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import StageSingularityError, UnsupportedConstraintError
-from .model import GameDefinition, Trajectory
+from .model import GameDefinition, LqGameData, Trajectory, linearize_dynamics, local_lq
 
 Array = np.ndarray
-
-
-@dataclass
-class LqGameData:
-    """Stacked per-stage matrices of a linear-quadratic game.
-
-    Dynamics x+ = A_k x + B_k u + b_k, with A, B and b of shapes
-    (T, n_x, n_x), (T, n_x, n_u) and (T, n_x); player n's stage cost is
-    0.5 x'Q x + q'x + x'X u + 0.5 u'R u + r'u, with Q, X, R, q and r of
-    shapes (N, T+1, ...) indexed ``Q[n, k]``.
-    """
-
-    A: Array
-    B: Array
-    b: Array
-    Q: Array
-    X: Array
-    R: Array
-    q: Array
-    r: Array
-    action_dims: tuple[int, ...]
-    initial_state: Array
-
-
-def affine_dynamics(game: GameDefinition) -> tuple[Array, Array, Array]:
-    """Stacked (A, B, b) of a game with declared linear dynamics: (T, n_x, ...)."""
-    T, n_x = game.horizon, game.state_dim
-    zx, zu = np.zeros((T + 1, n_x)), np.zeros((T + 1, game.total_action_dim))
-    A, B = game.eval_traj_dynamics_jacobians(zx, zu)
-    b = np.array([game.eval_dynamics(k, zx[k], zu[k]) for k in range(T)]).reshape(T, n_x)
-    return A, B, b
 
 
 def stage_rows(game: GameDefinition, k: int):
@@ -118,7 +90,7 @@ def horizon_rows(game: GameDefinition, start: int = 0, x_start: Optional[Array] 
     pick_x = sp.hstack([sp.identity(n_x), sp.csr_matrix((n_x, n_u))])
     Aeq = sp.block_diag([pick_x] * (steps + 1), format="csr")
     if steps:
-        A, B, b = affine_dynamics(game)
+        A, B, b = linearize_dynamics(game, *_origin(game))
         # row block i+1 reads x_{k+1} - A_k x_k - B_k u_k = b_k, k = start + i
         step = sp.block_diag([np.hstack([A[k], B[k]]) for k in range(start, T)])
         Aeq = Aeq - sp.bmat([[sp.csr_matrix((n_x, steps * n_v)), None],
@@ -137,20 +109,16 @@ def horizon_rows(game: GameDefinition, start: int = 0, x_start: Optional[Array] 
 
 
 def extract_lq_data(game: GameDefinition) -> LqGameData:
-    """Read the constant matrices of a declared linear-quadratic game."""
+    """The data of a declared linear-quadratic game: its local LQ data at the origin."""
     if not (game.linear_dynamics and game.quadratic_costs):
         raise ValueError("game is not declared linear-quadratic")
-    T = game.horizon
-    zx, zu = np.zeros((T + 1, game.state_dim)), np.zeros((T + 1, game.total_action_dim))
-    A, B, b = affine_dynamics(game)
-    q, r = game.eval_traj_cost_gradients(zx, zu)
-    hess = [game.eval_cost_hessians(k, zx[k], zu[k]) for k in range(T + 1)]
-    # every block as (N, T+1, ...): players first, then stages
-    cxx, cxu, cuu = (np.array([h[i] for h in hess]).swapaxes(0, 1) for i in range(3))
-    return LqGameData(A=A, B=B, b=b, Q=0.5 * (cxx + cxx.swapaxes(2, 3)), X=cxu,
-                      R=0.5 * (cuu + cuu.swapaxes(2, 3)),
-                      q=q.swapaxes(0, 1), r=r.swapaxes(0, 1),
-                      action_dims=game.action_dims, initial_state=game.initial_state)
+    return local_lq(game, *_origin(game))
+
+
+def _origin(game: GameDefinition) -> tuple[Array, Array]:
+    """Zero states (T+1, n_x) and actions (T+1, n_u)."""
+    T1 = game.horizon + 1
+    return np.zeros((T1, game.state_dim)), np.zeros((T1, game.total_action_dim))
 
 
 def _bmv(mats: Array, vecs: Array) -> Array:
@@ -288,7 +256,7 @@ def factor(game: GameDefinition, eta: float) -> LqFactor:
     if eta == 0:
         if not game.linear_dynamics:
             raise UnsupportedConstraintError("dynamics projection requires linear dynamics")
-        A, B, b = affine_dynamics(game)
+        A, B, b = linearize_dynamics(game, *_origin(game))
         # One player holding every action: all players share the same cost.
         data = LqGameData(
             A=A, B=B, b=b, Q=np.broadcast_to(I_x, (1, T1, n_x, n_x)),

@@ -9,12 +9,17 @@ never the dynamics), so state and action sequences both have T+1 entries.
 
 All evaluation helpers fall back to central finite differences when a game
 does not register analytic derivatives.
+
+Local derivative data has one layout, ``LqGameData``: a linear-quadratic
+game, stacked over stages, in deviations (x - xbar, u - ubar) from a
+reference trajectory.  ``local_lq`` reads it, ``quadraticize`` around a
+feasible trajectory with the rows, ``lq.extract_lq_data`` at the origin.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -377,12 +382,7 @@ class Trajectory:
 
     def dynamics_residuals(self, game: GameDefinition) -> Array:
         """Per-stage residual norms ||x_{k+1} - f_k(x_k, u_k)||."""
-        T = self.horizon
-        res = np.zeros(max(T, 0))
-        for k in range(T):
-            pred = game.eval_dynamics(k, self.states[k], self.actions[k])
-            res[k] = np.linalg.norm(self.states[k + 1] - pred)
-        return res
+        return np.linalg.norm(_dynamics_offsets(game, self.states, self.actions), axis=1)
 
     def dynamically_feasible(self, game: GameDefinition, tol: float = 1e-8) -> bool:
         res = self.dynamics_residuals(game)
@@ -390,38 +390,6 @@ class Trajectory:
 
     def copy(self) -> "Trajectory":
         return Trajectory(self.states.copy(), self.actions.copy())
-
-
-@dataclass
-class StageQuadraticization:
-    """Local derivative data of one stage around a reference point.
-
-    ``M`` holds one symmetric (1+n_x+n_u)-square cost expansion matrix per
-    player, with the scalar block equal to twice the stage cost so that
-    ``0.5 * [1, dx, du]^T M [1, dx, du]`` reproduces the local Taylor
-    expansion.  ``G`` stacks the second derivatives of each dynamics output
-    over the (x, u) pair; it is None at the terminal stage, as are A and B.
-    Constraint rows are split by the active set ``{i : g_i >= -active_tol}``.
-    """
-
-    stage: int
-    M: Array
-    A: Optional[Array] = None
-    B: Optional[Array] = None
-    G: Optional[Array] = None
-    W: Array = None
-    S: Array = None
-    p: Array = None
-    active_indices: Array = None
-    inactive_indices: Array = None
-
-    @property
-    def num_constraints(self) -> int:
-        return 0 if self.p is None else self.p.shape[0]
-
-    def active_rows(self) -> tuple[Array, Array, Array]:
-        a = self.active_indices
-        return self.W[a], self.S[a], self.p[a]
 
 
 def rollout(game: GameDefinition, x0: Array, controls: Array) -> Trajectory:
@@ -491,59 +459,125 @@ def all_player_costs(game: GameDefinition, traj: Trajectory, start: int = 0) -> 
 
 
 def check_feasible(game: GameDefinition, traj: Trajectory, tol: float = 1e-8) -> None:
-    """Raise InfeasibleTrajectoryError if the dynamics residual exceeds tol."""
-    if not np.isfinite(tol):
-        return
-    res = traj.dynamics_residuals(game)
-    bad = np.flatnonzero(res > tol * (1.0 + np.linalg.norm(traj.states[1:], axis=1)))
+    """Raise InfeasibleTrajectoryError if the dynamics residual exceeds tol.
+
+    ``tol = inf`` skips the check; a NaN or negative ``tol`` raises ValueError.
+    """
+    _check_tol("feas_tol", tol)
+    if tol < np.inf:
+        _raise_if_infeasible(traj.dynamics_residuals(game), traj.states, tol)
+
+
+def _check_tol(name: str, tol: float) -> None:
+    if not tol >= 0:  # rejects NaN too
+        raise ValueError(f"{name} must be nonnegative, got {tol}")
+
+
+def _raise_if_infeasible(res: Array, states: Array, tol: float) -> None:
+    """InfeasibleTrajectoryError for the first stage whose residual exceeds tol."""
+    bad = np.flatnonzero(res > tol * (1.0 + np.linalg.norm(states[1:], axis=1)))
     if bad.size:
         raise InfeasibleTrajectoryError(int(bad[0]), float(res[bad[0]]), tol)
 
 
+def _dynamics_offsets(game: GameDefinition, states: Array, actions: Array) -> Array:
+    """f_k(x_k, u_k) - x_{k+1} for every stage k < T: (T, n_x)."""
+    T = game.horizon
+    pred = [game.eval_dynamics(k, states[k], actions[k]) for k in range(T)]
+    return _checked("dynamics outputs", pred, (T, game.state_dim)) - states[1:]
+
+
+@dataclass
+class LqGameData:
+    """A linear-quadratic game, or a game's local LQ approximation, stacked.
+
+    In deviations dx = x - xbar, du = u - ubar from a reference (xbar, ubar),
+    dx+ = A_k dx + B_k du + b_k with b_k = f_k(xbar_k, ubar_k) - xbar_{k+1},
+    from dx_0 = ``initial_state`` = x0 - xbar_0.  A, B and b have shapes
+    (T, n_x, ...).  Player n's stage cost is c + q'dx + r'du + 0.5 dx'Q dx
+    + dx'X du + 0.5 du'R du, with c, q, r, Q, X and R of shapes (N, T+1, ...)
+    indexed ``Q[n, k]``; Q and R are symmetric.  ``G`` (T, n_x, n_x+n_u,
+    n_x+n_u) holds the symmetrized second derivatives of each dynamics
+    output over (x, u).  The per-stage lists ``W``, ``S``, ``p`` and
+    ``active`` hold stage k's rows W dx + S du + p <= 0 and the indices of
+    its active rows, p_i >= -active_tol; they are None when no rows were read.
+    """
+
+    A: Array
+    B: Array
+    b: Array
+    Q: Array
+    X: Array
+    R: Array
+    q: Array
+    r: Array
+    action_dims: tuple[int, ...]
+    initial_state: Array
+    c: Optional[Array] = None
+    G: Optional[Array] = None
+    W: Optional[list[Array]] = None
+    S: Optional[list[Array]] = None
+    p: Optional[list[Array]] = None
+    active: Optional[list[Array]] = None
+
+
+def linearize_dynamics(game: GameDefinition, states: Array, actions: Array,
+                       feas_tol: float = np.inf) -> tuple[Array, Array, Array]:
+    """(A, B, b) of ``LqGameData`` around (states, actions).
+
+    A residual |b_k| above ``feas_tol`` (relative to 1 + |xbar_{k+1}|) raises
+    InfeasibleTrajectoryError before the Jacobians are read.
+    """
+    b = _dynamics_offsets(game, states, actions)
+    _raise_if_infeasible(np.linalg.norm(b, axis=1), states, feas_tol)
+    return (*game.eval_traj_dynamics_jacobians(states, actions), b)
+
+
+def local_lq(game: GameDefinition, states: Array, actions: Array,
+             active_tol: Optional[float] = None, feas_tol: float = np.inf) -> LqGameData:
+    """The ``LqGameData`` of a game around (states, actions).
+
+    Costs, gradients and Jacobians come from the whole-trajectory evaluators;
+    only the cost and dynamics Hessians and the rows are read stage by stage.
+    G is zero, and not evaluated, for declared linear dynamics; rows are read
+    only when ``active_tol`` is given.
+    """
+    T, n_z = game.horizon, game.state_dim + game.total_action_dim
+    A, B, b = linearize_dynamics(game, states, actions, feas_tol)
+    CX, CU = game.eval_traj_cost_gradients(states, actions)
+    hess = [game.eval_cost_hessians(k, states[k], actions[k]) for k in range(T + 1)]
+    # every cost block as (N, T+1, ...): players first, then stages
+    cxx, cxu, cuu = (np.array([h[i] for h in hess]).swapaxes(0, 1) for i in range(3))
+    G = np.zeros((T, game.state_dim, n_z, n_z))
+    if not game.linear_dynamics:
+        G = _checked("dynamics Hessians", [game.eval_dynamics_hessians(k, states[k], actions[k])
+                                           for k in range(T)], G.shape)
+        G = 0.5 * (G + G.swapaxes(2, 3))
+    data = LqGameData(A=A, B=B, b=b, Q=0.5 * (cxx + cxx.swapaxes(2, 3)), X=cxu,
+                      R=0.5 * (cuu + cuu.swapaxes(2, 3)),
+                      q=CX.swapaxes(0, 1), r=CU.swapaxes(0, 1),
+                      action_dims=game.action_dims, initial_state=game.initial_state - states[0],
+                      c=game.eval_traj_costs(states, actions).T, G=G)
+    if active_tol is not None:
+        data.p = [game.eval_constraints(k, states[k], actions[k]) for k in range(T + 1)]
+        jacs = [game.eval_constraint_jacobians(k, states[k], actions[k]) for k in range(T + 1)]
+        data.W, data.S = [j[0] for j in jacs], [j[1] for j in jacs]
+        data.active = [np.flatnonzero(g >= -active_tol) for g in data.p]
+    return data
+
+
 def quadraticize(game: GameDefinition, traj: Trajectory,
                  active_tol: float = DEFAULT_ACTIVE_TOL,
-                 feas_tol: float = 1e-6) -> list[StageQuadraticization]:
-    """Evaluate all stage derivative data along a trajectory.
+                 feas_tol: float = 1e-6) -> LqGameData:
+    """The local LQ approximation around a feasible trajectory, with its rows.
 
-    Returns one StageQuadraticization per stage k = 0..T.  Dynamics blocks
-    (A, B, G) are present for k < T only.  Active constraint indices collect
-    rows with ``g_i >= -active_tol``.
+    The stacked ``LqGameData`` in deviations from the trajectory: q and r
+    are its cost gradients, b its dynamics residuals, ``initial_state`` is
+    x0 - xbar_0, and every stage's rows are read with the active indices
+    ``{i : g_i >= -active_tol}``.  Raises InfeasibleTrajectoryError for a
+    residual above ``feas_tol`` (``inf`` skips the check), and ValueError
+    for a NaN or negative ``active_tol`` or ``feas_tol``.
     """
-    check_feasible(game, traj, feas_tol)
-    T = game.horizon
-    n_x, n_u, N = game.state_dim, game.total_action_dim, game.num_players
-    out = []
-    for k in range(T + 1):
-        x, u = traj.states[k], traj.actions[k]
-        cx, cu = game.eval_cost_gradients(k, x, u)
-        cxx, cxu, cuu = game.eval_cost_hessians(k, x, u)
-        c = game.eval_costs(k, x, u)
-        M = np.empty((N, 1 + n_x + n_u, 1 + n_x + n_u))
-        for n in range(N):
-            M[n, 0, 0] = 2.0 * c[n]
-            M[n, 0, 1:1 + n_x] = cx[n]
-            M[n, 1:1 + n_x, 0] = cx[n]
-            M[n, 0, 1 + n_x:] = cu[n]
-            M[n, 1 + n_x:, 0] = cu[n]
-            M[n, 1:1 + n_x, 1:1 + n_x] = 0.5 * (cxx[n] + cxx[n].T)
-            M[n, 1:1 + n_x, 1 + n_x:] = cxu[n]
-            M[n, 1 + n_x:, 1:1 + n_x] = cxu[n].T
-            M[n, 1 + n_x:, 1 + n_x:] = 0.5 * (cuu[n] + cuu[n].T)
-        A = B = G = None
-        if k < T:
-            A, B = game.eval_dynamics_jacobians(k, x, u)
-            G = game.eval_dynamics_hessians(k, x, u)
-            G = 0.5 * (G + np.transpose(G, (0, 2, 1)))
-        g = game.eval_constraints(k, x, u)
-        W, S = game.eval_constraint_jacobians(k, x, u)
-        active = np.flatnonzero(g >= -active_tol)
-        inactive = np.flatnonzero(g < -active_tol)
-        out.append(StageQuadraticization(
-            stage=k, M=M, A=A, B=B, G=G, W=W, S=S, p=g,
-            active_indices=active, inactive_indices=inactive))
-    return out
-
-
-def active_set_partition(quads: Sequence[StageQuadraticization]) -> list[tuple[Array, Array]]:
-    """Per-stage (active, inactive) constraint index sets."""
-    return [(q.active_indices.copy(), q.inactive_indices.copy()) for q in quads]
+    _check_tol("active_tol", active_tol)
+    _check_tol("feas_tol", feas_tol)
+    return local_lq(game, traj.states, traj.actions, active_tol, feas_tol)

@@ -4,8 +4,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from dyngames.benchmarks import FisheryParams, fishery_game
 from dyngames.lq import extract_lq_data, solve_lq_open_loop
-from dyngames.model import GameDefinition, Trajectory
+from dyngames.model import GameDefinition, Trajectory, rollout
 
 from conftest import decoupled_lq_game, random_lq_game
 from oracles import stacked_lq_gne
@@ -213,3 +214,11 @@ def equality_constrained_lq_instance(rng, T=4, con_stages=(1, 3)):
         linear_dynamics=True, polyhedral_constraints=True)
     ref = stacked_lq_gne(game, lq, rows)
     return game, lq, rows, ref, row_data
+
+
+def fishery_off_its_dynamics(T=10):
+    """A T-stage fishery trajectory with every state shifted by 5."""
+    game = fishery_game(FisheryParams(horizon_time=T / 10))
+    traj = rollout(game, game.initial_state, np.tile([0.4, 0.0], (T + 1, 1)))
+    traj.states += 5.0
+    return game, traj

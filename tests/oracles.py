@@ -476,6 +476,54 @@ def dr_constraints_scheme_trace(game, stage_projection, eta, alpha, max_iter):
 
 
 # ---------------------------------------------------------------------------
+# Local derivative data, one stage and one player at a time.
+# ---------------------------------------------------------------------------
+
+
+def quadraticize_per_stage(game, traj, active_tol=1e-6):
+    """Per-stage local derivative data along a trajectory, with the per-stage callables.
+
+    Returns one dict per stage k = 0..T.  ``M[n]`` is player n's symmetric
+    (1+n_x+n_u)-square cost expansion matrix, the scalar block twice the
+    stage cost, so that ``0.5 * [1, dx, du]' M [1, dx, du]`` is the local
+    Taylor expansion.  A, B, G (the symmetrized dynamics second derivatives)
+    and b = f_k(x_k, u_k) - x_{k+1} are None at the terminal stage.  W, S
+    and p are the constraint rows, ``active`` the indices with
+    p_i >= -active_tol.
+    """
+    T = game.horizon
+    n_x, n_u, N = game.state_dim, game.total_action_dim, game.num_players
+    out = []
+    for k in range(T + 1):
+        x, u = traj.states[k], traj.actions[k]
+        cx, cu = game.eval_cost_gradients(k, x, u)
+        cxx, cxu, cuu = game.eval_cost_hessians(k, x, u)
+        c = game.eval_costs(k, x, u)
+        M = np.empty((N, 1 + n_x + n_u, 1 + n_x + n_u))
+        for n in range(N):
+            M[n, 0, 0] = 2.0 * c[n]
+            M[n, 0, 1:1 + n_x] = cx[n]
+            M[n, 1:1 + n_x, 0] = cx[n]
+            M[n, 0, 1 + n_x:] = cu[n]
+            M[n, 1 + n_x:, 0] = cu[n]
+            M[n, 1:1 + n_x, 1:1 + n_x] = 0.5 * (cxx[n] + cxx[n].T)
+            M[n, 1:1 + n_x, 1 + n_x:] = cxu[n]
+            M[n, 1 + n_x:, 1:1 + n_x] = cxu[n].T
+            M[n, 1 + n_x:, 1 + n_x:] = 0.5 * (cuu[n] + cuu[n].T)
+        A = B = G = b = None
+        if k < T:
+            A, B = game.eval_dynamics_jacobians(k, x, u)
+            G = game.eval_dynamics_hessians(k, x, u)
+            G = 0.5 * (G + np.transpose(G, (0, 2, 1)))
+            b = game.eval_dynamics(k, x, u) - traj.states[k + 1]
+        p = game.eval_constraints(k, x, u)
+        W, S = game.eval_constraint_jacobians(k, x, u)
+        out.append(dict(M=M, A=A, B=B, G=G, b=b, W=W, S=S, p=p,
+                        active=np.flatnonzero(p >= -active_tol)))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Policy rollouts and the noise comparison, one run and one stage at a time.
 # ---------------------------------------------------------------------------
 

@@ -24,7 +24,7 @@ from dyngames.feedback import (
     stagewise_newton_backward,
 )
 from dyngames.gradient import pseudo_gradient
-from dyngames.model import GameDefinition, Trajectory, quadraticize, rollout
+from dyngames.model import GameDefinition, Trajectory, rollout
 from dyngames.parametric import solve_stage_kkt
 
 from conftest import decoupled_lq_game, random_lq_game
@@ -111,6 +111,17 @@ class TestBackwardPass:
         traj = rollout(game, game.initial_state, np.zeros((4, game.total_action_dim)))
         with pytest.raises(ValueError, match="stage_reg"):
             stagewise_newton_backward(game, traj, stage_reg=stage_reg)
+
+    @pytest.mark.parametrize("tols", [dict(feas_tol=np.nan), dict(active_tol=np.nan),
+                                      dict(active_tol=-1e-3)])
+    def test_nan_or_negative_tolerances_are_rejected(self, tols):
+        # player 0 at its upper bound and player 1 at zero: both pinned
+        game = fishery_game(FisheryParams(horizon_time=1.0))
+        ref = rollout(game, game.initial_state, np.tile([0.4, 0.0], (11, 1)))
+        policy = stagewise_newton_backward(game, ref, stage_reg=0.1)
+        np.testing.assert_array_equal(policy.gains[0], np.zeros((2, 1)))
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            stagewise_newton_backward(game, ref, stage_reg=0.1, **tols)
 
     def test_value_matrices_symmetric_and_terminal_zero(self, rng):
         game, _ = random_lq_game(rng, T=4)

@@ -21,7 +21,17 @@ from dyngames.gradient import (
 from dyngames.model import GameDefinition, Trajectory, all_player_costs, rollout
 
 from conftest import identity_sum_game, random_lq_game, random_smooth_game
+from instances import fishery_off_its_dynamics
 from oracles import costate_recursion, fd_stacked_gradient
+
+
+@pytest.mark.parametrize("check", [pseudo_gradient, playerwise_minimizer_check])
+def test_nan_feas_tol_is_rejected_not_skipped(check):
+    game, traj = fishery_off_its_dynamics()
+    with pytest.raises(InfeasibleTrajectoryError):
+        check(game, traj)
+    with pytest.raises(ValueError, match="feas_tol must be nonnegative"):
+        check(game, traj, feas_tol=np.nan)
 
 
 class TestPseudoGradient:

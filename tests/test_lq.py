@@ -1,5 +1,6 @@
 """The factored linear-quadratic kernel: factor once, solve many."""
 
+import dataclasses
 import gc
 import time
 
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 
 from dyngames import feedback, lq, splitting
 from dyngames.errors import StageSingularityError
-from dyngames.model import GameDefinition
+from dyngames.benchmarks import lq_rendezvous_game
+from dyngames.model import GameDefinition, Trajectory, quadraticize
 from dyngames.splitting import DrConfig, dr_solve, resolvent_reg_game
 
 from oracles import dense_eq_least_squares, stacked_lq_gne
@@ -191,6 +193,27 @@ def test_plain_solve_matches_dense_kkt_and_stays_in_feedback(rng):
     x0 = rng.standard_normal(3)
     moved = lq.solve_lq_open_loop(lq.extract_lq_data(game), x0=x0)
     np.testing.assert_array_equal(moved.states[0], x0)
+
+
+@pytest.mark.parametrize("make", ["rendezvous", "random_lq"])
+def test_extract_lq_data_is_the_reader_at_the_origin(rng, make):
+    if make == "rendezvous":
+        game = lq_rendezvous_game()
+    else:
+        game = lq_game(random_lq_data(rng, 4, 3, (2, 1)), rng.standard_normal(3), (2, 1))
+    T1, n_x, n_u = game.horizon + 1, game.state_dim, game.total_action_dim
+    want = quadraticize(game, Trajectory(np.zeros((T1, n_x)), np.zeros((T1, n_u))),
+                        feas_tol=np.inf)
+
+    def boom(k, x, u):
+        raise AssertionError("extract_lq_data read data it does not return")
+
+    # neither rows nor dynamics Hessians are read
+    got = lq.extract_lq_data(dataclasses.replace(game, constraints=boom,
+                                                 dynamics_hessians=boom))
+    for name in ("A", "B", "b", "Q", "X", "R", "q", "r", "c", "G", "initial_state"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+    assert got.W is None and got.active is None
 
 
 def singular_game(rng, eta, T=3):

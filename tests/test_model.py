@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dyngames.benchmarks import FisheryParams, fishery_game
+from dyngames.benchmarks import FisheryParams, fishery_game, lq_rendezvous_game
 from dyngames.errors import DimensionError, InfeasibleTrajectoryError, NonFiniteStateError
 from dyngames.gradient import pseudo_gradient
 from dyngames.projgrad import project_onto_feasible
@@ -14,7 +14,6 @@ from dyngames.splitting import project_stage_constraints
 from dyngames.model import (
     GameDefinition,
     Trajectory,
-    active_set_partition,
     all_player_costs,
     check_feasible,
     quadraticize,
@@ -23,6 +22,8 @@ from dyngames.model import (
 )
 
 from conftest import identity_sum_game, random_lq_game, random_smooth_game
+from instances import fishery_off_its_dynamics
+from oracles import quadraticize_per_stage
 
 
 def fishery_like_step(x, r=8.0, h=100.0, dt=0.1):
@@ -330,14 +331,33 @@ class TestCheckFeasible:
         traj.states[2] -= [1e-3, 0.0]
         check_feasible(game, traj, tol=1e-6)
 
+    @pytest.mark.parametrize("active_tol, feas_tol", [(1e-6, np.nan), (np.nan, np.inf),
+                                                      (-1e-3, np.inf)])
+    def test_quadraticize_rejects_nan_or_negative_tolerances(self, active_tol, feas_tol):
+        game, traj = fishery_off_its_dynamics()
+        quadraticize(game, traj, feas_tol=np.inf)  # inf still skips the check
+        with pytest.raises(InfeasibleTrajectoryError):
+            quadraticize(game, traj)
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            quadraticize(game, traj, active_tol=active_tol, feas_tol=feas_tol)
+
+
+def bare(game):
+    """The game's per-stage maps alone: every derivative by finite differences."""
+    return GameDefinition(horizon=game.horizon, state_dim=game.state_dim,
+                          action_dims=game.action_dims, initial_state=game.initial_state,
+                          dynamics=game.dynamics, stage_costs=game.stage_costs,
+                          constraints=game.constraints)
+
 
 class TestQuadraticize:
     def test_linear_dynamics_have_zero_second_derivatives(self, rng):
         game, _ = random_lq_game(rng, T=3)
         traj = rollout(game, game.initial_state,
                        rng.standard_normal((4, game.total_action_dim)))
-        for q in quadraticize(game, traj)[:-1]:
-            assert np.all(q.G == 0.0)
+        G = quadraticize(game, traj).G
+        assert G.shape == (3, 2, 4, 4)
+        assert np.all(G == 0.0)
 
     def test_quadratic_cost_blocks_are_exact(self):
         Q = np.array([[2.0, 0.5], [0.5, 1.5]])
@@ -348,27 +368,20 @@ class TestQuadraticize:
         )
         ubar = np.array([0.7, -0.3])
         traj = rollout(game, np.zeros(1), np.vstack([ubar, ubar]))
-        q0 = quadraticize(game, traj)[0]
-        iu = slice(2, 4)
-        np.testing.assert_allclose(q0.M[0][iu, iu], Q, atol=1e-6)
-        np.testing.assert_allclose(q0.M[0][0, iu], Q @ ubar, atol=1e-7)
+        data = quadraticize(game, traj)
+        np.testing.assert_allclose(data.R[0, 0], Q, atol=1e-6)
+        np.testing.assert_allclose(data.r[0, 0], Q @ ubar, atol=1e-7)
 
     def test_fd_fallback_matches_analytic(self, rng):
         game = random_smooth_game(rng, T=3)
-        bare = GameDefinition(
-            horizon=game.horizon, state_dim=game.state_dim,
-            action_dims=game.action_dims, initial_state=game.initial_state,
-            dynamics=game.dynamics, stage_costs=game.stage_costs,
-        )
         controls = 0.2 * rng.standard_normal((4, game.total_action_dim))
         traj = rollout(game, game.initial_state, controls)
         qa = quadraticize(game, traj)
-        qf = quadraticize(bare, traj)
-        for a, f in zip(qa[:-1], qf[:-1]):
-            np.testing.assert_allclose(f.A, a.A, atol=1e-7)
-            np.testing.assert_allclose(f.B, a.B, atol=1e-7)
-            np.testing.assert_allclose(f.M, a.M, atol=2e-5)
-            np.testing.assert_allclose(f.G, a.G, atol=2e-5)
+        qf = quadraticize(bare(game), traj)
+        np.testing.assert_allclose(qf.A, qa.A, atol=1e-7)
+        np.testing.assert_allclose(qf.B, qa.B, atol=1e-7)
+        for name in ("c", "q", "r", "Q", "X", "R", "G"):
+            np.testing.assert_allclose(getattr(qf, name), getattr(qa, name), atol=2e-5)
 
     def test_fd_consistency_order(self, rng):
         # Jacobian error of a one-sided reimplementation decays ~quadratically
@@ -404,6 +417,82 @@ class TestQuadraticize:
         assert A[0, 0] == pytest.approx(1.0, abs=1e-9)
 
 
+def reader_case(name, rng):
+    """A game and a feasible trajectory of it, some actions on their bounds."""
+    if name.startswith("fishery") or name == "bare":
+        params = FisheryParams(horizon_time=2.0)
+        game = fishery_game(params)
+        if name == "fishery_per_stage":
+            game = dataclasses.replace(game, traj_costs=None, traj_cost_gradients=None,
+                                       traj_dynamics_jacobians=None, traj_rollout=None)
+        elif name == "bare":
+            game = bare(game)
+        hi = np.array([params.u1_max, params.u2_max])
+        u = rng.uniform(0.0, 1.0, (game.horizon + 1, 2))
+        snap = rng.random(u.shape) < 0.3
+        u[snap] = np.round(u[snap])
+        u *= hi
+    elif name == "rendezvous":
+        game = lq_rendezvous_game()
+        u = 1.5 * rng.standard_normal((game.horizon + 1, 6))
+    elif name == "random_lq":
+        game, _ = random_lq_game(rng, T=4, state_dim=2, action_dims=(1, 2),
+                                 constraints=lambda k, x, u: np.array(
+                                     [u[0] - 0.5, x[0] + u[1] - 1.0, x[1] ** 2 - 2.0]))
+        u = rng.standard_normal((5, 3))
+    else:
+        game = random_smooth_game(rng, T=4)
+        u = 0.3 * rng.standard_normal((5, game.total_action_dim))
+    return game, rollout(game, game.initial_state, u)
+
+
+def assert_rel_close(got, want):
+    """Equal to 1e-12 relative to the largest entry of the reference."""
+    want = np.asarray(want, dtype=float)
+    assert np.shape(got) == want.shape
+    np.testing.assert_allclose(got, want, rtol=1e-12,
+                               atol=1e-12 * (1.0 + np.max(np.abs(want), initial=0.0)))
+
+
+class TestStackedReader:
+    @pytest.mark.parametrize("name", ["fishery", "fishery_per_stage", "rendezvous",
+                                      "random_lq", "random_smooth", "bare"])
+    @given(seed=st.integers(0, 2**32 - 1), shift=st.floats(0.0, 1e-3))
+    def test_matches_per_stage_reference(self, name, seed, shift):
+        # a shifted trajectory gives nonzero dynamics offsets b and x0 - xbar_0
+        rng = np.random.default_rng(seed)
+        game, traj = reader_case(name, rng)
+        traj.states += shift * rng.standard_normal(traj.states.shape)
+        data = quadraticize(game, traj, feas_tol=np.inf)
+        ref = quadraticize_per_stage(game, traj)
+        T, n_x = game.horizon, game.state_dim
+        ix, iu = slice(1, 1 + n_x), slice(1 + n_x, None)
+        assert data.A.shape[0] == data.B.shape[0] == data.b.shape[0] == data.G.shape[0] == T
+        assert data.c.shape == (game.num_players, T + 1)
+        for k, want in enumerate(ref):
+            M = want["M"]
+            for got, block in [(data.c, M[:, 0, 0] / 2.0), (data.q, M[:, 0, ix]),
+                               (data.r, M[:, 0, iu]), (data.Q, M[:, ix, ix]),
+                               (data.X, M[:, ix, iu]), (data.R, M[:, iu, iu])]:
+                assert_rel_close(got[:, k], block)
+            if k < T:
+                for name_ in ("A", "B", "G", "b"):
+                    assert_rel_close(getattr(data, name_)[k], want[name_])
+            for name_ in ("W", "S", "p"):
+                assert_rel_close(getattr(data, name_)[k], want[name_])
+            np.testing.assert_array_equal(data.active[k], want["active"])
+        assert_rel_close(data.initial_state, game.initial_state - traj.states[0])
+
+    def test_linear_dynamics_read_no_second_derivatives(self, rng):
+        game, traj = reader_case("random_lq", rng)
+
+        def boom(k, x, u):
+            raise AssertionError("dynamics Hessians read for declared linear dynamics")
+
+        data = quadraticize(dataclasses.replace(game, dynamics_hessians=boom), traj)
+        assert np.all(data.G == 0.0)
+
+
 class TestActiveSets:
     @staticmethod
     def box_game(T=2, ubar=0.4):
@@ -421,24 +510,27 @@ class TestActiveSets:
     def test_no_constraints_gives_empty_sets(self, rng):
         game, _ = random_lq_game(rng, T=3)
         traj = rollout(game, game.initial_state, np.zeros((4, game.total_action_dim)))
-        for act, inact in active_set_partition(quadraticize(game, traj)):
-            assert act.size == 0 and inact.size == 0
+        data = quadraticize(game, traj)
+        for act, p in zip(data.active, data.p):
+            assert act.size == 0 and p.size == 0
 
     def test_boundary_point_is_active(self):
         game = self.box_game()
         controls = np.array([[0.4], [0.1], [0.0]])
         traj = rollout(game, np.zeros(1), controls)
-        parts = active_set_partition(quadraticize(game, traj))
-        assert list(parts[0][0]) == [0]
-        assert list(parts[1][0]) == []
-        assert list(parts[2][0]) == [1]
+        active = quadraticize(game, traj).active
+        assert list(active[0]) == [0]
+        assert list(active[1]) == []
+        assert list(active[2]) == [1]
 
     def test_partition_is_complement(self, rng):
         game = self.box_game(T=4)
         controls = rng.uniform(-0.1, 0.5, size=(5, 1))
         traj = rollout(game, np.zeros(1), controls)
-        for act, inact in active_set_partition(quadraticize(game, traj)):
-            assert sorted(list(act) + list(inact)) == [0, 1]
+        data = quadraticize(game, traj)
+        for act, p in zip(data.active, data.p):
+            inact = np.setdiff1d([0, 1], act)
+            assert np.all(p[act] >= -1e-6) and np.all(p[inact] < -1e-6)
 
     @given(t1=st.floats(1e-9, 1e-3), scale=st.floats(1.0, 50.0))
     def test_active_set_monotone_in_tolerance(self, t1, scale):
@@ -448,5 +540,5 @@ class TestActiveSets:
         traj = rollout(game, np.zeros(1), ctrl)
         small = quadraticize(game, traj, active_tol=t1)
         big = quadraticize(game, traj, active_tol=t2)
-        for qs, qb in zip(small, big):
-            assert set(qs.active_indices).issubset(set(qb.active_indices))
+        for act_s, act_b in zip(small.active, big.active):
+            assert set(act_s).issubset(set(act_b))
