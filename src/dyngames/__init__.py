@@ -36,7 +36,6 @@ from .feedback import (
     FeedbackPolicy,
     epsilon_nash_gap,
     feedback_rollout,
-    solve_unconstrained_newton,
     stagewise_newton_backward,
 )
 from .parametric import (

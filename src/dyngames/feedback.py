@@ -6,7 +6,9 @@ One backward sweep propagates per-player value matrices and solves an
 equality-constrained quadratic stage game at every step, producing affine
 gains ``du_k = K_k dx_k + s_k`` in O(T) work.  At an open-loop equilibrium
 reference the offsets vanish and the policy reduces to
-``u_k = ubar_k + K_k (x_k - xbar_k)``.
+``u_k = ubar_k + K_k (x_k - xbar_k)``.  The pass is the policy pass only:
+open-loop Newton steps on a game are solved by the ``lq`` sweep instead
+(``splitting.resolvent_reg_game``).
 
 For affine dynamics with polyhedral constraints the same policy, computed on
 a tightened copy of the problem, is an approximate feedback equilibrium of
@@ -33,7 +35,6 @@ from .errors import (
     NonFiniteStateError,
     SubproblemError,
 )
-from .gradient import pseudo_gradient
 # The LQ open-loop solver lives in ``lq``; these names stay importable here.
 from .lq import extract_lq_data, solve_lq_open_loop  # noqa: F401
 from .model import (
@@ -87,16 +88,13 @@ class FeedbackPolicy:
 
 def stagewise_newton_backward(game: GameDefinition, traj: Trajectory,
                               active_tol: float = DEFAULT_ACTIVE_TOL,
-                              use_constraints: bool = True,
                               feas_tol: float = 1e-6,
                               stage_reg: float = 0.0) -> FeedbackPolicy:
     """One O(T) backward pass of the constrained stagewise Newton recursion.
 
-    With ``use_constraints`` off (or no constraints present) this is the
-    unconstrained recursion; otherwise the rows active at the reference are
-    pinned in each stage game.  Raises StageSingularityError when a stage
-    KKT system is singular or active rows are rank deficient, naming the
-    stage.
+    The rows active at the reference are pinned in each stage game.  Raises
+    StageSingularityError when a stage KKT system is singular or active rows
+    are rank deficient, naming the stage.
 
     ``stage_reg`` adds a Levenberg-style quadratic penalty on the action
     correction to every player's stage objective.  Games whose costs are
@@ -145,7 +143,7 @@ def stagewise_newton_backward(game: GameDefinition, traj: Trajectory,
         # every player's rows of its own action block
         own = np.vstack([gamma_k[n][iu][game.action_slice(n)] for n in range(N)])
         F, P, H = own[:, iu], own[:, ix], own[:, 0]
-        act = data.active[k] if use_constraints else []
+        act = data.active[k]
         Wa, Sa, pa = data.W[k][act], data.S[k][act], data.p[k][act]
         if stage_reg:
             F = F + stage_reg * np.eye(n_u)
@@ -350,31 +348,3 @@ def _check_best_response_convex(blocks: Array, A: Array, B: Array, gains: list[A
                 f"its action costs may be missing")
         P = Qxx - Qwx.T @ np.linalg.solve(Qww, Qwx)
         P = 0.5 * (P + P.T)
-
-
-def solve_unconstrained_newton(game: GameDefinition, init: Trajectory,
-                               tol: float = 1e-9, max_iter: int = 50) -> tuple[Trajectory, int]:
-    """Equilibrium of an unconstrained dynamic game by Newton iterations.
-
-    Each pass quadraticizes around the current trajectory, runs the backward
-    recursion without constraint rows and re-rolls the dynamics under the
-    resulting affine correction (``feedback_rollout``).  Terminates when the
-    stacked gradient is stationary; one pass is exact for linear-quadratic
-    games.  The first pass whose re-roll produces a non-finite state raises
-    NonFiniteStateError.
-    """
-    traj = init
-    scale = 1.0 + float(np.max(np.abs(init.actions), initial=0.0))
-    for it in range(max_iter):
-        policy = stagewise_newton_backward(game, traj, use_constraints=False,
-                                           feas_tol=np.inf)
-        new = feedback_rollout(game, policy, traj.states[0]).trajectory
-        resid = float(np.max(np.abs(pseudo_gradient(game, new, feas_tol=np.inf).stacked),
-                             initial=0.0))
-        traj = new
-        if resid <= tol * scale:
-            return traj, it + 1
-    raise SubproblemError(
-        f"unconstrained Newton did not reach stationarity in {max_iter} passes "
-        f"(residual {resid:.3e})")
-

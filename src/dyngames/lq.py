@@ -21,13 +21,16 @@ The sweep splits into two phases:
   It touches vectors only: one matrix-vector product per stage backward,
   one forward, and a few batched products over all stages.
 
-``factor(game, eta)`` builds the factor of the proximally regularized game
-with costs eta c_{n,k} + 0.5 |x_k - y_k|^2 + 0.5 |u_k - z_k|^2, whose
-equilibrium is the resolvent of the scaled game operator at (y, z).  The
-quadratic data and hence the whole factor depend on eta; (y, z) enter only
-through ``solve``.  At eta = 0 every player has the same cost, so the
-equilibrium is the Euclidean projection of (y, z) onto the trajectories of
-the dynamics, and the factor reads only (A_k, B_k, b_k).
+``regularized_factor(data, eta)`` builds the factor of the proximally
+regularized game with costs eta c_{n,k} + 0.5 |x_k - y_k|^2 + 0.5 |u_k -
+z_k|^2, whose equilibrium is the resolvent of the scaled game operator at
+(y, z).  The quadratic data and hence the whole factor depend on eta; (y, z)
+enter only through ``solve``.  This one regularization serves both users:
+``factor(game, eta)`` applies it to a declared linear-quadratic game once,
+and each Newton step of ``splitting.resolvent_reg_game`` applies it to the
+local LQ game of a nonlinear game.  At eta = 0 every player has the same
+cost, so the equilibrium is the Euclidean projection of (y, z) onto the
+trajectories of the dynamics, and ``factor`` reads only (A_k, B_k, b_k).
 
 Memory is O(T): a fixed number of per-stage matrices whose sizes depend on
 the state and action dimensions and the player count, never on the horizon.
@@ -61,11 +64,8 @@ def stage_rows(game: GameDefinition, k: int):
     """
     zx = np.zeros(game.state_dim)
     zu = np.zeros(game.total_action_dim)
-    p = game.eval_constraints(k, zx, zu)
-    if p.shape[0] == 0:
-        return None
-    W, S = game.eval_constraint_jacobians(k, zx, zu)
-    return W, S, p
+    W, S, p = game.eval_constraint_rows(k, zx, zu)
+    return (W, S, p) if p.shape[0] else None
 
 
 def horizon_rows(game: GameDefinition, start: int = 0, x_start: Optional[Array] = None):
@@ -242,32 +242,39 @@ def _factor_data(data: LqGameData, eta: Optional[float] = None) -> LqFactor:
                     B=data.B, b=data.b, num_players=N, eta=eta)
 
 
+def regularized_factor(data: LqGameData, eta: float) -> LqFactor:
+    """Factor of the game ``data`` regularized with weight eta.
+
+    Every player's costs become eta c_{n,k} + 0.5 |x_k|^2 + 0.5 |u_k|^2;
+    ``LqFactor.solve(y, z)`` then shifts the prox centres to (y, z).
+    """
+    n_x, n_u = data.A.shape[1], data.B.shape[2]
+    return _factor_data(replace(data, Q=eta * data.Q + np.eye(n_x), X=eta * data.X,
+                                R=eta * data.R + np.eye(n_u), q=eta * data.q,
+                                r=eta * data.r), eta)
+
+
 def factor(game: GameDefinition, eta: float) -> LqFactor:
     """Factor of the game regularized with weight eta (see the module docstring).
 
     eta > 0 requires a declared linear-quadratic game; eta = 0 (the dynamics
     projection) requires declared linear dynamics only.
     """
-    if eta < 0:
+    if not eta >= 0:  # rejects NaN too
         raise ValueError(f"regularization must be nonnegative, got {eta}")
+    if eta > 0:
+        return regularized_factor(extract_lq_data(game), eta)
+    if not game.linear_dynamics:
+        raise UnsupportedConstraintError("dynamics projection requires linear dynamics")
     T1 = game.horizon + 1
     n_x, n_u = game.state_dim, game.total_action_dim
-    I_x, I_u = np.eye(n_x), np.eye(n_u)
-    if eta == 0:
-        if not game.linear_dynamics:
-            raise UnsupportedConstraintError("dynamics projection requires linear dynamics")
-        A, B, b = linearize_dynamics(game, *_origin(game))
-        # One player holding every action: all players share the same cost.
-        data = LqGameData(
-            A=A, B=B, b=b, Q=np.broadcast_to(I_x, (1, T1, n_x, n_x)),
-            X=np.zeros((1, T1, n_x, n_u)), R=np.broadcast_to(I_u, (1, T1, n_u, n_u)),
-            q=np.zeros((1, T1, n_x)), r=np.zeros((1, T1, n_u)),
-            action_dims=(n_u,), initial_state=game.initial_state)
-        return _factor_data(data, eta)
-    base = extract_lq_data(game)
-    data = replace(base, Q=eta * base.Q + I_x, X=eta * base.X, R=eta * base.R + I_u,
-                   q=eta * base.q, r=eta * base.r)
-    return _factor_data(data, eta)
+    # One player holding every action and no costs: all players share the prox.
+    data = LqGameData(*linearize_dynamics(game, *_origin(game)),
+                      Q=np.zeros((1, T1, n_x, n_x)), X=np.zeros((1, T1, n_x, n_u)),
+                      R=np.zeros((1, T1, n_u, n_u)), q=np.zeros((1, T1, n_x)),
+                      r=np.zeros((1, T1, n_u)), action_dims=(n_u,),
+                      initial_state=game.initial_state)
+    return regularized_factor(data, 0.0)
 
 
 def solve_lq_open_loop(data: LqGameData, x0: Optional[Array] = None) -> Trajectory:

@@ -207,19 +207,24 @@ class GameDefinition:
                                what="cost", stage=k)
         return H[:, :n_x, :n_x], H[:, :n_x, n_x:], H[:, n_x:, n_x:]
 
-    def eval_constraint_jacobians(self, k: int, x: Array, u: Array) -> tuple[Array, Array]:
-        """Constraint Jacobians (W, S) with respect to state and joint action."""
-        m = self.eval_constraints(k, x, u).shape[0]
+    def eval_constraint_rows(self, k: int, x: Array, u: Array) -> tuple[Array, Array, Array]:
+        """Constraint Jacobians (W, S) with respect to state and joint action, and values p.
+
+        The rows are evaluated once, and their count fixes the Jacobians'
+        shapes: any other shape raises DimensionError naming the stage.
+        """
+        p = self.eval_constraints(k, x, u)
+        m, n_x, n_u = p.shape[0], self.state_dim, self.total_action_dim
         if m == 0:
-            return np.zeros((0, self.state_dim)), np.zeros((0, self.total_action_dim))
+            return np.zeros((0, n_x)), np.zeros((0, n_u)), p
         if self.constraint_jacobians is not None:
             W, S = self.constraint_jacobians(k, x, u)
-            W = np.asarray(W, dtype=float).reshape(m, self.state_dim)
-            S = np.asarray(S, dtype=float).reshape(m, self.total_action_dim)
-            return W, S
-        J = _fd_jacobian(lambda xu: self.eval_constraints(k, xu[:self.state_dim], xu[self.state_dim:]),
-                         np.concatenate([x, u]), m, what="constraint", stage=k)
-        return J[:, :self.state_dim], J[:, self.state_dim:]
+        else:
+            J = _fd_jacobian(lambda xu: self.eval_constraints(k, xu[:n_x], xu[n_x:]),
+                             np.concatenate([x, u]), m, what="constraint", stage=k)
+            W, S = J[:, :n_x], J[:, n_x:]
+        return (_checked("constraint state Jacobian", W, (m, n_x), stage=k),
+                _checked("constraint action Jacobian", S, (m, n_u), stage=k), p)
 
     # -- whole-trajectory evaluation ----------------------------------------
 
@@ -559,9 +564,8 @@ def local_lq(game: GameDefinition, states: Array, actions: Array,
                       action_dims=game.action_dims, initial_state=game.initial_state - states[0],
                       c=game.eval_traj_costs(states, actions).T, G=G)
     if active_tol is not None:
-        data.p = [game.eval_constraints(k, states[k], actions[k]) for k in range(T + 1)]
-        jacs = [game.eval_constraint_jacobians(k, states[k], actions[k]) for k in range(T + 1)]
-        data.W, data.S = [j[0] for j in jacs], [j[1] for j in jacs]
+        rows = [game.eval_constraint_rows(k, states[k], actions[k]) for k in range(T + 1)]
+        data.W, data.S, data.p = ([r[i] for r in rows] for i in range(3))
         data.active = [np.flatnonzero(g >= -active_tol) for g in data.p]
     return data
 

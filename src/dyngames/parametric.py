@@ -29,9 +29,14 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
-from scipy.optimize import linprog
 
-from .errors import EnumerationCapError, StageSingularityError, SubproblemError
+from . import denseqp
+from .errors import (
+    EnumerationCapError,
+    InfeasibleConstraintsError,
+    StageSingularityError,
+    SubproblemError,
+)
 
 Array = np.ndarray
 
@@ -240,20 +245,16 @@ def _validate_law(F, P, H, W, S, p, law, stage):
 
 
 def _region_nonempty(L: Array, l: Array, tol: float = 1e-9) -> bool:
-    """Phase-1 feasibility of {x : Lx + l <= 0} via a bounded slack LP."""
+    """Whether {x : Lx + l <= tol} is nonempty: its least-norm point exists."""
     if L.shape[0] == 0:
         return True
-    n = L.shape[1]
-    # minimize t subject to Lx + l <= t, with t free and x box-bounded large.
-    c = np.zeros(n + 1)
-    c[-1] = 1.0
-    A_ub = np.hstack([L, -np.ones((L.shape[0], 1))])
-    b_ub = -l
-    bounds = [(-1e6, 1e6)] * n + [(-1e6, 1e6)]
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
-    if not res.success:
+    if L.shape[1] == 0:
+        return bool(np.all(l <= tol))
+    try:
+        denseqp.solve_qp(np.eye(L.shape[1]), np.zeros(L.shape[1]), G=L, h=tol - l)
+    except InfeasibleConstraintsError:
         return False
-    return bool(res.fun <= tol)
+    return True
 
 
 def enumerate_lcq_parametric(data: ParametricGameData,

@@ -13,8 +13,9 @@ with alpha in (0, 1).  The three groupings give three schemes, named by the
 operator that gets its own resolvent:
 
 * ``constraints``: r_1 solves a proximally regularized unconstrained dynamic
-  game (factored LQ sweep, else stagewise Newton passes), r_2 projects
-  stagewise onto the constraint sets.
+  game (the factored LQ sweep for declared linear-quadratic games, else
+  Newton steps, each one solve of the local LQ game by the same sweep),
+  r_2 projects stagewise onto the constraint sets.
 * ``dynamics``: r_1 solves independent regularized constrained static games
   per stage (the state coordinate acts as an extra coordinating player) by
   Josephy-Newton steps and Lemke's method, r_2 projects onto the dynamics
@@ -53,12 +54,12 @@ import scipy.sparse as sp
 from . import denseqp
 from .errors import SubproblemError, UnsupportedConstraintError
 from . import lq
-from .feedback import solve_unconstrained_newton
-from .gradient import playerwise_minimizer_check, pseudo_gradient
+from .gradient import playerwise_minimizer_check, pseudo_gradient, solve_costates
 from .model import (
     GameDefinition,
     Trajectory,
     all_player_costs,
+    local_lq,
     rollout,
 )
 from .report import (
@@ -128,53 +129,33 @@ def extended_gradient(game: GameDefinition, x: Array, u: Array) -> Array:
 # ---------------------------------------------------------------------------
 
 
-def regularized_game(game: GameDefinition, y: Array, z: Array,
-                     eta: float) -> GameDefinition:
-    """Game with costs eta*c_{n,k} + 0.5(|x_k - y_k|^2 + |u_k - z_k|^2), no constraints.
-
-    Scaling all players' costs by eta > 0 leaves equilibria unchanged and
-    makes the proximal terms unit weight, so stationarity of this game is
-    exactly the resolvent condition of the scaled gradient operator.
-    """
-    n_x, n_u, N = game.state_dim, game.total_action_dim, game.num_players
-    base_c, base_g, base_h = game.eval_costs, game.eval_cost_gradients, game.eval_cost_hessians
-
-    def costs(k, x, u):
-        pen = 0.5 * (np.sum((x - y[k]) ** 2) + np.sum((u - z[k]) ** 2))
-        return eta * base_c(k, x, u) + pen
-
-    def grads(k, x, u):
-        cx, cu = base_g(k, x, u)
-        return eta * cx + (x - y[k]), eta * cu + (u - z[k])
-
-    def hess(k, x, u):
-        cxx, cxu, cuu = base_h(k, x, u)
-        return (eta * cxx + np.eye(n_x), eta * cxu,
-                eta * cuu + np.eye(n_u))
-
-    return GameDefinition(
-        horizon=game.horizon, state_dim=n_x, action_dims=game.action_dims,
-        initial_state=game.initial_state,
-        dynamics=game.dynamics, stage_costs=costs,
-        dynamics_jacobians=game.dynamics_jacobians,
-        dynamics_hessians=game.dynamics_hessians,
-        cost_gradients=grads, cost_hessians=hess,
-        linear_dynamics=game.linear_dynamics,
-    )
-
-
 def resolvent_reg_game(game: GameDefinition, y: Array, z: Array, eta: float,
                        inner_tol: float = 1e-10, inner_max_iter: int = 300,
                        warm: Optional[Trajectory] = None,
                        factor: Optional[lq.LqFactor] = None) -> tuple[Array, Array]:
     """Equilibrium of the proximally regularized unconstrained dynamic game.
 
-    Declared linear-quadratic games are solved exactly by the factored
-    open-loop sweep of ``lq``: only the linear cost terms depend on (y, z),
-    so ``factor`` (from ``lq.factor(game, eta)``) can be prepared once and
-    reused across calls; without it the game is factored here.  Other games
-    eliminate the states by rollout and iterate backward sweeps to
-    pseudo-gradient stationarity.
+    The regularized game gives player n the costs eta c_{n,k} + 0.5 |x_k -
+    y_k|^2 + 0.5 |u_k - z_k|^2; scaling all costs by eta > 0 leaves equilibria
+    unchanged, so its equilibrium is the resolvent of the scaled game
+    operator at (y, z).  Declared linear-quadratic games are solved exactly
+    by the factored open-loop sweep of ``lq``: only the linear cost terms
+    depend on (y, z), so ``factor`` (from ``lq.factor(game, eta)``) can be
+    prepared once and reused across calls; without it the game is factored
+    here.
+
+    Other games take full Newton steps from ``warm`` (else from z).  A Newton
+    step on an open-loop game is the open-loop equilibrium of its local LQ
+    game with the Lagrangian Hessians (Di and Lamperski, arXiv:1906.09097):
+    each pass reads ``local_lq`` around the rolled-out iterate, adds the
+    dynamics Hessians weighted by the regularized game's costates to the
+    cost Hessians and solves that game with ``lq.regularized_factor``; the
+    new actions are rolled out through the game's own dynamics.  The passes
+    stop once the regularized pseudo-gradient is at most
+    inner_tol * (1 + max|u_start|) and raise SubproblemError after
+    ``inner_max_iter`` steps.  A non-finite rollout raises
+    NonFiniteStateError, a singular stage matrix StageSingularityError, and
+    an eta that is not positive ValueError.
     """
     if game.linear_dynamics and game.quadratic_costs:
         if factor is None:
@@ -183,14 +164,35 @@ def resolvent_reg_game(game: GameDefinition, y: Array, z: Array, eta: float,
             raise ValueError(f"factor was built for eta={factor.eta}, not {eta}")
         traj = factor.solve(y, z)
         return traj.states, traj.actions
-    reg = regularized_game(game, y, z, eta)
-    if warm is None or warm.actions.shape != (game.horizon + 1, game.total_action_dim):
-        warm = rollout(reg, reg.initial_state, z)
-    else:
-        warm = rollout(reg, reg.initial_state, warm.actions)
-    traj, _ = solve_unconstrained_newton(reg, warm, tol=inner_tol,
-                                         max_iter=inner_max_iter)
-    return traj.states.copy(), traj.actions.copy()
+    if not eta > 0:  # the Newton steps weigh the Hessians by 1/eta
+        raise ValueError(f"regularization must be positive, got {eta}")
+    T, n_x, n_u = game.horizon, game.state_dim, game.total_action_dim
+    y, z = np.asarray(y, dtype=float), np.asarray(z, dtype=float)
+    start = z if warm is None or warm.actions.shape != (T + 1, n_u) else warm.actions
+    traj = rollout(game, game.initial_state, start)
+    scale = 1.0 + float(np.max(np.abs(traj.actions), initial=0.0))
+    owner = np.repeat(np.arange(game.num_players), game.action_dims)
+    for it in range(inner_max_iter + 1):
+        data = local_lq(game, traj.states, traj.actions)
+        # costates and own-action gradients of the regularized costs
+        lam = solve_costates(data.A, eta * data.q.swapaxes(0, 1) + (traj.states - y)[:, None])
+        grads = eta * data.r.swapaxes(0, 1) + (traj.actions - z)[:, None]
+        grads[:-1] += lam[1:] @ data.B
+        resid = float(np.max(np.abs(grads[:, owner, np.arange(n_u)]), initial=0.0))
+        if resid <= inner_tol * scale:
+            return traj.states, traj.actions
+        if it == inner_max_iter:
+            break
+        # Lagrangian Hessians, in units of the unregularized costs
+        H = np.einsum("kni,kiab->nkab", lam[1:], data.G) / eta
+        data.Q[:, :T] += H[..., :n_x, :n_x]
+        data.X[:, :T] += H[..., :n_x, n_x:]
+        data.R[:, :T] += H[..., n_x:, n_x:]
+        step = lq.regularized_factor(data, eta).solve(y - traj.states, z - traj.actions)
+        traj = rollout(game, game.initial_state, traj.actions + step.actions)
+    raise SubproblemError(
+        f"regularized game did not reach stationarity in {inner_max_iter} Newton "
+        f"steps (residual {resid:.3e})")
 
 
 # ---------------------------------------------------------------------------

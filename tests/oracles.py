@@ -516,8 +516,7 @@ def quadraticize_per_stage(game, traj, active_tol=1e-6):
             G = game.eval_dynamics_hessians(k, x, u)
             G = 0.5 * (G + np.transpose(G, (0, 2, 1)))
             b = game.eval_dynamics(k, x, u) - traj.states[k + 1]
-        p = game.eval_constraints(k, x, u)
-        W, S = game.eval_constraint_jacobians(k, x, u)
+        W, S, p = game.eval_constraint_rows(k, x, u)
         out.append(dict(M=M, A=A, B=B, G=G, b=b, W=W, S=S, p=p,
                         active=np.flatnonzero(p >= -active_tol)))
     return out
@@ -655,11 +654,7 @@ def static_games_by_enumeration(game, y, z, eta, inner_tol=1e-10, inner_max_iter
     xs, us = np.empty_like(y, dtype=float), np.empty_like(z, dtype=float)
     for k in range(game.horizon + 1):
         zx, zu = np.zeros(n_x), np.zeros(n_u)
-        p0 = game.eval_constraints(k, zx, zu)
-        if p0.size:
-            W, S = game.eval_constraint_jacobians(k, zx, zu)
-        else:
-            W, S = np.zeros((0, n_x)), np.zeros((0, n_u))
+        W, S, p0 = game.eval_constraint_rows(k, zx, zu)
         m = p0.size
         scale = 1.0 + np.max(np.abs(np.concatenate([y[k], z[k]])))
         found = None
@@ -720,3 +715,86 @@ def solves_all_active_pieces(piece_games, x, u, vi_residual_tol=1e-7):
         if resid > vi_residual_tol * (1.0 + np.linalg.norm(grad)):
             return False
     return hit_any
+
+
+# ---------------------------------------------------------------------------
+# Regularized-game resolvent by feedback-Newton passes on a wrapped game.
+# ---------------------------------------------------------------------------
+
+
+def regularized_game(game, y, z, eta):
+    """Game with costs eta*c_{n,k} + 0.5(|x_k - y_k|^2 + |u_k - z_k|^2), no constraints.
+
+    Stationarity of this game is the resolvent condition of the scaled game
+    operator at (y, z); it keeps the game's per-stage dynamics and drops
+    every whole-trajectory hook.
+    """
+    from dyngames.model import GameDefinition
+
+    n_x, n_u = game.state_dim, game.total_action_dim
+    base_c, base_g, base_h = game.eval_costs, game.eval_cost_gradients, game.eval_cost_hessians
+
+    def costs(k, x, u):
+        return eta * base_c(k, x, u) + 0.5 * (np.sum((x - y[k]) ** 2) + np.sum((u - z[k]) ** 2))
+
+    def grads(k, x, u):
+        cx, cu = base_g(k, x, u)
+        return eta * cx + (x - y[k]), eta * cu + (u - z[k])
+
+    def hess(k, x, u):
+        cxx, cxu, cuu = base_h(k, x, u)
+        return eta * cxx + np.eye(n_x), eta * cxu, eta * cuu + np.eye(n_u)
+
+    return GameDefinition(
+        horizon=game.horizon, state_dim=n_x, action_dims=game.action_dims,
+        initial_state=game.initial_state, dynamics=game.dynamics, stage_costs=costs,
+        dynamics_jacobians=game.dynamics_jacobians,
+        dynamics_hessians=game.dynamics_hessians,
+        cost_gradients=grads, cost_hessians=hess, linear_dynamics=game.linear_dynamics)
+
+
+def resolvent_by_feedback_newton(game, y, z, eta, tol=1e-10, max_iter=300):
+    """Equilibrium of ``regularized_game`` by feedback-Newton passes, from z.
+
+    Each pass runs the unconstrained stagewise Newton backward pass around
+    the current trajectory and re-rolls the dynamics under its affine
+    feedback correction; the passes stop once the stacked pseudo-gradient
+    of the regularized game is at most tol * (1 + max|z|).  Raises
+    RuntimeError after max_iter passes.  Returns (states, actions, passes).
+    """
+    from dyngames.feedback import feedback_rollout, stagewise_newton_backward
+    from dyngames.gradient import pseudo_gradient
+
+    reg = regularized_game(game, y, z, eta)
+    traj = rollout(reg, reg.initial_state, z)
+    scale = 1.0 + float(np.max(np.abs(traj.actions), initial=0.0))
+    for it in range(max_iter):
+        policy = stagewise_newton_backward(reg, traj, feas_tol=np.inf)
+        traj = feedback_rollout(reg, policy, traj.states[0]).trajectory
+        resid = np.max(np.abs(pseudo_gradient(reg, traj, feas_tol=np.inf).stacked), initial=0.0)
+        if resid <= tol * scale:
+            return traj.states, traj.actions, it + 1
+    raise RuntimeError(f"feedback-Newton passes did not converge (residual {resid:.3e})")
+
+
+# ---------------------------------------------------------------------------
+# Polyhedron emptiness by a phase-1 linear program.
+# ---------------------------------------------------------------------------
+
+
+def region_phase_one_lp(L, l):
+    """min t s.t. Lx + l <= t over the box |x|, |t| <= 1e6, by HiGHS.
+
+    Returns (t, x) at the optimum; {x : Lx + l <= tol} is nonempty inside the
+    box exactly when t <= tol.  Raises RuntimeError when the LP fails.
+    """
+    from scipy.optimize import linprog
+
+    n = L.shape[1]
+    c = np.zeros(n + 1)
+    c[-1] = 1.0
+    res = linprog(c, A_ub=np.hstack([L, -np.ones((L.shape[0], 1))]), b_ub=-l,
+                  bounds=[(-1e6, 1e6)] * (n + 1), method="highs")
+    if not res.success:
+        raise RuntimeError(f"phase-1 LP failed: {res.message}")
+    return float(res.fun), res.x[:n]

@@ -107,6 +107,23 @@ class TestRuns:
         report = json.loads((out / "report.json").read_text())
         assert report["termination"] == "max_iter"
 
+    def test_fishery_dr_runs_to_its_budget(self, tmp_path):
+        # the constraints scheme on the paper's nonlinear game: its resolvent
+        # takes Newton steps and must not blow the stock up
+        out = tmp_path / "fishery_dr"
+        cfg = {
+            "game": {"id": "fishery", "params": {"horizon_time": 10.0}},
+            "solver": "dr",
+            "scheme": "constraints",
+            "eta": 1e-4,
+            "max_iter": 50,
+            "output_dir": str(out),
+        }
+        code = main(["--config", write(tmp_path, cfg), "--quiet"])
+        assert code in (EXIT_OK, EXIT_NOT_CONVERGED)
+        report = json.loads((out / "report.json").read_text())
+        assert report["termination"] in ("tolerance", "max_iter")
+
     def test_byte_identical_outputs(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         cfg1 = small_fishery_config(out1, max_iter=40)

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from dyngames import feedback
 from dyngames.benchmarks import FisheryParams, fishery_game
 from dyngames.errors import (
     DimensionError,
@@ -20,14 +19,12 @@ from dyngames.feedback import (
     FeedbackPolicy,
     epsilon_nash_gap,
     feedback_rollout,
-    solve_unconstrained_newton,
     stagewise_newton_backward,
 )
-from dyngames.gradient import pseudo_gradient
 from dyngames.model import GameDefinition, Trajectory, rollout
 from dyngames.parametric import solve_stage_kkt
 
-from conftest import decoupled_lq_game, random_lq_game
+from conftest import random_lq_game
 from instances import (
     affine_quadratic_game,
     cost_blocks_from_lq,
@@ -96,15 +93,6 @@ class TestBackwardPass:
         for k in range(6):
             np.testing.assert_allclose(policy.gains[k], Ks[k], atol=1e-8)
 
-    def test_no_constraint_rows_equals_use_constraints_false(self, rng):
-        game, _ = random_lq_game(rng, T=4)
-        ref = rollout(game, game.initial_state,
-                      rng.standard_normal((5, game.total_action_dim)))
-        a = stagewise_newton_backward(game, ref, use_constraints=True)
-        b = stagewise_newton_backward(game, ref, use_constraints=False)
-        for k in range(5):
-            np.testing.assert_allclose(a.gains[k], b.gains[k], atol=1e-12)
-
     @pytest.mark.parametrize("stage_reg", [np.nan, -5.0, np.inf])
     def test_stage_reg_must_be_finite_and_nonnegative(self, rng, stage_reg):
         game, _ = random_lq_game(rng, T=3)
@@ -155,51 +143,6 @@ class TestBackwardPass:
         policy = stagewise_newton_backward(game, ref, feas_tol=1e-6)
         for k in range(game.horizon + 1):
             assert np.max(np.abs(policy.offsets[k]), initial=0.0) <= 1e-10
-
-    def test_newton_solver_reaches_stationarity_on_lq(self, rng):
-        game, _ = random_lq_game(rng, T=4)
-        init = rollout(game, game.initial_state,
-                       np.zeros((5, game.total_action_dim)))
-        traj, iters = solve_unconstrained_newton(game, init, tol=1e-10)
-        assert iters <= 40
-        g = pseudo_gradient(game, traj)
-        assert np.max(np.abs(g.stacked)) <= 1e-8
-
-    def test_newton_solver_fast_on_separable_game(self, rng):
-        # Player-separable costs and dynamics: stage solves decouple and the
-        # sweep contracts superlinearly once near the solution.
-        game, _ = decoupled_lq_game(rng, T=5)
-        init = rollout(game, game.initial_state, np.zeros((6, 2)))
-        traj, iters = solve_unconstrained_newton(game, init, tol=1e-9)
-        assert iters <= 8
-        assert np.max(np.abs(pseudo_gradient(game, traj).stacked)) <= 1e-9
-
-    def test_newton_stops_at_the_first_pass_with_a_non_finite_state(self, monkeypatch):
-        # The first Newton step asks for u = 1000 and exp(1000) overflows.
-        # With analytic derivatives nothing else fails on the non-finite
-        # state, so a solver that kept going would spend every pass on NaN.
-        game = GameDefinition(
-            horizon=3, state_dim=1, action_dims=(1,), initial_state=[0.0],
-            dynamics=lambda k, x, u: np.exp(u),
-            stage_costs=lambda k, x, u: np.array([0.5 * (u[0] - 1000.0) ** 2]),
-            dynamics_jacobians=lambda k, x, u: (np.zeros((1, 1)), np.exp(u)[None, :]),
-            dynamics_hessians=lambda k, x, u: np.array([[[0.0, 0.0], [0.0, np.exp(u[0])]]]),
-            cost_gradients=lambda k, x, u: (np.zeros((1, 1)), (u - 1000.0)[None, :]),
-            cost_hessians=lambda k, x, u: (np.zeros((1, 1, 1)), np.zeros((1, 1, 1)),
-                                           np.ones((1, 1, 1))))
-        passes = []
-        backward = feedback.stagewise_newton_backward
-
-        def counted(*args, **kwargs):
-            passes.append(1)
-            return backward(*args, **kwargs)
-
-        monkeypatch.setattr(feedback, "stagewise_newton_backward", counted)
-        init = rollout(game, game.initial_state, np.zeros((4, 1)))
-        with np.errstate(over="ignore"), pytest.raises(NonFiniteStateError) as exc:
-            solve_unconstrained_newton(game, init, max_iter=50)
-        assert exc.value.stage == 0
-        assert len(passes) == 1
 
 
 class TestFeedbackRollout:

@@ -532,6 +532,29 @@ class TestActiveSets:
             inact = np.setdiff1d([0, 1], act)
             assert np.all(p[act] >= -1e-6) and np.all(p[inact] < -1e-6)
 
+    def test_rows_are_evaluated_once_per_stage(self):
+        game = fishery_game(FisheryParams(horizon_time=100.0))
+        calls = []
+
+        def counted(k, x, u):
+            calls.append(k)
+            return game.constraints(k, x, u)
+
+        counted_game = dataclasses.replace(game, constraints=counted)
+        traj = rollout(game, game.initial_state, np.tile([0.2, 0.15], (1001, 1)))
+        data = quadraticize(counted_game, traj)
+        assert len(calls) == 1001
+        assert sum(act.size for act in data.active) == 0
+
+    def test_jacobian_row_count_must_match_the_rows(self):
+        game = dataclasses.replace(
+            self.box_game(), constraint_jacobians=lambda k, x, u: (np.zeros((3, 1)),
+                                                                   np.ones((3, 1))))
+        traj = rollout(game, np.zeros(1), np.full((3, 1), 0.2))
+        with pytest.raises(DimensionError) as exc:
+            quadraticize(game, traj)
+        assert exc.value.stage == 0
+
     @given(t1=st.floats(1e-9, 1e-3), scale=st.floats(1.0, 50.0))
     def test_active_set_monotone_in_tolerance(self, t1, scale):
         t2 = t1 * scale

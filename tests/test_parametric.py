@@ -1,10 +1,15 @@
 """Quadratic parametric games: cone condition, affine laws, enumeration."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import nnls
 
+from dyngames import parametric
 from dyngames.errors import EnumerationCapError, StageSingularityError
 from dyngames.parametric import (
     ParametricGameData,
@@ -13,7 +18,7 @@ from dyngames.parametric import (
     solve_lecq_parametric,
 )
 
-from oracles import solves_all_active_pieces, static_game_vi
+from oracles import region_phase_one_lp, solves_all_active_pieces, static_game_vi
 
 
 def random_parametric_game(rng, action_dims=(2, 1), state_dim=2, n_con=1,
@@ -223,6 +228,40 @@ class TestEnumeration:
         data = random_parametric_game(rng, n_con=15)
         with pytest.raises(EnumerationCapError):
             enumerate_lcq_parametric(data, cap=12)
+
+
+class TestRegionEmptiness:
+    def test_matches_phase_one_lp_inside_its_box(self, monkeypatch):
+        # Every candidate region the enumeration tests, against the LP that
+        # decides emptiness inside |x| <= 1e6.  A region whose LP optimum
+        # sits on the box is skipped: it may be nonempty only beyond the box,
+        # and an unbounded one drives t to the box.
+        tested = []
+        nonempty = parametric._region_nonempty
+
+        def recorded(L, l):
+            tested.append((L, l, nonempty(L, l)))
+            return tested[-1][2]
+
+        monkeypatch.setattr(parametric, "_region_nonempty", recorded)
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            dims = ((2, 1), (1, 1))[seed % 2]
+            enumerate_lcq_parametric(random_parametric_game(
+                rng, action_dims=dims, state_dim=1 + seed % 3, n_con=1 + seed % 4))
+        compared = found = 0
+        for L, l, out in tested:
+            t, x = region_phase_one_lp(L, l)
+            if np.max(np.abs(x), initial=0.0) < 0.5e6:
+                assert out == (t <= 1e-9), (L, l, t)
+                compared += 1
+                found += out
+        assert compared >= 50 and 0 < found < compared
+
+    def test_import_does_not_load_scipy_optimize(self):
+        code = "import sys, dyngames; sys.exit('scipy.optimize' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestPiecewisePredicate:

@@ -7,8 +7,19 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from dyngames.benchmarks import LqRendezvousParams, lq_rendezvous_game
-from dyngames.errors import SubproblemError, UnsupportedConstraintError
+from dyngames import lq
+from dyngames.benchmarks import (
+    FisheryParams,
+    LqRendezvousParams,
+    fishery_game,
+    lq_rendezvous_game,
+)
+from dyngames.errors import (
+    DynGameError,
+    NonFiniteStateError,
+    SubproblemError,
+    UnsupportedConstraintError,
+)
 from dyngames.gradient import pseudo_gradient
 from dyngames.model import GameDefinition, Trajectory, rollout
 from dyngames.projgrad import project_onto_feasible
@@ -29,12 +40,14 @@ from dyngames.splitting import (
     resolvent_static_games_uncon,
 )
 
-from conftest import identity_sum_game, random_lq_game
+from conftest import identity_sum_game, random_lq_game, random_smooth_game
 from oracles import (
     brute_force_qp,
     dense_eq_least_squares,
     dr_constraints_scheme_trace,
+    regularized_game,
     rendezvous_stage_projection,
+    resolvent_by_feedback_newton,
     stacked_lq_gne,
     static_games_by_enumeration,
 )
@@ -193,6 +206,78 @@ class TestRegularizedGameResolvent:
         y = rollout(game, game.initial_state, z).states
         xs, us = resolvent_reg_game(game, y, z, eta=1e-8)
         assert np.max(np.abs(us - z)) <= 1e-4
+
+    def test_undeclared_lq_game_matches_declared_twin_in_one_pass(self, rng):
+        # On an LQ game the local LQ game is the game itself, so one Newton
+        # step reaches the factored resolvent of the declared twin.
+        game, _ = random_lq_game(rng, T=4)
+        twin = dataclasses.replace(game, quadratic_costs=True)
+        y, z = rng.standard_normal((5, 2)), rng.standard_normal((5, 2))
+        xs, us = resolvent_reg_game(game, y, z, eta=0.3, inner_max_iter=1)
+        tx, tu = resolvent_reg_game(twin, y, z, eta=0.3)
+        np.testing.assert_allclose(us, tu, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(xs, tx, rtol=0, atol=1e-10)
+
+    def test_stops_at_the_first_pass_with_a_non_finite_state(self, monkeypatch):
+        # The first Newton step asks for u near 909 and exp(909) overflows.
+        # With analytic derivatives nothing else fails on the non-finite
+        # state, so a solver that kept going would spend every pass on NaN.
+        game = GameDefinition(
+            horizon=3, state_dim=1, action_dims=(1,), initial_state=[0.0],
+            dynamics=lambda k, x, u: np.exp(u),
+            stage_costs=lambda k, x, u: np.array([0.5 * (u[0] - 1000.0) ** 2]),
+            dynamics_jacobians=lambda k, x, u: (np.zeros((1, 1)), np.exp(u)[None, :]),
+            dynamics_hessians=lambda k, x, u: np.array([[[0.0, 0.0], [0.0, np.exp(u[0])]]]),
+            cost_gradients=lambda k, x, u: (np.zeros((1, 1)), (u - 1000.0)[None, :]),
+            cost_hessians=lambda k, x, u: (np.zeros((1, 1, 1)), np.zeros((1, 1, 1)),
+                                           np.ones((1, 1, 1))))
+        factored = []
+        regularized_factor = lq.regularized_factor
+
+        def counted(*args, **kwargs):
+            factored.append(1)
+            return regularized_factor(*args, **kwargs)
+
+        monkeypatch.setattr(lq, "regularized_factor", counted)
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteStateError) as exc:
+            resolvent_reg_game(game, np.zeros((4, 1)), np.zeros((4, 1)), eta=10.0)
+        assert exc.value.stage == 0
+        assert len(factored) == 1
+
+    @given(seed=st.integers(0, 2**32 - 1), T=st.integers(1, 6),
+           log_eta=st.floats(-4.0, -1.0))
+    def test_newton_steps_match_feedback_newton_reference(self, seed, T, log_eta):
+        # Newton steps converge quadratically from a near start: five suffice
+        # where the reference's feedback-Newton passes take up to about eight.
+        rng = np.random.default_rng(seed)
+        game = random_smooth_game(rng, T=T)
+        eta = 10.0 ** log_eta
+        z = 0.5 * rng.standard_normal((T + 1, 2))
+        y = rollout(game, game.initial_state, z).states + 0.1 * rng.standard_normal((T + 1, 2))
+        try:
+            ref_x, ref_u, _ = resolvent_by_feedback_newton(game, y, z, eta)
+        except (DynGameError, RuntimeError):
+            assume(False)
+        xs, us = resolvent_reg_game(game, y, z, eta, inner_max_iter=5)
+        np.testing.assert_allclose(us, ref_u, rtol=0, atol=1e-8)
+        np.testing.assert_allclose(xs, ref_x, rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize("T, eta, shift", [
+        (100, 1e-4, 0.0), (100, 1e-4, 0.05), (100, 1e-2, 0.05), (100, 1.0, 0.05),
+        (1000, 1e-4, 0.0)])
+    def test_fishery_resolvent_is_stationary(self, T, eta, shift):
+        # The paper's nonlinear game: checked on the per-stage regularized
+        # game, which shares no evaluator with the resolvent's hooks.
+        game = fishery_game(FisheryParams(horizon_time=T * 0.1))
+        z = np.tile([0.2, 0.15], (T + 1, 1))
+        y = rollout(game, game.initial_state, z).states
+        z = z + shift
+        xs, us = resolvent_reg_game(game, y, z, eta)
+        reg = regularized_game(game, y, z, eta)
+        traj = Trajectory(xs, us)
+        assert traj.dynamically_feasible(game, tol=1e-12)
+        grad = pseudo_gradient(reg, traj).stacked
+        assert np.max(np.abs(grad)) <= 1e-9 * (1.0 + np.max(np.abs(z)))
 
 
 class TestStageProjections:
