@@ -7,8 +7,8 @@ equality-constrained quadratic stage game at every step, producing affine
 gains ``du_k = K_k dx_k + s_k`` in O(T) work.  At an open-loop equilibrium
 reference the offsets vanish and the policy reduces to
 ``u_k = ubar_k + K_k (x_k - xbar_k)``.  The pass is the policy pass only:
-open-loop Newton steps on a game are solved by the ``lq`` sweep instead
-(``splitting.resolvent_reg_game``).
+open-loop Newton steps on a game are solved by the banded ``lq`` kernel
+instead (``splitting.resolvent_reg_game``).
 
 For affine dynamics with polyhedral constraints the same policy, computed on
 a tightened copy of the problem, is an approximate feedback equilibrium of

@@ -2,38 +2,39 @@
 
 Player n's stage cost is 0.5 x'Q x + q'x + x'X u + 0.5 u'R u + r'u (data
 indexed ``Q[n, k]``) and the dynamics are x+ = A_k x + B_k u + b_k from a
-pinned initial state.  The open-loop equilibrium is found by one backward
-sweep that eliminates every player's costate with the affine ansatz
-``nu_{n,k} = M_{n,k} x_k + m_{n,k}``, followed by a forward rollout.
+pinned initial state.  The open-loop equilibrium solves one linear system,
+the stacked KKT conditions of all players (Di and Lamperski,
+arXiv:1906.09097; ALGAMES, arXiv:1910.09713), laid out in T+1 blocks of
+n_x + n_u + N n_x.  Block k of the unknowns is x_k, u_k and every player's
+costate lambda_{n,k+1}, with lambda_{n,T+1} = 0 carried as a padded unknown
+so that the solution reshapes to (T+1, block).  Block k of the rows is the
+pin of x_0 (k = 0) or the dynamics into x_k, the stationarity of each
+player's own actions u_{n,k}, and each player's stationarity in x_{k+1}
+(lambda_{n,T+1} = 0 at k = T).  Rows touch only their own and the
+neighbouring blocks, so the matrix is banded, with block + n_x - 1
+diagonals on either side of the main one.  The data is
+``model.LqGameData``, the layout ``model.quadraticize`` reads around a
+trajectory; ``extract_lq_data`` reads it at the origin.
 
-The data is ``model.LqGameData``, the layout ``model.quadraticize`` reads
-around a trajectory; ``extract_lq_data`` reads it at the origin.
+``factor`` assembles the matrix in LAPACK band storage and factors it once
+with partial pivoting (``dgbtrf``).  ``LqFactor.solve(y, z)`` shifts every
+player's linear terms to q_{n,k} - y_k and r_{n,k} - z_k, which moves only
+the right-hand side, and runs one banded solve (``dgbtrs``).  Memory is
+O(bandwidth * T), the bandwidth independent of the horizon.
 
-The sweep splits into two phases:
+The system is solved whole, so a singular stage matrix of the backward
+Riccati recursion is harmless when the system is regular.  A singular
+system raises StageSingularityError: at a zero pivot, naming its stage, or
+when the 1-norm reciprocal condition estimate is below n eps (n the system
+size), naming the stage of the largest entry of one inverse-iteration step.
+A singular stage-0 matrix with the pinned x_0 is such a case.
 
-* ``factor`` runs once.  It computes everything that depends only on the
-  quadratic data and the dynamics: the stage matrices F_k (checked for
-  singularity and inverted), the gains K_k, the per-player value matrices
-  M_{n,k} (nonsymmetric: they run through the closed loop) and the fixed
-  linear maps that carry the linear cost terms through the recursion.
-* ``LqFactor.solve(y, z)`` shifts every player's linear terms to
-  q_{n,k} - y_k and r_{n,k} - z_k and returns the equilibrium trajectory.
-  It touches vectors only: one matrix-vector product per stage backward,
-  one forward, and a few batched products over all stages.
-
-``regularized_factor(data, eta)`` builds the factor of the proximally
-regularized game with costs eta c_{n,k} + 0.5 |x_k - y_k|^2 + 0.5 |u_k -
-z_k|^2, whose equilibrium is the resolvent of the scaled game operator at
-(y, z).  The quadratic data and hence the whole factor depend on eta; (y, z)
-enter only through ``solve``.  This one regularization serves both users:
-``factor(game, eta)`` applies it to a declared linear-quadratic game once,
-and each Newton step of ``splitting.resolvent_reg_game`` applies it to the
-local LQ game of a nonlinear game.  At eta = 0 every player has the same
-cost, so the equilibrium is the Euclidean projection of (y, z) onto the
-trajectories of the dynamics, and ``factor`` reads only (A_k, B_k, b_k).
-
-Memory is O(T): a fixed number of per-stage matrices whose sizes depend on
-the state and action dimensions and the player count, never on the horizon.
+``regularized_factor(data, eta)`` factors the game with costs eta c_{n,k}
++ 0.5 |x_k - y_k|^2 + 0.5 |u_k - z_k|^2, whose equilibrium is the resolvent
+of the scaled game operator at (y, z).  ``factor(game, eta)`` applies it to
+a declared linear-quadratic game, each Newton step of
+``splitting.resolvent_reg_game`` to a local LQ game.  At eta = 0 it is the
+Euclidean projection onto the trajectories of the dynamics.
 
 ``horizon_rows`` builds the constraints of a QP over a whole stacked
 trajectory: the pinned first state and the linear dynamics as equality rows,
@@ -49,6 +50,7 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import lapack
 
 from .errors import StageSingularityError, UnsupportedConstraintError
 from .model import GameDefinition, LqGameData, Trajectory, linearize_dynamics, local_lq
@@ -121,125 +123,122 @@ def _origin(game: GameDefinition) -> tuple[Array, Array]:
     return np.zeros((T1, game.state_dim)), np.zeros((T1, game.total_action_dim))
 
 
-def _bmv(mats: Array, vecs: Array) -> Array:
-    """Stage-batched matrix-vector products: out[k] = mats[k] @ vecs[k]."""
-    return np.matmul(mats, vecs[..., None])[..., 0]
-
-
 @dataclass(frozen=True)
 class LqFactor:
-    """The iterate-independent part of the open-loop sweep of one LQ game.
-
-    With m_k the stacked costate offsets (m_{1,k}, ..., m_{N,k}) and
-    m_{T+1} = 0, the sweep that ``solve`` runs is
-
-        a_k = e_k + Finv_k z_k
-        m_k = c_k + G_k a_k - (y_k, ..., y_k) + Mm_k m_{k+1}
-        d_k = a_k + Dm_k m_{k+1}
-        x_{k+1} = Acl_k x_k + B_k d_k + b_k,   u_k = K_k x_k + d_k.
+    """The banded LU of one LQ game's stacked KKT matrix (module docstring).
 
     ``eta`` records the regularization weight of a factor built by
     ``factor``; it is None for a factor of a plain LQ game.
     """
 
+    lu: Array     # (2 kl + ku + 1, (T+1) * block) LU factors in LAPACK band storage
+    piv: Array    # row interchanges of the LU
+    kl: int
+    ku: int
+    rhs: Array    # (T+1, block) right-hand side without prox centres
+    spread: Array  # (n_u + n_x, block): (z_k, y_{k+1}) -> their rows in block k
     initial_state: Array
-    K: Array      # (T+1, n_u, n_x) gains
-    Finv: Array   # (T+1, n_u, n_u) inverted stage matrices
-    e: Array      # (T+1, n_u) action offsets from the constant linear terms
-    Dm: Array     # (T+1, n_u, N n_x) costate offsets -> action offsets
-    G: Array      # (T+1, N n_x, n_u) action offsets -> costate offsets
-    c: Array      # (T+1, N n_x) costate offsets from the constant terms
-    Mm: Array     # (T+1, N n_x, N n_x) costate offset propagation
-    Acl: Array    # (T, n_x, n_x) closed-loop dynamics
-    B: Array      # (T, n_x, n_u)
-    b: Array      # (T, n_x)
-    num_players: int
+    action_dim: int
     eta: Optional[float] = None
-
-    @property
-    def horizon(self) -> int:
-        return self.K.shape[0] - 1
 
     def solve(self, y: Optional[Array] = None, z: Optional[Array] = None) -> Trajectory:
         """Equilibrium with linear terms q_{n,k} - y_k and r_{n,k} - z_k.
 
-        ``y`` is (T+1, n_x) and ``z`` is (T+1, n_u); either may be omitted
-        (no shift).  O(T) time and memory.
+        ``y`` is (T+1, n_x), ``z`` (T+1, n_u); either may be omitted (no
+        shift).  One banded solve: O(T) time and memory.
         """
-        T = self.horizon
-        a = self.e if z is None else self.e + _bmv(self.Finv, np.asarray(z, dtype=float))
-        rhs = self.c + _bmv(self.G, a)
-        if y is not None:  # every player's costate offset carries the same -y_k
-            rhs = (rhs.reshape(T + 1, self.num_players, -1)
-                   - np.asarray(y, dtype=float)[:, None]).reshape(T + 1, -1)
-        m_next = np.empty_like(rhs)
-        m = np.zeros(rhs.shape[1])
-        for k in range(T, -1, -1):
-            m_next[k] = m
-            m = rhs[k] + self.Mm[k] @ m
-        d = a + _bmv(self.Dm, m_next)
-        f = _bmv(self.B, d[:T]) + self.b
-        states = np.empty((T + 1, self.K.shape[2]))
-        states[0] = self.initial_state
-        for k in range(T):
-            states[k + 1] = self.Acl[k] @ states[k] + f[k]
-        return Trajectory(states, _bmv(self.K, states) + d)
+        n_x, n_u = self.initial_state.size, self.action_dim
+        shift = np.zeros((self.rhs.shape[0], n_u + n_x))
+        if z is not None:
+            shift[:, :n_u] = z
+        if y is not None:
+            shift[:-1, n_u:] = np.asarray(y, dtype=float)[1:]
+        rhs = self.rhs + shift @ self.spread  # one product: cheaper than strided adds
+        sol, _ = lapack.dgbtrs(self.lu, self.kl, self.ku, rhs.reshape(-1, 1), self.piv,
+                               overwrite_b=True)
+        sol = sol.reshape(self.rhs.shape)
+        sol[0, :n_x] = self.initial_state  # pinned exactly, whatever the pivoting did
+        return Trajectory(sol[:, :n_x], sol[:, n_x:n_x + n_u])
 
 
-def _factor_data(data: LqGameData, eta: Optional[float] = None) -> LqFactor:
-    """Run the matrix part of the sweep.
+def _inverse_norm(lu: Array, kl: int, ku: int, piv: Array) -> float:
+    """Estimate of |A^{-1}|_1 from A's banded LU by Hager's method as dlacn2 runs it.
 
-    Raises StageSingularityError naming the latest stage whose stationarity
-    matrix F_k is numerically rank deficient (the sweep runs backward).
+    Each solve is one ``dgbtrs``, O(n (kl + ku)) (Higham, ACM TOMS 14, 1988);
+    ``dgbcon``'s overflow-guarded solves turn O(n^2) on long horizons.
+    """
+    n = lu.shape[1]
+    x, est = np.full((n, 1), 1.0 / n), 0.0
+    for _ in range(5):
+        y, _ = lapack.dgbtrs(lu, kl, ku, x, piv)
+        if not np.abs(y).sum() > est:
+            break
+        est = float(np.abs(y).sum())
+        z, _ = lapack.dgbtrs(lu, kl, ku, np.where(y >= 0, 1.0, -1.0), piv, trans=1)
+        j = int(np.argmax(np.abs(z)))
+        if abs(z[j, 0]) <= float(z[:, 0] @ x[:, 0]):
+            break
+        x = np.where(np.arange(n)[:, None] == j, 1.0, 0.0)
+    alt = (-1.0) ** np.arange(n) * (1.0 + np.arange(n) / max(n - 1, 1))
+    y, _ = lapack.dgbtrs(lu, kl, ku, alt[:, None], piv)
+    return float(np.max([est, 2.0 * np.abs(y).sum() / (3 * n)]))  # NaN propagates
+
+
+def _kkt_factor(data: LqGameData, eta: Optional[float] = None) -> LqFactor:
+    """Assemble the stacked KKT matrix of ``data`` and factor it.
+
+    Raises StageSingularityError as the module docstring describes.
     """
     N, T1, n_x = data.Q.shape[:3]
-    T = T1 - 1
-    offsets = np.concatenate([[0], np.cumsum(data.action_dims)]).astype(int)
-    n_u = int(offsets[-1])
-    blocks = [slice(offsets[n], offsets[n + 1]) for n in range(N)]
-    rows = [slice(n * n_x, (n + 1) * n_x) for n in range(N)]
-
-    K = np.empty((T + 1, n_u, n_x))
-    Finv = np.empty((T + 1, n_u, n_u))
-    e = np.empty((T + 1, n_u))
-    Dm = np.empty((T + 1, n_u, N * n_x))
-    G = np.empty((T + 1, N * n_x, n_u))
-    c = np.empty((T + 1, N * n_x))
-    Mm = np.zeros((T + 1, N * n_x, N * n_x))
-    Acl = np.empty((T, n_x, n_x))
-    M = np.zeros((N, n_x, n_x))  # M_{n,k+1}; zero beyond the horizon
-    zero_A, zero_B, zero_b = np.zeros((n_x, n_x)), np.zeros((n_x, n_u)), np.zeros(n_x)
-    for k in range(T, -1, -1):
-        A, B, b = (data.A[k], data.B[k], data.b[k]) if k < T else (zero_A, zero_B, zero_b)
-        F = np.empty((n_u, n_u))
-        P = np.empty((n_u, n_x))
-        h = np.empty(n_u)
-        Bblk = np.zeros((n_u, N * n_x))
-        for n, sl in enumerate(blocks):
-            BnM = B[:, sl].T @ M[n]
-            F[sl] = data.R[n, k][sl] + BnM @ B
-            P[sl] = data.X[n, k].T[sl] + BnM @ A
-            h[sl] = data.r[n, k][sl] + BnM @ b
-            Bblk[sl, rows[n]] = B[:, sl].T
-        rank = np.linalg.matrix_rank(F)
-        if rank < n_u:
-            raise StageSingularityError(
-                k, f"stage stationarity matrix F_k is singular (rank {rank} < {n_u})")
-        Fi = np.linalg.inv(F)
-        Kk = -Fi @ P
-        for n, rn in enumerate(rows):
-            AtM = A.T @ M[n]
-            G[k, rn] = data.X[n, k] + AtM @ B
-            c[k, rn] = data.q[n, k] + AtM @ b
-            Mm[k, rn, rn] = A.T
-            M[n] = data.Q[n, k] + data.X[n, k] @ Kk + AtM @ (A + B @ Kk)
-        K[k], Finv[k], e[k], Dm[k] = Kk, Fi, -Fi @ h, -Fi @ Bblk
-        Mm[k] += G[k] @ Dm[k]
-        if k < T:
-            Acl[k] = A + B @ Kk
-    return LqFactor(initial_state=np.asarray(data.initial_state, dtype=float),
-                    K=K, Finv=Finv, e=e, Dm=Dm, G=G, c=c, Mm=Mm, Acl=Acl,
-                    B=data.B, b=data.b, num_players=N, eta=eta)
+    T, n_u = T1 - 1, data.R.shape[-1]
+    lam, nb = n_x + n_u, n_x + n_u + N * n_x  # offset of the costates in a block, block size
+    n = T1 * nb
+    owner, own = np.repeat(np.arange(N), data.action_dims), np.arange(n_u)
+    rhs = np.zeros((T1, nb))
+    rhs[0, :n_x] = data.initial_state
+    rhs[1:, :n_x] = data.b
+    rhs[:, n_x:lam] = -data.r[owner, :, own].T
+    rhs[:T, lam:] = -data.q[:, 1:].swapaxes(0, 1).reshape(T, N * n_x)
+    spread = np.zeros((lam, nb))  # every player's stationarity in x_{k+1} gets y_{k+1}
+    spread[:n_u, n_x:lam] = np.eye(n_u)
+    spread[n_u:, lam:] = np.tile(np.eye(n_x), N)
+    kl = ku = nb + n_x - 1
+    ldab = 2 * kl + ku + 1
+    # LAPACK band storage puts entry (i, j) at row kl + ku + i - j of column j.
+    # D[k, a, c] views it as row a of block k against column c of blocks k-1,
+    # k and k+1, with one spare block on either side.  Entries outside the
+    # band alias others, so only blocks inside the band are written.
+    band = np.zeros((ldab, n + 2 * nb), order="F")
+    D = np.lib.stride_tricks.as_strided(
+        band[kl + ku + nb:], shape=(T1, nb, 3 * nb),
+        strides=(band.itemsize * nb * ldab, band.itemsize, band.itemsize * (ldab - 1)))
+    D[:, :n_x, nb:nb + n_x] = np.eye(n_x)
+    D[1:, :n_x, :lam] = -np.concatenate([data.A, data.B], axis=2)
+    XR = np.concatenate([data.X.swapaxes(2, 3), data.R], axis=3)  # (N, T+1, n_u, lam)
+    D[:, n_x:lam, nb:nb + lam] = np.moveaxis(XR[owner, :, own], 0, 1)
+    lam_cols = nb + lam + owner[:, None] * n_x + np.arange(n_x)
+    D[:T, n_x + own[:, None], lam_cols] = data.B.swapaxes(1, 2)
+    diag = np.arange(lam, nb)
+    D[:, diag, nb + diag] = -1.0
+    QX = np.concatenate([data.Q, data.X], axis=3)[:, 1:]  # (N, T, n_x, lam)
+    D[:T, lam:, 2 * nb:2 * nb + lam] = QX.swapaxes(0, 1).reshape(T, N * n_x, lam)
+    rows = (lam + np.arange(N)[:, None] * n_x + np.arange(n_x))[..., None]
+    D[:T - 1, rows, 2 * nb + rows.swapaxes(1, 2)] = data.A[1:, None].swapaxes(2, 3)
+    band = band[:, nb:nb + n]
+    anorm = float(np.max(np.abs(band[kl:]).sum(axis=0)))  # rows above kl are LU workspace
+    lu, piv, info = lapack.dgbtrf(band, kl, ku, overwrite_ab=True)
+    if info > 0:
+        raise StageSingularityError(
+            (info - 1) // nb, "the open-loop KKT matrix is singular (zero pivot)")
+    rcond = 1.0 / (anorm * _inverse_norm(lu, kl, ku, piv))
+    if not rcond >= n * np.finfo(float).eps:  # NaN too
+        v, _ = lapack.dgbtrs(lu, kl, ku, np.ones((n, 1)), piv)  # inverse iteration
+        raise StageSingularityError(
+            int(np.argmax(np.abs(v))) // nb,
+            f"the open-loop KKT matrix is numerically singular (rcond {rcond:.1e})")
+    return LqFactor(lu=lu, piv=piv, kl=kl, ku=ku, rhs=rhs, spread=spread,
+                    initial_state=np.asarray(data.initial_state, dtype=float),
+                    action_dim=n_u, eta=eta)
 
 
 def regularized_factor(data: LqGameData, eta: float) -> LqFactor:
@@ -249,9 +248,9 @@ def regularized_factor(data: LqGameData, eta: float) -> LqFactor:
     ``LqFactor.solve(y, z)`` then shifts the prox centres to (y, z).
     """
     n_x, n_u = data.A.shape[1], data.B.shape[2]
-    return _factor_data(replace(data, Q=eta * data.Q + np.eye(n_x), X=eta * data.X,
-                                R=eta * data.R + np.eye(n_u), q=eta * data.q,
-                                r=eta * data.r), eta)
+    return _kkt_factor(replace(data, Q=eta * data.Q + np.eye(n_x), X=eta * data.X,
+                               R=eta * data.R + np.eye(n_u), q=eta * data.q,
+                               r=eta * data.r), eta)
 
 
 def factor(game: GameDefinition, eta: float) -> LqFactor:
@@ -278,7 +277,7 @@ def factor(game: GameDefinition, eta: float) -> LqFactor:
 
 
 def solve_lq_open_loop(data: LqGameData, x0: Optional[Array] = None) -> Trajectory:
-    """Exact open-loop equilibrium of a linear-quadratic game in one sweep."""
+    """Exact open-loop equilibrium of a linear-quadratic game by one banded solve."""
     if x0 is not None:
         data = replace(data, initial_state=np.asarray(x0, dtype=float))
-    return _factor_data(data).solve()
+    return _kkt_factor(data).solve()

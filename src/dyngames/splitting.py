@@ -13,13 +13,13 @@ with alpha in (0, 1).  The three groupings give three schemes, named by the
 operator that gets its own resolvent:
 
 * ``constraints``: r_1 solves a proximally regularized unconstrained dynamic
-  game (the factored LQ sweep for declared linear-quadratic games, else
-  Newton steps, each one solve of the local LQ game by the same sweep),
-  r_2 projects stagewise onto the constraint sets.
+  game (one banded solve of its open-loop KKT system for declared
+  linear-quadratic games, else Newton steps, each one banded solve of the
+  local LQ game's system), r_2 projects stagewise onto the constraint sets.
 * ``dynamics``: r_1 solves independent regularized constrained static games
   per stage (the state coordinate acts as an extra coordinating player) by
   Josephy-Newton steps and Lemke's method, r_2 projects onto the dynamics
-  by the factored LQ sweep at eta = 0.
+  by the same banded solve at eta = 0.
 * ``gradient``: r_1 projects onto the intersection of dynamics and
   constraints (exact horizon-wide QP), r_2 solves the same static games
   per stage without their rows.
@@ -34,8 +34,9 @@ Two of these resolvents are open-loop equilibria of linear-quadratic games
 whose matrices do not change between iterations: the regularized game of a
 declared linear-quadratic game, and the dynamics projection (the same
 kernel at eta = 0).  ``dr_solve`` factors that kernel once with
-``lq.factor`` before its loop and passes the factor to the resolvent on
-every iteration, so each iteration only re-solves the linear terms.  The
+``lq.factor`` (one banded LU of the stacked KKT matrix) before its loop and
+passes the factor to the resolvent on every iteration, so each iteration
+only shifts the right-hand side and runs one banded triangular solve.  The
 intersection projection of the ``gradient`` scheme is one convex QP over
 the whole stacked trajectory whose rows (initial state, dynamics, stage
 rows, built by ``lq.horizon_rows``) do not change either; ``dr_solve``
@@ -132,17 +133,18 @@ def extended_gradient(game: GameDefinition, x: Array, u: Array) -> Array:
 def resolvent_reg_game(game: GameDefinition, y: Array, z: Array, eta: float,
                        inner_tol: float = 1e-10, inner_max_iter: int = 300,
                        warm: Optional[Trajectory] = None,
-                       factor: Optional[lq.LqFactor] = None) -> tuple[Array, Array]:
+                       factor: Optional[lq.LqFactor] = None,
+                       divergence_factor: float = 1e8) -> tuple[Array, Array]:
     """Equilibrium of the proximally regularized unconstrained dynamic game.
 
     The regularized game gives player n the costs eta c_{n,k} + 0.5 |x_k -
     y_k|^2 + 0.5 |u_k - z_k|^2; scaling all costs by eta > 0 leaves equilibria
     unchanged, so its equilibrium is the resolvent of the scaled game
     operator at (y, z).  Declared linear-quadratic games are solved exactly
-    by the factored open-loop sweep of ``lq``: only the linear cost terms
-    depend on (y, z), so ``factor`` (from ``lq.factor(game, eta)``) can be
-    prepared once and reused across calls; without it the game is factored
-    here.
+    by one banded solve of their stacked open-loop KKT system (``lq``): only
+    its right-hand side depends on (y, z), so ``factor`` (the LU from
+    ``lq.factor(game, eta)``) can be prepared once and reused across calls;
+    without it the game is factored here.
 
     Other games take full Newton steps from ``warm`` (else from z).  A Newton
     step on an open-loop game is the open-loop equilibrium of its local LQ
@@ -152,10 +154,11 @@ def resolvent_reg_game(game: GameDefinition, y: Array, z: Array, eta: float,
     cost Hessians and solves that game with ``lq.regularized_factor``; the
     new actions are rolled out through the game's own dynamics.  The passes
     stop once the regularized pseudo-gradient is at most
-    inner_tol * (1 + max|u_start|) and raise SubproblemError after
-    ``inner_max_iter`` steps.  A non-finite rollout raises
-    NonFiniteStateError, a singular stage matrix StageSingularityError, and
-    an eta that is not positive ValueError.
+    inner_tol * (1 + max|u_start|).  They raise SubproblemError after
+    ``inner_max_iter`` steps, and as soon as that residual is not finite or
+    exceeds ``divergence_factor`` times the first pass's.  A non-finite
+    rollout raises NonFiniteStateError, a singular KKT matrix
+    StageSingularityError, and an eta that is not positive ValueError.
     """
     if game.linear_dynamics and game.quadratic_costs:
         if factor is None:
@@ -181,6 +184,12 @@ def resolvent_reg_game(game: GameDefinition, y: Array, z: Array, eta: float,
         resid = float(np.max(np.abs(grads[:, owner, np.arange(n_u)]), initial=0.0))
         if resid <= inner_tol * scale:
             return traj.states, traj.actions
+        if it == 0:
+            resid0 = resid
+        if not (np.isfinite(resid) and resid <= divergence_factor * resid0):
+            raise SubproblemError(
+                f"regularized game diverged: residual {resid:.3e} after {it} Newton "
+                f"steps, from {resid0:.3e}")
         if it == inner_max_iter:
             break
         # Lagrangian Hessians, in units of the unregularized costs
@@ -391,9 +400,9 @@ def project_dynamics(game: GameDefinition, y: Array, z: Array,
     """Projection of (y, z) onto the dynamics-consistent trajectories.
 
     Minimizes sum_k |x_k - y_k|^2 + |u_k - z_k|^2 subject to linear dynamics
-    and the pinned initial state, exactly, by one backward/forward sweep of
-    the factored LQ kernel at eta = 0.  Pass ``factor=lq.factor(game, 0.0)``
-    to reuse one factorization across calls.
+    and the pinned initial state, exactly, by one banded solve of the
+    stacked KKT system at eta = 0.  Pass ``factor=lq.factor(game, 0.0)`` to
+    reuse one factorization across calls.
     """
     if factor is None:
         factor = lq.factor(game, 0.0)  # raises UnsupportedConstraintError for nonlinear dynamics
@@ -552,13 +561,14 @@ def _residuals_within(game, cand: Trajectory, tol: float) -> bool:
 def _scheme_kernel(game, cfg) -> Union[lq.LqFactor, HorizonQp, None]:
     """The iterate-independent data a scheme's resolvents reuse, if any.
 
-    ``constraints`` solves the regularized game, exactly and factored for
-    declared linear-quadratic games; ``dynamics`` projects onto the
-    dynamics with the eta = 0 factor; ``gradient`` projects onto dynamics
-    and stage rows with one horizon-wide QP whose rows are built here.
-    Both raise before the first iteration: StageSingularityError for a
-    singular stage matrix, UnsupportedConstraintError for nonlinear
-    dynamics or, in the ``gradient`` scheme, non-affine stage constraints.
+    ``constraints`` solves the regularized game, exactly and with the
+    banded LU of ``lq.factor`` for declared linear-quadratic games;
+    ``dynamics`` projects onto the dynamics with the eta = 0 factor;
+    ``gradient`` projects onto dynamics and stage rows with one horizon-wide
+    QP whose rows are built here.  Both raise before the first iteration:
+    StageSingularityError for a singular KKT matrix,
+    UnsupportedConstraintError for nonlinear dynamics or, in the
+    ``gradient`` scheme, non-affine stage constraints.
     """
     if cfg.scheme == SCHEME_CONSTRAINTS:
         if game.linear_dynamics and game.quadratic_costs:
@@ -574,7 +584,8 @@ def _first_resolvent(game, cfg, y, z, warm, kernel):
         return resolvent_reg_game(game, y, z, cfg.eta,
                                   inner_tol=cfg.inner_tol,
                                   inner_max_iter=cfg.inner_max_iter,
-                                  warm=warm, factor=kernel)
+                                  warm=warm, factor=kernel,
+                                  divergence_factor=cfg.divergence_factor)
     if cfg.scheme == SCHEME_DYNAMICS:
         return resolvent_reg_static_games(game, y, z, cfg.eta,
                                           inner_tol=cfg.inner_tol,

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from dyngames import lq
+from dyngames import lq, splitting
 from dyngames.benchmarks import (
     FisheryParams,
     LqRendezvousParams,
@@ -218,11 +218,10 @@ class TestRegularizedGameResolvent:
         np.testing.assert_allclose(us, tu, rtol=0, atol=1e-10)
         np.testing.assert_allclose(xs, tx, rtol=0, atol=1e-10)
 
-    def test_stops_at_the_first_pass_with_a_non_finite_state(self, monkeypatch):
-        # The first Newton step asks for u near 909 and exp(909) overflows.
-        # With analytic derivatives nothing else fails on the non-finite
-        # state, so a solver that kept going would spend every pass on NaN.
-        game = GameDefinition(
+    @staticmethod
+    def exp_action_game():
+        """x+ = exp(u) with cost 0.5 (u - 1000)^2: full Newton steps overshoot."""
+        return GameDefinition(
             horizon=3, state_dim=1, action_dims=(1,), initial_state=[0.0],
             dynamics=lambda k, x, u: np.exp(u),
             stage_costs=lambda k, x, u: np.array([0.5 * (u[0] - 1000.0) ** 2]),
@@ -231,6 +230,9 @@ class TestRegularizedGameResolvent:
             cost_gradients=lambda k, x, u: (np.zeros((1, 1)), (u - 1000.0)[None, :]),
             cost_hessians=lambda k, x, u: (np.zeros((1, 1, 1)), np.zeros((1, 1, 1)),
                                            np.ones((1, 1, 1))))
+
+    @staticmethod
+    def count_factors(monkeypatch):
         factored = []
         regularized_factor = lq.regularized_factor
 
@@ -239,10 +241,39 @@ class TestRegularizedGameResolvent:
             return regularized_factor(*args, **kwargs)
 
         monkeypatch.setattr(lq, "regularized_factor", counted)
+        return factored
+
+    def test_stops_at_the_first_pass_with_a_non_finite_state(self, monkeypatch):
+        # The first Newton step asks for u near 909 and exp(909) overflows.
+        # With analytic derivatives nothing else fails on the non-finite
+        # state, so a solver that kept going would spend every pass on NaN.
+        factored = self.count_factors(monkeypatch)
         with np.errstate(over="ignore"), pytest.raises(NonFiniteStateError) as exc:
-            resolvent_reg_game(game, np.zeros((4, 1)), np.zeros((4, 1)), eta=10.0)
+            resolvent_reg_game(self.exp_action_game(), np.zeros((4, 1)), np.zeros((4, 1)),
+                               eta=10.0)
         assert exc.value.stage == 0
         assert len(factored) == 1
+
+    def test_stops_once_the_residual_diverges(self, monkeypatch):
+        # At eta = 1 the states stay finite, but the residual grows from 1e3
+        # to about 1e217 in one step; the default budget is 300 steps.
+        factored = self.count_factors(monkeypatch)
+        with pytest.raises(SubproblemError, match="diverged"):
+            resolvent_reg_game(self.exp_action_game(), np.zeros((4, 1)), np.zeros((4, 1)),
+                               eta=1.0)
+        assert len(factored) <= 2
+
+    def test_dr_passes_its_divergence_factor_to_the_newton_resolvent(self, monkeypatch):
+        seen = []
+
+        def spy(game, y, z, eta, **kwargs):
+            seen.append(kwargs)
+            return y, z
+
+        monkeypatch.setattr(splitting, "resolvent_reg_game", spy)
+        dr_solve(self.exp_action_game(), DrConfig(divergence_factor=123.0, max_iter=1,
+                                                  record_costs=False, run_checks=False))
+        assert seen[0]["divergence_factor"] == 123.0
 
     @given(seed=st.integers(0, 2**32 - 1), T=st.integers(1, 6),
            log_eta=st.floats(-4.0, -1.0))
