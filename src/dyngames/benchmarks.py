@@ -16,7 +16,7 @@ from the deterministic equilibrium path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -52,9 +52,12 @@ class FisheryParams:
     x0: float = 50.0
 
     def __post_init__(self):
+        for f in fields(self):
+            if not np.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         for name in ("u1_max", "u2_max", "r", "h", "dt", "horizon_time",
                      "q1", "q2", "p1", "p2"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         n = self.horizon_time / self.dt
         if abs(n - round(n)) > 1e-9:
@@ -218,6 +221,11 @@ class LqRendezvousParams:
     def __post_init__(self):
         if len(self.x0) != 6 or len(self.targets) != 6:
             raise ValueError("state and targets must have six entries")
+        values = [*self.x0, *self.targets, self.effort_weight, self.terminal_weight]
+        if not np.all(np.isfinite(np.asarray(values, dtype=float))):
+            raise ValueError("positions, targets and weights must be finite")
+        if not 0 < self.u_max < np.inf:  # rejects NaN too
+            raise ValueError(f"u_max must be positive and finite, got {self.u_max}")
         if not 0 <= self.meet_stage <= self.horizon:
             raise ValueError("meeting stage outside the horizon")
 

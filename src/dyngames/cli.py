@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -39,6 +40,8 @@ from .model import GameDefinition
 from .projgrad import ProjGradConfig, projected_gradient_solve
 from .report import SolverReport
 from .splitting import SCHEMES, DrConfig, dr_solve
+
+log = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_NOT_CONVERGED = 5
@@ -200,8 +203,8 @@ def _policy_payload(policy) -> dict:
     }
 
 
-def run(config: RunConfig, quiet: bool = False) -> int:
-    """Execute one configured solve; returns the process exit status."""
+def run(config: RunConfig) -> int:
+    """Execute one configured solve, logging progress; returns the exit status."""
     builder = GAME_REGISTRY.get(config.game_id)
     if builder is None:
         raise UnknownGameError(
@@ -211,22 +214,21 @@ def run(config: RunConfig, quiet: bool = False) -> int:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid game parameters: {exc}") from exc
 
-    say = (lambda *a: None) if quiet else print
     T, n_u = game.horizon, game.total_action_dim
     u0 = np.zeros((T + 1, n_u))
     if config.solver == "pg":
         cfg = ProjGradConfig(step_size=config.rho, max_iter=config.max_iter,
                              tol=config.tol)
-        say(f"running projected gradient on {config.game_id} "
-            f"(rho={config.rho}, max_iter={config.max_iter})")
+        log.info("running projected gradient on %s (rho=%s, max_iter=%s)",
+                 config.game_id, config.rho, config.max_iter)
         report = projected_gradient_solve(game, u0, cfg)
     else:
         cfg = DrConfig(scheme=config.scheme, eta=config.eta, alpha=config.alpha,
                        max_iter=config.max_iter, tol=config.tol)
-        say(f"running splitting solver on {config.game_id} "
-            f"(scheme={config.scheme}, eta={config.eta}, alpha={config.alpha})")
+        log.info("running splitting solver on %s (scheme=%s, eta=%s, alpha=%s)",
+                 config.game_id, config.scheme, config.eta, config.alpha)
         report = dr_solve(game, cfg)
-    say(f"finished after {report.iterations} iterations ({report.termination})")
+    log.info("finished after %d iterations (%s)", report.iterations, report.termination)
 
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -255,7 +257,7 @@ def run(config: RunConfig, quiet: bool = False) -> int:
 
     policy = None
     if config.feedback:
-        say("computing local feedback policy")
+        log.info("computing local feedback policy")
         policy = stagewise_newton_backward(game, report.trajectory,
                                            active_tol=config.active_tol,
                                            feas_tol=np.inf,
@@ -270,7 +272,7 @@ def run(config: RunConfig, quiet: bool = False) -> int:
         sim = dict(config.simulate)
         if config.seed is not None:
             sim["seed"] = config.seed
-        say(f"simulating {sim['n_runs']} noisy runs (seed {sim['seed']})")
+        log.info("simulating %d noisy runs (seed %d)", sim["n_runs"], sim["seed"])
         comparison = benchmarks.noise_comparison(
             game, report.trajectory, policy.equilibrium_form(),
             noise_var=sim["noise_var"], n_runs=sim["n_runs"], seed=sim["seed"],
@@ -287,7 +289,7 @@ def run(config: RunConfig, quiet: bool = False) -> int:
     with (outdir / "report.json").open("w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=1)
         fh.write("\n")
-    say(f"wrote outputs to {outdir}")
+    log.info("wrote outputs to %s", outdir)
     return EXIT_OK if report.converged else EXIT_NOT_CONVERGED
 
 
@@ -318,8 +320,14 @@ def main(argv=None) -> int:
         config.output_dir = args.out
     if args.seed is not None:
         config.seed = args.seed
+    level = log.level
+    if not args.quiet:  # progress lines on stdout, for this call only
+        console = logging.StreamHandler(sys.stdout)
+        console.setFormatter(logging.Formatter("%(message)s"))
+        log.addHandler(console)
+        log.setLevel(logging.INFO)
     try:
-        return run(config, quiet=args.quiet)
+        return run(config)
     except UnknownGameError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN_GAME
@@ -329,6 +337,10 @@ def main(argv=None) -> int:
     except DynGameError as exc:
         print(f"error: solver failed: {exc}", file=sys.stderr)
         return EXIT_SOLVER_FAILURE
+    finally:
+        if not args.quiet:
+            log.removeHandler(console)
+            log.setLevel(level)
 
 
 if __name__ == "__main__":

@@ -207,31 +207,3 @@ def project_polyhedron(point: Array, G: Array, h: Array) -> Array:
     n = point.shape[0]
     z, _ = solve_qp(np.eye(n), -np.asarray(point, dtype=float), G=G, h=h)
     return z
-
-
-def fit_log_decay(values: Array, burn_in_frac: float = 0.1,
-                  floor_rel: float = 1e-13) -> tuple[float, float]:
-    """Least-squares geometric decay rate of a positive trace.
-
-    Fits log(values) ~ a + t*log(rate) over the window after burn-in and
-    before the trace hits its numerical floor.  Returns (rate, rmse of the
-    fit in log space); (nan, nan) if fewer than two usable points remain.
-    """
-    v = np.asarray(values, dtype=float)
-    if v.size < 2:
-        return float("nan"), float("nan")
-    top = float(np.max(v))
-    if top <= 0.0:
-        return 0.0, 0.0
-    start = int(np.floor(burn_in_frac * v.size))
-    usable = np.flatnonzero(v > floor_rel * top)
-    usable = usable[usable >= start]
-    if usable.size < 2:
-        return float("nan"), float("nan")
-    t = usable.astype(float)
-    y = np.log(v[usable])
-    Adesign = np.vstack([np.ones_like(t), t]).T
-    coef, *_ = np.linalg.lstsq(Adesign, y, rcond=None)
-    resid = y - Adesign @ coef
-    rmse = float(np.sqrt(np.mean(resid**2)))
-    return float(np.exp(coef[1])), rmse

@@ -389,6 +389,14 @@ class Trajectory:
         """Per-stage residual norms ||x_{k+1} - f_k(x_k, u_k)||."""
         return np.linalg.norm(_dynamics_offsets(game, self.states, self.actions), axis=1)
 
+    def constraint_violation(self, game: GameDefinition) -> float:
+        """Largest stage-row violation max(g_k(x_k, u_k), 0); NaN when any row is NaN."""
+        if game.constraints is None:
+            return 0.0
+        rows = [game.eval_constraints(k, self.states[k], self.actions[k])
+                for k in range(self.horizon + 1)]
+        return float(np.max(np.maximum(np.concatenate(rows), 0.0), initial=0.0))
+
     def dynamically_feasible(self, game: GameDefinition, tol: float = 1e-8) -> bool:
         res = self.dynamics_residuals(game)
         return bool(res.size == 0 or np.max(res) <= tol)

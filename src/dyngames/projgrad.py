@@ -16,6 +16,9 @@ dynamics and stage constraints.  Two constraint classes are supported:
   whole stacked trajectory, with the dynamics as equality rows, the stage
   rows as inequality rows and weight zero on the states
   (``splitting.horizon_qp(game, 0.0)``).
+
+The solver is that projection step and one call of ``report.iterate``,
+which owns the loop and the stop tests it shares with ``splitting.dr_solve``.
 """
 
 from __future__ import annotations
@@ -26,15 +29,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import UnsupportedConstraintError
-from .gradient import playerwise_minimizer_check, pseudo_gradient
+from .gradient import pseudo_gradient
 from .model import GameDefinition, all_player_costs, rollout
-from .report import (
-    TERM_DIVERGENCE,
-    TERM_MAX_ITER,
-    TERM_TOLERANCE,
-    SolverReport,
-    build_report,
-)
+from .report import SolverReport, build_report, iterate
 from . import splitting
 
 Array = np.ndarray
@@ -103,7 +100,13 @@ def project_onto_feasible(game: GameDefinition, actions: Array,
 
 def projected_gradient_solve(game: GameDefinition, u0: Array,
                              cfg: ProjGradConfig) -> SolverReport:
-    """Run the projected gradient iteration from u0 (repaired if infeasible)."""
+    """Run the projected gradient iteration from u0 (repaired if infeasible).
+
+    The iterate is the action sequence and the candidate its rollout, on
+    which the next pseudo-gradient is taken; ``report.iterate`` runs the
+    loop.  With ``record_costs`` the cost trace holds the players' costs at
+    the initial iterate and after every step.
+    """
     T, n_u = game.horizon, game.total_action_dim
     u = np.asarray(u0, dtype=float)
     if u.shape == (T, n_u):
@@ -113,42 +116,14 @@ def projected_gradient_solve(game: GameDefinition, u0: Array,
     # the QP rows do not depend on the point, so one build serves the solve
     qp = splitting.horizon_qp(game, 0.0) if _projection_route(game) == "qp" else None
     u = project_onto_feasible(game, u, qp)
-    u_scale0 = 1.0 + float(np.linalg.norm(u))
-
-    iterates = [u.copy()]
-    step_norms: list[float] = []
-    costs: list[Array] = []
-    termination = TERM_MAX_ITER
     traj = rollout(game, game.initial_state, u)
-    for _ in range(cfg.max_iter):
-        if cfg.record_costs:
-            costs.append(all_player_costs(game, traj))
+
+    def step(u, traj):
         grad = pseudo_gradient(game, traj, feas_tol=np.inf)
-        stepped = u - cfg.step_size * grad.own_stage_grads()
-        u_next = project_onto_feasible(game, stepped, qp)
-        step = float(np.max(np.abs(u_next - u)))
-        step_norms.append(step)
-        u = u_next
-        iterates.append(u.copy())
-        traj = rollout(game, game.initial_state, u)
-        if step <= cfg.tol:
-            termination = TERM_TOLERANCE
-            break
-        if np.linalg.norm(u) > cfg.divergence_factor * u_scale0:
-            termination = TERM_DIVERGENCE
-            break
-    if cfg.record_costs:
-        costs.append(all_player_costs(game, traj))
-    verdicts = []
-    if cfg.run_checks and termination != TERM_DIVERGENCE:
-        verdicts = playerwise_minimizer_check(game, traj)
-    return build_report(
-        trajectory=traj,
-        iterates=iterates,
-        step_norms=step_norms,
-        termination=termination,
-        verdicts=verdicts,
-        cost_trace=np.asarray(costs) if costs else None,
-        final_costs=all_player_costs(game, traj),
-        dynamics_residual=float(np.max(traj.dynamics_residuals(game), initial=0.0)),
-        constraint_residual=splitting._constraint_violation(game, traj))
+        u_next = project_onto_feasible(game, u - cfg.step_size * grad.own_stage_grads(), qp)
+        return u_next, rollout(game, game.initial_state, u_next)
+
+    costs = (lambda traj: all_player_costs(game, traj)) if cfg.record_costs else None
+    run = iterate(step, u, traj, cfg.max_iter, cfg.tol, cfg.divergence_factor, record=costs)
+    cost_trace = [costs(traj)] + run.records if costs else []
+    return build_report(game, run.candidate, run.candidate, run, cfg.run_checks, cost_trace)

@@ -1,15 +1,20 @@
-"""Solver run reports shared by the first-order equilibrium solvers."""
+"""The fixed-point loop and the run report shared by the equilibrium solvers.
+
+Projected gradient and Douglas-Rachford both iterate w <- step(w).
+``iterate`` owns their loop, step norm and stop tests, and ``build_report``
+turns a finished run into a ``SolverReport``; a solver supplies only its
+step, its equilibrium candidate and what to check.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
-from .denseqp import fit_log_decay
-from .gradient import PlayerVerdict
-from .model import Trajectory
+from .gradient import PlayerVerdict, playerwise_minimizer_check
+from .model import GameDefinition, Trajectory, all_player_costs
 
 Array = np.ndarray
 
@@ -50,27 +55,99 @@ class SolverReport:
         return bool(self.verdicts) and all(v.passed for v in self.verdicts)
 
 
-def distances_to_final(iterates: list[Array]) -> Array:
-    if not iterates:
-        return np.zeros(0)
-    final = iterates[-1]
-    return np.array([float(np.linalg.norm(it - final)) for it in iterates])
+@dataclass
+class Run:
+    """A finished ``iterate`` run; ``iterates`` starts with the initial iterate."""
+
+    candidate: Any
+    iterates: list[Array]
+    step_norms: list[float]
+    termination: str
+    records: list
 
 
-def build_report(trajectory: Trajectory, iterates: list[Array],
-                 step_norms: list[float], termination: str,
-                 verdicts: list[PlayerVerdict],
-                 cost_trace: Optional[Array] = None,
-                 final_costs: Optional[Array] = None,
-                 dynamics_residual: float = 0.0,
-                 constraint_residual: float = 0.0) -> SolverReport:
-    dist = distances_to_final(iterates)
-    rate, rmse = fit_log_decay(dist) if dist.size else (float("nan"), float("nan"))
+def iterate(step: Callable[[Array, Any], tuple[Array, Any]], w0: Array, cand0: Any,
+            max_iter: int, tol: float, divergence_factor: float,
+            accept: Optional[Callable[[Any], bool]] = None,
+            record: Optional[Callable[[Any], Any]] = None) -> Run:
+    """Run w <- step(w) until the step is small, w blows up or the budget ends.
+
+    ``step(w, cand)`` returns a new iterate array and the next equilibrium
+    candidate, given the previous one (``cand0`` at first).  ``record(cand)``
+    is kept after every step when given.  The run stops with ``tolerance``
+    once max|w_new - w| <= tol and ``accept(cand)`` holds (evaluated only
+    then, so a costly residual check is skipped while w still moves), with
+    ``divergence`` once |w|_2 > divergence_factor * (1 + |w0|_2), and else
+    with ``max_iter``; ``max_iter = 0`` returns ``cand0``.
+    """
+    w, cand = w0, cand0
+    iterates, step_norms, records = [w0], [], []
+    scale0 = 1.0 + float(np.linalg.norm(w0))
+    termination = TERM_MAX_ITER
+    for _ in range(max_iter):
+        w_new, cand = step(w, cand)
+        size = float(np.max(np.abs(w_new - w)))
+        w = w_new
+        iterates.append(w)
+        step_norms.append(size)
+        if record is not None:
+            records.append(record(cand))
+        if size <= tol and (accept is None or accept(cand)):
+            termination = TERM_TOLERANCE
+            break
+        if np.linalg.norm(w) > divergence_factor * scale0:
+            termination = TERM_DIVERGENCE
+            break
+    return Run(cand, iterates, step_norms, termination, records)
+
+
+def build_report(game: GameDefinition, trajectory: Trajectory, checked: Trajectory,
+                 run: Run, run_checks: bool, cost_trace: list) -> SolverReport:
+    """The report of a run whose equilibrium candidate is ``trajectory``.
+
+    The residuals are ``trajectory``'s; the final costs and, with
+    ``run_checks`` unless the run diverged, the player-wise verdicts are
+    those of ``checked``, the candidate's actions rolled out.
+    """
+    verdicts = []
+    if run_checks and run.termination != TERM_DIVERGENCE:
+        verdicts = playerwise_minimizer_check(game, checked)
+    dist = np.array([float(np.linalg.norm(w - run.iterates[-1])) for w in run.iterates])
+    rate, rmse = fit_log_decay(dist)
     return SolverReport(
-        trajectory=trajectory, iterations=len(step_norms),
-        termination=termination, distance_trace=dist,
-        step_norms=np.asarray(step_norms, dtype=float),
+        trajectory=trajectory, iterations=len(run.step_norms),
+        termination=run.termination, distance_trace=dist,
+        step_norms=np.asarray(run.step_norms, dtype=float),
         fitted_rate=rate, rate_fit_rmse=rmse, verdicts=verdicts,
-        cost_trace=cost_trace, final_costs=final_costs,
-        dynamics_residual=dynamics_residual,
-        constraint_residual=constraint_residual)
+        cost_trace=np.asarray(cost_trace) if cost_trace else None,
+        final_costs=all_player_costs(game, checked),
+        dynamics_residual=float(np.max(trajectory.dynamics_residuals(game), initial=0.0)),
+        constraint_residual=trajectory.constraint_violation(game))
+
+
+def fit_log_decay(values: Array, burn_in_frac: float = 0.1,
+                  floor_rel: float = 1e-13) -> tuple[float, float]:
+    """Least-squares geometric decay rate of a positive trace.
+
+    Fits log(values) ~ a + t*log(rate) over the window after burn-in and
+    before the trace hits its numerical floor.  Returns (rate, rmse of the
+    fit in log space); (nan, nan) if fewer than two usable points remain.
+    """
+    v = np.asarray(values, dtype=float)
+    if v.size < 2:
+        return float("nan"), float("nan")
+    top = float(np.max(v))
+    if top <= 0.0:
+        return 0.0, 0.0
+    start = int(np.floor(burn_in_frac * v.size))
+    usable = np.flatnonzero(v > floor_rel * top)
+    usable = usable[usable >= start]
+    if usable.size < 2:
+        return float("nan"), float("nan")
+    t = usable.astype(float)
+    y = np.log(v[usable])
+    Adesign = np.vstack([np.ones_like(t), t]).T
+    coef, *_ = np.linalg.lstsq(Adesign, y, rcond=None)
+    resid = y - Adesign @ coef
+    rmse = float(np.sqrt(np.mean(resid**2)))
+    return float(np.exp(coef[1])), rmse

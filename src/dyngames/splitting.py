@@ -30,24 +30,18 @@ the players share state-cost gradients (the coordinator row uses the mean
 of the players' state gradients).  The ``constraints`` scheme carries no
 such restriction.
 
-Two of these resolvents are open-loop equilibria of linear-quadratic games
-whose matrices do not change between iterations: the regularized game of a
-declared linear-quadratic game, and the dynamics projection (the same
-kernel at eta = 0).  ``dr_solve`` factors that kernel once with
-``lq.factor`` (one banded LU of the stacked KKT matrix) before its loop and
-passes the factor to the resolvent on every iteration, so each iteration
-only shifts the right-hand side and runs one banded triangular solve.  The
-intersection projection of the ``gradient`` scheme is one convex QP over
-the whole stacked trajectory whose rows (initial state, dynamics, stage
-rows, built by ``lq.horizon_rows``) do not change either; ``dr_solve``
-builds them once with ``horizon_qp`` and each iteration only changes the
-point being projected.
+``dr_solve`` is the reflected-resolvent step over one stacked iterate plus
+one call of ``report.iterate``, the loop it shares with ``projgrad``.
+``_resolvents`` builds both resolvents once per solve, with the data that
+does not change between iterations: one ``lq.factor`` (a banded LU of the
+stacked KKT matrix) for the regularized LQ game or the eta = 0 dynamics
+projection, or the horizon-wide QP rows of ``horizon_qp``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -55,7 +49,7 @@ import scipy.sparse as sp
 from . import denseqp
 from .errors import SubproblemError, UnsupportedConstraintError
 from . import lq
-from .gradient import playerwise_minimizer_check, pseudo_gradient, solve_costates
+from .gradient import pseudo_gradient, solve_costates
 from .model import (
     GameDefinition,
     Trajectory,
@@ -63,13 +57,7 @@ from .model import (
     local_lq,
     rollout,
 )
-from .report import (
-    TERM_DIVERGENCE,
-    TERM_MAX_ITER,
-    TERM_TOLERANCE,
-    SolverReport,
-    build_report,
-)
+from .report import SolverReport, build_report, iterate
 
 Array = np.ndarray
 
@@ -473,15 +461,6 @@ def constrained_oc_projection(game: GameDefinition, y: Array, z: Array,
     return qp.project(y, z)
 
 
-def _constraint_violation(game: GameDefinition, traj: Trajectory) -> float:
-    """Largest stage-row violation; NaN when any row evaluates to NaN."""
-    if game.constraints is None:
-        return 0.0
-    rows = [game.eval_constraints(k, traj.states[k], traj.actions[k])
-            for k in range(game.horizon + 1)]
-    return float(np.max(np.maximum(np.concatenate(rows), 0.0), initial=0.0))
-
-
 # ---------------------------------------------------------------------------
 # The splitting iteration.
 # ---------------------------------------------------------------------------
@@ -490,114 +469,70 @@ def _constraint_violation(game: GameDefinition, traj: Trajectory) -> float:
 def dr_solve(game: GameDefinition, cfg: DrConfig) -> SolverReport:
     """Run the reflected-resolvent iteration; returns the last resolvent output.
 
-    The averaged variable is the splitting shadow iterate; it starts at zero
-    actions and their rollout.  The equilibrium candidate is the output of
-    the second resolvent of the final iteration, which lies in that
-    resolvent's constraint set by construction.
-    The run stops with ``tolerance`` when the averaged-iterate step and the
-    candidate's dynamics and constraint residuals are all at most
-    ``cfg.tol``.  The residuals are computed only once the step test passes,
-    so an iteration whose step is above the tolerance costs no residual
-    evaluation; the stopping iteration is the same as checking all three
-    every time.
+    The averaged (shadow) iterate stacks states and actions in one vector,
+    starting at zero actions and their rollout.  The candidate is the second
+    resolvent's output, in its constraint set by construction.  The run
+    stops with ``tolerance`` once the averaged step and then the candidate's
+    dynamics and constraint residuals are at most ``cfg.tol``.
+    ``record_costs`` records the costs of every candidate's rollout.
     """
-    wu = np.zeros((game.horizon + 1, game.total_action_dim))
+    T, n_x, n_u = game.horizon, game.state_dim, game.total_action_dim
+    wu = np.zeros((T + 1, n_u))
     wx = rollout(game, game.initial_state, wu).states
-    scale0 = 1.0 + float(np.linalg.norm(np.concatenate([wx.ravel(), wu.ravel()])))
+    first, second = _resolvents(game, cfg)
+    split = (T + 1) * n_x
 
-    kernel = _scheme_kernel(game, cfg)
-    warm: Optional[Trajectory] = None
-    iterates = [np.concatenate([wx.ravel(), wu.ravel()])]
-    step_norms: list[float] = []
-    costs: list[Array] = []
-    termination = TERM_MAX_ITER
-    cand_x, cand_u = wx, wu
-    for it in range(cfg.max_iter):
-        tx, tu = _first_resolvent(game, cfg, wx, wu, warm, kernel)
-        if cfg.scheme == SCHEME_CONSTRAINTS and kernel is None:
-            warm = Trajectory(tx, tu)  # only the Newton resolvent warm-starts
+    def step(w, cand):
+        wx, wu = w[:split].reshape(T + 1, n_x), w[split:].reshape(T + 1, n_u)
+        tx, tu = first(wx, wu)
         y, z = 2 * tx - wx, 2 * tu - wu
-        tx, tu = _second_resolvent(game, cfg, y, z, kernel)
+        tx, tu = second(y, z)
         y, z = 2 * tx - y, 2 * tu - z
-        new_wx = (1 - cfg.alpha) * wx + cfg.alpha * y
-        new_wu = (1 - cfg.alpha) * wu + cfg.alpha * z
-        step = max(float(np.max(np.abs(new_wx - wx))), float(np.max(np.abs(new_wu - wu))))
-        wx, wu = new_wx, new_wu
-        cand_x, cand_u = tx, tu
-        step_norms.append(step)
-        w = np.concatenate([wx.ravel(), wu.ravel()])
-        iterates.append(w)
-        if cfg.record_costs:
-            costs.append(all_player_costs(game, rollout(game, game.initial_state, tu)))
-        if step <= cfg.tol and _residuals_within(game, Trajectory(cand_x, cand_u), cfg.tol):
-            termination = TERM_TOLERANCE
-            break
-        if np.linalg.norm(w) > cfg.divergence_factor * scale0:
-            termination = TERM_DIVERGENCE
-            break
-    final = Trajectory(cand_x, cand_u)
-    verdicts = []
-    if cfg.run_checks and termination != TERM_DIVERGENCE:
-        checked = rollout(game, game.initial_state, cand_u)
-        verdicts = playerwise_minimizer_check(game, checked)
-    return build_report(
-        trajectory=final,
-        iterates=iterates,
-        step_norms=step_norms,
-        termination=termination,
-        verdicts=verdicts,
-        cost_trace=np.asarray(costs) if costs else None,
-        final_costs=all_player_costs(game, rollout(game, game.initial_state, cand_u)),
-        dynamics_residual=float(np.max(final.dynamics_residuals(game), initial=0.0)),
-        constraint_residual=_constraint_violation(game, final))
+        w_new = (1 - cfg.alpha) * w + cfg.alpha * np.concatenate([y.ravel(), z.ravel()])
+        return w_new, Trajectory(tx, tu)
+
+    def accept(cand):
+        return (cand.dynamically_feasible(game, cfg.tol)
+                and cand.constraint_violation(game) <= cfg.tol)
+
+    def costs(cand):
+        return all_player_costs(game, rollout(game, game.initial_state, cand.actions))
+
+    run = iterate(step, np.concatenate([wx.ravel(), wu.ravel()]), Trajectory(wx, wu),
+                  cfg.max_iter, cfg.tol, cfg.divergence_factor, accept=accept,
+                  record=costs if cfg.record_costs else None)
+    checked = rollout(game, game.initial_state, run.candidate.actions)
+    return build_report(game, run.candidate, checked, run, cfg.run_checks, run.records)
 
 
-def _residuals_within(game, cand: Trajectory, tol: float) -> bool:
-    """Whether the candidate's dynamics and constraint residuals are at most tol."""
-    dyn_res = float(np.max(cand.dynamics_residuals(game), initial=0.0))
-    return dyn_res <= tol and _constraint_violation(game, cand) <= tol
+def _resolvents(game: GameDefinition, cfg: DrConfig):
+    """The scheme's two resolvents, maps (y, z) -> (x, u), built once per solve.
 
-
-def _scheme_kernel(game, cfg) -> Union[lq.LqFactor, HorizonQp, None]:
-    """The iterate-independent data a scheme's resolvents reuse, if any.
-
-    ``constraints`` solves the regularized game, exactly and with the
-    banded LU of ``lq.factor`` for declared linear-quadratic games;
-    ``dynamics`` projects onto the dynamics with the eta = 0 factor;
-    ``gradient`` projects onto dynamics and stage rows with one horizon-wide
-    QP whose rows are built here.  Both raise before the first iteration:
-    StageSingularityError for a singular KKT matrix,
+    ``constraints`` solves the regularized game with the banded LU of
+    ``lq.factor`` for declared linear-quadratic games, else by Newton steps
+    warm-started from the previous output.  Building raises before the
+    first iteration: StageSingularityError for a singular KKT matrix,
     UnsupportedConstraintError for nonlinear dynamics or, in the
     ``gradient`` scheme, non-affine stage constraints.
     """
-    if cfg.scheme == SCHEME_CONSTRAINTS:
-        if game.linear_dynamics and game.quadratic_costs:
-            return lq.factor(game, cfg.eta)
-        return None
+    inner = dict(inner_tol=cfg.inner_tol, inner_max_iter=cfg.inner_max_iter)
     if cfg.scheme == SCHEME_DYNAMICS:
-        return lq.factor(game, 0.0)
-    return horizon_qp(game, 1.0)
+        factor = lq.factor(game, 0.0)
+        return (lambda y, z: resolvent_reg_static_games(game, y, z, cfg.eta, **inner),
+                lambda y, z: project_dynamics(game, y, z, factor=factor))
+    if cfg.scheme == SCHEME_GRADIENT:
+        qp = horizon_qp(game, 1.0)
+        return (lambda y, z: constrained_oc_projection(game, y, z, qp=qp),
+                lambda y, z: resolvent_static_games_uncon(game, y, z, cfg.eta, **inner))
+    factor = lq.factor(game, cfg.eta) if game.linear_dynamics and game.quadratic_costs else None
+    warm = None
 
+    def regularized_game(y, z):
+        nonlocal warm
+        x, u = resolvent_reg_game(game, y, z, cfg.eta, warm=warm, factor=factor,
+                                  divergence_factor=cfg.divergence_factor, **inner)
+        if factor is None:  # only the Newton steps warm-start
+            warm = Trajectory(x, u)
+        return x, u
 
-def _first_resolvent(game, cfg, y, z, warm, kernel):
-    if cfg.scheme == SCHEME_CONSTRAINTS:
-        return resolvent_reg_game(game, y, z, cfg.eta,
-                                  inner_tol=cfg.inner_tol,
-                                  inner_max_iter=cfg.inner_max_iter,
-                                  warm=warm, factor=kernel,
-                                  divergence_factor=cfg.divergence_factor)
-    if cfg.scheme == SCHEME_DYNAMICS:
-        return resolvent_reg_static_games(game, y, z, cfg.eta,
-                                          inner_tol=cfg.inner_tol,
-                                          inner_max_iter=cfg.inner_max_iter)
-    return constrained_oc_projection(game, y, z, qp=kernel)
-
-
-def _second_resolvent(game, cfg, y, z, kernel):
-    if cfg.scheme == SCHEME_CONSTRAINTS:
-        return project_stage_constraints(game, y, z)
-    if cfg.scheme == SCHEME_DYNAMICS:
-        return project_dynamics(game, y, z, factor=kernel)
-    return resolvent_static_games_uncon(game, y, z, cfg.eta,
-                                        inner_tol=cfg.inner_tol,
-                                        inner_max_iter=cfg.inner_max_iter)
+    return regularized_game, lambda y, z: project_stage_constraints(game, y, z)

@@ -55,6 +55,13 @@ class TestFisheryGame:
         assert FisheryParams().n_stages == 1000
         assert FisheryParams(horizon_time=2.0).n_stages == 20
 
+    @pytest.mark.parametrize("bad", [{"r": np.nan}, {"x0": np.nan}, {"e1": np.inf},
+                                     {"e2": -np.inf}, {"noise_var": np.nan},
+                                     {"dt": np.nan}, {"u1_max": 0.0}])
+    def test_bad_params_are_rejected(self, bad):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            FisheryParams(**bad)
+
     def test_growth_peaks_at_half_capacity(self):
         game = fishery_game(FisheryParams(horizon_time=0.1))
         nxt = game.eval_dynamics(0, np.array([100.0]), np.zeros(2))
@@ -204,6 +211,14 @@ def rendezvous_cases(draw):
 
 
 class TestRendezvousGame:
+    @pytest.mark.parametrize("bad, match", [
+        ({"u_max": -1.0}, "u_max"), ({"u_max": 0.0}, "u_max"), ({"u_max": np.nan}, "u_max"),
+        ({"u_max": np.inf}, "u_max"), ({"x0": (1.0, 1.0, np.nan, 0.0, 4.0, 0.0)}, "finite"),
+        ({"targets": (np.inf,) * 6}, "finite"), ({"effort_weight": np.nan}, "finite")])
+    def test_bad_params_are_rejected(self, bad, match):
+        with pytest.raises(ValueError, match=match):
+            LqRendezvousParams(**bad)
+
     @given(rendezvous_cases())
     def test_trajectory_hooks_match_stage_evaluators(self, case):
         params, states, actions = case

@@ -1,6 +1,7 @@
 """CLI front end: config validation, outputs, determinism, exit codes."""
 
 import json
+import logging
 from pathlib import Path
 
 import numpy as np
@@ -124,6 +125,20 @@ class TestRuns:
         report = json.loads((out / "report.json").read_text())
         assert report["termination"] in ("tolerance", "max_iter")
 
+    def test_progress_lines_unless_quiet(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        config = write(tmp_path, small_fishery_config(out, max_iter=3))
+        handlers = list(logging.getLogger("dyngames.cli").handlers)
+        for _ in range(2):  # a second call in the process prints each line once
+            main(["--config", config])
+            lines = capsys.readouterr().out.splitlines()
+            assert lines[0] == "running projected gradient on fishery (rho=0.01, max_iter=3)"
+            assert lines[-1] == f"wrote outputs to {out}"
+            assert len(lines) == 5
+        main(["--config", config, "--quiet"])
+        assert capsys.readouterr().out == ""
+        assert logging.getLogger("dyngames.cli").handlers == handlers
+
     def test_byte_identical_outputs(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         cfg1 = small_fishery_config(out1, max_iter=40)
@@ -177,6 +192,17 @@ class TestExitCodes:
         cfg = {"game": {"id": "fishery", "params": {"bogus_knob": 1}},
                "solver": "pg"}
         assert main(["--config", write(tmp_path, cfg), "--quiet"]) == EXIT_BAD_CONFIG
+
+    @pytest.mark.parametrize("game", [
+        {"id": "fishery", "params": {"r": float("nan")}},
+        {"id": "fishery", "params": {"x0": float("nan")}},
+        {"id": "lq_rendezvous", "params": {"u_max": -1.0}},
+    ])
+    def test_non_finite_or_non_positive_game_params(self, tmp_path, game):
+        cfg = {"game": game, "solver": "pg", "max_iter": 2,
+               "output_dir": str(tmp_path / "never")}
+        assert main(["--config", write(tmp_path, cfg), "--quiet"]) == EXIT_BAD_CONFIG
+        assert not (tmp_path / "never").exists()
 
     def test_solver_failure_maps_to_exit_code(self, tmp_path):
         # the meeting game's ball constraints are not affine, so the

@@ -29,7 +29,6 @@ from dyngames.splitting import (
     SCHEME_CONSTRAINTS,
     SCHEME_DYNAMICS,
     SCHEME_GRADIENT,
-    _constraint_violation,
     constrained_oc_projection,
     dr_solve,
     extended_gradient,
@@ -647,7 +646,7 @@ class TestDrSolve:
             game, quadratic_costs=True, constraints=lambda k, x, u: np.array([np.nan]),
             traj_projector=lambda states, actions: (states, actions))
         traj = Trajectory(np.zeros((1, 2)), np.zeros((1, 2)))
-        assert np.isnan(_constraint_violation(nan_rows, traj))
+        assert np.isnan(traj.constraint_violation(nan_rows))
         cfg = DrConfig(scheme=SCHEME_CONSTRAINTS, eta=0.4, alpha=0.5, max_iter=200,
                        tol=1e-8, record_costs=False, run_checks=False)
         rep = dr_solve(nan_rows, cfg)
