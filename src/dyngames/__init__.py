@@ -25,7 +25,6 @@ from .splitting import (
     DrConfig,
     constrained_oc_projection,
     dr_solve,
-    extended_gradient,
     project_dynamics,
     project_stage_constraints,
     resolvent_reg_game,

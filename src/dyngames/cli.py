@@ -106,12 +106,13 @@ class RunConfig:
         solver = raw.get("solver")
         if solver not in ("pg", "dr"):
             raise ConfigError(f"solver must be 'pg' or 'dr', got {solver!r}")
-        cfg = cls(game_id=str(game["id"]),
-                  game_params=dict(game.get("params", {})),
-                  solver=solver)
+        params = game.get("params", {})
+        if not isinstance(params, dict):
+            raise ConfigError(f"game params must be an object, got {params!r}")
+        cfg = cls(game_id=str(game["id"]), game_params=dict(params), solver=solver)
         for name in ("rho", "eta", "alpha", "tol", "active_tol", "stage_reg"):
             if name in raw:
-                val = float(raw[name])
+                val = _number(raw[name], name)
                 if name == "stage_reg":
                     if not 0.0 <= val < np.inf:  # rejects NaN too
                         raise ConfigError(f"stage_reg must be finite and nonnegative, got {val}")
@@ -119,7 +120,7 @@ class RunConfig:
                     raise ConfigError(f"{name} must be positive, got {val}")
                 setattr(cfg, name, val)
         if "max_iter" in raw:
-            cfg.max_iter = int(raw["max_iter"])
+            cfg.max_iter = _count(raw["max_iter"], "max_iter")
             if cfg.max_iter <= 0:
                 raise ConfigError("max_iter must be positive")
         if "scheme" in raw:
@@ -128,22 +129,46 @@ class RunConfig:
             cfg.scheme = raw["scheme"]
         if not 0.0 < cfg.alpha < 1.0:
             raise ConfigError("alpha must lie strictly inside (0, 1)")
-        cfg.feedback = bool(raw.get("feedback", False))
+        cfg.feedback = raw.get("feedback", False)
+        if not isinstance(cfg.feedback, bool):
+            raise ConfigError(f"feedback must be true or false, got {cfg.feedback!r}")
         sim = raw.get("simulate")
         if sim is not None:
             if not isinstance(sim, dict):
                 raise ConfigError("simulate must be an object")
             cfg.simulate = {
-                "noise_var": float(sim.get("noise_var", 1.0)),
-                "n_runs": int(sim.get("n_runs", 100)),
-                "seed": int(sim.get("seed", 0)),
+                "noise_var": _number(sim.get("noise_var", 1.0), "simulate.noise_var"),
+                "n_runs": _count(sim.get("n_runs", 100), "simulate.n_runs"),
+                "seed": _count(sim.get("seed", 0), "simulate.seed"),
             }
             if not cfg.simulate["noise_var"] >= 0 or cfg.simulate["n_runs"] <= 0:
                 raise ConfigError("simulate block needs noise_var >= 0 and n_runs > 0")
         cfg.output_dir = str(raw.get("output_dir", "out"))
         if "seed" in raw and raw["seed"] is not None:
-            cfg.seed = int(raw["seed"])
+            cfg.seed = _count(raw["seed"], "seed")
         return cfg
+
+
+def _number(raw, name: str) -> float:
+    """A number; a boolean is refused, not read as 0 or 1."""
+    if not isinstance(raw, bool):
+        try:
+            return float(raw)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"{name} must be a number, got {raw!r}")
+
+
+def _count(raw, name: str) -> int:
+    """A whole number; a fraction or a boolean is refused, not truncated."""
+    if isinstance(raw, float) and raw.is_integer():
+        raw = int(raw)
+    if not isinstance(raw, (bool, float)):
+        try:
+            return int(raw)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"{name} must be a whole number, got {raw!r}")
 
 
 def _fmt(x: float) -> str:

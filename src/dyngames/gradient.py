@@ -1,16 +1,19 @@
-"""Game pseudo-gradient via a backward costate pass, and equilibrium checks.
+"""The game operator F(u) via a backward costate pass, and equilibrium checks.
 
-The pseudo-gradient stacks each player's gradient of its own total cost with
-respect to its own action sequence, states eliminated through the dynamics.
-It is computed in O(T) by propagating per-player costate rows backward:
+F is the map every solver iterates on.  In the joint-action layout (T+1, n_u)
+of the action array u, entry (k, j) of F(u) is dJ_n/du_{n,k} for the player n
+that owns action column j: each player's gradient of its own total cost with
+respect to its own actions, states eliminated through the dynamics.  It is
+computed in O(T) by propagating per-player costate rows backward:
 
     Om_{n,T+1} = 0
     Om_{n,k}   = cx_{n,k} + Om_{n,k+1} A_k
     dJ_n/du_k  = cu_{n,k} + Om_{n,k+1} B_k
 
 where cx, cu are stage cost gradients and A, B the dynamics Jacobians, all
-evaluated along the given trajectory.  The stacked vector is the operator of
-the variational inequality whose solutions are equilibrium candidates.
+evaluated along the given trajectory.  F is the operator of the variational
+inequality whose solutions are equilibrium candidates; its Jacobian is probed
+by central differences in the same layout (``_operator_jacobian``).
 """
 
 from __future__ import annotations
@@ -34,44 +37,45 @@ HESSIAN_EIG_TOL = 1e-7
 
 @dataclass
 class PseudoGradient:
-    """Stacked own-action gradient blocks plus the per-stage data behind them.
+    """F(u) in the joint-action layout, plus the per-stage data behind it.
 
-    ``stacked`` concatenates player blocks in player order; block n is the
-    gradient of player n's total cost with respect to u_{n,0..T}, stage-major.
-    ``stage_grads[n, k]`` is the full joint-action gradient dJ_n/du_{:,k};
-    ``costates[n, k]`` holds the row vector Om_{n,k} (k = 0..T+1, the last
-    row identically zero).
+    ``own`` is F, the (T+1, n_u) array whose columns ``game.action_slice(n)``
+    hold player n's own entries of ``stage_grads[n]``; ``stage_grads[n, k]``
+    is player n's full stage gradient dJ_n/du_{:,k} (a transposed view of
+    the stage-major array the pass computes), and ``costates[n, k]`` the row
+    Om_{n,k} (k = 0..T+1, the last row zero).  The player-major ``block(n)``
+    and ``stacked`` are derived from ``own`` on demand.
     """
 
-    stacked: Array
+    own: Array
     stage_grads: Array
     costates: Array
     action_dims: tuple[int, ...]
 
-    def block(self, n: int) -> Array:
-        T1 = self.stage_grads.shape[1]
-        sizes = [T1 * d for d in self.action_dims]
-        start = sum(sizes[:n])
-        return self.stacked[start:start + sizes[n]]
-
     def own_stage_grads(self) -> Array:
-        """(T+1, n_u) array holding each player's own block of its stage gradient."""
-        out = np.empty((self.stage_grads.shape[1], sum(self.action_dims)))
-        off = 0
-        for n, d in enumerate(self.action_dims):
-            out[:, off:off + d] = self.stage_grads[n, :, off:off + d]
-            off += d
-        return out
+        """F, the stored (T+1, n_u) array ``own``."""
+        return self.own
+
+    def block(self, n: int) -> Array:
+        """Player n's gradient with respect to u_{n,0..T}, stage-major."""
+        start = sum(self.action_dims[:n])
+        return self.own[:, start:start + self.action_dims[n]].reshape(-1)
+
+    @property
+    def stacked(self) -> Array:
+        """The player blocks concatenated in player order."""
+        return np.concatenate([self.block(n) for n in range(len(self.action_dims))])
 
 
 def pseudo_gradient(game: GameDefinition, traj: Trajectory,
                     feas_tol: float = 1e-6) -> PseudoGradient:
-    """Backward pass for the stacked gradient; rejects infeasible trajectories.
+    """Backward pass for F(u); rejects infeasible trajectories.
 
     The costate recursion is only valid on the dynamics manifold, so the
     trajectory is checked against the dynamics first.  The first-order data
-    of all stages is evaluated at once (see ``GameDefinition.eval_traj_*``)
-    and the costates come from one banded triangular solve.
+    of all stages is evaluated at once (see ``GameDefinition.eval_traj_*``),
+    the costates come from one banded triangular solve, and each action
+    column's owner entry is gathered from the joint gradients in one step.
     """
     check_feasible(game, traj, feas_tol)
     CX, CU = game.eval_traj_cost_gradients(traj.states, traj.actions)
@@ -84,10 +88,9 @@ def pseudo_gradient(game: GameDefinition, traj: Trajectory,
     T1, N, n_x = om.shape
     costates = np.zeros((N, T1 + 1, n_x))
     costates[:, :T1] = om.transpose(1, 0, 2)
-    stage_grads = np.ascontiguousarray(grads.transpose(1, 0, 2))
-    blocks = [stage_grads[n, :, game.action_slice(n)].reshape(-1) for n in range(N)]
-    return PseudoGradient(stacked=np.concatenate(blocks),
-                          stage_grads=stage_grads,
+    owner = np.repeat(np.arange(N), game.action_dims)
+    return PseudoGradient(own=grads[:, owner, np.arange(owner.size)],
+                          stage_grads=grads.transpose(1, 0, 2),
                           costates=costates,
                           action_dims=game.action_dims)
 
@@ -121,49 +124,42 @@ def solve_costates(A: Array, CX: Array) -> Array:
 
 def estimate_operator_constants(game: GameDefinition,
                                 base_actions: Optional[Array] = None) -> tuple[float, float]:
-    """Monotonicity and Lipschitz constants of the stacked gradient operator.
+    """Monotonicity and Lipschitz constants of the game operator F.
 
-    Valid for games whose pseudo-gradient is affine in the actions (linear
-    dynamics, quadratic costs): the operator matrix is reconstructed column
-    by column from gradient evaluations, mu is the smallest eigenvalue of its
-    symmetric part and L its largest singular value.  For other games the
-    constants must be supplied by the caller.
+    Valid for games whose F is affine in the actions (linear dynamics,
+    quadratic costs): the operator matrix is probed column by column in the
+    flat joint-action layout (see ``_operator_jacobian``), mu is the smallest
+    eigenvalue of its symmetric part and L its largest singular value.  For
+    other games the constants must be supplied by the caller.
     """
-    T, n_u = game.horizon, game.total_action_dim
-    if base_actions is None:
-        base_actions = np.zeros((T + 1, n_u))
-    base = pseudo_gradient(game, rollout(game, game.initial_state, base_actions)).stacked
-    dim = base.shape[0]
-    op = np.empty((dim, dim))
-    flat_to_action = _stacked_to_actions_map(game)
-    for j in range(dim):
-        pert = base_actions + flat_to_action(j)
-        g = pseudo_gradient(game, rollout(game, game.initial_state, pert)).stacked
-        op[:, j] = g - base
-    sym = 0.5 * (op + op.T)
-    mu = float(np.min(np.linalg.eigvalsh(sym)))
+    base_actions = (np.zeros((game.horizon + 1, game.total_action_dim))
+                    if base_actions is None else np.asarray(base_actions, dtype=float))
+    op = _operator_jacobian(game, game.initial_state, base_actions,
+                            np.arange(base_actions.size), step=1.0)
+    mu = float(np.min(np.linalg.eigvalsh(0.5 * (op + op.T))))
     L = float(np.max(np.linalg.svd(op, compute_uv=False)))
     return mu, L
 
 
-def _stacked_to_actions_map(game: GameDefinition):
-    """Unit vector in stacked-gradient coordinates -> (T+1, n_u) action array."""
-    T1 = game.horizon + 1
+def _operator_jacobian(game: GameDefinition, x0: Array, actions: Array,
+                       idx: Array, step: float) -> Array:
+    """Central-difference Jacobian of F on the flat action coordinates ``idx``.
 
-    def make(j):
-        out = np.zeros((T1, game.total_action_dim))
-        off = 0
-        for n, d in enumerate(game.action_dims):
-            size = T1 * d
-            if j < off + size:
-                local = j - off
-                k, i = divmod(local, d)
-                out[k, game.action_offsets[n] + i] = 1.0
-                return out
-            off += size
-        raise IndexError(j)
+    Column c is (F(u + step e_j) - F(u - step e_j)) / (2 step) at j = idx[c],
+    restricted to the rows ``idx``, with u = ``actions`` flattened row-major
+    and each probe rolled out from ``x0`` (so not rechecked against the
+    dynamics).  Exact for affine F at any step.
+    """
+    def F(u):
+        return pseudo_gradient(game, rollout(game, x0, u), feas_tol=np.inf).own.ravel()[idx]
 
-    return make
+    J = np.empty((idx.size, idx.size))
+    for c, j in enumerate(idx):
+        up, dn = actions.copy(), actions.copy()
+        up.flat[j] += step
+        dn.flat[j] -= step
+        J[:, c] = (F(up) - F(dn)) / (2.0 * step)
+    return J
 
 
 VERDICT_BLOCKED = "strict-descent-blocked"
@@ -209,7 +205,7 @@ def playerwise_minimizer_check(game: GameDefinition, traj: Trajectory,
             else:
                 verdicts.append(PlayerVerdict(n, VERDICT_BLOCKED, gnorm))
             continue
-        H = _own_block_hessian(game, traj, n, feas_tol)
+        H = _own_block_hessian(game, traj, n)
         if data is None and game.constraints is not None:
             data = quadraticize(game, traj, feas_tol=np.inf)  # checked above
         Z = _feasible_direction_basis(game, data, n)
@@ -228,31 +224,17 @@ def playerwise_minimizer_check(game: GameDefinition, traj: Trajectory,
     return verdicts
 
 
-def _own_block_hessian(game: GameDefinition, traj: Trajectory, n: int,
-                       feas_tol: float) -> Array:
+def _own_block_hessian(game: GameDefinition, traj: Trajectory, n: int) -> Array:
     """Central-difference Hessian of J_n with respect to player n's actions.
 
-    Each probe re-rolls out the dynamics, so the result is the true reduced
-    Hessian (states eliminated).
+    Player n's rows and columns of F's Jacobian, ordered like ``block(n)``,
+    symmetrized.  Each probe re-rolls out the dynamics, so the result is the
+    true reduced Hessian (states eliminated).
     """
-    sl = game.action_slice(n)
-    d = sl.stop - sl.start
-    T1 = game.horizon + 1
-    dim = T1 * d
     base = traj.actions
+    cols = np.arange(base.size).reshape(base.shape)[:, game.action_slice(n)].ravel()
     h = float(np.finfo(float).eps) ** (1.0 / 3.0) * (1.0 + float(np.max(np.abs(base))))
-    H = np.empty((dim, dim))
-    for j in range(dim):
-        k, i = divmod(j, d)
-        up = base.copy()
-        up[k, sl.start + i] += h
-        gp = pseudo_gradient(game, rollout(game, traj.states[0], up),
-                             feas_tol=np.inf).block(n)
-        dn = base.copy()
-        dn[k, sl.start + i] -= h
-        gm = pseudo_gradient(game, rollout(game, traj.states[0], dn),
-                             feas_tol=np.inf).block(n)
-        H[:, j] = (gp - gm) / (2.0 * h)
+    H = _operator_jacobian(game, traj.states[0], base, cols, h)
     return 0.5 * (H + H.T)
 
 

@@ -153,11 +153,10 @@ def cone_to_inequalities(S: Array) -> Array:
     """
     S = np.asarray(S, dtype=float)
     m, n = S.shape
-    sv = np.linalg.svd(S, compute_uv=False)
     if m == 0:
         return np.vstack([np.eye(n), -np.eye(n)])
-    if sv[-1] <= max(m, n) * np.finfo(float).eps * sv[0]:
-        raise StageSingularityError(0, "cone generator matrix is rank deficient")
+    if not _check_full_row_rank(S):
+        raise StageSingularityError(0, "cone generator matrix does not have full row rank")
     Minv = np.linalg.solve(S @ S.T, S)
     proj = S.T @ Minv
     return np.vstack([-Minv, np.eye(n) - proj, proj - np.eye(n)])

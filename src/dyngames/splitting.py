@@ -49,7 +49,7 @@ import scipy.sparse as sp
 from . import denseqp
 from .errors import SubproblemError, UnsupportedConstraintError
 from . import lq
-from .gradient import pseudo_gradient, solve_costates
+from .gradient import solve_costates
 from .model import (
     GameDefinition,
     Trajectory,
@@ -98,19 +98,6 @@ class DrConfig:
             raise ValueError(f"tolerances must be positive, got {self.tol} and {self.inner_tol}")
         if not self.divergence_factor > 0:
             raise ValueError(f"divergence factor must be positive, got {self.divergence_factor}")
-
-
-def extended_gradient(game: GameDefinition, x: Array, u: Array) -> Array:
-    """Stacked-variable gradient: zeros on the state block, pseudo-gradient on u.
-
-    The action-block gradient is evaluated on the trajectory obtained by
-    rolling the dynamics out under u; the x argument only fixes the shape of
-    the zero block.
-    """
-    traj = rollout(game, game.initial_state, u)
-    pg = pseudo_gradient(game, traj)
-    own = pg.own_stage_grads()
-    return np.concatenate([np.zeros(np.asarray(x).size), own.ravel()])
 
 
 # ---------------------------------------------------------------------------

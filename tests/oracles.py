@@ -58,6 +58,62 @@ def costate_recursion(A, CX):
 
 
 # ---------------------------------------------------------------------------
+# The game operator in player-major stacked coordinates, probed per player.
+# ---------------------------------------------------------------------------
+
+
+def stacked_coordinates(game):
+    """(stage, action column) of each entry of the player-major stacked gradient."""
+    T1 = game.horizon + 1
+    return [(k, game.action_offsets[n] + i)
+            for n, d in enumerate(game.action_dims) for k in range(T1) for i in range(d)]
+
+
+def player_major_operator(game, base_actions):
+    """Matrix of an affine game operator in stacked coordinates, and F there.
+
+    Column j is the forward difference of the stacked gradient along a unit
+    step in the action of stacked entry j, each probe rolled out from the
+    game's initial state.
+    """
+    from dyngames.gradient import pseudo_gradient
+
+    base = pseudo_gradient(game, rollout(game, game.initial_state, base_actions)).stacked
+    op = np.empty((base.size, base.size))
+    for j, (k, col) in enumerate(stacked_coordinates(game)):
+        pert = base_actions.copy()
+        pert[k, col] += 1.0
+        op[:, j] = pseudo_gradient(game, rollout(game, game.initial_state, pert)).stacked - base
+    return op, base
+
+
+def fd_own_block_hessian(game, traj, n):
+    """Central-difference Hessian of J_n in player n's actions, one block at a time.
+
+    Each probe perturbs one of player n's actions, re-rolls out from the
+    trajectory's first state and keeps player n's stacked gradient block;
+    the result is symmetrized.
+    """
+    from dyngames.gradient import pseudo_gradient
+
+    sl = game.action_slice(n)
+    d = sl.stop - sl.start
+    base = traj.actions
+    h = float(np.finfo(float).eps) ** (1.0 / 3.0) * (1.0 + float(np.max(np.abs(base))))
+    H = np.empty(((game.horizon + 1) * d,) * 2)
+    for j in range(H.shape[0]):
+        k, i = divmod(j, d)
+        up = base.copy()
+        up[k, sl.start + i] += h
+        gp = pseudo_gradient(game, rollout(game, traj.states[0], up), feas_tol=np.inf).block(n)
+        dn = base.copy()
+        dn[k, sl.start + i] -= h
+        gm = pseudo_gradient(game, rollout(game, traj.states[0], dn), feas_tol=np.inf).block(n)
+        H[:, j] = (gp - gm) / (2.0 * h)
+    return 0.5 * (H + H.T)
+
+
+# ---------------------------------------------------------------------------
 # Dense stacked KKT solver for equality/inequality constrained LQ games.
 # ---------------------------------------------------------------------------
 

@@ -65,6 +65,12 @@ class TestConfigValidation:
             RunConfig.from_dict(json.loads(raw % text))
         assert RunConfig.from_dict(json.loads(raw % "0")).stage_reg == 0.0
 
+    def test_whole_counts_and_boolean_feedback_accepted(self):
+        cfg = RunConfig.from_dict({"game": {"id": "fishery"}, "solver": "pg",
+                                   "max_iter": 3.0, "seed": 7, "feedback": True})
+        assert (cfg.max_iter, cfg.seed, cfg.feedback) == (3, 7, True)
+        assert type(cfg.max_iter) is int
+
     def test_scheme_checked(self):
         with pytest.raises(Exception):
             RunConfig.from_dict({"game": {"id": "fishery"}, "solver": "dr",
@@ -202,6 +208,20 @@ class TestExitCodes:
         cfg = {"game": game, "solver": "pg", "max_iter": 2,
                "output_dir": str(tmp_path / "never")}
         assert main(["--config", write(tmp_path, cfg), "--quiet"]) == EXIT_BAD_CONFIG
+        assert not (tmp_path / "never").exists()
+
+    @pytest.mark.parametrize("field", [
+        {"rho": "fast"}, {"max_iter": "many"}, {"tol": None}, {"eta": [1]},
+        {"seed": "x"}, {"simulate": {"n_runs": "x"}},
+        {"game": {"id": "fishery", "params": [1, 2]}},
+        {"max_iter": 2.7}, {"max_iter": True}, {"rho": True}, {"feedback": "no"},
+    ], ids=["rho-text", "max_iter-text", "tol-null", "eta-list", "seed-text",
+            "n_runs-text", "params-list", "max_iter-fraction", "max_iter-bool",
+            "rho-bool", "feedback-text"])
+    def test_wrongly_typed_field(self, tmp_path, capsys, field):
+        cfg = {**small_fishery_config(tmp_path / "never", max_iter=2), **field}
+        assert main(["--config", write(tmp_path, cfg), "--quiet"]) == EXIT_BAD_CONFIG
+        assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "never").exists()
 
     def test_solver_failure_maps_to_exit_code(self, tmp_path):

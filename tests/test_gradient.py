@@ -1,12 +1,14 @@
 """Pseudo-gradient backward pass against finite-difference oracles."""
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dyngames import gradient
 from dyngames.benchmarks import FisheryParams, fishery_game
 from dyngames.errors import InfeasibleTrajectoryError
 from dyngames.gradient import (
@@ -22,7 +24,13 @@ from dyngames.model import GameDefinition, Trajectory, all_player_costs, rollout
 
 from conftest import identity_sum_game, random_lq_game, random_smooth_game
 from instances import fishery_off_its_dynamics
-from oracles import costate_recursion, fd_stacked_gradient
+from oracles import (
+    costate_recursion,
+    fd_own_block_hessian,
+    fd_stacked_gradient,
+    player_major_operator,
+    stacked_coordinates,
+)
 
 
 @pytest.mark.parametrize("check", [pseudo_gradient, playerwise_minimizer_check])
@@ -117,6 +125,34 @@ class TestPseudoGradient:
         op = np.vstack([Q1[0], Q2[1]])
         assert mu == pytest.approx(np.min(np.linalg.eigvalsh(0.5 * (op + op.T))), abs=1e-6)
         assert L == pytest.approx(np.max(np.linalg.svd(op, compute_uv=False)), abs=1e-6)
+
+
+class TestOperatorProbe:
+    """The joint-layout probe against the player-major oracles it replaced."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), T=st.integers(0, 3), n_x=st.integers(1, 3),
+           action_dims=st.sampled_from([(1,), (2,), (1, 1), (2, 1), (1, 2, 1)]))
+    def test_matches_player_major_oracles(self, seed, T, n_x, action_dims):
+        rng = np.random.default_rng(seed)
+        game, _ = random_lq_game(rng, T=T, state_dim=n_x, action_dims=action_dims)
+        base = rng.standard_normal((T + 1, game.total_action_dim))
+        op, g0 = player_major_operator(game, base)
+        mu_ref = float(np.min(np.linalg.eigvalsh(0.5 * (op + op.T))))
+        L_ref = float(np.max(np.linalg.svd(op, compute_uv=False)))
+        mu, L = estimate_operator_constants(game, base)
+        assert abs(mu - mu_ref) <= 1e-10 * L_ref
+        assert abs(L - L_ref) <= 1e-10 * L_ref
+        # the stationary point of the affine operator, where the player-wise
+        # check runs its Hessian
+        u = base.copy()
+        for (k, col), du in zip(stacked_coordinates(game), np.linalg.solve(op, -g0)):
+            u[k, col] += du
+        traj = rollout(game, game.initial_state, u)
+        got = playerwise_minimizer_check(game, traj)
+        with mock.patch.object(gradient, "_own_block_hessian", fd_own_block_hessian):
+            want = playerwise_minimizer_check(game, traj)
+        assert got == want
 
 
 class TestCostateSolve:

@@ -68,6 +68,15 @@ class TestConeCondition:
             cone_to_inequalities(S)
 
     @settings(max_examples=40)
+    @given(seed=st.integers(0, 10_000))
+    def test_more_generators_than_dimensions_rejected(self, seed):
+        # three generators in the plane: the rows cannot be independent, and
+        # the candidate multiplier (SS')^{-1} S x does not exist
+        S = np.random.default_rng(seed).standard_normal((3, 2))
+        with pytest.raises(StageSingularityError):
+            cone_to_inequalities(S)
+
+    @settings(max_examples=40)
     @given(seed=st.integers(0, 10_000), member=st.booleans())
     def test_agrees_with_nnls_membership(self, seed, member):
         rng = np.random.default_rng(seed)

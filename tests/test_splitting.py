@@ -31,7 +31,6 @@ from dyngames.splitting import (
     SCHEME_GRADIENT,
     constrained_oc_projection,
     dr_solve,
-    extended_gradient,
     project_dynamics,
     project_stage_constraints,
     resolvent_reg_game,
@@ -167,26 +166,6 @@ def monotone_stage_game(seed, m, eta, layout, state_dim=2, action_dims=(1, 2)):
     y = 2.0 * r.standard_normal((T + 1, n_x))
     z = 2.0 * r.standard_normal((T + 1, n_u))
     return game, y, z
-
-
-class TestExtendedGradient:
-    def test_zero_costs_zero_vector(self, rng):
-        game, _ = zero_cost_linear_game(rng)
-        v = extended_gradient(game, np.zeros((4, 2)), np.zeros((4, 2)))
-        assert np.all(v == 0.0)
-
-    def test_state_block_always_zero(self, rng):
-        game, _ = random_lq_game(rng, T=3)
-        u = rng.standard_normal((4, 2))
-        v = extended_gradient(game, rng.standard_normal((4, 2)), u)
-        assert np.all(v[:4 * 2] == 0.0)
-
-    def test_action_block_matches_pseudo_gradient(self, rng):
-        game, _ = random_lq_game(rng, T=3)
-        u = rng.standard_normal((4, 2))
-        v = extended_gradient(game, np.zeros((4, 2)), u)
-        pg = pseudo_gradient(game, rollout(game, game.initial_state, u))
-        np.testing.assert_allclose(v[8:], pg.own_stage_grads().ravel())
 
 
 class TestRegularizedGameResolvent:
