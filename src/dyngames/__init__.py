@@ -20,6 +20,7 @@ from .gradient import (
     playerwise_minimizer_check,
     pseudo_gradient,
 )
+from .certificate import natural_residual
 from .projgrad import ProjGradConfig, project_onto_feasible, projected_gradient_solve
 from .splitting import (
     DrConfig,

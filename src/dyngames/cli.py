@@ -139,13 +139,13 @@ class RunConfig:
             cfg.simulate = {
                 "noise_var": _number(sim.get("noise_var", 1.0), "simulate.noise_var"),
                 "n_runs": _count(sim.get("n_runs", 100), "simulate.n_runs"),
-                "seed": _count(sim.get("seed", 0), "simulate.seed"),
+                "seed": _seed(sim.get("seed", 0), "simulate.seed"),
             }
             if not cfg.simulate["noise_var"] >= 0 or cfg.simulate["n_runs"] <= 0:
                 raise ConfigError("simulate block needs noise_var >= 0 and n_runs > 0")
         cfg.output_dir = str(raw.get("output_dir", "out"))
         if "seed" in raw and raw["seed"] is not None:
-            cfg.seed = _count(raw["seed"], "seed")
+            cfg.seed = _seed(raw["seed"], "seed")
         return cfg
 
 
@@ -169,6 +169,14 @@ def _count(raw, name: str) -> int:
         except (TypeError, ValueError):
             pass
     raise ConfigError(f"{name} must be a whole number, got {raw!r}")
+
+
+def _seed(raw, name: str) -> int:
+    """A nonnegative whole number, as numpy's random generators take."""
+    val = _count(raw, name)
+    if val < 0:
+        raise ConfigError(f"{name} must be nonnegative, got {val}")
+    return val
 
 
 def _fmt(x: float) -> str:
@@ -338,13 +346,13 @@ def main(argv=None) -> int:
         return EXIT_BAD_CONFIG
     try:
         config = RunConfig.from_dict(raw)
+        if args.seed is not None:
+            config.seed = _seed(args.seed, "--seed")
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     if args.out:
         config.output_dir = args.out
-    if args.seed is not None:
-        config.seed = args.seed
     level = log.level
     if not args.quiet:  # progress lines on stdout, for this call only
         console = logging.StreamHandler(sys.stdout)

@@ -36,10 +36,17 @@ a declared linear-quadratic game, each Newton step of
 ``splitting.resolvent_reg_game`` to a local LQ game.  At eta = 0 it is the
 Euclidean projection onto the trajectories of the dynamics.
 
+``solve_pinned`` holds chosen affine stage rows W_k x_k + S_k u_k + p_k = 0
+with one multiplier per row, shared by all players, in the same band: stage
+k's rows and multipliers lead block k, padded to the largest row count with
+rows that pin the spare multipliers to zero, so the bandwidth grows by that
+count and the cost stays O(T).  It is the kernel of the active-set polish
+(``certificate.ActiveSetPolish``).
+
 ``horizon_rows`` builds the constraints of a QP over a whole stacked
 trajectory: the pinned first state and the linear dynamics as equality rows,
 every stage's affine rows (``stage_rows``) as inequality rows.  The
-horizon-wide projection of ``splitting.horizon_qp`` and the best response of
+horizon-wide projection QP of ``horizon_qp`` and the best response of
 ``feedback.epsilon_nash_gap`` both take their rows from it.
 """
 
@@ -52,6 +59,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import lapack
 
+from . import denseqp
 from .errors import StageSingularityError, UnsupportedConstraintError
 from .model import GameDefinition, LqGameData, Trajectory, linearize_dynamics, local_lq
 
@@ -110,6 +118,52 @@ def horizon_rows(game: GameDefinition, start: int = 0, x_start: Optional[Array] 
     return Aeq, beq, G, h
 
 
+@dataclass(frozen=True)
+class HorizonQp:
+    """Rows of the horizon-wide projection QP over one game's trajectories.
+
+    The variable is the stacked trajectory v = (x_0, u_0, x_1, u_1, ...,
+    x_T, u_T).  The equality rows pin x_0 and impose the linear dynamics;
+    the inequality rows are every stage's affine rows W_k x_k + S_k u_k +
+    p_k <= 0.  The metric weighs states by ``state_weight`` and actions by
+    one.  Nothing here depends on the point being projected, so one instance
+    serves every projection; all matrices are block-banded ``scipy.sparse``,
+    so each active-set step of the QP costs O(T).
+    """
+
+    H: sp.csc_matrix
+    Aeq: sp.csr_matrix
+    beq: Array
+    G: Optional[sp.csr_matrix]
+    h: Optional[Array]
+    state_dim: int
+    state_weight: float
+
+    def project(self, y: Array, z: Array) -> tuple[Array, Array]:
+        """Closest trajectory to (y, z) in the metric that meets every row."""
+        n_x = self.state_dim
+        target = np.hstack([np.asarray(y, dtype=float), np.asarray(z, dtype=float)])
+        v, _ = denseqp.solve_qp(self.H, -(self.H @ target.ravel()), G=self.G, h=self.h,
+                                Aeq=self.Aeq, beq=self.beq)
+        v = v.reshape(target.shape)
+        return v[:, :n_x], v[:, n_x:]
+
+
+def horizon_qp(game: GameDefinition, state_weight: float) -> HorizonQp:
+    """Build the horizon-wide projection QP (see ``HorizonQp``).
+
+    The rows come from ``horizon_rows``, which raises
+    UnsupportedConstraintError unless the game declares linear dynamics
+    and, if it has constraints, affine rows.
+    """
+    Aeq, beq, G, h = horizon_rows(game)
+    n_x, n_u = game.state_dim, game.total_action_dim
+    weights = np.concatenate([np.full(n_x, float(state_weight)), np.ones(n_u)])
+    H = sp.diags(np.tile(weights, game.horizon + 1), format="csc")
+    return HorizonQp(H=H, Aeq=Aeq, beq=beq, G=G, h=h, state_dim=n_x,
+                     state_weight=float(state_weight))
+
+
 def extract_lq_data(game: GameDefinition) -> LqGameData:
     """The data of a declared linear-quadratic game: its local LQ data at the origin."""
     if not (game.linear_dynamics and game.quadratic_costs):
@@ -128,7 +182,8 @@ class LqFactor:
     """The banded LU of one LQ game's stacked KKT matrix (module docstring).
 
     ``eta`` records the regularization weight of a factor built by
-    ``factor``; it is None for a factor of a plain LQ game.
+    ``factor``; it is None for a factor of a plain LQ game.  ``rows`` is the
+    number of pinned-row multipliers leading every block (``solve_pinned``).
     """
 
     lu: Array     # (2 kl + ku + 1, (T+1) * block) LU factors in LAPACK band storage
@@ -140,6 +195,7 @@ class LqFactor:
     initial_state: Array
     action_dim: int
     eta: Optional[float] = None
+    rows: int = 0
 
     def solve(self, y: Optional[Array] = None, z: Optional[Array] = None) -> Trajectory:
         """Equilibrium with linear terms q_{n,k} - y_k and r_{n,k} - z_k.
@@ -147,6 +203,10 @@ class LqFactor:
         ``y`` is (T+1, n_x), ``z`` (T+1, n_u); either may be omitted (no
         shift).  One banded solve: O(T) time and memory.
         """
+        return self._trajectory(self._blocks(y, z))
+
+    def _blocks(self, y: Optional[Array], z: Optional[Array]) -> Array:
+        """The solution, one block of unknowns per stage: (T+1, block)."""
         n_x, n_u = self.initial_state.size, self.action_dim
         shift = np.zeros((self.rhs.shape[0], n_u + n_x))
         if z is not None:
@@ -157,8 +217,14 @@ class LqFactor:
         sol, _ = lapack.dgbtrs(self.lu, self.kl, self.ku, rhs.reshape(-1, 1), self.piv,
                                overwrite_b=True)
         sol = sol.reshape(self.rhs.shape)
-        sol[0, :n_x] = self.initial_state  # pinned exactly, whatever the pivoting did
-        return Trajectory(sol[:, :n_x], sol[:, n_x:n_x + n_u])
+        # x_0 pinned exactly, whatever the pivoting did
+        sol[0, self.rows:self.rows + n_x] = self.initial_state
+        return sol
+
+    def _trajectory(self, sol: Array) -> Trajectory:
+        ix = self.rows
+        iu = ix + self.initial_state.size
+        return Trajectory(sol[:, ix:iu], sol[:, iu:iu + self.action_dim])
 
 
 def _inverse_norm(lu: Array, kl: int, ku: int, piv: Array) -> float:
@@ -184,23 +250,31 @@ def _inverse_norm(lu: Array, kl: int, ku: int, piv: Array) -> float:
     return float(np.max([est, 2.0 * np.abs(y).sum() / (3 * n)]))  # NaN propagates
 
 
-def _kkt_factor(data: LqGameData, eta: Optional[float] = None) -> LqFactor:
+def _kkt_factor(data: LqGameData, eta: Optional[float] = None,
+                pinned: Optional[tuple[Array, Array, Array, Array]] = None) -> LqFactor:
     """Assemble the stacked KKT matrix of ``data`` and factor it.
 
+    ``pinned`` = (W, S, p, held) adds m rows W_k x_k + S_k u_k + p_k = 0 to
+    every block k, W (T+1, m, n_x), S (T+1, m, n_u) and p (T+1, m); only
+    the rows where ``held`` (T+1, m) is set are real, and W, S and p are
+    zero in the others, which pin their multiplier to zero.  The
+    multipliers lead each block (``LqFactor.rows``).
     Raises StageSingularityError as the module docstring describes.
     """
     N, T1, n_x = data.Q.shape[:3]
     T, n_u = T1 - 1, data.R.shape[-1]
-    lam, nb = n_x + n_u, n_x + n_u + N * n_x  # offset of the costates in a block, block size
+    m = 0 if pinned is None else pinned[3].shape[1]
+    ix, iu = m, m + n_x  # offsets of x_k and u_k in a block
+    lam, nb = iu + n_u, iu + n_u + N * n_x  # offset of the costates in a block, block size
     n = T1 * nb
     owner, own = np.repeat(np.arange(N), data.action_dims), np.arange(n_u)
     rhs = np.zeros((T1, nb))
-    rhs[0, :n_x] = data.initial_state
-    rhs[1:, :n_x] = data.b
-    rhs[:, n_x:lam] = -data.r[owner, :, own].T
+    rhs[0, ix:iu] = data.initial_state
+    rhs[1:, ix:iu] = data.b
+    rhs[:, iu:lam] = -data.r[owner, :, own].T
     rhs[:T, lam:] = -data.q[:, 1:].swapaxes(0, 1).reshape(T, N * n_x)
-    spread = np.zeros((lam, nb))  # every player's stationarity in x_{k+1} gets y_{k+1}
-    spread[:n_u, n_x:lam] = np.eye(n_u)
+    spread = np.zeros((n_u + n_x, nb))  # every player's stationarity in x_{k+1} gets y_{k+1}
+    spread[:n_u, iu:lam] = np.eye(n_u)
     spread[n_u:, lam:] = np.tile(np.eye(n_x), N)
     kl = ku = nb + n_x - 1
     ldab = 2 * kl + ku + 1
@@ -212,18 +286,27 @@ def _kkt_factor(data: LqGameData, eta: Optional[float] = None) -> LqFactor:
     D = np.lib.stride_tricks.as_strided(
         band[kl + ku + nb:], shape=(T1, nb, 3 * nb),
         strides=(band.itemsize * nb * ldab, band.itemsize, band.itemsize * (ldab - 1)))
-    D[:, :n_x, nb:nb + n_x] = np.eye(n_x)
-    D[1:, :n_x, :lam] = -np.concatenate([data.A, data.B], axis=2)
-    XR = np.concatenate([data.X.swapaxes(2, 3), data.R], axis=3)  # (N, T+1, n_u, lam)
-    D[:, n_x:lam, nb:nb + lam] = np.moveaxis(XR[owner, :, own], 0, 1)
+    D[:, ix:iu, nb + ix:nb + iu] = np.eye(n_x)
+    D[1:, ix:iu, ix:lam] = -np.concatenate([data.A, data.B], axis=2)
+    XR = np.concatenate([data.X.swapaxes(2, 3), data.R], axis=3)  # (N, T+1, n_u, n_x + n_u)
+    D[:, iu:lam, nb + ix:nb + lam] = np.moveaxis(XR[owner, :, own], 0, 1)
     lam_cols = nb + lam + owner[:, None] * n_x + np.arange(n_x)
-    D[:T, n_x + own[:, None], lam_cols] = data.B.swapaxes(1, 2)
+    D[:T, iu + own[:, None], lam_cols] = data.B.swapaxes(1, 2)
     diag = np.arange(lam, nb)
     D[:, diag, nb + diag] = -1.0
-    QX = np.concatenate([data.Q, data.X], axis=3)[:, 1:]  # (N, T, n_x, lam)
-    D[:T, lam:, 2 * nb:2 * nb + lam] = QX.swapaxes(0, 1).reshape(T, N * n_x, lam)
+    QX = np.concatenate([data.Q, data.X], axis=3)[:, 1:]  # (N, T, n_x, n_x + n_u)
+    D[:T, lam:, 2 * nb + ix:2 * nb + lam] = QX.swapaxes(0, 1).reshape(T, N * n_x, n_x + n_u)
     rows = (lam + np.arange(N)[:, None] * n_x + np.arange(n_x))[..., None]
     D[:T - 1, rows, 2 * nb + rows.swapaxes(1, 2)] = data.A[1:, None].swapaxes(2, 3)
+    if m:
+        # the held rows of stage k, and mu_k in every player's stationarity in
+        # its own u_k (block k) and in x_k (block k-1); x_0 is pinned instead
+        W, S, p, held = pinned
+        rhs[:, :m] = -p
+        D[:, :m, nb + ix:nb + lam] = np.concatenate([W, S], axis=2)
+        D[:, np.arange(m), nb + np.arange(m)] = ~held
+        D[:, iu:lam, nb:nb + m] = S.swapaxes(1, 2)
+        D[:T, lam:, 2 * nb:2 * nb + m] = np.tile(W[1:].swapaxes(1, 2), (1, N, 1))
     band = band[:, nb:nb + n]
     anorm = float(np.max(np.abs(band[kl:]).sum(axis=0)))  # rows above kl are LU workspace
     lu, piv, info = lapack.dgbtrf(band, kl, ku, overwrite_ab=True)
@@ -238,7 +321,7 @@ def _kkt_factor(data: LqGameData, eta: Optional[float] = None) -> LqFactor:
             f"the open-loop KKT matrix is numerically singular (rcond {rcond:.1e})")
     return LqFactor(lu=lu, piv=piv, kl=kl, ku=ku, rhs=rhs, spread=spread,
                     initial_state=np.asarray(data.initial_state, dtype=float),
-                    action_dim=n_u, eta=eta)
+                    action_dim=n_u, eta=eta, rows=m)
 
 
 def regularized_factor(data: LqGameData, eta: float) -> LqFactor:
@@ -274,6 +357,36 @@ def factor(game: GameDefinition, eta: float) -> LqFactor:
                       r=np.zeros((1, T1, n_u)), action_dims=(n_u,),
                       initial_state=game.initial_state)
     return regularized_factor(data, 0.0)
+
+
+def solve_pinned(data: LqGameData, W: Array, S: Array, p: Array,
+                 pinned: Array) -> tuple[Trajectory, Array]:
+    """Open-loop equilibrium with the ``pinned`` rows held as equalities.
+
+    W (T+1, m, n_x), S (T+1, m, n_u) and p (T+1, m) hold every stage's rows
+    W_k x_k + S_k u_k + p_k <= 0 (padded to a common count m), ``pinned``
+    (T+1, m) the rows held at zero.  Each held row gets one multiplier mu,
+    shared by all players: mu' S_k enters every player's stationarity in its
+    own u_k and mu' W_k every player's in x_k (the variational equilibrium).
+    The rows join the stacked KKT system in band: stage k's held rows and
+    their multipliers lead block k, padded to the largest held count.
+    Returns the trajectory and mu (T+1, m), zero off the held rows.  Raises
+    StageSingularityError when the system is singular, as for dependent
+    held rows.
+    """
+    ks, rs = np.nonzero(pinned)
+    slot = (np.cumsum(pinned, axis=1) - 1)[ks, rs]  # held rows first, in order
+    m = int(slot.max(initial=-1)) + 1
+    held = np.zeros((pinned.shape[0], m), dtype=bool)
+    held[ks, slot] = True
+    rows = [np.zeros((pinned.shape[0], m) + a.shape[2:]) for a in (W, S, p)]
+    for full, packed in zip((W, S, p), rows):
+        packed[ks, slot] = full[ks, rs]
+    fac = _kkt_factor(data, pinned=(*rows, held))
+    sol = fac._blocks(None, None)
+    mu = np.zeros(pinned.shape)
+    mu[ks, rs] = sol[ks, slot]
+    return fac._trajectory(sol), mu
 
 
 def solve_lq_open_loop(data: LqGameData, x0: Optional[Array] = None) -> Trajectory:

@@ -202,20 +202,19 @@ def solve_stage_kkt(F: Array, P: Array, H: Array,
     if m:
         KKT[:n_u, n_u:] = S.T
         KKT[n_u:, :n_u] = S
-    rhs_K = np.zeros((n_u + m, P.shape[1]))
-    rhs_K[:n_u] = -P
-    rhs_s = np.zeros(n_u + m)
-    rhs_s[:n_u] = -H
+    n_x = P.shape[1]
+    rhs = np.zeros((n_u + m, n_x + 1))  # [rhs_K | rhs_s]: one factorization for both
+    rhs[:n_u, :n_x] = -P
+    rhs[:n_u, n_x] = -H
     if m:
-        rhs_K[n_u:] = -W
-        rhs_s[n_u:] = -p
+        rhs[n_u:, :n_x] = -W
+        rhs[n_u:, n_x] = -p
     try:
-        sol_K = np.linalg.solve(KKT, rhs_K)
-        sol_s = np.linalg.solve(KKT, rhs_s)
+        sol = np.linalg.solve(KKT, rhs)
     except np.linalg.LinAlgError as exc:
         raise StageSingularityError(stage, f"stage KKT system is singular ({exc})") from exc
-    law = AffineLaw(K=sol_K[:n_u], s=sol_s[:n_u],
-                    lam_K=sol_K[n_u:], lam_s=sol_s[n_u:])
+    law = AffineLaw(K=sol[:n_u, :n_x], s=sol[:n_u, n_x],
+                    lam_K=sol[n_u:, :n_x], lam_s=sol[n_u:, n_x])
     _validate_law(F, P, H, W, S, p, law, stage)
     return law
 

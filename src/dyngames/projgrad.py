@@ -7,15 +7,9 @@ mu-strongly monotone, L-Lipschitz gradient operator and rho L^2 <= 2 mu the
 iteration contracts with factor sqrt(1 + rho^2 L^2 - 2 rho mu) per step.
 
 The projection subproblem minimizes the squared action distance subject to
-dynamics and stage constraints.  Two constraint classes are supported:
-
-* analytic projectors on actions only (no state coupling): the projection
-  decouples stagewise and runs over the whole horizon at once
-  (``GameDefinition.eval_traj_projection``);
-* affine stage constraints with linear dynamics: one exact QP over the
-  whole stacked trajectory, with the dynamics as equality rows, the stage
-  rows as inequality rows and weight zero on the states
-  (``splitting.horizon_qp(game, 0.0)``).
+dynamics and stage constraints (``certificate.project_onto_feasible``: an
+analytic projector on actions only, or one exact QP over the whole stacked
+trajectory for affine rows with linear dynamics).
 
 The solver is that projection step and one call of ``report.iterate``,
 which owns the loop and the stop tests it shares with ``splitting.dr_solve``.
@@ -24,15 +18,13 @@ which owns the loop and the stop tests it shares with ``splitting.dr_solve``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .errors import UnsupportedConstraintError
+from .certificate import active_set_polish, project_onto_feasible, projection_qp
 from .gradient import pseudo_gradient
 from .model import GameDefinition, all_player_costs, rollout
 from .report import SolverReport, build_report, iterate
-from . import splitting
 
 Array = np.ndarray
 
@@ -60,52 +52,17 @@ class ProjGradConfig:
             raise ValueError(f"iteration budget must be nonnegative, got {self.max_iter}")
 
 
-def _projection_route(game: GameDefinition) -> Optional[str]:
-    """How ``project_onto_feasible`` projects: None (no constraints), "analytic" or "qp"."""
-    if game.constraints is None:
-        return None
-    if game.constraints_in_actions_only and game.traj_projector is not None:
-        return "analytic"
-    if game.linear_dynamics and game.polyhedral_constraints:
-        return "qp"
-    raise UnsupportedConstraintError(
-        "projection requires either action-only analytic projectors or "
-        "affine constraints with linear dynamics")
-
-
-def project_onto_feasible(game: GameDefinition, actions: Array,
-                          qp: Optional[splitting.HorizonQp] = None) -> Array:
-    """Closest feasible joint-action sequence to ``actions``.
-
-    Minimizes the summed squared action deviation subject to the dynamics
-    (states rolled out from the game's initial state) and the stage
-    constraints.  Identity on feasible inputs.  On the affine-row route
-    ``qp`` (from ``splitting.horizon_qp(game, 0.0)``) reuses the QP rows
-    across calls; they are built here when it is None.  That QP weighs the
-    states by zero: the dynamics rows tie them to the actions, so they carry
-    the stage rows without entering the objective.
-    """
-    actions = np.asarray(actions, dtype=float)
-    route = _projection_route(game)
-    if route is None:
-        return actions.copy()
-    if route == "analytic":
-        return game.eval_traj_projection(None, actions)[1]
-    if qp is None:
-        qp = splitting.horizon_qp(game, 0.0)
-    elif qp.state_weight != 0.0:
-        raise ValueError(f"action-space projection needs state weight 0, got {qp.state_weight}")
-    return qp.project(np.zeros((actions.shape[0], game.state_dim)), actions)[1]
-
-
 def projected_gradient_solve(game: GameDefinition, u0: Array,
                              cfg: ProjGradConfig) -> SolverReport:
     """Run the projected gradient iteration from u0 (repaired if infeasible).
 
     The iterate is the action sequence and the candidate its rollout, on
     which the next pseudo-gradient is taken; ``report.iterate`` runs the
-    loop.  With ``record_costs`` the cost trace holds the players' costs at
-    the initial iterate and after every step.
+    loop.  For a linear-quadratic game with affine rows or none, the
+    active-set polish (``certificate.active_set_polish``) runs after every
+    step, and a point it certifies (natural residual <= ``cfg.tol``) ends
+    the run with ``tolerance``.  With ``record_costs`` the cost trace holds
+    the players' costs at the initial iterate and after every step.
     """
     T, n_u = game.horizon, game.total_action_dim
     u = np.asarray(u0, dtype=float)
@@ -114,7 +71,7 @@ def projected_gradient_solve(game: GameDefinition, u0: Array,
     if u.shape != (T + 1, n_u):
         raise ValueError(f"u0 must have shape {(T + 1, n_u)}, got {u.shape}")
     # the QP rows do not depend on the point, so one build serves the solve
-    qp = splitting.horizon_qp(game, 0.0) if _projection_route(game) == "qp" else None
+    qp = projection_qp(game)
     u = project_onto_feasible(game, u, qp)
     traj = rollout(game, game.initial_state, u)
 
@@ -124,6 +81,8 @@ def projected_gradient_solve(game: GameDefinition, u0: Array,
         return u_next, rollout(game, game.initial_state, u_next)
 
     costs = (lambda traj: all_player_costs(game, traj)) if cfg.record_costs else None
-    run = iterate(step, u, traj, cfg.max_iter, cfg.tol, cfg.divergence_factor, record=costs)
+    run = iterate(step, u, traj, cfg.max_iter, cfg.tol, cfg.divergence_factor, record=costs,
+                  polish=active_set_polish(game, cfg.tol, qp))
     cost_trace = [costs(traj)] + run.records if costs else []
-    return build_report(game, run.candidate, run.candidate, run, cfg.run_checks, cost_trace)
+    return build_report(game, run.candidate, run.candidate, run, cfg.run_checks, cost_trace,
+                        qp)

@@ -3,7 +3,9 @@
 Projected gradient and Douglas-Rachford both iterate w <- step(w).
 ``iterate`` owns their loop, step norm and stop tests, and ``build_report``
 turns a finished run into a ``SolverReport``; a solver supplies only its
-step, its equilibrium candidate and what to check.
+step, its equilibrium candidate and what to check.  A solver may also pass
+a polish hook (``certificate.active_set_polish``): a point it offers after
+a step is certified, so it ends the run at once.
 """
 
 from __future__ import annotations
@@ -13,7 +15,10 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
+from .certificate import natural_residual
+from .errors import UnsupportedConstraintError
 from .gradient import PlayerVerdict, playerwise_minimizer_check
+from .lq import HorizonQp
 from .model import GameDefinition, Trajectory, all_player_costs
 
 Array = np.ndarray
@@ -31,6 +36,9 @@ class SolverReport:
     (the quantity whose geometric decay rate is fitted); ``step_norms[t]``
     the infinity norm of the t-th update.  ``cost_trace`` holds per-player
     game costs along the iterates when the solver records them.
+    ``natural_residual`` is the final actions' r(u) = |u - P(u - F(u))|_inf
+    (``certificate.natural_residual``); it is NaN for a game without a
+    projection P and after divergence.
     """
 
     trajectory: Trajectory
@@ -45,6 +53,7 @@ class SolverReport:
     final_costs: Optional[Array] = None
     dynamics_residual: float = 0.0
     constraint_residual: float = 0.0
+    natural_residual: float = float("nan")
 
     @property
     def converged(self) -> bool:
@@ -57,33 +66,43 @@ class SolverReport:
 
 @dataclass
 class Run:
-    """A finished ``iterate`` run; ``iterates`` starts with the initial iterate."""
+    """A finished ``iterate`` run; ``iterates`` starts with the initial iterate.
+
+    ``residual`` is the natural residual of a candidate the polish hook
+    certified, None when the run did not end on one.
+    """
 
     candidate: Any
     iterates: list[Array]
     step_norms: list[float]
     termination: str
     records: list
+    residual: Optional[float] = None
 
 
 def iterate(step: Callable[[Array, Any], tuple[Array, Any]], w0: Array, cand0: Any,
             max_iter: int, tol: float, divergence_factor: float,
             accept: Optional[Callable[[Any], bool]] = None,
-            record: Optional[Callable[[Any], Any]] = None) -> Run:
+            record: Optional[Callable[[Any], Any]] = None,
+            polish: Optional[Callable[[Any], Optional[tuple[Any, float]]]] = None) -> Run:
     """Run w <- step(w) until the step is small, w blows up or the budget ends.
 
     ``step(w, cand)`` returns a new iterate array and the next equilibrium
     candidate, given the previous one (``cand0`` at first).  ``record(cand)``
-    is kept after every step when given.  The run stops with ``tolerance``
-    once max|w_new - w| <= tol and ``accept(cand)`` holds (evaluated only
-    then, so a costly residual check is skipped while w still moves), with
+    is kept after every step when given.  ``polish(cand)`` is called once
+    after every step when given; when it returns a point and that point's
+    natural residual, which certifies it, the point replaces the candidate
+    and ends the run with ``tolerance``.  Otherwise the run stops with
+    ``tolerance`` once
+    max|w_new - w| <= tol and ``accept(cand)`` holds (evaluated only then,
+    so a costly residual check is skipped while w still moves), with
     ``divergence`` once |w|_2 > divergence_factor * (1 + |w0|_2), and else
     with ``max_iter``; ``max_iter = 0`` returns ``cand0``.
     """
     w, cand = w0, cand0
     iterates, step_norms, records = [w0], [], []
     scale0 = 1.0 + float(np.linalg.norm(w0))
-    termination = TERM_MAX_ITER
+    termination, residual = TERM_MAX_ITER, None
     for _ in range(max_iter):
         w_new, cand = step(w, cand)
         size = float(np.max(np.abs(w_new - w)))
@@ -92,26 +111,41 @@ def iterate(step: Callable[[Array, Any], tuple[Array, Any]], w0: Array, cand0: A
         step_norms.append(size)
         if record is not None:
             records.append(record(cand))
+        polished = None if polish is None else polish(cand)
+        if polished is not None:
+            (cand, residual), termination = polished, TERM_TOLERANCE
+            break
         if size <= tol and (accept is None or accept(cand)):
             termination = TERM_TOLERANCE
             break
         if np.linalg.norm(w) > divergence_factor * scale0:
             termination = TERM_DIVERGENCE
             break
-    return Run(cand, iterates, step_norms, termination, records)
+    return Run(cand, iterates, step_norms, termination, records, residual)
 
 
 def build_report(game: GameDefinition, trajectory: Trajectory, checked: Trajectory,
-                 run: Run, run_checks: bool, cost_trace: list) -> SolverReport:
+                 run: Run, run_checks: bool, cost_trace: list,
+                 qp: Optional[HorizonQp] = None) -> SolverReport:
     """The report of a run whose equilibrium candidate is ``trajectory``.
 
-    The residuals are ``trajectory``'s; the final costs and, with
-    ``run_checks`` unless the run diverged, the player-wise verdicts are
-    those of ``checked``, the candidate's actions rolled out.
+    The dynamics and constraint residuals are ``trajectory``'s; the final
+    costs, the natural residual and, with ``run_checks``, the player-wise
+    verdicts are those of ``checked``, the candidate's actions rolled out.
+    The natural residual is the polish's certificate when the run ended on
+    one, else it is computed here, projecting with ``qp`` as
+    ``certificate.project_onto_feasible`` does.  A diverged run gets neither
+    verdicts nor a natural residual.
     """
-    verdicts = []
-    if run_checks and run.termination != TERM_DIVERGENCE:
-        verdicts = playerwise_minimizer_check(game, checked)
+    verdicts, residual = [], run.residual
+    if run.termination != TERM_DIVERGENCE:
+        if run_checks:
+            verdicts = playerwise_minimizer_check(game, checked)
+        if residual is None:
+            try:
+                residual = natural_residual(game, checked.actions, qp)
+            except UnsupportedConstraintError:
+                pass
     dist = np.array([float(np.linalg.norm(w - run.iterates[-1])) for w in run.iterates])
     rate, rmse = fit_log_decay(dist)
     return SolverReport(
@@ -122,7 +156,8 @@ def build_report(game: GameDefinition, trajectory: Trajectory, checked: Trajecto
         cost_trace=np.asarray(cost_trace) if cost_trace else None,
         final_costs=all_player_costs(game, checked),
         dynamics_residual=float(np.max(trajectory.dynamics_residuals(game), initial=0.0)),
-        constraint_residual=trajectory.constraint_violation(game))
+        constraint_residual=trajectory.constraint_violation(game),
+        natural_residual=float("nan") if residual is None else residual)
 
 
 def fit_log_decay(values: Array, burn_in_frac: float = 0.1,

@@ -31,11 +31,13 @@ of the players' state gradients).  The ``constraints`` scheme carries no
 such restriction.
 
 ``dr_solve`` is the reflected-resolvent step over one stacked iterate plus
-one call of ``report.iterate``, the loop it shares with ``projgrad``.
+one call of ``report.iterate``, the loop it shares with ``projgrad``; for
+linear-quadratic games with affine rows or none it passes the active-set
+polish of ``certificate``, which ends the run on a certified point.
 ``_resolvents`` builds both resolvents once per solve, with the data that
 does not change between iterations: one ``lq.factor`` (a banded LU of the
 stacked KKT matrix) for the regularized LQ game or the eta = 0 dynamics
-projection, or the horizon-wide QP rows of ``horizon_qp``.
+projection, or the horizon-wide QP rows of ``lq.horizon_qp``.
 """
 
 from __future__ import annotations
@@ -44,11 +46,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import denseqp
 from .errors import SubproblemError, UnsupportedConstraintError
 from . import lq
+from .lq import HorizonQp, horizon_qp
+from .certificate import active_set_polish, projection_qp
 from .gradient import solve_costates
 from .model import (
     GameDefinition,
@@ -387,52 +390,6 @@ def project_dynamics(game: GameDefinition, y: Array, z: Array,
     return traj.states, traj.actions
 
 
-@dataclass(frozen=True)
-class HorizonQp:
-    """Rows of the horizon-wide projection QP over one game's trajectories.
-
-    The variable is the stacked trajectory v = (x_0, u_0, x_1, u_1, ...,
-    x_T, u_T).  The equality rows pin x_0 and impose the linear dynamics;
-    the inequality rows are every stage's affine rows W_k x_k + S_k u_k +
-    p_k <= 0.  The metric weighs states by ``state_weight`` and actions by
-    one.  Nothing here depends on the point being projected, so one instance
-    serves every projection; all matrices are block-banded ``scipy.sparse``,
-    so each active-set step of the QP costs O(T).
-    """
-
-    H: sp.csc_matrix
-    Aeq: sp.csr_matrix
-    beq: Array
-    G: Optional[sp.csr_matrix]
-    h: Optional[Array]
-    state_dim: int
-    state_weight: float
-
-    def project(self, y: Array, z: Array) -> tuple[Array, Array]:
-        """Closest trajectory to (y, z) in the metric that meets every row."""
-        n_x = self.state_dim
-        target = np.hstack([np.asarray(y, dtype=float), np.asarray(z, dtype=float)])
-        v, _ = denseqp.solve_qp(self.H, -(self.H @ target.ravel()), G=self.G, h=self.h,
-                                Aeq=self.Aeq, beq=self.beq)
-        v = v.reshape(target.shape)
-        return v[:, :n_x], v[:, n_x:]
-
-
-def horizon_qp(game: GameDefinition, state_weight: float) -> HorizonQp:
-    """Build the horizon-wide projection QP (see ``HorizonQp``).
-
-    The rows come from ``lq.horizon_rows``, which raises
-    UnsupportedConstraintError unless the game declares linear dynamics
-    and, if it has constraints, affine rows.
-    """
-    Aeq, beq, G, h = lq.horizon_rows(game)
-    n_x, n_u = game.state_dim, game.total_action_dim
-    weights = np.concatenate([np.full(n_x, float(state_weight)), np.ones(n_u)])
-    H = sp.diags(np.tile(weights, game.horizon + 1), format="csc")
-    return HorizonQp(H=H, Aeq=Aeq, beq=beq, G=G, h=h, state_dim=n_x,
-                     state_weight=float(state_weight))
-
-
 def constrained_oc_projection(game: GameDefinition, y: Array, z: Array,
                               qp: Optional[HorizonQp] = None) -> tuple[Array, Array]:
     """Projection of (y, z) onto dynamics AND stage constraints jointly.
@@ -460,13 +417,18 @@ def dr_solve(game: GameDefinition, cfg: DrConfig) -> SolverReport:
     starting at zero actions and their rollout.  The candidate is the second
     resolvent's output, in its constraint set by construction.  The run
     stops with ``tolerance`` once the averaged step and then the candidate's
-    dynamics and constraint residuals are at most ``cfg.tol``.
-    ``record_costs`` records the costs of every candidate's rollout.
+    dynamics and constraint residuals are at most ``cfg.tol``.  For a
+    linear-quadratic game with affine rows or none, the active-set polish
+    (``certificate.active_set_polish``) runs after every step, and a point
+    it certifies (natural residual <= ``cfg.tol``) ends the run with
+    ``tolerance`` and becomes the result.  ``record_costs`` records the
+    costs of every candidate's rollout.
     """
     T, n_x, n_u = game.horizon, game.state_dim, game.total_action_dim
     wu = np.zeros((T + 1, n_u))
     wx = rollout(game, game.initial_state, wu).states
     first, second = _resolvents(game, cfg)
+    qp = projection_qp(game)
     split = (T + 1) * n_x
 
     def step(w, cand):
@@ -487,9 +449,10 @@ def dr_solve(game: GameDefinition, cfg: DrConfig) -> SolverReport:
 
     run = iterate(step, np.concatenate([wx.ravel(), wu.ravel()]), Trajectory(wx, wu),
                   cfg.max_iter, cfg.tol, cfg.divergence_factor, accept=accept,
-                  record=costs if cfg.record_costs else None)
+                  record=costs if cfg.record_costs else None,
+                  polish=active_set_polish(game, cfg.tol, qp))
     checked = rollout(game, game.initial_state, run.candidate.actions)
-    return build_report(game, run.candidate, checked, run, cfg.run_checks, run.records)
+    return build_report(game, run.candidate, checked, run, cfg.run_checks, run.records, qp)
 
 
 def _resolvents(game: GameDefinition, cfg: DrConfig):

@@ -1,5 +1,6 @@
 """Hand-built game instances shared between unit and acceptance tests."""
 
+import itertools
 from typing import NamedTuple
 
 import numpy as np
@@ -222,3 +223,77 @@ def fishery_off_its_dynamics(T=10):
     traj = rollout(game, game.initial_state, np.tile([0.4, 0.0], (T + 1, 1)))
     traj.states += 5.0
     return game, traj
+
+
+class PolyhedralLqInstance(NamedTuple):
+    """A declared LQ game with random affine rows and its equilibrium.
+
+    ``rows`` lists the rows as (k, w, s, p, "ineq") in stage order, as
+    ``oracles.stacked_lq_gne`` takes them; ``mask[k, i]`` is set where stage
+    k has an i-th row and ``active`` where that row is pinned at
+    ``equilibrium``, both (T+1, m) in the padded layout of
+    ``lq.solve_pinned``.
+    """
+
+    game: GameDefinition
+    lq: dict
+    rows: list
+    mask: np.ndarray
+    active: np.ndarray
+    equilibrium: Trajectory
+
+
+def random_polyhedral_lq_instance(rng, T=3, max_rows=2, duplicate=False):
+    """Random 2-player LQ game with up to ``max_rows`` affine rows per stage.
+
+    Each row is placed around the unconstrained equilibrium, violated there
+    or slack by up to 0.5, so a random share of them is active.  The active
+    set is the smallest one the dense oracle accepts.  With ``duplicate``
+    the first active row is repeated at its stage, scaled by 2, and
+    ``active`` holds both copies: a dependent set.  Returns None when no
+    active set is consistent (or, with ``duplicate``, none is nonempty).
+    """
+    game0, lq = random_lq_game(rng, T=T, state_dim=2, action_dims=(1, 1))
+    x0 = game0.initial_state
+    ref = solve_lq_open_loop(extract_lq_data(affine_quadratic_game(lq, x0, {})))
+    stage_rows = {}
+    for k in range(T + 1):
+        m = int(rng.integers(0, max_rows + 1))
+        if m:
+            W, S = rng.standard_normal((m, 2)), rng.standard_normal((m, 2))
+            S += 0.4 * np.sign(S)
+            p = -(W @ ref.states[k] + S @ ref.actions[k]) + rng.uniform(-0.5, 0.5, m)
+            stage_rows[k] = (W, S, p)
+    game = affine_quadratic_game(lq, x0, stage_rows)
+    rows = [(k, W[i], S[i], p[i], "ineq") for k, (W, S, p) in stage_rows.items()
+            for i in range(p.size)]
+
+    def consistent(sub):
+        try:
+            return stacked_lq_gne(game, lq, rows, active=sub) is not None
+        except np.linalg.LinAlgError:
+            return False
+
+    found = next((sub for size in range(len(rows) + 1)
+                  for sub in itertools.combinations(range(len(rows)), size)
+                  if consistent(sub)), None)
+    if found is None or (duplicate and not found):
+        return None
+    equilibrium = stacked_lq_gne(game, lq, rows, active=found)
+    found = set(found)
+    if duplicate:
+        k, w, s, p, _ = rows[min(found)]
+        W, S, P = stage_rows[k]
+        stage_rows[k] = (np.vstack([W, 2 * w]), np.vstack([S, 2 * s]), np.append(P, 2 * p))
+        game = affine_quadratic_game(lq, x0, stage_rows)
+        at = max(j for j, row in enumerate(rows) if row[0] == k) + 1
+        rows.insert(at, (k, 2 * w, 2 * s, 2 * p, "ineq"))
+        found = {j + (j >= at) for j in found} | {at}
+    m = max((P.size for _, _, P in stage_rows.values()), default=0)
+    mask, active = np.zeros((T + 1, m), dtype=bool), np.zeros((T + 1, m), dtype=bool)
+    slot = np.zeros(T + 1, dtype=int)
+    for j, row in enumerate(rows):
+        k = row[0]
+        mask[k, slot[k]], active[k, slot[k]] = True, j in found
+        slot[k] += 1
+    return PolyhedralLqInstance(game, lq, rows, mask, active, equilibrium)

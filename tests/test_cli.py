@@ -224,6 +224,20 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "never").exists()
 
+    @pytest.mark.parametrize("where", ["seed", "simulate.seed", "--seed"])
+    def test_negative_seed(self, tmp_path, capsys, where):
+        cfg = small_fishery_config(tmp_path / "never", max_iter=2)
+        argv = []
+        if where == "seed":
+            cfg["seed"] = -1
+        elif where == "simulate.seed":
+            cfg["simulate"]["seed"] = -1
+        else:
+            argv = ["--seed", "-1"]
+        assert main(["--config", write(tmp_path, cfg), "--quiet", *argv]) == EXIT_BAD_CONFIG
+        assert capsys.readouterr().err.startswith(f"error: {where} must be nonnegative")
+        assert not (tmp_path / "never").exists()
+
     def test_solver_failure_maps_to_exit_code(self, tmp_path):
         # the meeting game's ball constraints are not affine, so the
         # stagewise static-game scheme must refuse

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dyngames import splitting
+from dyngames import lq
 from dyngames.errors import InfeasibleConstraintsError
 from dyngames.gradient import pseudo_gradient
 from dyngames.model import GameDefinition, rollout
@@ -148,13 +148,13 @@ class TestProjectedGradient:
         cfg = ProjGradConfig(step_size=0.05, max_iter=30, tol=1e-14, run_checks=False)
         u0 = rng.standard_normal((6, 2))
         builds = []
-        build = splitting.horizon_qp
+        build = lq.horizon_qp
 
         def counted(*args, **kwargs):
             builds.append(args)
             return build(*args, **kwargs)
 
-        monkeypatch.setattr(splitting, "horizon_qp", counted)
+        monkeypatch.setattr(lq, "horizon_qp", counted)
         rep = projected_gradient_solve(game, u0, cfg)
         assert len(builds) == 1
         # the same iteration with the rows rebuilt by every projection

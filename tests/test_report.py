@@ -1,8 +1,19 @@
-"""The shared fixed-point loop `report.iterate`: stop tests, lists and per-iteration records."""
+"""The shared fixed-point loop `report.iterate`: stop tests, lists, records and the polish."""
+
+import dataclasses
 
 import numpy as np
+import pytest
 
+from dyngames import lq, projgrad, splitting
+from dyngames.benchmarks import fishery_game, lq_rendezvous_game
+from dyngames.certificate import ActiveSetPolish, active_set_polish, natural_residual
+from dyngames.model import Trajectory, rollout
+from dyngames.projgrad import ProjGradConfig
 from dyngames.report import TERM_DIVERGENCE, TERM_MAX_ITER, TERM_TOLERANCE, iterate
+from dyngames.splitting import DrConfig
+
+from instances import cross_scheme_lq_instance
 
 
 def halving(w, count):
@@ -58,3 +69,92 @@ class TestIterate:
         assert calls == [1, 2, 3, 4]
         assert run.records == [10, 20, 30, 40]
         assert run.step_norms == [1.0] * 4
+
+
+class TestPolishHook:
+    def test_hook_runs_once_per_iteration(self):
+        offered = []
+
+        def polish(count):
+            offered.append(count)
+
+        run = iterate(halving, np.array([1.0]), 0, max_iter=6, tol=1e-12,
+                      divergence_factor=1e8, polish=polish)
+        assert run.termination == TERM_MAX_ITER and run.residual is None
+        assert offered == [1, 2, 3, 4, 5, 6]
+
+    def test_accepted_polish_ends_the_run_at_that_iteration(self):
+        # the step test alone would stop at iteration 3 (step 0.5 <= 0.6)
+        run = iterate(halving, np.array([1.0, -4.0]), 0, max_iter=50, tol=0.6,
+                      divergence_factor=1e8, accept=lambda c: pytest.fail("accept asked"),
+                      polish=lambda count: ("polished", 1e-9) if count == 2 else None)
+        assert run.termination == TERM_TOLERANCE
+        assert (run.candidate, run.residual) == ("polished", 1e-9)
+        assert run.step_norms == [2.0, 1.0]
+
+    def test_unchanged_pinned_set_does_not_call_the_kernel(self, rng, monkeypatch):
+        game, _, _ = cross_scheme_lq_instance(rng, con_stage=2)
+        calls = []
+        kernel = lq.solve_pinned
+
+        def counted(*args):
+            calls.append(args[-1].copy())
+            return kernel(*args)
+
+        monkeypatch.setattr(lq, "solve_pinned", counted)
+        polish = active_set_polish(game, 1e-8)
+
+        def with_row_value(target):
+            """Zero actions, but the one row (stage 2) moved to ``target``."""
+            cand = rollout(game, game.initial_state, np.zeros((game.horizon + 1, 2)))
+            s = polish.S[2, 0]
+            cand.actions[2] += (target - polish.values(cand)[2, 0]) * s / (s @ s)
+            return cand
+
+        for target in (-0.5, -0.4, -0.5):  # the row is slack: nothing is pinned
+            polish(with_row_value(target))
+        assert len(calls) == 1 and not calls[0].any()
+        for target in (0.3, 0.0, -1e-4):  # the row is pinned
+            polish(with_row_value(target))
+        assert len(calls) == 2 and calls[1][2, 0] and calls[1].sum() == 1
+
+    @pytest.mark.parametrize("case", ["rendezvous", "fishery", "undeclared twin"])
+    def test_out_of_scope_games_never_build_the_hook(self, rng, monkeypatch, case):
+        hooks = []
+
+        def spy(*args, **kwargs):
+            hooks.append(kwargs.get("polish"))
+            return iterate(*args, **kwargs)
+
+        monkeypatch.setattr(splitting, "iterate", spy)
+        monkeypatch.setattr(projgrad, "iterate", spy)
+        game, _, _ = cross_scheme_lq_instance(rng)
+        dr = DrConfig(eta=0.4, max_iter=2, record_costs=False, run_checks=False)
+        splitting.dr_solve(game, dr)  # the declared LQ game gets the hook
+        if case == "rendezvous":
+            splitting.dr_solve(lq_rendezvous_game(), dr)
+        elif case == "fishery":
+            fish = fishery_game()
+            projgrad.projected_gradient_solve(
+                fish, np.zeros((fish.horizon + 1, 2)),
+                ProjGradConfig(max_iter=2, record_costs=False, run_checks=False))
+        else:
+            splitting.dr_solve(dataclasses.replace(game, quadratic_costs=False), dr)
+        assert isinstance(hooks[0], ActiveSetPolish)
+        assert hooks[1:] == [None]
+
+
+def test_report_carries_the_natural_residual(rng):
+    game, _, _ = cross_scheme_lq_instance(rng)
+    rep = splitting.dr_solve(game, DrConfig(eta=0.4, max_iter=50, record_costs=False,
+                                            run_checks=False))
+    assert rep.termination == TERM_TOLERANCE and rep.natural_residual <= 1e-8
+    # the polish's certificate is the residual of the reported actions
+    assert rep.natural_residual == natural_residual(game, rep.trajectory.actions)
+    twin = splitting.dr_solve(dataclasses.replace(game, quadratic_costs=False),
+                              DrConfig(eta=0.4, max_iter=5, record_costs=False,
+                                       run_checks=False))
+    assert twin.natural_residual == natural_residual(game, twin.trajectory.actions) > 1e-8
+    rendezvous = splitting.dr_solve(lq_rendezvous_game(),
+                                    DrConfig(max_iter=2, record_costs=False, run_checks=False))
+    assert np.isnan(rendezvous.natural_residual)

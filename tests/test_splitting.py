@@ -609,8 +609,10 @@ class TestDrSolve:
         game = dataclasses.replace(game, quadratic_costs=True)
         cfg = DrConfig(scheme=SCHEME_CONSTRAINTS, eta=0.4, alpha=0.5, max_iter=400,
                        tol=1e-8, record_costs=False, run_checks=False)
-        free = dr_solve(game, cfg).trajectory.actions
-        bound = 0.5 * float(np.max(np.abs(free)))
+        free = dr_solve(game, cfg)
+        # the unconstrained LQ game ends on the certified polish
+        assert free.converged and free.natural_residual <= cfg.tol
+        bound = 0.5 * float(np.max(np.abs(free.trajectory.actions)))
         violated = dataclasses.replace(
             game, constraints=lambda k, x, u: np.abs(u) - bound,
             traj_projector=lambda states, actions: (states, actions))
