@@ -21,6 +21,9 @@ r(u) <= tol (projected-Newton active-set identification: Bertsekas, SIAM J.
 Control Optim. 20, 1982; Facchinei, Fischer and Kanzow, SIAM J. Optim. 9,
 1998).  It exists for linear-quadratic games with affine rows or none,
 where that one solve is exact.
+
+A solve reads the game's rows and dynamics once (``read_rows``); the
+projection, the polish and the ``gradient`` scheme's projection share them.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ def _projection_route(game: GameDefinition) -> Optional[str]:
 
 
 def project_onto_feasible(game: GameDefinition, actions: Array,
-                          qp: Optional[lq.HorizonQp] = None) -> Array:
+                          rows: Optional[lq.PaddedRows] = None) -> Array:
     """Closest feasible joint-action sequence to ``actions``.
 
     Minimizes the summed squared action deviation subject to the dynamics
@@ -66,12 +69,10 @@ def project_onto_feasible(game: GameDefinition, actions: Array,
       projection decouples stagewise and runs over the whole horizon at once
       (``GameDefinition.eval_traj_projection``);
     * affine stage rows with linear dynamics: one exact QP over the whole
-      stacked trajectory, with the dynamics as equality rows, the stage rows
-      as inequality rows and weight zero on the states.  ``qp`` (from
-      ``lq.horizon_qp(game, 0.0)``, or ``projection_qp``) reuses its rows
-      across calls; they are built here when it is None.  The dynamics rows
-      tie the states to the actions, so the states carry the stage rows
-      without entering the objective.
+      stacked trajectory with weight zero on the states, solved in band
+      (``lq.PaddedRows.project``); the dynamics tie the states to the
+      actions, so the states carry the stage rows.  ``rows`` (``read_rows``)
+      reuses one read of the rows; they are read here when it is None.
     """
     actions = np.asarray(actions, dtype=float)
     route = _projection_route(game)
@@ -79,31 +80,21 @@ def project_onto_feasible(game: GameDefinition, actions: Array,
         return actions.copy()
     if route == "analytic":
         return game.eval_traj_projection(None, actions)[1]
-    if qp is None:
-        qp = lq.horizon_qp(game, 0.0)
-    elif qp.state_weight != 0.0:
-        raise ValueError(f"action-space projection needs state weight 0, got {qp.state_weight}")
-    return qp.project(np.zeros((actions.shape[0], game.state_dim)), actions)[1]
+    rows = lq.padded_rows(game) if rows is None else rows
+    return rows.project(np.zeros((actions.shape[0], game.state_dim)), actions, 0.0).actions
 
 
-def projection_qp(game: GameDefinition) -> Optional[lq.HorizonQp]:
-    """The QP rows ``project_onto_feasible`` needs, built once for a solve.
-
-    None when it needs none: no constraints, an analytic projector, or no
-    projection at all.
-    """
-    try:
-        route = _projection_route(game)
-    except UnsupportedConstraintError:
-        return None
-    return lq.horizon_qp(game, 0.0) if route == "qp" else None
+def read_rows(game: GameDefinition) -> Optional[lq.PaddedRows]:
+    """``lq.padded_rows`` of ``game`` for a solve's projection and polish; None if unused."""
+    used = game.quadratic_costs if game.constraints is None else game.polyhedral_constraints
+    return lq.padded_rows(game) if game.linear_dynamics and used else None
 
 
 def natural_residual(game: GameDefinition, actions: Array,
-                     qp: Optional[lq.HorizonQp] = None) -> float:
+                     rows: Optional[lq.PaddedRows] = None) -> float:
     """r(u) = |u - P(u - F(u))|_inf, F taken along the rollout of ``actions``.
 
-    ``qp`` is passed on to ``project_onto_feasible``.  Raises
+    ``rows`` is passed on to ``project_onto_feasible``.  Raises
     UnsupportedConstraintError, before any other work, where the game has
     no projection.
     """
@@ -111,21 +102,21 @@ def natural_residual(game: GameDefinition, actions: Array,
     u = np.asarray(actions, dtype=float)
     F = pseudo_gradient(game, rollout(game, game.initial_state, u),
                         feas_tol=np.inf).own_stage_grads()
-    return float(np.max(np.abs(u - project_onto_feasible(game, u - F, qp))))
+    return float(np.max(np.abs(u - project_onto_feasible(game, u - F, rows))))
 
 
 def active_set_polish(game: GameDefinition, tol: float,
-                      qp: Optional[lq.HorizonQp] = None) -> Optional["ActiveSetPolish"]:
+                      rows: Optional[lq.PaddedRows] = None) -> Optional["ActiveSetPolish"]:
     """The polish hook of ``report.iterate`` for ``game``, or None out of scope.
 
     The hook exists for games that declare linear dynamics and quadratic
-    costs and either declare affine rows or have none; ``qp`` is as in
-    ``natural_residual`` (built here when the projection needs one).
+    costs and either declare affine rows or have none; ``rows`` is the
+    solve's read of them (``read_rows``), read here when None.
     """
     if not (game.linear_dynamics and game.quadratic_costs
             and (game.constraints is None or game.polyhedral_constraints)):
         return None
-    return ActiveSetPolish(game, tol, projection_qp(game) if qp is None else qp)
+    return ActiveSetPolish(game, tol, rows)
 
 
 class ActiveSetPolish:
@@ -135,22 +126,19 @@ class ActiveSetPolish:
     -POLISH_DELTA at the candidate's states and actions and returns
     ``attempt`` of that set (the certified point and its natural residual),
     or None at once for a set tried before: the pinned solve depends on the
-    set only, so this is exact.
+    set only, so this is exact.  ``rows`` is the game's ``lq.PaddedRows``,
+    read here when None.
     """
 
-    def __init__(self, game: GameDefinition, tol: float, qp: Optional[lq.HorizonQp]):
-        self.game, self.tol, self.qp = game, tol, qp
+    def __init__(self, game: GameDefinition, tol: float,
+                 rows: Optional[lq.PaddedRows] = None):
+        self.game, self.tol = game, tol
+        self.rows = lq.padded_rows(game) if rows is None else rows
         self.data = lq.extract_lq_data(game)
-        self.W, self.S, self.p, self.real = _padded_rows(game)
         self.tried: set[bytes] = set()
 
-    def values(self, traj: Trajectory) -> Array:
-        """Every row's value at the trajectory's states and actions: (T+1, m)."""
-        both = self.W @ traj.states[..., None] + self.S @ traj.actions[..., None]
-        return both[..., 0] + self.p
-
     def __call__(self, cand: Trajectory) -> Optional[tuple[Trajectory, float]]:
-        pinned = self.real & (self.values(cand) >= -POLISH_DELTA)
+        pinned = self.rows.real & (self.rows.values(cand) >= -POLISH_DELTA)
         key = pinned.tobytes()
         if key in self.tried:
             return None
@@ -165,32 +153,14 @@ class ActiveSetPolish:
         that residual.  A singular pinned system, as from dependent rows, is
         not certified either.
         """
+        rows = self.rows
         try:
-            traj, mu = lq.solve_pinned(self.data, self.W, self.S, self.p, pinned)
+            traj, mu = lq.solve_pinned(self.data, rows.W, rows.S, rows.p, pinned)
         except StageSingularityError:
             return None
-        if np.any(mu < -self.tol) or np.any(self.values(traj)[self.real & ~pinned] > self.tol):
+        if np.any(mu < -self.tol) or np.any(rows.values(traj)[rows.real & ~pinned] > self.tol):
             return None
         game = self.game
         traj = rollout(game, game.initial_state, traj.actions)
-        residual = natural_residual(game, traj.actions, self.qp)
+        residual = natural_residual(game, traj.actions, rows)
         return (traj, residual) if residual <= self.tol else None  # NaN fails
-
-
-def _padded_rows(game: GameDefinition) -> tuple[Array, Array, Array, Array]:
-    """Every stage's affine rows, padded to the largest count m.
-
-    W (T+1, m, n_x), S (T+1, m, n_u), p (T+1, m), and ``real`` (T+1, m)
-    marking the rows that exist.
-    """
-    T1, n_x, n_u = game.horizon + 1, game.state_dim, game.total_action_dim
-    rows = [lq.stage_rows(game, k) if game.constraints is not None else None
-            for k in range(T1)]
-    m = max((r[2].size for r in rows if r is not None), default=0)
-    W, S, p = np.zeros((T1, m, n_x)), np.zeros((T1, m, n_u)), np.zeros((T1, m))
-    real = np.zeros((T1, m), dtype=bool)
-    for k, r in enumerate(rows):
-        if r is not None:
-            c = r[2].size
-            W[k, :c], S[k, :c], p[k, :c], real[k, :c] = r[0], r[1], r[2], True
-    return W, S, p, real

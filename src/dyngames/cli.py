@@ -9,6 +9,7 @@ A run configuration is a JSON file:
       "scheme": "constraints",          # dr only: constraints|dynamics|gradient
       "eta": 1e-4, "alpha": 0.5,        # dr only
       "max_iter": 1000, "tol": 1e-8,
+      "active_tol": 1e-6,               # feedback: rows within this are active
       "feedback": true,                 # backward pass after the solve
       "stage_reg": 0.1,                 # feedback stage damping
       "simulate": {"noise_var": 2.0, "n_runs": 100, "seed": 7},
@@ -18,7 +19,8 @@ A run configuration is a JSON file:
 Outputs: trajectory.csv, convergence.csv, report.json, and (with the
 feedback/simulate blocks) policy.json and simulation.csv.  All numbers are
 written with full round-trip precision so identical configs and seeds give
-byte-identical files.
+byte-identical files.  A figure that is not finite, such as the natural
+residual of a game without a projection, is written as null.
 """
 
 from __future__ import annotations
@@ -221,6 +223,12 @@ def _write_simulation_csv(path: Path, comparison) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _write_json(path: Path, payload: dict, indent: Optional[int] = None) -> None:
+    """Write ``payload`` as strict JSON, every non-finite number as null."""
+    strict = json.loads(json.dumps(payload), parse_constant=lambda _: None)
+    path.write_text(json.dumps(strict, sort_keys=True, indent=indent, allow_nan=False) + "\n")
+
+
 def _policy_payload(policy) -> dict:
     return {
         "stages": [
@@ -278,6 +286,7 @@ def run(config: RunConfig) -> int:
         "rate_fit_rmse": report.rate_fit_rmse,
         "dynamics_residual": report.dynamics_residual,
         "constraint_residual": report.constraint_residual,
+        "natural_residual": report.natural_residual,
         "player_costs": [float(c) for c in report.final_costs],
         "playerwise_check": [
             {"player": v.player, "verdict": v.verdict,
@@ -295,9 +304,7 @@ def run(config: RunConfig) -> int:
                                            active_tol=config.active_tol,
                                            feas_tol=np.inf,
                                            stage_reg=config.stage_reg)
-        with (outdir / "policy.json").open("w") as fh:
-            json.dump(_policy_payload(policy), fh, sort_keys=True)
-            fh.write("\n")
+        _write_json(outdir / "policy.json", _policy_payload(policy))
 
     if config.simulate is not None:
         if policy is None:
@@ -319,9 +326,7 @@ def run(config: RunConfig) -> int:
             "mean_feedback_deviation": comparison.mean_feedback,
         }
 
-    with (outdir / "report.json").open("w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    _write_json(outdir / "report.json", payload, indent=1)
     log.info("wrote outputs to %s", outdir)
     return EXIT_OK if report.converged else EXIT_NOT_CONVERGED
 

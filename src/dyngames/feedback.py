@@ -15,9 +15,9 @@ a tightened copy of the problem, is an approximate feedback equilibrium of
 the partially tightened problem: the suboptimality of any player against
 its exact constrained best response grows only quadratically in the initial
 state perturbation.  ``epsilon_nash_gap`` measures that gap.  It solves the
-best response as one banded QP over the stacked trajectory, with the rows
-of ``lq.horizon_rows`` (the horizon-wide projection's rows) and the
-opponents' policies as equality rows, in O(T) memory.
+best response as one QP over the stacked trajectory on ``lq``'s banded
+kernel (``lq.BandedQp``), the opponents' policies held as equality rows,
+in O(T) memory.
 """
 
 from __future__ import annotations
@@ -26,9 +26,8 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 
-from . import denseqp, lq
+from . import lq
 from .errors import (
     DimensionError,
     InfeasibleConstraintsError,
@@ -263,11 +262,11 @@ def epsilon_nash_gap(game: GameDefinition, policy: FeedbackPolicy,
     rows do not).  All players follow the policy from stage ``start`` at
     ``x_start``; the gap is the player's cost along that rollout minus the
     optimum of its constrained best response, in which every opponent
-    follows its affine policy.  The best response is one banded QP over
-    the stacked trajectory (x_k, u_k), k = start..T: the rows of
-    ``lq.horizon_rows`` plus, per stage, u^-n_k - K^-n_k x_k =
-    ubar^-n_k - K^-n_k xbar_k + s^-n_k for the opponents' actions.  Both
-    costs are the game's stage costs.  Nonnegative up to solver precision.
+    follows its affine policy.  The best response is one ``lq.BandedQp``
+    over (x_k, u_k), k = start..T, from ``x_start``: the game's rows from
+    ``start`` on and, held, u^-n_k - K^-n_k x_k = ubar^-n_k - K^-n_k xbar_k
+    + s^-n_k for the opponents' actions.  Both costs are the game's stage
+    costs.  Nonnegative up to solver precision.
 
     A policy with zero gains and offsets replays its reference open loop,
     and the gap is then the open-loop best-response gap of that reference.
@@ -289,28 +288,32 @@ def epsilon_nash_gap(game: GameDefinition, policy: FeedbackPolicy,
             f"policy rollout violates the game's rows at stage {start + worst}",
             max_violation=float(roll.constraint_violations[worst]))
     data = extract_lq_data(game)
-    M = _stage_blocks(data)[player, start:]
-    blocks = M[:, 1:, 1:]
+    blocks = _stage_blocks(data)[player, start:, 1:, 1:]
     _check_best_response_convex(blocks, data.A, data.B, policy.gains, own, player, start)
 
-    Aeq, beq, G, h = lq.horizon_rows(game, start, roll.states[0])
+    # the game's rows from ``start`` on, then the opponents' policy rows
+    # u^-n_k - K^-n_k x_k - c_k = 0, held
     opp = np.delete(np.arange(n_u), own)
     ref = policy.reference
-    follow, rhs = [], []
-    for k in range(start, T + 1):
-        K = policy.gains[k][opp]
-        follow.append(np.hstack([-K, np.eye(n_u)[opp]]))
-        rhs.append(ref.actions[k][opp] - K @ ref.states[k] + policy.offsets[k][opp])
-    Aeq = sp.vstack([Aeq, sp.block_diag(follow)], format="csr")
-    beq = np.concatenate([beq] + rhs)
-    H = sp.block_diag(list(blocks), format="csc")
-    f = M[:, 0, 1:].ravel()
-    v, _ = denseqp.solve_qp(H, f, G=G, h=h, Aeq=Aeq, beq=beq)
-    v = v.reshape(T - start + 1, n_x + n_u)
+    K = np.stack(policy.gains[start:])[:, opp]
+    c = (ref.actions[start:, opp] - (K @ ref.states[start:, :, None])[..., 0]
+         + np.stack(policy.offsets[start:])[:, opp])
+    rows = lq.padded_rows(game)
+    policy_rows = (-K, np.broadcast_to(np.eye(n_u)[opp], K.shape[:2] + (n_u,)), -c,
+                   np.zeros(c.shape, dtype=bool))
+    W, S, p, real = (np.concatenate([a[start:], b], axis=1) for a, b in
+                     zip((rows.W, rows.S, rows.p, rows.real), policy_rows))
+    held = np.broadcast_to(np.arange(p.shape[1]) >= rows.p.shape[1], p.shape)
+    # one player holding every action, with this player's costs
+    costs = (getattr(data, name)[player:player + 1, start:]
+             for name in ("Q", "X", "R", "q", "r"))
+    one = LqGameData(data.A[start:], data.B[start:], data.b[start:], *costs,
+                     action_dims=(n_u,), initial_state=roll.states[0])
+    best = lq.BandedQp(one, W, S, p, real, held).solve()
     J_policy = J_best = 0.0
     for i, k in enumerate(range(start, T + 1)):
         J_policy += game.eval_costs(k, roll.states[i], roll.actions[i])[player]
-        J_best += game.eval_costs(k, v[i, :n_x], v[i, n_x:])[player]
+        J_best += game.eval_costs(k, best.states[i], best.actions[i])[player]
     return float(J_policy - J_best)
 
 

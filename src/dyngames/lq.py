@@ -43,11 +43,11 @@ rows that pin the spare multipliers to zero, so the bandwidth grows by that
 count and the cost stays O(T).  It is the kernel of the active-set polish
 (``certificate.ActiveSetPolish``).
 
-``horizon_rows`` builds the constraints of a QP over a whole stacked
-trajectory: the pinned first state and the linear dynamics as equality rows,
-every stage's affine rows (``stage_rows``) as inequality rows.  The
-horizon-wide projection QP of ``horizon_qp`` and the best response of
-``feedback.epsilon_nash_gap`` both take their rows from it.
+The same factor solves every QP over a whole stacked trajectory
+(``BandedQp``), holding ``denseqp.solve_qp``'s active rows pinned.  The
+projections (``PaddedRows.project``, rows and dynamics read once per solve
+by ``padded_rows``) and the best response of ``feedback.epsilon_nash_gap``
+cost O(T) per active-set step.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import lapack
 
 from . import denseqp
@@ -76,92 +75,6 @@ def stage_rows(game: GameDefinition, k: int):
     zu = np.zeros(game.total_action_dim)
     W, S, p = game.eval_constraint_rows(k, zx, zu)
     return (W, S, p) if p.shape[0] else None
-
-
-def horizon_rows(game: GameDefinition, start: int = 0, x_start: Optional[Array] = None):
-    """Rows of a QP over the stacked trajectory v = (x_start, u_start, ..., x_T, u_T).
-
-    Returns (Aeq, beq, G, h).  The equality rows Aeq v = beq pin x_start (the
-    game's initial state when omitted) and impose the linear dynamics of
-    stages start..T-1; the inequality rows G v <= h are the affine rows of
-    stages start..T, and G and h are None when there are none.  All
-    matrices are block-banded ``scipy.sparse`` with O(T - start) nonzeros.
-    Raises UnsupportedConstraintError unless the game declares linear
-    dynamics and, if it has constraints, affine rows.
-    """
-    if not game.linear_dynamics:
-        raise UnsupportedConstraintError("horizon-wide rows require linear dynamics")
-    if game.constraints is not None and not game.polyhedral_constraints:
-        raise UnsupportedConstraintError("horizon-wide rows require affine stage rows")
-    T = game.horizon
-    n_x, n_u = game.state_dim, game.total_action_dim
-    n_v, steps = n_x + n_u, T - start
-    x_start = game.initial_state if x_start is None else np.asarray(x_start, dtype=float)
-    pick_x = sp.hstack([sp.identity(n_x), sp.csr_matrix((n_x, n_u))])
-    Aeq = sp.block_diag([pick_x] * (steps + 1), format="csr")
-    if steps:
-        A, B, b = linearize_dynamics(game, *_origin(game))
-        # row block i+1 reads x_{k+1} - A_k x_k - B_k u_k = b_k, k = start + i
-        step = sp.block_diag([np.hstack([A[k], B[k]]) for k in range(start, T)])
-        Aeq = Aeq - sp.bmat([[sp.csr_matrix((n_x, steps * n_v)), None],
-                             [step, sp.csr_matrix((steps * n_x, n_v))]], format="csr")
-        beq = np.concatenate([x_start, b[start:].ravel()])
-    else:
-        beq = np.array(x_start, dtype=float)
-    G = h = None
-    if game.constraints is not None:
-        rows = [stage_rows(game, k) for k in range(start, T + 1)]
-        blocks = [np.zeros((0, n_v)) if r is None else np.hstack([r[0], r[1]]) for r in rows]
-        if any(blk.shape[0] for blk in blocks):
-            G = sp.block_diag(blocks, format="csr")
-            h = np.concatenate([-r[2] for r in rows if r is not None])
-    return Aeq, beq, G, h
-
-
-@dataclass(frozen=True)
-class HorizonQp:
-    """Rows of the horizon-wide projection QP over one game's trajectories.
-
-    The variable is the stacked trajectory v = (x_0, u_0, x_1, u_1, ...,
-    x_T, u_T).  The equality rows pin x_0 and impose the linear dynamics;
-    the inequality rows are every stage's affine rows W_k x_k + S_k u_k +
-    p_k <= 0.  The metric weighs states by ``state_weight`` and actions by
-    one.  Nothing here depends on the point being projected, so one instance
-    serves every projection; all matrices are block-banded ``scipy.sparse``,
-    so each active-set step of the QP costs O(T).
-    """
-
-    H: sp.csc_matrix
-    Aeq: sp.csr_matrix
-    beq: Array
-    G: Optional[sp.csr_matrix]
-    h: Optional[Array]
-    state_dim: int
-    state_weight: float
-
-    def project(self, y: Array, z: Array) -> tuple[Array, Array]:
-        """Closest trajectory to (y, z) in the metric that meets every row."""
-        n_x = self.state_dim
-        target = np.hstack([np.asarray(y, dtype=float), np.asarray(z, dtype=float)])
-        v, _ = denseqp.solve_qp(self.H, -(self.H @ target.ravel()), G=self.G, h=self.h,
-                                Aeq=self.Aeq, beq=self.beq)
-        v = v.reshape(target.shape)
-        return v[:, :n_x], v[:, n_x:]
-
-
-def horizon_qp(game: GameDefinition, state_weight: float) -> HorizonQp:
-    """Build the horizon-wide projection QP (see ``HorizonQp``).
-
-    The rows come from ``horizon_rows``, which raises
-    UnsupportedConstraintError unless the game declares linear dynamics
-    and, if it has constraints, affine rows.
-    """
-    Aeq, beq, G, h = horizon_rows(game)
-    n_x, n_u = game.state_dim, game.total_action_dim
-    weights = np.concatenate([np.full(n_x, float(state_weight)), np.ones(n_u)])
-    H = sp.diags(np.tile(weights, game.horizon + 1), format="csc")
-    return HorizonQp(H=H, Aeq=Aeq, beq=beq, G=G, h=h, state_dim=n_x,
-                     state_weight=float(state_weight))
 
 
 def extract_lq_data(game: GameDefinition) -> LqGameData:
@@ -348,15 +261,9 @@ def factor(game: GameDefinition, eta: float) -> LqFactor:
         return regularized_factor(extract_lq_data(game), eta)
     if not game.linear_dynamics:
         raise UnsupportedConstraintError("dynamics projection requires linear dynamics")
-    T1 = game.horizon + 1
-    n_x, n_u = game.state_dim, game.total_action_dim
-    # One player holding every action and no costs: all players share the prox.
-    data = LqGameData(*linearize_dynamics(game, *_origin(game)),
-                      Q=np.zeros((1, T1, n_x, n_x)), X=np.zeros((1, T1, n_x, n_u)),
-                      R=np.zeros((1, T1, n_u, n_u)), q=np.zeros((1, T1, n_x)),
-                      r=np.zeros((1, T1, n_u)), action_dims=(n_u,),
-                      initial_state=game.initial_state)
-    return regularized_factor(data, 0.0)
+    # the prox terms alone; LqFactor.solve shifts their centres
+    return _kkt_factor(_prox_data(*linearize_dynamics(game, *_origin(game)),
+                                  game.initial_state, 1.0, *_origin(game)), 0.0)
 
 
 def solve_pinned(data: LqGameData, W: Array, S: Array, p: Array,
@@ -374,6 +281,13 @@ def solve_pinned(data: LqGameData, W: Array, S: Array, p: Array,
     StageSingularityError when the system is singular, as for dependent
     held rows.
     """
+    fac, sol, mu = _pinned_solve(data, W, S, p, pinned)
+    return fac._trajectory(sol), mu
+
+
+def _pinned_solve(data: LqGameData, W: Array, S: Array, p: Array,
+                  pinned: Array) -> tuple[LqFactor, Array, Array]:
+    """``solve_pinned``'s factor, its solution blocks and mu (T+1, m)."""
     ks, rs = np.nonzero(pinned)
     slot = (np.cumsum(pinned, axis=1) - 1)[ks, rs]  # held rows first, in order
     m = int(slot.max(initial=-1)) + 1
@@ -386,7 +300,133 @@ def solve_pinned(data: LqGameData, W: Array, S: Array, p: Array,
     sol = fac._blocks(None, None)
     mu = np.zeros(pinned.shape)
     mu[ks, rs] = sol[ks, slot]
-    return fac._trajectory(sol), mu
+    return fac, sol, mu
+
+
+@dataclass(frozen=True)
+class PaddedRows:
+    """Every stage's rows W_k x_k + S_k u_k + p_k <= 0, padded to m, with the dynamics.
+
+    W (T+1, m, n_x), S (T+1, m, n_u) and p (T+1, m) are zero in the padding
+    and ``real`` (T+1, m) marks the rows that exist; A, B, b and
+    ``initial_state`` are the linear dynamics.  One read serves a solve's
+    projections and active-set polish.
+    """
+
+    W: Array
+    S: Array
+    p: Array
+    real: Array
+    A: Array
+    B: Array
+    b: Array
+    initial_state: Array
+
+    def values(self, traj: Trajectory) -> Array:
+        """Every row's value at the trajectory's states and actions: (T+1, m)."""
+        both = self.W @ traj.states[..., None] + self.S @ traj.actions[..., None]
+        return both[..., 0] + self.p
+
+    def project(self, y: Array, z: Array, state_weight: float) -> Trajectory:
+        """The trajectory meeting every row closest to (y, z) in w |x - y|^2 + |u - z|^2."""
+        data = _prox_data(self.A, self.B, self.b, self.initial_state, float(state_weight),
+                          np.asarray(y, dtype=float), np.asarray(z, dtype=float))
+        return BandedQp(data, self.W, self.S, self.p, self.real).solve()
+
+
+def padded_rows(game: GameDefinition) -> PaddedRows:
+    """Read the game's rows and dynamics at the origin (see ``PaddedRows``).
+
+    Raises UnsupportedConstraintError unless the game declares linear
+    dynamics and, if it has constraints, affine rows.
+    """
+    if not game.linear_dynamics or not (game.constraints is None or game.polyhedral_constraints):
+        raise UnsupportedConstraintError(
+            "horizon-wide rows require linear dynamics and affine stage rows")
+    T1, n_x, n_u = game.horizon + 1, game.state_dim, game.total_action_dim
+    rows = [stage_rows(game, k) if game.constraints is not None else None for k in range(T1)]
+    m = max((r[2].size for r in rows if r is not None), default=0)
+    W, S, p = np.zeros((T1, m, n_x)), np.zeros((T1, m, n_u)), np.zeros((T1, m))
+    real = np.zeros((T1, m), dtype=bool)
+    for k, r in enumerate(rows):
+        if r is not None:
+            c = r[2].size
+            W[k, :c], S[k, :c], p[k, :c], real[k, :c] = r[0], r[1], r[2], True
+    return PaddedRows(W, S, p, real, *linearize_dynamics(game, *_origin(game)),
+                      np.asarray(game.initial_state, dtype=float))
+
+
+class BandedQp:
+    """A QP over one player's stacked trajectory, for ``denseqp.solve_qp``.
+
+    It minimizes the cost of ``data`` (one player holding every action) over
+    v = (x_0, u_0, ..., x_T, u_T) subject to its dynamics, the rows marked
+    ``held`` as equalities and those marked ``real`` as inequalities (W, S
+    and p as in ``PaddedRows``, numbered stage by stage).  An active set's
+    KKT system is one ``_kkt_factor`` with the held and active rows pinned,
+    O(T); its multipliers are x_0's pin's, the costates and the rows' mu.
+    """
+
+    def __init__(self, data: LqGameData, W: Array, S: Array, p: Array, real: Array,
+                 held: Optional[Array] = None):
+        self.data, self.W, self.S, self.p, self.real = data, W, S, p, real
+        self.held = np.zeros_like(real) if held is None else held
+        self.G = np.concatenate([W, S], axis=2)  # (T+1, m, n_x + n_u)
+        self.n_x, self.n_v = W.shape[2], self.G.shape[2]
+        self.size = W.shape[0] * self.n_v + int(real.sum())
+        self.H_size = max(_max_abs(data.Q, data.X, data.R), np.finfo(float).tiny)
+        self.f_size = _max_abs(data.q, data.r)
+        self.row_size = _max_abs(np.ones(1), data.A, data.B, self.G)  # 1: x_0's pin
+        # a step's KKT system: no offsets, the linear term of the step's row
+        self.homogeneous = replace(data, b=np.zeros_like(data.b),
+                                   initial_state=np.zeros(self.n_x))
+
+    def start(self) -> Array:
+        fac, sol, _ = _pinned_solve(self.data, self.W, self.S, self.p, self.held)
+        return sol[:, fac.rows:fac.rows + self.n_v].ravel()
+
+    def values(self, v: Array) -> Array:
+        vals = np.einsum("kmi,ki->km", self.G, v.reshape(-1, self.n_v)) + self.p
+        vals[~self.real] = -np.inf
+        return vals.ravel()
+
+    def row(self, p: int) -> tuple[Array, float]:
+        k, i = divmod(p, self.p.shape[1])
+        g = np.zeros((self.G.shape[0], self.n_v))
+        g[k] = self.G[k, i]
+        return g.ravel(), -float(self.p[k, i])
+
+    def kkt(self, active: list[int], g: Array) -> tuple[Array, Array]:
+        pinned = self.held.copy()
+        pinned.flat[active] = True
+        g, n_x, n_v = g.reshape(-1, self.n_v), self.n_x, self.n_v
+        data = replace(self.homogeneous, q=g[None, :, :n_x], r=g[None, :, n_x:])
+        fac, sol, mu = _pinned_solve(data, self.W, self.S, np.zeros_like(self.p), pinned)
+        s, lam = sol[:, fac.rows:fac.rows + n_v], sol[:, fac.rows + n_v:]  # lam_{k+1}
+        # x_0's pin closes the stationarity in x_0, which the band leaves out
+        pin = g[0, :n_x] + self.data.X[0, 0] @ s[0, n_x:] + self.W[0].T @ mu[0]
+        pin = pin + (self.data.A[0].T @ lam[0] if len(self.data.A) else 0.0)
+        return s.ravel(), np.concatenate([pin, lam.ravel(), mu[self.held], mu.flat[active]])
+
+    def solve(self) -> Trajectory:
+        """The minimizer, as states and actions."""
+        v = denseqp.solve_qp(self)[0].reshape(-1, self.n_v)
+        return Trajectory(v[:, :self.n_x], v[:, self.n_x:])
+
+
+def _max_abs(*arrays: Array) -> float:
+    return max(float(np.max(np.abs(a), initial=0.0)) for a in arrays)
+
+
+def _prox_data(A: Array, B: Array, b: Array, initial_state: Array, state_weight: float,
+               y: Array, z: Array) -> LqGameData:
+    """One player holding every action, with costs 0.5 w |x - y|^2 + 0.5 |u - z|^2."""
+    (T1, n_x), n_u, w = y.shape, z.shape[1], state_weight
+    return LqGameData(A, B, b, Q=np.broadcast_to(w * np.eye(n_x), (1, T1, n_x, n_x)),
+                      X=np.zeros((1, T1, n_x, n_u)),
+                      R=np.broadcast_to(np.eye(n_u), (1, T1, n_u, n_u)),
+                      q=-w * y[None], r=-z[None], action_dims=(n_u,),
+                      initial_state=np.asarray(initial_state, dtype=float))
 
 
 def solve_lq_open_loop(data: LqGameData, x0: Optional[Array] = None) -> Trajectory:

@@ -9,7 +9,7 @@ iteration contracts with factor sqrt(1 + rho^2 L^2 - 2 rho mu) per step.
 The projection subproblem minimizes the squared action distance subject to
 dynamics and stage constraints (``certificate.project_onto_feasible``: an
 analytic projector on actions only, or one exact QP over the whole stacked
-trajectory for affine rows with linear dynamics).
+trajectory for affine rows with linear dynamics, solved in band).
 
 The solver is that projection step and one call of ``report.iterate``,
 which owns the loop and the stop tests it shares with ``splitting.dr_solve``.
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificate import active_set_polish, project_onto_feasible, projection_qp
+from .certificate import active_set_polish, project_onto_feasible, read_rows
 from .gradient import pseudo_gradient
 from .model import GameDefinition, all_player_costs, rollout
 from .report import SolverReport, build_report, iterate
@@ -70,19 +70,19 @@ def projected_gradient_solve(game: GameDefinition, u0: Array,
         u = np.vstack([u, np.zeros(n_u)])
     if u.shape != (T + 1, n_u):
         raise ValueError(f"u0 must have shape {(T + 1, n_u)}, got {u.shape}")
-    # the QP rows do not depend on the point, so one build serves the solve
-    qp = projection_qp(game)
-    u = project_onto_feasible(game, u, qp)
+    # the rows do not depend on the point, so one read serves the solve
+    rows = read_rows(game)
+    u = project_onto_feasible(game, u, rows)
     traj = rollout(game, game.initial_state, u)
 
     def step(u, traj):
         grad = pseudo_gradient(game, traj, feas_tol=np.inf)
-        u_next = project_onto_feasible(game, u - cfg.step_size * grad.own_stage_grads(), qp)
+        u_next = project_onto_feasible(game, u - cfg.step_size * grad.own_stage_grads(), rows)
         return u_next, rollout(game, game.initial_state, u_next)
 
     costs = (lambda traj: all_player_costs(game, traj)) if cfg.record_costs else None
     run = iterate(step, u, traj, cfg.max_iter, cfg.tol, cfg.divergence_factor, record=costs,
-                  polish=active_set_polish(game, cfg.tol, qp))
+                  polish=active_set_polish(game, cfg.tol, rows))
     cost_trace = [costs(traj)] + run.records if costs else []
     return build_report(game, run.candidate, run.candidate, run, cfg.run_checks, cost_trace,
-                        qp)
+                        rows)

@@ -18,7 +18,7 @@ import numpy as np
 from .certificate import natural_residual
 from .errors import UnsupportedConstraintError
 from .gradient import PlayerVerdict, playerwise_minimizer_check
-from .lq import HorizonQp
+from .lq import PaddedRows
 from .model import GameDefinition, Trajectory, all_player_costs
 
 Array = np.ndarray
@@ -126,16 +126,16 @@ def iterate(step: Callable[[Array, Any], tuple[Array, Any]], w0: Array, cand0: A
 
 def build_report(game: GameDefinition, trajectory: Trajectory, checked: Trajectory,
                  run: Run, run_checks: bool, cost_trace: list,
-                 qp: Optional[HorizonQp] = None) -> SolverReport:
+                 rows: Optional[PaddedRows] = None) -> SolverReport:
     """The report of a run whose equilibrium candidate is ``trajectory``.
 
     The dynamics and constraint residuals are ``trajectory``'s; the final
     costs, the natural residual and, with ``run_checks``, the player-wise
     verdicts are those of ``checked``, the candidate's actions rolled out.
     The natural residual is the polish's certificate when the run ended on
-    one, else it is computed here, projecting with ``qp`` as
-    ``certificate.project_onto_feasible`` does.  A diverged run gets neither
-    verdicts nor a natural residual.
+    one, else it is computed here, projecting with the solve's read of the
+    rows (``rows``) as ``certificate.project_onto_feasible`` does.  A
+    diverged run gets neither verdicts nor a natural residual.
     """
     verdicts, residual = [], run.residual
     if run.termination != TERM_DIVERGENCE:
@@ -143,7 +143,7 @@ def build_report(game: GameDefinition, trajectory: Trajectory, checked: Trajecto
             verdicts = playerwise_minimizer_check(game, checked)
         if residual is None:
             try:
-                residual = natural_residual(game, checked.actions, qp)
+                residual = natural_residual(game, checked.actions, rows)
             except UnsupportedConstraintError:
                 pass
     dist = np.array([float(np.linalg.norm(w - run.iterates[-1])) for w in run.iterates])

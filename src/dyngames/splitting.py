@@ -37,7 +37,8 @@ polish of ``certificate``, which ends the run on a certified point.
 ``_resolvents`` builds both resolvents once per solve, with the data that
 does not change between iterations: one ``lq.factor`` (a banded LU of the
 stacked KKT matrix) for the regularized LQ game or the eta = 0 dynamics
-projection, or the horizon-wide QP rows of ``lq.horizon_qp``.
+projection, or the solve's one read of the rows (``certificate.read_rows``)
+for the intersection projection, a QP on the same banded kernel.
 """
 
 from __future__ import annotations
@@ -50,8 +51,7 @@ import numpy as np
 from . import denseqp
 from .errors import SubproblemError, UnsupportedConstraintError
 from . import lq
-from .lq import HorizonQp, horizon_qp
-from .certificate import active_set_polish, projection_qp
+from .certificate import active_set_polish, read_rows
 from .gradient import solve_costates
 from .model import (
     GameDefinition,
@@ -391,18 +391,16 @@ def project_dynamics(game: GameDefinition, y: Array, z: Array,
 
 
 def constrained_oc_projection(game: GameDefinition, y: Array, z: Array,
-                              qp: Optional[HorizonQp] = None) -> tuple[Array, Array]:
+                              rows: Optional[lq.PaddedRows] = None) -> tuple[Array, Array]:
     """Projection of (y, z) onto dynamics AND stage constraints jointly.
 
-    Solves the Euclidean projection exactly as one horizon-wide QP.  Its
-    rows are built here unless ``qp`` (from ``horizon_qp(game, 1.0)``) is
-    passed to reuse them across calls.
+    Solves the Euclidean projection exactly as one horizon-wide QP in band
+    (``lq.PaddedRows.project``).  ``rows`` (``lq.padded_rows``) reuses one
+    read of the rows across calls; they are read here when it is None.
     """
-    if qp is None:
-        qp = horizon_qp(game, 1.0)
-    elif qp.state_weight != 1.0:
-        raise ValueError(f"intersection projection needs state weight 1, got {qp.state_weight}")
-    return qp.project(y, z)
+    rows = lq.padded_rows(game) if rows is None else rows
+    traj = rows.project(y, z, 1.0)
+    return traj.states, traj.actions
 
 
 # ---------------------------------------------------------------------------
@@ -427,8 +425,8 @@ def dr_solve(game: GameDefinition, cfg: DrConfig) -> SolverReport:
     T, n_x, n_u = game.horizon, game.state_dim, game.total_action_dim
     wu = np.zeros((T + 1, n_u))
     wx = rollout(game, game.initial_state, wu).states
-    first, second = _resolvents(game, cfg)
-    qp = projection_qp(game)
+    rows = read_rows(game)
+    first, second = _resolvents(game, cfg, rows)
     split = (T + 1) * n_x
 
     def step(w, cand):
@@ -450,12 +448,12 @@ def dr_solve(game: GameDefinition, cfg: DrConfig) -> SolverReport:
     run = iterate(step, np.concatenate([wx.ravel(), wu.ravel()]), Trajectory(wx, wu),
                   cfg.max_iter, cfg.tol, cfg.divergence_factor, accept=accept,
                   record=costs if cfg.record_costs else None,
-                  polish=active_set_polish(game, cfg.tol, qp))
+                  polish=active_set_polish(game, cfg.tol, rows))
     checked = rollout(game, game.initial_state, run.candidate.actions)
-    return build_report(game, run.candidate, checked, run, cfg.run_checks, run.records, qp)
+    return build_report(game, run.candidate, checked, run, cfg.run_checks, run.records, rows)
 
 
-def _resolvents(game: GameDefinition, cfg: DrConfig):
+def _resolvents(game: GameDefinition, cfg: DrConfig, rows: Optional[lq.PaddedRows]):
     """The scheme's two resolvents, maps (y, z) -> (x, u), built once per solve.
 
     ``constraints`` solves the regularized game with the banded LU of
@@ -471,8 +469,8 @@ def _resolvents(game: GameDefinition, cfg: DrConfig):
         return (lambda y, z: resolvent_reg_static_games(game, y, z, cfg.eta, **inner),
                 lambda y, z: project_dynamics(game, y, z, factor=factor))
     if cfg.scheme == SCHEME_GRADIENT:
-        qp = horizon_qp(game, 1.0)
-        return (lambda y, z: constrained_oc_projection(game, y, z, qp=qp),
+        rows = lq.padded_rows(game) if rows is None else rows
+        return (lambda y, z: constrained_oc_projection(game, y, z, rows),
                 lambda y, z: resolvent_static_games_uncon(game, y, z, cfg.eta, **inner))
     factor = lq.factor(game, cfg.eta) if game.linear_dynamics and game.quadratic_costs else None
     warm = None

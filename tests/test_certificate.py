@@ -24,7 +24,8 @@ class TestPinnedKernel:
                                              max_rows=max_rows)
         assume(inst is not None)
         polish = active_set_polish(inst.game, TOL)
-        traj, mu = lq.solve_pinned(polish.data, polish.W, polish.S, polish.p, inst.active)
+        rows = polish.rows
+        traj, mu = lq.solve_pinned(polish.data, rows.W, rows.S, rows.p, inst.active)
         np.testing.assert_allclose(traj.actions, inst.equilibrium.actions, rtol=0, atol=1e-10)
         np.testing.assert_allclose(traj.states, inst.equilibrium.states, rtol=0, atol=1e-10)
         assert np.all(mu[~inst.active] == 0.0) and np.all(mu >= -1e-9)
@@ -58,8 +59,9 @@ class TestPinnedKernel:
         inst = random_polyhedral_lq_instance(np.random.default_rng(seed), T=T, duplicate=True)
         assume(inst is not None)
         polish = active_set_polish(inst.game, TOL)
+        rows = polish.rows
         with pytest.raises(StageSingularityError):
-            lq.solve_pinned(polish.data, polish.W, polish.S, polish.p, inst.active)
+            lq.solve_pinned(polish.data, rows.W, rows.S, rows.p, inst.active)
         assert polish.attempt(inst.active) is None
 
     def test_no_rows_is_the_plain_open_loop_solve(self, rng):

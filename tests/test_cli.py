@@ -114,6 +114,31 @@ class TestRuns:
         report = json.loads((out / "report.json").read_text())
         assert report["termination"] == "max_iter"
 
+    def test_report_is_strict_json(self, tmp_path):
+        # one iteration leaves no rate to fit, and the rendezvous has no
+        # projection for a natural residual: both are written as null
+        cfg = {"game": {"id": "lq_rendezvous"}, "solver": "dr", "max_iter": 1}
+        texts = []
+        for name in ("a", "b"):
+            cfg["output_dir"] = str(tmp_path / name)
+            assert main(["--config", write(tmp_path, cfg), "--quiet"]) == EXIT_NOT_CONVERGED
+            texts.append((tmp_path / name / "report.json").read_text())
+
+        def refuse(constant):
+            raise ValueError(f"report.json holds {constant}")
+
+        report = json.loads(texts[0], parse_constant=refuse)
+        assert report["fitted_rate"] is None and report["rate_fit_rmse"] is None
+        assert report["natural_residual"] is None
+        assert texts[0] == texts[1]
+
+    def test_report_carries_the_natural_residual(self, tmp_path):
+        out = tmp_path / "out"
+        main(["--config", write(tmp_path, small_fishery_config(out, max_iter=5, feedback=False,
+                                                                simulate=False)), "--quiet"])
+        report = json.loads((out / "report.json").read_text())
+        assert 0.0 <= report["natural_residual"] < np.inf  # the fishery has a projection
+
     def test_fishery_dr_runs_to_its_budget(self, tmp_path):
         # the constraints scheme on the paper's nonlinear game: its resolvent
         # takes Newton steps and must not blow the stock up

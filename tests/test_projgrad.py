@@ -143,21 +143,21 @@ class TestProjection:
 
 
 class TestProjectedGradient:
-    def test_horizon_qp_is_built_once_per_solve(self, rng, monkeypatch):
+    def test_rows_are_read_once_per_solve(self, rng, monkeypatch):
         game, _, _ = state_coupled_game(rng, T=5)
         cfg = ProjGradConfig(step_size=0.05, max_iter=30, tol=1e-14, run_checks=False)
         u0 = rng.standard_normal((6, 2))
         builds = []
-        build = lq.horizon_qp
+        build = lq.padded_rows
 
         def counted(*args, **kwargs):
             builds.append(args)
             return build(*args, **kwargs)
 
-        monkeypatch.setattr(lq, "horizon_qp", counted)
+        monkeypatch.setattr(lq, "padded_rows", counted)
         rep = projected_gradient_solve(game, u0, cfg)
         assert len(builds) == 1
-        # the same iteration with the rows rebuilt by every projection
+        # the same iteration with the rows read again by every projection
         u = project_onto_feasible(game, u0)
         iterates = [u]
         for _ in range(rep.iterations):

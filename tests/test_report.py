@@ -107,8 +107,8 @@ class TestPolishHook:
         def with_row_value(target):
             """Zero actions, but the one row (stage 2) moved to ``target``."""
             cand = rollout(game, game.initial_state, np.zeros((game.horizon + 1, 2)))
-            s = polish.S[2, 0]
-            cand.actions[2] += (target - polish.values(cand)[2, 0]) * s / (s @ s)
+            s = polish.rows.S[2, 0]
+            cand.actions[2] += (target - polish.rows.values(cand)[2, 0]) * s / (s @ s)
             return cand
 
         for target in (-0.5, -0.4, -0.5):  # the row is slack: nothing is pinned
