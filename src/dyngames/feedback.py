@@ -298,7 +298,7 @@ def epsilon_nash_gap(game: GameDefinition, policy: FeedbackPolicy,
     K = np.stack(policy.gains[start:])[:, opp]
     c = (ref.actions[start:, opp] - (K @ ref.states[start:, :, None])[..., 0]
          + np.stack(policy.offsets[start:])[:, opp])
-    rows = lq.padded_rows(game)
+    rows = lq.padded_rows(game, data)
     policy_rows = (-K, np.broadcast_to(np.eye(n_u)[opp], K.shape[:2] + (n_u,)), -c,
                    np.zeros(c.shape, dtype=bool))
     W, S, p, real = (np.concatenate([a[start:], b], axis=1) for a, b in

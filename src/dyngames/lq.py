@@ -334,11 +334,13 @@ class PaddedRows:
         return BandedQp(data, self.W, self.S, self.p, self.real).solve()
 
 
-def padded_rows(game: GameDefinition) -> PaddedRows:
+def padded_rows(game: GameDefinition, data: Optional[LqGameData] = None) -> PaddedRows:
     """Read the game's rows and dynamics at the origin (see ``PaddedRows``).
 
-    Raises UnsupportedConstraintError unless the game declares linear
-    dynamics and, if it has constraints, affine rows.
+    ``data``, the game's data read at the origin (``extract_lq_data``),
+    supplies the dynamics A, B, b when given, so they are not linearized
+    again.  Raises UnsupportedConstraintError unless the game declares
+    linear dynamics and, if it has constraints, affine rows.
     """
     if not game.linear_dynamics or not (game.constraints is None or game.polyhedral_constraints):
         raise UnsupportedConstraintError(
@@ -352,8 +354,9 @@ def padded_rows(game: GameDefinition) -> PaddedRows:
         if r is not None:
             c = r[2].size
             W[k, :c], S[k, :c], p[k, :c], real[k, :c] = r[0], r[1], r[2], True
-    return PaddedRows(W, S, p, real, *linearize_dynamics(game, *_origin(game)),
-                      np.asarray(game.initial_state, dtype=float))
+    dynamics = (linearize_dynamics(game, *_origin(game)) if data is None
+                else (data.A, data.B, data.b))
+    return PaddedRows(W, S, p, real, *dynamics, np.asarray(game.initial_state, dtype=float))
 
 
 class BandedQp:

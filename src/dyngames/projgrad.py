@@ -31,7 +31,12 @@ Array = np.ndarray
 
 @dataclass
 class ProjGradConfig:
-    """Step size, iteration budget and tolerances for the projected gradient."""
+    """Step size, iteration budget and tolerances for the projected gradient.
+
+    ``record_costs`` fills the report's ``cost_trace``: the players' costs
+    at the initial iterate, at the iterations {1, 2, 5} * 10^j the run
+    steps past and at the result (``SolverReport``).
+    """
 
     step_size: float = 0.01
     max_iter: int = 1000
@@ -62,7 +67,9 @@ def projected_gradient_solve(game: GameDefinition, u0: Array,
     active-set polish (``certificate.active_set_polish``) runs after every
     step, and a point it certifies (natural residual <= ``cfg.tol``) ends
     the run with ``tolerance``.  With ``record_costs`` the cost trace holds
-    the players' costs at the initial iterate and after every step.
+    the players' costs at the initial iterate, after the steps t in
+    {1, 2, 5} * 10^j that the run goes past, and last at the reported
+    result (``final_costs``); ``cost_iterations`` names each row's step.
     """
     T, n_u = game.horizon, game.total_action_dim
     u = np.asarray(u0, dtype=float)
@@ -83,6 +90,5 @@ def projected_gradient_solve(game: GameDefinition, u0: Array,
     costs = (lambda traj: all_player_costs(game, traj)) if cfg.record_costs else None
     run = iterate(step, u, traj, cfg.max_iter, cfg.tol, cfg.divergence_factor, record=costs,
                   polish=active_set_polish(game, cfg.tol, rows))
-    cost_trace = [costs(traj)] + run.records if costs else []
-    return build_report(game, run.candidate, run.candidate, run, cfg.run_checks, cost_trace,
-                        rows)
+    return build_report(game, run.candidate, run.candidate, run, cfg.run_checks,
+                        costs(traj) if costs else None, rows)

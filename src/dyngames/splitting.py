@@ -72,7 +72,12 @@ SCHEMES = (SCHEME_CONSTRAINTS, SCHEME_DYNAMICS, SCHEME_GRADIENT)
 
 @dataclass
 class DrConfig:
-    """Scheme selection, regularization and iteration budget for dr_solve."""
+    """Scheme selection, regularization and iteration budget for dr_solve.
+
+    ``record_costs`` fills the report's ``cost_trace``: the costs of the
+    rolled-out candidate at the start, at the iterations {1, 2, 5} * 10^j
+    the run steps past and at the result (``SolverReport``).
+    """
 
     scheme: str = SCHEME_CONSTRAINTS
     eta: float = 1e-4
@@ -420,11 +425,15 @@ def dr_solve(game: GameDefinition, cfg: DrConfig) -> SolverReport:
     (``certificate.active_set_polish``) runs after every step, and a point
     it certifies (natural residual <= ``cfg.tol``) ends the run with
     ``tolerance`` and becomes the result.  ``record_costs`` records the
-    costs of every candidate's rollout.
+    costs of the candidate's actions rolled out: at the start (step 0),
+    after the steps t in {1, 2, 5} * 10^j that the run goes past, and last
+    at the reported result (``final_costs``); ``cost_iterations`` names
+    each row's step.  A 10k-iteration run so makes 14 rollouts.
     """
     T, n_x, n_u = game.horizon, game.state_dim, game.total_action_dim
     wu = np.zeros((T + 1, n_u))
-    wx = rollout(game, game.initial_state, wu).states
+    start = rollout(game, game.initial_state, wu)
+    wx = start.states
     rows = read_rows(game)
     first, second = _resolvents(game, cfg, rows)
     split = (T + 1) * n_x
@@ -450,7 +459,9 @@ def dr_solve(game: GameDefinition, cfg: DrConfig) -> SolverReport:
                   record=costs if cfg.record_costs else None,
                   polish=active_set_polish(game, cfg.tol, rows))
     checked = rollout(game, game.initial_state, run.candidate.actions)
-    return build_report(game, run.candidate, checked, run, cfg.run_checks, run.records, rows)
+    # the first candidate's actions are wu, so ``start`` is their rollout
+    return build_report(game, run.candidate, checked, run, cfg.run_checks,
+                        all_player_costs(game, start) if cfg.record_costs else None, rows)
 
 
 def _resolvents(game: GameDefinition, cfg: DrConfig, rows: Optional[lq.PaddedRows]):

@@ -153,7 +153,8 @@ def test_criterion_04_rendezvous_splitting():
     tail = rep.distance_trace[len(rep.distance_trace) // 10:]
     increases = int(np.sum(np.diff(tail) > 1e-12))
     monotone = increases <= max(1, int(0.01 * tail.size))
-    costs_drop = bool(np.all(rep.final_costs <= rep.cost_trace[100] + 1e-9))
+    at_100 = rep.cost_trace[list(rep.cost_iterations).index(100)]
+    costs_drop = bool(np.all(rep.final_costs <= at_100 + 1e-9))
     ok = (rep.iterations <= 10_000 and norms_ok and residual <= 1e-3
           and monotone and costs_drop and elapsed < 120.0)
     verdict("criterion 4 (rendezvous splitting)", ok,
@@ -359,6 +360,11 @@ def test_noise_comparison_matches_per_run_oracle(fishery_solution, seed):
     assert np.sum(oracle[3]) > 0  # the violation counts are exercised
 
 
+# Timing rounds of criterion 12; the minimum over 7 rounds of each horizon's
+# time, fitted once, failed about one full tier-1 run in seven.
+SCALING_ROUNDS = 11
+
+
 def test_criterion_12_linear_horizon_scaling(rng):
     horizons = [100, 200, 400, 800]
     cases = []
@@ -366,26 +372,27 @@ def test_criterion_12_linear_horizon_scaling(rng):
         game, _ = random_lq_game(rng, T=T, state_dim=2, action_dims=(1, 1))
         cases.append((game, rollout(game, game.initial_state,
                                     0.1 * rng.standard_normal((T + 1, 2)))))
-    grad_times = np.full(len(horizons), np.inf)
-    newton_times = np.full(len(horizons), np.inf)
-    # Rounds over all horizons, so a burst of load on a shared host spoils
-    # one sample of every horizon rather than every sample of one.
+    grad_times = np.zeros((SCALING_ROUNDS, len(horizons)))
+    newton_times = np.zeros((SCALING_ROUNDS, len(horizons)))
+    # Rounds over all horizons, each fitted on its own, so a burst of load on
+    # a shared host spoils the slope of one round, which the median over
+    # rounds drops, rather than one horizon's time in every fit.
     # The clock is this process's CPU time, which other processes do not advance.
     gc.disable()
     try:
-        for _ in range(7):
+        for rnd in range(SCALING_ROUNDS):
             for i, (game, traj) in enumerate(cases):
                 t0 = time.process_time()
                 pseudo_gradient(game, traj, feas_tol=np.inf)
-                grad_times[i] = min(grad_times[i], time.process_time() - t0)
+                grad_times[rnd, i] = time.process_time() - t0
                 t0 = time.process_time()
                 stagewise_newton_backward(game, traj, feas_tol=np.inf)
-                newton_times[i] = min(newton_times[i], time.process_time() - t0)
+                newton_times[rnd, i] = time.process_time() - t0
     finally:
         gc.enable()
     logT = np.log(horizons)
-    slope_g = float(np.polyfit(logT, np.log(grad_times), 1)[0])
-    slope_n = float(np.polyfit(logT, np.log(newton_times), 1)[0])
+    slope_g = float(np.median(np.polyfit(logT, np.log(grad_times.T), 1)[0]))
+    slope_n = float(np.median(np.polyfit(logT, np.log(newton_times.T), 1)[0]))
     ok = abs(slope_g - 1.0) <= 0.2 and abs(slope_n - 1.0) <= 0.2
     verdict("criterion 12 (linear horizon scaling)", ok,
             f"log-log slope: gradient {slope_g:.2f}, backward pass "

@@ -245,7 +245,9 @@ class TestProjectedGradient:
         cfg = ProjGradConfig(step_size=mu / L**2, max_iter=4000, tol=1e-12)
         rep = projected_gradient_solve(game, np.zeros((3, 2)), cfg)
         assert rep.termination == TERM_TOLERANCE
-        assert rep.cost_trace is not None
+        assert rep.cost_iterations[0] == 0 and rep.cost_iterations[-1] == rep.iterations
+        # the last row is the reported result's, polished or not
+        np.testing.assert_array_equal(rep.cost_trace[-1], rep.final_costs)
         assert rep.final_costs.shape == (2,)
         assert len(rep.verdicts) == 2
         assert rep.all_players_pass

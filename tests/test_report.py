@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dyngames import lq, projgrad, splitting
-from dyngames.benchmarks import fishery_game, lq_rendezvous_game
+from dyngames.benchmarks import FisheryParams, fishery_game, lq_rendezvous_game
 from dyngames.certificate import ActiveSetPolish, active_set_polish, natural_residual
 from dyngames.model import Trajectory, rollout
 from dyngames.projgrad import ProjGradConfig
@@ -54,21 +54,37 @@ class TestIterate:
         assert run.termination == TERM_MAX_ITER
         assert run.candidate is cand0
         assert run.iterates == [w0]
-        assert run.step_norms == [] and run.records == []
+        assert run.step_norms == [] and run.records == [] and run.record_iterations == []
 
-    def test_record_runs_once_per_iteration(self):
+    def test_record_runs_on_the_1_2_5_grid(self):
         calls = []
 
         def record(count):
             calls.append(count)
             return 10 * count
 
-        run = iterate(lambda w, c: (w + 1.0, c + 1), np.zeros(3), 0, max_iter=4,
+        grid = [1, 2, 5, 10, 20, 50, 100, 200, 500, 1000]
+        run = iterate(lambda w, c: (w + 1.0, c + 1), np.zeros(3), 0, max_iter=1200,
                       tol=1e-8, divergence_factor=1e8, record=record)
         assert run.termination == TERM_MAX_ITER
-        assert calls == [1, 2, 3, 4]
-        assert run.records == [10, 20, 30, 40]
-        assert run.step_norms == [1.0] * 4
+        assert calls == grid and run.record_iterations == grid
+        assert run.records == [10 * t for t in grid]
+        assert run.step_norms == [1.0] * 1200
+        run = iterate(halving, np.array([1.0]), 0, max_iter=0, tol=1.0, divergence_factor=1e8,
+                      record=lambda c: pytest.fail("recorded"))
+        assert run.records == [] and run.record_iterations == []
+
+    @pytest.mark.parametrize("max_iter, accept_from, recorded", [
+        (100, None, [1, 2, 5, 10, 20, 50]),  # ends on the budget at a grid point
+        (50, 20, [1, 2, 5, 10]),  # ends on the tolerance at a grid point
+    ])
+    def test_the_last_iteration_is_not_recorded(self, max_iter, accept_from, recorded):
+        # steps 0.5, 0.25, ...: every one is <= tol, so accept decides the stop
+        run = iterate(halving, np.array([1.0]), 0, max_iter=max_iter, tol=1.0,
+                      divergence_factor=1e8, record=lambda c: c,
+                      accept=lambda c: accept_from is not None and c >= accept_from)
+        assert len(run.step_norms) == (accept_from or max_iter)
+        assert run.records == run.record_iterations == recorded
 
 
 class TestPolishHook:
@@ -158,3 +174,46 @@ def test_report_carries_the_natural_residual(rng):
     rendezvous = splitting.dr_solve(lq_rendezvous_game(),
                                     DrConfig(max_iter=2, record_costs=False, run_checks=False))
     assert np.isnan(rendezvous.natural_residual)
+
+
+def short_fishery_pg(max_iter, record_costs):
+    game = fishery_game(FisheryParams(horizon_time=2.0))
+    return projgrad.projected_gradient_solve(
+        game, np.ones((game.horizon + 1, 2)),  # zero harvest is a fixed point
+        ProjGradConfig(max_iter=max_iter, record_costs=record_costs, run_checks=False))
+
+
+def rendezvous_dr(max_iter, record_costs):
+    return splitting.dr_solve(lq_rendezvous_game(),
+                              DrConfig(max_iter=max_iter, record_costs=record_costs,
+                                       run_checks=False))
+
+
+@pytest.mark.parametrize("solve", [short_fishery_pg, rendezvous_dr])
+def test_cost_rows_are_the_final_costs_of_the_run_cut_off_there(solve):
+    # neither run ends on a polish, whose final row would be the polished point's
+    rep = solve(120, True)
+    assert rep.iterations == 120
+    assert list(rep.cost_iterations) == [0, 1, 2, 5, 10, 20, 50, 100, 120]
+    assert rep.cost_trace.shape == (9, 2 if solve is short_fishery_pg else 3)
+    for t, row in zip(rep.cost_iterations, rep.cost_trace):
+        np.testing.assert_array_equal(row, solve(int(t), False).final_costs)
+    empty = solve(0, True)
+    assert list(empty.cost_iterations) == [0]
+    np.testing.assert_array_equal(empty.cost_trace, [empty.final_costs])
+    assert solve(5, False).cost_trace is None and solve(5, False).cost_iterations is None
+
+
+def test_dr_cost_record_rolls_out_only_on_the_grid(monkeypatch):
+    rollouts = []
+    real = splitting.rollout
+
+    def counted(*args):
+        rollouts.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(splitting, "rollout", counted)
+    rep = rendezvous_dr(2000, True)
+    grid = [1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000]
+    assert rep.iterations == 2000
+    assert len(rollouts) <= 3 + len(grid)
