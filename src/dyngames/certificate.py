@@ -22,8 +22,9 @@ Control Optim. 20, 1982; Facchinei, Fischer and Kanzow, SIAM J. Optim. 9,
 1998).  It exists for linear-quadratic games with affine rows or none,
 where that one solve is exact.
 
-A solve reads the game's rows and dynamics once (``read_rows``); the
-projection, the polish and the ``gradient`` scheme's projection share them.
+A solve reads the game's rows and its LQ data or linear dynamics once, at
+the origin (``read_game``); the projections, the resolvents, the polish and
+the report reuse that read, and a function not given it reads for itself.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 from . import lq
 from .errors import StageSingularityError, UnsupportedConstraintError
 from .gradient import pseudo_gradient
-from .model import GameDefinition, Trajectory, rollout
+from .model import GameDefinition, LqGameData, PaddedRows, Trajectory, rollout
 
 Array = np.ndarray
 
@@ -57,7 +58,8 @@ def _projection_route(game: GameDefinition) -> Optional[str]:
 
 
 def project_onto_feasible(game: GameDefinition, actions: Array,
-                          rows: Optional[lq.PaddedRows] = None) -> Array:
+                          rows: Optional[PaddedRows] = None,
+                          data: Optional[LqGameData] = None) -> Array:
     """Closest feasible joint-action sequence to ``actions``.
 
     Minimizes the summed squared action deviation subject to the dynamics
@@ -70,9 +72,9 @@ def project_onto_feasible(game: GameDefinition, actions: Array,
       (``GameDefinition.eval_traj_projection``);
     * affine stage rows with linear dynamics: one exact QP over the whole
       stacked trajectory with weight zero on the states, solved in band
-      (``lq.PaddedRows.project``); the dynamics tie the states to the
-      actions, so the states carry the stage rows.  ``rows`` (``read_rows``)
-      reuses one read of the rows; they are read here when it is None.
+      (``lq.project``); the dynamics tie the states to the actions, so the
+      states carry the stage rows.  ``rows`` and ``data`` are the solve's
+      reads (``read_game``); each is read here when None.
     """
     actions = np.asarray(actions, dtype=float)
     route = _projection_route(game)
@@ -81,42 +83,55 @@ def project_onto_feasible(game: GameDefinition, actions: Array,
     if route == "analytic":
         return game.eval_traj_projection(None, actions)[1]
     rows = lq.padded_rows(game) if rows is None else rows
-    return rows.project(np.zeros((actions.shape[0], game.state_dim)), actions, 0.0).actions
+    data = lq.dynamics_data(game) if data is None else data
+    return lq.project(rows, data, np.zeros((len(actions), game.state_dim)), actions, 0.0).actions
 
 
-def read_rows(game: GameDefinition) -> Optional[lq.PaddedRows]:
-    """``lq.padded_rows`` of ``game`` for a solve's projection and polish; None if unused."""
-    used = game.quadratic_costs if game.constraints is None else game.polyhedral_constraints
-    return lq.padded_rows(game) if game.linear_dynamics and used else None
+def read_game(game: GameDefinition) -> tuple[Optional[PaddedRows], Optional[LqGameData]]:
+    """A solve's one read of the game at the origin: (rows, data).
+
+    The rows are ``lq.padded_rows`` for declared affine rows or none; they
+    are None for other rows and where nothing reads them, an analytic
+    projector with nonlinear dynamics.  The data is ``lq.extract_lq_data``
+    for a declared linear-quadratic game, ``lq.dynamics_data`` for other
+    linear dynamics and None for nonlinear dynamics.
+    """
+    affine = game.constraints is None or game.polyhedral_constraints
+    used = game.linear_dynamics or game.traj_projector is None
+    rows = lq.padded_rows(game) if affine and used else None
+    if not game.linear_dynamics:
+        return rows, None
+    return rows, lq.extract_lq_data(game) if game.quadratic_costs else lq.dynamics_data(game)
 
 
 def natural_residual(game: GameDefinition, actions: Array,
-                     rows: Optional[lq.PaddedRows] = None) -> float:
+                     rows: Optional[PaddedRows] = None,
+                     data: Optional[LqGameData] = None) -> float:
     """r(u) = |u - P(u - F(u))|_inf, F taken along the rollout of ``actions``.
 
-    ``rows`` is passed on to ``project_onto_feasible``.  Raises
-    UnsupportedConstraintError, before any other work, where the game has
-    no projection.
+    ``rows`` and ``data`` are passed on to ``project_onto_feasible``.
+    Raises UnsupportedConstraintError, before any other work, where the game
+    has no projection.
     """
     _projection_route(game)
     u = np.asarray(actions, dtype=float)
     F = pseudo_gradient(game, rollout(game, game.initial_state, u),
                         feas_tol=np.inf).own_stage_grads()
-    return float(np.max(np.abs(u - project_onto_feasible(game, u - F, rows))))
+    return float(np.max(np.abs(u - project_onto_feasible(game, u - F, rows, data))))
 
 
-def active_set_polish(game: GameDefinition, tol: float,
-                      rows: Optional[lq.PaddedRows] = None) -> Optional["ActiveSetPolish"]:
+def active_set_polish(game: GameDefinition, tol: float, rows: Optional[PaddedRows] = None,
+                      data: Optional[LqGameData] = None) -> Optional["ActiveSetPolish"]:
     """The polish hook of ``report.iterate`` for ``game``, or None out of scope.
 
     The hook exists for games that declare linear dynamics and quadratic
-    costs and either declare affine rows or have none; ``rows`` is the
-    solve's read of them (``read_rows``), read here when None.
+    costs and either declare affine rows or have none; ``rows`` and ``data``
+    are the solve's reads (``read_game``), read here when None.
     """
     if not (game.linear_dynamics and game.quadratic_costs
             and (game.constraints is None or game.polyhedral_constraints)):
         return None
-    return ActiveSetPolish(game, tol, rows)
+    return ActiveSetPolish(game, tol, rows, data)
 
 
 class ActiveSetPolish:
@@ -126,15 +141,15 @@ class ActiveSetPolish:
     -POLISH_DELTA at the candidate's states and actions and returns
     ``attempt`` of that set (the certified point and its natural residual),
     or None at once for a set tried before: the pinned solve depends on the
-    set only, so this is exact.  ``rows`` is the game's ``lq.PaddedRows``,
-    read here when None.
+    set only, so this is exact.  ``rows`` (``lq.padded_rows``) and ``data``
+    (``lq.extract_lq_data``) are the game's reads, read here when None.
     """
 
-    def __init__(self, game: GameDefinition, tol: float,
-                 rows: Optional[lq.PaddedRows] = None):
+    def __init__(self, game: GameDefinition, tol: float, rows: Optional[PaddedRows] = None,
+                 data: Optional[LqGameData] = None):
         self.game, self.tol = game, tol
         self.rows = lq.padded_rows(game) if rows is None else rows
-        self.data = lq.extract_lq_data(game)
+        self.data = lq.extract_lq_data(game) if data is None else data
         self.tried: set[bytes] = set()
 
     def __call__(self, cand: Trajectory) -> Optional[tuple[Trajectory, float]]:
@@ -162,5 +177,5 @@ class ActiveSetPolish:
             return None
         game = self.game
         traj = rollout(game, game.initial_state, traj.actions)
-        residual = natural_residual(game, traj.actions, rows)
+        residual = natural_residual(game, traj.actions, rows, self.data)
         return (traj, residual) if residual <= self.tol else None  # NaN fails

@@ -145,6 +145,8 @@ class RunConfig:
             }
             if not cfg.simulate["noise_var"] >= 0 or cfg.simulate["n_runs"] <= 0:
                 raise ConfigError("simulate block needs noise_var >= 0 and n_runs > 0")
+            if not cfg.feedback:  # the simulation replays the policy
+                raise ConfigError("simulate block requires feedback: true")
         cfg.output_dir = str(raw.get("output_dir", "out"))
         if "seed" in raw and raw["seed"] is not None:
             cfg.seed = _seed(raw["seed"], "seed")
@@ -185,42 +187,35 @@ def _fmt(x: float) -> str:
     return "%.17g" % float(x)
 
 
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    """One comma-separated line per row: strings as given, numbers by ``_fmt``."""
+    lines = [",".join(header)]
+    lines += [",".join(v if isinstance(v, str) else _fmt(v) for v in row) for row in rows]
+    path.write_text("\n".join(lines) + "\n")
+
+
 def _write_trajectory_csv(path: Path, game: GameDefinition, traj) -> None:
-    cols = ["k"]
-    cols += [f"x{i + 1}" for i in range(game.state_dim)]
+    cols = ["k"] + [f"x{i + 1}" for i in range(game.state_dim)]
     for n, d in enumerate(game.action_dims):
         cols += [f"u{n + 1}_{j + 1}" for j in range(d)]
-    lines = [",".join(cols)]
-    for k in range(traj.states.shape[0]):
-        row = [str(k)]
-        row += [_fmt(v) for v in traj.states[k]]
-        row += [_fmt(v) for v in traj.actions[k]]
-        lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n")
+    _write_csv(path, cols, ([str(k), *traj.states[k], *traj.actions[k]]
+                            for k in range(traj.states.shape[0])))
 
 
 def _write_convergence_csv(path: Path, report: SolverReport) -> None:
-    lines = ["iteration,distance_to_final,step_norm"]
-    dist = report.distance_trace
     steps = report.step_norms
-    for t in range(dist.shape[0]):
-        step = steps[t - 1] if 1 <= t <= steps.shape[0] else 0.0
-        lines.append(f"{t},{_fmt(dist[t])},{_fmt(step)}")
-    path.write_text("\n".join(lines) + "\n")
+    _write_csv(path, ["iteration", "distance_to_final", "step_norm"],
+               ([str(t), dist, steps[t - 1] if 1 <= t <= steps.shape[0] else 0.0]
+                for t, dist in enumerate(report.distance_trace)))
 
 
 def _write_simulation_csv(path: Path, comparison) -> None:
-    lines = ["run,openloop_deviation,feedback_deviation,"
-             "openloop_violations,feedback_violations"]
-    for i in range(comparison.openloop_deviation.shape[0]):
-        lines.append(",".join([
-            str(i),
-            _fmt(comparison.openloop_deviation[i]),
-            _fmt(comparison.feedback_deviation[i]),
-            str(int(comparison.openloop_violations[i])),
-            str(int(comparison.feedback_violations[i])),
-        ]))
-    path.write_text("\n".join(lines) + "\n")
+    c = comparison
+    _write_csv(path, ["run", "openloop_deviation", "feedback_deviation",
+                      "openloop_violations", "feedback_violations"],
+               ([str(i), c.openloop_deviation[i], c.feedback_deviation[i],
+                 str(int(c.openloop_violations[i])), str(int(c.feedback_violations[i]))]
+                for i in range(c.openloop_deviation.shape[0])))
 
 
 def _write_json(path: Path, payload: dict, indent: Optional[int] = None) -> None:
@@ -306,9 +301,7 @@ def run(config: RunConfig) -> int:
                                            stage_reg=config.stage_reg)
         _write_json(outdir / "policy.json", _policy_payload(policy))
 
-    if config.simulate is not None:
-        if policy is None:
-            raise ConfigError("simulate block requires feedback: true")
+    if config.simulate is not None:  # from_dict asks for feedback with it
         sim = dict(config.simulate)
         if config.seed is not None:
             sim["seed"] = config.seed

@@ -143,7 +143,7 @@ def stagewise_newton_backward(game: GameDefinition, traj: Trajectory,
         own = np.vstack([gamma_k[n][iu][game.action_slice(n)] for n in range(N)])
         F, P, H = own[:, iu], own[:, ix], own[:, 0]
         act = data.active[k]
-        Wa, Sa, pa = data.W[k][act], data.S[k][act], data.p[k][act]
+        Wa, Sa, pa = data.rows.W[k][act], data.rows.S[k][act], data.rows.p[k][act]
         if stage_reg:
             F = F + stage_reg * np.eye(n_u)
         law = solve_stage_kkt(F, P, H, Wa, Sa, pa, stage=k)
@@ -298,7 +298,7 @@ def epsilon_nash_gap(game: GameDefinition, policy: FeedbackPolicy,
     K = np.stack(policy.gains[start:])[:, opp]
     c = (ref.actions[start:, opp] - (K @ ref.states[start:, :, None])[..., 0]
          + np.stack(policy.offsets[start:])[:, opp])
-    rows = lq.padded_rows(game, data)
+    rows = lq.padded_rows(game)
     policy_rows = (-K, np.broadcast_to(np.eye(n_u)[opp], K.shape[:2] + (n_u,)), -c,
                    np.zeros(c.shape, dtype=bool))
     W, S, p, real = (np.concatenate([a[start:], b], axis=1) for a, b in

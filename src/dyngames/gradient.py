@@ -243,48 +243,27 @@ def _feasible_direction_basis(game: GameDefinition, data: Optional[LqGameData],
     """Orthonormal basis of player n's directions not pinned by active rows.
 
     ``data`` is the trajectory's local LQ data with its rows (None for a game
-    without constraints).  Builds the Jacobian of the active constraints with
-    respect to player n's stacked actions (including paths through the state
-    for state-coupled rows) and returns a null-space basis from a
-    rank-revealing SVD.
+    without constraints).  An active row at stage k reads player n's stacked
+    actions through S_k and, when it reads the state, through W_k dx_k/du_n,
+    the state sensitivities of the dynamics.  The basis spans the null space
+    of these rows, from a rank-revealing SVD.
     """
     sl = game.action_slice(n)
-    d = sl.stop - sl.start
-    T = game.horizon
-    dim = (T + 1) * d
-    if data is None:
-        return np.eye(dim)
-    rows = []
-    # State sensitivities dx_k/du_{n,j} are propagated forward only when some
-    # active row depends on the state.
-    sens: Optional[list[Array]] = None
-    for k, act in enumerate(data.active):
-        if act.size == 0:
-            continue
-        W = data.W[k][act]
-        blk = np.zeros((act.size, dim))
-        blk[:, k * d:(k + 1) * d] = data.S[k][act, sl]
-        if np.any(W != 0.0):
-            if sens is None:
-                sens = _state_sensitivities(data.A, data.B, sl)
-            blk[:, :k * d] += W @ sens[k][:, :k * d]
-        rows.append(blk)
-    if not rows:
-        return np.eye(dim)
-    Jg = np.vstack(rows)
+    T1, d = game.horizon + 1, sl.stop - sl.start
+    ks, rs = np.nonzero(data.active) if data is not None else ((), ())
+    if not len(ks):
+        return np.eye(T1 * d)
+    W = data.rows.W[ks, rs]
+    Jg = np.zeros((len(ks), T1, d))
+    if np.any(W != 0.0):
+        sens = np.zeros((T1, game.state_dim, T1, d))  # dx_k/du_{n,j}, forward in k
+        for k in range(T1 - 1):
+            sens[k + 1] = np.tensordot(data.A[k], sens[k], axes=1)
+            sens[k + 1, :, k] += data.B[k][:, sl]
+        Jg = np.einsum("ai,aijc->ajc", W, sens[ks])
+    Jg[np.arange(len(ks)), ks] = data.rows.S[ks, rs, sl]
+    Jg = Jg.reshape(len(ks), T1 * d)
     _, sv, vt = np.linalg.svd(Jg, full_matrices=True)
     tol = max(Jg.shape) * np.finfo(float).eps * (sv[0] if sv.size else 0.0)
     rank = int(np.sum(sv > tol))
     return vt[rank:].T
-
-
-def _state_sensitivities(A: Array, B: Array, sl: slice) -> list[Array]:
-    """Forward sensitivities dx_k/du_{n,:} of the stacked dynamics (A, B), u_n = u[sl]."""
-    T, n_x = A.shape[:2]
-    d = sl.stop - sl.start
-    sens = [np.zeros((n_x, (T + 1) * d))]
-    for k in range(T):
-        nxt = A[k] @ sens[k]
-        nxt[:, k * d:(k + 1) * d] += B[k][:, sl]
-        sens.append(nxt)
-    return sens

@@ -45,9 +45,10 @@ count and the cost stays O(T).  It is the kernel of the active-set polish
 
 The same factor solves every QP over a whole stacked trajectory
 (``BandedQp``), holding ``denseqp.solve_qp``'s active rows pinned.  The
-projections (``PaddedRows.project``, rows and dynamics read once per solve
-by ``padded_rows``) and the best response of ``feedback.epsilon_nash_gap``
-cost O(T) per active-set step.
+projections (``project``) and the best response of
+``feedback.epsilon_nash_gap`` cost O(T) per active-set step.  A solve reads
+a game once, at the origin: its rows (``padded_rows``) and its data
+(``extract_lq_data``, or ``dynamics_data`` for linear dynamics only).
 """
 
 from __future__ import annotations
@@ -60,21 +61,17 @@ from scipy.linalg import lapack
 
 from . import denseqp
 from .errors import StageSingularityError, UnsupportedConstraintError
-from .model import GameDefinition, LqGameData, Trajectory, linearize_dynamics, local_lq
+from .model import (
+    GameDefinition,
+    LqGameData,
+    PaddedRows,
+    Trajectory,
+    linearize_dynamics,
+    local_lq,
+    read_rows,
+)
 
 Array = np.ndarray
-
-
-def stage_rows(game: GameDefinition, k: int):
-    """Affine rows (W, S, p) of stage k, W x + S u + p <= 0; None without rows.
-
-    The rows are read at the origin, so the game must declare polyhedral
-    constraints.
-    """
-    zx = np.zeros(game.state_dim)
-    zu = np.zeros(game.total_action_dim)
-    W, S, p = game.eval_constraint_rows(k, zx, zu)
-    return (W, S, p) if p.shape[0] else None
 
 
 def extract_lq_data(game: GameDefinition) -> LqGameData:
@@ -82,6 +79,18 @@ def extract_lq_data(game: GameDefinition) -> LqGameData:
     if not (game.linear_dynamics and game.quadratic_costs):
         raise ValueError("game is not declared linear-quadratic")
     return local_lq(game, *_origin(game))
+
+
+def dynamics_data(game: GameDefinition) -> LqGameData:
+    """The game's linear dynamics at the origin, with costs 0.5 |x|^2 + 0.5 |u|^2.
+
+    One player holds every action: the data of ``factor(game, 0)``.  Raises
+    UnsupportedConstraintError unless the game declares linear dynamics.
+    """
+    if not game.linear_dynamics:
+        raise UnsupportedConstraintError("dynamics projection requires linear dynamics")
+    return _prox_data(*linearize_dynamics(game, *_origin(game)), game.initial_state, 1.0,
+                      *_origin(game))
 
 
 def _origin(game: GameDefinition) -> tuple[Array, Array]:
@@ -249,21 +258,21 @@ def regularized_factor(data: LqGameData, eta: float) -> LqFactor:
                                r=eta * data.r), eta)
 
 
-def factor(game: GameDefinition, eta: float) -> LqFactor:
+def factor(game: GameDefinition, eta: float, data: Optional[LqGameData] = None) -> LqFactor:
     """Factor of the game regularized with weight eta (see the module docstring).
 
     eta > 0 requires a declared linear-quadratic game; eta = 0 (the dynamics
-    projection) requires declared linear dynamics only.
+    projection) requires declared linear dynamics only.  ``data`` is the
+    solve's read (``extract_lq_data``, or ``dynamics_data`` at eta = 0).
     """
     if not eta >= 0:  # rejects NaN too
         raise ValueError(f"regularization must be nonnegative, got {eta}")
     if eta > 0:
-        return regularized_factor(extract_lq_data(game), eta)
-    if not game.linear_dynamics:
-        raise UnsupportedConstraintError("dynamics projection requires linear dynamics")
+        return regularized_factor(extract_lq_data(game) if data is None else data, eta)
+    data = dynamics_data(game) if data is None else data
     # the prox terms alone; LqFactor.solve shifts their centres
-    return _kkt_factor(_prox_data(*linearize_dynamics(game, *_origin(game)),
-                                  game.initial_state, 1.0, *_origin(game)), 0.0)
+    return _kkt_factor(_prox_data(data.A, data.B, data.b, data.initial_state, 1.0,
+                                  *_origin(game)), 0.0)
 
 
 def solve_pinned(data: LqGameData, W: Array, S: Array, p: Array,
@@ -303,60 +312,22 @@ def _pinned_solve(data: LqGameData, W: Array, S: Array, p: Array,
     return fac, sol, mu
 
 
-@dataclass(frozen=True)
-class PaddedRows:
-    """Every stage's rows W_k x_k + S_k u_k + p_k <= 0, padded to m, with the dynamics.
+def padded_rows(game: GameDefinition) -> PaddedRows:
+    """The game's rows read at the origin; UnsupportedConstraintError unless declared affine."""
+    if not (game.constraints is None or game.polyhedral_constraints):
+        raise UnsupportedConstraintError("the stage rows are not declared affine")
+    return read_rows(game, *_origin(game))
 
-    W (T+1, m, n_x), S (T+1, m, n_u) and p (T+1, m) are zero in the padding
-    and ``real`` (T+1, m) marks the rows that exist; A, B, b and
-    ``initial_state`` are the linear dynamics.  One read serves a solve's
-    projections and active-set polish.
+
+def project(rows: PaddedRows, data: LqGameData, y: Array, z: Array,
+            state_weight: float) -> Trajectory:
+    """The trajectory meeting every row closest to (y, z) in w |x - y|^2 + |u - z|^2.
+
+    Only the dynamics and initial state of ``data`` are read.  One ``BandedQp``.
     """
-
-    W: Array
-    S: Array
-    p: Array
-    real: Array
-    A: Array
-    B: Array
-    b: Array
-    initial_state: Array
-
-    def values(self, traj: Trajectory) -> Array:
-        """Every row's value at the trajectory's states and actions: (T+1, m)."""
-        both = self.W @ traj.states[..., None] + self.S @ traj.actions[..., None]
-        return both[..., 0] + self.p
-
-    def project(self, y: Array, z: Array, state_weight: float) -> Trajectory:
-        """The trajectory meeting every row closest to (y, z) in w |x - y|^2 + |u - z|^2."""
-        data = _prox_data(self.A, self.B, self.b, self.initial_state, float(state_weight),
-                          np.asarray(y, dtype=float), np.asarray(z, dtype=float))
-        return BandedQp(data, self.W, self.S, self.p, self.real).solve()
-
-
-def padded_rows(game: GameDefinition, data: Optional[LqGameData] = None) -> PaddedRows:
-    """Read the game's rows and dynamics at the origin (see ``PaddedRows``).
-
-    ``data``, the game's data read at the origin (``extract_lq_data``),
-    supplies the dynamics A, B, b when given, so they are not linearized
-    again.  Raises UnsupportedConstraintError unless the game declares
-    linear dynamics and, if it has constraints, affine rows.
-    """
-    if not game.linear_dynamics or not (game.constraints is None or game.polyhedral_constraints):
-        raise UnsupportedConstraintError(
-            "horizon-wide rows require linear dynamics and affine stage rows")
-    T1, n_x, n_u = game.horizon + 1, game.state_dim, game.total_action_dim
-    rows = [stage_rows(game, k) if game.constraints is not None else None for k in range(T1)]
-    m = max((r[2].size for r in rows if r is not None), default=0)
-    W, S, p = np.zeros((T1, m, n_x)), np.zeros((T1, m, n_u)), np.zeros((T1, m))
-    real = np.zeros((T1, m), dtype=bool)
-    for k, r in enumerate(rows):
-        if r is not None:
-            c = r[2].size
-            W[k, :c], S[k, :c], p[k, :c], real[k, :c] = r[0], r[1], r[2], True
-    dynamics = (linearize_dynamics(game, *_origin(game)) if data is None
-                else (data.A, data.B, data.b))
-    return PaddedRows(W, S, p, real, *dynamics, np.asarray(game.initial_state, dtype=float))
+    prox = _prox_data(data.A, data.B, data.b, data.initial_state, float(state_weight),
+                      np.asarray(y, dtype=float), np.asarray(z, dtype=float))
+    return BandedQp(prox, rows.W, rows.S, rows.p, rows.real).solve()
 
 
 class BandedQp:
@@ -365,7 +336,7 @@ class BandedQp:
     It minimizes the cost of ``data`` (one player holding every action) over
     v = (x_0, u_0, ..., x_T, u_T) subject to its dynamics, the rows marked
     ``held`` as equalities and those marked ``real`` as inequalities (W, S
-    and p as in ``PaddedRows``, numbered stage by stage).  An active set's
+    and p as in ``model.PaddedRows``, numbered stage by stage).  An active set's
     KKT system is one ``_kkt_factor`` with the held and active rows pinned,
     O(T); its multipliers are x_0's pin's, the costates and the rows' mu.
     """

@@ -14,6 +14,9 @@ Local derivative data has one layout, ``LqGameData``: a linear-quadratic
 game, stacked over stages, in deviations (x - xbar, u - ubar) from a
 reference trajectory.  ``local_lq`` reads it, ``quadraticize`` around a
 feasible trajectory with the rows, ``lq.extract_lq_data`` at the origin.
+The stage rows have one layout too, ``PaddedRows``, and one reader,
+``read_rows``, which reads every stage once; ``quadraticize`` marks the
+active rows with a mask of the same shape.
 """
 
 from __future__ import annotations
@@ -343,25 +346,21 @@ def _fd_hessian_vector(f, z, n_out, what, stage):
     H = np.empty((n_out, m, m))
     steps = [_FD_STEP2 * (1.0 + abs(z[i])) for i in range(m)]
     f0 = np.asarray(f(z), dtype=float)
+
+    def at(*shifts):  # f at z moved by the (coordinate, step) pairs
+        v = z.copy()
+        for i, h in shifts:
+            v[i] += h
+        return np.asarray(f(v))
+
     for i in range(m):
         hi = steps[i]
-        zp, zm = z.copy(), z.copy()
-        zp[i] += hi
-        zm[i] -= hi
-        H[:, i, i] = (np.asarray(f(zp)) - 2.0 * f0 + np.asarray(f(zm))) / hi**2
+        H[:, i, i] = (at((i, hi)) - 2.0 * f0 + at((i, -hi))) / hi**2
         for j in range(i + 1, m):
             hj = steps[j]
-            zpp, zpm, zmp, zmm = z.copy(), z.copy(), z.copy(), z.copy()
-            zpp[[i, j]] += [hi, hj]
-            zpm[i] += hi
-            zpm[j] -= hj
-            zmp[i] -= hi
-            zmp[j] += hj
-            zmm[[i, j]] -= [hi, hj]
-            val = (np.asarray(f(zpp)) - np.asarray(f(zpm))
-                   - np.asarray(f(zmp)) + np.asarray(f(zmm))) / (4.0 * hi * hj)
-            H[:, i, j] = val
-            H[:, j, i] = val
+            H[:, i, j] = H[:, j, i] = (at((i, hi), (j, hj)) - at((i, hi), (j, -hj))
+                                       - at((i, -hi), (j, hj))
+                                       + at((i, -hi), (j, -hj))) / (4.0 * hi * hj)
     if not np.all(np.isfinite(H)):
         raise NonFiniteDerivativeError(what, stage)
     return H
@@ -500,6 +499,47 @@ def _dynamics_offsets(game: GameDefinition, states: Array, actions: Array) -> Ar
     return _checked("dynamics outputs", pred, (T, game.state_dim)) - states[1:]
 
 
+@dataclass(frozen=True)
+class PaddedRows:
+    """Every stage's rows W_k x_k + S_k u_k + p_k <= 0, padded to a common count m.
+
+    W (T+1, m, n_x), S (T+1, m, n_u) and p (T+1, m) are zero in the padding;
+    ``real`` (T+1, m) marks the rows that exist.
+    """
+
+    W: Array
+    S: Array
+    p: Array
+    real: Array
+
+    def values(self, traj: Trajectory) -> Array:
+        """Every row's value at the trajectory's states and actions: (T+1, m)."""
+        both = self.W @ traj.states[..., None] + self.S @ traj.actions[..., None]
+        return both[..., 0] + self.p
+
+    def stage(self, k: int) -> tuple[Array, Array]:
+        """Stage k's rows as (G, p), G = [W_k S_k] over (x_k, u_k): G v + p <= 0."""
+        real = self.real[k]
+        return np.hstack([self.W[k][real], self.S[k][real]]), self.p[k][real]
+
+
+def read_rows(game: GameDefinition, states: Array, actions: Array) -> PaddedRows:
+    """The one reader of the rows: every stage's, one ``eval_constraint_rows`` each.
+
+    The rows are W_k dx + S_k du + p_k <= 0 in deviations from (states,
+    actions), p_k their values there; affine rows read at the origin are the
+    rows themselves.  A game without constraints has none (m = 0).
+    """
+    T1 = game.horizon + 1
+    read = [game.eval_constraint_rows(k, states[k], actions[k]) for k in range(T1)]
+    m = max((p.size for _, _, p in read), default=0)
+    W, S = np.zeros((T1, m, game.state_dim)), np.zeros((T1, m, game.total_action_dim))
+    p, real = np.zeros((T1, m)), np.zeros((T1, m), dtype=bool)
+    for k, (Wk, Sk, pk) in enumerate(read):
+        W[k, :pk.size], S[k, :pk.size], p[k, :pk.size], real[k, :pk.size] = Wk, Sk, pk, True
+    return PaddedRows(W, S, p, real)
+
+
 @dataclass
 class LqGameData:
     """A linear-quadratic game, or a game's local LQ approximation, stacked.
@@ -511,9 +551,9 @@ class LqGameData:
     + dx'X du + 0.5 du'R du, with c, q, r, Q, X and R of shapes (N, T+1, ...)
     indexed ``Q[n, k]``; Q and R are symmetric.  ``G`` (T, n_x, n_x+n_u,
     n_x+n_u) holds the symmetrized second derivatives of each dynamics
-    output over (x, u).  The per-stage lists ``W``, ``S``, ``p`` and
-    ``active`` hold stage k's rows W dx + S du + p <= 0 and the indices of
-    its active rows, p_i >= -active_tol; they are None when no rows were read.
+    output over (x, u).  ``rows`` holds every stage's rows W dx + S du + p
+    <= 0 and ``active`` (T+1, m) marks the active ones, the real rows with p
+    >= -active_tol; both are None when no rows were read.
     """
 
     A: Array
@@ -528,10 +568,8 @@ class LqGameData:
     initial_state: Array
     c: Optional[Array] = None
     G: Optional[Array] = None
-    W: Optional[list[Array]] = None
-    S: Optional[list[Array]] = None
-    p: Optional[list[Array]] = None
-    active: Optional[list[Array]] = None
+    rows: Optional[PaddedRows] = None
+    active: Optional[Array] = None
 
 
 def linearize_dynamics(game: GameDefinition, states: Array, actions: Array,
@@ -551,9 +589,9 @@ def local_lq(game: GameDefinition, states: Array, actions: Array,
     """The ``LqGameData`` of a game around (states, actions).
 
     Costs, gradients and Jacobians come from the whole-trajectory evaluators;
-    only the cost and dynamics Hessians and the rows are read stage by stage.
-    G is zero, and not evaluated, for declared linear dynamics; rows are read
-    only when ``active_tol`` is given.
+    only the cost and dynamics Hessians are read stage by stage.  G is zero,
+    and not evaluated, for declared linear dynamics; the rows are read
+    (``read_rows``) only when ``active_tol`` is given.
     """
     T, n_z = game.horizon, game.state_dim + game.total_action_dim
     A, B, b = linearize_dynamics(game, states, actions, feas_tol)
@@ -572,9 +610,8 @@ def local_lq(game: GameDefinition, states: Array, actions: Array,
                       action_dims=game.action_dims, initial_state=game.initial_state - states[0],
                       c=game.eval_traj_costs(states, actions).T, G=G)
     if active_tol is not None:
-        rows = [game.eval_constraint_rows(k, states[k], actions[k]) for k in range(T + 1)]
-        data.W, data.S, data.p = ([r[i] for r in rows] for i in range(3))
-        data.active = [np.flatnonzero(g >= -active_tol) for g in data.p]
+        data.rows = read_rows(game, states, actions)
+        data.active = data.rows.real & (data.rows.p >= -active_tol)
     return data
 
 
@@ -585,8 +622,8 @@ def quadraticize(game: GameDefinition, traj: Trajectory,
 
     The stacked ``LqGameData`` in deviations from the trajectory: q and r
     are its cost gradients, b its dynamics residuals, ``initial_state`` is
-    x0 - xbar_0, and every stage's rows are read with the active indices
-    ``{i : g_i >= -active_tol}``.  Raises InfeasibleTrajectoryError for a
+    x0 - xbar_0, and every stage's rows are read with the active mask
+    ``real & (g >= -active_tol)``.  Raises InfeasibleTrajectoryError for a
     residual above ``feas_tol`` (``inf`` skips the check), and ValueError
     for a NaN or negative ``active_tol`` or ``feas_tol``.
     """

@@ -73,12 +73,9 @@ class ParametricGameData:
                              f"got {g.shape}")
         if not np.allclose(g, np.transpose(g, (0, 2, 1)), atol=1e-9 * (1 + np.abs(g).max())):
             raise ValueError("gamma blocks must be symmetric")
-        W = np.asarray(self.W, dtype=float).reshape(-1, self.state_dim)
-        S = np.asarray(self.S, dtype=float).reshape(-1, n_u)
-        p = np.asarray(self.p, dtype=float).reshape(-1)
-        object.__setattr__(self, "W", W)
-        object.__setattr__(self, "S", S)
-        object.__setattr__(self, "p", p)
+        for name, cols in (("W", self.state_dim), ("S", n_u), ("p", None)):
+            arr = np.asarray(getattr(self, name), dtype=float)
+            object.__setattr__(self, name, arr.reshape(-1 if cols is None else (-1, cols)))
 
     @property
     def num_players(self) -> int:

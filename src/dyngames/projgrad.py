@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificate import active_set_polish, project_onto_feasible, read_rows
+from .certificate import active_set_polish, project_onto_feasible, read_game
 from .gradient import pseudo_gradient
 from .model import GameDefinition, all_player_costs, rollout
 from .report import SolverReport, build_report, iterate
@@ -77,18 +77,19 @@ def projected_gradient_solve(game: GameDefinition, u0: Array,
         u = np.vstack([u, np.zeros(n_u)])
     if u.shape != (T + 1, n_u):
         raise ValueError(f"u0 must have shape {(T + 1, n_u)}, got {u.shape}")
-    # the rows do not depend on the point, so one read serves the solve
-    rows = read_rows(game)
-    u = project_onto_feasible(game, u, rows)
+    # the rows and the dynamics do not depend on the point: one read serves the solve
+    rows, data = read_game(game)
+    u = project_onto_feasible(game, u, rows, data)
     traj = rollout(game, game.initial_state, u)
 
     def step(u, traj):
         grad = pseudo_gradient(game, traj, feas_tol=np.inf)
-        u_next = project_onto_feasible(game, u - cfg.step_size * grad.own_stage_grads(), rows)
+        u_next = project_onto_feasible(game, u - cfg.step_size * grad.own_stage_grads(),
+                                       rows, data)
         return u_next, rollout(game, game.initial_state, u_next)
 
     costs = (lambda traj: all_player_costs(game, traj)) if cfg.record_costs else None
     run = iterate(step, u, traj, cfg.max_iter, cfg.tol, cfg.divergence_factor, record=costs,
-                  polish=active_set_polish(game, cfg.tol, rows))
+                  polish=active_set_polish(game, cfg.tol, rows, data))
     return build_report(game, run.candidate, run.candidate, run, cfg.run_checks,
-                        costs(traj) if costs else None, rows)
+                        costs(traj) if costs else None, rows, data)

@@ -25,8 +25,7 @@ import numpy as np
 from .certificate import natural_residual
 from .errors import UnsupportedConstraintError
 from .gradient import PlayerVerdict, playerwise_minimizer_check
-from .lq import PaddedRows
-from .model import GameDefinition, Trajectory, all_player_costs
+from .model import GameDefinition, LqGameData, PaddedRows, Trajectory, all_player_costs
 
 Array = np.ndarray
 
@@ -124,8 +123,9 @@ def iterate(step: Callable[[Array, Any], tuple[Array, Any]], w0: Array, cand0: A
     ``tolerance`` once
     max|w_new - w| <= tol and ``accept(cand)`` holds (evaluated only then,
     so a costly residual check is skipped while w still moves), with
-    ``divergence`` once |w|_2 > divergence_factor * (1 + |w0|_2), and else
-    with ``max_iter``; ``max_iter = 0`` returns ``cand0``.
+    ``divergence`` at the first w that is not finite or has |w|_2 >
+    divergence_factor * (1 + |w0|_2), and else with ``max_iter``;
+    ``max_iter = 0`` returns ``cand0``.
     """
     w, cand = w0, cand0
     iterates, step_norms, records, record_iterations = [w0], [], [], []
@@ -144,7 +144,8 @@ def iterate(step: Callable[[Array, Any], tuple[Array, Any]], w0: Array, cand0: A
         if size <= tol and (accept is None or accept(cand)):
             termination = TERM_TOLERANCE
             break
-        if np.linalg.norm(w) > divergence_factor * scale0:
+        # a step to a non-finite w is itself not finite; NaN fails every comparison
+        if not (size < np.inf and np.linalg.norm(w) <= divergence_factor * scale0):
             termination = TERM_DIVERGENCE
             break
         if record is not None and t < max_iter and on_record_grid(t):
@@ -155,7 +156,8 @@ def iterate(step: Callable[[Array, Any], tuple[Array, Any]], w0: Array, cand0: A
 
 def build_report(game: GameDefinition, trajectory: Trajectory, checked: Trajectory,
                  run: Run, run_checks: bool, initial_costs: Optional[Array],
-                 rows: Optional[PaddedRows] = None) -> SolverReport:
+                 rows: Optional[PaddedRows] = None,
+                 data: Optional[LqGameData] = None) -> SolverReport:
     """The report of a run whose equilibrium candidate is ``trajectory``.
 
     The dynamics and constraint residuals are ``trajectory``'s; the final
@@ -165,8 +167,8 @@ def build_report(game: GameDefinition, trajectory: Trajectory, checked: Trajecto
     holds them, the run's records and last ``final_costs``; without them
     there is none.
     The natural residual is the polish's certificate when the run ended on
-    one, else it is computed here, projecting with the solve's read of the
-    rows (``rows``) as ``certificate.project_onto_feasible`` does.  A
+    one, else it is computed here, projecting with the solve's reads (``rows``
+    and ``data``) as ``certificate.project_onto_feasible`` does.  A
     diverged run gets neither verdicts nor a natural residual.
     """
     verdicts, residual = [], run.residual
@@ -175,7 +177,7 @@ def build_report(game: GameDefinition, trajectory: Trajectory, checked: Trajecto
             verdicts = playerwise_minimizer_check(game, checked)
         if residual is None:
             try:
-                residual = natural_residual(game, checked.actions, rows)
+                residual = natural_residual(game, checked.actions, rows, data)
             except UnsupportedConstraintError:
                 pass
     dist = np.array([float(np.linalg.norm(w - run.iterates[-1])) for w in run.iterates])

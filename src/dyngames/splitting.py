@@ -34,11 +34,12 @@ such restriction.
 one call of ``report.iterate``, the loop it shares with ``projgrad``; for
 linear-quadratic games with affine rows or none it passes the active-set
 polish of ``certificate``, which ends the run on a certified point.
-``_resolvents`` builds both resolvents once per solve, with the data that
-does not change between iterations: one ``lq.factor`` (a banded LU of the
-stacked KKT matrix) for the regularized LQ game or the eta = 0 dynamics
-projection, or the solve's one read of the rows (``certificate.read_rows``)
-for the intersection projection, a QP on the same banded kernel.
+``dr_solve`` reads the game once, at the origin (``certificate.read_game``),
+and ``_resolvents`` builds both resolvents once from that read: one
+``lq.factor`` (a banded LU of the stacked KKT matrix) for the regularized LQ
+game or the eta = 0 dynamics projection, and the rows for the stagewise
+projections, the static games and the intersection projection, a QP on the
+same banded kernel.
 """
 
 from __future__ import annotations
@@ -49,12 +50,14 @@ from typing import Optional
 import numpy as np
 
 from . import denseqp
-from .errors import SubproblemError, UnsupportedConstraintError
+from .errors import SubproblemError
 from . import lq
-from .certificate import active_set_polish, read_rows
+from .certificate import active_set_polish, read_game
 from .gradient import solve_costates
 from .model import (
     GameDefinition,
+    LqGameData,
+    PaddedRows,
     Trajectory,
     all_player_costs,
     local_lq,
@@ -192,32 +195,25 @@ def resolvent_reg_game(game: GameDefinition, y: Array, z: Array, eta: float,
 # ---------------------------------------------------------------------------
 
 
-def project_stage_constraints(game: GameDefinition, y: Array,
-                              z: Array) -> tuple[Array, Array]:
+def project_stage_constraints(game: GameDefinition, y: Array, z: Array,
+                              rows: Optional[PaddedRows] = None) -> tuple[Array, Array]:
     """Stagewise projection of (y, z) onto the constraint sets.
 
     Uses the game's analytic projector when available, for the whole
     trajectory at once (``GameDefinition.eval_traj_projection``), otherwise
-    an exact polyhedron projection for affine rows.  Stages without
-    constraints pass through unchanged.
+    an exact polyhedron projection for affine rows (``rows``, read here when
+    None).  Stages without constraints pass through unchanged.
     """
     if game.constraints is None:
         return np.array(y, dtype=float, copy=True), np.array(z, dtype=float, copy=True)
     if game.traj_projector is not None:
         return game.eval_traj_projection(np.asarray(y, dtype=float),
                                          np.asarray(z, dtype=float))
+    rows = lq.padded_rows(game) if rows is None else rows  # raises without affine rows
     xs, us = np.array(y, dtype=float, copy=True), np.array(z, dtype=float, copy=True)
-    for k in range(game.horizon + 1):
-        if not game.polyhedral_constraints:
-            raise UnsupportedConstraintError(
-                f"stage {k} has neither an analytic projector nor affine rows")
-        data = lq.stage_rows(game, k)
-        if data is None:
-            continue
-        W, S, p0 = data
-        G = np.hstack([W, S])
-        point = np.concatenate([y[k], z[k]])
-        proj = denseqp.project_polyhedron(point, G, -p0)
+    for k in np.flatnonzero(rows.real.any(axis=1)):
+        G, p0 = rows.stage(k)
+        proj = denseqp.project_polyhedron(np.concatenate([y[k], z[k]]), G, -p0)
         xs[k], us[k] = proj[:game.state_dim], proj[game.state_dim:]
     return xs, us
 
@@ -300,8 +296,8 @@ def _lemke(M: Array, q: Array, stage: int) -> Array:
 
 def _static_games(game: GameDefinition, y: Array, z: Array, eta: float,
                   inner_tol: float, inner_max_iter: int,
-                  constrained: bool) -> tuple[Array, Array]:
-    """Every stage's regularized static game, by Josephy-Newton steps.
+                  rows: Optional[PaddedRows]) -> tuple[Array, Array]:
+    """Every stage's regularized static game, by Josephy-Newton steps, with ``rows`` or none.
 
     Each step linearizes the stage operator at the current point and solves
     that affine stage game exactly: one linear solve for the unconstrained
@@ -314,8 +310,7 @@ def _static_games(game: GameDefinition, y: Array, z: Array, eta: float,
     n_x, n_v = game.state_dim, game.state_dim + game.total_action_dim
     xs, us = np.array(y, dtype=float), np.array(z, dtype=float)
     for k in range(game.horizon + 1):
-        rows = lq.stage_rows(game, k) if constrained else None
-        G, p = (np.hstack(rows[:2]), rows[2]) if rows else (np.zeros((0, n_v)), np.zeros(0))
+        G, p = (np.zeros((0, n_v)), np.zeros(0)) if rows is None else rows.stage(k)
         w = np.concatenate([y[k], z[k]])
         tol = inner_tol * (1.0 + float(np.max(np.abs(w))))
         v, mu = w, np.zeros(p.size)
@@ -345,21 +340,21 @@ def _static_games(game: GameDefinition, y: Array, z: Array, eta: float,
 
 def resolvent_reg_static_games(game: GameDefinition, y: Array, z: Array,
                                eta: float, inner_tol: float = 1e-10,
-                               inner_max_iter: int = 50) -> tuple[Array, Array]:
+                               inner_max_iter: int = 50,
+                               rows: Optional[PaddedRows] = None) -> tuple[Array, Array]:
     """Independent regularized constrained static games, one per stage.
 
     Each stage solves, over (x_k, u_k), the game whose action rows are the
     players' own-gradient stationarity and whose state row is the
     coordinator (mean state gradient plus prox), subject to the stage's
     affine rows, by Josephy-Newton steps with one Lemke pivot sequence each
-    (``_static_games``).  Requires affine constraints.  A stage game that is
-    not monotone (the symmetric part of I + eta J_k not positive definite)
-    may raise SubproblemError; no returned point fails the KKT check.
+    (``_static_games``).  Requires affine constraints; ``rows`` are the
+    game's ``lq.padded_rows``, read here when None.  A stage game that is not
+    monotone (the symmetric part of I + eta J_k not positive definite) may
+    raise SubproblemError; no returned point fails the KKT check.
     """
-    if game.constraints is not None and not game.polyhedral_constraints:
-        raise UnsupportedConstraintError(
-            "stagewise constrained static games require affine rows")
-    return _static_games(game, y, z, eta, inner_tol, inner_max_iter, constrained=True)
+    rows = lq.padded_rows(game) if rows is None else rows
+    return _static_games(game, y, z, eta, inner_tol, inner_max_iter, rows)
 
 
 def resolvent_static_games_uncon(game: GameDefinition, y: Array, z: Array,
@@ -370,7 +365,7 @@ def resolvent_static_games_uncon(game: GameDefinition, y: Array, z: Array,
     The stage games of ``resolvent_reg_static_games`` with the rows dropped:
     each Newton step is one linear solve.
     """
-    return _static_games(game, y, z, eta, inner_tol, inner_max_iter, constrained=False)
+    return _static_games(game, y, z, eta, inner_tol, inner_max_iter, None)
 
 
 # ---------------------------------------------------------------------------
@@ -396,15 +391,18 @@ def project_dynamics(game: GameDefinition, y: Array, z: Array,
 
 
 def constrained_oc_projection(game: GameDefinition, y: Array, z: Array,
-                              rows: Optional[lq.PaddedRows] = None) -> tuple[Array, Array]:
+                              rows: Optional[PaddedRows] = None,
+                              data: Optional[LqGameData] = None) -> tuple[Array, Array]:
     """Projection of (y, z) onto dynamics AND stage constraints jointly.
 
     Solves the Euclidean projection exactly as one horizon-wide QP in band
-    (``lq.PaddedRows.project``).  ``rows`` (``lq.padded_rows``) reuses one
-    read of the rows across calls; they are read here when it is None.
+    (``lq.project``).  ``rows`` (``lq.padded_rows``) and ``data`` (the
+    dynamics, ``lq.dynamics_data`` or the LQ data) reuse one read across
+    calls; each is read here when None.
     """
     rows = lq.padded_rows(game) if rows is None else rows
-    traj = rows.project(y, z, 1.0)
+    data = lq.dynamics_data(game) if data is None else data
+    traj = lq.project(rows, data, y, z, 1.0)
     return traj.states, traj.actions
 
 
@@ -434,8 +432,8 @@ def dr_solve(game: GameDefinition, cfg: DrConfig) -> SolverReport:
     wu = np.zeros((T + 1, n_u))
     start = rollout(game, game.initial_state, wu)
     wx = start.states
-    rows = read_rows(game)
-    first, second = _resolvents(game, cfg, rows)
+    rows, data = read_game(game)
+    first, second = _resolvents(game, cfg, rows, data)
     split = (T + 1) * n_x
 
     def step(w, cand):
@@ -457,16 +455,19 @@ def dr_solve(game: GameDefinition, cfg: DrConfig) -> SolverReport:
     run = iterate(step, np.concatenate([wx.ravel(), wu.ravel()]), Trajectory(wx, wu),
                   cfg.max_iter, cfg.tol, cfg.divergence_factor, accept=accept,
                   record=costs if cfg.record_costs else None,
-                  polish=active_set_polish(game, cfg.tol, rows))
+                  polish=active_set_polish(game, cfg.tol, rows, data))
     checked = rollout(game, game.initial_state, run.candidate.actions)
     # the first candidate's actions are wu, so ``start`` is their rollout
     return build_report(game, run.candidate, checked, run, cfg.run_checks,
-                        all_player_costs(game, start) if cfg.record_costs else None, rows)
+                        all_player_costs(game, start) if cfg.record_costs else None,
+                        rows, data)
 
 
-def _resolvents(game: GameDefinition, cfg: DrConfig, rows: Optional[lq.PaddedRows]):
+def _resolvents(game: GameDefinition, cfg: DrConfig, rows: Optional[PaddedRows],
+                data: Optional[LqGameData]):
     """The scheme's two resolvents, maps (y, z) -> (x, u), built once per solve.
 
+    ``rows`` and ``data`` are the solve's reads (``certificate.read_game``).
     ``constraints`` solves the regularized game with the banded LU of
     ``lq.factor`` for declared linear-quadratic games, else by Newton steps
     warm-started from the previous output.  Building raises before the
@@ -476,14 +477,17 @@ def _resolvents(game: GameDefinition, cfg: DrConfig, rows: Optional[lq.PaddedRow
     """
     inner = dict(inner_tol=cfg.inner_tol, inner_max_iter=cfg.inner_max_iter)
     if cfg.scheme == SCHEME_DYNAMICS:
-        factor = lq.factor(game, 0.0)
-        return (lambda y, z: resolvent_reg_static_games(game, y, z, cfg.eta, **inner),
+        factor = lq.factor(game, 0.0, data)
+        return (lambda y, z: resolvent_reg_static_games(game, y, z, cfg.eta, **inner,
+                                                        rows=rows),
                 lambda y, z: project_dynamics(game, y, z, factor=factor))
     if cfg.scheme == SCHEME_GRADIENT:
+        # a read is missing only for nonlinear dynamics or rows not affine: these raise
+        data = lq.dynamics_data(game) if data is None else data
         rows = lq.padded_rows(game) if rows is None else rows
-        return (lambda y, z: constrained_oc_projection(game, y, z, rows),
+        return (lambda y, z: constrained_oc_projection(game, y, z, rows, data),
                 lambda y, z: resolvent_static_games_uncon(game, y, z, cfg.eta, **inner))
-    factor = lq.factor(game, cfg.eta) if game.linear_dynamics and game.quadratic_costs else None
+    factor = lq.factor(game, cfg.eta, data) if game.linear_dynamics and game.quadratic_costs else None
     warm = None
 
     def regularized_game(y, z):
@@ -494,4 +498,4 @@ def _resolvents(game: GameDefinition, cfg: DrConfig, rows: Optional[lq.PaddedRow
             warm = Trajectory(x, u)
         return x, u
 
-    return regularized_game, lambda y, z: project_stage_constraints(game, y, z)
+    return regularized_game, lambda y, z: project_stage_constraints(game, y, z, rows)

@@ -118,6 +118,36 @@ def fd_own_block_hessian(game, traj, n):
 # ---------------------------------------------------------------------------
 
 
+def feasible_direction_basis_loop(game, data, n):
+    """Player n's directions not pinned by ``data``'s active rows, one stage at a time.
+
+    The loop form of ``gradient._feasible_direction_basis``: the state
+    sensitivities dx_k/du_n are propagated stage by stage, each active row's
+    Jacobian block is built on its own, and the null space comes from the
+    same rank-revealing SVD.
+    """
+    sl = game.action_slice(n)
+    d = sl.stop - sl.start
+    dim = (game.horizon + 1) * d
+    sens = [np.zeros((game.state_dim, dim))]
+    for k in range(game.horizon):
+        nxt = data.A[k] @ sens[k]
+        nxt[:, k * d:(k + 1) * d] += data.B[k][:, sl]
+        sens.append(nxt)
+    blocks = []
+    for k, act in enumerate(data.active):
+        blk = np.zeros((int(act.sum()), dim))
+        blk[:, k * d:(k + 1) * d] = data.rows.S[k][act][:, sl]
+        blk[:, :k * d] += data.rows.W[k][act] @ sens[k][:, :k * d]
+        blocks.append(blk)
+    Jg = np.vstack(blocks)
+    if Jg.shape[0] == 0:
+        return np.eye(dim)
+    _, sv, vt = np.linalg.svd(Jg, full_matrices=True)
+    rank = int(np.sum(sv > max(Jg.shape) * np.finfo(float).eps * sv[0]))
+    return vt[rank:].T
+
+
 def stacked_lq_gne(game, lq, constraint_rows, active=None, tol=1e-9):
     """Variational equilibrium of a constrained LQ game by one dense solve.
 

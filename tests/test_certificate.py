@@ -1,15 +1,20 @@
-"""The natural residual and the active-set polish of ``certificate``."""
+"""The natural residual, the active-set polish and the one read of ``certificate``."""
+
+import dataclasses
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from dyngames import lq
+from dyngames import lq, model
 from dyngames.benchmarks import fishery_game, lq_rendezvous_game
 from dyngames.certificate import ActiveSetPolish, active_set_polish, natural_residual
 from dyngames.errors import StageSingularityError, UnsupportedConstraintError
+from dyngames.gradient import pseudo_gradient
 from dyngames.model import rollout
-from dyngames.projgrad import ProjGradConfig, projected_gradient_solve
+from dyngames.projgrad import ProjGradConfig, project_onto_feasible, projected_gradient_solve
+from dyngames.splitting import SCHEMES, DrConfig, dr_solve
 
 from instances import cross_scheme_lq_instance, random_polyhedral_lq_instance
 from oracles import stacked_lq_gne
@@ -111,3 +116,53 @@ class TestPolishedSolves:
         out, residual = polish(start)
         assert residual <= TOL
         np.testing.assert_allclose(out.actions, inst.equilibrium.actions, rtol=0, atol=1e-10)
+
+
+def count_reads(monkeypatch):
+    """Count calls of the row, dynamics and local-LQ readers, at every binding in dyngames."""
+    counts = dict.fromkeys(("eval_constraint_rows", "linearize_dynamics", "local_lq"), 0)
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(model.GameDefinition, "eval_constraint_rows",
+                        counted("eval_constraint_rows", model.GameDefinition.eval_constraint_rows))
+    for name in ("linearize_dynamics", "local_lq"):
+        real = getattr(model, name)
+        for mod in [m for key, m in sys.modules.items() if key.startswith("dyngames")]:
+            if getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, counted(name, real))
+    return counts
+
+
+@pytest.mark.parametrize("declared_lq", [True, False], ids=["lq", "undeclared"])
+@pytest.mark.parametrize("solver", ("pg",) + SCHEMES)
+def test_a_solve_reads_the_rows_and_the_dynamics_once(rng, monkeypatch, solver, declared_lq):
+    # the rows and the linear dynamics do not depend on the iterate: every
+    # projection, resolvent, polish and the report reuse the solve's one read
+    game, _, _ = cross_scheme_lq_instance(rng)
+    if not declared_lq:  # no polish, so the run iterates
+        game = dataclasses.replace(game, quadratic_costs=False)
+    counts = count_reads(monkeypatch)
+    if solver == "pg":
+        cfg = ProjGradConfig(step_size=0.05, max_iter=30, tol=1e-14, run_checks=False)
+        rep = projected_gradient_solve(game, np.zeros((game.horizon + 1, 2)), cfg)
+    else:
+        rep = dr_solve(game, DrConfig(scheme=solver, eta=0.4, max_iter=30, run_checks=False))
+    assert rep.iterations >= (1 if declared_lq else 10)
+    assert counts["eval_constraint_rows"] == game.horizon + 1
+    # the Newton resolvent linearizes at its own iterates, one local_lq each
+    newton = counts["local_lq"] if solver == "constraints" and not declared_lq else 0
+    assert counts["linearize_dynamics"] == 1 + newton
+    assert counts["local_lq"] == (1 if declared_lq else newton)
+    if solver == "pg" and not declared_lq:
+        # the same iteration with the rows and dynamics read by every projection
+        u = project_onto_feasible(game, np.zeros((game.horizon + 1, 2)))
+        for _ in range(rep.iterations):
+            grad = pseudo_gradient(game, rollout(game, game.initial_state, u), feas_tol=np.inf)
+            u = project_onto_feasible(game, u - cfg.step_size * grad.own_stage_grads())
+        assert counts["eval_constraint_rows"] == (game.horizon + 1) * (2 + rep.iterations)
+        np.testing.assert_array_equal(rep.trajectory.actions, u)

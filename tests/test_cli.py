@@ -263,6 +263,15 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(f"error: {where} must be nonnegative")
         assert not (tmp_path / "never").exists()
 
+    def test_simulate_without_feedback_is_refused_before_the_solve(self, tmp_path, capsys):
+        cfg = {"game": {"id": "lq_rendezvous"}, "solver": "dr", "max_iter": 1,
+               "simulate": {"n_runs": 2}, "output_dir": str(tmp_path / "never")}
+        assert main(["--config", write(tmp_path, cfg), "--quiet"]) == EXIT_BAD_CONFIG
+        assert "requires feedback" in capsys.readouterr().err
+        assert not (tmp_path / "never").exists()
+        with pytest.raises(ConfigError, match="requires feedback"):
+            RunConfig.from_dict({**cfg, "feedback": False})
+
     def test_solver_failure_maps_to_exit_code(self, tmp_path):
         # the meeting game's ball constraints are not affine, so the
         # stagewise static-game scheme must refuse

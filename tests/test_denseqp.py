@@ -255,10 +255,9 @@ def test_banded_horizon_qp_matches_enumeration(seed, T, counts, special, cost):
     # complementary slackness: only rows at their bound carry a multiplier
     assert np.max(-lam[real] * values, initial=0.0) <= 1e-8 * (1.0 + np.max(lam, initial=0.0))
     if target is not None:
-        # the projection of ``lq.PaddedRows`` builds the same QP
-        rows = lq.PaddedRows(qp.W, qp.S, qp.p, qp.real, qp.data.A, qp.data.B, qp.data.b,
-                             qp.data.initial_state)
-        traj = rows.project(*target, 1.0 if cost == "w1" else 0.0)
+        # ``lq.project`` builds the same QP
+        traj = lq.project(lq.PaddedRows(qp.W, qp.S, qp.p, qp.real), qp.data, *target,
+                          1.0 if cost == "w1" else 0.0)
         np.testing.assert_array_equal(np.hstack([traj.states, traj.actions]).ravel(), z)
 
 

@@ -20,13 +20,14 @@ from dyngames.gradient import (
     pseudo_gradient,
     solve_costates,
 )
-from dyngames.model import GameDefinition, Trajectory, all_player_costs, rollout
+from dyngames.model import GameDefinition, Trajectory, all_player_costs, quadraticize, rollout
 
 from conftest import identity_sum_game, random_lq_game, random_smooth_game
-from instances import fishery_off_its_dynamics
+from instances import affine_quadratic_game, fishery_off_its_dynamics
 from oracles import (
     costate_recursion,
     fd_own_block_hessian,
+    feasible_direction_basis_loop,
     fd_stacked_gradient,
     player_major_operator,
     stacked_coordinates,
@@ -215,3 +216,29 @@ class TestPlayerwiseCheck:
         traj = rollout(game, game.initial_state, 5.0 * np.ones((3, 2)))
         verdicts = playerwise_minimizer_check(game, traj)
         assert all(v.verdict == VERDICT_BLOCKED for v in verdicts)
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), T=st.integers(0, 4),
+       action_dims=st.sampled_from([(1, 1), (2, 1), (1, 2, 1)]), state_rows=st.booleans())
+def test_feasible_direction_basis_matches_the_stage_loop(seed, T, action_dims, state_rows):
+    # rows at the trajectory or 1 below it, so some are active and some not
+    rng = np.random.default_rng(seed)
+    base, lq = random_lq_game(rng, T=T, action_dims=action_dims)
+    n_u = sum(action_dims)
+    traj = rollout(base, base.initial_state, rng.standard_normal((T + 1, n_u)))
+    rows = {}
+    for k, m in enumerate(rng.integers(0, 4, T + 1)):
+        if m:
+            W = rng.standard_normal((m, 2)) * state_rows
+            S = rng.standard_normal((m, n_u))
+            slack = rng.choice([0.0, -1.0], m)
+            rows[k] = (W, S, slack - W @ traj.states[k] - S @ traj.actions[k])
+    game = affine_quadratic_game(lq, base.initial_state, rows, action_dims)
+    data = quadraticize(game, traj)
+    for n in range(len(action_dims)):
+        got = gradient._feasible_direction_basis(game, data, n)
+        want = feasible_direction_basis_loop(game, data, n)
+        assert got.shape == want.shape
+        # the same null space: equal orthogonal projectors onto it
+        np.testing.assert_allclose(got @ got.T, want @ want.T, rtol=0, atol=1e-12)

@@ -214,7 +214,7 @@ def test_extract_lq_data_is_the_reader_at_the_origin(rng, make):
                                                  dynamics_hessians=boom))
     for name in ("A", "B", "b", "Q", "X", "R", "q", "r", "c", "G", "initial_state"):
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
-    assert got.W is None and got.active is None
+    assert got.rows is None and got.active is None
 
 
 def singular_game(rng, eta, T=3):

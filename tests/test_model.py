@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from dyngames import lq
 from dyngames.benchmarks import FisheryParams, fishery_game, lq_rendezvous_game
 from dyngames.errors import DimensionError, InfeasibleTrajectoryError, NonFiniteStateError
 from dyngames.gradient import pseudo_gradient
@@ -22,7 +23,7 @@ from dyngames.model import (
 )
 
 from conftest import identity_sum_game, random_lq_game, random_smooth_game
-from instances import fishery_off_its_dynamics
+from instances import affine_quadratic_game, fishery_off_its_dynamics
 from oracles import quadraticize_per_stage
 
 
@@ -478,9 +479,11 @@ class TestStackedReader:
             if k < T:
                 for name_ in ("A", "B", "G", "b"):
                     assert_rel_close(getattr(data, name_)[k], want[name_])
+            real = data.rows.real[k]
             for name_ in ("W", "S", "p"):
-                assert_rel_close(getattr(data, name_)[k], want[name_])
-            np.testing.assert_array_equal(data.active[k], want["active"])
+                assert_rel_close(getattr(data.rows, name_)[k][real], want[name_])
+            np.testing.assert_array_equal(np.flatnonzero(data.active[k]), want["active"])
+            assert not np.any(data.active[k] & ~real)
         assert_rel_close(data.initial_state, game.initial_state - traj.states[0])
 
     def test_linear_dynamics_read_no_second_derivatives(self, rng):
@@ -511,26 +514,23 @@ class TestActiveSets:
         game, _ = random_lq_game(rng, T=3)
         traj = rollout(game, game.initial_state, np.zeros((4, game.total_action_dim)))
         data = quadraticize(game, traj)
-        for act, p in zip(data.active, data.p):
-            assert act.size == 0 and p.size == 0
+        assert data.active.shape == data.rows.p.shape == data.rows.real.shape == (4, 0)
 
     def test_boundary_point_is_active(self):
         game = self.box_game()
         controls = np.array([[0.4], [0.1], [0.0]])
         traj = rollout(game, np.zeros(1), controls)
         active = quadraticize(game, traj).active
-        assert list(active[0]) == [0]
-        assert list(active[1]) == []
-        assert list(active[2]) == [1]
+        assert active.tolist() == [[True, False], [False, False], [False, True]]
 
     def test_partition_is_complement(self, rng):
         game = self.box_game(T=4)
         controls = rng.uniform(-0.1, 0.5, size=(5, 1))
         traj = rollout(game, np.zeros(1), controls)
         data = quadraticize(game, traj)
-        for act, p in zip(data.active, data.p):
-            inact = np.setdiff1d([0, 1], act)
-            assert np.all(p[act] >= -1e-6) and np.all(p[inact] < -1e-6)
+        p, act = data.rows.p, data.active
+        assert data.rows.real.all()
+        assert np.all(p[act] >= -1e-6) and np.all(p[~act] < -1e-6)
 
     def test_rows_are_evaluated_once_per_stage(self):
         game = fishery_game(FisheryParams(horizon_time=100.0))
@@ -544,7 +544,7 @@ class TestActiveSets:
         traj = rollout(game, game.initial_state, np.tile([0.2, 0.15], (1001, 1)))
         data = quadraticize(counted_game, traj)
         assert len(calls) == 1001
-        assert sum(act.size for act in data.active) == 0
+        assert data.active.shape == (1001, 4) and not data.active.any()
 
     def test_jacobian_row_count_must_match_the_rows(self):
         game = dataclasses.replace(
@@ -563,5 +563,21 @@ class TestActiveSets:
         traj = rollout(game, np.zeros(1), ctrl)
         small = quadraticize(game, traj, active_tol=t1)
         big = quadraticize(game, traj, active_tol=t2)
-        for act_s, act_b in zip(small.active, big.active):
-            assert set(act_s).issubset(set(act_b))
+        assert np.all(big.active[small.active])
+
+    @given(seed=st.integers(0, 2**32 - 1), T=st.integers(0, 4), max_rows=st.integers(0, 3),
+           tol=st.floats(0.0, 1.0), spread=st.floats(0.0, 3.0))
+    def test_active_mask_is_the_solve_reads_mask(self, seed, T, max_rows, tol, spread):
+        # one mask semantics: the backward pass's active rows around a
+        # trajectory are the rows a solve's read (the polish's) finds active there
+        rng = np.random.default_rng(seed)
+        base, lq_data = random_lq_game(rng, T=T)
+        counts = rng.integers(0, max_rows + 1, T + 1)
+        game = affine_quadratic_game(lq_data, base.initial_state, {
+            k: (rng.standard_normal((m, 2)), rng.standard_normal((m, 2)), rng.standard_normal(m))
+            for k, m in enumerate(counts) if m})
+        traj = rollout(game, game.initial_state,
+                       spread * rng.standard_normal((T + 1, game.total_action_dim)))
+        rows = lq.padded_rows(game)
+        data = quadraticize(game, traj, active_tol=tol)
+        np.testing.assert_array_equal(data.active, rows.real & (rows.values(traj) >= -tol))

@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from dyngames import lq
 from dyngames.errors import InfeasibleConstraintsError
 from dyngames.gradient import pseudo_gradient
-from dyngames.model import GameDefinition, rollout
+from dyngames.model import GameDefinition
 from dyngames.projgrad import ProjGradConfig, project_onto_feasible, projected_gradient_solve
 from dyngames.report import TERM_DIVERGENCE, TERM_TOLERANCE
 
@@ -143,33 +142,6 @@ class TestProjection:
 
 
 class TestProjectedGradient:
-    def test_rows_are_read_once_per_solve(self, rng, monkeypatch):
-        game, _, _ = state_coupled_game(rng, T=5)
-        cfg = ProjGradConfig(step_size=0.05, max_iter=30, tol=1e-14, run_checks=False)
-        u0 = rng.standard_normal((6, 2))
-        builds = []
-        build = lq.padded_rows
-
-        def counted(*args, **kwargs):
-            builds.append(args)
-            return build(*args, **kwargs)
-
-        monkeypatch.setattr(lq, "padded_rows", counted)
-        rep = projected_gradient_solve(game, u0, cfg)
-        assert len(builds) == 1
-        # the same iteration with the rows read again by every projection
-        u = project_onto_feasible(game, u0)
-        iterates = [u]
-        for _ in range(rep.iterations):
-            grad = pseudo_gradient(game, rollout(game, game.initial_state, u), feas_tol=np.inf)
-            u = project_onto_feasible(game, u - cfg.step_size * grad.own_stage_grads())
-            iterates.append(u)
-        assert len(builds) == 1 + len(iterates)
-        np.testing.assert_allclose(rep.trajectory.actions, iterates[-1], rtol=0, atol=1e-12)
-        np.testing.assert_allclose(rep.distance_trace,
-                                   [np.linalg.norm(it - iterates[-1]) for it in iterates],
-                                   rtol=0, atol=1e-12)
-
     def test_config_rejects_negative_iteration_budget(self):
         with pytest.raises(ValueError, match="nonnegative"):
             ProjGradConfig(max_iter=-1)

@@ -8,6 +8,7 @@ import pytest
 from dyngames import lq, projgrad, splitting
 from dyngames.benchmarks import FisheryParams, fishery_game, lq_rendezvous_game
 from dyngames.certificate import ActiveSetPolish, active_set_polish, natural_residual
+from dyngames.errors import NonFiniteStateError
 from dyngames.model import Trajectory, rollout
 from dyngames.projgrad import ProjGradConfig
 from dyngames.report import TERM_DIVERGENCE, TERM_MAX_ITER, TERM_TOLERANCE, iterate
@@ -46,6 +47,34 @@ class TestIterate:
         assert run.termination == TERM_DIVERGENCE
         assert run.candidate == 3
         assert run.step_norms == [2.0, 6.0, 18.0]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_non_finite_iterate_ends_the_run_as_divergence(self, bad):
+        # NaN fails every comparison, so a norm test alone never stops on it
+        def step(w, count):
+            return (w / 2 if count < 2 else np.full_like(w, bad)), count + 1
+
+        run = iterate(step, np.array([1.0, 2.0]), 0, max_iter=50, tol=1e-12,
+                      divergence_factor=np.inf)
+        assert run.termination == TERM_DIVERGENCE
+        assert run.candidate == 3 and len(run.step_norms) == 3
+
+    def test_a_non_finite_dr_run_stops_at_once_and_raises(self, rng, monkeypatch):
+        game, _, _ = cross_scheme_lq_instance(rng)
+        calls = []
+        project = splitting.project_stage_constraints
+
+        def poisoned(*args):
+            calls.append(None)
+            x, u = project(*args)
+            return (x, u) if len(calls) < 3 else (x, np.full_like(u, np.nan))
+
+        monkeypatch.setattr(splitting, "project_stage_constraints", poisoned)
+        with pytest.raises(NonFiniteStateError):  # the result's rollout
+            splitting.dr_solve(dataclasses.replace(game, quadratic_costs=False),
+                               DrConfig(eta=0.4, max_iter=50, record_costs=False,
+                                        run_checks=False))
+        assert len(calls) == 3
 
     def test_no_budget_returns_the_start(self):
         w0, cand0 = np.array([1.0, 2.0]), object()
