@@ -118,8 +118,8 @@ class RunConfig:
                 if name == "stage_reg":
                     if not 0.0 <= val < np.inf:  # rejects NaN too
                         raise ConfigError(f"stage_reg must be finite and nonnegative, got {val}")
-                elif not val > 0:  # rejects NaN too
-                    raise ConfigError(f"{name} must be positive, got {val}")
+                elif not 0.0 < val < np.inf:  # rejects NaN too
+                    raise ConfigError(f"{name} must be positive and finite, got {val}")
                 setattr(cfg, name, val)
         if "max_iter" in raw:
             cfg.max_iter = _count(raw["max_iter"], "max_iter")

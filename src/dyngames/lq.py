@@ -119,13 +119,15 @@ class LqFactor:
     eta: Optional[float] = None
     rows: int = 0
 
-    def solve(self, y: Optional[Array] = None, z: Optional[Array] = None) -> Trajectory:
+    def solve(self, y: Optional[Array] = None,
+              z: Optional[Array] = None) -> tuple[Array, Array]:
         """Equilibrium with linear terms q_{n,k} - y_k and r_{n,k} - z_k.
 
         ``y`` is (T+1, n_x), ``z`` (T+1, n_u); either may be omitted (no
-        shift).  One banded solve: O(T) time and memory.
+        shift).  One banded solve: O(T) time and memory.  Returns the states
+        and actions, views into its one solution array.
         """
-        return self._trajectory(self._blocks(y, z))
+        return self._split(self._blocks(y, z))
 
     def _blocks(self, y: Optional[Array], z: Optional[Array]) -> Array:
         """The solution, one block of unknowns per stage: (T+1, block)."""
@@ -143,10 +145,10 @@ class LqFactor:
         sol[0, self.rows:self.rows + n_x] = self.initial_state
         return sol
 
-    def _trajectory(self, sol: Array) -> Trajectory:
+    def _split(self, sol: Array) -> tuple[Array, Array]:
         ix = self.rows
         iu = ix + self.initial_state.size
-        return Trajectory(sol[:, ix:iu], sol[:, iu:iu + self.action_dim])
+        return sol[:, ix:iu], sol[:, iu:iu + self.action_dim]
 
 
 def _inverse_norm(lu: Array, kl: int, ku: int, piv: Array) -> float:
@@ -291,7 +293,7 @@ def solve_pinned(data: LqGameData, W: Array, S: Array, p: Array,
     held rows.
     """
     fac, sol, mu = _pinned_solve(data, W, S, p, pinned)
-    return fac._trajectory(sol), mu
+    return Trajectory(*fac._split(sol)), mu
 
 
 def _pinned_solve(data: LqGameData, W: Array, S: Array, p: Array,
@@ -407,4 +409,4 @@ def solve_lq_open_loop(data: LqGameData, x0: Optional[Array] = None) -> Trajecto
     """Exact open-loop equilibrium of a linear-quadratic game by one banded solve."""
     if x0 is not None:
         data = replace(data, initial_state=np.asarray(x0, dtype=float))
-    return _kkt_factor(data).solve()
+    return Trajectory(*_kkt_factor(data).solve())

@@ -46,15 +46,14 @@ class ProjGradConfig:
     run_checks: bool = True
 
     def __post_init__(self):
-        # written as ``not x > 0`` so that NaN is rejected too
-        if not self.step_size > 0:
-            raise ValueError(f"step size must be positive, got {self.step_size}")
-        if not self.tol > 0:
-            raise ValueError(f"tolerance must be positive, got {self.tol}")
+        # each test is written so that NaN fails it
+        for name in ("step_size", "tol"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if not self.divergence_factor > 0:
-            raise ValueError(f"divergence factor must be positive, got {self.divergence_factor}")
+            raise ValueError(f"divergence_factor must be positive, got {self.divergence_factor}")
         if self.max_iter < 0:
-            raise ValueError(f"iteration budget must be nonnegative, got {self.max_iter}")
+            raise ValueError(f"max_iter must be nonnegative, got {self.max_iter}")
 
 
 def projected_gradient_solve(game: GameDefinition, u0: Array,

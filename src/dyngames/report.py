@@ -1,11 +1,23 @@
 """The fixed-point loop and the run report shared by the equilibrium solvers.
 
-Projected gradient and Douglas-Rachford both iterate w <- step(w).
-``iterate`` owns their loop, step norm and stop tests, and ``build_report``
-turns a finished run into a ``SolverReport``; a solver supplies only its
-step, its equilibrium candidate and what to check.  A solver may also pass
-a polish hook (``certificate.active_set_polish``): a point it offers after
-a step is certified, so it ends the run at once.
+Projected gradient and Douglas-Rachford both look for a fixed point of a
+map w -> g(w).  ``iterate`` owns their loop, step norm and stop tests, and
+``build_report`` turns a finished run into a ``SolverReport``; a solver
+supplies only its step, its equilibrium candidate and what to check.  A
+solver may also pass a polish hook (``certificate.active_set_polish``): a
+point it offers after a step is certified, so it ends the run at once.
+
+Projected gradient takes the plain iteration w <- g(w).  Douglas-Rachford
+asks for safeguarded type-II Anderson acceleration (``_Anderson``): after a
+few plain steps the next point extrapolates from the last differences of g
+and of the residual f = g - w, and an extrapolated point whose residual
+|f|_2 exceeds that of the point it came from gives way to that point's
+plain image.  DR's averaged map is nonexpansive, the setting of Fu, Zhang
+and Boyd, "Anderson accelerated Douglas-Rachford splitting", SIAM J. Sci.
+Comput. 2020 (arXiv:1908.11482).  Plain DR converges only linearly: at the
+paper's eta the rendezvous used up its 10k-step budget, and accelerated it
+stops on the tolerance after about 1k.  Either way the step norm and the
+stop test read max|g(w) - w| at each point evaluated.
 
 A solver that records its candidates' costs does so on a fixed grid, not
 after every step: at the initial candidate, at the iterations
@@ -48,14 +60,18 @@ def on_record_grid(t: int) -> bool:
 class SolverReport:
     """Outcome of an iterative equilibrium solve.
 
-    ``distance_trace[t]`` is the distance of iterate t to the final iterate
-    (the quantity whose geometric decay rate is fitted); ``step_norms[t]``
-    the infinity norm of the t-th update.  When the solver records costs,
-    ``cost_trace[i]`` holds every player's game cost at the candidate after
-    ``cost_iterations[i]`` steps: the initial candidate (0), the grid
-    iterations {1, 2, 5} * 10^j the run stepped past, and last the reported
-    result (``iterations``), whose row is ``final_costs`` (a polished result
-    included).  Without a record both are None.
+    ``step_norms[t]`` is max|g(w) - w| at the point w evaluated in step
+    t + 1, g the solver's fixed-point map; ``distance_trace[t]`` is the
+    distance of iterate t to the final iterate (the quantity whose geometric
+    decay rate is fitted), where iterate 0 is the start and iterate t >= 1
+    the image g(w) of step t.  Without extrapolation (projected gradient)
+    these are the plain iterates and the norms of their updates.  When the
+    solver records costs, ``cost_trace[i]`` holds every player's game cost
+    at the candidate after ``cost_iterations[i]`` steps: the initial
+    candidate (0), the grid iterations {1, 2, 5} * 10^j the run stepped
+    past, and last the reported result (``iterations``), whose row is
+    ``final_costs`` (a polished result included).  Without a record both
+    are None.
     ``natural_residual`` is the final actions' r(u) = |u - P(u - F(u))|_inf
     (``certificate.natural_residual``); it is NaN for a game without a
     projection P and after divergence.
@@ -87,7 +103,10 @@ class SolverReport:
 
 @dataclass
 class Run:
-    """A finished ``iterate`` run; ``iterates`` starts with the initial iterate.
+    """A finished ``iterate`` run.
+
+    ``iterates`` holds the initial point and then the image g(w) of every
+    point evaluated; ``step_norms`` max|g(w) - w| at each.
 
     ``records[i]`` is the record of the candidate after ``record_iterations[i]``
     steps, at the grid iterations the run stepped past (never its last one).
@@ -104,38 +123,111 @@ class Run:
     residual: Optional[float] = None
 
 
+# Safeguarded type-II Anderson extrapolation (``iterate(..., accelerate=True)``):
+# the difference pairs kept, the plain steps before the first extrapolation,
+# and the Tikhonov weight of the least-squares problem relative to |dF|_F^2,
+# as A2DR regularizes it (Fu, Zhang and Boyd, arXiv:1908.11482).
+ANDERSON_MEMORY = 20
+ANDERSON_WARMUP = 5
+ANDERSON_REG = 1e-8
+
+
+class _Anderson:
+    """Safeguarded type-II Anderson extrapolation of a fixed-point map g.
+
+    Fed each evaluated point w with its image g(w), ``next_point`` returns
+    the point to evaluate next.  With f = g - w, the rows of dF and dG hold
+    the differences of f and of g between consecutive kept points, the last
+    ANDERSON_MEMORY of them.  The extrapolation is g - dG' gamma with gamma
+    the Tikhonov-regularized least-squares solution of dF' gamma ~ f (Walker
+    and Ni, SIAM J. Numer. Anal. 2011; Fu, Zhang and Boyd, SIAM J. Sci.
+    Comput. 2020).  An extrapolated point is kept only if |f|_2 there is at
+    most |f|_2 at the point it came from; otherwise the next point is that
+    point's image, already computed, and the differences are dropped.  A
+    degenerate or non-finite extrapolation, or one of norm beyond ``bound``,
+    gives way to the plain image g; numpy warns of none of them.
+    """
+
+    def __init__(self, size: int, bound: float):
+        self.bound = bound
+        self.dF, self.dG = np.empty((2, ANDERSON_MEMORY, size))  # ring buffers
+        self.held = self.slot = 0  # rows filled, and the row written next
+        self.kept: Optional[tuple[Array, Array, float]] = None  # g, f and |f|_2 there
+        self.trial = False  # whether the point just evaluated was extrapolated
+
+    def next_point(self, w: Array, g: Array, t: int) -> Array:
+        f = (g - w).ravel()
+        r = float(np.sqrt(f @ f))
+        if self.trial and not r <= self.kept[2]:
+            self.trial, self.held, self.slot = False, 0, 0
+            return self.kept[0]
+        if self.kept is not None:
+            np.subtract(f, self.kept[1], out=self.dF[self.slot])
+            np.subtract(g.ravel(), self.kept[0].ravel(), out=self.dG[self.slot])
+            self.held = min(self.held + 1, ANDERSON_MEMORY)
+            self.slot = (self.slot + 1) % ANDERSON_MEMORY
+        self.kept = (g, f, r)
+        if t < ANDERSON_WARMUP:
+            return g
+        n = self.held
+        dF = self.dF[:n]
+        with np.errstate(all="ignore"):
+            gram = dF @ dF.T
+            scale = float(gram.trace())
+            if not 0.0 < scale < np.inf:
+                return g
+            gram.flat[::n + 1] += ANDERSON_REG * scale  # now positive definite
+            gamma = np.linalg.solve(gram, dF @ f)
+            trial = g.ravel() - gamma @ self.dG[:n]
+            # NaN fails the comparison too
+            if not np.sqrt(trial @ trial) <= self.bound:
+                return g
+        self.trial = True
+        return trial.reshape(g.shape)
+
+
 def iterate(step: Callable[[Array, Any], tuple[Array, Any]], w0: Array, cand0: Any,
             max_iter: int, tol: float, divergence_factor: float,
             accept: Optional[Callable[[Any], bool]] = None,
             record: Optional[Callable[[Any], Any]] = None,
-            polish: Optional[Callable[[Any], Optional[tuple[Any, float]]]] = None) -> Run:
+            polish: Optional[Callable[[Any], Optional[tuple[Any, float]]]] = None,
+            accelerate: bool = False) -> Run:
     """Run w <- step(w) until the step is small, w blows up or the budget ends.
 
-    ``step(w, cand)`` returns a new iterate array and the next equilibrium
-    candidate, given the previous one (``cand0`` at first).  ``record(cand)``,
-    when given, is kept after each step t on the grid {1, 2, 5} * 10^j
-    (``on_record_grid``) that the run goes past: once the stop tests let it
-    go on and t < ``max_iter``.  The start and the result are not recorded;
-    the caller has both.  ``polish(cand)`` is called once
+    ``step(w, cand)`` returns the image g(w) of the point w and the next
+    equilibrium candidate, given the previous one (``cand0`` at first).
+    Every call is one iteration t, and its step norm is max|g(w) - w|.
+    Without ``accelerate`` the next point is g(w).  With it, after
+    ANDERSON_WARMUP plain steps the next point is a safeguarded type-II
+    Anderson extrapolation from the last ANDERSON_MEMORY points
+    (``_Anderson``).  A trial whose residual |g(w) - w|_2 exceeds that of
+    the point it came from is dropped for that point's image, already
+    computed, so that step is lost; the points kept never have a larger
+    residual than the one before them when g is nonexpansive, as DR's
+    averaged map is.
+
+    ``record(cand)``, when given, is kept after each step t on the grid
+    {1, 2, 5} * 10^j (``on_record_grid``) that the run goes past: once the
+    stop tests let it go on and t < ``max_iter``.  The start and the result
+    are not recorded; the caller has both.  ``polish(cand)`` is called once
     after every step when given; when it returns a point and that point's
     natural residual, which certifies it, the point replaces the candidate
     and ends the run with ``tolerance``.  Otherwise the run stops with
-    ``tolerance`` once
-    max|w_new - w| <= tol and ``accept(cand)`` holds (evaluated only then,
-    so a costly residual check is skipped while w still moves), with
-    ``divergence`` at the first w that is not finite or has |w|_2 >
-    divergence_factor * (1 + |w0|_2), and else with ``max_iter``;
-    ``max_iter = 0`` returns ``cand0``.
+    ``tolerance`` once max|g(w) - w| <= tol and ``accept(cand)`` holds
+    (evaluated only then, so a costly residual check is skipped while w
+    still moves), with ``divergence`` at the first image that is not finite
+    or has |g(w)|_2 > divergence_factor * (1 + |w0|_2), and else with
+    ``max_iter``; ``max_iter = 0`` returns ``cand0``.
     """
     w, cand = w0, cand0
     iterates, step_norms, records, record_iterations = [w0], [], [], []
-    scale0 = 1.0 + float(np.linalg.norm(w0))
+    bound = divergence_factor * (1.0 + float(np.linalg.norm(w0)))
+    anderson = _Anderson(w0.size, bound) if accelerate else None
     termination, residual = TERM_MAX_ITER, None
     for t in range(1, max_iter + 1):
-        w_new, cand = step(w, cand)
-        size = float(np.max(np.abs(w_new - w)))
-        w = w_new
-        iterates.append(w)
+        g, cand = step(w, cand)
+        size = float(np.max(np.abs(g - w)))
+        iterates.append(g)
         step_norms.append(size)
         polished = None if polish is None else polish(cand)
         if polished is not None:
@@ -144,13 +236,14 @@ def iterate(step: Callable[[Array, Any], tuple[Array, Any]], w0: Array, cand0: A
         if size <= tol and (accept is None or accept(cand)):
             termination = TERM_TOLERANCE
             break
-        # a step to a non-finite w is itself not finite; NaN fails every comparison
-        if not (size < np.inf and np.linalg.norm(w) <= divergence_factor * scale0):
+        # a step to a non-finite g is itself not finite; NaN fails every comparison
+        if not (size < np.inf and np.linalg.norm(g) <= bound):
             termination = TERM_DIVERGENCE
             break
         if record is not None and t < max_iter and on_record_grid(t):
             records.append(record(cand))
             record_iterations.append(t)
+        w = g if anderson is None else anderson.next_point(w, g, t)
     return Run(cand, iterates, step_norms, termination, records, record_iterations, residual)
 
 

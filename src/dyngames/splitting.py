@@ -33,7 +33,12 @@ such restriction.
 ``dr_solve`` is the reflected-resolvent step over one stacked iterate plus
 one call of ``report.iterate``, the loop it shares with ``projgrad``; for
 linear-quadratic games with affine rows or none it passes the active-set
-polish of ``certificate``, which ends the run on a certified point.
+polish of ``certificate``, which ends the run on a certified point.  The
+averaged map is nonexpansive, and ``dr_solve`` has the loop accelerate it
+with safeguarded type-II Anderson extrapolation (Fu, Zhang and Boyd, SIAM
+J. Sci. Comput. 2020): every scheme evaluates its step at extrapolated
+points once a few plain steps have passed, falls back to the plain image
+whenever a trial point's residual rises, and keeps the same fixed point.
 ``dr_solve`` reads the game once, at the origin (``certificate.read_game``),
 and ``_resolvents`` builds both resolvents once from that read: one
 ``lq.factor`` (a banded LU of the stacked KKT matrix) for the regularized LQ
@@ -96,19 +101,18 @@ class DrConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; pick one of {SCHEMES}")
-        # written as ``not x > 0`` so that NaN is rejected too
+        # each test is written so that NaN fails it
         if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"averaging weight must lie strictly in (0,1), got {self.alpha}")
-        if not self.eta > 0.0:
-            raise ValueError(f"regularization must be positive, got {self.eta}")
+            raise ValueError(f"alpha must lie strictly in (0, 1), got {self.alpha}")
+        for name in ("eta", "tol", "inner_tol"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if self.max_iter < 0:
-            raise ValueError(f"iteration budget must be nonnegative, got {self.max_iter}")
+            raise ValueError(f"max_iter must be nonnegative, got {self.max_iter}")
         if self.inner_max_iter < 1:
-            raise ValueError(f"inner iteration budget must be at least 1, got {self.inner_max_iter}")
-        if not (self.tol > 0 and self.inner_tol > 0):
-            raise ValueError(f"tolerances must be positive, got {self.tol} and {self.inner_tol}")
+            raise ValueError(f"inner_max_iter must be at least 1, got {self.inner_max_iter}")
         if not self.divergence_factor > 0:
-            raise ValueError(f"divergence factor must be positive, got {self.divergence_factor}")
+            raise ValueError(f"divergence_factor must be positive, got {self.divergence_factor}")
 
 
 # ---------------------------------------------------------------------------
@@ -151,8 +155,7 @@ def resolvent_reg_game(game: GameDefinition, y: Array, z: Array, eta: float,
             factor = lq.factor(game, eta)
         elif factor.eta != eta:
             raise ValueError(f"factor was built for eta={factor.eta}, not {eta}")
-        traj = factor.solve(y, z)
-        return traj.states, traj.actions
+        return factor.solve(y, z)
     if not eta > 0:  # the Newton steps weigh the Hessians by 1/eta
         raise ValueError(f"regularization must be positive, got {eta}")
     T, n_x, n_u = game.horizon, game.state_dim, game.total_action_dim
@@ -183,8 +186,8 @@ def resolvent_reg_game(game: GameDefinition, y: Array, z: Array, eta: float,
         data.Q[:, :T] += H[..., :n_x, :n_x]
         data.X[:, :T] += H[..., :n_x, n_x:]
         data.R[:, :T] += H[..., n_x:, n_x:]
-        step = lq.regularized_factor(data, eta).solve(y - traj.states, z - traj.actions)
-        traj = rollout(game, game.initial_state, traj.actions + step.actions)
+        _, du = lq.regularized_factor(data, eta).solve(y - traj.states, z - traj.actions)
+        traj = rollout(game, game.initial_state, traj.actions + du)
     raise SubproblemError(
         f"regularized game did not reach stationarity in {inner_max_iter} Newton "
         f"steps (residual {resid:.3e})")
@@ -386,8 +389,7 @@ def project_dynamics(game: GameDefinition, y: Array, z: Array,
         factor = lq.factor(game, 0.0)  # raises UnsupportedConstraintError for nonlinear dynamics
     elif factor.eta != 0:
         raise ValueError(f"dynamics projection needs an eta=0 factor, got eta={factor.eta}")
-    traj = factor.solve(y, z)
-    return traj.states, traj.actions
+    return factor.solve(y, z)
 
 
 def constrained_oc_projection(game: GameDefinition, y: Array, z: Array,
@@ -414,19 +416,25 @@ def constrained_oc_projection(game: GameDefinition, y: Array, z: Array,
 def dr_solve(game: GameDefinition, cfg: DrConfig) -> SolverReport:
     """Run the reflected-resolvent iteration; returns the last resolvent output.
 
-    The averaged (shadow) iterate stacks states and actions in one vector,
-    starting at zero actions and their rollout.  The candidate is the second
-    resolvent's output, in its constraint set by construction.  The run
-    stops with ``tolerance`` once the averaged step and then the candidate's
-    dynamics and constraint residuals are at most ``cfg.tol``.  For a
-    linear-quadratic game with affine rows or none, the active-set polish
-    (``certificate.active_set_polish``) runs after every step, and a point
-    it certifies (natural residual <= ``cfg.tol``) ends the run with
-    ``tolerance`` and becomes the result.  ``record_costs`` records the
-    costs of the candidate's actions rolled out: at the start (step 0),
-    after the steps t in {1, 2, 5} * 10^j that the run goes past, and last
-    at the reported result (``final_costs``); ``cost_iterations`` names
-    each row's step.  A 10k-iteration run so makes 14 rollouts.
+    The averaged (shadow) iterate w stacks states and actions in one vector,
+    starting at zero actions and their rollout; one step maps w to its
+    averaged image g(w).  After ``report.ANDERSON_WARMUP`` plain steps the
+    next w is a safeguarded Anderson extrapolation (``report.iterate`` with
+    ``accelerate``); a trial whose residual |g(w) - w|_2 exceeds that of the
+    point it came from gives way to that point's image.  ``step_norms``
+    hold max|g(w) - w| at each point evaluated, and ``distance_trace``
+    measures the images g(w) against the last one.  The candidate is the
+    second resolvent's output at the point evaluated, in its constraint set
+    by construction.  The run stops with ``tolerance`` once the step and
+    then the candidate's dynamics and constraint residuals are at most
+    ``cfg.tol``.  For a linear-quadratic game with affine rows or none, the
+    active-set polish (``certificate.active_set_polish``) runs after every
+    step, and a point it certifies (natural residual <= ``cfg.tol``) ends
+    the run with ``tolerance`` and becomes the result.  ``record_costs``
+    records the costs of the candidate's actions rolled out: at the start
+    (step 0), after the steps t in {1, 2, 5} * 10^j that the run goes past,
+    and last at the reported result (``final_costs``); ``cost_iterations``
+    names each row's step.  A 10k-iteration run so makes 14 rollouts.
     """
     T, n_x, n_u = game.horizon, game.state_dim, game.total_action_dim
     wu = np.zeros((T + 1, n_u))
@@ -455,7 +463,7 @@ def dr_solve(game: GameDefinition, cfg: DrConfig) -> SolverReport:
     run = iterate(step, np.concatenate([wx.ravel(), wu.ravel()]), Trajectory(wx, wu),
                   cfg.max_iter, cfg.tol, cfg.divergence_factor, accept=accept,
                   record=costs if cfg.record_costs else None,
-                  polish=active_set_polish(game, cfg.tol, rows, data))
+                  polish=active_set_polish(game, cfg.tol, rows, data), accelerate=True)
     checked = rollout(game, game.initial_state, run.candidate.actions)
     # the first candidate's actions are wu, so ``start`` is their rollout
     return build_report(game, run.candidate, checked, run, cfg.run_checks,

@@ -533,31 +533,61 @@ def dr_constraints_scheme_trace(game, stage_projection, eta, alpha, max_iter):
     reference for the game's projector (such as
     ``rendezvous_stage_projection``), applied stage by stage.  Both residuals
     of the candidate are evaluated on every iteration, one stage at a time.
+
+    The points evaluated follow the safeguarded type-II Anderson scheme from
+    its definition, with the package's three constants.  Each kept point
+    (w, g = T(w), f = g - w) joins a list of the last ANDERSON_MEMORY + 1.
+    From the ANDERSON_WARMUP-th step on, the next point is
+    g - sum_i gamma_i (g_{i+1} - g_i) over consecutive kept points, gamma
+    minimizing |f - sum_i gamma_i (f_{i+1} - f_i)|^2 + lam |gamma|^2 with
+    lam = ANDERSON_REG * sum_i |f_{i+1} - f_i|^2, solved here as one stacked
+    least-squares problem.  A trial point whose |f|_2 exceeds that of the
+    last kept point is not kept: the next point is the last kept point's
+    image, and the list restarts from that point.
     Returns an array of shape (max_iter, 3).
     """
     from dyngames.lq import factor
+    from dyngames.report import ANDERSON_MEMORY, ANDERSON_REG, ANDERSON_WARMUP
     from dyngames.splitting import resolvent_reg_game
 
     T = game.horizon
     lq_factor = factor(game, eta)
     wu = np.zeros((T + 1, game.total_action_dim))
     wx = rollout(game, game.initial_state, wu).states
-    rows = []
-    for _ in range(max_iter):
+    rows, kept, trial = [], [], False
+    for t in range(1, max_iter + 1):
         tx, tu = resolvent_reg_game(game, wx, wu, eta, factor=lq_factor)
         yx, yu = 2 * tx - wx, 2 * tu - wu
         cx, cu = np.empty_like(yx), np.empty_like(yu)
         for k in range(T + 1):
             cx[k], cu[k] = stage_projection(k, yx[k], yu[k])
-        new_wx = (1 - alpha) * wx + alpha * (2 * cx - yx)
-        new_wu = (1 - alpha) * wu + alpha * (2 * cu - yu)
-        step = max(np.max(np.abs(new_wx - wx)), np.max(np.abs(new_wu - wu)))
-        wx, wu = new_wx, new_wu
+        gx = (1 - alpha) * wx + alpha * (2 * cx - yx)
+        gu = (1 - alpha) * wu + alpha * (2 * cu - yu)
+        step = max(np.max(np.abs(gx - wx)), np.max(np.abs(gu - wu)))
         dyn = max((np.linalg.norm(cx[k + 1] - game.eval_dynamics(k, cx[k], cu[k]))
                    for k in range(T)), default=0.0)
         con = max(max(np.max(game.eval_constraints(k, cx[k], cu[k]), initial=0.0), 0.0)
                   for k in range(T + 1))
         rows.append((step, dyn, con))
+        g = np.concatenate([gx.ravel(), gu.ravel()])
+        f = g - np.concatenate([wx.ravel(), wu.ravel()])
+        if trial and np.linalg.norm(f) > np.linalg.norm(kept[-1][1]):
+            kept, trial = kept[-1:], False
+            nxt = kept[-1][0]
+        else:
+            kept = (kept + [(g, f)])[-(ANDERSON_MEMORY + 1):]
+            trial = t >= ANDERSON_WARMUP and len(kept) >= 2
+            nxt = g
+            if trial:
+                dF = np.column_stack([b[1] - a[1] for a, b in zip(kept, kept[1:])])
+                dG = np.column_stack([b[0] - a[0] for a, b in zip(kept, kept[1:])])
+                lam = ANDERSON_REG * np.sum(dF ** 2)
+                stacked = np.vstack([dF, np.sqrt(lam) * np.eye(dF.shape[1])])
+                gamma = np.linalg.lstsq(stacked, np.concatenate([f, np.zeros(dF.shape[1])]),
+                                        rcond=None)[0]
+                nxt = g - dG @ gamma
+        wx = nxt[:wx.size].reshape(wx.shape)
+        wu = nxt[wx.size:].reshape(wu.shape)
     return np.array(rows)
 
 

@@ -150,18 +150,20 @@ def test_criterion_04_rendezvous_splitting():
             if np.linalg.norm(traj.actions[k, 2 * n:2 * n + 2]) > 2.0 + 1e-6:
                 norms_ok = False
     residual = rendezvous_residual(traj)
-    tail = rep.distance_trace[len(rep.distance_trace) // 10:]
-    increases = int(np.sum(np.diff(tail) > 1e-12))
-    monotone = increases <= max(1, int(0.01 * tail.size))
+    # the same fixed point, reached tightly at an eta where DR contracts fast
+    ref = dr_solve(game, DrConfig(scheme="constraints", eta=0.1, alpha=0.5, max_iter=10_000,
+                                  tol=1e-11, record_costs=False, run_checks=False))
+    error = float(np.max(np.abs(traj.actions - ref.trajectory.actions)))
     at_100 = rep.cost_trace[list(rep.cost_iterations).index(100)]
     costs_drop = bool(np.all(rep.final_costs <= at_100 + 1e-9))
-    ok = (rep.iterations <= 10_000 and norms_ok and residual <= 1e-3
-          and monotone and costs_drop and elapsed < 120.0)
+    ok = (rep.termination == "tolerance" and rep.iterations <= 2000 and norms_ok
+          and residual <= 1e-3 and ref.termination == "tolerance" and error <= 1e-5
+          and costs_drop and elapsed < 120.0)
     verdict("criterion 4 (rendezvous splitting)", ok,
-            f"iters {rep.iterations}<=1e4, norms<=2+1e-6: {norms_ok}, "
-            f"meet residual {residual:.2e}<=1e-3, distance increases "
-            f"{increases}/{tail.size - 1}, costs<=iter100: {costs_drop}, "
-            f"{elapsed:.1f}s (<120s)")
+            f"{rep.termination} after {rep.iterations}<=2000 iterations, "
+            f"norms<=2+1e-6: {norms_ok}, meet residual {residual:.2e}<=1e-3, "
+            f"|u - u_ref| {error:.2e}<=1e-5 (reference {ref.termination}), "
+            f"costs<=iter100: {costs_drop}, {elapsed:.1f}s (<120s)")
 
 
 def test_criterion_05_cross_scheme_agreement(rng):

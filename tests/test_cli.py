@@ -249,6 +249,17 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "never").exists()
 
+    @pytest.mark.parametrize("game, solver, field", [
+        ("fishery", "pg", "rho"), ("lq_rendezvous", "dr", "eta"),
+        ("lq_rendezvous", "dr", "tol")])
+    def test_infinite_solver_parameter(self, tmp_path, capsys, game, solver, field):
+        # json parses Infinity; an infinite step once "converged" in one iteration
+        cfg = {"game": {"id": game}, "solver": solver, "max_iter": 2, field: float("inf"),
+               "output_dir": str(tmp_path / "never")}
+        assert main(["--config", write(tmp_path, cfg), "--quiet"]) == EXIT_BAD_CONFIG
+        assert capsys.readouterr().err.startswith(f"error: {field} must be positive and finite")
+        assert not (tmp_path / "never").exists()
+
     @pytest.mark.parametrize("where", ["seed", "simulate.seed", "--seed"])
     def test_negative_seed(self, tmp_path, capsys, where):
         cfg = small_fishery_config(tmp_path / "never", max_iter=2)

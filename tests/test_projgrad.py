@@ -149,9 +149,10 @@ class TestProjectedGradient:
 
     @pytest.mark.parametrize("field, value", [
         ("step_size", 0.0), ("step_size", np.nan), ("tol", np.nan),
+        ("step_size", np.inf), ("tol", np.inf),
         ("divergence_factor", np.nan), ("divergence_factor", -1.0)])
     def test_config_rejects_bad_step_and_tolerances(self, field, value):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=field):
             ProjGradConfig(**{field: value})
 
     def test_fixed_point_terminates_in_one_iteration(self, rng):

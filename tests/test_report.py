@@ -11,7 +11,14 @@ from dyngames.certificate import ActiveSetPolish, active_set_polish, natural_res
 from dyngames.errors import NonFiniteStateError
 from dyngames.model import Trajectory, rollout
 from dyngames.projgrad import ProjGradConfig
-from dyngames.report import TERM_DIVERGENCE, TERM_MAX_ITER, TERM_TOLERANCE, iterate
+from dyngames.report import (
+    ANDERSON_MEMORY,
+    ANDERSON_WARMUP,
+    TERM_DIVERGENCE,
+    TERM_MAX_ITER,
+    TERM_TOLERANCE,
+    iterate,
+)
 from dyngames.splitting import DrConfig
 
 from instances import cross_scheme_lq_instance
@@ -114,6 +121,64 @@ class TestIterate:
                       accept=lambda c: accept_from is not None and c >= accept_from)
         assert len(run.step_norms) == (accept_from or max_iter)
         assert run.records == run.record_iterations == recorded
+
+
+def evaluated_points(g, w0, accelerate, max_iter, tol):
+    """An ``iterate`` run of the map g, and every point the loop evaluated g at."""
+    points = []
+
+    def step(w, count):
+        points.append(w.copy())
+        return g(w), count + 1
+
+    run = iterate(step, w0, 0, max_iter=max_iter, tol=tol, divergence_factor=1e8,
+                  accelerate=accelerate)
+    return run, points
+
+
+class TestAnderson:
+    def test_affine_contraction_converges_within_its_dimension(self, rng):
+        n = 6  # fewer than the pairs the extrapolation keeps
+        assert n < ANDERSON_MEMORY
+        Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        M = Q @ np.diag(np.linspace(0.5, 0.99, n)) @ Q.T
+        c = rng.standard_normal(n)
+        fixed = np.linalg.solve(np.eye(n) - M, c)
+        plain, _ = evaluated_points(lambda w: M @ w + c, np.zeros(n), False, 5000, 1e-10)
+        fast, _ = evaluated_points(lambda w: M @ w + c, np.zeros(n), True, 5000, 1e-10)
+        assert plain.termination == fast.termination == TERM_TOLERANCE
+        assert len(plain.step_norms) > 500
+        assert len(fast.step_norms) <= n + ANDERSON_WARMUP + 2
+        np.testing.assert_allclose(fast.iterates[-1], fixed, atol=1e-8)
+
+    def test_a_rejected_trial_gives_way_to_the_plain_image(self):
+        # nonexpansive, but its slope halves at 1: extrapolating across the
+        # kink overshoots
+        def g(w):
+            return np.where(w > 1.0, w - 0.5, 0.5 * w)
+
+        run, points = evaluated_points(g, np.array([5.0, 3.2, 7.1]), True, 100, 1e-12)
+        assert run.termination == TERM_TOLERANCE
+        images = run.iterates[1:]
+        kept, rejected = 0, 0  # the last point kept, and the trials dropped
+        for i in range(1, len(points)):
+            residual = np.linalg.norm(images[i] - points[i])
+            if residual > np.linalg.norm(images[kept] - points[kept]):
+                rejected += 1
+                assert i + 1 < len(points)
+                assert not np.array_equal(points[i], images[i - 1])  # an extrapolation
+                np.testing.assert_array_equal(points[i + 1], images[kept])
+            else:
+                kept = i
+        assert rejected >= 1
+
+    def test_constant_residual_takes_plain_steps(self):
+        # f = g(w) - w is exactly -1 everywhere, so every difference of f is
+        # zero; the iterate may have any shape
+        run, points = evaluated_points(lambda w: w - 1.0, np.zeros((2, 3)), True, 40, 1e-8)
+        assert run.termination == TERM_MAX_ITER
+        for t, w in enumerate(points):
+            np.testing.assert_array_equal(w, np.full((2, 3), -float(t)))
 
 
 class TestPolishHook:
@@ -242,7 +307,8 @@ def test_dr_cost_record_rolls_out_only_on_the_grid(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(splitting, "rollout", counted)
-    rep = rendezvous_dr(2000, True)
-    grid = [1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000]
-    assert rep.iterations == 2000
+    # the accelerated run reaches its tolerance after about 1k steps
+    rep = rendezvous_dr(500, True)
+    grid = [1, 2, 5, 10, 20, 50, 100, 200]
+    assert rep.iterations == 500
     assert len(rollouts) <= 3 + len(grid)

@@ -580,7 +580,7 @@ class TestIntersectionProjection:
 
 
 class TestDrSolve:
-    @pytest.mark.parametrize("eta, residual_gate_binds", [(1e-2, False), (1e-1, True)])
+    @pytest.mark.parametrize("eta, residual_gate_binds", [(1e-2, True), (1e-1, False)])
     def test_stops_at_first_iteration_with_step_and_residuals_within_tol(
             self, eta, residual_gate_binds):
         params = LqRendezvousParams()
@@ -596,8 +596,8 @@ class TestDrSolve:
         within = np.all(trace <= tol, axis=1)
         assert within[-1] and not within[:-1].any()
         np.testing.assert_allclose(rep.step_norms, trace[:, 0], rtol=1e-6, atol=1e-14)
-        # at eta = 1e-1 the step passes about ten iterations before the
-        # candidate's dynamics residual does; the run must not stop there
+        # at eta = 1e-2 the step passes one iteration before the candidate's
+        # dynamics residual does; the run must not stop there
         first_step_pass = int(np.argmax(trace[:, 0] <= tol)) + 1
         assert (first_step_pass < rep.iterations) == residual_gate_binds
 
@@ -682,9 +682,10 @@ class TestDrSolve:
     @pytest.mark.parametrize("field, value", [
         ("max_iter", -5), ("inner_max_iter", 0), ("tol", 0.0), ("tol", -1e-8),
         ("inner_tol", 0.0), ("eta", np.nan), ("tol", np.nan), ("inner_tol", np.nan),
+        ("eta", np.inf), ("tol", np.inf), ("inner_tol", np.inf),
         ("divergence_factor", np.nan), ("divergence_factor", -1.0)])
     def test_config_rejects_bad_budgets_and_tolerances(self, field, value):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=field):
             DrConfig(scheme=SCHEME_GRADIENT, **{field: value})
 
     def test_zero_iteration_budget_runs_no_iteration(self, rng):
