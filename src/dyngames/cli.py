@@ -7,7 +7,7 @@ A run configuration is a JSON file:
       "solver": "pg",                  # or "dr"
       "rho": 0.01,                      # pg step size
       "scheme": "constraints",          # dr only: constraints|dynamics|gradient
-      "eta": 1e-4, "alpha": 0.5,        # dr only
+      "eta": 1e-4, "alpha": 0.5,        # dr only; eta starts the balanced weight
       "max_iter": 1000, "tol": 1e-8,
       "active_tol": 1e-6,               # feedback: rows within this are active
       "feedback": true,                 # backward pass after the solve

@@ -15,9 +15,13 @@ and of the residual f = g - w, and an extrapolated point whose residual
 plain image.  DR's averaged map is nonexpansive, the setting of Fu, Zhang
 and Boyd, "Anderson accelerated Douglas-Rachford splitting", SIAM J. Sci.
 Comput. 2020 (arXiv:1908.11482).  Plain DR converges only linearly: at the
-paper's eta the rendezvous used up its 10k-step budget, and accelerated it
-stops on the tolerance after about 1k.  Either way the step norm and the
-stop test read max|g(w) - w| at each point evaluated.
+paper's eta the rendezvous used up its 10k-step budget, accelerated it
+stopped on the tolerance after 946 steps, and with eta balanced as well
+(``splitting.DrConfig``) after 120.  A solver that changes its map during
+the run, as the balancing does, passes a restart hook: the point it returns
+is evaluated next and the Anderson history starts afresh.  Either way the
+step norm and the stop test read max|g(w) - w| at each point evaluated, and
+only a plain run gets a fitted geometric rate.
 
 A solver that records its candidates' costs does so on a fixed grid, not
 after every step: at the initial candidate, at the iterations
@@ -64,8 +68,10 @@ class SolverReport:
     t + 1, g the solver's fixed-point map; ``distance_trace[t]`` is the
     distance of iterate t to the final iterate (the quantity whose geometric
     decay rate is fitted), where iterate 0 is the start and iterate t >= 1
-    the image g(w) of step t.  Without extrapolation (projected gradient)
-    these are the plain iterates and the norms of their updates.  When the
+    the image g(w) of step t.  Without extrapolation or restarts (projected
+    gradient) these are the plain iterates and the norms of their updates,
+    and ``fitted_rate`` and ``rate_fit_rmse`` are the fit of
+    ``fit_log_decay`` to ``distance_trace``; otherwise both are NaN.  When the
     solver records costs, ``cost_trace[i]`` holds every player's game cost
     at the candidate after ``cost_iterations[i]`` steps: the initial
     candidate (0), the grid iterations {1, 2, 5} * 10^j the run stepped
@@ -111,7 +117,9 @@ class Run:
     ``records[i]`` is the record of the candidate after ``record_iterations[i]``
     steps, at the grid iterations the run stepped past (never its last one).
     ``residual`` is the natural residual of a candidate the polish hook
-    certified, None when the run did not end on one.
+    certified, None when the run did not end on one.  ``plain`` is False
+    once a point evaluated was not the image of the one before it: an
+    extrapolation, a safeguard's return to a kept image or a restart.
     """
 
     candidate: Any
@@ -121,6 +129,7 @@ class Run:
     records: list
     record_iterations: list[int]
     residual: Optional[float] = None
+    plain: bool = True
 
 
 # Safeguarded type-II Anderson extrapolation (``iterate(..., accelerate=True)``):
@@ -151,6 +160,10 @@ class _Anderson:
     def __init__(self, size: int, bound: float):
         self.bound = bound
         self.dF, self.dG = np.empty((2, ANDERSON_MEMORY, size))  # ring buffers
+        self.reset()
+
+    def reset(self) -> None:
+        """Forget the differences and the kept point, as at the start."""
         self.held = self.slot = 0  # rows filled, and the row written next
         self.kept: Optional[tuple[Array, Array, float]] = None  # g, f and |f|_2 there
         self.trial = False  # whether the point just evaluated was extrapolated
@@ -191,7 +204,8 @@ def iterate(step: Callable[[Array, Any], tuple[Array, Any]], w0: Array, cand0: A
             accept: Optional[Callable[[Any], bool]] = None,
             record: Optional[Callable[[Any], Any]] = None,
             polish: Optional[Callable[[Any], Optional[tuple[Any, float]]]] = None,
-            accelerate: bool = False) -> Run:
+            accelerate: bool = False,
+            restart: Optional[Callable[[int, Array], Optional[Array]]] = None) -> Run:
     """Run w <- step(w) until the step is small, w blows up or the budget ends.
 
     ``step(w, cand)`` returns the image g(w) of the point w and the next
@@ -218,12 +232,19 @@ def iterate(step: Callable[[Array, Any], tuple[Array, Any]], w0: Array, cand0: A
     still moves), with ``divergence`` at the first image that is not finite
     or has |g(w)|_2 > divergence_factor * (1 + |w0|_2), and else with
     ``max_iter``; ``max_iter = 0`` returns ``cand0``.
+
+    ``restart(t, g)``, when given, is called last in every step t that goes
+    on, with the image g = g(w) of the point just evaluated.  A point it
+    returns is evaluated next in place of g or the extrapolation, and the
+    Anderson state starts afresh: the solver has changed its map, and the
+    differences kept belong to the old one.  ``Run.plain`` says whether
+    every point evaluated was the image of the one before it.
     """
     w, cand = w0, cand0
     iterates, step_norms, records, record_iterations = [w0], [], [], []
     bound = divergence_factor * (1.0 + float(np.linalg.norm(w0)))
     anderson = _Anderson(w0.size, bound) if accelerate else None
-    termination, residual = TERM_MAX_ITER, None
+    termination, residual, plain = TERM_MAX_ITER, None, True
     for t in range(1, max_iter + 1):
         g, cand = step(w, cand)
         size = float(np.max(np.abs(g - w)))
@@ -243,8 +264,16 @@ def iterate(step: Callable[[Array, Any], tuple[Array, Any]], w0: Array, cand0: A
         if record is not None and t < max_iter and on_record_grid(t):
             records.append(record(cand))
             record_iterations.append(t)
-        w = g if anderson is None else anderson.next_point(w, g, t)
-    return Run(cand, iterates, step_norms, termination, records, record_iterations, residual)
+        fresh = None if restart is None else restart(t, g)
+        if fresh is not None:
+            w = fresh
+            if anderson is not None:
+                anderson.reset()
+        else:
+            w = g if anderson is None else anderson.next_point(w, g, t)
+        plain = plain and w is g
+    return Run(cand, iterates, step_norms, termination, records, record_iterations,
+               residual, plain)
 
 
 def build_report(game: GameDefinition, trajectory: Trajectory, checked: Trajectory,
@@ -259,6 +288,9 @@ def build_report(game: GameDefinition, trajectory: Trajectory, checked: Trajecto
     Given the initial candidate's costs (``initial_costs``), the cost trace
     holds them, the run's records and last ``final_costs``; without them
     there is none.
+    ``fitted_rate`` and ``rate_fit_rmse`` are NaN for a run that was not
+    plain (``Run.plain``): an extrapolated or restarted run's distances need
+    not decay geometrically.
     The natural residual is the polish's certificate when the run ended on
     one, else it is computed here, projecting with the solve's reads (``rows``
     and ``data``) as ``certificate.project_onto_feasible`` does.  A
@@ -274,7 +306,8 @@ def build_report(game: GameDefinition, trajectory: Trajectory, checked: Trajecto
             except UnsupportedConstraintError:
                 pass
     dist = np.array([float(np.linalg.norm(w - run.iterates[-1])) for w in run.iterates])
-    rate, rmse = fit_log_decay(dist)
+    # one geometric rate describes only a plain iteration's distances
+    rate, rmse = fit_log_decay(dist) if run.plain else (float("nan"), float("nan"))
     final_costs = all_player_costs(game, checked)
     cost_trace = cost_iterations = None
     if initial_costs is not None:

@@ -39,12 +39,17 @@ with safeguarded type-II Anderson extrapolation (Fu, Zhang and Boyd, SIAM
 J. Sci. Comput. 2020): every scheme evaluates its step at extrapolated
 points once a few plain steps have passed, falls back to the plain image
 whenever a trial point's residual rises, and keeps the same fixed point.
+The weight eta is residual-balanced during the run (``DrConfig``): a change
+rescales the next point about the first resolvent's output, which maps a
+fixed point of the old map onto one of the new, and restarts the Anderson
+history; eta is frozen after a bounded number of changes.  On the paper
+rendezvous this cuts the steps from 946 to 120 at the paper's eta.
 ``dr_solve`` reads the game once, at the origin (``certificate.read_game``),
-and ``_resolvents`` builds both resolvents once from that read: one
-``lq.factor`` (a banded LU of the stacked KKT matrix) for the regularized LQ
-game or the eta = 0 dynamics projection, and the rows for the stagewise
-projections, the static games and the intersection projection, a QP on the
-same banded kernel.
+and ``_resolvents`` builds what does not depend on eta once from that read:
+the rows for the stagewise projections, the static games and the
+intersection projection (a QP on ``lq``'s banded kernel), and the eta = 0
+dynamics projection's ``lq.factor`` (a banded LU of the stacked KKT matrix).
+Only the regularized LQ game is factored again, once per change of eta.
 """
 
 from __future__ import annotations
@@ -55,7 +60,7 @@ from typing import Optional
 import numpy as np
 
 from . import denseqp
-from .errors import SubproblemError
+from .errors import StageSingularityError, SubproblemError
 from . import lq
 from .certificate import active_set_polish, read_game
 from .gradient import solve_costates
@@ -77,10 +82,30 @@ SCHEME_DYNAMICS = "dynamics"
 SCHEME_GRADIENT = "gradient"
 SCHEMES = (SCHEME_CONSTRAINTS, SCHEME_DYNAMICS, SCHEME_GRADIENT)
 
+# Residual balancing of eta in ``dr_solve`` (DrConfig): the steps between
+# checks, the ratio of the two residuals that asks for a change, the factor
+# eta changes by, and the changes after which eta is frozen.
+BALANCE_EVERY = 10
+BALANCE_RATIO = 10.0
+BALANCE_FACTOR = 2.0
+BALANCE_MAX_CHANGES = 20
+
 
 @dataclass
 class DrConfig:
     """Scheme selection, regularization and iteration budget for dr_solve.
+
+    ``eta`` is the starting weight of the game operator; the fixed point
+    does not depend on it, the step count does.  ``dr_solve`` balances it
+    (Boyd et al., "Distributed optimization and statistical learning via
+    ADMM", 2011, section 3.4.1): after every BALANCE_EVERY (10) steps it
+    compares the resolvent gap r_p = max|first output - second output| with
+    the dual change r_d = max|second output - second output one step
+    before| / eta, doubles eta (BALANCE_FACTOR) when r_d > BALANCE_RATIO *
+    r_p (10) and halves it when r_p > BALANCE_RATIO * r_d.  After
+    BALANCE_MAX_CHANGES (20) changes eta is frozen, which keeps DR's
+    convergence (Lorenz and Tran-Dinh, "Non-stationary Douglas-Rachford and
+    ADMM", Comput. Optim. Appl. 2019).
 
     ``record_costs`` fills the report's ``cost_trace``: the costs of the
     rolled-out candidate at the start, at the iterations {1, 2, 5} * 10^j
@@ -435,23 +460,61 @@ def dr_solve(game: GameDefinition, cfg: DrConfig) -> SolverReport:
     (step 0), after the steps t in {1, 2, 5} * 10^j that the run goes past,
     and last at the reported result (``final_costs``); ``cost_iterations``
     names each row's step.  A 10k-iteration run so makes 14 rollouts.
+
+    ``cfg.eta`` is the starting weight; the run balances it as DrConfig
+    says.  A change of eta rescales the next point, the image g of the
+    point w just evaluated, about w's first resolvent output a:
+    g <- a + (eta' / eta)(g - a).  At a fixed point (g = w) the rescaled
+    point has first output a at eta' and is a fixed point of the new map.
+    The resolvents are rebuilt at eta' and the Anderson state restarts
+    (``report.iterate``'s ``restart``).  The step test keeps its units:
+    g(w) - w is 2 alpha times the difference of the two outputs, in state
+    and action units whatever eta is.  A regularized LQ game singular at eta'
+    (StageSingularityError from ``lq.factor``) keeps eta and ends the
+    balancing; one singular at the starting eta raises before the first step.
     """
     T, n_x, n_u = game.horizon, game.state_dim, game.total_action_dim
     wu = np.zeros((T + 1, n_u))
     start = rollout(game, game.initial_state, wu)
     wx = start.states
     rows, data = read_game(game)
-    first, second = _resolvents(game, cfg, rows, data)
+    resolvents = _resolvents(game, cfg, rows, data)
+    eta, changes = cfg.eta, 0
+    first, second = resolvents(eta)
     split = (T + 1) * n_x
+    outputs = [None] * 3  # the last step's first and second outputs, and the second before
 
     def step(w, cand):
         wx, wu = w[:split].reshape(T + 1, n_x), w[split:].reshape(T + 1, n_u)
-        tx, tu = first(wx, wu)
-        y, z = 2 * tx - wx, 2 * tu - wu
+        ax, au = first(wx, wu)
+        y, z = 2 * ax - wx, 2 * au - wu
         tx, tu = second(y, z)
+        outputs[:] = [(ax, au), (tx, tu), outputs[1]]
         y, z = 2 * tx - y, 2 * tu - z
         w_new = (1 - cfg.alpha) * w + cfg.alpha * np.concatenate([y.ravel(), z.ravel()])
         return w_new, Trajectory(tx, tu)
+
+    def balance(t, g):
+        nonlocal eta, changes, first, second
+        if t % BALANCE_EVERY or changes >= BALANCE_MAX_CHANGES:
+            return None
+        a, b, before = (np.concatenate([x.ravel(), u.ravel()]) for x, u in outputs)
+        gap = float(np.max(np.abs(a - b)))
+        move = float(np.max(np.abs(b - before))) / eta
+        if move > BALANCE_RATIO * gap:
+            new = eta * BALANCE_FACTOR
+        elif gap > BALANCE_RATIO * move:
+            new = eta / BALANCE_FACTOR
+        else:
+            return None
+        try:
+            first, second = resolvents(new)
+        except StageSingularityError:
+            changes = BALANCE_MAX_CHANGES  # keep eta and balance no more
+            return None
+        changes += 1
+        g, eta = a + (new / eta) * (g - a), new
+        return g
 
     def accept(cand):
         return (cand.dynamically_feasible(game, cfg.tol)
@@ -463,7 +526,8 @@ def dr_solve(game: GameDefinition, cfg: DrConfig) -> SolverReport:
     run = iterate(step, np.concatenate([wx.ravel(), wu.ravel()]), Trajectory(wx, wu),
                   cfg.max_iter, cfg.tol, cfg.divergence_factor, accept=accept,
                   record=costs if cfg.record_costs else None,
-                  polish=active_set_polish(game, cfg.tol, rows, data), accelerate=True)
+                  polish=active_set_polish(game, cfg.tol, rows, data), accelerate=True,
+                  restart=balance)
     checked = rollout(game, game.initial_state, run.candidate.actions)
     # the first candidate's actions are wu, so ``start`` is their rollout
     return build_report(game, run.candidate, checked, run, cfg.run_checks,
@@ -473,37 +537,48 @@ def dr_solve(game: GameDefinition, cfg: DrConfig) -> SolverReport:
 
 def _resolvents(game: GameDefinition, cfg: DrConfig, rows: Optional[PaddedRows],
                 data: Optional[LqGameData]):
-    """The scheme's two resolvents, maps (y, z) -> (x, u), built once per solve.
+    """The scheme's two resolvents at a given eta: a map eta -> (first, second).
 
-    ``rows`` and ``data`` are the solve's reads (``certificate.read_game``).
-    ``constraints`` solves the regularized game with the banded LU of
-    ``lq.factor`` for declared linear-quadratic games, else by Newton steps
-    warm-started from the previous output.  Building raises before the
-    first iteration: StageSingularityError for a singular KKT matrix,
+    Each resolvent maps (y, z) -> (x, u).  ``rows`` and ``data`` are the
+    solve's reads (``certificate.read_game``); what does not depend on eta
+    is built here, once per solve.  ``constraints`` solves the regularized
+    game with the banded LU of ``lq.factor`` at eta for declared
+    linear-quadratic games, else by Newton steps warm-started from the
+    previous output; the other schemes pass eta per call to the static
+    games.  Building raises before the first iteration:
     UnsupportedConstraintError for nonlinear dynamics or, in the
-    ``gradient`` scheme, non-affine stage constraints.
+    ``gradient`` scheme, non-affine stage constraints; and the map raises
+    StageSingularityError for a singular KKT matrix at its eta.
     """
     inner = dict(inner_tol=cfg.inner_tol, inner_max_iter=cfg.inner_max_iter)
     if cfg.scheme == SCHEME_DYNAMICS:
         factor = lq.factor(game, 0.0, data)
-        return (lambda y, z: resolvent_reg_static_games(game, y, z, cfg.eta, **inner,
-                                                        rows=rows),
-                lambda y, z: project_dynamics(game, y, z, factor=factor))
+        project = lambda y, z: project_dynamics(game, y, z, factor=factor)
+        return lambda eta: (
+            lambda y, z: resolvent_reg_static_games(game, y, z, eta, **inner, rows=rows),
+            project)
     if cfg.scheme == SCHEME_GRADIENT:
         # a read is missing only for nonlinear dynamics or rows not affine: these raise
         data = lq.dynamics_data(game) if data is None else data
         rows = lq.padded_rows(game) if rows is None else rows
-        return (lambda y, z: constrained_oc_projection(game, y, z, rows, data),
-                lambda y, z: resolvent_static_games_uncon(game, y, z, cfg.eta, **inner))
-    factor = lq.factor(game, cfg.eta, data) if game.linear_dynamics and game.quadratic_costs else None
+        project = lambda y, z: constrained_oc_projection(game, y, z, rows, data)
+        return lambda eta: (
+            project, lambda y, z: resolvent_static_games_uncon(game, y, z, eta, **inner))
+    exact = game.linear_dynamics and game.quadratic_costs
+    project = lambda y, z: project_stage_constraints(game, y, z, rows)
     warm = None
 
-    def regularized_game(y, z):
-        nonlocal warm
-        x, u = resolvent_reg_game(game, y, z, cfg.eta, warm=warm, factor=factor,
-                                  divergence_factor=cfg.divergence_factor, **inner)
-        if factor is None:  # only the Newton steps warm-start
-            warm = Trajectory(x, u)
-        return x, u
+    def at(eta):
+        factor = lq.factor(game, eta, data) if exact else None
 
-    return regularized_game, lambda y, z: project_stage_constraints(game, y, z, rows)
+        def regularized_game(y, z):
+            nonlocal warm
+            x, u = resolvent_reg_game(game, y, z, eta, warm=warm, factor=factor,
+                                      divergence_factor=cfg.divergence_factor, **inner)
+            if factor is None:  # only the Newton steps warm-start
+                warm = Trajectory(x, u)
+            return x, u
+
+        return regularized_game, project
+
+    return at

@@ -506,12 +506,13 @@ def rendezvous_stage_projection(params, k, x, u):
 
     Each player's action block is scaled back onto the ball of radius u_max
     when it lies outside; at the meeting stage every position becomes the
-    mean of the three.
+    mean of the three.  The norm is sqrt(u_1^2 + u_2^2) without a fused
+    multiply-add, as the game's projector takes it.
     """
     un = np.empty(6)
     for n in range(3):
         block = u[2 * n:2 * n + 2]
-        nrm = float(np.linalg.norm(block))
+        nrm = float(np.sqrt(np.sum(block * block)))
         un[2 * n:2 * n + 2] = block if nrm <= params.u_max else block * (params.u_max / nrm)
     xn = np.array(x, dtype=float)
     if k == params.meet_stage:
@@ -540,21 +541,45 @@ def dr_constraints_scheme_trace(game, stage_projection, eta, alpha, max_iter):
     From the ANDERSON_WARMUP-th step on, the next point is
     g - sum_i gamma_i (g_{i+1} - g_i) over consecutive kept points, gamma
     minimizing |f - sum_i gamma_i (f_{i+1} - f_i)|^2 + lam |gamma|^2 with
-    lam = ANDERSON_REG * sum_i |f_{i+1} - f_i|^2, solved here as one stacked
-    least-squares problem.  A trial point whose |f|_2 exceeds that of the
-    last kept point is not kept: the next point is the last kept point's
-    image, and the list restarts from that point.
+    lam = ANDERSON_REG * sum_i |f_{i+1} - f_i|^2, solved here by its normal
+    equations with the differences as rows, oldest first.  A trial point
+    whose |f|_2 exceeds that of the last kept point is not kept: the next
+    point is the last kept point's image, and the list restarts from that
+    point.
+
+    The normal equations are the package's floating-point formulas.  The
+    extrapolation weights reach |gamma|_1 ~ 50 on the rendezvous, so a
+    different but equally exact solve, or a norm that fuses a
+    multiply-add, moves the step norms by up to 1e-12 within 60 steps:
+    more than rtol 1e-6 allows once the steps near a 1e-8 tolerance.
+
+    ``eta`` is the starting weight, balanced by the package's rule and
+    constants: after every BALANCE_EVERY-th step, while fewer than
+    BALANCE_MAX_CHANGES changes have been made, the gap r_p = max|t - c|
+    between the resolvent output t and the projection c is compared with
+    r_d = max|c - c_prev| / eta, c_prev the projection one step before.
+    eta is multiplied by BALANCE_FACTOR when r_d > BALANCE_RATIO * r_p and
+    divided by it when r_p > BALANCE_RATIO * r_d.  On a change to eta' the
+    next point is t + (eta' / eta)(g - t), the resolvent is factored at
+    eta', and the list restarts empty.
     Returns an array of shape (max_iter, 3).
     """
     from dyngames.lq import factor
     from dyngames.report import ANDERSON_MEMORY, ANDERSON_REG, ANDERSON_WARMUP
-    from dyngames.splitting import resolvent_reg_game
+    from dyngames.splitting import (
+        BALANCE_EVERY,
+        BALANCE_FACTOR,
+        BALANCE_MAX_CHANGES,
+        BALANCE_RATIO,
+        resolvent_reg_game,
+    )
 
     T = game.horizon
     lq_factor = factor(game, eta)
     wu = np.zeros((T + 1, game.total_action_dim))
     wx = rollout(game, game.initial_state, wu).states
     rows, kept, trial = [], [], False
+    changes, c_prev = 0, None
     for t in range(1, max_iter + 1):
         tx, tu = resolvent_reg_game(game, wx, wu, eta, factor=lq_factor)
         yx, yu = 2 * tx - wx, 2 * tu - wu
@@ -579,13 +604,25 @@ def dr_constraints_scheme_trace(game, stage_projection, eta, alpha, max_iter):
             trial = t >= ANDERSON_WARMUP and len(kept) >= 2
             nxt = g
             if trial:
-                dF = np.column_stack([b[1] - a[1] for a, b in zip(kept, kept[1:])])
-                dG = np.column_stack([b[0] - a[0] for a, b in zip(kept, kept[1:])])
-                lam = ANDERSON_REG * np.sum(dF ** 2)
-                stacked = np.vstack([dF, np.sqrt(lam) * np.eye(dF.shape[1])])
-                gamma = np.linalg.lstsq(stacked, np.concatenate([f, np.zeros(dF.shape[1])]),
-                                        rcond=None)[0]
-                nxt = g - dG @ gamma
+                dF = np.array([b[1] - a[1] for a, b in zip(kept, kept[1:])])
+                dG = np.array([b[0] - a[0] for a, b in zip(kept, kept[1:])])
+                gram = dF @ dF.T
+                lam = ANDERSON_REG * np.trace(gram)
+                gamma = np.linalg.solve(gram + lam * np.eye(len(dF)), dF @ f)
+                nxt = g - gamma @ dG
+        first = np.concatenate([tx.ravel(), tu.ravel()])
+        second = np.concatenate([cx.ravel(), cu.ravel()])
+        if t % BALANCE_EVERY == 0 and changes < BALANCE_MAX_CHANGES:
+            r_p = np.max(np.abs(first - second))
+            r_d = np.max(np.abs(second - c_prev)) / eta
+            new_eta = (eta * BALANCE_FACTOR if r_d > BALANCE_RATIO * r_p
+                       else eta / BALANCE_FACTOR if r_p > BALANCE_RATIO * r_d else eta)
+            if new_eta != eta:
+                nxt = first + (new_eta / eta) * (g - first)
+                eta, changes = new_eta, changes + 1
+                lq_factor = factor(game, eta)
+                kept, trial = [], False
+        c_prev = second
         wx = nxt[:wx.size].reshape(wx.shape)
         wu = nxt[wx.size:].reshape(wu.shape)
     return np.array(rows)

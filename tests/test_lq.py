@@ -248,6 +248,29 @@ def test_singular_stage_raised_before_first_dr_iteration(rng, monkeypatch):
     assert exc.value.stage == game.horizon
 
 
+def test_balancing_keeps_eta_where_the_doubled_game_is_singular(rng, monkeypatch):
+    eta0 = 0.05
+    # singular at 2 * eta0; the box keeps the run off the polish, never binding
+    game = dataclasses.replace(
+        singular_game(rng, 2 * eta0), constraints=lambda k, x, u: np.abs(u) - 10.0,
+        traj_projector=lambda states, actions: (states, np.clip(actions, -10.0, 10.0)))
+    with pytest.raises(StageSingularityError):
+        lq.factor(game, 2 * eta0)
+    etas = []
+    real = lq.factor
+
+    def spy(game, eta, *args):
+        etas.append(eta)
+        return real(game, eta, *args)
+
+    monkeypatch.setattr(lq, "factor", spy)
+    rep = dr_solve(game, DrConfig(scheme="constraints", eta=eta0, max_iter=500,
+                                  record_costs=False, run_checks=False))
+    # balancing asked for 2 * eta0 once, kept eta0 and stopped
+    assert etas == [eta0, 2 * eta0]
+    assert rep.termination == "tolerance"
+
+
 # Timing rounds of the linear-scaling test; the minimum over rounds of each
 # horizon's time, fitted once, failed about one run in twenty under load.
 ROUNDS = 11

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from dyngames.benchmarks import FisheryParams, fishery_game
 from dyngames.errors import InfeasibleConstraintsError
 from dyngames.gradient import pseudo_gradient
-from dyngames.model import GameDefinition
+from dyngames.model import GameDefinition, rollout
 from dyngames.projgrad import ProjGradConfig, project_onto_feasible, projected_gradient_solve
-from dyngames.report import TERM_DIVERGENCE, TERM_TOLERANCE
+from dyngames.report import TERM_DIVERGENCE, TERM_TOLERANCE, fit_log_decay
 
 from conftest import monotone_quadratic_game, random_lq_game
 from oracles import brute_force_qp
@@ -224,3 +225,20 @@ class TestProjectedGradient:
         assert rep.final_costs.shape == (2,)
         assert len(rep.verdicts) == 2
         assert rep.all_players_pass
+
+def test_the_solver_runs_the_plain_iteration_bit_for_bit():
+    game = fishery_game(FisheryParams(horizon_time=2.0))
+    u0 = np.ones((game.horizon + 1, 2))  # zero harvest is a fixed point
+    cfg = ProjGradConfig(max_iter=40, record_costs=False, run_checks=False)
+    rep = projected_gradient_solve(game, u0, cfg)
+    u, steps = project_onto_feasible(game, u0), []
+    for _ in range(cfg.max_iter):
+        grad = pseudo_gradient(game, rollout(game, game.initial_state, u), feas_tol=np.inf)
+        u_next = project_onto_feasible(game, u - cfg.step_size * grad.own_stage_grads())
+        steps.append(float(np.max(np.abs(u_next - u))))
+        u = u_next
+    assert rep.iterations == cfg.max_iter
+    np.testing.assert_array_equal(rep.trajectory.actions, u)
+    np.testing.assert_array_equal(rep.step_norms, steps)
+    assert np.isfinite(rep.fitted_rate)
+    assert (rep.fitted_rate, rep.rate_fit_rmse) == fit_log_decay(rep.distance_trace)

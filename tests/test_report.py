@@ -17,6 +17,7 @@ from dyngames.report import (
     TERM_DIVERGENCE,
     TERM_MAX_ITER,
     TERM_TOLERANCE,
+    fit_log_decay,
     iterate,
 )
 from dyngames.splitting import DrConfig
@@ -123,7 +124,7 @@ class TestIterate:
         assert run.records == run.record_iterations == recorded
 
 
-def evaluated_points(g, w0, accelerate, max_iter, tol):
+def evaluated_points(g, w0, accelerate, max_iter, tol, restart=None):
     """An ``iterate`` run of the map g, and every point the loop evaluated g at."""
     points = []
 
@@ -132,7 +133,7 @@ def evaluated_points(g, w0, accelerate, max_iter, tol):
         return g(w), count + 1
 
     run = iterate(step, w0, 0, max_iter=max_iter, tol=tol, divergence_factor=1e8,
-                  accelerate=accelerate)
+                  accelerate=accelerate, restart=restart)
     return run, points
 
 
@@ -179,6 +180,48 @@ class TestAnderson:
         assert run.termination == TERM_MAX_ITER
         for t, w in enumerate(points):
             np.testing.assert_array_equal(w, np.full((2, 3), -float(t)))
+
+
+class TestRestartHook:
+    def test_a_restart_point_is_evaluated_next_and_clears_the_extrapolation(self, rng):
+        n = 6
+        Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        M = Q @ np.diag(np.linspace(0.5, 0.99, n)) @ Q.T
+        asked = []
+
+        def restart(t, g):
+            asked.append(t)
+            return np.full(n, 100.0) if t == 8 else None
+
+        run, points = evaluated_points(lambda w: M @ w + 1.0, np.zeros(n), True, 12, 1e-12,
+                                       restart=restart)
+        assert asked == list(range(1, 13))
+        np.testing.assert_array_equal(points[8], np.full(n, 100.0))
+        # the differences kept before belong to the old map: the point after
+        # the restart is its plain image, and the next extrapolates again
+        np.testing.assert_array_equal(points[9], run.iterates[9])
+        assert not np.array_equal(points[10], run.iterates[10])
+        assert not run.plain
+
+    def test_a_plain_run_without_a_restart_stays_plain(self):
+        run, points = evaluated_points(lambda w: 0.5 * w, np.array([1.0]), False, 6, 1e-12,
+                                       restart=lambda t, g: None)
+        assert run.plain and all(np.array_equal(p, g) for p, g in zip(points[1:],
+                                                                       run.iterates[1:]))
+        restarted, _ = evaluated_points(lambda w: 0.5 * w, np.array([1.0]), False, 6, 1e-12,
+                                        restart=lambda t, g: g.copy() if t == 3 else None)
+        assert not restarted.plain
+        accelerated, _ = evaluated_points(lambda w: 0.5 * w + 1.0, np.array([1.0, 4.0]), True,
+                                          20, 1e-12)
+        assert not accelerated.plain
+
+
+def test_rate_is_fitted_only_to_a_plain_run():
+    pg = short_fishery_pg(30, False)
+    assert np.isfinite(pg.fitted_rate)
+    assert (pg.fitted_rate, pg.rate_fit_rmse) == fit_log_decay(pg.distance_trace)
+    dr = rendezvous_dr(30, False)
+    assert np.isnan(dr.fitted_rate) and np.isnan(dr.rate_fit_rmse)
 
 
 class TestPolishHook:
@@ -285,10 +328,12 @@ def rendezvous_dr(max_iter, record_costs):
 
 @pytest.mark.parametrize("solve", [short_fishery_pg, rendezvous_dr])
 def test_cost_rows_are_the_final_costs_of_the_run_cut_off_there(solve):
-    # neither run ends on a polish, whose final row would be the polished point's
-    rep = solve(120, True)
-    assert rep.iterations == 120
-    assert list(rep.cost_iterations) == [0, 1, 2, 5, 10, 20, 50, 100, 120]
+    # neither run ends on a polish, whose final row would be the polished
+    # point's, and both end on the budget: the rendezvous stops on its
+    # tolerance only at step 120
+    rep = solve(110, True)
+    assert rep.iterations == 110
+    assert list(rep.cost_iterations) == [0, 1, 2, 5, 10, 20, 50, 100, 110]
     assert rep.cost_trace.shape == (9, 2 if solve is short_fishery_pg else 3)
     for t, row in zip(rep.cost_iterations, rep.cost_trace):
         np.testing.assert_array_equal(row, solve(int(t), False).final_costs)
@@ -307,8 +352,8 @@ def test_dr_cost_record_rolls_out_only_on_the_grid(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(splitting, "rollout", counted)
-    # the accelerated run reaches its tolerance after about 1k steps
-    rep = rendezvous_dr(500, True)
-    grid = [1, 2, 5, 10, 20, 50, 100, 200]
-    assert rep.iterations == 500
+    # the balanced run reaches its tolerance at step 120
+    rep = rendezvous_dr(110, True)
+    grid = [1, 2, 5, 10, 20, 50, 100]
+    assert rep.iterations == 110
     assert len(rollouts) <= 3 + len(grid)

@@ -23,7 +23,7 @@ from dyngames.errors import (
 from dyngames.gradient import pseudo_gradient
 from dyngames.model import GameDefinition, Trajectory, rollout
 from dyngames.projgrad import project_onto_feasible
-from dyngames.report import TERM_MAX_ITER, TERM_TOLERANCE
+from dyngames.report import TERM_MAX_ITER, TERM_TOLERANCE, iterate
 from dyngames.splitting import (
     DrConfig,
     SCHEME_CONSTRAINTS,
@@ -39,6 +39,7 @@ from dyngames.splitting import (
 )
 
 from conftest import identity_sum_game, random_lq_game, random_smooth_game
+from instances import cross_scheme_lq_instance
 from oracles import (
     brute_force_qp,
     dense_eq_least_squares,
@@ -580,7 +581,7 @@ class TestIntersectionProjection:
 
 
 class TestDrSolve:
-    @pytest.mark.parametrize("eta, residual_gate_binds", [(1e-2, True), (1e-1, False)])
+    @pytest.mark.parametrize("eta, residual_gate_binds", [(1e-2, False), (1e-1, True)])
     def test_stops_at_first_iteration_with_step_and_residuals_within_tol(
             self, eta, residual_gate_binds):
         params = LqRendezvousParams()
@@ -596,8 +597,8 @@ class TestDrSolve:
         within = np.all(trace <= tol, axis=1)
         assert within[-1] and not within[:-1].any()
         np.testing.assert_allclose(rep.step_norms, trace[:, 0], rtol=1e-6, atol=1e-14)
-        # at eta = 1e-2 the step passes one iteration before the candidate's
-        # dynamics residual does; the run must not stop there
+        # started at eta = 1e-1 the step passes one iteration before the
+        # candidate's dynamics residual does; the run must not stop there
         first_step_pass = int(np.argmax(trace[:, 0] <= tol)) + 1
         assert (first_step_pass < rep.iterations) == residual_gate_binds
 
@@ -703,3 +704,76 @@ class TestDrSolve:
         with pytest.raises(SubproblemError):
             dr_solve(game, DrConfig(inner_max_iter=1, **cfg))
         assert dr_solve(game, DrConfig(inner_max_iter=2, **cfg)).iterations == 3
+
+
+class TestEtaBalancing:
+    @staticmethod
+    def rendezvous_map(game, eta, alpha=0.5):
+        """The constraints-scheme DR map of ``game`` at eta, and its first resolvent."""
+        T, n_x, n_u = game.horizon, game.state_dim, game.total_action_dim
+        split = (T + 1) * n_x
+        factor = lq.factor(game, eta)
+
+        def parts(w):
+            return w[:split].reshape(T + 1, n_x), w[split:].reshape(T + 1, n_u)
+
+        def first(w):
+            return np.concatenate([v.ravel() for v in factor.solve(*parts(w))])
+
+        def g(w):
+            r = 2 * first(w) - w
+            b = np.concatenate([v.ravel() for v in project_stage_constraints(game, *parts(r))])
+            return (1 - alpha) * w + alpha * (2 * b - r)
+
+        return first, g
+
+    def test_a_rescaled_fixed_point_is_a_fixed_point_of_the_new_map(self):
+        game = lq_rendezvous_game()
+        eta = 0.1
+        first, g = self.rendezvous_map(game, eta)
+        u0 = np.zeros((game.horizon + 1, game.total_action_dim))
+        w0 = np.concatenate([rollout(game, game.initial_state, u0).states.ravel(), u0.ravel()])
+        run = iterate(lambda w, c: (g(w), c), w0, None, 2000, 1e-15, 1e8, accelerate=True)
+        w = run.iterates[-1]
+        assert np.max(np.abs(g(w) - w)) <= 1e-12
+        a = first(w)
+        for new in (eta * splitting.BALANCE_FACTOR, eta / splitting.BALANCE_FACTOR):
+            _, g_new = self.rendezvous_map(game, new)
+            rescaled = a + (new / eta) * (w - a)
+            assert np.max(np.abs(g_new(rescaled) - rescaled)) <= 1e-12
+            assert np.max(np.abs(g_new(w) - w)) > 1e-2  # the unscaled point is not
+
+    def test_eta_changes_by_the_factor_until_frozen(self, monkeypatch):
+        etas = []
+        real = lq.factor
+
+        def spy(game, eta, *args):
+            etas.append(eta)
+            return real(game, eta, *args)
+
+        monkeypatch.setattr(lq, "factor", spy)
+        game = lq_rendezvous_game()
+        cfg = DrConfig(eta=1e-4, record_costs=False, run_checks=False)
+        rep = dr_solve(game, cfg)
+        assert rep.termination == TERM_TOLERANCE and rep.iterations <= 300
+        steps = np.log2(np.array(etas) / cfg.eta)
+        assert 1 < len(etas) <= 1 + splitting.BALANCE_MAX_CHANGES
+        np.testing.assert_allclose(np.abs(np.diff(steps)), 1.0)
+        etas.clear()
+        monkeypatch.setattr(splitting, "BALANCE_MAX_CHANGES", 3)
+        frozen = dr_solve(game, cfg)
+        np.testing.assert_allclose(etas, [1e-4, 2e-4, 4e-4, 8e-4])
+        assert frozen.iterations > rep.iterations
+
+    @given(seed=st.integers(0, 2**32 - 1), T=st.integers(2, 4),
+           eta=st.sampled_from([1e-4, 1e-2, 1.0]))
+    def test_every_scheme_reaches_the_equilibrium_from_any_starting_eta(self, seed, T, eta):
+        rng = np.random.default_rng(seed)
+        game, lq_data, rows = cross_scheme_lq_instance(rng, T=T)
+        oracle = stacked_lq_gne(game, lq_data, rows)
+        for scheme in (SCHEME_CONSTRAINTS, SCHEME_DYNAMICS, SCHEME_GRADIENT):
+            rep = dr_solve(game, DrConfig(scheme=scheme, eta=eta, max_iter=2000, tol=1e-10,
+                                          record_costs=False, run_checks=False))
+            assert rep.termination == TERM_TOLERANCE, scheme
+            np.testing.assert_allclose(rep.trajectory.actions, oracle.actions, atol=1e-8,
+                                       err_msg=scheme)
