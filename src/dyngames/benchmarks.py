@@ -16,11 +16,12 @@ from the deterministic equilibrium path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
 
+from .errors import NonFiniteStateError
 from .feedback import FeedbackPolicy, feedback_rollout
 from .model import GameDefinition, Trajectory, rollout
 
@@ -147,7 +148,10 @@ def fishery_game(params: FisheryParams = FisheryParams()) -> GameDefinition:
         return np.array(out).reshape(-1, 1)
 
     def batch_constraints(k, X, U):
-        return np.stack([-U[:, 0], U[:, 0] - p.u1_max, -U[:, 1], U[:, 1] - p.u2_max], axis=1)
+        G = np.empty((U.shape[0], 4))
+        G[:, 0], G[:, 1] = -U[:, 0], U[:, 0] - p.u1_max
+        G[:, 2], G[:, 3] = -U[:, 1], U[:, 1] - p.u2_max
+        return G
 
     con_S = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, -1.0], [0.0, 1.0]])
     con_W = np.zeros((4, 1))
@@ -362,14 +366,16 @@ def noise_comparison(game: GameDefinition, olne: Trajectory,
     Run i adds i.i.d. Gaussian state disturbances with variance
     ``noise_var`` (scaled by ``noise_scale``, e.g. the discretization step),
     drawn from child i of ``SeedSequence(seed)``, after each dynamics step.
-    All runs roll out as one batch of ``feedback_rollout``, twice under the
-    same noise: the open-loop replay (the policy with zero gains and
-    offsets) and the feedback policy.  Reported deviations are mean squared
+    Both modes roll out as one ``feedback_rollout`` batch of 2 ``n_runs``
+    runs under the same noise: the open-loop replay of the equilibrium
+    actions and the feedback policy.  Reported deviations are mean squared
     state distances to the equilibrium path; violations count the stages
     whose largest row exceeds ``violation_tol`` or is NaN.  Identical seeds
     give identical statistics.  Raises ValueError unless noise_var >= 0,
-    n_runs >= 1, 0 <= noise_scale < inf and violation_tol >= 0, and
-    NonFiniteStateError (naming stage and run) when a state blows up.
+    n_runs >= 1, 0 <= noise_scale < inf and violation_tol >= 0.  When a
+    state blows up, NonFiniteStateError names the first such stage over both
+    modes, the run's index within its own mode and the mode ("open-loop" or
+    "feedback"; the replay first when both blow up at that stage).
     """
     if not noise_var >= 0:
         raise ValueError(f"noise_var must be nonnegative, got {noise_var}")
@@ -384,14 +390,15 @@ def noise_comparison(game: GameDefinition, olne: Trajectory,
     noise = std * np.stack([np.random.default_rng(s).standard_normal((T, n_x))
                             for s in np.random.SeedSequence(seed).spawn(n_runs)])
     starts = np.tile(olne.states[0], (n_runs, 1))
-    replay = replace(policy, reference=olne,
-                     gains=[np.zeros_like(K) for K in policy.gains],
-                     offsets=[np.zeros_like(s) for s in policy.offsets])
-    runs = [feedback_rollout(game, mode, starts, noise=noise) for mode in (replay, policy)]
-    dev = [np.mean(np.sum((r.states - olne.states) ** 2, axis=2), axis=1) for r in runs]
-    vio = [np.count_nonzero(~(r.constraint_violations <= violation_tol), axis=1) for r in runs]
-    return NoiseComparison(openloop_deviation=dev[0], feedback_deviation=dev[1],
-                           openloop_violations=vio[0], feedback_violations=vio[1])
+    try:
+        runs = feedback_rollout(game, policy, starts, noise=noise, open_loop=olne.actions)
+    except NonFiniteStateError as exc:
+        mode, run = divmod(exc.run, n_runs)
+        raise NonFiniteStateError(exc.stage, run, ("open-loop", "feedback")[mode]) from None
+    dev = np.mean(np.sum((runs.states - olne.states) ** 2, axis=2), axis=1)
+    vio = np.count_nonzero(~(runs.constraint_violations <= violation_tol), axis=1)
+    return NoiseComparison(openloop_deviation=dev[:n_runs], feedback_deviation=dev[n_runs:],
+                           openloop_violations=vio[:n_runs], feedback_violations=vio[n_runs:])
 
 
 def cumulative_profits(game: GameDefinition, traj: Trajectory) -> Array:

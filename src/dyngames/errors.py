@@ -18,12 +18,18 @@ class DimensionError(DynGameError):
 
 
 class NonFiniteStateError(DynGameError):
-    """Dynamics produced a NaN or infinite state."""
+    """Dynamics produced a NaN or infinite state.
 
-    def __init__(self, stage, run=None):
+    ``run`` is the run index within a batch of rollouts; ``mode`` names the
+    group of runs it counts within when a batch holds several.
+    """
+
+    def __init__(self, stage, run=None, mode=None):
         self.stage = stage
         self.run = run
+        self.mode = mode
         where = f" in run {run}" if run is not None else ""
+        where += f" ({mode})" if mode is not None else ""
         super().__init__(f"non-finite state produced by dynamics at stage {stage}{where}")
 
 

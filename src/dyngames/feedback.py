@@ -115,6 +115,12 @@ def stagewise_newton_backward(game: GameDefinition, traj: Trajectory,
     left = np.zeros((1 + n_x, nz))
     left[0, 0] = 1.0
     left[1:, ix] = np.eye(n_x)
+    # every player's rows of its own action block, as one fancy index
+    owner = np.repeat(np.arange(N), game.action_dims)
+    own_rows = 1 + n_x + np.arange(n_u)
+    reg = stage_reg * np.eye(n_u)
+    GG = data.G.reshape(T, n_x, (n_x + n_u) ** 2)
+    rows = data.rows
 
     lam = np.zeros((N, T + 2, 1 + n_x, 1 + n_x))
     omega = np.zeros((N, T + 2, n_x))
@@ -137,15 +143,15 @@ def stagewise_newton_backward(game: GameDefinition, traj: Trajectory,
             G[:, 0, 0] += ln[:, 0, 0]
             G[:, 0, 1:] += pull
             G[:, 1:, 0] += pull
-            G[:, 1:, 1:] += AB[k].T @ ln[:, 1:, 1:] @ AB[k] + np.tensordot(om, data.G[k], axes=1)
+            G[:, 1:, 1:] += (AB[k].T @ ln[:, 1:, 1:] @ AB[k]
+                             + (om @ GG[k]).reshape(N, n_x + n_u, n_x + n_u))
         gamma_k = 0.5 * (G + G.swapaxes(1, 2))
-        # every player's rows of its own action block
-        own = np.vstack([gamma_k[n][iu][game.action_slice(n)] for n in range(N)])
+        own = gamma_k[owner, own_rows]
         F, P, H = own[:, iu], own[:, ix], own[:, 0]
         act = data.active[k]
-        Wa, Sa, pa = data.rows.W[k][act], data.rows.S[k][act], data.rows.p[k][act]
+        Wa, Sa, pa = rows.W[k, act], rows.S[k, act], rows.p[k, act]
         if stage_reg:
-            F = F + stage_reg * np.eye(n_u)
+            F = F + reg
         law = solve_stage_kkt(F, P, H, Wa, Sa, pa, stage=k)
         K, s = law.K, law.s
         # Congruence update of the value matrices; symmetric by construction.
@@ -200,52 +206,72 @@ class FeedbackRollout:
 
 def feedback_rollout(game: GameDefinition, policy: FeedbackPolicy,
                      x_start: Array, start: int = 0,
-                     noise: Optional[Array] = None) -> FeedbackRollout:
+                     noise: Optional[Array] = None,
+                     open_loop: Optional[Array] = None) -> FeedbackRollout:
     """Roll out the true dynamics under the affine policy, one start or a batch.
 
     ``x_start`` is one state (n_x,) or B states (B, n_x).  ``noise`` holds
     optional additive state disturbances, applied after each dynamics map:
     (T - start, n_x) for one start, (B, T - start, n_x) for a batch.  The B
     runs advance together, one ``eval_batch_dynamics`` and one
-    ``eval_batch_constraints`` call per stage.  Constraint violations along
-    the way are recorded, never fatal.  A non-finite state raises
-    NonFiniteStateError naming the first stage whose dynamics produced one
-    (and, for a batch, the first such run); a wrong shape raises
-    DimensionError.
+    ``eval_batch_constraints`` call per stage.
+
+    ``open_loop``, actions (T+1, n_u), adds B replay runs ahead of the
+    policy's: run b < B applies ``open_loop[k]`` exactly at every stage k,
+    run B + b follows the policy, and both start at ``x_start[b]`` under
+    noise b.  The result is then a batch of 2B runs, replay first.
+
+    Constraint violations along the way are recorded, never fatal.  After
+    every dynamics map one finiteness test covers the whole batch; a
+    non-finite state raises NonFiniteStateError naming the first stage whose
+    dynamics produced one (and, for a batch, the first such run in batch
+    order).  A wrong shape raises DimensionError.
     """
-    T, n_x = game.horizon, game.state_dim
+    T, n_x, n_u = game.horizon, game.state_dim, game.total_action_dim
     if not 0 <= start <= T:
         raise ValueError(f"start stage {start} outside 0..{T}")
     x_start = np.asarray(x_start, dtype=float)
-    single = x_start.ndim == 1
     X0 = np.atleast_2d(x_start)
     n_runs, n_steps = X0.shape[0], T - start
     if X0.shape != (n_runs, n_x):
         raise DimensionError("start states", ("B", n_x), x_start.shape)
     if noise is not None:
-        expected = (n_steps, n_x) if single else (n_runs, n_steps, n_x)
+        expected = (n_steps, n_x) if x_start.ndim == 1 else (n_runs, n_steps, n_x)
         if np.shape(noise) != expected:
             raise DimensionError("noise", expected, np.shape(noise))
         noise = np.reshape(noise, (n_runs, n_steps, n_x))
-    states = np.empty((n_runs, n_steps + 1, n_x))
-    actions = np.empty((n_runs, n_steps + 1, game.total_action_dim))
-    violations = np.zeros((n_runs, n_steps + 1))
+    single = x_start.ndim == 1 and open_loop is None
+    if open_loop is not None:
+        open_loop = np.asarray(open_loop, dtype=float)
+        if open_loop.shape != (T + 1, n_u):
+            raise DimensionError("open-loop actions", (T + 1, n_u), open_loop.shape)
+        X0 = np.concatenate([X0, X0])
+        if noise is not None:
+            noise = np.concatenate([noise, noise])
+    n_all = X0.shape[0]
+    fb = slice(n_all - n_runs, None)  # the policy's runs
+    states = np.empty((n_all, n_steps + 1, n_x))
+    actions = np.empty((n_all, n_steps + 1, n_u))
+    violations = np.zeros((n_all, n_steps + 1))
     states[:, 0] = X0
     ref = policy.reference
     for i, k in enumerate(range(start, T + 1)):
-        X = states[:, i]
-        U = ref.actions[k] + (X - ref.states[k]) @ policy.gains[k].T + policy.offsets[k]
+        X, U = states[:, i], np.empty((n_all, n_u))  # the hooks get a contiguous U
+        if open_loop is not None:
+            U[:n_runs] = open_loop[k]
+        U[fb] = ref.actions[k] + (X[fb] - ref.states[k]) @ policy.gains[k].T + policy.offsets[k]
         actions[:, i] = U
         g = game.eval_batch_constraints(k, X, U)
         if g.shape[1]:
-            violations[:, i] = np.max(np.maximum(g, 0.0), axis=1)
+            # max over a contiguous leading axis: numpy is slow along a short last one
+            violations[:, i] = np.maximum(g.T.copy().max(axis=0), 0.0)
         if k < T:
             nxt = game.eval_batch_dynamics(k, X, U)
             if noise is not None:
                 nxt = nxt + noise[:, i]
-            bad = ~np.all(np.isfinite(nxt), axis=1)
-            if bad.any():
-                raise NonFiniteStateError(k, None if single else int(np.argmax(bad)))
+            if not np.isfinite(nxt).all():
+                run = int(np.argmin(np.isfinite(nxt).all(axis=1)))
+                raise NonFiniteStateError(k, None if single else run)
             states[:, i + 1] = nxt
     if single:
         return FeedbackRollout(states[0], actions[0], violations[0])
@@ -266,7 +292,8 @@ def epsilon_nash_gap(game: GameDefinition, policy: FeedbackPolicy,
     over (x_k, u_k), k = start..T, from ``x_start``: the game's rows from
     ``start`` on and, held, u^-n_k - K^-n_k x_k = ubar^-n_k - K^-n_k xbar_k
     + s^-n_k for the opponents' actions.  Both costs are the game's stage
-    costs.  Nonnegative up to solver precision.
+    costs, read with one ``eval_traj_costs`` call per trajectory.
+    Nonnegative up to solver precision.
 
     A policy with zero gains and offsets replays its reference open loop,
     and the gap is then the open-loop best-response gap of that reference.
@@ -275,7 +302,7 @@ def epsilon_nash_gap(game: GameDefinition, policy: FeedbackPolicy,
     the stage when the best response is not strictly convex, and
     InfeasibleConstraintsError when the policy rollout violates a row.
     """
-    N, T = game.num_players, game.horizon
+    N = game.num_players
     if not 0 <= player < N:
         raise ValueError(f"player {player} outside 0..{N - 1}")
     n_x, n_u = game.state_dim, game.total_action_dim
@@ -310,11 +337,14 @@ def epsilon_nash_gap(game: GameDefinition, policy: FeedbackPolicy,
     one = LqGameData(data.A[start:], data.B[start:], data.b[start:], *costs,
                      action_dims=(n_u,), initial_state=roll.states[0])
     best = lq.BandedQp(one, W, S, p, real, held).solve()
-    J_policy = J_best = 0.0
-    for i, k in enumerate(range(start, T + 1)):
-        J_policy += game.eval_costs(k, roll.states[i], roll.actions[i])[player]
-        J_best += game.eval_costs(k, best.states[i], best.actions[i])[player]
-    return float(J_policy - J_best)
+    # one ``eval_traj_costs`` call per trajectory, on the whole horizon; the
+    # stages before ``start`` are filled from the reference and dropped
+    J = []
+    for tail in (roll, best):
+        states, actions = ref.states.copy(), ref.actions.copy()
+        states[start:], actions[start:] = tail.states, tail.actions
+        J.append(np.sum(game.eval_traj_costs(states, actions)[start:, player]))
+    return float(J[0] - J[1])
 
 
 def _check_best_response_convex(blocks: Array, A: Array, B: Array, gains: list[Array],

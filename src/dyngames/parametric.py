@@ -19,13 +19,16 @@ with the constraint rows into one KKT system
 where row block n of F, P, H collects player n's own-action rows of
 Gamma_n.  Solving this linear system (rather than substituting printed
 closed-form factors) keeps the signs honest and only requires the KKT
-matrix to be invertible; every returned law is verified against the KKT
-residual at sample parameters.
+matrix to be invertible.  Every returned law is verified against its KKT
+residual: one product R = KKT [K s; lam_K lam_s] - [rhs_K rhs_s] gives the
+residual R [x; 1] at any parameter x, and it is read at two probe
+parameters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -186,57 +189,71 @@ def solve_stage_kkt(F: Array, P: Array, H: Array,
     Finds K, s (and multiplier gains) such that for every x,
     ``F(Kx+s) + Px + H + S'lam(x) = 0`` and ``W x + S(Kx+s) + p = 0``.
     With no constraint rows (W, S and p with zero rows) this reduces to
-    ``u = -F^{-1}(Px + H)``.  The residuals of the returned law are checked
-    at two probe parameters; one above ``KKT_RTOL`` raises
-    StageSingularityError naming the stage.
+    ``u = -F^{-1}(Px + H)``.  The residual of the returned law is formed once,
+    ``R = KKT @ sol - rhs``, and evaluated at two probe parameters as
+    ``R @ [x; 1]``; a stationarity or constraint residual above ``KKT_RTOL``
+    times the size of the stage data (or a NaN) raises StageSingularityError
+    naming the stage.
     """
     n_u = F.shape[0]
     m = S.shape[0]
     if m > 0 and not _check_full_row_rank(S):
         raise StageSingularityError(stage, "active constraint rows are rank deficient")
+    KKT, rhs = _kkt_system(F, P, H, W, S, p)
+    try:
+        sol = np.linalg.solve(KKT, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise StageSingularityError(stage, f"stage KKT system is singular ({exc})") from exc
+    _check_residual(KKT @ sol - rhs, n_u, _data_scale(F, P, H), stage)
+    n_x = P.shape[1]
+    return AffineLaw(K=sol[:n_u, :n_x], s=sol[:n_u, n_x],
+                     lam_K=sol[n_u:, :n_x], lam_s=sol[n_u:, n_x])
+
+
+def _kkt_system(F, P, H, W, S, p) -> tuple[Array, Array]:
+    """The stage KKT matrix and its right-hand side [rhs_K | rhs_s]."""
+    n_u, m, n_x = F.shape[0], S.shape[0], P.shape[1]
     KKT = np.zeros((n_u + m, n_u + m))
     KKT[:n_u, :n_u] = F
     if m:
         KKT[:n_u, n_u:] = S.T
         KKT[n_u:, :n_u] = S
-    n_x = P.shape[1]
     rhs = np.zeros((n_u + m, n_x + 1))  # [rhs_K | rhs_s]: one factorization for both
     rhs[:n_u, :n_x] = -P
     rhs[:n_u, n_x] = -H
     if m:
         rhs[n_u:, :n_x] = -W
         rhs[n_u:, n_x] = -p
-    try:
-        sol = np.linalg.solve(KKT, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise StageSingularityError(stage, f"stage KKT system is singular ({exc})") from exc
-    law = AffineLaw(K=sol[:n_u, :n_x], s=sol[:n_u, n_x],
-                    lam_K=sol[n_u:, :n_x], lam_s=sol[n_u:, n_x])
-    _validate_law(F, P, H, W, S, p, law, stage)
-    return law
+    return KKT, rhs
 
 
-_PROBE_SEED = np.random.default_rng(0).standard_normal(512)
+def _data_scale(F, P, H) -> float:
+    return np.abs(F).max() + np.abs(P).max(initial=0.0) + np.abs(H).max(initial=0.0) + 1.0
 
 
-def _validate_law(F, P, H, W, S, p, law, stage):
-    n_x = P.shape[1]
-    scale = (np.abs(F).max() + np.abs(P).max(initial=0.0)
-             + np.abs(H).max(initial=0.0) + 1.0)
-    for probe in range(2):
-        x = _PROBE_SEED[probe * n_x:(probe + 1) * n_x]
-        u = law.K @ x + law.s
-        lam = law.lam_K @ x + law.lam_s
-        r1 = F @ u + P @ x + H + (S.T @ lam if S.shape[0] else 0.0)
-        if not np.max(np.abs(r1)) <= KKT_RTOL * scale:  # NaN fails too
-            raise StageSingularityError(
-                stage, f"stage KKT residual {np.max(np.abs(r1)):.2e} exceeds tolerance")
-        if S.shape[0]:
-            r2 = W @ x + S @ u + p
-            if not np.max(np.abs(r2)) <= KKT_RTOL * scale:
-                raise StageSingularityError(
-                    stage, f"stage constraint residual {np.max(np.abs(r2)):.2e} "
-                    "exceeds tolerance")
+@lru_cache(maxsize=16)
+def _probes(n_x: int) -> Array:
+    """[[x1, x2], [1, 1]]: two seeded probe parameters x1, x2 of length n_x."""
+    out = np.ones((n_x + 1, 2))
+    out[:n_x] = np.random.default_rng(0).standard_normal((2, n_x)).T
+    out.flags.writeable = False
+    return out
+
+
+def _check_residual(R: Array, n_u: int, scale: float, stage: int) -> None:
+    """Raise StageSingularityError unless R [x; 1] is small at both probes.
+
+    Rows ``:n_u`` of R are the stationarity residual, the rest the
+    constraint residual, each of an affine law in the parameter x.
+    """
+    r = np.abs(R @ _probes(R.shape[1] - 1))
+    tol = KKT_RTOL * scale
+    if r.max() <= tol:  # NaN fails too
+        return
+    for rows, what in ((r[:n_u], "stage KKT residual"), (r[n_u:], "stage constraint residual")):
+        worst = rows.max(initial=0.0)
+        if not worst <= tol:
+            raise StageSingularityError(stage, f"{what} {worst:.2e} exceeds tolerance")
 
 
 def _region_nonempty(L: Array, l: Array, tol: float = 1e-9) -> bool:

@@ -745,6 +745,39 @@ def noise_comparison_per_run(game, olne, policy, noise_var, n_runs, seed,
 
 
 # ---------------------------------------------------------------------------
+# The stage-law check as two separate residual evaluations.
+# ---------------------------------------------------------------------------
+
+_PROBE_SEED = np.random.default_rng(0).standard_normal(512)
+
+
+def two_probe_law_check(F, P, H, W, S, p, law, kkt_rtol=1e-8):
+    """Whether the affine law passes the stage KKT check, probe by probe.
+
+    At each of two fixed parameters x (consecutive slices of one seeded
+    draw, so only for n_x <= 256) it forms u = K x + s and lam = lam_K x +
+    lam_s, then the stationarity residual F u + P x + H + S' lam and the
+    constraint residual W x + S u + p, and rejects a law whose residual
+    exceeds ``kkt_rtol`` times the size of F, P and H, or is NaN.
+    """
+    n_x = P.shape[1]
+    scale = (np.abs(F).max() + np.abs(P).max(initial=0.0)
+             + np.abs(H).max(initial=0.0) + 1.0)
+    for probe in range(2):
+        x = _PROBE_SEED[probe * n_x:(probe + 1) * n_x]
+        u = law.K @ x + law.s
+        lam = law.lam_K @ x + law.lam_s
+        r1 = F @ u + P @ x + H + (S.T @ lam if S.shape[0] else 0.0)
+        if not np.max(np.abs(r1)) <= kkt_rtol * scale:
+            return False
+        if S.shape[0]:
+            r2 = W @ x + S @ u + p
+            if not np.max(np.abs(r2)) <= kkt_rtol * scale:
+                return False
+    return True
+
+
+# ---------------------------------------------------------------------------
 # Regularized static stage games by active-subset enumeration.
 # ---------------------------------------------------------------------------
 

@@ -15,11 +15,12 @@ from dyngames.benchmarks import (
     noise_comparison,
     rendezvous_residual,
 )
-from dyngames.errors import NonFiniteStateError
-from dyngames.feedback import stagewise_newton_backward
+from dyngames.errors import DimensionError, NonFiniteStateError
+from dyngames.feedback import FeedbackPolicy, feedback_rollout, stagewise_newton_backward
 from dyngames.model import GameDefinition, Trajectory, rollout, total_cost
 from dyngames.projgrad import ProjGradConfig, project_onto_feasible, projected_gradient_solve
 
+from instances import equality_constrained_lq_instance
 from oracles import fishery_stage_projection, rendezvous_stage_projection
 
 
@@ -337,8 +338,108 @@ class TestNoiseComparison:
         np.testing.assert_array_equal(cmp.openloop_violations, [1, 1, 1])
         np.testing.assert_array_equal(cmp.feedback_violations, [1, 1, 1])
 
+    def test_non_finite_run_is_named_within_its_mode(self):
+        params, game, traj, policy = self.solved_fishery()
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NonFiniteStateError) as exc:
+            noise_comparison(game, traj, policy, noise_var=1e300, n_runs=3, seed=1,
+                             noise_scale=params.dt)
+        # both modes blow up at the same stage: the replay is named first
+        assert (exc.value.run, exc.value.mode) == (0, "open-loop")
+
     def test_profit_sign_convention(self):
         params, game, traj, _ = self.solved_fishery()
         profits = cumulative_profits(game, traj)
         costs = [total_cost(game, traj, n, 0) for n in range(2)]
         np.testing.assert_allclose(profits, [-c for c in costs])
+
+
+def noise_comparison_by_mode(game, olne, policy, noise_var, n_runs, seed, noise_scale=1.0,
+                             violation_tol=1e-7):
+    """The noise comparison as two ``feedback_rollout`` batches, one per mode.
+
+    The same noise as ``noise_comparison`` (run i from child i of
+    ``SeedSequence(seed)``); the open-loop replay is the policy with the
+    equilibrium as reference and zero gains and offsets.
+    """
+    T, n_x = game.horizon, game.state_dim
+    std = float(np.sqrt(noise_var)) * noise_scale
+    noise = std * np.stack([np.random.default_rng(s).standard_normal((T, n_x))
+                            for s in np.random.SeedSequence(seed).spawn(n_runs)])
+    starts = np.tile(olne.states[0], (n_runs, 1))
+    replay = dataclasses.replace(policy, reference=olne,
+                                 gains=[np.zeros_like(K) for K in policy.gains],
+                                 offsets=[np.zeros_like(s) for s in policy.offsets])
+    out = []
+    for mode in (replay, policy):
+        run = feedback_rollout(game, mode, starts, noise=noise)
+        out.append((np.mean(np.sum((run.states - olne.states) ** 2, axis=2), axis=1),
+                    np.count_nonzero(~(run.constraint_violations <= violation_tol), axis=1)))
+    return out
+
+
+class TestOneBatchNoiseComparison:
+    @staticmethod
+    def case(name):
+        """(game, equilibrium, policy, noise_var, noise_scale) for the two modes."""
+        if name == "fishery":
+            # efforts inside their bounds, so the gains do not vanish
+            params = FisheryParams(horizon_time=3.0)
+            game = fishery_game(params)
+            actions = np.random.default_rng(5).uniform(0.05, 0.25, (game.horizon + 1, 2))
+            ref = rollout(game, game.initial_state, actions)
+            policy = stagewise_newton_backward(game, ref, feas_tol=np.inf, stage_reg=0.1)
+            return game, ref, policy.equilibrium_form(), 2.0, params.dt
+        # n_x = 2, one equality row at stages 1 and 3, no batch hooks
+        game, _, _, ref, _ = equality_constrained_lq_instance(np.random.default_rng(5))
+        return game, ref, stagewise_newton_backward(game, ref).equilibrium_form(), 0.01, 1.0
+
+    @pytest.mark.parametrize("name", ["fishery", "constrained_lq"])
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_equals_two_rollouts_bit_for_bit(self, name, seed):
+        game, olne, policy, noise_var, noise_scale = self.case(name)
+        cmp = noise_comparison(game, olne, policy, noise_var=noise_var, n_runs=6, seed=seed,
+                               noise_scale=noise_scale)
+        (ol_dev, ol_vio), (fb_dev, fb_vio) = noise_comparison_by_mode(
+            game, olne, policy, noise_var, 6, seed, noise_scale)
+        assert np.array_equal(cmp.openloop_deviation, ol_dev)
+        assert np.array_equal(cmp.feedback_deviation, fb_dev)
+        assert np.array_equal(cmp.openloop_violations, ol_vio)
+        assert np.array_equal(cmp.feedback_violations, fb_vio)
+        assert not np.array_equal(ol_dev, fb_dev)
+
+    def test_replay_rows_apply_the_equilibrium_actions(self):
+        game, olne, policy, _, _ = self.case("constrained_lq")
+        starts = olne.states[0] + np.array([[0.1, -0.2], [0.3, 0.0]])
+        out = feedback_rollout(game, policy, starts, open_loop=olne.actions)
+        assert out.states.shape == (4, game.horizon + 1, 2)
+        np.testing.assert_array_equal(out.actions[:2], np.stack([olne.actions] * 2))
+        alone = feedback_rollout(game, policy, starts)
+        np.testing.assert_array_equal(out.states[2:], alone.states)
+        np.testing.assert_array_equal(out.actions[2:], alone.actions)
+        with pytest.raises(DimensionError, match="open-loop actions"):
+            feedback_rollout(game, policy, starts, open_loop=olne.actions[1:])
+
+    def test_feedback_blow_up_names_its_stage_and_run_within_the_mode(self):
+        # x+ = x + u, non-finite once |u| exceeds a threshold; the open-loop
+        # replay applies u = 0 and stays finite, the feedback u_k = x_k first
+        # crosses it at stage 1 in the run with the largest first disturbance
+        T, n_runs, seed = 6, 5, 2
+        first = np.array([np.random.default_rng(s).standard_normal((T, 1))[0, 0]
+                          for s in np.random.SeedSequence(seed).spawn(n_runs)])
+        top, second = np.sort(np.abs(first))[-2:][::-1]
+        limit = 0.5 * (top + second)
+
+        def dynamics(k, x, u):
+            return np.where(np.abs(u) > limit, np.inf, x + u)
+
+        game = GameDefinition(horizon=T, state_dim=1, action_dims=(1,), initial_state=[0.0],
+                              dynamics=dynamics, stage_costs=lambda k, x, u: np.zeros(1))
+        olne = Trajectory(np.zeros((T + 1, 1)), np.zeros((T + 1, 1)))
+        policy = FeedbackPolicy(reference=olne, gains=[np.ones((1, 1))] * (T + 1),
+                                offsets=[np.zeros(1)] * (T + 1), lam=None, omega=None,
+                                gamma=None, action_dims=(1,))
+        with pytest.raises(NonFiniteStateError, match=r"stage 1 in run \d \(feedback\)") as exc:
+            noise_comparison(game, olne, policy, noise_var=1.0, n_runs=n_runs, seed=seed)
+        assert (exc.value.stage, exc.value.run, exc.value.mode) == (
+            1, int(np.argmax(np.abs(first))), "feedback")

@@ -12,13 +12,20 @@ from scipy.optimize import nnls
 from dyngames import parametric
 from dyngames.errors import EnumerationCapError, StageSingularityError
 from dyngames.parametric import (
+    AffineLaw,
     ParametricGameData,
     cone_to_inequalities,
     enumerate_lcq_parametric,
     solve_lecq_parametric,
+    solve_stage_kkt,
 )
 
-from oracles import region_phase_one_lp, solves_all_active_pieces, static_game_vi
+from oracles import (
+    region_phase_one_lp,
+    solves_all_active_pieces,
+    static_game_vi,
+    two_probe_law_check,
+)
 
 
 def random_parametric_game(rng, action_dims=(2, 1), state_dim=2, n_con=1,
@@ -294,3 +301,79 @@ class TestPiecewisePredicate:
         bad = u + np.array([0.3, -0.2])
         assert not solves_all_active_pieces([piece, loose], x, bad) or \
             np.max(data.W @ x + data.S @ bad + data.p) > 0
+
+
+def residual_check_passes(F, P, H, W, S, p, law):
+    """The package's one-product check on the given law: does it accept it?"""
+    KKT, rhs = parametric._kkt_system(F, P, H, W, S, p)
+    sol = np.vstack([np.column_stack([law.K, law.s]),
+                     np.column_stack([law.lam_K, law.lam_s])])
+    try:
+        parametric._check_residual(KKT @ sol - rhs, F.shape[0],
+                                   parametric._data_scale(F, P, H), stage=0)
+    except StageSingularityError:
+        return False
+    return True
+
+
+class TestStageLawCheck:
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 10_000), n_con=st.integers(0, 2), state_dim=st.integers(1, 4),
+           part=st.sampled_from(["K", "s", "lam_K", "lam_s"]),
+           size=st.sampled_from([0.0, 1e-14, 1e-3, 1.0, np.nan]))
+    def test_accepts_and_rejects_the_same_laws_as_two_probe_oracle(
+            self, seed, n_con, state_dim, part, size):
+        rng = np.random.default_rng(seed)
+        data = random_parametric_game(rng, action_dims=(2, 1), state_dim=state_dim,
+                                      n_con=n_con)
+        F, P, H = data.stationarity_blocks()
+        law = solve_lecq_parametric(data)
+        block = getattr(law, part)
+        scale = 1.0 + float(np.max(np.abs(block), initial=0.0))
+        setattr(law, part, block + size * scale * rng.standard_normal(block.shape))
+        expected = two_probe_law_check(F, P, H, data.W, data.S, data.p, law)
+        assert residual_check_passes(F, P, H, data.W, data.S, data.p, law) == expected
+        # an injected residual far above the tolerance is rejected by both
+        if block.size and not size <= 1e-14:
+            assert not expected
+
+    def test_accepts_the_solved_law_and_rejects_it_shifted(self, rng):
+        data = random_parametric_game(rng, action_dims=(1, 2), state_dim=3, n_con=2)
+        F, P, H = data.stationarity_blocks()
+        law = solve_lecq_parametric(data)
+        rows = (F, P, H, data.W, data.S, data.p)
+        assert residual_check_passes(*rows, law) and two_probe_law_check(*rows, law)
+        shifted = AffineLaw(law.K, law.s + 1e-4, law.lam_K, law.lam_s)
+        assert not residual_check_passes(*rows, shifted)
+        assert not two_probe_law_check(*rows, shifted)
+
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_nan_in_F_raises(self, m):
+        F = np.array([[2.0, np.nan], [0.5, 3.0]])
+        with pytest.raises(StageSingularityError, match="stage 7"):
+            solve_stage_kkt(F, np.ones((2, 1)), np.ones(2), np.zeros((m, 1)),
+                            np.eye(2)[:m], np.zeros(m), stage=7)
+
+    def test_state_dim_above_the_old_probe_length_solves(self, rng):
+        n_x = 300
+        F = rng.standard_normal((2, 2)) + 3.0 * np.eye(2)
+        P, H = rng.standard_normal((2, n_x)), rng.standard_normal(2)
+        W, S, p = rng.standard_normal((1, n_x)), rng.standard_normal((1, 2)), rng.standard_normal(1)
+        law = solve_stage_kkt(F, P, H, W, S, p)
+        assert law.K.shape == (2, n_x)
+        x = rng.standard_normal(n_x)
+        u, lam = law.K @ x + law.s, law.lam_K @ x + law.lam_s
+        np.testing.assert_allclose(F @ u + P @ x + H + S.T @ lam, 0.0, atol=1e-9)
+        np.testing.assert_allclose(W @ x + S @ u + p, 0.0, atol=1e-9)
+        free = solve_stage_kkt(F, P, H, np.zeros((0, n_x)), np.zeros((0, 2)), np.zeros(0))
+        np.testing.assert_allclose(free.K, -np.linalg.solve(F, P), atol=1e-12)
+
+    def test_probes_are_seeded_and_cover_any_state_dim(self):
+        for n_x in (1, 256, 257, 600):
+            probes = parametric._probes(n_x)
+            assert probes.shape == (n_x + 1, 2)
+            np.testing.assert_array_equal(probes[n_x], [1.0, 1.0])
+            assert np.all(np.isfinite(probes)) and not probes.flags.writeable
+        # the first 256 state dimensions keep the two-probe layout of one seeded draw
+        draw = np.random.default_rng(0).standard_normal(512)
+        np.testing.assert_array_equal(parametric._probes(256)[:256].T, draw.reshape(2, 256))
