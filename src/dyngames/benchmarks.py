@@ -22,8 +22,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import NonFiniteStateError
+from . import feedback
 from .feedback import FeedbackPolicy, feedback_rollout
-from .model import GameDefinition, Trajectory, rollout
+from .model import GameDefinition, Trajectory, all_player_costs, rollout
 
 Array = np.ndarray
 
@@ -49,7 +50,6 @@ class FisheryParams:
     p2: float = 1.0
     e1: float = 9.0
     e2: float = 11.0
-    noise_var: float = 2.0
     x0: float = 50.0
 
     def __post_init__(self):
@@ -359,8 +359,7 @@ class NoiseComparison:
 
 def noise_comparison(game: GameDefinition, olne: Trajectory,
                      policy: FeedbackPolicy, noise_var: float, n_runs: int,
-                     seed: int, noise_scale: float = 1.0,
-                     violation_tol: float = 1e-7) -> NoiseComparison:
+                     seed: int, noise_scale: float = 1.0) -> NoiseComparison:
     """Open-loop replay versus feedback policy on seeded noisy rollouts.
 
     Run i adds i.i.d. Gaussian state disturbances with variance
@@ -370,9 +369,9 @@ def noise_comparison(game: GameDefinition, olne: Trajectory,
     runs under the same noise: the open-loop replay of the equilibrium
     actions and the feedback policy.  Reported deviations are mean squared
     state distances to the equilibrium path; violations count the stages
-    whose largest row exceeds ``violation_tol`` or is NaN.  Identical seeds
-    give identical statistics.  Raises ValueError unless noise_var >= 0,
-    n_runs >= 1, 0 <= noise_scale < inf and violation_tol >= 0.  When a
+    whose largest row exceeds ``feedback.VIOLATION_TOL`` or is NaN.  Identical
+    seeds give identical statistics.  Raises ValueError unless noise_var >= 0,
+    n_runs >= 1 and 0 <= noise_scale < inf.  When a
     state blows up, NonFiniteStateError names the first such stage over both
     modes, the run's index within its own mode and the mode ("open-loop" or
     "feedback"; the replay first when both blow up at that stage).
@@ -383,8 +382,6 @@ def noise_comparison(game: GameDefinition, olne: Trajectory,
         raise ValueError(f"n_runs must be at least 1, got {n_runs}")
     if not (np.isfinite(noise_scale) and noise_scale >= 0):
         raise ValueError(f"noise_scale must be finite and nonnegative, got {noise_scale}")
-    if not violation_tol >= 0:
-        raise ValueError(f"violation_tol must be nonnegative, got {violation_tol}")
     T, n_x = game.horizon, game.state_dim
     std = float(np.sqrt(noise_var)) * noise_scale
     noise = std * np.stack([np.random.default_rng(s).standard_normal((T, n_x))
@@ -396,12 +393,11 @@ def noise_comparison(game: GameDefinition, olne: Trajectory,
         mode, run = divmod(exc.run, n_runs)
         raise NonFiniteStateError(exc.stage, run, ("open-loop", "feedback")[mode]) from None
     dev = np.mean(np.sum((runs.states - olne.states) ** 2, axis=2), axis=1)
-    vio = np.count_nonzero(~(runs.constraint_violations <= violation_tol), axis=1)
+    vio = np.count_nonzero(~(runs.constraint_violations <= feedback.VIOLATION_TOL), axis=1)
     return NoiseComparison(openloop_deviation=dev[:n_runs], feedback_deviation=dev[n_runs:],
                            openloop_violations=vio[:n_runs], feedback_violations=vio[n_runs:])
 
 
 def cumulative_profits(game: GameDefinition, traj: Trajectory) -> Array:
     """Re-negated per-player costs, i.e. profits for profit-based games."""
-    from .model import all_player_costs
     return -all_player_costs(game, traj)

@@ -16,6 +16,10 @@ A run configuration is a JSON file:
       "output_dir": "out"
     }
 
+Only game and solver are required; simulate takes only noise_var (1.0),
+n_runs (100) and seed (0, which ``--seed`` overrides).  Any other key, or an
+output_dir that is not a non-empty string, exits with status 2 before the solve.
+
 Outputs: trajectory.csv, convergence.csv, report.json, and (with the
 feedback/simulate blocks) policy.json and simulation.csv.  All numbers are
 written with full round-trip precision so identical configs and seeds give
@@ -29,7 +33,7 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional
 
@@ -96,15 +100,18 @@ class RunConfig:
     stage_reg: float = 0.0
     simulate: Optional[dict] = None
     output_dir: str = "out"
-    seed: Optional[int] = None
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
         if not isinstance(raw, dict):
             raise ConfigError("config root must be an object")
+        # the config's keys are the fields, with one game object for game_id and game_params
+        _known(raw, {"game", *(f.name for f in fields(cls))} - {"game_id", "game_params"},
+               "config")
         game = raw.get("game")
         if not isinstance(game, dict) or "id" not in game:
             raise ConfigError("config needs a game object with an id")
+        _known(game, {"id", "params"}, "game")
         solver = raw.get("solver")
         if solver not in ("pg", "dr"):
             raise ConfigError(f"solver must be 'pg' or 'dr', got {solver!r}")
@@ -121,14 +128,12 @@ class RunConfig:
                 elif not 0.0 < val < np.inf:  # rejects NaN too
                     raise ConfigError(f"{name} must be positive and finite, got {val}")
                 setattr(cfg, name, val)
-        if "max_iter" in raw:
-            cfg.max_iter = _count(raw["max_iter"], "max_iter")
-            if cfg.max_iter <= 0:
-                raise ConfigError("max_iter must be positive")
-        if "scheme" in raw:
-            if raw["scheme"] not in SCHEMES:
-                raise ConfigError(f"scheme must be one of {SCHEMES}")
-            cfg.scheme = raw["scheme"]
+        cfg.max_iter = _count(raw.get("max_iter", cfg.max_iter), "max_iter")
+        if cfg.max_iter <= 0:
+            raise ConfigError("max_iter must be positive")
+        cfg.scheme = raw.get("scheme", cfg.scheme)
+        if cfg.scheme not in SCHEMES:
+            raise ConfigError(f"scheme must be one of {SCHEMES}")
         if not 0.0 < cfg.alpha < 1.0:
             raise ConfigError("alpha must lie strictly inside (0, 1)")
         cfg.feedback = raw.get("feedback", False)
@@ -138,6 +143,7 @@ class RunConfig:
         if sim is not None:
             if not isinstance(sim, dict):
                 raise ConfigError("simulate must be an object")
+            _known(sim, {"noise_var", "n_runs", "seed"}, "simulate")
             cfg.simulate = {
                 "noise_var": _number(sim.get("noise_var", 1.0), "simulate.noise_var"),
                 "n_runs": _count(sim.get("n_runs", 100), "simulate.n_runs"),
@@ -147,10 +153,17 @@ class RunConfig:
                 raise ConfigError("simulate block needs noise_var >= 0 and n_runs > 0")
             if not cfg.feedback:  # the simulation replays the policy
                 raise ConfigError("simulate block requires feedback: true")
-        cfg.output_dir = str(raw.get("output_dir", "out"))
-        if "seed" in raw and raw["seed"] is not None:
-            cfg.seed = _seed(raw["seed"], "seed")
+        cfg.output_dir = raw.get("output_dir", "out")
+        if not (isinstance(cfg.output_dir, str) and cfg.output_dir):
+            raise ConfigError(f"output_dir must be a non-empty string, got {cfg.output_dir!r}")
         return cfg
+
+
+def _known(raw: dict, keys: set, where: str) -> None:
+    """Refuse the keys outside ``keys``, such as misspelled ones."""
+    unknown = sorted(map(str, set(raw) - keys))
+    if unknown:
+        raise ConfigError(f"unknown {where} key(s) {unknown}; known: {sorted(keys)}")
 
 
 def _number(raw, name: str) -> float:
@@ -302,9 +315,7 @@ def run(config: RunConfig) -> int:
         _write_json(outdir / "policy.json", _policy_payload(policy))
 
     if config.simulate is not None:  # from_dict asks for feedback with it
-        sim = dict(config.simulate)
-        if config.seed is not None:
-            sim["seed"] = config.seed
+        sim = config.simulate
         log.info("simulating %d noisy runs (seed %d)", sim["n_runs"], sim["seed"])
         comparison = benchmarks.noise_comparison(
             game, report.trajectory, policy.equilibrium_form(),
@@ -312,9 +323,7 @@ def run(config: RunConfig) -> int:
             noise_scale=meta.get("noise_scale", 1.0))
         _write_simulation_csv(outdir / "simulation.csv", comparison)
         payload["simulation"] = {
-            "noise_var": sim["noise_var"],
-            "n_runs": sim["n_runs"],
-            "seed": sim["seed"],
+            **sim,
             "mean_openloop_deviation": comparison.mean_openloop,
             "mean_feedback_deviation": comparison.mean_feedback,
         }
@@ -344,8 +353,9 @@ def main(argv=None) -> int:
         return EXIT_BAD_CONFIG
     try:
         config = RunConfig.from_dict(raw)
-        if args.seed is not None:
-            config.seed = _seed(args.seed, "--seed")
+        seed = None if args.seed is None else _seed(args.seed, "--seed")
+        if seed is not None and config.simulate is not None:
+            config.simulate["seed"] = seed
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG

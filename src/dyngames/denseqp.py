@@ -37,6 +37,9 @@ STEPS_PER_DIMENSION = 10
 # span of the active rows: the step only moves multipliers.
 DEPENDENT_ROW_RATIO = 1e-11
 
+# A row violated by at most ROW_TOL * (1 + max|H| + max|f|) counts as met.
+ROW_TOL = 1e-9
+
 
 def solve_equality_kkt(H: Array, f: Array, A: Optional[Array] = None,
                        b: Optional[Array] = None) -> tuple[Array, Array]:
@@ -103,7 +106,7 @@ class DenseQp:
 
 def solve_qp(H, f: Optional[Array] = None, G: Optional[Array] = None,
              h: Optional[Array] = None, Aeq: Optional[Array] = None,
-             beq: Optional[Array] = None, tol: float = 1e-9) -> tuple[Array, Array]:
+             beq: Optional[Array] = None) -> tuple[Array, Array]:
     """Exact minimizer of a convex QP with inequality and equality constraints.
 
     min 0.5 z'Hz + f'z   s.t.  Gz <= h,  Aeq z = beq.
@@ -129,7 +132,7 @@ def solve_qp(H, f: Optional[Array] = None, G: Optional[Array] = None,
     lam = np.zeros(m)
     if m == 0:
         return z, lam
-    vtol = tol * (1.0 + qp.H_size + qp.f_size)
+    vtol = ROW_TOL * (1.0 + qp.H_size + qp.f_size)
     active: list[int] = []
     steps = 0
     max_steps = STEPS_PER_DIMENSION * qp.size

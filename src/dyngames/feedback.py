@@ -48,6 +48,9 @@ from .parametric import solve_stage_kkt
 
 Array = np.ndarray
 
+# The largest row a feasible rollout stage may show (``epsilon_nash_gap``, noise_comparison).
+VIOLATION_TOL = 1e-7
+
 
 @dataclass
 class FeedbackPolicy:
@@ -310,7 +313,7 @@ def epsilon_nash_gap(game: GameDefinition, policy: FeedbackPolicy,
     roll = feedback_rollout(game, policy, np.asarray(x_start, dtype=float).reshape(n_x),
                             start=start)
     worst = int(np.argmax(roll.constraint_violations))
-    if roll.constraint_violations[worst] > 1e-7:
+    if roll.constraint_violations[worst] > VIOLATION_TOL:
         raise InfeasibleConstraintsError(
             f"policy rollout violates the game's rows at stage {start + worst}",
             max_violation=float(roll.constraint_violations[worst]))

@@ -122,8 +122,7 @@ def solve_costates(A: Array, CX: Array) -> Array:
     return om.reshape(T1, n_x, N).transpose(0, 2, 1)
 
 
-def estimate_operator_constants(game: GameDefinition,
-                                base_actions: Optional[Array] = None) -> tuple[float, float]:
+def estimate_operator_constants(game: GameDefinition) -> tuple[float, float]:
     """Monotonicity and Lipschitz constants of the game operator F.
 
     Valid for games whose F is affine in the actions (linear dynamics,
@@ -132,8 +131,7 @@ def estimate_operator_constants(game: GameDefinition,
     eigenvalue of its symmetric part and L its largest singular value.  For
     other games the constants must be supplied by the caller.
     """
-    base_actions = (np.zeros((game.horizon + 1, game.total_action_dim))
-                    if base_actions is None else np.asarray(base_actions, dtype=float))
+    base_actions = np.zeros((game.horizon + 1, game.total_action_dim))
     op = _operator_jacobian(game, game.initial_state, base_actions,
                             np.arange(base_actions.size), step=1.0)
     mu = float(np.min(np.linalg.eigvalsh(0.5 * (op + op.T))))
@@ -180,8 +178,7 @@ class PlayerVerdict:
         return self.verdict in (VERDICT_BLOCKED, VERDICT_CONVEX)
 
 
-def playerwise_minimizer_check(game: GameDefinition, traj: Trajectory,
-                               feas_tol: float = 1e-6) -> list[PlayerVerdict]:
+def playerwise_minimizer_check(game: GameDefinition, traj: Trajectory) -> list[PlayerVerdict]:
     """Classify each player's candidate action sequence at a VI solution.
 
     A nonzero own-gradient block at a solution of the variational inequality
@@ -191,7 +188,7 @@ def playerwise_minimizer_check(game: GameDefinition, traj: Trajectory,
     A nonzero gradient without any constraints cannot certify a minimizer
     and is reported as indeterminate.
     """
-    pg = pseudo_gradient(game, traj, feas_tol=feas_tol)
+    pg = pseudo_gradient(game, traj)
     u_scale = 1.0 + float(np.max(np.abs(traj.actions), initial=0.0))
     data = None
     verdicts = []

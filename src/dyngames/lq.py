@@ -405,8 +405,6 @@ def _prox_data(A: Array, B: Array, b: Array, initial_state: Array, state_weight:
                       initial_state=np.asarray(initial_state, dtype=float))
 
 
-def solve_lq_open_loop(data: LqGameData, x0: Optional[Array] = None) -> Trajectory:
+def solve_lq_open_loop(data: LqGameData) -> Trajectory:
     """Exact open-loop equilibrium of a linear-quadratic game by one banded solve."""
-    if x0 is not None:
-        data = replace(data, initial_state=np.asarray(x0, dtype=float))
     return Trajectory(*_kkt_factor(data).solve())

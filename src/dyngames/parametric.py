@@ -269,8 +269,7 @@ def _region_nonempty(L: Array, l: Array, tol: float = 1e-9) -> bool:
     return True
 
 
-def enumerate_lcq_parametric(data: ParametricGameData,
-                             cap: int = ENUMERATION_CAP) -> PiecewiseAffinePolicy:
+def enumerate_lcq_parametric(data: ParametricGameData) -> PiecewiseAffinePolicy:
     """Piecewise affine equilibrium of the inequality-constrained game.
 
     For every candidate active subset with full-row-rank constraint rows
@@ -280,8 +279,8 @@ def enumerate_lcq_parametric(data: ParametricGameData,
     deficient subsets are skipped and recorded.
     """
     n_c = data.p.shape[0]
-    if n_c > cap:
-        raise EnumerationCapError(n_c, cap)
+    if n_c > ENUMERATION_CAP:
+        raise EnumerationCapError(n_c, ENUMERATION_CAP)
     F, P, H = data.stationarity_blocks()
     for n, d in enumerate(data.action_dims):
         off = sum(data.action_dims[:n])

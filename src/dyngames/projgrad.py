@@ -24,6 +24,7 @@ import numpy as np
 from .certificate import active_set_polish, project_onto_feasible, read_game
 from .gradient import pseudo_gradient
 from .model import GameDefinition, all_player_costs, rollout
+from . import report
 from .report import SolverReport, build_report, iterate
 
 Array = np.ndarray
@@ -31,17 +32,18 @@ Array = np.ndarray
 
 @dataclass
 class ProjGradConfig:
-    """Step size, iteration budget and tolerances for the projected gradient.
+    """Step size, iteration budget and tolerance for the projected gradient.
 
-    ``record_costs`` fills the report's ``cost_trace``: the players' costs
-    at the initial iterate, at the iterations {1, 2, 5} * 10^j the run
-    steps past and at the result (``SolverReport``).
+    A run whose iterate grows past ``report.DIVERGENCE_FACTOR`` times
+    (1 + |u0|_2) ends with ``divergence``.  ``record_costs`` fills the
+    report's ``cost_trace``: the players' costs at the initial iterate, at
+    the iterations {1, 2, 5} * 10^j the run steps past and at the result
+    (``SolverReport``).
     """
 
     step_size: float = 0.01
     max_iter: int = 1000
     tol: float = 1e-8
-    divergence_factor: float = 1e8
     record_costs: bool = True
     run_checks: bool = True
 
@@ -50,8 +52,6 @@ class ProjGradConfig:
         for name in ("step_size", "tol"):
             if not 0.0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
-        if not self.divergence_factor > 0:
-            raise ValueError(f"divergence_factor must be positive, got {self.divergence_factor}")
         if self.max_iter < 0:
             raise ValueError(f"max_iter must be nonnegative, got {self.max_iter}")
 
@@ -88,7 +88,7 @@ def projected_gradient_solve(game: GameDefinition, u0: Array,
         return u_next, rollout(game, game.initial_state, u_next)
 
     costs = (lambda traj: all_player_costs(game, traj)) if cfg.record_costs else None
-    run = iterate(step, u, traj, cfg.max_iter, cfg.tol, cfg.divergence_factor, record=costs,
-                  polish=active_set_polish(game, cfg.tol, rows, data))
+    run = iterate(step, u, traj, cfg.max_iter, cfg.tol, report.DIVERGENCE_FACTOR,
+                  record=costs, polish=active_set_polish(game, cfg.tol, rows, data))
     return build_report(game, run.candidate, run.candidate, run, cfg.run_checks,
                         costs(traj) if costs else None, rows, data)

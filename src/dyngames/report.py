@@ -14,14 +14,11 @@ and of the residual f = g - w, and an extrapolated point whose residual
 |f|_2 exceeds that of the point it came from gives way to that point's
 plain image.  DR's averaged map is nonexpansive, the setting of Fu, Zhang
 and Boyd, "Anderson accelerated Douglas-Rachford splitting", SIAM J. Sci.
-Comput. 2020 (arXiv:1908.11482).  Plain DR converges only linearly: at the
-paper's eta the rendezvous used up its 10k-step budget, accelerated it
-stopped on the tolerance after 946 steps, and with eta balanced as well
-(``splitting.DrConfig``) after 120.  A solver that changes its map during
-the run, as the balancing does, passes a restart hook: the point it returns
-is evaluated next and the Anderson history starts afresh.  Either way the
-step norm and the stop test read max|g(w) - w| at each point evaluated, and
-only a plain run gets a fitted geometric rate.
+Comput. 2020 (arXiv:1908.11482).  A solver that changes its map during the
+run, as the balancing of eta does (``splitting.DrConfig``), passes a restart
+hook: the point it returns is evaluated next and the Anderson history starts
+afresh.  Either way the step norm and the stop test read max|g(w) - w| at
+each point evaluated, and only a plain run gets a fitted geometric rate.
 
 A solver that records its candidates' costs does so on a fixed grid, not
 after every step: at the initial candidate, at the iterations
@@ -51,6 +48,11 @@ TERM_DIVERGENCE = "divergence"
 
 # the leading digits of the iterations at which ``iterate`` records: 1, 2, 5, 10, 20, ...
 RECORD_GRID = (1, 2, 5)
+
+# The growth that counts as divergence, of a solver's iterate or a Newton residual.
+DIVERGENCE_FACTOR = 1e8
+# ``fit_log_decay`` skips this share of a trace, and values below this share of its top.
+RATE_BURN_IN, RATE_FLOOR = 0.1, 1e-13
 
 
 def on_record_grid(t: int) -> bool:
@@ -328,13 +330,13 @@ def build_report(game: GameDefinition, trajectory: Trajectory, checked: Trajecto
         natural_residual=float("nan") if residual is None else residual)
 
 
-def fit_log_decay(values: Array, burn_in_frac: float = 0.1,
-                  floor_rel: float = 1e-13) -> tuple[float, float]:
+def fit_log_decay(values: Array) -> tuple[float, float]:
     """Least-squares geometric decay rate of a positive trace.
 
-    Fits log(values) ~ a + t*log(rate) over the window after burn-in and
-    before the trace hits its numerical floor.  Returns (rate, rmse of the
-    fit in log space); (nan, nan) if fewer than two usable points remain.
+    Fits log(values) ~ a + t*log(rate) over the window after burn-in
+    (RATE_BURN_IN) and before the trace hits its numerical floor
+    (RATE_FLOOR).  Returns (rate, rmse of the fit in log space); (nan, nan)
+    if fewer than two usable points remain.
     """
     v = np.asarray(values, dtype=float)
     if v.size < 2:
@@ -342,8 +344,8 @@ def fit_log_decay(values: Array, burn_in_frac: float = 0.1,
     top = float(np.max(v))
     if top <= 0.0:
         return 0.0, 0.0
-    start = int(np.floor(burn_in_frac * v.size))
-    usable = np.flatnonzero(v > floor_rel * top)
+    start = int(np.floor(RATE_BURN_IN * v.size))
+    usable = np.flatnonzero(v > RATE_FLOOR * top)
     usable = usable[usable >= start]
     if usable.size < 2:
         return float("nan"), float("nan")

@@ -42,8 +42,7 @@ whenever a trial point's residual rises, and keeps the same fixed point.
 The weight eta is residual-balanced during the run (``DrConfig``): a change
 rescales the next point about the first resolvent's output, which maps a
 fixed point of the old map onto one of the new, and restarts the Anderson
-history; eta is frozen after a bounded number of changes.  On the paper
-rendezvous this cuts the steps from 946 to 120 at the paper's eta.
+history; eta is frozen after a bounded number of changes.
 ``dr_solve`` reads the game once, at the origin (``certificate.read_game``),
 and ``_resolvents`` builds what does not depend on eta once from that read:
 the rows for the stagewise projections, the static games and the
@@ -73,6 +72,7 @@ from .model import (
     local_lq,
     rollout,
 )
+from . import report
 from .report import SolverReport, build_report, iterate
 
 Array = np.ndarray
@@ -90,6 +90,9 @@ BALANCE_RATIO = 10.0
 BALANCE_FACTOR = 2.0
 BALANCE_MAX_CHANGES = 20
 
+# The Newton steps of every resolvent: relative residual tolerance and step budget.
+INNER_TOL, INNER_MAX_ITER = 1e-10, 300
+
 
 @dataclass
 class DrConfig:
@@ -105,7 +108,8 @@ class DrConfig:
     r_p (10) and halves it when r_p > BALANCE_RATIO * r_d.  After
     BALANCE_MAX_CHANGES (20) changes eta is frozen, which keeps DR's
     convergence (Lorenz and Tran-Dinh, "Non-stationary Douglas-Rachford and
-    ADMM", Comput. Optim. Appl. 2019).
+    ADMM", Comput. Optim. Appl. 2019).  The resolvents' Newton steps use
+    INNER_TOL and INNER_MAX_ITER, the divergence test ``report.DIVERGENCE_FACTOR``.
 
     ``record_costs`` fills the report's ``cost_trace``: the costs of the
     rolled-out candidate at the start, at the iterations {1, 2, 5} * 10^j
@@ -117,9 +121,6 @@ class DrConfig:
     alpha: float = 0.5
     max_iter: int = 10_000
     tol: float = 1e-8
-    inner_tol: float = 1e-10
-    inner_max_iter: int = 300
-    divergence_factor: float = 1e8
     record_costs: bool = True
     run_checks: bool = True
 
@@ -129,15 +130,11 @@ class DrConfig:
         # each test is written so that NaN fails it
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie strictly in (0, 1), got {self.alpha}")
-        for name in ("eta", "tol", "inner_tol"):
+        for name in ("eta", "tol"):
             if not 0.0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if self.max_iter < 0:
             raise ValueError(f"max_iter must be nonnegative, got {self.max_iter}")
-        if self.inner_max_iter < 1:
-            raise ValueError(f"inner_max_iter must be at least 1, got {self.inner_max_iter}")
-        if not self.divergence_factor > 0:
-            raise ValueError(f"divergence_factor must be positive, got {self.divergence_factor}")
 
 
 # ---------------------------------------------------------------------------
@@ -146,10 +143,8 @@ class DrConfig:
 
 
 def resolvent_reg_game(game: GameDefinition, y: Array, z: Array, eta: float,
-                       inner_tol: float = 1e-10, inner_max_iter: int = 300,
                        warm: Optional[Trajectory] = None,
-                       factor: Optional[lq.LqFactor] = None,
-                       divergence_factor: float = 1e8) -> tuple[Array, Array]:
+                       factor: Optional[lq.LqFactor] = None) -> tuple[Array, Array]:
     """Equilibrium of the proximally regularized unconstrained dynamic game.
 
     The regularized game gives player n the costs eta c_{n,k} + 0.5 |x_k -
@@ -169,9 +164,9 @@ def resolvent_reg_game(game: GameDefinition, y: Array, z: Array, eta: float,
     cost Hessians and solves that game with ``lq.regularized_factor``; the
     new actions are rolled out through the game's own dynamics.  The passes
     stop once the regularized pseudo-gradient is at most
-    inner_tol * (1 + max|u_start|).  They raise SubproblemError after
-    ``inner_max_iter`` steps, and as soon as that residual is not finite or
-    exceeds ``divergence_factor`` times the first pass's.  A non-finite
+    INNER_TOL * (1 + max|u_start|).  They raise SubproblemError after
+    INNER_MAX_ITER steps, and as soon as that residual is not finite or
+    exceeds ``report.DIVERGENCE_FACTOR`` times the first pass's.  A non-finite
     rollout raises NonFiniteStateError, a singular KKT matrix
     StageSingularityError, and an eta that is not positive ValueError.
     """
@@ -189,22 +184,22 @@ def resolvent_reg_game(game: GameDefinition, y: Array, z: Array, eta: float,
     traj = rollout(game, game.initial_state, start)
     scale = 1.0 + float(np.max(np.abs(traj.actions), initial=0.0))
     owner = np.repeat(np.arange(game.num_players), game.action_dims)
-    for it in range(inner_max_iter + 1):
+    for it in range(INNER_MAX_ITER + 1):
         data = local_lq(game, traj.states, traj.actions)
         # costates and own-action gradients of the regularized costs
         lam = solve_costates(data.A, eta * data.q.swapaxes(0, 1) + (traj.states - y)[:, None])
         grads = eta * data.r.swapaxes(0, 1) + (traj.actions - z)[:, None]
         grads[:-1] += lam[1:] @ data.B
         resid = float(np.max(np.abs(grads[:, owner, np.arange(n_u)]), initial=0.0))
-        if resid <= inner_tol * scale:
+        if resid <= INNER_TOL * scale:
             return traj.states, traj.actions
         if it == 0:
             resid0 = resid
-        if not (np.isfinite(resid) and resid <= divergence_factor * resid0):
+        if not (np.isfinite(resid) and resid <= report.DIVERGENCE_FACTOR * resid0):
             raise SubproblemError(
                 f"regularized game diverged: residual {resid:.3e} after {it} Newton "
                 f"steps, from {resid0:.3e}")
-        if it == inner_max_iter:
+        if it == INNER_MAX_ITER:
             break
         # Lagrangian Hessians, in units of the unregularized costs
         H = np.einsum("kni,kiab->nkab", lam[1:], data.G) / eta
@@ -214,7 +209,7 @@ def resolvent_reg_game(game: GameDefinition, y: Array, z: Array, eta: float,
         _, du = lq.regularized_factor(data, eta).solve(y - traj.states, z - traj.actions)
         traj = rollout(game, game.initial_state, traj.actions + du)
     raise SubproblemError(
-        f"regularized game did not reach stationarity in {inner_max_iter} Newton "
+        f"regularized game did not reach stationarity in {INNER_MAX_ITER} Newton "
         f"steps (residual {resid:.3e})")
 
 
@@ -323,7 +318,6 @@ def _lemke(M: Array, q: Array, stage: int) -> Array:
 
 
 def _static_games(game: GameDefinition, y: Array, z: Array, eta: float,
-                  inner_tol: float, inner_max_iter: int,
                   rows: Optional[PaddedRows]) -> tuple[Array, Array]:
     """Every stage's regularized static game, by Josephy-Newton steps, with ``rows`` or none.
 
@@ -332,17 +326,18 @@ def _static_games(game: GameDefinition, y: Array, z: Array, eta: float,
     point and, only when it violates some stage rows, one LCP in the rows'
     multipliers by ``_lemke``.  A stage is done once its KKT residual
     (stationarity and min(mu, -g) over the rows g <= 0) is at most
-    inner_tol * (1 + |(y_k, z_k)|_inf); quadratic costs need one step plus
-    that check.  Any failure raises SubproblemError naming the stage.
+    INNER_TOL * (1 + |(y_k, z_k)|_inf); quadratic costs need one step plus
+    that check, and a stage fails after INNER_MAX_ITER steps.  Any failure
+    raises SubproblemError naming the stage.
     """
     n_x, n_v = game.state_dim, game.state_dim + game.total_action_dim
     xs, us = np.array(y, dtype=float), np.array(z, dtype=float)
     for k in range(game.horizon + 1):
         G, p = (np.zeros((0, n_v)), np.zeros(0)) if rows is None else rows.stage(k)
         w = np.concatenate([y[k], z[k]])
-        tol = inner_tol * (1.0 + float(np.max(np.abs(w))))
+        tol = INNER_TOL * (1.0 + float(np.max(np.abs(w))))
         v, mu = w, np.zeros(p.size)
-        for _ in range(inner_max_iter):
+        for _ in range(INNER_MAX_ITER):
             F, J = _stage_operator(game, k, v, w, eta)
             kkt = np.max(np.abs(np.concatenate([F + G.T @ mu, np.minimum(mu, -(G @ v + p))])))
             if kkt <= tol:
@@ -361,14 +356,12 @@ def _static_games(game: GameDefinition, y: Array, z: Array, eta: float,
         else:
             raise SubproblemError(
                 f"stage {k} regularized static game did not converge in "
-                f"{inner_max_iter} Newton steps")
+                f"{INNER_MAX_ITER} Newton steps")
         xs[k], us[k] = v[:n_x], v[n_x:]
     return xs, us
 
 
-def resolvent_reg_static_games(game: GameDefinition, y: Array, z: Array,
-                               eta: float, inner_tol: float = 1e-10,
-                               inner_max_iter: int = 50,
+def resolvent_reg_static_games(game: GameDefinition, y: Array, z: Array, eta: float,
                                rows: Optional[PaddedRows] = None) -> tuple[Array, Array]:
     """Independent regularized constrained static games, one per stage.
 
@@ -376,24 +369,24 @@ def resolvent_reg_static_games(game: GameDefinition, y: Array, z: Array,
     players' own-gradient stationarity and whose state row is the
     coordinator (mean state gradient plus prox), subject to the stage's
     affine rows, by Josephy-Newton steps with one Lemke pivot sequence each
-    (``_static_games``).  Requires affine constraints; ``rows`` are the
-    game's ``lq.padded_rows``, read here when None.  A stage game that is not
-    monotone (the symmetric part of I + eta J_k not positive definite) may
-    raise SubproblemError; no returned point fails the KKT check.
+    (``_static_games``, INNER_TOL and INNER_MAX_ITER).  Requires affine
+    constraints; ``rows`` are the game's ``lq.padded_rows``, read here when
+    None.  A stage game that is not monotone (the symmetric part of
+    I + eta J_k not positive definite) may raise SubproblemError; no returned
+    point fails the KKT check.
     """
     rows = lq.padded_rows(game) if rows is None else rows
-    return _static_games(game, y, z, eta, inner_tol, inner_max_iter, rows)
+    return _static_games(game, y, z, eta, rows)
 
 
 def resolvent_static_games_uncon(game: GameDefinition, y: Array, z: Array,
-                                 eta: float, inner_tol: float = 1e-10,
-                                 inner_max_iter: int = 50) -> tuple[Array, Array]:
+                                 eta: float) -> tuple[Array, Array]:
     """Independent regularized unconstrained static games, one per stage.
 
     The stage games of ``resolvent_reg_static_games`` with the rows dropped:
     each Newton step is one linear solve.
     """
-    return _static_games(game, y, z, eta, inner_tol, inner_max_iter, None)
+    return _static_games(game, y, z, eta, None)
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +517,7 @@ def dr_solve(game: GameDefinition, cfg: DrConfig) -> SolverReport:
         return all_player_costs(game, rollout(game, game.initial_state, cand.actions))
 
     run = iterate(step, np.concatenate([wx.ravel(), wu.ravel()]), Trajectory(wx, wu),
-                  cfg.max_iter, cfg.tol, cfg.divergence_factor, accept=accept,
+                  cfg.max_iter, cfg.tol, report.DIVERGENCE_FACTOR, accept=accept,
                   record=costs if cfg.record_costs else None,
                   polish=active_set_polish(game, cfg.tol, rows, data), accelerate=True,
                   restart=balance)
@@ -550,12 +543,11 @@ def _resolvents(game: GameDefinition, cfg: DrConfig, rows: Optional[PaddedRows],
     ``gradient`` scheme, non-affine stage constraints; and the map raises
     StageSingularityError for a singular KKT matrix at its eta.
     """
-    inner = dict(inner_tol=cfg.inner_tol, inner_max_iter=cfg.inner_max_iter)
     if cfg.scheme == SCHEME_DYNAMICS:
         factor = lq.factor(game, 0.0, data)
         project = lambda y, z: project_dynamics(game, y, z, factor=factor)
         return lambda eta: (
-            lambda y, z: resolvent_reg_static_games(game, y, z, eta, **inner, rows=rows),
+            lambda y, z: resolvent_reg_static_games(game, y, z, eta, rows),
             project)
     if cfg.scheme == SCHEME_GRADIENT:
         # a read is missing only for nonlinear dynamics or rows not affine: these raise
@@ -563,7 +555,7 @@ def _resolvents(game: GameDefinition, cfg: DrConfig, rows: Optional[PaddedRows],
         rows = lq.padded_rows(game) if rows is None else rows
         project = lambda y, z: constrained_oc_projection(game, y, z, rows, data)
         return lambda eta: (
-            project, lambda y, z: resolvent_static_games_uncon(game, y, z, eta, **inner))
+            project, lambda y, z: resolvent_static_games_uncon(game, y, z, eta))
     exact = game.linear_dynamics and game.quadratic_costs
     project = lambda y, z: project_stage_constraints(game, y, z, rows)
     warm = None
@@ -573,8 +565,7 @@ def _resolvents(game: GameDefinition, cfg: DrConfig, rows: Optional[PaddedRows],
 
         def regularized_game(y, z):
             nonlocal warm
-            x, u = resolvent_reg_game(game, y, z, eta, warm=warm, factor=factor,
-                                      divergence_factor=cfg.divergence_factor, **inner)
+            x, u = resolvent_reg_game(game, y, z, eta, warm=warm, factor=factor)
             if factor is None:  # only the Newton steps warm-start
                 warm = Trajectory(x, u)
             return x, u

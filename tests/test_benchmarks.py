@@ -57,7 +57,7 @@ class TestFisheryGame:
         assert FisheryParams(horizon_time=2.0).n_stages == 20
 
     @pytest.mark.parametrize("bad", [{"r": np.nan}, {"x0": np.nan}, {"e1": np.inf},
-                                     {"e2": -np.inf}, {"noise_var": np.nan},
+                                     {"e2": -np.inf}, {"q2": 0.0},
                                      {"dt": np.nan}, {"u1_max": 0.0}])
     def test_bad_params_are_rejected(self, bad):
         with pytest.raises(ValueError, match=next(iter(bad))):
@@ -312,9 +312,8 @@ class TestNoiseComparison:
         ({"noise_scale": np.nan}, "noise_scale"),
         ({"noise_scale": np.inf}, "noise_scale"),
         ({"noise_scale": -0.1}, "noise_scale"),
-        ({"violation_tol": -1e-9}, "violation_tol"),
     ], ids=["noise_var<0", "n_runs=0", "noise_scale=nan", "noise_scale=inf",
-            "noise_scale<0", "violation_tol<0"])
+            "noise_scale<0"])
     def test_bad_inputs_are_rejected(self, bad, match):
         params, game, traj, policy = self.solved_fishery()
         kwargs = {"noise_var": 2.0, "n_runs": 3, "seed": 1, "noise_scale": params.dt, **bad}

@@ -67,8 +67,9 @@ class TestConfigValidation:
 
     def test_whole_counts_and_boolean_feedback_accepted(self):
         cfg = RunConfig.from_dict({"game": {"id": "fishery"}, "solver": "pg",
-                                   "max_iter": 3.0, "seed": 7, "feedback": True})
-        assert (cfg.max_iter, cfg.seed, cfg.feedback) == (3, 7, True)
+                                   "max_iter": 3.0, "simulate": {"seed": 7.0},
+                                   "feedback": True})
+        assert (cfg.max_iter, cfg.simulate["seed"], cfg.feedback) == (3, 7, True)
         assert type(cfg.max_iter) is int
 
     def test_scheme_checked(self):
@@ -186,6 +187,7 @@ class TestRuns:
         c2 = write(tmp_path, small_fishery_config(out2, max_iter=30), "c2.json")
         main(["--config", c1, "--quiet"])
         main(["--config", c2, "--seed", "99", "--quiet"])
+        assert json.loads((out2 / "report.json").read_text())["simulation"]["seed"] == 99
         assert (out1 / "simulation.csv").read_bytes() != (out2 / "simulation.csv").read_bytes()
         assert (out1 / "trajectory.csv").read_bytes() == (out2 / "trajectory.csv").read_bytes()
 
@@ -237,7 +239,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("field", [
         {"rho": "fast"}, {"max_iter": "many"}, {"tol": None}, {"eta": [1]},
-        {"seed": "x"}, {"simulate": {"n_runs": "x"}},
+        {"simulate": {"seed": "x"}}, {"simulate": {"n_runs": "x"}},
         {"game": {"id": "fishery", "params": [1, 2]}},
         {"max_iter": 2.7}, {"max_iter": True}, {"rho": True}, {"feedback": "no"},
     ], ids=["rho-text", "max_iter-text", "tol-null", "eta-list", "seed-text",
@@ -260,19 +262,41 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(f"error: {field} must be positive and finite")
         assert not (tmp_path / "never").exists()
 
-    @pytest.mark.parametrize("where", ["seed", "simulate.seed", "--seed"])
+    @pytest.mark.parametrize("where", ["simulate.seed", "--seed"])
     def test_negative_seed(self, tmp_path, capsys, where):
         cfg = small_fishery_config(tmp_path / "never", max_iter=2)
         argv = []
-        if where == "seed":
-            cfg["seed"] = -1
-        elif where == "simulate.seed":
+        if where == "simulate.seed":
             cfg["simulate"]["seed"] = -1
         else:
             argv = ["--seed", "-1"]
         assert main(["--config", write(tmp_path, cfg), "--quiet", *argv]) == EXIT_BAD_CONFIG
         assert capsys.readouterr().err.startswith(f"error: {where} must be nonnegative")
         assert not (tmp_path / "never").exists()
+
+    @pytest.mark.parametrize("where, key", [
+        ([], "etta"), ([], "seed"), (["game"], "parms"), (["simulate"], "noise")],
+        ids=["etta", "seed", "game-parms", "simulate-noise"])
+    def test_unknown_key_is_refused_before_the_solve(self, tmp_path, capsys, where, key):
+        # a misspelled key must not run the solve with the default in its place
+        cfg = small_fishery_config(tmp_path / "never", max_iter=2)
+        block = cfg[where[0]] if where else cfg
+        block[key] = 5
+        assert main(["--config", write(tmp_path, cfg), "--quiet"]) == EXIT_BAD_CONFIG
+        assert f"unknown {where[0] if where else 'config'} key(s) ['{key}']" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "never").exists()
+
+    @pytest.mark.parametrize("output_dir", [None, "", 5])
+    def test_output_dir_must_be_a_non_empty_string(self, tmp_path, monkeypatch, capsys,
+                                                    output_dir):
+        # str(None) would name a directory ./None, and "" the working directory
+        monkeypatch.chdir(tmp_path)
+        cfg = {"game": {"id": "lq_rendezvous"}, "solver": "dr", "max_iter": 1,
+               "output_dir": output_dir}
+        assert main(["--config", write(tmp_path, cfg), "--quiet"]) == EXIT_BAD_CONFIG
+        assert "output_dir must be a non-empty string" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
 
     def test_simulate_without_feedback_is_refused_before_the_solve(self, tmp_path, capsys):
         cfg = {"game": {"id": "lq_rendezvous"}, "solver": "dr", "max_iter": 1,

@@ -35,12 +35,16 @@ from oracles import (
 
 
 @pytest.mark.parametrize("check", [pseudo_gradient, playerwise_minimizer_check])
-def test_nan_feas_tol_is_rejected_not_skipped(check):
+def test_infeasible_trajectory_is_rejected(check):
     game, traj = fishery_off_its_dynamics()
     with pytest.raises(InfeasibleTrajectoryError):
         check(game, traj)
+
+
+def test_nan_feas_tol_is_rejected_not_skipped():
+    game, traj = fishery_off_its_dynamics()
     with pytest.raises(ValueError, match="feas_tol must be nonnegative"):
-        check(game, traj, feas_tol=np.nan)
+        pseudo_gradient(game, traj, feas_tol=np.nan)
 
 
 class TestPseudoGradient:
@@ -141,7 +145,7 @@ class TestOperatorProbe:
         op, g0 = player_major_operator(game, base)
         mu_ref = float(np.min(np.linalg.eigvalsh(0.5 * (op + op.T))))
         L_ref = float(np.max(np.linalg.svd(op, compute_uv=False)))
-        mu, L = estimate_operator_constants(game, base)
+        mu, L = estimate_operator_constants(game)  # F is affine: any base gives op
         assert abs(mu - mu_ref) <= 1e-10 * L_ref
         assert abs(L - L_ref) <= 1e-10 * L_ref
         # the stationary point of the affine operator, where the player-wise

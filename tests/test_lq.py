@@ -192,7 +192,8 @@ def test_plain_solve_matches_dense_kkt_and_stays_in_feedback(rng):
     want = stacked_lq_gne(game, data, [])
     assert_close(got.actions, want.actions)
     x0 = rng.standard_normal(3)
-    moved = lq.solve_lq_open_loop(lq.extract_lq_data(game), x0=x0)
+    moved = lq.solve_lq_open_loop(dataclasses.replace(lq.extract_lq_data(game),
+                                                      initial_state=x0))
     np.testing.assert_array_equal(moved.states[0], x0)
 
 

@@ -243,7 +243,7 @@ class TestEnumeration:
     def test_enumeration_cap(self, rng):
         data = random_parametric_game(rng, n_con=15)
         with pytest.raises(EnumerationCapError):
-            enumerate_lcq_parametric(data, cap=12)
+            enumerate_lcq_parametric(data)
 
 
 class TestRegionEmptiness:

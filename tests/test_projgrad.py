@@ -150,8 +150,7 @@ class TestProjectedGradient:
 
     @pytest.mark.parametrize("field, value", [
         ("step_size", 0.0), ("step_size", np.nan), ("tol", np.nan),
-        ("step_size", np.inf), ("tol", np.inf),
-        ("divergence_factor", np.nan), ("divergence_factor", -1.0)])
+        ("step_size", np.inf), ("tol", np.inf)])
     def test_config_rejects_bad_step_and_tolerances(self, field, value):
         with pytest.raises(ValueError, match=field):
             ProjGradConfig(**{field: value})
@@ -203,8 +202,7 @@ class TestProjectedGradient:
 
     def test_divergence_guard(self, rng):
         game, mu, L = monotone_quadratic_game(rng)
-        cfg = ProjGradConfig(step_size=1e7, max_iter=500, tol=1e-13,
-                             divergence_factor=1e4, run_checks=False)
+        cfg = ProjGradConfig(step_size=1e7, max_iter=500, tol=1e-13, run_checks=False)
         unconstrained = GameDefinition(
             horizon=2, state_dim=1, action_dims=(1, 1),
             initial_state=[0.0],

@@ -2,12 +2,13 @@
 
 import dataclasses
 import functools
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from dyngames import lq, splitting
+from dyngames import lq, report, splitting
 from dyngames.benchmarks import (
     FisheryParams,
     LqRendezvousParams,
@@ -186,13 +187,14 @@ class TestRegularizedGameResolvent:
         xs, us = resolvent_reg_game(game, y, z, eta=1e-8)
         assert np.max(np.abs(us - z)) <= 1e-4
 
-    def test_undeclared_lq_game_matches_declared_twin_in_one_pass(self, rng):
+    def test_undeclared_lq_game_matches_declared_twin_in_one_pass(self, rng, monkeypatch):
         # On an LQ game the local LQ game is the game itself, so one Newton
         # step reaches the factored resolvent of the declared twin.
         game, _ = random_lq_game(rng, T=4)
         twin = dataclasses.replace(game, quadratic_costs=True)
         y, z = rng.standard_normal((5, 2)), rng.standard_normal((5, 2))
-        xs, us = resolvent_reg_game(game, y, z, eta=0.3, inner_max_iter=1)
+        monkeypatch.setattr(splitting, "INNER_MAX_ITER", 1)
+        xs, us = resolvent_reg_game(game, y, z, eta=0.3)
         tx, tu = resolvent_reg_game(twin, y, z, eta=0.3)
         np.testing.assert_allclose(us, tu, rtol=0, atol=1e-10)
         np.testing.assert_allclose(xs, tx, rtol=0, atol=1e-10)
@@ -242,17 +244,14 @@ class TestRegularizedGameResolvent:
                                eta=1.0)
         assert len(factored) <= 2
 
-    def test_dr_passes_its_divergence_factor_to_the_newton_resolvent(self, monkeypatch):
-        seen = []
-
-        def spy(game, y, z, eta, **kwargs):
-            seen.append(kwargs)
-            return y, z
-
-        monkeypatch.setattr(splitting, "resolvent_reg_game", spy)
-        dr_solve(self.exp_action_game(), DrConfig(divergence_factor=123.0, max_iter=1,
-                                                  record_costs=False, run_checks=False))
-        assert seen[0]["divergence_factor"] == 123.0
+    def test_newton_steps_read_the_shared_divergence_factor(self, monkeypatch):
+        # Below 1 the first pass that does not meet the tolerance has diverged.
+        monkeypatch.setattr(report, "DIVERGENCE_FACTOR", 0.5)
+        factored = self.count_factors(monkeypatch)
+        with pytest.raises(SubproblemError, match="after 0 Newton steps"):
+            resolvent_reg_game(self.exp_action_game(), np.zeros((4, 1)), np.zeros((4, 1)),
+                               eta=1.0)
+        assert not factored
 
     @given(seed=st.integers(0, 2**32 - 1), T=st.integers(1, 6),
            log_eta=st.floats(-4.0, -1.0))
@@ -268,7 +267,8 @@ class TestRegularizedGameResolvent:
             ref_x, ref_u, _ = resolvent_by_feedback_newton(game, y, z, eta)
         except (DynGameError, RuntimeError):
             assume(False)
-        xs, us = resolvent_reg_game(game, y, z, eta, inner_max_iter=5)
+        with mock.patch.object(splitting, "INNER_MAX_ITER", 5):
+            xs, us = resolvent_reg_game(game, y, z, eta)
         np.testing.assert_allclose(us, ref_u, rtol=0, atol=1e-8)
         np.testing.assert_allclose(xs, ref_x, rtol=0, atol=1e-8)
 
@@ -681,10 +681,8 @@ class TestDrSolve:
             DrConfig(eta=-1.0)
 
     @pytest.mark.parametrize("field, value", [
-        ("max_iter", -5), ("inner_max_iter", 0), ("tol", 0.0), ("tol", -1e-8),
-        ("inner_tol", 0.0), ("eta", np.nan), ("tol", np.nan), ("inner_tol", np.nan),
-        ("eta", np.inf), ("tol", np.inf), ("inner_tol", np.inf),
-        ("divergence_factor", np.nan), ("divergence_factor", -1.0)])
+        ("max_iter", -5), ("tol", 0.0), ("tol", -1e-8), ("eta", np.nan), ("tol", np.nan),
+        ("eta", np.inf), ("tol", np.inf)])
     def test_config_rejects_bad_budgets_and_tolerances(self, field, value):
         with pytest.raises(ValueError, match=field):
             DrConfig(scheme=SCHEME_GRADIENT, **{field: value})
@@ -695,15 +693,17 @@ class TestDrSolve:
         assert rep.iterations == 0 and rep.termination == TERM_MAX_ITER
 
     @pytest.mark.parametrize("scheme", [SCHEME_DYNAMICS, SCHEME_GRADIENT])
-    def test_static_game_resolvents_get_the_inner_budget(self, rng, scheme):
+    def test_static_game_resolvents_get_the_inner_budget(self, rng, monkeypatch, scheme):
         # A quadratic stage game needs one Newton step plus the check that
         # follows it, so a budget of 1 cannot certify it and 2 can.
         game, _ = random_lq_game(rng, T=2, shared_state_cost=True)
-        cfg = dict(scheme=scheme, eta=0.4, max_iter=3, record_costs=False,
-                   run_checks=False)
+        cfg = DrConfig(scheme=scheme, eta=0.4, max_iter=3, record_costs=False,
+                       run_checks=False)
+        monkeypatch.setattr(splitting, "INNER_MAX_ITER", 1)
         with pytest.raises(SubproblemError):
-            dr_solve(game, DrConfig(inner_max_iter=1, **cfg))
-        assert dr_solve(game, DrConfig(inner_max_iter=2, **cfg)).iterations == 3
+            dr_solve(game, cfg)
+        monkeypatch.setattr(splitting, "INNER_MAX_ITER", 2)
+        assert dr_solve(game, cfg).iterations == 3
 
 
 class TestEtaBalancing:
