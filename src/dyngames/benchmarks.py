@@ -17,7 +17,6 @@ from the deterministic equilibrium path.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Optional
 
 import numpy as np
 
@@ -98,11 +97,8 @@ def fishery_game(params: FisheryParams = FisheryParams()) -> GameDefinition:
         return np.array([xs + (growth(xs) - (p.q1 * u[0] + p.q2 * u[1]) * xs) * p.dt])
 
     def dyn_jac(k, x, u):
-        xs = x[0]
-        A = np.array([[1.0 + (gg * (2.0 * p.h - 2.0 * xs)
-                              - (p.q1 * u[0] + p.q2 * u[1])) * p.dt]])
-        B = np.array([[-p.q1 * xs * p.dt, -p.q2 * xs * p.dt]])
-        return A, B
+        A, B = jacobians(x, u[None])
+        return A[0], B[0]
 
     def dyn_hess(k, x, u):
         G = np.zeros((1, 3, 3))
@@ -112,16 +108,11 @@ def fishery_game(params: FisheryParams = FisheryParams()) -> GameDefinition:
         return G
 
     def costs(k, x, u):
-        xs = x[0]
-        return np.array([-(c1 * xs - p.e1) * u[0] * p.dt,
-                         -(c2 * xs - p.e2) * u[1] * p.dt])
+        return traj_costs(x[None], u[None])[0]
 
     def cost_grads(k, x, u):
-        xs = x[0]
-        cx = np.array([[-c1 * u[0] * p.dt], [-c2 * u[1] * p.dt]])
-        cu = np.array([[-(c1 * xs - p.e1) * p.dt, 0.0],
-                       [0.0, -(c2 * xs - p.e2) * p.dt]])
-        return cx, cu
+        CX, CU = traj_cost_gradients(x[None], u[None])
+        return CX[0], CU[0]
 
     def cost_hess(k, x, u):
         cxu = np.zeros((2, 1, 2))
@@ -180,9 +171,8 @@ def fishery_game(params: FisheryParams = FisheryParams()) -> GameDefinition:
         CU[:, 1, 1] = -(c2 * xs - p.e2) * p.dt
         return CX, CU
 
-    def traj_dynamics_jacobians(states, actions):
-        xs = states[:-1, 0]
-        u = actions[:-1]
+    def jacobians(xs, u):
+        # the Jacobian rows at stocks xs (K,) under actions u (K, 2)
         K = xs.shape[0]
         AA = np.empty((K, 1, 1))
         AA[:, 0, 0] = 1.0 + (gg * (2.0 * p.h - 2.0 * xs)
@@ -202,7 +192,7 @@ def fishery_game(params: FisheryParams = FisheryParams()) -> GameDefinition:
         polyhedral_constraints=True, constraints_in_actions_only=True,
         traj_costs=traj_costs,
         traj_cost_gradients=traj_cost_gradients,
-        traj_dynamics_jacobians=traj_dynamics_jacobians,
+        traj_dynamics_jacobians=lambda states, actions: jacobians(states[:-1, 0], actions[:-1]),
         traj_projector=lambda states, actions: (states, np.clip(actions, lo, hi)),
         traj_rollout=traj_rollout,
         batch_dynamics=batch_dynamics,
@@ -333,9 +323,10 @@ def lq_rendezvous_game(params: LqRendezvousParams = LqRendezvousParams()) -> Gam
         name="lq_rendezvous")
 
 
-def rendezvous_residual(traj: Trajectory, meet_stage: int = 5) -> float:
-    """|x1 - x2| + |x2 - x3| at the meeting stage."""
-    x = traj.states[meet_stage]
+def rendezvous_residual(traj: Trajectory,
+                        params: LqRendezvousParams = LqRendezvousParams()) -> float:
+    """|x1 - x2| + |x2 - x3| at the meeting stage of the game ``params`` define."""
+    x = traj.states[params.meet_stage]
     return float(np.linalg.norm(x[0:2] - x[2:4]) + np.linalg.norm(x[2:4] - x[4:6]))
 
 

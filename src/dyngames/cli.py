@@ -5,7 +5,7 @@ A run configuration is a JSON file:
     {
       "game": {"id": "fishery", "params": {"x0": 50.0}},
       "solver": "pg",                  # or "dr"
-      "rho": 0.01,                      # pg step size
+      "rho": 0.01,                      # pg only: step size
       "scheme": "constraints",          # dr only: constraints|dynamics|gradient
       "eta": 1e-4, "alpha": 0.5,        # dr only; eta starts the balanced weight
       "max_iter": 1000, "tol": 1e-8,
@@ -16,8 +16,12 @@ A run configuration is a JSON file:
       "output_dir": "out"
     }
 
-Only game and solver are required; simulate takes only noise_var (1.0),
-n_runs (100) and seed (0, which ``--seed`` overrides).  Any other key, or an
+Only game and solver are required.  Each solver reads its own keys into its
+config, with that config's defaults and checks: pg reads rho (its step_size)
+and tol, dr reads scheme, eta, alpha and tol.  Both read max_iter, which must
+be positive and defaults to 1000 (DrConfig's own default is 10000).  simulate
+takes only noise_var (1.0), n_runs (100) and seed (0; ``--seed`` overrides it
+and needs the block).  Any other key, the other solver's among them, or an
 output_dir that is not a non-empty string, exits with status 2 before the solve.
 
 Outputs: trajectory.csv, convergence.csv, report.json, and (with the
@@ -42,10 +46,10 @@ import numpy as np
 from . import benchmarks
 from .errors import DynGameError
 from .feedback import stagewise_newton_backward
-from .model import GameDefinition
+from .model import DEFAULT_ACTIVE_TOL, GameDefinition
 from .projgrad import ProjGradConfig, projected_gradient_solve
 from .report import SolverReport
-from .splitting import SCHEMES, DrConfig, dr_solve
+from .splitting import DrConfig, dr_solve
 
 log = logging.getLogger(__name__)
 
@@ -81,6 +85,13 @@ GAME_REGISTRY = {
     "lq_rendezvous": _build_rendezvous,
 }
 
+# Each solver's config and the config keys it reads, with the field each one sets.
+SOLVERS = {
+    "pg": (ProjGradConfig, {"rho": "step_size", "tol": "tol"}),
+    "dr": (DrConfig, {"scheme": "scheme", "eta": "eta", "alpha": "alpha", "tol": "tol"}),
+}
+MAX_ITER = 1000
+
 
 @dataclass
 class RunConfig:
@@ -89,13 +100,8 @@ class RunConfig:
     game_id: str
     game_params: dict
     solver: str
-    rho: float = 0.01
-    scheme: str = "constraints"
-    eta: float = 1e-4
-    alpha: float = 0.5
-    max_iter: int = 1000
-    tol: float = 1e-8
-    active_tol: float = 1e-6
+    solve: ProjGradConfig | DrConfig
+    active_tol: float = DEFAULT_ACTIVE_TOL
     feedback: bool = False
     stage_reg: float = 0.0
     simulate: Optional[dict] = None
@@ -105,37 +111,40 @@ class RunConfig:
     def from_dict(cls, raw: dict) -> "RunConfig":
         if not isinstance(raw, dict):
             raise ConfigError("config root must be an object")
-        # the config's keys are the fields, with one game object for game_id and game_params
-        _known(raw, {"game", *(f.name for f in fields(cls))} - {"game_id", "game_params"},
-               "config")
+        solver = raw.get("solver")
+        if solver not in SOLVERS:
+            raise ConfigError(f"solver must be 'pg' or 'dr', got {solver!r}")
+        make, keys = SOLVERS[solver]
+        # the fields, one game object for game_id and game_params, the solver's keys for solve
+        _known(raw, {"game", "max_iter", *keys, *(f.name for f in fields(cls))}
+               - {"game_id", "game_params", "solve"}, "config")
         game = raw.get("game")
         if not isinstance(game, dict) or "id" not in game:
             raise ConfigError("config needs a game object with an id")
         _known(game, {"id", "params"}, "game")
-        solver = raw.get("solver")
-        if solver not in ("pg", "dr"):
-            raise ConfigError(f"solver must be 'pg' or 'dr', got {solver!r}")
         params = game.get("params", {})
         if not isinstance(params, dict):
             raise ConfigError(f"game params must be an object, got {params!r}")
-        cfg = cls(game_id=str(game["id"]), game_params=dict(params), solver=solver)
-        for name in ("rho", "eta", "alpha", "tol", "active_tol", "stage_reg"):
-            if name in raw:
-                val = _number(raw[name], name)
-                if name == "stage_reg":
-                    if not 0.0 <= val < np.inf:  # rejects NaN too
-                        raise ConfigError(f"stage_reg must be finite and nonnegative, got {val}")
-                elif not 0.0 < val < np.inf:  # rejects NaN too
-                    raise ConfigError(f"{name} must be positive and finite, got {val}")
-                setattr(cfg, name, val)
-        cfg.max_iter = _count(raw.get("max_iter", cfg.max_iter), "max_iter")
-        if cfg.max_iter <= 0:
+        settings = {name: raw[key] if key == "scheme" else _number(raw[key], key)
+                    for key, name in keys.items() if key in raw}
+        max_iter = _count(raw.get("max_iter", MAX_ITER), "max_iter")
+        if max_iter <= 0:
             raise ConfigError("max_iter must be positive")
-        cfg.scheme = raw.get("scheme", cfg.scheme)
-        if cfg.scheme not in SCHEMES:
-            raise ConfigError(f"scheme must be one of {SCHEMES}")
-        if not 0.0 < cfg.alpha < 1.0:
-            raise ConfigError("alpha must lie strictly inside (0, 1)")
+        try:
+            solve = make(max_iter=max_iter, **settings)
+        except ValueError as exc:  # named by the config key, not the field
+            message = str(exc)
+            for key, name in keys.items():
+                message = message.replace(name, key)
+            raise ConfigError(message) from None
+        cfg = cls(game_id=str(game["id"]), game_params=dict(params), solver=solver,
+                  solve=solve)
+        cfg.active_tol = _number(raw.get("active_tol", cfg.active_tol), "active_tol")
+        if not 0.0 < cfg.active_tol < np.inf:  # rejects NaN too
+            raise ConfigError(f"active_tol must be positive and finite, got {cfg.active_tol}")
+        cfg.stage_reg = _number(raw.get("stage_reg", cfg.stage_reg), "stage_reg")
+        if not 0.0 <= cfg.stage_reg < np.inf:  # rejects NaN too
+            raise ConfigError(f"stage_reg must be finite and nonnegative, got {cfg.stage_reg}")
         cfg.feedback = raw.get("feedback", False)
         if not isinstance(cfg.feedback, bool):
             raise ConfigError(f"feedback must be true or false, got {cfg.feedback!r}")
@@ -263,19 +272,15 @@ def run(config: RunConfig) -> int:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid game parameters: {exc}") from exc
 
-    T, n_u = game.horizon, game.total_action_dim
-    u0 = np.zeros((T + 1, n_u))
+    cfg = config.solve
     if config.solver == "pg":
-        cfg = ProjGradConfig(step_size=config.rho, max_iter=config.max_iter,
-                             tol=config.tol)
         log.info("running projected gradient on %s (rho=%s, max_iter=%s)",
-                 config.game_id, config.rho, config.max_iter)
+                 config.game_id, cfg.step_size, cfg.max_iter)
+        u0 = np.zeros((game.horizon + 1, game.total_action_dim))
         report = projected_gradient_solve(game, u0, cfg)
     else:
-        cfg = DrConfig(scheme=config.scheme, eta=config.eta, alpha=config.alpha,
-                       max_iter=config.max_iter, tol=config.tol)
         log.info("running splitting solver on %s (scheme=%s, eta=%s, alpha=%s)",
-                 config.game_id, config.scheme, config.eta, config.alpha)
+                 config.game_id, cfg.scheme, cfg.eta, cfg.alpha)
         report = dr_solve(game, cfg)
     log.info("finished after %d iterations (%s)", report.iterations, report.termination)
 
@@ -353,9 +358,10 @@ def main(argv=None) -> int:
         return EXIT_BAD_CONFIG
     try:
         config = RunConfig.from_dict(raw)
-        seed = None if args.seed is None else _seed(args.seed, "--seed")
-        if seed is not None and config.simulate is not None:
-            config.simulate["seed"] = seed
+        if args.seed is not None:
+            if config.simulate is None:
+                raise ConfigError("--seed needs a simulate block in the config")
+            config.simulate["seed"] = _seed(args.seed, "--seed")
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG

@@ -119,7 +119,6 @@ def stagewise_newton_backward(game: GameDefinition, traj: Trajectory,
     left[0, 0] = 1.0
     left[1:, ix] = np.eye(n_x)
     # every player's rows of its own action block, as one fancy index
-    owner = np.repeat(np.arange(N), game.action_dims)
     own_rows = 1 + n_x + np.arange(n_u)
     reg = stage_reg * np.eye(n_u)
     GG = data.G.reshape(T, n_x, (n_x + n_u) ** 2)
@@ -149,7 +148,7 @@ def stagewise_newton_backward(game: GameDefinition, traj: Trajectory,
             G[:, 1:, 1:] += (AB[k].T @ ln[:, 1:, 1:] @ AB[k]
                              + (om @ GG[k]).reshape(N, n_x + n_u, n_x + n_u))
         gamma_k = 0.5 * (G + G.swapaxes(1, 2))
-        own = gamma_k[owner, own_rows]
+        own = gamma_k[game.owner, own_rows]
         F, P, H = own[:, iu], own[:, ix], own[:, 0]
         act = data.active[k]
         Wa, Sa, pa = rows.W[k, act], rows.S[k, act], rows.p[k, act]

@@ -37,19 +37,15 @@ HESSIAN_EIG_TOL = 1e-7
 
 @dataclass
 class PseudoGradient:
-    """F(u) in the joint-action layout, plus the per-stage data behind it.
+    """F(u) in the joint-action layout.
 
     ``own`` is F, the (T+1, n_u) array whose columns ``game.action_slice(n)``
-    hold player n's own entries of ``stage_grads[n]``; ``stage_grads[n, k]``
-    is player n's full stage gradient dJ_n/du_{:,k} (a transposed view of
-    the stage-major array the pass computes), and ``costates[n, k]`` the row
-    Om_{n,k} (k = 0..T+1, the last row zero).  The player-major ``block(n)``
-    and ``stacked`` are derived from ``own`` on demand.
+    hold player n's gradient of its own cost with respect to its own actions.
+    The player-major ``block(n)`` and ``stacked`` are derived from ``own`` on
+    demand.
     """
 
     own: Array
-    stage_grads: Array
-    costates: Array
     action_dims: tuple[int, ...]
 
     def own_stage_grads(self) -> Array:
@@ -75,7 +71,8 @@ def pseudo_gradient(game: GameDefinition, traj: Trajectory,
     trajectory is checked against the dynamics first.  The first-order data
     of all stages is evaluated at once (see ``GameDefinition.eval_traj_*``),
     the costates come from one banded triangular solve, and each action
-    column's owner entry is gathered from the joint gradients in one step.
+    column's owner entry (``game.owner``) is gathered from the joint
+    gradients in one step.
     """
     check_feasible(game, traj, feas_tol)
     CX, CU = game.eval_traj_cost_gradients(traj.states, traj.actions)
@@ -85,13 +82,7 @@ def pseudo_gradient(game: GameDefinition, traj: Trajectory,
     # the terminal cost.
     grads = CU.copy()
     grads[:-1] += om[1:] @ B
-    T1, N, n_x = om.shape
-    costates = np.zeros((N, T1 + 1, n_x))
-    costates[:, :T1] = om.transpose(1, 0, 2)
-    owner = np.repeat(np.arange(N), game.action_dims)
-    return PseudoGradient(own=grads[:, owner, np.arange(owner.size)],
-                          stage_grads=grads.transpose(1, 0, 2),
-                          costates=costates,
+    return PseudoGradient(own=grads[:, game.owner, np.arange(game.total_action_dim)],
                           action_dims=game.action_dims)
 
 

@@ -57,6 +57,10 @@ class GameDefinition:
     constructor that unlock specialized solver paths; they are never
     inferred.
 
+    ``action_dims`` sets two index fields: ``action_offsets``, where each
+    player's block starts (``action_slice``), and ``owner``, each joint
+    action column's player.
+
     Optional whole-trajectory evaluators serve long-horizon hot loops.  Each
     takes the whole trajectory, ``states`` of shape (T+1, n_x) and
     ``actions`` of shape (T+1, n_u), and returns row k equal to what the
@@ -131,6 +135,7 @@ class GameDefinition:
     batch_dynamics: Optional[Callable[[int, Array, Array], Array]] = None
     batch_constraints: Optional[Callable[[int, Array, Array], Array]] = None
     action_offsets: tuple[int, ...] = field(init=False)
+    owner: Array = field(init=False)
 
     def __post_init__(self):
         if self.horizon < 0:
@@ -143,6 +148,7 @@ class GameDefinition:
         object.__setattr__(self, "initial_state", x0)
         offsets = np.concatenate([[0], np.cumsum(self.action_dims)])
         object.__setattr__(self, "action_offsets", tuple(int(o) for o in offsets))
+        object.__setattr__(self, "owner", np.repeat(np.arange(self.num_players), self.action_dims))
 
     # -- dimensions ---------------------------------------------------------
 

@@ -91,17 +91,9 @@ class ParametricGameData:
     def stationarity_blocks(self) -> tuple[Array, Array, Array]:
         """(F, P, H): stacked own-block rows of the players' gamma matrices."""
         n_x, n_u = self.state_dim, self.total_action_dim
-        F = np.empty((n_u, n_u))
-        P = np.empty((n_u, n_x))
-        H = np.empty(n_u)
-        off = 0
-        for n, d in enumerate(self.action_dims):
-            rows = slice(1 + n_x + off, 1 + n_x + off + d)
-            F[off:off + d] = self.gammas[n][rows, 1 + n_x:]
-            P[off:off + d] = self.gammas[n][rows, 1:1 + n_x]
-            H[off:off + d] = self.gammas[n][rows, 0]
-            off += d
-        return F, P, H
+        owner = np.repeat(np.arange(self.num_players), self.action_dims)
+        own = self.gammas[owner, 1 + n_x + np.arange(n_u)]
+        return own[:, 1 + n_x:], own[:, 1:1 + n_x], own[:, 0]
 
 
 @dataclass
@@ -282,10 +274,9 @@ def enumerate_lcq_parametric(data: ParametricGameData) -> PiecewiseAffinePolicy:
     if n_c > ENUMERATION_CAP:
         raise EnumerationCapError(n_c, ENUMERATION_CAP)
     F, P, H = data.stationarity_blocks()
-    for n, d in enumerate(data.action_dims):
-        off = sum(data.action_dims[:n])
-        own = data.gammas[n][1 + data.state_dim + off:1 + data.state_dim + off + d,
-                             1 + data.state_dim + off:1 + data.state_dim + off + d]
+    off = np.cumsum((0, *data.action_dims))
+    for n in range(data.num_players):  # each player's own block, on F's diagonal
+        own = F[off[n]:off[n + 1], off[n]:off[n + 1]]
         eig = np.min(np.linalg.eigvalsh(0.5 * (own + own.T)))
         if eig <= 0:
             raise SubproblemError(

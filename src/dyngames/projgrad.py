@@ -90,5 +90,4 @@ def projected_gradient_solve(game: GameDefinition, u0: Array,
     costs = (lambda traj: all_player_costs(game, traj)) if cfg.record_costs else None
     run = iterate(step, u, traj, cfg.max_iter, cfg.tol, report.DIVERGENCE_FACTOR,
                   record=costs, polish=active_set_polish(game, cfg.tol, rows, data))
-    return build_report(game, run.candidate, run.candidate, run, cfg.run_checks,
-                        costs(traj) if costs else None, rows, data)
+    return build_report(game, run.candidate, run.candidate, run, cfg.run_checks, rows, data)

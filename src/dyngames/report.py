@@ -21,11 +21,11 @@ afresh.  Either way the step norm and the stop test read max|g(w) - w| at
 each point evaluated, and only a plain run gets a fitted geometric rate.
 
 A solver that records its candidates' costs does so on a fixed grid, not
-after every step: at the initial candidate, at the iterations
-{1, 2, 5} * 10^j the run steps past (``RECORD_GRID``) and at the result,
-whose row is the report's ``final_costs``.  A 10k-iteration run keeps 14
-rows.  A DR row rolls out its candidate's actions; one per step would be
-most of the paper rendezvous solve's time.
+after every step: at the start (t = 0), at the iterations {1, 2, 5} * 10^j
+the run steps past (``RECORD_GRID``) and at the result, whose row is the
+report's ``final_costs``.  A 10k-iteration run keeps 14 rows.  A DR row
+rolls out its candidate's actions; one per step would be most of the paper
+rendezvous solve's time.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ TERM_TOLERANCE = "tolerance"
 TERM_MAX_ITER = "max_iter"
 TERM_DIVERGENCE = "divergence"
 
-# the leading digits of the iterations at which ``iterate`` records: 1, 2, 5, 10, 20, ...
+# the leading digits of the iterations after 0 at which ``iterate`` records: 1, 2, 5, 10, ...
 RECORD_GRID = (1, 2, 5)
 
 # The growth that counts as divergence, of a solver's iterate or a Newton residual.
@@ -56,10 +56,10 @@ RATE_BURN_IN, RATE_FLOOR = 0.1, 1e-13
 
 
 def on_record_grid(t: int) -> bool:
-    """Whether iteration t >= 1 lies on the grid {1, 2, 5} * 10^j."""
-    while t % 10 == 0:
+    """Whether iteration t >= 0 is 0 or lies on the grid {1, 2, 5} * 10^j."""
+    while t and t % 10 == 0:
         t //= 10
-    return t in RECORD_GRID
+    return t == 0 or t in RECORD_GRID
 
 
 @dataclass
@@ -117,7 +117,8 @@ class Run:
     point evaluated; ``step_norms`` max|g(w) - w| at each.
 
     ``records[i]`` is the record of the candidate after ``record_iterations[i]``
-    steps, at the grid iterations the run stepped past (never its last one).
+    steps, at the start (t = 0) and the grid iterations the run stepped past
+    (never its last one); both are None without a record hook.
     ``residual`` is the natural residual of a candidate the polish hook
     certified, None when the run did not end on one.  ``plain`` is False
     once a point evaluated was not the image of the one before it: an
@@ -128,8 +129,8 @@ class Run:
     iterates: list[Array]
     step_norms: list[float]
     termination: str
-    records: list
-    record_iterations: list[int]
+    records: Optional[list]
+    record_iterations: Optional[list[int]]
     residual: Optional[float] = None
     plain: bool = True
 
@@ -222,11 +223,12 @@ def iterate(step: Callable[[Array, Any], tuple[Array, Any]], w0: Array, cand0: A
     residual than the one before them when g is nonexpansive, as DR's
     averaged map is.
 
-    ``record(cand)``, when given, is kept after each step t on the grid
-    {1, 2, 5} * 10^j (``on_record_grid``) that the run goes past: once the
-    stop tests let it go on and t < ``max_iter``.  The start and the result
-    are not recorded; the caller has both.  ``polish(cand)`` is called once
-    after every step when given; when it returns a point and that point's
+    ``record(cand)``, when given, is kept for the candidate after each step
+    t on the grid {0} and {1, 2, 5} * 10^j (``on_record_grid``) that the run
+    goes past: the start ``cand0`` at t = 0, and after each later grid step
+    that the stop tests let the run go on from while t < ``max_iter``.  The
+    result is not recorded; the caller has it.  ``polish(cand)`` is called
+    once after every step when given; when it returns a point and that point's
     natural residual, which certifies it, the point replaces the candidate
     and ends the run with ``tolerance``.  Otherwise the run stops with
     ``tolerance`` once max|g(w) - w| <= tol and ``accept(cand)`` holds
@@ -243,11 +245,16 @@ def iterate(step: Callable[[Array, Any], tuple[Array, Any]], w0: Array, cand0: A
     every point evaluated was the image of the one before it.
     """
     w, cand = w0, cand0
-    iterates, step_norms, records, record_iterations = [w0], [], [], []
+    iterates, step_norms = [w0], []
+    records, record_iterations = ([], []) if record is not None else (None, None)
     bound = divergence_factor * (1.0 + float(np.linalg.norm(w0)))
     anderson = _Anderson(w0.size, bound) if accelerate else None
     termination, residual, plain = TERM_MAX_ITER, None, True
     for t in range(1, max_iter + 1):
+        # the candidate after t - 1 steps, which the run goes past
+        if record is not None and on_record_grid(t - 1):
+            records.append(record(cand))
+            record_iterations.append(t - 1)
         g, cand = step(w, cand)
         size = float(np.max(np.abs(g - w)))
         iterates.append(g)
@@ -263,9 +270,6 @@ def iterate(step: Callable[[Array, Any], tuple[Array, Any]], w0: Array, cand0: A
         if not (size < np.inf and np.linalg.norm(g) <= bound):
             termination = TERM_DIVERGENCE
             break
-        if record is not None and t < max_iter and on_record_grid(t):
-            records.append(record(cand))
-            record_iterations.append(t)
         fresh = None if restart is None else restart(t, g)
         if fresh is not None:
             w = fresh
@@ -279,17 +283,15 @@ def iterate(step: Callable[[Array, Any], tuple[Array, Any]], w0: Array, cand0: A
 
 
 def build_report(game: GameDefinition, trajectory: Trajectory, checked: Trajectory,
-                 run: Run, run_checks: bool, initial_costs: Optional[Array],
-                 rows: Optional[PaddedRows] = None,
+                 run: Run, run_checks: bool, rows: Optional[PaddedRows] = None,
                  data: Optional[LqGameData] = None) -> SolverReport:
     """The report of a run whose equilibrium candidate is ``trajectory``.
 
     The dynamics and constraint residuals are ``trajectory``'s; the final
     costs, the natural residual and, with ``run_checks``, the player-wise
     verdicts are those of ``checked``, the candidate's actions rolled out.
-    Given the initial candidate's costs (``initial_costs``), the cost trace
-    holds them, the run's records and last ``final_costs``; without them
-    there is none.
+    When the run recorded costs, the cost trace holds its records, from the
+    start at t = 0 on, and last ``final_costs``; otherwise there is none.
     ``fitted_rate`` and ``rate_fit_rmse`` are NaN for a run that was not
     plain (``Run.plain``): an extrapolated or restarted run's distances need
     not decay geometrically.
@@ -312,13 +314,9 @@ def build_report(game: GameDefinition, trajectory: Trajectory, checked: Trajecto
     rate, rmse = fit_log_decay(dist) if run.plain else (float("nan"), float("nan"))
     final_costs = all_player_costs(game, checked)
     cost_trace = cost_iterations = None
-    if initial_costs is not None:
-        n = len(run.step_norms)
-        trace = [initial_costs] + run.records + [final_costs]
-        steps = [0] + run.record_iterations + [n]
-        if n == 0:  # the initial candidate is the result
-            trace, steps = trace[1:], steps[1:]
-        cost_trace, cost_iterations = np.array(trace), np.array(steps)
+    if run.records is not None:
+        cost_trace = np.array(run.records + [final_costs])
+        cost_iterations = np.array(run.record_iterations + [len(run.step_norms)])
     return SolverReport(
         trajectory=trajectory, iterations=len(run.step_norms),
         termination=run.termination, distance_trace=dist,

@@ -183,14 +183,13 @@ def resolvent_reg_game(game: GameDefinition, y: Array, z: Array, eta: float,
     start = z if warm is None or warm.actions.shape != (T + 1, n_u) else warm.actions
     traj = rollout(game, game.initial_state, start)
     scale = 1.0 + float(np.max(np.abs(traj.actions), initial=0.0))
-    owner = np.repeat(np.arange(game.num_players), game.action_dims)
     for it in range(INNER_MAX_ITER + 1):
         data = local_lq(game, traj.states, traj.actions)
         # costates and own-action gradients of the regularized costs
         lam = solve_costates(data.A, eta * data.q.swapaxes(0, 1) + (traj.states - y)[:, None])
         grads = eta * data.r.swapaxes(0, 1) + (traj.actions - z)[:, None]
         grads[:-1] += lam[1:] @ data.B
-        resid = float(np.max(np.abs(grads[:, owner, np.arange(n_u)]), initial=0.0))
+        resid = float(np.max(np.abs(grads[:, game.owner, np.arange(n_u)]), initial=0.0))
         if resid <= INNER_TOL * scale:
             return traj.states, traj.actions
         if it == 0:
@@ -252,8 +251,7 @@ def _stage_operator(game, k, v, w, eta):
     x, u = v[:n_x], v[n_x:]
     cx, cu = game.eval_cost_gradients(k, x, u)
     cxx, cxu, cuu = game.eval_cost_hessians(k, x, u)
-    owner = np.repeat(np.arange(N), game.action_dims)
-    own = np.arange(game.total_action_dim)
+    owner, own = game.owner, np.arange(game.total_action_dim)
     F = np.concatenate([cx.sum(axis=0) / N, cu[owner, own]])
     J = np.empty((v.size, v.size))
     J[:n_x, :n_x] = cxx.sum(axis=0) / N
@@ -468,8 +466,7 @@ def dr_solve(game: GameDefinition, cfg: DrConfig) -> SolverReport:
     """
     T, n_x, n_u = game.horizon, game.state_dim, game.total_action_dim
     wu = np.zeros((T + 1, n_u))
-    start = rollout(game, game.initial_state, wu)
-    wx = start.states
+    wx = rollout(game, game.initial_state, wu).states
     rows, data = read_game(game)
     resolvents = _resolvents(game, cfg, rows, data)
     eta, changes = cfg.eta, 0
@@ -522,10 +519,7 @@ def dr_solve(game: GameDefinition, cfg: DrConfig) -> SolverReport:
                   polish=active_set_polish(game, cfg.tol, rows, data), accelerate=True,
                   restart=balance)
     checked = rollout(game, game.initial_state, run.candidate.actions)
-    # the first candidate's actions are wu, so ``start`` is their rollout
-    return build_report(game, run.candidate, checked, run, cfg.run_checks,
-                        all_player_costs(game, start) if cfg.record_costs else None,
-                        rows, data)
+    return build_report(game, run.candidate, checked, run, cfg.run_checks, rows, data)
 
 
 def _resolvents(game: GameDefinition, cfg: DrConfig, rows: Optional[PaddedRows],

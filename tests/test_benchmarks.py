@@ -19,6 +19,7 @@ from dyngames.errors import DimensionError, NonFiniteStateError
 from dyngames.feedback import FeedbackPolicy, feedback_rollout, stagewise_newton_backward
 from dyngames.model import GameDefinition, Trajectory, rollout, total_cost
 from dyngames.projgrad import ProjGradConfig, project_onto_feasible, projected_gradient_solve
+from dyngames.splitting import DrConfig, dr_solve
 
 from instances import equality_constrained_lq_instance
 from oracles import fishery_stage_projection, rendezvous_stage_projection
@@ -273,6 +274,13 @@ class TestRendezvousGame:
         states[5] = np.tile([1.0, 2.0], 3)
         traj = Trajectory(states, np.zeros((11, 6)))
         assert rendezvous_residual(traj) == 0.0
+
+    def test_residual_reads_the_games_own_meeting_stage(self):
+        params = LqRendezvousParams(meet_stage=3)
+        rep = dr_solve(lq_rendezvous_game(params), DrConfig(eta=1e-2))
+        assert rep.termination == "tolerance"
+        assert rendezvous_residual(rep.trajectory, params) == 0.0
+        assert rendezvous_residual(rep.trajectory) > 1.0  # stage 5, where they have not met
 
 
 class TestNoiseComparison:

@@ -17,6 +17,8 @@ from dyngames.cli import (
     RunConfig,
     main,
 )
+from dyngames.projgrad import ProjGradConfig
+from dyngames.splitting import DrConfig
 
 
 def small_fishery_config(outdir, max_iter=80, feedback=True, simulate=True):
@@ -69,8 +71,17 @@ class TestConfigValidation:
         cfg = RunConfig.from_dict({"game": {"id": "fishery"}, "solver": "pg",
                                    "max_iter": 3.0, "simulate": {"seed": 7.0},
                                    "feedback": True})
-        assert (cfg.max_iter, cfg.simulate["seed"], cfg.feedback) == (3, 7, True)
-        assert type(cfg.max_iter) is int
+        assert (cfg.solve.max_iter, cfg.simulate["seed"], cfg.feedback) == (3, 7, True)
+        assert type(cfg.solve.max_iter) is int
+
+    def test_each_solver_gets_its_own_config(self):
+        pg = RunConfig.from_dict({"game": {"id": "fishery"}, "solver": "pg", "rho": 0.02,
+                                  "tol": 1e-6})
+        assert pg.solve == ProjGradConfig(step_size=0.02, max_iter=1000, tol=1e-6)
+        dr = RunConfig.from_dict({"game": {"id": "lq_rendezvous"}, "solver": "dr",
+                                  "scheme": "gradient", "eta": 0.1, "alpha": 0.6})
+        # the CLI's budget, not DrConfig's default of 10000
+        assert dr.solve == DrConfig(scheme="gradient", eta=0.1, alpha=0.6, max_iter=1000)
 
     def test_scheme_checked(self):
         with pytest.raises(Exception):
@@ -285,6 +296,28 @@ class TestExitCodes:
         assert main(["--config", write(tmp_path, cfg), "--quiet"]) == EXIT_BAD_CONFIG
         assert f"unknown {where[0] if where else 'config'} key(s) ['{key}']" \
             in capsys.readouterr().err
+        assert not (tmp_path / "never").exists()
+
+    @pytest.mark.parametrize("solver, key", [
+        ("pg", "eta"), ("pg", "scheme"), ("pg", "alpha"), ("dr", "rho")])
+    def test_the_other_solvers_key_is_refused_before_the_solve(self, tmp_path, capsys,
+                                                               solver, key):
+        # a key the chosen solver does not read must not be silently ignored
+        game = "fishery" if solver == "pg" else "lq_rendezvous"
+        value = "gradient" if key == "scheme" else 0.5
+        cfg = {"game": {"id": game}, "solver": solver, "max_iter": 2, key: value,
+               "output_dir": str(tmp_path / "never")}
+        assert main(["--config", write(tmp_path, cfg), "--quiet"]) == EXIT_BAD_CONFIG
+        assert f"unknown config key(s) ['{key}']" in capsys.readouterr().err
+        assert not (tmp_path / "never").exists()
+
+    def test_seed_without_a_simulate_block_is_refused_before_the_solve(self, tmp_path,
+                                                                       capsys):
+        cfg = small_fishery_config(tmp_path / "never", max_iter=2, feedback=False,
+                                   simulate=False)
+        assert main(["--config", write(tmp_path, cfg), "--seed", "5", "--quiet"]) \
+            == EXIT_BAD_CONFIG
+        assert "--seed needs a simulate block" in capsys.readouterr().err
         assert not (tmp_path / "never").exists()
 
     @pytest.mark.parametrize("output_dir", [None, "", 5])

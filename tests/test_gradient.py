@@ -53,7 +53,6 @@ class TestPseudoGradient:
         traj = rollout(game, np.zeros(2), np.zeros((5, 2)))
         pg = pseudo_gradient(game, traj)
         assert np.all(pg.stacked == 0.0)
-        assert np.all(pg.costates[:, -1] == 0.0)
 
     def test_single_stage_has_no_costate_contribution(self, rng):
         game, _ = random_lq_game(rng, T=0, state_dim=2, action_dims=(1, 1))
@@ -88,9 +87,9 @@ class TestPseudoGradient:
         traj = rollout(game, game.initial_state, rng.standard_normal((4, 3)))
         pg = pseudo_gradient(game, traj)
         for n in range(2):
-            sl = game.action_slice(n)
-            manual = pg.stage_grads[n][:, sl].reshape(-1)
+            manual = pg.own[:, game.action_slice(n)].reshape(-1)
             np.testing.assert_allclose(pg.block(n), manual)
+        np.testing.assert_array_equal(pg.stacked, np.concatenate([pg.block(0), pg.block(1)]))
 
     def test_constant_cost_shift_leaves_gradient_unchanged(self, rng):
         game = random_smooth_game(rng, T=3)
@@ -180,9 +179,8 @@ class TestCostateSolve:
         actions = np.random.default_rng(3).uniform(0.0, 0.3, (game.horizon + 1, 2))
         traj = rollout(game, game.initial_state, actions)
         fast, slow = pseudo_gradient(game, traj), pseudo_gradient(stagewise, traj)
-        for name in ("stacked", "stage_grads", "costates"):
-            a, b = getattr(fast, name), getattr(slow, name)
-            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), name
+        a, b = fast.stacked, slow.stacked
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
         c_fast, c_slow = all_player_costs(game, traj), all_player_costs(stagewise, traj)
         assert np.max(np.abs(c_fast - c_slow)) <= 1e-12 * np.max(np.abs(c_slow))
 

@@ -100,7 +100,7 @@ class TestIterate:
             calls.append(count)
             return 10 * count
 
-        grid = [1, 2, 5, 10, 20, 50, 100, 200, 500, 1000]
+        grid = [0, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000]  # the start at t = 0 first
         run = iterate(lambda w, c: (w + 1.0, c + 1), np.zeros(3), 0, max_iter=1200,
                       tol=1e-8, divergence_factor=1e8, record=record)
         assert run.termination == TERM_MAX_ITER
@@ -110,10 +110,12 @@ class TestIterate:
         run = iterate(halving, np.array([1.0]), 0, max_iter=0, tol=1.0, divergence_factor=1e8,
                       record=lambda c: pytest.fail("recorded"))
         assert run.records == [] and run.record_iterations == []
+        run = iterate(halving, np.array([1.0]), 0, max_iter=3, tol=1e-12, divergence_factor=1e8)
+        assert run.records is None and run.record_iterations is None
 
     @pytest.mark.parametrize("max_iter, accept_from, recorded", [
-        (100, None, [1, 2, 5, 10, 20, 50]),  # ends on the budget at a grid point
-        (50, 20, [1, 2, 5, 10]),  # ends on the tolerance at a grid point
+        (100, None, [0, 1, 2, 5, 10, 20, 50]),  # ends on the budget at a grid point
+        (50, 20, [0, 1, 2, 5, 10]),  # ends on the tolerance at a grid point
     ])
     def test_the_last_iteration_is_not_recorded(self, max_iter, accept_from, recorded):
         # steps 0.5, 0.25, ...: every one is <= tol, so accept decides the stop

@@ -5,6 +5,7 @@ import inspect
 
 from dyngames import cli
 from dyngames.benchmarks import FisheryParams
+from dyngames.gradient import PseudoGradient
 from dyngames.projgrad import ProjGradConfig
 from dyngames.splitting import (
     DrConfig,
@@ -30,9 +31,9 @@ def test_settable_surface():
                                      "run_checks"]
     assert names(FisheryParams) == ["u1_max", "u2_max", "r", "h", "dt", "horizon_time",
                                     "q1", "q2", "p1", "p2", "e1", "e2", "x0"]
-    assert names(cli.RunConfig) == ["game_id", "game_params", "solver", "rho", "scheme",
-                                    "eta", "alpha", "max_iter", "tol", "active_tol",
+    assert names(cli.RunConfig) == ["game_id", "game_params", "solver", "solve", "active_tol",
                                     "feedback", "stage_reg", "simulate", "output_dir"]
+    assert names(PseudoGradient) == ["own", "action_dims"]
     assert defaulted(resolvent_reg_game) == ["warm", "factor"]
     assert defaulted(resolvent_reg_static_games) == ["rows"]
     assert defaulted(resolvent_static_games_uncon) == []
