@@ -22,10 +22,15 @@ and tol, dr reads scheme, eta, alpha and tol.  Both read max_iter, which must
 be positive and defaults to 1000 (DrConfig's own default is 10000).  simulate
 takes only noise_var (1.0), n_runs (100) and seed (0; ``--seed`` overrides it
 and needs the block).  Any other key, the other solver's among them, or an
-output_dir that is not a non-empty string, exits with status 2 before the solve.
+output_dir or ``--out`` that is not a non-empty string, exits with status 2
+before the solve.
 
-Outputs: trajectory.csv, convergence.csv, report.json, and (with the
-feedback/simulate blocks) policy.json and simulation.csv.  All numbers are
+Outputs: trajectory.csv (the rollout of the solver's actions), convergence.csv,
+report.json (game, solver, iterations, termination, converged, fitted_rate,
+rate_fit_rmse and the trajectory's constraint_residual, natural_residual,
+player_costs, playerwise_check and player_profits for the fishery), and (with
+the feedback/simulate blocks) policy.json, simulation.csv and report.json's
+simulation.  All numbers are
 written with full round-trip precision so identical configs and seeds give
 byte-identical files.  A figure that is not finite, such as the natural
 residual of a game without a projection, is written as null.
@@ -297,7 +302,6 @@ def run(config: RunConfig) -> int:
         "converged": report.converged,
         "fitted_rate": report.fitted_rate,
         "rate_fit_rmse": report.rate_fit_rmse,
-        "dynamics_residual": report.dynamics_residual,
         "constraint_residual": report.constraint_residual,
         "natural_residual": report.natural_residual,
         "player_costs": [float(c) for c in report.final_costs],
@@ -315,7 +319,6 @@ def run(config: RunConfig) -> int:
         log.info("computing local feedback policy")
         policy = stagewise_newton_backward(game, report.trajectory,
                                            active_tol=config.active_tol,
-                                           feas_tol=np.inf,
                                            stage_reg=config.stage_reg)
         _write_json(outdir / "policy.json", _policy_payload(policy))
 
@@ -362,11 +365,13 @@ def main(argv=None) -> int:
             if config.simulate is None:
                 raise ConfigError("--seed needs a simulate block in the config")
             config.simulate["seed"] = _seed(args.seed, "--seed")
+        if args.out is not None:
+            if not args.out:
+                raise ConfigError("--out must be a non-empty path")
+            config.output_dir = args.out
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    if args.out:
-        config.output_dir = args.out
     level = log.level
     if not args.quiet:  # progress lines on stdout, for this call only
         console = logging.StreamHandler(sys.stdout)

@@ -403,8 +403,12 @@ class Trajectory:
         return float(np.max(np.maximum(np.concatenate(rows), 0.0), initial=0.0))
 
     def dynamically_feasible(self, game: GameDefinition, tol: float = 1e-8) -> bool:
-        res = self.dynamics_residuals(game)
-        return bool(res.size == 0 or np.max(res) <= tol)
+        """Whether ``check_feasible`` passes."""
+        try:
+            check_feasible(game, self, tol)
+        except InfeasibleTrajectoryError:
+            return False
+        return True
 
     def copy(self) -> "Trajectory":
         return Trajectory(self.states.copy(), self.actions.copy())
@@ -477,9 +481,11 @@ def all_player_costs(game: GameDefinition, traj: Trajectory, start: int = 0) -> 
 
 
 def check_feasible(game: GameDefinition, traj: Trajectory, tol: float = 1e-8) -> None:
-    """Raise InfeasibleTrajectoryError if the dynamics residual exceeds tol.
+    """Raise InfeasibleTrajectoryError for the first stage off the dynamics.
 
-    ``tol = inf`` skips the check; a NaN or negative ``tol`` raises ValueError.
+    Stage k passes when |x_{k+1} - f_k(x_k, u_k)| <= tol (1 + |x_{k+1}|), which
+    NaN fails.  ``tol = inf`` skips the check; a NaN or negative ``tol``
+    raises ValueError.
     """
     _check_tol("feas_tol", tol)
     if tol < np.inf:
@@ -492,9 +498,10 @@ def _check_tol(name: str, tol: float) -> None:
 
 
 def _raise_if_infeasible(res: Array, states: Array, tol: float) -> None:
-    """InfeasibleTrajectoryError for the first stage whose residual exceeds tol."""
-    bad = np.flatnonzero(res > tol * (1.0 + np.linalg.norm(states[1:], axis=1)))
-    if bad.size:
+    """InfeasibleTrajectoryError for the first stage failing ``check_feasible``'s test."""
+    # written so that a NaN residual or state fails
+    bad = np.flatnonzero(~(res <= tol * (1.0 + np.linalg.norm(states[1:], axis=1))))
+    if bad.size and tol < np.inf:
         raise InfeasibleTrajectoryError(int(bad[0]), float(res[bad[0]]), tol)
 
 

@@ -36,9 +36,7 @@ class ProjGradConfig:
 
     A run whose iterate grows past ``report.DIVERGENCE_FACTOR`` times
     (1 + |u0|_2) ends with ``divergence``.  ``record_costs`` fills the
-    report's ``cost_trace``: the players' costs at the initial iterate, at
-    the iterations {1, 2, 5} * 10^j the run steps past and at the result
-    (``SolverReport``).
+    report's ``cost_trace`` (``SolverReport``).
     """
 
     step_size: float = 0.01
@@ -65,10 +63,7 @@ def projected_gradient_solve(game: GameDefinition, u0: Array,
     loop.  For a linear-quadratic game with affine rows or none, the
     active-set polish (``certificate.active_set_polish``) runs after every
     step, and a point it certifies (natural residual <= ``cfg.tol``) ends
-    the run with ``tolerance``.  With ``record_costs`` the cost trace holds
-    the players' costs at the initial iterate, after the steps t in
-    {1, 2, 5} * 10^j that the run goes past, and last at the reported
-    result (``final_costs``); ``cost_iterations`` names each row's step.
+    the run with ``tolerance``.
     """
     T, n_u = game.horizon, game.total_action_dim
     u = np.asarray(u0, dtype=float)
@@ -90,4 +85,4 @@ def projected_gradient_solve(game: GameDefinition, u0: Array,
     costs = (lambda traj: all_player_costs(game, traj)) if cfg.record_costs else None
     run = iterate(step, u, traj, cfg.max_iter, cfg.tol, report.DIVERGENCE_FACTOR,
                   record=costs, polish=active_set_polish(game, cfg.tol, rows, data))
-    return build_report(game, run.candidate, run.candidate, run, cfg.run_checks, rows, data)
+    return build_report(game, run.candidate, run, cfg.run_checks, rows, data)

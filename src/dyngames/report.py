@@ -2,7 +2,7 @@
 
 Projected gradient and Douglas-Rachford both look for a fixed point of a
 map w -> g(w).  ``iterate`` owns their loop, step norm and stop tests, and
-``build_report`` turns a finished run into a ``SolverReport``; a solver
+``build_report`` reports the rollout of a finished run's actions; a solver
 supplies only its step, its equilibrium candidate and what to check.  A
 solver may also pass a polish hook (``certificate.active_set_polish``): a
 point it offers after a step is certified, so it ends the run at once.
@@ -20,12 +20,10 @@ hook: the point it returns is evaluated next and the Anderson history starts
 afresh.  Either way the step norm and the stop test read max|g(w) - w| at
 each point evaluated, and only a plain run gets a fitted geometric rate.
 
-A solver that records its candidates' costs does so on a fixed grid, not
-after every step: at the start (t = 0), at the iterations {1, 2, 5} * 10^j
-the run steps past (``RECORD_GRID``) and at the result, whose row is the
-report's ``final_costs``.  A 10k-iteration run keeps 14 rows.  A DR row
-rolls out its candidate's actions; one per step would be most of the paper
-rendezvous solve's time.
+A solver that records its candidates' costs does so on a fixed grid
+(``RECORD_GRID``, ``SolverReport``), not after every step: a 10k-iteration
+run keeps 14 rows.  A DR row rolls out its candidate's actions; one per step
+would be most of the paper rendezvous solve's time.
 """
 
 from __future__ import annotations
@@ -80,9 +78,11 @@ class SolverReport:
     past, and last the reported result (``iterations``), whose row is
     ``final_costs`` (a polished result included).  Without a record both
     are None.
-    ``natural_residual`` is the final actions' r(u) = |u - P(u - F(u))|_inf
-    (``certificate.natural_residual``); it is NaN for a game without a
-    projection P and after divergence.
+    ``trajectory`` is, for every solver, the rollout of the reported actions
+    from the game's initial state, and every other figure is its own:
+    ``constraint_residual`` its largest row violation and ``natural_residual``
+    r(u) = |u - P(u - F(u))|_inf (``certificate.natural_residual``), NaN for
+    a game without a projection P and after divergence.
     """
 
     trajectory: Trajectory
@@ -96,7 +96,6 @@ class SolverReport:
     cost_trace: Optional[Array] = None
     cost_iterations: Optional[Array] = None
     final_costs: Optional[Array] = None
-    dynamics_residual: float = 0.0
     constraint_residual: float = 0.0
     natural_residual: float = float("nan")
 
@@ -282,14 +281,13 @@ def iterate(step: Callable[[Array, Any], tuple[Array, Any]], w0: Array, cand0: A
                residual, plain)
 
 
-def build_report(game: GameDefinition, trajectory: Trajectory, checked: Trajectory,
-                 run: Run, run_checks: bool, rows: Optional[PaddedRows] = None,
+def build_report(game: GameDefinition, trajectory: Trajectory, run: Run, run_checks: bool,
+                 rows: Optional[PaddedRows] = None,
                  data: Optional[LqGameData] = None) -> SolverReport:
-    """The report of a run whose equilibrium candidate is ``trajectory``.
+    """The report of a run whose result, rolled out, is ``trajectory``.
 
-    The dynamics and constraint residuals are ``trajectory``'s; the final
-    costs, the natural residual and, with ``run_checks``, the player-wise
-    verdicts are those of ``checked``, the candidate's actions rolled out.
+    The final costs, the constraint residual, the natural residual and, with
+    ``run_checks``, the player-wise verdicts are all ``trajectory``'s.
     When the run recorded costs, the cost trace holds its records, from the
     start at t = 0 on, and last ``final_costs``; otherwise there is none.
     ``fitted_rate`` and ``rate_fit_rmse`` are NaN for a run that was not
@@ -303,16 +301,16 @@ def build_report(game: GameDefinition, trajectory: Trajectory, checked: Trajecto
     verdicts, residual = [], run.residual
     if run.termination != TERM_DIVERGENCE:
         if run_checks:
-            verdicts = playerwise_minimizer_check(game, checked)
+            verdicts = playerwise_minimizer_check(game, trajectory)
         if residual is None:
             try:
-                residual = natural_residual(game, checked.actions, rows, data)
+                residual = natural_residual(game, trajectory.actions, rows, data)
             except UnsupportedConstraintError:
                 pass
     dist = np.array([float(np.linalg.norm(w - run.iterates[-1])) for w in run.iterates])
     # one geometric rate describes only a plain iteration's distances
     rate, rmse = fit_log_decay(dist) if run.plain else (float("nan"), float("nan"))
-    final_costs = all_player_costs(game, checked)
+    final_costs = all_player_costs(game, trajectory)
     cost_trace = cost_iterations = None
     if run.records is not None:
         cost_trace = np.array(run.records + [final_costs])
@@ -323,7 +321,6 @@ def build_report(game: GameDefinition, trajectory: Trajectory, checked: Trajecto
         step_norms=np.asarray(run.step_norms, dtype=float),
         fitted_rate=rate, rate_fit_rmse=rmse, verdicts=verdicts,
         cost_trace=cost_trace, cost_iterations=cost_iterations, final_costs=final_costs,
-        dynamics_residual=float(np.max(trajectory.dynamics_residuals(game), initial=0.0)),
         constraint_residual=trajectory.constraint_violation(game),
         natural_residual=float("nan") if residual is None else residual)
 

@@ -111,9 +111,10 @@ class DrConfig:
     ADMM", Comput. Optim. Appl. 2019).  The resolvents' Newton steps use
     INNER_TOL and INNER_MAX_ITER, the divergence test ``report.DIVERGENCE_FACTOR``.
 
-    ``record_costs`` fills the report's ``cost_trace``: the costs of the
-    rolled-out candidate at the start, at the iterations {1, 2, 5} * 10^j
-    the run steps past and at the result (``SolverReport``).
+    A run stops on ``tol`` once the step max|g(w) - w| and then the largest
+    stage-row violation of the candidate's actions rolled out, the reported
+    trajectory, are at most ``tol``.  ``record_costs`` fills the report's
+    ``cost_trace`` (``SolverReport``).
     """
 
     scheme: str = SCHEME_CONSTRAINTS
@@ -430,7 +431,7 @@ def constrained_oc_projection(game: GameDefinition, y: Array, z: Array,
 
 
 def dr_solve(game: GameDefinition, cfg: DrConfig) -> SolverReport:
-    """Run the reflected-resolvent iteration; returns the last resolvent output.
+    """Run the reflected-resolvent iteration; reports the rollout of its last actions.
 
     The averaged (shadow) iterate w stacks states and actions in one vector,
     starting at zero actions and their rollout; one step maps w to its
@@ -440,17 +441,13 @@ def dr_solve(game: GameDefinition, cfg: DrConfig) -> SolverReport:
     point it came from gives way to that point's image.  ``step_norms``
     hold max|g(w) - w| at each point evaluated, and ``distance_trace``
     measures the images g(w) against the last one.  The candidate is the
-    second resolvent's output at the point evaluated, in its constraint set
-    by construction.  The run stops with ``tolerance`` once the step and
-    then the candidate's dynamics and constraint residuals are at most
-    ``cfg.tol``.  For a linear-quadratic game with affine rows or none, the
-    active-set polish (``certificate.active_set_polish``) runs after every
-    step, and a point it certifies (natural residual <= ``cfg.tol``) ends
-    the run with ``tolerance`` and becomes the result.  ``record_costs``
-    records the costs of the candidate's actions rolled out: at the start
-    (step 0), after the steps t in {1, 2, 5} * 10^j that the run goes past,
-    and last at the reported result (``final_costs``); ``cost_iterations``
-    names each row's step.  A 10k-iteration run so makes 14 rollouts.
+    second resolvent's output at the point evaluated, which the polish, the
+    balancing and the extrapolation read; the report, the stop test and the
+    cost records read its actions rolled out (``DrConfig``).  For a
+    linear-quadratic game with affine rows or none, the active-set polish
+    (``certificate.active_set_polish``) runs after every step, and a point it
+    certifies (natural residual <= ``cfg.tol``) ends the run with
+    ``tolerance`` and becomes the result.
 
     ``cfg.eta`` is the starting weight; the run balances it as DrConfig
     says.  A change of eta rescales the next point, the image g of the
@@ -506,20 +503,16 @@ def dr_solve(game: GameDefinition, cfg: DrConfig) -> SolverReport:
         g, eta = a + (new / eta) * (g - a), new
         return g
 
-    def accept(cand):
-        return (cand.dynamically_feasible(game, cfg.tol)
-                and cand.constraint_violation(game) <= cfg.tol)
+    def result(cand):
+        return rollout(game, game.initial_state, cand.actions)
 
-    def costs(cand):
-        return all_player_costs(game, rollout(game, game.initial_state, cand.actions))
-
+    costs = (lambda cand: all_player_costs(game, result(cand))) if cfg.record_costs else None
     run = iterate(step, np.concatenate([wx.ravel(), wu.ravel()]), Trajectory(wx, wu),
-                  cfg.max_iter, cfg.tol, report.DIVERGENCE_FACTOR, accept=accept,
-                  record=costs if cfg.record_costs else None,
-                  polish=active_set_polish(game, cfg.tol, rows, data), accelerate=True,
-                  restart=balance)
-    checked = rollout(game, game.initial_state, run.candidate.actions)
-    return build_report(game, run.candidate, checked, run, cfg.run_checks, rows, data)
+                  cfg.max_iter, cfg.tol, report.DIVERGENCE_FACTOR,
+                  accept=lambda cand: result(cand).constraint_violation(game) <= cfg.tol,
+                  record=costs, polish=active_set_polish(game, cfg.tol, rows, data),
+                  accelerate=True, restart=balance)
+    return build_report(game, result(run.candidate), run, cfg.run_checks, rows, data)
 
 
 def _resolvents(game: GameDefinition, cfg: DrConfig, rows: Optional[PaddedRows],

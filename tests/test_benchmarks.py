@@ -277,9 +277,12 @@ class TestRendezvousGame:
 
     def test_residual_reads_the_games_own_meeting_stage(self):
         params = LqRendezvousParams(meet_stage=3)
-        rep = dr_solve(lq_rendezvous_game(params), DrConfig(eta=1e-2))
+        cfg = DrConfig(eta=1e-2)
+        rep = dr_solve(lq_rendezvous_game(params), cfg)
         assert rep.termination == "tolerance"
-        assert rendezvous_residual(rep.trajectory, params) == 0.0
+        # the reported states are the rollout, whose meeting rows each hold
+        # a coordinate gap to tol: two gaps of two coordinates each
+        assert rendezvous_residual(rep.trajectory, params) <= 2 * np.sqrt(2) * cfg.tol
         assert rendezvous_residual(rep.trajectory) > 1.0  # stage 5, where they have not met
 
 

@@ -331,6 +331,17 @@ class TestExitCodes:
         assert "output_dir must be a non-empty string" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
 
+    def test_an_empty_out_flag_is_refused_before_the_solve(self, tmp_path, monkeypatch,
+                                                           capsys):
+        # an empty --out must not fall back on the config's output_dir
+        monkeypatch.chdir(tmp_path)
+        cfg = {"game": {"id": "lq_rendezvous"}, "solver": "dr", "max_iter": 1,
+               "output_dir": "o1"}
+        assert main(["--config", write(tmp_path, cfg), "--out", "", "--quiet"]) \
+            == EXIT_BAD_CONFIG
+        assert "--out must be a non-empty path" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+
     def test_simulate_without_feedback_is_refused_before_the_solve(self, tmp_path, capsys):
         cfg = {"game": {"id": "lq_rendezvous"}, "solver": "dr", "max_iter": 1,
                "simulate": {"n_runs": 2}, "output_dir": str(tmp_path / "never")}

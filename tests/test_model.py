@@ -342,6 +342,34 @@ class TestCheckFeasible:
         with pytest.raises(ValueError, match="must be nonnegative"):
             quadraticize(game, traj, active_tol=active_tol, feas_tol=feas_tol)
 
+    @staticmethod
+    def fishery_with_stage_10_stock_moved(shift):
+        game = fishery_game(FisheryParams(horizon_time=2.0))
+        traj = rollout(game, game.initial_state, np.full((game.horizon + 1, 2), 0.1))
+        traj.states[10] += shift  # about 55.1
+        return game, traj
+
+    @pytest.mark.parametrize("shift, feasible", [(1e-7, True), (1e-6, False)])
+    def test_one_relative_rule_for_both_feasibility_tests(self, shift, feasible):
+        # a residual of 1.005e-7 passes 1e-8 * (1 + |x|), one of 1e-6 does not
+        game, traj = self.fishery_with_stage_10_stock_moved(shift)
+        assert traj.dynamically_feasible(game, 1e-8) == feasible
+        if feasible:
+            check_feasible(game, traj, 1e-8)
+        else:
+            with pytest.raises(InfeasibleTrajectoryError):
+                check_feasible(game, traj, 1e-8)
+
+    def test_a_nan_state_fails_every_feasibility_test(self):
+        game, traj = self.fishery_with_stage_10_stock_moved(np.nan)
+        assert not traj.dynamically_feasible(game, 1e-8)
+        for check in (lambda: check_feasible(game, traj, 1e-8),
+                      lambda: pseudo_gradient(game, traj), lambda: quadraticize(game, traj)):
+            with pytest.raises(InfeasibleTrajectoryError) as err:
+                check()
+            assert err.value.stage == 9  # the stage whose dynamics produce x_10
+        check_feasible(game, traj, np.inf)  # inf still skips the check
+
 
 def bare(game):
     """The game's per-stage maps alone: every derivative by finite differences."""

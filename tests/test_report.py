@@ -9,7 +9,7 @@ from dyngames import lq, projgrad, splitting
 from dyngames.benchmarks import FisheryParams, fishery_game, lq_rendezvous_game
 from dyngames.certificate import ActiveSetPolish, active_set_polish, natural_residual
 from dyngames.errors import NonFiniteStateError
-from dyngames.model import Trajectory, rollout
+from dyngames.model import Trajectory, all_player_costs, rollout
 from dyngames.projgrad import ProjGradConfig
 from dyngames.report import (
     ANDERSON_MEMORY,
@@ -359,3 +359,35 @@ def test_dr_cost_record_rolls_out_only_on_the_grid(monkeypatch):
     grid = [1, 2, 5, 10, 20, 50, 100]
     assert rep.iterations == 110
     assert len(rollouts) <= 3 + len(grid)
+
+
+def one_trajectory_case(case, rng):
+    """(game, tol, report) of one of the solves a report must describe as one trajectory."""
+    if case == "fishery_pg":
+        game = fishery_game(FisheryParams(horizon_time=2.0))  # short_fishery_pg's game
+        return game, ProjGradConfig().tol, short_fishery_pg(50, True)
+    if case.startswith("rendezvous"):
+        max_iter = 30 if case == "rendezvous_30" else DrConfig().max_iter
+        return lq_rendezvous_game(), DrConfig().tol, rendezvous_dr(max_iter, True)
+    game, _, _ = cross_scheme_lq_instance(rng)
+    scheme = splitting.SCHEME_CONSTRAINTS if case == "newton" else case
+    if case == "newton":  # the Newton resolvent, without the polish
+        game = dataclasses.replace(game, quadratic_costs=False)
+    cfg = DrConfig(scheme=scheme, eta=0.4, max_iter=200)
+    return game, cfg.tol, splitting.dr_solve(game, cfg)
+
+
+@pytest.mark.parametrize("case, termination", [
+    ("fishery_pg", TERM_MAX_ITER), ("rendezvous_30", TERM_MAX_ITER),
+    ("rendezvous_budget", TERM_TOLERANCE),
+    *((scheme, TERM_TOLERANCE) for scheme in splitting.SCHEMES), ("newton", TERM_TOLERANCE)])
+def test_the_report_describes_the_rollout_of_its_actions(case, termination, rng):
+    game, tol, rep = one_trajectory_case(case, rng)
+    assert rep.termination == termination
+    traj = rep.trajectory
+    np.testing.assert_array_equal(rollout(game, game.initial_state, traj.actions).states,
+                                  traj.states)
+    np.testing.assert_array_equal(all_player_costs(game, traj), rep.final_costs)
+    assert rep.constraint_residual == traj.constraint_violation(game)
+    if rep.termination == TERM_TOLERANCE:
+        assert rep.constraint_residual <= tol
