@@ -87,6 +87,8 @@ class GameDefinition:
     ``eval_traj_dynamics_jacobians`` call the matching evaluator when present
     and otherwise stack the per-stage evaluators; either way the outputs are
     shape-checked once per call and a mismatch raises DimensionError.
+    ``eval_traj_cost_hessians`` has no hook: it stacks the per-stage
+    ``eval_cost_hessians``, and a mismatch names its stage.
 
     The analytic projector has only the whole-trajectory form:
     ``traj_projector(states, actions) -> (states, actions)`` projects every
@@ -257,6 +259,28 @@ class GameDefinition:
         return (_checked("trajectory cost state gradients", CX, lead + (self.state_dim,)),
                 _checked("trajectory cost action gradients", CU,
                          lead + (self.total_action_dim,)))
+
+    def eval_traj_cost_hessians(self, states: Array,
+                                actions: Array) -> tuple[Array, Array, Array]:
+        """Stacked cost Hessian blocks: (T+1, N, n_x, n_x), (T+1, N, n_x, n_u), (T+1, N, n_u, n_u).
+
+        Read stage by stage and checked as a stack; a block of the wrong
+        shape raises DimensionError naming its stage.
+        """
+        N, n_x, n_u = self.num_players, self.state_dim, self.total_action_dim
+        shapes = {"cost state Hessians": (N, n_x, n_x), "cost cross Hessians": (N, n_x, n_u),
+                  "cost action Hessians": (N, n_u, n_u)}
+        read = [self.eval_cost_hessians(k, states[k], actions[k])
+                for k in range(self.horizon + 1)]
+        stacked = []
+        for (what, shape), blocks in zip(shapes.items(), zip(*read)):
+            try:
+                stacked.append(_checked(what, blocks, (self.horizon + 1,) + shape))
+            except DimensionError:  # name the first stage at fault
+                for k, block in enumerate(blocks):
+                    _checked(what, block, shape, stage=k)
+                raise
+        return tuple(stacked)
 
     def eval_traj_dynamics_jacobians(self, states: Array, actions: Array) -> tuple[Array, Array]:
         """Stacked dynamics Jacobians of stages k < T: (T, n_x, n_x) and (T, n_x, n_u)."""
@@ -601,17 +625,17 @@ def local_lq(game: GameDefinition, states: Array, actions: Array,
              active_tol: Optional[float] = None, feas_tol: float = np.inf) -> LqGameData:
     """The ``LqGameData`` of a game around (states, actions).
 
-    Costs, gradients and Jacobians come from the whole-trajectory evaluators;
-    only the cost and dynamics Hessians are read stage by stage.  G is zero,
-    and not evaluated, for declared linear dynamics; the rows are read
-    (``read_rows``) only when ``active_tol`` is given.
+    Costs, gradients, Jacobians and cost Hessians come from the
+    whole-trajectory evaluators; only the dynamics Hessians are read here,
+    stage by stage.  G is zero, and not evaluated, for declared linear
+    dynamics; the rows are read (``read_rows``) only when ``active_tol`` is
+    given.
     """
     T, n_z = game.horizon, game.state_dim + game.total_action_dim
     A, B, b = linearize_dynamics(game, states, actions, feas_tol)
     CX, CU = game.eval_traj_cost_gradients(states, actions)
-    hess = [game.eval_cost_hessians(k, states[k], actions[k]) for k in range(T + 1)]
     # every cost block as (N, T+1, ...): players first, then stages
-    cxx, cxu, cuu = (np.array([h[i] for h in hess]).swapaxes(0, 1) for i in range(3))
+    cxx, cxu, cuu = (H.swapaxes(0, 1) for H in game.eval_traj_cost_hessians(states, actions))
     G = np.zeros((T, game.state_dim, n_z, n_z))
     if not game.linear_dynamics:
         G = _checked("dynamics Hessians", [game.eval_dynamics_hessians(k, states[k], actions[k])

@@ -16,16 +16,20 @@ operator that gets its own resolvent:
   game (one banded solve of its open-loop KKT system for declared
   linear-quadratic games, else Newton steps, each one banded solve of the
   local LQ game's system), r_2 projects stagewise onto the constraint sets.
-* ``dynamics``: r_1 solves independent regularized constrained static games
-  per stage (the state coordinate acts as an extra coordinating player) by
-  Josephy-Newton steps and Lemke's method, r_2 projects onto the dynamics
-  by the same banded solve at eta = 0.
+* ``dynamics``: r_1 solves the T+1 independent regularized constrained
+  static games, one per stage (the state coordinate acts as an extra
+  coordinating player), all at once by Josephy-Newton steps: each step is
+  one stacked linear solve over the stages still pending, plus Lemke's
+  method for each stage whose rows bind.  r_2 projects onto the dynamics by
+  the same banded solve at eta = 0.
 * ``gradient``: r_1 projects onto the intersection of dynamics and
   constraints (exact horizon-wide QP), r_2 solves the same static games
-  per stage without their rows.
+  without their rows, each step one stacked linear solve.
 
-The stagewise static-game resolvents read the cost operator stage by stage;
-their fixed points coincide with the variational equilibrium exactly when
+The static-game resolvents take a declared linear-quadratic game's affine
+stage operators from the solve's one read of its data, and read other
+games' cost derivatives over the whole trajectory once per Newton step.
+Their fixed points coincide with the variational equilibrium exactly when
 the players share state-cost gradients (the coordinator row uses the mean
 of the players' state gradients).  The ``constraints`` scheme carries no
 such restriction.
@@ -241,25 +245,20 @@ def project_stage_constraints(game: GameDefinition, y: Array, z: Array,
     return xs, us
 
 
-def _stage_operator(game, k, v, w, eta):
-    """Stage k's regularized static-game operator at v = (x, u), and its Jacobian.
+def _stage_operators(game, cx, cu, cxx, cxu, cuu):
+    """Every stage's static-game operator and its Jacobian from stacked cost derivatives.
 
-    The state row is the coordinator (mean of the players' state gradients),
-    each action row its owner's own-action gradient; all are scaled by eta
-    and carry the prox term v - w.
+    The derivatives are stacked as (T+1, N, ...), like ``eval_traj_cost_gradients``
+    and ``eval_traj_cost_hessians``; returns F (T+1, n_v) and J (T+1, n_v, n_v)
+    over v = (x, u).  The state row is the coordinator (mean of the players'
+    state gradients), each action row its owner's own-action gradient.
     """
-    n_x, N = game.state_dim, game.num_players
-    x, u = v[:n_x], v[n_x:]
-    cx, cu = game.eval_cost_gradients(k, x, u)
-    cxx, cxu, cuu = game.eval_cost_hessians(k, x, u)
-    owner, own = game.owner, np.arange(game.total_action_dim)
-    F = np.concatenate([cx.sum(axis=0) / N, cu[owner, own]])
-    J = np.empty((v.size, v.size))
-    J[:n_x, :n_x] = cxx.sum(axis=0) / N
-    J[:n_x, n_x:] = cxu.sum(axis=0) / N
-    J[n_x:, :n_x] = cxu[owner, :, own]
-    J[n_x:, n_x:] = cuu[owner, own]
-    return eta * F + (v - w), eta * J + np.eye(v.size)
+    N, owner, own = game.num_players, game.owner, np.arange(game.total_action_dim)
+    F = np.concatenate([cx.sum(axis=1) / N, cu[:, owner, own]], axis=1)
+    J = np.concatenate([np.concatenate([cxx, cxu], axis=3).sum(axis=1) / N,
+                        np.concatenate([cxu.swapaxes(2, 3), cuu], axis=3)[:, owner, own]],
+                       axis=1)
+    return F, J
 
 
 # Relative size below which a tableau entry counts as zero in Lemke's ratio
@@ -317,75 +316,129 @@ def _lemke(M: Array, q: Array, stage: int) -> Array:
 
 
 def _static_games(game: GameDefinition, y: Array, z: Array, eta: float,
-                  rows: Optional[PaddedRows]) -> tuple[Array, Array]:
+                  rows: Optional[PaddedRows], data: Optional[LqGameData]) -> tuple[Array, Array]:
     """Every stage's regularized static game, by Josephy-Newton steps, with ``rows`` or none.
 
-    Each step linearizes the stage operator at the current point and solves
-    that affine stage game exactly: one linear solve for the unconstrained
-    point and, only when it violates some stage rows, one LCP in the rows'
-    multipliers by ``_lemke``.  A stage is done once its KKT residual
-    (stationarity and min(mu, -g) over the rows g <= 0) is at most
-    INNER_TOL * (1 + |(y_k, z_k)|_inf); quadratic costs need one step plus
-    that check, and a stage fails after INNER_MAX_ITER steps.  Any failure
-    raises SubproblemError naming the stage.
+    Each step linearizes the pending stages' operators at their current
+    points and solves those affine stage games exactly, all at once: one
+    stacked linear solve for the unconstrained points and, only for a stage
+    whose point violates some of its rows, one LCP in the rows' multipliers
+    by ``_lemke``.  A stage leaves once its KKT residual (stationarity and
+    min(mu, -g) over the rows g <= 0) is at most INNER_TOL * (1 + |(y_k,
+    z_k)|_inf); quadratic costs need one step plus that check, and a stage
+    fails after INNER_MAX_ITER steps.  Declared linear-quadratic games take
+    their affine operators from ``data`` (``lq.extract_lq_data``, read here
+    when None); other games read ``eval_traj_cost_gradients`` and
+    ``eval_traj_cost_hessians`` once per step.  A failure raises
+    SubproblemError naming the stage; when several stages fail, the first in
+    stage order.
     """
-    n_x, n_v = game.state_dim, game.state_dim + game.total_action_dim
-    xs, us = np.array(y, dtype=float), np.array(z, dtype=float)
-    for k in range(game.horizon + 1):
-        G, p = (np.zeros((0, n_v)), np.zeros(0)) if rows is None else rows.stage(k)
-        w = np.concatenate([y[k], z[k]])
-        tol = INNER_TOL * (1.0 + float(np.max(np.abs(w))))
-        v, mu = w, np.zeros(p.size)
-        for _ in range(INNER_MAX_ITER):
-            F, J = _stage_operator(game, k, v, w, eta)
-            kkt = np.max(np.abs(np.concatenate([F + G.T @ mu, np.minimum(mu, -(G @ v + p))])))
-            if kkt <= tol:
-                break
-            if not np.isfinite(kkt):
-                raise SubproblemError(f"stage {k} regularized static game is not finite")
+    n_x, K = game.state_dim, game.horizon + 1
+    w = np.concatenate([y, z], axis=1).astype(float)
+    n_v = w.shape[1]
+    if rows is None:
+        G, p, real = np.zeros((K, 0, n_v)), np.zeros((K, 0)), np.zeros((K, 0), dtype=bool)
+    else:  # padding rows are zero: they never bind and add nothing to the residual
+        G, p, real = np.concatenate([rows.W, rows.S], axis=2), rows.p, rows.real
+    if game.linear_dynamics and game.quadratic_costs:
+        data = lq.extract_lq_data(game) if data is None else data
+        # the operator at the origin and its constant Jacobian
+        f0, H = _stage_operators(game, *(a.swapaxes(0, 1) for a in
+                                         (data.q, data.r, data.Q, data.X, data.R)))
+
+        def operators(P):
+            return f0[P] + (H[P] @ v[P, :, None])[..., 0], H[P]
+    else:
+        def operators(P):
+            x, u = v[:, :n_x], v[:, n_x:]
+            F, J = _stage_operators(game, *game.eval_traj_cost_gradients(x, u),
+                                    *game.eval_traj_cost_hessians(x, u))
+            return F[P], J[P]
+
+    tol = INNER_TOL * (1.0 + np.max(np.abs(w), axis=1))
+    v, mu = w.copy(), np.zeros(p.shape)
+    P, first, error = np.arange(K), K, None  # the pending stages; the first failure so far
+
+    def fail(k, exc):
+        # The stages from k on cannot fail first: they leave, parked at
+        # their centres, where the operators were read before.
+        nonlocal first, error
+        first, error = k, exc
+        v[k:] = w[k:]
+
+    for _ in range(INNER_MAX_ITER):
+        F, J = operators(P)
+        F, J = eta * F + (v[P] - w[P]), eta * J + np.eye(n_v)
+        g = (G[P] @ v[P, :, None])[..., 0] + p[P]
+        kkt = np.max(np.abs(np.concatenate([F + (mu[P, None] @ G[P])[:, 0],
+                                            np.minimum(mu[P], -g)], axis=1)), axis=1)
+        if not np.all(np.isfinite(kkt)):
+            k = P[np.argmin(np.isfinite(kkt))]
+            fail(k, SubproblemError(f"stage {k} regularized static game is not finite"))
+        keep = ~(kkt <= tol[P]) & (P < first)
+        P, F, J = P[keep], F[keep], J[keep]
+        if not P.size:
+            break
+        # a 3-D right-hand side: numpy 1.x reads a 2-D one as stacked vectors, 2.x as a matrix
+        rhs = np.concatenate([J @ v[P, :, None] - F[..., None], G[P].swapaxes(1, 2)], axis=2)
+        try:
+            sol = np.linalg.solve(J, rhs)
+        except np.linalg.LinAlgError:  # a zero pivot of the same LU makes det exactly 0
+            i = int(np.argmax(np.linalg.det(J) == 0))
+            fail(P[i], SubproblemError(
+                f"stage {P[i]} regularized static game has a singular Jacobian"))
+            P, sol = P[:i], np.linalg.solve(J[:i], rhs[:i])
+        v[P], mu[P] = sol[..., 0], 0.0
+        for i in np.flatnonzero(np.any((G[P] @ v[P, :, None])[..., 0] + p[P] > 0, axis=1)):
+            k = P[i]
+            Gk, dv = G[k, real[k]], sol[i, :, 1:][:, real[k]]
             try:
-                sol = np.linalg.solve(J, np.column_stack([J @ v - F, G.T]))
-            except np.linalg.LinAlgError:
-                raise SubproblemError(
-                    f"stage {k} regularized static game has a singular Jacobian") from None
-            v, mu = sol[:, 0], np.zeros(p.size)
-            if np.any(G @ v + p > 0):
-                mu = _lemke(G @ sol[:, 1:], -(G @ v + p), k)
-                v = v - sol[:, 1:] @ mu
-        else:
-            raise SubproblemError(
-                f"stage {k} regularized static game did not converge in "
-                f"{INNER_MAX_ITER} Newton steps")
-        xs[k], us[k] = v[:n_x], v[n_x:]
-    return xs, us
+                mu_k = _lemke(Gk @ dv, -(Gk @ v[k] + p[k, real[k]]), k)
+            except SubproblemError as exc:
+                fail(k, exc)
+                break
+            v[k] -= dv @ mu_k
+            mu[k, real[k]] = mu_k
+        P = P[P < first]
+    else:
+        if P.size:
+            error = SubproblemError(f"stage {P[0]} regularized static game did not converge "
+                                    f"in {INNER_MAX_ITER} Newton steps")
+    if error is not None:
+        raise error
+    return v[:, :n_x], v[:, n_x:]
 
 
 def resolvent_reg_static_games(game: GameDefinition, y: Array, z: Array, eta: float,
-                               rows: Optional[PaddedRows] = None) -> tuple[Array, Array]:
+                               rows: Optional[PaddedRows] = None,
+                               data: Optional[LqGameData] = None) -> tuple[Array, Array]:
     """Independent regularized constrained static games, one per stage.
 
     Each stage solves, over (x_k, u_k), the game whose action rows are the
     players' own-gradient stationarity and whose state row is the
     coordinator (mean state gradient plus prox), subject to the stage's
-    affine rows, by Josephy-Newton steps with one Lemke pivot sequence each
-    (``_static_games``, INNER_TOL and INNER_MAX_ITER).  Requires affine
-    constraints; ``rows`` are the game's ``lq.padded_rows``, read here when
-    None.  A stage game that is not monotone (the symmetric part of
-    I + eta J_k not positive definite) may raise SubproblemError; no returned
-    point fails the KKT check.
+    affine rows, by Josephy-Newton steps taken for all stages at once, with
+    one Lemke pivot sequence per stage whose rows bind (``_static_games``,
+    INNER_TOL and INNER_MAX_ITER).  Requires affine constraints.  ``rows``
+    (``lq.padded_rows``) and ``data`` (``lq.extract_lq_data``, read only for
+    declared linear-quadratic games) reuse one read across calls; each is
+    read here when None.  A stage game that is not monotone (the symmetric
+    part of I + eta J_k not positive definite) may raise SubproblemError; no
+    returned point fails the KKT check.
     """
     rows = lq.padded_rows(game) if rows is None else rows
-    return _static_games(game, y, z, eta, rows)
+    return _static_games(game, y, z, eta, rows, data)
 
 
-def resolvent_static_games_uncon(game: GameDefinition, y: Array, z: Array,
-                                 eta: float) -> tuple[Array, Array]:
+def resolvent_static_games_uncon(game: GameDefinition, y: Array, z: Array, eta: float,
+                                 data: Optional[LqGameData] = None) -> tuple[Array, Array]:
     """Independent regularized unconstrained static games, one per stage.
 
     The stage games of ``resolvent_reg_static_games`` with the rows dropped:
-    each Newton step is one linear solve.
+    each Newton step is one stacked linear solve over the pending stages.
+    ``data`` is read as there.
     """
-    return _static_games(game, y, z, eta, None)
+    return _static_games(game, y, z, eta, None, data)
 
 
 # ---------------------------------------------------------------------------
@@ -524,8 +577,8 @@ def _resolvents(game: GameDefinition, cfg: DrConfig, rows: Optional[PaddedRows],
     is built here, once per solve.  ``constraints`` solves the regularized
     game with the banded LU of ``lq.factor`` at eta for declared
     linear-quadratic games, else by Newton steps warm-started from the
-    previous output; the other schemes pass eta per call to the static
-    games.  Building raises before the first iteration:
+    previous output; the other schemes pass eta, the rows and the data per
+    call to the static games.  Building raises before the first iteration:
     UnsupportedConstraintError for nonlinear dynamics or, in the
     ``gradient`` scheme, non-affine stage constraints; and the map raises
     StageSingularityError for a singular KKT matrix at its eta.
@@ -534,7 +587,7 @@ def _resolvents(game: GameDefinition, cfg: DrConfig, rows: Optional[PaddedRows],
         factor = lq.factor(game, 0.0, data)
         project = lambda y, z: project_dynamics(game, y, z, factor=factor)
         return lambda eta: (
-            lambda y, z: resolvent_reg_static_games(game, y, z, eta, rows),
+            lambda y, z: resolvent_reg_static_games(game, y, z, eta, rows, data),
             project)
     if cfg.scheme == SCHEME_GRADIENT:
         # a read is missing only for nonlinear dynamics or rows not affine: these raise
@@ -542,7 +595,7 @@ def _resolvents(game: GameDefinition, cfg: DrConfig, rows: Optional[PaddedRows],
         rows = lq.padded_rows(game) if rows is None else rows
         project = lambda y, z: constrained_oc_projection(game, y, z, rows, data)
         return lambda eta: (
-            project, lambda y, z: resolvent_static_games_uncon(game, y, z, eta))
+            project, lambda y, z: resolvent_static_games_uncon(game, y, z, eta, data))
     exact = game.linear_dynamics and game.quadratic_costs
     project = lambda y, z: project_stage_constraints(game, y, z, rows)
     warm = None

@@ -35,5 +35,5 @@ def test_settable_surface():
                                     "feedback", "stage_reg", "simulate", "output_dir"]
     assert names(PseudoGradient) == ["own", "action_dims"]
     assert defaulted(resolvent_reg_game) == ["warm", "factor"]
-    assert defaulted(resolvent_reg_static_games) == ["rows"]
-    assert defaulted(resolvent_static_games_uncon) == []
+    assert defaulted(resolvent_reg_static_games) == ["rows", "data"]
+    assert defaulted(resolvent_static_games_uncon) == ["data"]

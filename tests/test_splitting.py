@@ -16,13 +16,14 @@ from dyngames.benchmarks import (
     lq_rendezvous_game,
 )
 from dyngames.errors import (
+    DimensionError,
     DynGameError,
     NonFiniteStateError,
     SubproblemError,
     UnsupportedConstraintError,
 )
 from dyngames.gradient import pseudo_gradient
-from dyngames.model import GameDefinition, Trajectory, rollout
+from dyngames.model import GameDefinition, Trajectory, local_lq, rollout
 from dyngames.projgrad import project_onto_feasible
 from dyngames.report import TERM_MAX_ITER, TERM_TOLERANCE, iterate
 from dyngames.splitting import (
@@ -49,6 +50,7 @@ from oracles import (
     rendezvous_stage_projection,
     resolvent_by_feedback_newton,
     stacked_lq_gne,
+    static_game_vi,
     static_games_by_enumeration,
 )
 
@@ -168,6 +170,53 @@ def monotone_stage_game(seed, m, eta, layout, state_dim=2, action_dims=(1, 2)):
     y = 2.0 * r.standard_normal((T + 1, n_x))
     z = 2.0 * r.standard_normal((T + 1, n_u))
     return game, y, z
+
+
+def quartic_stage_game(seed, quartic=(0.0, 0.0, 1.0, 2.0, 0.5), with_rows=False):
+    """Two players, x+ = x + u, stage costs 0.5 v'Q v + l'v + a_k/4 sum(v^4) over v = (x, u).
+
+    Stage k's quartic weight a_k is ``quartic[k]``: its stage game is
+    quadratic (one Newton step and the check) where a_k is zero and needs
+    more steps elsewhere.  ``with_rows`` adds one affine row per stage,
+    which the prox centre violates by a distance of 1.  Returns the game and
+    prox centres (y, z).
+    """
+    r = np.random.default_rng(seed)
+    T, n_x, N, n_v = len(quartic) - 1, 2, 2, 4
+    Q = r.standard_normal((T + 1, N, n_v, n_v))
+    Q = np.eye(n_v) + 0.1 * (Q + Q.swapaxes(2, 3))
+    lin = r.standard_normal((T + 1, N, n_v))
+    a = np.asarray(quartic, dtype=float)
+    y, z = 2.0 * r.standard_normal((T + 1, n_x)), 2.0 * r.standard_normal((T + 1, N))
+    G = r.standard_normal((T + 1, 1, n_v))
+    p0 = np.linalg.norm(G, axis=2) - (G @ np.concatenate([y, z], axis=1)[..., None])[..., 0]
+
+    def costs(k, x, u):
+        v = np.concatenate([x, u])
+        return 0.5 * np.einsum("i,nij,j->n", v, Q[k], v) + lin[k] @ v + 0.25 * a[k] * np.sum(v**4)
+
+    def grads(k, x, u):
+        v = np.concatenate([x, u])
+        g = Q[k] @ v + lin[k] + a[k] * v**3
+        return g[:, :n_x], g[:, n_x:]
+
+    def hess(k, x, u):
+        H = Q[k] + 3.0 * a[k] * np.diag(np.concatenate([x, u]) ** 2)
+        return H[:, :n_x, :n_x], H[:, :n_x, n_x:], H[:, n_x:, n_x:]
+
+    rows = dict(constraints=lambda k, x, u: G[k] @ np.concatenate([x, u]) + p0[k],
+                constraint_jacobians=lambda k, x, u: (G[k][:, :n_x], G[k][:, n_x:]),
+                polyhedral_constraints=True) if with_rows else {}
+    game = GameDefinition(
+        horizon=T, state_dim=n_x, action_dims=(1, 1), initial_state=np.zeros(n_x),
+        dynamics=lambda k, x, u: x + u, stage_costs=costs, cost_gradients=grads,
+        cost_hessians=hess, linear_dynamics=True, **rows)
+    return game, y, z
+
+
+def at_stage(stage, callback, replacement):
+    """``callback`` with stage ``stage`` answered by ``replacement`` instead."""
+    return lambda k, x, u: replacement(k, x, u) if k == stage else callback(k, x, u)
 
 
 class TestRegularizedGameResolvent:
@@ -476,6 +525,138 @@ class TestStaticGameResolvents:
         assert d2 < d1
 
 
+    @staticmethod
+    def stage_operator(game, k, v, w, eta):
+        """Stage k's regularized operator and Jacobian from a ``quartic_stage_game``."""
+        cx, cu = game.cost_gradients(k, v[:2], v[2:])
+        cxx, cxu, cuu = game.cost_hessians(k, v[:2], v[2:])
+        own = ([0, 1], [0, 1])  # player n holds action n
+        F = np.concatenate([cx.mean(axis=0), cu[own]])
+        J = np.vstack([np.concatenate([cxx, cxu], axis=2).mean(axis=0),
+                       np.concatenate([cxu.swapaxes(1, 2), cuu], axis=2)[own]])
+        return eta * F + v - w, eta * J + np.eye(4)
+
+    @pytest.mark.parametrize("with_rows", [False, True])
+    def test_non_quadratic_stages_match_the_vi_oracle(self, with_rows):
+        # Stages 0 and 1 are quadratic, 2-4 quartic: they leave the stacked
+        # Newton loop after different numbers of steps.
+        game, y, z = quartic_stage_game(3, with_rows=with_rows)
+        eta = 0.3
+        if with_rows:
+            xs, us = resolvent_reg_static_games(game, y, z, eta)
+        else:
+            xs, us = resolvent_static_games_uncon(game, y, z, eta)
+        binding = 0
+        for k in range(game.horizon + 1):
+            v, w = np.concatenate([xs[k], us[k]]), np.concatenate([y[k], z[k]])
+            project = lambda v: v
+            if with_rows:
+                g = np.concatenate(game.constraint_jacobians(k, v[:2], v[2:]), axis=1)[0]
+                p = game.constraints(k, np.zeros(2), np.zeros(2))[0]
+                project = lambda v: v - max(0.0, g @ v + p) * g / (g @ g)
+                binding += abs(g @ v + p) <= 1e-9
+            # v solves the stage game exactly when it solves the VI of the
+            # operator linearized at v, which the oracle solves on its own
+            F, J = self.stage_operator(game, k, v, w, eta)
+            ref = static_game_vi(J, np.zeros((4, 1)), F - J @ v, np.zeros(1), project)
+            np.testing.assert_allclose(v, ref, rtol=0, atol=1e-8)
+        assert binding or not with_rows
+
+    @pytest.mark.parametrize("quartic", [(0.0,), (0.0, 1.0, 0.0)])
+    @pytest.mark.parametrize("declared", [False, True])
+    def test_a_single_pending_stage_with_one_column(self, quartic, declared):
+        # A single stage without rows gives a (1, 4, 1) right-hand side, the
+        # shape whose 2-D form numpy 1.x and 2.x read differently: one stage
+        # in all (horizon 0), or the quartic stage alone after the first step.
+        game, y, z = quartic_stage_game(7, quartic=quartic)
+        game = dataclasses.replace(game, quadratic_costs=declared and not any(quartic))
+        xs, us = resolvent_static_games_uncon(game, y, z, 0.3)
+        for k in range(game.horizon + 1):
+            F, _ = self.stage_operator(game, k, np.concatenate([xs[k], us[k]]),
+                                       np.concatenate([y[k], z[k]]), 0.3)
+            assert np.max(np.abs(F)) <= 1e-9
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_declared_lq_games_solve_on_their_data(self, seed):
+        game, y, z = monotone_stage_game(seed, 4, 0.5, "general")
+        declared = dataclasses.replace(game, quadratic_costs=True)
+        xs, us = resolvent_reg_static_games(game, y, z, 0.5)
+        dx, du = resolvent_reg_static_games(declared, y, z, 0.5)
+        scale = 1.0 + np.max(np.abs(np.hstack([xs, us])))
+        assert np.max(np.abs(np.hstack([dx - xs, du - us]))) <= 1e-12 * scale
+        rx, ru = resolvent_reg_static_games(declared, y, z, 0.5, lq.padded_rows(game),
+                                            lq.extract_lq_data(declared))
+        assert np.array_equal(rx, dx) and np.array_equal(ru, du)
+
+    @pytest.mark.parametrize("declared", [False, True])
+    def test_a_misshapen_cost_hessian_names_its_stage(self, declared):
+        game, y, z = quartic_stage_game(0, quartic=(0.0, 0.0, 0.0, 0.0))
+        hess = game.cost_hessians
+        game = dataclasses.replace(
+            game, quadratic_costs=declared,
+            cost_hessians=at_stage(2, hess, lambda k, x, u: (np.ones((2, 1, 1)),
+                                                             *hess(k, x, u)[1:])))
+        with pytest.raises(DimensionError, match="stage 2") as exc:
+            resolvent_static_games_uncon(game, y, z, 0.3)
+        assert exc.value.stage == 2
+        with pytest.raises(DimensionError, match="stage 2") as exc:
+            local_lq(game, np.zeros((4, 2)), np.zeros((4, 2)))
+        assert exc.value.stage == 2
+
+    @staticmethod
+    def failing_at(stage, how, eta, quartic=(0.0,) * 5):
+        """A ``quartic_stage_game`` with rows whose stage game ``stage`` fails as ``how`` says.
+
+        ``budget`` gives the stage a quartic cost, which needs more than the
+        two Newton evaluations a quadratic stage needs.
+        """
+        weights = np.array(quartic)
+        weights[stage] = 1.0 if how == "budget" else weights[stage]
+        game, y, z = quartic_stage_game(5, quartic=tuple(weights), with_rows=True)
+        if how == "non-finite":
+            game = dataclasses.replace(game, cost_gradients=at_stage(
+                stage, game.cost_gradients, lambda k, x, u: (np.full((2, 2), np.nan),
+                                                             np.zeros((2, 2)))))
+        elif how == "singular":  # J_k = -I / eta, so I + eta J_k = 0
+            blocks = (np.tile(-np.eye(2) / eta, (2, 1, 1)), np.zeros((2, 2, 2)),
+                      np.tile(-np.eye(2) / eta, (2, 1, 1)))
+            game = dataclasses.replace(game, cost_hessians=at_stage(
+                stage, game.cost_hessians, lambda k, x, u: blocks))
+        elif how == "ray":  # u_0 <= -1 and u_0 >= 1
+            game = dataclasses.replace(
+                game,
+                constraints=at_stage(stage, game.constraints,
+                                     lambda k, x, u: np.array([u[0] + 1.0, 1.0 - u[0]])),
+                constraint_jacobians=at_stage(
+                    stage, game.constraint_jacobians,
+                    lambda k, x, u: (np.zeros((2, 2)), np.array([[1.0, 0.0], [-1.0, 0.0]]))))
+        return game, y, z
+
+    @pytest.mark.parametrize("how, says", [
+        ("non-finite", "not finite"), ("singular", "singular Jacobian"),
+        ("budget", "did not converge in 2 Newton steps"), ("ray", "ended on a ray")])
+    def test_a_failing_middle_stage_is_named(self, monkeypatch, how, says):
+        monkeypatch.setattr(splitting, "INNER_MAX_ITER", 2)
+        game, y, z = self.failing_at(2, how, 0.5)
+        with pytest.raises(SubproblemError, match=f"stage 2.*{says}"):
+            resolvent_reg_static_games(game, y, z, 0.5)
+        if how != "ray":
+            with pytest.raises(SubproblemError, match=f"stage 2.*{says}"):
+                resolvent_static_games_uncon(game, y, z, 0.5)
+
+    @pytest.mark.parametrize("how", ["non-finite", "singular", "ray"])
+    def test_the_first_failing_stage_in_stage_order_is_named(self, monkeypatch, how):
+        # Stage 3 fails at the first step, stage 1 only when the budget of
+        # two steps is spent: stage by stage, stage 1 fails first.
+        monkeypatch.setattr(splitting, "INNER_MAX_ITER", 2)
+        game, y, z = self.failing_at(3, how, 0.5, quartic=(0.0, 1.0, 0.0, 0.0, 0.0))
+        with pytest.raises(SubproblemError, match="stage 1 regularized static game did not "
+                                                  "converge"):
+            resolvent_reg_static_games(game, y, z, 0.5)
+        monkeypatch.setattr(splitting, "INNER_MAX_ITER", 300)
+        with pytest.raises(SubproblemError, match="stage 3"):
+            resolvent_reg_static_games(game, y, z, 0.5)
+
 class TestDynamicsProjection:
     def test_feasible_unchanged(self, rng):
         game, _ = random_lq_game(rng, T=3)
@@ -691,6 +872,31 @@ class TestDrSolve:
         game, _ = random_lq_game(rng, T=2, shared_state_cost=True)
         rep = dr_solve(game, DrConfig(max_iter=0, record_costs=False, run_checks=False))
         assert rep.iterations == 0 and rep.termination == TERM_MAX_ITER
+
+    @pytest.mark.parametrize("scheme", [SCHEME_DYNAMICS, SCHEME_GRADIENT])
+    def test_static_game_schemes_read_the_costs_once_per_solve(self, rng, scheme):
+        # A declared linear-quadratic game's stage operators come from the
+        # solve's one read, so three more steps make no more cost callbacks.
+        game, _, _ = cross_scheme_lq_instance(rng)
+        calls = []
+
+        def counted(name, callback):
+            def wrapped(*args):
+                calls.append(name)
+                return callback(*args)
+            return wrapped
+
+        game = dataclasses.replace(game, cost_gradients=counted("g", game.cost_gradients),
+                                   cost_hessians=counted("h", game.cost_hessians))
+        counts = []
+        for max_iter in (3, 6):
+            calls.clear()
+            # at tol 1e-300 neither the step test nor the polish ends the run
+            rep = dr_solve(game, DrConfig(scheme=scheme, eta=0.1, max_iter=max_iter,
+                                          tol=1e-300, record_costs=False, run_checks=False))
+            assert rep.iterations == max_iter and rep.termination == TERM_MAX_ITER
+            counts.append((calls.count("g"), calls.count("h")))
+        assert counts[0] == counts[1]
 
     @pytest.mark.parametrize("scheme", [SCHEME_DYNAMICS, SCHEME_GRADIENT])
     def test_static_game_resolvents_get_the_inner_budget(self, rng, monkeypatch, scheme):
