@@ -306,8 +306,8 @@ def run(config: RunConfig) -> int:
         "natural_residual": report.natural_residual,
         "player_costs": [float(c) for c in report.final_costs],
         "playerwise_check": [
-            {"player": v.player, "verdict": v.verdict,
-             "grad_norm": v.grad_norm, "flags": list(v.flags)}
+            {"player": v.player, "verdict": v.verdict, "grad_norm": v.grad_norm,
+             "min_reduced_eig": v.min_reduced_eig, "flags": list(v.flags)}
             for v in report.verdicts
         ],
     }

@@ -12,8 +12,9 @@ computed in O(T) by propagating per-player costate rows backward:
 
 where cx, cu are stage cost gradients and A, B the dynamics Jacobians, all
 evaluated along the given trajectory.  F is the operator of the variational
-inequality whose solutions are equilibrium candidates; its Jacobian is probed
-by central differences in the same layout (``_operator_jacobian``).
+inequality whose solutions are equilibrium candidates; its Jacobian rows are
+rows of the players' cost Hessians, read exactly from the local LQ data
+(``_cost_hessian``).
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import DynGameError
-from .model import GameDefinition, LqGameData, Trajectory, check_feasible, quadraticize, rollout
+from .model import (GameDefinition, LqGameData, Trajectory, check_feasible, local_lq,
+                    quadraticize, rollout)
 
 Array = np.ndarray
 
@@ -117,38 +119,50 @@ def estimate_operator_constants(game: GameDefinition) -> tuple[float, float]:
     """Monotonicity and Lipschitz constants of the game operator F.
 
     Valid for games whose F is affine in the actions (linear dynamics,
-    quadratic costs): the operator matrix is probed column by column in the
-    flat joint-action layout (see ``_operator_jacobian``), mu is the smallest
-    eigenvalue of its symmetric part and L its largest singular value.  For
-    other games the constants must be supplied by the caller.
+    quadratic costs).  Row j of F's Jacobian in the flat joint-action layout
+    is row j of its owner's ``_cost_hessian``, read along the rollout of zero
+    actions.  mu is the smallest eigenvalue of its symmetric part and L its
+    largest singular value; other games must supply their own constants.
     """
-    base_actions = np.zeros((game.horizon + 1, game.total_action_dim))
-    op = _operator_jacobian(game, game.initial_state, base_actions,
-                            np.arange(base_actions.size), step=1.0)
+    zeros = np.zeros((game.horizon + 1, game.total_action_dim))
+    data = local_lq(game, rollout(game, game.initial_state, zeros).states, zeros)
+    dz = _sensitivities(data, np.arange(zeros.size))
+    owner = np.tile(game.owner, game.horizon + 1)
+    op = np.empty((zeros.size, zeros.size))
+    for n in range(game.num_players):
+        op[owner == n] = _cost_hessian(data, n, dz)[owner == n]
     mu = float(np.min(np.linalg.eigvalsh(0.5 * (op + op.T))))
     L = float(np.max(np.linalg.svd(op, compute_uv=False)))
     return mu, L
 
 
-def _operator_jacobian(game: GameDefinition, x0: Array, actions: Array,
-                       idx: Array, step: float) -> Array:
-    """Central-difference Jacobian of F on the flat action coordinates ``idx``.
+def _sensitivities(data: LqGameData, cols: Array) -> Array:
+    """dz_k/du over the flat action coordinates ``cols``: (T+1, n_x+n_u, len(cols)).
 
-    Column c is (F(u + step e_j) - F(u - step e_j)) / (2 step) at j = idx[c],
-    restricted to the rows ``idx``, with u = ``actions`` flattened row-major
-    and each probe rolled out from ``x0`` (so not rechecked against the
-    dynamics).  Exact for affine F at any step.
+    z_k = (x_k, u_k); coordinate k n_u + i is action i at stage k.  The state
+    rows run forward from dx_0 = 0 as dx_{k+1} = A_k dx_k + B_k du_k.
     """
-    def F(u):
-        return pseudo_gradient(game, rollout(game, x0, u), feas_tol=np.inf).own.ravel()[idx]
+    n_x, n_u = data.Q.shape[-1], data.R.shape[-1]
+    ks, js = np.divmod(cols, n_u)
+    dz = np.zeros((data.R.shape[1], n_x + n_u, cols.size))
+    dz[ks, n_x + js, np.arange(cols.size)] = 1.0
+    for k in range(data.A.shape[0]):
+        dz[k + 1, :n_x] = data.A[k] @ dz[k, :n_x] + data.B[k] @ dz[k, n_x:]
+    return dz
 
-    J = np.empty((idx.size, idx.size))
-    for c, j in enumerate(idx):
-        up, dn = actions.copy(), actions.copy()
-        up.flat[j] += step
-        dn.flat[j] -= step
-        J[:, c] = (F(up) - F(dn)) / (2.0 * step)
-    return J
+
+def _cost_hessian(data: LqGameData, n: int, dz: Array) -> Array:
+    """Exact Hessian of J_n over the coordinates of ``_sensitivities``' ``dz``.
+
+    Sum_k dz_k' M_k dz_k in one GEMM, M_k being player n's cost blocks
+    [[Q, X], [X', R]]_k plus the dynamics Hessians weighted by its costates,
+    sum_i Om_{n,k+1,i} G_{k,i}: the curvature the states carry.
+    """
+    om = solve_costates(data.A, data.q[n, :, None])[:, 0]
+    M = np.block([[data.Q[n], data.X[n]], [data.X[n].swapaxes(1, 2), data.R[n]]])
+    M[:-1] += np.einsum("ki,kiab->kab", om[1:], data.G)
+    flat = dz.reshape(-1, dz.shape[-1])
+    return flat.T @ (M @ dz).reshape(flat.shape)
 
 
 VERDICT_BLOCKED = "strict-descent-blocked"
@@ -158,6 +172,19 @@ VERDICT_INDETERMINATE = "indeterminate"
 
 @dataclass
 class PlayerVerdict:
+    """One player's verdict; ``grad_norm`` is its own gradient's largest entry.
+
+    ``strict-descent-blocked``: a nonzero own gradient in a constrained game,
+    so at a VI solution the constraints block first-order descent.
+    ``stationary-convex``: a vanishing gradient, and the own-cost Hessian on
+    the directions no active row pins is positive semidefinite (to
+    ``HESSIAN_EIG_TOL``) or no direction is left.  ``indeterminate``:
+    neither, flagged ``nonzero-gradient-unconstrained`` or
+    ``negative-curvature``.  ``min_reduced_eig`` is that reduced Hessian's
+    least eigenvalue, None when the curvature test did not run or had no
+    direction left.
+    """
+
     player: int
     verdict: str
     grad_norm: float
@@ -177,15 +204,16 @@ def playerwise_minimizer_check(game: GameDefinition, traj: Trajectory) -> list[P
     block triggers a curvature test of the player's own Hessian restricted
     to the feasible directions (null space of the active constraint rows).
     A nonzero gradient without any constraints cannot certify a minimizer
-    and is reported as indeterminate.
+    and is reported as indeterminate.  The local LQ data is read once, at
+    the first player the curvature test reaches.
     """
     pg = pseudo_gradient(game, traj)
     u_scale = 1.0 + float(np.max(np.abs(traj.actions), initial=0.0))
+    owner = np.tile(game.owner, game.horizon + 1)
     data = None
     verdicts = []
     for n in range(game.num_players):
-        g = pg.block(n)
-        gnorm = float(np.max(np.abs(g), initial=0.0))
+        gnorm = float(np.max(np.abs(pg.block(n)), initial=0.0))
         if gnorm > STATIONARITY_RTOL * u_scale:
             if game.constraints is None:
                 verdicts.append(PlayerVerdict(n, VERDICT_INDETERMINATE, gnorm,
@@ -193,65 +221,35 @@ def playerwise_minimizer_check(game: GameDefinition, traj: Trajectory) -> list[P
             else:
                 verdicts.append(PlayerVerdict(n, VERDICT_BLOCKED, gnorm))
             continue
-        H = _own_block_hessian(game, traj, n)
-        if data is None and game.constraints is not None:
+        if data is None:
             data = quadraticize(game, traj, feas_tol=np.inf)  # checked above
-        Z = _feasible_direction_basis(game, data, n)
-        reduced = Z.T @ H @ Z
+        dz = _sensitivities(data, np.flatnonzero(owner == n))
+        Z = _feasible_direction_basis(data, dz)
+        reduced = Z.T @ _cost_hessian(data, n, dz) @ Z
         if reduced.size == 0:
             # Every direction pinned by active constraints: trivially convex.
-            verdicts.append(PlayerVerdict(n, VERDICT_CONVEX, gnorm, min_reduced_eig=None))
+            verdicts.append(PlayerVerdict(n, VERDICT_CONVEX, gnorm))
             continue
         lam = float(np.min(np.linalg.eigvalsh(0.5 * (reduced + reduced.T))))
-        if lam >= -HESSIAN_EIG_TOL * (1.0 + abs(float(np.max(np.abs(reduced))))):
+        if lam >= -HESSIAN_EIG_TOL * (1.0 + float(np.max(np.abs(reduced)))):
             verdicts.append(PlayerVerdict(n, VERDICT_CONVEX, gnorm, min_reduced_eig=lam))
         else:
-            verdicts.append(PlayerVerdict(n, VERDICT_INDETERMINATE, gnorm,
-                                          min_reduced_eig=lam,
+            verdicts.append(PlayerVerdict(n, VERDICT_INDETERMINATE, gnorm, min_reduced_eig=lam,
                                           flags=("negative-curvature",)))
     return verdicts
 
 
-def _own_block_hessian(game: GameDefinition, traj: Trajectory, n: int) -> Array:
-    """Central-difference Hessian of J_n with respect to player n's actions.
+def _feasible_direction_basis(data: LqGameData, dz: Array) -> Array:
+    """Orthonormal basis of the directions over ``dz``'s coordinates not pinned by active rows.
 
-    Player n's rows and columns of F's Jacobian, ordered like ``block(n)``,
-    symmetrized.  Each probe re-rolls out the dynamics, so the result is the
-    true reduced Hessian (states eliminated).
+    An active row of ``data`` at stage k reads them through [W_k S_k] dz_k;
+    the basis spans these rows' null space, from a rank-revealing SVD.
     """
-    base = traj.actions
-    cols = np.arange(base.size).reshape(base.shape)[:, game.action_slice(n)].ravel()
-    h = float(np.finfo(float).eps) ** (1.0 / 3.0) * (1.0 + float(np.max(np.abs(base))))
-    H = _operator_jacobian(game, traj.states[0], base, cols, h)
-    return 0.5 * (H + H.T)
-
-
-def _feasible_direction_basis(game: GameDefinition, data: Optional[LqGameData],
-                              n: int) -> Array:
-    """Orthonormal basis of player n's directions not pinned by active rows.
-
-    ``data`` is the trajectory's local LQ data with its rows (None for a game
-    without constraints).  An active row at stage k reads player n's stacked
-    actions through S_k and, when it reads the state, through W_k dx_k/du_n,
-    the state sensitivities of the dynamics.  The basis spans the null space
-    of these rows, from a rank-revealing SVD.
-    """
-    sl = game.action_slice(n)
-    T1, d = game.horizon + 1, sl.stop - sl.start
-    ks, rs = np.nonzero(data.active) if data is not None else ((), ())
+    ks, rs = np.nonzero(data.active)
     if not len(ks):
-        return np.eye(T1 * d)
-    W = data.rows.W[ks, rs]
-    Jg = np.zeros((len(ks), T1, d))
-    if np.any(W != 0.0):
-        sens = np.zeros((T1, game.state_dim, T1, d))  # dx_k/du_{n,j}, forward in k
-        for k in range(T1 - 1):
-            sens[k + 1] = np.tensordot(data.A[k], sens[k], axes=1)
-            sens[k + 1, :, k] += data.B[k][:, sl]
-        Jg = np.einsum("ai,aijc->ajc", W, sens[ks])
-    Jg[np.arange(len(ks)), ks] = data.rows.S[ks, rs, sl]
-    Jg = Jg.reshape(len(ks), T1 * d)
+        return np.eye(dz.shape[-1])
+    rows = np.concatenate([data.rows.W[ks, rs], data.rows.S[ks, rs]], axis=1)
+    Jg = np.einsum("az,azc->ac", rows, dz[ks])
     _, sv, vt = np.linalg.svd(Jg, full_matrices=True)
-    tol = max(Jg.shape) * np.finfo(float).eps * (sv[0] if sv.size else 0.0)
-    rank = int(np.sum(sv > tol))
+    rank = int(np.sum(sv > max(Jg.shape) * np.finfo(float).eps * sv[0]))
     return vt[rank:].T

@@ -14,6 +14,8 @@ Local derivative data has one layout, ``LqGameData``: a linear-quadratic
 game, stacked over stages, in deviations (x - xbar, u - ubar) from a
 reference trajectory.  ``local_lq`` reads it, ``quadraticize`` around a
 feasible trajectory with the rows, ``lq.extract_lq_data`` at the origin.
+Every second-order reader takes it from these: the stagewise Newton pass,
+the DR resolvents, and ``gradient``'s curvature test and operator constants.
 The stage rows have one layout too, ``PaddedRows``, and one reader,
 ``read_rows``, which reads every stage once; ``quadraticize`` marks the
 active rows with a mask of the same shape.
@@ -262,25 +264,14 @@ class GameDefinition:
 
     def eval_traj_cost_hessians(self, states: Array,
                                 actions: Array) -> tuple[Array, Array, Array]:
-        """Stacked cost Hessian blocks: (T+1, N, n_x, n_x), (T+1, N, n_x, n_u), (T+1, N, n_u, n_u).
-
-        Read stage by stage and checked as a stack; a block of the wrong
-        shape raises DimensionError naming its stage.
-        """
+        """Stacked cost Hessians (T+1, N, n_x, n_x), (T+1, N, n_x, n_u) and (T+1, N, n_u, n_u)."""
         N, n_x, n_u = self.num_players, self.state_dim, self.total_action_dim
         shapes = {"cost state Hessians": (N, n_x, n_x), "cost cross Hessians": (N, n_x, n_u),
                   "cost action Hessians": (N, n_u, n_u)}
         read = [self.eval_cost_hessians(k, states[k], actions[k])
                 for k in range(self.horizon + 1)]
-        stacked = []
-        for (what, shape), blocks in zip(shapes.items(), zip(*read)):
-            try:
-                stacked.append(_checked(what, blocks, (self.horizon + 1,) + shape))
-            except DimensionError:  # name the first stage at fault
-                for k, block in enumerate(blocks):
-                    _checked(what, block, shape, stage=k)
-                raise
-        return tuple(stacked)
+        return tuple(_checked_stages(what, blocks, shape)
+                     for (what, shape), blocks in zip(shapes.items(), zip(*read)))
 
     def eval_traj_dynamics_jacobians(self, states: Array, actions: Array) -> tuple[Array, Array]:
         """Stacked dynamics Jacobians of stages k < T: (T, n_x, n_x) and (T, n_x, n_u)."""
@@ -353,6 +344,16 @@ def _checked(what: str, data, shape: tuple, stage: Optional[int] = None) -> Arra
             raise DimensionError(what, shape, arr.shape, stage=stage)
         arr = arr.reshape(shape)
     return arr
+
+
+def _checked_stages(what: str, blocks: list, shape: tuple) -> Array:
+    """Per-stage ``blocks`` of ``shape`` as one stack; a misfit names its first stage."""
+    try:
+        return _checked(what, blocks, (len(blocks),) + shape)
+    except DimensionError:
+        for k, block in enumerate(blocks):
+            _checked(what, block, shape, stage=k)
+        raise
 
 
 def _fd_jacobian(f, z, n_out, what, stage):
@@ -638,8 +639,9 @@ def local_lq(game: GameDefinition, states: Array, actions: Array,
     cxx, cxu, cuu = (H.swapaxes(0, 1) for H in game.eval_traj_cost_hessians(states, actions))
     G = np.zeros((T, game.state_dim, n_z, n_z))
     if not game.linear_dynamics:
-        G = _checked("dynamics Hessians", [game.eval_dynamics_hessians(k, states[k], actions[k])
-                                           for k in range(T)], G.shape)
+        G = _checked_stages("dynamics Hessians",
+                            [game.eval_dynamics_hessians(k, states[k], actions[k])
+                             for k in range(T)], G.shape[1:])
         G = 0.5 * (G + G.swapaxes(2, 3))
     data = LqGameData(A=A, B=B, b=b, Q=0.5 * (cxx + cxx.swapaxes(2, 3)), X=cxu,
                       R=0.5 * (cuu + cuu.swapaxes(2, 3)),

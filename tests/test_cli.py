@@ -101,6 +101,8 @@ class TestRuns:
         report = json.loads((out / "report.json").read_text())
         assert report["converged"] == (code == EXIT_OK)
         assert len(report["player_costs"]) == 2
+        assert [sorted(e) for e in report["playerwise_check"]] == 2 * [
+            ["flags", "grad_norm", "min_reduced_eig", "player", "verdict"]]
         assert "player_profits" in report
         assert report["simulation"]["n_runs"] == 4
         header = (out / "trajectory.csv").read_text().splitlines()[0]

@@ -523,6 +523,17 @@ class TestStackedReader:
         data = quadraticize(dataclasses.replace(game, dynamics_hessians=boom), traj)
         assert np.all(data.G == 0.0)
 
+    def test_a_misshapen_dynamics_hessian_names_its_stage(self, rng):
+        game, traj = reader_case("fishery", rng)
+        hess = game.dynamics_hessians
+
+        def misshapen_at_3(k, x, u):
+            return np.zeros((1, 2, 2)) if k == 3 else hess(k, x, u)
+
+        with pytest.raises(DimensionError, match="dynamics Hessians at stage 3") as exc:
+            quadraticize(dataclasses.replace(game, dynamics_hessians=misshapen_at_3), traj)
+        assert exc.value.stage == 3
+
 
 class TestActiveSets:
     @staticmethod
