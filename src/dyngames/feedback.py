@@ -2,13 +2,13 @@
 
 Around a reference trajectory the game is replaced by its linear-quadratic
 approximation with the active inequality constraints pinned as equalities.
-One backward sweep propagates per-player value matrices and solves an
-equality-constrained quadratic stage game at every step, producing affine
-gains ``du_k = K_k dx_k + s_k`` in O(T) work.  At an open-loop equilibrium
-reference the offsets vanish and the policy reduces to
-``u_k = ubar_k + K_k (x_k - xbar_k)``.  The pass is the policy pass only:
-open-loop Newton steps on a game are solved by the banded ``lq`` kernel
-instead (``splitting.resolvent_reg_game``).
+One backward sweep carries each player's value Hessian and costate row from
+stage to stage and solves an equality-constrained quadratic stage game at
+every step, producing affine gains ``du_k = K_k dx_k + s_k`` in O(T) work.
+At an open-loop equilibrium reference the offsets vanish and the policy
+reduces to ``u_k = ubar_k + K_k (x_k - xbar_k)``.  The pass is the policy
+pass only: open-loop Newton steps on a game are solved by the banded ``lq``
+kernel instead (``splitting.resolvent_reg_game``).
 
 For affine dynamics with polyhedral constraints the same policy, computed on
 a tightened copy of the problem, is an approximate feedback equilibrium of
@@ -41,8 +41,8 @@ from .model import (
     GameDefinition,
     LqGameData,
     Trajectory,
+    _checked,
     quadraticize,
-    rollout,
 )
 from .parametric import solve_stage_kkt
 
@@ -54,21 +54,23 @@ VIOLATION_TOL = 1e-7
 
 @dataclass
 class FeedbackPolicy:
-    """Per-stage affine feedback around a reference trajectory.
+    """Per-stage affine feedback du = K_k dx + s_k around a reference trajectory.
 
-    ``gains[k]`` and ``offsets[k]`` define du = K dx + s at stage k.  The
-    per-player value matrices ``lam[n, k]`` are the (1+n_x)-square blocks of
-    the local quadratic value functions; ``omega[n, k]`` are the costate
-    rows; ``gamma[k]`` holds the players' stage expansion matrices.
+    ``gains`` (T+1, n_u, n_x) and ``offsets`` (T+1, n_u) are stacked over
+    the stages of ``reference``.  Per-stage lists are stacked at
+    construction; any other shape raises DimensionError.
     """
 
     reference: Trajectory
-    gains: list[Array]
-    offsets: list[Array]
-    lam: Array
-    omega: Array
-    gamma: list[Array]
+    gains: Array
+    offsets: Array
     action_dims: tuple[int, ...]
+
+    def __post_init__(self):
+        T1, n_x = self.reference.states.shape
+        n_u = sum(self.action_dims)
+        self.gains = _checked("feedback gains", self.gains, (T1, n_u, n_x))
+        self.offsets = _checked("feedback offsets", self.offsets, (T1, n_u))
 
     @property
     def horizon(self) -> int:
@@ -85,7 +87,7 @@ class FeedbackPolicy:
         reference carries a small solver residual this form avoids replaying
         that residual as a deterministic drift.
         """
-        return replace(self, offsets=[np.zeros_like(s) for s in self.offsets])
+        return replace(self, offsets=np.zeros_like(self.offsets))
 
 
 def stagewise_newton_backward(game: GameDefinition, traj: Trajectory,
@@ -111,79 +113,49 @@ def stagewise_newton_backward(game: GameDefinition, traj: Trajectory,
     data = quadraticize(game, traj, active_tol=active_tol, feas_tol=feas_tol)
     T = game.horizon
     N, n_x, n_u = game.num_players, game.state_dim, game.total_action_dim
-    nz = 1 + n_x + n_u
-    ix, iu = slice(1, 1 + n_x), slice(1 + n_x, nz)
-    M = _stage_blocks(data)
+    nz = n_x + n_u
+    C = data.stage_hessians()
+    grads = np.concatenate([data.q, data.r], axis=2)
     AB = np.concatenate([data.A, data.B], axis=2)
-    left = np.zeros((1 + n_x, nz))
-    left[0, 0] = 1.0
-    left[1:, ix] = np.eye(n_x)
     # every player's rows of its own action block, as one fancy index
-    own_rows = 1 + n_x + np.arange(n_u)
-    reg = stage_reg * np.eye(n_u)
-    GG = data.G.reshape(T, n_x, (n_x + n_u) ** 2)
+    own_rows = n_x + np.arange(n_u)
+    GG = data.G.reshape(T, n_x, nz * nz)
     rows = data.rows
+    eye, reg = np.eye(n_x), stage_reg * np.eye(n_u)
 
-    lam = np.zeros((N, T + 2, 1 + n_x, 1 + n_x))
-    omega = np.zeros((N, T + 2, n_x))
-    gains: list[Array] = [None] * (T + 1)
-    offsets: list[Array] = [None] * (T + 1)
-    gammas: list[Array] = [None] * (T + 1)
-
+    # stage k+1's value Hessians P and costate rows om, for every player
+    P, om = np.zeros((N, n_x, n_x)), np.zeros((N, n_x))
+    gains, offsets = np.empty((T + 1, n_u, n_x)), np.empty((T + 1, n_u))
     for k in range(T, -1, -1):
-        G = M[:, k].copy()
+        Gam, grad = C[:, k], grads[:, k]
         if k < T:
-            ln, om = lam[:, k + 1], omega[:, k + 1]
-            # First-order rows propagate through the Lagrangian costate
+            # First-order terms propagate through the Lagrangian costate
             # rather than the policy-substituted value gradient: this keeps
             # equilibrium references exact fixed points of the recursion
             # (the substituted gradient would pick up the opponents'
             # feedback-reaction terms, which do not vanish at an open-loop
             # equilibrium).  Gains are unaffected; curvature still
             # propagates through the closed loop.
-            pull = om @ AB[k]
-            G[:, 0, 0] += ln[:, 0, 0]
-            G[:, 0, 1:] += pull
-            G[:, 1:, 0] += pull
-            G[:, 1:, 1:] += (AB[k].T @ ln[:, 1:, 1:] @ AB[k]
-                             + (om @ GG[k]).reshape(N, n_x + n_u, n_x + n_u))
-        gamma_k = 0.5 * (G + G.swapaxes(1, 2))
-        own = gamma_k[game.owner, own_rows]
-        F, P, H = own[:, iu], own[:, ix], own[:, 0]
+            grad = grad + om @ AB[k]
+            Gam = Gam + (AB[k].T @ P @ AB[k] + (om @ GG[k]).reshape(N, nz, nz))
+        Gam = 0.5 * (Gam + Gam.swapaxes(1, 2))
+        own = Gam[game.owner, own_rows]
         act = data.active[k]
         Wa, Sa, pa = rows.W[k, act], rows.S[k, act], rows.p[k, act]
-        if stage_reg:
-            F = F + reg
-        law = solve_stage_kkt(F, P, H, Wa, Sa, pa, stage=k)
-        K, s = law.K, law.s
-        # Congruence update of the value matrices; symmetric by construction.
-        left[0, iu] = s
-        left[1:, iu] = K.T
-        ln = left @ gamma_k @ left.T
-        lam[:, k] = 0.5 * (ln + ln.swapaxes(1, 2))
-        omega[:, k] = data.q[:, k]
-        if k < T:
-            omega[:, k] += omega[:, k + 1] @ data.A[k]
+        law = solve_stage_kkt(own[:, n_x:] + reg, own[:, :n_x], grad[game.owner, own_rows],
+                              Wa, Sa, pa, stage=k)
+        # Congruence update of the value Hessians; symmetric by construction.
+        L = np.vstack([eye, law.K])
+        P = L.T @ Gam @ L
+        P = 0.5 * (P + P.swapaxes(1, 2))
+        om = data.q[:, k] + om @ data.A[k] if k < T else data.q[:, k]
         if Wa.shape[0]:
             # Active rows contribute their multiplier pullback to the
             # costate, as in the stagewise KKT of the pinned problem.
-            omega[:, k] += law.lam_s @ Wa
-        gains[k], offsets[k], gammas[k] = K, s, gamma_k
+            om = om + law.lam_s @ Wa
+        gains[k], offsets[k] = law.K, law.s
     return FeedbackPolicy(reference=traj.copy(), gains=gains, offsets=offsets,
-                          lam=lam, omega=omega, gamma=gammas,
                           action_dims=game.action_dims)
-
-
-def _stage_blocks(data: LqGameData) -> Array:
-    """Every player's (1+n_x+n_u)-square stage expansion matrix M: (N, T+1, ...).
-
-    ``0.5 * [1, dx, du]' M [1, dx, du]`` is the local Taylor expansion of the
-    stage cost, so the scalar block holds twice the stage cost.
-    """
-    c, q, r = 2.0 * data.c[..., None, None], data.q[..., None, :], data.r[..., None, :]
-    return np.block([[c, q, r],
-                     [q.swapaxes(2, 3), data.Q, data.X],
-                     [r.swapaxes(2, 3), data.X.swapaxes(2, 3), data.R]])
 
 
 @dataclass
@@ -317,16 +289,16 @@ def epsilon_nash_gap(game: GameDefinition, policy: FeedbackPolicy,
             f"policy rollout violates the game's rows at stage {start + worst}",
             max_violation=float(roll.constraint_violations[worst]))
     data = extract_lq_data(game)
-    blocks = _stage_blocks(data)[player, start:, 1:, 1:]
-    _check_best_response_convex(blocks, data.A, data.B, policy.gains, own, player, start)
+    _check_best_response_convex(data.stage_hessians()[player, start:], data.A, data.B,
+                                policy.gains, own, player, start)
 
     # the game's rows from ``start`` on, then the opponents' policy rows
     # u^-n_k - K^-n_k x_k - c_k = 0, held
     opp = np.delete(np.arange(n_u), own)
     ref = policy.reference
-    K = np.stack(policy.gains[start:])[:, opp]
+    K = policy.gains[start:, opp]
     c = (ref.actions[start:, opp] - (K @ ref.states[start:, :, None])[..., 0]
-         + np.stack(policy.offsets[start:])[:, opp])
+         + policy.offsets[start:, opp])
     rows = lq.padded_rows(game)
     policy_rows = (-K, np.broadcast_to(np.eye(n_u)[opp], K.shape[:2] + (n_u,)), -c,
                    np.zeros(c.shape, dtype=bool))
@@ -349,7 +321,7 @@ def epsilon_nash_gap(game: GameDefinition, policy: FeedbackPolicy,
     return float(J[0] - J[1])
 
 
-def _check_best_response_convex(blocks: Array, A: Array, B: Array, gains: list[Array],
+def _check_best_response_convex(blocks: Array, A: Array, B: Array, gains: Array,
                                 own: slice, player: int, start: int) -> None:
     """Raise SubproblemError unless the player's closed-loop best response is strictly convex.
 

@@ -154,12 +154,12 @@ def _sensitivities(data: LqGameData, cols: Array) -> Array:
 def _cost_hessian(data: LqGameData, n: int, dz: Array) -> Array:
     """Exact Hessian of J_n over the coordinates of ``_sensitivities``' ``dz``.
 
-    Sum_k dz_k' M_k dz_k in one GEMM, M_k being player n's cost blocks
-    [[Q, X], [X', R]]_k plus the dynamics Hessians weighted by its costates,
-    sum_i Om_{n,k+1,i} G_{k,i}: the curvature the states carry.
+    Sum_k dz_k' M_k dz_k in one GEMM, M_k being player n's stage Hessian
+    (``LqGameData.stage_hessians``) plus the dynamics Hessians weighted by
+    its costates, sum_i Om_{n,k+1,i} G_{k,i}: the curvature the states carry.
     """
     om = solve_costates(data.A, data.q[n, :, None])[:, 0]
-    M = np.block([[data.Q[n], data.X[n]], [data.X[n].swapaxes(1, 2), data.R[n]]])
+    M = data.stage_hessians()[n]
     M[:-1] += np.einsum("ki,kiab->kab", om[1:], data.G)
     flat = dz.reshape(-1, dz.shape[-1])
     return flat.T @ (M @ dz).reshape(flat.shape)

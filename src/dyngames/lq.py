@@ -212,14 +212,14 @@ def _kkt_factor(data: LqGameData, eta: Optional[float] = None,
         strides=(band.itemsize * nb * ldab, band.itemsize, band.itemsize * (ldab - 1)))
     D[:, ix:iu, nb + ix:nb + iu] = np.eye(n_x)
     D[1:, ix:iu, ix:lam] = -np.concatenate([data.A, data.B], axis=2)
-    XR = np.concatenate([data.X.swapaxes(2, 3), data.R], axis=3)  # (N, T+1, n_u, n_x + n_u)
-    D[:, iu:lam, nb + ix:nb + lam] = np.moveaxis(XR[owner, :, own], 0, 1)
+    C = data.stage_hessians()  # (N, T+1, n_x + n_u, n_x + n_u)
+    D[:, iu:lam, nb + ix:nb + lam] = np.moveaxis(C[owner, :, n_x + own], 0, 1)
     lam_cols = nb + lam + owner[:, None] * n_x + np.arange(n_x)
     D[:T, iu + own[:, None], lam_cols] = data.B.swapaxes(1, 2)
     diag = np.arange(lam, nb)
     D[:, diag, nb + diag] = -1.0
-    QX = np.concatenate([data.Q, data.X], axis=3)[:, 1:]  # (N, T, n_x, n_x + n_u)
-    D[:T, lam:, 2 * nb + ix:2 * nb + lam] = QX.swapaxes(0, 1).reshape(T, N * n_x, n_x + n_u)
+    QX = C[:, 1:, :n_x].swapaxes(0, 1)  # (T, N, n_x, n_x + n_u)
+    D[:T, lam:, 2 * nb + ix:2 * nb + lam] = QX.reshape(T, N * n_x, n_x + n_u)
     rows = (lam + np.arange(N)[:, None] * n_x + np.arange(n_x))[..., None]
     D[:T - 1, rows, 2 * nb + rows.swapaxes(1, 2)] = data.A[1:, None].swapaxes(2, 3)
     if m:

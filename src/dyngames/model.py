@@ -16,6 +16,8 @@ reference trajectory.  ``local_lq`` reads it, ``quadraticize`` around a
 feasible trajectory with the rows, ``lq.extract_lq_data`` at the origin.
 Every second-order reader takes it from these: the stagewise Newton pass,
 the DR resolvents, and ``gradient``'s curvature test and operator constants.
+They read the stage cost Hessians from one builder,
+``LqGameData.stage_hessians``; no reader needs the stage costs themselves.
 The stage rows have one layout too, ``PaddedRows``, and one reader,
 ``read_rows``, which reads every stage once; ``quadraticize`` marks the
 active rows with a mask of the same shape.
@@ -88,9 +90,10 @@ class GameDefinition:
     ``eval_traj_costs``, ``eval_traj_cost_gradients`` and
     ``eval_traj_dynamics_jacobians`` call the matching evaluator when present
     and otherwise stack the per-stage evaluators; either way the outputs are
-    shape-checked once per call and a mismatch raises DimensionError.
+    shape-checked once per call and a mismatch raises DimensionError, which
+    names the first misfit stage of a per-stage stack.
     ``eval_traj_cost_hessians`` has no hook: it stacks the per-stage
-    ``eval_cost_hessians``, and a mismatch names its stage.
+    ``eval_cost_hessians``.
 
     The analytic projector has only the whole-trajectory form:
     ``traj_projector(states, actions) -> (states, actions)`` projects every
@@ -176,9 +179,13 @@ class GameDefinition:
         return np.asarray(self.stage_costs(k, x, u), dtype=float).reshape(-1)
 
     def eval_constraints(self, k: int, x: Array, u: Array) -> Array:
+        """Stage k's row values g_k(x, u), 1-D; any other shape raises DimensionError."""
         if self.constraints is None:
             return np.zeros(0)
-        return np.atleast_1d(np.asarray(self.constraints(k, x, u), dtype=float))
+        g = np.atleast_1d(np.asarray(self.constraints(k, x, u), dtype=float))
+        if g.ndim != 1:
+            raise DimensionError("constraint rows", ("m_k",), g.shape, stage=k)
+        return g
 
     def eval_dynamics_jacobians(self, k: int, x: Array, u: Array) -> tuple[Array, Array]:
         """State and action Jacobians (A, B) of the stage dynamics."""
@@ -244,23 +251,24 @@ class GameDefinition:
     def eval_traj_costs(self, states: Array, actions: Array) -> Array:
         """Stage costs of every player at every stage: (T+1, N)."""
         if self.traj_costs is not None:
-            C = self.traj_costs(states, actions)
-        else:
-            C = [self.eval_costs(k, states[k], actions[k]) for k in range(self.horizon + 1)]
-        return _checked("trajectory costs", C, (self.horizon + 1, self.num_players))
+            return _checked("trajectory costs", self.traj_costs(states, actions),
+                            (self.horizon + 1, self.num_players))
+        return _checked_stages("trajectory costs", [self.eval_costs(k, states[k], actions[k])
+                                                    for k in range(self.horizon + 1)],
+                               (self.num_players,))
 
     def eval_traj_cost_gradients(self, states: Array, actions: Array) -> tuple[Array, Array]:
         """Stacked per-player cost gradients: (T+1, N, n_x) and (T+1, N, n_u)."""
+        shapes = {"trajectory cost state gradients": (self.num_players, self.state_dim),
+                  "trajectory cost action gradients": (self.num_players, self.total_action_dim)}
         if self.traj_cost_gradients is not None:
             CX, CU = self.traj_cost_gradients(states, actions)
-        else:
-            grads = [self.eval_cost_gradients(k, states[k], actions[k])
-                     for k in range(self.horizon + 1)]
-            CX, CU = [g[0] for g in grads], [g[1] for g in grads]
-        lead = (self.horizon + 1, self.num_players)
-        return (_checked("trajectory cost state gradients", CX, lead + (self.state_dim,)),
-                _checked("trajectory cost action gradients", CU,
-                         lead + (self.total_action_dim,)))
+            return tuple(_checked(what, arr, (self.horizon + 1,) + shape)
+                         for (what, shape), arr in zip(shapes.items(), (CX, CU)))
+        read = [self.eval_cost_gradients(k, states[k], actions[k])
+                for k in range(self.horizon + 1)]
+        return tuple(_checked_stages(what, [r[i] for r in read], shape)
+                     for i, (what, shape) in enumerate(shapes.items()))
 
     def eval_traj_cost_hessians(self, states: Array,
                                 actions: Array) -> tuple[Array, Array, Array]:
@@ -275,16 +283,16 @@ class GameDefinition:
 
     def eval_traj_dynamics_jacobians(self, states: Array, actions: Array) -> tuple[Array, Array]:
         """Stacked dynamics Jacobians of stages k < T: (T, n_x, n_x) and (T, n_x, n_u)."""
+        shapes = {"trajectory dynamics state Jacobians": (self.state_dim, self.state_dim),
+                  "trajectory dynamics action Jacobians": (self.state_dim, self.total_action_dim)}
         if self.traj_dynamics_jacobians is not None:
             A, B = self.traj_dynamics_jacobians(states, actions)
-        else:
-            jacs = [self.eval_dynamics_jacobians(k, states[k], actions[k])
-                    for k in range(self.horizon)]
-            A, B = [j[0] for j in jacs], [j[1] for j in jacs]
-        lead = (self.horizon, self.state_dim)
-        return (_checked("trajectory dynamics state Jacobians", A, lead + (self.state_dim,)),
-                _checked("trajectory dynamics action Jacobians", B,
-                         lead + (self.total_action_dim,)))
+            return tuple(_checked(what, arr, (self.horizon,) + shape)
+                         for (what, shape), arr in zip(shapes.items(), (A, B)))
+        read = [self.eval_dynamics_jacobians(k, states[k], actions[k])
+                for k in range(self.horizon)]
+        return tuple(_checked_stages(what, [r[i] for r in read], shape)
+                     for i, (what, shape) in enumerate(shapes.items()))
 
     def eval_traj_projection(self, states: Optional[Array],
                              actions: Array) -> tuple[Optional[Array], Array]:
@@ -532,9 +540,8 @@ def _raise_if_infeasible(res: Array, states: Array, tol: float) -> None:
 
 def _dynamics_offsets(game: GameDefinition, states: Array, actions: Array) -> Array:
     """f_k(x_k, u_k) - x_{k+1} for every stage k < T: (T, n_x)."""
-    T = game.horizon
-    pred = [game.eval_dynamics(k, states[k], actions[k]) for k in range(T)]
-    return _checked("dynamics outputs", pred, (T, game.state_dim)) - states[1:]
+    pred = [game.eval_dynamics(k, states[k], actions[k]) for k in range(game.horizon)]
+    return _checked_stages("dynamics outputs", pred, (game.state_dim,)) - states[1:]
 
 
 @dataclass(frozen=True)
@@ -585,13 +592,13 @@ class LqGameData:
     In deviations dx = x - xbar, du = u - ubar from a reference (xbar, ubar),
     dx+ = A_k dx + B_k du + b_k with b_k = f_k(xbar_k, ubar_k) - xbar_{k+1},
     from dx_0 = ``initial_state`` = x0 - xbar_0.  A, B and b have shapes
-    (T, n_x, ...).  Player n's stage cost is c + q'dx + r'du + 0.5 dx'Q dx
-    + dx'X du + 0.5 du'R du, with c, q, r, Q, X and R of shapes (N, T+1, ...)
-    indexed ``Q[n, k]``; Q and R are symmetric.  ``G`` (T, n_x, n_x+n_u,
-    n_x+n_u) holds the symmetrized second derivatives of each dynamics
-    output over (x, u).  ``rows`` holds every stage's rows W dx + S du + p
-    <= 0 and ``active`` (T+1, m) marks the active ones, the real rows with p
-    >= -active_tol; both are None when no rows were read.
+    (T, n_x, ...).  Player n's stage cost is, up to a constant, q'dx + r'du
+    + 0.5 dx'Q dx + dx'X du + 0.5 du'R du, with q, r, Q, X and R of shapes
+    (N, T+1, ...) indexed ``Q[n, k]``; Q and R are symmetric.  ``G`` (T,
+    n_x, n_x+n_u, n_x+n_u) holds the symmetrized second derivatives of each
+    dynamics output over (x, u).  ``rows`` holds every stage's rows W dx + S
+    du + p <= 0 and ``active`` (T+1, m) marks the active ones, the real rows
+    with p >= -active_tol; both are None when no rows were read.
     """
 
     A: Array
@@ -604,10 +611,14 @@ class LqGameData:
     r: Array
     action_dims: tuple[int, ...]
     initial_state: Array
-    c: Optional[Array] = None
     G: Optional[Array] = None
     rows: Optional[PaddedRows] = None
     active: Optional[Array] = None
+
+    def stage_hessians(self) -> Array:
+        """Every player's stage cost Hessian over (dx, du): [[Q, X], [X', R]], (N, T+1, ...)."""
+        return np.concatenate([np.concatenate([self.Q, self.X], axis=3),
+                               np.concatenate([self.X.swapaxes(2, 3), self.R], axis=3)], axis=2)
 
 
 def linearize_dynamics(game: GameDefinition, states: Array, actions: Array,
@@ -626,11 +637,11 @@ def local_lq(game: GameDefinition, states: Array, actions: Array,
              active_tol: Optional[float] = None, feas_tol: float = np.inf) -> LqGameData:
     """The ``LqGameData`` of a game around (states, actions).
 
-    Costs, gradients, Jacobians and cost Hessians come from the
+    Cost gradients, Jacobians and cost Hessians come from the
     whole-trajectory evaluators; only the dynamics Hessians are read here,
-    stage by stage.  G is zero, and not evaluated, for declared linear
-    dynamics; the rows are read (``read_rows``) only when ``active_tol`` is
-    given.
+    stage by stage, and the stage costs not at all.  G is zero, and not
+    evaluated, for declared linear dynamics; the rows are read
+    (``read_rows``) only when ``active_tol`` is given.
     """
     T, n_z = game.horizon, game.state_dim + game.total_action_dim
     A, B, b = linearize_dynamics(game, states, actions, feas_tol)
@@ -647,7 +658,7 @@ def local_lq(game: GameDefinition, states: Array, actions: Array,
                       R=0.5 * (cuu + cuu.swapaxes(2, 3)),
                       q=CX.swapaxes(0, 1), r=CU.swapaxes(0, 1),
                       action_dims=game.action_dims, initial_state=game.initial_state - states[0],
-                      c=game.eval_traj_costs(states, actions).T, G=G)
+                      G=G)
     if active_tol is not None:
         data.rows = read_rows(game, states, actions)
         data.active = data.rows.real & (data.rows.p >= -active_tol)

@@ -27,7 +27,7 @@ parameters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
@@ -124,7 +124,6 @@ class PolicyRegion:
 class PiecewiseAffinePolicy:
     regions: list[PolicyRegion]
     action_dims: tuple[int, ...] = ()
-    skipped_rank_deficient: tuple[tuple[int, ...], ...] = field(default_factory=tuple)
 
     def regions_containing(self, x: Array, tol: float = 1e-9) -> list[PolicyRegion]:
         return [r for r in self.regions if r.contains(x, tol)]
@@ -267,8 +266,9 @@ def enumerate_lcq_parametric(data: ParametricGameData) -> PiecewiseAffinePolicy:
     For every candidate active subset with full-row-rank constraint rows
     the equality-constrained game is solved, and the subset's validity
     region (primal feasibility plus the multiplier cone condition) is built
-    as a polyhedron in the parameter.  Empty regions are dropped; rank
-    deficient subsets are skipped and recorded.
+    as a polyhedron in the parameter.  Empty regions are dropped, and so
+    are subsets whose rows are rank deficient or whose stage KKT system is
+    singular.
     """
     n_c = data.p.shape[0]
     if n_c > ENUMERATION_CAP:
@@ -282,13 +282,11 @@ def enumerate_lcq_parametric(data: ParametricGameData) -> PiecewiseAffinePolicy:
             raise SubproblemError(
                 f"player {n} own-action block is not positive definite (min eig {eig:.2e})")
     regions = []
-    skipped = []
     for size in range(n_c + 1):
         for subset in combinations(range(n_c), size):
             rows = list(subset)
             Sa, Wa, pa = data.S[rows], data.W[rows], data.p[rows]
             if not _check_full_row_rank(Sa):
-                skipped.append(tuple(subset))
                 continue
             sub = ParametricGameData(gammas=data.gammas, W=Wa, S=Sa, p=pa,
                                      action_dims=data.action_dims,
@@ -296,7 +294,6 @@ def enumerate_lcq_parametric(data: ParametricGameData) -> PiecewiseAffinePolicy:
             try:
                 law = solve_lecq_parametric(sub)
             except StageSingularityError:
-                skipped.append(tuple(subset))
                 continue
             L_feas = data.W + data.S @ law.K
             l_feas = data.S @ law.s + data.p
@@ -311,5 +308,4 @@ def enumerate_lcq_parametric(data: ParametricGameData) -> PiecewiseAffinePolicy:
             if _region_nonempty(L, l):
                 regions.append(PolicyRegion(active=tuple(subset), K=law.K,
                                             s=law.s, L=L, l=l))
-    return PiecewiseAffinePolicy(regions=regions, action_dims=data.action_dims,
-                                 skipped_rank_deficient=tuple(skipped))
+    return PiecewiseAffinePolicy(regions=regions, action_dims=data.action_dims)

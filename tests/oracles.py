@@ -11,7 +11,8 @@ import itertools
 import numpy as np
 from scipy.optimize import nnls
 
-from dyngames.model import rollout, total_cost
+from dyngames.model import quadraticize, rollout, total_cost
+from dyngames.parametric import solve_stage_kkt
 
 # ---------------------------------------------------------------------------
 # Finite-difference gradient of a player's total cost (re-rolls dynamics).
@@ -984,3 +985,67 @@ def region_phase_one_lp(L, l):
     if not res.success:
         raise RuntimeError(f"phase-1 LP failed: {res.message}")
     return float(res.fun), res.x[:n]
+
+
+# ---------------------------------------------------------------------------
+# The stagewise Newton pass on augmented [1, dx, du] stage matrices.
+# ---------------------------------------------------------------------------
+
+
+def augmented_newton_backward(game, traj, active_tol=1e-6, feas_tol=1e-6, stage_reg=0.0):
+    """Gains (T+1, n_u, n_x) and offsets (T+1, n_u) of the augmented recursion.
+
+    Every player's stage expansion is the (1+n_x+n_u)-square matrix M with
+    ``0.5 [1, dx, du]' M [1, dx, du]`` the Taylor expansion of its stage
+    cost (the scalar entry twice the cost), and its value function the
+    (1+n_x)-square matrix Lam of ``0.5 [1, dx]' Lam [1, dx]``, updated by
+    the congruence with [[1, s'], [0, K']].  Linear terms come from the
+    costates.  The stage data is ``quadraticize``'s, the stage costs
+    ``eval_traj_costs``'s, and the stage games are solved by
+    ``solve_stage_kkt``, which its own tests check.
+    """
+    data = quadraticize(game, traj, active_tol=active_tol, feas_tol=feas_tol)
+    T = game.horizon
+    N, n_x, n_u = game.num_players, game.state_dim, game.total_action_dim
+    nz = 1 + n_x + n_u
+    ix, iu = slice(1, 1 + n_x), slice(1 + n_x, nz)
+    c = 2.0 * game.eval_traj_costs(traj.states, traj.actions).T[..., None, None]
+    q, r = data.q[..., None, :], data.r[..., None, :]
+    M = np.block([[c, q, r],
+                  [q.swapaxes(2, 3), data.Q, data.X],
+                  [r.swapaxes(2, 3), data.X.swapaxes(2, 3), data.R]])
+    AB = np.concatenate([data.A, data.B], axis=2)
+    left = np.zeros((1 + n_x, nz))
+    left[0, 0] = 1.0
+    left[1:, ix] = np.eye(n_x)
+    own_rows = 1 + n_x + np.arange(n_u)
+    lam = np.zeros((N, T + 2, 1 + n_x, 1 + n_x))
+    omega = np.zeros((N, T + 2, n_x))
+    gains, offsets = np.zeros((T + 1, n_u, n_x)), np.zeros((T + 1, n_u))
+    for k in range(T, -1, -1):
+        G = M[:, k].copy()
+        if k < T:
+            ln, om = lam[:, k + 1], omega[:, k + 1]
+            pull = om @ AB[k]
+            G[:, 0, 0] += ln[:, 0, 0]
+            G[:, 0, 1:] += pull
+            G[:, 1:, 0] += pull
+            G[:, 1:, 1:] += (AB[k].T @ ln[:, 1:, 1:] @ AB[k]
+                             + np.einsum("ni,iab->nab", om, data.G[k]))
+        gamma = 0.5 * (G + G.swapaxes(1, 2))
+        own = gamma[game.owner, own_rows]
+        act = data.active[k]
+        Wa = data.rows.W[k, act]
+        law = solve_stage_kkt(own[:, iu] + stage_reg * np.eye(n_u), own[:, ix], own[:, 0],
+                              Wa, data.rows.S[k, act], data.rows.p[k, act], stage=k)
+        left[0, iu] = law.s
+        left[1:, iu] = law.K.T
+        ln = left @ gamma @ left.T
+        lam[:, k] = 0.5 * (ln + ln.swapaxes(1, 2))
+        omega[:, k] = data.q[:, k]
+        if k < T:
+            omega[:, k] += omega[:, k + 1] @ data.A[k]
+        if Wa.shape[0]:
+            omega[:, k] += law.lam_s @ Wa
+        gains[k], offsets[k] = law.K, law.s
+    return gains, offsets

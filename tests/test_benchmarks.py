@@ -447,8 +447,7 @@ class TestOneBatchNoiseComparison:
                               dynamics=dynamics, stage_costs=lambda k, x, u: np.zeros(1))
         olne = Trajectory(np.zeros((T + 1, 1)), np.zeros((T + 1, 1)))
         policy = FeedbackPolicy(reference=olne, gains=[np.ones((1, 1))] * (T + 1),
-                                offsets=[np.zeros(1)] * (T + 1), lam=None, omega=None,
-                                gamma=None, action_dims=(1,))
+                                offsets=[np.zeros(1)] * (T + 1), action_dims=(1,))
         with pytest.raises(NonFiniteStateError, match=r"stage 1 in run \d \(feedback\)") as exc:
             noise_comparison(game, olne, policy, noise_var=1.0, n_runs=n_runs, seed=seed)
         assert (exc.value.stage, exc.value.run, exc.value.mode) == (

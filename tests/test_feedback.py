@@ -21,7 +21,7 @@ from dyngames.feedback import (
     feedback_rollout,
     stagewise_newton_backward,
 )
-from dyngames.model import GameDefinition, Trajectory, rollout
+from dyngames.model import GameDefinition, Trajectory, quadraticize, rollout
 from dyngames.parametric import solve_stage_kkt
 
 from conftest import random_lq_game
@@ -34,6 +34,7 @@ from instances import (
     tightened_two_player_instance,
 )
 from oracles import (
+    augmented_newton_backward,
     coupled_riccati_feedback,
     dense_best_response_gap,
     feedback_rollout_per_stage,
@@ -111,38 +112,61 @@ class TestBackwardPass:
         with pytest.raises(ValueError, match="must be nonnegative"):
             stagewise_newton_backward(game, ref, stage_reg=0.1, **tols)
 
-    def test_value_matrices_symmetric_and_terminal_zero(self, rng):
-        game, _ = random_lq_game(rng, T=4)
-        ref = rollout(game, game.initial_state,
-                      rng.standard_normal((5, game.total_action_dim)))
-        policy = stagewise_newton_backward(game, ref)
-        assert np.all(policy.lam[:, -1] == 0.0)
-        assert np.all(policy.omega[:, -1] == 0.0)
-        for n in range(2):
-            for k in range(5):
-                np.testing.assert_allclose(policy.lam[n, k], policy.lam[n, k].T,
-                                           atol=1e-12)
-
-    def test_terminal_value_equals_substituted_stage_cost(self, rng):
-        game, _ = random_lq_game(rng, T=2)
-        ref = rollout(game, game.initial_state,
-                      rng.standard_normal((3, game.total_action_dim)))
-        policy = stagewise_newton_backward(game, ref)
-        k = 2  # terminal stage: V = 0.5 [1, dx]' Lam [1, dx]
-        for _ in range(5):
-            dx = rng.standard_normal(2)
-            du = policy.gains[k] @ dx + policy.offsets[k]
-            z = np.concatenate([[1.0], dx, du])
-            direct = 0.5 * z @ policy.gamma[k][0] @ z
-            via_lam = 0.5 * np.concatenate([[1.0], dx]) @ policy.lam[0, k] @ \
-                np.concatenate([[1.0], dx])
-            assert direct == pytest.approx(via_lam, rel=1e-10, abs=1e-12)
-
     def test_fixed_point_at_equality_constrained_equilibrium(self, rng):
         game, lq, rows, ref, _ = equality_constrained_lq_instance(rng)
         policy = stagewise_newton_backward(game, ref, feas_tol=1e-6)
         for k in range(game.horizon + 1):
             assert np.max(np.abs(policy.offsets[k]), initial=0.0) <= 1e-10
+
+    @staticmethod
+    def assert_matches_augmented_recursion(game, ref, **kwargs):
+        policy = stagewise_newton_backward(game, ref, **kwargs)
+        for got, want in zip((policy.gains, policy.offsets),
+                             augmented_newton_backward(game, ref, **kwargs)):
+            np.testing.assert_allclose(got, want, rtol=1e-12,
+                                       atol=1e-12 * (1.0 + np.max(np.abs(want))))
+
+    @given(seed=st.integers(0, 2**32 - 1), T=st.integers(1, 8), n_pinned=st.integers(0, 9))
+    def test_matches_augmented_recursion_with_pinned_rows(self, seed, T, n_pinned):
+        # rows active at a random reference, so the offsets do not vanish
+        rng = np.random.default_rng(seed)
+        _, lq = random_lq_game(rng, T=T, state_dim=2, action_dims=(1, 2))
+        x0 = rng.standard_normal(2)
+        free = affine_quadratic_game(lq, x0, {}, action_dims=(1, 2))
+        ref = rollout(free, x0, rng.standard_normal((T + 1, 3)))
+        rows = {}
+        for k in rng.permutation(T + 1)[:n_pinned]:
+            W, S = rng.standard_normal((2, 2)), rng.standard_normal((2, 3))
+            # the first row pinned at the reference, the second slack
+            p = -(W @ ref.states[k] + S @ ref.actions[k]) - np.array([0.0, 0.5])
+            rows[int(k)] = (W, S, p)
+        game = affine_quadratic_game(lq, x0, rows, action_dims=(1, 2))
+        self.assert_matches_augmented_recursion(game, ref)
+
+    def test_matches_augmented_recursion_at_an_equality_constrained_equilibrium(self, rng):
+        game, _, _, ref, _ = equality_constrained_lq_instance(rng)
+        self.assert_matches_augmented_recursion(game, ref)
+
+    def test_matches_augmented_recursion_on_the_fishery(self, rng):
+        # efforts drawn past their bounds and clamped: some rows pinned
+        params = FisheryParams(horizon_time=2.0)
+        game = fishery_game(params)
+        actions = np.clip(rng.uniform(-0.1, 0.5, (21, 2)), 0.0, [params.u1_max, params.u2_max])
+        ref = rollout(game, game.initial_state, actions)
+        self.assert_matches_augmented_recursion(game, ref, stage_reg=0.1)
+
+    def test_reads_no_stage_costs(self, rng):
+        game, _, _, ref, _ = equality_constrained_lq_instance(rng)
+
+        def boom(*args):
+            raise AssertionError("the stage costs were read")
+
+        blind = dataclasses.replace(game, stage_costs=boom, traj_costs=boom)
+        quadraticize(blind, ref)
+        want = stagewise_newton_backward(game, ref)
+        got = stagewise_newton_backward(blind, ref)
+        np.testing.assert_array_equal(got.gains, want.gains)
+        np.testing.assert_array_equal(got.offsets, want.offsets)
 
 
 class TestFeedbackRollout:
@@ -201,9 +225,18 @@ def overflowing_game(T=4):
         dynamics=lambda k, x, u: x**20, stage_costs=lambda k, x, u: np.zeros(1))
     zeros = [np.zeros((1, 1))] * (T + 1)
     policy = FeedbackPolicy(reference=Trajectory(np.ones((T + 1, 1)), np.zeros((T + 1, 1))),
-                            gains=zeros, offsets=[np.zeros(1)] * (T + 1), lam=None,
-                            omega=None, gamma=None, action_dims=(1,))
+                            gains=zeros, offsets=[np.zeros(1)] * (T + 1), action_dims=(1,))
     return game, policy
+
+
+@pytest.mark.parametrize("field, value", [("gains", np.zeros((5, 1, 2))),
+                                          ("gains", [np.zeros((1, 1))] * 4),
+                                          ("offsets", np.zeros((5, 2)))],
+                         ids=["wide_gains", "short_gains", "wide_offsets"])
+def test_misshapen_policy_is_rejected(field, value):
+    _, policy = overflowing_game()  # T = 4, one state, one action
+    with pytest.raises(DimensionError, match=f"feedback {field}"):
+        dataclasses.replace(policy, **{field: value})
 
 
 class TestBatchedFeedbackRollout:

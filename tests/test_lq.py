@@ -213,7 +213,7 @@ def test_extract_lq_data_is_the_reader_at_the_origin(rng, make):
     # neither rows nor dynamics Hessians are read
     got = lq.extract_lq_data(dataclasses.replace(game, constraints=boom,
                                                  dynamics_hessians=boom))
-    for name in ("A", "B", "b", "Q", "X", "R", "q", "r", "c", "G", "initial_state"):
+    for name in ("A", "B", "b", "Q", "X", "R", "q", "r", "G", "initial_state"):
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
     assert got.rows is None and got.active is None
 

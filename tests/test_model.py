@@ -18,6 +18,7 @@ from dyngames.model import (
     all_player_costs,
     check_feasible,
     quadraticize,
+    read_rows,
     rollout,
     total_cost,
 )
@@ -269,8 +270,46 @@ class TestTrajectoryEvaluators:
         traj = rollout(game, np.zeros(2), np.ones((4, 2)))
         ragged = dataclasses.replace(
             game, cost_gradients=lambda k, x, u: (np.zeros((1, 2 + k % 2)), np.zeros((1, 2))))
-        with pytest.raises(DimensionError, match="ragged"):
+        with pytest.raises(DimensionError, match="at stage 1: expected") as exc:
             pseudo_gradient(ragged, traj)
+        assert exc.value.stage == 1
+
+    @staticmethod
+    def fishery_misfit_at_stage_3(name, misfit, **hooks):
+        """A fishery copy whose ``name`` callable returns ``misfit(out)`` at stage 3; a rollout."""
+        game = fishery_game(FisheryParams(horizon_time=1.0))
+        traj = rollout(game, game.initial_state, np.tile([0.2, 0.1], (11, 1)))
+        fn = getattr(game, name)
+        bad = dataclasses.replace(game, **hooks, **{
+            name: lambda k, x, u: misfit(fn(k, x, u)) if k == 3 else fn(k, x, u)})
+        return bad, traj
+
+    @pytest.mark.parametrize("name, misfit, hooks, read", [
+        ("constraints", lambda g: g[:, None], dict(batch_constraints=None),
+         lambda game, traj: traj.constraint_violation(game)),
+        ("constraints", lambda g: g[:, None], {},
+         lambda game, traj: read_rows(game, traj.states, traj.actions)),
+        ("constraints", lambda g: g[:, None], {},
+         lambda game, traj: quadraticize(game, traj)),
+        ("dynamics", lambda f: np.append(f, f), {},
+         lambda game, traj: check_feasible(game, traj)),
+        ("dynamics", lambda f: np.append(f, f), {},
+         lambda game, traj: quadraticize(game, traj)),
+        ("stage_costs", lambda c: np.append(c, c), dict(traj_costs=None),
+         lambda game, traj: game.eval_traj_costs(traj.states, traj.actions)),
+        ("cost_gradients", lambda g: (g[0], g[1][:, :1]), dict(traj_cost_gradients=None),
+         lambda game, traj: game.eval_traj_cost_gradients(traj.states, traj.actions)),
+        ("dynamics_jacobians", lambda j: (j[0], j[1][:, :1]), dict(traj_dynamics_jacobians=None),
+         lambda game, traj: game.eval_traj_dynamics_jacobians(traj.states, traj.actions))],
+        ids=["constraint_violation", "read_rows", "quadraticize_rows", "check_feasible",
+             "quadraticize_dynamics", "traj_costs", "traj_cost_gradients",
+             "traj_dynamics_jacobians"])
+    def test_a_misfit_stage_output_names_its_stage(self, name, misfit, hooks, read):
+        # rows of shape (4, 1), two stock values, or a short gradient or Jacobian at stage 3
+        game, traj = self.fishery_misfit_at_stage_3(name, misfit, **hooks)
+        with pytest.raises(DimensionError, match="at stage 3") as exc:
+            read(game, traj)
+        assert exc.value.stage == 3
 
 
 class TestBatchEvaluators:
@@ -409,7 +448,7 @@ class TestQuadraticize:
         qf = quadraticize(bare(game), traj)
         np.testing.assert_allclose(qf.A, qa.A, atol=1e-7)
         np.testing.assert_allclose(qf.B, qa.B, atol=1e-7)
-        for name in ("c", "q", "r", "Q", "X", "R", "G"):
+        for name in ("q", "r", "Q", "X", "R", "G"):
             np.testing.assert_allclose(getattr(qf, name), getattr(qa, name), atol=2e-5)
 
     def test_fd_consistency_order(self, rng):
@@ -497,10 +536,9 @@ class TestStackedReader:
         T, n_x = game.horizon, game.state_dim
         ix, iu = slice(1, 1 + n_x), slice(1 + n_x, None)
         assert data.A.shape[0] == data.B.shape[0] == data.b.shape[0] == data.G.shape[0] == T
-        assert data.c.shape == (game.num_players, T + 1)
         for k, want in enumerate(ref):
             M = want["M"]
-            for got, block in [(data.c, M[:, 0, 0] / 2.0), (data.q, M[:, 0, ix]),
+            for got, block in [(data.q, M[:, 0, ix]),
                                (data.r, M[:, 0, iu]), (data.Q, M[:, ix, ix]),
                                (data.X, M[:, ix, iu]), (data.R, M[:, iu, iu])]:
                 assert_rel_close(got[:, k], block)

@@ -5,6 +5,7 @@ import inspect
 
 from dyngames import cli
 from dyngames.benchmarks import FisheryParams
+from dyngames.feedback import FeedbackPolicy
 from dyngames.gradient import PseudoGradient
 from dyngames.projgrad import ProjGradConfig
 from dyngames.splitting import (
@@ -34,6 +35,7 @@ def test_settable_surface():
     assert names(cli.RunConfig) == ["game_id", "game_params", "solver", "solve", "active_tol",
                                     "feedback", "stage_reg", "simulate", "output_dir"]
     assert names(PseudoGradient) == ["own", "action_dims"]
+    assert names(FeedbackPolicy) == ["reference", "gains", "offsets", "action_dims"]
     assert defaulted(resolvent_reg_game) == ["warm", "factor"]
     assert defaulted(resolvent_reg_static_games) == ["rows", "data"]
     assert defaulted(resolvent_static_games_uncon) == ["data"]
