@@ -14,13 +14,14 @@ Variational Inequalities and Complementarity Problems*, 2003, section
 The projected gradient and Douglas-Rachford iterations identify the active
 rows long before they converge.  ``active_set_polish`` builds a hook for
 ``report.iterate`` that pins every row within POLISH_DELTA of active at a
-candidate, solves the open-loop KKT system once with those rows as
-equalities and shared multipliers (``lq.solve_pinned``) and offers the
-result, certified: the multipliers are nonnegative, the other rows hold and
-r(u) <= tol (projected-Newton active-set identification: Bertsekas, SIAM J.
-Control Optim. 20, 1982; Facchinei, Fischer and Kanzow, SIAM J. Optim. 9,
-1998).  It exists for linear-quadratic games with affine rows or none,
-where that one solve is exact.
+candidate (``near_active``), solves the open-loop KKT system once with
+those rows as equalities and shared multipliers (``lq.solve_pinned``) and
+offers the result, certified: the multipliers are nonnegative, the other
+rows hold and r(u) <= tol (projected-Newton active-set identification:
+Bertsekas, SIAM J. Control Optim. 20, 1982; Facchinei, Fischer and Kanzow,
+SIAM J. Optim. 9, 1998).  It exists for linear-quadratic games with affine
+rows or none, where that one solve is exact.  ``natural_residual`` starts
+its projection from the same rows, taken at its own point.
 
 A solve reads the game's rows and its LQ data or linear dynamics once, at
 the origin (``read_game``); the projections, the resolvents, the polish and
@@ -76,6 +77,12 @@ def project_onto_feasible(game: GameDefinition, actions: Array,
       states carry the stage rows.  ``rows`` and ``data`` are the solve's
       reads (``read_game``); each is read here when None.
     """
+    return _project(game, actions, rows, data)
+
+
+def _project(game: GameDefinition, actions: Array, rows: Optional[PaddedRows],
+             data: Optional[LqGameData], near: Optional[Trajectory] = None) -> Array:
+    """``project_onto_feasible``; the QP starts from the rows ``near_active`` along ``near``."""
     actions = np.asarray(actions, dtype=float)
     route = _projection_route(game)
     if route is None:
@@ -84,7 +91,14 @@ def project_onto_feasible(game: GameDefinition, actions: Array,
         return game.eval_traj_projection(None, actions)[1]
     rows = lq.padded_rows(game) if rows is None else rows
     data = lq.dynamics_data(game) if data is None else data
-    return lq.project(rows, data, np.zeros((len(actions), game.state_dim)), actions, 0.0).actions
+    start = None if near is None else near_active(rows, near)
+    return lq.project(rows, data, np.zeros((len(actions), game.state_dim)), actions, 0.0,
+                      start).actions
+
+
+def near_active(rows: PaddedRows, traj: Trajectory) -> Array:
+    """The real rows whose value along ``traj`` is at least -POLISH_DELTA: (T+1, m) bool."""
+    return rows.real & (rows.values(traj) >= -POLISH_DELTA)
 
 
 def read_game(game: GameDefinition) -> tuple[Optional[PaddedRows], Optional[LqGameData]]:
@@ -109,15 +123,18 @@ def natural_residual(game: GameDefinition, actions: Array,
                      data: Optional[LqGameData] = None) -> float:
     """r(u) = |u - P(u - F(u))|_inf, F taken along the rollout of ``actions``.
 
-    ``rows`` and ``data`` are passed on to ``project_onto_feasible``.
-    Raises UnsupportedConstraintError, before any other work, where the game
-    has no projection.
+    ``rows`` and ``data`` are passed on to ``project_onto_feasible``.  A QP
+    projection starts from the rows ``near_active`` along the rollout, the
+    polish's rule: at a solution P(u - F(u)) = u, so these are its active
+    rows and the projection takes one factor.  Raises
+    UnsupportedConstraintError, before any other work, where the game has no
+    projection.
     """
     _projection_route(game)
     u = np.asarray(actions, dtype=float)
-    F = pseudo_gradient(game, rollout(game, game.initial_state, u),
-                        feas_tol=np.inf).own_stage_grads()
-    return float(np.max(np.abs(u - project_onto_feasible(game, u - F, rows, data))))
+    traj = rollout(game, game.initial_state, u)
+    F = pseudo_gradient(game, traj, feas_tol=np.inf).own_stage_grads()
+    return float(np.max(np.abs(u - _project(game, u - F, rows, data, traj))))
 
 
 def active_set_polish(game: GameDefinition, tol: float, rows: Optional[PaddedRows] = None,
@@ -153,7 +170,7 @@ class ActiveSetPolish:
         self.tried: set[bytes] = set()
 
     def __call__(self, cand: Trajectory) -> Optional[tuple[Trajectory, float]]:
-        pinned = self.rows.real & (self.rows.values(cand) >= -POLISH_DELTA)
+        pinned = near_active(self.rows, cand)
         key = pinned.tobytes()
         if key in self.tried:
             return None

@@ -46,7 +46,9 @@ count and the cost stays O(T).  It is the kernel of the active-set polish
 The same factor solves every QP over a whole stacked trajectory
 (``BandedQp``), holding ``denseqp.solve_qp``'s active rows pinned.  The
 projections (``project``) and the best response of
-``feedback.epsilon_nash_gap`` cost O(T) per active-set step.  A solve reads
+``feedback.epsilon_nash_gap`` cost O(T) per active-set step.  A banded QP
+pins a guess of its active rows in one factor: the rows its caller names,
+else those violated at its equality-constrained minimum.  A solve reads
 a game once, at the origin: its rows (``padded_rows``) and its data
 (``extract_lq_data``, or ``dynamics_data`` for linear dynamics only).
 """
@@ -54,7 +56,7 @@ a game once, at the origin: its rows (``padded_rows``) and its data
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.linalg import lapack
@@ -322,14 +324,16 @@ def padded_rows(game: GameDefinition) -> PaddedRows:
 
 
 def project(rows: PaddedRows, data: LqGameData, y: Array, z: Array,
-            state_weight: float) -> Trajectory:
+            state_weight: float, start: Optional[Array] = None) -> Trajectory:
     """The trajectory meeting every row closest to (y, z) in w |x - y|^2 + |u - z|^2.
 
-    Only the dynamics and initial state of ``data`` are read.  One ``BandedQp``.
+    Only the dynamics and initial state of ``data`` are read.  One ``BandedQp``,
+    started from the rows marked in ``start`` (T+1, m) when given.
     """
     prox = _prox_data(data.A, data.B, data.b, data.initial_state, float(state_weight),
                       np.asarray(y, dtype=float), np.asarray(z, dtype=float))
-    return BandedQp(prox, rows.W, rows.S, rows.p, rows.real).solve()
+    return BandedQp(prox, rows.W, rows.S, rows.p, rows.real).solve(
+        None if start is None else np.flatnonzero(start))
 
 
 class BandedQp:
@@ -341,7 +345,12 @@ class BandedQp:
     and p as in ``model.PaddedRows``, numbered stage by stage).  An active set's
     KKT system is one ``_kkt_factor`` with the held and active rows pinned,
     O(T); its multipliers are x_0's pin's, the costates and the rows' mu.
+    ``start(rows)`` is one ``_pinned_solve`` with the held rows and ``rows``
+    pinned; every factor carries the rcond test, so a solve given no guess
+    pins the rows violated at the equality-constrained minimum.
     """
+
+    pin_violated = True
 
     def __init__(self, data: LqGameData, W: Array, S: Array, p: Array, real: Array,
                  held: Optional[Array] = None):
@@ -357,9 +366,11 @@ class BandedQp:
         self.homogeneous = replace(data, b=np.zeros_like(data.b),
                                    initial_state=np.zeros(self.n_x))
 
-    def start(self) -> Array:
-        fac, sol, _ = _pinned_solve(self.data, self.W, self.S, self.p, self.held)
-        return sol[:, fac.rows:fac.rows + self.n_v].ravel()
+    def start(self, rows: Sequence[int] = ()) -> tuple[Array, Array]:
+        pinned, rows = self.held.copy(), list(rows)
+        pinned.flat[rows] = True
+        fac, sol, mu = _pinned_solve(self.data, self.W, self.S, self.p, pinned)
+        return sol[:, fac.rows:fac.rows + self.n_v].ravel(), mu.flat[rows]
 
     def values(self, v: Array) -> Array:
         vals = np.einsum("kmi,ki->km", self.G, v.reshape(-1, self.n_v)) + self.p
@@ -384,9 +395,9 @@ class BandedQp:
         pin = pin + (self.data.A[0].T @ lam[0] if len(self.data.A) else 0.0)
         return s.ravel(), np.concatenate([pin, lam.ravel(), mu[self.held], mu.flat[active]])
 
-    def solve(self) -> Trajectory:
-        """The minimizer, as states and actions."""
-        v = denseqp.solve_qp(self)[0].reshape(-1, self.n_v)
+    def solve(self, start: Optional[Sequence[int]] = None) -> Trajectory:
+        """The minimizer, as states and actions; ``start`` guesses its active rows."""
+        v = denseqp.solve_qp(self, start=start)[0].reshape(-1, self.n_v)
         return Trajectory(v[:, :self.n_x], v[:, self.n_x:])
 
 

@@ -19,9 +19,10 @@ operator that gets its own resolvent:
 * ``dynamics``: r_1 solves the T+1 independent regularized constrained
   static games, one per stage (the state coordinate acts as an extra
   coordinating player), all at once by Josephy-Newton steps: each step is
-  one stacked linear solve over the stages still pending, plus Lemke's
-  method for each stage whose rows bind.  r_2 projects onto the dynamics by
-  the same banded solve at eta = 0.
+  one stacked linear solve over the stages still pending, plus one small
+  solve with the violated rows held for each stage whose rows bind, and
+  Lemke's method only where that guess fails.  r_2 projects onto the
+  dynamics by the same banded solve at eta = 0.
 * ``gradient``: r_1 projects onto the intersection of dynamics and
   constraints (exact horizon-wide QP), r_2 solves the same static games
   without their rows, each step one stacked linear solve.
@@ -315,6 +316,28 @@ def _lemke(M: Array, q: Array, stage: int) -> Array:
     raise SubproblemError(f"stage {stage}: Lemke's method did not terminate")
 
 
+def _stage_lcp(M: Array, q: Array, stage: int) -> Array:
+    """``_lemke``'s LCP, tried first with the rows q violates as its active rows.
+
+    The guess is z_S = -M_SS^{-1} q_S on the rows S where q < 0, and z = 0
+    elsewhere.  It is the solution when z_S >= 0 and w = q + M z >= -tol,
+    with w_S <= tol, in Lemke's own tolerance.  Otherwise, or when M_SS is
+    singular, Lemke's method solves the LCP.
+    """
+    S = q < 0.0
+    tol = _PIVOT_TOL * (1.0 + np.max(np.abs(q)))
+    try:
+        z_S = np.linalg.solve(M[np.ix_(S, S)], -q[S])
+    except np.linalg.LinAlgError:
+        return _lemke(M, q, stage)
+    w = q + M[:, S] @ z_S
+    if np.all(z_S >= 0.0) and np.all(w >= -tol) and np.all(w[S] <= tol):
+        z = np.zeros(q.size)
+        z[S] = z_S
+        return z
+    return _lemke(M, q, stage)
+
+
 def _static_games(game: GameDefinition, y: Array, z: Array, eta: float,
                   rows: Optional[PaddedRows], data: Optional[LqGameData]) -> tuple[Array, Array]:
     """Every stage's regularized static game, by Josephy-Newton steps, with ``rows`` or none.
@@ -322,10 +345,11 @@ def _static_games(game: GameDefinition, y: Array, z: Array, eta: float,
     Each step linearizes the pending stages' operators at their current
     points and solves those affine stage games exactly, all at once: one
     stacked linear solve for the unconstrained points and, only for a stage
-    whose point violates some of its rows, one LCP in the rows' multipliers
-    by ``_lemke``.  A stage leaves once its KKT residual (stationarity and
-    min(mu, -g) over the rows g <= 0) is at most INNER_TOL * (1 + |(y_k,
-    z_k)|_inf); quadratic costs need one step plus that check, and a stage
+    whose point violates some of its rows, one LCP in the rows'
+    multipliers (``_stage_lcp``): a solve with the violated rows held, and
+    ``_lemke`` only where that guess fails.  A stage leaves once its KKT
+    residual (stationarity and min(mu, -g) over the rows g <= 0) is at most
+    INNER_TOL * (1 + |(y_k, z_k)|_inf); quadratic costs need one step plus that check, and a stage
     fails after INNER_MAX_ITER steps.  Declared linear-quadratic games take
     their affine operators from ``data`` (``lq.extract_lq_data``, read here
     when None); other games read ``eval_traj_cost_gradients`` and
@@ -393,7 +417,7 @@ def _static_games(game: GameDefinition, y: Array, z: Array, eta: float,
             k = P[i]
             Gk, dv = G[k, real[k]], sol[i, :, 1:][:, real[k]]
             try:
-                mu_k = _lemke(Gk @ dv, -(Gk @ v[k] + p[k, real[k]]), k)
+                mu_k = _stage_lcp(Gk @ dv, -(Gk @ v[k] + p[k, real[k]]), k)
             except SubproblemError as exc:
                 fail(k, exc)
                 break
@@ -418,7 +442,8 @@ def resolvent_reg_static_games(game: GameDefinition, y: Array, z: Array, eta: fl
     players' own-gradient stationarity and whose state row is the
     coordinator (mean state gradient plus prox), subject to the stage's
     affine rows, by Josephy-Newton steps taken for all stages at once, with
-    one Lemke pivot sequence per stage whose rows bind (``_static_games``,
+    one LCP per stage whose rows bind, solved by holding the violated rows
+    and by Lemke's method only where that guess fails (``_static_games``,
     INNER_TOL and INNER_MAX_ITER).  Requires affine constraints.  ``rows``
     (``lq.padded_rows``) and ``data`` (``lq.extract_lq_data``, read only for
     declared linear-quadratic games) reuse one read across calls; each is

@@ -427,6 +427,28 @@ def brute_force_qp(H, f, G, h, Aeq=None, beq=None):
     return best
 
 
+def brute_force_lcp(M, q, tol=1e-9):
+    """z >= 0 with w = q + Mz >= 0 and w'z = 0, by trying every support.
+
+    Supports are tried by increasing size; one whose M_SS has not full rank
+    is skipped, and the first whose z_S and w pass ``tol`` (relative to
+    1 + max|q|) is returned, None when none does.
+    """
+    m = q.size
+    scale = tol * (1.0 + np.max(np.abs(q), initial=0.0))
+    for size in range(m + 1):
+        for S in itertools.combinations(range(m), size):
+            S = list(S)
+            if S and np.linalg.matrix_rank(M[np.ix_(S, S)]) < size:
+                continue
+            z = np.zeros(m)
+            if S:
+                z[S] = np.linalg.solve(M[np.ix_(S, S)], -q[S])
+            if np.all(z >= -scale) and np.all(q + M @ z >= -scale):
+                return z
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Best-response gap of an affine feedback policy by dense condensing.
 # ---------------------------------------------------------------------------

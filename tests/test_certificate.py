@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from dyngames import lq, model
+from dyngames import lq, model, splitting
 from dyngames.benchmarks import fishery_game, lq_rendezvous_game
 from dyngames.certificate import ActiveSetPolish, active_set_polish, natural_residual
 from dyngames.errors import StageSingularityError, UnsupportedConstraintError
@@ -166,3 +166,42 @@ def test_a_solve_reads_the_rows_and_the_dynamics_once(rng, monkeypatch, solver, 
             u = project_onto_feasible(game, u - cfg.step_size * grad.own_stage_grads())
         assert counts["eval_constraint_rows"] == (game.horizon + 1) * (2 + rep.iterations)
         np.testing.assert_array_equal(rep.trajectory.actions, u)
+
+
+def count_calls(monkeypatch, module, name):
+    """Count calls of ``module.name``; returns a one-entry list."""
+    count, real = [0], getattr(module, name)
+
+    def call(*args, **kwargs):
+        count[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, call)
+    return count
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+def test_the_residual_at_the_polished_point_takes_one_factor(monkeypatch, seed):
+    # the projection starts from the rows near active at u, which at the
+    # equilibrium are those of P(u - F(u)) = u: one pinned factor, no steps
+    game, _, _ = cross_scheme_lq_instance(np.random.default_rng(seed))
+    cfg = ProjGradConfig(step_size=0.05, max_iter=5000, tol=1e-10, run_checks=False)
+    rep = projected_gradient_solve(game, np.zeros((game.horizon + 1, 2)), cfg)
+    assert rep.converged
+    rows = lq.padded_rows(game)
+    assert np.max(np.abs(rows.values(rep.trajectory)[rows.real])) <= 1e-12  # the row binds
+    factors = count_calls(monkeypatch, lq, "_kkt_factor")
+    assert natural_residual(game, rep.trajectory.actions) == rep.natural_residual <= cfg.tol
+    assert factors[0] == 1
+
+
+def test_a_stage_whose_violated_rows_bind_never_reaches_lemke(rng, monkeypatch):
+    game, _, con_rows = cross_scheme_lq_instance(rng)
+    k, w, s, p, _ = con_rows[0]
+    y, z = np.zeros((game.horizon + 1, 2)), np.zeros((game.horizon + 1, 2))
+    y[k], z[k] = 5.0 * w, 5.0 * s  # far outside the stage's one row
+    assert w @ y[k] + s @ z[k] + p > 1.0
+    lemke = count_calls(monkeypatch, splitting, "_lemke")
+    xs, us = splitting.resolvent_reg_static_games(game, y, z, 0.01)
+    assert abs(w @ xs[k] + s @ us[k] + p) <= 1e-12  # the violated row binds
+    assert lemke[0] == 0

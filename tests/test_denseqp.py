@@ -106,14 +106,23 @@ def test_step_bound_raises(monkeypatch):
         solve_qp(H, f, G=G, h=h, Aeq=Aeq, beq=beq)
 
 
-@pytest.mark.parametrize("banded", [False, True])
+def test_step_bound_raises_after_a_guessed_start(monkeypatch):
+    qp = random_banded_qp(1, 2, [2, 2, 2], [0, 0, 0], "w1")[0]
+    # every row violated at the start; the guess holds one of them
+    qp = lq.BandedQp(qp.data, qp.W, qp.S, qp.p + 10.0, qp.real)
+    monkeypatch.setattr(denseqp, "STEPS_PER_DIMENSION", 0)
+    with pytest.raises(SubproblemError, match="exceeded 0 steps"):
+        solve_qp(qp, start=[0])
+
+
+@pytest.mark.parametrize("banded", [False, True, "guessed"])
 def test_singular_equality_problem_raises(banded):
-    # flat along the second action, which no row pins
+    # flat along the second action, which no row pins; a guess holds one row
     if banded:
-        qp = random_banded_qp(0, 2, [0, 0, 0], [0, 0, 0], "w1")[0]
+        qp = random_banded_qp(0, 2, [1, 1, 1], [0, 0, 0], "w1")[0]
         qp = lq.BandedQp(zero_action_cost(qp.data, 1), qp.W, qp.S, qp.p, qp.real)
         with pytest.raises(SubproblemError, match="singular"):
-            solve_qp(qp)
+            solve_qp(qp, start=[0] if banded == "guessed" else None)
         return
     H = np.diag([1.0, 0.0])
     Aeq = np.array([[1.0, 0.0]])
@@ -261,19 +270,76 @@ def test_banded_horizon_qp_matches_enumeration(seed, T, counts, special, cost):
         np.testing.assert_array_equal(np.hstack([traj.states, traj.actions]).ravel(), z)
 
 
+def with_contradictory_pair(qp, seed, k):
+    """``qp`` with two rows at stage k asking for c + 0.5 <= g'v_k <= c, and their flat indices."""
+    T1, m = qp.p.shape
+    # g'v_k <= c and -g'v_k <= -c - 0.5
+    g = np.random.default_rng(seed).standard_normal(N_X + N_U)
+    W, S = (np.concatenate([M, np.zeros((T1, 2, M.shape[2]))], axis=1) for M in (qp.W, qp.S))
+    W[k, -2:], S[k, -2:] = [g[:N_X], -g[:N_X]], [g[N_X:], -g[N_X:]]
+    p = np.concatenate([qp.p, np.zeros((T1, 2))], axis=1)
+    p[k, -2:] = [-0.3, 0.8]
+    real = np.concatenate([qp.real, np.zeros((T1, 2), dtype=bool)], axis=1)
+    real[k, -2:] = True
+    held = np.concatenate([qp.held, np.zeros((T1, 2), dtype=bool)], axis=1)
+    return lq.BandedQp(qp.data, W, S, p, real, held), [k * (m + 2) + m, k * (m + 2) + m + 1]
+
+
 @given(**banded_shapes, stage=st.integers(0, 6))
 def test_banded_contradictory_rows_raise(seed, T, counts, special, cost, stage):
     qp = draw_banded(seed, T, counts, special, cost)[0]
-    # g'v_k <= c and -g'v_k <= -c - 0.5 ask for c + 0.5 <= g'v_k <= c
-    k = stage % (T + 1)
-    g = np.random.default_rng(seed).standard_normal(N_X + N_U)
-    W, S = (np.concatenate([M, np.zeros((T + 1, 2, M.shape[2]))], axis=1)
-            for M in (qp.W, qp.S))
-    W[k, -2:], S[k, -2:] = [g[:N_X], -g[:N_X]], [g[N_X:], -g[N_X:]]
-    p = np.concatenate([qp.p, np.zeros((T + 1, 2))], axis=1)
-    p[k, -2:] = [-0.3, 0.8]
-    real = np.concatenate([qp.real, np.zeros((T + 1, 2), dtype=bool)], axis=1)
-    real[k, -2:] = True
-    held = np.concatenate([qp.held, np.zeros((T + 1, 2), dtype=bool)], axis=1)
+    qp = with_contradictory_pair(qp, seed, stage % (T + 1))[0]
     with pytest.raises(InfeasibleConstraintsError):
-        solve_qp(lq.BandedQp(qp.data, W, S, p, real, held))
+        solve_qp(qp)
+
+
+def outcome(qp, start):
+    """solve_qp's minimizer from ``start``, or the class of the error it raised."""
+    try:
+        return solve_qp(qp, start=start)[0]
+    except (InfeasibleConstraintsError, SubproblemError) as exc:
+        return type(exc)
+
+
+def assert_same_outcome(warm, cold):
+    if isinstance(cold, type):
+        assert warm is cold
+    else:
+        assert not isinstance(warm, type), warm
+        np.testing.assert_allclose(warm, cold, rtol=0, atol=1e-9 * (1.0 + np.max(np.abs(cold))))
+
+
+GUESSES = ("active", "superset", "subset", "dependent", "contradictory")
+
+
+@given(**banded_shapes, guess=st.sampled_from(GUESSES), pick=st.integers(0, 2**32 - 1))
+def test_a_guessed_start_changes_the_steps_not_the_minimizer(seed, T, counts, special, cost,
+                                                             guess, pick):
+    qp, dense, _ = draw_banded(seed, T, counts, special, cost)
+    r = np.random.default_rng(pick)
+    m = qp.p.shape[1]
+    real = np.flatnonzero(qp.real)
+    cold = outcome(qp, [])
+    if isinstance(cold, type):
+        active = real[r.random(real.size) < 0.5]
+    else:
+        active = real[qp.values(cold)[real] >= -1e-9 * (1.0 + np.max(np.abs(cold)))]
+    rows = {"active": active,
+            "superset": np.union1d(active, real[r.random(real.size) < 0.5]),
+            "subset": active[r.random(active.size) < 0.5],
+            # a row with its duplicate, its opposite or a combination of two
+            "dependent": np.union1d(active, [k * m + i for k in range(T + 1)
+                                             if special[k] in (DUPLICATE, OPPOSITE, DEPENDENT)
+                                             for i in range(3) if qp.real[k, i:i + 1].any()]),
+            "contradictory": active}[guess].astype(int)
+    if guess == "contradictory":
+        k, i = np.unravel_index(rows, (T + 1, max(m, 1)))
+        qp, pair = with_contradictory_pair(qp, seed, pick % (T + 1))
+        rows = np.union1d(k * (m + 2) + i, pair)
+        cold = outcome(qp, [])
+        assert cold is InfeasibleConstraintsError
+    assert_same_outcome(outcome(qp, rows), cold)
+    if guess != "contradictory":
+        # the same guess on the dense form of the QP, whose rows are the real ones in order
+        dense = denseqp.DenseQp(*dense)
+        assert_same_outcome(outcome(dense, np.searchsorted(real, rows)), outcome(dense, []))

@@ -43,6 +43,7 @@ from dyngames.splitting import (
 from conftest import identity_sum_game, random_lq_game, random_smooth_game
 from instances import cross_scheme_lq_instance
 from oracles import (
+    brute_force_lcp,
     brute_force_qp,
     dense_eq_least_squares,
     dr_constraints_scheme_trace,
@@ -656,6 +657,90 @@ class TestStaticGameResolvents:
         monkeypatch.setattr(splitting, "INNER_MAX_ITER", 300)
         with pytest.raises(SubproblemError, match="stage 3"):
             resolvent_reg_static_games(game, y, z, 0.5)
+
+LCP_LAYOUTS = ("general", "tied", "duplicated", "opposite")
+
+
+def monotone_stage_lcp(seed, m, n, layout):
+    """A stage LCP as ``_static_games`` poses it: M = G J^{-1} G', q = -(G v + p).
+
+    J has a positive definite symmetric part and a random skew part.  The m
+    rows hold at an anchor point with random slack, some zero; ``layout``
+    puts every row through the anchor (``tied``), copies a row
+    (``duplicated``) or adds its negation (``opposite``, an equality when its
+    slack is zero).  v, the unconstrained point, usually violates some rows.
+    Returns M, q and J^{-1} G', which maps the multipliers to the step.
+    """
+    r = np.random.default_rng(seed)
+    A, K = r.standard_normal((n, n)), r.standard_normal((n, n))
+    J = A @ A.T + 0.1 * np.eye(n) + K - K.T
+    G = r.standard_normal((m, n))
+    slack = np.where(r.random(m) < 0.3, 0.0, r.uniform(0.0, 1.0, m))
+    if layout == "tied":
+        slack[:] = 0.0
+    elif layout in ("duplicated", "opposite") and m >= 2:
+        G[1], slack[1] = (G[0] if layout == "duplicated" else -G[0]), slack[0]
+    anchor = r.standard_normal(n)
+    return stage_lcp(J, G, -G @ anchor - slack, anchor + 2.0 * r.standard_normal(n))
+
+
+def stage_lcp(J, G, p, v):
+    """M, q and J^{-1} G' of the rows G v + p <= 0 about the unconstrained point v."""
+    dv = np.linalg.solve(J, G.T)
+    return G @ dv, -(G @ v + p), dv
+
+
+class TestStageLcp:
+    @settings(max_examples=200)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 6), n=st.integers(1, 4),
+           layout=st.sampled_from(LCP_LAYOUTS), solver=st.sampled_from(["_lemke", "_stage_lcp"]))
+    def test_matches_enumeration_on_monotone_lcps(self, seed, m, n, layout, solver):
+        M, q, dv = monotone_stage_lcp(seed, m, n, layout)
+        ref = brute_force_lcp(M, q)
+        assume(ref is not None)
+        z = getattr(splitting, solver)(M, q, 3)
+        w = q + M @ z
+        tol = 1e-9 * (1.0 + np.max(np.abs(q))) * (1.0 + np.max(np.abs(z)))
+        assert np.all(z >= -tol) and np.all(w >= -tol)
+        assert np.max(np.abs(z * w)) <= tol * (1.0 + np.max(np.abs(z)))
+        # the multipliers need not be unique for dependent rows; the step is
+        np.testing.assert_allclose(dv @ z, dv @ ref, rtol=0, atol=tol)
+
+    @pytest.mark.parametrize("solver", ["_lemke", "_stage_lcp"])
+    def test_infeasible_rows_raise_naming_the_stage(self, rng, solver):
+        # g'v <= -1 and -g'v <= -1 ask for 1 <= g'v <= -1; a third row is loose
+        K = rng.standard_normal((3, 3))
+        g, h = rng.standard_normal((2, 3))
+        M, q, _ = stage_lcp(np.eye(3) + K - K.T, np.array([g, -g, h]), np.array([1.0, 1.0, -5.0]),
+                            rng.standard_normal(3))
+        with pytest.raises(SubproblemError, match="stage 7"):
+            getattr(splitting, solver)(M, q, 7)
+
+    def test_a_failed_guess_falls_back_to_lemke(self, monkeypatch):
+        # a zero-cost stage game is the projection of (y_1, z_1) = (2, 0.5) onto
+        # x <= 0, x + u <= 1: both rows are violated there, the projection
+        # (0, 0.5) holds only the first
+        def rows(k, x, u):
+            return np.array([x[0], x[0] + u[0] - 1.0]) if k == 1 else np.zeros(0)
+
+        def jac(k, x, u):
+            m = 2 if k == 1 else 0
+            return np.ones((m, 1)), np.array([[0.0], [1.0]])[:m]
+
+        game = dataclasses.replace(identity_sum_game(T=2, state_dim=1, action_dims=(1,)),
+                                   constraints=rows, constraint_jacobians=jac,
+                                   polyhedral_constraints=True)
+        y, z = np.array([[0.3], [2.0], [-1.0]]), np.array([[0.1], [0.5], [0.2]])
+        lemke = []
+        real = splitting._lemke
+        monkeypatch.setattr(splitting, "_lemke", lambda *args: lemke.append(1) or real(*args))
+        xs, us = resolvent_reg_static_games(game, y, z, 0.7)
+        assert len(lemke) == 1
+        ref_x, ref_u = static_games_by_enumeration(game, y, z, 0.7)
+        np.testing.assert_allclose(xs, ref_x, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(us, ref_u, rtol=0, atol=1e-12)
+        np.testing.assert_allclose([xs[1, 0], us[1, 0]], [0.0, 0.5], rtol=0, atol=1e-12)
+
 
 class TestDynamicsProjection:
     def test_feasible_unchanged(self, rng):
