@@ -114,8 +114,7 @@ def stagewise_newton_backward(game: GameDefinition, traj: Trajectory,
     T = game.horizon
     N, n_x, n_u = game.num_players, game.state_dim, game.total_action_dim
     nz = n_x + n_u
-    C = data.stage_hessians()
-    grads = np.concatenate([data.q, data.r], axis=2)
+    C, grads = data.C, data.c
     AB = np.concatenate([data.A, data.B], axis=2)
     # every player's rows of its own action block, as one fancy index
     own_rows = n_x + np.arange(n_u)
@@ -148,7 +147,7 @@ def stagewise_newton_backward(game: GameDefinition, traj: Trajectory,
         L = np.vstack([eye, law.K])
         P = L.T @ Gam @ L
         P = 0.5 * (P + P.swapaxes(1, 2))
-        om = data.q[:, k] + om @ data.A[k] if k < T else data.q[:, k]
+        om = grads[:, k, :n_x] + om @ data.A[k] if k < T else grads[:, k, :n_x]
         if Wa.shape[0]:
             # Active rows contribute their multiplier pullback to the
             # costate, as in the stagewise KKT of the pinned problem.
@@ -202,6 +201,8 @@ def feedback_rollout(game: GameDefinition, policy: FeedbackPolicy,
     order).  A wrong shape raises DimensionError.
     """
     T, n_x, n_u = game.horizon, game.state_dim, game.total_action_dim
+    if policy.gains.shape != (T + 1, n_u, n_x):
+        raise DimensionError("feedback gains", (T + 1, n_u, n_x), policy.gains.shape)
     if not 0 <= start <= T:
         raise ValueError(f"start stage {start} outside 0..{T}")
     x_start = np.asarray(x_start, dtype=float)
@@ -289,7 +290,7 @@ def epsilon_nash_gap(game: GameDefinition, policy: FeedbackPolicy,
             f"policy rollout violates the game's rows at stage {start + worst}",
             max_violation=float(roll.constraint_violations[worst]))
     data = extract_lq_data(game)
-    _check_best_response_convex(data.stage_hessians()[player, start:], data.A, data.B,
+    _check_best_response_convex(data.C[player, start:], data.A, data.B,
                                 policy.gains, own, player, start)
 
     # the game's rows from ``start`` on, then the opponents' policy rows
@@ -306,9 +307,8 @@ def epsilon_nash_gap(game: GameDefinition, policy: FeedbackPolicy,
                      zip((rows.W, rows.S, rows.p, rows.real), policy_rows))
     held = np.broadcast_to(np.arange(p.shape[1]) >= rows.p.shape[1], p.shape)
     # one player holding every action, with this player's costs
-    costs = (getattr(data, name)[player:player + 1, start:]
-             for name in ("Q", "X", "R", "q", "r"))
-    one = LqGameData(data.A[start:], data.B[start:], data.b[start:], *costs,
+    one = LqGameData(data.A[start:], data.B[start:], data.b[start:],
+                     data.C[player:player + 1, start:], data.c[player:player + 1, start:],
                      action_dims=(n_u,), initial_state=roll.states[0])
     best = lq.BandedQp(one, W, S, p, real, held).solve()
     # one ``eval_traj_costs`` call per trajectory, on the whole horizon; the

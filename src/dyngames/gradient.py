@@ -142,9 +142,9 @@ def _sensitivities(data: LqGameData, cols: Array) -> Array:
     z_k = (x_k, u_k); coordinate k n_u + i is action i at stage k.  The state
     rows run forward from dx_0 = 0 as dx_{k+1} = A_k dx_k + B_k du_k.
     """
-    n_x, n_u = data.Q.shape[-1], data.R.shape[-1]
-    ks, js = np.divmod(cols, n_u)
-    dz = np.zeros((data.R.shape[1], n_x + n_u, cols.size))
+    (_, T1, n_z), n_x = data.c.shape, np.size(data.initial_state)
+    ks, js = np.divmod(cols, n_z - n_x)
+    dz = np.zeros((T1, n_z, cols.size))
     dz[ks, n_x + js, np.arange(cols.size)] = 1.0
     for k in range(data.A.shape[0]):
         dz[k + 1, :n_x] = data.A[k] @ dz[k, :n_x] + data.B[k] @ dz[k, n_x:]
@@ -155,11 +155,11 @@ def _cost_hessian(data: LqGameData, n: int, dz: Array) -> Array:
     """Exact Hessian of J_n over the coordinates of ``_sensitivities``' ``dz``.
 
     Sum_k dz_k' M_k dz_k in one GEMM, M_k being player n's stage Hessian
-    (``LqGameData.stage_hessians``) plus the dynamics Hessians weighted by
-    its costates, sum_i Om_{n,k+1,i} G_{k,i}: the curvature the states carry.
+    ``C[n, k]`` (copied: ``data`` may be a solve's shared read) plus the dynamics
+    Hessians weighted by its costates, sum_i Om_{n,k+1,i} G_{k,i}.
     """
-    om = solve_costates(data.A, data.q[n, :, None])[:, 0]
-    M = data.stage_hessians()[n]
+    om = solve_costates(data.A, data.c[n, :, None, :np.size(data.initial_state)])[:, 0]
+    M = data.C[n].copy()
     M[:-1] += np.einsum("ki,kiab->kab", om[1:], data.G)
     flat = dz.reshape(-1, dz.shape[-1])
     return flat.T @ (M @ dz).reshape(flat.shape)

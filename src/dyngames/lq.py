@@ -1,7 +1,7 @@
 """Open-loop equilibria of linear-quadratic games: factor once, solve many.
 
-Player n's stage cost is 0.5 x'Q x + q'x + x'X u + 0.5 u'R u + r'u (data
-indexed ``Q[n, k]``) and the dynamics are x+ = A_k x + B_k u + b_k from a
+Player n's stage cost is c'z + 0.5 z'C z over z = (x, u) (data indexed
+``C[n, k]``) and the dynamics are x+ = A_k x + B_k u + b_k from a
 pinned initial state.  The open-loop equilibrium solves one linear system,
 the stacked KKT conditions of all players (Di and Lamperski,
 arXiv:1906.09097; ALGAMES, arXiv:1910.09713), laid out in T+1 blocks of
@@ -18,7 +18,7 @@ trajectory; ``extract_lq_data`` reads it at the origin.
 
 ``factor`` assembles the matrix in LAPACK band storage and factors it once
 with partial pivoting (``dgbtrf``).  ``LqFactor.solve(y, z)`` shifts every
-player's linear terms to q_{n,k} - y_k and r_{n,k} - z_k, which moves only
+player's linear terms c_{n,k} by -(y_k, z_k), which moves only
 the right-hand side, and runs one banded solve (``dgbtrs``).  Memory is
 O(bandwidth * T), the bandwidth independent of the horizon.
 
@@ -29,10 +29,10 @@ when the 1-norm reciprocal condition estimate is below n eps (n the system
 size), naming the stage of the largest entry of one inverse-iteration step.
 A singular stage-0 matrix with the pinned x_0 is such a case.
 
-``regularized_factor(data, eta)`` factors the game with costs eta c_{n,k}
-+ 0.5 |x_k - y_k|^2 + 0.5 |u_k - z_k|^2, whose equilibrium is the resolvent
-of the scaled game operator at (y, z).  ``factor(game, eta)`` applies it to
-a declared linear-quadratic game, each Newton step of
+``regularized_factor(data, eta)`` factors the game with costs eta c'z +
+0.5 eta z'C z + 0.5 |x_k - y_k|^2 + 0.5 |u_k - z_k|^2, whose equilibrium is
+the resolvent of the scaled game operator at (y, z).  ``factor(game, eta)``
+applies it to a declared linear-quadratic game, each Newton step of
 ``splitting.resolvent_reg_game`` to a local LQ game.  At eta = 0 it is the
 Euclidean projection onto the trajectories of the dynamics.
 
@@ -123,7 +123,7 @@ class LqFactor:
 
     def solve(self, y: Optional[Array] = None,
               z: Optional[Array] = None) -> tuple[Array, Array]:
-        """Equilibrium with linear terms q_{n,k} - y_k and r_{n,k} - z_k.
+        """Equilibrium with linear terms c_{n,k} - (y_k, z_k).
 
         ``y`` is (T+1, n_x), ``z`` (T+1, n_u); either may be omitted (no
         shift).  One banded solve: O(T) time and memory.  Returns the states
@@ -187,8 +187,8 @@ def _kkt_factor(data: LqGameData, eta: Optional[float] = None,
     multipliers lead each block (``LqFactor.rows``).
     Raises StageSingularityError as the module docstring describes.
     """
-    N, T1, n_x = data.Q.shape[:3]
-    T, n_u = T1 - 1, data.R.shape[-1]
+    (N, T1, n_z), n_x = data.c.shape, np.size(data.initial_state)
+    T, n_u = T1 - 1, n_z - n_x
     m = 0 if pinned is None else pinned[3].shape[1]
     ix, iu = m, m + n_x  # offsets of x_k and u_k in a block
     lam, nb = iu + n_u, iu + n_u + N * n_x  # offset of the costates in a block, block size
@@ -197,8 +197,8 @@ def _kkt_factor(data: LqGameData, eta: Optional[float] = None,
     rhs = np.zeros((T1, nb))
     rhs[0, ix:iu] = data.initial_state
     rhs[1:, ix:iu] = data.b
-    rhs[:, iu:lam] = -data.r[owner, :, own].T
-    rhs[:T, lam:] = -data.q[:, 1:].swapaxes(0, 1).reshape(T, N * n_x)
+    rhs[:, iu:lam] = -data.c[owner, :, n_x + own].T
+    rhs[:T, lam:] = -data.c[:, 1:, :n_x].swapaxes(0, 1).reshape(T, N * n_x)
     spread = np.zeros((n_u + n_x, nb))  # every player's stationarity in x_{k+1} gets y_{k+1}
     spread[:n_u, iu:lam] = np.eye(n_u)
     spread[n_u:, lam:] = np.tile(np.eye(n_x), N)
@@ -214,7 +214,7 @@ def _kkt_factor(data: LqGameData, eta: Optional[float] = None,
         strides=(band.itemsize * nb * ldab, band.itemsize, band.itemsize * (ldab - 1)))
     D[:, ix:iu, nb + ix:nb + iu] = np.eye(n_x)
     D[1:, ix:iu, ix:lam] = -np.concatenate([data.A, data.B], axis=2)
-    C = data.stage_hessians()  # (N, T+1, n_x + n_u, n_x + n_u)
+    C = data.C  # (N, T+1, n_x + n_u, n_x + n_u)
     D[:, iu:lam, nb + ix:nb + lam] = np.moveaxis(C[owner, :, n_x + own], 0, 1)
     lam_cols = nb + lam + owner[:, None] * n_x + np.arange(n_x)
     D[:T, iu + own[:, None], lam_cols] = data.B.swapaxes(1, 2)
@@ -253,13 +253,11 @@ def _kkt_factor(data: LqGameData, eta: Optional[float] = None,
 def regularized_factor(data: LqGameData, eta: float) -> LqFactor:
     """Factor of the game ``data`` regularized with weight eta.
 
-    Every player's costs become eta c_{n,k} + 0.5 |x_k|^2 + 0.5 |u_k|^2;
+    Every player's costs become eta c'z + 0.5 z'(eta C + I) z over z = (x, u);
     ``LqFactor.solve(y, z)`` then shifts the prox centres to (y, z).
     """
-    n_x, n_u = data.A.shape[1], data.B.shape[2]
-    return _kkt_factor(replace(data, Q=eta * data.Q + np.eye(n_x), X=eta * data.X,
-                               R=eta * data.R + np.eye(n_u), q=eta * data.q,
-                               r=eta * data.r), eta)
+    return _kkt_factor(replace(data, C=eta * data.C + np.eye(data.C.shape[-1]),
+                               c=eta * data.c), eta)
 
 
 def factor(game: GameDefinition, eta: float, data: Optional[LqGameData] = None) -> LqFactor:
@@ -359,8 +357,8 @@ class BandedQp:
         self.G = np.concatenate([W, S], axis=2)  # (T+1, m, n_x + n_u)
         self.n_x, self.n_v = W.shape[2], self.G.shape[2]
         self.size = W.shape[0] * self.n_v + int(real.sum())
-        self.H_size = max(_max_abs(data.Q, data.X, data.R), np.finfo(float).tiny)
-        self.f_size = _max_abs(data.q, data.r)
+        self.H_size = max(_max_abs(data.C), np.finfo(float).tiny)
+        self.f_size = _max_abs(data.c)
         self.row_size = _max_abs(np.ones(1), data.A, data.B, self.G)  # 1: x_0's pin
         # a step's KKT system: no offsets, the linear term of the step's row
         self.homogeneous = replace(data, b=np.zeros_like(data.b),
@@ -387,11 +385,11 @@ class BandedQp:
         pinned = self.held.copy()
         pinned.flat[active] = True
         g, n_x, n_v = g.reshape(-1, self.n_v), self.n_x, self.n_v
-        data = replace(self.homogeneous, q=g[None, :, :n_x], r=g[None, :, n_x:])
+        data = replace(self.homogeneous, c=g[None])
         fac, sol, mu = _pinned_solve(data, self.W, self.S, np.zeros_like(self.p), pinned)
         s, lam = sol[:, fac.rows:fac.rows + n_v], sol[:, fac.rows + n_v:]  # lam_{k+1}
         # x_0's pin closes the stationarity in x_0, which the band leaves out
-        pin = g[0, :n_x] + self.data.X[0, 0] @ s[0, n_x:] + self.W[0].T @ mu[0]
+        pin = g[0, :n_x] + self.data.C[0, 0, :n_x, n_x:] @ s[0, n_x:] + self.W[0].T @ mu[0]
         pin = pin + (self.data.A[0].T @ lam[0] if len(self.data.A) else 0.0)
         return s.ravel(), np.concatenate([pin, lam.ravel(), mu[self.held], mu.flat[active]])
 
@@ -409,10 +407,9 @@ def _prox_data(A: Array, B: Array, b: Array, initial_state: Array, state_weight:
                y: Array, z: Array) -> LqGameData:
     """One player holding every action, with costs 0.5 w |x - y|^2 + 0.5 |u - z|^2."""
     (T1, n_x), n_u, w = y.shape, z.shape[1], state_weight
-    return LqGameData(A, B, b, Q=np.broadcast_to(w * np.eye(n_x), (1, T1, n_x, n_x)),
-                      X=np.zeros((1, T1, n_x, n_u)),
-                      R=np.broadcast_to(np.eye(n_u), (1, T1, n_u, n_u)),
-                      q=-w * y[None], r=-z[None], action_dims=(n_u,),
+    C = np.diag(np.repeat([w, 1.0], [n_x, n_u]))
+    return LqGameData(A, B, b, C=np.broadcast_to(C, (1, T1) + C.shape),
+                      c=-np.concatenate([w * y, z], axis=1)[None], action_dims=(n_u,),
                       initial_state=np.asarray(initial_state, dtype=float))
 
 

@@ -16,11 +16,11 @@ reference trajectory.  ``local_lq`` reads it, ``quadraticize`` around a
 feasible trajectory with the rows, ``lq.extract_lq_data`` at the origin.
 Every second-order reader takes it from these: the stagewise Newton pass,
 the DR resolvents, and ``gradient``'s curvature test and operator constants.
-They read the stage cost Hessians from one builder,
-``LqGameData.stage_hessians``; no reader needs the stage costs themselves.
-The stage rows have one layout too, ``PaddedRows``, and one reader,
-``read_rows``, which reads every stage once; ``quadraticize`` marks the
-active rows with a mask of the same shape.
+Each player's stage cost model is one gradient and one symmetric Hessian
+over z = (x, u), the layout every reader uses; no reader needs the stage
+costs themselves.  The stage rows have one layout too, ``PaddedRows``, and
+one reader, ``read_rows``, which reads every stage once; ``quadraticize``
+marks the active rows with a mask of the same shape.
 """
 
 from __future__ import annotations
@@ -93,7 +93,8 @@ class GameDefinition:
     shape-checked once per call and a mismatch raises DimensionError, which
     names the first misfit stage of a per-stage stack.
     ``eval_traj_cost_hessians`` has no hook: it stacks the per-stage
-    ``eval_cost_hessians``.
+    ``eval_cost_hessians`` and joins their three blocks into one Hessian
+    over (x, u), the one place the blocks are joined.
 
     The analytic projector has only the whole-trajectory form:
     ``traj_projector(states, actions) -> (states, actions)`` projects every
@@ -270,16 +271,16 @@ class GameDefinition:
         return tuple(_checked_stages(what, [r[i] for r in read], shape)
                      for i, (what, shape) in enumerate(shapes.items()))
 
-    def eval_traj_cost_hessians(self, states: Array,
-                                actions: Array) -> tuple[Array, Array, Array]:
-        """Stacked cost Hessians (T+1, N, n_x, n_x), (T+1, N, n_x, n_u) and (T+1, N, n_u, n_u)."""
+    def eval_traj_cost_hessians(self, states: Array, actions: Array) -> Array:
+        """Stacked cost Hessians over (x, u), [[CXX, CXU], [CXU', CUU]]: (T+1, N, n_z, n_z)."""
         N, n_x, n_u = self.num_players, self.state_dim, self.total_action_dim
         shapes = {"cost state Hessians": (N, n_x, n_x), "cost cross Hessians": (N, n_x, n_u),
                   "cost action Hessians": (N, n_u, n_u)}
         read = [self.eval_cost_hessians(k, states[k], actions[k])
                 for k in range(self.horizon + 1)]
-        return tuple(_checked_stages(what, blocks, shape)
-                     for (what, shape), blocks in zip(shapes.items(), zip(*read)))
+        cxx, cxu, cuu = (_checked_stages(what, blocks, shape)
+                         for (what, shape), blocks in zip(shapes.items(), zip(*read)))
+        return np.block([[cxx, cxu], [cxu.swapaxes(2, 3), cuu]])
 
     def eval_traj_dynamics_jacobians(self, states: Array, actions: Array) -> tuple[Array, Array]:
         """Stacked dynamics Jacobians of stages k < T: (T, n_x, n_x) and (T, n_x, n_u)."""
@@ -429,6 +430,7 @@ class Trajectory:
 
     def constraint_violation(self, game: GameDefinition) -> float:
         """Largest stage-row violation max(g_k(x_k, u_k), 0); NaN when any row is NaN."""
+        _check_fits(game, self.states, self.actions)
         if game.constraints is None:
             return 0.0
         rows = [game.eval_constraints(k, self.states[k], self.actions[k])
@@ -510,6 +512,7 @@ def all_player_costs(game: GameDefinition, traj: Trajectory, start: int = 0) -> 
     T = game.horizon
     if not 0 <= start <= T:
         raise ValueError(f"start stage {start} outside 0..{T}")
+    _check_fits(game, traj.states, traj.actions)
     return game.eval_traj_costs(traj.states, traj.actions)[start:].sum(axis=0)
 
 
@@ -518,11 +521,21 @@ def check_feasible(game: GameDefinition, traj: Trajectory, tol: float = 1e-8) ->
 
     Stage k passes when |x_{k+1} - f_k(x_k, u_k)| <= tol (1 + |x_{k+1}|), which
     NaN fails.  ``tol = inf`` skips the check; a NaN or negative ``tol``
-    raises ValueError.
+    raises ValueError, and a trajectory that does not fit the game
+    DimensionError.
     """
     _check_tol("feas_tol", tol)
+    _check_fits(game, traj.states, traj.actions)
     if tol < np.inf:
         _raise_if_infeasible(traj.dynamics_residuals(game), traj.states, tol)
+
+
+def _check_fits(game: GameDefinition, states: Array, actions: Array) -> None:
+    """DimensionError unless states are (T+1, n_x) and actions (T+1, n_u)."""
+    for what, arr, dim in (("states", states, game.state_dim),
+                           ("actions", actions, game.total_action_dim)):
+        if np.shape(arr) != (game.horizon + 1, dim):
+            raise DimensionError(f"trajectory {what}", (game.horizon + 1, dim), np.shape(arr))
 
 
 def _check_tol(name: str, tol: float) -> None:
@@ -592,33 +605,27 @@ class LqGameData:
     In deviations dx = x - xbar, du = u - ubar from a reference (xbar, ubar),
     dx+ = A_k dx + B_k du + b_k with b_k = f_k(xbar_k, ubar_k) - xbar_{k+1},
     from dx_0 = ``initial_state`` = x0 - xbar_0.  A, B and b have shapes
-    (T, n_x, ...).  Player n's stage cost is, up to a constant, q'dx + r'du
-    + 0.5 dx'Q dx + dx'X du + 0.5 du'R du, with q, r, Q, X and R of shapes
-    (N, T+1, ...) indexed ``Q[n, k]``; Q and R are symmetric.  ``G`` (T,
-    n_x, n_x+n_u, n_x+n_u) holds the symmetrized second derivatives of each
-    dynamics output over (x, u).  ``rows`` holds every stage's rows W dx + S
-    du + p <= 0 and ``active`` (T+1, m) marks the active ones, the real rows
-    with p >= -active_tol; both are None when no rows were read.
+    (T, n_x, ...).  Player n's stage cost is, up to a constant, c'dz + 0.5
+    dz'C dz over dz = (dx, du), with ``c`` (N, T+1, n_x+n_u) and the
+    symmetric ``C`` (N, T+1, n_x+n_u, n_x+n_u) indexed ``C[n, k]``.  One
+    read serves every reader of a solve, so a reader copies C before
+    writing into it.  ``G`` (T, n_x, n_x+n_u, n_x+n_u) holds the symmetrized
+    second derivatives of each dynamics output over (x, u).  ``rows`` holds
+    every stage's rows W dx + S du + p <= 0 and ``active`` (T+1, m) marks the
+    active ones, the real rows with p >= -active_tol; both are None when no
+    rows were read.
     """
 
     A: Array
     B: Array
     b: Array
-    Q: Array
-    X: Array
-    R: Array
-    q: Array
-    r: Array
+    C: Array
+    c: Array
     action_dims: tuple[int, ...]
     initial_state: Array
     G: Optional[Array] = None
     rows: Optional[PaddedRows] = None
     active: Optional[Array] = None
-
-    def stage_hessians(self) -> Array:
-        """Every player's stage cost Hessian over (dx, du): [[Q, X], [X', R]], (N, T+1, ...)."""
-        return np.concatenate([np.concatenate([self.Q, self.X], axis=3),
-                               np.concatenate([self.X.swapaxes(2, 3), self.R], axis=3)], axis=2)
 
 
 def linearize_dynamics(game: GameDefinition, states: Array, actions: Array,
@@ -643,20 +650,19 @@ def local_lq(game: GameDefinition, states: Array, actions: Array,
     evaluated, for declared linear dynamics; the rows are read
     (``read_rows``) only when ``active_tol`` is given.
     """
+    _check_fits(game, states, actions)
     T, n_z = game.horizon, game.state_dim + game.total_action_dim
     A, B, b = linearize_dynamics(game, states, actions, feas_tol)
-    CX, CU = game.eval_traj_cost_gradients(states, actions)
-    # every cost block as (N, T+1, ...): players first, then stages
-    cxx, cxu, cuu = (H.swapaxes(0, 1) for H in game.eval_traj_cost_hessians(states, actions))
+    # the cost model as (N, T+1, ...): players first, then stages
+    c = np.concatenate(game.eval_traj_cost_gradients(states, actions), axis=2).swapaxes(0, 1)
+    C = game.eval_traj_cost_hessians(states, actions).swapaxes(0, 1)
     G = np.zeros((T, game.state_dim, n_z, n_z))
     if not game.linear_dynamics:
         G = _checked_stages("dynamics Hessians",
                             [game.eval_dynamics_hessians(k, states[k], actions[k])
                              for k in range(T)], G.shape[1:])
         G = 0.5 * (G + G.swapaxes(2, 3))
-    data = LqGameData(A=A, B=B, b=b, Q=0.5 * (cxx + cxx.swapaxes(2, 3)), X=cxu,
-                      R=0.5 * (cuu + cuu.swapaxes(2, 3)),
-                      q=CX.swapaxes(0, 1), r=CU.swapaxes(0, 1),
+    data = LqGameData(A=A, B=B, b=b, C=0.5 * (C + C.swapaxes(2, 3)), c=c,
                       action_dims=game.action_dims, initial_state=game.initial_state - states[0],
                       G=G)
     if active_tol is not None:
@@ -670,8 +676,8 @@ def quadraticize(game: GameDefinition, traj: Trajectory,
                  feas_tol: float = 1e-6) -> LqGameData:
     """The local LQ approximation around a feasible trajectory, with its rows.
 
-    The stacked ``LqGameData`` in deviations from the trajectory: q and r
-    are its cost gradients, b its dynamics residuals, ``initial_state`` is
+    The stacked ``LqGameData`` in deviations from the trajectory: c holds
+    its cost gradients, b its dynamics residuals, ``initial_state`` is
     x0 - xbar_0, and every stage's rows are read with the active mask
     ``real & (g >= -active_tol)``.  Raises InfeasibleTrajectoryError for a
     residual above ``feas_tol`` (``inf`` skips the check), and ValueError

@@ -192,8 +192,9 @@ def resolvent_reg_game(game: GameDefinition, y: Array, z: Array, eta: float,
     for it in range(INNER_MAX_ITER + 1):
         data = local_lq(game, traj.states, traj.actions)
         # costates and own-action gradients of the regularized costs
-        lam = solve_costates(data.A, eta * data.q.swapaxes(0, 1) + (traj.states - y)[:, None])
-        grads = eta * data.r.swapaxes(0, 1) + (traj.actions - z)[:, None]
+        c = data.c.swapaxes(0, 1)
+        lam = solve_costates(data.A, eta * c[..., :n_x] + (traj.states - y)[:, None])
+        grads = eta * c[..., n_x:] + (traj.actions - z)[:, None]
         grads[:-1] += lam[1:] @ data.B
         resid = float(np.max(np.abs(grads[:, game.owner, np.arange(n_u)]), initial=0.0))
         if resid <= INNER_TOL * scale:
@@ -207,10 +208,7 @@ def resolvent_reg_game(game: GameDefinition, y: Array, z: Array, eta: float,
         if it == INNER_MAX_ITER:
             break
         # Lagrangian Hessians, in units of the unregularized costs
-        H = np.einsum("kni,kiab->nkab", lam[1:], data.G) / eta
-        data.Q[:, :T] += H[..., :n_x, :n_x]
-        data.X[:, :T] += H[..., :n_x, n_x:]
-        data.R[:, :T] += H[..., n_x:, n_x:]
+        data.C[:, :T] += np.einsum("kni,kiab->nkab", lam[1:], data.G) / eta
         _, du = lq.regularized_factor(data, eta).solve(y - traj.states, z - traj.actions)
         traj = rollout(game, game.initial_state, traj.actions + du)
     raise SubproblemError(
@@ -246,19 +244,17 @@ def project_stage_constraints(game: GameDefinition, y: Array, z: Array,
     return xs, us
 
 
-def _stage_operators(game, cx, cu, cxx, cxu, cuu):
+def _stage_operators(game, cx, cu, C):
     """Every stage's static-game operator and its Jacobian from stacked cost derivatives.
 
-    The derivatives are stacked as (T+1, N, ...), like ``eval_traj_cost_gradients``
-    and ``eval_traj_cost_hessians``; returns F (T+1, n_v) and J (T+1, n_v, n_v)
-    over v = (x, u).  The state row is the coordinator (mean of the players'
-    state gradients), each action row its owner's own-action gradient.
+    The gradients are stacked as (T+1, N, ...), like ``eval_traj_cost_gradients``,
+    and C like ``eval_traj_cost_hessians``; returns F (T+1, n_v) and J (T+1, n_v,
+    n_v) over v = (x, u).  The state rows are the coordinator's (mean of the
+    players'), each action row its owner's own-action row.
     """
-    N, owner, own = game.num_players, game.owner, np.arange(game.total_action_dim)
+    N, n_x, owner, own = game.num_players, game.state_dim, game.owner, np.arange(cu.shape[2])
     F = np.concatenate([cx.sum(axis=1) / N, cu[:, owner, own]], axis=1)
-    J = np.concatenate([np.concatenate([cxx, cxu], axis=3).sum(axis=1) / N,
-                        np.concatenate([cxu.swapaxes(2, 3), cuu], axis=3)[:, owner, own]],
-                       axis=1)
+    J = np.concatenate([C[:, :, :n_x].sum(axis=1) / N, C[:, owner, n_x + own]], axis=1)
     return F, J
 
 
@@ -367,8 +363,8 @@ def _static_games(game: GameDefinition, y: Array, z: Array, eta: float,
     if game.linear_dynamics and game.quadratic_costs:
         data = lq.extract_lq_data(game) if data is None else data
         # the operator at the origin and its constant Jacobian
-        f0, H = _stage_operators(game, *(a.swapaxes(0, 1) for a in
-                                         (data.q, data.r, data.Q, data.X, data.R)))
+        c = data.c.swapaxes(0, 1)
+        f0, H = _stage_operators(game, c[..., :n_x], c[..., n_x:], data.C.swapaxes(0, 1))
 
         def operators(P):
             return f0[P] + (H[P] @ v[P, :, None])[..., 0], H[P]
@@ -376,7 +372,7 @@ def _static_games(game: GameDefinition, y: Array, z: Array, eta: float,
         def operators(P):
             x, u = v[:, :n_x], v[:, n_x:]
             F, J = _stage_operators(game, *game.eval_traj_cost_gradients(x, u),
-                                    *game.eval_traj_cost_hessians(x, u))
+                                    game.eval_traj_cost_hessians(x, u))
             return F[P], J[P]
 
     tol = INNER_TOL * (1.0 + np.max(np.abs(w), axis=1))

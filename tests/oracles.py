@@ -1032,10 +1032,8 @@ def augmented_newton_backward(game, traj, active_tol=1e-6, feas_tol=1e-6, stage_
     nz = 1 + n_x + n_u
     ix, iu = slice(1, 1 + n_x), slice(1 + n_x, nz)
     c = 2.0 * game.eval_traj_costs(traj.states, traj.actions).T[..., None, None]
-    q, r = data.q[..., None, :], data.r[..., None, :]
-    M = np.block([[c, q, r],
-                  [q.swapaxes(2, 3), data.Q, data.X],
-                  [r.swapaxes(2, 3), data.X.swapaxes(2, 3), data.R]])
+    g = data.c[..., None, :]
+    M = np.block([[c, g], [g.swapaxes(2, 3), data.C]])
     AB = np.concatenate([data.A, data.B], axis=2)
     left = np.zeros((1 + n_x, nz))
     left[0, 0] = 1.0
@@ -1064,7 +1062,7 @@ def augmented_newton_backward(game, traj, active_tol=1e-6, feas_tol=1e-6, stage_
         left[1:, iu] = law.K.T
         ln = left @ gamma @ left.T
         lam[:, k] = 0.5 * (ln + ln.swapaxes(1, 2))
-        omega[:, k] = data.q[:, k]
+        omega[:, k] = data.c[:, k, :n_x]
         if k < T:
             omega[:, k] += omega[:, k + 1] @ data.A[k]
         if Wa.shape[0]:

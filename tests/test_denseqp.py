@@ -132,9 +132,9 @@ def test_singular_equality_problem_raises(banded):
 
 def zero_action_cost(data, j):
     """``data`` with no cost on action j."""
-    R = data.R.copy()
-    R[..., j, :] = R[..., :, j] = 0.0
-    return LqGameData(data.A, data.B, data.b, data.Q, data.X, R, data.q, data.r,
+    C, n_x = data.C.copy(), data.initial_state.size
+    C[..., n_x + j, n_x:] = C[..., n_x:, n_x + j] = 0.0
+    return LqGameData(data.A, data.B, data.b, C, data.c,
                       action_dims=data.action_dims, initial_state=data.initial_state)
 
 
@@ -175,9 +175,7 @@ def random_banded_qp(seed, T, counts, special, cost):
         target = 2.0 * rng.standard_normal((T1, n_v))
         lin = -(C @ target[..., None])[..., 0]
         target = (target[:, :N_X], target[:, N_X:])
-    data = LqGameData(A, B, b, C[None, :, :N_X, :N_X], C[None, :, :N_X, N_X:],
-                      C[None, :, N_X:, N_X:], lin[None, :, :N_X], lin[None, :, N_X:],
-                      action_dims=(N_U,), initial_state=x0)
+    data = LqGameData(A, B, b, C[None], lin[None], action_dims=(N_U,), initial_state=x0)
 
     # a reference trajectory; a held policy row passes through it
     ref = np.zeros((T1, n_v))

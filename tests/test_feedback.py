@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from dyngames.benchmarks import FisheryParams, fishery_game
+from dyngames.benchmarks import FisheryParams, fishery_game, noise_comparison
 from dyngames.errors import (
     DimensionError,
     NonFiniteStateError,
@@ -237,6 +237,22 @@ def test_misshapen_policy_is_rejected(field, value):
     _, policy = overflowing_game()  # T = 4, one state, one action
     with pytest.raises(DimensionError, match=f"feedback {field}"):
         dataclasses.replace(policy, **{field: value})
+
+
+def test_a_policy_of_another_game_is_rejected(rng):
+    # the rollout behind every policy reader checks the gains first
+    short, long_ = (tightened_two_player_instance(rng, T=T) for T in (5, 8))
+    policies = [stagewise_newton_backward(inst.tight, inst.ref) for inst in (short, long_)]
+    for inst, policy in zip((short, long_), policies[::-1]):
+        x0 = inst.ref.states[0]
+        with pytest.raises(DimensionError, match="feedback gains"):
+            feedback_rollout(inst.partial, policy, x0)
+        with pytest.raises(DimensionError, match="feedback gains"):
+            epsilon_nash_gap(inst.partial, policy, 0, 0, x0)
+    fishery_policy = rollout_case("fishery")[1]
+    with pytest.raises(DimensionError, match="feedback gains"):
+        noise_comparison(short.partial, short.ref, fishery_policy, noise_var=1.0, n_runs=2,
+                         seed=0)
 
 
 class TestBatchedFeedbackRollout:

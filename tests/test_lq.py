@@ -10,12 +10,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import lapack
 
-from dyngames import feedback, lq, splitting
+from dyngames import feedback, gradient, lq, splitting
 from dyngames.errors import StageSingularityError
-from dyngames.benchmarks import lq_rendezvous_game
-from dyngames.model import GameDefinition, Trajectory, quadraticize
+from dyngames.benchmarks import FisheryParams, fishery_game, lq_rendezvous_game
+from dyngames.model import GameDefinition, Trajectory, quadraticize, rollout
 from dyngames.splitting import DrConfig, dr_solve, resolvent_reg_game
 
+from conftest import random_smooth_game
 from oracles import dense_eq_least_squares, stacked_lq_gne
 
 
@@ -213,9 +214,71 @@ def test_extract_lq_data_is_the_reader_at_the_origin(rng, make):
     # neither rows nor dynamics Hessians are read
     got = lq.extract_lq_data(dataclasses.replace(game, constraints=boom,
                                                  dynamics_hessians=boom))
-    for name in ("A", "B", "b", "Q", "X", "R", "q", "r", "G", "initial_state"):
+    for name in ("A", "B", "b", "C", "c", "G", "initial_state"):
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
     assert got.rows is None and got.active is None
+
+
+def symmetric(C):
+    return np.array_equal(C, C.swapaxes(-1, -2))
+
+
+def test_every_writer_stores_an_exactly_symmetric_cost_hessian(rng, monkeypatch):
+    fishery = fishery_game(FisheryParams(horizon_time=3.0))
+    smooth = random_smooth_game(rng)
+    for game in (fishery, lq_rendezvous_game(), smooth):
+        u = 0.1 * rng.uniform(size=(game.horizon + 1, game.total_action_dim))
+        assert symmetric(quadraticize(game, rollout(game, game.initial_state, u),
+                                      feas_tol=np.inf).C)
+    game = lq_game(random_lq_data(rng, 4, 3, (2, 1)), rng.standard_normal(3), (2, 1))
+    assert symmetric(lq.extract_lq_data(game).C)
+    # the data of every factor: the regularized game, each Newton step's
+    # local game, and the prox terms of a projection
+    factored, real = [], lq._kkt_factor
+
+    def kkt_factor(data, *args, **kwargs):
+        factored.append(data)
+        return real(data, *args, **kwargs)
+
+    monkeypatch.setattr(lq, "_kkt_factor", kkt_factor)
+    lq.factor(game, 0.3)
+    for nonlinear in (fishery, smooth):
+        T1, n_u = nonlinear.horizon + 1, nonlinear.total_action_dim
+        y = rollout(nonlinear, nonlinear.initial_state, np.full((T1, n_u), 0.1)).states
+        resolvent_reg_game(nonlinear, y, np.full((T1, n_u), 0.2), 1e-2)
+    lq.factor(game, 0.0)
+    assert len(factored) >= 4 and all(symmetric(data.C) for data in factored)
+    y, z = rng.standard_normal((2, game.horizon + 1, 3))
+    assert symmetric(lq._prox_data(*lq.linearize_dynamics(game, *lq._origin(game)),
+                                   game.initial_state, 0.5, y, z).C)
+
+
+def test_readers_leave_the_shared_read_untouched(rng, monkeypatch):
+    # one read serves every reader of a solve, so no reader may write into it
+    reads = []
+
+    def record(data):
+        reads.append((data, data.C.copy(), data.c.copy()))
+        return data
+
+    for module, name in ((feedback, "extract_lq_data"), (gradient, "local_lq")):
+        monkeypatch.setattr(module, name, lambda *args, real=getattr(module, name), **kwargs:
+                            record(real(*args, **kwargs)))
+    smooth = random_smooth_game(rng)
+    u = 0.1 * rng.standard_normal((smooth.horizon + 1, smooth.total_action_dim))
+    curved = record(quadraticize(smooth, rollout(smooth, smooth.initial_state, u)))
+    assert np.any(curved.G != 0.0)  # the costate terms would change a shared C
+    gradient._cost_hessian(curved, 0, gradient._sensitivities(curved, np.arange(u.size)))
+    game = lq_game(random_lq_data(rng, 4, 3, (2, 1)), rng.standard_normal(3), (2, 1))
+    lq.factor(game, 0.3, record(lq.extract_lq_data(game)))
+    gradient.estimate_operator_constants(game)
+    ref = lq.solve_lq_open_loop(lq.extract_lq_data(game))
+    policy = feedback.stagewise_newton_backward(game, ref)
+    feedback.epsilon_nash_gap(game, policy, 1, 1, ref.states[1] + 0.01)
+    assert len(reads) == 4
+    for data, C, c in reads:
+        np.testing.assert_array_equal(data.C, C)
+        np.testing.assert_array_equal(data.c, c)
 
 
 def singular_game(rng, eta, T=3):
@@ -367,7 +430,7 @@ def test_singular_first_stage_matrix_raises(seed):
 
 def test_non_finite_data_raises(rng):
     data = lq.extract_lq_data(lq_game(random_lq_data(rng, 3, 2, (1, 1)), np.zeros(2), (1, 1)))
-    data.R[1, 2, 1, 0] = np.nan  # in player 1's own-action row
+    data.C[1, 2, 3, 2] = np.nan  # in player 1's own-action row (n_x = 2)
     with pytest.raises(StageSingularityError):
         lq.solve_lq_open_loop(data)
 

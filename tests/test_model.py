@@ -9,7 +9,8 @@ from hypothesis import given, strategies as st
 from dyngames import lq
 from dyngames.benchmarks import FisheryParams, fishery_game, lq_rendezvous_game
 from dyngames.errors import DimensionError, InfeasibleTrajectoryError, NonFiniteStateError
-from dyngames.gradient import pseudo_gradient
+from dyngames.feedback import stagewise_newton_backward
+from dyngames.gradient import playerwise_minimizer_check, pseudo_gradient
 from dyngames.projgrad import project_onto_feasible
 from dyngames.splitting import project_stage_constraints
 from dyngames.model import (
@@ -410,6 +411,34 @@ class TestCheckFeasible:
         check_feasible(game, traj, np.inf)  # inf still skips the check
 
 
+class TestTrajectoryFitsTheGame:
+    """Every whole-trajectory reader rejects a trajectory of another horizon."""
+
+    READERS = {
+        "all_player_costs": lambda game, traj: all_player_costs(game, traj),
+        "total_cost": lambda game, traj: total_cost(game, traj, 0),
+        "check_feasible": lambda game, traj: check_feasible(game, traj, np.inf),
+        "pseudo_gradient": lambda game, traj: pseudo_gradient(game, traj, feas_tol=np.inf),
+        "quadraticize": lambda game, traj: quadraticize(game, traj, feas_tol=np.inf),
+        "stagewise_newton_backward": lambda game, traj: stagewise_newton_backward(
+            game, traj, feas_tol=np.inf),
+        "playerwise_minimizer_check": playerwise_minimizer_check,
+        "constraint_violation": lambda game, traj: traj.constraint_violation(game),
+    }
+
+    @pytest.mark.parametrize("stages", [6, 13])
+    @pytest.mark.parametrize("reader", READERS)
+    def test_a_trajectory_of_another_horizon_is_rejected(self, reader, stages):
+        # a game without trajectory hooks, whose per-stage loops ran over the
+        # first T+1 stages of a longer trajectory and indexed past a shorter one
+        rows = lambda k, x, u: u - 1.0
+        game, _ = random_lq_game(np.random.default_rng(0), T=10, constraints=rows)
+        other, _ = random_lq_game(np.random.default_rng(1), T=stages - 1, constraints=rows)
+        traj = rollout(other, other.initial_state, np.zeros((stages, 2)))
+        with pytest.raises(DimensionError, match="trajectory states"):
+            self.READERS[reader](game, traj)
+
+
 def bare(game):
     """The game's per-stage maps alone: every derivative by finite differences."""
     return GameDefinition(horizon=game.horizon, state_dim=game.state_dim,
@@ -437,8 +466,8 @@ class TestQuadraticize:
         ubar = np.array([0.7, -0.3])
         traj = rollout(game, np.zeros(1), np.vstack([ubar, ubar]))
         data = quadraticize(game, traj)
-        np.testing.assert_allclose(data.R[0, 0], Q, atol=1e-6)
-        np.testing.assert_allclose(data.r[0, 0], Q @ ubar, atol=1e-7)
+        np.testing.assert_allclose(data.C[0, 0, 1:, 1:], Q, atol=1e-6)
+        np.testing.assert_allclose(data.c[0, 0, 1:], Q @ ubar, atol=1e-7)
 
     def test_fd_fallback_matches_analytic(self, rng):
         game = random_smooth_game(rng, T=3)
@@ -448,7 +477,7 @@ class TestQuadraticize:
         qf = quadraticize(bare(game), traj)
         np.testing.assert_allclose(qf.A, qa.A, atol=1e-7)
         np.testing.assert_allclose(qf.B, qa.B, atol=1e-7)
-        for name in ("q", "r", "Q", "X", "R", "G"):
+        for name in ("c", "C", "G"):
             np.testing.assert_allclose(getattr(qf, name), getattr(qa, name), atol=2e-5)
 
     def test_fd_consistency_order(self, rng):
@@ -533,14 +562,11 @@ class TestStackedReader:
         traj.states += shift * rng.standard_normal(traj.states.shape)
         data = quadraticize(game, traj, feas_tol=np.inf)
         ref = quadraticize_per_stage(game, traj)
-        T, n_x = game.horizon, game.state_dim
-        ix, iu = slice(1, 1 + n_x), slice(1 + n_x, None)
+        T = game.horizon
         assert data.A.shape[0] == data.B.shape[0] == data.b.shape[0] == data.G.shape[0] == T
         for k, want in enumerate(ref):
             M = want["M"]
-            for got, block in [(data.q, M[:, 0, ix]),
-                               (data.r, M[:, 0, iu]), (data.Q, M[:, ix, ix]),
-                               (data.X, M[:, ix, iu]), (data.R, M[:, iu, iu])]:
+            for got, block in [(data.c, M[:, 0, 1:]), (data.C, M[:, 1:, 1:])]:
                 assert_rel_close(got[:, k], block)
             if k < T:
                 for name_ in ("A", "B", "G", "b"):

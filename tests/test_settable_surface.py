@@ -7,6 +7,7 @@ from dyngames import cli
 from dyngames.benchmarks import FisheryParams
 from dyngames.feedback import FeedbackPolicy
 from dyngames.gradient import PseudoGradient
+from dyngames.model import LqGameData
 from dyngames.projgrad import ProjGradConfig
 from dyngames.splitting import (
     DrConfig,
@@ -36,6 +37,8 @@ def test_settable_surface():
                                     "feedback", "stage_reg", "simulate", "output_dir"]
     assert names(PseudoGradient) == ["own", "action_dims"]
     assert names(FeedbackPolicy) == ["reference", "gains", "offsets", "action_dims"]
+    assert names(LqGameData) == ["A", "B", "b", "C", "c", "action_dims", "initial_state", "G",
+                                 "rows", "active"]
     assert defaulted(resolvent_reg_game) == ["warm", "factor"]
     assert defaulted(resolvent_reg_static_games) == ["rows", "data"]
     assert defaulted(resolvent_static_games_uncon) == ["data"]
