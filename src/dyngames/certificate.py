@@ -187,7 +187,7 @@ class ActiveSetPolish:
         """
         rows = self.rows
         try:
-            traj, mu = lq.solve_pinned(self.data, rows.W, rows.S, rows.p, pinned)
+            traj, mu = lq.solve_pinned(self.data, rows.G, rows.p, pinned)
         except StageSingularityError:
             return None
         if np.any(mu < -self.tol) or np.any(rows.values(traj)[rows.real & ~pinned] > self.tol):

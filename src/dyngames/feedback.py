@@ -14,10 +14,11 @@ For affine dynamics with polyhedral constraints the same policy, computed on
 a tightened copy of the problem, is an approximate feedback equilibrium of
 the partially tightened problem: the suboptimality of any player against
 its exact constrained best response grows only quadratically in the initial
-state perturbation.  ``epsilon_nash_gap`` measures that gap.  It solves the
-best response as one QP over the stacked trajectory on ``lq``'s banded
-kernel (``lq.BandedQp``), the opponents' policies held as equality rows,
-in O(T) memory.
+state perturbation.  ``epsilon_nash_gap`` measures that gap.  It checks
+that the best response is strictly convex by ``gradient``'s O(T) convexity
+sweep, then solves it as one QP over the stacked trajectory on ``lq``'s
+banded kernel (``lq.BandedQp``), the opponents' policies held as equality
+rows, in O(T) memory.
 """
 
 from __future__ import annotations
@@ -28,22 +29,13 @@ from typing import Optional
 import numpy as np
 
 from . import lq
-from .errors import (
-    DimensionError,
-    InfeasibleConstraintsError,
-    NonFiniteStateError,
-    SubproblemError,
-)
+from .errors import (DimensionError, InfeasibleConstraintsError, NonFiniteStateError,
+                     SubproblemError)
+from .gradient import _convexity_pass
 # The LQ open-loop solver lives in ``lq``; these names stay importable here.
 from .lq import extract_lq_data, solve_lq_open_loop  # noqa: F401
-from .model import (
-    DEFAULT_ACTIVE_TOL,
-    GameDefinition,
-    LqGameData,
-    Trajectory,
-    _checked,
-    quadraticize,
-)
+from .model import (DEFAULT_ACTIVE_TOL, GameDefinition, LqGameData, Trajectory, _checked,
+                    quadraticize)
 from .parametric import solve_stage_kkt
 
 Array = np.ndarray
@@ -119,7 +111,7 @@ def stagewise_newton_backward(game: GameDefinition, traj: Trajectory,
     # every player's rows of its own action block, as one fancy index
     own_rows = n_x + np.arange(n_u)
     GG = data.G.reshape(T, n_x, nz * nz)
-    rows = data.rows
+    rows, W, S = data.rows, data.rows.W, data.rows.S  # views of rows.G
     eye, reg = np.eye(n_x), stage_reg * np.eye(n_u)
 
     # stage k+1's value Hessians P and costate rows om, for every player
@@ -140,7 +132,7 @@ def stagewise_newton_backward(game: GameDefinition, traj: Trajectory,
         Gam = 0.5 * (Gam + Gam.swapaxes(1, 2))
         own = Gam[game.owner, own_rows]
         act = data.active[k]
-        Wa, Sa, pa = rows.W[k, act], rows.S[k, act], rows.p[k, act]
+        Wa, Sa, pa = W[k, act], S[k, act], rows.p[k, act]
         law = solve_stage_kkt(own[:, n_x:] + reg, own[:, :n_x], grad[game.owner, own_rows],
                               Wa, Sa, pa, stage=k)
         # Congruence update of the value Hessians; symmetric by construction.
@@ -274,8 +266,9 @@ def epsilon_nash_gap(game: GameDefinition, policy: FeedbackPolicy,
     and the gap is then the open-loop best-response gap of that reference.
 
     Raises ValueError for a player outside 0..N-1, SubproblemError naming
-    the stage when the best response is not strictly convex, and
-    InfeasibleConstraintsError when the policy rollout violates a row.
+    the first stage from T down whose convexity-sweep pivot shows the best
+    response is not strictly convex, and InfeasibleConstraintsError when the
+    policy rollout violates a row.
     """
     N = game.num_players
     if not 0 <= player < N:
@@ -290,8 +283,15 @@ def epsilon_nash_gap(game: GameDefinition, policy: FeedbackPolicy,
             f"policy rollout violates the game's rows at stage {start + worst}",
             max_violation=float(roll.constraint_violations[worst]))
     data = extract_lq_data(game)
-    _check_best_response_convex(data.C[player, start:], data.A, data.B,
-                                policy.gains, own, player, start)
+    # one player holding every action, with this player's costs
+    one = LqGameData(data.A[start:], data.B[start:], data.b[start:],
+                     data.C[player:player + 1, start:], data.c[player:player + 1, start:],
+                     action_dims=(n_u,), initial_state=roll.states[0])
+    failed, eig = _convexity_pass(one.C[0], one.A, one.B, own, gains=policy.gains[start:])
+    if failed is not None:
+        raise SubproblemError(f"best response of player {player} is not strictly convex at "
+                              f"stage {start + failed} (min eig {eig:.2e} of its own-action "
+                              "pivot); its action costs may be missing")
 
     # the game's rows from ``start`` on, then the opponents' policy rows
     # u^-n_k - K^-n_k x_k - c_k = 0, held
@@ -301,16 +301,12 @@ def epsilon_nash_gap(game: GameDefinition, policy: FeedbackPolicy,
     c = (ref.actions[start:, opp] - (K @ ref.states[start:, :, None])[..., 0]
          + policy.offsets[start:, opp])
     rows = lq.padded_rows(game)
-    policy_rows = (-K, np.broadcast_to(np.eye(n_u)[opp], K.shape[:2] + (n_u,)), -c,
-                   np.zeros(c.shape, dtype=bool))
-    W, S, p, real = (np.concatenate([a[start:], b], axis=1) for a, b in
-                     zip((rows.W, rows.S, rows.p, rows.real), policy_rows))
+    policy_rows = (np.concatenate([-K, np.broadcast_to(np.eye(n_u)[opp], K.shape[:2] + (n_u,))],
+                                  axis=2), -c, np.zeros(c.shape, dtype=bool))
+    G, p, real = (np.concatenate([a[start:], b], axis=1) for a, b in
+                  zip((rows.G, rows.p, rows.real), policy_rows))
     held = np.broadcast_to(np.arange(p.shape[1]) >= rows.p.shape[1], p.shape)
-    # one player holding every action, with this player's costs
-    one = LqGameData(data.A[start:], data.B[start:], data.b[start:],
-                     data.C[player:player + 1, start:], data.c[player:player + 1, start:],
-                     action_dims=(n_u,), initial_state=roll.states[0])
-    best = lq.BandedQp(one, W, S, p, real, held).solve()
+    best = lq.BandedQp(one, G, p, real, held).solve()
     # one ``eval_traj_costs`` call per trajectory, on the whole horizon; the
     # stages before ``start`` are filled from the reference and dropped
     J = []
@@ -319,39 +315,3 @@ def epsilon_nash_gap(game: GameDefinition, policy: FeedbackPolicy,
         states[start:], actions[start:] = tail.states, tail.actions
         J.append(np.sum(game.eval_traj_costs(states, actions)[start:, player]))
     return float(J[0] - J[1])
-
-
-def _check_best_response_convex(blocks: Array, A: Array, B: Array, gains: Array,
-                                own: slice, player: int, start: int) -> None:
-    """Raise SubproblemError unless the player's closed-loop best response is strictly convex.
-
-    ``blocks[i]`` is the player's (x, u) cost Hessian C at stage start + i.
-    A backward Riccati pass over the player's own actions w_k, with the
-    opponents' gains substituted: u_k = L_x x_k + L_w w_k + const and
-    x_{k+1} = Acl_k x_k + Bw_k w_k + const.  The condensed Hessian of the
-    best response is positive definite exactly when every stage block
-    Q_ww = L_w' C L_w + Bw' P Bw is.
-    """
-    T, n_x = len(A), gains[0].shape[1]
-    iw = slice(n_x + own.start, n_x + own.stop)
-    P = np.zeros((n_x, n_x))
-    for k in range(T, start - 1, -1):
-        C = blocks[k - start]
-        K = gains[k].copy()
-        K[own] = 0.0
-        L_x = np.vstack([np.eye(n_x), K])
-        Qww, Qwx, Qxx = C[iw, iw], C[iw] @ L_x, L_x.T @ C @ L_x
-        if k < T:
-            Acl, Bw = A[k] + B[k] @ K, B[k][:, own]
-            Qww = Qww + Bw.T @ P @ Bw
-            Qwx = Qwx + Bw.T @ P @ Acl
-            Qxx = Qxx + Acl.T @ P @ Acl
-        Qww = 0.5 * (Qww + Qww.T)
-        eigmin = float(np.linalg.eigvalsh(Qww)[0])
-        if eigmin <= 1e-12 * (1.0 + float(np.max(np.abs(Qww)))):
-            raise SubproblemError(
-                f"best response of player {player} is not strictly convex at stage {k} "
-                f"(min eig {eigmin:.2e} of its own-action block); "
-                f"its action costs may be missing")
-        P = Qxx - Qwx.T @ np.linalg.solve(Qww, Qwx)
-        P = 0.5 * (P + P.T)

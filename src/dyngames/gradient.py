@@ -14,7 +14,10 @@ where cx, cu are stage cost gradients and A, B the dynamics Jacobians, all
 evaluated along the given trajectory.  F is the operator of the variational
 inequality whose solutions are equilibrium candidates; its Jacobian rows are
 rows of the players' cost Hessians, read exactly from the local LQ data
-(``_cost_hessian``).
+(``_cost_hessian``).  The second-order checks, the curvature test of
+``playerwise_minimizer_check`` and the best-response check of
+``feedback.epsilon_nash_gap``, share one O(T) backward sweep over a player's
+own actions (``_convexity_pass``).
 """
 
 from __future__ import annotations
@@ -32,8 +35,8 @@ from .model import (GameDefinition, LqGameData, Trajectory, check_feasible, loca
 Array = np.ndarray
 
 STATIONARITY_RTOL = 1e-6
-# Most negative eigenvalue, relative to the size of the reduced Hessian, that
-# the curvature test of ``playerwise_minimizer_check`` still reads as convex.
+# The curvature test's shift, relative to 1 + the largest stage Hessian entry:
+# the most negative eigenvalue on the free directions still read as convex.
 HESSIAN_EIG_TOL = 1e-7
 
 
@@ -152,17 +155,71 @@ def _sensitivities(data: LqGameData, cols: Array) -> Array:
 
 
 def _cost_hessian(data: LqGameData, n: int, dz: Array) -> Array:
-    """Exact Hessian of J_n over the coordinates of ``_sensitivities``' ``dz``.
-
-    Sum_k dz_k' M_k dz_k in one GEMM, M_k being player n's stage Hessian
-    ``C[n, k]`` (copied: ``data`` may be a solve's shared read) plus the dynamics
-    Hessians weighted by its costates, sum_i Om_{n,k+1,i} G_{k,i}.
-    """
-    om = solve_costates(data.A, data.c[n, :, None, :np.size(data.initial_state)])[:, 0]
-    M = data.C[n].copy()
-    M[:-1] += np.einsum("ki,kiab->kab", om[1:], data.G)
+    """Exact Hessian of J_n over ``_sensitivities``' coordinates: sum_k dz_k' M_k dz_k, one GEMM."""
     flat = dz.reshape(-1, dz.shape[-1])
-    return flat.T @ (M @ dz).reshape(flat.shape)
+    return flat.T @ (_stage_hessians(data, n) @ dz).reshape(flat.shape)
+
+
+def _stage_hessians(data: LqGameData, n: int) -> Array:
+    """Player n's stage Hessians over (x_k, u_k): C[n, k] + sum_i Om_{n,k+1,i} G_{k,i}."""
+    om = solve_costates(data.A, data.c[n, :, None, :np.size(data.initial_state)])[:, 0]
+    M = data.C[n].copy()  # ``data`` may be a solve's shared read
+    M[:-1] += np.einsum("ki,kiab->kab", om[1:], data.G)
+    return M
+
+
+def _convexity_pass(M: Array, A: Array, B: Array, own: slice,
+                    gains: Optional[Array] = None, rows: Optional[Array] = None,
+                    pinned: Optional[Array] = None,
+                    shift: float = 0.0) -> tuple[Optional[int], Optional[float]]:
+    """Positive definiteness of one player's Hessian in its own actions w, by one O(T) sweep.
+
+    ``M`` holds its stage Hessians over z = (x, u) and ``own`` its action
+    columns; the others follow u = K_k x (``gains``, zero when None), the
+    ``rows`` marked ``pinned`` hold, and dx_0 = 0.  Stage k forms Q = L'M_kL
+    + F'PF over (x, w), F = [A_k B_k] L, with ``shift`` added on w.  An SVD
+    of the w columns of its pinned rows and of the state rows carried from
+    stage k+1 (Laine and Tomlin, ICRA 2019) gives w = F_w x + N xi and the
+    state rows carried to stage k-1, vacuous at k = 0.  The pivot N'QN must
+    be positive definite, and P becomes its Schur complement.  By
+    Haynsworth's inertia additivity all pivots are exactly when the
+    Hessian's least eigenvalue on the free directions exceeds -shift: the
+    second-order condition in Riccati form (Di and Lamperski,
+    arXiv:1906.09097).  Returns the first failing stage from T down (None if
+    none fails) and the least pivot eigenvalue less ``shift`` (None if no
+    direction is free).
+    """
+    T1, n_z, n_x = M.shape[0], M.shape[1], A.shape[1]
+    n_v = n_x + own.stop - own.start  # (x, w)
+    L = np.zeros((T1, n_z, n_v))
+    L[:, n_x:, :n_x] = 0.0 if gains is None else gains
+    L[:, :n_x, :n_x] = np.eye(n_x)
+    L[:, n_x + own.start:n_x + own.stop] = np.eye(n_v)[n_x:]  # w replaces K's own rows
+    Q0 = L.swapaxes(1, 2) @ M @ L + shift * np.diag(np.arange(n_v) >= n_x)
+    F = np.concatenate([np.concatenate([A, B], axis=2) @ L[:-1], np.zeros((1, n_x, n_v))])
+    held = [np.zeros((0, n_v))] * T1 if rows is None else [R[m] for m, R in zip(pinned, rows @ L)]
+    P, D, least = np.zeros((n_x, n_x)), np.zeros((0, n_x)), np.inf
+    for k in range(T1 - 1, -1, -1):
+        Q, R = Q0[k] + F[k].T @ P @ F[k], np.concatenate([held[k], D @ F[k]])
+        if len(R):
+            U, sv, Vt = np.linalg.svd(R[:, n_x:])
+            tol = max(R.shape) * np.finfo(float).eps * float(np.linalg.norm(R))
+            r, Rx = int(np.sum(sv > tol)), U.T @ R[:, :n_x]
+            _, s, D = np.linalg.svd(Rx[r:], full_matrices=False)
+            D = D[s > tol]
+            Z = np.vstack([np.eye(n_x, n_v - r),
+                           np.hstack([-Vt[:r].T @ (Rx[:r] / sv[:r, None]), Vt[r:].T])])
+            Q = Z.T @ Q @ Z
+        P = Q[:n_x, :n_x]
+        if len(Q) > n_x:
+            lam, V = np.linalg.eigh(Q[n_x:, n_x:])
+            least = np.minimum(least, lam[0] - shift)
+            if not lam[0] > 1e-12 * (1.0 + np.max(np.abs(Q[n_x:, n_x:]))):  # NaN fails too
+                return k, float(least)
+            Y = V.T @ Q[n_x:, :n_x]
+            P = P - Y.T @ (Y / lam[:, None])
+        P = 0.5 * (P + P.T)
+    return None, None if least == np.inf else float(least)
 
 
 VERDICT_BLOCKED = "strict-descent-blocked"
@@ -177,12 +234,15 @@ class PlayerVerdict:
     ``strict-descent-blocked``: a nonzero own gradient in a constrained game,
     so at a VI solution the constraints block first-order descent.
     ``stationary-convex``: a vanishing gradient, and the own-cost Hessian on
-    the directions no active row pins is positive semidefinite (to
-    ``HESSIAN_EIG_TOL``) or no direction is left.  ``indeterminate``:
-    neither, flagged ``nonzero-gradient-unconstrained`` or
-    ``negative-curvature``.  ``min_reduced_eig`` is that reduced Hessian's
-    least eigenvalue, None when the curvature test did not run or had no
-    direction left.
+    the directions no active row pins has no eigenvalue below -tau, tau =
+    ``HESSIAN_EIG_TOL`` (1 + max |M_k|), or no direction is left.
+    ``indeterminate``: neither, flagged ``nonzero-gradient-unconstrained`` or
+    ``negative-curvature``.  ``min_reduced_eig`` is the least eigenvalue of
+    the curvature sweep's stage pivots less tau, the reduced Hessian's when
+    one stage carries every free direction: above -tau for a convex verdict,
+    about -tau or below otherwise (past the first failing pivot only its
+    sign means anything), and None when the test did not run or no direction
+    was left.
     """
 
     player: int
@@ -202,14 +262,15 @@ def playerwise_minimizer_check(game: GameDefinition, traj: Trajectory) -> list[P
     A nonzero own-gradient block at a solution of the variational inequality
     means first-order descent is blocked by the constraints; a vanishing
     block triggers a curvature test of the player's own Hessian restricted
-    to the feasible directions (null space of the active constraint rows).
-    A nonzero gradient without any constraints cannot certify a minimizer
-    and is reported as indeterminate.  The local LQ data is read once, at
-    the first player the curvature test reaches.
+    to the feasible directions (null space of the active constraint rows):
+    one ``_convexity_pass`` with the active rows pinned and the shift tau of
+    ``PlayerVerdict``, O(T) in time and memory.  A nonzero gradient without
+    any constraints cannot certify a minimizer and is reported as
+    indeterminate.  The local LQ data is read once, at the first player the
+    curvature test reaches.
     """
     pg = pseudo_gradient(game, traj)
     u_scale = 1.0 + float(np.max(np.abs(traj.actions), initial=0.0))
-    owner = np.tile(game.owner, game.horizon + 1)
     data = None
     verdicts = []
     for n in range(game.num_players):
@@ -223,33 +284,11 @@ def playerwise_minimizer_check(game: GameDefinition, traj: Trajectory) -> list[P
             continue
         if data is None:
             data = quadraticize(game, traj, feas_tol=np.inf)  # checked above
-        dz = _sensitivities(data, np.flatnonzero(owner == n))
-        Z = _feasible_direction_basis(data, dz)
-        reduced = Z.T @ _cost_hessian(data, n, dz) @ Z
-        if reduced.size == 0:
-            # Every direction pinned by active constraints: trivially convex.
-            verdicts.append(PlayerVerdict(n, VERDICT_CONVEX, gnorm))
-            continue
-        lam = float(np.min(np.linalg.eigvalsh(0.5 * (reduced + reduced.T))))
-        if lam >= -HESSIAN_EIG_TOL * (1.0 + float(np.max(np.abs(reduced)))):
-            verdicts.append(PlayerVerdict(n, VERDICT_CONVEX, gnorm, min_reduced_eig=lam))
-        else:
-            verdicts.append(PlayerVerdict(n, VERDICT_INDETERMINATE, gnorm, min_reduced_eig=lam,
-                                          flags=("negative-curvature",)))
+        M = _stage_hessians(data, n)
+        shift = HESSIAN_EIG_TOL * (1.0 + float(np.max(np.abs(M))))
+        failed, lam = _convexity_pass(M, data.A, data.B, game.action_slice(n),
+                                      rows=data.rows.G, pinned=data.active, shift=shift)
+        convex = failed is None  # lam is None when the active rows pin every direction
+        verdicts.append(PlayerVerdict(n, VERDICT_CONVEX if convex else VERDICT_INDETERMINATE,
+                                      gnorm, lam, () if convex else ("negative-curvature",)))
     return verdicts
-
-
-def _feasible_direction_basis(data: LqGameData, dz: Array) -> Array:
-    """Orthonormal basis of the directions over ``dz``'s coordinates not pinned by active rows.
-
-    An active row of ``data`` at stage k reads them through [W_k S_k] dz_k;
-    the basis spans these rows' null space, from a rank-revealing SVD.
-    """
-    ks, rs = np.nonzero(data.active)
-    if not len(ks):
-        return np.eye(dz.shape[-1])
-    rows = np.concatenate([data.rows.W[ks, rs], data.rows.S[ks, rs]], axis=1)
-    Jg = np.einsum("az,azc->ac", rows, dz[ks])
-    _, sv, vt = np.linalg.svd(Jg, full_matrices=True)
-    rank = int(np.sum(sv > max(Jg.shape) * np.finfo(float).eps * sv[0]))
-    return vt[rank:].T

@@ -177,19 +177,19 @@ def _inverse_norm(lu: Array, kl: int, ku: int, piv: Array) -> float:
 
 
 def _kkt_factor(data: LqGameData, eta: Optional[float] = None,
-                pinned: Optional[tuple[Array, Array, Array, Array]] = None) -> LqFactor:
+                pinned: Optional[tuple[Array, Array, Array]] = None) -> LqFactor:
     """Assemble the stacked KKT matrix of ``data`` and factor it.
 
-    ``pinned`` = (W, S, p, held) adds m rows W_k x_k + S_k u_k + p_k = 0 to
-    every block k, W (T+1, m, n_x), S (T+1, m, n_u) and p (T+1, m); only
-    the rows where ``held`` (T+1, m) is set are real, and W, S and p are
-    zero in the others, which pin their multiplier to zero.  The
-    multipliers lead each block (``LqFactor.rows``).
+    ``pinned`` = (G, p, held) adds m rows G_k z_k + p_k = 0 to every block
+    k, G (T+1, m, n_x+n_u) over z_k = (x_k, u_k) and p (T+1, m); only the
+    rows where ``held`` (T+1, m) is set are real, and G and p are zero in
+    the others, which pin their multiplier to zero.  The multipliers lead
+    each block (``LqFactor.rows``).
     Raises StageSingularityError as the module docstring describes.
     """
     (N, T1, n_z), n_x = data.c.shape, np.size(data.initial_state)
     T, n_u = T1 - 1, n_z - n_x
-    m = 0 if pinned is None else pinned[3].shape[1]
+    m = 0 if pinned is None else pinned[2].shape[1]
     ix, iu = m, m + n_x  # offsets of x_k and u_k in a block
     lam, nb = iu + n_u, iu + n_u + N * n_x  # offset of the costates in a block, block size
     n = T1 * nb
@@ -227,12 +227,12 @@ def _kkt_factor(data: LqGameData, eta: Optional[float] = None,
     if m:
         # the held rows of stage k, and mu_k in every player's stationarity in
         # its own u_k (block k) and in x_k (block k-1); x_0 is pinned instead
-        W, S, p, held = pinned
+        G, p, held = pinned
         rhs[:, :m] = -p
-        D[:, :m, nb + ix:nb + lam] = np.concatenate([W, S], axis=2)
+        D[:, :m, nb + ix:nb + lam] = G
         D[:, np.arange(m), nb + np.arange(m)] = ~held
-        D[:, iu:lam, nb:nb + m] = S.swapaxes(1, 2)
-        D[:T, lam:, 2 * nb:2 * nb + m] = np.tile(W[1:].swapaxes(1, 2), (1, N, 1))
+        D[:, iu:lam, nb:nb + m] = G[..., n_x:].swapaxes(1, 2)
+        D[:T, lam:, 2 * nb:2 * nb + m] = np.tile(G[1:, :, :n_x].swapaxes(1, 2), (1, N, 1))
     band = band[:, nb:nb + n]
     anorm = float(np.max(np.abs(band[kl:]).sum(axis=0)))  # rows above kl are LU workspace
     lu, piv, info = lapack.dgbtrf(band, kl, ku, overwrite_ab=True)
@@ -277,26 +277,27 @@ def factor(game: GameDefinition, eta: float, data: Optional[LqGameData] = None) 
                                   *_origin(game)), 0.0)
 
 
-def solve_pinned(data: LqGameData, W: Array, S: Array, p: Array,
+def solve_pinned(data: LqGameData, G: Array, p: Array,
                  pinned: Array) -> tuple[Trajectory, Array]:
     """Open-loop equilibrium with the ``pinned`` rows held as equalities.
 
-    W (T+1, m, n_x), S (T+1, m, n_u) and p (T+1, m) hold every stage's rows
-    W_k x_k + S_k u_k + p_k <= 0 (padded to a common count m), ``pinned``
-    (T+1, m) the rows held at zero.  Each held row gets one multiplier mu,
-    shared by all players: mu' S_k enters every player's stationarity in its
-    own u_k and mu' W_k every player's in x_k (the variational equilibrium).
+    G (T+1, m, n_x+n_u) and p (T+1, m) hold every stage's rows
+    [W_k S_k] (x_k, u_k) + p_k <= 0, padded to a common count m as in
+    ``model.PaddedRows``; ``pinned`` (T+1, m) marks the rows held at zero.
+    Each held row gets one multiplier mu, shared by all players: mu' S_k
+    enters every player's stationarity in its own u_k and mu' W_k every
+    player's in x_k (the variational equilibrium).
     The rows join the stacked KKT system in band: stage k's held rows and
     their multipliers lead block k, padded to the largest held count.
     Returns the trajectory and mu (T+1, m), zero off the held rows.  Raises
     StageSingularityError when the system is singular, as for dependent
     held rows.
     """
-    fac, sol, mu = _pinned_solve(data, W, S, p, pinned)
+    fac, sol, mu = _pinned_solve(data, G, p, pinned)
     return Trajectory(*fac._split(sol)), mu
 
 
-def _pinned_solve(data: LqGameData, W: Array, S: Array, p: Array,
+def _pinned_solve(data: LqGameData, G: Array, p: Array,
                   pinned: Array) -> tuple[LqFactor, Array, Array]:
     """``solve_pinned``'s factor, its solution blocks and mu (T+1, m)."""
     ks, rs = np.nonzero(pinned)
@@ -304,10 +305,9 @@ def _pinned_solve(data: LqGameData, W: Array, S: Array, p: Array,
     m = int(slot.max(initial=-1)) + 1
     held = np.zeros((pinned.shape[0], m), dtype=bool)
     held[ks, slot] = True
-    rows = [np.zeros((pinned.shape[0], m) + a.shape[2:]) for a in (W, S, p)]
-    for full, packed in zip((W, S, p), rows):
-        packed[ks, slot] = full[ks, rs]
-    fac = _kkt_factor(data, pinned=(*rows, held))
+    Gm, pm = np.zeros((len(pinned), m, G.shape[2])), np.zeros((len(pinned), m))
+    Gm[ks, slot], pm[ks, slot] = G[ks, rs], p[ks, rs]
+    fac = _kkt_factor(data, pinned=(Gm, pm, held))
     sol = fac._blocks(None, None)
     mu = np.zeros(pinned.shape)
     mu[ks, rs] = sol[ks, slot]
@@ -330,7 +330,7 @@ def project(rows: PaddedRows, data: LqGameData, y: Array, z: Array,
     """
     prox = _prox_data(data.A, data.B, data.b, data.initial_state, float(state_weight),
                       np.asarray(y, dtype=float), np.asarray(z, dtype=float))
-    return BandedQp(prox, rows.W, rows.S, rows.p, rows.real).solve(
+    return BandedQp(prox, rows.G, rows.p, rows.real).solve(
         None if start is None else np.flatnonzero(start))
 
 
@@ -339,7 +339,7 @@ class BandedQp:
 
     It minimizes the cost of ``data`` (one player holding every action) over
     v = (x_0, u_0, ..., x_T, u_T) subject to its dynamics, the rows marked
-    ``held`` as equalities and those marked ``real`` as inequalities (W, S
+    ``held`` as equalities and those marked ``real`` as inequalities (G
     and p as in ``model.PaddedRows``, numbered stage by stage).  An active set's
     KKT system is one ``_kkt_factor`` with the held and active rows pinned,
     O(T); its multipliers are x_0's pin's, the costates and the rows' mu.
@@ -350,13 +350,12 @@ class BandedQp:
 
     pin_violated = True
 
-    def __init__(self, data: LqGameData, W: Array, S: Array, p: Array, real: Array,
+    def __init__(self, data: LqGameData, G: Array, p: Array, real: Array,
                  held: Optional[Array] = None):
-        self.data, self.W, self.S, self.p, self.real = data, W, S, p, real
+        self.data, self.G, self.p, self.real = data, G, p, real  # G: (T+1, m, n_x + n_u)
         self.held = np.zeros_like(real) if held is None else held
-        self.G = np.concatenate([W, S], axis=2)  # (T+1, m, n_x + n_u)
-        self.n_x, self.n_v = W.shape[2], self.G.shape[2]
-        self.size = W.shape[0] * self.n_v + int(real.sum())
+        self.n_x, self.n_v = np.size(data.initial_state), G.shape[2]
+        self.size = G.shape[0] * self.n_v + int(real.sum())
         self.H_size = max(_max_abs(data.C), np.finfo(float).tiny)
         self.f_size = _max_abs(data.c)
         self.row_size = _max_abs(np.ones(1), data.A, data.B, self.G)  # 1: x_0's pin
@@ -367,7 +366,7 @@ class BandedQp:
     def start(self, rows: Sequence[int] = ()) -> tuple[Array, Array]:
         pinned, rows = self.held.copy(), list(rows)
         pinned.flat[rows] = True
-        fac, sol, mu = _pinned_solve(self.data, self.W, self.S, self.p, pinned)
+        fac, sol, mu = _pinned_solve(self.data, self.G, self.p, pinned)
         return sol[:, fac.rows:fac.rows + self.n_v].ravel(), mu.flat[rows]
 
     def values(self, v: Array) -> Array:
@@ -386,10 +385,11 @@ class BandedQp:
         pinned.flat[active] = True
         g, n_x, n_v = g.reshape(-1, self.n_v), self.n_x, self.n_v
         data = replace(self.homogeneous, c=g[None])
-        fac, sol, mu = _pinned_solve(data, self.W, self.S, np.zeros_like(self.p), pinned)
+        fac, sol, mu = _pinned_solve(data, self.G, np.zeros_like(self.p), pinned)
         s, lam = sol[:, fac.rows:fac.rows + n_v], sol[:, fac.rows + n_v:]  # lam_{k+1}
         # x_0's pin closes the stationarity in x_0, which the band leaves out
-        pin = g[0, :n_x] + self.data.C[0, 0, :n_x, n_x:] @ s[0, n_x:] + self.W[0].T @ mu[0]
+        pin = (g[0, :n_x] + self.data.C[0, 0, :n_x, n_x:] @ s[0, n_x:]
+               + self.G[0, :, :n_x].T @ mu[0])
         pin = pin + (self.data.A[0].T @ lam[0] if len(self.data.A) else 0.0)
         return s.ravel(), np.concatenate([pin, lam.ravel(), mu[self.held], mu.flat[active]])
 

@@ -561,24 +561,24 @@ def _dynamics_offsets(game: GameDefinition, states: Array, actions: Array) -> Ar
 class PaddedRows:
     """Every stage's rows W_k x_k + S_k u_k + p_k <= 0, padded to a common count m.
 
-    W (T+1, m, n_x), S (T+1, m, n_u) and p (T+1, m) are zero in the padding;
-    ``real`` (T+1, m) marks the rows that exist.
+    G (T+1, m, n_x+n_u) holds [W_k S_k] over z_k = (x_k, u_k), ``W`` and
+    ``S`` are views of its state and action columns, and p (T+1, m) holds
+    the offsets; all are zero in the padding.  ``real`` (T+1, m) marks the
+    rows that exist.
     """
 
-    W: Array
-    S: Array
+    G: Array
     p: Array
     real: Array
+    state_dim: int
+
+    W = property(lambda self: self.G[..., :self.state_dim])
+    S = property(lambda self: self.G[..., self.state_dim:])
 
     def values(self, traj: Trajectory) -> Array:
         """Every row's value at the trajectory's states and actions: (T+1, m)."""
         both = self.W @ traj.states[..., None] + self.S @ traj.actions[..., None]
         return both[..., 0] + self.p
-
-    def stage(self, k: int) -> tuple[Array, Array]:
-        """Stage k's rows as (G, p), G = [W_k S_k] over (x_k, u_k): G v + p <= 0."""
-        real = self.real[k]
-        return np.hstack([self.W[k][real], self.S[k][real]]), self.p[k][real]
 
 
 def read_rows(game: GameDefinition, states: Array, actions: Array) -> PaddedRows:
@@ -590,12 +590,12 @@ def read_rows(game: GameDefinition, states: Array, actions: Array) -> PaddedRows
     """
     T1 = game.horizon + 1
     read = [game.eval_constraint_rows(k, states[k], actions[k]) for k in range(T1)]
-    m = max((p.size for _, _, p in read), default=0)
-    W, S = np.zeros((T1, m, game.state_dim)), np.zeros((T1, m, game.total_action_dim))
-    p, real = np.zeros((T1, m)), np.zeros((T1, m), dtype=bool)
+    sizes, n_x = np.array([p.size for _, _, p in read], dtype=int), game.state_dim
+    real = np.arange(sizes.max()) < sizes[:, None]
+    G, p = np.zeros(real.shape + (n_x + game.total_action_dim,)), np.zeros(real.shape)
     for k, (Wk, Sk, pk) in enumerate(read):
-        W[k, :pk.size], S[k, :pk.size], p[k, :pk.size], real[k, :pk.size] = Wk, Sk, pk, True
-    return PaddedRows(W, S, p, real)
+        G[k, :pk.size, :n_x], G[k, :pk.size, n_x:], p[k, :pk.size] = Wk, Sk, pk
+    return PaddedRows(G, p, real, n_x)
 
 
 @dataclass

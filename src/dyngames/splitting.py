@@ -238,7 +238,7 @@ def project_stage_constraints(game: GameDefinition, y: Array, z: Array,
     rows = lq.padded_rows(game) if rows is None else rows  # raises without affine rows
     xs, us = np.array(y, dtype=float, copy=True), np.array(z, dtype=float, copy=True)
     for k in np.flatnonzero(rows.real.any(axis=1)):
-        G, p0 = rows.stage(k)
+        G, p0 = rows.G[k, rows.real[k]], rows.p[k, rows.real[k]]
         proj = denseqp.project_polyhedron(np.concatenate([y[k], z[k]]), G, -p0)
         xs[k], us[k] = proj[:game.state_dim], proj[game.state_dim:]
     return xs, us
@@ -359,7 +359,7 @@ def _static_games(game: GameDefinition, y: Array, z: Array, eta: float,
     if rows is None:
         G, p, real = np.zeros((K, 0, n_v)), np.zeros((K, 0)), np.zeros((K, 0), dtype=bool)
     else:  # padding rows are zero: they never bind and add nothing to the residual
-        G, p, real = np.concatenate([rows.W, rows.S], axis=2), rows.p, rows.real
+        G, p, real = rows.G, rows.p, rows.real
     if game.linear_dynamics and game.quadratic_costs:
         data = lq.extract_lq_data(game) if data is None else data
         # the operator at the origin and its constant Jacobian

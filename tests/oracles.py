@@ -122,10 +122,9 @@ def fd_own_block_hessian(game, traj, n):
 def feasible_direction_basis_loop(game, data, n):
     """Player n's directions not pinned by ``data``'s active rows, one stage at a time.
 
-    The loop form of ``gradient._feasible_direction_basis``: the state
-    sensitivities dx_k/du_n are propagated stage by stage, each active row's
-    Jacobian block is built on its own, and the null space comes from the
-    same rank-revealing SVD.
+    The state sensitivities dx_k/du_n are propagated stage by stage, each
+    active row's Jacobian block is built on its own, and the null space of
+    all of them comes from one rank-revealing SVD.
     """
     sl = game.action_slice(n)
     d = sl.stop - sl.start
@@ -147,6 +146,45 @@ def feasible_direction_basis_loop(game, data, n):
     _, sv, vt = np.linalg.svd(Jg, full_matrices=True)
     rank = int(np.sum(sv > max(Jg.shape) * np.finfo(float).eps * sv[0]))
     return vt[rank:].T
+
+
+def exact_own_block_hessian(game, data, n):
+    """Player n's exact Hessian from the local LQ ``data``, ordered like ``block(n)``.
+
+    One stage at a time: stage k adds dz_k' M_k dz_k with M_k = C[n, k] plus
+    the dynamics Hessians weighted by the costates of ``costate_recursion``,
+    and the sensitivities dz_k of (x_k, u_k) to player n's actions run
+    forward from dx_0 = 0.
+    """
+    sl, T, n_x = game.action_slice(n), game.horizon, game.state_dim
+    d = sl.stop - sl.start
+    om = costate_recursion(data.A, data.c[:, :, :n_x].swapaxes(0, 1))[:, n]
+    dx = np.zeros((n_x, (T + 1) * d))
+    H = np.zeros((dx.shape[1],) * 2)
+    for k in range(T + 1):
+        dz = np.zeros((data.C.shape[-1], dx.shape[1]))
+        dz[:n_x] = dx
+        dz[n_x + sl.start:n_x + sl.stop, k * d:(k + 1) * d] = np.eye(d)
+        M = data.C[n, k].copy()
+        if k < T:
+            for i in range(n_x):
+                M += om[k + 1, i] * data.G[k, i]
+            dx = data.A[k] @ dx + data.B[k] @ dz[n_x:]
+        H += dz.T @ M @ dz
+    return H
+
+
+def dense_reduced_min_eig(game, data, n):
+    """Least eigenvalue of player n's exact Hessian on the directions no active row pins.
+
+    ``exact_own_block_hessian`` on the basis of ``feasible_direction_basis_loop``;
+    None when the active rows pin every direction.
+    """
+    Z = feasible_direction_basis_loop(game, data, n)
+    if Z.shape[1] == 0:
+        return None
+    reduced = Z.T @ exact_own_block_hessian(game, data, n) @ Z
+    return float(np.min(np.linalg.eigvalsh(0.5 * (reduced + reduced.T))))
 
 
 def stacked_lq_gne(game, lq, constraint_rows, active=None, tol=1e-9):

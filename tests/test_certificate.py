@@ -30,7 +30,7 @@ class TestPinnedKernel:
         assume(inst is not None)
         polish = active_set_polish(inst.game, TOL)
         rows = polish.rows
-        traj, mu = lq.solve_pinned(polish.data, rows.W, rows.S, rows.p, inst.active)
+        traj, mu = lq.solve_pinned(polish.data, rows.G, rows.p, inst.active)
         np.testing.assert_allclose(traj.actions, inst.equilibrium.actions, rtol=0, atol=1e-10)
         np.testing.assert_allclose(traj.states, inst.equilibrium.states, rtol=0, atol=1e-10)
         assert np.all(mu[~inst.active] == 0.0) and np.all(mu >= -1e-9)
@@ -66,15 +66,15 @@ class TestPinnedKernel:
         polish = active_set_polish(inst.game, TOL)
         rows = polish.rows
         with pytest.raises(StageSingularityError):
-            lq.solve_pinned(polish.data, rows.W, rows.S, rows.p, inst.active)
+            lq.solve_pinned(polish.data, rows.G, rows.p, inst.active)
         assert polish.attempt(inst.active) is None
 
     def test_no_rows_is_the_plain_open_loop_solve(self, rng):
         inst = random_polyhedral_lq_instance(rng, T=3, max_rows=0)
         data = lq.extract_lq_data(inst.game)
         empty = np.zeros((4, 0))
-        traj, mu = lq.solve_pinned(data, empty[..., None].repeat(2, 2),
-                                   empty[..., None].repeat(2, 2), empty, empty.astype(bool))
+        traj, mu = lq.solve_pinned(data, empty[..., None].repeat(4, 2), empty,
+                                   empty.astype(bool))
         assert mu.shape == (4, 0)
         want = lq.solve_lq_open_loop(data)
         np.testing.assert_array_equal(traj.actions, want.actions)

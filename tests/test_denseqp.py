@@ -109,7 +109,7 @@ def test_step_bound_raises(monkeypatch):
 def test_step_bound_raises_after_a_guessed_start(monkeypatch):
     qp = random_banded_qp(1, 2, [2, 2, 2], [0, 0, 0], "w1")[0]
     # every row violated at the start; the guess holds one of them
-    qp = lq.BandedQp(qp.data, qp.W, qp.S, qp.p + 10.0, qp.real)
+    qp = lq.BandedQp(qp.data, qp.G, qp.p + 10.0, qp.real)
     monkeypatch.setattr(denseqp, "STEPS_PER_DIMENSION", 0)
     with pytest.raises(SubproblemError, match="exceeded 0 steps"):
         solve_qp(qp, start=[0])
@@ -120,7 +120,7 @@ def test_singular_equality_problem_raises(banded):
     # flat along the second action, which no row pins; a guess holds one row
     if banded:
         qp = random_banded_qp(0, 2, [1, 1, 1], [0, 0, 0], "w1")[0]
-        qp = lq.BandedQp(zero_action_cost(qp.data, 1), qp.W, qp.S, qp.p, qp.real)
+        qp = lq.BandedQp(zero_action_cost(qp.data, 1), qp.G, qp.p, qp.real)
         with pytest.raises(SubproblemError, match="singular"):
             solve_qp(qp, start=[0] if banded == "guessed" else None)
         return
@@ -205,7 +205,7 @@ def random_banded_qp(seed, T, counts, special, cost):
         p = np.concatenate([p, -np.einsum("kmi,ki->km", policy, ref)], axis=1)
         real = np.concatenate([real, np.zeros((T1, 1), dtype=bool)], axis=1)
         held = np.concatenate([held, np.ones((T1, 1), dtype=bool)], axis=1)
-    qp = lq.BandedQp(data, rows[..., :N_X], rows[..., N_X:], p, real, held)
+    qp = lq.BandedQp(data, rows, p, real, held)
 
     n = T1 * n_v
     H = np.zeros((n, n))
@@ -263,7 +263,7 @@ def test_banded_horizon_qp_matches_enumeration(seed, T, counts, special, cost):
     assert np.max(-lam[real] * values, initial=0.0) <= 1e-8 * (1.0 + np.max(lam, initial=0.0))
     if target is not None:
         # ``lq.project`` builds the same QP
-        traj = lq.project(lq.PaddedRows(qp.W, qp.S, qp.p, qp.real), qp.data, *target,
+        traj = lq.project(lq.PaddedRows(qp.G, qp.p, qp.real, N_X), qp.data, *target,
                           1.0 if cost == "w1" else 0.0)
         np.testing.assert_array_equal(np.hstack([traj.states, traj.actions]).ravel(), z)
 
@@ -273,14 +273,14 @@ def with_contradictory_pair(qp, seed, k):
     T1, m = qp.p.shape
     # g'v_k <= c and -g'v_k <= -c - 0.5
     g = np.random.default_rng(seed).standard_normal(N_X + N_U)
-    W, S = (np.concatenate([M, np.zeros((T1, 2, M.shape[2]))], axis=1) for M in (qp.W, qp.S))
-    W[k, -2:], S[k, -2:] = [g[:N_X], -g[:N_X]], [g[N_X:], -g[N_X:]]
+    G = np.concatenate([qp.G, np.zeros((T1, 2, N_X + N_U))], axis=1)
+    G[k, -2:] = [g, -g]
     p = np.concatenate([qp.p, np.zeros((T1, 2))], axis=1)
     p[k, -2:] = [-0.3, 0.8]
     real = np.concatenate([qp.real, np.zeros((T1, 2), dtype=bool)], axis=1)
     real[k, -2:] = True
     held = np.concatenate([qp.held, np.zeros((T1, 2), dtype=bool)], axis=1)
-    return lq.BandedQp(qp.data, W, S, p, real, held), [k * (m + 2) + m, k * (m + 2) + m + 1]
+    return lq.BandedQp(qp.data, G, p, real, held), [k * (m + 2) + m, k * (m + 2) + m + 1]
 
 
 @given(**banded_shapes, stage=st.integers(0, 6))

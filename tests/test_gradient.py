@@ -20,14 +20,16 @@ from dyngames.gradient import (
     pseudo_gradient,
     solve_costates,
 )
-from dyngames.model import GameDefinition, Trajectory, all_player_costs, quadraticize, rollout
+from dyngames.model import (GameDefinition, LqGameData, PaddedRows, Trajectory,
+                            all_player_costs, quadraticize, rollout)
 
 from conftest import identity_sum_game, random_lq_game, random_smooth_game
-from instances import affine_quadratic_game, fishery_off_its_dynamics
+from instances import fishery_off_its_dynamics
 from oracles import (
     costate_recursion,
+    dense_reduced_min_eig,
+    exact_own_block_hessian,
     fd_own_block_hessian,
-    feasible_direction_basis_loop,
     fd_stacked_gradient,
     player_major_operator,
     stacked_coordinates,
@@ -159,7 +161,8 @@ class TestOperatorProbe:
                 continue
             H = fd_own_block_hessian(game, traj, v.player)
             lam, scale = float(np.min(np.linalg.eigvalsh(H))), float(np.max(np.abs(H)))
-            assert abs(v.min_reduced_eig - lam) <= 1e-8 * scale
+            # a stage pivot's eigenvalue, not the Hessian's: only the signs agree
+            assert (v.min_reduced_eig > 0.0) == (lam > 0.0) or abs(lam) <= 1e-6 * (1.0 + scale)
             convex = lam >= -HESSIAN_EIG_TOL * (1.0 + scale)
             assert v.verdict == (VERDICT_CONVEX if convex else VERDICT_INDETERMINATE)
             assert v.flags == (() if convex else ("negative-curvature",))
@@ -239,14 +242,6 @@ class TestPlayerwiseCheck:
         assert v.min_reduced_eig == pytest.approx(-1.0, abs=1e-8)
 
 
-def exact_own_block_hessian(game, traj, n):
-    """Player n's Hessian from the local LQ data, ordered like ``block(n)``."""
-    data = quadraticize(game, traj)
-    dz = gradient._sensitivities(data, np.flatnonzero(np.tile(game.owner == n,
-                                                              game.horizon + 1)))
-    return gradient._cost_hessian(data, n, dz)
-
-
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("name", ["fishery", "rendezvous", "random_lq_state_rows",
                                   "random_smooth"])
@@ -270,34 +265,104 @@ def test_exact_own_block_hessian_matches_finite_differences(name, seed):
         game = random_smooth_game(rng, T=4)
         u = 0.3 * rng.standard_normal((5, game.total_action_dim))
     traj = rollout(game, game.initial_state, u)
+    data = quadraticize(game, traj)
     for n in range(game.num_players):
         want = fd_own_block_hessian(game, traj, n)
-        got = exact_own_block_hessian(game, traj, n)
-        assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want))
+        dz = gradient._sensitivities(data, np.flatnonzero(np.tile(game.owner == n,
+                                                                  game.horizon + 1)))
+        for got in (gradient._cost_hessian(data, n, dz), exact_own_block_hessian(game, data, n)):
+            assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want))
 
 
-@settings(max_examples=50, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), T=st.integers(0, 4),
-       action_dims=st.sampled_from([(1, 1), (2, 1), (1, 2, 1)]), state_rows=st.booleans())
-def test_feasible_direction_basis_matches_the_stage_loop(seed, T, action_dims, state_rows):
-    # rows at the trajectory or 1 below it, so some are active and some not
-    rng = np.random.default_rng(seed)
-    base, lq = random_lq_game(rng, T=T, action_dims=action_dims)
-    n_u = sum(action_dims)
-    traj = rollout(base, base.initial_state, rng.standard_normal((T + 1, n_u)))
-    rows = {}
-    for k, m in enumerate(rng.integers(0, 4, T + 1)):
-        if m:
-            W = rng.standard_normal((m, 2)) * state_rows
-            S = rng.standard_normal((m, n_u))
-            slack = rng.choice([0.0, -1.0], m)
-            rows[k] = (W, S, slack - W @ traj.states[k] - S @ traj.actions[k])
-    game = affine_quadratic_game(lq, base.initial_state, rows, action_dims)
-    data = quadraticize(game, traj)
+def random_curvature_case(rng, T, n_x, action_dims):
+    """A local LQ game whose curvature tests need the whole pass.
+
+    Each player's own-action block is, stage by stage, left positive
+    definite, made indefinite, or removed with the player's own cross
+    terms (and, at random, its dynamics columns), so the Hessian is exactly
+    singular along it; at least one stage is one of the last two.  The
+    costate-weighted dynamics Hessians are random.  Every stage has up to
+    two rows, state-only, action-only or mixed, the second at times a
+    multiple of the first, and about 60% of them active; an action-only row
+    at a random stage and a state-only row at stage T, carried back through
+    every stage, always are.
+    """
+    T1, n_u, N = T + 1, sum(action_dims), len(action_dims)
+    n_z = n_x + n_u
+    game = GameDefinition(horizon=T, state_dim=n_x, action_dims=action_dims,
+                          initial_state=np.zeros(n_x), dynamics=None, stage_costs=None)
+    A = np.eye(n_x) + 0.5 * rng.standard_normal((T, n_x, n_x))
+    B = rng.standard_normal((T, n_x, n_u))
+    R = rng.standard_normal((N, T1, n_z, n_z))
+    C = R @ R.swapaxes(2, 3) / n_z
+    for n in range(N):
+        own = slice(n_x + game.action_offsets[n], n_x + game.action_offsets[n + 1])
+        modes = rng.integers(0, 4, T1)
+        modes[rng.integers(T1)] = rng.integers(1, 3)
+        for k, mode in enumerate(modes):
+            if mode == 1:
+                C[n, k, own, own] -= rng.uniform(0.0, 3.0) * np.eye(own.stop - own.start)
+            elif mode == 2:
+                C[n, k, own], C[n, k, :, own] = 0.0, 0.0
+                if k < T:
+                    B[k][:, own.start - n_x:own.stop - n_x] *= rng.integers(2)
+    G = rng.standard_normal((T, n_x, n_z, n_z)) * rng.uniform(0.0, 0.5)
+    counts = rng.integers(0, 3, T1)
+    real = np.arange(counts.max() + 2) < counts[:, None]
+    real[rng.integers(T1), -2] = real[T, -1] = True  # the two rows always there
+    rows = rng.standard_normal(real.shape + (n_z,)) * real[..., None]
+    kind = rng.integers(0, 3, real.shape)
+    kind[:, -2:] = [1, 0]
+    rows[kind == 0, n_x:] = 0.0  # state-only
+    rows[kind == 1, :n_x] = 0.0  # action-only
+    again = (counts >= 2) & (rng.random(T1) < 0.2)
+    rows[again, 1] = rows[again, 0] * rng.choice([1.0, -2.0])
+    data = LqGameData(A=A, B=B, b=np.zeros((T, n_x)), C=C, c=rng.standard_normal((N, T1, n_z)),
+                      action_dims=action_dims, initial_state=np.zeros(n_x),
+                      G=0.5 * (G + G.swapaxes(2, 3)),
+                      rows=PaddedRows(rows, np.zeros(real.shape), real, n_x),
+                      active=real & (rng.random(real.shape) < 0.6))
+    data.active[:, -2:] = real[:, -2:]
+    return game, data
+
+
+@settings(max_examples=1500, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), T=st.integers(0, 5), n_x=st.integers(1, 3),
+       action_dims=st.sampled_from([(1,), (2,), (1, 1), (2, 1), (1, 2, 1)]))
+def test_convexity_pass_verdict_matches_the_dense_reduced_hessian(seed, T, n_x, action_dims):
+    game, data = random_curvature_case(np.random.default_rng(seed), T, n_x, action_dims)
     for n in range(len(action_dims)):
-        got = gradient._feasible_direction_basis(data, gradient._sensitivities(
-            data, np.flatnonzero(np.tile(game.owner == n, T + 1))))
-        want = feasible_direction_basis_loop(game, data, n)
-        assert got.shape == want.shape
-        # the same null space: equal orthogonal projectors onto it
-        np.testing.assert_allclose(got @ got.T, want @ want.T, rtol=0, atol=1e-12)
+        M = gradient._stage_hessians(data, n)
+        scale = 1.0 + float(np.max(np.abs(M)))
+        shift = HESSIAN_EIG_TOL * scale
+        failed, lam = gradient._convexity_pass(M, data.A, data.B, game.action_slice(n),
+                                               rows=data.rows.G, pinned=data.active,
+                                               shift=shift)
+        want = dense_reduced_min_eig(game, data, n)
+        if want is None:  # the active rows pin every direction
+            assert failed is None and lam is None
+        elif abs(want + shift) > 1e-9 * scale:  # off the semidefinite boundary
+            assert (failed is None) == (want > -shift)
+
+
+def test_curvature_verdict_factors_only_stage_sized_matrices(monkeypatch):
+    # T = 400 with about a third of the actions on their bounds; both players
+    # run the curvature test.  The dense route factored matrices of hundreds of rows.
+    params = FisheryParams(horizon_time=40.0)
+    game = fishery_game(params)
+    rng = np.random.default_rng(0)
+    u = rng.uniform(0.0, 1.0, (game.horizon + 1, 2))
+    u[rng.random(u.shape) < 0.3] = 1.0
+    u *= [params.u1_max, params.u2_max]
+    traj = rollout(game, game.initial_state, u)
+    m = quadraticize(game, traj).rows.p.shape[1]
+    sizes = []
+    for name in ("svd", "eigh", "eigvalsh", "solve"):
+        def wrapped(a, *args, _f=getattr(np.linalg, name), **kwargs):
+            sizes.append(np.shape(a)[-2])
+            return _f(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, wrapped)
+    monkeypatch.setattr(gradient, "STATIONARITY_RTOL", np.inf)
+    verdicts = playerwise_minimizer_check(game, traj)
+    assert all(v.min_reduced_eig is not None for v in verdicts)
+    assert sizes and max(sizes) <= game.state_dim + game.total_action_dim + m
