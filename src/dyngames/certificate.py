@@ -14,14 +14,18 @@ Variational Inequalities and Complementarity Problems*, 2003, section
 The projected gradient and Douglas-Rachford iterations identify the active
 rows long before they converge.  ``active_set_polish`` builds a hook for
 ``report.iterate`` that pins every row within POLISH_DELTA of active at a
-candidate (``near_active``), solves the open-loop KKT system once with
-those rows as equalities and shared multipliers (``lq.solve_pinned``) and
-offers the result, certified: the multipliers are nonnegative, the other
-rows hold and r(u) <= tol (projected-Newton active-set identification:
+candidate (``near_active``: projected-Newton active-set identification,
 Bertsekas, SIAM J. Control Optim. 20, 1982; Facchinei, Fischer and Kanzow,
-SIAM J. Optim. 9, 1998).  It exists for linear-quadratic games with affine
-rows or none, where that one solve is exact.  ``natural_residual`` starts
-its projection from the same rows, taken at its own point.
+SIAM J. Optim. 9, 1998) and solves the open-loop KKT system with those rows
+as equalities and shared multipliers (``lq.solve_pinned``).  A solve whose
+signs fail names its own correction: it frees the pinned rows with a
+negative multiplier, pins the rows it violates and solves again (the
+primal-dual active-set method of Hintermueller, Ito and Kunisch, SIAM J.
+Optim. 13, 2002), until a point is certified or the set was solved before.
+Certified means the multipliers are nonnegative, the other rows hold and
+r(u) <= tol.  It exists for linear-quadratic games with affine rows or
+none, where each pinned solve is exact.  ``natural_residual`` starts its
+projection from the near-active rows, taken at its own point.
 
 A solve reads the game's rows and its LQ data or linear dynamics once, at
 the origin (``read_game``); the projections, the resolvents, the polish and
@@ -154,12 +158,16 @@ def active_set_polish(game: GameDefinition, tol: float, rows: Optional[PaddedRow
 class ActiveSetPolish:
     """Pinned-row KKT solves of one linear-quadratic game, certified (module docstring).
 
-    Calling it with a candidate pins the rows W_k x_k + S_k u_k + p_k >=
-    -POLISH_DELTA at the candidate's states and actions and returns
-    ``attempt`` of that set (the certified point and its natural residual),
-    or None at once for a set tried before: the pinned solve depends on the
-    set only, so this is exact.  ``rows`` (``lq.padded_rows``) and ``data``
-    (``lq.extract_lq_data``) are the game's reads, read here when None.
+    Calling it with a candidate first pins the rows W_k x_k + S_k u_k + p_k
+    >= -POLISH_DELTA at the candidate's states and actions.  Each set is
+    solved as ``attempt`` solves it; where the multiplier or row signs fail,
+    the call goes on with the corrected set (``_solve``).  It returns the
+    first certified point and its natural residual, or None at a singular
+    system, at a point only the residual rejects, or at a set tried before,
+    in this call or an earlier one: the pinned solve depends on the set
+    only, so no set is solved twice and every call ends.  ``rows``
+    (``lq.padded_rows``) and ``data`` (``lq.extract_lq_data``) are the
+    game's reads, read here when None.
     """
 
     def __init__(self, game: GameDefinition, tol: float, rows: Optional[PaddedRows] = None,
@@ -171,11 +179,12 @@ class ActiveSetPolish:
 
     def __call__(self, cand: Trajectory) -> Optional[tuple[Trajectory, float]]:
         pinned = near_active(self.rows, cand)
-        key = pinned.tobytes()
-        if key in self.tried:
-            return None
-        self.tried.add(key)
-        return self.attempt(pinned)
+        while pinned is not None and (key := pinned.tobytes()) not in self.tried:
+            self.tried.add(key)
+            certified, pinned = self._solve(pinned)
+            if certified is not None:
+                return certified
+        return None
 
     def attempt(self, pinned: Array) -> Optional[tuple[Trajectory, float]]:
         """The rolled-out equilibrium with the ``pinned`` rows (T+1, m) held, if certified.
@@ -183,16 +192,28 @@ class ActiveSetPolish:
         It is certified when every multiplier is >= -tol, every other row
         is <= tol and ``natural_residual`` is <= tol; it is returned with
         that residual.  A singular pinned system, as from dependent rows, is
-        not certified either.
+        not certified either.  Only this set is solved; the corrections are
+        the call's.
+        """
+        return self._solve(pinned)[0]
+
+    def _solve(self, pinned: Array) -> tuple[Optional[tuple[Trajectory, float]], Optional[Array]]:
+        """``attempt`` of ``pinned`` and, where its signs fail, the corrected set.
+
+        The corrected set frees the pinned rows whose multiplier is < -tol
+        and pins the other real rows whose value is > tol.  It is None where
+        the point is certified, the system singular or only the residual fails.
         """
         rows = self.rows
         try:
             traj, mu = lq.solve_pinned(self.data, rows.G, rows.p, pinned)
         except StageSingularityError:
-            return None
-        if np.any(mu < -self.tol) or np.any(rows.values(traj)[rows.real & ~pinned] > self.tol):
-            return None
+            return None, None
+        freed = mu < -self.tol
+        violated = rows.real & ~pinned & (rows.values(traj) > self.tol)
+        if np.any(freed) or np.any(violated):
+            return None, (pinned & ~freed) | violated
         game = self.game
         traj = rollout(game, game.initial_state, traj.actions)
         residual = natural_residual(game, traj.actions, rows, self.data)
-        return (traj, residual) if residual <= self.tol else None  # NaN fails
+        return ((traj, residual) if residual <= self.tol else None), None  # NaN fails

@@ -62,8 +62,9 @@ def projected_gradient_solve(game: GameDefinition, u0: Array,
     which the next pseudo-gradient is taken; ``report.iterate`` runs the
     loop.  For a linear-quadratic game with affine rows or none, the
     active-set polish (``certificate.active_set_polish``) runs after every
-    step, and a point it certifies (natural residual <= ``cfg.tol``) ends
-    the run with ``tolerance``.
+    step: it pins the candidate's near-active rows and corrects that set
+    until a pinned solve is certified (natural residual <= ``cfg.tol``),
+    which ends the run with ``tolerance``.
     """
     T, n_u = game.horizon, game.total_action_dim
     u = np.asarray(u0, dtype=float)

@@ -519,8 +519,9 @@ def dr_solve(game: GameDefinition, cfg: DrConfig) -> SolverReport:
     balancing and the extrapolation read; the report, the stop test and the
     cost records read its actions rolled out (``DrConfig``).  For a
     linear-quadratic game with affine rows or none, the active-set polish
-    (``certificate.active_set_polish``) runs after every step, and a point it
-    certifies (natural residual <= ``cfg.tol``) ends the run with
+    (``certificate.active_set_polish``) runs after every step: it pins the
+    candidate's near-active rows and corrects that set until a pinned solve
+    is certified (natural residual <= ``cfg.tol``), which ends the run with
     ``tolerance`` and becomes the result.
 
     ``cfg.eta`` is the starting weight; the run balances it as DrConfig

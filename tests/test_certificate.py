@@ -9,15 +9,16 @@ from hypothesis import assume, given, strategies as st
 
 from dyngames import lq, model, splitting
 from dyngames.benchmarks import fishery_game, lq_rendezvous_game
-from dyngames.certificate import ActiveSetPolish, active_set_polish, natural_residual
+from dyngames.certificate import (ActiveSetPolish, active_set_polish, natural_residual,
+                                  near_active)
 from dyngames.errors import StageSingularityError, UnsupportedConstraintError
 from dyngames.gradient import pseudo_gradient
-from dyngames.model import rollout
+from dyngames.model import PaddedRows, Trajectory, rollout
 from dyngames.projgrad import ProjGradConfig, project_onto_feasible, projected_gradient_solve
 from dyngames.splitting import SCHEMES, DrConfig, dr_solve
 
 from instances import cross_scheme_lq_instance, random_polyhedral_lq_instance
-from oracles import stacked_lq_gne
+from oracles import player_major_operator, stacked_lq_gne
 
 TOL = 1e-8
 
@@ -79,6 +80,98 @@ class TestPinnedKernel:
         want = lq.solve_lq_open_loop(data)
         np.testing.assert_array_equal(traj.actions, want.actions)
         np.testing.assert_array_equal(traj.states, want.states)
+
+
+def candidate_near(rows, pinned):
+    """A (not rolled-out) candidate whose ``near_active`` rows are ``pinned``.
+
+    Each stage's point solves its real rows for value 0 on the pinned rows
+    and -1 on the others, in the least-squares sense.
+    """
+    z = np.zeros((len(rows.G), rows.G.shape[2]))
+    for k in range(len(z)):
+        real = rows.real[k]
+        target = np.where(pinned[k, real], 0.0, -1.0) - rows.p[k, real]
+        z[k] = np.linalg.lstsq(rows.G[k, real], target, rcond=None)[0]
+    return Trajectory(z[:, :rows.state_dim], z[:, rows.state_dim:])
+
+
+class TestCorrections:
+    @given(seed=st.integers(0, 2**32 - 1), T=st.integers(1, 4), max_rows=st.integers(1, 2),
+           start_full=st.booleans())
+    def test_a_call_from_any_start_ends_on_the_equilibrium_or_none(self, seed, T, max_rows,
+                                                                   start_full):
+        # from the empty set or every real row pinned, the corrections reach
+        # a certified point or give up, solving each set they visit once
+        inst = random_polyhedral_lq_instance(np.random.default_rng(seed), T=T,
+                                             max_rows=max_rows)
+        assume(inst is not None)
+        polish = active_set_polish(inst.game, TOL)
+        start = inst.mask.copy() if start_full else np.zeros_like(inst.mask)
+        cand = candidate_near(polish.rows, start)
+        assert np.array_equal(near_active(polish.rows, cand), start)
+        solved, real = [], lq.solve_pinned
+
+        def solve(data, G, p, pinned):
+            solved.append(pinned.tobytes())
+            return real(data, G, p, pinned)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lq, "solve_pinned", solve)
+            out = polish(cand)
+        assert solved[0] == start.tobytes() and len(set(solved)) == len(solved)
+        if out is not None:
+            polished, residual = out
+            assert residual == natural_residual(inst.game, polished.actions) <= TOL
+            # a strongly monotone operator has one equilibrium, the instance's;
+            # other games may have more, each of which the residual certifies
+            op, _ = player_major_operator(inst.game, inst.equilibrium.actions)
+            if np.linalg.eigvalsh(0.5 * (op + op.T))[0] > 1e-9:
+                np.testing.assert_allclose(polished.actions, inst.equilibrium.actions,
+                                           rtol=0, atol=1e-9)
+
+    def test_alternating_corrections_stop_after_two_solves(self, rng, monkeypatch):
+        # a kernel whose corrections swap two action rows at stage 0: each
+        # solve frees the pinned row (mu < 0) and violates the other
+        game, _, _ = cross_scheme_lq_instance(rng)
+        T1, n_x = game.horizon + 1, game.state_dim
+        G, p, real = np.zeros((T1, 2, n_x + 2)), np.zeros((T1, 2)), np.zeros((T1, 2), bool)
+        G[0, [0, 1], [n_x, n_x + 1]], p[0], real[0] = 1.0, -1.0, True  # u_0 <= 1
+        rows = PaddedRows(G, p, real, n_x)
+        polish = ActiveSetPolish(game, TOL, rows)
+        solved = []
+
+        def swap(data, G, p, pinned):
+            solved.append(pinned.copy())
+            held = int(np.flatnonzero(pinned[0])[0])
+            actions = np.zeros((T1, 2))
+            actions[0, 1 - held] = 2.0
+            return Trajectory(np.zeros((T1, n_x)), actions), -pinned.astype(float)
+
+        monkeypatch.setattr(lq, "solve_pinned", swap)
+        sets = [np.zeros((T1, 2), bool) for _ in range(2)]
+        sets[0][0, 0] = sets[1][0, 1] = True
+        assert polish(candidate_near(rows, sets[0])) is None
+        assert [s.tobytes() for s in solved] == [s.tobytes() for s in sets]
+        for pinned in sets:
+            assert polish(candidate_near(rows, pinned)) is None
+        assert len(solved) == 2
+
+    def test_every_solver_certifies_on_its_first_step(self):
+        # one step each only through the polish's corrections (without them
+        # the three schemes take 3, 5 and 7 steps and projected gradient 2)
+        game, lq_data, rows = cross_scheme_lq_instance(np.random.default_rng(5))
+        oracle = stacked_lq_gne(game, lq_data, rows)
+        reps = [dr_solve(game, DrConfig(scheme=scheme, eta=0.4, max_iter=300, tol=TOL,
+                                        run_checks=False)) for scheme in SCHEMES]
+        reps.append(projected_gradient_solve(
+            game, np.zeros((game.horizon + 1, 2)),
+            ProjGradConfig(step_size=0.05, max_iter=5000, tol=TOL, run_checks=False)))
+        for rep in reps:
+            assert (rep.iterations, rep.termination) == (1, "tolerance")
+            assert rep.natural_residual <= TOL
+            np.testing.assert_allclose(rep.trajectory.actions, oracle.actions,
+                                       rtol=0, atol=1e-10)
 
 
 class TestNaturalResidual:
