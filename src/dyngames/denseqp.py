@@ -1,4 +1,13 @@
-"""Exact solvers for convex QPs and polyhedron projections.
+"""Exact solvers for stage problems and for QPs over a whole trajectory.
+
+Every small stage problem is one linear complementarity problem (LCP) in
+the multipliers of the stage's rows, ``_stage_lcp``: a solve with the rows
+q violates held (``solve_equality_kkt``), and Lemke's method (``_lemke``)
+where that guess fails.  The static-game resolvents of ``splitting`` pose
+it with M = G J^{-1} G', the projection onto a stage's rows
+(``project_polyhedron``) with M = G G', and ``parametric``'s region test
+projects 0.  For these M, Lemke's method ends on a ray only when the rows
+admit no point.
 
 ``solve_qp`` is a dual active-set method (Goldfarb and Idnani, "A
 numerically stable dual method for solving strictly convex quadratic
@@ -16,13 +25,11 @@ saves most of the steps (warm starts: Ferreau, Bock and Diehl, Int. J.
 Robust Nonlinear Control 18, 2008).  A guess is checked exactly: its rows
 are held, rows with a negative multiplier are dropped and the rest solved
 for again, and a singular system falls back to the equality-constrained
-minimum.
+minimum.  Given no guess, the loop holds the rows violated at that minimum.
 
-The loop is written once and reads a QP only through the members of
-``DenseQp``, which holds dense arrays and solves with LAPACK
-(``solve_equality_kkt``).  A QP over a whole stacked trajectory
-(``lq.BandedQp``) reads its stage rows in place and solves each KKT system
-in band, O(T) per active-set step.
+The loop reads a QP only through the members of ``lq.BandedQp``, a QP over
+a whole stacked trajectory, which reads its stage rows in place and solves
+each KKT system in band, O(T) per active-set step.
 """
 
 from __future__ import annotations
@@ -49,109 +56,40 @@ DEPENDENT_ROW_RATIO = 1e-11
 ROW_TOL = 1e-9
 
 
-def solve_equality_kkt(H: Array, f: Array, A: Optional[Array] = None,
-                       b: Optional[Array] = None) -> tuple[Array, Array]:
-    """Solve min 0.5 z'Hz + f'z s.t. Az = b via the stacked KKT system.
+def solve_equality_kkt(H: Array, f: Array) -> Array:
+    """The minimizer z of 0.5 z'Hz + f'z with every row held: its KKT system Hz = -f.
 
-    Returns (z, lam).  H only needs to be invertible on the null space of A
-    for the KKT matrix to be nonsingular.  Raises ``np.linalg.LinAlgError``
-    when the KKT matrix is singular.
+    The stage LCP's guess poses it with the guessed rows S held, H = M_SS
+    and f = q_S (``_stage_lcp``).  Raises ``np.linalg.LinAlgError`` when H
+    is singular.
     """
-    n = H.shape[0]
-    m = 0 if A is None else A.shape[0]
-    if m == 0:
-        return np.linalg.solve(H, -np.asarray(f, dtype=float)), np.zeros(0)
-    K = np.zeros((n + m, n + m))
-    K[:n, :n] = H
-    K[:n, n:] = A.T
-    K[n:, :n] = A
-    sol = np.linalg.solve(K, np.concatenate([-f, b]))
-    return sol[:n], sol[n:]
+    return np.linalg.solve(H, -np.asarray(f, dtype=float))
 
 
-class DenseQp:
-    """min 0.5 z'Hz + f'z s.t. Gz <= h, Aeq z = beq, held as dense arrays.
-
-    ``solve_qp`` reads a QP only through these members, which ``lq.BandedQp``
-    shares: ``size`` (variables plus inequality rows), ``H_size``,
-    ``f_size`` and ``row_size`` (largest entries of H, f and the rows),
-    ``pin_violated`` (whether a solve given no guess pins the rows violated
-    at the equality-constrained minimum), ``start(rows)`` (the minimizer with
-    the equality rows and the inequality ``rows`` held, and those rows'
-    multipliers), ``values(z)`` (Gz - h, -inf where a row is never active),
-    ``row(p)`` (row p and h_p) and ``kkt(active, g)``: s minimizing
-    0.5 s'Hs + g's with the equality and ``active`` rows held at zero, and
-    the multipliers, the active rows' last.  A singular system raises
-    LinAlgError or StageSingularityError.
-
-    ``solve_equality_kkt`` has no conditioning test, so ``start`` with rows
-    tests the reciprocal condition number as ``lq``'s banded kernel does,
-    and a dense QP pins no rows unless given them; the loop adds rows one at
-    a time behind its dependent-row test.
-    """
-
-    pin_violated = False
-
-    def __init__(self, H: Array, f: Array, G: Optional[Array] = None,
-                 h: Optional[Array] = None, Aeq: Optional[Array] = None,
-                 beq: Optional[Array] = None):
-        n = H.shape[0]
-        self.H, self.f = H, np.asarray(f, dtype=float).reshape(n)
-        self.G = np.zeros((0, n)) if G is None else G
-        self.h = np.zeros(0) if G is None else np.asarray(h, dtype=float).reshape(-1)
-        self.Aeq = None if Aeq is None or Aeq.shape[0] == 0 else Aeq
-        self.beq = None if self.Aeq is None else np.asarray(beq, dtype=float).reshape(-1)
-        self.size = n + self.G.shape[0]
-        self.H_size = max(float(np.max(np.abs(H))), np.finfo(float).tiny)
-        self.f_size = float(np.max(np.abs(self.f), initial=0.0))
-        self.row_size = max(float(np.max(np.abs(M), initial=0.0)) for M in (self.G, Aeq)
-                            if M is not None)
-
-    def start(self, rows: Sequence[int] = ()) -> tuple[Array, Array]:
-        rows = list(rows)
-        if not rows:
-            return solve_equality_kkt(self.H, self.f, self.Aeq, self.beq)[0], np.zeros(0)
-        A = np.vstack(([] if self.Aeq is None else [self.Aeq]) + [self.G[rows]])
-        b = np.concatenate(([] if self.Aeq is None else [self.beq]) + [self.h[rows]])
-        K = np.block([[self.H, A.T], [A, np.zeros((len(A), len(A)))]])
-        if not 1.0 / np.linalg.cond(K, 1) >= len(K) * np.finfo(float).eps:  # NaN too
-            raise np.linalg.LinAlgError("KKT system with the held rows is singular")
-        z, lam = solve_equality_kkt(self.H, self.f, A, b)
-        return z, lam[len(lam) - len(rows):]
-
-    def values(self, z: Array) -> Array:
-        return self.G @ z - self.h
-
-    def row(self, p: int) -> tuple[Array, float]:
-        return self.G[p], float(self.h[p])
-
-    def kkt(self, active: list[int], g: Array) -> tuple[Array, Array]:
-        rows = [] if self.Aeq is None else [self.Aeq]
-        A = np.vstack(rows + [self.G[active]]) if rows or active else None
-        return solve_equality_kkt(self.H, g, A, None if A is None else np.zeros(A.shape[0]))
-
-
-def solve_qp(H, f: Optional[Array] = None, G: Optional[Array] = None,
-             h: Optional[Array] = None, Aeq: Optional[Array] = None,
-             beq: Optional[Array] = None,
-             start: Optional[Sequence[int]] = None) -> tuple[Array, Array]:
-    """Exact minimizer of a convex QP with inequality and equality constraints.
+def solve_qp(qp, start: Optional[Sequence[int]] = None) -> tuple[Array, Array]:
+    """Exact minimizer of the convex QP ``qp``, a ``lq.BandedQp`` or an object with its members.
 
     min 0.5 z'Hz + f'z   s.t.  Gz <= h,  Aeq z = beq.
 
+    The members are ``size`` (variables plus inequality rows), ``H_size``,
+    ``f_size`` and ``row_size`` (largest entries of H, f and the rows),
+    ``start(rows)`` (the minimizer with the equality rows and the inequality
+    ``rows`` held, and those rows' multipliers), ``values(z)`` (Gz - h, -inf
+    where a row is never active), ``row(p)`` (row p and h_p) and
+    ``kkt(active, g)``: s minimizing 0.5 s'Hs + g's with the equality and
+    ``active`` rows held at zero, and the multipliers, the active rows'
+    last.  A singular system raises LinAlgError or StageSingularityError.
+
     H must be positive semidefinite and positive definite on the null space
-    of Aeq, and Aeq must have full row rank.  The matrices are dense arrays,
-    or H is a QP object with the members of ``DenseQp`` (``lq.BandedQp``)
-    and nothing else is passed.  ``start`` guesses the active inequality
-    rows; without it, a QP that sets ``pin_violated`` guesses the rows
-    violated at its equality-constrained minimum.  The guess changes the
+    of Aeq, and Aeq must have full row rank.  ``start`` guesses the active
+    inequality rows; without it, the rows violated at the
+    equality-constrained minimum are the guess.  The guess changes the
     steps taken (module docstring), not the minimizer.  Returns (z, lam)
     with lam the multipliers of the inequality rows.  Raises
     InfeasibleConstraintsError when the rows are contradictory (no step can
     reduce a violation), SubproblemError when the equality-constrained
     problem is singular or the active-set loop exceeds its step bound.
     """
-    qp = H if hasattr(H, "kkt") else DenseQp(H, f, G, h, Aeq, beq)
     vtol = ROW_TOL * (1.0 + qp.H_size + qp.f_size)
     z, active, mult = _s_pair(qp, start, vtol)
     viol = qp.values(z)
@@ -216,16 +154,16 @@ def solve_qp(H, f: Optional[Array] = None, G: Optional[Array] = None,
 def _s_pair(qp, start: Optional[Sequence[int]], vtol: float) -> tuple[Array, list[int], Array]:
     """The loop's first S-pair from the guess ``start``: z, its held rows and their multipliers.
 
-    The guess's rows are held and solved for; rows with a negative multiplier
-    are dropped and the rest solved for again until none is negative.  A
-    singular system (dependent or contradictory rows in the guess) gives way
-    to the equality-constrained minimum, as does an empty guess.
+    The guess's rows, without a guess those violated at the
+    equality-constrained minimum, are held and solved for; rows with a
+    negative multiplier are dropped and the rest solved for again until none
+    is negative.  A singular system (dependent or contradictory rows in the
+    guess) gives way to the equality-constrained minimum, as does an empty
+    guess.
     """
     cold = None
     if start is None:
         cold = _cold_start(qp)
-        if not qp.pin_violated:
-            return cold, [], np.zeros(0)
         start = np.flatnonzero(qp.values(cold) > vtol)
     held = [int(p) for p in start]
     while held:
@@ -249,8 +187,93 @@ def _cold_start(qp) -> Array:
             "the null space of the equality rows, or those rows are dependent") from exc
 
 
-def project_polyhedron(point: Array, G: Array, h: Array) -> Array:
-    """Euclidean projection of a point onto {z : Gz <= h}."""
-    n = point.shape[0]
-    z, _ = solve_qp(np.eye(n), -np.asarray(point, dtype=float), G=G, h=h)
-    return z
+# Relative size below which a tableau entry counts as zero in Lemke's ratio
+# test, and ratios count as tied.
+_PIVOT_TOL = 1e-11
+
+
+class _LemkeRay(InfeasibleConstraintsError, SubproblemError):
+    """Lemke's method ended on a ray: the rows admit no point, or the stage game is not monotone."""
+
+
+def _lemke(M: Array, q: Array, stage: int) -> Array:
+    """z >= 0 with w = q + M z >= 0 and w'z = 0, by Lemke's method.
+
+    Complementary pivoting with covering vector 1 and the lexicographic
+    minimum-ratio rule, which cannot cycle on degenerate rows (Cottle, Pang
+    and Stone, *The Linear Complementarity Problem*, 1992, section 4.4).
+    For M = G J^{-1} G^T with J positive definite it ends on a ray only when
+    the rows G are infeasible; that raises ``_LemkeRay`` naming the stage,
+    and running out of pivots a SubproblemError that is not one.
+    """
+    m = q.size
+    # Tableau of  w - M z - z0 = q  over the columns w (0..m-1), z (m..2m-1),
+    # z0 (2m) and the right-hand side; columns 0..m-1 hold B^{-1}.
+    tab = np.hstack([np.eye(m), -M, -np.ones((m, 1)), q[:, None]])
+    basis = np.arange(m)
+    done_tol = _PIVOT_TOL * (1.0 + np.max(np.abs(q)))
+    rows, col, entering = np.arange(m), np.ones(m), 2 * m  # z0 enters where q is least
+    # Lexicographic pivoting never revisits a basis; the bound only stops
+    # floating-point cycling.
+    for _ in range(50 * (m + 1)):
+        for j in (-1, *range(m)):  # ratios of [rhs, B^{-1}]; z0 leaves first on a tie
+            ratio = tab[rows, j] / col[rows]
+            rows = rows[ratio <= ratio.min() + _PIVOT_TOL * (1.0 + abs(ratio.min()))]
+            if j == -1 and np.any(basis[rows] == 2 * m):
+                rows = rows[basis[rows] == 2 * m]
+            if rows.size == 1:
+                break
+        r = rows[0]
+        row = tab[r] / tab[r, entering]
+        tab -= np.outer(tab[:, entering], row)
+        tab[r] = row
+        basis[r], leaving = entering, basis[r]
+        # z0 is the largest violation of w >= 0; rows through one point can
+        # leave it at rounding level without a tie.
+        z0 = tab[basis == 2 * m, -1]
+        if z0.size == 0 or z0[0] <= done_tol:
+            z = np.zeros(m)
+            held = (basis >= m) & (basis < 2 * m)
+            z[basis[held] - m] = tab[held, -1]
+            return z
+        entering = leaving + m if leaving < m else leaving - m
+        col = tab[:, entering]
+        rows = np.flatnonzero(col > _PIVOT_TOL * (1.0 + np.max(np.abs(col))))
+        if rows.size == 0:
+            raise _LemkeRay(
+                f"stage {stage}: Lemke's method ended on a ray; the stage rows are "
+                "infeasible or the stage game is not monotone")
+    raise SubproblemError(f"stage {stage}: Lemke's method did not terminate")
+
+
+def _stage_lcp(M: Array, q: Array, stage: int) -> Array:
+    """``_lemke``'s LCP, tried first with the rows q violates as its active rows.
+
+    The guess is z_S = -M_SS^{-1} q_S on the rows S where q < 0, and z = 0
+    elsewhere.  It is the solution when z_S >= 0 and w = q + M z >= -tol,
+    with w_S <= tol, in Lemke's own tolerance.  Otherwise, or when M_SS is
+    singular, Lemke's method solves the LCP.
+    """
+    S = q < 0.0
+    tol = _PIVOT_TOL * (1.0 + np.max(np.abs(q), initial=0.0))
+    try:
+        z_S = solve_equality_kkt(M[np.ix_(S, S)], q[S])
+    except np.linalg.LinAlgError:
+        return _lemke(M, q, stage)
+    w = q + M[:, S] @ z_S
+    if np.all(z_S >= 0.0) and np.all(w >= -tol) and np.all(w[S] <= tol):
+        z = np.zeros(q.size)
+        z[S] = z_S
+        return z
+    return _lemke(M, q, stage)
+
+
+def project_polyhedron(point: Array, G: Array, h: Array, stage: int = 0) -> Array:
+    """Euclidean projection of a point a onto {z : Gz <= h}, the rows of stage ``stage``.
+
+    The projection is z = a - G'lam, the multipliers lam solving the stage
+    LCP with M = G G' and q = h - G a (``_stage_lcp``).  Rows that admit no
+    point raise InfeasibleConstraintsError naming the stage.
+    """
+    point = np.asarray(point, dtype=float)
+    return point - G.T @ _stage_lcp(G @ G.T, h - G @ point, stage)

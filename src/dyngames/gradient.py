@@ -180,7 +180,9 @@ def _convexity_pass(M: Array, A: Array, B: Array, own: slice,
     + F'PF over (x, w), F = [A_k B_k] L, with ``shift`` added on w.  An SVD
     of the w columns of its pinned rows and of the state rows carried from
     stage k+1 (Laine and Tomlin, ICRA 2019) gives w = F_w x + N xi and the
-    state rows carried to stage k-1, vacuous at k = 0.  The pivot N'QN must
+    state rows carried to stage k-1, vacuous at k = 0: rank R - rank R_w of
+    them, R the rows and R_w their w columns, so that rounding noise left in
+    the x columns pins no free direction.  The pivot N'QN must
     be positive definite, and P becomes its Schur complement.  By
     Haynsworth's inertia additivity all pivots are exactly when the
     Hessian's least eigenvalue on the free directions exceeds -shift: the
@@ -205,8 +207,8 @@ def _convexity_pass(M: Array, A: Array, B: Array, own: slice,
             U, sv, Vt = np.linalg.svd(R[:, n_x:])
             tol = max(R.shape) * np.finfo(float).eps * float(np.linalg.norm(R))
             r, Rx = int(np.sum(sv > tol)), U.T @ R[:, :n_x]
-            _, s, D = np.linalg.svd(Rx[r:], full_matrices=False)
-            D = D[s > tol]
+            left = int(np.sum(np.linalg.svd(R, compute_uv=False) > tol)) - r
+            D = np.linalg.svd(Rx[r:], full_matrices=False)[2][:max(left, 0)]
             Z = np.vstack([np.eye(n_x, n_v - r),
                            np.hstack([-Vt[:r].T @ (Rx[:r] / sv[:r, None]), Vt[r:].T])])
             Q = Z.T @ Q @ Z

@@ -44,11 +44,11 @@ count and the cost stays O(T).  It is the kernel of the active-set polish
 (``certificate.ActiveSetPolish``).
 
 The same factor solves every QP over a whole stacked trajectory
-(``BandedQp``), holding ``denseqp.solve_qp``'s active rows pinned.  The
-projections (``project``) and the best response of
-``feedback.epsilon_nash_gap`` cost O(T) per active-set step.  A banded QP
-pins a guess of its active rows in one factor: the rows its caller names,
-else those violated at its equality-constrained minimum.  A solve reads
+(``BandedQp``, the QP of ``denseqp.solve_qp``'s loop), holding the loop's
+active rows pinned.  The projections (``project``) and the best response
+of ``feedback.epsilon_nash_gap`` cost O(T) per active-set step.  A banded
+QP pins a guess of its active rows in one factor: the rows its caller
+names, else those violated at its equality-constrained minimum.  A solve reads
 a game once, at the origin: its rows (``padded_rows``) and its data
 (``extract_lq_data``, or ``dynamics_data`` for linear dynamics only).
 """
@@ -344,11 +344,9 @@ class BandedQp:
     KKT system is one ``_kkt_factor`` with the held and active rows pinned,
     O(T); its multipliers are x_0's pin's, the costates and the rows' mu.
     ``start(rows)`` is one ``_pinned_solve`` with the held rows and ``rows``
-    pinned; every factor carries the rcond test, so a solve given no guess
-    pins the rows violated at the equality-constrained minimum.
+    pinned; every factor carries the rcond test, so a guess of dependent
+    rows gives way to the equality-constrained minimum.
     """
-
-    pin_violated = True
 
     def __init__(self, data: LqGameData, G: Array, p: Array, real: Array,
                  held: Optional[Array] = None):

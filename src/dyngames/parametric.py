@@ -8,7 +8,8 @@ over a joint action u partitioned among players, with the vector x acting as
 a parameter.  With equality constraints W x + S u + p = 0 the equilibrium is
 a single affine law u = K x + s; with inequality constraints it is piecewise
 affine over a polyhedral partition of the parameter space, obtained by
-enumerating candidate active sets.
+enumerating candidate active sets.  A candidate's region is kept when the
+projection of 0 onto it, one stage LCP of ``denseqp``, exists.
 
 The equality-constrained solve stacks each player's own-block stationarity
 with the constraint rows into one KKT system
@@ -248,13 +249,21 @@ def _check_residual(R: Array, n_u: int, scale: float, stage: int) -> None:
 
 
 def _region_nonempty(L: Array, l: Array, tol: float = 1e-9) -> bool:
-    """Whether {x : Lx + l <= tol} is nonempty: its least-norm point exists."""
-    if L.shape[0] == 0:
-        return True
-    if L.shape[1] == 0:
-        return bool(np.all(l <= tol))
+    """Whether {x : Lx + l <= tol} is nonempty: the projection of 0 onto it exists.
+
+    Each row is divided by its norm (``denseqp.project_polyhedron``).  A row
+    with no normal, its norm within L's rank tolerance, holds or fails on its
+    own: normalized, its bound would swamp Lemke's tolerance, which grows
+    with the largest bound.  Only an empty region ends Lemke's method on a
+    ray; running out of pivots raises SubproblemError and never reads empty.
+    """
+    norms = np.linalg.norm(L, axis=1)
+    normal = norms > max(L.shape) * np.finfo(float).eps * norms.max(initial=0.0)
+    if np.any(l[~normal] > tol):
+        return False
     try:
-        denseqp.solve_qp(np.eye(L.shape[1]), np.zeros(L.shape[1]), G=L, h=tol - l)
+        denseqp.project_polyhedron(np.zeros(L.shape[1]), L[normal] / norms[normal, None],
+                                   (tol - l[normal]) / norms[normal])
     except InfeasibleConstraintsError:
         return False
     return True

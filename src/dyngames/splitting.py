@@ -15,14 +15,16 @@ operator that gets its own resolvent:
 * ``constraints``: r_1 solves a proximally regularized unconstrained dynamic
   game (one banded solve of its open-loop KKT system for declared
   linear-quadratic games, else Newton steps, each one banded solve of the
-  local LQ game's system), r_2 projects stagewise onto the constraint sets.
+  local LQ game's system), r_2 projects stagewise onto the constraint sets,
+  each stage's projection one stage LCP (``denseqp.project_polyhedron``).
 * ``dynamics``: r_1 solves the T+1 independent regularized constrained
   static games, one per stage (the state coordinate acts as an extra
   coordinating player), all at once by Josephy-Newton steps: each step is
-  one stacked linear solve over the stages still pending, plus one small
-  solve with the violated rows held for each stage whose rows bind, and
-  Lemke's method only where that guess fails.  r_2 projects onto the
-  dynamics by the same banded solve at eta = 0.
+  one stacked linear solve over the stages still pending, plus one stage
+  LCP for each stage whose rows bind (``denseqp._stage_lcp``: a small solve
+  with the violated rows held, and Lemke's method only where that guess
+  fails).  r_2 projects onto the dynamics by the same banded solve at
+  eta = 0.
 * ``gradient``: r_1 projects onto the intersection of dynamics and
   constraints (exact horizon-wide QP), r_2 solves the same static games
   without their rows, each step one stacked linear solve.
@@ -228,7 +230,9 @@ def project_stage_constraints(game: GameDefinition, y: Array, z: Array,
     Uses the game's analytic projector when available, for the whole
     trajectory at once (``GameDefinition.eval_traj_projection``), otherwise
     an exact polyhedron projection for affine rows (``rows``, read here when
-    None).  Stages without constraints pass through unchanged.
+    None; one ``denseqp.project_polyhedron`` per stage).  Stages without
+    constraints pass through unchanged; rows that admit no point raise
+    InfeasibleConstraintsError naming the stage.
     """
     if game.constraints is None:
         return np.array(y, dtype=float, copy=True), np.array(z, dtype=float, copy=True)
@@ -239,7 +243,7 @@ def project_stage_constraints(game: GameDefinition, y: Array, z: Array,
     xs, us = np.array(y, dtype=float, copy=True), np.array(z, dtype=float, copy=True)
     for k in np.flatnonzero(rows.real.any(axis=1)):
         G, p0 = rows.G[k, rows.real[k]], rows.p[k, rows.real[k]]
-        proj = denseqp.project_polyhedron(np.concatenate([y[k], z[k]]), G, -p0)
+        proj = denseqp.project_polyhedron(np.concatenate([y[k], z[k]]), G, -p0, k)
         xs[k], us[k] = proj[:game.state_dim], proj[game.state_dim:]
     return xs, us
 
@@ -258,82 +262,6 @@ def _stage_operators(game, cx, cu, C):
     return F, J
 
 
-# Relative size below which a tableau entry counts as zero in Lemke's ratio
-# test, and ratios count as tied.
-_PIVOT_TOL = 1e-11
-
-
-def _lemke(M: Array, q: Array, stage: int) -> Array:
-    """z >= 0 with w = q + M z >= 0 and w'z = 0, by Lemke's method.
-
-    Complementary pivoting with covering vector 1 and the lexicographic
-    minimum-ratio rule, which cannot cycle on degenerate rows (Cottle, Pang
-    and Stone, *The Linear Complementarity Problem*, 1992, section 4.4).
-    For M = G J^{-1} G^T with J positive definite it ends on a ray only when
-    the rows G are infeasible; that raises SubproblemError naming the stage.
-    """
-    m = q.size
-    # Tableau of  w - M z - z0 = q  over the columns w (0..m-1), z (m..2m-1),
-    # z0 (2m) and the right-hand side; columns 0..m-1 hold B^{-1}.
-    tab = np.hstack([np.eye(m), -M, -np.ones((m, 1)), q[:, None]])
-    basis = np.arange(m)
-    done_tol = _PIVOT_TOL * (1.0 + np.max(np.abs(q)))
-    rows, col, entering = np.arange(m), np.ones(m), 2 * m  # z0 enters where q is least
-    # Lexicographic pivoting never revisits a basis; the bound only stops
-    # floating-point cycling.
-    for _ in range(50 * (m + 1)):
-        for j in (-1, *range(m)):  # ratios of [rhs, B^{-1}]; z0 leaves first on a tie
-            ratio = tab[rows, j] / col[rows]
-            rows = rows[ratio <= ratio.min() + _PIVOT_TOL * (1.0 + abs(ratio.min()))]
-            if j == -1 and np.any(basis[rows] == 2 * m):
-                rows = rows[basis[rows] == 2 * m]
-            if rows.size == 1:
-                break
-        r = rows[0]
-        row = tab[r] / tab[r, entering]
-        tab -= np.outer(tab[:, entering], row)
-        tab[r] = row
-        basis[r], leaving = entering, basis[r]
-        # z0 is the largest violation of w >= 0; rows through one point can
-        # leave it at rounding level without a tie.
-        z0 = tab[basis == 2 * m, -1]
-        if z0.size == 0 or z0[0] <= done_tol:
-            z = np.zeros(m)
-            held = (basis >= m) & (basis < 2 * m)
-            z[basis[held] - m] = tab[held, -1]
-            return z
-        entering = leaving + m if leaving < m else leaving - m
-        col = tab[:, entering]
-        rows = np.flatnonzero(col > _PIVOT_TOL * (1.0 + np.max(np.abs(col))))
-        if rows.size == 0:
-            raise SubproblemError(
-                f"stage {stage}: Lemke's method ended on a ray; the stage rows are "
-                "infeasible or the stage game is not monotone")
-    raise SubproblemError(f"stage {stage}: Lemke's method did not terminate")
-
-
-def _stage_lcp(M: Array, q: Array, stage: int) -> Array:
-    """``_lemke``'s LCP, tried first with the rows q violates as its active rows.
-
-    The guess is z_S = -M_SS^{-1} q_S on the rows S where q < 0, and z = 0
-    elsewhere.  It is the solution when z_S >= 0 and w = q + M z >= -tol,
-    with w_S <= tol, in Lemke's own tolerance.  Otherwise, or when M_SS is
-    singular, Lemke's method solves the LCP.
-    """
-    S = q < 0.0
-    tol = _PIVOT_TOL * (1.0 + np.max(np.abs(q)))
-    try:
-        z_S = np.linalg.solve(M[np.ix_(S, S)], -q[S])
-    except np.linalg.LinAlgError:
-        return _lemke(M, q, stage)
-    w = q + M[:, S] @ z_S
-    if np.all(z_S >= 0.0) and np.all(w >= -tol) and np.all(w[S] <= tol):
-        z = np.zeros(q.size)
-        z[S] = z_S
-        return z
-    return _lemke(M, q, stage)
-
-
 def _static_games(game: GameDefinition, y: Array, z: Array, eta: float,
                   rows: Optional[PaddedRows], data: Optional[LqGameData]) -> tuple[Array, Array]:
     """Every stage's regularized static game, by Josephy-Newton steps, with ``rows`` or none.
@@ -342,8 +270,8 @@ def _static_games(game: GameDefinition, y: Array, z: Array, eta: float,
     points and solves those affine stage games exactly, all at once: one
     stacked linear solve for the unconstrained points and, only for a stage
     whose point violates some of its rows, one LCP in the rows'
-    multipliers (``_stage_lcp``): a solve with the violated rows held, and
-    ``_lemke`` only where that guess fails.  A stage leaves once its KKT
+    multipliers (``denseqp._stage_lcp``): a solve with the violated rows
+    held, and Lemke's method only where that guess fails.  A stage leaves once its KKT
     residual (stationarity and min(mu, -g) over the rows g <= 0) is at most
     INNER_TOL * (1 + |(y_k, z_k)|_inf); quadratic costs need one step plus that check, and a stage
     fails after INNER_MAX_ITER steps.  Declared linear-quadratic games take
@@ -413,7 +341,7 @@ def _static_games(game: GameDefinition, y: Array, z: Array, eta: float,
             k = P[i]
             Gk, dv = G[k, real[k]], sol[i, :, 1:][:, real[k]]
             try:
-                mu_k = _stage_lcp(Gk @ dv, -(Gk @ v[k] + p[k, real[k]]), k)
+                mu_k = denseqp._stage_lcp(Gk @ dv, -(Gk @ v[k] + p[k, real[k]]), k)
             except SubproblemError as exc:
                 fail(k, exc)
                 break

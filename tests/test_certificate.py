@@ -5,9 +5,9 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
-from dyngames import lq, model, splitting
+from dyngames import denseqp, lq, model, splitting
 from dyngames.benchmarks import fishery_game, lq_rendezvous_game
 from dyngames.certificate import (ActiveSetPolish, active_set_polish, natural_residual,
                                   near_active)
@@ -25,6 +25,8 @@ TOL = 1e-8
 
 class TestPinnedKernel:
     @given(seed=st.integers(0, 2**32 - 1), T=st.integers(1, 4), max_rows=st.integers(1, 2))
+    # ill-conditioned: actions near -262 and 191 agree to 9.9e-9, 3.8e-11 relative
+    @example(seed=273, T=1, max_rows=2)
     def test_true_active_set_matches_the_dense_oracle(self, seed, T, max_rows):
         inst = random_polyhedral_lq_instance(np.random.default_rng(seed), T=T,
                                              max_rows=max_rows)
@@ -32,8 +34,10 @@ class TestPinnedKernel:
         polish = active_set_polish(inst.game, TOL)
         rows = polish.rows
         traj, mu = lq.solve_pinned(polish.data, rows.G, rows.p, inst.active)
-        np.testing.assert_allclose(traj.actions, inst.equilibrium.actions, rtol=0, atol=1e-10)
-        np.testing.assert_allclose(traj.states, inst.equilibrium.states, rtol=0, atol=1e-10)
+        eq = inst.equilibrium
+        atol = 1e-10 * (1.0 + max(np.max(np.abs(eq.actions)), np.max(np.abs(eq.states))))
+        np.testing.assert_allclose(traj.actions, eq.actions, rtol=0, atol=atol)
+        np.testing.assert_allclose(traj.states, eq.states, rtol=0, atol=atol)
         assert np.all(mu[~inst.active] == 0.0) and np.all(mu >= -1e-9)
         polished, residual = polish.attempt(inst.active)
         assert residual == natural_residual(inst.game, polished.actions) <= TOL
@@ -294,7 +298,7 @@ def test_a_stage_whose_violated_rows_bind_never_reaches_lemke(rng, monkeypatch):
     y, z = np.zeros((game.horizon + 1, 2)), np.zeros((game.horizon + 1, 2))
     y[k], z[k] = 5.0 * w, 5.0 * s  # far outside the stage's one row
     assert w @ y[k] + s @ z[k] + p > 1.0
-    lemke = count_calls(monkeypatch, splitting, "_lemke")
+    lemke = count_calls(monkeypatch, denseqp, "_lemke")
     xs, us = splitting.resolvent_reg_static_games(game, y, z, 0.01)
     assert abs(w @ xs[k] + s @ us[k] + p) <= 1e-12  # the violated row binds
     assert lemke[0] == 0

@@ -1,7 +1,9 @@
 """The dual active-set QP kernel against exhaustive active-set enumeration.
 
-Dense QPs, and QPs over a whole stacked trajectory solved on the banded
-kernel of ``lq`` (``lq.BandedQp``), against the same QP as dense matrices.
+Dense QPs (``oracles.DenseQp``), and QPs over a whole stacked trajectory
+solved on the banded kernel of ``lq`` (``lq.BandedQp``), against the same QP
+as dense matrices; and the stage LCP's polyhedron projection against the
+dense QP.
 """
 
 import numpy as np
@@ -14,7 +16,7 @@ from dyngames.denseqp import solve_qp
 from dyngames.errors import InfeasibleConstraintsError, SubproblemError
 from dyngames.model import LqGameData
 
-from oracles import brute_force_qp
+from oracles import DenseQp, brute_force_qp
 
 
 def random_qp(seed, n, m, neq, extra_rank, special_rows):
@@ -61,8 +63,8 @@ def draw(seed, n, m, neq_frac, extra_rank, special_rows):
 def solve_dense(H, f, G, h, Aeq, beq):
     """solve_qp with empty blocks passed as None."""
     m, neq = G.shape[0], Aeq.shape[0]
-    return solve_qp(H, f, G=G if m else None, h=h if m else None,
-                    Aeq=Aeq if neq else None, beq=beq if neq else None)
+    return solve_qp(DenseQp(H, f, G=G if m else None, h=h if m else None,
+                            Aeq=Aeq if neq else None, beq=beq if neq else None))
 
 
 @given(**qp_shapes)
@@ -103,7 +105,7 @@ def test_step_bound_raises(monkeypatch):
     h = h - 10.0  # every row violated at the start
     monkeypatch.setattr(denseqp, "STEPS_PER_DIMENSION", 0)
     with pytest.raises(SubproblemError, match="exceeded 0 steps"):
-        solve_qp(H, f, G=G, h=h, Aeq=Aeq, beq=beq)
+        solve_qp(DenseQp(H, f, G=G, h=h, Aeq=Aeq, beq=beq))
 
 
 def test_step_bound_raises_after_a_guessed_start(monkeypatch):
@@ -127,7 +129,7 @@ def test_singular_equality_problem_raises(banded):
     H = np.diag([1.0, 0.0])
     Aeq = np.array([[1.0, 0.0]])
     with pytest.raises(SubproblemError, match="singular"):
-        solve_qp(H, np.ones(2), Aeq=Aeq, beq=np.zeros(1))
+        solve_qp(DenseQp(H, np.ones(2), Aeq=Aeq, beq=np.zeros(1)))
 
 
 def zero_action_cost(data, j):
@@ -339,5 +341,49 @@ def test_a_guessed_start_changes_the_steps_not_the_minimizer(seed, T, counts, sp
     assert_same_outcome(outcome(qp, rows), cold)
     if guess != "contradictory":
         # the same guess on the dense form of the QP, whose rows are the real ones in order
-        dense = denseqp.DenseQp(*dense)
+        dense = DenseQp(*dense)
         assert_same_outcome(outcome(dense, np.searchsorted(real, rows)), outcome(dense, []))
+
+
+POLYHEDRON_LAYOUTS = ("general", "plus_minus", "duplicated", "dependent", "contradictory")
+
+
+def random_polyhedron(seed, n, m, layout):
+    """Rows Gz <= h in n dimensions and a point to project, mostly outside them.
+
+    The rows hold at an anchor point with random slack, some zero.  ``layout``
+    makes the second row the negation of the first with the same bound, an
+    equality (``plus_minus``), a copy of it (``duplicated``) or a combination
+    of the first two (``dependent``), or adds a pair asking for
+    c + 0.5 <= g'z <= c (``contradictory``).
+    """
+    r = np.random.default_rng(seed)
+    G = r.standard_normal((m, n))
+    anchor = r.standard_normal(n)
+    slack = np.where(r.random(m) < 0.3, 0.0, r.uniform(0.0, 1.0, m))
+    if m >= 2 and layout in ("plus_minus", "duplicated"):
+        G[1], slack[:2] = (-G[0] if layout == "plus_minus" else G[0]), 0.0
+    elif m >= 3 and layout == "dependent":
+        G[2], slack[2] = 0.5 * G[0] - 2.0 * G[1], 0.0
+    h = G @ anchor + slack
+    if layout == "contradictory":
+        g = r.standard_normal(n)
+        G, h = np.vstack([G, g, -g]), np.concatenate([h, [0.3, -0.8]])
+    return G, h, anchor + 3.0 * r.standard_normal(n)
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), m=st.integers(1, 8),
+       layout=st.sampled_from(POLYHEDRON_LAYOUTS))
+def test_lcp_projection_matches_the_dense_qp(seed, n, m, layout):
+    G, h, point = random_polyhedron(seed, n, m, layout)
+    try:
+        dense = solve_qp(DenseQp(np.eye(n), -point, G=G, h=h))[0]
+    except InfeasibleConstraintsError:
+        dense = None
+    if dense is None:
+        with pytest.raises(InfeasibleConstraintsError, match="stage 4"):
+            denseqp.project_polyhedron(point, G, h, 4)
+        return
+    z = denseqp.project_polyhedron(point, G, h, 4)
+    scale = 1.0 + np.max(np.abs(point)) + np.max(np.abs(h))
+    np.testing.assert_allclose(z, dense, rtol=0, atol=1e-9 * scale)

@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dyngames import gradient
@@ -329,6 +329,9 @@ def random_curvature_case(rng, T, n_x, action_dims):
 @settings(max_examples=1500, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), T=st.integers(0, 5), n_x=st.integers(1, 3),
        action_dims=st.sampled_from([(1,), (2,), (1, 1), (2, 1), (1, 2, 1)]))
+# a state row left at rounding level (singular value 2e-15) was carried to
+# stage 0 and pinned a free direction: player 1 passed at least eigenvalue -0.033
+@example(seed=114180, T=4, n_x=1, action_dims=(1, 2, 1))
 def test_convexity_pass_verdict_matches_the_dense_reduced_hessian(seed, T, n_x, action_dims):
     game, data = random_curvature_case(np.random.default_rng(seed), T, n_x, action_dims)
     for n in range(len(action_dims)):

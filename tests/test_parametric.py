@@ -3,14 +3,15 @@
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import nnls
 
-from dyngames import parametric
-from dyngames.errors import EnumerationCapError, StageSingularityError
+from dyngames import denseqp, parametric
+from dyngames.errors import EnumerationCapError, StageSingularityError, SubproblemError
 from dyngames.parametric import (
     AffineLaw,
     ParametricGameData,
@@ -273,6 +274,36 @@ class TestRegionEmptiness:
                 compared += 1
                 found += out
         assert compared >= 50 and 0 < found < compared
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dims=st.sampled_from([(1, 1), (2, 1), (1, 2)]),
+           state_dim=st.integers(1, 3), n_con=st.integers(1, 4))
+    def test_no_region_the_lp_finds_nonempty_is_called_empty(self, seed, dims, state_dim,
+                                                              n_con):
+        # nonempty beyond 1e-6: some x has Lx + l <= tol - 1e-6
+        tested = []
+        nonempty = parametric._region_nonempty
+
+        def recorded(L, l):
+            tested.append((L, l, nonempty(L, l)))
+            return tested[-1][2]
+
+        with mock.patch.object(parametric, "_region_nonempty", recorded):
+            enumerate_lcq_parametric(random_parametric_game(
+                np.random.default_rng(seed), action_dims=dims, state_dim=state_dim,
+                n_con=n_con))
+        for L, l, out in tested:
+            assert out or region_phase_one_lp(L, l)[0] > -1e-6, (L, l)
+
+    def test_a_lemke_run_out_of_pivots_is_not_read_as_empty(self, monkeypatch):
+        def cycling(M, q, stage):
+            raise SubproblemError(f"stage {stage}: Lemke's method did not terminate")
+
+        monkeypatch.setattr(denseqp, "_lemke", cycling)
+        # two rows the guessed support cannot solve: x <= -1 twice
+        L, l = np.array([[1.0], [1.0]]), np.array([1.0, 1.0])
+        with pytest.raises(SubproblemError, match="did not terminate"):
+            parametric._region_nonempty(L, l)
 
     def test_import_does_not_load_scipy_optimize(self):
         # nor scipy.sparse: every horizon-wide QP runs on the banded kernel of lq

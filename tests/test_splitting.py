@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from dyngames import lq, report, splitting
+from dyngames import denseqp, lq, report, splitting
 from dyngames.benchmarks import (
     FisheryParams,
     LqRendezvousParams,
@@ -18,6 +18,7 @@ from dyngames.benchmarks import (
 from dyngames.errors import (
     DimensionError,
     DynGameError,
+    InfeasibleConstraintsError,
     NonFiniteStateError,
     SubproblemError,
     UnsupportedConstraintError,
@@ -408,6 +409,33 @@ class TestStageProjections:
         np.testing.assert_allclose(np.concatenate([xs[k], us[k]]), expected,
                                    atol=1e-9)
 
+    def test_contradictory_rows_raise_naming_the_stage(self, rng):
+        # u_0 <= -1 and u_0 >= 1 at stage 2; the loose row at stage 1 projects
+        def rows(k, x, u):
+            return {1: np.array([u[1] - 5.0]), 2: np.array([u[0] + 1.0, 1.0 - u[0]])}.get(
+                k, np.zeros(0))
+
+        def jac(k, x, u):
+            S = {1: [[0.0, 1.0]], 2: [[1.0, 0.0], [-1.0, 0.0]]}.get(k, np.zeros((0, 2)))
+            return np.zeros((len(S), 2)), np.array(S)
+
+        base, _ = random_lq_game(rng, T=3)
+        game = dataclasses.replace(base, constraints=rows, constraint_jacobians=jac,
+                                   polyhedral_constraints=True)
+        y, z = rng.standard_normal((4, 2)), rng.standard_normal((4, 2))
+        with pytest.raises(InfeasibleConstraintsError, match="stage 2"):
+            project_stage_constraints(game, y, z)
+        with pytest.raises(SubproblemError, match="stage 2"):
+            resolvent_reg_static_games(game, y, z, eta=0.3)
+        # Lemke's method run out of pivots is no proof of infeasibility
+        def cycling(M, q, stage):
+            raise SubproblemError(f"stage {stage}: Lemke's method did not terminate")
+
+        with mock.patch.object(denseqp, "_lemke", cycling):
+            with pytest.raises(SubproblemError, match="stage 2") as failed:
+                project_stage_constraints(game, y, z)
+        assert not isinstance(failed.value, InfeasibleConstraintsError)
+
 
 class TestStaticGameResolvents:
     def test_pure_prox_identity(self, rng):
@@ -698,7 +726,7 @@ class TestStageLcp:
         M, q, dv = monotone_stage_lcp(seed, m, n, layout)
         ref = brute_force_lcp(M, q)
         assume(ref is not None)
-        z = getattr(splitting, solver)(M, q, 3)
+        z = getattr(denseqp, solver)(M, q, 3)
         w = q + M @ z
         tol = 1e-9 * (1.0 + np.max(np.abs(q))) * (1.0 + np.max(np.abs(z)))
         assert np.all(z >= -tol) and np.all(w >= -tol)
@@ -714,7 +742,7 @@ class TestStageLcp:
         M, q, _ = stage_lcp(np.eye(3) + K - K.T, np.array([g, -g, h]), np.array([1.0, 1.0, -5.0]),
                             rng.standard_normal(3))
         with pytest.raises(SubproblemError, match="stage 7"):
-            getattr(splitting, solver)(M, q, 7)
+            getattr(denseqp, solver)(M, q, 7)
 
     def test_a_failed_guess_falls_back_to_lemke(self, monkeypatch):
         # a zero-cost stage game is the projection of (y_1, z_1) = (2, 0.5) onto
@@ -732,8 +760,8 @@ class TestStageLcp:
                                    polyhedral_constraints=True)
         y, z = np.array([[0.3], [2.0], [-1.0]]), np.array([[0.1], [0.5], [0.2]])
         lemke = []
-        real = splitting._lemke
-        monkeypatch.setattr(splitting, "_lemke", lambda *args: lemke.append(1) or real(*args))
+        real = denseqp._lemke
+        monkeypatch.setattr(denseqp, "_lemke", lambda *args: lemke.append(1) or real(*args))
         xs, us = resolvent_reg_static_games(game, y, z, 0.7)
         assert len(lemke) == 1
         ref_x, ref_u = static_games_by_enumeration(game, y, z, 0.7)
