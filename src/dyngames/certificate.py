@@ -135,8 +135,20 @@ def natural_residual(game: GameDefinition, actions: Array,
     projection.
     """
     _projection_route(game)
-    u = np.asarray(actions, dtype=float)
-    traj = rollout(game, game.initial_state, u)
+    return residual_along(game, rollout(game, game.initial_state, actions), rows, data)
+
+
+def residual_along(game: GameDefinition, traj: Trajectory,
+                   rows: Optional[PaddedRows] = None,
+                   data: Optional[LqGameData] = None) -> float:
+    """``natural_residual`` of ``traj.actions``, given ``traj``, their rollout.
+
+    For a caller that holds the rollout already, as the polish and the
+    report do; nothing is rolled out here.  Raises
+    UnsupportedConstraintError, before any other work, as ``natural_residual``.
+    """
+    _projection_route(game)
+    u = traj.actions
     F = pseudo_gradient(game, traj, feas_tol=np.inf).own_stage_grads()
     return float(np.max(np.abs(u - _project(game, u - F, rows, data, traj))))
 
@@ -215,5 +227,5 @@ class ActiveSetPolish:
             return None, (pinned & ~freed) | violated
         game = self.game
         traj = rollout(game, game.initial_state, traj.actions)
-        residual = natural_residual(game, traj.actions, rows, self.data)
+        residual = residual_along(game, traj, rows, self.data)
         return ((traj, residual) if residual <= self.tol else None), None  # NaN fails

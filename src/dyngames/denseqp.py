@@ -18,7 +18,11 @@ inequality row, drops a row whose multiplier would turn negative on the
 way, and re-solves the KKT system of the current active set at every step.
 The iterates stay dual feasible and the dual objective rises at every step,
 so the method stops after finitely many steps at the exact minimizer, or
-proves the rows contradictory.
+proves the rows contradictory.  A row that rounding puts in the span of the
+active rows, with no multiplier to block its step, is held with them in one
+solve (``_held_with``): a regular system whose point meets the held rows
+shows it lies only nearly in that span, and the loop goes on from there;
+otherwise the rows contradict.
 
 Any S-pair will do as the start, and a good guess of the final active rows
 saves most of the steps (warm starts: Ferreau, Bock and Diehl, Int. J.
@@ -133,9 +137,14 @@ def solve_qp(qp, start: Optional[Sequence[int]] = None) -> tuple[Array, Array]:
                 j = int(np.argmin(ratios))
                 partial, drop = float(ratios[j]), int(blocking[j])
             if not np.isfinite(min(full, partial)):
-                raise InfeasibleConstraintsError(
-                    f"inequality row {p} cannot be satisfied with the rows active",
-                    max_violation=float(viol[p]))
+                pair = _held_with(qp, active, p, vtol)
+                if pair is None:
+                    raise InfeasibleConstraintsError(
+                        f"inequality row {p} cannot be satisfied with the rows active",
+                        max_violation=float(viol[p]))
+                active.append(p)
+                z, lam[active] = pair
+                break
             t = min(full, partial)
             if not dependent:
                 z = z + t * s
@@ -149,6 +158,27 @@ def solve_qp(qp, start: Optional[Sequence[int]] = None) -> tuple[Array, Array]:
             del active[drop]
             viol[p] = float(g_vec @ z) - h_p
         viol = qp.values(z)
+
+
+def _held_with(qp, active: list[int], p: int, vtol: float) -> Optional[tuple[Array, Array]]:
+    """The S-pair holding row p with the ``active`` rows, for p counted as dependent on them.
+
+    Nothing blocks p's step, so p either contradicts the active rows or lies
+    only nearly in their span, too near for its step to be taken by
+    increments.  In the second case the system with p held is regular, its
+    point meets the held rows within ``vtol`` and its multipliers are
+    nonnegative up to ROW_TOL relative to the largest (clipped at 0):
+    (z, multipliers).  None in the first.
+    """
+    held = active + [p]
+    try:
+        z, mult = qp.start(held)
+    except (np.linalg.LinAlgError, StageSingularityError):
+        return None
+    if not (np.max(np.abs(qp.values(z)[held])) <= vtol
+            and np.all(mult >= -ROW_TOL * (1.0 + np.max(np.abs(mult))))):
+        return None
+    return z, np.maximum(mult, 0.0)
 
 
 def _s_pair(qp, start: Optional[Sequence[int]], vtol: float) -> tuple[Array, list[int], Array]:

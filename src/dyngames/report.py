@@ -33,7 +33,7 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
-from .certificate import natural_residual
+from .certificate import residual_along
 from .errors import UnsupportedConstraintError
 from .gradient import PlayerVerdict, playerwise_minimizer_check
 from .model import GameDefinition, LqGameData, PaddedRows, Trajectory, all_player_costs
@@ -294,9 +294,10 @@ def build_report(game: GameDefinition, trajectory: Trajectory, run: Run, run_che
     plain (``Run.plain``): an extrapolated or restarted run's distances need
     not decay geometrically.
     The natural residual is the polish's certificate when the run ended on
-    one, else it is computed here, projecting with the solve's reads (``rows``
-    and ``data``) as ``certificate.project_onto_feasible`` does.  A
-    diverged run gets neither verdicts nor a natural residual.
+    one, else it is computed here along ``trajectory``, which is not rolled
+    out again (``certificate.residual_along``), projecting with the solve's
+    reads (``rows`` and ``data``) as ``certificate.project_onto_feasible``
+    does.  A diverged run gets neither verdicts nor a natural residual.
     """
     verdicts, residual = [], run.residual
     if run.termination != TERM_DIVERGENCE:
@@ -304,7 +305,7 @@ def build_report(game: GameDefinition, trajectory: Trajectory, run: Run, run_che
             verdicts = playerwise_minimizer_check(game, trajectory)
         if residual is None:
             try:
-                residual = natural_residual(game, trajectory.actions, rows, data)
+                residual = residual_along(game, trajectory, rows, data)
             except UnsupportedConstraintError:
                 pass
     dist = np.array([float(np.linalg.norm(w - run.iterates[-1])) for w in run.iterates])

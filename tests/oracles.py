@@ -647,14 +647,18 @@ def rendezvous_stage_projection(params, k, x, u):
 
 
 def dr_constraints_scheme_trace(game, stage_projection, eta, alpha, max_iter):
-    """Per-iteration (step, dynamics residual, constraint violation) of DR.
+    """Per-iteration (step, constraint violation of the rollout) of DR.
 
     Runs the ``constraints`` scheme from zero actions, as ``dr_solve`` does,
     with the package's factored regularized-game resolvent (checked on its own
     in test_lq) and ``stage_projection(k, x, u) -> (x, u)``, a per-stage
     reference for the game's projector (such as
-    ``rendezvous_stage_projection``), applied stage by stage.  Both residuals
-    of the candidate are evaluated on every iteration, one stage at a time.
+    ``rendezvous_stage_projection``), applied stage by stage.  The candidate
+    is the projection's output; on every iteration its actions are rolled out
+    through ``eval_dynamics`` from the initial state, and the largest stage-row
+    violation along that rollout is evaluated one stage at a time.  The
+    candidate's own states are not read: ``dr_solve`` reports and tests the
+    rollout, which may break the rows where the candidate meets them.
 
     The points evaluated follow the safeguarded type-II Anderson scheme from
     its definition, with the package's three constants.  Each kept point
@@ -683,7 +687,7 @@ def dr_constraints_scheme_trace(game, stage_projection, eta, alpha, max_iter):
     divided by it when r_p > BALANCE_RATIO * r_d.  On a change to eta' the
     next point is t + (eta' / eta)(g - t), the resolvent is factored at
     eta', and the list restarts empty.
-    Returns an array of shape (max_iter, 3).
+    Returns an array of shape (max_iter, 2).
     """
     from dyngames.lq import factor
     from dyngames.report import ANDERSON_MEMORY, ANDERSON_REG, ANDERSON_WARMUP
@@ -710,11 +714,12 @@ def dr_constraints_scheme_trace(game, stage_projection, eta, alpha, max_iter):
         gx = (1 - alpha) * wx + alpha * (2 * cx - yx)
         gu = (1 - alpha) * wu + alpha * (2 * cu - yu)
         step = max(np.max(np.abs(gx - wx)), np.max(np.abs(gu - wu)))
-        dyn = max((np.linalg.norm(cx[k + 1] - game.eval_dynamics(k, cx[k], cu[k]))
-                   for k in range(T)), default=0.0)
-        con = max(max(np.max(game.eval_constraints(k, cx[k], cu[k]), initial=0.0), 0.0)
-                  for k in range(T + 1))
-        rows.append((step, dyn, con))
+        x, con = np.asarray(game.initial_state, dtype=float), 0.0
+        for k in range(T + 1):
+            con = max(con, np.max(game.eval_constraints(k, x, cu[k]), initial=0.0))
+            if k < T:
+                x = game.eval_dynamics(k, x, cu[k])
+        rows.append((step, con))
         g = np.concatenate([gx.ravel(), gu.ravel()])
         f = g - np.concatenate([wx.ravel(), wu.ravel()])
         if trial and np.linalg.norm(f) > np.linalg.norm(kept[-1][1]):

@@ -387,3 +387,89 @@ def test_lcp_projection_matches_the_dense_qp(seed, n, m, layout):
     z = denseqp.project_polyhedron(point, G, h, 4)
     scale = 1.0 + np.max(np.abs(point)) + np.max(np.abs(h))
     np.testing.assert_allclose(z, dense, rtol=0, atol=1e-9 * scale)
+
+
+STAGE_LAYOUTS = ("general", "plus_minus", "duplicated", "contradictory", "over_determined",
+                 "state_only")
+
+
+def padded_rows_projection(seed, T, layouts, offset):
+    """Rows ``model.PaddedRows`` over a random linear dynamics, a target and a start guess.
+
+    The rows hold at a reference trajectory, and ``layouts[k]`` sets stage
+    k's: two general rows with random slack, some zero; a pair of opposite
+    rows, an equality (``plus_minus``); a row and its copy (``duplicated``);
+    a pair asking for c + offset <= g'v_k <= c (``contradictory``); five
+    equalities on the four stage variables, each moved by up to ``offset``
+    (``over_determined``, contradictory unless offset is 0); or two
+    equalities on the state alone, moved by ``offset``, which contradict the
+    pinned x_0 at stage 0 (``state_only``).  Returns the rows, the dynamics
+    as ``LqGameData``, the target (y, z) and a random guess of active rows.
+    """
+    r = np.random.default_rng(seed)
+    T1, n_v = T + 1, N_X + N_U
+    A = np.eye(N_X) + 0.3 * r.standard_normal((T, N_X, N_X))
+    B = r.standard_normal((T, N_X, N_U))
+    b = 0.1 * r.standard_normal((T, N_X))
+    x0 = r.standard_normal(N_X)
+    ref = np.zeros((T1, n_v))
+    ref[0, :N_X] = x0
+    ref[:, N_X:] = r.uniform(-1.0, 1.0, (T1, N_U))
+    for k in range(T):
+        ref[k + 1, :N_X] = A[k] @ ref[k, :N_X] + B[k] @ ref[k, N_X:] + b[k]
+    stages = []
+    for k, layout in enumerate(layouts):
+        if layout == "general":
+            g = r.standard_normal((2, n_v))
+            h = g @ ref[k] + np.where(r.random(2) < 0.3, 0.0, r.uniform(0.0, 1.0, 2))
+        elif layout in ("plus_minus", "duplicated", "contradictory"):
+            row = r.standard_normal(n_v)
+            g = np.array([row, row if layout == "duplicated" else -row])
+            c = row @ ref[k]
+            h = (np.array([c, c]) if layout == "duplicated"
+                 else np.array([c, -c - (offset if layout == "contradictory" else 0.0)]))
+        else:
+            eqs = r.standard_normal((5 if layout == "over_determined" else 2, n_v))
+            if layout == "state_only":
+                eqs[:, N_X:] = 0.0
+            c = eqs @ ref[k] + offset * r.uniform(-1.0, 1.0, len(eqs))
+            g, h = np.vstack([eqs, -eqs]), np.concatenate([c, -c])
+        stages.append((g, h))
+    m = max(len(h) for _, h in stages)
+    G, p = np.zeros((T1, m, n_v)), np.zeros((T1, m))
+    real = np.zeros((T1, m), dtype=bool)
+    for k, (g, h) in enumerate(stages):
+        G[k, :len(h)], p[k, :len(h)], real[k, :len(h)] = g, -h, True
+    target = ref + 2.0 * r.standard_normal((T1, n_v))
+    data = LqGameData(A, B, b, np.zeros((1, T1, n_v, n_v)), np.zeros((1, T1, n_v)),
+                      action_dims=(N_U,), initial_state=x0)
+    guess = real & (r.random((T1, m)) < 0.5)
+    return lq.PaddedRows(G, p, real, N_X), data, (target[:, :N_X], target[:, N_X:]), guess
+
+
+@given(seed=st.integers(0, 2**32 - 1), T=st.integers(0, 4),
+       layouts=st.lists(st.sampled_from(STAGE_LAYOUTS), min_size=5, max_size=5),
+       offset=st.sampled_from([0.0, 1e-10, 1e-6, 1e-3, 0.5]),
+       state_weight=st.sampled_from([0.0, 1.0]), guessed=st.booleans())
+# a row of stage 2 lies so nearly in the span of the active rows (least
+# singular value 1.2e-6 of the nine) that the loop read it as dependent, and
+# with no multiplier to block its step called these rows contradictory
+@example(seed=3561319551, T=4, layouts=["plus_minus", "state_only", "over_determined",
+                                        "state_only", "over_determined"],
+         offset=0.0, state_weight=0.0, guessed=False)
+def test_a_banded_projection_meets_its_rows_or_raises(seed, T, layouts, offset, state_weight,
+                                                      guessed):
+    # contradictory pairs, duplicates and over-determined stages: the loop
+    # either proves the rows contradictory or returns a point that meets them
+    rows, data, (y, z), guess = padded_rows_projection(seed, T, layouts[:T + 1], offset)
+    try:
+        traj = lq.project(rows, data, y, z, state_weight, guess if guessed else None)
+    except InfeasibleConstraintsError:
+        assert offset > 0.0  # unmoved, every row holds at the reference
+        return
+    scale = 1.0 + np.max(np.abs(rows.p)) + max(np.max(np.abs(y)), np.max(np.abs(z)))
+    assert np.max(rows.values(traj)[rows.real], initial=0.0) <= 1e-8 * scale
+    states = np.vstack([data.initial_state, (data.A @ traj.states[:-1, :, None]
+                                             + data.B @ traj.actions[:-1, :, None])[..., 0]
+                        + data.b])
+    np.testing.assert_allclose(traj.states, states, rtol=0, atol=1e-8 * scale)

@@ -312,14 +312,15 @@ def test_singular_stage_raised_before_first_dr_iteration(rng, monkeypatch):
     assert exc.value.stage == game.horizon
 
 
-def test_balancing_keeps_eta_where_the_doubled_game_is_singular(rng, monkeypatch):
+def test_balancing_keeps_eta_where_the_raised_game_is_singular(rng, monkeypatch):
     eta0 = 0.05
-    # singular at 2 * eta0; the box keeps the run off the polish, never binding
+    raised = splitting.BALANCE_FACTOR * eta0
+    # singular at the first raised eta; the box keeps the run off the polish, never binding
     game = dataclasses.replace(
-        singular_game(rng, 2 * eta0), constraints=lambda k, x, u: np.abs(u) - 10.0,
+        singular_game(rng, raised), constraints=lambda k, x, u: np.abs(u) - 10.0,
         traj_projector=lambda states, actions: (states, np.clip(actions, -10.0, 10.0)))
     with pytest.raises(StageSingularityError):
-        lq.factor(game, 2 * eta0)
+        lq.factor(game, raised)
     etas = []
     real = lq.factor
 
@@ -330,8 +331,8 @@ def test_balancing_keeps_eta_where_the_doubled_game_is_singular(rng, monkeypatch
     monkeypatch.setattr(lq, "factor", spy)
     rep = dr_solve(game, DrConfig(scheme="constraints", eta=eta0, max_iter=500,
                                   record_costs=False, run_checks=False))
-    # balancing asked for 2 * eta0 once, kept eta0 and stopped
-    assert etas == [eta0, 2 * eta0]
+    # balancing asked for BALANCE_FACTOR * eta0 once, kept eta0 and stopped
+    assert etas == [eta0, raised]
     assert rep.termination == "tolerance"
 
 

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from dyngames import lq, projgrad, splitting
+from dyngames import certificate, lq, projgrad, splitting
 from dyngames.benchmarks import FisheryParams, fishery_game, lq_rendezvous_game
 from dyngames.certificate import ActiveSetPolish, active_set_polish, natural_residual
 from dyngames.errors import NonFiniteStateError
@@ -332,11 +332,11 @@ def rendezvous_dr(max_iter, record_costs):
 def test_cost_rows_are_the_final_costs_of_the_run_cut_off_there(solve):
     # neither run ends on a polish, whose final row would be the polished
     # point's, and both end on the budget: the rendezvous stops on its
-    # tolerance only at step 120
-    rep = solve(110, True)
-    assert rep.iterations == 110
-    assert list(rep.cost_iterations) == [0, 1, 2, 5, 10, 20, 50, 100, 110]
-    assert rep.cost_trace.shape == (9, 2 if solve is short_fishery_pg else 3)
+    # tolerance only at step 95
+    rep = solve(90, True)
+    assert rep.iterations == 90
+    assert list(rep.cost_iterations) == [0, 1, 2, 5, 10, 20, 50, 90]
+    assert rep.cost_trace.shape == (8, 2 if solve is short_fishery_pg else 3)
     for t, row in zip(rep.cost_iterations, rep.cost_trace):
         np.testing.assert_array_equal(row, solve(int(t), False).final_costs)
     empty = solve(0, True)
@@ -354,11 +354,32 @@ def test_dr_cost_record_rolls_out_only_on_the_grid(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(splitting, "rollout", counted)
-    # the balanced run reaches its tolerance at step 120
-    rep = rendezvous_dr(110, True)
-    grid = [1, 2, 5, 10, 20, 50, 100]
-    assert rep.iterations == 110
-    assert len(rollouts) <= 3 + len(grid)
+    # the balanced run reaches its tolerance at step 95
+    rep = rendezvous_dr(90, True)
+    grid = [1, 2, 5, 10, 20, 50]
+    assert rep.iterations == 90
+    # the start is rolled out once, for the run and its t = 0 record; then one
+    # rollout per later record and one for the report
+    assert len(rollouts) <= 2 + len(grid)
+
+
+@pytest.mark.parametrize("scheme", splitting.SCHEMES)
+def test_a_certified_point_is_rolled_out_once(scheme, monkeypatch, rng):
+    rollouts = []
+    real = splitting.rollout
+
+    def counted(*args):
+        rollouts.append(args)
+        return real(*args)
+
+    for module in (splitting, certificate):
+        monkeypatch.setattr(module, "rollout", counted)
+    game, _, _ = cross_scheme_lq_instance(rng)
+    rep = splitting.dr_solve(game, DrConfig(scheme=scheme, eta=0.4, max_iter=50))
+    assert rep.termination == TERM_TOLERANCE and rep.natural_residual <= 1e-8
+    # the start's and the polish's: the certificate and the report read the polish's
+    assert len(rollouts) == 2
+    np.testing.assert_array_equal(rollouts[-1][2], rep.trajectory.actions)
 
 
 def one_trajectory_case(case, rng):

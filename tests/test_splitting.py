@@ -891,8 +891,8 @@ class TestDrSolve:
         within = np.all(trace <= tol, axis=1)
         assert within[-1] and not within[:-1].any()
         np.testing.assert_allclose(rep.step_norms, trace[:, 0], rtol=1e-6, atol=1e-14)
-        # started at eta = 1e-1 the step passes one iteration before the
-        # candidate's dynamics residual does; the run must not stop there
+        # started at eta = 1e-1 the step passes two iterations before the
+        # rows hold along the candidate's rollout; the run must not stop there
         first_step_pass = int(np.argmax(trace[:, 0] <= tol)) + 1
         assert (first_step_pass < rep.iterations) == residual_gate_binds
 
@@ -1075,14 +1075,39 @@ class TestEtaBalancing:
         cfg = DrConfig(eta=1e-4, record_costs=False, run_checks=False)
         rep = dr_solve(game, cfg)
         assert rep.termination == TERM_TOLERANCE and rep.iterations <= 300
-        steps = np.log2(np.array(etas) / cfg.eta)
+        # log steps in base BALANCE_FACTOR
+        steps = np.log(np.array(etas) / cfg.eta) / np.log(splitting.BALANCE_FACTOR)
         assert 1 < len(etas) <= 1 + splitting.BALANCE_MAX_CHANGES
         np.testing.assert_allclose(np.abs(np.diff(steps)), 1.0)
         etas.clear()
         monkeypatch.setattr(splitting, "BALANCE_MAX_CHANGES", 3)
         frozen = dr_solve(game, cfg)
-        np.testing.assert_allclose(etas, [1e-4, 2e-4, 4e-4, 8e-4])
+        # the first three checks all raise eta, then it stays
+        np.testing.assert_allclose(etas, cfg.eta * splitting.BALANCE_FACTOR ** np.arange(4))
         assert frozen.iterations > rep.iterations
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def tight_rendezvous(variant):
+        """The rendezvous of (horizon, meet_stage, u_max, terminal_weight) and its tol-1e-11 actions."""
+        T, meet, u_max, weight = variant
+        game = lq_rendezvous_game(LqRendezvousParams(
+            horizon=T, meet_stage=meet, u_max=u_max, terminal_weight=weight))
+        ref = dr_solve(game, DrConfig(eta=0.1, tol=1e-11, max_iter=20_000,
+                                      record_costs=False, run_checks=False))
+        assert ref.termination == TERM_TOLERANCE
+        return game, ref.trajectory.actions
+
+    # (10, 8, 1.5, 1000) is the variant where steps of 4 cost the most steps over steps of 2
+    @pytest.mark.parametrize("variant", [(10, 8, 1.5, 1000.0), (10, 3, 2.0, 1000.0),
+                                         (15, 7, 3.0, 100.0), (30, 12, 2.0, 1000.0)])
+    @pytest.mark.parametrize("eta", [1e-5, 1e-4, 10.0])
+    def test_balanced_rendezvous_variants_reach_the_tight_equilibrium(self, variant, eta):
+        game, actions = self.tight_rendezvous(variant)
+        cfg = DrConfig(eta=eta, record_costs=False, run_checks=False)
+        rep = dr_solve(game, cfg)
+        assert rep.termination == TERM_TOLERANCE and rep.constraint_residual <= cfg.tol
+        np.testing.assert_allclose(rep.trajectory.actions, actions, rtol=0, atol=1e-6)
 
     @given(seed=st.integers(0, 2**32 - 1), T=st.integers(2, 4),
            eta=st.sampled_from([1e-4, 1e-2, 1.0]))
