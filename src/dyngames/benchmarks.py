@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import NonFiniteStateError
 from . import feedback
-from .feedback import FeedbackPolicy, feedback_rollout
+from .feedback import FeedbackPolicy
 from .model import GameDefinition, Trajectory, all_player_costs, rollout
 
 Array = np.ndarray
@@ -356,14 +356,17 @@ def noise_comparison(game: GameDefinition, olne: Trajectory,
     Run i adds i.i.d. Gaussian state disturbances with variance
     ``noise_var`` (scaled by ``noise_scale``, e.g. the discretization step),
     drawn from child i of ``SeedSequence(seed)``, after each dynamics step.
-    Both modes roll out as one ``feedback_rollout`` batch of 2 ``n_runs``
-    runs under the same noise: the open-loop replay of the equilibrium
-    actions and the feedback policy.  Reported deviations are mean squared
-    state distances to the equilibrium path; violations count the stages
-    whose largest row exceeds ``feedback.VIOLATION_TOL`` or is NaN.  Identical
-    seeds give identical statistics.  Raises ValueError unless noise_var >= 0,
-    n_runs >= 1 and 0 <= noise_scale < inf.  When a
-    state blows up, NonFiniteStateError names the first such stage over both
+    Both modes advance as one batch of 2 ``n_runs`` runs under the same
+    noise, in the stage loop of ``feedback_rollout``: the open-loop replay of
+    the equilibrium actions and the feedback policy.  Reported deviations are
+    mean squared state distances to the equilibrium path; violations count
+    the stages whose largest row exceeds ``feedback.VIOLATION_TOL`` or is
+    NaN.  Only what is reported is kept: each run's squared distance at each
+    stage and its violation count, never the runs' states or actions, so the
+    memory is that of the noise and the (2 ``n_runs``, T+1) distances.
+    Identical seeds give identical statistics.  Raises ValueError unless
+    noise_var >= 0, n_runs >= 1 and 0 <= noise_scale < inf.  When a state
+    blows up, NonFiniteStateError names the first such stage over both
     modes, the run's index within its own mode and the mode ("open-loop" or
     "feedback"; the replay first when both blow up at that stage).
     """
@@ -374,17 +377,25 @@ def noise_comparison(game: GameDefinition, olne: Trajectory,
     if not (np.isfinite(noise_scale) and noise_scale >= 0):
         raise ValueError(f"noise_scale must be finite and nonnegative, got {noise_scale}")
     T, n_x = game.horizon, game.state_dim
-    std = float(np.sqrt(noise_var)) * noise_scale
-    noise = std * np.stack([np.random.default_rng(s).standard_normal((T, n_x))
-                            for s in np.random.SeedSequence(seed).spawn(n_runs)])
+    noise = np.empty((n_runs, T, n_x))
+    for run, s in zip(noise, np.random.SeedSequence(seed).spawn(n_runs)):
+        run[...] = np.random.default_rng(s).standard_normal((T, n_x))
+    noise *= float(np.sqrt(noise_var)) * noise_scale
     starts = np.tile(olne.states[0], (n_runs, 1))
+    squared = np.empty((2 * n_runs, T + 1))  # each run's squared distance at each stage
+    vio = np.zeros(2 * n_runs, dtype=np.intp)
     try:
-        runs = feedback_rollout(game, policy, starts, noise=noise, open_loop=olne.actions)
+        for k, X, _, v in feedback._stages(game, policy, starts, 0, noise, olne.actions,
+                                           False):
+            squared[:, k] = np.sum((X - olne.states[k]) ** 2, axis=1)
+            if v is not None:
+                vio += ~(v <= feedback.VIOLATION_TOL)
     except NonFiniteStateError as exc:
         mode, run = divmod(exc.run, n_runs)
         raise NonFiniteStateError(exc.stage, run, ("open-loop", "feedback")[mode]) from None
-    dev = np.mean(np.sum((runs.states - olne.states) ** 2, axis=2), axis=1)
-    vio = np.count_nonzero(~(runs.constraint_violations <= feedback.VIOLATION_TOL), axis=1)
+    # one mean per stored row, not a running sum, keeps the deviations bit-identical
+    # to the mean over a whole rollout's distances
+    dev = np.mean(squared, axis=1)
     return NoiseComparison(openloop_deviation=dev[:n_runs], feedback_deviation=dev[n_runs:],
                            openloop_violations=vio[:n_runs], feedback_violations=vio[n_runs:])
 

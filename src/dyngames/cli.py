@@ -25,12 +25,14 @@ and needs the block).  Any other key, the other solver's among them, or an
 output_dir or ``--out`` that is not a non-empty string, exits with status 2
 before the solve.
 
-Outputs: trajectory.csv (the rollout of the solver's actions), convergence.csv,
-report.json (game, solver, iterations, termination, converged, fitted_rate,
-rate_fit_rmse and the trajectory's constraint_residual, natural_residual,
-player_costs, playerwise_check and player_profits for the fishery), and (with
-the feedback/simulate blocks) policy.json, simulation.csv and report.json's
-simulation.  All numbers are
+Outputs: trajectory.csv (the rollout of the solver's actions), convergence.csv
+(one row per iteration 0..n: its step norm, 0 at the start, and its distance
+to the final iterate where the solve sampled it, at 0, the 1-2-5 grid and the
+last two iterations, empty elsewhere), report.json (game, solver, iterations,
+termination, converged, fitted_rate, rate_fit_rmse and the trajectory's
+constraint_residual, natural_residual, player_costs, playerwise_check and
+player_profits for the fishery), and (with the feedback/simulate blocks)
+policy.json, simulation.csv and report.json's simulation.  All numbers are
 written with full round-trip precision so identical configs and seeds give
 byte-identical files.  A figure that is not finite, such as the natural
 residual of a game without a projection, is written as null.
@@ -231,9 +233,10 @@ def _write_trajectory_csv(path: Path, game: GameDefinition, traj) -> None:
 
 def _write_convergence_csv(path: Path, report: SolverReport) -> None:
     steps = report.step_norms
+    dist = dict(zip(report.distance_iterations.tolist(), report.distance_trace))
     _write_csv(path, ["iteration", "distance_to_final", "step_norm"],
-               ([str(t), dist, steps[t - 1] if 1 <= t <= steps.shape[0] else 0.0]
-                for t, dist in enumerate(report.distance_trace)))
+               ([str(t), dist.get(t, ""), steps[t - 1] if t else 0.0]
+                for t in range(steps.shape[0] + 1)))
 
 
 def _write_simulation_csv(path: Path, comparison) -> None:

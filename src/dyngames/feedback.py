@@ -179,12 +179,14 @@ def feedback_rollout(game: GameDefinition, policy: FeedbackPolicy,
     optional additive state disturbances, applied after each dynamics map:
     (T - start, n_x) for one start, (B, T - start, n_x) for a batch.  The B
     runs advance together, one ``eval_batch_dynamics`` and one
-    ``eval_batch_constraints`` call per stage.
+    ``eval_batch_constraints`` call per stage (``_stages``, the loop
+    ``benchmarks.noise_comparison`` shares).
 
     ``open_loop``, actions (T+1, n_u), adds B replay runs ahead of the
     policy's: run b < B applies ``open_loop[k]`` exactly at every stage k,
     run B + b follows the policy, and both start at ``x_start[b]`` under
-    noise b.  The result is then a batch of 2B runs, replay first.
+    noise b, which reaches both by broadcasting.  The result is then a batch
+    of 2B runs, replay first.
 
     Constraint violations along the way are recorded, never fatal.  After
     every dynamics map one finiteness test covers the whole batch; a
@@ -193,10 +195,6 @@ def feedback_rollout(game: GameDefinition, policy: FeedbackPolicy,
     order).  A wrong shape raises DimensionError.
     """
     T, n_x, n_u = game.horizon, game.state_dim, game.total_action_dim
-    if policy.gains.shape != (T + 1, n_u, n_x):
-        raise DimensionError("feedback gains", (T + 1, n_u, n_x), policy.gains.shape)
-    if not 0 <= start <= T:
-        raise ValueError(f"start stage {start} outside 0..{T}")
     x_start = np.asarray(x_start, dtype=float)
     X0 = np.atleast_2d(x_start)
     n_runs, n_steps = X0.shape[0], T - start
@@ -208,41 +206,68 @@ def feedback_rollout(game: GameDefinition, policy: FeedbackPolicy,
             raise DimensionError("noise", expected, np.shape(noise))
         noise = np.reshape(noise, (n_runs, n_steps, n_x))
     single = x_start.ndim == 1 and open_loop is None
+    stages = _stages(game, policy, X0, start, noise, open_loop, single)
+    n_all = n_runs if open_loop is None else 2 * n_runs
+    states = np.empty((n_all, n_steps + 1, n_x))
+    actions = np.empty((n_all, n_steps + 1, n_u))
+    violations = np.zeros((n_all, n_steps + 1))
+    for i, X, U, v in stages:
+        states[:, i], actions[:, i] = X, U
+        if v is not None:
+            violations[:, i] = v
+    if single:
+        return FeedbackRollout(states[0], actions[0], violations[0])
+    return FeedbackRollout(states, actions, violations)
+
+
+def _stages(game: GameDefinition, policy: FeedbackPolicy, X0: Array, start: int,
+            noise: Optional[Array], open_loop: Optional[Array], single: bool):
+    """The stages of ``feedback_rollout``'s runs, as an iterator.
+
+    It yields (i, X, U, v) for stage k = start + i from ``start`` to T: the
+    states X and actions U of every run, replay runs first, and the per-run
+    largest row violation max(g, 0), None at a stage without rows; nothing
+    yielded is reused.  ``noise`` is None or (B, T - start, n_x) for the B
+    rows of X0; ``single`` drops the run index from NonFiniteStateError.  A
+    policy or open-loop actions that do not fit raise DimensionError here,
+    before the first stage.
+    """
+    T, n_x, n_u = game.horizon, game.state_dim, game.total_action_dim
+    if policy.gains.shape != (T + 1, n_u, n_x):
+        raise DimensionError("feedback gains", (T + 1, n_u, n_x), policy.gains.shape)
+    if not 0 <= start <= T:
+        raise ValueError(f"start stage {start} outside 0..{T}")
+    n_runs = X0.shape[0]
     if open_loop is not None:
         open_loop = np.asarray(open_loop, dtype=float)
         if open_loop.shape != (T + 1, n_u):
             raise DimensionError("open-loop actions", (T + 1, n_u), open_loop.shape)
         X0 = np.concatenate([X0, X0])
-        if noise is not None:
-            noise = np.concatenate([noise, noise])
     n_all = X0.shape[0]
     fb = slice(n_all - n_runs, None)  # the policy's runs
-    states = np.empty((n_all, n_steps + 1, n_x))
-    actions = np.empty((n_all, n_steps + 1, n_u))
-    violations = np.zeros((n_all, n_steps + 1))
-    states[:, 0] = X0
     ref = policy.reference
-    for i, k in enumerate(range(start, T + 1)):
-        X, U = states[:, i], np.empty((n_all, n_u))  # the hooks get a contiguous U
-        if open_loop is not None:
-            U[:n_runs] = open_loop[k]
-        U[fb] = ref.actions[k] + (X[fb] - ref.states[k]) @ policy.gains[k].T + policy.offsets[k]
-        actions[:, i] = U
-        g = game.eval_batch_constraints(k, X, U)
-        if g.shape[1]:
+
+    def advance():
+        X = X0
+        for i, k in enumerate(range(start, T + 1)):
+            U = np.empty((n_all, n_u))  # the hooks get a contiguous U
+            if open_loop is not None:
+                U[:n_runs] = open_loop[k]
+            U[fb] = (ref.actions[k] + (X[fb] - ref.states[k]) @ policy.gains[k].T
+                     + policy.offsets[k])
+            g = game.eval_batch_constraints(k, X, U)
             # max over a contiguous leading axis: numpy is slow along a short last one
-            violations[:, i] = np.maximum(g.T.copy().max(axis=0), 0.0)
-        if k < T:
-            nxt = game.eval_batch_dynamics(k, X, U)
-            if noise is not None:
-                nxt = nxt + noise[:, i]
-            if not np.isfinite(nxt).all():
-                run = int(np.argmin(np.isfinite(nxt).all(axis=1)))
-                raise NonFiniteStateError(k, None if single else run)
-            states[:, i + 1] = nxt
-    if single:
-        return FeedbackRollout(states[0], actions[0], violations[0])
-    return FeedbackRollout(states, actions, violations)
+            yield i, X, U, (np.maximum(g.T.copy().max(axis=0), 0.0) if g.shape[1] else None)
+            if k < T:
+                X = game.eval_batch_dynamics(k, X, U)
+                if noise is not None:
+                    # run b's noise reaches its replay and its policy copy alike
+                    X = (X.reshape(-1, n_runs, n_x) + noise[:, i]).reshape(n_all, n_x)
+                if not np.isfinite(X).all():
+                    run = int(np.argmin(np.isfinite(X).all(axis=1)))
+                    raise NonFiniteStateError(k, None if single else run)
+
+    return advance()
 
 
 def epsilon_nash_gap(game: GameDefinition, policy: FeedbackPolicy,

@@ -18,11 +18,15 @@ Comput. 2020 (arXiv:1908.11482).  A solver that changes its map during the
 run, as the balancing of eta does (``splitting.DrConfig``), passes a restart
 hook: the point it returns is evaluated next and the Anderson history starts
 afresh.  Either way the step norm and the stop test read max|g(w) - w| at
-each point evaluated, and only a plain run gets a fitted geometric rate.
+each point evaluated, and only a plain run gets a fitted geometric rate,
+fitted to those step norms.
 
-A solver that records its candidates' costs does so on a fixed grid
-(``RECORD_GRID``, ``SolverReport``), not after every step: a 10k-iteration
-run keeps 14 rows.  A DR row rolls out its candidate's actions; one per step
+A run keeps O(log n) of its images, not all n: the start, the images at the
+grid iterations {1, 2, 5} * 10^j (``RECORD_GRID``) and the last two, from
+which ``build_report`` measures the distances to the final image (12 arrays
+for 1000 iterations).  A solver that records its candidates' costs does so on
+the same grid (``SolverReport``), not after every step: a 10k-iteration run
+keeps 14 rows.  A DR row rolls out its candidate's actions; one per step
 would be most of the paper rendezvous solve's time.
 """
 
@@ -65,13 +69,17 @@ class SolverReport:
     """Outcome of an iterative equilibrium solve.
 
     ``step_norms[t]`` is max|g(w) - w| at the point w evaluated in step
-    t + 1, g the solver's fixed-point map; ``distance_trace[t]`` is the
-    distance of iterate t to the final iterate (the quantity whose geometric
-    decay rate is fitted), where iterate 0 is the start and iterate t >= 1
-    the image g(w) of step t.  Without extrapolation or restarts (projected
-    gradient) these are the plain iterates and the norms of their updates,
-    and ``fitted_rate`` and ``rate_fit_rmse`` are the fit of
-    ``fit_log_decay`` to ``distance_trace``; otherwise both are NaN.  When the
+    t + 1, g the solver's fixed-point map.  Iterate 0 is the start and
+    iterate t >= 1 the image g(w) of step t; ``distance_trace[i]`` is the
+    2-norm distance of iterate ``distance_iterations[i]`` to the final one,
+    sampled at the start, the grid iterations {1, 2, 5} * 10^j and the last
+    two iterations (``Run``), so ``distance_trace[0]`` is the start's and
+    ``distance_trace[-2]`` the length of the last step; only a report built
+    by hand has no ``distance_iterations``.  Without extrapolation or
+    restarts (projected gradient) these are the plain iterates and the norms
+    of their updates, and ``fitted_rate`` and ``rate_fit_rmse`` are the fit
+    of ``fit_log_decay`` to ``step_norms``, which decay at the iterates'
+    rate; otherwise both are NaN.  When the
     solver records costs, ``cost_trace[i]`` holds every player's game cost
     at the candidate after ``cost_iterations[i]`` steps: the initial
     candidate (0), the grid iterations {1, 2, 5} * 10^j the run stepped
@@ -98,6 +106,7 @@ class SolverReport:
     final_costs: Optional[Array] = None
     constraint_residual: float = 0.0
     natural_residual: float = float("nan")
+    distance_iterations: Optional[Array] = None
 
     @property
     def converged(self) -> bool:
@@ -112,8 +121,11 @@ class SolverReport:
 class Run:
     """A finished ``iterate`` run.
 
-    ``iterates`` holds the initial point and then the image g(w) of every
-    point evaluated; ``step_norms`` max|g(w) - w| at each.
+    ``iterates[i]`` is iterate ``iterate_iterations[i]``: the initial point
+    (0), then the image g(w) of step t at the grid iterations {1, 2, 5} * 10^j
+    (``on_record_grid``) and at the last two steps: 12 for a run of 1000
+    steps, 15 for one of 10000.  ``step_norms`` holds max|g(w) - w| at every
+    point evaluated.
 
     ``records[i]`` is the record of the candidate after ``record_iterations[i]``
     steps, at the start (t = 0) and the grid iterations the run stepped past
@@ -126,6 +138,7 @@ class Run:
 
     candidate: Any
     iterates: list[Array]
+    iterate_iterations: list[int]
     step_norms: list[float]
     termination: str
     records: Optional[list]
@@ -241,10 +254,11 @@ def iterate(step: Callable[[Array, Any], tuple[Array, Any]], w0: Array, cand0: A
     returns is evaluated next in place of g or the extrapolation, and the
     Anderson state starts afresh: the solver has changed its map, and the
     differences kept belong to the old one.  ``Run.plain`` says whether
-    every point evaluated was the image of the one before it.
+    every point evaluated was the image of the one before it.  Of the images
+    only the samples ``Run`` names are kept.
     """
     w, cand = w0, cand0
-    iterates, step_norms = [w0], []
+    iterates, iterate_iterations, step_norms = [w0], [0], []
     records, record_iterations = ([], []) if record is not None else (None, None)
     bound = divergence_factor * (1.0 + float(np.linalg.norm(w0)))
     anderson = _Anderson(w0.size, bound) if accelerate else None
@@ -257,6 +271,9 @@ def iterate(step: Callable[[Array, Any], tuple[Array, Any]], w0: Array, cand0: A
         g, cand = step(w, cand)
         size = float(np.max(np.abs(g - w)))
         iterates.append(g)
+        iterate_iterations.append(t)
+        if t > 2 and not on_record_grid(t - 2):  # now neither sampled nor one of the last two
+            del iterates[-3], iterate_iterations[-3]
         step_norms.append(size)
         polished = None if polish is None else polish(cand)
         if polished is not None:
@@ -277,8 +294,8 @@ def iterate(step: Callable[[Array, Any], tuple[Array, Any]], w0: Array, cand0: A
         else:
             w = g if anderson is None else anderson.next_point(w, g, t)
         plain = plain and w is g
-    return Run(cand, iterates, step_norms, termination, records, record_iterations,
-               residual, plain)
+    return Run(cand, iterates, iterate_iterations, step_norms, termination, records,
+               record_iterations, residual, plain)
 
 
 def build_report(game: GameDefinition, trajectory: Trajectory, run: Run, run_checks: bool,
@@ -290,9 +307,10 @@ def build_report(game: GameDefinition, trajectory: Trajectory, run: Run, run_che
     ``run_checks``, the player-wise verdicts are all ``trajectory``'s.
     When the run recorded costs, the cost trace holds its records, from the
     start at t = 0 on, and last ``final_costs``; otherwise there is none.
-    ``fitted_rate`` and ``rate_fit_rmse`` are NaN for a run that was not
-    plain (``Run.plain``): an extrapolated or restarted run's distances need
-    not decay geometrically.
+    The distances to the final iterate are measured at the iterates the run
+    kept.  ``fitted_rate`` and ``rate_fit_rmse`` are fitted to the step norms
+    of a plain run and are NaN for one that was not (``Run.plain``): an
+    extrapolated or restarted run's steps need not decay geometrically.
     The natural residual is the polish's certificate when the run ended on
     one, else it is computed here along ``trajectory``, which is not rolled
     out again (``certificate.residual_along``), projecting with the solve's
@@ -309,8 +327,8 @@ def build_report(game: GameDefinition, trajectory: Trajectory, run: Run, run_che
             except UnsupportedConstraintError:
                 pass
     dist = np.array([float(np.linalg.norm(w - run.iterates[-1])) for w in run.iterates])
-    # one geometric rate describes only a plain iteration's distances
-    rate, rmse = fit_log_decay(dist) if run.plain else (float("nan"), float("nan"))
+    # one geometric rate describes only a plain iteration's steps
+    rate, rmse = fit_log_decay(run.step_norms) if run.plain else (float("nan"), float("nan"))
     final_costs = all_player_costs(game, trajectory)
     cost_trace = cost_iterations = None
     if run.records is not None:
@@ -319,6 +337,7 @@ def build_report(game: GameDefinition, trajectory: Trajectory, run: Run, run_che
     return SolverReport(
         trajectory=trajectory, iterations=len(run.step_norms),
         termination=run.termination, distance_trace=dist,
+        distance_iterations=np.array(run.iterate_iterations),
         step_norms=np.asarray(run.step_norms, dtype=float),
         fitted_rate=rate, rate_fit_rmse=rmse, verdicts=verdicts,
         cost_trace=cost_trace, cost_iterations=cost_iterations, final_costs=final_costs,

@@ -449,7 +449,8 @@ def dr_solve(game: GameDefinition, cfg: DrConfig) -> SolverReport:
     ``accelerate``); a trial whose residual |g(w) - w|_2 exceeds that of the
     point it came from gives way to that point's image.  ``step_norms``
     hold max|g(w) - w| at each point evaluated, and ``distance_trace``
-    measures the images g(w) against the last one.  The candidate is the
+    measures the images g(w) the run kept (the start, the 1-2-5 grid and the
+    last two, ``report.Run``) against the last one.  The candidate is the
     second resolvent's output at the point evaluated, which the polish, the
     balancing and the extrapolation read; the report, the stop test and the
     cost records read its actions rolled out (``DrConfig``).  For a

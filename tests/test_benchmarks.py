@@ -418,6 +418,18 @@ class TestOneBatchNoiseComparison:
         assert np.array_equal(cmp.feedback_violations, fb_vio)
         assert not np.array_equal(ol_dev, fb_dev)
 
+    def test_both_modes_advance_as_one_batch(self):
+        game, olne, policy, noise_var, noise_scale = self.case("fishery")
+        batches = []
+
+        def counted(k, X, U):
+            batches.append(X.shape[0])
+            return game.batch_dynamics(k, X, U)
+
+        noise_comparison(dataclasses.replace(game, batch_dynamics=counted), olne, policy,
+                         noise_var=noise_var, n_runs=6, seed=0, noise_scale=noise_scale)
+        assert batches == [12] * game.horizon  # one call per stage, replay and policy runs
+
     def test_replay_rows_apply_the_equilibrium_actions(self):
         game, olne, policy, _, _ = self.case("constrained_lq")
         starts = olne.states[0] + np.array([[0.1, -0.2], [0.3, 0.0]])

@@ -110,6 +110,22 @@ class TestRuns:
         rows = (out / "trajectory.csv").read_text().splitlines()
         assert len(rows) == 1 + 21  # header + T+1 stages
 
+    def test_convergence_csv_has_every_step_and_the_sampled_distances(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = {"game": {"id": "lq_rendezvous"}, "solver": "dr", "max_iter": 80,
+               "output_dir": str(out)}
+        main(["--config", write(tmp_path, cfg), "--quiet"])
+        n = json.loads((out / "report.json").read_text())["iterations"]
+        assert n == 80
+        lines = (out / "convergence.csv").read_text().splitlines()
+        assert lines[0] == "iteration,distance_to_final,step_norm"
+        rows = [line.split(",") for line in lines[1:]]
+        assert [int(r[0]) for r in rows] == list(range(n + 1))  # one row per iteration
+        assert all(float(r[2]) > 0 for r in rows[1:]) and float(rows[0][2]) == 0.0
+        filled = [int(r[0]) for r in rows if r[1]]
+        assert filled == [0, 1, 2, 5, 10, 20, 50, 79, 80]
+        assert float(rows[80][1]) == 0.0 and float(rows[79][1]) > 0
+
     def test_rendezvous_dr_short(self, tmp_path):
         out = tmp_path / "dr"
         cfg = {

@@ -239,4 +239,4 @@ def test_the_solver_runs_the_plain_iteration_bit_for_bit():
     np.testing.assert_array_equal(rep.trajectory.actions, u)
     np.testing.assert_array_equal(rep.step_norms, steps)
     assert np.isfinite(rep.fitted_rate)
-    assert (rep.fitted_rate, rep.rate_fit_rmse) == fit_log_decay(rep.distance_trace)
+    assert (rep.fitted_rate, rep.rate_fit_rmse) == fit_log_decay(steps)

@@ -19,6 +19,7 @@ from dyngames.report import (
     TERM_TOLERANCE,
     fit_log_decay,
     iterate,
+    on_record_grid,
 )
 from dyngames.splitting import DrConfig
 
@@ -33,20 +34,27 @@ def halving(w, count):
 class TestIterate:
     def test_accept_holds_the_run_until_it_agrees(self):
         # steps 2, 1, 0.5, 0.25, ...: only from iteration 3 on is a step <= 0.6
-        asked = []
+        asked, images = [], []
 
         def accept(count):
             asked.append(count)
             return count >= 5
 
-        run = iterate(halving, np.array([1.0, -4.0]), 0, max_iter=50, tol=0.6,
+        def step(w, count):
+            images.append(w / 2)
+            return images[-1], count + 1
+
+        run = iterate(step, np.array([1.0, -4.0]), 0, max_iter=50, tol=0.6,
                       divergence_factor=1e8, accept=accept)
         assert run.termination == TERM_TOLERANCE
         assert run.candidate == 5
         assert asked == [3, 4, 5]
         assert run.step_norms == [2.0, 1.0, 0.5, 0.25, 0.125]
-        assert len(run.iterates) == 6
-        np.testing.assert_array_equal(run.iterates[-1], np.array([1.0, -4.0]) / 32)
+        assert len(images) == 5
+        np.testing.assert_array_equal(images[-1], np.array([1.0, -4.0]) / 32)
+        # the start, the grid images 1, 2 and the last two
+        assert run.iterate_iterations == [0, 1, 2, 4, 5]
+        assert all(w is images[t - 1] for w, t in zip(run.iterates[1:], [1, 2, 4, 5]))
 
     def test_expanding_map_diverges(self):
         # |w0| = 1, so the bound is 10 * (1 + 1) = 20: w = 3, 9, 27 stops at 27
@@ -90,7 +98,7 @@ class TestIterate:
                       accept=lambda c: True, record=lambda c: c)
         assert run.termination == TERM_MAX_ITER
         assert run.candidate is cand0
-        assert run.iterates == [w0]
+        assert run.iterates == [w0] and run.iterate_iterations == [0]
         assert run.step_norms == [] and run.records == [] and run.record_iterations == []
 
     def test_record_runs_on_the_1_2_5_grid(self):
@@ -113,6 +121,22 @@ class TestIterate:
         run = iterate(halving, np.array([1.0]), 0, max_iter=3, tol=1e-12, divergence_factor=1e8)
         assert run.records is None and run.record_iterations is None
 
+    @pytest.mark.parametrize("max_iter", [1, 2, 3, 4, 7, 50, 51, 999, 1234])
+    def test_a_run_keeps_the_start_the_grid_and_the_last_two_images(self, max_iter):
+        images = []
+
+        def step(w, count):
+            images.append(w + 1.0)
+            return images[-1], count + 1
+
+        w0 = np.zeros(2)
+        run = iterate(step, w0, 0, max_iter=max_iter, tol=1e-8, divergence_factor=1e8)
+        grid = [t for t in range(1, max_iter + 1) if on_record_grid(t)]
+        kept = sorted({0, *grid, max(max_iter - 1, 0), max_iter})
+        assert run.iterate_iterations == kept and len(kept) <= len(grid) + 3
+        assert run.iterates[0] is w0
+        assert all(w is images[t - 1] for w, t in zip(run.iterates[1:], kept[1:]))
+
     @pytest.mark.parametrize("max_iter, accept_from, recorded", [
         (100, None, [0, 1, 2, 5, 10, 20, 50]),  # ends on the budget at a grid point
         (50, 20, [0, 1, 2, 5, 10]),  # ends on the tolerance at a grid point
@@ -127,16 +151,17 @@ class TestIterate:
 
 
 def evaluated_points(g, w0, accelerate, max_iter, tol, restart=None):
-    """An ``iterate`` run of the map g, and every point the loop evaluated g at."""
-    points = []
+    """An ``iterate`` run of the map g, every point the loop evaluated g at and its image."""
+    points, images = [], []
 
     def step(w, count):
         points.append(w.copy())
-        return g(w), count + 1
+        images.append(g(w))
+        return images[-1], count + 1
 
     run = iterate(step, w0, 0, max_iter=max_iter, tol=tol, divergence_factor=1e8,
                   accelerate=accelerate, restart=restart)
-    return run, points
+    return run, points, images
 
 
 class TestAnderson:
@@ -147,8 +172,8 @@ class TestAnderson:
         M = Q @ np.diag(np.linspace(0.5, 0.99, n)) @ Q.T
         c = rng.standard_normal(n)
         fixed = np.linalg.solve(np.eye(n) - M, c)
-        plain, _ = evaluated_points(lambda w: M @ w + c, np.zeros(n), False, 5000, 1e-10)
-        fast, _ = evaluated_points(lambda w: M @ w + c, np.zeros(n), True, 5000, 1e-10)
+        plain, _, _ = evaluated_points(lambda w: M @ w + c, np.zeros(n), False, 5000, 1e-10)
+        fast, _, _ = evaluated_points(lambda w: M @ w + c, np.zeros(n), True, 5000, 1e-10)
         assert plain.termination == fast.termination == TERM_TOLERANCE
         assert len(plain.step_norms) > 500
         assert len(fast.step_norms) <= n + ANDERSON_WARMUP + 2
@@ -160,9 +185,8 @@ class TestAnderson:
         def g(w):
             return np.where(w > 1.0, w - 0.5, 0.5 * w)
 
-        run, points = evaluated_points(g, np.array([5.0, 3.2, 7.1]), True, 100, 1e-12)
+        run, points, images = evaluated_points(g, np.array([5.0, 3.2, 7.1]), True, 100, 1e-12)
         assert run.termination == TERM_TOLERANCE
-        images = run.iterates[1:]
         kept, rejected = 0, 0  # the last point kept, and the trials dropped
         for i in range(1, len(points)):
             residual = np.linalg.norm(images[i] - points[i])
@@ -178,7 +202,7 @@ class TestAnderson:
     def test_constant_residual_takes_plain_steps(self):
         # f = g(w) - w is exactly -1 everywhere, so every difference of f is
         # zero; the iterate may have any shape
-        run, points = evaluated_points(lambda w: w - 1.0, np.zeros((2, 3)), True, 40, 1e-8)
+        run, points, _ = evaluated_points(lambda w: w - 1.0, np.zeros((2, 3)), True, 40, 1e-8)
         assert run.termination == TERM_MAX_ITER
         for t, w in enumerate(points):
             np.testing.assert_array_equal(w, np.full((2, 3), -float(t)))
@@ -195,35 +219,45 @@ class TestRestartHook:
             asked.append(t)
             return np.full(n, 100.0) if t == 8 else None
 
-        run, points = evaluated_points(lambda w: M @ w + 1.0, np.zeros(n), True, 12, 1e-12,
-                                       restart=restart)
+        run, points, images = evaluated_points(lambda w: M @ w + 1.0, np.zeros(n), True, 12,
+                                               1e-12, restart=restart)
         assert asked == list(range(1, 13))
         np.testing.assert_array_equal(points[8], np.full(n, 100.0))
         # the differences kept before belong to the old map: the point after
         # the restart is its plain image, and the next extrapolates again
-        np.testing.assert_array_equal(points[9], run.iterates[9])
-        assert not np.array_equal(points[10], run.iterates[10])
+        np.testing.assert_array_equal(points[9], images[8])
+        assert not np.array_equal(points[10], images[9])
         assert not run.plain
 
     def test_a_plain_run_without_a_restart_stays_plain(self):
-        run, points = evaluated_points(lambda w: 0.5 * w, np.array([1.0]), False, 6, 1e-12,
-                                       restart=lambda t, g: None)
-        assert run.plain and all(np.array_equal(p, g) for p, g in zip(points[1:],
-                                                                       run.iterates[1:]))
-        restarted, _ = evaluated_points(lambda w: 0.5 * w, np.array([1.0]), False, 6, 1e-12,
-                                        restart=lambda t, g: g.copy() if t == 3 else None)
+        run, points, images = evaluated_points(lambda w: 0.5 * w, np.array([1.0]), False, 6,
+                                               1e-12, restart=lambda t, g: None)
+        assert run.plain and all(np.array_equal(p, g) for p, g in zip(points[1:], images))
+        restarted, _, _ = evaluated_points(lambda w: 0.5 * w, np.array([1.0]), False, 6, 1e-12,
+                                           restart=lambda t, g: g.copy() if t == 3 else None)
         assert not restarted.plain
-        accelerated, _ = evaluated_points(lambda w: 0.5 * w + 1.0, np.array([1.0, 4.0]), True,
-                                          20, 1e-12)
+        accelerated, _, _ = evaluated_points(lambda w: 0.5 * w + 1.0, np.array([1.0, 4.0]),
+                                             True, 20, 1e-12)
         assert not accelerated.plain
 
 
 def test_rate_is_fitted_only_to_a_plain_run():
     pg = short_fishery_pg(30, False)
     assert np.isfinite(pg.fitted_rate)
-    assert (pg.fitted_rate, pg.rate_fit_rmse) == fit_log_decay(pg.distance_trace)
+    assert (pg.fitted_rate, pg.rate_fit_rmse) == fit_log_decay(pg.step_norms)
     dr = rendezvous_dr(30, False)
     assert np.isnan(dr.fitted_rate) and np.isnan(dr.rate_fit_rmse)
+
+
+def test_distances_are_measured_at_the_kept_iterates():
+    rep = short_fishery_pg(30, False)
+    assert list(rep.distance_iterations) == [0, 1, 2, 5, 10, 20, 29, 30]
+    # a plain PG run's iterate t is the result of the run cut off after t steps
+    last = rep.trajectory.actions
+    expected = [np.linalg.norm(short_fishery_pg(int(t), False).trajectory.actions - last)
+                for t in rep.distance_iterations]
+    np.testing.assert_array_equal(rep.distance_trace, expected)
+    assert rep.distance_trace[-1] == 0.0
 
 
 class TestPolishHook:
