@@ -281,11 +281,41 @@ def lq_rendezvous_game(params: LqRendezvousParams = LqRendezvousParams()) -> Gam
         return cxx, np.zeros((3, 6, 6)), cuu
 
     def constraints(k, x, u):
-        rows = [np.linalg.norm(block(u, n)) - p.u_max for n in range(3)]
-        if k == p.meet_stage:
-            rows.extend([x[0] - x[2], x[2] - x[0], x[1] - x[3], x[3] - x[1],
-                         x[2] - x[4], x[4] - x[2], x[3] - x[5], x[5] - x[3]])
-        return np.array(rows)
+        # the norms as the projector takes them
+        balls = np.linalg.norm(u.reshape(3, 2), axis=1) - p.u_max
+        if k != p.meet_stage:
+            return balls
+        return np.concatenate([balls, [x[0] - x[2], x[2] - x[0], x[1] - x[3], x[3] - x[1],
+                                       x[2] - x[4], x[4] - x[2], x[3] - x[5], x[5] - x[3]]])
+
+    meet_W = np.zeros((8, 6))
+    for r, (i, j) in enumerate([(0, 2), (1, 3), (2, 4), (3, 5)]):
+        meet_W[2 * r, [i, j]] = meet_W[2 * r + 1, [j, i]] = 1.0, -1.0
+    players = np.arange(3)[:, None]
+    cols = 2 * players + np.arange(2)  # player n's action columns
+
+    def unit_actions(u):
+        # each player's action direction and norm; a zero action has direction 0
+        un = u.reshape(3, 2)
+        nrm = np.hypot(un[:, 0], un[:, 1])
+        return np.divide(un, nrm[:, None], out=np.zeros((3, 2)), where=nrm[:, None] > 0), nrm
+
+    def constraint_jac(k, x, u):
+        d, _ = unit_actions(u)
+        m = 11 if k == p.meet_stage else 3
+        W, S = np.zeros((m, 6)), np.zeros((m, 6))
+        S[players, cols] = d
+        W[3:] = meet_W[:m - 3]
+        return W, S
+
+    def constraint_hess(k, x, u):
+        # row n: (I - d d') / |u_n| on player n's action block, 0 at u_n = 0
+        d, nrm = unit_actions(u)
+        H = np.zeros((11 if k == p.meet_stage else 3, 12, 12))
+        inv = np.divide(1.0, nrm, out=np.zeros(3), where=nrm > 0)
+        H[players[..., None], 6 + cols[..., None], 6 + cols[:, None]] = (
+            (np.eye(2) - d[:, :, None] * d[:, None]) * inv[:, None, None])
+        return H
 
     tgt_blocks = tgt.reshape(3, 2)
 
@@ -297,6 +327,17 @@ def lq_rendezvous_game(params: LqRendezvousParams = LqRendezvousParams()) -> Gam
         C[:T] += w_eff * np.einsum("kni,kni->kn", u[:T], u[:T])
         C[T:] *= w_term
         return C
+
+    grad_weight = np.full(T + 1, 2.0)
+    grad_weight[T] = 2.0 * w_term
+
+    def traj_cost_gradients(states, actions):
+        K = states.shape[0]
+        dx = states.reshape(K, 3, 2) - tgt_blocks
+        CX, CU = np.zeros((K, 3, 6)), np.zeros((K, 3, 6))
+        CX[:, players, cols] = grad_weight[:, None, None] * dx
+        CU[:T, players, cols] = 2.0 * w_eff * actions[:T].reshape(T, 3, 2)
+        return CX, CU
 
     def traj_projector(states, actions):
         K = actions.shape[0]
@@ -318,8 +359,10 @@ def lq_rendezvous_game(params: LqRendezvousParams = LqRendezvousParams()) -> Gam
         dynamics_jacobians=lambda k, x, u: (I6, I6),
         dynamics_hessians=lambda k, x, u: Z,
         cost_gradients=cost_grads, cost_hessians=cost_hess,
+        constraint_jacobians=constraint_jac, constraint_hessians=constraint_hess,
         linear_dynamics=True, quadratic_costs=True,
-        traj_costs=traj_costs, traj_projector=traj_projector,
+        traj_costs=traj_costs, traj_cost_gradients=traj_cost_gradients,
+        traj_projector=traj_projector,
         name="lq_rendezvous")
 
 

@@ -30,12 +30,14 @@ Outputs: trajectory.csv (the rollout of the solver's actions), convergence.csv
 to the final iterate where the solve sampled it, at 0, the 1-2-5 grid and the
 last two iterations, empty elsewhere), report.json (game, solver, iterations,
 termination, converged, fitted_rate, rate_fit_rmse and the trajectory's
-constraint_residual, natural_residual, player_costs, playerwise_check and
-player_profits for the fishery), and (with the feedback/simulate blocks)
-policy.json, simulation.csv and report.json's simulation.  All numbers are
-written with full round-trip precision so identical configs and seeds give
-byte-identical files.  A figure that is not finite, such as the natural
-residual of a game without a projection, is written as null.
+constraint_residual, natural_residual, kkt_residual, player_costs,
+playerwise_check and player_profits for the fishery), and (with the
+feedback/simulate blocks) policy.json, simulation.csv and report.json's
+simulation.  All numbers are written with full round-trip precision so
+identical configs and seeds give byte-identical files.  A figure that is not
+finite, such as the natural residual of a game without a projection or the
+KKT residual of a result no polish certified (``SolverReport``), is written
+as null.
 """
 
 from __future__ import annotations
@@ -307,6 +309,7 @@ def run(config: RunConfig) -> int:
         "rate_fit_rmse": report.rate_fit_rmse,
         "constraint_residual": report.constraint_residual,
         "natural_residual": report.natural_residual,
+        "kkt_residual": report.kkt_residual,
         "player_costs": [float(c) for c in report.final_costs],
         "playerwise_check": [
             {"player": v.player, "verdict": v.verdict, "grad_norm": v.grad_norm,

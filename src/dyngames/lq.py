@@ -40,7 +40,11 @@ Euclidean projection onto the trajectories of the dynamics.
 with one multiplier per row, shared by all players, in the same band: stage
 k's rows and multipliers lead block k, padded to the largest row count with
 rows that pin the spare multipliers to zero, so the bandwidth grows by that
-count and the cost stays O(T).  It is the kernel of the active-set polish
+count and the cost stays O(T).  An action column that moves nothing (no
+dynamics read it, its owner's cost has no gradient or curvature in it and
+no held row touches it, as for the terminal actions of the paper
+rendezvous) would leave a zero row; ``solve_pinned`` pins it at du = 0
+instead (``_inert_actions``).  It is the kernel of the active-set polish
 (``certificate.ActiveSetPolish``).
 
 The same factor solves every QP over a whole stacked trajectory
@@ -177,14 +181,17 @@ def _inverse_norm(lu: Array, kl: int, ku: int, piv: Array) -> float:
 
 
 def _kkt_factor(data: LqGameData, eta: Optional[float] = None,
-                pinned: Optional[tuple[Array, Array, Array]] = None) -> LqFactor:
+                pinned: Optional[tuple[Array, Array, Array]] = None,
+                inert: Optional[Array] = None) -> LqFactor:
     """Assemble the stacked KKT matrix of ``data`` and factor it.
 
     ``pinned`` = (G, p, held) adds m rows G_k z_k + p_k = 0 to every block
     k, G (T+1, m, n_x+n_u) over z_k = (x_k, u_k) and p (T+1, m); only the
     rows where ``held`` (T+1, m) is set are real, and G and p are zero in
     the others, which pin their multiplier to zero.  The multipliers lead
-    each block (``LqFactor.rows``).
+    each block (``LqFactor.rows``).  ``inert`` (T+1, n_u) marks action
+    columns whose stationarity row is zero (``_inert_actions``); each is
+    pinned at du = 0 instead.
     Raises StageSingularityError as the module docstring describes.
     """
     (N, T1, n_z), n_x = data.c.shape, np.size(data.initial_state)
@@ -233,6 +240,9 @@ def _kkt_factor(data: LqGameData, eta: Optional[float] = None,
         D[:, np.arange(m), nb + np.arange(m)] = ~held
         D[:, iu:lam, nb:nb + m] = G[..., n_x:].swapaxes(1, 2)
         D[:T, lam:, 2 * nb:2 * nb + m] = np.tile(G[1:, :, :n_x].swapaxes(1, 2), (1, N, 1))
+    if inert is not None:
+        ks, js = np.nonzero(inert)
+        D[ks, iu + js, nb + iu + js] = 1.0  # the row was zero, its right-hand side too
     band = band[:, nb:nb + n]
     anorm = float(np.max(np.abs(band[kl:]).sum(axis=0)))  # rows above kl are LU workspace
     lu, piv, info = lapack.dgbtrf(band, kl, ku, overwrite_ab=True)
@@ -289,17 +299,22 @@ def solve_pinned(data: LqGameData, G: Array, p: Array,
     player's in x_k (the variational equilibrium).
     The rows join the stacked KKT system in band: stage k's held rows and
     their multipliers lead block k, padded to the largest held count.
+    Inert action columns (``_inert_actions``) are held at du = 0.
     Returns the trajectory and mu (T+1, m), zero off the held rows.  Raises
     StageSingularityError when the system is singular, as for dependent
     held rows.
     """
-    fac, sol, mu = _pinned_solve(data, G, p, pinned)
+    fac, sol, mu = _pinned_solve(data, G, p, pinned, _inert_actions(data, G, pinned))
     return Trajectory(*fac._split(sol)), mu
 
 
-def _pinned_solve(data: LqGameData, G: Array, p: Array,
-                  pinned: Array) -> tuple[LqFactor, Array, Array]:
-    """``solve_pinned``'s factor, its solution blocks and mu (T+1, m)."""
+def _pinned_solve(data: LqGameData, G: Array, p: Array, pinned: Array,
+                  inert: Optional[Array] = None) -> tuple[LqFactor, Array, Array]:
+    """``solve_pinned``'s factor, its solution blocks and mu (T+1, m).
+
+    ``inert`` is passed on to ``_kkt_factor``; a ``BandedQp``'s data, the
+    prox terms, has no inert columns.
+    """
     ks, rs = np.nonzero(pinned)
     slot = (np.cumsum(pinned, axis=1) - 1)[ks, rs]  # held rows first, in order
     m = int(slot.max(initial=-1)) + 1
@@ -307,11 +322,32 @@ def _pinned_solve(data: LqGameData, G: Array, p: Array,
     held[ks, slot] = True
     Gm, pm = np.zeros((len(pinned), m, G.shape[2])), np.zeros((len(pinned), m))
     Gm[ks, slot], pm[ks, slot] = G[ks, rs], p[ks, rs]
-    fac = _kkt_factor(data, pinned=(Gm, pm, held))
+    fac = _kkt_factor(data, pinned=(Gm, pm, held), inert=inert)
     sol = fac._blocks(None, None)
     mu = np.zeros(pinned.shape)
     mu[ks, rs] = sol[ks, slot]
     return fac, sol, mu
+
+
+def _inert_actions(data: LqGameData, G: Array, held: Array) -> Optional[Array]:
+    """The action columns that move nothing: (T+1, n_u) bool, or None if there are none.
+
+    Column j of stage k is inert when no dynamics read it (a zero column of
+    B_k; every column at k = T), its owner's cost has no gradient or Hessian
+    row in it and no row of ``G`` (T+1, m, n_x+n_u) marked in ``held``
+    touches it, as for the terminal actions of a game whose terminal cost
+    reads the state only.  Its stationarity row in the KKT system is then
+    zero.
+    """
+    n_x, n_u = np.size(data.initial_state), G.shape[2] - np.size(data.initial_state)
+    owner, own = np.repeat(np.arange(len(data.action_dims)), data.action_dims), np.arange(n_u)
+    if np.all(data.C[owner, :, n_x + own, n_x + own]):  # every column has curvature
+        return None
+    inert = (~np.any(data.C[owner, :, n_x + own] != 0, axis=2)
+             & (data.c[owner, :, n_x + own] == 0)).T
+    inert[:-1] &= ~np.any(data.B != 0, axis=1)
+    inert &= ~np.any((G[..., n_x:] != 0) & held[..., None], axis=1)
+    return inert if inert.any() else None
 
 
 def padded_rows(game: GameDefinition) -> PaddedRows:

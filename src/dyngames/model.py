@@ -128,6 +128,7 @@ class GameDefinition:
     cost_gradients: Optional[Callable[[int, Array, Array], tuple]] = None
     cost_hessians: Optional[Callable[[int, Array, Array], tuple]] = None
     constraint_jacobians: Optional[Callable[[int, Array, Array], tuple]] = None
+    constraint_hessians: Optional[Callable[[int, Array, Array], Array]] = None
     linear_dynamics: bool = False
     quadratic_costs: bool = False
     polyhedral_constraints: bool = False
@@ -206,6 +207,17 @@ class GameDefinition:
         H = _fd_hessian_vector(f, np.concatenate([x, u]), self.state_dim,
                                what="dynamics", stage=k)
         return H.reshape(self.state_dim, nz, nz)
+
+    def eval_constraint_hessians(self, k: int, x: Array, u: Array) -> Array:
+        """Second derivatives of stage k's rows, one (n_x+n_u)-square matrix per row."""
+        nz = self.state_dim + self.total_action_dim
+        if self.constraint_hessians is not None:
+            H = np.asarray(self.constraint_hessians(k, x, u), dtype=float)
+            return _checked("constraint Hessians", H, (len(H) if H.ndim else 0, nz, nz),
+                            stage=k)
+        f = lambda xu: self.eval_constraints(k, xu[:self.state_dim], xu[self.state_dim:])
+        m = self.eval_constraints(k, x, u).shape[0]
+        return _fd_hessian_vector(f, np.concatenate([x, u]), m, what="constraint", stage=k)
 
     def eval_cost_gradients(self, k: int, x: Array, u: Array) -> tuple[Array, Array]:
         """Per-player cost gradients, stacked: (N, n_x) and (N, n_u)."""

@@ -60,11 +60,13 @@ def projected_gradient_solve(game: GameDefinition, u0: Array,
 
     The iterate is the action sequence and the candidate its rollout, on
     which the next pseudo-gradient is taken; ``report.iterate`` runs the
-    loop.  For a linear-quadratic game with affine rows or none, the
-    active-set polish (``certificate.active_set_polish``) runs after every
-    step: it pins the candidate's near-active rows and corrects that set
-    until a pinned solve is certified (natural residual <= ``cfg.tol``),
-    which ends the run with ``tolerance``.
+    loop.  For a game that declares linear dynamics and quadratic costs,
+    the active-set polish (``certificate.active_set_polish``) is offered
+    the candidate after every step: it pins the candidate's near-active
+    rows and, for affine rows, corrects that set until a pinned solve is
+    certified (natural residual <= ``cfg.tol``), for curved rows takes
+    Newton steps until the KKT residual is <= ``cfg.tol``.  A certified
+    point ends the run with ``tolerance``.
     """
     T, n_u = game.horizon, game.total_action_dim
     u = np.asarray(u0, dtype=float)

@@ -5,7 +5,9 @@ map w -> g(w).  ``iterate`` owns their loop, step norm and stop tests, and
 ``build_report`` reports the rollout of a finished run's actions; a solver
 supplies only its step, its equilibrium candidate and what to check.  A
 solver may also pass a polish hook (``certificate.active_set_polish``): a
-point it offers after a step is certified, so it ends the run at once.
+point it offers after a step is certified, so it ends the run at once, and
+the report takes its certificate: the natural residual where the game has a
+projection, and the KKT residual, which needs none.
 
 Projected gradient takes the plain iteration w <- g(w).  Douglas-Rachford
 asks for safeguarded type-II Anderson acceleration (``_Anderson``): after a
@@ -90,7 +92,10 @@ class SolverReport:
     from the game's initial state, and every other figure is its own:
     ``constraint_residual`` its largest row violation and ``natural_residual``
     r(u) = |u - P(u - F(u))|_inf (``certificate.natural_residual``), NaN for
-    a game without a projection P and after divergence.
+    a game without a projection P and after divergence.  ``kkt_residual`` is
+    ``certificate.kkt_residual`` at a result the active-set polish
+    certified, with the polish's multipliers, in gradient units; it is NaN
+    where no polish certified the result.
     """
 
     trajectory: Trajectory
@@ -107,6 +112,7 @@ class SolverReport:
     constraint_residual: float = 0.0
     natural_residual: float = float("nan")
     distance_iterations: Optional[Array] = None
+    kkt_residual: float = float("nan")
 
     @property
     def converged(self) -> bool:
@@ -130,10 +136,11 @@ class Run:
     ``records[i]`` is the record of the candidate after ``record_iterations[i]``
     steps, at the start (t = 0) and the grid iterations the run stepped past
     (never its last one); both are None without a record hook.
-    ``residual`` is the natural residual of a candidate the polish hook
-    certified, None when the run did not end on one.  ``plain`` is False
-    once a point evaluated was not the image of the one before it: an
-    extrapolation, a safeguard's return to a kept image or a restart.
+    ``residual`` is the certificate the polish hook returned with the
+    candidate it certified, None when the run did not end on one.
+    ``plain`` is False once a point evaluated was not the image of the one
+    before it: an extrapolation, a safeguard's return to a kept image or a
+    restart.
     """
 
     candidate: Any
@@ -143,7 +150,7 @@ class Run:
     termination: str
     records: Optional[list]
     record_iterations: Optional[list[int]]
-    residual: Optional[float] = None
+    residual: Any = None
     plain: bool = True
 
 
@@ -218,7 +225,7 @@ def iterate(step: Callable[[Array, Any], tuple[Array, Any]], w0: Array, cand0: A
             max_iter: int, tol: float, divergence_factor: float,
             accept: Optional[Callable[[Any], bool]] = None,
             record: Optional[Callable[[Any], Any]] = None,
-            polish: Optional[Callable[[Any], Optional[tuple[Any, float]]]] = None,
+            polish: Optional[Callable[[Any], Optional[tuple[Any, Any]]]] = None,
             accelerate: bool = False,
             restart: Optional[Callable[[int, Array], Optional[Array]]] = None) -> Run:
     """Run w <- step(w) until the step is small, w blows up or the budget ends.
@@ -241,9 +248,10 @@ def iterate(step: Callable[[Array, Any], tuple[Array, Any]], w0: Array, cand0: A
     that the stop tests let the run go on from while t < ``max_iter``.  The
     result is not recorded; the caller has it.  ``polish(cand)`` is called
     once after every step when given; when it returns a point and that point's
-    natural residual, which certifies it, the point replaces the candidate
-    and ends the run with ``tolerance``.  Otherwise the run stops with
-    ``tolerance`` once max|g(w) - w| <= tol and ``accept(cand)`` holds
+    certificate (``certificate.ActiveSetPolish`` returns its natural and KKT
+    residuals), the point replaces the candidate, the certificate becomes
+    ``Run.residual`` and the run ends with ``tolerance``.  Otherwise the run
+    stops with ``tolerance`` once max|g(w) - w| <= tol and ``accept(cand)`` holds
     (evaluated only then, so a costly residual check is skipped while w
     still moves), with ``divergence`` at the first image that is not finite
     or has |g(w)|_2 > divergence_factor * (1 + |w0|_2), and else with
@@ -311,13 +319,15 @@ def build_report(game: GameDefinition, trajectory: Trajectory, run: Run, run_che
     kept.  ``fitted_rate`` and ``rate_fit_rmse`` are fitted to the step norms
     of a plain run and are NaN for one that was not (``Run.plain``): an
     extrapolated or restarted run's steps need not decay geometrically.
-    The natural residual is the polish's certificate when the run ended on
-    one, else it is computed here along ``trajectory``, which is not rolled
-    out again (``certificate.residual_along``), projecting with the solve's
-    reads (``rows`` and ``data``) as ``certificate.project_onto_feasible``
-    does.  A diverged run gets neither verdicts nor a natural residual.
+    When the run ended on a polished point, the natural and KKT residuals
+    are the polish's certificate (``certificate.ActiveSetPolish``);
+    otherwise the KKT residual is NaN and the natural residual is computed
+    here along ``trajectory``, which is not rolled out again
+    (``certificate.residual_along``), projecting with the solve's reads
+    (``rows`` and ``data``) as ``certificate.project_onto_feasible`` does.
+    A diverged run gets neither verdicts nor a natural residual.
     """
-    verdicts, residual = [], run.residual
+    verdicts, (residual, kkt) = [], run.residual or (None, float("nan"))
     if run.termination != TERM_DIVERGENCE:
         if run_checks:
             verdicts = playerwise_minimizer_check(game, trajectory)
@@ -342,7 +352,7 @@ def build_report(game: GameDefinition, trajectory: Trajectory, run: Run, run_che
         fitted_rate=rate, rate_fit_rmse=rmse, verdicts=verdicts,
         cost_trace=cost_trace, cost_iterations=cost_iterations, final_costs=final_costs,
         constraint_residual=trajectory.constraint_violation(game),
-        natural_residual=float("nan") if residual is None else residual)
+        natural_residual=float("nan") if residual is None else residual, kkt_residual=kkt)
 
 
 def fit_log_decay(values: Array) -> tuple[float, float]:

@@ -39,8 +39,9 @@ such restriction.
 
 ``dr_solve`` is the reflected-resolvent step over one stacked iterate plus
 one call of ``report.iterate``, the loop it shares with ``projgrad``; for
-linear-quadratic games with affine rows or none it passes the active-set
-polish of ``certificate``, which ends the run on a certified point.  The
+declared linear-quadratic games it passes the active-set polish of
+``certificate``, which ends the run on a certified point: on the paper
+rendezvous, whose norm-ball rows are curved, after the first step.  The
 averaged map is nonexpansive, and ``dr_solve`` has the loop accelerate it
 with safeguarded type-II Anderson extrapolation (Fu, Zhang and Boyd, SIAM
 J. Sci. Comput. 2020): every scheme evaluates its step at extrapolated
@@ -117,9 +118,10 @@ class DrConfig:
     BALANCE_RATIO * r_d.  The factor is Boyd et al.'s 2 squared: larger
     steps reach the balanced weight in fewer changes (Wohlberg, "ADMM
     penalty parameter selection by residual balancing", 2017), and each
-    change costs a new factor of the regularized game; from the default eta
-    the paper rendezvous stops after 95 steps on 7 factors, against 120 on
-    12 with a factor of 2.  After BALANCE_MAX_CHANGES (20) changes eta is
+    change costs a new factor of the regularized game; from the default eta,
+    without the polish that now ends it after one step, the paper rendezvous
+    stops after 95 steps on 7 factors, against 120 on 12 with a factor of 2.
+    After BALANCE_MAX_CHANGES (20) changes eta is
     frozen, which keeps DR's convergence (Lorenz and Tran-Dinh,
     "Non-stationary Douglas-Rachford and ADMM", Comput. Optim. Appl. 2019).
     The resolvents' Newton steps use INNER_TOL and INNER_MAX_ITER, the
@@ -453,12 +455,18 @@ def dr_solve(game: GameDefinition, cfg: DrConfig) -> SolverReport:
     last two, ``report.Run``) against the last one.  The candidate is the
     second resolvent's output at the point evaluated, which the polish, the
     balancing and the extrapolation read; the report, the stop test and the
-    cost records read its actions rolled out (``DrConfig``).  For a
-    linear-quadratic game with affine rows or none, the active-set polish
-    (``certificate.active_set_polish``) runs after every step: it pins the
-    candidate's near-active rows and corrects that set until a pinned solve
-    is certified (natural residual <= ``cfg.tol``), which ends the run with
-    ``tolerance`` and becomes the result.
+    cost records read its actions rolled out (``DrConfig``).  For a game
+    that declares linear dynamics and quadratic costs, the active-set
+    polish (``certificate.active_set_polish``) is offered the candidate
+    after every step.  With affine rows or none it pins the candidate's
+    near-active rows and corrects that set until a pinned solve is
+    certified (natural residual <= ``cfg.tol``); with curved rows, after
+    the steps on the 1-2-5 grid, it takes Newton steps from the candidate
+    until the KKT residual is <= ``cfg.tol``, in gradient units.  A
+    certified point ends the run with ``tolerance``, becomes the result and
+    brings its certificate to the report (``SolverReport.kkt_residual``).
+    The paper rendezvous is certified after its first step, from which 6
+    Newton steps reach a KKT residual of about 1.4e-9.
 
     ``cfg.eta`` is the starting weight; the run balances it as DrConfig
     says.  A change of eta rescales the next point, the image g of the

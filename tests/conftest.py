@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from dyngames import splitting
 from dyngames.model import GameDefinition
 
 settings.register_profile("default", deadline=None, max_examples=25)
@@ -288,3 +289,13 @@ def monotone_quadratic_game(rng, T=2, bound=0.6, skew=0.8):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def dr_without_polish(monkeypatch):
+    """``splitting.dr_solve`` without the active-set polish: a run shows DR's own steps.
+
+    For tests whose subject is DR itself (its stop test, its eta balancing)
+    on a game the polish would certify after one step.
+    """
+    monkeypatch.setattr(splitting, "active_set_polish", lambda *args: None)

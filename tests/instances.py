@@ -1,11 +1,15 @@
 """Hand-built game instances shared between unit and acceptance tests."""
 
+import functools
 import itertools
 from typing import NamedTuple
+from unittest import mock
 
 import numpy as np
 
-from dyngames.benchmarks import FisheryParams, fishery_game
+from dyngames import splitting
+from dyngames.benchmarks import (FisheryParams, LqRendezvousParams, fishery_game,
+                                 lq_rendezvous_game)
 from dyngames.lq import extract_lq_data, solve_lq_open_loop
 from dyngames.model import GameDefinition, Trajectory, rollout
 
@@ -297,3 +301,29 @@ def random_polyhedral_lq_instance(rng, T=3, max_rows=2, duplicate=False):
         mask[k, slot[k]], active[k, slot[k]] = True, j in found
         slot[k] += 1
     return PolyhedralLqInstance(game, lq, rows, mask, active, equilibrium)
+
+
+# Rendezvous variants, (horizon, meet_stage, u_max, terminal_weight): the
+# paper's first, then longer horizons, early and late meetings, a tight ball
+# and lighter terminal weights, which move the balanced eta and the multipliers
+RENDEZVOUS_VARIANTS = [(10, 5, 2.0, 1000.0), (20, 10, 2.0, 1000.0), (10, 3, 2.0, 1000.0),
+                       (10, 8, 1.5, 1000.0), (15, 7, 3.0, 100.0), (10, 5, 2.0, 10.0),
+                       (30, 12, 2.0, 1000.0)]
+
+
+@functools.lru_cache(maxsize=None)
+def tight_rendezvous(variant):
+    """The rendezvous of (horizon, meet_stage, u_max, terminal_weight) and its DR actions.
+
+    The actions are those of a ``constraints``-scheme DR solve from eta 0.1
+    to tol 1e-11 without the active-set polish, a reference the polish plays
+    no part in.
+    """
+    T, meet, u_max, weight = variant
+    game = lq_rendezvous_game(LqRendezvousParams(
+        horizon=T, meet_stage=meet, u_max=u_max, terminal_weight=weight))
+    with mock.patch.object(splitting, "active_set_polish", lambda *args: None):
+        ref = splitting.dr_solve(game, splitting.DrConfig(
+            eta=0.1, tol=1e-11, max_iter=20_000, record_costs=False, run_checks=False))
+    assert ref.termination == "tolerance"
+    return game, ref.trajectory.actions

@@ -187,6 +187,51 @@ def dense_reduced_min_eig(game, data, n):
     return float(np.min(np.linalg.eigvalsh(0.5 * (reduced + reduced.T))))
 
 
+def dense_kkt_residual(game, traj, delta=1e-3):
+    """The KKT residual of a rolled-out ``traj`` by dense sensitivities, and its mu.
+
+    Every stage's rows and their Jacobians are read one stage at a time and
+    carried to the whole action sequence through the dense sensitivities
+    dx_k/du_j = A_{k-1} ... A_{j+1} B_j.  The rows within ``delta`` of
+    active get one multiplier each, shared by all players, chosen by NNLS to
+    minimize |F + J'mu|_2 with F every player's own-action gradient of its
+    total cost; the residual is the largest of |F + J'mu|_inf, max(g, 0),
+    max |mu g| and -min mu.  Returns it and mu padded as ``model.PaddedRows``
+    (T+1, m), zero off the near-active rows.
+    """
+    T, n_x, n_u = game.horizon, game.state_dim, game.total_action_dim
+    X, U = traj.states, traj.actions
+    sens = np.zeros((T + 1, n_x, (T + 1) * n_u))  # dx_k / du
+    for k in range(T):
+        A, B = game.eval_dynamics_jacobians(k, X[k], U[k])
+        sens[k + 1] = A @ sens[k]
+        sens[k + 1][:, k * n_u:(k + 1) * n_u] += B
+    grads = np.zeros((game.num_players, (T + 1) * n_u))  # dJ_n / du
+    rows, values, where = [], [], []
+    for k in range(T + 1):
+        cx, cu = game.eval_cost_gradients(k, X[k], U[k])
+        grads += cx @ sens[k]
+        grads[:, k * n_u:(k + 1) * n_u] += cu
+        W, S, g = game.eval_constraint_rows(k, X[k], U[k])
+        for i in range(g.size):
+            row = W[i] @ sens[k]
+            row[k * n_u:(k + 1) * n_u] += S[i]
+            rows.append(row)
+            values.append(g[i])
+            where.append((k, i))
+    F = grads[np.tile(game.owner, T + 1), np.arange((T + 1) * n_u)]
+    values = np.array(values)
+    near = np.flatnonzero(values >= -delta)
+    J = np.array(rows).reshape(-1, F.size)[near]
+    mu = nnls(J.T, -F)[0] if near.size else np.zeros(0)
+    residual = max(np.max(np.abs(F + J.T @ mu)), np.max(np.maximum(values, 0.0), initial=0.0),
+                   np.max(np.abs(mu * values[near]), initial=0.0), -np.min(mu, initial=0.0))
+    padded = np.zeros((T + 1, max((i + 1 for _, i in where), default=0)))
+    for j, m in zip(near, mu):
+        padded[where[j]] = m
+    return float(residual), padded
+
+
 def stacked_lq_gne(game, lq, constraint_rows, active=None, tol=1e-9):
     """Variational equilibrium of a constrained LQ game by one dense solve.
 

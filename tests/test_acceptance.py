@@ -154,20 +154,22 @@ def test_criterion_04_rendezvous_splitting():
     ref = dr_solve(game, DrConfig(scheme="constraints", eta=0.1, alpha=0.5, max_iter=10_000,
                                   tol=1e-11, record_costs=False, run_checks=False))
     error = float(np.max(np.abs(traj.actions - ref.trajectory.actions)))
-    # the costs end at the reference's, and below those after 10 steps
+    # the costs end at the reference's, and below those at the start: the
+    # polish ends the run after one step, so the start is its one record
     cost_error = float(np.max(np.abs(rep.final_costs - ref.final_costs)
                               / np.abs(ref.final_costs)))
-    at_10 = rep.cost_trace[list(rep.cost_iterations).index(10)]
-    costs_drop = bool(np.all(rep.final_costs <= at_10))
+    costs_drop = bool(np.all(rep.final_costs <= rep.cost_trace[0]))
     ok = (rep.termination == "tolerance" and rep.iterations <= 300 and norms_ok
           and residual <= 1e-3 and ref.termination == "tolerance" and error <= 1e-5
-          and cost_error <= 1e-6 and costs_drop and elapsed < 120.0)
+          and cost_error <= 1e-6 and costs_drop and rep.kkt_residual <= 1e-8
+          and elapsed < 120.0)
     verdict("criterion 4 (rendezvous splitting)", ok,
             f"{rep.termination} after {rep.iterations}<=300 iterations, "
             f"norms<=2+1e-6: {norms_ok}, meet residual {residual:.2e}<=1e-3, "
             f"|u - u_ref| {error:.2e}<=1e-5 (reference {ref.termination}), "
             f"costs vs reference {cost_error:.2e}<=1e-6 (relative), "
-            f"costs<=iter10: {costs_drop}, {elapsed:.1f}s (<120s)")
+            f"costs<=start: {costs_drop}, KKT residual {rep.kkt_residual:.2e}<=1e-8, "
+            f"{elapsed:.1f}s (<120s)")
 
 
 def test_criterion_05_cross_scheme_agreement(rng):

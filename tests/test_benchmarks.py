@@ -17,6 +17,7 @@ from dyngames.benchmarks import (
 )
 from dyngames.errors import DimensionError, NonFiniteStateError
 from dyngames.feedback import FeedbackPolicy, feedback_rollout, stagewise_newton_backward
+from dyngames import model
 from dyngames.model import GameDefinition, Trajectory, rollout, total_cost
 from dyngames.projgrad import ProjGradConfig, project_onto_feasible, projected_gradient_solve
 from dyngames.splitting import DrConfig, dr_solve
@@ -227,11 +228,15 @@ class TestRendezvousGame:
         game = lq_rendezvous_game(params)
         T = params.horizon
         C = game.traj_costs(states, actions)
+        CX, CU = game.traj_cost_gradients(states, actions)
         X, U = game.traj_projector(states, actions)
         assert C.shape == (T + 1, 3) and X.shape == (T + 1, 6) and U.shape == (T + 1, 6)
         for k in range(T + 1):
             c = game.eval_costs(k, states[k], actions[k])
             np.testing.assert_allclose(C[k], c, rtol=1e-12, atol=1e-12)
+            cx, cu = game.cost_gradients(k, states[k], actions[k])
+            np.testing.assert_array_equal(CX[k], cx)
+            np.testing.assert_array_equal(CU[k], cu)
             xk, uk = rendezvous_stage_projection(params, k, states[k], actions[k])
             np.testing.assert_allclose(X[k], xk, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(U[k], uk, rtol=1e-12, atol=1e-12)
@@ -240,6 +245,33 @@ class TestRendezvousGame:
         no_states, U_only = game.traj_projector(None, actions)
         assert no_states is None
         np.testing.assert_array_equal(U_only, U)
+
+    @given(rendezvous_cases())
+    def test_row_derivatives_match_finite_differences(self, case):
+        params, states, actions = case
+        game = lq_rendezvous_game(params)
+        for k in range(params.horizon + 1):
+            x, u = states[k], actions[k]
+
+            def rows(z):
+                return game.eval_constraints(k, z[:6], z[6:])
+
+            z = np.concatenate([x, u])
+            W, S, g = game.eval_constraint_rows(k, x, u)
+            J, H = np.hstack([W, S]), game.eval_constraint_hessians(k, x, u)
+            assert H.shape == (g.size, 12, 12) and np.all(np.isfinite(J))
+            fd_J = model._fd_jacobian(rows, z, g.size, "constraint", k)
+            fd_H = model._fd_hessian_vector(rows, z, g.size, "constraint", k)
+            norms = np.hypot(u[0::2], u[1::2])
+            # the ball rows away from their kink at u_n = 0, and the meeting rows
+            smooth = np.concatenate([norms >= 0.5, np.ones(g.size - 3, dtype=bool)])
+            np.testing.assert_allclose(J[smooth], fd_J[smooth], rtol=0, atol=1e-6)
+            np.testing.assert_allclose(H[smooth], fd_H[smooth], rtol=0, atol=1e-4)
+            # at u_n = 0 the ball row's gradient is a finite zero: the row is
+            # -u_max there, never near active
+            zero = np.flatnonzero(norms == 0.0)
+            assert np.all(J[zero] == 0.0) and np.all(H[zero] == 0.0)
+            np.testing.assert_array_equal(g[zero], -params.u_max)
 
     def test_zero_actions_keep_states(self):
         game = lq_rendezvous_game()

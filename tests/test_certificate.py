@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
-from dyngames import denseqp, lq, model, splitting
+from dyngames import certificate, denseqp, lq, model, splitting
 from dyngames.benchmarks import fishery_game, lq_rendezvous_game
-from dyngames.certificate import (ActiveSetPolish, active_set_polish, natural_residual,
+from dyngames.certificate import (NEWTON_STEPS, ActiveSetPolish, _equality_pairs,
+                                  active_set_polish, kkt_residual, natural_residual,
                                   near_active)
 from dyngames.errors import StageSingularityError, UnsupportedConstraintError
 from dyngames.gradient import pseudo_gradient
@@ -17,8 +18,9 @@ from dyngames.model import PaddedRows, Trajectory, rollout
 from dyngames.projgrad import ProjGradConfig, project_onto_feasible, projected_gradient_solve
 from dyngames.splitting import SCHEMES, DrConfig, dr_solve
 
-from instances import cross_scheme_lq_instance, random_polyhedral_lq_instance
-from oracles import player_major_operator, stacked_lq_gne
+from instances import (RENDEZVOUS_VARIANTS, cross_scheme_lq_instance,
+                       random_polyhedral_lq_instance, tight_rendezvous)
+from oracles import dense_kkt_residual, player_major_operator, stacked_lq_gne
 
 TOL = 1e-8
 
@@ -39,7 +41,7 @@ class TestPinnedKernel:
         np.testing.assert_allclose(traj.actions, eq.actions, rtol=0, atol=atol)
         np.testing.assert_allclose(traj.states, eq.states, rtol=0, atol=atol)
         assert np.all(mu[~inst.active] == 0.0) and np.all(mu >= -1e-9)
-        polished, residual = polish.attempt(inst.active)
+        polished, (residual, _) = polish.attempt(inst.active)
         assert residual == natural_residual(inst.game, polished.actions) <= TOL
 
     @given(seed=st.integers(0, 2**32 - 1), T=st.integers(1, 4), drop=st.booleans(),
@@ -125,7 +127,7 @@ class TestCorrections:
             out = polish(cand)
         assert solved[0] == start.tobytes() and len(set(solved)) == len(solved)
         if out is not None:
-            polished, residual = out
+            polished, (residual, _) = out
             assert residual == natural_residual(inst.game, polished.actions) <= TOL
             # a strongly monotone operator has one equilibrium, the instance's;
             # other games may have more, each of which the residual certifies
@@ -210,9 +212,142 @@ class TestPolishedSolves:
         inst = random_polyhedral_lq_instance(rng, T=3, max_rows=0)
         polish = active_set_polish(inst.game, TOL)
         start = rollout(inst.game, inst.game.initial_state, np.zeros((4, 2)))
-        out, residual = polish(start)
-        assert residual <= TOL
+        out, (residual, kkt) = polish(start)
+        assert residual <= TOL and kkt <= TOL
         np.testing.assert_allclose(out.actions, inst.equilibrium.actions, rtol=0, atol=1e-10)
+
+
+def gradient_scale(game, traj):
+    """The largest cost gradient entry along ``traj``: the units of the KKT residual."""
+    CX, CU = game.eval_traj_cost_gradients(traj.states, traj.actions)
+    return max(float(np.max(np.abs(CX))), float(np.max(np.abs(CU))))
+
+
+class TestKktResidual:
+    @given(seed=st.integers(0, 2**32 - 1), T=st.integers(1, 4), max_rows=st.integers(1, 2),
+           pick=st.integers(0, 2**32 - 1))
+    @example(seed=273, T=1, max_rows=2, pick=0)  # gradient entries near 1e3
+    def test_zero_at_the_polished_point_and_not_at_another_feasible_one(self, seed, T,
+                                                                        max_rows, pick):
+        inst = random_polyhedral_lq_instance(np.random.default_rng(seed), T=T,
+                                             max_rows=max_rows)
+        assume(inst is not None)
+        game = inst.game
+        polished, (_, kkt) = active_set_polish(game, TOL).attempt(inst.active)
+        # in gradient units: rounding scales with the gradients' size
+        bound = 1e-9 * (1.0 + gradient_scale(game, polished))
+        assert kkt <= bound
+        # the same figure with the rows read afresh at the point
+        polish = active_set_polish(game, TOL)
+        _, mu = lq.solve_pinned(polish.data, polish.rows.G, polish.rows.p, inst.active)
+        assert kkt_residual(game, polished, mu) <= bound
+        # a feasible point away from the equilibrium, which is unique where
+        # the operator is strongly monotone, certifies with no multipliers:
+        # neither the oracle's nor zero
+        op, _ = player_major_operator(game, inst.equilibrium.actions)
+        assume(np.linalg.eigvalsh(0.5 * (op + op.T))[0] > 1e-6)
+        move = np.random.default_rng(pick).standard_normal(polished.actions.shape)
+        u = project_onto_feasible(game, polished.actions + move)
+        assume(np.max(np.abs(u - polished.actions)) > 1e-2)
+        other = rollout(game, game.initial_state, u)
+        oracle, mu = dense_kkt_residual(game, other)
+        assert oracle > TOL and kkt_residual(game, other, mu) > TOL
+        assert kkt_residual(game, other, np.zeros_like(mu)) > TOL
+
+    def test_agrees_with_the_dense_oracle_on_the_rendezvous(self, monkeypatch):
+        game = lq_rendezvous_game()
+        polished = dr_solve(game, DrConfig(record_costs=False, run_checks=False))
+        oracle, mu = dense_kkt_residual(game, polished.trajectory)
+        assert oracle <= 1e-8 and polished.kkt_residual <= 1e-8  # two certificates
+        assert polished.constraint_residual <= 1e-12
+        # the same multipliers at points DR has not finished with
+        monkeypatch.setattr(splitting, "active_set_polish", lambda *args: None)
+        points = [polished.trajectory] + [
+            dr_solve(game, DrConfig(max_iter=n, record_costs=False, run_checks=False)).trajectory
+            for n in (1, 5, 30)]
+        for traj in points:
+            oracle, mu = dense_kkt_residual(game, traj)
+            scale = max(oracle, gradient_scale(game, traj))
+            assert abs(kkt_residual(game, traj, mu) - oracle) <= 1e-9 * scale
+        assert oracle > 1.0  # the 30-step point is far from certified
+
+    def test_a_nan_row_gives_nan(self, rng):
+        game, _, _ = cross_scheme_lq_instance(rng)
+        traj = rollout(game, game.initial_state, np.zeros((game.horizon + 1, 2)))
+        rows = lq.padded_rows(game)
+        rows = dataclasses.replace(rows, p=np.where(rows.real, np.nan, 0.0))
+        assert np.isnan(kkt_residual(game, traj, np.zeros(rows.p.shape), rows))
+
+
+class TestNewtonPolish:
+    @pytest.mark.parametrize("variant", RENDEZVOUS_VARIANTS)
+    def test_every_rendezvous_variant_ends_on_the_polish(self, variant):
+        # from the default eta DR hands off after its first step, from the
+        # others after at most two (from eta 1 and 10, 5 steps without the
+        # shortened Newton steps); the reference is a DR solve at tol 1e-11
+        # without the polish
+        game, reference = tight_rendezvous(variant)
+        for eta in (1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0):
+            rep = dr_solve(game, DrConfig(eta=eta, record_costs=False, run_checks=False))
+            assert rep.termination == "tolerance"
+            assert rep.iterations <= (1 if eta == DrConfig().eta else 2)
+            assert rep.kkt_residual <= 1e-8 and np.isnan(rep.natural_residual)
+            assert rep.constraint_residual <= 1e-8
+            np.testing.assert_allclose(rep.trajectory.actions, reference, rtol=0, atol=1e-9)
+
+    def test_a_step_is_one_row_read_and_one_pinned_solve(self, monkeypatch):
+        game = lq_rendezvous_game()
+        reads = count_calls(monkeypatch, certificate, "read_rows")
+        solves = count_calls(monkeypatch, lq, "solve_pinned")
+        quadratic = count_calls(monkeypatch, model, "quadraticize")
+        rep = dr_solve(game, DrConfig(record_costs=False, run_checks=False))
+        assert rep.iterations == 1 and 1 <= solves[0] <= NEWTON_STEPS
+        # the start's read, then one per step
+        assert reads[0] == solves[0] + 1 and quadratic[0] == 0
+
+    def test_an_uncertified_attempt_is_retried_on_the_grid_only(self, monkeypatch):
+        # at tol 1e-14 no attempt certifies: each takes NEWTON_STEPS steps
+        game = lq_rendezvous_game()
+        starts = []
+        newton = ActiveSetPolish._newton
+
+        def spy(self, cand):
+            starts.append(cand)
+            return newton(self, cand)
+
+        monkeypatch.setattr(ActiveSetPolish, "_newton", spy)
+        solves = count_calls(monkeypatch, lq, "solve_pinned")
+        rep = dr_solve(game, DrConfig(tol=1e-14, max_iter=30, record_costs=False,
+                                      run_checks=False))
+        assert (rep.termination, rep.iterations) == ("max_iter", 30)
+        assert len(starts) == 5 and solves[0] == 5 * NEWTON_STEPS  # steps 1, 2, 5, 10, 20
+        assert np.isnan(rep.kkt_residual)
+
+    def test_an_attempt_on_non_finite_row_hessians_fails_and_the_run_goes_on(self):
+        game = lq_rendezvous_game()
+
+        def nan_hessians(k, x, u):
+            return np.full(game.constraint_hessians(k, x, u).shape, np.nan)
+
+        broken = dataclasses.replace(game, constraint_hessians=nan_hessians)
+        rep = dr_solve(broken, DrConfig(max_iter=3, record_costs=False, run_checks=False))
+        assert (rep.termination, rep.iterations) == ("max_iter", 3)
+        assert np.isnan(rep.kkt_residual)
+
+    def test_equality_pairs_collapse_to_their_first_row(self):
+        game = lq_rendezvous_game()
+        traj = dr_solve(game, DrConfig(record_costs=False, run_checks=False)).trajectory
+        rows = model.read_rows(game, traj.states, traj.actions)
+        near = rows.real & (rows.p >= -1e-3)
+        dropped, partner = _equality_pairs(rows, near)
+        # the meeting stage's rows 3..10 are four equalities, each written twice
+        assert np.array_equal(np.flatnonzero(dropped[5]), [4, 6, 8, 10])
+        assert list(partner[5, [4, 6, 8, 10]]) == [3, 5, 7, 9]
+        assert dropped.sum() == 4
+        # a row that is not near is never paired
+        far = near.copy()
+        far[5, 3] = False
+        assert not _equality_pairs(rows, far)[0][5, 4]
 
 
 def count_reads(monkeypatch):

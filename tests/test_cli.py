@@ -23,7 +23,8 @@ from dyngames.splitting import DrConfig
 
 def small_fishery_config(outdir, max_iter=80, feedback=True, simulate=True):
     cfg = {
-        "game": {"id": "fishery", "params": {"horizon_time": 2.0}},
+        # at horizon_time 2.0 zero harvest, PG's start, is already the equilibrium
+        "game": {"id": "fishery", "params": {"horizon_time": 10.0}},
         "solver": "pg",
         "rho": 0.01,
         "max_iter": max_iter,
@@ -108,12 +109,14 @@ class TestRuns:
         header = (out / "trajectory.csv").read_text().splitlines()[0]
         assert header == "k,x1,u1_1,u2_1"
         rows = (out / "trajectory.csv").read_text().splitlines()
-        assert len(rows) == 1 + 21  # header + T+1 stages
+        assert len(rows) == 1 + 101  # header + T+1 stages
 
     def test_convergence_csv_has_every_step_and_the_sampled_distances(self, tmp_path):
         out = tmp_path / "out"
+        # at tol 1e-12 the polish, which certifies the rendezvous near 1e-9,
+        # cannot end the run
         cfg = {"game": {"id": "lq_rendezvous"}, "solver": "dr", "max_iter": 80,
-               "output_dir": str(out)}
+               "tol": 1e-12, "output_dir": str(out)}
         main(["--config", write(tmp_path, cfg), "--quiet"])
         n = json.loads((out / "report.json").read_text())["iterations"]
         assert n == 80
@@ -145,9 +148,10 @@ class TestRuns:
         assert report["termination"] == "max_iter"
 
     def test_report_is_strict_json(self, tmp_path):
-        # one iteration leaves no rate to fit, and the rendezvous has no
-        # projection for a natural residual: both are written as null
-        cfg = {"game": {"id": "lq_rendezvous"}, "solver": "dr", "max_iter": 1}
+        # one iteration leaves no rate to fit, the rendezvous has no
+        # projection for a natural residual, and at tol 1e-12 no polish
+        # certifies it for a KKT residual: all are written as null
+        cfg = {"game": {"id": "lq_rendezvous"}, "solver": "dr", "max_iter": 1, "tol": 1e-12}
         texts = []
         for name in ("a", "b"):
             cfg["output_dir"] = str(tmp_path / name)
@@ -159,8 +163,17 @@ class TestRuns:
 
         report = json.loads(texts[0], parse_constant=refuse)
         assert report["fitted_rate"] is None and report["rate_fit_rmse"] is None
-        assert report["natural_residual"] is None
+        assert report["natural_residual"] is None and report["kkt_residual"] is None
         assert texts[0] == texts[1]
+
+    def test_a_polished_rendezvous_reports_its_kkt_residual(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = {"game": {"id": "lq_rendezvous"}, "solver": "dr", "max_iter": 1,
+               "output_dir": str(out)}
+        assert main(["--config", write(tmp_path, cfg), "--quiet"]) == EXIT_OK
+        report = json.loads((out / "report.json").read_text())
+        assert report["termination"] == "tolerance" and report["natural_residual"] is None
+        assert 0.0 <= report["kkt_residual"] <= 1e-8
 
     def test_report_carries_the_natural_residual(self, tmp_path):
         out = tmp_path / "out"

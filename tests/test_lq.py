@@ -290,6 +290,26 @@ def singular_game(rng, eta, T=3):
     return lq_game(data, rng.standard_normal(2), (1, 1))
 
 
+def test_inert_terminal_actions_are_pinned_at_zero():
+    # the rendezvous' terminal actions enter no cost and no dynamics: their
+    # KKT rows are zero, and the plain solve is singular at stage T
+    game = lq_rendezvous_game()
+    data = lq.extract_lq_data(game)
+    with pytest.raises(StageSingularityError) as exc:
+        lq.solve_lq_open_loop(data)
+    assert exc.value.stage == game.horizon
+    T1, n_z = game.horizon + 1, data.C.shape[-1]
+    none = np.zeros((T1, 0), dtype=bool)
+    traj, _ = lq.solve_pinned(data, np.zeros((T1, 0, n_z)), np.zeros((T1, 0)), none)
+    assert np.all(traj.actions[-1] == 0.0)
+    # the same equilibrium as with a terminal effort cost, which fixes u_T = 0
+    C = data.C.copy()
+    C[:, -1, 6:, 6:] += np.eye(6)
+    want = lq.solve_lq_open_loop(dataclasses.replace(data, C=C))
+    np.testing.assert_allclose(traj.actions, want.actions, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(traj.states, want.states, rtol=0, atol=1e-10)
+
+
 def test_singular_stage_named_by_resolvent(rng):
     eta = 0.5  # -1/eta * eta + 1 is exactly zero
     game = singular_game(rng, eta)
@@ -312,10 +332,12 @@ def test_singular_stage_raised_before_first_dr_iteration(rng, monkeypatch):
     assert exc.value.stage == game.horizon
 
 
-def test_balancing_keeps_eta_where_the_raised_game_is_singular(rng, monkeypatch):
+def test_balancing_keeps_eta_where_the_raised_game_is_singular(rng, monkeypatch,
+                                                               dr_without_polish):
     eta0 = 0.05
     raised = splitting.BALANCE_FACTOR * eta0
-    # singular at the first raised eta; the box keeps the run off the polish, never binding
+    # singular at the first raised eta; the box never binds, and without the
+    # polish, which would certify the first candidate, the run reaches the balancing
     game = dataclasses.replace(
         singular_game(rng, raised), constraints=lambda k, x, u: np.abs(u) - 10.0,
         traj_projector=lambda states, actions: (states, np.clip(actions, -10.0, 10.0)))

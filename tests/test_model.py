@@ -599,6 +599,31 @@ class TestStackedReader:
         assert exc.value.stage == 3
 
 
+class TestConstraintHessians:
+    @staticmethod
+    def disc_game(hessians=None):
+        # one row |u|^2 + x^2 - 1 <= 0, whose Hessian is 2 I
+        return GameDefinition(
+            horizon=2, state_dim=1, action_dims=(2,), initial_state=[0.0],
+            dynamics=lambda k, x, u: x + u[:1], stage_costs=lambda k, x, u: np.array([0.0]),
+            constraints=lambda k, x, u: np.array([u @ u + x @ x - 1.0]),
+            constraint_hessians=hessians)
+
+    def test_without_the_hook_the_hessians_are_finite_differences(self, rng):
+        game = self.disc_game()
+        x, u = rng.standard_normal(1), rng.standard_normal(2)
+        H = game.eval_constraint_hessians(1, x, u)
+        np.testing.assert_allclose(H, 2.0 * np.eye(3)[None], rtol=0, atol=1e-6)
+
+    def test_the_hook_is_read_and_shape_checked(self, rng):
+        exact = self.disc_game(lambda k, x, u: 2.0 * np.eye(3)[None])
+        np.testing.assert_array_equal(
+            exact.eval_constraint_hessians(0, np.zeros(1), np.zeros(2)), 2.0 * np.eye(3)[None])
+        misshapen = self.disc_game(lambda k, x, u: np.zeros((1, 2, 2)))
+        with pytest.raises(DimensionError, match="constraint Hessians at stage 1"):
+            misshapen.eval_constraint_hessians(1, np.zeros(1), np.zeros(2))
+
+
 class TestActiveSets:
     @staticmethod
     def box_game(T=2, ubar=0.4):

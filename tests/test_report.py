@@ -307,7 +307,7 @@ class TestPolishHook:
             polish(with_row_value(target))
         assert len(calls) == 2 and calls[1][2, 0] and calls[1].sum() == 1
 
-    @pytest.mark.parametrize("case", ["rendezvous", "fishery", "undeclared twin"])
+    @pytest.mark.parametrize("case", ["fishery", "undeclared twin"])
     def test_out_of_scope_games_never_build_the_hook(self, rng, monkeypatch, case):
         hooks = []
 
@@ -320,9 +320,7 @@ class TestPolishHook:
         game, _, _ = cross_scheme_lq_instance(rng)
         dr = DrConfig(eta=0.4, max_iter=2, record_costs=False, run_checks=False)
         splitting.dr_solve(game, dr)  # the declared LQ game gets the hook
-        if case == "rendezvous":
-            splitting.dr_solve(lq_rendezvous_game(), dr)
-        elif case == "fishery":
+        if case == "fishery":
             fish = fishery_game()
             projgrad.projected_gradient_solve(
                 fish, np.zeros((fish.horizon + 1, 2)),
@@ -331,6 +329,12 @@ class TestPolishHook:
             splitting.dr_solve(dataclasses.replace(game, quadratic_costs=False), dr)
         assert isinstance(hooks[0], ActiveSetPolish)
         assert hooks[1:] == [None]
+
+    def test_curved_rows_of_a_declared_lq_game_get_the_newton_polish(self, rng):
+        game, _, _ = cross_scheme_lq_instance(rng)
+        assert not active_set_polish(game, 1e-8).curved
+        polish = active_set_polish(lq_rendezvous_game(), 1e-8)
+        assert polish.curved and polish.rows is None
 
 
 def test_report_carries_the_natural_residual(rng):
@@ -344,9 +348,10 @@ def test_report_carries_the_natural_residual(rng):
                               DrConfig(eta=0.4, max_iter=5, record_costs=False,
                                        run_checks=False))
     assert twin.natural_residual == natural_residual(game, twin.trajectory.actions) > 1e-8
+    assert rep.kkt_residual <= 1e-8 and np.isnan(twin.kkt_residual)
     rendezvous = splitting.dr_solve(lq_rendezvous_game(),
                                     DrConfig(max_iter=2, record_costs=False, run_checks=False))
-    assert np.isnan(rendezvous.natural_residual)
+    assert np.isnan(rendezvous.natural_residual) and rendezvous.kkt_residual <= 1e-8
 
 
 def short_fishery_pg(max_iter, record_costs):
@@ -356,17 +361,22 @@ def short_fishery_pg(max_iter, record_costs):
         ProjGradConfig(max_iter=max_iter, record_costs=record_costs, run_checks=False))
 
 
+# The active-set polish certifies the rendezvous after one DR step at tol 1e-8,
+# but its KKT residual stops near 1e-9; at this tol it cannot end a run, and
+# DR runs on as it did before the polish reached curved rows.
+UNPOLISHED_TOL = 1e-12
+
+
 def rendezvous_dr(max_iter, record_costs):
     return splitting.dr_solve(lq_rendezvous_game(),
-                              DrConfig(max_iter=max_iter, record_costs=record_costs,
-                                       run_checks=False))
+                              DrConfig(max_iter=max_iter, tol=UNPOLISHED_TOL,
+                                       record_costs=record_costs, run_checks=False))
 
 
 @pytest.mark.parametrize("solve", [short_fishery_pg, rendezvous_dr])
 def test_cost_rows_are_the_final_costs_of_the_run_cut_off_there(solve):
     # neither run ends on a polish, whose final row would be the polished
-    # point's, and both end on the budget: the rendezvous stops on its
-    # tolerance only at step 95
+    # point's, and both end on the budget
     rep = solve(90, True)
     assert rep.iterations == 90
     assert list(rep.cost_iterations) == [0, 1, 2, 5, 10, 20, 50, 90]
@@ -388,7 +398,6 @@ def test_dr_cost_record_rolls_out_only_on_the_grid(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(splitting, "rollout", counted)
-    # the balanced run reaches its tolerance at step 95
     rep = rendezvous_dr(90, True)
     grid = [1, 2, 5, 10, 20, 50]
     assert rep.iterations == 90
@@ -421,9 +430,11 @@ def one_trajectory_case(case, rng):
     if case == "fishery_pg":
         game = fishery_game(FisheryParams(horizon_time=2.0))  # short_fishery_pg's game
         return game, ProjGradConfig().tol, short_fishery_pg(50, True)
-    if case.startswith("rendezvous"):
-        max_iter = 30 if case == "rendezvous_30" else DrConfig().max_iter
-        return lq_rendezvous_game(), DrConfig().tol, rendezvous_dr(max_iter, True)
+    if case == "rendezvous_30":
+        return lq_rendezvous_game(), UNPOLISHED_TOL, rendezvous_dr(30, True)
+    if case == "rendezvous_budget":  # ends on the polish
+        return lq_rendezvous_game(), DrConfig().tol, splitting.dr_solve(lq_rendezvous_game(),
+                                                                         DrConfig())
     game, _, _ = cross_scheme_lq_instance(rng)
     scheme = splitting.SCHEME_CONSTRAINTS if case == "newton" else case
     if case == "newton":  # the Newton resolvent, without the polish

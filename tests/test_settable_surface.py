@@ -7,7 +7,7 @@ from dyngames import cli
 from dyngames.benchmarks import FisheryParams
 from dyngames.feedback import FeedbackPolicy
 from dyngames.gradient import PseudoGradient
-from dyngames.model import LqGameData
+from dyngames.model import GameDefinition, LqGameData
 from dyngames.projgrad import ProjGradConfig
 from dyngames.splitting import (
     DrConfig,
@@ -37,6 +37,13 @@ def test_settable_surface():
                                     "feedback", "stage_reg", "simulate", "output_dir"]
     assert names(PseudoGradient) == ["own", "action_dims"]
     assert names(FeedbackPolicy) == ["reference", "gains", "offsets", "action_dims"]
+    assert names(GameDefinition) == [
+        "horizon", "state_dim", "action_dims", "initial_state", "dynamics", "stage_costs",
+        "constraints", "dynamics_jacobians", "dynamics_hessians", "cost_gradients",
+        "cost_hessians", "constraint_jacobians", "constraint_hessians", "linear_dynamics",
+        "quadratic_costs", "polyhedral_constraints", "constraints_in_actions_only", "name",
+        "traj_costs", "traj_cost_gradients", "traj_dynamics_jacobians", "traj_projector",
+        "traj_rollout", "batch_dynamics", "batch_constraints", "action_offsets", "owner"]
     assert names(LqGameData) == ["A", "B", "b", "C", "c", "action_dims", "initial_state", "G",
                                  "rows", "active"]
     assert defaulted(resolvent_reg_game) == ["warm", "factor"]

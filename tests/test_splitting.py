@@ -42,7 +42,7 @@ from dyngames.splitting import (
 )
 
 from conftest import identity_sum_game, random_lq_game, random_smooth_game
-from instances import cross_scheme_lq_instance
+from instances import cross_scheme_lq_instance, tight_rendezvous
 from oracles import (
     brute_force_lcp,
     brute_force_qp,
@@ -877,7 +877,7 @@ class TestIntersectionProjection:
 class TestDrSolve:
     @pytest.mark.parametrize("eta, residual_gate_binds", [(1e-2, False), (1e-1, True)])
     def test_stops_at_first_iteration_with_step_and_residuals_within_tol(
-            self, eta, residual_gate_binds):
+            self, eta, residual_gate_binds, dr_without_polish):
         params = LqRendezvousParams()
         game = lq_rendezvous_game(params)
         tol = 1e-8
@@ -896,7 +896,7 @@ class TestDrSolve:
         first_step_pass = int(np.argmax(trace[:, 0] <= tol)) + 1
         assert (first_step_pass < rep.iterations) == residual_gate_binds
 
-    def test_violated_stage_never_reports_tolerance(self, rng):
+    def test_violated_stage_never_reports_tolerance(self, rng, monkeypatch):
         # The stage projector passes every point through, so the iteration
         # converges to the unconstrained equilibrium (the averaged step goes
         # to zero) while the candidate keeps violating the stage rows.
@@ -911,6 +911,9 @@ class TestDrSolve:
         violated = dataclasses.replace(
             game, constraints=lambda k, x, u: np.abs(u) - bound,
             traj_projector=lambda states, actions: (states, actions))
+        # the polish would certify the equilibrium that meets the rows; the
+        # subject is DR's own stop test, so it runs without the polish
+        monkeypatch.setattr(splitting, "active_set_polish", lambda *args: None)
         rep = dr_solve(violated, cfg)
         assert rep.termination == TERM_MAX_ITER
         assert np.min(rep.step_norms) <= cfg.tol
@@ -1062,7 +1065,7 @@ class TestEtaBalancing:
             assert np.max(np.abs(g_new(rescaled) - rescaled)) <= 1e-12
             assert np.max(np.abs(g_new(w) - w)) > 1e-2  # the unscaled point is not
 
-    def test_eta_changes_by_the_factor_until_frozen(self, monkeypatch):
+    def test_eta_changes_by_the_factor_until_frozen(self, monkeypatch, dr_without_polish):
         etas = []
         real = lq.factor
 
@@ -1086,24 +1089,13 @@ class TestEtaBalancing:
         np.testing.assert_allclose(etas, cfg.eta * splitting.BALANCE_FACTOR ** np.arange(4))
         assert frozen.iterations > rep.iterations
 
-    @staticmethod
-    @functools.lru_cache(maxsize=None)
-    def tight_rendezvous(variant):
-        """The rendezvous of (horizon, meet_stage, u_max, terminal_weight) and its tol-1e-11 actions."""
-        T, meet, u_max, weight = variant
-        game = lq_rendezvous_game(LqRendezvousParams(
-            horizon=T, meet_stage=meet, u_max=u_max, terminal_weight=weight))
-        ref = dr_solve(game, DrConfig(eta=0.1, tol=1e-11, max_iter=20_000,
-                                      record_costs=False, run_checks=False))
-        assert ref.termination == TERM_TOLERANCE
-        return game, ref.trajectory.actions
-
     # (10, 8, 1.5, 1000) is the variant where steps of 4 cost the most steps over steps of 2
     @pytest.mark.parametrize("variant", [(10, 8, 1.5, 1000.0), (10, 3, 2.0, 1000.0),
                                          (15, 7, 3.0, 100.0), (30, 12, 2.0, 1000.0)])
     @pytest.mark.parametrize("eta", [1e-5, 1e-4, 10.0])
-    def test_balanced_rendezvous_variants_reach_the_tight_equilibrium(self, variant, eta):
-        game, actions = self.tight_rendezvous(variant)
+    def test_balanced_rendezvous_variants_reach_the_tight_equilibrium(self, variant, eta,
+                                                                      dr_without_polish):
+        game, actions = tight_rendezvous(variant)
         cfg = DrConfig(eta=eta, record_costs=False, run_checks=False)
         rep = dr_solve(game, cfg)
         assert rep.termination == TERM_TOLERANCE and rep.constraint_residual <= cfg.tol
