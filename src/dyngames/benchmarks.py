@@ -81,7 +81,10 @@ def fishery_game(params: FisheryParams = FisheryParams()) -> GameDefinition:
     negated profits.  Efforts live in [0, u_n_max] with an exact clamp
     projector.  The ``traj_rollout`` hook computes every stage's harvest
     rate q1 u1 + q2 u2 at once and runs the stock recursion as one loop
-    over Python floats, bit-identical to the per-stage dynamics.
+    over Python floats, bit-identical to the per-stage dynamics.  The
+    ``traj_constraint_rows`` hook returns the four box rows of every stage
+    at once: their Jacobian is constant and their values are read from the
+    efforts.
     """
     p = params
     T = p.n_stages
@@ -150,6 +153,11 @@ def fishery_game(params: FisheryParams = FisheryParams()) -> GameDefinition:
     def constraint_jac(k, x, u):
         return con_W, con_S
 
+    con_G = np.tile(np.hstack([con_W, con_S]), (T + 1, 1, 1))
+
+    def traj_constraint_rows(states, actions):
+        return con_G.copy(), batch_constraints(None, states, actions), np.ones((T + 1, 4), bool)
+
     lo = np.array([0.0, 0.0])
     hi = np.array([p.u1_max, p.u2_max])
 
@@ -195,6 +203,7 @@ def fishery_game(params: FisheryParams = FisheryParams()) -> GameDefinition:
         traj_dynamics_jacobians=lambda states, actions: jacobians(states[:-1, 0], actions[:-1]),
         traj_projector=lambda states, actions: (states, np.clip(actions, lo, hi)),
         traj_rollout=traj_rollout,
+        traj_constraint_rows=traj_constraint_rows,
         batch_dynamics=batch_dynamics,
         batch_constraints=batch_constraints,
         name="fishery")
@@ -232,8 +241,12 @@ def lq_rendezvous_game(params: LqRendezvousParams = LqRendezvousParams()) -> Gam
     terminal cost is a heavily weighted distance.  Actions are limited to
     norm balls, and all positions must coincide at the meeting stage
     (handled by the analytic projector as a consensus average).  The
-    whole-trajectory cost and projector hooks work on the (T+1, 3, 2) player
-    blocks of all stages at once.
+    whole-trajectory hooks work on the (T+1, 3, 2) player blocks of all
+    stages at once: the costs, their gradients, the projector, the dynamics
+    Jacobians (A_k = B_k = I), and the rows and row Hessians, every stage
+    padded to the meeting stage's 11 rows.
+    Each equals its per-stage callable bit for bit; the cost Hessian blocks
+    are constant arrays.
     """
     p = params
     T = p.horizon
@@ -268,53 +281,77 @@ def lq_rendezvous_game(params: LqRendezvousParams = LqRendezvousParams()) -> Gam
                 cx[n, 2 * n:2 * n + 2] = 2.0 * w_term * dxn
         return cx, cu
 
+    # the stage and terminal cost Hessian blocks (CXX, CXU, CUU), both constant
+    stage_hess, terminal_hess = np.zeros((2, 3, 6, 6)), np.zeros((2, 3, 6, 6))
+    for n in range(3):
+        sl = slice(2 * n, 2 * n + 2)
+        stage_hess[0, n, sl, sl] = 2.0 * np.eye(2)
+        stage_hess[1, n, sl, sl] = 2.0 * w_eff * np.eye(2)
+        terminal_hess[0, n, sl, sl] = 2.0 * w_term * np.eye(2)
+    cross = np.zeros((3, 6, 6))
+
     def cost_hess(k, x, u):
-        cxx = np.zeros((3, 6, 6))
-        cuu = np.zeros((3, 6, 6))
-        for n in range(3):
-            sl = slice(2 * n, 2 * n + 2)
-            if k < T:
-                cxx[n, sl, sl] = 2.0 * np.eye(2)
-                cuu[n, sl, sl] = 2.0 * w_eff * np.eye(2)
-            else:
-                cxx[n, sl, sl] = 2.0 * w_term * np.eye(2)
-        return cxx, np.zeros((3, 6, 6)), cuu
+        cxx, cuu = stage_hess if k < T else terminal_hess
+        return cxx, cross, cuu
+
+    # the meeting rows x_i - x_j <= 0: the four equalities, each written twice
+    meet_i, meet_j = np.array([0, 2, 1, 3, 2, 4, 3, 5]), np.array([2, 0, 3, 1, 4, 2, 5, 3])
+    meet_W = np.zeros((8, 6))
+    meet_W[np.arange(8), meet_i], meet_W[np.arange(8), meet_j] = 1.0, -1.0
+    players = np.arange(3)[:, None]
+    cols = 2 * players + np.arange(2)  # player n's action columns
 
     def constraints(k, x, u):
         # the norms as the projector takes them
         balls = np.linalg.norm(u.reshape(3, 2), axis=1) - p.u_max
         if k != p.meet_stage:
             return balls
-        return np.concatenate([balls, [x[0] - x[2], x[2] - x[0], x[1] - x[3], x[3] - x[1],
-                                       x[2] - x[4], x[4] - x[2], x[3] - x[5], x[5] - x[3]]])
-
-    meet_W = np.zeros((8, 6))
-    for r, (i, j) in enumerate([(0, 2), (1, 3), (2, 4), (3, 5)]):
-        meet_W[2 * r, [i, j]] = meet_W[2 * r + 1, [j, i]] = 1.0, -1.0
-    players = np.arange(3)[:, None]
-    cols = 2 * players + np.arange(2)  # player n's action columns
+        return np.concatenate([balls, x[meet_i] - x[meet_j]])
 
     def unit_actions(u):
-        # each player's action direction and norm; a zero action has direction 0
-        un = u.reshape(3, 2)
-        nrm = np.hypot(un[:, 0], un[:, 1])
-        return np.divide(un, nrm[:, None], out=np.zeros((3, 2)), where=nrm[:, None] > 0), nrm
+        # each player's action direction and norm, (K, 3, 2) and (K, 3), at
+        # K stacked joint actions; a zero action has direction 0
+        un = u.reshape(-1, 3, 2)
+        nrm = np.hypot(un[..., 0], un[..., 1])
+        return np.divide(un, nrm[..., None], out=np.zeros(un.shape), where=nrm[..., None] > 0), nrm
+
+    def ball_hessians(u):
+        # row n's Hessian block over player n's actions, (I - d d') / |u_n|,
+        # 0 at u_n = 0: (K, 3, 2, 2) at K stacked joint actions
+        d, nrm = unit_actions(u)
+        inv = np.divide(1.0, nrm, out=np.zeros(nrm.shape), where=nrm > 0)
+        return (np.eye(2) - d[..., :, None] * d[..., None, :]) * inv[..., None, None]
 
     def constraint_jac(k, x, u):
-        d, _ = unit_actions(u)
         m = 11 if k == p.meet_stage else 3
         W, S = np.zeros((m, 6)), np.zeros((m, 6))
-        S[players, cols] = d
+        d, _ = unit_actions(u)
+        S[players, cols] = d[0]
         W[3:] = meet_W[:m - 3]
         return W, S
 
     def constraint_hess(k, x, u):
-        # row n: (I - d d') / |u_n| on player n's action block, 0 at u_n = 0
-        d, nrm = unit_actions(u)
         H = np.zeros((11 if k == p.meet_stage else 3, 12, 12))
-        inv = np.divide(1.0, nrm, out=np.zeros(3), where=nrm > 0)
-        H[players[..., None], 6 + cols[..., None], 6 + cols[:, None]] = (
-            (np.eye(2) - d[:, :, None] * d[:, None]) * inv[:, None, None])
+        H[players[..., None], 6 + cols[..., None], 6 + cols[:, None]] = ball_hessians(u)[0]
+        return H
+
+    # the padded rows of every stage: 3 balls, and 8 meeting rows at meet_stage
+    real_rows = np.zeros((T + 1, 11), dtype=bool)
+    real_rows[:, :3] = real_rows[p.meet_stage] = True
+
+    def traj_constraint_rows(states, actions):
+        K = actions.shape[0]
+        G, g = np.zeros((K, 11, 12)), np.zeros((K, 11))
+        G[:, players, 6 + cols] = unit_actions(actions)[0]
+        G[p.meet_stage, 3:, :6] = meet_W
+        g[:, :3] = np.linalg.norm(actions.reshape(K, 3, 2), axis=2) - p.u_max
+        g[p.meet_stage, 3:] = states[p.meet_stage, meet_i] - states[p.meet_stage, meet_j]
+        return G, g, real_rows.copy()
+
+    def traj_constraint_hessians(states, actions):
+        H, blocks = np.zeros((actions.shape[0], 11, 12, 12)), ball_hessians(actions)
+        for n in range(3):
+            H[:, n, 6 + 2 * n:8 + 2 * n, 6 + 2 * n:8 + 2 * n] = blocks[:, n]
         return H
 
     tgt_blocks = tgt.reshape(3, 2)
@@ -362,7 +399,11 @@ def lq_rendezvous_game(params: LqRendezvousParams = LqRendezvousParams()) -> Gam
         constraint_jacobians=constraint_jac, constraint_hessians=constraint_hess,
         linear_dynamics=True, quadratic_costs=True,
         traj_costs=traj_costs, traj_cost_gradients=traj_cost_gradients,
+        traj_dynamics_jacobians=lambda states, actions: (np.tile(I6, (T, 1, 1)),
+                                                         np.tile(I6, (T, 1, 1))),
         traj_projector=traj_projector,
+        traj_constraint_rows=traj_constraint_rows,
+        traj_constraint_hessians=traj_constraint_hessians,
         name="lq_rendezvous")
 
 

@@ -36,11 +36,12 @@ games that declare linear dynamics and quadratic costs, in two forms.
   re-reads the rows at its point and pins the near-active ones afresh,
   collapses a row pinned with its own negative (the two inequalities of an
   equality) into one equality, adds the multiplier-weighted row Hessians
-  (``GameDefinition.eval_constraint_hessians``) to every player's cost
+  (``GameDefinition.eval_traj_constraint_hessians``) to every player's cost
   Hessian and solves the game's own data once; a step that does not lower
   the KKT residual is shortened.  A point is certified only when its KKT
-  residual is <= tol.  An attempt takes at most NEWTON_STEPS steps, and a
-  failed one is retried only on the 1-2-5 grid of calls.
+  residual is <= tol.  An attempt takes at most NEWTON_STEPS steps and ends
+  sooner at its rounding floor; a failed one is retried only on the 1-2-5
+  grid of calls.
 
 An action column that moves nothing, as the terminal actions of a game whose
 terminal cost reads the state only, is pinned at its reference in the
@@ -50,7 +51,12 @@ projection from the near-active rows, taken at its own point.
 A solve reads the game's rows and its LQ data or linear dynamics once, at
 the origin (``read_game``); the projections, the resolvents, the polish and
 the report reuse that read, and a function not given it reads for itself.
-The Newton polish reads curved rows at its own points.
+The Newton polish reads curved rows at its own points, each time over the
+whole trajectory at once (``model.read_rows`` and
+``GameDefinition.eval_traj_constraint_hessians``, which call a game's
+whole-trajectory row evaluators where it has them); what does not change
+between its steps, the inert test's part that reads the game's data
+(``lq.idle_actions``), is computed once per attempt.
 """
 
 from __future__ import annotations
@@ -74,6 +80,9 @@ POLISH_DELTA = 1e-3
 # step tries, longest first.
 NEWTON_STEPS = 20
 STEP_LENGTHS = (1.0, 0.5, 0.25)
+# A full Newton step that moves no action by more than ROUNDING_STEP (1 +
+# max|u|) is rounding: the solve is at its floor, where steps stay near 1e-13.
+ROUNDING_STEP = float(np.sqrt(np.finfo(float).eps))
 
 
 def _projection_route(game: GameDefinition) -> Optional[str]:
@@ -338,27 +347,37 @@ class ActiveSetPolish:
         moved as far, whose KKT residual, with the rows read there
         (``read_rows``), is below the last point's; else the shortest.  A
         full step near the solution always is.  Returns None after
-        NEWTON_STEPS steps, at a singular system or a point that is not
-        finite.
+        NEWTON_STEPS steps, at a singular system, at a point that is not
+        finite, and at the rounding floor: a step that pins the same rows as
+        the one before, does not lower the KKT residual and whose full step
+        moves no action by more than ROUNDING_STEP (1 + max|u|).  Far from
+        the floor a step of the same rows may fail to lower the residual
+        and the attempt still certify later; its full step is then of the
+        order of the actions.
         """
         game, data, tol = self.game, self.data, self.tol
+        idle = lq.idle_actions(data)  # the inert test's part that reads the data only
         traj = rollout(game, game.initial_state, cand.actions)
         try:
             rows = read_rows(game, traj.states, traj.actions)
         except NonFiniteDerivativeError:
             return None
         mu = raw = np.zeros(rows.p.shape)  # the start has no multipliers
-        kept, kkt = np.zeros_like(rows.real), np.inf
+        kept, kkt, held_before = np.zeros_like(rows.real), np.inf, None
         for _ in range(NEWTON_STEPS):
             pinned = rows.real & (rows.p >= -POLISH_DELTA) & ~((raw < -tol) & ~kept)
             dropped, partner = _equality_pairs(rows, pinned)
+            held = pinned & ~dropped
             z = np.concatenate([traj.states, traj.actions], axis=1)
             p = rows.p - (rows.G @ z[..., None])[..., 0]  # the rows linearized at z
             try:
                 hess = self._row_hessians(traj, mu)
-                step_data = data if hess is None else replace(
-                    data, C=data.C + hess, c=data.c - (hess @ z[..., None])[..., 0])
-                solved, raw = lq.solve_pinned(step_data, rows.G, p, pinned & ~dropped)
+                step_data, step_idle = data, idle
+                if hess is not None:  # a column with row curvature is not idle
+                    step_data = replace(data, C=data.C + hess,
+                                        c=data.c - (hess @ z[..., None])[..., 0])
+                    step_idle = idle & ~np.any(hess[:, game.state_dim:] != 0, axis=2)
+                solved, raw = lq.solve_pinned(step_data, rows.G, p, held, step_idle)
             except (NonFiniteDerivativeError, StageSingularityError):
                 return None
             ks, js, kept_by = *np.nonzero(dropped), partner[dropped]
@@ -383,20 +402,20 @@ class ActiveSetPolish:
             mu = moved
             if kkt <= tol:
                 return traj, (float("nan"), kkt)
+            if (not kkt < last and np.array_equal(held, held_before)
+                    and np.max(np.abs(solved.actions - base))
+                    <= ROUNDING_STEP * (1.0 + np.max(np.abs(base)))):
+                return None  # the same rows, no progress and a step of rounding: the floor
+            held_before = held
         return None
 
     def _row_hessians(self, traj: Trajectory, mu: Array) -> Optional[Array]:
         """sum_i mu_i grad^2 g_i at every stage, (T+1, n_z, n_z); None where mu is zero."""
-        ks = np.flatnonzero(np.any(mu != 0, axis=1))
-        if not ks.size:
+        if not np.any(mu):
             return None
-        game = self.game
-        n_z = game.state_dim + game.total_action_dim
-        hess = np.zeros((len(mu), n_z, n_z))
-        for k in ks:
-            Hk = game.eval_constraint_hessians(k, traj.states[k], traj.actions[k])
-            hess[k] = (mu[k, :len(Hk)] @ Hk.reshape(len(Hk), -1)).reshape(n_z, n_z)
-        return hess
+        (T1, m), n_z = mu.shape, self.game.state_dim + self.game.total_action_dim
+        H = self.game.eval_traj_constraint_hessians(traj.states, traj.actions, m)
+        return (mu[:, None] @ H.reshape(T1, m, -1)).reshape(T1, n_z, n_z)
 
 
 def _equality_pairs(rows: PaddedRows, near: Array) -> tuple[Array, Array]:
@@ -406,9 +425,8 @@ def _equality_pairs(rows: PaddedRows, near: Array) -> tuple[Array, Array]:
     near and G_j = -G_i, p_j = -p_i exactly, as for the two inequalities of
     an equality; ``partner[k, j]`` is the first such i, pinned in j's stead.
     """
-    G, p = rows.G, rows.p
-    pair = ((p[:, :, None] == -p[:, None]) & near[:, :, None] & near[:, None]
-            & np.triu(np.ones(p.shape[1:] * 2, bool), 1))
+    p, m = np.where(near, rows.p, np.nan), rows.p.shape[1]  # a row not near pairs with none
+    pair = (p[:, :, None] == -p[:, None]) & (np.arange(m)[:, None] < np.arange(m))
     ks, i, j = np.nonzero(pair)  # the offsets match: compare these rows only
-    pair[ks, i, j] = np.all(G[ks, i] == -G[ks, j], axis=1)
+    pair[ks, i, j] = np.all(rows.G[ks, i] == -rows.G[ks, j], axis=1)
     return pair.any(axis=1), np.argmax(pair, axis=1)

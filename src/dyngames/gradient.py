@@ -105,12 +105,15 @@ def solve_costates(A: Array, CX: Array) -> Array:
     T = T1 - 1
     kd = max(2 * n_x - 1, 0)
     # Band storage: ab[kd + r - c, c] = M[r, c].  Row k n_x + i and column
-    # (k+1) n_x + j hold -A_k[j, i], band row n_x - 1 + i - j.  The unit
-    # diagonal (band row kd) is implied by diag="U".
+    # (k+1) n_x + j hold -A_k[j, i], band row n_x - 1 + i - j, which the
+    # strided view blocks[k, i, j] is.  The unit diagonal (band row kd) is
+    # implied by diag="U".
     ab = np.zeros((kd + 1, T1 * n_x), order="F")
-    i, j = np.indices((n_x, n_x))
-    cols = n_x * np.arange(1, T + 1)[:, None, None] + j
-    ab[n_x - 1 + i - j, cols] = -np.swapaxes(A, 1, 2)
+    item = ab.itemsize
+    blocks = np.lib.stride_tricks.as_strided(
+        ab[n_x - 1:, n_x:], shape=(T, n_x, n_x),
+        strides=(item * n_x * (kd + 1), item, item * kd))
+    blocks[...] = -np.swapaxes(A, 1, 2)
     rhs = CX.transpose(0, 2, 1).reshape(T1 * n_x, N)
     om, info = lapack.dtbtrs(ab, rhs, uplo="U", diag="U")
     if info != 0:

@@ -44,7 +44,9 @@ count and the cost stays O(T).  An action column that moves nothing (no
 dynamics read it, its owner's cost has no gradient or curvature in it and
 no held row touches it, as for the terminal actions of the paper
 rendezvous) would leave a zero row; ``solve_pinned`` pins it at du = 0
-instead (``_inert_actions``).  It is the kernel of the active-set polish
+instead (``_inert_actions``).  Which columns the data alone leaves idle
+(``idle_actions``) a caller that solves the same data many times may compute
+once.  It is the kernel of the active-set polish
 (``certificate.ActiveSetPolish``).
 
 The same factor solves every QP over a whole stacked trajectory
@@ -200,12 +202,20 @@ def _kkt_factor(data: LqGameData, eta: Optional[float] = None,
     ix, iu = m, m + n_x  # offsets of x_k and u_k in a block
     lam, nb = iu + n_u, iu + n_u + N * n_x  # offset of the costates in a block, block size
     n = T1 * nb
-    owner, own = np.repeat(np.arange(N), data.action_dims), np.arange(n_u)
+    A, B, C, c = data.A, data.B, data.C, data.c  # C: (N, T+1, n_x + n_u, n_x + n_u)
+    # player i's action columns a:b, and the rows of its costates (its
+    # stationarity in x_{k+1}) in a block: the blocks below are written by
+    # slices, one player at a time
+    players, a = [], 0
+    for i, d in enumerate(data.action_dims):
+        players.append((a, a + d, slice(lam + i * n_x, lam + (i + 1) * n_x)))
+        a += d
     rhs = np.zeros((T1, nb))
     rhs[0, ix:iu] = data.initial_state
     rhs[1:, ix:iu] = data.b
-    rhs[:, iu:lam] = -data.c[owner, :, n_x + own].T
-    rhs[:T, lam:] = -data.c[:, 1:, :n_x].swapaxes(0, 1).reshape(T, N * n_x)
+    for i, (a, b, costate) in enumerate(players):
+        rhs[:, iu + a:iu + b] = -c[i, :, n_x + a:n_x + b]
+        rhs[:T, costate] = -c[i, 1:, :n_x]
     spread = np.zeros((n_u + n_x, nb))  # every player's stationarity in x_{k+1} gets y_{k+1}
     spread[:n_u, iu:lam] = np.eye(n_u)
     spread[n_u:, lam:] = np.tile(np.eye(n_x), N)
@@ -214,35 +224,34 @@ def _kkt_factor(data: LqGameData, eta: Optional[float] = None,
     # LAPACK band storage puts entry (i, j) at row kl + ku + i - j of column j.
     # D[k, a, c] views it as row a of block k against column c of blocks k-1,
     # k and k+1, with one spare block on either side.  Entries outside the
-    # band alias others, so only blocks inside the band are written.
+    # band alias others, so only blocks inside the band are written.  The
+    # main diagonal is row kl + ku; ``diag[k, a]`` views entry (a, a) of block k.
     band = np.zeros((ldab, n + 2 * nb), order="F")
     D = np.lib.stride_tricks.as_strided(
         band[kl + ku + nb:], shape=(T1, nb, 3 * nb),
         strides=(band.itemsize * nb * ldab, band.itemsize, band.itemsize * (ldab - 1)))
-    D[:, ix:iu, nb + ix:nb + iu] = np.eye(n_x)
-    D[1:, ix:iu, ix:lam] = -np.concatenate([data.A, data.B], axis=2)
-    C = data.C  # (N, T+1, n_x + n_u, n_x + n_u)
-    D[:, iu:lam, nb + ix:nb + lam] = np.moveaxis(C[owner, :, n_x + own], 0, 1)
-    lam_cols = nb + lam + owner[:, None] * n_x + np.arange(n_x)
-    D[:T, iu + own[:, None], lam_cols] = data.B.swapaxes(1, 2)
-    diag = np.arange(lam, nb)
-    D[:, diag, nb + diag] = -1.0
-    QX = C[:, 1:, :n_x].swapaxes(0, 1)  # (T, N, n_x, n_x + n_u)
-    D[:T, lam:, 2 * nb + ix:2 * nb + lam] = QX.reshape(T, N * n_x, n_x + n_u)
-    rows = (lam + np.arange(N)[:, None] * n_x + np.arange(n_x))[..., None]
-    D[:T - 1, rows, 2 * nb + rows.swapaxes(1, 2)] = data.A[1:, None].swapaxes(2, 3)
+    diag = band[kl + ku, nb:nb + n].reshape(T1, nb)
+    diag[:, ix:iu] = 1.0  # the pin of x_0 or the dynamics into x_k
+    diag[:, lam:] = -1.0
+    D[1:, ix:iu, ix:iu] = -A
+    D[1:, ix:iu, iu:lam] = -B
+    for i, (a, b, costate) in enumerate(players):
+        D[:, iu + a:iu + b, nb + ix:nb + lam] = C[i, :, n_x + a:n_x + b]
+        D[:T, iu + a:iu + b, nb + costate.start:nb + costate.stop] = B[:, :, a:b].swapaxes(1, 2)
+        D[:T, costate, 2 * nb + ix:2 * nb + lam] = C[i, 1:, :n_x]
+        D[:T - 1, costate, 2 * nb + costate.start:2 * nb + costate.stop] = A[1:].swapaxes(1, 2)
     if m:
         # the held rows of stage k, and mu_k in every player's stationarity in
         # its own u_k (block k) and in x_k (block k-1); x_0 is pinned instead
         G, p, held = pinned
         rhs[:, :m] = -p
         D[:, :m, nb + ix:nb + lam] = G
-        D[:, np.arange(m), nb + np.arange(m)] = ~held
+        diag[:, :m] = ~held
         D[:, iu:lam, nb:nb + m] = G[..., n_x:].swapaxes(1, 2)
-        D[:T, lam:, 2 * nb:2 * nb + m] = np.tile(G[1:, :, :n_x].swapaxes(1, 2), (1, N, 1))
+        for *_, costate in players:
+            D[:T, costate, 2 * nb:2 * nb + m] = G[1:, :, :n_x].swapaxes(1, 2)
     if inert is not None:
-        ks, js = np.nonzero(inert)
-        D[ks, iu + js, nb + iu + js] = 1.0  # the row was zero, its right-hand side too
+        diag[:, iu:lam][inert] = 1.0  # the row was zero, its right-hand side too
     band = band[:, nb:nb + n]
     anorm = float(np.max(np.abs(band[kl:]).sum(axis=0)))  # rows above kl are LU workspace
     lu, piv, info = lapack.dgbtrf(band, kl, ku, overwrite_ab=True)
@@ -287,8 +296,8 @@ def factor(game: GameDefinition, eta: float, data: Optional[LqGameData] = None) 
                                   *_origin(game)), 0.0)
 
 
-def solve_pinned(data: LqGameData, G: Array, p: Array,
-                 pinned: Array) -> tuple[Trajectory, Array]:
+def solve_pinned(data: LqGameData, G: Array, p: Array, pinned: Array,
+                 idle: Optional[Array] = None) -> tuple[Trajectory, Array]:
     """Open-loop equilibrium with the ``pinned`` rows held as equalities.
 
     G (T+1, m, n_x+n_u) and p (T+1, m) hold every stage's rows
@@ -299,12 +308,15 @@ def solve_pinned(data: LqGameData, G: Array, p: Array,
     player's in x_k (the variational equilibrium).
     The rows join the stacked KKT system in band: stage k's held rows and
     their multipliers lead block k, padded to the largest held count.
-    Inert action columns (``_inert_actions``) are held at du = 0.
+    Inert action columns (``_inert_actions``) are held at du = 0; ``idle``
+    is ``idle_actions(data)``, the part of that test that reads ``data``
+    only, computed here when None.
     Returns the trajectory and mu (T+1, m), zero off the held rows.  Raises
     StageSingularityError when the system is singular, as for dependent
     held rows.
     """
-    fac, sol, mu = _pinned_solve(data, G, p, pinned, _inert_actions(data, G, pinned))
+    idle = idle_actions(data) if idle is None else idle
+    fac, sol, mu = _pinned_solve(data, G, p, pinned, _inert_actions(idle, G, pinned))
     return Trajectory(*fac._split(sol)), mu
 
 
@@ -329,24 +341,35 @@ def _pinned_solve(data: LqGameData, G: Array, p: Array, pinned: Array,
     return fac, sol, mu
 
 
-def _inert_actions(data: LqGameData, G: Array, held: Array) -> Optional[Array]:
-    """The action columns that move nothing: (T+1, n_u) bool, or None if there are none.
+def idle_actions(data: LqGameData) -> Array:
+    """The action columns ``data`` leaves idle: (T+1, n_u) bool.
 
-    Column j of stage k is inert when no dynamics read it (a zero column of
-    B_k; every column at k = T), its owner's cost has no gradient or Hessian
-    row in it and no row of ``G`` (T+1, m, n_x+n_u) marked in ``held``
-    touches it, as for the terminal actions of a game whose terminal cost
-    reads the state only.  Its stationarity row in the KKT system is then
-    zero.
+    Column j of stage k is idle when no dynamics read it (a zero column of
+    B_k; every column at k = T) and its owner's cost has no gradient or
+    Hessian row in it, as for the terminal actions of a game whose terminal
+    cost reads the state only.
     """
-    n_x, n_u = np.size(data.initial_state), G.shape[2] - np.size(data.initial_state)
+    (_, T1, n_z), n_x = data.c.shape, np.size(data.initial_state)
+    n_u = n_z - n_x
     owner, own = np.repeat(np.arange(len(data.action_dims)), data.action_dims), np.arange(n_u)
     if np.all(data.C[owner, :, n_x + own, n_x + own]):  # every column has curvature
+        return np.zeros((T1, n_u), dtype=bool)
+    idle = (~np.any(data.C[owner, :, n_x + own] != 0, axis=2)
+            & (data.c[owner, :, n_x + own] == 0)).T
+    idle[:-1] &= ~np.any(data.B != 0, axis=1)
+    return idle
+
+
+def _inert_actions(idle: Array, G: Array, held: Array) -> Optional[Array]:
+    """The action columns that move nothing: (T+1, n_u) bool, or None if there are none.
+
+    They are the ``idle`` columns (``idle_actions``) that no row of ``G``
+    (T+1, m, n_x+n_u) marked in ``held`` touches.  The stationarity row of
+    such a column in the KKT system is zero.
+    """
+    if not idle.any():
         return None
-    inert = (~np.any(data.C[owner, :, n_x + own] != 0, axis=2)
-             & (data.c[owner, :, n_x + own] == 0)).T
-    inert[:-1] &= ~np.any(data.B != 0, axis=1)
-    inert &= ~np.any((G[..., n_x:] != 0) & held[..., None], axis=1)
+    inert = idle & ~np.any((G[..., G.shape[2] - idle.shape[1]:] != 0) & held[..., None], axis=1)
     return inert if inert.any() else None
 
 

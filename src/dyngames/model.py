@@ -19,8 +19,9 @@ the DR resolvents, and ``gradient``'s curvature test and operator constants.
 Each player's stage cost model is one gradient and one symmetric Hessian
 over z = (x, u), the layout every reader uses; no reader needs the stage
 costs themselves.  The stage rows have one layout too, ``PaddedRows``, and
-one reader, ``read_rows``, which reads every stage once; ``quadraticize``
-marks the active rows with a mask of the same shape.
+one reader, ``read_rows``, which reads every stage once, all in one call
+where the game has ``traj_constraint_rows``; ``quadraticize`` marks the
+active rows with a mask of the same shape.
 """
 
 from __future__ import annotations
@@ -78,6 +79,17 @@ class GameDefinition:
       terminal action never enters the dynamics), like
       ``dynamics_jacobians``;
 
+    Two more return every stage's rows padded to a common count m, in the
+    layout of ``PaddedRows`` (zero in the padding):
+
+    * ``traj_constraint_rows(states, actions) -> (G, p, real)`` with G of
+      shape (T+1, m, n_x+n_u), row i of G[k] and p[k] equal to row i of
+      ``eval_constraint_rows`` at stage k ([W_k S_k] and the values), and
+      ``real`` (T+1, m) bool marking the m_k rows that stage k has;
+    * ``traj_constraint_hessians(states, actions) -> H`` of shape (T+1, m,
+      n_x+n_u, n_x+n_u), H[k, :m_k] equal to ``eval_constraint_hessians``
+      at stage k, with the same m as the rows.
+
     One more hook takes the initial state instead of the state sequence:
 
     * ``traj_rollout(x0, actions) -> states`` with ``actions`` the
@@ -94,7 +106,9 @@ class GameDefinition:
     names the first misfit stage of a per-stage stack.
     ``eval_traj_cost_hessians`` has no hook: it stacks the per-stage
     ``eval_cost_hessians`` and joins their three blocks into one Hessian
-    over (x, u), the one place the blocks are joined.
+    over (x, u), the one place the blocks are joined.  The rows' hooks are
+    read by ``read_rows`` and ``eval_traj_constraint_hessians``, which
+    follow the same rule and pad a per-stage stack to the common count.
 
     The analytic projector has only the whole-trajectory form:
     ``traj_projector(states, actions) -> (states, actions)`` projects every
@@ -140,6 +154,8 @@ class GameDefinition:
     traj_dynamics_jacobians: Optional[Callable[[Array, Array], tuple]] = None
     traj_projector: Optional[Callable[[Optional[Array], Array], tuple]] = None
     traj_rollout: Optional[Callable[[Array, Array], Array]] = None
+    traj_constraint_rows: Optional[Callable[[Array, Array], tuple]] = None
+    traj_constraint_hessians: Optional[Callable[[Array, Array], Array]] = None
     # Optional batch evaluators; shapes in the class docstring.
     batch_dynamics: Optional[Callable[[int, Array, Array], Array]] = None
     batch_constraints: Optional[Callable[[int, Array, Array], Array]] = None
@@ -306,6 +322,23 @@ class GameDefinition:
                 for k in range(self.horizon)]
         return tuple(_checked_stages(what, [r[i] for r in read], shape)
                      for i, (what, shape) in enumerate(shapes.items()))
+
+    def eval_traj_constraint_hessians(self, states: Array, actions: Array, m: int) -> Array:
+        """Every stage's row Hessians padded to m rows: (T+1, m, n_z, n_z), n_z = n_x + n_u.
+
+        m is the rows' common count (``read_rows``); the padding is zero.
+        """
+        n_z, lead = self.state_dim + self.total_action_dim, (self.horizon + 1, m)
+        if self.traj_constraint_hessians is not None:
+            return _checked("trajectory constraint Hessians",
+                            self.traj_constraint_hessians(states, actions), lead + (n_z, n_z))
+        H = np.zeros(lead + (n_z, n_z))
+        for k in range(self.horizon + 1):
+            Hk = self.eval_constraint_hessians(k, states[k], actions[k])
+            if len(Hk) > m:
+                raise DimensionError("constraint Hessians", (m, n_z, n_z), Hk.shape, stage=k)
+            H[k, :len(Hk)] = Hk
+        return H
 
     def eval_traj_projection(self, states: Optional[Array],
                              actions: Array) -> tuple[Optional[Array], Array]:
@@ -594,17 +627,29 @@ class PaddedRows:
 
 
 def read_rows(game: GameDefinition, states: Array, actions: Array) -> PaddedRows:
-    """The one reader of the rows: every stage's, one ``eval_constraint_rows`` each.
+    """The one reader of the rows: the game's ``traj_constraint_rows``, else every stage's.
 
     The rows are W_k dx + S_k du + p_k <= 0 in deviations from (states,
     actions), p_k their values there; affine rows read at the origin are the
-    rows themselves.  A game without constraints has none (m = 0).
+    rows themselves.  A game without constraints has none (m = 0).  The
+    whole-trajectory hook is called once and its output shape-checked once
+    (DimensionError); without it each stage is read by
+    ``eval_constraint_rows``, which names a misfit stage.
     """
-    T1 = game.horizon + 1
+    T1, n_x, n_z = game.horizon + 1, game.state_dim, game.state_dim + game.total_action_dim
+    if game.traj_constraint_rows is not None:
+        G, p, real = game.traj_constraint_rows(states, actions)
+        m = np.shape(p)[1] if np.ndim(p) == 2 else "m"
+        p = _checked("trajectory constraint values", p, (T1, m))
+        real = np.asarray(real, dtype=bool)
+        if real.shape != p.shape:
+            raise DimensionError("trajectory real-row mask", p.shape, real.shape)
+        return PaddedRows(_checked("trajectory constraint Jacobians", G, p.shape + (n_z,)),
+                          p, real, n_x)
     read = [game.eval_constraint_rows(k, states[k], actions[k]) for k in range(T1)]
-    sizes, n_x = np.array([p.size for _, _, p in read], dtype=int), game.state_dim
+    sizes = np.array([p.size for _, _, p in read], dtype=int)
     real = np.arange(sizes.max()) < sizes[:, None]
-    G, p = np.zeros(real.shape + (n_x + game.total_action_dim,)), np.zeros(real.shape)
+    G, p = np.zeros(real.shape + (n_z,)), np.zeros(real.shape)
     for k, (Wk, Sk, pk) in enumerate(read):
         G[k, :pk.size, :n_x], G[k, :pk.size, n_x:], p[k, :pk.size] = Wk, Sk, pk
     return PaddedRows(G, p, real, n_x)

@@ -22,7 +22,7 @@ from dyngames.model import GameDefinition, Trajectory, rollout, total_cost
 from dyngames.projgrad import ProjGradConfig, project_onto_feasible, projected_gradient_solve
 from dyngames.splitting import DrConfig, dr_solve
 
-from instances import equality_constrained_lq_instance
+from instances import RENDEZVOUS_VARIANTS, equality_constrained_lq_instance
 from oracles import fishery_stage_projection, rendezvous_stage_projection
 
 
@@ -245,6 +245,10 @@ class TestRendezvousGame:
         no_states, U_only = game.traj_projector(None, actions)
         assert no_states is None
         np.testing.assert_array_equal(U_only, U)
+        per_stage = dataclasses.replace(game, traj_dynamics_jacobians=None)
+        for hooked, stacked in zip(game.eval_traj_dynamics_jacobians(states, actions),
+                                   per_stage.eval_traj_dynamics_jacobians(states, actions)):
+            np.testing.assert_array_equal(hooked, stacked)
 
     @given(rendezvous_cases())
     def test_row_derivatives_match_finite_differences(self, case):
@@ -316,6 +320,66 @@ class TestRendezvousGame:
         # a coordinate gap to tol: two gaps of two coordinates each
         assert rendezvous_residual(rep.trajectory, params) <= 2 * np.sqrt(2) * cfg.tol
         assert rendezvous_residual(rep.trajectory) > 1.0  # stage 5, where they have not met
+
+
+def per_stage_rows(game):
+    """The game without its whole-trajectory row evaluators."""
+    return dataclasses.replace(game, traj_constraint_rows=None, traj_constraint_hessians=None)
+
+
+class TestWholeTrajectoryRows:
+    @pytest.mark.parametrize("variant", [None] + RENDEZVOUS_VARIANTS)  # None: the fishery
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_match_the_per_stage_read_bit_for_bit(self, variant, seed):
+        if variant is None:
+            game = fishery_game()
+        else:
+            T, meet, u_max, weight = variant
+            game = lq_rendezvous_game(LqRendezvousParams(
+                horizon=T, meet_stage=meet, u_max=u_max, terminal_weight=weight))
+        rng = np.random.default_rng(seed)
+        T1, n_u = game.horizon + 1, game.total_action_dim
+        states = 5.0 * rng.standard_normal((T1, game.state_dim))
+        some_zero = 2.0 * rng.standard_normal((T1, n_u))
+        some_zero[rng.random(T1) < 0.3] = 0.0
+        # at a zero action each ball row's unit direction is defined as 0
+        for actions in (some_zero, np.zeros((T1, n_u))):
+            hooked = model.read_rows(game, states, actions)
+            stacked = model.read_rows(per_stage_rows(game), states, actions)
+            for name in ("G", "p", "real"):
+                np.testing.assert_array_equal(getattr(hooked, name), getattr(stacked, name))
+            if game.traj_constraint_hessians is not None:
+                m = hooked.p.shape[1]
+                np.testing.assert_array_equal(
+                    game.eval_traj_constraint_hessians(states, actions, m),
+                    per_stage_rows(game).eval_traj_constraint_hessians(states, actions, m))
+
+    @pytest.mark.parametrize("misfit, what", [
+        (lambda G, p, real: (G[:, :-1], p, real), "trajectory constraint Jacobians"),
+        (lambda G, p, real: (G[..., :-1], p, real), "trajectory constraint Jacobians"),
+        (lambda G, p, real: (G, p[:-1], real), "trajectory constraint values"),
+        (lambda G, p, real: (G, p.ravel(), real), "trajectory constraint values"),
+        (lambda G, p, real: (G, p, real[:, :-1]), "trajectory real-row mask")])
+    def test_misshapen_rows_are_rejected(self, misfit, what):
+        game = lq_rendezvous_game()
+        rows = game.traj_constraint_rows
+        bad = dataclasses.replace(game, traj_constraint_rows=lambda X, U: misfit(*rows(X, U)))
+        traj = rollout(game, game.initial_state, np.ones((11, 6)))
+        with pytest.raises(DimensionError, match=what):
+            model.read_rows(bad, traj.states, traj.actions)
+
+    @pytest.mark.parametrize("misfit", [lambda H: H[:, :-1], lambda H: H[..., :-1],
+                                        lambda H: H[:-1]])
+    def test_misshapen_hessians_are_rejected(self, misfit):
+        game = lq_rendezvous_game()
+        hess = game.traj_constraint_hessians
+        bad = dataclasses.replace(game, traj_constraint_hessians=lambda X, U: misfit(hess(X, U)))
+        traj = rollout(game, game.initial_state, np.ones((11, 6)))
+        with pytest.raises(DimensionError, match="trajectory constraint Hessians"):
+            bad.eval_traj_constraint_hessians(traj.states, traj.actions, 11)
+        # a stage with more rows than the padded count, on the per-stage path
+        with pytest.raises(DimensionError, match="at stage 5"):
+            per_stage_rows(game).eval_traj_constraint_hessians(traj.states, traj.actions, 3)
 
 
 class TestNoiseComparison:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, strategies as st
 
 from dyngames import certificate, denseqp, lq, model, splitting
-from dyngames.benchmarks import fishery_game, lq_rendezvous_game
+from dyngames.benchmarks import LqRendezvousParams, fishery_game, lq_rendezvous_game
 from dyngames.certificate import (NEWTON_STEPS, ActiveSetPolish, _equality_pairs,
                                   active_set_polish, kkt_residual, natural_residual,
                                   near_active)
@@ -306,22 +306,37 @@ class TestNewtonPolish:
         assert reads[0] == solves[0] + 1 and quadratic[0] == 0
 
     def test_an_uncertified_attempt_is_retried_on_the_grid_only(self, monkeypatch):
-        # at tol 1e-14 no attempt certifies: each takes NEWTON_STEPS steps
+        # at tol 1e-14 no attempt certifies: each stops at the rounding floor,
+        # its KKT residual near 1e-9, before NEWTON_STEPS steps
         game = lq_rendezvous_game()
-        starts = []
+        steps = []
         newton = ActiveSetPolish._newton
+        solves = count_calls(monkeypatch, lq, "solve_pinned")
 
         def spy(self, cand):
-            starts.append(cand)
-            return newton(self, cand)
+            before = solves[0]
+            out = newton(self, cand)
+            steps.append(solves[0] - before)
+            return out
 
         monkeypatch.setattr(ActiveSetPolish, "_newton", spy)
-        solves = count_calls(monkeypatch, lq, "solve_pinned")
         rep = dr_solve(game, DrConfig(tol=1e-14, max_iter=30, record_costs=False,
                                       run_checks=False))
         assert (rep.termination, rep.iterations) == ("max_iter", 30)
-        assert len(starts) == 5 and solves[0] == 5 * NEWTON_STEPS  # steps 1, 2, 5, 10, 20
+        assert len(steps) == 5  # steps 1, 2, 5, 10 and 20
+        assert all(6 <= n < NEWTON_STEPS for n in steps)
         assert np.isnan(rep.kkt_residual)
+
+    def test_a_step_without_progress_far_from_the_floor_does_not_end_the_attempt(self,
+                                                                                 monkeypatch):
+        # from eta 1e-5 the second and third steps pin the same rows and leave
+        # the KKT residual near 2e3, their full steps of the order of the
+        # actions; the attempt goes on and certifies after the first DR step
+        game = lq_rendezvous_game(LqRendezvousParams(meet_stage=8, u_max=1.5))
+        solves = count_calls(monkeypatch, lq, "solve_pinned")
+        rep = dr_solve(game, DrConfig(eta=1e-5, record_costs=False, run_checks=False))
+        assert rep.iterations == 1 and rep.kkt_residual <= 1e-8
+        assert solves[0] <= 10
 
     def test_an_attempt_on_non_finite_row_hessians_fails_and_the_run_goes_on(self):
         game = lq_rendezvous_game()
@@ -329,10 +344,16 @@ class TestNewtonPolish:
         def nan_hessians(k, x, u):
             return np.full(game.constraint_hessians(k, x, u).shape, np.nan)
 
-        broken = dataclasses.replace(game, constraint_hessians=nan_hessians)
-        rep = dr_solve(broken, DrConfig(max_iter=3, record_costs=False, run_checks=False))
-        assert (rep.termination, rep.iterations) == ("max_iter", 3)
-        assert np.isnan(rep.kkt_residual)
+        def nan_traj_hessians(states, actions):
+            return np.full(game.traj_constraint_hessians(states, actions).shape, np.nan)
+
+        # the per-stage Hessians, then the whole-trajectory hook
+        for broken in (dataclasses.replace(game, constraint_hessians=nan_hessians,
+                                           traj_constraint_hessians=None),
+                       dataclasses.replace(game, traj_constraint_hessians=nan_traj_hessians)):
+            rep = dr_solve(broken, DrConfig(max_iter=3, record_costs=False, run_checks=False))
+            assert (rep.termination, rep.iterations) == ("max_iter", 3)
+            assert np.isnan(rep.kkt_residual)
 
     def test_equality_pairs_collapse_to_their_first_row(self):
         game = lq_rendezvous_game()

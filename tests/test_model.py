@@ -288,9 +288,9 @@ class TestTrajectoryEvaluators:
     @pytest.mark.parametrize("name, misfit, hooks, read", [
         ("constraints", lambda g: g[:, None], dict(batch_constraints=None),
          lambda game, traj: traj.constraint_violation(game)),
-        ("constraints", lambda g: g[:, None], {},
+        ("constraints", lambda g: g[:, None], dict(traj_constraint_rows=None),
          lambda game, traj: read_rows(game, traj.states, traj.actions)),
-        ("constraints", lambda g: g[:, None], {},
+        ("constraints", lambda g: g[:, None], dict(traj_constraint_rows=None),
          lambda game, traj: quadraticize(game, traj)),
         ("dynamics", lambda f: np.append(f, f), {},
          lambda game, traj: check_feasible(game, traj)),
@@ -668,11 +668,18 @@ class TestActiveSets:
             calls.append(k)
             return game.constraints(k, x, u)
 
-        counted_game = dataclasses.replace(game, constraints=counted)
+        # the per-stage read, without the whole-trajectory hook
+        counted_game = dataclasses.replace(game, constraints=counted, traj_constraint_rows=None)
         traj = rollout(game, game.initial_state, np.tile([0.2, 0.15], (1001, 1)))
         data = quadraticize(counted_game, traj)
         assert len(calls) == 1001
         assert data.active.shape == (1001, 4) and not data.active.any()
+        # the hook reads every stage in one call, the same rows
+        calls.clear()
+        hooked = quadraticize(dataclasses.replace(game, constraints=counted), traj)
+        assert calls == []
+        for name in ("G", "p", "real"):
+            np.testing.assert_array_equal(getattr(hooked.rows, name), getattr(data.rows, name))
 
     def test_jacobian_row_count_must_match_the_rows(self):
         game = dataclasses.replace(
