@@ -84,7 +84,8 @@ def fishery_game(params: FisheryParams = FisheryParams()) -> GameDefinition:
     over Python floats, bit-identical to the per-stage dynamics.  The
     ``traj_constraint_rows`` hook returns the four box rows of every stage
     at once: their Jacobian is constant and their values are read from the
-    efforts.
+    efforts.  The cost and dynamics Hessians are constant, and their
+    whole-trajectory hooks tile one stage's.
     """
     p = params
     T = p.n_stages
@@ -158,8 +159,13 @@ def fishery_game(params: FisheryParams = FisheryParams()) -> GameDefinition:
     def traj_constraint_rows(states, actions):
         return con_G.copy(), batch_constraints(None, states, actions), np.ones((T + 1, 4), bool)
 
-    lo = np.array([0.0, 0.0])
-    hi = np.array([p.u1_max, p.u2_max])
+    # every stage's bounds, so the clamp broadcasts nothing
+    lo = np.zeros((T + 1, 2))
+    hi = np.tile([p.u1_max, p.u2_max], (T + 1, 1))
+    # the second derivatives are the same at every point and stage
+    cxx, cxu, cuu = cost_hess(None, None, None)
+    cost_H = np.block([[cxx, cxu], [cxu.swapaxes(1, 2), cuu]])
+    dyn_H = dyn_hess(None, None, None)
 
     def traj_costs(states, actions):
         xs = states[:, 0]
@@ -204,6 +210,8 @@ def fishery_game(params: FisheryParams = FisheryParams()) -> GameDefinition:
         traj_projector=lambda states, actions: (states, np.clip(actions, lo, hi)),
         traj_rollout=traj_rollout,
         traj_constraint_rows=traj_constraint_rows,
+        traj_cost_hessians=lambda states, actions: np.tile(cost_H, (len(states), 1, 1, 1)),
+        traj_dynamics_hessians=lambda states, actions: np.tile(dyn_H, (len(states) - 1, 1, 1, 1)),
         batch_dynamics=batch_dynamics,
         batch_constraints=batch_constraints,
         name="fishery")

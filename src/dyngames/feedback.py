@@ -5,6 +5,10 @@ approximation with the active inequality constraints pinned as equalities.
 One backward sweep carries each player's value Hessian and costate row from
 stage to stage and solves an equality-constrained quadratic stage game at
 every step, producing affine gains ``du_k = K_k dx_k + s_k`` in O(T) work.
+The game is read once, the stage work that does not depend on the value
+Hessians is done before the sweep, and the sweep runs the recursion only:
+the rank and residual checks of every stage law run in batches, and a
+failure names the stage a stage-by-stage sweep would meet first.
 At an open-loop equilibrium reference the offsets vanish and the policy
 reduces to ``u_k = ubar_k + K_k (x_k - xbar_k)``.  The pass is the policy
 pass only: open-loop Newton steps on a game are solved by the banded ``lq``
@@ -28,15 +32,14 @@ from typing import Optional
 
 import numpy as np
 
-from . import lq
+from . import lq, parametric
 from .errors import (DimensionError, InfeasibleConstraintsError, NonFiniteStateError,
-                     SubproblemError)
+                     StageSingularityError, SubproblemError)
 from .gradient import _convexity_pass
 # The LQ open-loop solver lives in ``lq``; these names stay importable here.
 from .lq import extract_lq_data, solve_lq_open_loop  # noqa: F401
 from .model import (DEFAULT_ACTIVE_TOL, GameDefinition, LqGameData, Trajectory, _checked,
                     quadraticize)
-from .parametric import solve_stage_kkt
 
 Array = np.ndarray
 
@@ -88,9 +91,22 @@ def stagewise_newton_backward(game: GameDefinition, traj: Trajectory,
                               stage_reg: float = 0.0) -> FeedbackPolicy:
     """One O(T) backward pass of the constrained stagewise Newton recursion.
 
-    The rows active at the reference are pinned in each stage game.  Raises
-    StageSingularityError when a stage KKT system is singular or active rows
-    are rank deficient, naming the stage.
+    The rows active at the reference are pinned in each stage game.  The
+    game is read once (``quadraticize``), and everything that does not
+    depend on the next stage's value Hessians is built before the loop:
+    the active rows of every stage, gathered held-first as ``lq`` gathers
+    pinned rows, their part of the stage systems, and their full-row-rank
+    test, one batched SVD per active-row count.  The loop runs the
+    recursion only: per stage it writes the players' own rows into the
+    stage system, solves it once and updates the value Hessians and
+    costates.  The stage KKT residuals are tested after the loop, all
+    stages in one batch.
+
+    Raises StageSingularityError naming the stage a stage-by-stage pass
+    would meet first from T down: when a stage's rows are rank deficient or
+    its system is singular, the residual test runs over the stages above
+    it, and the highest failing one is raised, else that stage's own error;
+    after the loop, the highest stage that fails its residual test.
 
     ``stage_reg`` adds a Levenberg-style quadratic penalty on the action
     correction to every player's stage objective.  Games whose costs are
@@ -108,45 +124,75 @@ def stagewise_newton_backward(game: GameDefinition, traj: Trajectory,
     nz = n_x + n_u
     C, grads = data.C, data.c
     AB = np.concatenate([data.A, data.B], axis=2)
+    ABt = AB.swapaxes(1, 2)
     # every player's rows of its own action block, as one fancy index
-    own_rows = n_x + np.arange(n_u)
+    owner, own_rows = game.owner, n_x + np.arange(n_u)
     GG = data.G.reshape(T, n_x, nz * nz)
-    rows, W, S = data.rows, data.rows.W, data.rows.S  # views of rows.G
-    eye, reg = np.eye(n_x), stage_reg * np.eye(n_u)
+    reg = stage_reg * np.eye(n_u)
+
+    # The active rows, held first: stage k's m_k rows are rows :m_k of Ga.
+    Ga, pa, held, _ = lq.held_first(data.active, data.rows.G, data.rows.p)
+    Wa, Sa = Ga[..., :n_x], Ga[..., n_x:]
+    m = held.sum(axis=1)
+    size = n_u + m  # each stage system's order
+    full_rank = np.ones(T + 1, dtype=bool)
+    for count in np.unique(m[m > 0]):
+        at = np.flatnonzero(m == count)
+        full_rank[at] = parametric._full_row_rank(Sa[at, :count])
+    # [F S'; S 0] and [-P -H; -W -p] of every stage; F, P and H are written in the loop
+    KKT, rhs = parametric._kkt_system(np.zeros((n_u, n_u)), np.zeros((n_u, n_x)),
+                                      np.zeros(n_u), Wa, Sa, pa)
+    sol = np.zeros_like(rhs)  # [K s; lam_K lam_s], zero in the padding
+
+    def check_from(k):
+        """The residual test of stages k..T, the highest failing stage raised."""
+        R = KKT[k:] @ sol[k:] - rhs[k:]
+        scale = parametric._data_scale(KKT[k:, :n_u, :n_u], rhs[k:, :n_u, :n_x],
+                                       rhs[k:, :n_u, n_x])
+        parametric._check_residual(R, n_u, scale, np.arange(k, T + 1))
 
     # stage k+1's value Hessians P and costate rows om, for every player
     P, om = np.zeros((N, n_x, n_x)), np.zeros((N, n_x))
-    gains, offsets = np.empty((T + 1, n_u, n_x)), np.empty((T + 1, n_u))
-    for k in range(T, -1, -1):
-        Gam, grad = C[:, k], grads[:, k]
-        if k < T:
-            # First-order terms propagate through the Lagrangian costate
-            # rather than the policy-substituted value gradient: this keeps
-            # equilibrium references exact fixed points of the recursion
-            # (the substituted gradient would pick up the opponents'
-            # feedback-reaction terms, which do not vanish at an open-loop
-            # equilibrium).  Gains are unaffected; curvature still
-            # propagates through the closed loop.
-            grad = grad + om @ AB[k]
-            Gam = Gam + (AB[k].T @ P @ AB[k] + (om @ GG[k]).reshape(N, nz, nz))
-        Gam = 0.5 * (Gam + Gam.swapaxes(1, 2))
-        own = Gam[game.owner, own_rows]
-        act = data.active[k]
-        Wa, Sa, pa = W[k, act], S[k, act], rows.p[k, act]
-        law = solve_stage_kkt(own[:, n_x:] + reg, own[:, :n_x], grad[game.owner, own_rows],
-                              Wa, Sa, pa, stage=k)
-        # Congruence update of the value Hessians; symmetric by construction.
-        L = np.vstack([eye, law.K])
-        P = L.T @ Gam @ L
-        P = 0.5 * (P + P.swapaxes(1, 2))
-        om = grads[:, k, :n_x] + om @ data.A[k] if k < T else grads[:, k, :n_x]
-        if Wa.shape[0]:
-            # Active rows contribute their multiplier pullback to the
-            # costate, as in the stagewise KKT of the pinned problem.
-            om = om + law.lam_s @ Wa
-        gains[k], offsets[k] = law.K, law.s
-    return FeedbackPolicy(reference=traj.copy(), gains=gains, offsets=offsets,
-                          action_dims=game.action_dims)
+    L = np.vstack([np.eye(n_x), np.zeros((n_u, n_x))])  # [I; K_k]
+    # a stage that fails its residual test leaves garbage below it, which
+    # the tests after the loop catch; its arithmetic must not warn
+    with np.errstate(all="ignore"):
+        for k in range(T, -1, -1):
+            Gam, grad = C[:, k], grads[:, k]
+            if k < T:
+                # First-order terms propagate through the Lagrangian costate
+                # rather than the policy-substituted value gradient: this
+                # keeps equilibrium references exact fixed points of the
+                # recursion (the substituted gradient would pick up the
+                # opponents' feedback-reaction terms, which do not vanish at
+                # an open-loop equilibrium).  Gains are unaffected; curvature
+                # still propagates through the closed loop.
+                grad = grad + om @ AB[k]
+                Gam = Gam + (ABt[k] @ P @ AB[k] + (om @ GG[k]).reshape(N, nz, nz))
+            Gam = 0.5 * (Gam + Gam.swapaxes(1, 2))
+            own = Gam[owner, own_rows]
+            n = size[k]
+            KKT[k, :n_u, :n_u] = own[:, n_x:] + reg
+            rhs[k, :n_u, :n_x] = -own[:, :n_x]
+            rhs[k, :n_u, n_x] = -grad[owner, own_rows]
+            try:
+                sol[k, :n] = parametric._solve_stage(KKT[k, :n, :n], rhs[k, :n],
+                                                     full_rank[k], k)
+            except StageSingularityError:
+                check_from(k + 1)  # a failing stage above is met first
+                raise
+            # Congruence update of the value Hessians; symmetric by construction.
+            L[n_x:] = sol[k, :n_u, :n_x]
+            P = L.T @ Gam @ L
+            P = 0.5 * (P + P.swapaxes(1, 2))
+            om = grads[:, k, :n_x] + om @ data.A[k] if k < T else grads[:, k, :n_x]
+            if m[k]:
+                # Active rows contribute their multiplier pullback to the
+                # costate, as in the stagewise KKT of the pinned problem.
+                om = om + sol[k, n_u:n, n_x] @ Wa[k, :m[k]]
+        check_from(0)
+    return FeedbackPolicy(reference=traj.copy(), gains=sol[:, :n_u, :n_x].copy(),
+                          offsets=sol[:, :n_u, n_x].copy(), action_dims=game.action_dims)
 
 
 @dataclass

@@ -327,18 +327,30 @@ def _pinned_solve(data: LqGameData, G: Array, p: Array, pinned: Array,
     ``inert`` is passed on to ``_kkt_factor``; a ``BandedQp``'s data, the
     prox terms, has no inert columns.
     """
-    ks, rs = np.nonzero(pinned)
-    slot = (np.cumsum(pinned, axis=1) - 1)[ks, rs]  # held rows first, in order
-    m = int(slot.max(initial=-1)) + 1
-    held = np.zeros((pinned.shape[0], m), dtype=bool)
-    held[ks, slot] = True
-    Gm, pm = np.zeros((len(pinned), m, G.shape[2])), np.zeros((len(pinned), m))
-    Gm[ks, slot], pm[ks, slot] = G[ks, rs], p[ks, rs]
+    Gm, pm, held, (ks, rs, slot) = held_first(pinned, G, p)
     fac = _kkt_factor(data, pinned=(Gm, pm, held), inert=inert)
     sol = fac._blocks(None, None)
     mu = np.zeros(pinned.shape)
     mu[ks, rs] = sol[ks, slot]
     return fac, sol, mu
+
+
+def held_first(pinned: Array, G: Array, p: Array) -> tuple[Array, Array, Array, tuple]:
+    """The rows marked in ``pinned`` (T+1, m), moved to the front of their stage.
+
+    Returns (Gm, pm, held, (ks, rs, slot)): G (T+1, m, n_z) and p (T+1, m)
+    cut to the marked rows, held rows first in their order, padded with
+    zeros to the largest count; ``held`` marks the rows that are real; and
+    the marked rows' stages ks, their places rs in G and slot in Gm.
+    """
+    ks, rs = np.nonzero(pinned)
+    slot = (np.cumsum(pinned, axis=1) - 1)[ks, rs]
+    m = int(slot.max(initial=-1)) + 1
+    held = np.zeros((pinned.shape[0], m), dtype=bool)
+    held[ks, slot] = True
+    Gm, pm = np.zeros((len(pinned), m, G.shape[2])), np.zeros((len(pinned), m))
+    Gm[ks, slot], pm[ks, slot] = G[ks, rs], p[ks, rs]
+    return Gm, pm, held, (ks, rs, slot)
 
 
 def idle_actions(data: LqGameData) -> Array:

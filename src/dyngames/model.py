@@ -78,6 +78,12 @@ class GameDefinition:
       (T, n_x, n_x) and (T, n_x, n_u), one row per stage k < T (the
       terminal action never enters the dynamics), like
       ``dynamics_jacobians``;
+    * ``traj_cost_hessians(states, actions) -> H`` with H of shape (T+1, N,
+      n_x+n_u, n_x+n_u), each player's ``cost_hessians`` blocks joined
+      into one Hessian over (x, u), [[CXX, CXU], [CXU', CUU]];
+    * ``traj_dynamics_hessians(states, actions) -> G`` with G of shape (T,
+      n_x, n_x+n_u, n_x+n_u), one row per stage k < T, like
+      ``dynamics_hessians``;
 
     Two more return every stage's rows padded to a common count m, in the
     layout of ``PaddedRows`` (zero in the padding):
@@ -99,16 +105,16 @@ class GameDefinition:
       enters.  It must equal the per-stage ``dynamics`` recursion bit for
       bit; ``rollout`` calls it once in place of its per-stage loop.
 
-    ``eval_traj_costs``, ``eval_traj_cost_gradients`` and
-    ``eval_traj_dynamics_jacobians`` call the matching evaluator when present
+    ``eval_traj_costs``, ``eval_traj_cost_gradients``,
+    ``eval_traj_dynamics_jacobians``, ``eval_traj_cost_hessians`` and
+    ``eval_traj_dynamics_hessians`` call the matching evaluator when present
     and otherwise stack the per-stage evaluators; either way the outputs are
     shape-checked once per call and a mismatch raises DimensionError, which
-    names the first misfit stage of a per-stage stack.
-    ``eval_traj_cost_hessians`` has no hook: it stacks the per-stage
-    ``eval_cost_hessians`` and joins their three blocks into one Hessian
-    over (x, u), the one place the blocks are joined.  The rows' hooks are
-    read by ``read_rows`` and ``eval_traj_constraint_hessians``, which
-    follow the same rule and pad a per-stage stack to the common count.
+    names the first misfit stage of a per-stage stack.  Without its hook
+    ``eval_traj_cost_hessians`` joins the three blocks of the per-stage
+    ``eval_cost_hessians``, the one place the blocks are joined.  The rows'
+    hooks are read by ``read_rows`` and ``eval_traj_constraint_hessians``,
+    which follow the same rule and pad a per-stage stack to the common count.
 
     The analytic projector has only the whole-trajectory form:
     ``traj_projector(states, actions) -> (states, actions)`` projects every
@@ -156,6 +162,8 @@ class GameDefinition:
     traj_rollout: Optional[Callable[[Array, Array], Array]] = None
     traj_constraint_rows: Optional[Callable[[Array, Array], tuple]] = None
     traj_constraint_hessians: Optional[Callable[[Array, Array], Array]] = None
+    traj_cost_hessians: Optional[Callable[[Array, Array], Array]] = None
+    traj_dynamics_hessians: Optional[Callable[[Array, Array], Array]] = None
     # Optional batch evaluators; shapes in the class docstring.
     batch_dynamics: Optional[Callable[[int, Array, Array], Array]] = None
     batch_constraints: Optional[Callable[[int, Array, Array], Array]] = None
@@ -302,6 +310,9 @@ class GameDefinition:
     def eval_traj_cost_hessians(self, states: Array, actions: Array) -> Array:
         """Stacked cost Hessians over (x, u), [[CXX, CXU], [CXU', CUU]]: (T+1, N, n_z, n_z)."""
         N, n_x, n_u = self.num_players, self.state_dim, self.total_action_dim
+        if self.traj_cost_hessians is not None:
+            return _checked("trajectory cost Hessians", self.traj_cost_hessians(states, actions),
+                            (self.horizon + 1, N, n_x + n_u, n_x + n_u))
         shapes = {"cost state Hessians": (N, n_x, n_x), "cost cross Hessians": (N, n_x, n_u),
                   "cost action Hessians": (N, n_u, n_u)}
         read = [self.eval_cost_hessians(k, states[k], actions[k])
@@ -322,6 +333,17 @@ class GameDefinition:
                 for k in range(self.horizon)]
         return tuple(_checked_stages(what, [r[i] for r in read], shape)
                      for i, (what, shape) in enumerate(shapes.items()))
+
+    def eval_traj_dynamics_hessians(self, states: Array, actions: Array) -> Array:
+        """Stacked dynamics Hessians of stages k < T: (T, n_x, n_z, n_z), n_z = n_x + n_u."""
+        n_z = self.state_dim + self.total_action_dim
+        shape = (self.state_dim, n_z, n_z)
+        if self.traj_dynamics_hessians is not None:
+            return _checked("trajectory dynamics Hessians",
+                            self.traj_dynamics_hessians(states, actions), (self.horizon,) + shape)
+        return _checked_stages("dynamics Hessians",
+                               [self.eval_dynamics_hessians(k, states[k], actions[k])
+                                for k in range(self.horizon)], shape)
 
     def eval_traj_constraint_hessians(self, states: Array, actions: Array, m: int) -> Array:
         """Every stage's row Hessians padded to m rows: (T+1, m, n_z, n_z), n_z = n_x + n_u.
@@ -701,11 +723,10 @@ def local_lq(game: GameDefinition, states: Array, actions: Array,
              active_tol: Optional[float] = None, feas_tol: float = np.inf) -> LqGameData:
     """The ``LqGameData`` of a game around (states, actions).
 
-    Cost gradients, Jacobians and cost Hessians come from the
-    whole-trajectory evaluators; only the dynamics Hessians are read here,
-    stage by stage, and the stage costs not at all.  G is zero, and not
-    evaluated, for declared linear dynamics; the rows are read
-    (``read_rows``) only when ``active_tol`` is given.
+    Cost gradients and Hessians, dynamics Jacobians and Hessians all come
+    from the whole-trajectory evaluators, and the stage costs are not read.
+    G is zero, and not evaluated, for declared linear dynamics; the rows are
+    read (``read_rows``) only when ``active_tol`` is given.
     """
     _check_fits(game, states, actions)
     T, n_z = game.horizon, game.state_dim + game.total_action_dim
@@ -715,9 +736,7 @@ def local_lq(game: GameDefinition, states: Array, actions: Array,
     C = game.eval_traj_cost_hessians(states, actions).swapaxes(0, 1)
     G = np.zeros((T, game.state_dim, n_z, n_z))
     if not game.linear_dynamics:
-        G = _checked_stages("dynamics Hessians",
-                            [game.eval_dynamics_hessians(k, states[k], actions[k])
-                             for k in range(T)], G.shape[1:])
+        G = game.eval_traj_dynamics_hessians(states, actions)
         G = 0.5 * (G + G.swapaxes(2, 3))
     data = LqGameData(A=A, B=B, b=b, C=0.5 * (C + C.swapaxes(2, 3)), c=c,
                       action_dims=game.action_dims, initial_state=game.initial_state - states[0],

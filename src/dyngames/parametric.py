@@ -147,20 +147,23 @@ def cone_to_inequalities(S: Array) -> Array:
     m, n = S.shape
     if m == 0:
         return np.vstack([np.eye(n), -np.eye(n)])
-    if not _check_full_row_rank(S):
+    if not _full_row_rank(S):
         raise StageSingularityError(0, "cone generator matrix does not have full row rank")
     Minv = np.linalg.solve(S @ S.T, S)
     proj = S.T @ Minv
     return np.vstack([-Minv, np.eye(n) - proj, proj - np.eye(n)])
 
 
-def _check_full_row_rank(S: Array) -> bool:
-    if S.shape[0] == 0:
-        return True
-    if S.shape[0] > S.shape[1]:
-        return False
+def _full_row_rank(S: Array) -> Array:
+    """Whether the rows of S (..., m, n) have full rank, one flag per matrix.
+
+    A stack of matrices takes one batched SVD.
+    """
+    m, n = S.shape[-2:]
+    if m == 0 or m > n:
+        return np.full(S.shape[:-2], m == 0)
     sv = np.linalg.svd(S, compute_uv=False)
-    return sv[-1] > max(S.shape) * np.finfo(float).eps * sv[0]
+    return sv[..., -1] > max(m, n) * np.finfo(float).eps * sv[..., 0]
 
 
 def solve_lecq_parametric(data: ParametricGameData) -> AffineLaw:
@@ -181,46 +184,61 @@ def solve_stage_kkt(F: Array, P: Array, H: Array,
     Finds K, s (and multiplier gains) such that for every x,
     ``F(Kx+s) + Px + H + S'lam(x) = 0`` and ``W x + S(Kx+s) + p = 0``.
     With no constraint rows (W, S and p with zero rows) this reduces to
-    ``u = -F^{-1}(Px + H)``.  The residual of the returned law is formed once,
-    ``R = KKT @ sol - rhs``, and evaluated at two probe parameters as
-    ``R @ [x; 1]``; a stationarity or constraint residual above ``KKT_RTOL``
-    times the size of the stage data (or a NaN) raises StageSingularityError
-    naming the stage.
+    ``u = -F^{-1}(Px + H)``.  It is the one-stage case of the stage checks
+    that ``feedback.stagewise_newton_backward`` runs in batches: the rank
+    test of the rows and the singular solve (``_solve_stage``), then the
+    residual test (``_check_residual``) of ``R = KKT @ sol - rhs``, which
+    raises StageSingularityError, naming the stage, when a stationarity or
+    constraint residual at two probe parameters exceeds ``KKT_RTOL`` times
+    the size of the stage data or is NaN.
     """
-    n_u = F.shape[0]
-    m = S.shape[0]
-    if m > 0 and not _check_full_row_rank(S):
-        raise StageSingularityError(stage, "active constraint rows are rank deficient")
+    n_u, n_x = P.shape
     KKT, rhs = _kkt_system(F, P, H, W, S, p)
-    try:
-        sol = np.linalg.solve(KKT, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise StageSingularityError(stage, f"stage KKT system is singular ({exc})") from exc
+    sol = _solve_stage(KKT, rhs, _full_row_rank(S), stage)
     _check_residual(KKT @ sol - rhs, n_u, _data_scale(F, P, H), stage)
-    n_x = P.shape[1]
     return AffineLaw(K=sol[:n_u, :n_x], s=sol[:n_u, n_x],
                      lam_K=sol[n_u:, :n_x], lam_s=sol[n_u:, n_x])
 
 
 def _kkt_system(F, P, H, W, S, p) -> tuple[Array, Array]:
-    """The stage KKT matrix and its right-hand side [rhs_K | rhs_s]."""
-    n_u, m, n_x = F.shape[0], S.shape[0], P.shape[1]
-    KKT = np.zeros((n_u + m, n_u + m))
-    KKT[:n_u, :n_u] = F
-    if m:
-        KKT[:n_u, n_u:] = S.T
-        KKT[n_u:, :n_u] = S
-    rhs = np.zeros((n_u + m, n_x + 1))  # [rhs_K | rhs_s]: one factorization for both
-    rhs[:n_u, :n_x] = -P
-    rhs[:n_u, n_x] = -H
-    if m:
-        rhs[n_u:, :n_x] = -W
-        rhs[n_u:, n_x] = -p
+    """The stage KKT matrix and its right-hand side [rhs_K | rhs_s].
+
+    The rows W, S and p may stack several stages, (..., m, ...); F, P and H
+    then broadcast over the stages, and the outputs stack the same way.
+    """
+    n_u, m, n_x = F.shape[-1], S.shape[-2], P.shape[-1]
+    lead = S.shape[:-2]
+    KKT = np.zeros(lead + (n_u + m, n_u + m))
+    KKT[..., :n_u, :n_u] = F
+    KKT[..., :n_u, n_u:] = S.swapaxes(-1, -2)
+    KKT[..., n_u:, :n_u] = S
+    rhs = np.zeros(lead + (n_u + m, n_x + 1))  # [rhs_K | rhs_s]: one factorization for both
+    rhs[..., :n_u, :n_x] = -P
+    rhs[..., :n_u, n_x] = -H
+    rhs[..., n_u:, :n_x] = -W
+    rhs[..., n_u:, n_x] = -p
     return KKT, rhs
 
 
-def _data_scale(F, P, H) -> float:
-    return np.abs(F).max() + np.abs(P).max(initial=0.0) + np.abs(H).max(initial=0.0) + 1.0
+def _solve_stage(KKT: Array, rhs: Array, full_rank: bool, stage: int) -> Array:
+    """The solution [K s; lam_K lam_s] of one stage system.
+
+    Raises StageSingularityError naming the stage when its rows are not of
+    full rank (``full_rank`` False, from ``_full_row_rank``) or the system
+    is singular.
+    """
+    if not full_rank:
+        raise StageSingularityError(stage, "active constraint rows are rank deficient")
+    try:
+        return np.linalg.solve(KKT, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise StageSingularityError(stage, f"stage KKT system is singular ({exc})") from exc
+
+
+def _data_scale(F, P, H) -> Array:
+    """The size of the stage data, one figure per stage of a stack."""
+    return (np.abs(F).max(axis=(-2, -1)) + np.abs(P).max(axis=(-2, -1), initial=0.0)
+            + np.abs(H).max(axis=-1, initial=0.0) + 1.0)
 
 
 @lru_cache(maxsize=16)
@@ -232,20 +250,26 @@ def _probes(n_x: int) -> Array:
     return out
 
 
-def _check_residual(R: Array, n_u: int, scale: float, stage: int) -> None:
+def _check_residual(R: Array, n_u: int, scale, stage) -> None:
     """Raise StageSingularityError unless R [x; 1] is small at both probes.
 
     Rows ``:n_u`` of R are the stationarity residual, the rest the
-    constraint residual, each of an affine law in the parameter x.
+    constraint residual, each of an affine law in the parameter x.  R may
+    stack several stages' residuals, (B, n_u + m, n_x + 1), with ``scale``
+    and ``stage`` of length B; the highest failing stage is raised, the one
+    a backward pass meets first.
     """
-    r = np.abs(R @ _probes(R.shape[1] - 1))
-    tol = KKT_RTOL * scale
-    if r.max() <= tol:  # NaN fails too
+    r = np.abs(R @ _probes(R.shape[-1] - 1)).reshape((-1,) + R.shape[-2:-1] + (2,))
+    tol = KKT_RTOL * np.reshape(scale, -1)
+    worst = r[:, :n_u].max(axis=(1, 2)), r[:, n_u:].max(axis=(1, 2), initial=0.0)
+    ok = (worst[0] <= tol) & (worst[1] <= tol)  # NaN fails too
+    if ok.all():
         return
-    for rows, what in ((r[:n_u], "stage KKT residual"), (r[n_u:], "stage constraint residual")):
-        worst = rows.max(initial=0.0)
-        if not worst <= tol:
-            raise StageSingularityError(stage, f"{what} {worst:.2e} exceeds tolerance")
+    stages = np.reshape(stage, -1)
+    i = np.flatnonzero(~ok)[np.argmax(stages[~ok])]
+    kind = 0 if not worst[0][i] <= tol[i] else 1
+    what = ("stage KKT residual", "stage constraint residual")[kind]
+    raise StageSingularityError(int(stages[i]), f"{what} {worst[kind][i]:.2e} exceeds tolerance")
 
 
 def _region_nonempty(L: Array, l: Array, tol: float = 1e-9) -> bool:
@@ -295,7 +319,7 @@ def enumerate_lcq_parametric(data: ParametricGameData) -> PiecewiseAffinePolicy:
         for subset in combinations(range(n_c), size):
             rows = list(subset)
             Sa, Wa, pa = data.S[rows], data.W[rows], data.p[rows]
-            if not _check_full_row_rank(Sa):
+            if not _full_row_rank(Sa):
                 continue
             sub = ParametricGameData(gammas=data.gammas, W=Wa, S=Sa, p=pa,
                                      action_dims=data.action_dims,

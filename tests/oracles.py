@@ -1217,3 +1217,47 @@ def augmented_newton_backward(game, traj, active_tol=1e-6, feas_tol=1e-6, stage_
             omega[:, k] += law.lam_s @ Wa
         gains[k], offsets[k] = law.K, law.s
     return gains, offsets
+
+
+def stagewise_newton_backward_per_stage(game, traj, active_tol=1e-6, feas_tol=1e-6,
+                                        stage_reg=0.0):
+    """Gains (T+1, n_u, n_x) and offsets (T+1, n_u) of the pass, one stage at a time.
+
+    The stagewise Newton pass as it was written before its checks were
+    batched: every stage gathers its active rows, and ``solve_stage_kkt``
+    tests their rank, solves the stage system and tests its residual before
+    the next stage starts, so the first failing stage from T down raises.
+    The package's pass must give the same arrays bit for bit and raise the
+    same error.
+    """
+    data = quadraticize(game, traj, active_tol=active_tol, feas_tol=feas_tol)
+    T = game.horizon
+    N, n_x, n_u = game.num_players, game.state_dim, game.total_action_dim
+    nz = n_x + n_u
+    C, grads = data.C, data.c
+    AB = np.concatenate([data.A, data.B], axis=2)
+    own_rows = n_x + np.arange(n_u)
+    GG = data.G.reshape(T, n_x, nz * nz)
+    rows, W, S = data.rows, data.rows.W, data.rows.S
+    eye, reg = np.eye(n_x), stage_reg * np.eye(n_u)
+    P, om = np.zeros((N, n_x, n_x)), np.zeros((N, n_x))
+    gains, offsets = np.empty((T + 1, n_u, n_x)), np.empty((T + 1, n_u))
+    for k in range(T, -1, -1):
+        Gam, grad = C[:, k], grads[:, k]
+        if k < T:
+            grad = grad + om @ AB[k]
+            Gam = Gam + (AB[k].T @ P @ AB[k] + (om @ GG[k]).reshape(N, nz, nz))
+        Gam = 0.5 * (Gam + Gam.swapaxes(1, 2))
+        own = Gam[game.owner, own_rows]
+        act = data.active[k]
+        Wa, Sa, pa = W[k, act], S[k, act], rows.p[k, act]
+        law = solve_stage_kkt(own[:, n_x:] + reg, own[:, :n_x], grad[game.owner, own_rows],
+                              Wa, Sa, pa, stage=k)
+        L = np.vstack([eye, law.K])
+        P = L.T @ Gam @ L
+        P = 0.5 * (P + P.swapaxes(1, 2))
+        om = grads[:, k, :n_x] + om @ data.A[k] if k < T else grads[:, k, :n_x]
+        if Wa.shape[0]:
+            om = om + law.lam_s @ Wa
+        gains[k], offsets[k] = law.K, law.s
+    return gains, offsets

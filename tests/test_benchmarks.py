@@ -382,6 +382,56 @@ class TestWholeTrajectoryRows:
             per_stage_rows(game).eval_traj_constraint_hessians(traj.states, traj.actions, 3)
 
 
+def per_stage_hessians(game):
+    """The game without its whole-trajectory cost and dynamics Hessians."""
+    return dataclasses.replace(game, traj_cost_hessians=None, traj_dynamics_hessians=None)
+
+
+class TestWholeTrajectoryHessians:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_match_the_per_stage_read_bit_for_bit(self, seed):
+        game = fishery_game()
+        rng = np.random.default_rng(seed)
+        T1 = game.horizon + 1
+        states = 100.0 * rng.random((T1, game.state_dim))
+        actions = rng.uniform(-0.1, 0.5, (T1, game.total_action_dim))
+        stacked = per_stage_hessians(game)
+        for read in ("eval_traj_cost_hessians", "eval_traj_dynamics_hessians"):
+            got = getattr(game, read)(states, actions)
+            want = getattr(stacked, read)(states, actions)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        # and against the per-stage hooks themselves, joined by hand
+        cxx, cxu, cuu = game.cost_hessians(3, states[3], actions[3])
+        np.testing.assert_array_equal(game.eval_traj_cost_hessians(states, actions)[3],
+                                      np.block([[cxx, cxu], [cxu.swapaxes(1, 2), cuu]]))
+        np.testing.assert_array_equal(game.eval_traj_dynamics_hessians(states, actions)[3],
+                                      game.dynamics_hessians(3, states[3], actions[3]))
+
+    @pytest.mark.parametrize("hook", ["traj_cost_hessians", "traj_dynamics_hessians"])
+    @pytest.mark.parametrize("misfit", [lambda H: H[:-1], lambda H: H[:, :-1],
+                                        lambda H: H[..., :-1], lambda H: H[0]])
+    def test_misshapen_hessians_are_rejected(self, hook, misfit):
+        game = fishery_game(FisheryParams(horizon_time=1.0))
+        real = getattr(game, hook)
+        bad = dataclasses.replace(game, **{hook: lambda X, U: misfit(real(X, U))})
+        traj = rollout(game, game.initial_state, np.full((11, 2), 0.1))
+        what = "trajectory cost" if hook == "traj_cost_hessians" else "trajectory dynamics"
+        with pytest.raises(DimensionError, match=f"{what} Hessians"):
+            model.quadraticize(bad, traj)
+
+    def test_quadraticize_is_the_same_without_the_hooks(self):
+        game = fishery_game(FisheryParams(horizon_time=10.0))
+        rng = np.random.default_rng(3)
+        traj = rollout(game, game.initial_state, rng.uniform(0.0, 0.3, (101, 2)))
+        got = model.quadraticize(game, traj)
+        want = model.quadraticize(per_stage_hessians(game), traj)
+        for name in ("A", "B", "b", "C", "c", "G", "initial_state", "active"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        for name in ("G", "p", "real"):
+            np.testing.assert_array_equal(getattr(got.rows, name), getattr(want.rows, name))
+
+
 class TestNoiseComparison:
     @staticmethod
     def solved_fishery(tmp_factor=1.0):

@@ -2,13 +2,17 @@
 
 import dataclasses
 import functools
+import importlib.util
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from dyngames.benchmarks import FisheryParams, fishery_game, noise_comparison
+from dyngames.benchmarks import (FisheryParams, fishery_game, lq_rendezvous_game,
+                                 noise_comparison)
 from dyngames.errors import (
     DimensionError,
     NonFiniteStateError,
@@ -23,6 +27,8 @@ from dyngames.feedback import (
 )
 from dyngames.model import GameDefinition, Trajectory, quadraticize, rollout
 from dyngames.parametric import solve_stage_kkt
+from dyngames.projgrad import ProjGradConfig, projected_gradient_solve
+from dyngames.splitting import SCHEMES, DrConfig, dr_solve
 
 from conftest import random_lq_game
 from instances import (
@@ -39,6 +45,7 @@ from oracles import (
     dense_best_response_gap,
     feedback_rollout_per_stage,
     stacked_lq_gne,
+    stagewise_newton_backward_per_stage,
 )
 
 
@@ -125,6 +132,8 @@ class TestBackwardPass:
                              augmented_newton_backward(game, ref, **kwargs)):
             np.testing.assert_allclose(got, want, rtol=1e-12,
                                        atol=1e-12 * (1.0 + np.max(np.abs(want))))
+        assert_same_as_per_stage(game, ref, **{name: value for name, value in kwargs.items()
+                                               if name != "stage_reg"})
 
     @given(seed=st.integers(0, 2**32 - 1), T=st.integers(1, 8), n_pinned=st.integers(0, 9))
     def test_matches_augmented_recursion_with_pinned_rows(self, seed, T, n_pinned):
@@ -167,6 +176,125 @@ class TestBackwardPass:
         got = stagewise_newton_backward(blind, ref)
         np.testing.assert_array_equal(got.gains, want.gains)
         np.testing.assert_array_equal(got.offsets, want.offsets)
+
+
+def error_class(what):
+    """The kind of a StageSingularityError, without the residual figure it may carry."""
+    kinds = ("rank deficient", "singular", "KKT residual", "constraint residual")
+    return next(kind for kind in kinds if kind in what)
+
+
+def assert_same_as_per_stage(game, ref, **kwargs):
+    """The pass gives the per-stage oracle's gains and offsets bit for bit, or its error.
+
+    Checked with ``stage_reg`` 0 and 0.1.  An error must name the same stage
+    with the same kind of message.
+    """
+    for stage_reg in (0.0, 0.1):
+        try:
+            want = stagewise_newton_backward_per_stage(game, ref, stage_reg=stage_reg, **kwargs)
+        except StageSingularityError as exc:
+            with pytest.raises(StageSingularityError) as got:
+                stagewise_newton_backward(game, ref, stage_reg=stage_reg, **kwargs)
+            assert got.value.stage == exc.stage
+            assert error_class(got.value.what) == error_class(exc.what)
+            continue
+        policy = stagewise_newton_backward(game, ref, stage_reg=stage_reg, **kwargs)
+        for got, w in zip((policy.gains, policy.offsets), want):
+            assert got.dtype == w.dtype and np.array_equal(got, w)
+
+
+def scalar_game(T=6, flat=(), nan_gradient=(), nan_curvature=(), doubled_row=()):
+    """One player steering x+ = x + b_k u, cost 0.5 x^2 + 0.5 r_k u^2, at u = 1.
+
+    Stages in ``flat`` have b_k = r_k = 0, so their stage system is
+    singular; ``nan_gradient`` stages have a NaN action gradient, which
+    fails their residual test and leaves the stages below clean;
+    ``nan_curvature`` stages have r_k = NaN; ``doubled_row`` stages carry the
+    row u - 1 <= 0 twice, active at the reference and rank deficient.
+    Returns the game and its reference, the rollout of u = 1.
+    """
+    b = lambda k: 0.0 if k in flat else 1.0
+    r = lambda k: np.nan if k in nan_curvature else b(k)
+    game = GameDefinition(
+        horizon=T, state_dim=1, action_dims=(1,), initial_state=[1.0],
+        dynamics=lambda k, x, u: x + b(k) * u,
+        stage_costs=lambda k, x, u: 0.5 * x**2 + 0.5 * r(k) * u**2,
+        constraints=lambda k, x, u: np.repeat(u - 1.0, 2 if k in doubled_row else 0),
+        dynamics_jacobians=lambda k, x, u: (np.eye(1), np.full((1, 1), b(k))),
+        cost_gradients=lambda k, x, u: (x.reshape(1, 1), np.full(
+            (1, 1), np.nan if k in nan_gradient else r(k) * u[0])),
+        cost_hessians=lambda k, x, u: (np.ones((1, 1, 1)), np.zeros((1, 1, 1)),
+                                       np.full((1, 1, 1), r(k))),
+        linear_dynamics=True, polyhedral_constraints=True)
+    return game, rollout(game, game.initial_state, np.ones((T + 1, 1)))
+
+
+@functools.lru_cache(maxsize=None)
+def fishery_pg_point():
+    """The benchmark's T = 1000 fishery point: 1000 PG steps from zero harvest."""
+    game = fishery_game()
+    cfg = ProjGradConfig(step_size=0.01, max_iter=1000, tol=1e-8, record_costs=False,
+                         run_checks=False)
+    return game, projected_gradient_solve(game, np.zeros((game.horizon + 1, 2)), cfg).trajectory
+
+
+def poly_lq_instance(seed):
+    """``poly_lq_instance`` of the benchmark's polyhedral LQ workload."""
+    module = sys.modules.get("polylq")
+    if module is None:
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "polylq.py"
+        spec = importlib.util.spec_from_file_location("polylq", path)
+        module = sys.modules["polylq"] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return module.poly_lq_instance(seed)
+
+
+class TestBatchedStageChecks:
+    """The pass checks every stage in batches; it raises what a stage-by-stage pass raises."""
+
+    def test_fishery_pg_point_matches_the_per_stage_pass(self):
+        assert_same_as_per_stage(*fishery_pg_point())
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_poly_lq_dr_solutions_match_the_per_stage_pass(self, seed):
+        inst = poly_lq_instance(seed)
+        for scheme in SCHEMES:
+            rep = dr_solve(inst.game, DrConfig(scheme=scheme, eta=1.0, alpha=0.5,
+                                               max_iter=300, tol=1e-8))
+            assert_same_as_per_stage(inst.game, rep.trajectory)
+
+    def test_paper_rendezvous_raises_where_the_per_stage_pass_does(self):
+        game = lq_rendezvous_game()
+        ref = dr_solve(game, DrConfig()).trajectory
+        for stage_reg, stage, kind in ((0.0, 10, "singular"), (0.1, 5, "rank deficient")):
+            with pytest.raises(StageSingularityError, match=kind) as exc:
+                stagewise_newton_backward(game, ref, stage_reg=stage_reg)
+            assert exc.value.stage == stage
+        assert_same_as_per_stage(game, ref)
+
+    def test_a_residual_failure_above_a_singular_stage_is_raised(self):
+        game, ref = scalar_game(flat=(2,), nan_gradient=(4,))
+        with pytest.raises(StageSingularityError, match="KKT residual") as exc:
+            stagewise_newton_backward(game, ref)
+        assert exc.value.stage == 4
+        assert_same_as_per_stage(game, ref)
+        # alone, each stage raises its own error
+        for kwargs, stage, kind in ((dict(flat=(2,)), 2, "singular"),
+                                    (dict(nan_gradient=(4,)), 4, "KKT residual")):
+            with pytest.raises(StageSingularityError, match=kind) as exc:
+                stagewise_newton_backward(*scalar_game(**kwargs))
+            assert exc.value.stage == stage
+
+    def test_a_nan_stage_above_a_rank_deficient_stage_is_raised(self):
+        game, ref = scalar_game(nan_curvature=(5,), doubled_row=(1,))
+        with pytest.raises(StageSingularityError) as exc:
+            stagewise_newton_backward(game, ref)
+        assert exc.value.stage == 5
+        assert_same_as_per_stage(game, ref)
+        with pytest.raises(StageSingularityError, match="rank deficient") as exc:
+            stagewise_newton_backward(*scalar_game(doubled_row=(1,)))
+        assert exc.value.stage == 1
 
 
 class TestFeedbackRollout:

@@ -521,7 +521,8 @@ def reader_case(name, rng):
         game = fishery_game(params)
         if name == "fishery_per_stage":
             game = dataclasses.replace(game, traj_costs=None, traj_cost_gradients=None,
-                                       traj_dynamics_jacobians=None, traj_rollout=None)
+                                       traj_dynamics_jacobians=None, traj_rollout=None,
+                                       traj_cost_hessians=None, traj_dynamics_hessians=None)
         elif name == "bare":
             game = bare(game)
         hi = np.array([params.u1_max, params.u2_max])
@@ -588,7 +589,7 @@ class TestStackedReader:
         assert np.all(data.G == 0.0)
 
     def test_a_misshapen_dynamics_hessian_names_its_stage(self, rng):
-        game, traj = reader_case("fishery", rng)
+        game, traj = reader_case("fishery_per_stage", rng)
         hess = game.dynamics_hessians
 
         def misshapen_at_3(k, x, u):

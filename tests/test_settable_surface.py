@@ -43,8 +43,9 @@ def test_settable_surface():
         "cost_hessians", "constraint_jacobians", "constraint_hessians", "linear_dynamics",
         "quadratic_costs", "polyhedral_constraints", "constraints_in_actions_only", "name",
         "traj_costs", "traj_cost_gradients", "traj_dynamics_jacobians", "traj_projector",
-        "traj_rollout", "traj_constraint_rows", "traj_constraint_hessians", "batch_dynamics",
-        "batch_constraints", "action_offsets", "owner"]
+        "traj_rollout", "traj_constraint_rows", "traj_constraint_hessians", "traj_cost_hessians",
+        "traj_dynamics_hessians", "batch_dynamics", "batch_constraints", "action_offsets",
+        "owner"]
     assert names(LqGameData) == ["A", "B", "b", "C", "c", "action_dims", "initial_state", "G",
                                  "rows", "active"]
     assert defaulted(resolvent_reg_game) == ["warm", "factor"]
