@@ -449,9 +449,9 @@ def noise_comparison(game: GameDefinition, olne: Trajectory,
     ``noise_var`` (scaled by ``noise_scale``, e.g. the discretization step),
     drawn from child i of ``SeedSequence(seed)``, after each dynamics step.
     Both modes advance as one batch of 2 ``n_runs`` runs under the same
-    noise, in the stage loop of ``feedback_rollout``: the open-loop replay of
-    the equilibrium actions and the feedback policy.  Reported deviations are
-    mean squared state distances to the equilibrium path; violations count
+    noise in ``feedback._stages``: the open-loop replay of the equilibrium
+    actions and the feedback policy.  Reported deviations are mean squared
+    state distances to the equilibrium path; violations count
     the stages whose largest row exceeds ``feedback.VIOLATION_TOL`` or is
     NaN.  Only what is reported is kept: each run's squared distance at each
     stage and its violation count, never the runs' states or actions, so the
@@ -477,8 +477,7 @@ def noise_comparison(game: GameDefinition, olne: Trajectory,
     squared = np.empty((2 * n_runs, T + 1))  # each run's squared distance at each stage
     vio = np.zeros(2 * n_runs, dtype=np.intp)
     try:
-        for k, X, _, v in feedback._stages(game, policy, starts, 0, noise, olne.actions,
-                                           False):
+        for k, X, _, v in feedback._stages(game, policy, starts, 0, noise, olne.actions):
             squared[:, k] = np.sum((X - olne.states[k]) ** 2, axis=1)
             if v is not None:
                 vio += ~(v <= feedback.VIOLATION_TOL)

@@ -158,20 +158,17 @@ def read_game(game: GameDefinition) -> tuple[Optional[PaddedRows], Optional[LqGa
     return rows, lq.extract_lq_data(game) if game.quadratic_costs else lq.dynamics_data(game)
 
 
-def natural_residual(game: GameDefinition, actions: Array,
-                     rows: Optional[PaddedRows] = None,
-                     data: Optional[LqGameData] = None) -> float:
+def natural_residual(game: GameDefinition, actions: Array) -> float:
     """r(u) = |u - P(u - F(u))|_inf, F taken along the rollout of ``actions``.
 
-    ``rows`` and ``data`` are passed on to ``project_onto_feasible``.  A QP
-    projection starts from the rows ``near_active`` along the rollout, the
-    polish's rule: at a solution P(u - F(u)) = u, so these are its active
-    rows and the projection takes one factor.  Raises
-    UnsupportedConstraintError, before any other work, where the game has no
-    projection.
+    P is ``project_onto_feasible``'s.  A QP projection starts from the rows
+    ``near_active`` along the rollout, the polish's rule: at a solution
+    P(u - F(u)) = u, so these are its active rows and the projection takes
+    one factor.  Raises UnsupportedConstraintError, before any other work,
+    where the game has no projection.
     """
     _projection_route(game)
-    return residual_along(game, rollout(game, game.initial_state, actions), rows, data)
+    return residual_along(game, rollout(game, game.initial_state, actions))
 
 
 def residual_along(game: GameDefinition, traj: Trajectory,

@@ -23,6 +23,10 @@ that the best response is strictly convex by ``gradient``'s O(T) convexity
 sweep, then solves it as one QP over the stacked trajectory on ``lq``'s
 banded kernel (``lq.BandedQp``), the opponents' policies held as equality
 rows, in O(T) memory.
+
+``feedback_rollout`` rolls a policy out from one start; its stage loop,
+``_stages``, also advances ``benchmarks.noise_comparison``'s open-loop
+replay and policy runs as one batch.
 """
 
 from __future__ import annotations
@@ -197,10 +201,10 @@ def stagewise_newton_backward(game: GameDefinition, traj: Trajectory,
 
 @dataclass
 class FeedbackRollout:
-    """States, actions and per-stage violations max(g, 0) of policy rollouts.
+    """States, actions and per-stage violations max(g, 0) of ``feedback_rollout``.
 
-    One rollout from stage ``start`` has shapes (n+1, n_x), (n+1, n_u) and
-    (n+1,), n = T - start; a batch of B rollouts adds a leading run axis.
+    A rollout from stage ``start`` has shapes (n+1, n_x), (n+1, n_u) and
+    (n+1,), n = T - start.
     """
 
     states: Array
@@ -209,74 +213,43 @@ class FeedbackRollout:
 
     @property
     def trajectory(self) -> Trajectory:
-        """The rollout as a Trajectory; a batch has none."""
-        if self.states.ndim != 2:
-            raise ValueError("a batch of rollouts has no single trajectory")
         return Trajectory(self.states, self.actions)
 
 
 def feedback_rollout(game: GameDefinition, policy: FeedbackPolicy,
-                     x_start: Array, start: int = 0,
-                     noise: Optional[Array] = None,
-                     open_loop: Optional[Array] = None) -> FeedbackRollout:
-    """Roll out the true dynamics under the affine policy, one start or a batch.
+                     x_start: Array, start: int = 0) -> FeedbackRollout:
+    """Roll out the true dynamics under the affine policy from ``x_start`` at ``start``.
 
-    ``x_start`` is one state (n_x,) or B states (B, n_x).  ``noise`` holds
-    optional additive state disturbances, applied after each dynamics map:
-    (T - start, n_x) for one start, (B, T - start, n_x) for a batch.  The B
-    runs advance together, one ``eval_batch_dynamics`` and one
-    ``eval_batch_constraints`` call per stage (``_stages``, the loop
-    ``benchmarks.noise_comparison`` shares).
-
-    ``open_loop``, actions (T+1, n_u), adds B replay runs ahead of the
-    policy's: run b < B applies ``open_loop[k]`` exactly at every stage k,
-    run B + b follows the policy, and both start at ``x_start[b]`` under
-    noise b, which reaches both by broadcasting.  The result is then a batch
-    of 2B runs, replay first.
-
-    Constraint violations along the way are recorded, never fatal.  After
-    every dynamics map one finiteness test covers the whole batch; a
-    non-finite state raises NonFiniteStateError naming the first stage whose
-    dynamics produced one (and, for a batch, the first such run in batch
-    order).  A wrong shape raises DimensionError.
+    Each stage is one ``eval_batch_dynamics`` and one
+    ``eval_batch_constraints`` call (``_stages``).  Constraint violations
+    along the way are recorded, never fatal; a non-finite state raises
+    NonFiniteStateError naming the first stage whose dynamics produced one.
+    A wrong shape raises DimensionError.
     """
-    T, n_x, n_u = game.horizon, game.state_dim, game.total_action_dim
     x_start = np.asarray(x_start, dtype=float)
-    X0 = np.atleast_2d(x_start)
-    n_runs, n_steps = X0.shape[0], T - start
-    if X0.shape != (n_runs, n_x):
-        raise DimensionError("start states", ("B", n_x), x_start.shape)
-    if noise is not None:
-        expected = (n_steps, n_x) if x_start.ndim == 1 else (n_runs, n_steps, n_x)
-        if np.shape(noise) != expected:
-            raise DimensionError("noise", expected, np.shape(noise))
-        noise = np.reshape(noise, (n_runs, n_steps, n_x))
-    single = x_start.ndim == 1 and open_loop is None
-    stages = _stages(game, policy, X0, start, noise, open_loop, single)
-    n_all = n_runs if open_loop is None else 2 * n_runs
-    states = np.empty((n_all, n_steps + 1, n_x))
-    actions = np.empty((n_all, n_steps + 1, n_u))
-    violations = np.zeros((n_all, n_steps + 1))
-    for i, X, U, v in stages:
-        states[:, i], actions[:, i] = X, U
-        if v is not None:
-            violations[:, i] = v
-    if single:
-        return FeedbackRollout(states[0], actions[0], violations[0])
-    return FeedbackRollout(states, actions, violations)
+    if x_start.shape != (game.state_dim,):
+        raise DimensionError("start state", (game.state_dim,), x_start.shape)
+    run = [(X[0], U[0], 0.0 if v is None else v[0])
+           for _, X, U, v in _stages(game, policy, x_start[None], start, None, None)]
+    return FeedbackRollout(*(np.array(column) for column in zip(*run)))
 
 
 def _stages(game: GameDefinition, policy: FeedbackPolicy, X0: Array, start: int,
-            noise: Optional[Array], open_loop: Optional[Array], single: bool):
-    """The stages of ``feedback_rollout``'s runs, as an iterator.
+            noise: Optional[Array], open_loop: Optional[Array]):
+    """The stages of B policy runs from the rows of X0, as an iterator.
 
     It yields (i, X, U, v) for stage k = start + i from ``start`` to T: the
-    states X and actions U of every run, replay runs first, and the per-run
-    largest row violation max(g, 0), None at a stage without rows; nothing
-    yielded is reused.  ``noise`` is None or (B, T - start, n_x) for the B
-    rows of X0; ``single`` drops the run index from NonFiniteStateError.  A
-    policy or open-loop actions that do not fit raise DimensionError here,
-    before the first stage.
+    states X and actions U of every run, and the per-run largest row
+    violation max(g, 0), None at a stage without rows; nothing yielded is
+    reused.  ``noise``, None or (B, T - start, n_x), is added to run b's
+    state after each dynamics map.  ``open_loop``, actions (T+1, n_u), adds
+    B replay runs ahead of the policy's: run b < B applies ``open_loop[k]``
+    at every stage k, run B + b follows the policy, and both start at X0[b]
+    under noise b.  After every dynamics map one finiteness test covers all
+    runs; a non-finite state raises NonFiniteStateError naming the first
+    stage whose dynamics produced one and, when there are several runs, the
+    first such run.  A policy or open-loop actions that do not fit raise
+    DimensionError here, before the first stage.
     """
     T, n_x, n_u = game.horizon, game.state_dim, game.total_action_dim
     if policy.gains.shape != (T + 1, n_u, n_x):
@@ -311,7 +284,7 @@ def _stages(game: GameDefinition, policy: FeedbackPolicy, X0: Array, start: int,
                     X = (X.reshape(-1, n_runs, n_x) + noise[:, i]).reshape(n_all, n_x)
                 if not np.isfinite(X).all():
                     run = int(np.argmin(np.isfinite(X).all(axis=1)))
-                    raise NonFiniteStateError(k, None if single else run)
+                    raise NonFiniteStateError(k, run if n_all > 1 else None)
 
     return advance()
 

@@ -46,6 +46,9 @@ Array = np.ndarray
 
 ENUMERATION_CAP = 12
 
+# The slack by which a candidate region's rows may be exceeded and still count as met.
+REGION_TOL = 1e-9
+
 # Largest KKT residual, relative to the size of the stage data, that a
 # returned law may leave at the probe parameters.
 KKT_RTOL = 1e-8
@@ -272,8 +275,8 @@ def _check_residual(R: Array, n_u: int, scale, stage) -> None:
     raise StageSingularityError(int(stages[i]), f"{what} {worst[kind][i]:.2e} exceeds tolerance")
 
 
-def _region_nonempty(L: Array, l: Array, tol: float = 1e-9) -> bool:
-    """Whether {x : Lx + l <= tol} is nonempty: the projection of 0 onto it exists.
+def _region_nonempty(L: Array, l: Array) -> bool:
+    """Whether {x : Lx + l <= REGION_TOL} is nonempty: the projection of 0 onto it exists.
 
     Each row is divided by its norm (``denseqp.project_polyhedron``).  A row
     with no normal, its norm within L's rank tolerance, holds or fails on its
@@ -283,11 +286,11 @@ def _region_nonempty(L: Array, l: Array, tol: float = 1e-9) -> bool:
     """
     norms = np.linalg.norm(L, axis=1)
     normal = norms > max(L.shape) * np.finfo(float).eps * norms.max(initial=0.0)
-    if np.any(l[~normal] > tol):
+    if np.any(l[~normal] > REGION_TOL):
         return False
     try:
         denseqp.project_polyhedron(np.zeros(L.shape[1]), L[normal] / norms[normal, None],
-                                   (tol - l[normal]) / norms[normal])
+                                   (REGION_TOL - l[normal]) / norms[normal])
     except InfeasibleConstraintsError:
         return False
     return True

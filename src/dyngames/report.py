@@ -9,19 +9,12 @@ point it offers after a step is certified, so it ends the run at once, and
 the report takes its certificate: the natural residual where the game has a
 projection, and the KKT residual, which needs none.
 
-Projected gradient takes the plain iteration w <- g(w).  Douglas-Rachford
-asks for safeguarded type-II Anderson acceleration (``_Anderson``): after a
-few plain steps the next point extrapolates from the last differences of g
-and of the residual f = g - w, and an extrapolated point whose residual
-|f|_2 exceeds that of the point it came from gives way to that point's
-plain image.  DR's averaged map is nonexpansive, the setting of Fu, Zhang
-and Boyd, "Anderson accelerated Douglas-Rachford splitting", SIAM J. Sci.
-Comput. 2020 (arXiv:1908.11482).  A solver that changes its map during the
-run, as the balancing of eta does (``splitting.DrConfig``), passes a restart
-hook: the point it returns is evaluated next and the Anderson history starts
-afresh.  Either way the step norm and the stop test read max|g(w) - w| at
-each point evaluated, and only a plain run gets a fitted geometric rate,
-fitted to those step norms.
+Projected gradient takes the plain iteration w <- g(w).  A solver that
+chooses its next point itself passes a ``next_point`` hook: Douglas-Rachford
+extrapolates and balances its weight there (``splitting.dr_solve``).  Either
+way the step norm and the stop test read max|g(w) - w| at each point
+evaluated, and only a plain run gets a fitted geometric rate, fitted to
+those step norms.
 
 A run keeps O(log n) of its images, not all n: the start, the images at the
 grid iterations {1, 2, 5} * 10^j (``RECORD_GRID``) and the last two, from
@@ -77,17 +70,16 @@ class SolverReport:
     sampled at the start, the grid iterations {1, 2, 5} * 10^j and the last
     two iterations (``Run``), so ``distance_trace[0]`` is the start's and
     ``distance_trace[-2]`` the length of the last step; only a report built
-    by hand has no ``distance_iterations``.  Without extrapolation or
-    restarts (projected gradient) these are the plain iterates and the norms
-    of their updates, and ``fitted_rate`` and ``rate_fit_rmse`` are the fit
-    of ``fit_log_decay`` to ``step_norms``, which decay at the iterates'
-    rate; otherwise both are NaN.  When the
-    solver records costs, ``cost_trace[i]`` holds every player's game cost
-    at the candidate after ``cost_iterations[i]`` steps: the initial
-    candidate (0), the grid iterations {1, 2, 5} * 10^j the run stepped
-    past, and last the reported result (``iterations``), whose row is
-    ``final_costs`` (a polished result included).  Without a record both
-    are None.
+    by hand has no ``distance_iterations``.  In a plain run (``Run.plain``,
+    projected gradient) these are the iterates and the norms of their
+    updates, and ``fitted_rate`` and ``rate_fit_rmse`` are the fit of
+    ``fit_log_decay`` to ``step_norms``, which decay at the iterates' rate;
+    otherwise both are NaN.  When the solver records costs, ``cost_trace[i]``
+    holds every player's game cost at the candidate after
+    ``cost_iterations[i]`` steps: the initial candidate (0), the grid
+    iterations {1, 2, 5} * 10^j the run stepped past, and last the reported
+    result (``iterations``), whose row is ``final_costs`` (a polished result
+    included).  Without a record both are None.
     ``trajectory`` is, for every solver, the rollout of the reported actions
     from the game's initial state, and every other figure is its own:
     ``constraint_residual`` its largest row violation and ``natural_residual``
@@ -138,9 +130,8 @@ class Run:
     (never its last one); both are None without a record hook.
     ``residual`` is the certificate the polish hook returned with the
     candidate it certified, None when the run did not end on one.
-    ``plain`` is False once a point evaluated was not the image of the one
-    before it: an extrapolation, a safeguard's return to a kept image or a
-    restart.
+    ``plain`` is False once the ``next_point`` hook returned a point other
+    than the image g.
     """
 
     candidate: Any
@@ -154,93 +145,22 @@ class Run:
     plain: bool = True
 
 
-# Safeguarded type-II Anderson extrapolation (``iterate(..., accelerate=True)``):
-# the difference pairs kept, the plain steps before the first extrapolation,
-# and the Tikhonov weight of the least-squares problem relative to |dF|_F^2,
-# as A2DR regularizes it (Fu, Zhang and Boyd, arXiv:1908.11482).
-ANDERSON_MEMORY = 20
-ANDERSON_WARMUP = 5
-ANDERSON_REG = 1e-8
-
-
-class _Anderson:
-    """Safeguarded type-II Anderson extrapolation of a fixed-point map g.
-
-    Fed each evaluated point w with its image g(w), ``next_point`` returns
-    the point to evaluate next.  With f = g - w, the rows of dF and dG hold
-    the differences of f and of g between consecutive kept points, the last
-    ANDERSON_MEMORY of them.  The extrapolation is g - dG' gamma with gamma
-    the Tikhonov-regularized least-squares solution of dF' gamma ~ f (Walker
-    and Ni, SIAM J. Numer. Anal. 2011; Fu, Zhang and Boyd, SIAM J. Sci.
-    Comput. 2020).  An extrapolated point is kept only if |f|_2 there is at
-    most |f|_2 at the point it came from; otherwise the next point is that
-    point's image, already computed, and the differences are dropped.  A
-    degenerate or non-finite extrapolation, or one of norm beyond ``bound``,
-    gives way to the plain image g; numpy warns of none of them.
-    """
-
-    def __init__(self, size: int, bound: float):
-        self.bound = bound
-        self.dF, self.dG = np.empty((2, ANDERSON_MEMORY, size))  # ring buffers
-        self.reset()
-
-    def reset(self) -> None:
-        """Forget the differences and the kept point, as at the start."""
-        self.held = self.slot = 0  # rows filled, and the row written next
-        self.kept: Optional[tuple[Array, Array, float]] = None  # g, f and |f|_2 there
-        self.trial = False  # whether the point just evaluated was extrapolated
-
-    def next_point(self, w: Array, g: Array, t: int) -> Array:
-        f = (g - w).ravel()
-        r = float(np.sqrt(f @ f))
-        if self.trial and not r <= self.kept[2]:
-            self.trial, self.held, self.slot = False, 0, 0
-            return self.kept[0]
-        if self.kept is not None:
-            np.subtract(f, self.kept[1], out=self.dF[self.slot])
-            np.subtract(g.ravel(), self.kept[0].ravel(), out=self.dG[self.slot])
-            self.held = min(self.held + 1, ANDERSON_MEMORY)
-            self.slot = (self.slot + 1) % ANDERSON_MEMORY
-        self.kept = (g, f, r)
-        if t < ANDERSON_WARMUP:
-            return g
-        n = self.held
-        dF = self.dF[:n]
-        with np.errstate(all="ignore"):
-            gram = dF @ dF.T
-            scale = float(gram.trace())
-            if not 0.0 < scale < np.inf:
-                return g
-            gram.flat[::n + 1] += ANDERSON_REG * scale  # now positive definite
-            gamma = np.linalg.solve(gram, dF @ f)
-            trial = g.ravel() - gamma @ self.dG[:n]
-            # NaN fails the comparison too
-            if not np.sqrt(trial @ trial) <= self.bound:
-                return g
-        self.trial = True
-        return trial.reshape(g.shape)
-
-
 def iterate(step: Callable[[Array, Any], tuple[Array, Any]], w0: Array, cand0: Any,
             max_iter: int, tol: float, divergence_factor: float,
             accept: Optional[Callable[[Any], bool]] = None,
             record: Optional[Callable[[Any], Any]] = None,
             polish: Optional[Callable[[Any], Optional[tuple[Any, Any]]]] = None,
-            accelerate: bool = False,
-            restart: Optional[Callable[[int, Array], Optional[Array]]] = None) -> Run:
+            next_point: Optional[Callable[[int, Array, Array], Array]] = None) -> Run:
     """Run w <- step(w) until the step is small, w blows up or the budget ends.
 
     ``step(w, cand)`` returns the image g(w) of the point w and the next
     equilibrium candidate, given the previous one (``cand0`` at first).
     Every call is one iteration t, and its step norm is max|g(w) - w|.
-    Without ``accelerate`` the next point is g(w).  With it, after
-    ANDERSON_WARMUP plain steps the next point is a safeguarded type-II
-    Anderson extrapolation from the last ANDERSON_MEMORY points
-    (``_Anderson``).  A trial whose residual |g(w) - w|_2 exceeds that of
-    the point it came from is dropped for that point's image, already
-    computed, so that step is lost; the points kept never have a larger
-    residual than the one before them when g is nonexpansive, as DR's
-    averaged map is.
+    The next point is g(w), or ``next_point(t, w, g)`` when that hook is
+    given, as ``splitting.dr_solve`` gives its extrapolation and eta
+    balancing: it is called last in every step t that goes on, with the
+    point w just evaluated and its image g (``Run.plain`` says whether it
+    always returned g).
 
     ``record(cand)``, when given, is kept for the candidate after each step
     t on the grid {0} and {1, 2, 5} * 10^j (``on_record_grid``) that the run
@@ -255,21 +175,13 @@ def iterate(step: Callable[[Array, Any], tuple[Array, Any]], w0: Array, cand0: A
     (evaluated only then, so a costly residual check is skipped while w
     still moves), with ``divergence`` at the first image that is not finite
     or has |g(w)|_2 > divergence_factor * (1 + |w0|_2), and else with
-    ``max_iter``; ``max_iter = 0`` returns ``cand0``.
-
-    ``restart(t, g)``, when given, is called last in every step t that goes
-    on, with the image g = g(w) of the point just evaluated.  A point it
-    returns is evaluated next in place of g or the extrapolation, and the
-    Anderson state starts afresh: the solver has changed its map, and the
-    differences kept belong to the old one.  ``Run.plain`` says whether
-    every point evaluated was the image of the one before it.  Of the images
-    only the samples ``Run`` names are kept.
+    ``max_iter``; ``max_iter = 0`` returns ``cand0``.  Of the images only
+    the samples ``Run`` names are kept.
     """
     w, cand = w0, cand0
     iterates, iterate_iterations, step_norms = [w0], [0], []
     records, record_iterations = ([], []) if record is not None else (None, None)
     bound = divergence_factor * (1.0 + float(np.linalg.norm(w0)))
-    anderson = _Anderson(w0.size, bound) if accelerate else None
     termination, residual, plain = TERM_MAX_ITER, None, True
     for t in range(1, max_iter + 1):
         # the candidate after t - 1 steps, which the run goes past
@@ -294,13 +206,7 @@ def iterate(step: Callable[[Array, Any], tuple[Array, Any]], w0: Array, cand0: A
         if not (size < np.inf and np.linalg.norm(g) <= bound):
             termination = TERM_DIVERGENCE
             break
-        fresh = None if restart is None else restart(t, g)
-        if fresh is not None:
-            w = fresh
-            if anderson is not None:
-                anderson.reset()
-        else:
-            w = g if anderson is None else anderson.next_point(w, g, t)
+        w = g if next_point is None else next_point(t, w, g)
         plain = plain and w is g
     return Run(cand, iterates, iterate_iterations, step_norms, termination, records,
                record_iterations, residual, plain)
@@ -317,8 +223,8 @@ def build_report(game: GameDefinition, trajectory: Trajectory, run: Run, run_che
     start at t = 0 on, and last ``final_costs``; otherwise there is none.
     The distances to the final iterate are measured at the iterates the run
     kept.  ``fitted_rate`` and ``rate_fit_rmse`` are fitted to the step norms
-    of a plain run and are NaN for one that was not (``Run.plain``): an
-    extrapolated or restarted run's steps need not decay geometrically.
+    of a plain run and are NaN for one that was not (``Run.plain``): the
+    steps at points a solver chose need not decay geometrically.
     When the run ended on a polished point, the natural and KKT residuals
     are the polish's certificate (``certificate.ActiveSetPolish``);
     otherwise the KKT residual is NaN and the natural residual is computed

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from dyngames import splitting
+from dyngames import feedback, splitting
 from dyngames.model import GameDefinition
 
 settings.register_profile("default", deadline=None, max_examples=25)
@@ -299,3 +299,14 @@ def dr_without_polish(monkeypatch):
     on a game the polish would certify after one step.
     """
     monkeypatch.setattr(splitting, "active_set_polish", lambda *args: None)
+
+
+def stage_runs(game, policy, X0, start=0, noise=None, open_loop=None):
+    """The runs of ``feedback._stages`` collected: (states, actions, violations).
+
+    Each has a leading run axis, replay runs first, and a stage axis from
+    ``start`` to T; a stage without rows reads violation 0.
+    """
+    runs = [(X, U, np.zeros(len(X)) if v is None else v)
+            for _, X, U, v in feedback._stages(game, policy, X0, start, noise, open_loop)]
+    return tuple(np.stack(column, axis=1) for column in zip(*runs))

@@ -735,8 +735,10 @@ def dr_constraints_scheme_trace(game, stage_projection, eta, alpha, max_iter):
     Returns an array of shape (max_iter, 2).
     """
     from dyngames.lq import factor
-    from dyngames.report import ANDERSON_MEMORY, ANDERSON_REG, ANDERSON_WARMUP
     from dyngames.splitting import (
+        ANDERSON_MEMORY,
+        ANDERSON_REG,
+        ANDERSON_WARMUP,
         BALANCE_EVERY,
         BALANCE_FACTOR,
         BALANCE_MAX_CHANGES,

@@ -16,12 +16,13 @@ from dyngames.benchmarks import (
     rendezvous_residual,
 )
 from dyngames.errors import DimensionError, NonFiniteStateError
-from dyngames.feedback import FeedbackPolicy, feedback_rollout, stagewise_newton_backward
+from dyngames.feedback import FeedbackPolicy, stagewise_newton_backward
 from dyngames import model
 from dyngames.model import GameDefinition, Trajectory, rollout, total_cost
 from dyngames.projgrad import ProjGradConfig, project_onto_feasible, projected_gradient_solve
 from dyngames.splitting import DrConfig, dr_solve
 
+from conftest import stage_runs
 from instances import RENDEZVOUS_VARIANTS, equality_constrained_lq_instance
 from oracles import fishery_stage_projection, rendezvous_stage_projection
 
@@ -512,7 +513,7 @@ class TestNoiseComparison:
 
 def noise_comparison_by_mode(game, olne, policy, noise_var, n_runs, seed, noise_scale=1.0,
                              violation_tol=1e-7):
-    """The noise comparison as two ``feedback_rollout`` batches, one per mode.
+    """The noise comparison as two ``feedback._stages`` batches, one per mode.
 
     The same noise as ``noise_comparison`` (run i from child i of
     ``SeedSequence(seed)``); the open-loop replay is the policy with the
@@ -528,9 +529,9 @@ def noise_comparison_by_mode(game, olne, policy, noise_var, n_runs, seed, noise_
                                  offsets=[np.zeros_like(s) for s in policy.offsets])
     out = []
     for mode in (replay, policy):
-        run = feedback_rollout(game, mode, starts, noise=noise)
-        out.append((np.mean(np.sum((run.states - olne.states) ** 2, axis=2), axis=1),
-                    np.count_nonzero(~(run.constraint_violations <= violation_tol), axis=1)))
+        states, _, violations = stage_runs(game, mode, starts, 0, noise)
+        out.append((np.mean(np.sum((states - olne.states) ** 2, axis=2), axis=1),
+                    np.count_nonzero(~(violations <= violation_tol), axis=1)))
     return out
 
 
@@ -579,14 +580,14 @@ class TestOneBatchNoiseComparison:
     def test_replay_rows_apply_the_equilibrium_actions(self):
         game, olne, policy, _, _ = self.case("constrained_lq")
         starts = olne.states[0] + np.array([[0.1, -0.2], [0.3, 0.0]])
-        out = feedback_rollout(game, policy, starts, open_loop=olne.actions)
-        assert out.states.shape == (4, game.horizon + 1, 2)
-        np.testing.assert_array_equal(out.actions[:2], np.stack([olne.actions] * 2))
-        alone = feedback_rollout(game, policy, starts)
-        np.testing.assert_array_equal(out.states[2:], alone.states)
-        np.testing.assert_array_equal(out.actions[2:], alone.actions)
+        states, actions, _ = stage_runs(game, policy, starts, open_loop=olne.actions)
+        assert states.shape == (4, game.horizon + 1, 2)
+        np.testing.assert_array_equal(actions[:2], np.stack([olne.actions] * 2))
+        alone = stage_runs(game, policy, starts)
+        np.testing.assert_array_equal(states[2:], alone[0])
+        np.testing.assert_array_equal(actions[2:], alone[1])
         with pytest.raises(DimensionError, match="open-loop actions"):
-            feedback_rollout(game, policy, starts, open_loop=olne.actions[1:])
+            stage_runs(game, policy, starts, open_loop=olne.actions[1:])
 
     def test_feedback_blow_up_names_its_stage_and_run_within_the_mode(self):
         # x+ = x + u, non-finite once |u| exceeds a threshold; the open-loop

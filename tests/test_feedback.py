@@ -30,7 +30,7 @@ from dyngames.parametric import solve_stage_kkt
 from dyngames.projgrad import ProjGradConfig, projected_gradient_solve
 from dyngames.splitting import SCHEMES, DrConfig, dr_solve
 
-from conftest import random_lq_game
+from conftest import random_lq_game, stage_runs
 from instances import (
     affine_quadratic_game,
     cost_blocks_from_lq,
@@ -397,29 +397,22 @@ class TestBatchedFeedbackRollout:
         starts = policy.reference.states[start] + 0.05 * scale * rng.standard_normal((n_runs, n_x))
         noise = (0.02 * scale * rng.standard_normal((n_runs, T - start, n_x))
                  if with_noise else None)
-        if one_dim and n_runs == 1:
-            out = feedback_rollout(game, policy, starts[0], start=start,
-                                   noise=None if noise is None else noise[0])
+        if one_dim and n_runs == 1 and noise is None:
+            out = feedback_rollout(game, policy, starts[0], start=start)
             assert out.states.shape == (T - start + 1, n_x)
             assert out.constraint_violations.shape == (T - start + 1,)
             assert out.trajectory.horizon == T - start
             got = [(out.states, out.actions, out.constraint_violations)]
         else:
-            out = feedback_rollout(game, policy, starts, start=start, noise=noise)
-            assert out.states.shape == (n_runs, T - start + 1, n_x)
-            got = zip(out.states, out.actions, out.constraint_violations)
+            states, actions, violations = stage_runs(game, policy, starts, start, noise)
+            assert states.shape == (n_runs, T - start + 1, n_x)
+            got = zip(states, actions, violations)
         for b, mine in enumerate(got):
             oracle = feedback_rollout_per_stage(game, policy, starts[b], start=start,
                                                 noise=None if noise is None else noise[b])
             for m, r in zip(mine, oracle):
                 np.testing.assert_allclose(
                     m, r, rtol=1e-12, atol=1e-12 * (1.0 + float(np.max(np.abs(r)))))
-
-    def test_batch_has_no_single_trajectory(self):
-        game, policy = rollout_case("lq")
-        out = feedback_rollout(game, policy, np.tile(policy.reference.states[0], (2, 1)))
-        with pytest.raises(ValueError, match="batch"):
-            out.trajectory
 
     def test_non_finite_state_names_first_stage(self):
         game, policy = overflowing_game()
@@ -433,22 +426,19 @@ class TestBatchedFeedbackRollout:
         starts = np.array([[1.0], [2.0], [1.5], [1e20]])
         with np.errstate(over="ignore"), pytest.raises(NonFiniteStateError,
                                                        match="run 3") as exc:
-            feedback_rollout(game, policy, starts)
+            stage_runs(game, policy, starts)
         assert (exc.value.stage, exc.value.run) == (0, 3)
         with np.errstate(over="ignore"), pytest.raises(NonFiniteStateError) as exc:
-            feedback_rollout(game, policy, starts[:3])
+            stage_runs(game, policy, starts[:3])
         assert (exc.value.stage, exc.value.run) == (2, 1)
 
     def test_wrong_shapes_are_rejected(self):
         game, policy = rollout_case("lq")
         x0 = policy.reference.states[0]
-        with pytest.raises(DimensionError, match="start states"):
+        with pytest.raises(DimensionError, match="start state"):
             feedback_rollout(game, policy, x0[:2])
-        with pytest.raises(DimensionError, match="noise"):
-            feedback_rollout(game, policy, x0, noise=np.zeros((game.horizon + 1, 3)))
-        with pytest.raises(DimensionError, match="noise"):
-            feedback_rollout(game, policy, np.tile(x0, (2, 1)),
-                             noise=np.zeros((game.horizon, 3)))
+        with pytest.raises(DimensionError, match="start state"):
+            feedback_rollout(game, policy, np.tile(x0, (2, 1)))
         with pytest.raises(ValueError, match="start stage"):
             feedback_rollout(game, policy, x0, start=game.horizon + 1)
 
@@ -457,10 +447,10 @@ class TestBatchedFeedbackRollout:
         starts = np.tile(policy.reference.states[0], (3, 1))
         flat = dataclasses.replace(game, batch_dynamics=lambda k, X, U: X[:, 0])
         with pytest.raises(DimensionError, match="batch dynamics"):
-            feedback_rollout(flat, policy, starts)
+            stage_runs(flat, policy, starts)
         flat = dataclasses.replace(game, batch_constraints=lambda k, X, U: U.ravel())
         with pytest.raises(DimensionError, match="batch constraints"):
-            feedback_rollout(flat, policy, starts)
+            stage_runs(flat, policy, starts)
 
 
 def oracle_gap(inst, lq, policy, player, start, x_start):

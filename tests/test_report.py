@@ -12,8 +12,6 @@ from dyngames.errors import NonFiniteStateError
 from dyngames.model import Trajectory, all_player_costs, rollout
 from dyngames.projgrad import ProjGradConfig
 from dyngames.report import (
-    ANDERSON_MEMORY,
-    ANDERSON_WARMUP,
     TERM_DIVERGENCE,
     TERM_MAX_ITER,
     TERM_TOLERANCE,
@@ -21,7 +19,7 @@ from dyngames.report import (
     iterate,
     on_record_grid,
 )
-from dyngames.splitting import DrConfig
+from dyngames.splitting import ANDERSON_MEMORY, ANDERSON_WARMUP, DrConfig
 
 from instances import cross_scheme_lq_instance
 
@@ -150,7 +148,7 @@ class TestIterate:
         assert run.records == run.record_iterations == recorded
 
 
-def evaluated_points(g, w0, accelerate, max_iter, tol, restart=None):
+def evaluated_points(g, w0, next_point, max_iter, tol):
     """An ``iterate`` run of the map g, every point the loop evaluated g at and its image."""
     points, images = [], []
 
@@ -160,8 +158,13 @@ def evaluated_points(g, w0, accelerate, max_iter, tol, restart=None):
         return images[-1], count + 1
 
     run = iterate(step, w0, 0, max_iter=max_iter, tol=tol, divergence_factor=1e8,
-                  accelerate=accelerate, restart=restart)
+                  next_point=next_point)
     return run, points, images
+
+
+def anderson(w0):
+    """DR's extrapolation rule for a run from w0, bounded as ``iterate`` bounds it."""
+    return splitting._Anderson(w0.size, 1e8 * (1.0 + float(np.linalg.norm(w0))))
 
 
 class TestAnderson:
@@ -172,8 +175,10 @@ class TestAnderson:
         M = Q @ np.diag(np.linspace(0.5, 0.99, n)) @ Q.T
         c = rng.standard_normal(n)
         fixed = np.linalg.solve(np.eye(n) - M, c)
-        plain, _, _ = evaluated_points(lambda w: M @ w + c, np.zeros(n), False, 5000, 1e-10)
-        fast, _, _ = evaluated_points(lambda w: M @ w + c, np.zeros(n), True, 5000, 1e-10)
+        w0 = np.zeros(n)
+        plain, _, _ = evaluated_points(lambda w: M @ w + c, w0, None, 5000, 1e-10)
+        fast, _, _ = evaluated_points(lambda w: M @ w + c, w0, anderson(w0).next_point, 5000,
+                                      1e-10)
         assert plain.termination == fast.termination == TERM_TOLERANCE
         assert len(plain.step_norms) > 500
         assert len(fast.step_norms) <= n + ANDERSON_WARMUP + 2
@@ -185,7 +190,8 @@ class TestAnderson:
         def g(w):
             return np.where(w > 1.0, w - 0.5, 0.5 * w)
 
-        run, points, images = evaluated_points(g, np.array([5.0, 3.2, 7.1]), True, 100, 1e-12)
+        w0 = np.array([5.0, 3.2, 7.1])
+        run, points, images = evaluated_points(g, w0, anderson(w0).next_point, 100, 1e-12)
         assert run.termination == TERM_TOLERANCE
         kept, rejected = 0, 0  # the last point kept, and the trials dropped
         for i in range(1, len(points)):
@@ -202,42 +208,50 @@ class TestAnderson:
     def test_constant_residual_takes_plain_steps(self):
         # f = g(w) - w is exactly -1 everywhere, so every difference of f is
         # zero; the iterate may have any shape
-        run, points, _ = evaluated_points(lambda w: w - 1.0, np.zeros((2, 3)), True, 40, 1e-8)
+        w0 = np.zeros((2, 3))
+        run, points, _ = evaluated_points(lambda w: w - 1.0, w0, anderson(w0).next_point, 40,
+                                          1e-8)
         assert run.termination == TERM_MAX_ITER
         for t, w in enumerate(points):
             np.testing.assert_array_equal(w, np.full((2, 3), -float(t)))
 
 
-class TestRestartHook:
-    def test_a_restart_point_is_evaluated_next_and_clears_the_extrapolation(self, rng):
+class TestNextPointHook:
+    def test_a_reset_point_is_evaluated_next_and_clears_the_extrapolation(self, rng):
+        # the shape of dr_solve's rule: a change of the map returns a new
+        # point and resets the extrapolation, else the extrapolation decides
         n = 6
         Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
         M = Q @ np.diag(np.linspace(0.5, 0.99, n)) @ Q.T
-        asked = []
+        rule, asked = anderson(np.zeros(n)), []
 
-        def restart(t, g):
+        def next_point(t, w, g):
             asked.append(t)
-            return np.full(n, 100.0) if t == 8 else None
+            if t == 8:
+                rule.reset()
+                return np.full(n, 100.0)
+            return rule.next_point(t, w, g)
 
-        run, points, images = evaluated_points(lambda w: M @ w + 1.0, np.zeros(n), True, 12,
-                                               1e-12, restart=restart)
+        run, points, images = evaluated_points(lambda w: M @ w + 1.0, np.zeros(n), next_point,
+                                               12, 1e-12)
         assert asked == list(range(1, 13))
         np.testing.assert_array_equal(points[8], np.full(n, 100.0))
         # the differences kept before belong to the old map: the point after
-        # the restart is its plain image, and the next extrapolates again
+        # the reset is its plain image, and the next extrapolates again
         np.testing.assert_array_equal(points[9], images[8])
         assert not np.array_equal(points[10], images[9])
         assert not run.plain
 
-    def test_a_plain_run_without_a_restart_stays_plain(self):
-        run, points, images = evaluated_points(lambda w: 0.5 * w, np.array([1.0]), False, 6,
-                                               1e-12, restart=lambda t, g: None)
+    def test_a_run_whose_hook_returns_the_image_stays_plain(self):
+        run, points, images = evaluated_points(lambda w: 0.5 * w, np.array([1.0]),
+                                               lambda t, w, g: g, 6, 1e-12)
         assert run.plain and all(np.array_equal(p, g) for p, g in zip(points[1:], images))
-        restarted, _, _ = evaluated_points(lambda w: 0.5 * w, np.array([1.0]), False, 6, 1e-12,
-                                           restart=lambda t, g: g.copy() if t == 3 else None)
-        assert not restarted.plain
-        accelerated, _, _ = evaluated_points(lambda w: 0.5 * w + 1.0, np.array([1.0, 4.0]),
-                                             True, 20, 1e-12)
+        moved, _, _ = evaluated_points(lambda w: 0.5 * w, np.array([1.0]),
+                                       lambda t, w, g: g.copy() if t == 3 else g, 6, 1e-12)
+        assert not moved.plain
+        w0 = np.array([1.0, 4.0])
+        accelerated, _, _ = evaluated_points(lambda w: 0.5 * w + 1.0, w0,
+                                             anderson(w0).next_point, 20, 1e-12)
         assert not accelerated.plain
 
 

@@ -5,10 +5,12 @@ import inspect
 
 from dyngames import cli
 from dyngames.benchmarks import FisheryParams
-from dyngames.feedback import FeedbackPolicy
+from dyngames.certificate import natural_residual
+from dyngames.feedback import FeedbackPolicy, feedback_rollout
 from dyngames.gradient import PseudoGradient
 from dyngames.model import GameDefinition, LqGameData
 from dyngames.projgrad import ProjGradConfig
+from dyngames.report import iterate
 from dyngames.splitting import (
     DrConfig,
     resolvent_reg_game,
@@ -51,3 +53,6 @@ def test_settable_surface():
     assert defaulted(resolvent_reg_game) == ["warm", "factor"]
     assert defaulted(resolvent_reg_static_games) == ["rows", "data"]
     assert defaulted(resolvent_static_games_uncon) == ["data"]
+    assert defaulted(iterate) == ["accept", "record", "polish", "next_point"]
+    assert defaulted(feedback_rollout) == ["start"]
+    assert defaulted(natural_residual) == []

@@ -1055,7 +1055,9 @@ class TestEtaBalancing:
         first, g = self.rendezvous_map(game, eta)
         u0 = np.zeros((game.horizon + 1, game.total_action_dim))
         w0 = np.concatenate([rollout(game, game.initial_state, u0).states.ravel(), u0.ravel()])
-        run = iterate(lambda w, c: (g(w), c), w0, None, 2000, 1e-15, 1e8, accelerate=True)
+        rule = splitting._Anderson(w0.size, 1e8 * (1.0 + float(np.linalg.norm(w0))))
+        run = iterate(lambda w, c: (g(w), c), w0, None, 2000, 1e-15, 1e8,
+                      next_point=rule.next_point)
         w = run.iterates[-1]
         assert np.max(np.abs(g(w) - w)) <= 1e-12
         a = first(w)
@@ -1113,3 +1115,13 @@ class TestEtaBalancing:
             assert rep.termination == TERM_TOLERANCE, scheme
             np.testing.assert_allclose(rep.trajectory.actions, oracle.actions, atol=1e-8,
                                        err_msg=scheme)
+
+
+def test_fishery_dr_needs_both_its_extrapolation_and_its_balancing():
+    # The polish cannot end this nonlinear game, so DR's next-point rule
+    # decides how far 300 steps get: a natural residual of 0.143, against
+    # 0.235 without the Anderson extrapolation and 0.345 without balancing.
+    rep = dr_solve(fishery_game(FisheryParams(horizon_time=10.0)),
+                   DrConfig(eta=1e-4, max_iter=300))
+    assert rep.termination == TERM_MAX_ITER
+    assert rep.natural_residual <= 0.2
