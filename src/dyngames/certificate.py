@@ -48,9 +48,8 @@ terminal cost reads the state only, is pinned at its reference in the
 pinned solve (``lq._inert_actions``).  ``natural_residual`` starts its
 projection from the near-active rows, taken at its own point.
 
-A solve reads the game's rows and its LQ data or linear dynamics once, at
-the origin (``read_game``); the projections, the resolvents, the polish and
-the report reuse that read, and a function not given it reads for itself.
+The rows and the LQ data or linear dynamics at the origin are the game's
+kept reads (``lq.padded_rows`` and ``lq.game_data``), made once per game.
 The Newton polish reads curved rows at its own points, each time over the
 whole trajectory at once (``model.read_rows`` and
 ``GameDefinition.eval_traj_constraint_hessians``, which call a game's
@@ -70,7 +69,7 @@ from . import lq
 from .errors import (NonFiniteDerivativeError, NonFiniteStateError, StageSingularityError,
                      UnsupportedConstraintError)
 from .gradient import pseudo_gradient, solve_costates
-from .model import GameDefinition, LqGameData, PaddedRows, Trajectory, read_rows, rollout
+from .model import GameDefinition, PaddedRows, Trajectory, read_rows, rollout
 
 Array = np.ndarray
 
@@ -98,9 +97,7 @@ def _projection_route(game: GameDefinition) -> Optional[str]:
         "affine constraints with linear dynamics")
 
 
-def project_onto_feasible(game: GameDefinition, actions: Array,
-                          rows: Optional[PaddedRows] = None,
-                          data: Optional[LqGameData] = None) -> Array:
+def project_onto_feasible(game: GameDefinition, actions: Array) -> Array:
     """Closest feasible joint-action sequence to ``actions``.
 
     Minimizes the summed squared action deviation subject to the dynamics
@@ -114,14 +111,12 @@ def project_onto_feasible(game: GameDefinition, actions: Array,
     * affine stage rows with linear dynamics: one exact QP over the whole
       stacked trajectory with weight zero on the states, solved in band
       (``lq.project``); the dynamics tie the states to the actions, so the
-      states carry the stage rows.  ``rows`` and ``data`` are the solve's
-      reads (``read_game``); each is read here when None.
+      states carry the stage rows.
     """
-    return _project(game, actions, rows, data)
+    return _project(game, actions)
 
 
-def _project(game: GameDefinition, actions: Array, rows: Optional[PaddedRows],
-             data: Optional[LqGameData], near: Optional[Trajectory] = None) -> Array:
+def _project(game: GameDefinition, actions: Array, near: Optional[Trajectory] = None) -> Array:
     """``project_onto_feasible``; the QP starts from the rows ``near_active`` along ``near``."""
     actions = np.asarray(actions, dtype=float)
     route = _projection_route(game)
@@ -129,33 +124,15 @@ def _project(game: GameDefinition, actions: Array, rows: Optional[PaddedRows],
         return actions.copy()
     if route == "analytic":
         return game.eval_traj_projection(None, actions)[1]
-    rows = lq.padded_rows(game) if rows is None else rows
-    data = lq.dynamics_data(game) if data is None else data
+    rows = lq.padded_rows(game)
     start = None if near is None else near_active(rows, near)
-    return lq.project(rows, data, np.zeros((len(actions), game.state_dim)), actions, 0.0,
-                      start).actions
+    return lq.project(rows, lq.game_data(game), np.zeros((len(actions), game.state_dim)),
+                      actions, 0.0, start).actions
 
 
 def near_active(rows: PaddedRows, traj: Trajectory) -> Array:
     """The real rows whose value along ``traj`` is at least -POLISH_DELTA: (T+1, m) bool."""
     return rows.real & (rows.values(traj) >= -POLISH_DELTA)
-
-
-def read_game(game: GameDefinition) -> tuple[Optional[PaddedRows], Optional[LqGameData]]:
-    """A solve's one read of the game at the origin: (rows, data).
-
-    The rows are ``lq.padded_rows`` for declared affine rows or none; they
-    are None for other rows and where nothing reads them, an analytic
-    projector with nonlinear dynamics.  The data is ``lq.extract_lq_data``
-    for a declared linear-quadratic game, ``lq.dynamics_data`` for other
-    linear dynamics and None for nonlinear dynamics.
-    """
-    affine = game.constraints is None or game.polyhedral_constraints
-    used = game.linear_dynamics or game.traj_projector is None
-    rows = lq.padded_rows(game) if affine and used else None
-    if not game.linear_dynamics:
-        return rows, None
-    return rows, lq.extract_lq_data(game) if game.quadratic_costs else lq.dynamics_data(game)
 
 
 def natural_residual(game: GameDefinition, actions: Array) -> float:
@@ -171,9 +148,7 @@ def natural_residual(game: GameDefinition, actions: Array) -> float:
     return residual_along(game, rollout(game, game.initial_state, actions))
 
 
-def residual_along(game: GameDefinition, traj: Trajectory,
-                   rows: Optional[PaddedRows] = None,
-                   data: Optional[LqGameData] = None) -> float:
+def residual_along(game: GameDefinition, traj: Trajectory) -> float:
     """``natural_residual`` of ``traj.actions``, given ``traj``, their rollout.
 
     For a caller that holds the rollout already, as the polish and the
@@ -183,11 +158,11 @@ def residual_along(game: GameDefinition, traj: Trajectory,
     _projection_route(game)
     u = traj.actions
     F = pseudo_gradient(game, traj, feas_tol=np.inf).own_stage_grads()
-    return float(np.max(np.abs(u - _project(game, u - F, rows, data, traj))))
+    return float(np.max(np.abs(u - _project(game, u - F, traj))))
 
 
 def kkt_residual(game: GameDefinition, traj: Trajectory, mu: Array,
-                 rows: Optional[PaddedRows] = None, data: Optional[LqGameData] = None) -> float:
+                 rows: Optional[PaddedRows] = None) -> float:
     """The KKT residual of the rolled-out ``traj`` with row multipliers ``mu`` (T+1, m).
 
     ``mu`` holds one multiplier per row of ``rows``, the rows read at
@@ -206,18 +181,18 @@ def kkt_residual(game: GameDefinition, traj: Trajectory, mu: Array,
     It is in the units of the cost gradients, which a game's weights scale
     (the paper rendezvous' terminal weight is 1000), and needs no
     projection, so it certifies curved rows too.  NaN anywhere gives NaN.
-    For a declared linear-quadratic game, ``data``, its read at the origin
-    (``lq.extract_lq_data``), gives the cost gradients c + C z and the
-    dynamics Jacobians without calling the game's evaluators.
+    For a declared linear-quadratic game its kept data (``lq.game_data``)
+    gives the cost gradients c + C z and the dynamics Jacobians without
+    calling the game's evaluators.
     """
     rows = read_rows(game, traj.states, traj.actions) if rows is None else rows
     n_x = game.state_dim
     weighted = np.einsum("km,kmi->ki", mu, rows.G)  # mu_k' [W_k S_k]
-    if data is None:
+    if not (game.linear_dynamics and game.quadratic_costs):
         CX, CU = game.eval_traj_cost_gradients(traj.states, traj.actions)
         A, B = game.eval_traj_dynamics_jacobians(traj.states, traj.actions)
     else:
-        z = np.concatenate([traj.states, traj.actions], axis=1)
+        data, z = lq.game_data(game), np.concatenate([traj.states, traj.actions], axis=1)
         grads = (data.c + (data.C @ z[..., None])[..., 0]).swapaxes(0, 1)
         CX, CU, A, B = grads[..., :n_x], grads[..., n_x:], data.A, data.B
     om = solve_costates(A, CX + weighted[:, None, :n_x])
@@ -229,17 +204,15 @@ def kkt_residual(game: GameDefinition, traj: Trajectory, mu: Array,
     return float(np.max(np.concatenate(figures), initial=0.0))
 
 
-def active_set_polish(game: GameDefinition, tol: float, rows: Optional[PaddedRows] = None,
-                      data: Optional[LqGameData] = None) -> Optional["ActiveSetPolish"]:
+def active_set_polish(game: GameDefinition, tol: float) -> Optional["ActiveSetPolish"]:
     """The polish hook of ``report.iterate`` for ``game``, or None out of scope.
 
     The hook exists for games that declare linear dynamics and quadratic
-    costs, whatever their rows; ``rows`` and ``data`` are the solve's reads
-    (``read_game``), read here when None.
+    costs, whatever their rows.
     """
     if not (game.linear_dynamics and game.quadratic_costs):
         return None
-    return ActiveSetPolish(game, tol, rows, data)
+    return ActiveSetPolish(game, tol)
 
 
 class ActiveSetPolish:
@@ -253,8 +226,8 @@ class ActiveSetPolish:
     singular system, at a point only the natural residual rejects, or at a
     set tried before, in this call or an earlier one: the pinned solve
     depends on the set only, so no set is solved twice and every call ends.
-    ``rows`` (``lq.padded_rows``) and ``data`` (``lq.extract_lq_data``) are
-    the game's reads, read here when None.
+    ``rows`` and ``data`` are the game's kept reads at the origin
+    (``lq.padded_rows``, None for curved rows, and ``lq.game_data``).
 
     For curved rows a call is an attempt of at most NEWTON_STEPS Newton
     steps from the candidate (``_newton``).  Such an attempt may succeed
@@ -268,12 +241,11 @@ class ActiveSetPolish:
     multipliers.
     """
 
-    def __init__(self, game: GameDefinition, tol: float, rows: Optional[PaddedRows] = None,
-                 data: Optional[LqGameData] = None):
+    def __init__(self, game: GameDefinition, tol: float):
         self.game, self.tol = game, tol
         self.curved = not (game.constraints is None or game.polyhedral_constraints)
-        self.rows = None if self.curved else lq.padded_rows(game) if rows is None else rows
-        self.data = lq.extract_lq_data(game) if data is None else data
+        self.rows = None if self.curved else lq.padded_rows(game)
+        self.data = lq.lq_game_data(game)
         self.tried: set[bytes] = set()
         self.calls = 0
 
@@ -320,10 +292,10 @@ class ActiveSetPolish:
             return None, (pinned & ~freed) | violated
         game = self.game
         traj = rollout(game, game.initial_state, traj.actions)
-        residual = residual_along(game, traj, rows, self.data)
+        residual = residual_along(game, traj)
         if not residual <= self.tol:  # NaN fails
             return None, None
-        kkt = kkt_residual(game, traj, mu, replace(rows, p=rows.values(traj)), self.data)
+        kkt = kkt_residual(game, traj, mu, replace(rows, p=rows.values(traj)))
         return (traj, (residual, kkt)), None
 
     def _newton(self, cand: Trajectory) -> Optional[tuple[Trajectory, tuple[float, float]]]:
@@ -392,7 +364,7 @@ class ActiveSetPolish:
                 except (NonFiniteStateError, NonFiniteDerivativeError):
                     return None
                 moved = mu + length * (target - mu)
-                if (kkt := kkt_residual(game, traj, moved, rows, data)) < last:
+                if (kkt := kkt_residual(game, traj, moved, rows)) < last:
                     break
             if not kkt < np.inf:  # NaN too
                 return None

@@ -302,8 +302,9 @@ def epsilon_nash_gap(game: GameDefinition, policy: FeedbackPolicy,
     follows its affine policy.  The best response is one ``lq.BandedQp``
     over (x_k, u_k), k = start..T, from ``x_start``: the game's rows from
     ``start`` on and, held, u^-n_k - K^-n_k x_k = ubar^-n_k - K^-n_k xbar_k
-    + s^-n_k for the opponents' actions.  Both costs are the game's stage
-    costs, read with one ``eval_traj_costs`` call per trajectory.
+    + s^-n_k for the opponents' actions, on the game's kept rows and data
+    (``lq.padded_rows`` and ``lq.lq_game_data``).  Both costs are the game's
+    stage costs, read with one ``eval_traj_costs`` call per trajectory.
     Nonnegative up to solver precision.
 
     A policy with zero gains and offsets replays its reference open loop,
@@ -326,7 +327,7 @@ def epsilon_nash_gap(game: GameDefinition, policy: FeedbackPolicy,
         raise InfeasibleConstraintsError(
             f"policy rollout violates the game's rows at stage {start + worst}",
             max_violation=float(roll.constraint_violations[worst]))
-    data = extract_lq_data(game)
+    data = lq.lq_game_data(game)
     # one player holding every action, with this player's costs
     one = LqGameData(data.A[start:], data.B[start:], data.b[start:],
                      data.C[player:player + 1, start:], data.c[player:player + 1, start:],

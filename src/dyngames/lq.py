@@ -54,14 +54,14 @@ The same factor solves every QP over a whole stacked trajectory
 active rows pinned.  The projections (``project``) and the best response
 of ``feedback.epsilon_nash_gap`` cost O(T) per active-set step.  A banded
 QP pins a guess of its active rows in one factor: the rows its caller
-names, else those violated at its equality-constrained minimum.  A solve reads
-a game once, at the origin: its rows (``padded_rows``) and its data
-(``extract_lq_data``, or ``dynamics_data`` for linear dynamics only).
+names, else those violated at its equality-constrained minimum.  A game
+is read at the origin once, however many solves read it: its rows
+(``padded_rows``) and its data (``game_data``) are kept on it (``_kept``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -279,18 +279,18 @@ def regularized_factor(data: LqGameData, eta: float) -> LqFactor:
                                c=eta * data.c), eta)
 
 
-def factor(game: GameDefinition, eta: float, data: Optional[LqGameData] = None) -> LqFactor:
+def factor(game: GameDefinition, eta: float) -> LqFactor:
     """Factor of the game regularized with weight eta (see the module docstring).
 
-    eta > 0 requires a declared linear-quadratic game; eta = 0 (the dynamics
-    projection) requires declared linear dynamics only.  ``data`` is the
-    solve's read (``extract_lq_data``, or ``dynamics_data`` at eta = 0).
+    eta > 0 requires a declared linear-quadratic game (ValueError); eta = 0
+    (the dynamics projection) requires declared linear dynamics only.  Both
+    factor the game's kept data (``game_data``).
     """
     if not eta >= 0:  # rejects NaN too
         raise ValueError(f"regularization must be nonnegative, got {eta}")
     if eta > 0:
-        return regularized_factor(extract_lq_data(game) if data is None else data, eta)
-    data = dynamics_data(game) if data is None else data
+        return regularized_factor(lq_game_data(game), eta)
+    data = game_data(game)
     # the prox terms alone; LqFactor.solve shifts their centres
     return _kkt_factor(_prox_data(data.A, data.B, data.b, data.initial_state, 1.0,
                                   *_origin(game)), 0.0)
@@ -386,10 +386,51 @@ def _inert_actions(idle: Array, G: Array, held: Array) -> Optional[Array]:
 
 
 def padded_rows(game: GameDefinition) -> PaddedRows:
-    """The game's rows read at the origin; UnsupportedConstraintError unless declared affine."""
+    """The game's rows read at the origin, kept (``_kept``).
+
+    Raises UnsupportedConstraintError unless the rows are declared affine.
+    """
     if not (game.constraints is None or game.polyhedral_constraints):
         raise UnsupportedConstraintError("the stage rows are not declared affine")
-    return read_rows(game, *_origin(game))
+    return _kept(game, "lq.padded_rows", lambda: read_rows(game, *_origin(game)))
+
+
+def game_data(game: GameDefinition) -> LqGameData:
+    """The game's data at the origin, kept (``_kept``).
+
+    ``extract_lq_data`` for a declared linear-quadratic game, else
+    ``dynamics_data``, which raises for nonlinear dynamics; a reader of the
+    costs asks ``lq_game_data``.
+    """
+    declared = game.linear_dynamics and game.quadratic_costs
+    return _kept(game, "lq.game_data",
+                 lambda: extract_lq_data(game) if declared else dynamics_data(game))
+
+
+def lq_game_data(game: GameDefinition) -> LqGameData:
+    """``game_data`` of a declared linear-quadratic game; ValueError for any other game."""
+    if not (game.linear_dynamics and game.quadratic_costs):
+        raise ValueError("game is not declared linear-quadratic")
+    return game_data(game)
+
+
+def _kept(game: GameDefinition, key: str, read):
+    """``read()``, made at the first call and kept in ``game``'s ``__dict__`` under ``key``.
+
+    The game is immutable, so the read depends on it only; it is not a field
+    (the dataclass is frozen and unhashable), so ``dataclasses.replace``
+    gives an unread game.  A read that raises is not kept.  Its arrays are
+    kept as read-only copies: no reader changes what the next one reads, and
+    no array of the game or its hooks that the read passes through is frozen.
+    """
+    if key not in game.__dict__:
+        kept = read()
+        arrays = {f.name: np.array(getattr(kept, f.name)) for f in fields(kept)
+                  if isinstance(getattr(kept, f.name), np.ndarray)}
+        for a in arrays.values():
+            a.flags.writeable = False
+        game.__dict__[key] = replace(kept, **arrays)
+    return game.__dict__[key]
 
 
 def project(rows: PaddedRows, data: LqGameData, y: Array, z: Array,

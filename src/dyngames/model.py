@@ -687,9 +687,10 @@ class LqGameData:
     (T, n_x, ...).  Player n's stage cost is, up to a constant, c'dz + 0.5
     dz'C dz over dz = (dx, du), with ``c`` (N, T+1, n_x+n_u) and the
     symmetric ``C`` (N, T+1, n_x+n_u, n_x+n_u) indexed ``C[n, k]``.  One
-    read serves every reader of a solve, so a reader copies C before
-    writing into it.  ``G`` (T, n_x, n_x+n_u, n_x+n_u) holds the symmetrized
-    second derivatives of each dynamics output over (x, u).  ``rows`` holds
+    read at the origin serves every reader of a game; the kept read is
+    read-only (``lq.game_data``), and a reader of another read copies C
+    before writing into it.  ``G`` (T, n_x, n_x+n_u, n_x+n_u) holds the
+    symmetrized second derivatives of each dynamics output over (x, u).  ``rows`` holds
     every stage's rows W dx + S du + p <= 0 and ``active`` (T+1, m) marks the
     active ones, the real rows with p >= -active_tol; both are None when no
     rows were read.

@@ -35,7 +35,7 @@ import numpy as np
 from .certificate import residual_along
 from .errors import UnsupportedConstraintError
 from .gradient import PlayerVerdict, playerwise_minimizer_check
-from .model import GameDefinition, LqGameData, PaddedRows, Trajectory, all_player_costs
+from .model import GameDefinition, Trajectory, all_player_costs
 
 Array = np.ndarray
 
@@ -212,9 +212,8 @@ def iterate(step: Callable[[Array, Any], tuple[Array, Any]], w0: Array, cand0: A
                record_iterations, residual, plain)
 
 
-def build_report(game: GameDefinition, trajectory: Trajectory, run: Run, run_checks: bool,
-                 rows: Optional[PaddedRows] = None,
-                 data: Optional[LqGameData] = None) -> SolverReport:
+def build_report(game: GameDefinition, trajectory: Trajectory, run: Run,
+                 run_checks: bool) -> SolverReport:
     """The report of a run whose result, rolled out, is ``trajectory``.
 
     The final costs, the constraint residual, the natural residual and, with
@@ -229,8 +228,7 @@ def build_report(game: GameDefinition, trajectory: Trajectory, run: Run, run_che
     are the polish's certificate (``certificate.ActiveSetPolish``);
     otherwise the KKT residual is NaN and the natural residual is computed
     here along ``trajectory``, which is not rolled out again
-    (``certificate.residual_along``), projecting with the solve's reads
-    (``rows`` and ``data``) as ``certificate.project_onto_feasible`` does.
+    (``certificate.residual_along``).
     A diverged run gets neither verdicts nor a natural residual.
     """
     verdicts, (residual, kkt) = [], run.residual or (None, float("nan"))
@@ -239,7 +237,7 @@ def build_report(game: GameDefinition, trajectory: Trajectory, run: Run, run_che
             verdicts = playerwise_minimizer_check(game, trajectory)
         if residual is None:
             try:
-                residual = residual_along(game, trajectory, rows, data)
+                residual = residual_along(game, trajectory)
             except UnsupportedConstraintError:
                 pass
     dist = np.array([float(np.linalg.norm(w - run.iterates[-1])) for w in run.iterates])

@@ -30,7 +30,7 @@ operator that gets its own resolvent:
   without their rows, each step one stacked linear solve.
 
 The static-game resolvents take a declared linear-quadratic game's affine
-stage operators from the solve's one read of its data, and read other
+stage operators from its kept data (``lq.game_data``), and read other
 games' cost derivatives over the whole trajectory once per Newton step.
 Their fixed points coincide with the variational equilibrium exactly when
 the players share state-cost gradients (the coordinator row uses the mean
@@ -51,12 +51,11 @@ ends a linear-quadratic run within two steps, so the rule serves the games
 it cannot end: on the nonlinear fishery (``horizon_time`` 10, eta 1e-4)
 the natural residual after 300 steps reads 0.143 with both parts, 0.235
 without the extrapolation and 0.345 without the balancing.
-``dr_solve`` reads the game once, at the origin (``certificate.read_game``),
-and ``_resolvents`` builds what does not depend on eta once from that read:
-the rows for the stagewise projections, the static games and the
-intersection projection (a QP on ``lq``'s banded kernel), and the eta = 0
-dynamics projection's ``lq.factor`` (a banded LU of the stacked KKT matrix).
-Only the regularized LQ game is factored again, once per change of eta.
+The rows and the data at the origin are the game's kept reads
+(``lq.padded_rows`` and ``lq.game_data``).  ``_resolvents`` builds the eta
+= 0 dynamics projection's ``lq.factor`` (a banded LU of the stacked KKT
+matrix) once per solve; only the regularized LQ game is factored again,
+once per change of eta.
 """
 
 from __future__ import annotations
@@ -69,12 +68,10 @@ import numpy as np
 from . import denseqp
 from .errors import StageSingularityError, SubproblemError
 from . import lq
-from .certificate import active_set_polish, read_game
+from .certificate import active_set_polish
 from .gradient import solve_costates
 from .model import (
     GameDefinition,
-    LqGameData,
-    PaddedRows,
     Trajectory,
     all_player_costs,
     local_lq,
@@ -238,14 +235,13 @@ def resolvent_reg_game(game: GameDefinition, y: Array, z: Array, eta: float,
 # ---------------------------------------------------------------------------
 
 
-def project_stage_constraints(game: GameDefinition, y: Array, z: Array,
-                              rows: Optional[PaddedRows] = None) -> tuple[Array, Array]:
+def project_stage_constraints(game: GameDefinition, y: Array, z: Array) -> tuple[Array, Array]:
     """Stagewise projection of (y, z) onto the constraint sets.
 
     Uses the game's analytic projector when available, for the whole
     trajectory at once (``GameDefinition.eval_traj_projection``), otherwise
-    an exact polyhedron projection for affine rows (``rows``, read here when
-    None; one ``denseqp.project_polyhedron`` per stage).  Stages without
+    an exact polyhedron projection for affine rows (``lq.padded_rows``; one
+    ``denseqp.project_polyhedron`` per stage).  Stages without
     constraints pass through unchanged; rows that admit no point raise
     InfeasibleConstraintsError naming the stage.
     """
@@ -254,7 +250,7 @@ def project_stage_constraints(game: GameDefinition, y: Array, z: Array,
     if game.traj_projector is not None:
         return game.eval_traj_projection(np.asarray(y, dtype=float),
                                          np.asarray(z, dtype=float))
-    rows = lq.padded_rows(game) if rows is None else rows  # raises without affine rows
+    rows = lq.padded_rows(game)  # raises without affine rows
     xs, us = np.array(y, dtype=float, copy=True), np.array(z, dtype=float, copy=True)
     for k in np.flatnonzero(rows.real.any(axis=1)):
         G, p0 = rows.G[k, rows.real[k]], rows.p[k, rows.real[k]]
@@ -278,8 +274,8 @@ def _stage_operators(game, cx, cu, C):
 
 
 def _static_games(game: GameDefinition, y: Array, z: Array, eta: float,
-                  rows: Optional[PaddedRows], data: Optional[LqGameData]) -> tuple[Array, Array]:
-    """Every stage's regularized static game, by Josephy-Newton steps, with ``rows`` or none.
+                  constrained: bool) -> tuple[Array, Array]:
+    """Every stage's regularized static game, by Josephy-Newton steps, with its rows or none.
 
     Each step linearizes the pending stages' operators at their current
     points and solves those affine stage games exactly, all at once: one
@@ -289,9 +285,10 @@ def _static_games(game: GameDefinition, y: Array, z: Array, eta: float,
     held, and Lemke's method only where that guess fails.  A stage leaves once its KKT
     residual (stationarity and min(mu, -g) over the rows g <= 0) is at most
     INNER_TOL * (1 + |(y_k, z_k)|_inf); quadratic costs need one step plus that check, and a stage
-    fails after INNER_MAX_ITER steps.  Declared linear-quadratic games take
-    their affine operators from ``data`` (``lq.extract_lq_data``, read here
-    when None); other games read ``eval_traj_cost_gradients`` and
+    fails after INNER_MAX_ITER steps.  The rows, when ``constrained``, are
+    ``lq.padded_rows``.  Declared linear-quadratic games take their affine
+    operators from their kept data (``lq.game_data``); other games read
+    ``eval_traj_cost_gradients`` and
     ``eval_traj_cost_hessians`` once per step.  A failure raises
     SubproblemError naming the stage; when several stages fail, the first in
     stage order.
@@ -299,12 +296,13 @@ def _static_games(game: GameDefinition, y: Array, z: Array, eta: float,
     n_x, K = game.state_dim, game.horizon + 1
     w = np.concatenate([y, z], axis=1).astype(float)
     n_v = w.shape[1]
-    if rows is None:
-        G, p, real = np.zeros((K, 0, n_v)), np.zeros((K, 0)), np.zeros((K, 0), dtype=bool)
-    else:  # padding rows are zero: they never bind and add nothing to the residual
+    if constrained:  # padding rows are zero: they never bind and add nothing to the residual
+        rows = lq.padded_rows(game)
         G, p, real = rows.G, rows.p, rows.real
+    else:
+        G, p, real = np.zeros((K, 0, n_v)), np.zeros((K, 0)), np.zeros((K, 0), dtype=bool)
     if game.linear_dynamics and game.quadratic_costs:
-        data = lq.extract_lq_data(game) if data is None else data
+        data = lq.game_data(game)
         # the operator at the origin and its constant Jacobian
         c = data.c.swapaxes(0, 1)
         f0, H = _stage_operators(game, c[..., :n_x], c[..., n_x:], data.C.swapaxes(0, 1))
@@ -372,9 +370,8 @@ def _static_games(game: GameDefinition, y: Array, z: Array, eta: float,
     return v[:, :n_x], v[:, n_x:]
 
 
-def resolvent_reg_static_games(game: GameDefinition, y: Array, z: Array, eta: float,
-                               rows: Optional[PaddedRows] = None,
-                               data: Optional[LqGameData] = None) -> tuple[Array, Array]:
+def resolvent_reg_static_games(game: GameDefinition, y: Array, z: Array,
+                               eta: float) -> tuple[Array, Array]:
     """Independent regularized constrained static games, one per stage.
 
     Each stage solves, over (x_k, u_k), the game whose action rows are the
@@ -383,26 +380,22 @@ def resolvent_reg_static_games(game: GameDefinition, y: Array, z: Array, eta: fl
     affine rows, by Josephy-Newton steps taken for all stages at once, with
     one LCP per stage whose rows bind, solved by holding the violated rows
     and by Lemke's method only where that guess fails (``_static_games``,
-    INNER_TOL and INNER_MAX_ITER).  Requires affine constraints.  ``rows``
-    (``lq.padded_rows``) and ``data`` (``lq.extract_lq_data``, read only for
-    declared linear-quadratic games) reuse one read across calls; each is
-    read here when None.  A stage game that is not monotone (the symmetric
-    part of I + eta J_k not positive definite) may raise SubproblemError; no
-    returned point fails the KKT check.
+    INNER_TOL and INNER_MAX_ITER).  Requires affine constraints
+    (UnsupportedConstraintError).  A stage game that is not monotone (the
+    symmetric part of I + eta J_k not positive definite) may raise
+    SubproblemError; no returned point fails the KKT check.
     """
-    rows = lq.padded_rows(game) if rows is None else rows
-    return _static_games(game, y, z, eta, rows, data)
+    return _static_games(game, y, z, eta, True)
 
 
-def resolvent_static_games_uncon(game: GameDefinition, y: Array, z: Array, eta: float,
-                                 data: Optional[LqGameData] = None) -> tuple[Array, Array]:
+def resolvent_static_games_uncon(game: GameDefinition, y: Array, z: Array,
+                                 eta: float) -> tuple[Array, Array]:
     """Independent regularized unconstrained static games, one per stage.
 
     The stage games of ``resolvent_reg_static_games`` with the rows dropped:
     each Newton step is one stacked linear solve over the pending stages.
-    ``data`` is read as there.
     """
-    return _static_games(game, y, z, eta, None, data)
+    return _static_games(game, y, z, eta, False)
 
 
 # ---------------------------------------------------------------------------
@@ -426,19 +419,14 @@ def project_dynamics(game: GameDefinition, y: Array, z: Array,
     return factor.solve(y, z)
 
 
-def constrained_oc_projection(game: GameDefinition, y: Array, z: Array,
-                              rows: Optional[PaddedRows] = None,
-                              data: Optional[LqGameData] = None) -> tuple[Array, Array]:
+def constrained_oc_projection(game: GameDefinition, y: Array, z: Array) -> tuple[Array, Array]:
     """Projection of (y, z) onto dynamics AND stage constraints jointly.
 
     Solves the Euclidean projection exactly as one horizon-wide QP in band
-    (``lq.project``).  ``rows`` (``lq.padded_rows``) and ``data`` (the
-    dynamics, ``lq.dynamics_data`` or the LQ data) reuse one read across
-    calls; each is read here when None.
+    (``lq.project``) on the game's kept rows and dynamics (``lq.padded_rows``
+    and ``lq.game_data``).
     """
-    rows = lq.padded_rows(game) if rows is None else rows
-    data = lq.dynamics_data(game) if data is None else data
-    traj = lq.project(rows, data, y, z, 1.0)
+    traj = lq.project(lq.padded_rows(game), lq.game_data(game), y, z, 1.0)
     return traj.states, traj.actions
 
 
@@ -546,8 +534,7 @@ def dr_solve(game: GameDefinition, cfg: DrConfig) -> SolverReport:
     wu = np.zeros((T + 1, n_u))
     wx = rollout(game, game.initial_state, wu).states
     w0 = np.concatenate([wx.ravel(), wu.ravel()])
-    rows, data = read_game(game)
-    resolvents = _resolvents(game, cfg, rows, data)
+    resolvents = _resolvents(game, cfg)
     eta, changes = cfg.eta, 0
     first, second = resolvents(eta)
     split = (T + 1) * n_x
@@ -595,47 +582,44 @@ def dr_solve(game: GameDefinition, cfg: DrConfig) -> SolverReport:
     costs = (lambda cand: all_player_costs(game, result(cand))) if cfg.record_costs else None
     run = iterate(step, w0, start, cfg.max_iter, cfg.tol, report.DIVERGENCE_FACTOR,
                   accept=lambda cand: result(cand).constraint_violation(game) <= cfg.tol,
-                  record=costs, polish=active_set_polish(game, cfg.tol, rows, data),
+                  record=costs, polish=active_set_polish(game, cfg.tol),
                   next_point=next_point)
     # a certified candidate is the polish's rollout
     traj = run.candidate if run.residual is not None else result(run.candidate)
-    return build_report(game, traj, run, cfg.run_checks, rows, data)
+    return build_report(game, traj, run, cfg.run_checks)
 
 
-def _resolvents(game: GameDefinition, cfg: DrConfig, rows: Optional[PaddedRows],
-                data: Optional[LqGameData]):
+def _resolvents(game: GameDefinition, cfg: DrConfig):
     """The scheme's two resolvents at a given eta: a map eta -> (first, second).
 
-    Each resolvent maps (y, z) -> (x, u).  ``rows`` and ``data`` are the
-    solve's reads (``certificate.read_game``); what does not depend on eta
-    is built here, once per solve.  ``constraints`` solves the regularized
+    Each resolvent maps (y, z) -> (x, u).  What does not depend on eta is
+    built here, once per solve.  ``constraints`` solves the regularized
     game with the banded LU of ``lq.factor`` at eta for declared
     linear-quadratic games, else by Newton steps warm-started from the
-    previous output; the other schemes pass eta, the rows and the data per
-    call to the static games.  Building raises before the first iteration:
-    UnsupportedConstraintError for nonlinear dynamics or, in the
-    ``gradient`` scheme, non-affine stage constraints; and the map raises
-    StageSingularityError for a singular KKT matrix at its eta.
+    previous output; the other schemes pass eta per call to the static
+    games.  Building asks for the game's kept reads that the scheme needs,
+    so it raises before the first iteration: UnsupportedConstraintError for
+    nonlinear dynamics or, in the ``gradient`` scheme, non-affine stage
+    constraints; and the map raises StageSingularityError for a singular
+    KKT matrix at its eta.
     """
     if cfg.scheme == SCHEME_DYNAMICS:
-        factor = lq.factor(game, 0.0, data)
+        factor = lq.factor(game, 0.0)
         project = lambda y, z: project_dynamics(game, y, z, factor=factor)
         return lambda eta: (
-            lambda y, z: resolvent_reg_static_games(game, y, z, eta, rows, data),
-            project)
+            lambda y, z: resolvent_reg_static_games(game, y, z, eta), project)
     if cfg.scheme == SCHEME_GRADIENT:
-        # a read is missing only for nonlinear dynamics or rows not affine: these raise
-        data = lq.dynamics_data(game) if data is None else data
-        rows = lq.padded_rows(game) if rows is None else rows
-        project = lambda y, z: constrained_oc_projection(game, y, z, rows, data)
+        lq.game_data(game)  # raises for nonlinear dynamics,
+        lq.padded_rows(game)  # and for rows not declared affine
+        project = lambda y, z: constrained_oc_projection(game, y, z)
         return lambda eta: (
-            project, lambda y, z: resolvent_static_games_uncon(game, y, z, eta, data))
+            project, lambda y, z: resolvent_static_games_uncon(game, y, z, eta))
     exact = game.linear_dynamics and game.quadratic_costs
-    project = lambda y, z: project_stage_constraints(game, y, z, rows)
+    project = lambda y, z: project_stage_constraints(game, y, z)
     warm = None
 
     def at(eta):
-        factor = lq.factor(game, eta, data) if exact else None
+        factor = lq.factor(game, eta) if exact else None
 
         def regularized_game(y, z):
             nonlocal warm

@@ -1,4 +1,4 @@
-"""The natural residual, the active-set polish and the one read of ``certificate``."""
+"""The natural residual, the active-set polish and the game's one kept read at the origin."""
 
 import dataclasses
 import sys
@@ -56,7 +56,7 @@ class TestPinnedKernel:
         assume(pool.size > 0)
         pinned = inst.active.copy()
         pinned.flat[pool[pick % pool.size]] = not drop
-        certified = ActiveSetPolish(inst.game, TOL, None).attempt(pinned)
+        certified = ActiveSetPolish(inst.game, TOL).attempt(pinned)
         if certified is not None:
             out = certified[0]
             assert out.constraint_violation(inst.game) <= TOL
@@ -144,7 +144,8 @@ class TestCorrections:
         G, p, real = np.zeros((T1, 2, n_x + 2)), np.zeros((T1, 2)), np.zeros((T1, 2), bool)
         G[0, [0, 1], [n_x, n_x + 1]], p[0], real[0] = 1.0, -1.0, True  # u_0 <= 1
         rows = PaddedRows(G, p, real, n_x)
-        polish = ActiveSetPolish(game, TOL, rows)
+        polish = ActiveSetPolish(game, TOL)
+        polish.rows = rows
         solved = []
 
         def swap(data, G, p, pinned):
@@ -395,7 +396,7 @@ def count_reads(monkeypatch):
 @pytest.mark.parametrize("solver", ("pg",) + SCHEMES)
 def test_a_solve_reads_the_rows_and_the_dynamics_once(rng, monkeypatch, solver, declared_lq):
     # the rows and the linear dynamics do not depend on the iterate: every
-    # projection, resolvent, polish and the report reuse the solve's one read
+    # projection, resolvent, polish and the report reuse the game's one kept read
     game, _, _ = cross_scheme_lq_instance(rng)
     if not declared_lq:  # no polish, so the run iterates
         game = dataclasses.replace(game, quadratic_costs=False)
@@ -412,13 +413,41 @@ def test_a_solve_reads_the_rows_and_the_dynamics_once(rng, monkeypatch, solver, 
     assert counts["linearize_dynamics"] == 1 + newton
     assert counts["local_lq"] == (1 if declared_lq else newton)
     if solver == "pg" and not declared_lq:
-        # the same iteration with the rows and dynamics read by every projection
+        # the same iteration through the public projection reads nothing more:
+        # the rows are the game's, kept since the solve
         u = project_onto_feasible(game, np.zeros((game.horizon + 1, 2)))
         for _ in range(rep.iterations):
             grad = pseudo_gradient(game, rollout(game, game.initial_state, u), feas_tol=np.inf)
             u = project_onto_feasible(game, u - cfg.step_size * grad.own_stage_grads())
-        assert counts["eval_constraint_rows"] == (game.horizon + 1) * (2 + rep.iterations)
+        assert counts["eval_constraint_rows"] == game.horizon + 1
         np.testing.assert_array_equal(rep.trajectory.actions, u)
+
+
+def test_two_solves_of_one_game_read_it_once(rng, monkeypatch):
+    # the reads at the origin are the game's, kept: every solve after the
+    # first, of any scheme, reads the rows, the dynamics and the LQ data no more
+    game, _, _ = cross_scheme_lq_instance(rng)
+    counts = count_reads(monkeypatch)
+    for _ in range(2):
+        projected_gradient_solve(game, np.zeros((game.horizon + 1, 2)),
+                                 ProjGradConfig(step_size=0.05, max_iter=30, run_checks=False))
+        for scheme in SCHEMES:
+            dr_solve(game, DrConfig(scheme=scheme, eta=0.4, max_iter=30, run_checks=False))
+    assert counts == {"eval_constraint_rows": game.horizon + 1, "linearize_dynamics": 1,
+                      "local_lq": 1}
+
+
+def test_a_replaced_game_reads_afresh(rng, monkeypatch):
+    game, _, _ = cross_scheme_lq_instance(rng)
+    rows, data = lq.padded_rows(game), lq.game_data(game)
+    counts = count_reads(monkeypatch)
+    other = dataclasses.replace(game)
+    assert lq.padded_rows(other) is not rows and lq.game_data(other) is not data
+    assert counts == {"eval_constraint_rows": game.horizon + 1, "linearize_dynamics": 1,
+                      "local_lq": 1}
+    np.testing.assert_array_equal(lq.padded_rows(other).G, rows.G)
+    np.testing.assert_array_equal(lq.game_data(other).C, data.C)
+    assert lq.padded_rows(game) is rows and lq.game_data(game) is data
 
 
 def count_calls(monkeypatch, module, name):

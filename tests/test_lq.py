@@ -10,8 +10,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import lapack
 
-from dyngames import feedback, gradient, lq, splitting
-from dyngames.errors import StageSingularityError
+from dyngames import certificate, feedback, gradient, lq, splitting
+from dyngames.errors import DimensionError, StageSingularityError
 from dyngames.benchmarks import FisheryParams, fishery_game, lq_rendezvous_game
 from dyngames.model import GameDefinition, Trajectory, quadraticize, rollout
 from dyngames.splitting import DrConfig, dr_solve, resolvent_reg_game
@@ -254,31 +254,82 @@ def test_every_writer_stores_an_exactly_symmetric_cost_hessian(rng, monkeypatch)
 
 
 def test_readers_leave_the_shared_read_untouched(rng, monkeypatch):
-    # one read serves every reader of a solve, so no reader may write into it
+    # a game's kept read serves every reader, so it is read-only and no reader
+    # writes into it; nor may a reader write into a local read it is handed
     reads = []
 
     def record(data):
         reads.append((data, data.C.copy(), data.c.copy()))
         return data
 
-    for module, name in ((feedback, "extract_lq_data"), (gradient, "local_lq")):
-        monkeypatch.setattr(module, name, lambda *args, real=getattr(module, name), **kwargs:
-                            record(real(*args, **kwargs)))
+    monkeypatch.setattr(gradient, "local_lq", lambda *args, real=gradient.local_lq, **kwargs:
+                        record(real(*args, **kwargs)))
     smooth = random_smooth_game(rng)
     u = 0.1 * rng.standard_normal((smooth.horizon + 1, smooth.total_action_dim))
     curved = record(quadraticize(smooth, rollout(smooth, smooth.initial_state, u)))
     assert np.any(curved.G != 0.0)  # the costate terms would change a shared C
     gradient._cost_hessian(curved, 0, gradient._sensitivities(curved, np.arange(u.size)))
     game = lq_game(random_lq_data(rng, 4, 3, (2, 1)), rng.standard_normal(3), (2, 1))
-    lq.factor(game, 0.3, record(lq.extract_lq_data(game)))
+    kept = lq.game_data(game)
+    arrays = ("A", "B", "b", "C", "c", "initial_state", "G")
+    assert not any(getattr(kept, name).flags.writeable for name in arrays)
+    lq.factor(game, 0.3)
     gradient.estimate_operator_constants(game)
     ref = lq.solve_lq_open_loop(lq.extract_lq_data(game))
     policy = feedback.stagewise_newton_backward(game, ref)
     feedback.epsilon_nash_gap(game, policy, 1, 1, ref.states[1] + 0.01)
-    assert len(reads) == 4
+    assert certificate.active_set_polish(game, 1e-8)(ref) is not None
+    assert len(reads) == 2
     for data, C, c in reads:
         np.testing.assert_array_equal(data.C, C)
         np.testing.assert_array_equal(data.c, c)
+    assert lq.game_data(game) is kept
+    fresh = lq.extract_lq_data(game)
+    for name in arrays:
+        np.testing.assert_array_equal(getattr(kept, name), getattr(fresh, name))
+
+
+def test_a_read_that_raises_is_not_kept(rng):
+    game = lq_game(random_lq_data(rng, 3, 2, (1, 1)), rng.standard_normal(2), (1, 1))
+    calls = []
+
+    def rows(states, actions):  # fails at its first call only
+        calls.append(None)
+        if len(calls) == 1:
+            raise RuntimeError("transient")
+        return np.ones((len(states), 1, 4)), -np.ones((len(states), 1)), np.ones((4, 1), bool)
+
+    flaky = dataclasses.replace(game, constraints=lambda k, x, u: np.zeros(1),
+                                polyhedral_constraints=True, traj_constraint_rows=rows)
+    with pytest.raises(RuntimeError):
+        lq.padded_rows(flaky)
+    kept = lq.padded_rows(flaky)  # read afresh
+    assert lq.padded_rows(flaky) is kept and len(calls) == 2
+    # a read that always fails raises at every call
+    misshapen = dataclasses.replace(game, cost_hessians=lambda k, x, u: (np.zeros(1),) * 3)
+    for _ in range(2):
+        with pytest.raises(DimensionError):
+            lq.game_data(misshapen)
+
+
+@pytest.mark.parametrize("quadratic", [True, False])
+def test_a_read_leaves_the_game_and_its_hooks_writable(rng, quadratic):
+    # the kept arrays are copies: neither the game's initial state nor an
+    # array a hook hands out becomes read-only
+    game = lq_game(random_lq_data(rng, 3, 2, (1, 1)), rng.standard_normal(2), (1, 1))
+    A, B = np.stack([np.eye(2)] * 3), np.ones((3, 2, 2))
+    G, p, real = np.ones((4, 1, 4)), -np.ones((4, 1)), np.ones((4, 1), bool)
+    game = dataclasses.replace(
+        game, quadratic_costs=quadratic, constraints=lambda k, x, u: np.zeros(1),
+        polyhedral_constraints=True, traj_dynamics_jacobians=lambda states, actions: (A, B),
+        traj_constraint_rows=lambda states, actions: (G, p, real))
+    data, rows = lq.game_data(game), lq.padded_rows(game)
+    assert not (data.A.flags.writeable or data.initial_state.flags.writeable
+                or rows.G.flags.writeable or rows.real.flags.writeable)
+    for array in (game.initial_state, A, B, G, p, real):
+        assert array.flags.writeable
+    np.testing.assert_array_equal(data.A, A)
+    np.testing.assert_array_equal(data.initial_state, game.initial_state)
 
 
 def singular_game(rng, eta, T=3):

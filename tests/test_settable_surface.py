@@ -3,16 +3,24 @@
 import dataclasses
 import inspect
 
-from dyngames import cli
+from dyngames import cli, lq
 from dyngames.benchmarks import FisheryParams
-from dyngames.certificate import natural_residual
+from dyngames.certificate import (
+    active_set_polish,
+    kkt_residual,
+    natural_residual,
+    project_onto_feasible,
+    residual_along,
+)
 from dyngames.feedback import FeedbackPolicy, feedback_rollout
 from dyngames.gradient import PseudoGradient
 from dyngames.model import GameDefinition, LqGameData
 from dyngames.projgrad import ProjGradConfig
-from dyngames.report import iterate
+from dyngames.report import build_report, iterate
 from dyngames.splitting import (
     DrConfig,
+    constrained_oc_projection,
+    project_stage_constraints,
     resolvent_reg_game,
     resolvent_reg_static_games,
     resolvent_static_games_uncon,
@@ -51,8 +59,17 @@ def test_settable_surface():
     assert names(LqGameData) == ["A", "B", "b", "C", "c", "action_dims", "initial_state", "G",
                                  "rows", "active"]
     assert defaulted(resolvent_reg_game) == ["warm", "factor"]
-    assert defaulted(resolvent_reg_static_games) == ["rows", "data"]
-    assert defaulted(resolvent_static_games_uncon) == ["data"]
+    assert defaulted(resolvent_reg_static_games) == []
+    assert defaulted(resolvent_static_games_uncon) == []
     assert defaulted(iterate) == ["accept", "record", "polish", "next_point"]
     assert defaulted(feedback_rollout) == ["start"]
     assert defaulted(natural_residual) == []
+    # the rows and the data at the origin are the game's kept reads (``lq``), set by no caller
+    assert defaulted(project_onto_feasible) == []
+    assert defaulted(residual_along) == []
+    assert defaulted(kkt_residual) == ["rows"]  # the rows at ``traj``, not at the origin
+    assert defaulted(active_set_polish) == []
+    assert defaulted(build_report) == []
+    assert defaulted(project_stage_constraints) == []
+    assert defaulted(constrained_oc_projection) == []
+    assert defaulted(lq.factor) == []

@@ -613,8 +613,8 @@ class TestStaticGameResolvents:
         dx, du = resolvent_reg_static_games(declared, y, z, 0.5)
         scale = 1.0 + np.max(np.abs(np.hstack([xs, us])))
         assert np.max(np.abs(np.hstack([dx - xs, du - us]))) <= 1e-12 * scale
-        rx, ru = resolvent_reg_static_games(declared, y, z, 0.5, lq.padded_rows(game),
-                                            lq.extract_lq_data(declared))
+        # the second call reads the game's kept data, made by the first
+        rx, ru = resolvent_reg_static_games(declared, y, z, 0.5)
         assert np.array_equal(rx, dx) and np.array_equal(ru, du)
 
     @pytest.mark.parametrize("declared", [False, True])
@@ -991,9 +991,9 @@ class TestDrSolve:
 
     @pytest.mark.parametrize("scheme", [SCHEME_DYNAMICS, SCHEME_GRADIENT])
     def test_static_game_schemes_read_the_costs_once_per_solve(self, rng, scheme):
-        # A declared linear-quadratic game's stage operators come from the
-        # solve's one read, so three more steps make no more cost callbacks.
-        game, _, _ = cross_scheme_lq_instance(rng)
+        # A declared linear-quadratic game's stage operators come from its
+        # one kept read, so three more steps make no more cost callbacks.
+        base, _, _ = cross_scheme_lq_instance(rng)
         calls = []
 
         def counted(name, callback):
@@ -1002,10 +1002,11 @@ class TestDrSolve:
                 return callback(*args)
             return wrapped
 
-        game = dataclasses.replace(game, cost_gradients=counted("g", game.cost_gradients),
-                                   cost_hessians=counted("h", game.cost_hessians))
         counts = []
         for max_iter in (3, 6):
+            # a fresh, unread game for each budget
+            game = dataclasses.replace(base, cost_gradients=counted("g", base.cost_gradients),
+                                       cost_hessians=counted("h", base.cost_hessians))
             calls.clear()
             # at tol 1e-300 neither the step test nor the polish ends the run
             rep = dr_solve(game, DrConfig(scheme=scheme, eta=0.1, max_iter=max_iter,
