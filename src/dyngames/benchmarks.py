@@ -76,12 +76,17 @@ class FisheryParams:
 def fishery_game(params: FisheryParams = FisheryParams()) -> GameDefinition:
     """Two-player harvesting game with logistic stock growth.
 
-    Stock: x+ = x + (g(x) - (q1 u1 + q2 u2) x) dt with g(x) = r/h^2 (2hx - x^2).
-    Player n's stage profit is (p_n q_n x - e_n) u_n dt; costs are the
-    negated profits.  Efforts live in [0, u_n_max] with an exact clamp
-    projector.  The ``traj_rollout`` hook computes every stage's harvest
-    rate q1 u1 + q2 u2 at once and runs the stock recursion as one loop
-    over Python floats, bit-identical to the per-stage dynamics.  The
+    Stock: x+ = x + (g(x) - (q1 u1 + q2 u2) x) dt with g(x) = r/h^2 (2hx - x^2),
+    the Euler step of logistic growth under harvest, computed in the
+    factored form x+ = x (a_k - beta x) with a_k = 1 + dt (2r/h - q1 u1 -
+    q2 u2) and beta = r dt / h^2.  Player n's stage profit is
+    (p_n q_n x - e_n) u_n dt; costs are the negated profits.  Efforts live
+    in [0, u_n_max] with an exact clamp projector.  The per-stage
+    ``dynamics``, ``batch_dynamics`` and ``traj_rollout`` share one
+    expression for a_k, so the three forms are bit-identical to each other;
+    they match the expanded Euler step to rounding.  ``traj_rollout``
+    computes every stage's a_k at once and runs the stock recursion over
+    Python floats, three float operations per stage.  The
     ``traj_constraint_rows`` hook returns the four box rows of every stage
     at once: their Jacobian is constant and their values are read from the
     efforts.  The cost and dynamics Hessians are constant, and their
@@ -90,15 +95,18 @@ def fishery_game(params: FisheryParams = FisheryParams()) -> GameDefinition:
     p = params
     T = p.n_stages
     gg = p.r / p.h**2
+    beta = gg * p.dt
+    r2h = 2.0 * p.r / p.h
     c1 = p.p1 * p.q1
     c2 = p.p2 * p.q2
 
-    def growth(x):
-        return gg * (2.0 * p.h * x - x * x)
+    def factor(u1, u2):
+        # a_k of the stock map x (a_k - beta x), at scalar or array efforts
+        return 1.0 + (r2h - (p.q1 * u1 + p.q2 * u2)) * p.dt
 
     def dynamics(k, x, u):
         xs = x[0]
-        return np.array([xs + (growth(xs) - (p.q1 * u[0] + p.q2 * u[1]) * xs) * p.dt])
+        return np.array([xs * (factor(u[0], u[1]) - beta * xs)])
 
     def dyn_jac(k, x, u):
         A, B = jacobians(x, u[None])
@@ -128,19 +136,18 @@ def fishery_game(params: FisheryParams = FisheryParams()) -> GameDefinition:
         return np.array([-u[0], u[0] - p.u1_max, -u[1], u[1] - p.u2_max])
 
     def batch_dynamics(k, X, U):
-        return X + (growth(X) - (p.q1 * U[:, :1] + p.q2 * U[:, 1:]) * X) * p.dt
+        return X * (factor(U[:, :1], U[:, 1:]) - beta * X)
 
     def traj_rollout(x0, actions):
-        # ``dynamics`` in Python floats, same operation order; ``x * x``
-        # overflows to inf like numpy where ``x ** 2`` would raise.
-        rates = (p.q1 * actions[:-1, 0] + p.q2 * actions[:-1, 1]).tolist()
-        h2, dt = 2.0 * p.h, p.dt
-        x = float(x0[0])
-        out = []
-        for c in rates:
-            x = x + (gg * (h2 * x - x * x) - c * x) * dt
-            out.append(x)
-        return np.array(out).reshape(-1, 1)
+        # ``dynamics`` in Python floats, same operation order; x (a - beta x)
+        # overflows to inf as numpy does, since a float product never raises.
+        def stocks(x, a):
+            for ak in a:
+                x = x * (ak - beta * x)
+                yield x
+
+        a = factor(actions[:-1, 0], actions[:-1, 1]).tolist()
+        return np.fromiter(stocks(float(x0[0]), a), float, T).reshape(-1, 1)
 
     def batch_constraints(k, X, U):
         G = np.empty((U.shape[0], 4))

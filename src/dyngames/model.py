@@ -115,6 +115,9 @@ class GameDefinition:
     ``eval_cost_hessians``, the one place the blocks are joined.  The rows'
     hooks are read by ``read_rows`` and ``eval_traj_constraint_hessians``,
     which follow the same rule and pad a per-stage stack to the common count.
+    ``Trajectory.constraint_violation`` reads its row values through
+    ``read_rows`` when ``traj_constraint_rows`` is present, and stage by
+    stage through ``eval_constraints`` otherwise.
 
     The analytic projector has only the whole-trajectory form:
     ``traj_projector(states, actions) -> (states, actions)`` projects every
@@ -496,13 +499,23 @@ class Trajectory:
         return np.linalg.norm(_dynamics_offsets(game, self.states, self.actions), axis=1)
 
     def constraint_violation(self, game: GameDefinition) -> float:
-        """Largest stage-row violation max(g_k(x_k, u_k), 0); NaN when any row is NaN."""
+        """Largest stage-row violation max(g_k(x_k, u_k), 0); NaN when any row is NaN.
+
+        A game with ``traj_constraint_rows`` has every row value read in one
+        ``read_rows`` call (its output shape-checked once); a game without
+        it is read stage by stage through ``eval_constraints``, which names
+        a misfit stage.
+        """
         _check_fits(game, self.states, self.actions)
-        if game.constraints is None:
+        if game.traj_constraint_rows is not None:
+            rows = read_rows(game, self.states, self.actions)
+            values = rows.p[rows.real]
+        elif game.constraints is None:
             return 0.0
-        rows = [game.eval_constraints(k, self.states[k], self.actions[k])
-                for k in range(self.horizon + 1)]
-        return float(np.max(np.maximum(np.concatenate(rows), 0.0), initial=0.0))
+        else:
+            values = np.concatenate([game.eval_constraints(k, self.states[k], self.actions[k])
+                                     for k in range(self.horizon + 1)])
+        return float(np.max(np.maximum(values, 0.0), initial=0.0))
 
     def dynamically_feasible(self, game: GameDefinition, tol: float = 1e-8) -> bool:
         """Whether ``check_feasible`` passes."""

@@ -657,8 +657,16 @@ def dense_best_response_gap(A, B, b, C, rows, gains, offsets, ref_states, ref_ac
 
 
 # ---------------------------------------------------------------------------
-# Stage projections of the built-in games, one stage at a time.
+# The fishery's stock step and the built-in games' stage projections, one
+# stage at a time.
 # ---------------------------------------------------------------------------
+
+
+def fishery_euler_step(params, x, u):
+    """The stock step as the paper writes it: x + (r/h^2 (2hx - x^2) - (q1 u1 + q2 u2) x) dt."""
+    p = params
+    growth = p.r / p.h**2 * (2.0 * p.h * x - x * x)
+    return x + (growth - (p.q1 * u[0] + p.q2 * u[1]) * x) * p.dt
 
 
 def fishery_stage_projection(params, k, x, u):

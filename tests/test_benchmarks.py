@@ -24,7 +24,7 @@ from dyngames.splitting import DrConfig, dr_solve
 
 from conftest import stage_runs
 from instances import RENDEZVOUS_VARIANTS, equality_constrained_lq_instance
-from oracles import fishery_stage_projection, rendezvous_stage_projection
+from oracles import fishery_euler_step, fishery_stage_projection, rendezvous_stage_projection
 
 
 _effort = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
@@ -139,6 +139,24 @@ class TestFisheryGame:
         game = fishery_game(params)
         looped = rollout(dataclasses.replace(game, traj_rollout=None), x0, controls)
         assert np.array_equal(rollout(game, x0, controls).states, looped.states)
+
+    @given(fishery_rollout_cases())
+    def test_stock_map_matches_the_expanded_euler_step(self, case):
+        # one step at a time, from the rolled-out stocks, so that no stage
+        # compounds the rounding of the ones before it
+        params, x0, controls = case
+        game = fishery_game(params)
+        traj = rollout(game, x0, controls)
+        beta = params.r * params.dt / params.h**2
+        fi = np.finfo(float)
+        for k in range(game.horizon):
+            x, u = traj.states[k, 0], traj.actions[k]
+            a = 1.0 + params.dt * (2.0 * params.r / params.h - params.q1 * u[0] - params.q2 * u[1])
+            # rounding scales with the terms of x (a - beta x), not with their
+            # sum; below the normal range each operation rounds absolutely
+            tol = 8.0 * (fi.eps * (abs(x) + abs(a * x) + beta * x * x) + fi.smallest_subnormal)
+            got = game.eval_dynamics(k, traj.states[k], u)[0]
+            assert abs(got - fishery_euler_step(params, x, u)) <= tol, (k, x, u)
 
     def test_three_dynamics_forms_agree(self):
         game = fishery_game(FisheryParams(horizon_time=2.0))
@@ -328,16 +346,28 @@ def per_stage_rows(game):
     return dataclasses.replace(game, traj_constraint_rows=None, traj_constraint_hessians=None)
 
 
+def rows_game(variant):
+    """The fishery for None, else the rendezvous of a ``RENDEZVOUS_VARIANTS`` entry."""
+    if variant is None:
+        return fishery_game()
+    T, meet, u_max, weight = variant
+    return lq_rendezvous_game(LqRendezvousParams(
+        horizon=T, meet_stage=meet, u_max=u_max, terminal_weight=weight))
+
+
+ROW_MISFITS = [
+    (lambda G, p, real: (G[:, :-1], p, real), "trajectory constraint Jacobians"),
+    (lambda G, p, real: (G[..., :-1], p, real), "trajectory constraint Jacobians"),
+    (lambda G, p, real: (G, p[:-1], real), "trajectory constraint values"),
+    (lambda G, p, real: (G, p.ravel(), real), "trajectory constraint values"),
+    (lambda G, p, real: (G, p, real[:, :-1]), "trajectory real-row mask")]
+
+
 class TestWholeTrajectoryRows:
     @pytest.mark.parametrize("variant", [None] + RENDEZVOUS_VARIANTS)  # None: the fishery
     @pytest.mark.parametrize("seed", [0, 1])
     def test_match_the_per_stage_read_bit_for_bit(self, variant, seed):
-        if variant is None:
-            game = fishery_game()
-        else:
-            T, meet, u_max, weight = variant
-            game = lq_rendezvous_game(LqRendezvousParams(
-                horizon=T, meet_stage=meet, u_max=u_max, terminal_weight=weight))
+        game = rows_game(variant)
         rng = np.random.default_rng(seed)
         T1, n_u = game.horizon + 1, game.total_action_dim
         states = 5.0 * rng.standard_normal((T1, game.state_dim))
@@ -355,12 +385,40 @@ class TestWholeTrajectoryRows:
                     game.eval_traj_constraint_hessians(states, actions, m),
                     per_stage_rows(game).eval_traj_constraint_hessians(states, actions, m))
 
-    @pytest.mark.parametrize("misfit, what", [
-        (lambda G, p, real: (G[:, :-1], p, real), "trajectory constraint Jacobians"),
-        (lambda G, p, real: (G[..., :-1], p, real), "trajectory constraint Jacobians"),
-        (lambda G, p, real: (G, p[:-1], real), "trajectory constraint values"),
-        (lambda G, p, real: (G, p.ravel(), real), "trajectory constraint values"),
-        (lambda G, p, real: (G, p, real[:, :-1]), "trajectory real-row mask")])
+    @pytest.mark.parametrize("variant", [None] + RENDEZVOUS_VARIANTS)  # None: the fishery
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_violation_reads_the_hook_as_the_stages_bit_for_bit(self, variant, seed):
+        game = rows_game(variant)
+        rng = np.random.default_rng(seed)
+        T1, n_u = game.horizon + 1, game.total_action_dim
+        states = 5.0 * rng.standard_normal((T1, game.state_dim))
+        actions = 2.0 * rng.standard_normal((T1, n_u))
+
+        def no_stage_read(k, x, u):
+            raise AssertionError(f"per-stage constraints read at stage {k}")
+
+        hooked = dataclasses.replace(game, constraints=no_stage_read)
+        nan_actions = actions.copy()
+        nan_actions[rng.integers(T1), rng.integers(n_u)] = np.nan
+        for acts in (actions, np.zeros((T1, n_u))):
+            traj = Trajectory(states, acts)
+            assert (traj.constraint_violation(hooked)
+                    == traj.constraint_violation(per_stage_rows(game)))
+        # a NaN row gives NaN on both paths
+        traj = Trajectory(states, nan_actions)
+        assert np.isnan(traj.constraint_violation(hooked))
+        assert np.isnan(traj.constraint_violation(per_stage_rows(game)))
+
+    @pytest.mark.parametrize("misfit, what", ROW_MISFITS)
+    def test_misshapen_rows_fail_the_violation_read(self, misfit, what):
+        game = fishery_game(FisheryParams(horizon_time=1.0))
+        rows = game.traj_constraint_rows
+        bad = dataclasses.replace(game, traj_constraint_rows=lambda X, U: misfit(*rows(X, U)))
+        traj = rollout(game, game.initial_state, np.full((11, 2), 0.1))
+        with pytest.raises(DimensionError, match=what):
+            traj.constraint_violation(bad)
+
+    @pytest.mark.parametrize("misfit, what", ROW_MISFITS)
     def test_misshapen_rows_are_rejected(self, misfit, what):
         game = lq_rendezvous_game()
         rows = game.traj_constraint_rows

@@ -286,7 +286,8 @@ class TestTrajectoryEvaluators:
         return bad, traj
 
     @pytest.mark.parametrize("name, misfit, hooks, read", [
-        ("constraints", lambda g: g[:, None], dict(batch_constraints=None),
+        ("constraints", lambda g: g[:, None], dict(batch_constraints=None,
+                                                   traj_constraint_rows=None),
          lambda game, traj: traj.constraint_violation(game)),
         ("constraints", lambda g: g[:, None], dict(traj_constraint_rows=None),
          lambda game, traj: read_rows(game, traj.states, traj.actions)),
