@@ -331,10 +331,11 @@ def lq_rendezvous_game(params: LqRendezvousParams = LqRendezvousParams()) -> Gam
         return np.divide(un, nrm[..., None], out=np.zeros(un.shape), where=nrm[..., None] > 0), nrm
 
     def ball_hessians(u):
-        # row n's Hessian block over player n's actions, (I - d d') / |u_n|,
-        # 0 at u_n = 0: (K, 3, 2, 2) at K stacked joint actions
+        # row n's Hessian block over player n's actions, (I - d d') / |u_n|, 0 at
+        # the kink: u_n = 0 or a subnormal |u_n|, whose reciprocal overflows (the
+        # row reads about -u_max there): (K, 3, 2, 2) at K stacked joint actions
         d, nrm = unit_actions(u)
-        inv = np.divide(1.0, nrm, out=np.zeros(nrm.shape), where=nrm > 0)
+        inv = np.divide(1.0, nrm, out=np.zeros(nrm.shape), where=nrm > np.finfo(float).tiny)
         return (np.eye(2) - d[..., :, None] * d[..., None, :]) * inv[..., None, None]
 
     def constraint_jac(k, x, u):

@@ -68,7 +68,7 @@ import numpy as np
 from . import lq
 from .errors import (NonFiniteDerivativeError, NonFiniteStateError, StageSingularityError,
                      UnsupportedConstraintError)
-from .gradient import pseudo_gradient, solve_costates
+from .gradient import own_gradients, pseudo_gradient
 from .model import GameDefinition, PaddedRows, Trajectory, read_rows, rollout
 
 Array = np.ndarray
@@ -172,8 +172,8 @@ def kkt_residual(game: GameDefinition, traj: Trajectory, mu: Array,
     residual is the largest of four figures:
 
     * stationarity: every player's own-action gradient of its Lagrangian
-      J_n + mu'g, one costate pass (``gradient.solve_costates``) with mu'W
-      and mu'S added to every player's cost gradients;
+      J_n + mu'g, the costate pass of F (``gradient.own_gradients``) with
+      mu'W and mu'S added to every player's cost gradients;
     * feasibility: max(g, 0) over the real rows;
     * complementarity: max |mu g|;
     * dual feasibility: -min mu.
@@ -195,10 +195,8 @@ def kkt_residual(game: GameDefinition, traj: Trajectory, mu: Array,
         data, z = lq.game_data(game), np.concatenate([traj.states, traj.actions], axis=1)
         grads = (data.c + (data.C @ z[..., None])[..., 0]).swapaxes(0, 1)
         CX, CU, A, B = grads[..., :n_x], grads[..., n_x:], data.A, data.B
-    om = solve_costates(A, CX + weighted[:, None, :n_x])
-    grads = CU + weighted[:, None, n_x:]
-    grads[:-1] += om[1:] @ B
-    own = grads[:, game.owner, np.arange(game.total_action_dim)]
+    own, _ = own_gradients(game, A, B, CX + weighted[:, None, :n_x],
+                           CU + weighted[:, None, n_x:])
     g, m = rows.p[rows.real], mu[rows.real]
     figures = (np.abs(own).ravel(), np.maximum(g, 0.0), np.abs(m * g), -m)
     return float(np.max(np.concatenate(figures), initial=0.0))

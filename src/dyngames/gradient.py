@@ -11,13 +11,14 @@ computed in O(T) by propagating per-player costate rows backward:
     dJ_n/du_k  = cu_{n,k} + Om_{n,k+1} B_k
 
 where cx, cu are stage cost gradients and A, B the dynamics Jacobians, all
-evaluated along the given trajectory.  F is the operator of the variational
-inequality whose solutions are equilibrium candidates; its Jacobian rows are
-rows of the players' cost Hessians, read exactly from the local LQ data
-(``_cost_hessian``).  The second-order checks, the curvature test of
-``playerwise_minimizer_check`` and the best-response check of
-``feedback.epsilon_nash_gap``, share one O(T) backward sweep over a player's
-own actions (``_convexity_pass``).
+evaluated along the given trajectory (``own_gradients``: the one pass that F,
+the KKT residual and the Newton resolvent's stop test share).  F is the
+operator of the variational inequality whose solutions are equilibrium
+candidates; its Jacobian rows are rows of the players' cost Hessians, read
+exactly from the local LQ data (``_cost_hessian``).  The second-order
+checks, the curvature test of ``playerwise_minimizer_check`` and the
+best-response check of ``feedback.epsilon_nash_gap``, share one O(T)
+backward sweep over a player's own actions (``_convexity_pass``).
 """
 
 from __future__ import annotations
@@ -75,20 +76,27 @@ def pseudo_gradient(game: GameDefinition, traj: Trajectory,
     The costate recursion is only valid on the dynamics manifold, so the
     trajectory is checked against the dynamics first.  The first-order data
     of all stages is evaluated at once (see ``GameDefinition.eval_traj_*``),
-    the costates come from one banded triangular solve, and each action
-    column's owner entry (``game.owner``) is gathered from the joint
-    gradients in one step.
+    and ``own_gradients`` makes the costate pass and the owner gather.
     """
     check_feasible(game, traj, feas_tol)
     CX, CU = game.eval_traj_cost_gradients(traj.states, traj.actions)
     A, B = game.eval_traj_dynamics_jacobians(traj.states, traj.actions)
+    return PseudoGradient(own_gradients(game, A, B, CX, CU)[0], game.action_dims)
+
+
+def own_gradients(game: GameDefinition, A: Array, B: Array, CX: Array,
+                  CU: Array) -> tuple[Array, Array]:
+    """F (T+1, n_u) and the costates (``solve_costates``) along dynamics Jacobians A, B.
+
+    CX, CU (T+1, N, ...) are the cost gradients plus any terms a caller adds (the rows'
+    in ``kkt_residual``, the prox in ``resolvent_reg_game``); F holds owners' entries.
+    """
     om = solve_costates(A, CX)
     # dJ_n/du_k = cu_{n,k} + Om_{n,k+1} B_k; the terminal action only enters
     # the terminal cost.
     grads = CU.copy()
     grads[:-1] += om[1:] @ B
-    return PseudoGradient(own=grads[:, game.owner, np.arange(game.total_action_dim)],
-                          action_dims=game.action_dims)
+    return grads[:, game.owner, np.arange(game.total_action_dim)], om
 
 
 def solve_costates(A: Array, CX: Array) -> Array:

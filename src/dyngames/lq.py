@@ -56,7 +56,7 @@ of ``feedback.epsilon_nash_gap`` cost O(T) per active-set step.  A banded
 QP pins a guess of its active rows in one factor: the rows its caller
 names, else those violated at its equality-constrained minimum.  A game
 is read at the origin once, however many solves read it: its rows
-(``padded_rows``) and its data (``game_data``) are kept on it (``_kept``).
+(``padded_rows``), data (``game_data``) and eta = 0 ``factor`` are kept.
 """
 
 from __future__ import annotations
@@ -284,7 +284,8 @@ def factor(game: GameDefinition, eta: float) -> LqFactor:
 
     eta > 0 requires a declared linear-quadratic game (ValueError); eta = 0
     (the dynamics projection) requires declared linear dynamics only.  Both
-    factor the game's kept data (``game_data``).
+    factor the game's kept data (``game_data``); the eta = 0 factor reads
+    the game alone and is kept on it too (``_kept``).
     """
     if not eta >= 0:  # rejects NaN too
         raise ValueError(f"regularization must be nonnegative, got {eta}")
@@ -292,8 +293,8 @@ def factor(game: GameDefinition, eta: float) -> LqFactor:
         return regularized_factor(lq_game_data(game), eta)
     data = game_data(game)
     # the prox terms alone; LqFactor.solve shifts their centres
-    return _kkt_factor(_prox_data(data.A, data.B, data.b, data.initial_state, 1.0,
-                                  *_origin(game)), 0.0)
+    return _kept(game, "lq.factor", lambda: _kkt_factor(
+        _prox_data(data.A, data.B, data.b, data.initial_state, 1.0, *_origin(game)), 0.0))
 
 
 def solve_pinned(data: LqGameData, G: Array, p: Array, pinned: Array,

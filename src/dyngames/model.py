@@ -706,7 +706,7 @@ class LqGameData:
     symmetrized second derivatives of each dynamics output over (x, u).  ``rows`` holds
     every stage's rows W dx + S du + p <= 0 and ``active`` (T+1, m) marks the
     active ones, the real rows with p >= -active_tol; both are None when no
-    rows were read.
+    rows were read (``quadraticize`` reads them, ``local_lq`` does not).
     """
 
     A: Array
@@ -734,13 +734,13 @@ def linearize_dynamics(game: GameDefinition, states: Array, actions: Array,
 
 
 def local_lq(game: GameDefinition, states: Array, actions: Array,
-             active_tol: Optional[float] = None, feas_tol: float = np.inf) -> LqGameData:
-    """The ``LqGameData`` of a game around (states, actions).
+             feas_tol: float = np.inf) -> LqGameData:
+    """The ``LqGameData`` of a game around (states, actions), without its rows.
 
     Cost gradients and Hessians, dynamics Jacobians and Hessians all come
     from the whole-trajectory evaluators, and the stage costs are not read.
-    G is zero, and not evaluated, for declared linear dynamics; the rows are
-    read (``read_rows``) only when ``active_tol`` is given.
+    G is zero, and not evaluated, for declared linear dynamics.  The rows
+    are ``quadraticize``'s to read.
     """
     _check_fits(game, states, actions)
     T, n_z = game.horizon, game.state_dim + game.total_action_dim
@@ -752,13 +752,9 @@ def local_lq(game: GameDefinition, states: Array, actions: Array,
     if not game.linear_dynamics:
         G = game.eval_traj_dynamics_hessians(states, actions)
         G = 0.5 * (G + G.swapaxes(2, 3))
-    data = LqGameData(A=A, B=B, b=b, C=0.5 * (C + C.swapaxes(2, 3)), c=c,
+    return LqGameData(A=A, B=B, b=b, C=0.5 * (C + C.swapaxes(2, 3)), c=c,
                       action_dims=game.action_dims, initial_state=game.initial_state - states[0],
                       G=G)
-    if active_tol is not None:
-        data.rows = read_rows(game, states, actions)
-        data.active = data.rows.real & (data.rows.p >= -active_tol)
-    return data
 
 
 def quadraticize(game: GameDefinition, traj: Trajectory,
@@ -768,11 +764,14 @@ def quadraticize(game: GameDefinition, traj: Trajectory,
 
     The stacked ``LqGameData`` in deviations from the trajectory: c holds
     its cost gradients, b its dynamics residuals, ``initial_state`` is
-    x0 - xbar_0, and every stage's rows are read with the active mask
+    x0 - xbar_0 (``local_lq``); the rows are read here, with the active mask
     ``real & (g >= -active_tol)``.  Raises InfeasibleTrajectoryError for a
     residual above ``feas_tol`` (``inf`` skips the check), and ValueError
     for a NaN or negative ``active_tol`` or ``feas_tol``.
     """
     _check_tol("active_tol", active_tol)
     _check_tol("feas_tol", feas_tol)
-    return local_lq(game, traj.states, traj.actions, active_tol, feas_tol)
+    data = local_lq(game, traj.states, traj.actions, feas_tol)
+    data.rows = read_rows(game, traj.states, traj.actions)
+    data.active = data.rows.real & (data.rows.p >= -active_tol)
+    return data

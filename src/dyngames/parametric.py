@@ -300,11 +300,11 @@ def enumerate_lcq_parametric(data: ParametricGameData) -> PiecewiseAffinePolicy:
     """Piecewise affine equilibrium of the inequality-constrained game.
 
     For every candidate active subset with full-row-rank constraint rows
-    the equality-constrained game is solved, and the subset's validity
-    region (primal feasibility plus the multiplier cone condition) is built
-    as a polyhedron in the parameter.  Empty regions are dropped, and so
-    are subsets whose rows are rank deficient or whose stage KKT system is
-    singular.
+    the equality-constrained game is solved (``solve_stage_kkt`` on blocks
+    built once), and the subset's validity region (primal feasibility plus
+    the multiplier cone condition) is built as a polyhedron in the
+    parameter.  Empty regions are dropped, and so are subsets whose rows
+    are rank deficient or whose stage KKT system is singular.
     """
     n_c = data.p.shape[0]
     if n_c > ENUMERATION_CAP:
@@ -324,11 +324,8 @@ def enumerate_lcq_parametric(data: ParametricGameData) -> PiecewiseAffinePolicy:
             Sa, Wa, pa = data.S[rows], data.W[rows], data.p[rows]
             if not _full_row_rank(Sa):
                 continue
-            sub = ParametricGameData(gammas=data.gammas, W=Wa, S=Sa, p=pa,
-                                     action_dims=data.action_dims,
-                                     state_dim=data.state_dim)
             try:
-                law = solve_lecq_parametric(sub)
+                law = solve_stage_kkt(F, P, H, Wa, Sa, pa)
             except StageSingularityError:
                 continue
             L_feas = data.W + data.S @ law.K

@@ -24,7 +24,6 @@ import numpy as np
 from .certificate import active_set_polish, project_onto_feasible
 from .gradient import pseudo_gradient
 from .model import GameDefinition, all_player_costs, rollout
-from . import report
 from .report import SolverReport, build_report, iterate
 
 Array = np.ndarray
@@ -35,8 +34,8 @@ class ProjGradConfig:
     """Step size, iteration budget and tolerance for the projected gradient.
 
     A run whose iterate grows past ``report.DIVERGENCE_FACTOR`` times
-    (1 + |u0|_2) ends with ``divergence``.  ``record_costs`` fills the
-    report's ``cost_trace`` (``SolverReport``).
+    (1 + |u0|_2) ends with ``divergence`` (``report.iterate`` reads it).
+    ``record_costs`` fills the report's ``cost_trace`` (``SolverReport``).
     """
 
     step_size: float = 0.01
@@ -83,6 +82,6 @@ def projected_gradient_solve(game: GameDefinition, u0: Array,
         return u_next, rollout(game, game.initial_state, u_next)
 
     costs = (lambda traj: all_player_costs(game, traj)) if cfg.record_costs else None
-    run = iterate(step, u, traj, cfg.max_iter, cfg.tol, report.DIVERGENCE_FACTOR,
-                  record=costs, polish=active_set_polish(game, cfg.tol))
+    run = iterate(step, u, traj, cfg.max_iter, cfg.tol, record=costs,
+                  polish=active_set_polish(game, cfg.tol))
     return build_report(game, run.candidate, run, cfg.run_checks)

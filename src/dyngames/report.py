@@ -146,7 +146,7 @@ class Run:
 
 
 def iterate(step: Callable[[Array, Any], tuple[Array, Any]], w0: Array, cand0: Any,
-            max_iter: int, tol: float, divergence_factor: float,
+            max_iter: int, tol: float, *,
             accept: Optional[Callable[[Any], bool]] = None,
             record: Optional[Callable[[Any], Any]] = None,
             polish: Optional[Callable[[Any], Optional[tuple[Any, Any]]]] = None,
@@ -174,14 +174,14 @@ def iterate(step: Callable[[Array, Any], tuple[Array, Any]], w0: Array, cand0: A
     stops with ``tolerance`` once max|g(w) - w| <= tol and ``accept(cand)`` holds
     (evaluated only then, so a costly residual check is skipped while w
     still moves), with ``divergence`` at the first image that is not finite
-    or has |g(w)|_2 > divergence_factor * (1 + |w0|_2), and else with
+    or has |g(w)|_2 > DIVERGENCE_FACTOR * (1 + |w0|_2), and else with
     ``max_iter``; ``max_iter = 0`` returns ``cand0``.  Of the images only
-    the samples ``Run`` names are kept.
+    the samples ``Run`` names are kept.  The four hooks are keyword-only.
     """
     w, cand = w0, cand0
     iterates, iterate_iterations, step_norms = [w0], [0], []
     records, record_iterations = ([], []) if record is not None else (None, None)
-    bound = divergence_factor * (1.0 + float(np.linalg.norm(w0)))
+    bound = DIVERGENCE_FACTOR * (1.0 + float(np.linalg.norm(w0)))
     termination, residual, plain = TERM_MAX_ITER, None, True
     for t in range(1, max_iter + 1):
         # the candidate after t - 1 steps, which the run goes past

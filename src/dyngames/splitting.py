@@ -51,11 +51,11 @@ ends a linear-quadratic run within two steps, so the rule serves the games
 it cannot end: on the nonlinear fishery (``horizon_time`` 10, eta 1e-4)
 the natural residual after 300 steps reads 0.143 with both parts, 0.235
 without the extrapolation and 0.345 without the balancing.
-The rows and the data at the origin are the game's kept reads
-(``lq.padded_rows`` and ``lq.game_data``).  ``_resolvents`` builds the eta
-= 0 dynamics projection's ``lq.factor`` (a banded LU of the stacked KKT
-matrix) once per solve; only the regularized LQ game is factored again,
-once per change of eta.
+The rows, the data at the origin and the eta = 0 dynamics projection's
+``lq.factor`` (a banded LU of the stacked KKT matrix) are the game's kept
+reads (``lq.padded_rows``, ``lq.game_data`` and ``lq.factor``), made once
+per game however many solves read them; only the regularized LQ game is
+factored again, once per solve and per change of eta.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ from . import denseqp
 from .errors import StageSingularityError, SubproblemError
 from . import lq
 from .certificate import active_set_polish
-from .gradient import solve_costates
+from .gradient import own_gradients
 from .model import (
     GameDefinition,
     Trajectory,
@@ -205,12 +205,12 @@ def resolvent_reg_game(game: GameDefinition, y: Array, z: Array, eta: float,
     scale = 1.0 + float(np.max(np.abs(traj.actions), initial=0.0))
     for it in range(INNER_MAX_ITER + 1):
         data = local_lq(game, traj.states, traj.actions)
-        # costates and own-action gradients of the regularized costs
+        # own-action gradients and costates of the regularized costs
         c = data.c.swapaxes(0, 1)
-        lam = solve_costates(data.A, eta * c[..., :n_x] + (traj.states - y)[:, None])
-        grads = eta * c[..., n_x:] + (traj.actions - z)[:, None]
-        grads[:-1] += lam[1:] @ data.B
-        resid = float(np.max(np.abs(grads[:, game.owner, np.arange(n_u)]), initial=0.0))
+        F, lam = own_gradients(game, data.A, data.B,
+                               eta * c[..., :n_x] + (traj.states - y)[:, None],
+                               eta * c[..., n_x:] + (traj.actions - z)[:, None])
+        resid = float(np.max(np.abs(F), initial=0.0))
         if resid <= INNER_TOL * scale:
             return traj.states, traj.actions
         if it == 0:
@@ -403,20 +403,16 @@ def resolvent_static_games_uncon(game: GameDefinition, y: Array, z: Array,
 # ---------------------------------------------------------------------------
 
 
-def project_dynamics(game: GameDefinition, y: Array, z: Array,
-                     factor: Optional[lq.LqFactor] = None) -> tuple[Array, Array]:
+def project_dynamics(game: GameDefinition, y: Array, z: Array) -> tuple[Array, Array]:
     """Projection of (y, z) onto the dynamics-consistent trajectories.
 
     Minimizes sum_k |x_k - y_k|^2 + |u_k - z_k|^2 subject to linear dynamics
     and the pinned initial state, exactly, by one banded solve of the
-    stacked KKT system at eta = 0.  Pass ``factor=lq.factor(game, 0.0)`` to
-    reuse one factorization across calls.
+    stacked KKT system at eta = 0, with the game's kept factor
+    (``lq.factor(game, 0.0)``).  Raises UnsupportedConstraintError for
+    nonlinear dynamics.
     """
-    if factor is None:
-        factor = lq.factor(game, 0.0)  # raises UnsupportedConstraintError for nonlinear dynamics
-    elif factor.eta != 0:
-        raise ValueError(f"dynamics projection needs an eta=0 factor, got eta={factor.eta}")
-    return factor.solve(y, z)
+    return lq.factor(game, 0.0).solve(y, z)
 
 
 def constrained_oc_projection(game: GameDefinition, y: Array, z: Array) -> tuple[Array, Array]:
@@ -580,7 +576,7 @@ def dr_solve(game: GameDefinition, cfg: DrConfig) -> SolverReport:
         return rolled[1]
 
     costs = (lambda cand: all_player_costs(game, result(cand))) if cfg.record_costs else None
-    run = iterate(step, w0, start, cfg.max_iter, cfg.tol, report.DIVERGENCE_FACTOR,
+    run = iterate(step, w0, start, cfg.max_iter, cfg.tol,
                   accept=lambda cand: result(cand).constraint_violation(game) <= cfg.tol,
                   record=costs, polish=active_set_polish(game, cfg.tol),
                   next_point=next_point)
@@ -592,20 +588,20 @@ def dr_solve(game: GameDefinition, cfg: DrConfig) -> SolverReport:
 def _resolvents(game: GameDefinition, cfg: DrConfig):
     """The scheme's two resolvents at a given eta: a map eta -> (first, second).
 
-    Each resolvent maps (y, z) -> (x, u).  What does not depend on eta is
-    built here, once per solve.  ``constraints`` solves the regularized
-    game with the banded LU of ``lq.factor`` at eta for declared
+    Each resolvent maps (y, z) -> (x, u).  ``constraints`` solves the
+    regularized game with the banded LU of ``lq.factor`` at eta for declared
     linear-quadratic games, else by Newton steps warm-started from the
     previous output; the other schemes pass eta per call to the static
-    games.  Building asks for the game's kept reads that the scheme needs,
-    so it raises before the first iteration: UnsupportedConstraintError for
-    nonlinear dynamics or, in the ``gradient`` scheme, non-affine stage
-    constraints; and the map raises StageSingularityError for a singular
-    KKT matrix at its eta.
+    games.  What does not depend on eta is the game's kept reads, the
+    ``dynamics`` scheme's eta = 0 factor among them; building asks for
+    those the scheme needs, so it raises before the first iteration:
+    UnsupportedConstraintError for nonlinear dynamics or, in the
+    ``gradient`` scheme, non-affine stage constraints; and the map raises
+    StageSingularityError for a singular KKT matrix at its eta.
     """
     if cfg.scheme == SCHEME_DYNAMICS:
-        factor = lq.factor(game, 0.0)
-        project = lambda y, z: project_dynamics(game, y, z, factor=factor)
+        lq.factor(game, 0.0)  # raises for nonlinear dynamics
+        project = lambda y, z: project_dynamics(game, y, z)
         return lambda eta: (
             lambda y, z: resolvent_reg_static_games(game, y, z, eta), project)
     if cfg.scheme == SCHEME_GRADIENT:

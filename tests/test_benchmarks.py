@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from dyngames.benchmarks import (
     FisheryParams,
@@ -270,6 +270,9 @@ class TestRendezvousGame:
             np.testing.assert_array_equal(hooked, stacked)
 
     @given(rendezvous_cases())
+    # a subnormal action norm: its reciprocal overflows, so it is read as the kink
+    @example((LqRendezvousParams(horizon=0, u_max=0.5, meet_stage=0), np.zeros((1, 6)),
+              np.array([[0.0, 0.0, 0.0, 0.0, 0.0, 2.22507386e-313]])))
     def test_row_derivatives_match_finite_differences(self, case):
         params, states, actions = case
         game = lq_rendezvous_game(params)
@@ -295,6 +298,8 @@ class TestRendezvousGame:
             zero = np.flatnonzero(norms == 0.0)
             assert np.all(J[zero] == 0.0) and np.all(H[zero] == 0.0)
             np.testing.assert_array_equal(g[zero], -params.u_max)
+            assert np.all(np.isfinite(H))
+        assert np.all(np.isfinite(game.eval_traj_constraint_hessians(states, actions, 11)))
 
     def test_zero_actions_keep_states(self):
         game = lq_rendezvous_game()

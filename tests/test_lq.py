@@ -154,12 +154,21 @@ def test_projection_kernel_matches_dense_least_squares(seed, T, state_dim, actio
         assert_close(gx, xs)
 
 
-def test_reused_factor_equals_fresh_factor(rng):
+def test_reused_factor_equals_fresh_factor(rng, monkeypatch):
+    # the eta = 0 factor is the game's kept read: repeated dynamics projections
+    # on one game factor once, and solve as a fresh factor does, bit for bit
     data = random_lq_data(rng, 5, 2, (1, 2))
     game = lq_game(data, rng.standard_normal(2), (1, 2))
     eta = 0.3
     reused = lq.factor(game, eta)
-    projection = lq.factor(game, 0.0)
+    fresh = lq.factor(dataclasses.replace(game), 0.0)  # an unread copy of the game
+    etas, real = [], lq._kkt_factor
+
+    def kkt_factor(data, eta=None, **kwargs):
+        etas.append(eta)
+        return real(data, eta, **kwargs)
+
+    monkeypatch.setattr(lq, "_kkt_factor", kkt_factor)
     for _ in range(20):
         y = rng.standard_normal((6, 2))
         z = rng.standard_normal((6, 3))
@@ -167,10 +176,13 @@ def test_reused_factor_equals_fresh_factor(rng):
         fx, fu = resolvent_reg_game(game, y, z, eta)
         np.testing.assert_array_equal(xs, fx)
         np.testing.assert_array_equal(us, fu)
-        px, pu = splitting.project_dynamics(game, y, z, factor=projection)
-        qx, qu = splitting.project_dynamics(game, y, z)
+        px, pu = splitting.project_dynamics(game, y, z)
+        qx, qu = fresh.solve(y, z)
         np.testing.assert_array_equal(px, qx)
         np.testing.assert_array_equal(pu, qu)
+    # the kept factor once, and each resolvent_reg_game call without a factor
+    assert etas.count(0.0) == 1 and etas.count(eta) == 20 and len(etas) == 21
+    assert lq.factor(game, 0.0) is lq.factor(game, 0.0)
 
 
 def test_factor_for_another_eta_rejected(rng):
@@ -179,8 +191,6 @@ def test_factor_for_another_eta_rejected(rng):
     y, z = np.zeros((4, 2)), np.zeros((4, 2))
     with pytest.raises(ValueError):
         resolvent_reg_game(game, y, z, 0.2, factor=lq.factor(game, 0.1))
-    with pytest.raises(ValueError):
-        splitting.project_dynamics(game, y, z, factor=lq.factor(game, 0.1))
 
 
 def test_plain_solve_matches_dense_kkt_and_stays_in_feedback(rng):

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from dyngames import certificate, lq, projgrad, splitting
+from dyngames import certificate, lq, projgrad, report, splitting
 from dyngames.benchmarks import FisheryParams, fishery_game, lq_rendezvous_game
 from dyngames.certificate import ActiveSetPolish, active_set_polish, natural_residual
 from dyngames.errors import NonFiniteStateError
@@ -42,8 +42,7 @@ class TestIterate:
             images.append(w / 2)
             return images[-1], count + 1
 
-        run = iterate(step, np.array([1.0, -4.0]), 0, max_iter=50, tol=0.6,
-                      divergence_factor=1e8, accept=accept)
+        run = iterate(step, np.array([1.0, -4.0]), 0, max_iter=50, tol=0.6, accept=accept)
         assert run.termination == TERM_TOLERANCE
         assert run.candidate == 5
         assert asked == [3, 4, 5]
@@ -54,22 +53,24 @@ class TestIterate:
         assert run.iterate_iterations == [0, 1, 2, 4, 5]
         assert all(w is images[t - 1] for w, t in zip(run.iterates[1:], [1, 2, 4, 5]))
 
-    def test_expanding_map_diverges(self):
+    def test_expanding_map_diverges(self, monkeypatch):
         # |w0| = 1, so the bound is 10 * (1 + 1) = 20: w = 3, 9, 27 stops at 27
+        monkeypatch.setattr(report, "DIVERGENCE_FACTOR", 10.0)
         run = iterate(lambda w, c: (3 * w, c + 1), np.array([1.0]), 0, max_iter=50,
-                      tol=1e-8, divergence_factor=10.0)
+                      tol=1e-8)
         assert run.termination == TERM_DIVERGENCE
         assert run.candidate == 3
         assert run.step_norms == [2.0, 6.0, 18.0]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_a_non_finite_iterate_ends_the_run_as_divergence(self, bad):
+    def test_a_non_finite_iterate_ends_the_run_as_divergence(self, bad, monkeypatch):
         # NaN fails every comparison, so a norm test alone never stops on it
+        monkeypatch.setattr(report, "DIVERGENCE_FACTOR", np.inf)
+
         def step(w, count):
             return (w / 2 if count < 2 else np.full_like(w, bad)), count + 1
 
-        run = iterate(step, np.array([1.0, 2.0]), 0, max_iter=50, tol=1e-12,
-                      divergence_factor=np.inf)
+        run = iterate(step, np.array([1.0, 2.0]), 0, max_iter=50, tol=1e-12)
         assert run.termination == TERM_DIVERGENCE
         assert run.candidate == 3 and len(run.step_norms) == 3
 
@@ -92,7 +93,7 @@ class TestIterate:
 
     def test_no_budget_returns_the_start(self):
         w0, cand0 = np.array([1.0, 2.0]), object()
-        run = iterate(halving, w0, cand0, max_iter=0, tol=1.0, divergence_factor=1e8,
+        run = iterate(halving, w0, cand0, max_iter=0, tol=1.0,
                       accept=lambda c: True, record=lambda c: c)
         assert run.termination == TERM_MAX_ITER
         assert run.candidate is cand0
@@ -108,15 +109,15 @@ class TestIterate:
 
         grid = [0, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000]  # the start at t = 0 first
         run = iterate(lambda w, c: (w + 1.0, c + 1), np.zeros(3), 0, max_iter=1200,
-                      tol=1e-8, divergence_factor=1e8, record=record)
+                      tol=1e-8, record=record)
         assert run.termination == TERM_MAX_ITER
         assert calls == grid and run.record_iterations == grid
         assert run.records == [10 * t for t in grid]
         assert run.step_norms == [1.0] * 1200
-        run = iterate(halving, np.array([1.0]), 0, max_iter=0, tol=1.0, divergence_factor=1e8,
+        run = iterate(halving, np.array([1.0]), 0, max_iter=0, tol=1.0,
                       record=lambda c: pytest.fail("recorded"))
         assert run.records == [] and run.record_iterations == []
-        run = iterate(halving, np.array([1.0]), 0, max_iter=3, tol=1e-12, divergence_factor=1e8)
+        run = iterate(halving, np.array([1.0]), 0, max_iter=3, tol=1e-12)
         assert run.records is None and run.record_iterations is None
 
     @pytest.mark.parametrize("max_iter", [1, 2, 3, 4, 7, 50, 51, 999, 1234])
@@ -128,7 +129,7 @@ class TestIterate:
             return images[-1], count + 1
 
         w0 = np.zeros(2)
-        run = iterate(step, w0, 0, max_iter=max_iter, tol=1e-8, divergence_factor=1e8)
+        run = iterate(step, w0, 0, max_iter=max_iter, tol=1e-8)
         grid = [t for t in range(1, max_iter + 1) if on_record_grid(t)]
         kept = sorted({0, *grid, max(max_iter - 1, 0), max_iter})
         assert run.iterate_iterations == kept and len(kept) <= len(grid) + 3
@@ -141,8 +142,7 @@ class TestIterate:
     ])
     def test_the_last_iteration_is_not_recorded(self, max_iter, accept_from, recorded):
         # steps 0.5, 0.25, ...: every one is <= tol, so accept decides the stop
-        run = iterate(halving, np.array([1.0]), 0, max_iter=max_iter, tol=1.0,
-                      divergence_factor=1e8, record=lambda c: c,
+        run = iterate(halving, np.array([1.0]), 0, max_iter=max_iter, tol=1.0, record=lambda c: c,
                       accept=lambda c: accept_from is not None and c >= accept_from)
         assert len(run.step_norms) == (accept_from or max_iter)
         assert run.records == run.record_iterations == recorded
@@ -157,8 +157,7 @@ def evaluated_points(g, w0, next_point, max_iter, tol):
         images.append(g(w))
         return images[-1], count + 1
 
-    run = iterate(step, w0, 0, max_iter=max_iter, tol=tol, divergence_factor=1e8,
-                  next_point=next_point)
+    run = iterate(step, w0, 0, max_iter=max_iter, tol=tol, next_point=next_point)
     return run, points, images
 
 
@@ -281,15 +280,14 @@ class TestPolishHook:
         def polish(count):
             offered.append(count)
 
-        run = iterate(halving, np.array([1.0]), 0, max_iter=6, tol=1e-12,
-                      divergence_factor=1e8, polish=polish)
+        run = iterate(halving, np.array([1.0]), 0, max_iter=6, tol=1e-12, polish=polish)
         assert run.termination == TERM_MAX_ITER and run.residual is None
         assert offered == [1, 2, 3, 4, 5, 6]
 
     def test_accepted_polish_ends_the_run_at_that_iteration(self):
         # the step test alone would stop at iteration 3 (step 0.5 <= 0.6)
         run = iterate(halving, np.array([1.0, -4.0]), 0, max_iter=50, tol=0.6,
-                      divergence_factor=1e8, accept=lambda c: pytest.fail("accept asked"),
+                      accept=lambda c: pytest.fail("accept asked"),
                       polish=lambda count: ("polished", 1e-9) if count == 2 else None)
         assert run.termination == TERM_TOLERANCE
         assert (run.candidate, run.residual) == ("polished", 1e-9)

@@ -14,12 +14,13 @@ from dyngames.certificate import (
 )
 from dyngames.feedback import FeedbackPolicy, feedback_rollout
 from dyngames.gradient import PseudoGradient
-from dyngames.model import GameDefinition, LqGameData
+from dyngames.model import GameDefinition, LqGameData, local_lq
 from dyngames.projgrad import ProjGradConfig
 from dyngames.report import build_report, iterate
 from dyngames.splitting import (
     DrConfig,
     constrained_oc_projection,
+    project_dynamics,
     project_stage_constraints,
     resolvent_reg_game,
     resolvent_reg_static_games,
@@ -34,6 +35,11 @@ def names(cls):
 def defaulted(fn):
     return [p.name for p in inspect.signature(fn).parameters.values()
             if p.default is not inspect.Parameter.empty]
+
+
+def keyword_only(fn):
+    return [p.name for p in inspect.signature(fn).parameters.values()
+            if p.kind is inspect.Parameter.KEYWORD_ONLY]
 
 
 def test_settable_surface():
@@ -61,7 +67,11 @@ def test_settable_surface():
     assert defaulted(resolvent_reg_game) == ["warm", "factor"]
     assert defaulted(resolvent_reg_static_games) == []
     assert defaulted(resolvent_static_games_uncon) == []
-    assert defaulted(iterate) == ["accept", "record", "polish", "next_point"]
+    # the divergence bound is report.DIVERGENCE_FACTOR, and the hooks are keyword-only
+    assert list(inspect.signature(iterate).parameters) == [
+        "step", "w0", "cand0", "max_iter", "tol", "accept", "record", "polish", "next_point"]
+    assert defaulted(iterate) == keyword_only(iterate) == ["accept", "record", "polish",
+                                                           "next_point"]
     assert defaulted(feedback_rollout) == ["start"]
     assert defaulted(natural_residual) == []
     # the rows and the data at the origin are the game's kept reads (``lq``), set by no caller
@@ -73,3 +83,6 @@ def test_settable_surface():
     assert defaulted(project_stage_constraints) == []
     assert defaulted(constrained_oc_projection) == []
     assert defaulted(lq.factor) == []
+    # the eta = 0 factor is the game's kept read, and the rows are quadraticize's to read
+    assert defaulted(project_dynamics) == []
+    assert defaulted(local_lq) == ["feas_tol"]

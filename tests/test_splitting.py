@@ -1057,8 +1057,7 @@ class TestEtaBalancing:
         u0 = np.zeros((game.horizon + 1, game.total_action_dim))
         w0 = np.concatenate([rollout(game, game.initial_state, u0).states.ravel(), u0.ravel()])
         rule = splitting._Anderson(w0.size, 1e8 * (1.0 + float(np.linalg.norm(w0))))
-        run = iterate(lambda w, c: (g(w), c), w0, None, 2000, 1e-15, 1e8,
-                      next_point=rule.next_point)
+        run = iterate(lambda w, c: (g(w), c), w0, None, 2000, 1e-15, next_point=rule.next_point)
         w = run.iterates[-1]
         assert np.max(np.abs(g(w) - w)) <= 1e-12
         a = first(w)
