@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import lapack
 
+from ._lapack import lapack
 from .errors import DynGameError
 from .model import (GameDefinition, LqGameData, Trajectory, check_feasible, local_lq,
                     quadraticize, rollout)
@@ -107,7 +107,8 @@ def solve_costates(A: Array, CX: Array) -> Array:
     is one block-bidiagonal system in the stage-major unknown Om^T: identity
     diagonal blocks and -A_k^T in block (k, k+1).  It is unit upper triangular
     with bandwidth 2 n_x - 1 and is solved by LAPACK ``dtbtrs`` with one
-    right-hand side per player.
+    right-hand side per player, from scipy's LAPACK extension, loaded without
+    ``scipy.linalg`` (``_lapack``).
     """
     T1, N, n_x = CX.shape
     T = T1 - 1

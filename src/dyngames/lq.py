@@ -19,8 +19,10 @@ trajectory; ``extract_lq_data`` reads it at the origin.
 ``factor`` assembles the matrix in LAPACK band storage and factors it once
 with partial pivoting (``dgbtrf``).  ``LqFactor.solve(y, z)`` shifts every
 player's linear terms c_{n,k} by -(y_k, z_k), which moves only
-the right-hand side, and runs one banded solve (``dgbtrs``).  Memory is
-O(bandwidth * T), the bandwidth independent of the horizon.
+the right-hand side, and runs one banded solve (``dgbtrs``).  Both routines
+come from scipy's LAPACK extension, loaded without ``scipy.linalg``
+(``_lapack``).  Memory is O(bandwidth * T), the bandwidth independent of
+the horizon.
 
 The system is solved whole, so a singular stage matrix of the backward
 Riccati recursion is harmless when the system is regular.  A singular
@@ -65,9 +67,9 @@ from dataclasses import dataclass, fields, replace
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import lapack
 
 from . import denseqp
+from ._lapack import lapack
 from .errors import StageSingularityError, UnsupportedConstraintError
 from .model import (
     GameDefinition,
@@ -87,18 +89,6 @@ def extract_lq_data(game: GameDefinition) -> LqGameData:
     if not (game.linear_dynamics and game.quadratic_costs):
         raise ValueError("game is not declared linear-quadratic")
     return local_lq(game, *_origin(game))
-
-
-def dynamics_data(game: GameDefinition) -> LqGameData:
-    """The game's linear dynamics at the origin, with costs 0.5 |x|^2 + 0.5 |u|^2.
-
-    One player holds every action: the data of ``factor(game, 0)``.  Raises
-    UnsupportedConstraintError unless the game declares linear dynamics.
-    """
-    if not game.linear_dynamics:
-        raise UnsupportedConstraintError("dynamics projection requires linear dynamics")
-    return _prox_data(*linearize_dynamics(game, *_origin(game)), game.initial_state, 1.0,
-                      *_origin(game))
 
 
 def _origin(game: GameDefinition) -> tuple[Array, Array]:
@@ -399,13 +389,20 @@ def padded_rows(game: GameDefinition) -> PaddedRows:
 def game_data(game: GameDefinition) -> LqGameData:
     """The game's data at the origin, kept (``_kept``).
 
-    ``extract_lq_data`` for a declared linear-quadratic game, else
-    ``dynamics_data``, which raises for nonlinear dynamics; a reader of the
-    costs asks ``lq_game_data``.
+    ``extract_lq_data`` for a declared linear-quadratic game.  A game that
+    declares linear dynamics only gets them with costs 0.5 |x|^2 + 0.5 |u|^2,
+    one player holding every action; nonlinear dynamics raise
+    UnsupportedConstraintError.  A reader of the costs asks ``lq_game_data``.
     """
-    declared = game.linear_dynamics and game.quadratic_costs
-    return _kept(game, "lq.game_data",
-                 lambda: extract_lq_data(game) if declared else dynamics_data(game))
+    def read() -> LqGameData:
+        if game.linear_dynamics and game.quadratic_costs:
+            return extract_lq_data(game)
+        if not game.linear_dynamics:
+            raise UnsupportedConstraintError("dynamics projection requires linear dynamics")
+        return _prox_data(*linearize_dynamics(game, *_origin(game)), game.initial_state, 1.0,
+                          *_origin(game))
+
+    return _kept(game, "lq.game_data", read)
 
 
 def lq_game_data(game: GameDefinition) -> LqGameData:

@@ -2,6 +2,10 @@
 
 import dataclasses
 import gc
+import os
+import re
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -10,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import lapack
 
-from dyngames import certificate, feedback, gradient, lq, splitting
+from dyngames import _lapack, certificate, feedback, gradient, lq, splitting
 from dyngames.errors import DimensionError, StageSingularityError
 from dyngames.benchmarks import FisheryParams, fishery_game, lq_rendezvous_game
 from dyngames.model import GameDefinition, Trajectory, quadraticize, rollout
@@ -529,3 +533,42 @@ def test_condition_estimate_matches_the_inverse_norm(seed, T, state_dim, action_
     exact = np.max(np.abs(inverse).sum(axis=0))
     est = lq._inverse_norm(fac.lu, fac.kl, fac.ku, fac.piv)
     assert exact / 10 <= est <= exact * (1 + 1e-12)
+
+
+# Imports the modules named on the command line in that order, then checks
+# that the package's LAPACK routines are scipy.linalg.lapack's and that a
+# banded factor and solve through scipy.linalg.lapack still solve.
+IMPORT_ORDER = """
+import importlib, sys
+import numpy as np
+for name in sys.argv[1:]:
+    importlib.import_module(name)
+import scipy.linalg
+from dyngames import gradient, lq
+lapack = scipy.linalg.lapack
+assert lq.lapack.dgbtrf is lapack.dgbtrf and lq.lapack.dgbtrs is lapack.dgbtrs
+assert gradient.lapack.dtbtrs is lapack.dtbtrs
+M = np.diag([4.0, 5.0, 6.0, 7.0]) + np.diag([1.0, 2.0, 3.0], 1) + np.diag([-1.0, 1.0, -2.0], -1)
+kl = ku = 1
+ab = np.zeros((2 * kl + ku + 1, 4))
+for i, j in zip(*np.nonzero(M)):
+    ab[kl + ku + i - j, j] = M[i, j]
+lu, piv, info = lapack.dgbtrf(ab, kl, ku)
+b = np.arange(1.0, 5.0)[:, None]
+x, solved = lapack.dgbtrs(lu, kl, ku, b, piv)
+assert info == solved == 0
+np.testing.assert_allclose(M @ x, b, rtol=1e-14)
+"""
+
+
+@pytest.mark.parametrize("order", [("dyngames", "scipy.linalg"), ("scipy.linalg", "dyngames")])
+def test_the_lapack_routines_are_scipys_in_either_import_order(order):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    run = subprocess.run([sys.executable, "-c", IMPORT_ORDER, *order], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+
+
+def test_the_lapack_loader_names_a_directory_without_the_extension(tmp_path):
+    with pytest.raises(ImportError, match=re.escape(str(tmp_path))):
+        _lapack.load_flapack(str(tmp_path))

@@ -312,6 +312,21 @@ class TestRegionEmptiness:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
+    def test_import_loads_the_lapack_extension_alone(self):
+        # dyngames._lapack loads scipy.linalg._flapack without scipy.linalg,
+        # whose init imports numpy's lazily loaded submodules; numpy 1.x
+        # imports numpy.random and numpy.ma itself, so only what the import
+        # of dyngames adds to numpy's counts
+        unused = ("scipy.linalg", "numpy.f2py", "numpy.testing", "numpy.ma", "numpy.random")
+        code = ("import sys, numpy; before = set(sys.modules); import dyngames; "
+                "print(*sorted(m for m in set(sys.modules) - before if any("
+                f"m == p or m.startswith(p + '.') for p in {unused!r})))")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split() == ["scipy.linalg._flapack"]
+
 
 class TestPiecewisePredicate:
     def test_two_piece_candidate(self, rng):
