@@ -9,7 +9,6 @@ A run configuration is a JSON file:
       "scheme": "constraints",          # dr only: constraints|dynamics|gradient
       "eta": 1e-4, "alpha": 0.5,        # dr only; eta starts the balanced weight
       "max_iter": 1000, "tol": 1e-8,
-      "active_tol": 1e-6,               # feedback: rows within this are active
       "feedback": true,                 # backward pass after the solve
       "stage_reg": 0.1,                 # feedback stage damping
       "simulate": {"noise_var": 2.0, "n_runs": 100, "seed": 7},
@@ -21,9 +20,11 @@ config, with that config's defaults and checks: pg reads rho (its step_size)
 and tol, dr reads scheme, eta, alpha and tol.  Both read max_iter, which must
 be positive and defaults to 1000 (DrConfig's own default is 10000).  simulate
 takes only noise_var (1.0), n_runs (100) and seed (0; ``--seed`` overrides it
-and needs the block).  Any other key, the other solver's among them, or an
-output_dir or ``--out`` that is not a non-empty string, exits with status 2
-before the solve.
+and needs the block).  The feedback pass pins the rows within
+``model.ACTIVE_TOL`` of active, and no key sets that tolerance.  Any other
+key, the other solver's or an ``active_tol`` among them, or an output_dir or
+``--out`` that is not a non-empty string, exits with status 2 before the
+solve.
 
 Outputs: trajectory.csv (the rollout of the solver's actions), convergence.csv
 (one row per iteration 0..n: its step norm, 0 at the start, and its distance
@@ -55,7 +56,7 @@ import numpy as np
 from . import benchmarks
 from .errors import DynGameError
 from .feedback import stagewise_newton_backward
-from .model import DEFAULT_ACTIVE_TOL, GameDefinition
+from .model import GameDefinition
 from .projgrad import ProjGradConfig, projected_gradient_solve
 from .report import SolverReport
 from .splitting import DrConfig, dr_solve
@@ -110,7 +111,6 @@ class RunConfig:
     game_params: dict
     solver: str
     solve: ProjGradConfig | DrConfig
-    active_tol: float = DEFAULT_ACTIVE_TOL
     feedback: bool = False
     stage_reg: float = 0.0
     simulate: Optional[dict] = None
@@ -148,9 +148,6 @@ class RunConfig:
             raise ConfigError(message) from None
         cfg = cls(game_id=str(game["id"]), game_params=dict(params), solver=solver,
                   solve=solve)
-        cfg.active_tol = _number(raw.get("active_tol", cfg.active_tol), "active_tol")
-        if not 0.0 < cfg.active_tol < np.inf:  # rejects NaN too
-            raise ConfigError(f"active_tol must be positive and finite, got {cfg.active_tol}")
         cfg.stage_reg = _number(raw.get("stage_reg", cfg.stage_reg), "stage_reg")
         if not 0.0 <= cfg.stage_reg < np.inf:  # rejects NaN too
             raise ConfigError(f"stage_reg must be finite and nonnegative, got {cfg.stage_reg}")
@@ -324,7 +321,6 @@ def run(config: RunConfig) -> int:
     if config.feedback:
         log.info("computing local feedback policy")
         policy = stagewise_newton_backward(game, report.trajectory,
-                                           active_tol=config.active_tol,
                                            stage_reg=config.stage_reg)
         _write_json(outdir / "policy.json", _policy_payload(policy))
 

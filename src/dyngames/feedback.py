@@ -1,7 +1,10 @@
 """Local feedback policies from a single stagewise Newton backward pass.
 
 Around a reference trajectory the game is replaced by its linear-quadratic
-approximation with the active inequality constraints pinned as equalities.
+approximation with the active inequality constraints pinned as equalities:
+the real rows within ``model.ACTIVE_TOL`` of active at the reference.  A
+reference off the dynamics by more than 1e-6 (relative to 1 + |x_{k+1}|)
+raises InfeasibleTrajectoryError.
 One backward sweep carries each player's value Hessian and costate row from
 stage to stage and solves an equality-constrained quadratic stage game at
 every step, producing affine gains ``du_k = K_k dx_k + s_k`` in O(T) work.
@@ -42,8 +45,7 @@ from .errors import (DimensionError, InfeasibleConstraintsError, NonFiniteStateE
 from .gradient import _convexity_pass
 # The LQ open-loop solver lives in ``lq``; these names stay importable here.
 from .lq import extract_lq_data, solve_lq_open_loop  # noqa: F401
-from .model import (DEFAULT_ACTIVE_TOL, GameDefinition, LqGameData, Trajectory, _checked,
-                    quadraticize)
+from .model import GameDefinition, LqGameData, Trajectory, _checked, quadraticize
 
 Array = np.ndarray
 
@@ -56,18 +58,17 @@ class FeedbackPolicy:
     """Per-stage affine feedback du = K_k dx + s_k around a reference trajectory.
 
     ``gains`` (T+1, n_u, n_x) and ``offsets`` (T+1, n_u) are stacked over
-    the stages of ``reference``.  Per-stage lists are stacked at
-    construction; any other shape raises DimensionError.
+    the stages of ``reference``, whose states and actions set T, n_x and
+    n_u.  Per-stage lists are stacked at construction; any other shape
+    raises DimensionError.
     """
 
     reference: Trajectory
     gains: Array
     offsets: Array
-    action_dims: tuple[int, ...]
 
     def __post_init__(self):
-        T1, n_x = self.reference.states.shape
-        n_u = sum(self.action_dims)
+        (T1, n_x), n_u = self.reference.states.shape, self.reference.actions.shape[1]
         self.gains = _checked("feedback gains", self.gains, (T1, n_u, n_x))
         self.offsets = _checked("feedback offsets", self.offsets, (T1, n_u))
 
@@ -90,14 +91,15 @@ class FeedbackPolicy:
 
 
 def stagewise_newton_backward(game: GameDefinition, traj: Trajectory,
-                              active_tol: float = DEFAULT_ACTIVE_TOL,
-                              feas_tol: float = 1e-6,
                               stage_reg: float = 0.0) -> FeedbackPolicy:
     """One O(T) backward pass of the constrained stagewise Newton recursion.
 
-    The rows active at the reference are pinned in each stage game.  The
-    game is read once (``quadraticize``), and everything that does not
-    depend on the next stage's value Hessians is built before the loop:
+    The rows active at the reference, the real rows within
+    ``model.ACTIVE_TOL`` of active, are pinned in each stage game.  A
+    reference off the dynamics by more than 1e-6 (relative to
+    1 + |x_{k+1}|) raises InfeasibleTrajectoryError.  The game is read
+    once (``quadraticize``), and everything that does not depend on the
+    next stage's value Hessians is built before the loop:
     the active rows of every stage, gathered held-first as ``lq`` gathers
     pinned rows, their part of the stage systems, and their full-row-rank
     test, one batched SVD per active-row count.  The loop runs the
@@ -122,7 +124,7 @@ def stagewise_newton_backward(game: GameDefinition, traj: Trajectory,
     """
     if not 0.0 <= stage_reg < np.inf:  # rejects NaN too
         raise ValueError(f"stage_reg must be finite and nonnegative, got {stage_reg}")
-    data = quadraticize(game, traj, active_tol=active_tol, feas_tol=feas_tol)
+    data = quadraticize(game, traj)
     T = game.horizon
     N, n_x, n_u = game.num_players, game.state_dim, game.total_action_dim
     nz = n_x + n_u
@@ -196,7 +198,7 @@ def stagewise_newton_backward(game: GameDefinition, traj: Trajectory,
                 om = om + sol[k, n_u:n, n_x] @ Wa[k, :m[k]]
         check_from(0)
     return FeedbackPolicy(reference=traj.copy(), gains=sol[:, :n_u, :n_x].copy(),
-                          offsets=sol[:, :n_u, n_x].copy(), action_dims=game.action_dims)
+                          offsets=sol[:, :n_u, n_x].copy())
 
 
 @dataclass

@@ -45,7 +45,8 @@ Array = np.ndarray
 _FD_STEP1 = float(np.finfo(float).eps) ** (1.0 / 3.0)
 _FD_STEP2 = float(np.finfo(float).eps) ** 0.25
 
-DEFAULT_ACTIVE_TOL = 1e-6
+# A real row with g >= -ACTIVE_TOL at a reference is active there (``quadraticize``).
+ACTIVE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -604,7 +605,7 @@ def check_feasible(game: GameDefinition, traj: Trajectory, tol: float = 1e-8) ->
     raises ValueError, and a trajectory that does not fit the game
     DimensionError.
     """
-    _check_tol("feas_tol", tol)
+    _check_tol(tol)
     _check_fits(game, traj.states, traj.actions)
     if tol < np.inf:
         _raise_if_infeasible(traj.dynamics_residuals(game), traj.states, tol)
@@ -618,9 +619,9 @@ def _check_fits(game: GameDefinition, states: Array, actions: Array) -> None:
             raise DimensionError(f"trajectory {what}", (game.horizon + 1, dim), np.shape(arr))
 
 
-def _check_tol(name: str, tol: float) -> None:
+def _check_tol(tol: float) -> None:
     if not tol >= 0:  # rejects NaN too
-        raise ValueError(f"{name} must be nonnegative, got {tol}")
+        raise ValueError(f"feas_tol must be nonnegative, got {tol}")
 
 
 def _raise_if_infeasible(res: Array, states: Array, tol: float) -> None:
@@ -705,7 +706,7 @@ class LqGameData:
     before writing into it.  ``G`` (T, n_x, n_x+n_u, n_x+n_u) holds the
     symmetrized second derivatives of each dynamics output over (x, u).  ``rows`` holds
     every stage's rows W dx + S du + p <= 0 and ``active`` (T+1, m) marks the
-    active ones, the real rows with p >= -active_tol; both are None when no
+    active ones, the real rows with p >= -ACTIVE_TOL; both are None when no
     rows were read (``quadraticize`` reads them, ``local_lq`` does not).
     """
 
@@ -758,20 +759,18 @@ def local_lq(game: GameDefinition, states: Array, actions: Array,
 
 
 def quadraticize(game: GameDefinition, traj: Trajectory,
-                 active_tol: float = DEFAULT_ACTIVE_TOL,
                  feas_tol: float = 1e-6) -> LqGameData:
     """The local LQ approximation around a feasible trajectory, with its rows.
 
     The stacked ``LqGameData`` in deviations from the trajectory: c holds
     its cost gradients, b its dynamics residuals, ``initial_state`` is
     x0 - xbar_0 (``local_lq``); the rows are read here, with the active mask
-    ``real & (g >= -active_tol)``.  Raises InfeasibleTrajectoryError for a
+    ``real & (g >= -ACTIVE_TOL)``.  Raises InfeasibleTrajectoryError for a
     residual above ``feas_tol`` (``inf`` skips the check), and ValueError
-    for a NaN or negative ``active_tol`` or ``feas_tol``.
+    for a NaN or negative ``feas_tol``.
     """
-    _check_tol("active_tol", active_tol)
-    _check_tol("feas_tol", feas_tol)
+    _check_tol(feas_tol)
     data = local_lq(game, traj.states, traj.actions, feas_tol)
     data.rows = read_rows(game, traj.states, traj.actions)
-    data.active = data.rows.real & (data.rows.p >= -active_tol)
+    data.active = data.rows.real & (data.rows.p >= -ACTIVE_TOL)
     return data

@@ -1136,7 +1136,7 @@ def resolvent_by_feedback_newton(game, y, z, eta, tol=1e-10, max_iter=300):
     traj = rollout(reg, reg.initial_state, z)
     scale = 1.0 + float(np.max(np.abs(traj.actions), initial=0.0))
     for it in range(max_iter):
-        policy = stagewise_newton_backward(reg, traj, feas_tol=np.inf)
+        policy = stagewise_newton_backward(reg, traj)
         traj = feedback_rollout(reg, policy, traj.states[0]).trajectory
         resid = np.max(np.abs(pseudo_gradient(reg, traj, feas_tol=np.inf).stacked), initial=0.0)
         if resid <= tol * scale:
@@ -1172,7 +1172,7 @@ def region_phase_one_lp(L, l):
 # ---------------------------------------------------------------------------
 
 
-def augmented_newton_backward(game, traj, active_tol=1e-6, feas_tol=1e-6, stage_reg=0.0):
+def augmented_newton_backward(game, traj, stage_reg=0.0):
     """Gains (T+1, n_u, n_x) and offsets (T+1, n_u) of the augmented recursion.
 
     Every player's stage expansion is the (1+n_x+n_u)-square matrix M with
@@ -1184,7 +1184,7 @@ def augmented_newton_backward(game, traj, active_tol=1e-6, feas_tol=1e-6, stage_
     ``eval_traj_costs``'s, and the stage games are solved by
     ``solve_stage_kkt``, which its own tests check.
     """
-    data = quadraticize(game, traj, active_tol=active_tol, feas_tol=feas_tol)
+    data = quadraticize(game, traj)
     T = game.horizon
     N, n_x, n_u = game.num_players, game.state_dim, game.total_action_dim
     nz = 1 + n_x + n_u
@@ -1229,8 +1229,7 @@ def augmented_newton_backward(game, traj, active_tol=1e-6, feas_tol=1e-6, stage_
     return gains, offsets
 
 
-def stagewise_newton_backward_per_stage(game, traj, active_tol=1e-6, feas_tol=1e-6,
-                                        stage_reg=0.0):
+def stagewise_newton_backward_per_stage(game, traj, stage_reg=0.0):
     """Gains (T+1, n_u, n_x) and offsets (T+1, n_u) of the pass, one stage at a time.
 
     The stagewise Newton pass as it was written before its checks were
@@ -1240,7 +1239,7 @@ def stagewise_newton_backward_per_stage(game, traj, active_tol=1e-6, feas_tol=1e
     The package's pass must give the same arrays bit for bit and raise the
     same error.
     """
-    data = quadraticize(game, traj, active_tol=active_tol, feas_tol=feas_tol)
+    data = quadraticize(game, traj)
     T = game.horizon
     N, n_x, n_u = game.num_players, game.state_dim, game.total_action_dim
     nz = n_x + n_u

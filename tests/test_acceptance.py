@@ -62,8 +62,7 @@ def fishery_solution():
     t0 = time.perf_counter()
     report = projected_gradient_solve(game, np.zeros((game.horizon + 1, 2)), cfg)
     elapsed = time.perf_counter() - t0
-    policy = stagewise_newton_backward(game, report.trajectory, feas_tol=np.inf,
-                                       stage_reg=0.1)
+    policy = stagewise_newton_backward(game, report.trajectory, stage_reg=0.1)
     return params, game, report, policy, elapsed
 
 
@@ -231,7 +230,7 @@ def test_criterion_06_stage_game_correctness(rng):
 
 def test_criterion_07_backward_pass_fixed_point(rng):
     game, lq, rows, ref, _ = equality_constrained_lq_instance(rng)
-    policy = stagewise_newton_backward(game, ref, feas_tol=1e-6)
+    policy = stagewise_newton_backward(game, ref)
     offset_max = max(float(np.max(np.abs(s), initial=0.0)) for s in policy.offsets)
     # deviation induced by the offsets at dx = 0 over the whole rollout
     from dyngames.feedback import feedback_rollout
@@ -253,7 +252,7 @@ def test_criterion_08_quadratic_gap_scaling(rng):
     t0 = time.perf_counter()
     inst = tightened_two_player_instance(rng)
     ref = inst.ref
-    policy = stagewise_newton_backward(inst.tight, ref, feas_tol=1e-6)
+    policy = stagewise_newton_backward(inst.tight, ref)
     gap_at_ref = max(epsilon_nash_gap(inst.partial, policy, n, 0, ref.states[0])
                      for n in range(2))
     d = rng.standard_normal(2)
@@ -394,7 +393,7 @@ def test_criterion_12_linear_horizon_scaling(rng):
                 pseudo_gradient(game, traj, feas_tol=np.inf)
                 grad_times[rnd, i] = time.process_time() - t0
                 t0 = time.process_time()
-                stagewise_newton_backward(game, traj, feas_tol=np.inf)
+                stagewise_newton_backward(game, traj)
                 newton_times[rnd, i] = time.process_time() - t0
     finally:
         gc.enable()

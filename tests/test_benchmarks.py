@@ -504,8 +504,7 @@ class TestNoiseComparison:
         cfg = ProjGradConfig(step_size=0.01, max_iter=150, tol=1e-12,
                              record_costs=False, run_checks=False)
         rep = projected_gradient_solve(game, np.zeros((game.horizon + 1, 2)), cfg)
-        policy = stagewise_newton_backward(game, rep.trajectory, feas_tol=np.inf,
-                                           stage_reg=0.1).equilibrium_form()
+        policy = stagewise_newton_backward(game, rep.trajectory, stage_reg=0.1).equilibrium_form()
         return params, game, rep.trajectory, policy
 
     def test_zero_noise_gives_zero_deviation(self):
@@ -608,7 +607,7 @@ class TestOneBatchNoiseComparison:
             game = fishery_game(params)
             actions = np.random.default_rng(5).uniform(0.05, 0.25, (game.horizon + 1, 2))
             ref = rollout(game, game.initial_state, actions)
-            policy = stagewise_newton_backward(game, ref, feas_tol=np.inf, stage_reg=0.1)
+            policy = stagewise_newton_backward(game, ref, stage_reg=0.1)
             return game, ref, policy.equilibrium_form(), 2.0, params.dt
         # n_x = 2, one equality row at stages 1 and 3, no batch hooks
         game, _, _, ref, _ = equality_constrained_lq_instance(np.random.default_rng(5))
@@ -669,7 +668,7 @@ class TestOneBatchNoiseComparison:
                               dynamics=dynamics, stage_costs=lambda k, x, u: np.zeros(1))
         olne = Trajectory(np.zeros((T + 1, 1)), np.zeros((T + 1, 1)))
         policy = FeedbackPolicy(reference=olne, gains=[np.ones((1, 1))] * (T + 1),
-                                offsets=[np.zeros(1)] * (T + 1), action_dims=(1,))
+                                offsets=[np.zeros(1)] * (T + 1))
         with pytest.raises(NonFiniteStateError, match=r"stage 1 in run \d \(feedback\)") as exc:
             noise_comparison(game, olne, policy, noise_var=1.0, n_runs=n_runs, seed=seed)
         assert (exc.value.stage, exc.value.run, exc.value.mode) == (

@@ -317,10 +317,11 @@ class TestExitCodes:
         assert not (tmp_path / "never").exists()
 
     @pytest.mark.parametrize("where, key", [
-        ([], "etta"), ([], "seed"), (["game"], "parms"), (["simulate"], "noise")],
-        ids=["etta", "seed", "game-parms", "simulate-noise"])
+        ([], "etta"), ([], "seed"), ([], "active_tol"), (["game"], "parms"),
+        (["simulate"], "noise")],
+        ids=["etta", "seed", "active_tol", "game-parms", "simulate-noise"])
     def test_unknown_key_is_refused_before_the_solve(self, tmp_path, capsys, where, key):
-        # a misspelled key must not run the solve with the default in its place
+        # a misspelled or removed key must not run the solve with the default in its place
         cfg = small_fishery_config(tmp_path / "never", max_iter=2)
         block = cfg[where[0]] if where else cfg
         block[key] = 5

@@ -108,32 +108,27 @@ class TestBackwardPass:
         with pytest.raises(ValueError, match="stage_reg"):
             stagewise_newton_backward(game, traj, stage_reg=stage_reg)
 
-    @pytest.mark.parametrize("tols", [dict(feas_tol=np.nan), dict(active_tol=np.nan),
-                                      dict(active_tol=-1e-3)])
-    def test_nan_or_negative_tolerances_are_rejected(self, tols):
+    def test_players_at_their_bounds_are_pinned(self):
         # player 0 at its upper bound and player 1 at zero: both pinned
         game = fishery_game(FisheryParams(horizon_time=1.0))
         ref = rollout(game, game.initial_state, np.tile([0.4, 0.0], (11, 1)))
         policy = stagewise_newton_backward(game, ref, stage_reg=0.1)
         np.testing.assert_array_equal(policy.gains[0], np.zeros((2, 1)))
-        with pytest.raises(ValueError, match="must be nonnegative"):
-            stagewise_newton_backward(game, ref, stage_reg=0.1, **tols)
 
     def test_fixed_point_at_equality_constrained_equilibrium(self, rng):
         game, lq, rows, ref, _ = equality_constrained_lq_instance(rng)
-        policy = stagewise_newton_backward(game, ref, feas_tol=1e-6)
+        policy = stagewise_newton_backward(game, ref)
         for k in range(game.horizon + 1):
             assert np.max(np.abs(policy.offsets[k]), initial=0.0) <= 1e-10
 
     @staticmethod
-    def assert_matches_augmented_recursion(game, ref, **kwargs):
-        policy = stagewise_newton_backward(game, ref, **kwargs)
+    def assert_matches_augmented_recursion(game, ref, stage_reg=0.0):
+        policy = stagewise_newton_backward(game, ref, stage_reg=stage_reg)
         for got, want in zip((policy.gains, policy.offsets),
-                             augmented_newton_backward(game, ref, **kwargs)):
+                             augmented_newton_backward(game, ref, stage_reg=stage_reg)):
             np.testing.assert_allclose(got, want, rtol=1e-12,
                                        atol=1e-12 * (1.0 + np.max(np.abs(want))))
-        assert_same_as_per_stage(game, ref, **{name: value for name, value in kwargs.items()
-                                               if name != "stage_reg"})
+        assert_same_as_per_stage(game, ref)
 
     @given(seed=st.integers(0, 2**32 - 1), T=st.integers(1, 8), n_pinned=st.integers(0, 9))
     def test_matches_augmented_recursion_with_pinned_rows(self, seed, T, n_pinned):
@@ -184,7 +179,7 @@ def error_class(what):
     return next(kind for kind in kinds if kind in what)
 
 
-def assert_same_as_per_stage(game, ref, **kwargs):
+def assert_same_as_per_stage(game, ref):
     """The pass gives the per-stage oracle's gains and offsets bit for bit, or its error.
 
     Checked with ``stage_reg`` 0 and 0.1.  An error must name the same stage
@@ -192,14 +187,14 @@ def assert_same_as_per_stage(game, ref, **kwargs):
     """
     for stage_reg in (0.0, 0.1):
         try:
-            want = stagewise_newton_backward_per_stage(game, ref, stage_reg=stage_reg, **kwargs)
+            want = stagewise_newton_backward_per_stage(game, ref, stage_reg=stage_reg)
         except StageSingularityError as exc:
             with pytest.raises(StageSingularityError) as got:
-                stagewise_newton_backward(game, ref, stage_reg=stage_reg, **kwargs)
+                stagewise_newton_backward(game, ref, stage_reg=stage_reg)
             assert got.value.stage == exc.stage
             assert error_class(got.value.what) == error_class(exc.what)
             continue
-        policy = stagewise_newton_backward(game, ref, stage_reg=stage_reg, **kwargs)
+        policy = stagewise_newton_backward(game, ref, stage_reg=stage_reg)
         for got, w in zip((policy.gains, policy.offsets), want):
             assert got.dtype == w.dtype and np.array_equal(got, w)
 
@@ -337,7 +332,7 @@ def rollout_case(name):
     if name == "fishery":
         game = fishery_game(FisheryParams(horizon_time=1.0))
         ref = rollout(game, game.initial_state, rng.uniform(0.05, 0.25, (11, 2)))
-        return game, stagewise_newton_backward(game, ref, feas_tol=np.inf, stage_reg=0.1)
+        return game, stagewise_newton_backward(game, ref, stage_reg=0.1)
     if name == "lq":
         game, _ = random_lq_game(rng, T=5, state_dim=3, action_dims=(2, 1))
         ref = rollout(game, game.initial_state, rng.standard_normal((6, 3)))
@@ -353,14 +348,15 @@ def overflowing_game(T=4):
         dynamics=lambda k, x, u: x**20, stage_costs=lambda k, x, u: np.zeros(1))
     zeros = [np.zeros((1, 1))] * (T + 1)
     policy = FeedbackPolicy(reference=Trajectory(np.ones((T + 1, 1)), np.zeros((T + 1, 1))),
-                            gains=zeros, offsets=[np.zeros(1)] * (T + 1), action_dims=(1,))
+                            gains=zeros, offsets=[np.zeros(1)] * (T + 1))
     return game, policy
 
 
 @pytest.mark.parametrize("field, value", [("gains", np.zeros((5, 1, 2))),
+                                          ("gains", np.zeros((5, 2, 1))),
                                           ("gains", [np.zeros((1, 1))] * 4),
                                           ("offsets", np.zeros((5, 2)))],
-                         ids=["wide_gains", "short_gains", "wide_offsets"])
+                         ids=["wide_gains", "tall_gains", "short_gains", "wide_offsets"])
 def test_misshapen_policy_is_rejected(field, value):
     _, policy = overflowing_game()  # T = 4, one state, one action
     with pytest.raises(DimensionError, match=f"feedback {field}"):
@@ -477,14 +473,14 @@ def shifted_own_action_cost(lq, player, shifts):
 class TestEpsilonGap:
     def test_zero_gap_at_reference(self, rng):
         inst = tightened_two_player_instance(rng)
-        policy = stagewise_newton_backward(inst.tight, inst.ref, feas_tol=1e-6)
+        policy = stagewise_newton_backward(inst.tight, inst.ref)
         for n in range(2):
             gap = epsilon_nash_gap(inst.partial, policy, n, 0, inst.ref.states[0])
             assert abs(gap) <= 1e-8
 
     def test_gap_nonnegative_for_perturbations(self, rng):
         inst = tightened_two_player_instance(rng)
-        policy = stagewise_newton_backward(inst.tight, inst.ref, feas_tol=1e-6)
+        policy = stagewise_newton_backward(inst.tight, inst.ref)
         for _ in range(6):
             d = rng.standard_normal(2)
             d /= np.linalg.norm(d)
@@ -498,7 +494,7 @@ class TestEpsilonGap:
         # enumeration can visit (2^21 subsets)
         T = 20
         inst = tightened_two_player_instance(rng, T=T, con_stages=range(T + 1))
-        policy = stagewise_newton_backward(inst.tight, inst.ref, feas_tol=1e-6)
+        policy = stagewise_newton_backward(inst.tight, inst.ref)
         x_ref = inst.ref.states[0]
         for n in range(2):
             assert abs(epsilon_nash_gap(inst.partial, policy, n, 0, x_ref)) <= 1e-8
@@ -510,7 +506,7 @@ class TestEpsilonGap:
 
     def test_active_row_held_exactly_along_policy_rollout(self, rng):
         inst = tightened_two_player_instance(rng)
-        policy = stagewise_newton_backward(inst.tight, inst.ref, feas_tol=1e-6)
+        policy = stagewise_newton_backward(inst.tight, inst.ref)
         k = 2
         W, S, p, _ = inst.rows[k]
         for eps in (1e-3, 1e-2):
@@ -521,7 +517,7 @@ class TestEpsilonGap:
 
     def test_player_outside_range_is_rejected(self, rng):
         inst = tightened_two_player_instance(rng)
-        policy = stagewise_newton_backward(inst.tight, inst.ref, feas_tol=1e-6)
+        policy = stagewise_newton_backward(inst.tight, inst.ref)
         for player in (2, -1):
             with pytest.raises(ValueError, match=f"player {player} outside 0..1"):
                 epsilon_nash_gap(inst.partial, policy, player, 0, inst.ref.states[0])
@@ -534,7 +530,7 @@ class TestEpsilonGap:
     def test_matches_dense_condensing(self, seed, T, con, loose, start_frac, player, eps):
         rng = np.random.default_rng(seed)
         inst = tightened_two_player_instance(rng, T=T, con_stages=con, loose_stages=loose)
-        policy = stagewise_newton_backward(inst.tight, inst.ref, feas_tol=1e-6)
+        policy = stagewise_newton_backward(inst.tight, inst.ref)
         start = int(start_frac * T + 0.5)
         d = rng.standard_normal(2)
         x0 = inst.ref.states[0] + eps * d / np.linalg.norm(d)
@@ -549,7 +545,7 @@ class TestEpsilonGap:
         # the stages makes some best responses nonconvex.
         rng = np.random.default_rng(seed)
         inst = tightened_two_player_instance(rng, T=T)
-        policy = stagewise_newton_backward(inst.tight, inst.ref, feas_tol=1e-6)
+        policy = stagewise_newton_backward(inst.tight, inst.ref)
         shifts = np.where(rng.random(T + 1) < 0.5, rng.uniform(-3.0, 0.0, T + 1), 0.0)
         lq = shifted_own_action_cost(inst.lq, player, shifts)
         game = affine_quadratic_game(lq, inst.ref.states[0],
@@ -566,7 +562,7 @@ class TestEpsilonGap:
 
     def test_zero_terminal_own_action_cost_is_rejected(self, rng):
         inst = tightened_two_player_instance(rng)
-        policy = stagewise_newton_backward(inst.tight, inst.ref, feas_tol=1e-6)
+        policy = stagewise_newton_backward(inst.tight, inst.ref)
         T = inst.tight.horizon
         for n in range(2):
             lq = shifted_own_action_cost(inst.lq, n, [0.0] * T + [-inst.lq["R"][n][T][n, n]])
@@ -579,7 +575,7 @@ class TestEpsilonGap:
         # Rows at every stage make this instance's closed-loop rollout diverge.
         T = 1000
         inst = tightened_two_player_instance(rng, T=T, con_stages=range(0, T + 1, 5))
-        policy = stagewise_newton_backward(inst.tight, inst.ref, feas_tol=1e-6)
+        policy = stagewise_newton_backward(inst.tight, inst.ref)
         x_ref = inst.ref.states[0]
         for n in range(2):
             assert abs(epsilon_nash_gap(inst.partial, policy, n, 0, x_ref)) <= 1e-8

@@ -14,6 +14,7 @@ from dyngames.gradient import playerwise_minimizer_check, pseudo_gradient
 from dyngames.projgrad import project_onto_feasible
 from dyngames.splitting import project_stage_constraints
 from dyngames.model import (
+    ACTIVE_TOL,
     GameDefinition,
     Trajectory,
     all_player_costs,
@@ -373,15 +374,14 @@ class TestCheckFeasible:
         traj.states[2] -= [1e-3, 0.0]
         check_feasible(game, traj, tol=1e-6)
 
-    @pytest.mark.parametrize("active_tol, feas_tol", [(1e-6, np.nan), (np.nan, np.inf),
-                                                      (-1e-3, np.inf)])
-    def test_quadraticize_rejects_nan_or_negative_tolerances(self, active_tol, feas_tol):
+    @pytest.mark.parametrize("feas_tol", [np.nan, -1e-3])
+    def test_quadraticize_rejects_nan_or_negative_tolerances(self, feas_tol):
         game, traj = fishery_off_its_dynamics()
         quadraticize(game, traj, feas_tol=np.inf)  # inf still skips the check
         with pytest.raises(InfeasibleTrajectoryError):
             quadraticize(game, traj)
-        with pytest.raises(ValueError, match="must be nonnegative"):
-            quadraticize(game, traj, active_tol=active_tol, feas_tol=feas_tol)
+        with pytest.raises(ValueError, match="feas_tol must be nonnegative"):
+            quadraticize(game, traj, feas_tol=feas_tol)
 
     @staticmethod
     def fishery_with_stage_10_stock_moved(shift):
@@ -421,8 +421,7 @@ class TestTrajectoryFitsTheGame:
         "check_feasible": lambda game, traj: check_feasible(game, traj, np.inf),
         "pseudo_gradient": lambda game, traj: pseudo_gradient(game, traj, feas_tol=np.inf),
         "quadraticize": lambda game, traj: quadraticize(game, traj, feas_tol=np.inf),
-        "stagewise_newton_backward": lambda game, traj: stagewise_newton_backward(
-            game, traj, feas_tol=np.inf),
+        "stagewise_newton_backward": stagewise_newton_backward,
         "playerwise_minimizer_check": playerwise_minimizer_check,
         "constraint_violation": lambda game, traj: traj.constraint_violation(game),
     }
@@ -692,29 +691,27 @@ class TestActiveSets:
             quadraticize(game, traj)
         assert exc.value.stage == 0
 
-    @given(t1=st.floats(1e-9, 1e-3), scale=st.floats(1.0, 50.0))
-    def test_active_set_monotone_in_tolerance(self, t1, scale):
-        t2 = t1 * scale
-        game = self.box_game(T=3)
-        ctrl = np.array([[0.4 - 5e-7], [0.2], [0.4], [-1e-8]])
-        traj = rollout(game, np.zeros(1), ctrl)
-        small = quadraticize(game, traj, active_tol=t1)
-        big = quadraticize(game, traj, active_tol=t2)
-        assert np.all(big.active[small.active])
-
     @given(seed=st.integers(0, 2**32 - 1), T=st.integers(0, 4), max_rows=st.integers(0, 3),
-           tol=st.floats(0.0, 1.0), spread=st.floats(0.0, 3.0))
-    def test_active_mask_is_the_solve_reads_mask(self, seed, T, max_rows, tol, spread):
+           spread=st.floats(0.0, 3.0), near=st.booleans())
+    def test_active_mask_is_the_solve_reads_mask(self, seed, T, max_rows, spread, near):
         # one mask semantics: the backward pass's active rows around a
-        # trajectory are the rows a solve's read (the polish's) finds active there
+        # trajectory are the rows a solve's read (the polish's) finds within
+        # ACTIVE_TOL of active there; ``near`` moves every row to 0, 0.5 or 2
+        # ACTIVE_TOL below active, on both sides of the tolerance
         rng = np.random.default_rng(seed)
         base, lq_data = random_lq_game(rng, T=T)
         counts = rng.integers(0, max_rows + 1, T + 1)
-        game = affine_quadratic_game(lq_data, base.initial_state, {
-            k: (rng.standard_normal((m, 2)), rng.standard_normal((m, 2)), rng.standard_normal(m))
-            for k, m in enumerate(counts) if m})
+        stage_rows = {k: (rng.standard_normal((m, 2)), rng.standard_normal((m, 2)),
+                          rng.standard_normal(m)) for k, m in enumerate(counts) if m}
+        game = affine_quadratic_game(lq_data, base.initial_state, stage_rows)
         traj = rollout(game, game.initial_state,
                        spread * rng.standard_normal((T + 1, game.total_action_dim)))
+        if near:  # the same dynamics, so traj is still the game's rollout
+            stage_rows = {k: (W, S, -(W @ traj.states[k] + S @ traj.actions[k])
+                              - ACTIVE_TOL * rng.choice([0.0, 0.5, 2.0], len(p)))
+                          for k, (W, S, p) in stage_rows.items()}
+            game = affine_quadratic_game(lq_data, base.initial_state, stage_rows)
         rows = lq.padded_rows(game)
-        data = quadraticize(game, traj, active_tol=tol)
-        np.testing.assert_array_equal(data.active, rows.real & (rows.values(traj) >= -tol))
+        data = quadraticize(game, traj)
+        np.testing.assert_array_equal(data.active,
+                                      rows.real & (rows.values(traj) >= -ACTIVE_TOL))

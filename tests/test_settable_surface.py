@@ -4,7 +4,7 @@ import dataclasses
 import inspect
 
 from dyngames import cli, lq
-from dyngames.benchmarks import FisheryParams
+from dyngames.benchmarks import FisheryParams, noise_comparison
 from dyngames.certificate import (
     active_set_polish,
     kkt_residual,
@@ -12,9 +12,14 @@ from dyngames.certificate import (
     project_onto_feasible,
     residual_along,
 )
-from dyngames.feedback import FeedbackPolicy, feedback_rollout
-from dyngames.gradient import PseudoGradient
-from dyngames.model import GameDefinition, LqGameData, local_lq
+from dyngames.feedback import (
+    FeedbackPolicy,
+    epsilon_nash_gap,
+    feedback_rollout,
+    stagewise_newton_backward,
+)
+from dyngames.gradient import PseudoGradient, pseudo_gradient
+from dyngames.model import GameDefinition, LqGameData, local_lq, quadraticize
 from dyngames.projgrad import ProjGradConfig
 from dyngames.report import build_report, iterate
 from dyngames.splitting import (
@@ -49,10 +54,10 @@ def test_settable_surface():
                                      "run_checks"]
     assert names(FisheryParams) == ["u1_max", "u2_max", "r", "h", "dt", "horizon_time",
                                     "q1", "q2", "p1", "p2", "e1", "e2", "x0"]
-    assert names(cli.RunConfig) == ["game_id", "game_params", "solver", "solve", "active_tol",
-                                    "feedback", "stage_reg", "simulate", "output_dir"]
+    assert names(cli.RunConfig) == ["game_id", "game_params", "solver", "solve", "feedback",
+                                    "stage_reg", "simulate", "output_dir"]
     assert names(PseudoGradient) == ["own", "action_dims"]
-    assert names(FeedbackPolicy) == ["reference", "gains", "offsets", "action_dims"]
+    assert names(FeedbackPolicy) == ["reference", "gains", "offsets"]
     assert names(GameDefinition) == [
         "horizon", "state_dim", "action_dims", "initial_state", "dynamics", "stage_costs",
         "constraints", "dynamics_jacobians", "dynamics_hessians", "cost_gradients",
@@ -86,3 +91,10 @@ def test_settable_surface():
     # the eta = 0 factor is the game's kept read, and the rows are quadraticize's to read
     assert defaulted(project_dynamics) == []
     assert defaulted(local_lq) == ["feas_tol"]
+    # the active rows are those within model.ACTIVE_TOL, and the pass reads a
+    # reference feasible to quadraticize's 1e-6; only its damping is settable
+    assert defaulted(stagewise_newton_backward) == ["stage_reg"]
+    assert defaulted(quadraticize) == ["feas_tol"]
+    assert defaulted(pseudo_gradient) == ["feas_tol"]
+    assert defaulted(noise_comparison) == ["noise_scale"]
+    assert defaulted(epsilon_nash_gap) == []
