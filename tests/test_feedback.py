@@ -15,6 +15,7 @@ from dyngames.benchmarks import (FisheryParams, fishery_game, lq_rendezvous_game
                                  noise_comparison)
 from dyngames.errors import (
     DimensionError,
+    InfeasibleTrajectoryError,
     NonFiniteStateError,
     StageSingularityError,
     SubproblemError,
@@ -25,7 +26,7 @@ from dyngames.feedback import (
     feedback_rollout,
     stagewise_newton_backward,
 )
-from dyngames.model import GameDefinition, Trajectory, quadraticize, rollout
+from dyngames.model import ACTIVE_TOL, GameDefinition, Trajectory, quadraticize, rollout
 from dyngames.parametric import solve_stage_kkt
 from dyngames.projgrad import ProjGradConfig, projected_gradient_solve
 from dyngames.splitting import SCHEMES, DrConfig, dr_solve
@@ -114,6 +115,29 @@ class TestBackwardPass:
         ref = rollout(game, game.initial_state, np.tile([0.4, 0.0], (11, 1)))
         policy = stagewise_newton_backward(game, ref, stage_reg=0.1)
         np.testing.assert_array_equal(policy.gains[0], np.zeros((2, 1)))
+
+    @pytest.mark.parametrize("below, pinned", [(0.5, True), (2.0, False)])
+    def test_rows_within_active_tol_are_pinned(self, below, pinned):
+        # player 0 below its upper bound by 0.5 or 2 ACTIVE_TOL, player 1 inside its box
+        game = fishery_game(FisheryParams(horizon_time=1.0))
+        ref = rollout(game, game.initial_state,
+                      np.tile([0.4 - below * ACTIVE_TOL, 0.2], (11, 1)))
+        gains = np.asarray(stagewise_newton_backward(game, ref, stage_reg=0.1).gains)
+        assert np.all(gains[:, 1] != 0.0)
+        assert np.all(gains[:, 0] == 0.0) if pinned else np.all(gains[:, 0] != 0.0)
+
+    @pytest.mark.parametrize("shift, feasible", [(1e-5, True), (1e-4, False)])
+    def test_reference_off_its_dynamics_is_refused(self, shift, feasible):
+        # the pass allows a residual of 1e-6 (1 + |x_10|), about 5.6e-5 here
+        game = fishery_game(FisheryParams(horizon_time=2.0))
+        ref = rollout(game, game.initial_state, np.full((game.horizon + 1, 2), 0.1))
+        ref.states[10] += shift  # about 55.1
+        if feasible:
+            stagewise_newton_backward(game, ref, stage_reg=0.1)
+            return
+        with pytest.raises(InfeasibleTrajectoryError) as err:
+            stagewise_newton_backward(game, ref, stage_reg=0.1)
+        assert err.value.stage == 9  # the stage whose dynamics produce x_10
 
     def test_fixed_point_at_equality_constrained_equilibrium(self, rng):
         game, lq, rows, ref, _ = equality_constrained_lq_instance(rng)
