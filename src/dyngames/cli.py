@@ -24,7 +24,9 @@ and needs the block).  The feedback pass pins the rows within
 ``model.ACTIVE_TOL`` of active, and no key sets that tolerance.  Any other
 key, the other solver's or an ``active_tol`` among them, or an output_dir or
 ``--out`` that is not a non-empty string, exits with status 2 before the
-solve.
+solve.  The solve, the policy and the simulation all run before the first
+file is written, so a run that exits 0 or 5 writes every output and any
+other run writes none.
 
 Outputs: trajectory.csv (the rollout of the solver's actions), convergence.csv
 (one row per iteration 0..n: its step norm, 0 at the start, and its distance
@@ -291,6 +293,20 @@ def run(config: RunConfig) -> int:
         report = dr_solve(game, cfg)
     log.info("finished after %d iterations (%s)", report.iterations, report.termination)
 
+    # everything that can fail runs before the first file is written
+    policy = comparison = None
+    if config.feedback:
+        log.info("computing local feedback policy")
+        policy = stagewise_newton_backward(game, report.trajectory,
+                                           stage_reg=config.stage_reg)
+    sim = config.simulate
+    if sim is not None:  # from_dict asks for feedback with it
+        log.info("simulating %d noisy runs (seed %d)", sim["n_runs"], sim["seed"])
+        comparison = benchmarks.noise_comparison(
+            game, report.trajectory, policy.equilibrium_form(),
+            noise_var=sim["noise_var"], n_runs=sim["n_runs"], seed=sim["seed"],
+            noise_scale=meta.get("noise_scale", 1.0))
+
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     _write_trajectory_csv(outdir / "trajectory.csv", game, report.trajectory)
@@ -317,20 +333,10 @@ def run(config: RunConfig) -> int:
     if meta.get("profits"):
         payload["player_profits"] = [-float(c) for c in report.final_costs]
 
-    policy = None
-    if config.feedback:
-        log.info("computing local feedback policy")
-        policy = stagewise_newton_backward(game, report.trajectory,
-                                           stage_reg=config.stage_reg)
+    if policy is not None:
         _write_json(outdir / "policy.json", _policy_payload(policy))
 
-    if config.simulate is not None:  # from_dict asks for feedback with it
-        sim = config.simulate
-        log.info("simulating %d noisy runs (seed %d)", sim["n_runs"], sim["seed"])
-        comparison = benchmarks.noise_comparison(
-            game, report.trajectory, policy.equilibrium_form(),
-            noise_var=sim["noise_var"], n_runs=sim["n_runs"], seed=sim["seed"],
-            noise_scale=meta.get("noise_scale", 1.0))
+    if comparison is not None:
         _write_simulation_csv(outdir / "simulation.csv", comparison)
         payload["simulation"] = {
             **sim,

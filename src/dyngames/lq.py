@@ -58,7 +58,8 @@ of ``feedback.epsilon_nash_gap`` cost O(T) per active-set step.  A banded
 QP pins a guess of its active rows in one factor: the rows its caller
 names, else those violated at its equality-constrained minimum.  A game
 is read at the origin once, however many solves read it: its rows
-(``padded_rows``), data (``game_data``) and eta = 0 ``factor`` are kept.
+(``padded_rows``), data (``game_data``), eta = 0 ``factor`` and ``factor``
+at the last eta > 0 asked for are kept.
 """
 
 from __future__ import annotations
@@ -102,7 +103,8 @@ class LqFactor:
     """The banded LU of one LQ game's stacked KKT matrix (module docstring).
 
     ``eta`` records the regularization weight of a factor built by
-    ``factor``; it is None for a factor of a plain LQ game.  ``rows`` is the
+    ``regularized_factor``, and keys the one a game keeps (``factor``); it
+    is None for a factor of a plain LQ game.  ``rows`` is the
     number of pinned-row multipliers leading every block (``solve_pinned``).
     """
 
@@ -274,13 +276,15 @@ def factor(game: GameDefinition, eta: float) -> LqFactor:
 
     eta > 0 requires a declared linear-quadratic game (ValueError); eta = 0
     (the dynamics projection) requires declared linear dynamics only.  Both
-    factor the game's kept data (``game_data``); the eta = 0 factor reads
-    the game alone and is kept on it too (``_kept``).
+    factor the game's kept data (``game_data``) and are kept on it too
+    (``_kept``): the eta = 0 factor, and the one at the last eta > 0 asked for.
     """
     if not eta >= 0:  # rejects NaN too
         raise ValueError(f"regularization must be nonnegative, got {eta}")
     if eta > 0:
-        return regularized_factor(lq_game_data(game), eta)
+        data = lq_game_data(game)
+        return _kept(game, "lq.regularized_factor", lambda: regularized_factor(data, eta),
+                     fresh=lambda kept: kept.eta == eta)
     data = game_data(game)
     # the prox terms alone; LqFactor.solve shifts their centres
     return _kept(game, "lq.factor", lambda: _kkt_factor(
@@ -412,16 +416,17 @@ def lq_game_data(game: GameDefinition) -> LqGameData:
     return game_data(game)
 
 
-def _kept(game: GameDefinition, key: str, read):
+def _kept(game: GameDefinition, key: str, read, fresh=lambda kept: True):
     """``read()``, made at the first call and kept in ``game``'s ``__dict__`` under ``key``.
 
     The game is immutable, so the read depends on it only; it is not a field
     (the dataclass is frozen and unhashable), so ``dataclasses.replace``
-    gives an unread game.  A read that raises is not kept.  Its arrays are
+    gives an unread game.  A kept read that ``fresh`` refuses is read again.
+    A read that raises is not kept, and leaves the one before.  Its arrays are
     kept as read-only copies: no reader changes what the next one reads, and
     no array of the game or its hooks that the read passes through is frozen.
     """
-    if key not in game.__dict__:
+    if key not in game.__dict__ or not fresh(game.__dict__[key]):
         kept = read()
         arrays = {f.name: np.array(getattr(kept, f.name)) for f in fields(kept)
                   if isinstance(getattr(kept, f.name), np.ndarray)}

@@ -722,30 +722,24 @@ class LqGameData:
     active: Optional[Array] = None
 
 
-def linearize_dynamics(game: GameDefinition, states: Array, actions: Array,
-                       feas_tol: float = np.inf) -> tuple[Array, Array, Array]:
-    """(A, B, b) of ``LqGameData`` around (states, actions).
-
-    A residual |b_k| above ``feas_tol`` (relative to 1 + |xbar_{k+1}|) raises
-    InfeasibleTrajectoryError before the Jacobians are read.
-    """
+def linearize_dynamics(game: GameDefinition, states: Array,
+                       actions: Array) -> tuple[Array, Array, Array]:
+    """(A, B, b) of ``LqGameData`` around (states, actions), whatever the offsets b."""
     b = _dynamics_offsets(game, states, actions)
-    _raise_if_infeasible(np.linalg.norm(b, axis=1), states, feas_tol)
     return (*game.eval_traj_dynamics_jacobians(states, actions), b)
 
 
-def local_lq(game: GameDefinition, states: Array, actions: Array,
-             feas_tol: float = np.inf) -> LqGameData:
+def local_lq(game: GameDefinition, states: Array, actions: Array) -> LqGameData:
     """The ``LqGameData`` of a game around (states, actions), without its rows.
 
     Cost gradients and Hessians, dynamics Jacobians and Hessians all come
     from the whole-trajectory evaluators, and the stage costs are not read.
     G is zero, and not evaluated, for declared linear dynamics.  The rows
-    are ``quadraticize``'s to read.
+    and the feasibility test are ``quadraticize``'s.
     """
     _check_fits(game, states, actions)
     T, n_z = game.horizon, game.state_dim + game.total_action_dim
-    A, B, b = linearize_dynamics(game, states, actions, feas_tol)
+    A, B, b = linearize_dynamics(game, states, actions)
     # the cost model as (N, T+1, ...): players first, then stages
     c = np.concatenate(game.eval_traj_cost_gradients(states, actions), axis=2).swapaxes(0, 1)
     C = game.eval_traj_cost_hessians(states, actions).swapaxes(0, 1)
@@ -766,11 +760,12 @@ def quadraticize(game: GameDefinition, traj: Trajectory,
     its cost gradients, b its dynamics residuals, ``initial_state`` is
     x0 - xbar_0 (``local_lq``); the rows are read here, with the active mask
     ``real & (g >= -ACTIVE_TOL)``.  Raises InfeasibleTrajectoryError for a
-    residual above ``feas_tol`` (``inf`` skips the check), and ValueError
-    for a NaN or negative ``feas_tol``.
+    residual above ``feas_tol`` (``check_feasible``'s test on b; ``inf``
+    skips it), and ValueError for a NaN or negative ``feas_tol``.
     """
     _check_tol(feas_tol)
-    data = local_lq(game, traj.states, traj.actions, feas_tol)
+    data = local_lq(game, traj.states, traj.actions)
+    _raise_if_infeasible(np.linalg.norm(data.b, axis=1), traj.states, feas_tol)
     data.rows = read_rows(game, traj.states, traj.actions)
     data.active = data.rows.real & (data.rows.p >= -ACTIVE_TOL)
     return data

@@ -51,11 +51,11 @@ ends a linear-quadratic run within two steps, so the rule serves the games
 it cannot end: on the nonlinear fishery (``horizon_time`` 10, eta 1e-4)
 the natural residual after 300 steps reads 0.143 with both parts, 0.235
 without the extrapolation and 0.345 without the balancing.
-The rows, the data at the origin and the eta = 0 dynamics projection's
-``lq.factor`` (a banded LU of the stacked KKT matrix) are the game's kept
-reads (``lq.padded_rows``, ``lq.game_data`` and ``lq.factor``), made once
-per game however many solves read them; only the regularized LQ game is
-factored again, once per solve and per change of eta.
+The rows, the data at the origin and ``lq.factor``'s banded LUs of the
+stacked KKT matrix, at eta = 0 and at the last eta > 0 asked for, are the
+game's kept reads (``lq.padded_rows``, ``lq.game_data`` and ``lq.factor``),
+made once per game however many solves read them; only a change of eta
+factors the regularized LQ game again.
 """
 
 from __future__ import annotations
@@ -163,8 +163,7 @@ class DrConfig:
 
 
 def resolvent_reg_game(game: GameDefinition, y: Array, z: Array, eta: float,
-                       warm: Optional[Trajectory] = None,
-                       factor: Optional[lq.LqFactor] = None) -> tuple[Array, Array]:
+                       warm: Optional[Trajectory] = None) -> tuple[Array, Array]:
     """Equilibrium of the proximally regularized unconstrained dynamic game.
 
     The regularized game gives player n the costs eta c_{n,k} + 0.5 |x_k -
@@ -172,9 +171,8 @@ def resolvent_reg_game(game: GameDefinition, y: Array, z: Array, eta: float,
     unchanged, so its equilibrium is the resolvent of the scaled game
     operator at (y, z).  Declared linear-quadratic games are solved exactly
     by one banded solve of their stacked open-loop KKT system (``lq``): only
-    its right-hand side depends on (y, z), so ``factor`` (the LU from
-    ``lq.factor(game, eta)``) can be prepared once and reused across calls;
-    without it the game is factored here.
+    its right-hand side depends on (y, z), so the LU is the game's kept
+    ``lq.factor(game, eta)``, made once and reused while eta stays.
 
     Other games take full Newton steps from ``warm`` (else from z).  A Newton
     step on an open-loop game is the open-loop equilibrium of its local LQ
@@ -191,11 +189,7 @@ def resolvent_reg_game(game: GameDefinition, y: Array, z: Array, eta: float,
     StageSingularityError, and an eta that is not positive ValueError.
     """
     if game.linear_dynamics and game.quadratic_costs:
-        if factor is None:
-            factor = lq.factor(game, eta)
-        elif factor.eta != eta:
-            raise ValueError(f"factor was built for eta={factor.eta}, not {eta}")
-        return factor.solve(y, z)
+        return lq.factor(game, eta).solve(y, z)
     if not eta > 0:  # the Newton steps weigh the Hessians by 1/eta
         raise ValueError(f"regularization must be positive, got {eta}")
     T, n_x, n_u = game.horizon, game.state_dim, game.total_action_dim
@@ -589,15 +583,16 @@ def _resolvents(game: GameDefinition, cfg: DrConfig):
     """The scheme's two resolvents at a given eta: a map eta -> (first, second).
 
     Each resolvent maps (y, z) -> (x, u).  ``constraints`` solves the
-    regularized game with the banded LU of ``lq.factor`` at eta for declared
-    linear-quadratic games, else by Newton steps warm-started from the
-    previous output; the other schemes pass eta per call to the static
-    games.  What does not depend on eta is the game's kept reads, the
+    regularized game with the game's kept banded LU at eta (``lq.factor``)
+    for declared linear-quadratic games, else by Newton steps warm-started
+    from the previous output; the other schemes pass eta per call to the
+    static games.  What does not depend on eta is the game's kept reads, the
     ``dynamics`` scheme's eta = 0 factor among them; building asks for
     those the scheme needs, so it raises before the first iteration:
     UnsupportedConstraintError for nonlinear dynamics or, in the
-    ``gradient`` scheme, non-affine stage constraints; and the map raises
-    StageSingularityError for a singular KKT matrix at its eta.
+    ``gradient`` scheme, non-affine stage constraints; and the map asks for
+    the LU at its eta, so it raises StageSingularityError for a singular KKT
+    matrix there before any step reads it.
     """
     if cfg.scheme == SCHEME_DYNAMICS:
         lq.factor(game, 0.0)  # raises for nonlinear dynamics
@@ -615,12 +610,13 @@ def _resolvents(game: GameDefinition, cfg: DrConfig):
     warm = None
 
     def at(eta):
-        factor = lq.factor(game, eta) if exact else None
+        if exact:
+            lq.factor(game, eta)  # raises here for a singular game at eta
 
         def regularized_game(y, z):
             nonlocal warm
-            x, u = resolvent_reg_game(game, y, z, eta, warm=warm, factor=factor)
-            if factor is None:  # only the Newton steps warm-start
+            x, u = resolvent_reg_game(game, y, z, eta, warm=warm)
+            if not exact:  # only the Newton steps warm-start
                 warm = Trajectory(x, u)
             return x, u
 

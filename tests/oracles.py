@@ -742,7 +742,6 @@ def dr_constraints_scheme_trace(game, stage_projection, eta, alpha, max_iter):
     eta', and the list restarts empty.
     Returns an array of shape (max_iter, 2).
     """
-    from dyngames.lq import factor
     from dyngames.splitting import (
         ANDERSON_MEMORY,
         ANDERSON_REG,
@@ -755,13 +754,12 @@ def dr_constraints_scheme_trace(game, stage_projection, eta, alpha, max_iter):
     )
 
     T = game.horizon
-    lq_factor = factor(game, eta)
     wu = np.zeros((T + 1, game.total_action_dim))
     wx = rollout(game, game.initial_state, wu).states
     rows, kept, trial = [], [], False
     changes, c_prev = 0, None
     for t in range(1, max_iter + 1):
-        tx, tu = resolvent_reg_game(game, wx, wu, eta, factor=lq_factor)
+        tx, tu = resolvent_reg_game(game, wx, wu, eta)
         yx, yu = 2 * tx - wx, 2 * tu - wu
         cx, cu = np.empty_like(yx), np.empty_like(yu)
         for k in range(T + 1):
@@ -801,7 +799,6 @@ def dr_constraints_scheme_trace(game, stage_projection, eta, alpha, max_iter):
             if new_eta != eta:
                 nxt = first + (new_eta / eta) * (g - first)
                 eta, changes = new_eta, changes + 1
-                lq_factor = factor(game, eta)
                 kept, trial = [], False
         c_prev = second
         wx = nxt[:wx.size].reshape(wx.shape)

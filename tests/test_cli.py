@@ -395,6 +395,16 @@ class TestExitCodes:
         }
         assert main(["--config", write(tmp_path, cfg), "--quiet"]) \
             == EXIT_SOLVER_FAILURE
+        assert not (tmp_path / "x").exists()
+
+    def test_a_failing_feedback_pass_writes_nothing(self, tmp_path, capsys):
+        # the solve succeeds and the policy pass then fails: no file of the
+        # solve is written either
+        cfg = {"game": {"id": "fishery", "params": {"horizon_time": 10.0}}, "solver": "pg",
+               "max_iter": 50, "feedback": True, "output_dir": str(tmp_path / "x")}
+        assert main(["--config", write(tmp_path, cfg), "--quiet"]) == EXIT_SOLVER_FAILURE
+        assert "stage KKT system is singular" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_missing_config_file(self, tmp_path):
         assert main(["--config", str(tmp_path / "nope.json"), "--quiet"]) \

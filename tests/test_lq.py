@@ -159,13 +159,16 @@ def test_projection_kernel_matches_dense_least_squares(seed, T, state_dim, actio
 
 
 def test_reused_factor_equals_fresh_factor(rng, monkeypatch):
-    # the eta = 0 factor is the game's kept read: repeated dynamics projections
-    # on one game factor once, and solve as a fresh factor does, bit for bit
+    # the eta = 0 factor and the regularized factor at the last eta are the
+    # game's kept reads: repeated resolvents and dynamics projections on one
+    # game factor once, and solve as a fresh factor does, bit for bit
     data = random_lq_data(rng, 5, 2, (1, 2))
     game = lq_game(data, rng.standard_normal(2), (1, 2))
     eta = 0.3
     reused = lq.factor(game, eta)
+    assert lq.factor(game, eta) is reused and not reused.lu.flags.writeable
     fresh = lq.factor(dataclasses.replace(game), 0.0)  # an unread copy of the game
+    fresh_eta = lq.factor(dataclasses.replace(game), eta)
     etas, real = [], lq._kkt_factor
 
     def kkt_factor(data, eta=None, **kwargs):
@@ -176,25 +179,23 @@ def test_reused_factor_equals_fresh_factor(rng, monkeypatch):
     for _ in range(20):
         y = rng.standard_normal((6, 2))
         z = rng.standard_normal((6, 3))
-        xs, us = resolvent_reg_game(game, y, z, eta, factor=reused)
-        fx, fu = resolvent_reg_game(game, y, z, eta)
+        xs, us = resolvent_reg_game(game, y, z, eta)
+        fx, fu = fresh_eta.solve(y, z)
         np.testing.assert_array_equal(xs, fx)
         np.testing.assert_array_equal(us, fu)
         px, pu = splitting.project_dynamics(game, y, z)
         qx, qu = fresh.solve(y, z)
         np.testing.assert_array_equal(px, qx)
         np.testing.assert_array_equal(pu, qu)
-    # the kept factor once, and each resolvent_reg_game call without a factor
-    assert etas.count(0.0) == 1 and etas.count(eta) == 20 and len(etas) == 21
-    assert lq.factor(game, 0.0) is lq.factor(game, 0.0)
-
-
-def test_factor_for_another_eta_rejected(rng):
-    data = random_lq_data(rng, 3, 2, (1, 1))
-    game = lq_game(data, np.zeros(2), (1, 1))
-    y, z = np.zeros((4, 2)), np.zeros((4, 2))
-    with pytest.raises(ValueError):
-        resolvent_reg_game(game, y, z, 0.2, factor=lq.factor(game, 0.1))
+    # the kept eta = 0 factor once, and no factor at eta: the 20 resolvents read the kept one
+    assert etas == [0.0]
+    assert lq.factor(game, eta) is reused
+    # another eta replaces the kept factor, and the eta = 0 factor stays
+    other = lq.factor(game, 2 * eta)
+    assert other.eta == 2 * eta and lq.factor(game, 2 * eta) is other
+    assert lq.factor(game, eta) is not reused
+    assert etas == [0.0, 2 * eta, eta]
+    assert lq.factor(game, 0.0) is lq.factor(game, 0.0) and etas.count(0.0) == 1
 
 
 def test_plain_solve_matches_dense_kkt_and_stays_in_feedback(rng):
@@ -409,13 +410,14 @@ def test_balancing_keeps_eta_where_the_raised_game_is_singular(rng, monkeypatch,
     with pytest.raises(StageSingularityError):
         lq.factor(game, raised)
     etas = []
-    real = lq.factor
+    real = lq.regularized_factor
 
-    def spy(game, eta, *args):
+    def spy(data, eta):
         etas.append(eta)
-        return real(game, eta, *args)
+        return real(data, eta)
 
-    monkeypatch.setattr(lq, "factor", spy)
+    # every step reads the game's kept factor (lq.factor), so count the builds
+    monkeypatch.setattr(lq, "regularized_factor", spy)
     rep = dr_solve(game, DrConfig(scheme="constraints", eta=eta0, max_iter=500,
                                   record_costs=False, run_checks=False))
     # balancing asked for BALANCE_FACTOR * eta0 once, kept eta0 and stopped
@@ -447,8 +449,8 @@ def test_factor_and_solve_scale_linearly_in_horizon(rng):
         for rnd in range(ROUNDS):
             for i, (game, y, z) in enumerate(cases):
                 t0 = time.process_time()
-                for _ in range(3):
-                    fac = lq.factor(game, 0.1)
+                for _ in range(3):  # each a build: lq.factor would return its kept factor
+                    fac = lq.regularized_factor(lq.game_data(game), 0.1)
                 factor_times[rnd, i] = time.process_time() - t0
                 t0 = time.process_time()
                 for _ in range(100):

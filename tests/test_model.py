@@ -8,7 +8,12 @@ from hypothesis import given, strategies as st
 
 from dyngames import lq
 from dyngames.benchmarks import FisheryParams, fishery_game, lq_rendezvous_game
-from dyngames.errors import DimensionError, InfeasibleTrajectoryError, NonFiniteStateError
+from dyngames.errors import (
+    DimensionError,
+    InfeasibleTrajectoryError,
+    NonFiniteDerivativeError,
+    NonFiniteStateError,
+)
 from dyngames.feedback import stagewise_newton_backward
 from dyngames.gradient import playerwise_minimizer_check, pseudo_gradient
 from dyngames.projgrad import project_onto_feasible
@@ -623,6 +628,28 @@ class TestConstraintHessians:
         misshapen = self.disc_game(lambda k, x, u: np.zeros((1, 2, 2)))
         with pytest.raises(DimensionError, match="constraint Hessians at stage 1"):
             misshapen.eval_constraint_hessians(1, np.zeros(1), np.zeros(2))
+
+
+def nan_below_zero(u):
+    """u where u >= 0 and NaN elsewhere: finite at 0, not finite a step below it."""
+    return np.where(u < 0, np.nan, u)
+
+
+@pytest.mark.parametrize("method, what", [
+    ("eval_dynamics_jacobians", "dynamics"), ("eval_dynamics_hessians", "dynamics"),
+    ("eval_cost_gradients", "cost"), ("eval_cost_hessians", "cost"),
+    ("eval_constraint_hessians", "constraint"), ("eval_constraint_rows", "constraint")])
+def test_a_non_finite_difference_names_its_map_and_stage(method, what):
+    # no analytic derivatives: every evaluator falls back to central
+    # differences, and each map is finite at u = 0 but NaN one step below it
+    game = GameDefinition(
+        horizon=3, state_dim=1, action_dims=(1,), initial_state=[0.0],
+        dynamics=lambda k, x, u: x + nan_below_zero(u),
+        stage_costs=lambda k, x, u: nan_below_zero(u),
+        constraints=lambda k, x, u: nan_below_zero(u) - 1.0)
+    with pytest.raises(NonFiniteDerivativeError) as exc:
+        getattr(game, method)(2, np.zeros(1), np.zeros(1))
+    assert (exc.value.what, exc.value.stage) == (what, 2)
 
 
 class TestActiveSets:

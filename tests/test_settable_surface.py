@@ -19,7 +19,13 @@ from dyngames.feedback import (
     stagewise_newton_backward,
 )
 from dyngames.gradient import PseudoGradient, pseudo_gradient
-from dyngames.model import GameDefinition, LqGameData, local_lq, quadraticize
+from dyngames.model import (
+    GameDefinition,
+    LqGameData,
+    linearize_dynamics,
+    local_lq,
+    quadraticize,
+)
 from dyngames.projgrad import ProjGradConfig
 from dyngames.report import build_report, iterate
 from dyngames.splitting import (
@@ -69,7 +75,8 @@ def test_settable_surface():
         "owner"]
     assert names(LqGameData) == ["A", "B", "b", "C", "c", "action_dims", "initial_state", "G",
                                  "rows", "active"]
-    assert defaulted(resolvent_reg_game) == ["warm", "factor"]
+    # the LQ factor at eta is the game's kept read (lq.factor)
+    assert defaulted(resolvent_reg_game) == ["warm"]
     assert defaulted(resolvent_reg_static_games) == []
     assert defaulted(resolvent_static_games_uncon) == []
     # the divergence bound is report.DIVERGENCE_FACTOR, and the hooks are keyword-only
@@ -90,7 +97,9 @@ def test_settable_surface():
     assert defaulted(lq.factor) == []
     # the eta = 0 factor is the game's kept read, and the rows are quadraticize's to read
     assert defaulted(project_dynamics) == []
-    assert defaulted(local_lq) == ["feas_tol"]
+    # the feasibility test is quadraticize's, on the offsets these read
+    assert defaulted(local_lq) == []
+    assert defaulted(linearize_dynamics) == []
     # the active rows are those within model.ACTIVE_TOL, and the pass reads a
     # reference feasible to quadraticize's 1e-6; only its damping is settable
     assert defaulted(stagewise_newton_backward) == ["stage_reg"]

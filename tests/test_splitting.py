@@ -1069,13 +1069,14 @@ class TestEtaBalancing:
 
     def test_eta_changes_by_the_factor_until_frozen(self, monkeypatch, dr_without_polish):
         etas = []
-        real = lq.factor
+        real = lq.regularized_factor
 
-        def spy(game, eta, *args):
+        def spy(data, eta):
             etas.append(eta)
-            return real(game, eta, *args)
+            return real(data, eta)
 
-        monkeypatch.setattr(lq, "factor", spy)
+        # every step reads the game's kept factor (lq.factor), so count the builds
+        monkeypatch.setattr(lq, "regularized_factor", spy)
         game = lq_rendezvous_game()
         cfg = DrConfig(eta=1e-4, record_costs=False, run_checks=False)
         rep = dr_solve(game, cfg)
